@@ -112,7 +112,9 @@ bench:
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
 # (>=2x Phase-B on MD, KMEANS and BFS, specialized vs interpreter,
-# results verified both sides), plus one iteration of
+# results verified both sides), the guarded-stencil gate (>=4x Phase-B
+# on the boundary-guarded localaccess stencil, index-set split vs
+# interpreter, results verified both sides), plus one iteration of
 # each wall-clock gate benchmark (legacy-vs-optimized loader,
 # replicated-write diff, plan resolution, and the Phase-B
 # interpreter-vs-specialized pairs), the accd program-cache gate
@@ -123,7 +125,7 @@ bench:
 # NIC-aware async schedule to >=1.2x over sync on the halo-bound
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
-	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate' \
+	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
 		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench

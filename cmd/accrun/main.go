@@ -230,6 +230,9 @@ func main() {
 func printSpecSummary(r *rt.Runtime) {
 	hits, fb := r.SpecHits(), r.SpecFallbacks()
 	fmt.Printf("spec: %d chunks specialized, %d interpreter fallbacks\n", hits, fb)
+	if pieces := r.SpecSplitPieces(); pieces > 0 {
+		fmt.Printf("  affine-guard chunks split into %d pieces\n", pieces)
+	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
 			return

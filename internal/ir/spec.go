@@ -41,6 +41,14 @@ import (
 // runtime adds launch-time fallback conditions on top (audit mode,
 // fault plans, miss-check lanes, layout-transformed copies, failed
 // range proofs; see internal/rt).
+//
+// One branch shape leaves the arm machinery altogether: a top-level if
+// whose condition is an affine guard (&&, ||, ! over integer
+// comparisons affine in the induction variable, operands loop-
+// invariant) is constant on sub-ranges of the iteration space, so
+// splitGuards compiles one straight-line variant per arm path and the
+// runtime cuts each chunk at the comparisons' roots (index-set
+// splitting) — no arm counters, no data-dependent store footprints.
 
 // errSpecIneligible aborts spec compilation; the kernel falls back to
 // the interpreter. It never escapes BuildKernelSpec. specErr variants
@@ -236,6 +244,61 @@ type KernelSpec struct {
 	VecBody VStmt
 	// NumBufI/NumBufF size a VecEnv's scratch vectors.
 	NumBufI, NumBufF int
+	// Guard, when non-nil, makes this spec an index-set split: Body,
+	// costs and accesses live in Guard.Variants, one of which covers
+	// each sub-range of a chunk; only the environment sizes above (and
+	// NumBufI/NumBufF, the maximum over the variants) are meaningful
+	// here.
+	Guard *SpecGuard
+}
+
+// maxGuardPaths bounds the arm paths (variants) of one split kernel.
+const maxGuardPaths = 8
+
+// SpecGuard is the decision structure of an index-set split kernel.
+type SpecGuard struct {
+	// Tree selects the variant of an iteration.
+	Tree *GuardNode
+	// Atoms lists every comparison in the tree that varies with the
+	// induction variable; between two consecutive roots of the atoms
+	// every condition, hence the selected variant, is constant.
+	Atoms []GuardAtom
+	// Variants are the straight-line specs, one per arm path; each has
+	// a tiled body, no arms and only affine accesses.
+	Variants []*KernelSpec
+}
+
+// GuardNode is one affine-guarded if (a leaf when Cond is nil).
+type GuardNode struct {
+	// Cond is the interpreter's own compiled condition, so evaluating
+	// it charges env.Flops exactly what the interpreter charges per
+	// iteration, short-circuiting included.
+	Cond       func(*Env) bool
+	Then, Else *GuardNode
+	// Variant indexes SpecGuard.Variants at a leaf.
+	Variant int
+}
+
+// GuardAtom is the comparison X op Y of two int expressions affine in
+// the induction variable, compiled against the host environment.
+type GuardAtom struct {
+	X, Y ExprI
+	Op   string
+}
+
+// Select evaluates the guards at the iteration held in env's loop slot
+// and returns the variant index; the conditions' cost accrues to
+// env.Flops.
+func (g *SpecGuard) Select(env *Env) int {
+	n := g.Tree
+	for n.Cond != nil {
+		if n.Cond(env) {
+			n = n.Then
+		} else {
+			n = n.Else
+		}
+	}
+	return n.Variant
 }
 
 // specBuilder compiles the body, accumulating static costs into the
@@ -262,9 +325,41 @@ type specBuilder struct {
 // category ("branch", "intrinsic", "loop", "induction", "shape") for
 // the per-reason fallback metrics.
 func BuildKernelSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program) (*KernelSpec, string) {
+	assigned := map[*cc.VarDecl]bool{}
+	collectAssignedScalars(body, assigned)
+	if assigned[loopVar] {
+		return nil, errSpecInduction.reason // body rewrites the induction variable
+	}
+	if hasTopLevelIf(body) {
+		if spec := splitGuards(body, loopVar, prog, assigned); spec != nil {
+			return spec, ""
+		}
+	}
+	return buildSpec(body, loopVar, prog, assigned)
+}
+
+// hasTopLevelIf reports an if directly in the body's (nested) blocks,
+// the only place splitGuards looks for a guard.
+func hasTopLevelIf(s cc.Stmt) bool {
+	switch x := s.(type) {
+	case *cc.IfStmt:
+		return true
+	case *cc.Block:
+		for _, c := range x.Stmts {
+			if hasTopLevelIf(c) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// buildSpec compiles one body (a whole kernel body, or one variant of a
+// split one) given the scalars the whole kernel body assigns.
+func buildSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map[*cc.VarDecl]bool) (*KernelSpec, string) {
 	b := &specBuilder{
 		loopVar:  loopVar,
-		assigned: map[*cc.VarDecl]bool{},
+		assigned: assigned,
 		spec: &KernelSpec{
 			LoopSlot:      loopVar.Slot,
 			NumInts:       prog.NumInts,
@@ -275,17 +370,13 @@ func BuildKernelSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program) (*Kern
 		},
 	}
 	b.spec.Base.Stores = make([]int64, prog.NumArrays)
-	collectAssignedScalars(body, b.assigned)
-	if b.assigned[loopVar] {
-		return nil, errSpecInduction.reason // body rewrites the induction variable
-	}
 	b.cur = &b.spec.Base
 	st, err := b.stmt(body)
 	if err != nil {
 		return nil, specReason(err)
 	}
 	if st == nil {
-		st = func(*DEnv) {}
+		st = dNop
 	}
 	b.spec.Body = st
 	b.spec.Arms = make([]IterCost, len(b.arms))
@@ -300,8 +391,151 @@ func BuildKernelSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program) (*Kern
 	if b.spec.HasComputed {
 		b.spec.Prover = buildProver(body, loopVar, prog, b.spec)
 	}
-	buildVec(body, loopVar, b.assigned, b.spec)
+	buildVec(body, loopVar, assigned, b.spec)
 	return b.spec, ""
+}
+
+// guardSplitter builds the SpecGuard of a body: it walks the top-level
+// statement list, forks at every affine-guarded if and compiles the
+// statements each path executes as one variant.
+type guardSplitter struct {
+	sb    *specBuilder // affineDegree's view: induction variable, assigned scalars
+	prog  *cc.Program
+	guard *SpecGuard
+	// set and folded record, over all variants, the scalars assigned
+	// with "=" and with an accumulating operator. The tiled body keeps
+	// "=" scalars in per-tile vectors but folds accumulators in the
+	// worker environment, so a scalar that is both in different
+	// variants would not carry from one piece to the next.
+	set, folded map[*cc.VarDecl]bool
+}
+
+// splitGuards compiles the index-set split of a body with at least one
+// affine guard. Nil means "compile the ordinary way": no guard, too
+// many paths, or a variant that is not a straight-line tiled spec.
+func splitGuards(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map[*cc.VarDecl]bool) *KernelSpec {
+	s := &guardSplitter{
+		sb:     &specBuilder{loopVar: loopVar, assigned: assigned},
+		prog:   prog,
+		guard:  &SpecGuard{},
+		set:    map[*cc.VarDecl]bool{},
+		folded: map[*cc.VarDecl]bool{},
+	}
+	s.guard.Tree = s.walk([]cc.Stmt{body}, nil, false)
+	if s.guard.Tree == nil || s.guard.Tree.Cond == nil {
+		return nil
+	}
+	spec := &KernelSpec{
+		LoopSlot: loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
+		InexactStores: make([]bool, prog.NumArrays),
+		Guard:         s.guard,
+	}
+	for _, v := range s.guard.Variants {
+		spec.NumBufI, spec.NumBufF = max(spec.NumBufI, v.NumBufI), max(spec.NumBufF, v.NumBufF)
+	}
+	return spec
+}
+
+// walk scans todo, the statements still to run on this path, after the
+// unguarded statements in done; guarded reports a guard above. It
+// returns nil when the split must be abandoned.
+func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
+	for i, st := range todo {
+		rest := todo[i+1:]
+		switch x := st.(type) {
+		case *cc.Block:
+			if x.Data == nil {
+				// Declarations only name environment slots, so nested
+				// blocks flatten into the path.
+				return s.walk(append(x.Stmts[:len(x.Stmts):len(x.Stmts)], rest...), done, guarded)
+			}
+		case *cc.IfStmt:
+			n0 := len(s.guard.Atoms)
+			if s.guardCond(foldExpr(x.Cond)) {
+				cond, err := compileCond(x.Cond)
+				if err != nil {
+					return nil
+				}
+				node := &GuardNode{Cond: cond}
+				done = done[:len(done):len(done)] // the two arms append separately
+				if node.Then = s.walk(append([]cc.Stmt{x.Then}, rest...), done, true); node.Then == nil {
+					return nil
+				}
+				if x.Else != nil {
+					rest = append([]cc.Stmt{x.Else}, rest...)
+				}
+				if node.Else = s.walk(rest, done, true); node.Else == nil {
+					return nil
+				}
+				return node
+			}
+			s.guard.Atoms = s.guard.Atoms[:n0] // a data-dependent if: an ordinary statement
+		}
+		done = append(done, st)
+	}
+	if !guarded {
+		return &GuardNode{} // no guard at all: nothing to compile here
+	}
+	if len(s.guard.Variants) == maxGuardPaths {
+		return nil
+	}
+	for _, st := range done {
+		if as, ok := st.(*cc.AssignStmt); ok {
+			if id, ok := as.LHS.(*cc.Ident); ok {
+				if as.Op == "=" {
+					s.set[id.Decl] = true
+				} else {
+					s.folded[id.Decl] = true
+				}
+				if s.set[id.Decl] && s.folded[id.Decl] {
+					return nil
+				}
+			}
+		}
+	}
+	v, _ := buildSpec(&cc.Block{Stmts: done}, s.sb.loopVar, s.prog, s.sb.assigned)
+	if v == nil || v.VecBody == nil || len(v.Arms) > 0 || v.HasComputed {
+		return nil
+	}
+	s.guard.Variants = append(s.guard.Variants, v)
+	return &GuardNode{Variant: len(s.guard.Variants) - 1}
+}
+
+// guardCond reports whether a (folded) condition is an affine guard:
+// &&, || and ! over int comparisons whose sides are affine in the
+// induction variable — recorded as atoms — and over loop-invariant
+// subconditions, which are constant for the launch. Array loads,
+// body-assigned scalars and ?: anywhere make it data-dependent.
+func (s *guardSplitter) guardCond(e cc.Expr) bool {
+	switch x := e.(type) {
+	case *cc.UnaryExpr:
+		if x.Op == "!" {
+			return s.guardCond(x.X)
+		}
+	case *cc.BinaryExpr:
+		switch x.Op {
+		case "&&", "||":
+			return s.guardCond(x.X) && s.guardCond(x.Y)
+		case "<", "<=", ">", ">=", "==", "!=":
+			if x.X.Type() != cc.TInt || x.Y.Type() != cc.TInt {
+				break
+			}
+			dx, errX := s.sb.affineDegree(x.X)
+			dy, errY := s.sb.affineDegree(x.Y)
+			if errX != nil || errY != nil || dx+dy == 0 {
+				break
+			}
+			cx, errX := CompileExprI(x.X)
+			cy, errY := CompileExprI(x.Y)
+			if errX != nil || errY != nil {
+				return false
+			}
+			s.guard.Atoms = append(s.guard.Atoms, GuardAtom{X: cx, Y: cy, Op: x.Op})
+			return true
+		}
+	}
+	d, err := s.sb.affineDegree(e)
+	return err == nil && d == 0
 }
 
 // collectAssignedScalars records every scalar the body assigns

@@ -51,6 +51,15 @@ import (
 // size (4 KiB per buffer).
 const VecTile = 512
 
+// Scratch vectors are numbered by a stack, one per element type: a
+// node's operands push theirs, and the node pops them all before
+// pushing its own result, so a body needs as many vectors as its
+// deepest expression keeps live, not one per node. The result may
+// take an operand's number: every tile op is elementwise, reading
+// lane t of its operands before it writes lane t of its result.
+// Vectors of "="-assigned scalars outlive their statement; they are
+// numbered first, at statement entry, below the per-statement stack.
+
 // VecEnv is one worker's tiled environment: the direct environment
 // (scalars, arrays, lanes) plus the per-launch access coefficients and
 // the per-node scratch vectors.
@@ -63,29 +72,38 @@ type VecEnv struct {
 	// (Accesses order): index(i) = AccA*i + AccB. Written by the
 	// runtime before the launch, read-only during it.
 	AccA, AccB []int64
-	// BufI/BufF are the per-node scratch vectors, VecTile elements each.
+	// BufI/BufF are the scratch vectors, tile elements each (Reserve).
 	BufI [][]int64
 	BufF [][]float64
+	tile int
 }
 
 // VStmt executes one tile: iterations i0 .. i0+L-1, L ≤ VecTile.
 type VStmt func(vm *VecEnv, i0 int64, L int)
 
 // NewVecEnv allocates a tiled environment over an existing direct
-// environment.
+// environment; Reserve sizes its scratch vectors.
 func (s *KernelSpec) NewVecEnv(d *DEnv) *VecEnv {
-	v := &VecEnv{
-		D:    d,
-		BufI: make([][]int64, s.NumBufI),
-		BufF: make([][]float64, s.NumBufF),
+	return &VecEnv{D: d, BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF)}
+}
+
+// Reserve sizes the scratch vectors for tiles of up to n iterations (at
+// most VecTile). The runtime passes the longest run one worker executes
+// in a launch, so short chunks do not pay for full tiles.
+func (vm *VecEnv) Reserve(n int) {
+	n = min(n, VecTile)
+	if n <= vm.tile {
+		return
 	}
-	for i := range v.BufI {
-		v.BufI[i] = make([]int64, VecTile)
+	bi := make([]int64, n*len(vm.BufI))
+	for i := range vm.BufI {
+		vm.BufI[i] = bi[i*n : (i+1)*n : (i+1)*n]
 	}
-	for i := range v.BufF {
-		v.BufF[i] = make([]float64, VecTile)
+	bf := make([]float64, n*len(vm.BufF))
+	for i := range vm.BufF {
+		vm.BufF[i] = bf[i*n : (i+1)*n : (i+1)*n]
 	}
-	return v
+	vm.tile = n
 }
 
 type (
@@ -120,9 +138,13 @@ type vecBuilder struct {
 	// sc compiles loop-invariant subtrees with the scalar spec
 	// compiler; its cost bucket and spec are throwaways (the main pass
 	// already accounted every cost).
-	sc           *specBuilder
-	folds        map[*cc.VarDecl]bool
-	ai           int
+	sc    *specBuilder
+	folds map[*cc.VarDecl]bool
+	ai    int
+	// topI/topF are the scratch stacks' heights, baseI/baseF the part
+	// held by scalar vectors, nBufI/nBufF the high-water marks.
+	topI, topF   int
+	baseI, baseF int
 	nBufI, nBufF int
 	slotBufI     map[int]int
 	slotBufF     map[int]int
@@ -133,10 +155,9 @@ type vecBuilder struct {
 // (the per-iteration body still runs).
 func buildVec(body cc.Stmt, loopVar *cc.VarDecl, assigned map[*cc.VarDecl]bool, spec *KernelSpec) {
 	if spec.HasComputed || len(spec.Arms) > 0 {
-		// Gather/scatter tiles and masked arm stores are compiled by
-		// buildVecExt below; the plain tiler assumes affine accesses
-		// and straight-line bodies.
-		buildVecExt(body, loopVar, assigned, spec)
+		// The tiler assumes affine accesses and straight-line bodies;
+		// gathers, scatters and data-dependent arms keep the
+		// per-iteration body.
 		return
 	}
 	folds, ok := vecScan(body, assigned)
@@ -158,8 +179,11 @@ func buildVec(body cc.Stmt, loopVar *cc.VarDecl, assigned map[*cc.VarDecl]bool, 
 		slotBufF: map[int]int{},
 	}
 	st, err := v.stmt(body)
-	if err != nil || st == nil || v.ai != len(spec.Accesses) {
+	if err != nil || v.ai != len(spec.Accesses) {
 		return
+	}
+	if st == nil {
+		st = func(*VecEnv, int64, int) {} // empty body (an if without else, split)
 	}
 	spec.VecBody, spec.NumBufI, spec.NumBufF = st, v.nBufI, v.nBufF
 }
@@ -298,15 +322,43 @@ func vecScan(body cc.Stmt, assigned map[*cc.VarDecl]bool) (map[*cc.VarDecl]bool,
 	return folds, true
 }
 
-func (v *vecBuilder) newBufI() int { v.nBufI++; return v.nBufI - 1 }
-func (v *vecBuilder) newBufF() int { v.nBufF++; return v.nBufF - 1 }
+func (v *vecBuilder) pushI() int {
+	v.topI++
+	v.nBufI = max(v.nBufI, v.topI)
+	return v.topI - 1
+}
+
+func (v *vecBuilder) pushF() int {
+	v.topF++
+	v.nBufF = max(v.nBufF, v.topF)
+	return v.topF - 1
+}
+
+// bufMark is the stacks' height at a node's entry.
+type bufMark struct{ i, f int }
+
+func (v *vecBuilder) mark() bufMark { return bufMark{v.topI, v.topF} }
+
+// outI/outF pop everything pushed since m (the node's operands) and
+// push the node's result.
+func (v *vecBuilder) outI(m bufMark) int {
+	v.topI, v.topF = m.i, m.f
+	return v.pushI()
+}
+
+func (v *vecBuilder) outF(m bufMark) int {
+	v.topI, v.topF = m.i, m.f
+	return v.pushF()
+}
 
 // slotI/slotF give the dedicated vector for a body-assigned scalar.
+// Called at statement entry, while the stack is at its base.
 func (v *vecBuilder) slotI(slot int) int {
 	if b, ok := v.slotBufI[slot]; ok {
 		return b
 	}
-	b := v.newBufI()
+	b := v.pushI()
+	v.baseI = v.topI
 	v.slotBufI[slot] = b
 	return b
 }
@@ -315,7 +367,8 @@ func (v *vecBuilder) slotF(slot int) int {
 	if b, ok := v.slotBufF[slot]; ok {
 		return b
 	}
-	b := v.newBufF()
+	b := v.pushF()
+	v.baseF = v.topF
 	v.slotBufF[slot] = b
 	return b
 }
@@ -355,7 +408,7 @@ func (v *vecBuilder) matI(o vOpI) vecI {
 	if o.vec != nil {
 		return o.vec
 	}
-	bid := v.newBufI()
+	bid := v.pushI()
 	inv := o.inv
 	return func(vm *VecEnv, i0 int64, L int) []int64 {
 		k := inv(vm.D)
@@ -371,7 +424,7 @@ func (v *vecBuilder) matF(o vOpF) vecF {
 	if o.vec != nil {
 		return o.vec
 	}
-	bid := v.newBufF()
+	bid := v.pushF()
 	inv := o.inv
 	return func(vm *VecEnv, i0 int64, L int) []float64 {
 		k := inv(vm.D)
@@ -410,6 +463,7 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.DeclStmt:
 		return nil, nil
 	case *cc.AssignStmt:
+		v.topI, v.topF = v.baseI, v.baseF // the previous statement's vectors are dead
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
 			return v.scalarAssign(st, lhs)
@@ -426,12 +480,15 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 func (v *vecBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (VStmt, error) {
 	slot := lhs.Decl.Slot
 	if lhs.Decl.Type == cc.TInt {
+		var bid int
+		if st.Op == "=" {
+			bid = v.slotI(slot)
+		}
 		r, err := v.vExprI(st.RHS)
 		if err != nil {
 			return nil, err
 		}
 		if st.Op == "=" {
-			bid := v.slotI(slot)
 			if r.inv != nil {
 				inv := r.inv
 				return func(vm *VecEnv, i0 int64, L int) {
@@ -475,13 +532,16 @@ func (v *vecBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (VStmt, erro
 			vm.D.Ints[slot] = acc
 		}, nil
 	}
+	var bid int
+	if st.Op == "=" {
+		bid = v.slotF(slot)
+	}
 	r, err := v.vExprF(st.RHS)
 	if err != nil {
 		return nil, err
 	}
 	f32 := lhs.Decl.Type == cc.TFloat
 	if st.Op == "=" {
-		bid := v.slotF(slot)
 		if r.inv != nil {
 			inv := r.inv
 			return func(vm *VecEnv, i0 int64, L int) {
@@ -754,12 +814,13 @@ func (v *vecBuilder) vExprI(e cc.Expr) (vOpI, error) {
 	if e.Type() == cc.TInt {
 		return v.compileI(e)
 	}
+	m := v.mark()
 	f, err := v.compileF(e)
 	if err != nil {
 		return vOpI{}, err
 	}
 	fv := v.matF(f)
-	bid := v.newBufI()
+	bid := v.outI(m)
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 		s := fv(vm, i0, L)
 		out := vm.BufI[bid][:L]
@@ -782,12 +843,13 @@ func (v *vecBuilder) vExprF(e cc.Expr) (vOpF, error) {
 	if e.Type() != cc.TInt {
 		return v.compileF(e)
 	}
+	m := v.mark()
 	i, err := v.compileI(e)
 	if err != nil {
 		return vOpF{}, err
 	}
 	iv := v.matI(i)
-	bid := v.newBufF()
+	bid := v.outF(m)
 	return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
 		s := iv(vm, i0, L)
 		out := vm.BufF[bid][:L]
@@ -800,6 +862,7 @@ func (v *vecBuilder) vExprF(e cc.Expr) (vOpF, error) {
 
 // compileI compiles a non-invariant int-typed expression.
 func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
+	m := v.mark()
 	switch x := e.(type) {
 	case *cc.NumLit:
 		k := x.I
@@ -807,7 +870,7 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 
 	case *cc.Ident:
 		if x.Decl == v.loopVar {
-			bid := v.newBufI()
+			bid := v.pushI()
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 				out := vm.BufI[bid][:L]
 				for t := range out {
@@ -842,7 +905,7 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 				return vOpI{}, err
 			}
 			ov := v.matI(o)
-			bid := v.newBufI()
+			bid := v.outI(m)
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 				s := ov(vm, i0, L)
 				out := vm.BufI[bid][:L]
@@ -859,7 +922,7 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 				return vOpI{}, err
 			}
 			ov := v.matI(o)
-			bid := v.newBufI()
+			bid := v.outI(m)
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 				s := ov(vm, i0, L)
 				out := vm.BufI[bid][:L]
@@ -886,7 +949,7 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 			return vOpI{}, err
 		}
 		fv := v.matF(f)
-		bid := v.newBufI()
+		bid := v.outI(m)
 		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 			s := fv(vm, i0, L)
 			out := vm.BufI[bid][:L]
@@ -901,13 +964,14 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 
 // notOp compiles logical negation over either operand type.
 func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
-	bid := v.newBufI()
+	m := v.mark()
 	if inner.Type() == cc.TInt {
 		o, err := v.vExprI(inner)
 		if err != nil {
 			return vOpI{}, err
 		}
 		ov := v.matI(o)
+		bid := v.outI(m)
 		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 			s := ov(vm, i0, L)
 			out := vm.BufI[bid][:L]
@@ -922,6 +986,7 @@ func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
 		return vOpI{}, err
 	}
 	ov := v.matF(o)
+	bid := v.outI(m)
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 		s := ov(vm, i0, L)
 		out := vm.BufI[bid][:L]
@@ -936,7 +1001,7 @@ func (v *vecBuilder) loadI(x *cc.IndexExpr) (vOpI, error) {
 	ai := v.ai
 	v.ai++
 	slot := x.Array.Slot
-	bid := v.newBufI()
+	bid := v.pushI()
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 		out := vm.BufI[bid][:L]
 		a := &vm.D.Arrays[slot]
@@ -962,7 +1027,7 @@ func (v *vecBuilder) loadF(x *cc.IndexExpr) (vOpF, error) {
 	ai := v.ai
 	v.ai++
 	slot := x.Array.Slot
-	bid := v.newBufF()
+	bid := v.pushF()
 	if x.Array.Type == cc.TFloat {
 		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
 			out := vm.BufF[bid][:L]
@@ -1003,6 +1068,7 @@ func (v *vecBuilder) loadF(x *cc.IndexExpr) (vOpF, error) {
 }
 
 func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
+	m := v.mark()
 	switch x.Op {
 	case "&&", "||":
 		return vOpI{}, errSpecIneligible
@@ -1042,7 +1108,7 @@ func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
 	default:
 		return vOpI{}, errSpecIneligible
 	}
-	bid := v.newBufI()
+	bid := v.outI(m)
 	switch {
 	case a.inv != nil:
 		k, cv := a.inv, c.vec
@@ -1081,7 +1147,7 @@ func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
 
 // compare compiles a comparison (int result) over either operand type.
 func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
-	bid := v.newBufI()
+	m := v.mark()
 	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
 		a, err := v.vExprI(x.X)
 		if err != nil {
@@ -1107,6 +1173,7 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 			cmp = func(a, b int64) bool { return a != b }
 		}
 		av, cv := v.matI(a), v.matI(c)
+		bid := v.outI(m)
 		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 			s := av(vm, i0, L)
 			q := cv(vm, i0, L)
@@ -1141,6 +1208,7 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 		cmp = func(a, b float64) bool { return a != b }
 	}
 	av, cv := v.matF(a), v.matF(c)
+	bid := v.outI(m)
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 		s := av(vm, i0, L)
 		q := cv(vm, i0, L)
@@ -1154,6 +1222,7 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 
 // compileF compiles a non-invariant float-typed expression.
 func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
+	m := v.mark()
 	switch x := e.(type) {
 	case *cc.NumLit:
 		k := x.F
@@ -1187,7 +1256,7 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 			return vOpF{}, err
 		}
 		ov := v.matF(o)
-		bid := v.newBufF()
+		bid := v.outF(m)
 		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
 			s := ov(vm, i0, L)
 			out := vm.BufF[bid][:L]
@@ -1213,7 +1282,7 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 			return o, nil
 		}
 		ov := v.matF(o)
-		bid := v.newBufF()
+		bid := v.outF(m)
 		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
 			s := ov(vm, i0, L)
 			out := vm.BufF[bid][:L]
@@ -1233,6 +1302,7 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 // intermediate rounding the interpreter performs (the Go spec otherwise
 // permits fusing into an FMA).
 func (v *vecBuilder) binaryF(x *cc.BinaryExpr) (vOpF, error) {
+	m := v.mark()
 	a, err := v.vExprF(x.X)
 	if err != nil {
 		return vOpF{}, err
@@ -1241,7 +1311,7 @@ func (v *vecBuilder) binaryF(x *cc.BinaryExpr) (vOpF, error) {
 	if err != nil {
 		return vOpF{}, err
 	}
-	bid := v.newBufF()
+	bid := v.outF(m)
 	switch x.Op {
 	case "*":
 		switch {
@@ -1472,6 +1542,7 @@ func (v *vecBuilder) callI(x *cc.CallExpr) (vOpI, error) {
 	if _, ok := cc.Builtins[x.Name]; !ok {
 		return vOpI{}, errSpecIneligible
 	}
+	m := v.mark()
 	args := make([]vecI, len(x.Args))
 	for i, a := range x.Args {
 		o, err := v.vExprI(a)
@@ -1480,7 +1551,7 @@ func (v *vecBuilder) callI(x *cc.CallExpr) (vOpI, error) {
 		}
 		args[i] = v.matI(o)
 	}
-	bid := v.newBufI()
+	bid := v.outI(m)
 	switch x.Name {
 	case "min":
 		a0, a1 := args[0], args[1]
@@ -1529,6 +1600,7 @@ func (v *vecBuilder) callF(x *cc.CallExpr) (vOpF, error) {
 	if !ok {
 		return vOpF{}, errSpecIneligible
 	}
+	m := v.mark()
 	args := make([]vecF, len(x.Args))
 	for i, a := range x.Args {
 		o, err := v.vExprF(a)
@@ -1537,7 +1609,7 @@ func (v *vecBuilder) callF(x *cc.CallExpr) (vOpF, error) {
 		}
 		args[i] = v.matF(o)
 	}
-	bid := v.newBufF()
+	bid := v.outF(m)
 	if fn1 != nil {
 		a0 := args[0]
 		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {

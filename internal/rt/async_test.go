@@ -198,11 +198,11 @@ void main() {
 func runAsyncStencil(t testing.TB, opts rt.Options) *rt.Report {
 	t.Helper()
 	tpl := specTemplate{name: "async-stencil", src: asyncStencilSrc}
-	rep, _, err := runSpecTemplate(t, tpl, map[string]float64{"n": 32768}, 11, sim.Desktop(), opts)
+	r, _, err := runSpecTemplate(t, tpl, map[string]float64{"n": 32768}, 11, sim.Desktop(), opts)
 	if err != nil {
 		t.Fatalf("stencil run: %v", err)
 	}
-	return rep
+	return r.Report()
 }
 
 // TestAsyncByteStabilityStress hammers the scheduler's concurrency

@@ -448,8 +448,16 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 	tracer := r.opts.Tracer
 	if ex != nil {
 		if handled {
+			var pieces int64
+			if ex.spec.Guard != nil {
+				pieces = int64(len(ex.gs[g].pieces))
+				ex.pieces += pieces
+			}
 			if tracer != nil {
 				tracer.Metrics().Inc("spec.hits", 1)
+				if pieces > 0 {
+					tracer.Metrics().Inc("spec.split_pieces", pieces)
+				}
 				if ex.gs[g].vecAlias {
 					tracer.Metrics().Inc("spec.vec.alias", 1)
 				}

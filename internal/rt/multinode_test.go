@@ -218,11 +218,11 @@ func runMultiNodeStencil(t testing.TB, opts rt.Options) *rt.Report {
 	t.Helper()
 	tpl := specTemplate{name: "multinode-stencil", src: multiNodeStencilSrc}
 	scalars := map[string]float64{"n": 1048576, "steps": 24}
-	rep, _, err := runSpecTemplate(t, tpl, scalars, 11, sim.Cluster(2, 1), opts)
+	r, _, err := runSpecTemplate(t, tpl, scalars, 11, sim.Cluster(2, 1), opts)
 	if err != nil {
 		t.Fatalf("stencil run: %v", err)
 	}
-	return rep
+	return r.Report()
 }
 
 // TestMultiNodeSpeedupGate enforces the node-level headline: on the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"accmulti/internal/cc"
@@ -34,6 +35,16 @@ type specTemplate struct {
 
 func nScalar(rng *rand.Rand) map[string]float64 {
 	return map[string]float64{"n": float64(64 + rng.Intn(1200))}
+}
+
+// guardScalars adds the operands the affine-guard templates compare the
+// induction variable with: k anywhere in (and a little outside) the
+// iteration space, m a small constant.
+func guardScalars(rng *rand.Rand) map[string]float64 {
+	m := nScalar(rng)
+	m["k"] = float64(rng.Intn(int(m["n"])+8) - 4)
+	m["m"] = float64(rng.Intn(7))
+	return m
 }
 
 var specTemplates = []specTemplate{
@@ -394,12 +405,298 @@ void main() {
 			return m
 		},
 	},
+	// Affine guards (index-set splitting): each template below puts the
+	// guard's cut points somewhere else relative to the GPU and worker
+	// chunking, and must cost, mark and compute exactly like the
+	// interpreter's per-iteration branch.
+	{
+		// The boundary-guarded localaccess stencil (examples/stencil1d):
+		// two-sided && guard, distributed placement with halos, iterated.
+		name: "guard-boundary-dist",
+		src: `
+int n, steps;
+float a[n], b[n];
+void main() {
+    int t, i;
+    #pragma acc data copy(a) create(b)
+    {
+        for (t = 0; t < steps; t++) {
+            #pragma acc localaccess(a) stride(1, 1, 1)
+            #pragma acc localaccess(b) stride(1)
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                if (i > 0 && i < n - 1) {
+                    b[i] = 0.25 * a[i - 1] + 0.5 * a[i] + 0.25 * a[i + 1];
+                } else {
+                    b[i] = a[i];
+                }
+            }
+            #pragma acc localaccess(b) stride(1)
+            #pragma acc localaccess(a) stride(1)
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i];
+            }
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["steps"] = float64(1 + rng.Intn(3))
+			return m
+		},
+	},
+	{
+		// The || complement of the boundary guard with == atoms, storing
+		// to a replicated array: bulk dirty marking per piece against the
+		// interpreter's per-store bits.
+		name: "guard-or-replicated",
+		src: `
+int n;
+float in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i == 0 || i == n - 1) {
+                out_[i] = in_[i];
+            } else {
+                out_[i] = in_[i - 1] * 0.5 + in_[i + 1] * 0.5;
+            }
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
+	{
+		// The single-guard form without else (an empty variant), whose
+		// guarded load would be out of range where the guard is false.
+		name: "guard-single-noelse",
+		src: `
+int n;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc localaccess(in_) stride(1, 1, 0)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i > 0) {
+                out_[i] = in_[i] - in_[i - 1];
+            }
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
+	{
+		// !, != and == single-point atoms and a strided guarded store; k
+		// lands anywhere, including outside the iteration space.
+		name: "guard-not-points",
+		src: `
+int n, k, m;
+int in_[n], out_[2 * n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (!(i < k)) {
+                out_[2 * i] = in_[i] + 1;
+            } else {
+                out_[2 * i + 1] = in_[i] - 1;
+            }
+            if (i != m && !(i == k + 1)) {
+                out_[2 * i] += 3;
+            }
+        }
+    }
+}
+`,
+		scalars: guardScalars,
+	},
+	{
+		// Negative and non-unit coefficients: n - 1 - i > 0, 2 * i < n,
+		// k - 3 * i <= m.
+		name: "guard-negcoef",
+		src: `
+int n, k, m;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (n - 1 - i > 0) {
+                out_[i] = in_[i + 1];
+            } else {
+                out_[i] = in_[i];
+            }
+            if (2 * i < n || k - 3 * i <= m) {
+                out_[i] = out_[i] * 2;
+            }
+        }
+    }
+}
+`,
+		scalars: guardScalars,
+	},
+	{
+		// Cuts exactly on a GPU boundary (n / 2) and on a worker boundary
+		// inside a GPU's chunk (n / 4 + n / 16; n is a multiple of 64).
+		name: "guard-on-boundaries",
+		src: `
+int n, k, m;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i < k) {
+                out_[i] = in_[i] * 2;
+            } else {
+                out_[i] = in_[i] * 3;
+            }
+            if (i >= m) {
+                out_[i] += 1;
+            }
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			n := float64(64 * (1 + rng.Intn(16)))
+			return map[string]float64{"n": n, "k": n / 2, "m": n/4 + n/16}
+		},
+	},
+	{
+		// An always-false arm (no piece runs it: its a[i - n] would be out
+		// of range), a loop-invariant guard, and one mixing both kinds.
+		name: "guard-dead-invariant",
+		src: `
+int n, k, m;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i < 0 || i >= n) {
+                out_[i] = in_[i - n];
+            } else {
+                out_[i] = in_[i];
+            }
+            if (m > 3) {
+                out_[i] += m;
+            }
+            if (m < 5 && i >= k) {
+                out_[i] -= 1;
+            }
+        }
+    }
+}
+`,
+		scalars: guardScalars,
+	},
+	{
+		// Nested affine ifs (three paths) after an unguarded statement.
+		name: "guard-nested",
+		src: `
+int n, k, m;
+int in_[n], out_[n];
+void main() {
+    int i;
+    int v;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            v = in_[i] * 2;
+            if (i > 0) {
+                if (i < k) {
+                    out_[i] = v + in_[i - 1];
+                } else {
+                    out_[i] = v - in_[i - 1];
+                }
+            } else {
+                out_[i] = v;
+            }
+        }
+    }
+}
+`,
+		scalars: guardScalars,
+	},
+	{
+		// A scalar + reduction fed from both arms of a guard: the pieces
+		// fold in iteration order per worker, like the unsplit schedule.
+		name: "guard-reduce",
+		src: `
+int n, k, m;
+int total;
+int in_[n];
+void main() {
+    int i;
+    total = 0;
+    #pragma acc data copyin(in_)
+    {
+        #pragma acc parallel loop reduction(+:total)
+        for (i = 0; i < n; i++) {
+            if (i >= k && i < n - 2) {
+                total += in_[i] * in_[i + 2];
+            } else {
+                total += 1;
+            }
+        }
+    }
+}
+`,
+		scalars: guardScalars,
+	},
+	{
+		// A guard over a layout-transformed (column-major) read-only
+		// array: the pieces run the per-iteration variant bodies.
+		name: "guard-transformed",
+		src: `
+int n;
+float mat_[2 * n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(mat_) copy(out_)
+    {
+        #pragma acc localaccess(mat_) stride(2)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i > 0 && i < n - 1) {
+                out_[i] = mat_[2 * i] + mat_[2 * i + 1];
+            } else {
+                out_[i] = mat_[2 * i];
+            }
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
 }
 
 // runSpecTemplate compiles, binds and runs one template, filling every
 // array deterministically from fillSeed after Bind (the module
 // auto-allocates unbound arrays). idx_ arrays get a permutation of [0, n).
-func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64, fillSeed int64, spec sim.MachineSpec, opts rt.Options) (*rt.Report, *ir.Instance, error) {
+func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64, fillSeed int64, spec sim.MachineSpec, opts rt.Options) (*rt.Runtime, *ir.Instance, error) {
 	t.Helper()
 	prog, err := cc.ParseProgram(tpl.src)
 	if err != nil {
@@ -450,7 +747,7 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 		t.Fatal(err)
 	}
 	r := rt.New(mach, opts)
-	return r.Report(), inst, r.Run(inst)
+	return r, inst, r.Run(inst)
 }
 
 // checkSpecDiff runs one (template, scalars, fill) triple with the fast
@@ -461,13 +758,23 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		sim.Desktop().WithGPUs(1),
 		sim.Desktop(),
 		sim.SupercomputerNode(),
+		sim.Cluster(2, 2),
 	} {
-		refRep, refInst, refErr := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{DisableSpecialize: true})
-		rep, inst, err := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{})
+		ref, refInst, refErr := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{DisableSpecialize: true})
+		r, inst, err := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{})
 		label := fmt.Sprintf("%s on %s (n=%g)", tpl.name, spec.Name, scalars["n"])
 		if refErr != nil || err != nil {
 			t.Fatalf("%s: run failed: interp %v, spec %v", label, refErr, err)
 		}
+		if strings.HasPrefix(tpl.name, "guard-") {
+			// The affine-guard templates must compare the split executor
+			// with the interpreter, not the interpreter with itself.
+			if r.SpecSplitPieces() == 0 || r.SpecFallbacks() != 0 || len(r.SpecRejects()) != 0 {
+				t.Fatalf("%s: not split: %d pieces, fallbacks %v, rejects %v",
+					label, r.SpecSplitPieces(), r.SpecFallbackReasons(), r.SpecRejects())
+			}
+		}
+		refRep, rep := ref.Report(), r.Report()
 		if !reflect.DeepEqual(refRep, rep) {
 			t.Fatalf("%s: Report diverged\ninterp %+v\nspec   %+v", label, refRep, rep)
 		}

@@ -1,6 +1,9 @@
 package rt
 
 import (
+	"math"
+	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -26,10 +29,11 @@ import (
 //     (distributed writes buffer out-of-partition stores one record at
 //     a time), a layout-transformed copy feeding a reduction lane
 //     (lanes are logically indexed), an empty resident range on an
-//     accessed array, an endpoint range check that fails, or a
-//     computed access the interval prover cannot place inside the
-//     residency — the interpreter then reproduces the exact legacy
-//     behaviour, including its partition-violation panic texts.
+//     accessed array, an endpoint range check that fails, a computed
+//     access the interval prover cannot place inside the residency, an
+//     affine guard whose operands overflow, or an index or guard
+//     operand that faults — the interpreter then reproduces the exact
+//     legacy behaviour, including its partition-violation panic texts.
 //
 // Beyond affine bodies, the executor covers gather loads (a[idx[i]]),
 // guarded stores (top-level if/else arms), inner loops,
@@ -39,7 +43,17 @@ import (
 // charged per observed arm execution, and data-dependent store
 // footprints fall back to per-iteration dirty marking through the
 // same bitmap the interpreter uses. Layout-transformed copies remap
-// logical offsets through DArray.off on every access.
+// logical offsets through DArray.off on every access. Only straight-
+// line affine bodies have a tiled form (ir.VStmt); arms, gathers and
+// scatters run the per-iteration body.
+//
+// Affine guards (if (i > 0 && i < n - 1) ...) are not arms: the
+// translator compiled one straight-line variant per arm path
+// (ir.SpecGuard), and each launch cuts the GPU's chunk at the roots of
+// the guard's comparisons into pieces on which the guard is constant.
+// Each piece runs its variant's tiled body, is range- and alias-checked
+// against that variant's accesses only, and is costed and dirty-marked
+// in bulk like an unguarded chunk.
 //
 // What the per-access instrumentation did, the executor reconstructs:
 // counters analytically (per-iteration IterCost formulas × iteration
@@ -62,6 +76,9 @@ type specExec struct {
 	fallbacks int64
 	// reasons breaks fallbacks down by cause. Host strand only.
 	reasons map[string]int64
+	// pieces counts the sub-ranges the handled chunks of a guarded
+	// kernel were cut into. Host strand only.
+	pieces int64
 }
 
 // SpecHits returns how many per-GPU chunks the specialized executors
@@ -84,8 +101,19 @@ func (r *Runtime) SpecFallbacks() int64 {
 	return n
 }
 
+// SpecSplitPieces returns how many pieces the handled chunks of
+// affine-guarded kernels were cut into (index-set splitting): at least
+// one per such chunk, more where a guard changes inside the chunk.
+func (r *Runtime) SpecSplitPieces() int64 {
+	var n int64
+	for _, ex := range r.specExecs {
+		n += ex.pieces
+	}
+	return n
+}
+
 // SpecFallbackReasons breaks SpecFallbacks down by cause ("transform",
-// "miss", "range", "reduction", "indirect", "shape").
+// "miss", "range", "reduction", "indirect", "guard", "fault", "shape").
 func (r *Runtime) SpecFallbackReasons() map[string]int64 {
 	out := map[string]int64{}
 	for _, ex := range r.specExecs {
@@ -122,18 +150,19 @@ type specGPU struct {
 	envs []*ir.DEnv
 	// slots is the ParallelForWorkers result storage.
 	slots []sim.WorkerSlot
-	// evalEnv evaluates access-index endpoints against the host scalars.
+	// evalEnv evaluates guards and access-index endpoints against the
+	// host scalars.
 	evalEnv *ir.Env
-	// v0, v1 hold each access's index at the chunk's first and last
-	// iteration (in Accesses order; meaningless for computed accesses).
-	v0, v1 []int64
+	// pieces partition this launch's chunk: one piece, running the spec
+	// itself, for an unguarded kernel; for a guarded one the sub-ranges
+	// on which every guard is constant, each with its variant. cuts is
+	// the split's scratch.
+	pieces []specPiece
+	cuts   []int64
 	// branch accumulates arm-taken counts over the workers.
 	branch []int64
-	// venvs wrap envs for the tiled body (nil when the spec has none);
-	// accA/accB are the per-launch affine coefficients all of this GPU's
-	// workers share (index(i) = accA*i + accB, in Accesses order).
-	venvs      []*ir.VecEnv
-	accA, accB []int64
+	// venvs wrap envs for the tiled bodies (nil when the spec has none).
+	venvs []*ir.VecEnv
 	// penv is the interval prover's abstract environment (computed-
 	// access kernels only); scans memoizes its per-launch array scans.
 	penv  *ir.PEnv
@@ -141,9 +170,44 @@ type specGPU struct {
 	// reason records why this GPU's chunk bounced to the interpreter
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
-	// vecAlias records that the tiled body was skipped by the alias
-	// check this launch (the scalar spec body still ran).
+	// vecAlias records that the alias check kept a piece off its tiled
+	// body this launch (the scalar spec body ran it).
 	vecAlias bool
+}
+
+// specPiece is the iterations [lo, hi) of a chunk and the straight-line
+// body that runs them.
+type specPiece struct {
+	lo, hi int64
+	// v is the spec itself, or the guard's variant for this sub-range.
+	v *ir.KernelSpec
+	// guardFlops is what evaluating the guards costs per iteration here
+	// (short-circuiting makes it differ between pieces).
+	guardFlops int64
+	// vec selects the tiled body (it passed the alias check).
+	vec bool
+	// v0, v1 hold each access's index at the piece's first and last
+	// iteration (v.Accesses order; meaningless for computed accesses);
+	// accA/accB are the coefficients the tiled body walks with:
+	// index(i) = accA*i + accB.
+	v0, v1, accA, accB []int64
+}
+
+// addPiece appends a piece, reusing the slot's index vectors.
+func (gs *specGPU) addPiece(lo, hi int64, v *ir.KernelSpec, guardFlops int64) {
+	if len(gs.pieces) < cap(gs.pieces) {
+		gs.pieces = gs.pieces[:len(gs.pieces)+1]
+	} else {
+		gs.pieces = append(gs.pieces, specPiece{})
+	}
+	pc := &gs.pieces[len(gs.pieces)-1]
+	pc.lo, pc.hi, pc.v, pc.guardFlops, pc.vec = lo, hi, v, guardFlops, false
+	na := len(v.Accesses)
+	if cap(pc.v0) < na {
+		buf := make([]int64, 4*na)
+		pc.v0, pc.v1, pc.accA, pc.accB = buf[:na:na], buf[na:2*na:2*na], buf[2*na:3*na:3*na], buf[3*na:]
+	}
+	pc.v0, pc.v1, pc.accA, pc.accB = pc.v0[:na], pc.v1[:na], pc.accA[:na], pc.accB[:na]
 }
 
 // scanEntry memoizes one min/max value scan of an int array subrange.
@@ -214,51 +278,18 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	ex.ensureScratch(r, gs, dev)
+	// The chunking ParallelForWorkers will apply: nw workers of up to
+	// chunk iterations each.
+	workers := dev.Spec.Workers
+	if workers > int(n) {
+		workers = int(n)
+	}
+	chunk := (int(n) + workers - 1) / workers
+	nw := (int(n) + chunk - 1) / chunk
+	ex.ensureScratch(gs, nw, chunk)
 
-	// Endpoint range checks: each access's affine index is monotone over
-	// [p.lo, p.hi), so checking it at the first and last iteration
-	// covers the whole chunk. Runs before any mutation, so a failed
-	// check can still hand the chunk to the interpreter, which
-	// reproduces the exact legacy diagnostics (including for accesses a
-	// branch would never have executed — a conservative, slower-only
-	// difference).
-	ev := gs.evalEnv
-	copy(ev.Ints, env.Ints)
-	copy(ev.Floats, env.Floats)
-	loopSlot := spec.LoopSlot
-	for ai := range spec.Accesses {
-		a := &spec.Accesses[ai]
-		ui := ex.uiBySlot[a.Slot]
-		if ui < 0 {
-			gs.reason = "shape"
-			return sim.Counters{}, false, nil
-		}
-		if !a.Affine {
-			continue // discharged by the interval prover below
-		}
-		st := r.state(k.Arrays[ui].Decl)
-		c := st.copies[g]
-		ev.Ints[loopSlot] = p.lo
-		v0 := a.Index(ev)
-		ev.Ints[loopSlot] = p.hi - 1
-		v1 := a.Index(ev)
-		lo, hi := v0, v1
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if a.Kind == ir.AccessReduce {
-			if lo < 0 || hi >= st.n {
-				gs.reason = "reduction"
-				return sim.Counters{}, false, nil
-			}
-		} else {
-			if !c.valid || lo < c.lo || hi > c.hi {
-				gs.reason = "range"
-				return sim.Counters{}, false, nil
-			}
-		}
-		gs.v0[ai], gs.v1[ai] = v0, v1
+	if gs.reason = ex.plan(r, k, env, g, gs, p); gs.reason != "" {
+		return sim.Counters{}, false, nil
 	}
 
 	// Computed accesses: prove every abstract index in-range before any
@@ -279,16 +310,11 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	// Worker environments: one per chunk ParallelForWorkers will spawn,
 	// with the host scalars, identity reduction slots, zeroed arm
 	// counters and the GPU's slices bound by slot.
-	workers := dev.Spec.Workers
-	if workers > int(n) {
-		workers = int(n)
-	}
-	chunk := (int(n) + workers - 1) / workers
-	nw := (int(n) + chunk - 1) / chunk
 	// liveDirty marks slots whose stores must mark dirty bits per
-	// iteration (some store's footprint is data-dependent: a guarded,
-	// inner-loop, or computed index); their direct arrays get the dirty
-	// buffers bound so the store closures mark exactly what executes.
+	// iteration (some store's footprint is data-dependent: under an
+	// arm, in an inner loop, or at a computed index); their direct
+	// arrays get the dirty buffers bound so the store closures mark
+	// exactly what executes.
 	liveDirty := false
 	for w := 0; w < nw; w++ {
 		de := gs.envs[w]
@@ -327,40 +353,42 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	base := p.lo
-	var err error
 	// The tiled body walks physical slices with logical-affine strides,
-	// so transformed copies keep the per-iteration path.
-	useVec := spec.VecBody != nil && !liveDirty && !anyTransform
-	if useVec && !ex.prepVec(gs, p, n) {
-		useVec = false
-		gs.vecAlias = true
+	// so transformed copies keep the per-iteration path; so does a
+	// piece whose accesses fail the alias check.
+	for pi := range gs.pieces {
+		pc := &gs.pieces[pi]
+		pc.vec = pc.v.VecBody != nil && !liveDirty && !anyTransform
+		if pc.vec && !pc.prepVec() {
+			pc.vec, gs.vecAlias = false, true
+		}
 	}
-	if useVec {
-		vbody := spec.VecBody
-		_, err = dev.ParallelForWorkers(int(n), gs.slots, func(w, start, end int) (sim.Counters, error) {
-			vm := gs.venvs[w]
-			for s := start; s < end; s += ir.VecTile {
-				l := end - s
-				if l > ir.VecTile {
-					l = ir.VecTile
+	loopSlot := spec.LoopSlot
+	// Each worker walks its range through the pieces in ascending order,
+	// so worker identity, reduction lanes and the order scalar
+	// reductions fold in are those of the unsplit schedule.
+	_, err := dev.ParallelForWorkers(int(n), gs.slots, func(w, start, end int) (sim.Counters, error) {
+		de := gs.envs[w]
+		lo, hi := p.lo+int64(start), p.lo+int64(end)
+		for pi := range gs.pieces {
+			pc := &gs.pieces[pi]
+			s, e := max(lo, pc.lo), min(hi, pc.hi)
+			if !pc.vec {
+				body, ints := pc.v.Body, de.Ints
+				for ; s < e; s++ {
+					ints[loopSlot] = s
+					body(de)
 				}
-				vbody(vm, base+int64(s), l)
+				continue
 			}
-			return sim.Counters{}, nil
-		})
-	} else {
-		body := spec.Body
-		_, err = dev.ParallelForWorkers(int(n), gs.slots, func(w, start, end int) (sim.Counters, error) {
-			de := gs.envs[w]
-			ints := de.Ints
-			for it := start; it < end; it++ {
-				ints[loopSlot] = base + int64(it)
-				body(de)
+			vm := gs.venvs[w]
+			vm.AccA, vm.AccB = pc.accA, pc.accB
+			for ; s < e; s += ir.VecTile {
+				pc.v.VecBody(vm, s, int(min(e-s, ir.VecTile)))
 			}
-			return sim.Counters{}, nil
-		})
-	}
+		}
+		return sim.Counters{}, nil
+	})
 	if err != nil {
 		return sim.Counters{}, true, err
 	}
@@ -378,42 +406,50 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	// Analytic counters: per-iteration base cost × iterations, plus each
-	// arm's per-execution cost × its observed execution count.
+	// Analytic counters: each piece's per-iteration cost (its body's
+	// base cost plus its guards') × its length, plus each arm's
+	// per-execution cost × its observed execution count.
 	var ctrs sim.Counters
 	ctrs.Iterations = n
-	addCost(&ctrs, &spec.Base, n)
+	for pi := range gs.pieces {
+		pc := &gs.pieces[pi]
+		addCost(&ctrs, &pc.v.Base, pc.hi-pc.lo)
+		ctrs.Flops += pc.guardFlops * (pc.hi - pc.lo)
+	}
 	for j := range spec.Arms {
 		addCost(&ctrs, &spec.Arms[j], gs.branch[j])
 	}
 
-	// Dirty marking. Exact stores (affine, unconditional, top-level) on
-	// slots without data-dependent stores mark in bulk: the footprint is
-	// the arithmetic progression between the endpoint indices. Slots
+	// Dirty marking. Exact stores (affine, unconditional, top-level — in
+	// a guarded kernel, every store of every variant) on slots without
+	// data-dependent stores mark in bulk, piece by piece: the footprint
+	// is the arithmetic progression between the endpoint indices. Slots
 	// with any inexact store had the dirty buffers bound above, so the
 	// store closures already marked precisely what executed; fold their
 	// per-worker chunk lanes now. Either way the interpreter would have
 	// charged 2 bytes of dirty-bit traffic per executed store, which the
 	// per-slot store counts reproduce exactly (base stores every
-	// iteration, arm stores per observed arm execution).
-	for ai := range spec.Accesses {
-		a := &spec.Accesses[ai]
-		if a.Kind != ir.AccessStore || !a.Exact() {
-			continue
+	// iteration of their piece, arm stores per observed arm execution).
+	for pi := range gs.pieces {
+		pc := &gs.pieces[pi]
+		for ai := range pc.v.Accesses {
+			a := &pc.v.Accesses[ai]
+			if a.Kind != ir.AccessStore || !a.Exact() {
+				continue
+			}
+			ui := ex.uiBySlot[a.Slot]
+			if !nds[ui].wantDirty || spec.InexactStores[a.Slot] {
+				continue
+			}
+			c := r.state(k.Arrays[ui].Decl).copies[g]
+			if c.transformed {
+				// Per-iteration marking already ran (dirty buffers were
+				// bound): the physical stride of a logical-affine store is
+				// not affine through the layout remap.
+				continue
+			}
+			markDirtyAffine(c, pc.v0[ai], pc.v1[ai], pc.hi-pc.lo)
 		}
-		ui := ex.uiBySlot[a.Slot]
-		nd := &nds[ui]
-		if !nd.wantDirty || spec.InexactStores[a.Slot] {
-			continue
-		}
-		c := r.state(k.Arrays[ui].Decl).copies[g]
-		if c.transformed {
-			// Per-iteration marking already ran (dirty buffers were
-			// bound): the physical stride of a logical-affine store is
-			// not affine through the layout remap.
-			continue
-		}
-		markDirtyAffine(c, gs.v0[ai], gs.v1[ai], n)
 	}
 	for ui, use := range k.Arrays {
 		if !nds[ui].wantDirty {
@@ -424,7 +460,11 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		if spec.InexactStores[slot] || c.transformed {
 			c.mergeChunkLanes()
 		}
-		stores := spec.Base.Stores[slot] * n
+		var stores int64
+		for pi := range gs.pieces {
+			pc := &gs.pieces[pi]
+			stores += pc.v.Base.Stores[slot] * (pc.hi - pc.lo)
+		}
 		for j := range spec.Arms {
 			stores += spec.Arms[j].Stores[slot] * gs.branch[j]
 		}
@@ -433,40 +473,231 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	return ctrs, true, nil
 }
 
-// ensureScratch sizes the per-GPU scratch once; later launches reuse it.
-func (ex *specExec) ensureScratch(r *Runtime, gs *specGPU, dev *sim.Device) {
+// ensureScratch sizes the per-GPU scratch for a launch of nw workers of
+// up to chunk iterations each; later launches of the same shape reuse
+// it.
+func (ex *specExec) ensureScratch(gs *specGPU, nw, chunk int) {
 	spec := ex.spec
 	if gs.evalEnv == nil {
 		gs.evalEnv = &ir.Env{
 			Ints:   make([]int64, spec.NumInts),
 			Floats: make([]float64, spec.NumFloats),
 		}
-		gs.v0 = make([]int64, len(spec.Accesses))
-		gs.v1 = make([]int64, len(spec.Accesses))
 		gs.branch = make([]int64, len(spec.Arms))
-		if spec.VecBody != nil {
-			gs.accA = make([]int64, len(spec.Accesses))
-			gs.accB = make([]int64, len(spec.Accesses))
-		}
 		if spec.Prover != nil {
 			gs.penv = spec.Prover.NewPEnv()
 		}
 	}
-	if len(gs.envs) < dev.Spec.Workers {
-		gs.envs = make([]*ir.DEnv, dev.Spec.Workers)
-		for w := range gs.envs {
-			gs.envs[w] = spec.NewDEnv()
+	tiled := spec.VecBody != nil || spec.Guard != nil
+	for w := len(gs.envs); w < nw; w++ {
+		gs.envs = append(gs.envs, spec.NewDEnv())
+		gs.slots = append(gs.slots, sim.WorkerSlot{})
+		if tiled {
+			gs.venvs = append(gs.venvs, spec.NewVecEnv(gs.envs[w]))
 		}
-		gs.slots = make([]sim.WorkerSlot, dev.Spec.Workers)
-		if spec.VecBody != nil {
-			gs.venvs = make([]*ir.VecEnv, dev.Spec.Workers)
-			for w := range gs.venvs {
-				vm := spec.NewVecEnv(gs.envs[w])
-				vm.AccA, vm.AccB = gs.accA, gs.accB
-				gs.venvs[w] = vm
+	}
+	if tiled {
+		for _, vm := range gs.venvs[:nw] {
+			vm.Reserve(chunk)
+		}
+	}
+}
+
+// plan does everything the fast path must know before it mutates
+// anything, on the host environment: it cuts the chunk into pieces and
+// range-checks every piece against its own body's accesses. It returns
+// the fallback reason, "" when the fast path may run.
+func (ex *specExec) plan(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specGPU, p span) (reason string) {
+	defer func() {
+		// A faulting loop-invariant operand (n / 0 in a guard or an
+		// index) must fault inside the kernel, where the interpreter
+		// turns it into the launch's error.
+		if recover() != nil {
+			reason = "fault"
+		}
+	}()
+	spec := ex.spec
+	ev := gs.evalEnv
+	copy(ev.Ints, env.Ints)
+	copy(ev.Floats, env.Floats)
+	gs.pieces = gs.pieces[:0]
+	if spec.Guard == nil {
+		gs.addPiece(p.lo, p.hi, spec, 0)
+	} else if !ex.split(gs, p) {
+		return "guard"
+	}
+
+	// Endpoint range checks: each access's affine index is monotone over
+	// a piece, so checking it at the first and last iteration covers the
+	// whole piece. A failed check hands the chunk to the interpreter,
+	// which reproduces the exact legacy diagnostics (including for
+	// accesses a data-dependent branch would never have executed — a
+	// conservative, slower-only difference; affine guards are split
+	// away, so their arms are checked only where they run).
+	for pi := range gs.pieces {
+		pc := &gs.pieces[pi]
+		for ai := range pc.v.Accesses {
+			a := &pc.v.Accesses[ai]
+			ui := ex.uiBySlot[a.Slot]
+			if ui < 0 {
+				return "shape"
+			}
+			if !a.Affine {
+				continue // discharged by the interval prover
+			}
+			st := r.state(k.Arrays[ui].Decl)
+			c := st.copies[g]
+			ev.Ints[spec.LoopSlot] = pc.lo
+			v0 := a.Index(ev)
+			ev.Ints[spec.LoopSlot] = pc.hi - 1
+			v1 := a.Index(ev)
+			lo, hi := min(v0, v1), max(v0, v1)
+			if a.Kind == ir.AccessReduce {
+				if lo < 0 || hi >= st.n {
+					return "reduction"
+				}
+			} else if !c.valid || lo < c.lo || hi > c.hi {
+				return "range"
+			}
+			pc.v0[ai], pc.v1[ai] = v0, v1
+		}
+	}
+	return ""
+}
+
+// split cuts a guarded kernel's chunk at the roots of the guard's
+// comparisons, so that every comparison — hence every guard, the
+// variant it selects and what evaluating it costs — is constant on each
+// piece, and records one piece per run of equal (variant, cost). Both
+// ends of a piece are evaluated with the interpreter's own conditions;
+// false (overflowing operands, or ends that disagree) means fall back.
+func (ex *specExec) split(gs *specGPU, p span) bool {
+	guard, ev, loopSlot := ex.spec.Guard, gs.evalEnv, ex.spec.LoopSlot
+	n := p.count()
+	cuts := gs.cuts[:0]
+	for ai := range guard.Atoms {
+		a := &guard.Atoms[ai]
+		ev.Ints[loopSlot] = p.lo
+		x0, y0 := a.X(ev), a.Y(ev)
+		ev.Ints[loopSlot] = p.lo + 1
+		x1, y1 := a.X(ev), a.Y(ev)
+		var ok bool
+		if cuts, ok = guardCuts(cuts, a.Op, x1-x0, x0, y1-y0, y0, n); !ok {
+			return false
+		}
+	}
+	cuts = append(cuts, n)
+	slices.Sort(cuts)
+	gs.cuts = cuts
+	selectAt := func(i int64) (int, int64) {
+		ev.Ints[loopSlot], ev.Flops = i, 0
+		return guard.Select(ev), ev.Flops
+	}
+	lo := p.lo
+	for _, t := range cuts {
+		hi := p.lo + t
+		if hi == lo {
+			continue // two comparisons with the same root
+		}
+		vi, cost := selectAt(lo)
+		if vj, cj := selectAt(hi - 1); vj != vi || cj != cost {
+			return false
+		}
+		v := guard.Variants[vi]
+		if last := len(gs.pieces) - 1; last >= 0 && gs.pieces[last].v == v && gs.pieces[last].guardFlops == cost {
+			gs.pieces[last].hi = hi
+		} else {
+			gs.addPiece(lo, hi, v, cost)
+		}
+		lo = hi
+	}
+	return true
+}
+
+// guardCuts appends the offsets t in (0, n) at which the truth of
+// (ax*t + bx) op (ay*t + by) may change as t runs over [0, n): one cut
+// for an inequality, the root and its successor for == and !=, none
+// when the difference has no root in range. ok is false when a side, or
+// the difference of the sides, might leave int64 inside the range: the
+// interpreter compares wrapped values, which no cut describes.
+func guardCuts(cuts []int64, op string, ax, bx, ay, by, n int64) ([]int64, bool) {
+	a, okA := subOK(ax, ay)
+	b, okB := subOK(bx, by)
+	if !okA || !okB || b == math.MinInt64 ||
+		!affineFits(ax, bx, n-1) || !affineFits(ay, by, n-1) || !affineFits(a, b, n-1) {
+		return cuts, false
+	}
+	if a == 0 {
+		return cuts, true
+	}
+	if a < 0 {
+		// Negate the difference and mirror the comparison.
+		a, b = -a, -b
+		switch op {
+		case "<":
+			op = ">"
+		case "<=":
+			op = ">="
+		case ">":
+			op = "<"
+		case ">=":
+			op = "<="
+		}
+	}
+	// a*t + b is increasing; its root is r = -b/a.
+	add := func(c int64) {
+		if c > 0 && c < n {
+			cuts = append(cuts, c)
+		}
+	}
+	switch op {
+	case ">", "<=": // first t with a*t + b > 0: floor(r) + 1
+		if q := floorDiv(-b, a); q < n {
+			add(q + 1)
+		}
+	case ">=", "<": // first t with a*t + b >= 0: ceil(r)
+		add(-floorDiv(b, a))
+	default: // == and != change at an integer root and just after it
+		if b%a == 0 {
+			if q := -b / a; q < n {
+				add(q)
+				add(q + 1)
 			}
 		}
 	}
+	return cuts, true
+}
+
+// floorDiv is x/a rounded toward minus infinity, for a > 0.
+func floorDiv(x, a int64) int64 {
+	q := x / a
+	if x%a != 0 && x < 0 {
+		q--
+	}
+	return q
+}
+
+// subOK is x - y, and whether it fits int64.
+func subOK(x, y int64) (int64, bool) {
+	d := x - y
+	return d, (x >= y) == (d >= 0)
+}
+
+// affineFits reports that a*t + b fits int64 for every t in [0, tmax].
+func affineFits(a, b, tmax int64) bool {
+	if a == math.MinInt64 {
+		return false
+	}
+	hi, lo := bits.Mul64(uint64(max(a, -a)), uint64(tmax))
+	if hi != 0 || lo > math.MaxInt64 {
+		return false
+	}
+	at := int64(lo)
+	if a < 0 {
+		at = -at
+	}
+	s := b + at
+	return (at >= 0) == (s >= b)
 }
 
 // prove discharges every computed access for this GPU's chunk: the
@@ -564,40 +795,33 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 	return true
 }
 
-// prepVec derives each access's affine coefficients over the chunk from
+// prepVec derives each access's affine coefficients over the piece from
 // its endpoint values and decides whether the tiled body's statement-
 // blocked schedule is element-equivalent to the per-iteration schedule.
 // Two accesses of the same array may be reordered against each other
 // only if they provably hit the same element every iteration (program
 // order is then preserved per element) or provably disjoint element
 // sets. Reduce accesses write per-worker lanes, not the array, so they
-// only interfere with other reduces.
-func (ex *specExec) prepVec(gs *specGPU, p span, n int64) bool {
-	spec := ex.spec
-	for ai := range spec.Accesses {
-		if !spec.Accesses[ai].Affine {
-			// Computed access: no coefficients; the tiled body gathers
-			// or scatters through per-lane index vectors instead.
-			gs.accA[ai], gs.accB[ai] = 0, 0
-			continue
-		}
+// only interfere with other reduces. (Bodies with computed accesses
+// have no tiled form, so every access here is affine.)
+func (pc *specPiece) prepVec() bool {
+	n := pc.hi - pc.lo
+	for ai := range pc.v0 {
 		var A int64
 		if n > 1 {
-			A = (gs.v1[ai] - gs.v0[ai]) / (n - 1)
+			A = (pc.v1[ai] - pc.v0[ai]) / (n - 1)
 		}
-		gs.accA[ai] = A
-		gs.accB[ai] = gs.v0[ai] - A*p.lo
+		pc.accA[ai] = A
+		pc.accB[ai] = pc.v0[ai] - A*pc.lo
 	}
-	acc := spec.Accesses
+	if n == 1 {
+		return true // one iteration (a boundary piece): nothing to reorder
+	}
+	acc := pc.v.Accesses
 	for i := range acc {
 		for j := i + 1; j < len(acc); j++ {
 			if acc[i].Slot != acc[j].Slot {
 				continue
-			}
-			if !acc[i].Affine || !acc[j].Affine {
-				// A computed range cannot be ordered against anything
-				// on the same array.
-				return false
 			}
 			ki, kj := acc[i].Kind, acc[j].Kind
 			var conflict bool
@@ -611,12 +835,12 @@ func (ex *specExec) prepVec(gs *specGPU, p span, n int64) bool {
 			if !conflict {
 				continue
 			}
-			ai, bi := gs.accA[i], gs.accB[i]
-			aj, bj := gs.accA[j], gs.accB[j]
+			ai, bi := pc.accA[i], pc.accB[i]
+			aj, bj := pc.accA[j], pc.accB[j]
 			if ai == aj && bi == bj && ai != 0 {
 				continue // same element every iteration
 			}
-			if vecDisjoint(gs.v0[i], gs.v1[i], gs.v0[j], gs.v1[j], ai, aj, bi, bj) {
+			if vecDisjoint(pc.v0[i], pc.v1[i], pc.v0[j], pc.v1[j], ai, aj, bi, bj) {
 				continue
 			}
 			return false
