@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short cover bench bench-quick bench-baseline bench-pr6 bench-pr8 bench-pr9 bench-pr10 eval eval-json examples clean check fuzz-smoke accvet trace-check loadtest-smoke
+.PHONY: all build vet lint test test-short cover bench bench-quick bench-host eval eval-json examples clean check fuzz-smoke accvet trace-check loadtest-smoke
 
 # Optional linters: used when present on PATH, skipped (with a pinned
 # install hint) when absent — `make lint` must work in a hermetic
@@ -111,8 +111,9 @@ bench:
 # the tracing-disabled launch path, which must add zero allocations),
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
-# (>=2x Phase-B on MD, KMEANS and BFS, specialized vs interpreter,
-# results verified both sides), the guarded-stencil gate (>=4x Phase-B
+# (Phase B specialized vs interpreter: MD >=4x and KMEANS >=5x on
+# lockstep tiles, BFS >=2x, results verified both sides), the
+# guarded-stencil gate (>=4x Phase-B
 # on the boundary-guarded localaccess stencil, index-set split vs
 # interpreter, results verified both sides), plus one iteration of
 # each wall-clock gate benchmark (legacy-vs-optimized loader,
@@ -131,45 +132,15 @@ bench-quick:
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core
 
-# bench-baseline regenerates the committed wall-clock baseline
-# (BENCH_PR4.json): end-to-end elapsed-time measurements with the host
-# optimizations (including kernel specialization) on vs off, with
-# result verification and the report-invariance bit asserted per
-# workload.
-bench-baseline:
-	$(GO) run ./cmd/accbench -json -verify wallclock > BENCH_PR4.json
-
-# bench-pr6 regenerates the committed sync-vs-async study
-# (BENCH_PR6.json): simulated makespans of the five shipped example
-# apps under the bulk-synchronous and pipelined schedules, with the
-# report-equivalence bit asserted per app.
-bench-pr6:
-	$(GO) run ./cmd/accbench -json async > BENCH_PR6.json
-
-# bench-pr8 regenerates the committed interpreter-vs-specialized study
-# (BENCH_PR8.json): real Phase-B wall clock on the paper apps plus two
-# synthetic controls, with the specialized executors and launch fusion
-# on vs the instrumented interpreter, result verification, and the
-# report-invariance bit asserted per workload.
-bench-pr8:
-	$(GO) run ./cmd/accbench -json -verify appstudy > BENCH_PR8.json
-
-# bench-pr9 regenerates the committed accd service study
-# (BENCH_PR9.json): throughput and latency percentiles of the
-# compile-and-run daemon under a mixed concurrent workload, cold
-# (every request compiles) vs warm (every request hits the
-# content-hash program cache). The headline is the warm/cold
-# throughput ratio — the structural win of the cache.
-bench-pr9:
-	$(GO) run ./cmd/accbench -json loadtest > BENCH_PR9.json
-
-# bench-pr10 regenerates the committed node study (BENCH_PR10.json):
-# simulated makespans of the shipped example apps on cluster
-# topologies (1x3 degenerate control, 2x2, 2x3) under the
-# bulk-synchronous and NIC-aware pipelined schedules, with the
-# report-equivalence bit asserted per point.
-bench-pr10:
-	$(GO) run ./cmd/accbench -json node > BENCH_PR10.json
+# bench-host runs one workload of the host-time benchmark (benchmark/:
+# apps_kernel, stencil_repl, stencil_dist, compile_cold, serve_mixed)
+# the way the driver does, end-to-end metrics with tracing off; add
+# ARGS='--trace 1' for the per-layer split. The runs append to
+# benchmark/out/runs.jsonl; `go run ./benchmark compare a.jsonl b.jsonl`
+# judges one set of runs against another.
+W ?= apps_kernel
+bench-host:
+	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0 $(ARGS)
 
 # Regenerate the paper's evaluation (Tables I-II, Figs 7-9, ablations,
 # cluster study) with result verification. -no-async keeps the

@@ -9,13 +9,14 @@
 // async appstudy node loadtest all (default: all; wallclock, appstudy
 // and loadtest are opt-in — they measure real elapsed host time, not
 // simulated time, so they only run when asked for; appstudy is the
-// BENCH_PR8.json interpreter-vs-specialized Phase-B study, loadtest
-// the BENCH_PR9.json warm-vs-cold accd service study sized with
-// -lt-workers/-lt-requests; node is the BENCH_PR10.json cluster-topology
-// sync-vs-async study). The Proposal configurations run under the pipelined scheduler
-// unless -no-async asks for the paper's bulk-synchronous schedule;
-// the async target compares the two over the shipped example apps
-// (the BENCH_PR6.json study).
+// interpreter-vs-specialized Phase-B study, loadtest the warm-vs-cold
+// accd service study sized with -lt-workers/-lt-requests; node is the
+// cluster-topology sync-vs-async study). Host time by workload and by
+// layer, judged run against run, is the job of the benchmark/ package
+// (`make bench-host`), not of these studies. The Proposal
+// configurations run under the pipelined scheduler unless -no-async
+// asks for the paper's bulk-synchronous schedule; the async target
+// compares the two over the shipped example apps.
 // -scale multiplies the per-app default benchmark scales (fractions of
 // the paper's input sizes chosen so the functional simulation finishes
 // in minutes); -scale with appname=frac pairs in -appscale pins exact

@@ -225,13 +225,18 @@ func main() {
 }
 
 // printSpecSummary reports how much of Phase B ran on the specialized
-// executors, with the interpreter fallbacks broken down by runtime
-// reason and the outright-rejected kernels by compile-time reason.
+// executors and which of their two bodies ran (lockstep tiles, or one
+// closure tree per iteration and why), with the interpreter fallbacks
+// broken down by runtime reason and the outright-rejected kernels by
+// compile-time reason.
 func printSpecSummary(r *rt.Runtime) {
 	hits, fb := r.SpecHits(), r.SpecFallbacks()
 	fmt.Printf("spec: %d chunks specialized, %d interpreter fallbacks\n", hits, fb)
 	if pieces := r.SpecSplitPieces(); pieces > 0 {
 		fmt.Printf("  affine-guard chunks split into %d pieces\n", pieces)
+	}
+	if tiled := r.SpecTiledIters(); tiled > 0 {
+		fmt.Printf("  %d iterations ran in lockstep tiles\n", tiled)
 	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
@@ -248,6 +253,7 @@ func printSpecSummary(r *rt.Runtime) {
 		}
 		fmt.Printf("  %s: %s\n", label, strings.Join(parts, " "))
 	}
+	printReasons("chunks on the per-iteration body (by reason)", r.SpecUntiled())
 	printReasons("fallback reasons", r.SpecFallbackReasons())
 	printReasons("rejected kernels (chunks, by compile reason)", r.SpecRejects())
 }

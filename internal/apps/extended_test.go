@@ -149,3 +149,16 @@ func TestNBodyScalesOnCluster(t *testing.T) {
 			oneNode.Total(), cluster.Total())
 	}
 }
+
+// TestAllAppsVerifyAcrossMachines runs the six applications, small, on
+// the desktop, the supercomputer node and a 2x2 cluster: whichever
+// kernel body each launch takes (lockstep tiles, per-iteration,
+// interpreter) the results must match the plain-Go references.
+func TestAllAppsVerifyAcrossMachines(t *testing.T) {
+	scales := map[string]float64{"MD": 0.03, "KMEANS": 0.004, "BFS": 0.002, "SPMV": 0.02, "HOTSPOT2D": 0.02, "NBODY": 0.03}
+	for _, app := range append(All(), Extended()...) {
+		for _, m := range []sim.MachineSpec{sim.Desktop(), sim.SupercomputerNode(), sim.Cluster(2, 2)} {
+			runApp(t, app, scales[app.Name], core.Config{Machine: m})
+		}
+	}
+}

@@ -15,7 +15,7 @@ import (
 	"accmulti/internal/sim"
 )
 
-// The async study (BENCH_PR6.json): the five shipped example programs
+// The async study (`accbench async`): the five shipped example programs
 // run once under the bulk-synchronous schedule and once under the
 // pipelined scheduler, on the desktop machine. Both runs execute the
 // identical step sequence — the study records how much reported

@@ -261,7 +261,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 }
 
-// TestAsyncStudyShapes pins the BENCH_PR6 study: every example app
+// TestAsyncStudyShapes pins the async study: every example app
 // must satisfy the equivalence contract, the overlapped makespan must
 // never exceed the synchronous total, and the halo-carrying stencil
 // must show a real win.

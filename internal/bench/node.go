@@ -11,7 +11,7 @@ import (
 	"accmulti/internal/sim"
 )
 
-// The node study (BENCH_PR10.json): the shipped example programs run on
+// The node study (`accbench node`): the shipped example programs run on
 // cluster topologies under both schedules. Two questions per row: how
 // much does crossing the network cost each app (the §VI future-work
 // cliff, now with a real network model — NIC bandwidth and latency

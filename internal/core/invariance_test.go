@@ -177,3 +177,44 @@ func TestAppsReportInvariance(t *testing.T) {
 		})
 	}
 }
+
+// TestBFSReportDeterministic pins the fix for BFS's counter race: its
+// kernel gathers from the array it scatters to (`if (cost[w] < 0)
+// cost[w] = ...`), so two workers of one device could both pass the
+// test for one vertex and both count the store, and the report moved
+// from run to run. Such kernels run their workers in order
+// (ir.Kernel.SerialWorkers): forty runs, specialized and interpreted
+// alternating, at four OS threads, must produce one report.
+func TestBFSReportDeterministic(t *testing.T) {
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(4))
+	app, err := apps.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := Compile(app.Source)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := prog.Module.Kernels[0]; !k.SerialWorkers {
+		t.Fatal("the BFS kernel is not marked SerialWorkers")
+	}
+	var ref *rt.Report
+	for run := 0; run < 40; run++ {
+		in, err := app.Generate(0.002, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := prog.Run(in.Bindings, Config{Machine: sim.Desktop().WithGPUs(4), Options: rt.Options{DisableSpecialize: run%2 == 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := in.Verify(res.Instance); err != nil {
+			t.Fatal(err)
+		}
+		if ref == nil {
+			ref = res.Report
+		} else if !reflect.DeepEqual(ref, res.Report) {
+			t.Fatalf("run %d: Report diverged\nwant %+v\ngot  %+v", run, ref, res.Report)
+		}
+	}
+}

@@ -5,12 +5,14 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"accmulti/internal/analysis"
+	"accmulti/internal/apps"
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
@@ -293,6 +295,9 @@ func TestTraceMetricsCrossCheck(t *testing.T) {
 	if got, want := m.Counter("spec.fallbacks"), res.Runtime.SpecFallbacks(); got != want {
 		t.Errorf("spec.fallbacks metric = %d, Runtime.SpecFallbacks() = %d", got, want)
 	}
+	if got, want := m.Counter("spec.tiled_iters"), res.Runtime.SpecTiledIters(); got != want || want == 0 {
+		t.Errorf("spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d (want equal and non-zero)", got, want)
+	}
 
 	// Halo spans vs the ACCV007 predictions. The vetter predicts an
 	// exchange for exactly the arrays written distributed and re-read
@@ -422,5 +427,60 @@ func TestMultiNodeTraceMetricsCrossCheck(t *testing.T) {
 	if eventInter != wantInter {
 		t.Errorf("halo-exchange events report %d inter-node transfers, trace has %d nic-tagged halo spans",
 			eventInter, wantInter)
+	}
+}
+
+// TestObserversKeepTheBody pins that attaching an observer does not
+// change which kernel body runs: KMEANS (lockstep tiles for the
+// assignment kernel, the per-iteration body where the center update
+// stores under an arm on replicated arrays) and BFS (per-iteration
+// only) execute the same number of tiled iterations and the same
+// per-iteration chunks bare, with the span tracer, and with text
+// narration; the tracer's metrics agree with the runtime's counts.
+func TestObserversKeepTheBody(t *testing.T) {
+	for name, scale := range map[string]float64{"KMEANS": 0.004, "BFS": 0.002} {
+		app, err := apps.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := Compile(app.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(cfg Config) *rt.Runtime {
+			in, err := app.Generate(scale, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := prog.Run(in.Bindings, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Runtime
+		}
+		bare := run(Config{})
+		if name == "KMEANS" && bare.SpecTiledIters() == 0 {
+			t.Fatal("KMEANS ran no lockstep tiles; test premise broken")
+		}
+		tr := trace.New()
+		var narration bytes.Buffer
+		for label, r := range map[string]*rt.Runtime{
+			"tracer":    run(Config{Trace: tr}),
+			"narration": run(Config{Options: rt.Options{Trace: &narration}}),
+		} {
+			if r.SpecTiledIters() != bare.SpecTiledIters() || !reflect.DeepEqual(r.SpecUntiled(), bare.SpecUntiled()) || r.SpecHits() != bare.SpecHits() {
+				t.Errorf("%s with %s: tiled %d untiled %v hits %d; bare: tiled %d untiled %v hits %d", name, label,
+					r.SpecTiledIters(), r.SpecUntiled(), r.SpecHits(), bare.SpecTiledIters(), bare.SpecUntiled(), bare.SpecHits())
+			}
+		}
+		m := tr.Metrics()
+		if got, want := m.Counter("spec.tiled_iters"), bare.SpecTiledIters(); got != want {
+			t.Errorf("%s: spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d", name, got, want)
+		}
+		for reason, want := range bare.SpecUntiled() {
+			if got := m.Counter("spec.untiled." + reason); got != want {
+				t.Errorf("%s: spec.untiled.%s metric = %d, Runtime.SpecUntiled() = %d", name, reason, got, want)
+			}
+		}
 	}
 }

@@ -150,6 +150,13 @@ type Kernel struct {
 	// "loop", "induction", "shape"); empty when Spec is present. The
 	// runtime surfaces it in the per-reason fallback metrics.
 	SpecReason string
+	// SerialWorkers marks a kernel that gathers from an array it also
+	// stores to through a computed index (BFS: `if (cost[w] < 0)
+	// cost[w] = ...`). Two workers of one device can then both pass the
+	// test for the same element, and how many do depends on their
+	// interleaving — so would the work counters. Every engine runs such
+	// a kernel's workers in worker order on one goroutine per device.
+	SerialWorkers bool
 	// FuseNext points at the lexically next kernel in the same block
 	// when the translator proved the pair fusable: both specialized,
 	// no scalar reductions or array reduces, and declaration-level

@@ -39,8 +39,15 @@ import (
 // variable — makes BuildKernelSpec return nil with a reason category
 // and the kernel permanently runs on the instrumented interpreter. The
 // runtime adds launch-time fallback conditions on top (audit mode,
-// fault plans, miss-check lanes, layout-transformed copies, failed
-// range proofs; see internal/rt).
+// fault plans, miss-check lanes, failed range proofs; see internal/rt).
+//
+// A spec carries up to two bodies. Body is one closure tree per
+// iteration and always exists. VecBody (specvec.go) runs a tile of
+// consecutive iterations in lockstep, one tight loop per expression
+// node; it covers straight-line statements, data-dependent arms,
+// uniform inner loops, gathers and layout-transformed copies, and is
+// absent (Untiled says why) for scatters, stores inside loops and loops
+// whose bounds differ from lane to lane.
 //
 // One branch shape leaves the arm machinery altogether: a top-level if
 // whose condition is an affine guard (&&, ||, ! over integer
@@ -238,12 +245,18 @@ type KernelSpec struct {
 	// on computed-access range checks).
 	Prover *SpecProver
 	// VecBody, when non-nil, is the tiled form of Body (see specvec.go):
-	// one call covers up to VecTile iterations with one tight loop per
-	// expression node. The runtime may only use it when its per-launch
-	// alias check proves the tile schedule element-equivalent.
+	// one call runs up to VecTile consecutive iterations in lockstep,
+	// one tight loop per expression node. The runtime may only use it
+	// when its per-launch alias check proves the tile schedule
+	// element-equivalent.
 	VecBody VStmt
-	// NumBufI/NumBufF size a VecEnv's scratch vectors.
-	NumBufI, NumBufF int
+	// Untiled says why VecBody is nil: "shape" (a construct the lockstep
+	// schedule does not cover) or "order" (an ordered effect it would
+	// reorder). Empty when VecBody is set, and on a split spec.
+	Untiled string
+	// NumBufI/NumBufF/NumMask size a VecEnv's scratch vectors and lane
+	// lists.
+	NumBufI, NumBufF, NumMask int
 	// Guard, when non-nil, makes this spec an index-set split: Body,
 	// costs and accesses live in Guard.Variants, one of which covers
 	// each sub-range of a chunk; only the environment sizes above (and
@@ -318,6 +331,20 @@ type specBuilder struct {
 	// hoisted bound): recording it again would double-charge the cost
 	// model and desynchronize the prover's access cursor.
 	noRecord bool
+	// loops records every compiled inner loop, for the tile builder: a
+	// loop it must run lane by lane reuses the per-iteration closure.
+	loops map[*cc.ForStmt]loopRec
+	// uniform, when set, names subtrees affineDegree takes as constants
+	// although the body assigns scalars in them (the tile builder's
+	// view: an inner induction variable is one value per tile step).
+	uniform func(cc.Expr) bool
+}
+
+// loopRec is one compiled inner loop and the positions of the access
+// and arm cursors just after it.
+type loopRec struct {
+	stmt           DStmt
+	accEnd, armEnd int
 }
 
 // BuildKernelSpec compiles the specialized form of a kernel body. When
@@ -391,7 +418,7 @@ func buildSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map
 	if b.spec.HasComputed {
 		b.spec.Prover = buildProver(body, loopVar, prog, b.spec)
 	}
-	buildVec(body, loopVar, assigned, b.spec)
+	buildVec(body, b)
 	return b.spec, ""
 }
 
@@ -432,6 +459,7 @@ func splitGuards(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned m
 	}
 	for _, v := range s.guard.Variants {
 		spec.NumBufI, spec.NumBufF = max(spec.NumBufI, v.NumBufI), max(spec.NumBufF, v.NumBufF)
+		spec.NumMask = max(spec.NumMask, v.NumMask)
 	}
 	return spec
 }
@@ -538,35 +566,13 @@ func (s *guardSplitter) guardCond(e cc.Expr) bool {
 	return err == nil && d == 0
 }
 
-// collectAssignedScalars records every scalar the body assigns
-// (including inside constructs that will later reject the body — the
-// pre-pass stays conservative and total).
+// collectAssignedScalars records every scalar the body assigns.
 func collectAssignedScalars(s cc.Stmt, out map[*cc.VarDecl]bool) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, c := range st.Stmts {
-			collectAssignedScalars(c, out)
-		}
-	case *cc.AssignStmt:
+	eachAssign(s, func(st *cc.AssignStmt) {
 		if id, ok := st.LHS.(*cc.Ident); ok {
 			out[id.Decl] = true
 		}
-	case *cc.IfStmt:
-		collectAssignedScalars(st.Then, out)
-		if st.Else != nil {
-			collectAssignedScalars(st.Else, out)
-		}
-	case *cc.WhileStmt:
-		collectAssignedScalars(st.Body, out)
-	case *cc.ForStmt:
-		if st.Init != nil {
-			collectAssignedScalars(st.Init, out)
-		}
-		if st.Post != nil {
-			collectAssignedScalars(st.Post, out)
-		}
-		collectAssignedScalars(st.Body, out)
-	}
+	})
 }
 
 // affineDegree returns the degree (0 or 1) of a folded index expression
@@ -575,6 +581,9 @@ func collectAssignedScalars(s cc.Stmt, out map[*cc.VarDecl]bool) {
 // hence monotone over any iteration chunk — the property the endpoint
 // range checks and the bulk dirty marking rely on.
 func (b *specBuilder) affineDegree(e cc.Expr) (int, error) {
+	if b.uniform != nil && b.uniform(e) {
+		return 0, nil
+	}
 	switch x := e.(type) {
 	case *cc.NumLit:
 		return 0, nil
@@ -781,21 +790,26 @@ func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
 	// Canonical counted loops run fused: the invariant bound is hoisted
 	// and the induction variable becomes a plain Go loop variable. The
 	// cost buckets receive exactly the open-coded totals.
-	if fused := b.fuseFor(st, init, body, condIdx, bodyIdx); fused != nil {
-		return fused, nil
-	}
-	return func(env *DEnv) {
-		init(env)
-		for {
-			env.Branch[condIdx]++
-			if !cond(env) {
-				return
+	loop := b.fuseFor(st, init, body, condIdx, bodyIdx)
+	if loop == nil {
+		loop = func(env *DEnv) {
+			init(env)
+			for {
+				env.Branch[condIdx]++
+				if !cond(env) {
+					return
+				}
+				body(env)
+				post(env)
+				env.Branch[bodyIdx]++
 			}
-			body(env)
-			post(env)
-			env.Branch[bodyIdx]++
 		}
-	}, nil
+	}
+	if b.loops == nil {
+		b.loops = map[*cc.ForStmt]loopRec{}
+	}
+	b.loops[st] = loopRec{stmt: loop, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
+	return loop, nil
 }
 
 // ifStmt compiles a simple branch. Each arm gets its own cost bucket
@@ -889,10 +903,6 @@ func (b *specBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (DStmt, err
 	if err != nil {
 		return nil, err
 	}
-	// The fused form (when the RHS shape is covered) runs the RHS tree,
-	// the accumulate op and the width rounding in one closure; the
-	// generic compile above already charged the RHS cost.
-	fused := fuseAssignF(st, slot, lhs.Decl.Type == cc.TFloat)
 	round := func(v float64) float64 { return v }
 	if lhs.Decl.Type == cc.TFloat {
 		round = func(v float64) float64 { return float64(float32(v)) }
@@ -905,9 +915,6 @@ func (b *specBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (DStmt, err
 		b.cur.Flops += 4
 	default:
 		return nil, errSpecIneligible
-	}
-	if fused != nil {
-		return fused, nil
 	}
 	switch st.Op {
 	case "=":
@@ -941,7 +948,7 @@ func (b *specBuilder) index(idx cc.Expr) (ExprI, dExprI, bool, error) {
 		affine = false
 	}
 	var hostIdx ExprI
-	if affine {
+	if affine && !b.noRecord {
 		var err error
 		hostIdx, err = CompileExprI(idx)
 		if err != nil {
@@ -1123,24 +1130,14 @@ func (b *specBuilder) exprI(e cc.Expr) (dExprI, error) {
 
 func (b *specBuilder) exprF(e cc.Expr) (dExprF, error) {
 	e = foldExpr(e)
-	var d dExprF
-	if e.Type() != cc.TInt {
-		_, cf, err := b.compile(e)
-		if err != nil {
-			return nil, err
-		}
-		d = cf
-	} else {
-		ci, _, err := b.compile(e)
-		if err != nil {
-			return nil, err
-		}
-		d = func(env *DEnv) float64 { return float64(ci(env)) }
+	ci, cf, err := b.compile(e)
+	if err != nil {
+		return nil, err
 	}
-	if f := fuseExprF(e); f != nil {
-		return f, nil
+	if e.Type() == cc.TInt {
+		return func(env *DEnv) float64 { return float64(ci(env)) }, nil
 	}
-	return d, nil
+	return cf, nil
 }
 
 func (b *specBuilder) cond(e cc.Expr) (func(*DEnv) bool, error) {

@@ -6,28 +6,25 @@ import (
 
 // Superoperator fusion for the per-iteration specialized body.
 //
-// The generic spec compiler emits one closure per expression node, so a
-// body like MD's inner loop pays ~50 indirect calls per iteration —
-// only ~1.4x faster than the instrumented interpreter. The recognizers
-// below collapse the shapes that dominate the paper apps' kernels into
-// single closures:
+// The generic spec compiler emits one closure per expression node. The
+// recognizers below collapse the integer shapes that head every
+// per-iteration body still on the hot path — BFS's CSR walk, SPMV's
+// row loop, the loops the tiled bodies run lane by lane, and every
+// uniform subtree a tile evaluates once per step — into single
+// closures:
 //
-//   - index expressions (i, i+c, k*i+c, s1*s2+s3, s1/s2, ...) become
-//     one jump-table dispatch instead of a closure subtree,
-//   - array loads evaluate their index inline,
-//   - comparisons (guards, loop conditions) evaluate both operands
+//   - index expressions (i, i+c, k*i+c, s1*s2+s3, ...) become one
+//     closure instead of a closure subtree,
+//   - int array loads evaluate their index inline,
+//   - int comparisons (guards, loop conditions) evaluate both operands
 //     inline and skip the b2i/!=0 wrapper entirely,
-//   - single binary float ops over leaf operands (scalar, literal,
-//     load) evaluate in one call.
+//   - canonical counted loops hoist their bound and count in bulk.
 //
 // Fusion replaces only the runtime closure; the generic compile pass
 // still runs first so cost accounting, access recording and the
 // prover/vec mirrors are untouched. Each fused closure performs the
-// exact operations of the subtree it replaces, in the same order, with
-// the same conversions — float operands stay separate Go operations
-// (never a multiply-add in a single expression, which the compiler
-// could contract to an FMA), loads use the same off/Base remap, and
-// integer division panics identically.
+// exact operations of the subtree it replaces, in the same order: loads
+// use the same off/Base remap, and integer division panics identically.
 
 // iTerm is a fused integer expression over the scalar slots: the
 // index-shaped linear/multiplicative forms the apps use.
@@ -38,61 +35,20 @@ type iTerm struct {
 }
 
 const (
-	ixNone uint8 = iota
-	ixLit        // k1
-	ixVar        // s[a]
-	ixVarK       // s[a] + k1
-	ixAddVV      // s[a] + s[b]
-	ixSubVV      // s[a] - s[b]
-	ixSubKV      // k1 - s[a]
-	ixMulVV      // s[a] * s[b]
-	ixMulKV      // k1 * s[a]
-	ixMulVVaddV  // s[a]*s[b] + s[c]
-	ixMulVVaddK  // s[a]*s[b] + k1
-	ixMulKVaddK  // k1*s[a] + k2
-	ixMulKVaddV  // k1*s[a] + s[b]
-	ixDivVV      // s[a] / s[b]
-	ixDivVK      // s[a] / k1
-	ixModVV      // s[a] % s[b]
-	ixModVK      // s[a] % k1
+	ixNone      uint8 = iota
+	ixLit             // k1
+	ixVar             // s[a]
+	ixVarK            // s[a] + k1
+	ixAddVV           // s[a] + s[b]
+	ixSubVV           // s[a] - s[b]
+	ixSubKV           // k1 - s[a]
+	ixMulVV           // s[a] * s[b]
+	ixMulKV           // k1 * s[a]
+	ixMulVVaddV       // s[a]*s[b] + s[c]
+	ixMulVVaddK       // s[a]*s[b] + k1
+	ixMulKVaddK       // k1*s[a] + k2
+	ixMulKVaddV       // k1*s[a] + s[b]
 )
-
-func (t *iTerm) eval(ints []int64) int64 {
-	switch t.mode {
-	case ixLit:
-		return t.k1
-	case ixVar:
-		return ints[t.a]
-	case ixVarK:
-		return ints[t.a] + t.k1
-	case ixAddVV:
-		return ints[t.a] + ints[t.b]
-	case ixSubVV:
-		return ints[t.a] - ints[t.b]
-	case ixSubKV:
-		return t.k1 - ints[t.a]
-	case ixMulVV:
-		return ints[t.a] * ints[t.b]
-	case ixMulKV:
-		return t.k1 * ints[t.a]
-	case ixMulVVaddV:
-		return ints[t.a]*ints[t.b] + ints[t.c]
-	case ixMulVVaddK:
-		return ints[t.a]*ints[t.b] + t.k1
-	case ixMulKVaddK:
-		return t.k1*ints[t.a] + t.k2
-	case ixMulKVaddV:
-		return t.k1*ints[t.a] + ints[t.b]
-	case ixDivVV:
-		return ints[t.a] / ints[t.b]
-	case ixDivVK:
-		return ints[t.a] / t.k1
-	case ixModVV:
-		return ints[t.a] % ints[t.b]
-	default: // ixModVK
-		return ints[t.a] % t.k1
-	}
-}
 
 // fuseAtomI matches a literal or an int scalar.
 func fuseAtomI(e cc.Expr) (slot int, k int64, isVar, ok bool) {
@@ -147,28 +103,6 @@ func fuseTerm(e cc.Expr) (iTerm, bool) {
 	switch x.Op {
 	case "*":
 		return fuseMul(x)
-	case "/", "%":
-		sa, _, av, ok := fuseAtomI(x.X)
-		if !ok || !av {
-			return iTerm{}, false
-		}
-		sb, kb, bv, ok := fuseAtomI(x.Y)
-		if !ok {
-			return iTerm{}, false
-		}
-		div := x.Op == "/"
-		switch {
-		case bv && div:
-			return iTerm{mode: ixDivVV, a: sa, b: sb}, true
-		case bv:
-			return iTerm{mode: ixModVV, a: sa, b: sb}, true
-		case kb == 0:
-			return iTerm{}, false // constant divide by zero: leave generic
-		case div:
-			return iTerm{mode: ixDivVK, a: sa, k1: kb}, true
-		default:
-			return iTerm{mode: ixModVK, a: sa, k1: kb}, true
-		}
 	case "+", "-":
 		sub := x.Op == "-"
 		// Left operand: a product or an atom.
@@ -255,12 +189,9 @@ func emitTerm(t iTerm) dExprI {
 	case ixMulKVaddK:
 		k, a, k2 := t.k1, t.a, t.k2
 		return func(e *DEnv) int64 { return k*e.Ints[a] + k2 }
-	case ixMulKVaddV:
+	default: // ixMulKVaddV
 		k, a, b := t.k1, t.a, t.b
 		return func(e *DEnv) int64 { return k*e.Ints[a] + e.Ints[b] }
-	default:
-		tt := t
-		return func(e *DEnv) int64 { return tt.eval(e.Ints) }
 	}
 }
 
@@ -280,18 +211,6 @@ const (
 	fiLoad
 )
 
-func (f *fexprI) eval(e *DEnv) int64 {
-	switch f.kind {
-	case fiLit:
-		return f.k
-	case fiVar:
-		return e.Ints[f.slot]
-	default:
-		a := &e.Arrays[f.arr]
-		return int64(a.I32[a.off(f.idx.eval(e.Ints)-a.Base)])
-	}
-}
-
 func fuseSideI(e cc.Expr) (fexprI, bool) {
 	if s, k, v, ok := fuseAtomI(e); ok {
 		if v {
@@ -307,235 +226,41 @@ func fuseSideI(e cc.Expr) (fexprI, bool) {
 	return fexprI{}, false
 }
 
-// fexprF is a fused float operand: literal, scalar, array load (any
-// element type) with a fused index, or an int term converted to float.
-// round applies the interpreter's (float) cast rounding on top.
-type fexprF struct {
-	kind  uint8 // ffLit, ffVar, ffLoad32, ffLoad64, ffLoadI, ffIntTerm
-	round bool
-	k     float64
-	slot  int
-	arr   int
-	idx   iTerm
-}
-
-const (
-	ffLit uint8 = iota
-	ffVar
-	ffLoad32
-	ffLoad64
-	ffLoadI
-	ffIntTerm
-)
-
-func (f *fexprF) eval(e *DEnv) float64 {
-	var v float64
-	switch f.kind {
-	case ffLit:
-		v = f.k
-	case ffVar:
-		v = e.Floats[f.slot]
-	case ffLoad32:
-		a := &e.Arrays[f.arr]
-		v = float64(a.F32[a.off(f.idx.eval(e.Ints)-a.Base)])
-	case ffLoad64:
-		a := &e.Arrays[f.arr]
-		v = a.F64[a.off(f.idx.eval(e.Ints)-a.Base)]
-	case ffLoadI:
-		a := &e.Arrays[f.arr]
-		v = float64(int64(a.I32[a.off(f.idx.eval(e.Ints)-a.Base)]))
-	default: // ffIntTerm
-		v = float64(f.idx.eval(e.Ints))
-	}
-	if f.round {
-		v = float64(float32(v))
-	}
-	return v
-}
-
-func fuseSideF(e cc.Expr) (fexprF, bool) {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		if x.IsFloat {
-			return fexprF{kind: ffLit, k: x.F}, true
-		}
-		// Int literal in float context: exprF coerces via float64.
-		return fexprF{kind: ffLit, k: float64(x.I)}, true
-	case *cc.Ident:
-		if x.Decl.IsArray {
-			return fexprF{}, false
-		}
-		if x.Type() == cc.TInt {
-			return fexprF{kind: ffIntTerm, idx: iTerm{mode: ixVar, a: x.Decl.Slot}}, true
-		}
-		return fexprF{kind: ffVar, slot: x.Decl.Slot}, true
-	case *cc.IndexExpr:
-		t, ok := fuseTerm(foldExpr(x.Index))
-		if !ok {
-			return fexprF{}, false
-		}
-		switch x.Array.Type {
-		case cc.TFloat:
-			return fexprF{kind: ffLoad32, arr: x.Array.Slot, idx: t}, true
-		case cc.TDouble:
-			return fexprF{kind: ffLoad64, arr: x.Array.Slot, idx: t}, true
-		default:
-			return fexprF{kind: ffLoadI, arr: x.Array.Slot, idx: t}, true
-		}
-	case *cc.CastExpr:
-		inner, ok := fuseSideF(foldExpr(x.X))
-		if !ok || inner.round {
-			return fexprF{}, false
-		}
-		switch x.To {
-		case cc.TFloat:
-			// The generic path computes float64(float32(value)) with the
-			// inner value already coerced to float64 (int operands
-			// included), which fexprF.eval reproduces exactly.
-			inner.round = true
-			return inner, true
-		case cc.TDouble:
-			return inner, true
-		}
-		return fexprF{}, false
-	}
-	return fexprF{}, false
-}
-
-// fuseExprI fuses a whole int-typed expression: a term, an int load,
-// or a comparison over fusable operands. Returns nil when the shape is
-// not covered (the generic closure stays in place).
+// fuseExprI fuses a whole int-typed expression: a term or an int load
+// with a fused index. Returns nil when the shape is not covered (the
+// generic closure stays in place).
 func fuseExprI(e cc.Expr) dExprI {
 	if t, ok := fuseTerm(e); ok {
 		return emitTerm(t)
 	}
-	if x, ok := e.(*cc.IndexExpr); ok && x.Array.Type == cc.TInt {
-		if t, ok := fuseTerm(foldExpr(x.Index)); ok {
-			slot := x.Array.Slot
-			switch t.mode {
-			case ixVar:
-				si := t.a
-				return func(e *DEnv) int64 {
-					a := &e.Arrays[slot]
-					return int64(a.I32[a.off(e.Ints[si]-a.Base)])
-				}
-			case ixMulVVaddV:
-				sa, sb, sc := t.a, t.b, t.c
-				return func(e *DEnv) int64 {
-					a := &e.Arrays[slot]
-					return int64(a.I32[a.off(e.Ints[sa]*e.Ints[sb]+e.Ints[sc]-a.Base)])
-				}
-			default:
-				tt := t
-				return func(e *DEnv) int64 {
-					a := &e.Arrays[slot]
-					return int64(a.I32[a.off(tt.eval(e.Ints)-a.Base)])
-				}
-			}
-		}
-		return nil
-	}
-	x, ok := e.(*cc.BinaryExpr)
-	if !ok {
-		return nil
-	}
-	switch x.Op {
-	case "<", "<=", ">", ">=", "==", "!=":
-	default:
-		return nil
-	}
-	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-		lf, ok := fuseSideI(foldExpr(x.X))
-		if !ok {
-			return nil
-		}
-		rf, ok := fuseSideI(foldExpr(x.Y))
-		if !ok {
-			return nil
-		}
-		l, r := emitI(lf), emitI(rf)
-		switch x.Op {
-		case "<":
-			return func(e *DEnv) int64 { return b2i(l(e) < r(e)) }
-		case "<=":
-			return func(e *DEnv) int64 { return b2i(l(e) <= r(e)) }
-		case ">":
-			return func(e *DEnv) int64 { return b2i(l(e) > r(e)) }
-		case ">=":
-			return func(e *DEnv) int64 { return b2i(l(e) >= r(e)) }
-		case "==":
-			return func(e *DEnv) int64 { return b2i(l(e) == r(e)) }
-		default:
-			return func(e *DEnv) int64 { return b2i(l(e) != r(e)) }
-		}
-	}
-	lf, ok := fuseSideF(foldExpr(x.X))
-	if !ok {
-		return nil
-	}
-	rf, ok := fuseSideF(foldExpr(x.Y))
-	if !ok {
-		return nil
-	}
-	l, r := emitF(lf), emitF(rf)
-	switch x.Op {
-	case "<":
-		return func(e *DEnv) int64 { return b2i(l(e) < r(e)) }
-	case "<=":
-		return func(e *DEnv) int64 { return b2i(l(e) <= r(e)) }
-	case ">":
-		return func(e *DEnv) int64 { return b2i(l(e) > r(e)) }
-	case ">=":
-		return func(e *DEnv) int64 { return b2i(l(e) >= r(e)) }
-	case "==":
-		return func(e *DEnv) int64 { return b2i(l(e) == r(e)) }
-	default:
-		return func(e *DEnv) int64 { return b2i(l(e) != r(e)) }
-	}
-}
-
-// fuseCond fuses a branch/loop condition, skipping the !=0 wrapper.
-func fuseCond(e cc.Expr) func(*DEnv) bool {
-	if x, ok := e.(*cc.BinaryExpr); ok {
-		switch x.Op {
-		case "<", "<=", ">", ">=", "==", "!=":
-			if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-				lf, ok := fuseSideI(foldExpr(x.X))
-				if !ok {
-					return nil
-				}
-				rf, ok := fuseSideI(foldExpr(x.Y))
-				if !ok {
-					return nil
-				}
-				return emitCmpI(x.Op, lf, rf)
-			}
-			lf, ok := fuseSideF(foldExpr(x.X))
-			if !ok {
-				return nil
-			}
-			rf, ok := fuseSideF(foldExpr(x.Y))
-			if !ok {
-				return nil
-			}
-			return emitCmpF(x.Op, lf, rf)
-		}
-		return nil
-	}
-	if e.Type() == cc.TInt {
-		if s, ok := fuseSideI(e); ok {
-			d := emitI(s)
-			return func(e *DEnv) bool { return d(e) != 0 }
-		}
+	if s, ok := fuseSideI(e); ok {
+		return emitI(s)
 	}
 	return nil
 }
 
+// fuseCond fuses a branch/loop condition, skipping the !=0 wrapper.
+func fuseCond(e cc.Expr) func(*DEnv) bool {
+	x, ok := e.(*cc.BinaryExpr)
+	if !ok || cmpCode[x.Op] == 0 || x.X.Type() != cc.TInt || x.Y.Type() != cc.TInt {
+		return nil
+	}
+	lf, ok := fuseSideI(foldExpr(x.X))
+	if !ok {
+		return nil
+	}
+	rf, ok := fuseSideI(foldExpr(x.Y))
+	if !ok {
+		return nil
+	}
+	return emitCmpI(x.Op, lf, rf)
+}
+
 // emitCmpI emits an int comparison with scalar-variable and literal
 // operands read inline; other fusable shapes go through one emitted
-// closure per side. The guard conditions of the paper kernels are all
-// var-vs-lit (jn >= 0), var-vs-var, or load-vs-var (cost[i] == level),
-// so the common cases run in a single closure.
+// closure per side. The guard conditions of the per-iteration kernels
+// are var-vs-lit, var-vs-var, load-vs-lit (cost[w] < 0) or load-vs-var
+// (cost[i] == level), so the common cases run in a single closure.
 func emitCmpI(op string, lf, rf fexprI) func(*DEnv) bool {
 	switch {
 	case lf.kind == fiVar && rf.kind == fiLit:
@@ -553,22 +278,6 @@ func emitCmpI(op string, lf, rf fexprI) func(*DEnv) bool {
 			return func(e *DEnv) bool { return e.Ints[a] == k }
 		default:
 			return func(e *DEnv) bool { return e.Ints[a] != k }
-		}
-	case lf.kind == fiLit && rf.kind == fiVar:
-		k, b := lf.k, rf.slot
-		switch op {
-		case "<":
-			return func(e *DEnv) bool { return k < e.Ints[b] }
-		case "<=":
-			return func(e *DEnv) bool { return k <= e.Ints[b] }
-		case ">":
-			return func(e *DEnv) bool { return k > e.Ints[b] }
-		case ">=":
-			return func(e *DEnv) bool { return k >= e.Ints[b] }
-		case "==":
-			return func(e *DEnv) bool { return k == e.Ints[b] }
-		default:
-			return func(e *DEnv) bool { return k != e.Ints[b] }
 		}
 	case lf.kind == fiVar && rf.kind == fiVar:
 		a, b := lf.slot, rf.slot
@@ -637,83 +346,9 @@ func emitCmpI(op string, lf, rf fexprI) func(*DEnv) bool {
 	}
 }
 
-// emitCmpF is emitCmpI's float counterpart; only unrounded scalar
-// variables read inline (r2 < cutsq, d < bestd), everything else takes
-// a closure call per side.
-func emitCmpF(op string, lf, rf fexprF) func(*DEnv) bool {
-	lv := lf.kind == ffVar && !lf.round
-	rv := rf.kind == ffVar && !rf.round
-	switch {
-	case lv && rv:
-		a, b := lf.slot, rf.slot
-		switch op {
-		case "<":
-			return func(e *DEnv) bool { return e.Floats[a] < e.Floats[b] }
-		case "<=":
-			return func(e *DEnv) bool { return e.Floats[a] <= e.Floats[b] }
-		case ">":
-			return func(e *DEnv) bool { return e.Floats[a] > e.Floats[b] }
-		case ">=":
-			return func(e *DEnv) bool { return e.Floats[a] >= e.Floats[b] }
-		case "==":
-			return func(e *DEnv) bool { return e.Floats[a] == e.Floats[b] }
-		default:
-			return func(e *DEnv) bool { return e.Floats[a] != e.Floats[b] }
-		}
-	case rv:
-		l, b := emitF(lf), rf.slot
-		switch op {
-		case "<":
-			return func(e *DEnv) bool { return l(e) < e.Floats[b] }
-		case "<=":
-			return func(e *DEnv) bool { return l(e) <= e.Floats[b] }
-		case ">":
-			return func(e *DEnv) bool { return l(e) > e.Floats[b] }
-		case ">=":
-			return func(e *DEnv) bool { return l(e) >= e.Floats[b] }
-		case "==":
-			return func(e *DEnv) bool { return l(e) == e.Floats[b] }
-		default:
-			return func(e *DEnv) bool { return l(e) != e.Floats[b] }
-		}
-	case lv:
-		a, r := lf.slot, emitF(rf)
-		switch op {
-		case "<":
-			return func(e *DEnv) bool { return e.Floats[a] < r(e) }
-		case "<=":
-			return func(e *DEnv) bool { return e.Floats[a] <= r(e) }
-		case ">":
-			return func(e *DEnv) bool { return e.Floats[a] > r(e) }
-		case ">=":
-			return func(e *DEnv) bool { return e.Floats[a] >= r(e) }
-		case "==":
-			return func(e *DEnv) bool { return e.Floats[a] == r(e) }
-		default:
-			return func(e *DEnv) bool { return e.Floats[a] != r(e) }
-		}
-	default:
-		l, r := emitF(lf), emitF(rf)
-		switch op {
-		case "<":
-			return func(e *DEnv) bool { return l(e) < r(e) }
-		case "<=":
-			return func(e *DEnv) bool { return l(e) <= r(e) }
-		case ">":
-			return func(e *DEnv) bool { return l(e) > r(e) }
-		case ">=":
-			return func(e *DEnv) bool { return l(e) >= r(e) }
-		case "==":
-			return func(e *DEnv) bool { return l(e) == r(e) }
-		default:
-			return func(e *DEnv) bool { return l(e) != r(e) }
-		}
-	}
-}
-
-// fuseAssignI collapses `v = <side>` — most importantly the indirect
-// gather assignment (jn = nbr[i*maxn+j]) that heads every guarded
-// neighbour loop — into a single closure with the load inlined.
+// fuseAssignI collapses `v = <side>` — most importantly the load that
+// heads a CSR walk (e = off[i], w = edges[e]) — into a single closure
+// with the load inlined.
 func fuseAssignI(st *cc.AssignStmt, slot int) DStmt {
 	if st.Op != "=" {
 		return nil
@@ -738,36 +373,10 @@ func fuseAssignI(st *cc.AssignStmt, slot int) DStmt {
 			a := &e.Arrays[arr]
 			e.Ints[slot] = int64(a.I32[a.off(e.Ints[si]-a.Base)])
 		}
-	case ixVarK:
-		si, k := s.idx.a, s.idx.k1
-		return func(e *DEnv) {
-			a := &e.Arrays[arr]
-			e.Ints[slot] = int64(a.I32[a.off(e.Ints[si]+k-a.Base)])
-		}
-	case ixMulVVaddV:
-		sa, sb, sc := s.idx.a, s.idx.b, s.idx.c
-		return func(e *DEnv) {
-			a := &e.Arrays[arr]
-			e.Ints[slot] = int64(a.I32[a.off(e.Ints[sa]*e.Ints[sb]+e.Ints[sc]-a.Base)])
-		}
-	case ixMulKVaddK:
-		k1, sa, k2 := s.idx.k1, s.idx.a, s.idx.k2
-		return func(e *DEnv) {
-			a := &e.Arrays[arr]
-			e.Ints[slot] = int64(a.I32[a.off(k1*e.Ints[sa]+k2-a.Base)])
-		}
 	default:
 		d := emitI(s)
 		return func(e *DEnv) { e.Ints[slot] = d(e) }
 	}
-}
-
-// fuseExprF fuses a whole float-typed expression: a bounded-depth tree
-// of arithmetic ops over fusable leaf operands, emitted as dedicated
-// closures with one Go operation per node (see emitExprF — no FMA
-// contraction can occur).
-func fuseExprF(e cc.Expr) dExprF {
-	return emitExprF(e, 4)
 }
 
 // ---- fused counted loops ----------------------------------------------
@@ -789,34 +398,14 @@ func fuseExprF(e cc.Expr) dExprF {
 // stmtWrites collects the scalar slots assigned and the array slots
 // stored to anywhere under s, including nested loop inits and posts.
 func stmtWrites(s cc.Stmt, scalars, arrays map[int]bool) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, c := range st.Stmts {
-			stmtWrites(c, scalars, arrays)
-		}
-	case *cc.AssignStmt:
+	eachAssign(s, func(st *cc.AssignStmt) {
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
 			scalars[lhs.Decl.Slot] = true
 		case *cc.IndexExpr:
 			arrays[lhs.Array.Slot] = true
 		}
-	case *cc.IfStmt:
-		stmtWrites(st.Then, scalars, arrays)
-		if st.Else != nil {
-			stmtWrites(st.Else, scalars, arrays)
-		}
-	case *cc.ForStmt:
-		if st.Init != nil {
-			stmtWrites(st.Init, scalars, arrays)
-		}
-		if st.Post != nil {
-			stmtWrites(st.Post, scalars, arrays)
-		}
-		stmtWrites(st.Body, scalars, arrays)
-	case *cc.WhileStmt:
-		stmtWrites(st.Body, scalars, arrays)
-	}
+	})
 }
 
 // exprReads collects the scalar slots and array slots e reads.
@@ -850,7 +439,7 @@ func exprReads(e cc.Expr, scalars, arrays map[int]bool) {
 // access records are appended (the prover's cursor must not move).
 func (b *specBuilder) sideExprI(e cc.Expr) dExprI {
 	savedCur, savedNR := b.cur, b.noRecord
-	b.cur = &IterCost{Stores: make([]int64, b.spec.NumArrays)}
+	b.cur = &IterCost{} // an expression never touches the store counts
 	b.noRecord = true
 	d, err := b.exprI(e)
 	b.cur, b.noRecord = savedCur, savedNR
@@ -860,34 +449,41 @@ func (b *specBuilder) sideExprI(e cc.Expr) dExprI {
 	return d
 }
 
+// canonicalFor matches the counted loop `for (...; v < bound; v++)`
+// (also <=) over an int scalar v and returns v, the folded bound and
+// whether the comparison includes it.
+func canonicalFor(st *cc.ForStmt) (lv *cc.VarDecl, bound cc.Expr, incl, ok bool) {
+	post := st.Post
+	if post == nil || post.Op != "+=" || st.Cond == nil {
+		return nil, nil, false, false
+	}
+	id, isID := post.LHS.(*cc.Ident)
+	one, isLit := post.RHS.(*cc.NumLit)
+	if !isID || id.Decl.Type != cc.TInt || !isLit || one.IsFloat || one.I != 1 {
+		return nil, nil, false, false
+	}
+	cmp, isCmp := foldExpr(st.Cond).(*cc.BinaryExpr)
+	if !isCmp || (cmp.Op != "<" && cmp.Op != "<=") {
+		return nil, nil, false, false
+	}
+	if cv, isCV := cmp.X.(*cc.Ident); !isCV || cv.Decl != id.Decl {
+		return nil, nil, false, false
+	}
+	bound = foldExpr(cmp.Y)
+	if bound.Type() != cc.TInt {
+		return nil, nil, false, false
+	}
+	return id.Decl, bound, cmp.Op == "<=", true
+}
+
 // fuseFor recognizes the canonical counted loop and returns the fused
 // closure, or nil when the shape or the invariance proof does not hold
 // (the caller then emits the open-coded loop). init and body are the
 // already-compiled pieces; condIdx/bodyIdx are the loop's cost-bucket
 // counters, incremented in bulk with exactly the open-coded totals.
 func (b *specBuilder) fuseFor(st *cc.ForStmt, init, body DStmt, condIdx, bodyIdx int) DStmt {
-	post := st.Post
-	if post == nil || post.Op != "+=" {
-		return nil
-	}
-	lv, ok := post.LHS.(*cc.Ident)
-	if !ok || lv.Decl.Type != cc.TInt {
-		return nil
-	}
-	one, ok := post.RHS.(*cc.NumLit)
-	if !ok || one.IsFloat || one.I != 1 {
-		return nil
-	}
-	cmp, ok := foldExpr(st.Cond).(*cc.BinaryExpr)
-	if !ok || (cmp.Op != "<" && cmp.Op != "<=") {
-		return nil
-	}
-	cv, ok := cmp.X.(*cc.Ident)
-	if !ok || cv.Decl != lv.Decl {
-		return nil
-	}
-	bound := foldExpr(cmp.Y)
-	if bound.Type() != cc.TInt {
+	lvd, bound, incl, ok := canonicalFor(st)
+	if !ok {
 		return nil
 	}
 	// Invariance: nothing the body writes — scalars or arrays — may
@@ -895,12 +491,12 @@ func (b *specBuilder) fuseFor(st *cc.ForStmt, init, body DStmt, condIdx, bodyIdx
 	// variable (the post statement is its only writer).
 	ws, wa := map[int]bool{}, map[int]bool{}
 	stmtWrites(st.Body, ws, wa)
-	if ws[lv.Decl.Slot] {
+	if ws[lvd.Slot] {
 		return nil
 	}
 	rs, ra := map[int]bool{}, map[int]bool{}
 	exprReads(bound, rs, ra)
-	if rs[lv.Decl.Slot] {
+	if rs[lvd.Slot] {
 		return nil
 	}
 	for s := range rs {
@@ -917,8 +513,7 @@ func (b *specBuilder) fuseFor(st *cc.ForStmt, init, body DStmt, condIdx, bodyIdx
 	if boundEval == nil {
 		return nil
 	}
-	slot := lv.Decl.Slot
-	incl := cmp.Op == "<="
+	slot := lvd.Slot
 	if init == nil {
 		init = dNop
 	}
@@ -978,18 +573,6 @@ func emitI(f fexprI) dExprI {
 			a := &e.Arrays[arr]
 			return int64(a.I32[a.off(e.Ints[si]+k-a.Base)])
 		}
-	case ixMulVVaddV:
-		sa, sb, sc := f.idx.a, f.idx.b, f.idx.c
-		return func(e *DEnv) int64 {
-			a := &e.Arrays[arr]
-			return int64(a.I32[a.off(e.Ints[sa]*e.Ints[sb]+e.Ints[sc]-a.Base)])
-		}
-	case ixMulKVaddK:
-		k1, sa, k2 := f.idx.k1, f.idx.a, f.idx.k2
-		return func(e *DEnv) int64 {
-			a := &e.Arrays[arr]
-			return int64(a.I32[a.off(k1*e.Ints[sa]+k2-a.Base)])
-		}
 	default:
 		t := emitTerm(f.idx)
 		return func(e *DEnv) int64 {
@@ -997,356 +580,4 @@ func emitI(f fexprI) dExprI {
 			return int64(a.I32[a.off(t(e)-a.Base)])
 		}
 	}
-}
-
-// emitF compiles a fused float operand to a dedicated closure. The
-// (float) cast rounding, when present, wraps the emitted base.
-func emitF(f fexprF) dExprF {
-	d := emitFBase(f)
-	if f.round {
-		return func(e *DEnv) float64 { return float64(float32(d(e))) }
-	}
-	return d
-}
-
-func emitFBase(f fexprF) dExprF {
-	switch f.kind {
-	case ffLit:
-		k := f.k
-		return func(e *DEnv) float64 { return k }
-	case ffVar:
-		s := f.slot
-		return func(e *DEnv) float64 { return e.Floats[s] }
-	case ffIntTerm:
-		t := emitTerm(f.idx)
-		return func(e *DEnv) float64 { return float64(t(e)) }
-	}
-	arr := f.arr
-	switch f.kind {
-	case ffLoad32:
-		switch f.idx.mode {
-		case ixVar:
-			si := f.idx.a
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return float64(a.F32[a.off(e.Ints[si]-a.Base)])
-			}
-		case ixMulKV:
-			k, si := f.idx.k1, f.idx.a
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return float64(a.F32[a.off(k*e.Ints[si]-a.Base)])
-			}
-		case ixMulKVaddK:
-			k1, si, k2 := f.idx.k1, f.idx.a, f.idx.k2
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return float64(a.F32[a.off(k1*e.Ints[si]+k2-a.Base)])
-			}
-		case ixMulVVaddV:
-			sa, sb, sc := f.idx.a, f.idx.b, f.idx.c
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return float64(a.F32[a.off(e.Ints[sa]*e.Ints[sb]+e.Ints[sc]-a.Base)])
-			}
-		default:
-			t := emitTerm(f.idx)
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return float64(a.F32[a.off(t(e)-a.Base)])
-			}
-		}
-	case ffLoad64:
-		switch f.idx.mode {
-		case ixVar:
-			si := f.idx.a
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return a.F64[a.off(e.Ints[si]-a.Base)]
-			}
-		case ixMulKV:
-			k, si := f.idx.k1, f.idx.a
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return a.F64[a.off(k*e.Ints[si]-a.Base)]
-			}
-		case ixMulKVaddK:
-			k1, si, k2 := f.idx.k1, f.idx.a, f.idx.k2
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return a.F64[a.off(k1*e.Ints[si]+k2-a.Base)]
-			}
-		case ixMulVVaddV:
-			sa, sb, sc := f.idx.a, f.idx.b, f.idx.c
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return a.F64[a.off(e.Ints[sa]*e.Ints[sb]+e.Ints[sc]-a.Base)]
-			}
-		default:
-			t := emitTerm(f.idx)
-			return func(e *DEnv) float64 {
-				a := &e.Arrays[arr]
-				return a.F64[a.off(t(e)-a.Base)]
-			}
-		}
-	default: // ffLoadI
-		t := emitTerm(f.idx)
-		return func(e *DEnv) float64 {
-			a := &e.Arrays[arr]
-			return float64(int64(a.I32[a.off(t(e)-a.Base)]))
-		}
-	}
-}
-
-// fOperand classifies a binary operand for inline emission: a plain
-// scalar slot or literal reads inline inside the combiner closure; any
-// other fusable shape (or a nested binary) becomes a closure call.
-type fOperand struct {
-	kind uint8 // foVar, foLit, foClos
-	slot int
-	k    float64
-	c    dExprF
-}
-
-const (
-	foVar uint8 = iota
-	foLit
-	foClos
-)
-
-func emitFOperand(e cc.Expr, depth int) (fOperand, bool) {
-	if s, ok := fuseSideF(e); ok {
-		switch {
-		case s.kind == ffVar && !s.round:
-			return fOperand{kind: foVar, slot: s.slot}, true
-		case s.kind == ffLit && !s.round:
-			return fOperand{kind: foLit, k: s.k}, true
-		default:
-			return fOperand{kind: foClos, c: emitF(s)}, true
-		}
-	}
-	if d := emitExprF(e, depth); d != nil {
-		return fOperand{kind: foClos, c: d}, true
-	}
-	return fOperand{}, false
-}
-
-// emitExprF compiles a float expression tree of bounded depth to nested
-// dedicated closures: fusable leaves via emitF, binary nodes as one Go
-// operation each. Scalar and literal operands read inline; closure-call
-// results pass through explicit float64 conversions — value-identity
-// (every operand is already a rounded float64) but blocking cross-
-// operation FMA contraction, keeping the emitted tree bit-identical to
-// the per-node generic closures.
-func emitExprF(e cc.Expr, depth int) dExprF {
-	if s, ok := fuseSideF(e); ok {
-		return emitF(s)
-	}
-	if depth <= 0 {
-		return nil
-	}
-	x, ok := e.(*cc.BinaryExpr)
-	if !ok || x.Type() == cc.TInt {
-		return nil
-	}
-	l, ok := emitFOperand(foldExpr(x.X), depth-1)
-	if !ok {
-		return nil
-	}
-	r, ok := emitFOperand(foldExpr(x.Y), depth-1)
-	if !ok {
-		return nil
-	}
-	return emitFBinary(x.Op, l, r)
-}
-
-// emitFBinary emits one float binary op with both operand kinds
-// resolved at build time (9 combinations per operator).
-func emitFBinary(op string, l, r fOperand) dExprF {
-	pair := l.kind*3 + r.kind
-	switch op {
-	case "+":
-		switch pair {
-		case 0: // var+var
-			a, b := l.slot, r.slot
-			return func(e *DEnv) float64 { return e.Floats[a] + e.Floats[b] }
-		case 1: // var+lit
-			a, k := l.slot, r.k
-			return func(e *DEnv) float64 { return e.Floats[a] + k }
-		case 2: // var+clos
-			a, c := l.slot, r.c
-			return func(e *DEnv) float64 { return e.Floats[a] + float64(c(e)) }
-		case 3: // lit+var
-			k, b := l.k, r.slot
-			return func(e *DEnv) float64 { return k + e.Floats[b] }
-		case 5: // lit+clos
-			k, c := l.k, r.c
-			return func(e *DEnv) float64 { return k + float64(c(e)) }
-		case 6: // clos+var
-			c, b := l.c, r.slot
-			return func(e *DEnv) float64 { return float64(c(e)) + e.Floats[b] }
-		case 7: // clos+lit
-			c, k := l.c, r.k
-			return func(e *DEnv) float64 { return float64(c(e)) + k }
-		case 8: // clos+clos
-			cl, cr := l.c, r.c
-			return func(e *DEnv) float64 { return float64(cl(e)) + float64(cr(e)) }
-		}
-	case "-":
-		switch pair {
-		case 0:
-			a, b := l.slot, r.slot
-			return func(e *DEnv) float64 { return e.Floats[a] - e.Floats[b] }
-		case 1:
-			a, k := l.slot, r.k
-			return func(e *DEnv) float64 { return e.Floats[a] - k }
-		case 2:
-			a, c := l.slot, r.c
-			return func(e *DEnv) float64 { return e.Floats[a] - float64(c(e)) }
-		case 3:
-			k, b := l.k, r.slot
-			return func(e *DEnv) float64 { return k - e.Floats[b] }
-		case 5:
-			k, c := l.k, r.c
-			return func(e *DEnv) float64 { return k - float64(c(e)) }
-		case 6:
-			c, b := l.c, r.slot
-			return func(e *DEnv) float64 { return float64(c(e)) - e.Floats[b] }
-		case 7:
-			c, k := l.c, r.k
-			return func(e *DEnv) float64 { return float64(c(e)) - k }
-		case 8:
-			cl, cr := l.c, r.c
-			return func(e *DEnv) float64 { return float64(cl(e)) - float64(cr(e)) }
-		}
-	case "*":
-		switch pair {
-		case 0:
-			a, b := l.slot, r.slot
-			return func(e *DEnv) float64 { return e.Floats[a] * e.Floats[b] }
-		case 1:
-			a, k := l.slot, r.k
-			return func(e *DEnv) float64 { return e.Floats[a] * k }
-		case 2:
-			a, c := l.slot, r.c
-			return func(e *DEnv) float64 { return e.Floats[a] * float64(c(e)) }
-		case 3:
-			k, b := l.k, r.slot
-			return func(e *DEnv) float64 { return k * e.Floats[b] }
-		case 5:
-			k, c := l.k, r.c
-			return func(e *DEnv) float64 { return k * float64(c(e)) }
-		case 6:
-			c, b := l.c, r.slot
-			return func(e *DEnv) float64 { return float64(c(e)) * e.Floats[b] }
-		case 7:
-			c, k := l.c, r.k
-			return func(e *DEnv) float64 { return float64(c(e)) * k }
-		case 8:
-			cl, cr := l.c, r.c
-			return func(e *DEnv) float64 { return float64(cl(e)) * float64(cr(e)) }
-		}
-	case "/":
-		switch pair {
-		case 0:
-			a, b := l.slot, r.slot
-			return func(e *DEnv) float64 { return e.Floats[a] / e.Floats[b] }
-		case 1:
-			a, k := l.slot, r.k
-			return func(e *DEnv) float64 { return e.Floats[a] / k }
-		case 2:
-			a, c := l.slot, r.c
-			return func(e *DEnv) float64 { return e.Floats[a] / float64(c(e)) }
-		case 3:
-			k, b := l.k, r.slot
-			return func(e *DEnv) float64 { return k / e.Floats[b] }
-		case 5:
-			k, c := l.k, r.c
-			return func(e *DEnv) float64 { return k / float64(c(e)) }
-		case 6:
-			c, b := l.c, r.slot
-			return func(e *DEnv) float64 { return float64(c(e)) / e.Floats[b] }
-		case 7:
-			c, k := l.c, r.k
-			return func(e *DEnv) float64 { return float64(c(e)) / k }
-		case 8:
-			cl, cr := l.c, r.c
-			return func(e *DEnv) float64 { return float64(cl(e)) / float64(cr(e)) }
-		}
-	}
-	// lit op lit (pair 4) cannot occur: foldExpr collapsed it.
-	return nil
-}
-
-// fuseAssignF builds the fused form of a float scalar assignment: the
-// RHS tree, the accumulate op and the element-width rounding execute in
-// a single closure. Returns nil when the RHS shape is not covered.
-func fuseAssignF(st *cc.AssignStmt, slot int, f32 bool) DStmt {
-	rhs := foldExpr(st.RHS)
-	// Accumulating a product of two scalars (fx += dx*fr) is the hot
-	// inner-loop statement of the force kernels: collapse it to a single
-	// closure. The float64 conversion around the product is
-	// value-identity but stops the outer add/sub from contracting with
-	// the multiply into an FMA.
-	if st.Op == "+=" || st.Op == "-=" {
-		if x, ok := rhs.(*cc.BinaryExpr); ok && x.Op == "*" && x.Type() != cc.TInt {
-			ls, lok := fuseSideF(foldExpr(x.X))
-			rs, rok := fuseSideF(foldExpr(x.Y))
-			if lok && rok && ls.kind == ffVar && !ls.round && rs.kind == ffVar && !rs.round {
-				a, b := ls.slot, rs.slot
-				switch {
-				case st.Op == "+=" && f32:
-					return func(e *DEnv) {
-						e.Floats[slot] = float64(float32(e.Floats[slot] + float64(e.Floats[a]*e.Floats[b])))
-					}
-				case st.Op == "+=":
-					return func(e *DEnv) {
-						e.Floats[slot] = e.Floats[slot] + float64(e.Floats[a]*e.Floats[b])
-					}
-				case f32:
-					return func(e *DEnv) {
-						e.Floats[slot] = float64(float32(e.Floats[slot] - float64(e.Floats[a]*e.Floats[b])))
-					}
-				default:
-					return func(e *DEnv) {
-						e.Floats[slot] = e.Floats[slot] - float64(e.Floats[a]*e.Floats[b])
-					}
-				}
-			}
-		}
-	}
-	d := emitExprF(rhs, 4)
-	if d == nil {
-		return nil
-	}
-	// The RHS result crosses a closure-call boundary, so the accumulate
-	// op below cannot contract with any multiply inside d.
-	switch st.Op {
-	case "=":
-		if f32 {
-			return func(e *DEnv) { e.Floats[slot] = float64(float32(d(e))) }
-		}
-		return func(e *DEnv) { e.Floats[slot] = d(e) }
-	case "+=":
-		if f32 {
-			return func(e *DEnv) { e.Floats[slot] = float64(float32(e.Floats[slot] + d(e))) }
-		}
-		return func(e *DEnv) { e.Floats[slot] = e.Floats[slot] + d(e) }
-	case "-=":
-		if f32 {
-			return func(e *DEnv) { e.Floats[slot] = float64(float32(e.Floats[slot] - d(e))) }
-		}
-		return func(e *DEnv) { e.Floats[slot] = e.Floats[slot] - d(e) }
-	case "*=":
-		if f32 {
-			return func(e *DEnv) { e.Floats[slot] = float64(float32(e.Floats[slot] * d(e))) }
-		}
-		return func(e *DEnv) { e.Floats[slot] = e.Floats[slot] * d(e) }
-	case "/=":
-		if f32 {
-			return func(e *DEnv) { e.Floats[slot] = float64(float32(e.Floats[slot] / d(e))) }
-		}
-		return func(e *DEnv) { e.Floats[slot] = e.Floats[slot] / d(e) }
-	}
-	return nil
 }

@@ -8,37 +8,58 @@ import (
 //
 // The per-iteration DStmt closure tree pays roughly one indirect call
 // per expression node per iteration, which caps the fast path at about
-// 2x over the interpreter. For straight-line bodies (no if-arms) whose
-// scalar dataflow has no cross-iteration carries, the builder below
-// compiles a second form that processes VecTile iterations per call:
-// each expression node becomes one tight loop over scratch vectors, and
-// each affine array access becomes a strided slice walk computed from
-// the per-launch coefficients the runtime already derives for its
-// endpoint range checks (index(i) = A*i + B over the chunk).
+// 2x over the interpreter. The builder below compiles a second form
+// that runs a tile of up to VecTile consecutive iterations in lockstep,
+// the way the warp of the GPU the paper targets would: each expression
+// node becomes one tight loop over the tile's lanes. It covers
+// straight-line statements, data-dependent if-arms, canonical inner
+// loops with tile-uniform bounds, gathers and layout-transformed
+// copies:
+//
+//   - A scalar the body assigns with "=" is private: one value per
+//     lane, kept in a scratch vector. An inner loop's induction
+//     variable is uniform: one value for the whole tile, kept in the
+//     worker's DEnv, so every subtree over uniform scalars, loop
+//     invariants and loads of arrays the kernel never writes is
+//     evaluated once per tile step by the scalar spec compiler. An
+//     op-assigned scalar that is never "="-set or read is a kernel
+//     reduction: folded into the DEnv over the lanes in ascending order.
+//   - Under an if-arm only the lanes that took the arm (VecEnv.act)
+//     execute what can fault or has an effect: loads, stores, integer
+//     division, folds, reduction-lane updates and writes to private
+//     vectors. Total operations (float arithmetic, integer + - *,
+//     comparisons) run dense over the tile; what they compute in
+//     inactive lanes is never read. Arm counters advance by the
+//     active-lane count, loop buckets by trips × active lanes.
+//   - An access whose index is affine across the lanes (a*i + b with
+//     uniform a and b) is a strided walk; on a column-major copy whose
+//     row width divides a it is the walk (b mod width)*rows + i*a/width,
+//     unit stride for the row-per-iteration pattern the transform
+//     exists for. Any other index is evaluated per lane.
+//   - A loop that contains a fold or a reduction-lane update runs lane
+//     by lane through its per-iteration closure, the lane's private
+//     scalars copied in and out, so one target sees its updates in
+//     iteration order.
 //
 // Bit-exactness contract (the same one the DStmt path honours): every
 // float64 operation happens in the same order with the same operands as
 // the interpreter would have performed it for each element, with
-// float32 rounding applied at exactly the same points. Three properties
-// make the tile-by-statement schedule element-equivalent to the
-// iteration-by-iteration schedule:
+// float32 rounding applied at exactly the same points. What makes the
+// statement-by-statement schedule element-equivalent to the iteration-
+// by-iteration one:
 //
-//   - No scalar is read before the statement that assigns it ("="), so
-//     scalar values never carry across iterations (vecScan rejects
-//     bodies where they do). Op-assigned scalars are the exception:
-//     they are scalar reductions, folded sequentially in iteration
-//     order within each tile — the interpreter's exact order.
-//   - Loop-invariant subexpressions (no induction variable, no
-//     body-assigned scalar, no array load) evaluate to the same value
-//     every iteration, so hoisting them to once per tile is value-
-//     preserving; they are compiled with the scalar spec compiler.
-//   - Array stores can only be reordered against loads/stores of the
-//     same elements if the runtime proves the accesses either hit the
-//     same element every iteration (read/write program order is then
-//     preserved per element) or touch provably disjoint element sets.
-//     That check needs the per-launch coefficients, so it lives in the
-//     runtime (internal/rt); when it fails the launch silently uses
-//     the per-iteration DStmt body, which is always exact.
+//   - Every read of a private scalar is dominated by an "=" in an
+//     enclosing block, so no value carries from one iteration to the
+//     next (scan rejects bodies where one does); within an iteration
+//     each lane performs its own operations in program order.
+//   - A fold or reduction target has one update site, and the lanes
+//     reach it in ascending order.
+//   - Array stores are affine in the induction variable, outside inner
+//     loops, and never to an array the body also gathers from. Against
+//     the other affine accesses of the same array the runtime proves,
+//     per launch, that they hit the same element every iteration or
+//     disjoint element sets (internal/rt); when that fails the launch
+//     silently uses the per-iteration DStmt body, which is always exact.
 //
 // Fused multiply-add shapes (k*x ± y in one pass) keep an explicit
 // float64(...) conversion around the product: the Go spec lets an
@@ -57,39 +78,44 @@ const VecTile = 512
 // deepest expression keeps live, not one per node. The result may
 // take an operand's number: every tile op is elementwise, reading
 // lane t of its operands before it writes lane t of its result.
-// Vectors of "="-assigned scalars outlive their statement; they are
-// numbered first, at statement entry, below the per-statement stack.
+// Vectors of private scalars outlive their statement; they are
+// numbered first, below the per-statement stack.
 
-// VecEnv is one worker's tiled environment: the direct environment
-// (scalars, arrays, lanes) plus the per-launch access coefficients and
-// the per-node scratch vectors.
+// VecEnv is one running worker's tile scratch: the per-launch access
+// coefficients, the per-node scratch vectors and the active-lane lists.
 type VecEnv struct {
-	// D holds the scalars, direct array handles and reduction lanes;
-	// shared with the per-iteration path so reduction merging is
-	// identical either way.
+	// D is the worker's direct environment (scalars, arrays, lanes, arm
+	// counters); shared with the per-iteration path so reduction merging
+	// is identical either way. The runtime sets it when it hands the
+	// scratch to a worker.
 	D *DEnv
-	// AccA/AccB give each access's affine index over the current chunk
+	// AccA/AccB give each affine access's index over the current piece
 	// (Accesses order): index(i) = AccA*i + AccB. Written by the
 	// runtime before the launch, read-only during it.
 	AccA, AccB []int64
 	// BufI/BufF are the scratch vectors, tile elements each (Reserve).
 	BufI [][]int64
 	BufF [][]float64
+	// act lists the lanes executing the current statement, ascending:
+	// every lane of the tile at top level (mask[0] is 0, 1, 2, ...), the
+	// lanes that took the arm inside an if. mask[1+2d] and mask[2+2d]
+	// hold the then- and else-lists of the arm open at depth d.
+	act  []int32
+	mask [][]int32
 	tile int
 }
 
 // VStmt executes one tile: iterations i0 .. i0+L-1, L ≤ VecTile.
 type VStmt func(vm *VecEnv, i0 int64, L int)
 
-// NewVecEnv allocates a tiled environment over an existing direct
-// environment; Reserve sizes its scratch vectors.
-func (s *KernelSpec) NewVecEnv(d *DEnv) *VecEnv {
-	return &VecEnv{D: d, BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF)}
+// NewVecEnv allocates tile scratch for the spec; Reserve sizes it.
+func (s *KernelSpec) NewVecEnv() *VecEnv {
+	return &VecEnv{BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF), mask: make([][]int32, s.NumMask)}
 }
 
-// Reserve sizes the scratch vectors for tiles of up to n iterations (at
-// most VecTile). The runtime passes the longest run one worker executes
-// in a launch, so short chunks do not pay for full tiles.
+// Reserve sizes the scratch for tiles of up to n iterations (at most
+// VecTile). The runtime passes the longest run one worker executes in a
+// launch, so short chunks do not pay for full tiles.
 func (vm *VecEnv) Reserve(n int) {
 	n = min(n, VecTile)
 	if n <= vm.tile {
@@ -103,6 +129,15 @@ func (vm *VecEnv) Reserve(n int) {
 	for i := range vm.BufF {
 		vm.BufF[i] = bf[i*n : (i+1)*n : (i+1)*n]
 	}
+	bm := make([]int32, n*len(vm.mask))
+	for i := range vm.mask {
+		vm.mask[i] = bm[i*n : (i+1)*n : (i+1)*n]
+	}
+	if len(vm.mask) > 0 {
+		for t := range vm.mask[0] {
+			vm.mask[0][t] = int32(t)
+		}
+	}
 	vm.tile = n
 }
 
@@ -111,16 +146,16 @@ type (
 	vecF func(vm *VecEnv, i0 int64, L int) []float64
 )
 
-// vOpI is a compiled int expression: either loop-invariant (inv set,
-// evaluated once per tile against the worker scalars) or varying (vec
-// set, filling/returning a scratch vector).
+// vOpI is a compiled int expression: either uniform (inv set, evaluated
+// once per tile step against the worker scalars) or varying (vec set,
+// filling/returning a scratch vector).
 type vOpI struct {
 	inv dExprI
 	vec vecI
 }
 
-// vOpF is the float counterpart. kMul/mulX additionally expose an
-// (invariant × varying) product so an enclosing add/sub can fuse the
+// vOpF is the float counterpart. kMul/mulX additionally expose a
+// (uniform × varying) product so an enclosing add/sub can fuse the
 // multiply into its own pass.
 type vOpF struct {
 	inv  dExprF
@@ -129,197 +164,483 @@ type vOpF struct {
 	mulX vecF
 }
 
+// scalarKind says how the tile schedule holds a body-assigned scalar.
+type scalarKind uint8
+
+const (
+	kPrivate scalarKind = iota + 1 // one value per lane, in a scratch vector
+	kUniform                       // an inner induction variable, in DEnv.Ints
+	kFold                          // a kernel reduction, folded into the DEnv
+)
+
+// scalarInfo is what the tile builder knows about one scalar the body
+// assigns.
+type scalarInfo struct {
+	kind scalarKind
+	// eq and op count its "=" and compound assignment sites outside
+	// canonical loop headers, reads its reads; loopVar says a canonical
+	// loop header writes it.
+	eq, op, reads int
+	loopVar       bool
+	// Scan state: an "=" dominates the current point; how many of the
+	// loops it is the induction variable of are open there.
+	defined bool
+	open    int
+	// buf is a private scalar's vector number plus one (0: none yet).
+	buf int
+}
+
 // vecBuilder compiles the tiled body, mirroring specBuilder's AST walk
-// exactly so its access cursor stays in lockstep with spec.Accesses.
+// exactly so its access and arm cursors stay in lockstep with
+// spec.Accesses and spec.Arms.
 type vecBuilder struct {
-	loopVar  *cc.VarDecl
-	assigned map[*cc.VarDecl]bool
-	spec     *KernelSpec
-	// sc compiles loop-invariant subtrees with the scalar spec
-	// compiler; its cost bucket and spec are throwaways (the main pass
-	// already accounted every cost).
-	sc    *specBuilder
-	folds map[*cc.VarDecl]bool
-	ai    int
+	loopVar *cc.VarDecl
+	spec    *KernelSpec
+	// sb is the finished scalar build (its loop records); sc compiles
+	// uniform subtrees with the scalar spec compiler, recording nothing
+	// (the main pass already accounted every cost and access).
+	sb, sc  *specBuilder
+	scalars map[*cc.VarDecl]scalarInfo
+	// laneMajor marks the loops that run lane by lane.
+	laneMajor map[*cc.ForStmt]bool
+	ai, armi  int
+	// masked is set while compiling inside an if-arm; depth counts the
+	// arms open there. usesAct records that some op walks VecEnv.act.
+	masked         bool
+	depth, maxArms int
+	usesAct        bool
 	// topI/topF are the scratch stacks' heights, baseI/baseF the part
-	// held by scalar vectors, nBufI/nBufF the high-water marks.
+	// held by private vectors, nBufI/nBufF the high-water marks.
 	topI, topF   int
 	baseI, baseF int
 	nBufI, nBufF int
-	slotBufI     map[int]int
-	slotBufF     map[int]int
+	// undo logs the scalars scan defined since a block was entered; lm
+	// is set inside a loop that runs lane by lane.
+	undo []*cc.VarDecl
+	lm   int
 }
 
 // buildVec attaches a tiled body to an already-built spec when the
-// shape allows it; on any ineligibility it simply leaves VecBody nil
-// (the per-iteration body still runs).
-func buildVec(body cc.Stmt, loopVar *cc.VarDecl, assigned map[*cc.VarDecl]bool, spec *KernelSpec) {
-	if spec.HasComputed || len(spec.Arms) > 0 {
-		// The tiler assumes affine accesses and straight-line bodies;
-		// gathers, scatters and data-dependent arms keep the
-		// per-iteration body.
-		return
-	}
-	folds, ok := vecScan(body, assigned)
-	if !ok {
-		return
-	}
+// shape allows it; otherwise it leaves VecBody nil and says why in
+// Untiled (the per-iteration body still runs).
+func buildVec(body cc.Stmt, b *specBuilder) {
+	spec := b.spec
 	v := &vecBuilder{
-		loopVar:  loopVar,
-		assigned: assigned,
-		spec:     spec,
+		loopVar: b.loopVar, spec: spec, sb: b,
 		sc: &specBuilder{
-			loopVar:  loopVar,
-			assigned: assigned,
-			spec:     &KernelSpec{},
-			cur:      &IterCost{Stores: make([]int64, spec.NumArrays)},
+			loopVar: b.loopVar, assigned: b.assigned, noRecord: true,
+			spec: &KernelSpec{}, cur: &IterCost{},
 		},
-		folds:    folds,
-		slotBufI: map[int]int{},
-		slotBufF: map[int]int{},
+		scalars: make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
+	}
+	v.sc.uniform = v.uniform
+	if spec.Untiled = v.scan(body); spec.Untiled != "" {
+		return
 	}
 	st, err := v.stmt(body)
-	if err != nil || v.ai != len(spec.Accesses) {
+	if err != nil || v.ai != len(spec.Accesses) || v.armi != len(spec.Arms) {
+		spec.Untiled = "shape"
 		return
 	}
 	if st == nil {
 		st = func(*VecEnv, int64, int) {} // empty body (an if without else, split)
 	}
-	spec.VecBody, spec.NumBufI, spec.NumBufF = st, v.nBufI, v.nBufF
+	spec.NumBufI, spec.NumBufF = v.nBufI, v.nBufF
+	if v.usesAct {
+		spec.NumMask = 1 + 2*v.maxArms
+		body := st
+		st = func(vm *VecEnv, i0 int64, L int) {
+			vm.act = vm.mask[0][:L]
+			body(vm, i0, L)
+		}
+	}
+	spec.VecBody = st
 }
 
-// vecScan decides tile-schedule safety of the scalar dataflow: every
-// read of a body-assigned scalar must follow its "=" in statement
-// order (no cross-iteration carry), and an op-assigned scalar must be
-// a pure fold target — exactly one op-assignment, no other reads or
-// writes anywhere in the body.
-func vecScan(body cc.Stmt, assigned map[*cc.VarDecl]bool) (map[*cc.VarDecl]bool, bool) {
-	reads := map[*cc.VarDecl]int{}
-	eqAssigns := map[*cc.VarDecl]int{}
-	opAssigns := map[*cc.VarDecl]int{}
-	var countExpr func(e cc.Expr)
-	countExpr = func(e cc.Expr) {
-		switch x := e.(type) {
-		case *cc.Ident:
-			reads[x.Decl]++
-		case *cc.IndexExpr:
-			countExpr(x.Index)
-		case *cc.UnaryExpr:
-			countExpr(x.X)
-		case *cc.BinaryExpr:
-			countExpr(x.X)
-			countExpr(x.Y)
-		case *cc.CallExpr:
-			for _, a := range x.Args {
-				countExpr(a)
-			}
-		case *cc.CastExpr:
-			countExpr(x.X)
-		case *cc.CondExpr:
-			countExpr(x.Cond)
-			countExpr(x.Then)
-			countExpr(x.Else)
+// eachIdent calls fn for every scalar or array-index identifier in e.
+func eachIdent(e cc.Expr, fn func(*cc.Ident)) {
+	switch x := e.(type) {
+	case *cc.Ident:
+		fn(x)
+	case *cc.IndexExpr:
+		eachIdent(x.Index, fn)
+	case *cc.UnaryExpr:
+		eachIdent(x.X, fn)
+	case *cc.BinaryExpr:
+		eachIdent(x.X, fn)
+		eachIdent(x.Y, fn)
+	case *cc.CallExpr:
+		for _, a := range x.Args {
+			eachIdent(a, fn)
 		}
+	case *cc.CastExpr:
+		eachIdent(x.X, fn)
+	case *cc.CondExpr:
+		eachIdent(x.Cond, fn)
+		eachIdent(x.Then, fn)
+		eachIdent(x.Else, fn)
 	}
-	var countStmt func(s cc.Stmt) bool
-	countStmt = func(s cc.Stmt) bool {
-		switch st := s.(type) {
-		case *cc.Block:
-			if st.Data != nil {
+}
+
+// eachAssign calls fn for every assignment under s, loop headers
+// included (and inside constructs that will later reject the body: the
+// walk stays conservative and total).
+func eachAssign(s cc.Stmt, fn func(*cc.AssignStmt)) {
+	switch st := s.(type) {
+	case *cc.Block:
+		for _, c := range st.Stmts {
+			eachAssign(c, fn)
+		}
+	case *cc.AssignStmt:
+		fn(st)
+	case *cc.IfStmt:
+		eachAssign(st.Then, fn)
+		if st.Else != nil {
+			eachAssign(st.Else, fn)
+		}
+	case *cc.WhileStmt:
+		eachAssign(st.Body, fn)
+	case *cc.ForStmt:
+		if st.Init != nil {
+			fn(st.Init)
+		}
+		if st.Post != nil {
+			fn(st.Post)
+		}
+		eachAssign(st.Body, fn)
+	}
+}
+
+// countLoads counts the array loads in e, nested index loads included:
+// how far a subtree compiled elsewhere moves the access cursor.
+func countLoads(e cc.Expr) int {
+	n := 0
+	switch x := e.(type) {
+	case *cc.IndexExpr:
+		n = 1 + countLoads(x.Index)
+	case *cc.UnaryExpr:
+		n = countLoads(x.X)
+	case *cc.BinaryExpr:
+		n = countLoads(x.X) + countLoads(x.Y)
+	case *cc.CallExpr:
+		for _, a := range x.Args {
+			n += countLoads(a)
+		}
+	case *cc.CastExpr:
+		n = countLoads(x.X)
+	}
+	return n
+}
+
+// uniform reports a subtree with one value for every lane of a tile
+// step: no outer induction variable, no private or fold scalar, and
+// loads only of arrays the kernel never writes (other iterations of
+// this very kernel may store to a written one, and the interpreter
+// re-reads it every iteration).
+func (v *vecBuilder) uniform(e cc.Expr) bool {
+	switch x := e.(type) {
+	case *cc.NumLit:
+		return true
+	case *cc.Ident:
+		k := v.scalars[x.Decl].kind
+		return x.Decl != v.loopVar && (k == 0 || k == kUniform)
+	case *cc.IndexExpr:
+		return !v.spec.WrittenSlots[x.Array.Slot] && v.uniform(x.Index)
+	case *cc.UnaryExpr:
+		return v.uniform(x.X)
+	case *cc.BinaryExpr:
+		return v.uniform(x.X) && v.uniform(x.Y)
+	case *cc.CallExpr:
+		for _, a := range x.Args {
+			if !v.uniform(a) {
 				return false
 			}
-			for _, c := range st.Stmts {
-				if !countStmt(c) {
-					return false
-				}
-			}
-			return true
-		case *cc.DeclStmt:
-			return true
-		case *cc.AssignStmt:
-			switch lhs := st.LHS.(type) {
-			case *cc.Ident:
-				if st.Op == "=" {
-					eqAssigns[lhs.Decl]++
-				} else {
-					opAssigns[lhs.Decl]++
-				}
-			case *cc.IndexExpr:
-				countExpr(lhs.Index)
-			}
-			countExpr(st.RHS)
-			return true
-		}
-		// Anything else (if-arms included) keeps the per-iteration body.
-		return false
-	}
-	if !countStmt(body) {
-		return nil, false
-	}
-	folds := map[*cc.VarDecl]bool{}
-	for d, n := range opAssigns {
-		if n == 1 && reads[d] == 0 && eqAssigns[d] == 0 {
-			folds[d] = true
-		}
-	}
-	written := map[*cc.VarDecl]bool{}
-	var okExpr func(e cc.Expr) bool
-	okExpr = func(e cc.Expr) bool {
-		switch x := e.(type) {
-		case *cc.Ident:
-			return !assigned[x.Decl] || written[x.Decl]
-		case *cc.IndexExpr:
-			return okExpr(x.Index)
-		case *cc.UnaryExpr:
-			return okExpr(x.X)
-		case *cc.BinaryExpr:
-			return okExpr(x.X) && okExpr(x.Y)
-		case *cc.CallExpr:
-			for _, a := range x.Args {
-				if !okExpr(a) {
-					return false
-				}
-			}
-			return true
-		case *cc.CastExpr:
-			return okExpr(x.X)
 		}
 		return true
+	case *cc.CastExpr:
+		return v.uniform(x.X)
 	}
-	var okStmt func(s cc.Stmt) bool
-	okStmt = func(s cc.Stmt) bool {
-		switch st := s.(type) {
-		case *cc.Block:
-			for _, c := range st.Stmts {
-				if !okStmt(c) {
-					return false
-				}
+	return false
+}
+
+// scan decides whether the lockstep schedule reproduces the
+// per-iteration one and classifies the body-assigned scalars for it. It
+// returns "" or the reason the kernel keeps its per-iteration body:
+// "order" when a fold or reduction target would see its updates out of
+// iteration order, "shape" for everything else.
+func (v *vecBuilder) scan(body cc.Stmt) string {
+	// Ordered effects, from the access table: stores affine and outside
+	// loops, no array both stored and gathered, one site per reduction.
+	acc := v.spec.Accesses
+	for i := range acc {
+		a := &acc[i]
+		if a.Kind == AccessStore && (!a.Affine || a.InLoop) {
+			return "shape"
+		}
+		for j := range acc {
+			switch b := &acc[j]; {
+			case b.Slot != a.Slot:
+			case a.Kind == AccessReduce && b.Kind == AccessReduce && j < i:
+				return "order"
+			case a.Kind == AccessLoad && !a.Affine && b.Kind == AccessStore:
+				return "shape"
 			}
-			return true
-		case *cc.DeclStmt:
-			return true
-		case *cc.AssignStmt:
-			if !okExpr(st.RHS) {
-				return false
+		}
+	}
+
+	// Assignment sites: an inner induction variable is written by
+	// canonical loop headers only, a private scalar has an "=", a fold
+	// is one op-assignment of a scalar nothing reads.
+	v.count(body)
+	for d := range v.sb.assigned {
+		u := v.scalars[d]
+		switch {
+		case u.loopVar && u.eq+u.op == 0:
+			u.kind = kUniform
+		case u.loopVar:
+			return "shape"
+		case u.eq > 0:
+			u.kind = kPrivate
+		case u.reads > 0:
+			return "shape"
+		case u.op > 1:
+			return "order"
+		default:
+			u.kind = kFold
+		}
+		v.scalars[d] = u
+	}
+	if !v.check(body) {
+		return "shape"
+	}
+	return ""
+}
+
+// count tallies the assignment sites and reads of every scalar.
+func (v *vecBuilder) count(s cc.Stmt) {
+	tally := func(d *cc.VarDecl, f func(*scalarInfo)) {
+		u := v.scalars[d]
+		f(&u)
+		v.scalars[d] = u
+	}
+	read := func(e cc.Expr) {
+		eachIdent(e, func(x *cc.Ident) {
+			if v.sb.assigned[x.Decl] {
+				tally(x.Decl, func(u *scalarInfo) { u.reads++ })
 			}
-			switch lhs := st.LHS.(type) {
-			case *cc.Ident:
+		})
+	}
+	assign := func(st *cc.AssignStmt) {
+		read(st.RHS)
+		switch lhs := st.LHS.(type) {
+		case *cc.Ident:
+			tally(lhs.Decl, func(u *scalarInfo) {
 				if st.Op == "=" {
-					written[lhs.Decl] = true
-					return true
+					u.eq++
+				} else {
+					u.op++
 				}
-				return folds[lhs.Decl]
-			case *cc.IndexExpr:
-				return okExpr(lhs.Index)
+			})
+		case *cc.IndexExpr:
+			read(lhs.Index)
+		}
+	}
+	switch st := s.(type) {
+	case *cc.Block:
+		for _, c := range st.Stmts {
+			v.count(c)
+		}
+	case *cc.AssignStmt:
+		assign(st)
+	case *cc.IfStmt:
+		read(st.Cond)
+		v.count(st.Then)
+		if st.Else != nil {
+			v.count(st.Else)
+		}
+	case *cc.ForStmt:
+		lv, _, _, ok := canonicalFor(st)
+		if ok && st.Init != nil && st.Init.Op == "=" {
+			if id, isID := st.Init.LHS.(*cc.Ident); isID && id.Decl == lv {
+				tally(lv, func(u *scalarInfo) { u.loopVar = true })
+				read(st.Init.RHS)
+				read(st.Cond)
+				v.count(st.Body)
+				return
 			}
+		}
+		if st.Init != nil {
+			assign(st.Init)
+		}
+		if st.Cond != nil {
+			read(st.Cond)
+		}
+		if st.Post != nil {
+			assign(st.Post)
+		}
+		v.count(st.Body)
+	}
+}
+
+// define records that an "=" to d dominates what follows in the block,
+// giving a private scalar its vector at its first one.
+func (v *vecBuilder) define(d *cc.VarDecl) {
+	u := v.scalars[d]
+	if u.defined {
+		return
+	}
+	u.defined = true
+	v.undo = append(v.undo, d)
+	if u.buf == 0 && d.Type == cc.TInt {
+		u.buf = v.pushI() + 1
+		v.baseI = v.topI
+	} else if u.buf == 0 {
+		u.buf = v.pushF() + 1
+		v.baseF = v.topF
+	}
+	v.scalars[d] = u
+}
+
+// leave forgets the definitions made since the undo log stood at mark:
+// an "=" inside an arm or a loop body does not dominate what follows it.
+func (v *vecBuilder) leave(mark int) {
+	for _, d := range v.undo[mark:] {
+		u := v.scalars[d]
+		u.defined = false
+		v.scalars[d] = u
+	}
+	v.undo = v.undo[:mark]
+}
+
+// readsOK checks every scalar read in e: a private one behind an "="
+// that dominates it (no carry from the previous iteration), an inner
+// induction variable inside its loop.
+func (v *vecBuilder) readsOK(e cc.Expr) bool {
+	ok := true
+	eachIdent(e, func(x *cc.Ident) {
+		switch u := v.scalars[x.Decl]; u.kind {
+		case kPrivate:
+			ok = ok && u.defined
+		case kUniform:
+			ok = ok && (u.open > 0 || v.lm > 0)
+		case kFold:
+			ok = false
+		}
+	})
+	return ok
+}
+
+// ordered reports a fold or a reduction-lane update under s.
+func (v *vecBuilder) ordered(s cc.Stmt) bool {
+	found := false
+	eachAssign(s, func(st *cc.AssignStmt) {
+		if id, ok := st.LHS.(*cc.Ident); st.Reduce != nil || ok && v.scalars[id.Decl].kind == kFold {
+			found = true
+		}
+	})
+	return found
+}
+
+// check walks the body in program order with the dominance state.
+func (v *vecBuilder) check(s cc.Stmt) bool {
+	switch st := s.(type) {
+	case *cc.Block:
+		if st.Data != nil {
 			return false
 		}
+		for _, c := range st.Stmts {
+			if !v.check(c) {
+				return false
+			}
+		}
+		return true
+	case *cc.DeclStmt:
+		return true
+	case *cc.AssignStmt:
+		if !v.readsOK(st.RHS) {
+			return false
+		}
+		switch lhs := st.LHS.(type) {
+		case *cc.Ident:
+			switch u := v.scalars[lhs.Decl]; u.kind {
+			case kPrivate:
+				if st.Op == "=" {
+					v.define(lhs.Decl)
+					return true
+				}
+				return u.defined
+			case kUniform:
+				return v.lm > 0 // a header of a loop that runs lane by lane
+			}
+			return true
+		case *cc.IndexExpr:
+			return v.readsOK(lhs.Index)
+		}
+		return false
+	case *cc.IfStmt:
+		if !v.readsOK(st.Cond) {
+			return false
+		}
+		mark := len(v.undo)
+		ok := v.check(st.Then)
+		v.leave(mark)
+		if ok && st.Else != nil {
+			ok = v.check(st.Else)
+			v.leave(mark)
+		}
+		return ok
+	case *cc.ForStmt:
+		if v.lm == 0 && v.ordered(st) {
+			if v.laneMajor == nil {
+				v.laneMajor = map[*cc.ForStmt]bool{}
+			}
+			v.laneMajor[st] = true
+			v.lm++
+			defer func() { v.lm-- }()
+		}
+		return v.checkLoop(st)
+	}
+	return false
+}
+
+// checkLoop checks an inner loop: the canonical counted shape with a
+// uniform init and a uniform bound its body cannot change, or — inside
+// a loop that runs lane by lane — anything the scalar compiler took.
+func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
+	if v.lm > 0 {
+		if st.Init != nil && !v.check(st.Init) {
+			return false
+		}
+		mark := len(v.undo)
+		ok := (st.Cond == nil || v.readsOK(st.Cond)) && v.check(st.Body) && (st.Post == nil || v.check(st.Post))
+		v.leave(mark)
+		return ok
+	}
+	lv, bound, _, _ := canonicalFor(st)
+	if v.scalars[lv].kind != kUniform || !v.uniform(st.Init.RHS) || !v.uniform(bound) || !v.readsOK(st.Init.RHS) {
 		return false
 	}
-	if !okStmt(body) {
-		return nil, false
+	own := false // the bound reads lv, or the body writes it
+	eachIdent(bound, func(x *cc.Ident) { own = own || x.Decl == lv })
+	eachAssign(st.Body, func(a *cc.AssignStmt) {
+		if id, ok := a.LHS.(*cc.Ident); ok && id.Decl == lv {
+			own = true
+		}
+	})
+	if own {
+		return false
 	}
-	return folds, true
+	open := func(by int) {
+		u := v.scalars[lv]
+		u.open += by
+		v.scalars[lv] = u
+	}
+	open(1)
+	mark := len(v.undo)
+	ok := v.readsOK(st.Cond) && v.check(st.Body)
+	v.leave(mark)
+	open(-1)
+	return ok
 }
 
 func (v *vecBuilder) pushI() int {
@@ -351,59 +672,8 @@ func (v *vecBuilder) outF(m bufMark) int {
 	return v.pushF()
 }
 
-// slotI/slotF give the dedicated vector for a body-assigned scalar.
-// Called at statement entry, while the stack is at its base.
-func (v *vecBuilder) slotI(slot int) int {
-	if b, ok := v.slotBufI[slot]; ok {
-		return b
-	}
-	b := v.pushI()
-	v.baseI = v.topI
-	v.slotBufI[slot] = b
-	return b
-}
-
-func (v *vecBuilder) slotF(slot int) int {
-	if b, ok := v.slotBufF[slot]; ok {
-		return b
-	}
-	b := v.pushF()
-	v.baseF = v.topF
-	v.slotBufF[slot] = b
-	return b
-}
-
-// invariant reports a subtree whose value cannot change across
-// iterations: no induction variable, no body-assigned scalar, no array
-// load (other iterations of this very kernel may store to the array,
-// and the interpreter re-reads it every iteration).
-func (v *vecBuilder) invariant(e cc.Expr) bool {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		return true
-	case *cc.Ident:
-		return x.Decl != v.loopVar && !v.assigned[x.Decl]
-	case *cc.IndexExpr:
-		return false
-	case *cc.UnaryExpr:
-		return v.invariant(x.X)
-	case *cc.BinaryExpr:
-		return v.invariant(x.X) && v.invariant(x.Y)
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			if !v.invariant(a) {
-				return false
-			}
-		}
-		return true
-	case *cc.CastExpr:
-		return v.invariant(x.X)
-	}
-	return false
-}
-
 // matI/matF materialize an operand into a vector, broadcasting
-// invariants through a dedicated buffer.
+// uniform values through a dedicated buffer.
 func (v *vecBuilder) matI(o vOpI) vecI {
 	if o.vec != nil {
 		return o.vec
@@ -437,6 +707,7 @@ func (v *vecBuilder) matF(o vOpF) vecF {
 }
 
 func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
+	v.topI, v.topF = v.baseI, v.baseF // the previous statement's vectors are dead
 	switch st := s.(type) {
 	case *cc.Block:
 		var seq []VStmt
@@ -463,315 +734,717 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.DeclStmt:
 		return nil, nil
 	case *cc.AssignStmt:
-		v.topI, v.topF = v.baseI, v.baseF // the previous statement's vectors are dead
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
-			return v.scalarAssign(st, lhs)
+			if v.scalars[lhs.Decl].kind == kFold {
+				return v.fold(st, lhs.Decl)
+			}
+			return v.privateAssign(st, lhs.Decl)
 		case *cc.IndexExpr:
 			if st.Reduce != nil {
 				return v.arrayReduce(st, lhs)
 			}
 			return v.arrayAssign(st, lhs)
 		}
+	case *cc.IfStmt:
+		return v.ifStmt(st)
+	case *cc.ForStmt:
+		if v.laneMajor[st] {
+			return v.laneMajorLoop(st)
+		}
+		return v.forStmt(st)
 	}
 	return nil, errSpecIneligible
 }
 
-func (v *vecBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (VStmt, error) {
-	slot := lhs.Decl.Slot
-	if lhs.Decl.Type == cc.TInt {
-		var bid int
-		if st.Op == "=" {
-			bid = v.slotI(slot)
-		}
-		r, err := v.vExprI(st.RHS)
+// ifStmt compiles a data-dependent branch: the condition is evaluated
+// for the lanes active so far, which split into the then- and the
+// else-list; each arm runs with its list as VecEnv.act and counts its
+// length, exactly what the per-iteration arms count one by one.
+func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
+	// cv is 1 in the lanes where the condition holds, 0 elsewhere (a
+	// comparison already is; anything else is compared with zero).
+	var cv vecI
+	if st.Cond.Type() == cc.TInt {
+		o, err := v.vExprI(st.Cond)
 		if err != nil {
 			return nil, err
 		}
-		if st.Op == "=" {
-			if r.inv != nil {
-				inv := r.inv
-				return func(vm *VecEnv, i0 int64, L int) {
-					k := inv(vm.D)
-					out := vm.BufI[bid][:L]
-					for t := range out {
-						out[t] = k
-					}
-				}, nil
+		cv = v.matI(o)
+		if b, ok := foldExpr(st.Cond).(*cc.BinaryExpr); !ok || cmpCode[b.Op] == 0 {
+			iv, bid := cv, v.pushI()
+			cv = func(vm *VecEnv, i0 int64, L int) []int64 {
+				out := vm.BufI[bid][:L]
+				cmpLanes(out, '!', iv(vm, i0, L), nil, 0)
+				return out
 			}
-			rv := r.vec
-			return func(vm *VecEnv, i0 int64, L int) {
-				copy(vm.BufI[bid][:L], rv(vm, i0, L))
-			}, nil
 		}
-		if !v.folds[lhs.Decl] {
+	} else {
+		o, err := v.vExprF(st.Cond)
+		if err != nil {
+			return nil, err
+		}
+		fv, bid := v.matF(o), v.pushI()
+		cv = func(vm *VecEnv, i0 int64, L int) []int64 {
+			out := vm.BufI[bid][:L]
+			cmpLanes(out, '!', fv(vm, i0, L), nil, 0)
+			return out
+		}
+	}
+	thenIdx, elseIdx := v.armi, -1
+	v.armi++
+	depth, outer := v.depth, v.masked
+	v.depth++
+	v.maxArms = max(v.maxArms, v.depth)
+	v.masked, v.usesAct = true, true
+	then, err := v.stmt(st.Then)
+	if err != nil {
+		return nil, err
+	}
+	var els VStmt
+	if st.Else != nil {
+		elseIdx = v.armi
+		v.armi++
+		if els, err = v.stmt(st.Else); err != nil {
+			return nil, err
+		}
+	}
+	v.depth, v.masked = depth, outer
+	return func(vm *VecEnv, i0 int64, L int) {
+		c := cv(vm, i0, L)
+		lanes := vm.act
+		// Both lists take every lane and advance past the ones that are
+		// theirs: no branch on the data.
+		th, el := vm.mask[1+2*depth][:len(lanes)], vm.mask[2+2*depth][:len(lanes)]
+		nt, ne := 0, 0
+		for _, t := range lanes {
+			th[nt], el[ne] = t, t
+			nt += int(c[t])
+			ne += 1 - int(c[t])
+		}
+		th, el = th[:nt], el[:ne]
+		vm.D.Branch[thenIdx] += int64(len(th))
+		if vm.act = th; then != nil && len(th) > 0 {
+			then(vm, i0, L)
+		}
+		if elseIdx >= 0 {
+			vm.D.Branch[elseIdx] += int64(len(el))
+			if vm.act = el; els != nil && len(el) > 0 {
+				els(vm, i0, L)
+			}
+		}
+		vm.act = lanes
+	}, nil
+}
+
+// forStmt compiles a canonical inner loop whose init and bound are
+// uniform: the whole tile runs the same trips, the induction variable
+// one DEnv scalar for all lanes. The two cost buckets receive what the
+// active lanes' per-iteration loops would have counted.
+func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
+	lv, boundX, incl, _ := canonicalFor(st)
+	init, err := v.sc.exprI(st.Init.RHS)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := v.sc.exprI(boundX)
+	if err != nil {
+		return nil, err
+	}
+	v.ai += countLoads(foldExpr(st.Init.RHS)) + countLoads(boundX)
+	condIdx, bodyIdx := v.armi, v.armi+1
+	v.armi += 2
+	v.usesAct = true
+	body, err := v.stmt(st.Body)
+	if err != nil {
+		return nil, err
+	}
+	slot := lv.Slot
+	return func(vm *VecEnv, i0 int64, L int) {
+		D := vm.D
+		x, hi := init(D), bound(D)
+		if incl {
+			hi++
+		}
+		n, lanes := max(hi-x, 0), int64(len(vm.act))
+		D.Branch[condIdx] += (n + 1) * lanes
+		D.Branch[bodyIdx] += n * lanes
+		for ; x < hi; x++ {
+			D.Ints[slot] = x
+			if body != nil {
+				body(vm, i0, L)
+			}
+		}
+		D.Ints[slot] = x
+	}, nil
+}
+
+// laneMajorLoop runs a loop that holds a fold or a reduction-lane
+// update one active lane at a time through its per-iteration closure,
+// so each target sees its updates in iteration order. The lane's
+// private scalars are copied into the DEnv before and back out after.
+func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt) (VStmt, error) {
+	rec := v.sb.loops[st]
+	v.ai, v.armi = rec.accEnd, rec.armEnd
+	v.usesAct = true
+	loop, loopSlot := rec.stmt, v.loopVar.Slot
+	type priv struct{ slot, bid int }
+	var pi, pf []priv
+	for d, u := range v.scalars {
+		if u.buf > 0 && d.Type == cc.TInt {
+			pi = append(pi, priv{d.Slot, u.buf - 1})
+		} else if u.buf > 0 {
+			pf = append(pf, priv{d.Slot, u.buf - 1})
+		}
+	}
+	return func(vm *VecEnv, i0 int64, L int) {
+		D := vm.D
+		for _, t := range vm.act {
+			D.Ints[loopSlot] = i0 + int64(t)
+			for _, p := range pi {
+				D.Ints[p.slot] = vm.BufI[p.bid][t]
+			}
+			for _, p := range pf {
+				D.Floats[p.slot] = vm.BufF[p.bid][t]
+			}
+			loop(D)
+			for _, p := range pi {
+				vm.BufI[p.bid][t] = D.Ints[p.slot]
+			}
+			for _, p := range pf {
+				vm.BufF[p.bid][t] = D.Floats[p.slot]
+			}
+		}
+	}, nil
+}
+
+// privateAssign compiles an assignment to a private scalar: a write of
+// the active lanes of its vector, "=" or a lane-wise update, with the
+// interpreter's float32 rounding per step.
+func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
+	v.usesAct = true
+	op := st.Op[0]
+	if d.Type == cc.TInt {
+		bid := v.scalars[d].buf - 1
+		r, err := v.vExprI(st.RHS)
+		if _, opErr := intApply(st.Op, st.Pos()); err != nil || bid < 0 || op != '=' && opErr != nil {
 			return nil, errSpecIneligible
+		}
+		rv := v.matI(r)
+		return func(vm *VecEnv, i0 int64, L int) {
+			s, out := rv(vm, i0, L), vm.BufI[bid][:L]
+			if act := vm.act; len(act) < L {
+				for _, t := range act {
+					out[t] = updI(op, out[t], s[t])
+				}
+				return
+			}
+			for t, x := range s {
+				out[t] = updI(op, out[t], x)
+			}
+		}, nil
+	}
+	bid := v.scalars[d].buf - 1
+	r, err := v.vExprF(st.RHS)
+	if _, opErr := floatApply(st.Op, st.Pos()); err != nil || bid < 0 || op != '=' && opErr != nil {
+		return nil, errSpecIneligible
+	}
+	rv, f32 := v.matF(r), d.Type == cc.TFloat
+	return func(vm *VecEnv, i0 int64, L int) {
+		s, out := rv(vm, i0, L), vm.BufF[bid][:L]
+		if act := vm.act; len(act) < L {
+			for _, t := range act {
+				out[t] = updF(op, f32, out[t], s[t])
+			}
+			return
+		}
+		for t, x := range s {
+			out[t] = updF(op, f32, out[t], x)
+		}
+	}, nil
+}
+
+// updI and updF are one lane's assignment to a private scalar holding
+// old: "=" or the compound operator named by its first byte.
+func updI(op byte, old, x int64) int64 {
+	if op == '=' {
+		return x
+	}
+	return intOp(op, old, x)
+}
+
+func updF(op byte, f32 bool, old, x float64) float64 {
+	switch op {
+	case '+':
+		x = old + x
+	case '-':
+		x = old - x
+	case '*':
+		x = old * x
+	case '/':
+		x = old / x
+	}
+	if f32 {
+		x = float64(float32(x))
+	}
+	return x
+}
+
+// fold compiles a kernel scalar reduction: the active lanes' values
+// fold into the worker's partial in ascending lane order, which is
+// iteration order, with float32 rounding per step.
+func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
+	v.usesAct = true
+	slot := d.Slot
+	if d.Type == cc.TInt {
+		r, err := v.vExprI(st.RHS)
+		if err != nil {
+			return nil, err
 		}
 		apply, err := intApply(st.Op, st.Pos())
 		if err != nil {
 			return nil, errSpecIneligible
 		}
-		if r.inv != nil {
-			inv := r.inv
-			return func(vm *VecEnv, i0 int64, L int) {
-				k := inv(vm.D)
-				acc := vm.D.Ints[slot]
-				for t := 0; t < L; t++ {
-					acc = apply(acc, k)
-				}
-				vm.D.Ints[slot] = acc
-			}, nil
-		}
-		rv := r.vec
+		rv := v.matI(r)
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			acc := vm.D.Ints[slot]
-			for t := range s {
+			for _, t := range vm.act {
 				acc = apply(acc, s[t])
 			}
 			vm.D.Ints[slot] = acc
 		}, nil
 	}
-	var bid int
-	if st.Op == "=" {
-		bid = v.slotF(slot)
-	}
 	r, err := v.vExprF(st.RHS)
 	if err != nil {
 		return nil, err
-	}
-	f32 := lhs.Decl.Type == cc.TFloat
-	if st.Op == "=" {
-		if r.inv != nil {
-			inv := r.inv
-			return func(vm *VecEnv, i0 int64, L int) {
-				k := inv(vm.D)
-				if f32 {
-					k = float64(float32(k))
-				}
-				out := vm.BufF[bid][:L]
-				for t := range out {
-					out[t] = k
-				}
-			}, nil
-		}
-		rv := r.vec
-		if f32 {
-			return func(vm *VecEnv, i0 int64, L int) {
-				s := rv(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				for t := range s {
-					out[t] = float64(float32(s[t]))
-				}
-			}, nil
-		}
-		return func(vm *VecEnv, i0 int64, L int) {
-			copy(vm.BufF[bid][:L], rv(vm, i0, L))
-		}, nil
-	}
-	if !v.folds[lhs.Decl] {
-		return nil, errSpecIneligible
 	}
 	apply, err := floatApply(st.Op, st.Pos())
 	if err != nil {
 		return nil, errSpecIneligible
 	}
-	rv := v.matF(r)
-	if f32 {
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			acc := vm.D.Floats[slot]
-			for t := range s {
-				acc = float64(float32(apply(acc, s[t])))
-			}
-			vm.D.Floats[slot] = acc
-		}, nil
-	}
+	rv, f32 := v.matF(r), d.Type == cc.TFloat
 	return func(vm *VecEnv, i0 int64, L int) {
 		s := rv(vm, i0, L)
 		acc := vm.D.Floats[slot]
-		for t := range s {
-			acc = apply(acc, s[t])
+		for _, t := range vm.act {
+			if acc = apply(acc, s[t]); f32 {
+				acc = float64(float32(acc))
+			}
 		}
 		vm.D.Floats[slot] = acc
 	}, nil
 }
 
-// storeWalk resolves one store access's physical walk for the current
-// tile: the first physical offset and the per-iteration step.
-func storeWalk(vm *VecEnv, ai int, base, i0 int64) (p, step int64) {
-	step = vm.AccA[ai]
-	return step*i0 + vm.AccB[ai] - base, step
+// laneIdx is the index of one access over a tile: a strided walk when
+// it is affine across the lanes, a per-lane vector otherwise.
+type laneIdx struct {
+	// walk returns the index of lane 0 and the step to the next lane.
+	walk func(vm *VecEnv, i0 int64) (p, step int64)
+	// affine is the access's place in spec.Accesses when the runtime
+	// supplies the walk's coefficients (VecEnv.AccA/AccB), else -1.
+	affine int
+	// The index of lane t is mul*vec[t] + add; a nil mul is 1, a nil
+	// add 0 (pos[4*jn + 1] needs no pass over jn to form its index).
+	vec      vecI
+	mul, add dExprI
 }
 
+// laneIndex compiles an access index and takes the site's place in
+// spec.Accesses, in specBuilder.index's order: the loads inside the
+// index first, then the site itself.
+func (v *vecBuilder) laneIndex(idx cc.Expr) (laneIdx, error) {
+	idx = foldExpr(idx)
+	if _, err := v.sc.affineDegree(idx); err != nil {
+		// A gather; a uniform scale and offset stay out of the vector.
+		li := laneIdx{affine: -1}
+		peel := func(op string, dst *dExprI) {
+			b, ok := idx.(*cc.BinaryExpr)
+			if !ok || b.Op != op || b.Type() != cc.TInt || err != nil {
+				return
+			}
+			k, e := b.X, b.Y
+			if !v.uniform(k) {
+				k, e = b.Y, b.X
+			}
+			if v.uniform(k) {
+				v.ai += countLoads(k)
+				*dst, err = v.sc.exprI(k)
+				idx = e
+			}
+		}
+		err = nil
+		peel("+", &li.add)
+		peel("*", &li.mul)
+		if err != nil {
+			return laneIdx{}, err
+		}
+		o, err := v.vExprI(idx)
+		if err != nil {
+			return laneIdx{}, err
+		}
+		v.ai++
+		li.vec = v.matI(o)
+		return li, nil
+	}
+	v.ai += countLoads(idx)
+	ai := v.ai
+	v.ai++
+	if v.spec.Accesses[ai].Affine {
+		// The runtime derived the coefficients for its range checks.
+		return laneIdx{affine: ai, walk: func(vm *VecEnv, i0 int64) (int64, int64) {
+			A := vm.AccA[ai]
+			return A*i0 + vm.AccB[ai], A
+		}}, nil
+	}
+	// Affine in the induction variable with uniform coefficients (an
+	// inner loop's a*i + f): two evaluations per tile step give the walk.
+	d, err := v.sc.exprI(idx)
+	if err != nil {
+		return laneIdx{}, err
+	}
+	slot := v.loopVar.Slot
+	return laneIdx{affine: -1, walk: func(vm *VecEnv, i0 int64) (int64, int64) {
+		D := vm.D
+		D.Ints[slot] = i0
+		p := d(D)
+		D.Ints[slot] = i0 + 1
+		return p, d(D) - p
+	}}, nil
+}
+
+// span places a walk of logical indices on the copy: the physical
+// offset of lane 0 and the physical step. On a column-major copy the
+// walk stays affine only when the row width divides the step; otherwise
+// ok is false and p, step are the logical offset and step, to be mapped
+// lane by lane with off.
+func (a *DArray) span(p, step int64) (int64, int64, bool) {
+	p -= a.Base
+	switch {
+	case a.TWidth == 0:
+		return p, step, true
+	case step%a.TWidth == 0:
+		return a.off(p), step / a.TWidth, true
+	}
+	return p, step, false
+}
+
+// walkLoad reads the physical walk p, p+step, ... of src into out, one
+// element per lane. Small enough to inline: a call frame under every
+// load would push the worker goroutines of even a one-statement kernel
+// past their initial stack.
+func walkLoad[T int32 | float32 | float64, S int64 | float64](out []S, src []T, p, step int64) {
+	if step == 1 {
+		s := src[p : p+int64(len(out))]
+		for t := range s {
+			out[t] = S(s[t])
+		}
+		return
+	}
+	for t := range out {
+		out[t] = S(src[p])
+		p += step
+	}
+}
+
+// loadWalk reads a walk of logical indices into out, through off lane
+// by lane where a column-major copy breaks the walk's affinity.
+func loadWalk[T int32 | float32 | float64, S int64 | float64](out []S, src []T, a *DArray, p, step int64) {
+	p, step, ok := a.span(p, step)
+	if ok {
+		walkLoad(out, src, p, step)
+		return
+	}
+	for t := range out {
+		out[t] = S(src[a.off(p)])
+		p += step
+	}
+}
+
+// fetch reads the active lanes' elements at logical indices k*idx + c.
+func fetch[T int32 | float32 | float64, S int64 | float64](out []S, src []T, a *DArray, idx []int64, k, c int64, act []int32) {
+	c -= a.Base
+	if a.TWidth == 0 {
+		for _, t := range act {
+			out[t] = S(src[k*idx[t]+c])
+		}
+		return
+	}
+	for _, t := range act {
+		out[t] = S(src[a.off(k*idx[t]+c)])
+	}
+}
+
+// scale evaluates the uniform scale and offset of a per-lane index.
+func (li *laneIdx) scale(D *DEnv) (k, c int64) {
+	k = 1
+	if li.mul != nil {
+		k = li.mul(D)
+	}
+	if li.add != nil {
+		c = li.add(D)
+	}
+	return k, c
+}
+
+// idxVec gives every lane's logical index. Computing it is total, so
+// it runs dense; only the lanes that dereference it must be active.
+func (v *vecBuilder) idxVec(li laneIdx) vecI {
+	if li.vec != nil && li.mul == nil && li.add == nil {
+		return li.vec
+	}
+	bid := v.pushI()
+	return func(vm *VecEnv, i0 int64, L int) []int64 {
+		out := vm.BufI[bid][:L]
+		if li.walk == nil {
+			k, c := li.scale(vm.D)
+			for t, x := range li.vec(vm, i0, L) {
+				out[t] = k*x + c
+			}
+			return out
+		}
+		p, step := li.walk(vm, i0)
+		for t := range out {
+			out[t] = p
+			p += step
+		}
+		return out
+	}
+}
+
+// load compiles an array read: a dense strided walk when the index is
+// affine across the lanes and every lane is active, a per-lane fetch of
+// the active lanes otherwise (a gather, or any load under an arm).
+func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
+	m := v.mark()
+	li, err := v.laneIndex(x.Index)
+	if err != nil {
+		return vOpI{}, vOpF{}, err
+	}
+	slot, typ := x.Array.Slot, x.Array.Type
+	if ai := li.affine; ai >= 0 && !v.masked {
+		// The straight-line case, kept lean: the runtime's coefficients,
+		// no helper call (it left to the per-iteration body any piece
+		// whose walk a column-major copy would break).
+		if typ == cc.TInt {
+			bid := v.outI(m)
+			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+				out := vm.BufI[bid][:L]
+				a := &vm.D.Arrays[slot]
+				p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
+				walkLoad(out, a.I32, p, step)
+				return out
+			}}, vOpF{}, nil
+		}
+		bid := v.outF(m)
+		if typ == cc.TFloat {
+			return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+				out := vm.BufF[bid][:L]
+				a := &vm.D.Arrays[slot]
+				p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
+				walkLoad(out, a.F32, p, step)
+				return out
+			}}, nil
+		}
+		return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+			out := vm.BufF[bid][:L]
+			a := &vm.D.Arrays[slot]
+			p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
+			walkLoad(out, a.F64, p, step)
+			return out
+		}}, nil
+	}
+	if li.walk != nil && !v.masked {
+		wk := li.walk
+		if typ == cc.TInt {
+			bid := v.outI(m)
+			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+				out := vm.BufI[bid][:L]
+				a := &vm.D.Arrays[slot]
+				p, step := wk(vm, i0)
+				loadWalk(out, a.I32, a, p, step)
+				return out
+			}}, vOpF{}, nil
+		}
+		bid := v.outF(m)
+		return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+			out := vm.BufF[bid][:L]
+			a := &vm.D.Arrays[slot]
+			p, step := wk(vm, i0)
+			if typ == cc.TFloat {
+				loadWalk(out, a.F32, a, p, step)
+			} else {
+				loadWalk(out, a.F64, a, p, step)
+			}
+			return out
+		}}, nil
+	}
+	v.usesAct = true
+	ix := li.vec
+	if ix == nil {
+		ix = v.idxVec(li)
+	}
+	if typ == cc.TInt {
+		bid := v.outI(m)
+		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+			q := ix(vm, i0, L)
+			out := vm.BufI[bid][:L]
+			a := &vm.D.Arrays[slot]
+			k, c := li.scale(vm.D)
+			fetch(out, a.I32, a, q, k, c, vm.act)
+			return out
+		}}, vOpF{}, nil
+	}
+	bid := v.outF(m)
+	return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+		q := ix(vm, i0, L)
+		out := vm.BufF[bid][:L]
+		k, c := li.scale(vm.D)
+		if a := &vm.D.Arrays[slot]; typ == cc.TFloat {
+			fetch(out, a.F32, a, q, k, c, vm.act)
+		} else {
+			fetch(out, a.F64, a, q, k, c, vm.act)
+		}
+		return out
+	}}, nil
+}
+
+// walkStore writes s to the walk p, p+A, ... of dst, every lane. Small
+// enough to inline, like walkLoad.
+func walkStore[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int64, s []S) {
+	if A == 1 {
+		d := dst[p : p+int64(len(s))]
+		for t := range d {
+			d[t] = T(s[t])
+		}
+		return
+	}
+	for t := range s {
+		dst[p] = T(s[t])
+		p += A
+	}
+}
+
+// storeLanes writes the active lanes of s to the walk; apply, when set,
+// combines with the old element (a compound assignment).
+func storeLanes[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int64, s []S, apply func(S, S) S, act []int32) {
+	if apply == nil {
+		for _, t := range act {
+			dst[p+A*int64(t)] = T(s[t])
+		}
+		return
+	}
+	for _, t := range act {
+		q := p + A*int64(t)
+		dst[q] = T(apply(S(dst[q]), s[t]))
+	}
+}
+
+// arrayAssign compiles a store. scan admitted only stores affine in the
+// induction variable, so the walk comes from the runtime's coefficients
+// (a written array is never layout-transformed).
 func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
-	decl := lhs.Array
-	slot := decl.Slot
+	slot, typ := lhs.Array.Slot, lhs.Array.Type
 	// The spec pass appended the store access before compiling the RHS;
 	// take the cursor in the same order.
 	ai := v.ai
 	v.ai++
-	if decl.Type == cc.TInt {
+	dense := !v.masked && st.Op == "="
+	v.usesAct = v.usesAct || !dense
+	if typ == cc.TInt {
 		r, err := v.vExprI(st.RHS)
 		if err != nil {
 			return nil, err
 		}
-		if st.Op == "=" {
-			if r.inv != nil {
-				inv := r.inv
-				return func(vm *VecEnv, i0 int64, L int) {
-					a := &vm.D.Arrays[slot]
-					p, A := storeWalk(vm, ai, a.Base, i0)
-					k := int32(inv(vm.D))
-					dst := a.I32
-					if A == 1 {
-						d := dst[p : p+int64(L)]
-						for t := range d {
-							d[t] = k
-						}
-						return
-					}
-					for t := 0; t < L; t++ {
-						dst[p] = k
-						p += A
-					}
-				}, nil
-			}
-			rv := r.vec
+		rv := v.matI(r)
+		if dense {
 			return func(vm *VecEnv, i0 int64, L int) {
 				s := rv(vm, i0, L)
 				a := &vm.D.Arrays[slot]
-				p, A := storeWalk(vm, ai, a.Base, i0)
-				dst := a.I32
-				if A == 1 {
-					d := dst[p : p+int64(L)]
-					for t := range d {
-						d[t] = int32(s[t])
-					}
-					return
-				}
-				for t := range s {
-					dst[p] = int32(s[t])
-					p += A
-				}
+				walkStore(a.I32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
 			}, nil
 		}
-		apply, err := intApply(st.Op, st.Pos())
-		if err != nil {
-			return nil, errSpecIneligible
+		var apply func(int64, int64) int64
+		if st.Op != "=" {
+			if apply, err = intApply(st.Op, st.Pos()); err != nil {
+				return nil, errSpecIneligible
+			}
 		}
-		rv := v.matI(r)
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			a := &vm.D.Arrays[slot]
-			p, A := storeWalk(vm, ai, a.Base, i0)
-			dst := a.I32
-			for t := range s {
-				dst[p] = int32(apply(int64(dst[p]), s[t]))
-				p += A
-			}
+			storeLanes(a.I32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s, apply, vm.act)
 		}, nil
 	}
 	r, err := v.vExprF(st.RHS)
 	if err != nil {
 		return nil, err
 	}
-	f32 := decl.Type == cc.TFloat
-	if st.Op == "=" {
-		rv := v.matF(r)
-		if f32 {
-			return func(vm *VecEnv, i0 int64, L int) {
-				s := rv(vm, i0, L)
-				a := &vm.D.Arrays[slot]
-				p, A := storeWalk(vm, ai, a.Base, i0)
-				dst := a.F32
-				if A == 1 {
-					d := dst[p : p+int64(L)]
-					for t := range d {
-						d[t] = float32(s[t])
-					}
-					return
-				}
-				for t := range s {
-					dst[p] = float32(s[t])
-					p += A
-				}
-			}, nil
-		}
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			a := &vm.D.Arrays[slot]
-			p, A := storeWalk(vm, ai, a.Base, i0)
-			dst := a.F64
-			if A == 1 {
-				copy(dst[p:p+int64(L)], s)
-				return
-			}
-			for t := range s {
-				dst[p] = s[t]
-				p += A
-			}
-		}, nil
-	}
-	apply, err := floatApply(st.Op, st.Pos())
-	if err != nil {
-		return nil, errSpecIneligible
-	}
 	rv := v.matF(r)
-	if f32 {
+	if dense && typ == cc.TFloat {
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			a := &vm.D.Arrays[slot]
-			p, A := storeWalk(vm, ai, a.Base, i0)
-			dst := a.F32
-			for t := range s {
-				dst[p] = float32(apply(float64(dst[p]), s[t]))
-				p += A
-			}
+			walkStore(a.F32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
 		}, nil
+	}
+	if dense {
+		return func(vm *VecEnv, i0 int64, L int) {
+			s := rv(vm, i0, L)
+			a := &vm.D.Arrays[slot]
+			walkStore(a.F64, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
+		}, nil
+	}
+	var apply func(float64, float64) float64
+	if st.Op != "=" {
+		if apply, err = floatApply(st.Op, st.Pos()); err != nil {
+			return nil, errSpecIneligible
+		}
 	}
 	return func(vm *VecEnv, i0 int64, L int) {
 		s := rv(vm, i0, L)
 		a := &vm.D.Arrays[slot]
-		p, A := storeWalk(vm, ai, a.Base, i0)
-		dst := a.F64
-		for t := range s {
-			dst[p] = apply(dst[p], s[t])
-			p += A
+		if p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]; typ == cc.TFloat {
+			storeLanes(a.F32, p, A, s, apply, vm.act)
+		} else {
+			storeLanes(a.F64, p, A, s, apply, vm.act)
 		}
 	}, nil
 }
 
+// reduceLanes updates the worker's reduction lane at the active lanes'
+// logical indices q, in ascending lane order.
+func reduceLanes[S int64 | float64](lane []S, q []int64, s []S, act []int32, mul bool) {
+	if mul {
+		for _, t := range act {
+			lane[q[t]] *= s[t]
+		}
+		return
+	}
+	for _, t := range act {
+		lane[q[t]] += s[t]
+	}
+}
+
 func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
-	decl := lhs.Array
-	slot := decl.Slot
-	ai := v.ai
-	v.ai++
-	mul := st.Reduce.Op == "*"
+	slot := lhs.Array.Slot
+	v.usesAct = true
+	li, err := v.laneIndex(lhs.Index)
+	if err != nil {
+		return nil, err
+	}
 	// Lanes are indexed by logical element index: no Base shift.
-	if decl.Type == cc.TInt {
+	ix := v.idxVec(li)
+	mul := st.Reduce.Op == "*"
+	if lhs.Array.Type == cc.TInt {
 		r, err := v.vExprI(st.RHS)
 		if err != nil {
 			return nil, err
 		}
 		rv := v.matI(r)
 		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			a := &vm.D.Arrays[slot]
-			A := vm.AccA[ai]
-			p := A*i0 + vm.AccB[ai]
-			lane := a.LaneI
-			if mul {
-				for t := range s {
-					lane[p] *= s[t]
-					p += A
-				}
-				return
-			}
-			for t := range s {
-				lane[p] += s[t]
-				p += A
-			}
+			q, s := ix(vm, i0, L), rv(vm, i0, L)
+			reduceLanes(vm.D.Arrays[slot].LaneI, q, s, vm.act, mul)
 		}, nil
 	}
 	r, err := v.vExprF(st.RHS)
@@ -780,31 +1453,18 @@ func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 	}
 	rv := v.matF(r)
 	return func(vm *VecEnv, i0 int64, L int) {
-		s := rv(vm, i0, L)
-		a := &vm.D.Arrays[slot]
-		A := vm.AccA[ai]
-		p := A*i0 + vm.AccB[ai]
-		lane := a.LaneF
-		if mul {
-			for t := range s {
-				lane[p] *= s[t]
-				p += A
-			}
-			return
-		}
-		for t := range s {
-			lane[p] += s[t]
-			p += A
-		}
+		q, s := ix(vm, i0, L), rv(vm, i0, L)
+		reduceLanes(vm.D.Arrays[slot].LaneF, q, s, vm.act, mul)
 	}, nil
 }
 
 // vExprI and vExprF mirror the spec compiler's coercion entry points:
-// fold, then (new here) hoist whole-expression invariants, then compile
+// fold, then (new here) hoist whole-expression uniforms, then compile
 // by type with a conversion pass when the types differ.
 func (v *vecBuilder) vExprI(e cc.Expr) (vOpI, error) {
 	e = foldExpr(e)
-	if v.invariant(e) {
+	if v.uniform(e) {
+		v.ai += countLoads(e)
 		inv, err := v.sc.exprI(e)
 		if err != nil {
 			return vOpI{}, err
@@ -833,7 +1493,8 @@ func (v *vecBuilder) vExprI(e cc.Expr) (vOpI, error) {
 
 func (v *vecBuilder) vExprF(e cc.Expr) (vOpF, error) {
 	e = foldExpr(e)
-	if v.invariant(e) {
+	if v.uniform(e) {
+		v.ai += countLoads(e)
 		inv, err := v.sc.exprF(e)
 		if err != nil {
 			return vOpF{}, err
@@ -879,9 +1540,9 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 				return out
 			}}, nil
 		}
-		if v.assigned[x.Decl] {
-			bid, ok := v.slotBufI[x.Decl.Slot]
-			if !ok {
+		if u := v.scalars[x.Decl]; u.kind == kPrivate {
+			bid := u.buf - 1
+			if bid < 0 {
 				return vOpI{}, errSpecIneligible
 			}
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
@@ -892,7 +1553,8 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 		return vOpI{inv: func(e *DEnv) int64 { return e.Ints[slot] }}, nil
 
 	case *cc.IndexExpr:
-		return v.loadI(x)
+		o, _, err := v.load(x)
+		return o, err
 
 	case *cc.BinaryExpr:
 		return v.binaryI(x)
@@ -997,76 +1659,6 @@ func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
 	}}, nil
 }
 
-func (v *vecBuilder) loadI(x *cc.IndexExpr) (vOpI, error) {
-	ai := v.ai
-	v.ai++
-	slot := x.Array.Slot
-	bid := v.pushI()
-	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		out := vm.BufI[bid][:L]
-		a := &vm.D.Arrays[slot]
-		A := vm.AccA[ai]
-		p := A*i0 + vm.AccB[ai] - a.Base
-		src := a.I32
-		if A == 1 {
-			s := src[p : p+int64(L)]
-			for t := range s {
-				out[t] = int64(s[t])
-			}
-			return out
-		}
-		for t := 0; t < L; t++ {
-			out[t] = int64(src[p])
-			p += A
-		}
-		return out
-	}}, nil
-}
-
-func (v *vecBuilder) loadF(x *cc.IndexExpr) (vOpF, error) {
-	ai := v.ai
-	v.ai++
-	slot := x.Array.Slot
-	bid := v.pushF()
-	if x.Array.Type == cc.TFloat {
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			out := vm.BufF[bid][:L]
-			a := &vm.D.Arrays[slot]
-			A := vm.AccA[ai]
-			p := A*i0 + vm.AccB[ai] - a.Base
-			src := a.F32
-			if A == 1 {
-				s := src[p : p+int64(L)]
-				for t := range s {
-					out[t] = float64(s[t])
-				}
-				return out
-			}
-			for t := 0; t < L; t++ {
-				out[t] = float64(src[p])
-				p += A
-			}
-			return out
-		}}, nil
-	}
-	return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-		out := vm.BufF[bid][:L]
-		a := &vm.D.Arrays[slot]
-		A := vm.AccA[ai]
-		p := A*i0 + vm.AccB[ai] - a.Base
-		src := a.F64
-		if A == 1 {
-			copy(out, src[p:p+int64(L)])
-			return out
-		}
-		for t := 0; t < L; t++ {
-			out[t] = src[p]
-			p += A
-		}
-		return out
-	}}, nil
-}
-
 func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
 	m := v.mark()
 	switch x.Op {
@@ -1074,6 +1666,9 @@ func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
 		return vOpI{}, errSpecIneligible
 	case "<", "<=", ">", ">=", "==", "!=":
 		return v.compare(x)
+	case "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>":
+	default:
+		return vOpI{}, errSpecIneligible
 	}
 	a, err := v.vExprI(x.X)
 	if err != nil {
@@ -1083,71 +1678,129 @@ func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
 	if err != nil {
 		return vOpI{}, err
 	}
-	var apply func(a, b int64) int64
-	switch x.Op {
-	case "+":
-		apply = func(a, b int64) int64 { return a + b }
-	case "-":
-		apply = func(a, b int64) int64 { return a - b }
-	case "*":
-		apply = func(a, b int64) int64 { return a * b }
-	case "/":
-		apply = func(a, b int64) int64 { return a / b }
-	case "%":
-		apply = func(a, b int64) int64 { return a % b }
-	case "&":
-		apply = func(a, b int64) int64 { return a & b }
-	case "|":
-		apply = func(a, b int64) int64 { return a | b }
-	case "^":
-		apply = func(a, b int64) int64 { return a ^ b }
-	case "<<":
-		apply = func(a, b int64) int64 { return a << uint(b) }
-	case ">>":
-		apply = func(a, b int64) int64 { return a >> uint(b) }
-	default:
-		return vOpI{}, errSpecIneligible
-	}
+	op := x.Op[0]
+	// Division faults on a zero divisor: under an arm, active lanes only.
+	faults := v.masked && (op == '/' || op == '%')
+	av, ak, cv, ck := a.vec, a.inv, c.vec, c.inv
 	bid := v.outI(m)
-	switch {
-	case a.inv != nil:
-		k, cv := a.inv, c.vec
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			kk := k(vm.D)
-			s := cv(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = apply(kk, s[t])
-			}
-			return out
-		}}, nil
-	case c.inv != nil:
-		av, k := a.vec, c.inv
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			kk := k(vm.D)
-			s := av(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = apply(s[t], kk)
-			}
-			return out
-		}}, nil
-	}
-	av, cv := a.vec, c.vec
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		s := av(vm, i0, L)
-		q := cv(vm, i0, L)
+		// Each operand is a vector or, where that is nil, one scalar.
+		var s, q []int64
+		var ka, kc int64
+		if av != nil {
+			s = av(vm, i0, L)
+		} else {
+			ka = ak(vm.D)
+		}
+		if cv != nil {
+			q = cv(vm, i0, L)
+		} else {
+			kc = ck(vm.D)
+		}
 		out := vm.BufI[bid][:L]
-		for t := range s {
-			out[t] = apply(s[t], q[t])
+		if faults {
+			for _, t := range vm.act {
+				if s != nil {
+					ka = s[t]
+				}
+				if q != nil {
+					kc = q[t]
+				}
+				out[t] = intOp(op, ka, kc)
+			}
+			return out
+		}
+		switch {
+		case s == nil:
+			for t, y := range q {
+				out[t] = intOp(op, ka, y)
+			}
+		case q == nil:
+			for t, x := range s {
+				out[t] = intOp(op, x, kc)
+			}
+		default:
+			for t, x := range s {
+				out[t] = intOp(op, x, q[t])
+			}
 		}
 		return out
 	}}, nil
 }
 
-// compare compiles a comparison (int result) over either operand type.
+// intOp applies an int binary operator named by its first byte.
+func intOp(op byte, a, b int64) int64 {
+	switch op {
+	case '+':
+		return a + b
+	case '-':
+		return a - b
+	case '*':
+		return a * b
+	case '/':
+		return a / b
+	case '%':
+		return a % b
+	case '&':
+		return a & b
+	case '|':
+		return a | b
+	case '^':
+		return a ^ b
+	case '<':
+		return a << uint(b)
+	}
+	return a >> uint(b)
+}
+
+// Comparison operators by code, and the code of the mirrored operator
+// (k op x is x mirror(op) k).
+var (
+	cmpCode   = map[string]byte{"<": '<', "<=": 'l', ">": '>', ">=": 'g', "==": '=', "!=": '!'}
+	cmpMirror = map[byte]byte{'<': '>', 'l': 'g', '>': '<', 'g': 'l', '=': '=', '!': '!'}
+)
+
+// cmpLanes sets out[t] to s[t] op y, y being q[t] or, when q is nil, k.
+func cmpLanes[S int64 | float64](out []int64, op byte, s, q []S, k S) {
+	y := func(t int) S {
+		if q != nil {
+			return q[t]
+		}
+		return k
+	}
+	switch op {
+	case '<':
+		for t, x := range s {
+			out[t] = b2i(x < y(t))
+		}
+	case 'l':
+		for t, x := range s {
+			out[t] = b2i(x <= y(t))
+		}
+	case '>':
+		for t, x := range s {
+			out[t] = b2i(x > y(t))
+		}
+	case 'g':
+		for t, x := range s {
+			out[t] = b2i(x >= y(t))
+		}
+	case '=':
+		for t, x := range s {
+			out[t] = b2i(x == y(t))
+		}
+	default:
+		for t, x := range s {
+			out[t] = b2i(x != y(t))
+		}
+	}
+}
+
+// compare compiles a comparison (int result) over either operand type;
+// a uniform operand is compared as a scalar.
 func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 	m := v.mark()
+	op := cmpCode[x.Op]
 	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
 		a, err := v.vExprI(x.X)
 		if err != nil {
@@ -1157,29 +1810,17 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 		if err != nil {
 			return vOpI{}, err
 		}
-		var cmp func(a, b int64) bool
-		switch x.Op {
-		case "<":
-			cmp = func(a, b int64) bool { return a < b }
-		case "<=":
-			cmp = func(a, b int64) bool { return a <= b }
-		case ">":
-			cmp = func(a, b int64) bool { return a > b }
-		case ">=":
-			cmp = func(a, b int64) bool { return a >= b }
-		case "==":
-			cmp = func(a, b int64) bool { return a == b }
-		default:
-			cmp = func(a, b int64) bool { return a != b }
+		if a.vec == nil {
+			a, c, op = c, a, cmpMirror[op]
 		}
-		av, cv := v.matI(a), v.matI(c)
+		av, cv, ck := a.vec, c.vec, c.inv
 		bid := v.outI(m)
 		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := av(vm, i0, L)
-			q := cv(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = b2i(cmp(s[t], q[t]))
+			s, out := av(vm, i0, L), vm.BufI[bid][:L]
+			if cv != nil {
+				cmpLanes(out, op, s, cv(vm, i0, L), 0)
+			} else {
+				cmpLanes(out, op, s, nil, ck(vm.D))
 			}
 			return out
 		}}, nil
@@ -1192,29 +1833,17 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 	if err != nil {
 		return vOpI{}, err
 	}
-	var cmp func(a, b float64) bool
-	switch x.Op {
-	case "<":
-		cmp = func(a, b float64) bool { return a < b }
-	case "<=":
-		cmp = func(a, b float64) bool { return a <= b }
-	case ">":
-		cmp = func(a, b float64) bool { return a > b }
-	case ">=":
-		cmp = func(a, b float64) bool { return a >= b }
-	case "==":
-		cmp = func(a, b float64) bool { return a == b }
-	default:
-		cmp = func(a, b float64) bool { return a != b }
+	if a.vec == nil {
+		a, c, op = c, a, cmpMirror[op]
 	}
-	av, cv := v.matF(a), v.matF(c)
+	av, cv, ck := a.vec, c.vec, c.inv
 	bid := v.outI(m)
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		s := av(vm, i0, L)
-		q := cv(vm, i0, L)
-		out := vm.BufI[bid][:L]
-		for t := range s {
-			out[t] = b2i(cmp(s[t], q[t]))
+		s, out := av(vm, i0, L), vm.BufI[bid][:L]
+		if cv != nil {
+			cmpLanes(out, op, s, cv(vm, i0, L), 0)
+		} else {
+			cmpLanes(out, op, s, nil, ck(vm.D))
 		}
 		return out
 	}}, nil
@@ -1229,9 +1858,9 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 		return vOpF{inv: func(*DEnv) float64 { return k }}, nil
 
 	case *cc.Ident:
-		if v.assigned[x.Decl] {
-			bid, ok := v.slotBufF[x.Decl.Slot]
-			if !ok {
+		if u := v.scalars[x.Decl]; u.kind == kPrivate {
+			bid := u.buf - 1
+			if bid < 0 {
 				return vOpF{}, errSpecIneligible
 			}
 			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
@@ -1242,7 +1871,8 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 		return vOpF{inv: func(e *DEnv) float64 { return e.Floats[slot] }}, nil
 
 	case *cc.IndexExpr:
-		return v.loadF(x)
+		_, o, err := v.load(x)
+		return o, err
 
 	case *cc.BinaryExpr:
 		return v.binaryF(x)

@@ -44,7 +44,7 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	}
 	var rmu sync.Mutex
 	loopSlot := k.LoopVar.Slot
-	counters, err := cpu.ParallelForWorkers(int(n), nil, func(w, start, end int) (sim.Counters, error) {
+	counters, err := cpu.ForWorkers(int(n), nil, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
 		we := base.Clone()
 		we.WorkerID = w
 		for it := start; it < end; it++ {

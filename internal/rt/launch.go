@@ -448,18 +448,26 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 	tracer := r.opts.Tracer
 	if ex != nil {
 		if handled {
+			gs := &ex.gs[g]
 			var pieces int64
 			if ex.spec.Guard != nil {
-				pieces = int64(len(ex.gs[g].pieces))
+				pieces = int64(len(gs.pieces))
 				ex.pieces += pieces
+			}
+			ex.tiled += gs.tiled
+			if gs.untiled != "" {
+				ex.untiled[gs.untiled]++
 			}
 			if tracer != nil {
 				tracer.Metrics().Inc("spec.hits", 1)
 				if pieces > 0 {
 					tracer.Metrics().Inc("spec.split_pieces", pieces)
 				}
-				if ex.gs[g].vecAlias {
-					tracer.Metrics().Inc("spec.vec.alias", 1)
+				if gs.tiled > 0 {
+					tracer.Metrics().Inc("spec.tiled_iters", gs.tiled)
+				}
+				if gs.untiled != "" {
+					tracer.Metrics().Inc("spec.untiled."+gs.untiled, 1)
 				}
 			}
 		} else if chunk > 0 {
@@ -524,7 +532,7 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 	}
 	var rmu sync.Mutex
 	loopSlot := k.LoopVar.Slot
-	counters, err := dev.ParallelForWorkers(int(n), nil, func(w, start, end int) (sim.Counters, error) {
+	counters, err := dev.ForWorkers(int(n), nil, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
 		we := base.Clone()
 		we.WorkerID = w
 		for it := start; it < end; it++ {

@@ -3,8 +3,11 @@ package rt
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,6 +112,121 @@ void main() {
 // guardedStencilRef is specGuardedStencilSrc in plain Go: double
 // arithmetic, one rounding to float per store. The explicit float64
 // conversions keep the products from fusing into the sums.
+// TestSpecScratchLease drives an executor's tile-scratch free list the way
+// a launch's workers do, from several goroutines at once (under the race
+// detector the simulated workers themselves run one by one): no two
+// concurrent holders may share a VecEnv, and the list never holds more
+// than were out at once.
+func TestSpecScratchLease(t *testing.T) {
+	mod, _ := buildSpecInstance(t, specSaxpySrc, map[string]float64{"n": 4096, "a": 1.5})
+	spec := mod.Kernels[0].Spec
+	if spec == nil || spec.VecBody == nil {
+		t.Fatal("saxpy has no tiled body")
+	}
+	const workers, rounds = 8, 200
+	ex := &specExec{spec: spec}
+	var held [workers]atomic.Pointer[ir.VecEnv]
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				vm := ex.lease(64)
+				held[w].Store(vm)
+				for o := range held {
+					if o != w && held[o].Load() == vm {
+						t.Errorf("workers %d and %d hold the same scratch", w, o)
+					}
+				}
+				held[w].Store(nil)
+				ex.release(vm)
+			}
+		}(w)
+	}
+	wg.Wait()
+	if len(ex.free) == 0 || len(ex.free) > workers {
+		t.Errorf("free list holds %d scratch sets after %d workers", len(ex.free), workers)
+	}
+}
+
+// TestHostileMaskedLanes pins the lanes-not-speculation rule of the
+// lockstep tiles: what an inactive lane holds — an index far outside
+// the array, a zero divisor — is never dereferenced or divided by.
+// The tiled run must neither fault nor move a counter relative to the
+// interpreter, which evaluates the guarded expressions only where the
+// guards hold.
+func TestHostileMaskedLanes(t *testing.T) {
+	const src = `
+int n, m;
+int idx_[n], den_[n], a_[m], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(idx_, den_, a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int j, d, v;
+            j = idx_[i];
+            d = den_[i];
+            v = 0;
+            if (j >= 0) {
+                if (j < m) {
+                    v = a_[j];
+                }
+            }
+            if (d != 0) {
+                v = v + 1000 / d + v % d;
+            }
+            out_[i] = v;
+        }
+    }
+}
+`
+	const n, m = 3000, 97
+	run := func(opts Options) (*Runtime, *ir.Instance) {
+		mod, inst := buildSpecInstance(t, src, map[string]float64{"n": n, "m": m})
+		if k := mod.Kernels[0]; k.Spec == nil || k.Spec.VecBody == nil {
+			t.Fatalf("kernel has no tiled body (%q); test premise broken", k.SpecReason)
+		}
+		idx, _ := inst.Array("idx_")
+		den, _ := inst.Array("den_")
+		for i := range idx.I32 {
+			switch i % 4 {
+			case 0:
+				idx.I32[i] = -1000000007 // far below the array
+			case 1:
+				idx.I32[i] = 2000000000 // far above it
+			default:
+				idx.I32[i] = int32(i % m)
+			}
+			den.I32[i] = int32(i%5 - 2) // zero in one lane of five
+		}
+		mach, err := sim.NewMachine(sim.Desktop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(mach, opts)
+		if err := r.Run(inst); err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		return r, inst
+	}
+	ref, refInst := run(Options{DisableSpecialize: true})
+	r, inst := run(Options{})
+	if r.SpecTiledIters() != n || r.SpecFallbacks() != 0 {
+		t.Fatalf("tiled %d of %d iterations, fallbacks %v", r.SpecTiledIters(), n, r.SpecFallbackReasons())
+	}
+	if !reflect.DeepEqual(ref.Report(), r.Report()) {
+		t.Fatalf("Report diverged\ninterp %+v\ntiled  %+v", ref.Report(), r.Report())
+	}
+	want, _ := refInst.Array("out_")
+	got, _ := inst.Array("out_")
+	if !reflect.DeepEqual(want.I32, got.I32) {
+		t.Fatal("out_ diverged")
+	}
+}
+
 func guardedStencilRef(a []float32, steps int) []float32 {
 	a = append([]float32(nil), a...)
 	b := make([]float32, len(a))
@@ -668,6 +786,18 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 	// environment per spawned worker, tile vectors no longer than a
 	// worker's chunk, as many vectors as the deepest expression keeps
 	// live — not to the device's worker count and the full tile width.
+	// Measured with every worker holding its tile scratch at once, the
+	// most a launch can lease.
+	scratch := func(ex *specExec, workers, chunk int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ex.ensureScratch(&ex.gs[0], workers)
+		for w := 0; w < workers; w++ {
+			defer ex.release(ex.lease(chunk))
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
 	for _, tc := range []struct {
 		n      float64
 		budget uint64 // bytes per GPU
@@ -689,12 +819,37 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 		}
 		workers := mach.GPUs()[0].Spec.Workers
 		chunk := (int(tc.n)/mach.NumGPUs() + workers - 1) / workers
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		ex.ensureScratch(&ex.gs[0], workers, chunk)
-		runtime.ReadMemStats(&after)
-		if got := after.TotalAlloc - before.TotalAlloc; got > tc.budget {
+		if got := scratch(ex, workers, chunk); got > tc.budget {
 			t.Errorf("n=%v: first-launch executor scratch is %d bytes per GPU, budget %d", tc.n, got, tc.budget)
+		}
+	}
+	// The paper apps' lockstep tiles at the benchmark's scales: MD keeps
+	// some twenty vectors of a 461-iteration chunk per running worker.
+	for _, tc := range []struct {
+		app    string
+		scale  float64
+		budget uint64
+	}{
+		{"MD", 0.05, 400 << 10},
+		{"KMEANS", 0.001, 48 << 10},
+	} {
+		mod, inst, _ := appInstance(t, tc.app, tc.scale)
+		mach, err := sim.NewMachine(sim.Desktop())
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := New(mach, Options{})
+		r.inst = inst
+		k := mod.Kernels[0]
+		ex := r.specExecutor(k)
+		if ex == nil || k.Spec.VecBody == nil {
+			t.Fatalf("%s: kernel %s has no tiled body (%q)", tc.app, k.Name, k.Spec.Untiled)
+		}
+		workers := mach.GPUs()[0].Spec.Workers
+		n := int(k.Upper(inst.Env) - k.Lower(inst.Env))
+		chunk := (n/mach.NumGPUs() + workers - 1) / workers
+		if got := scratch(ex, workers, chunk); got > tc.budget {
+			t.Errorf("%s %gx: first-launch executor scratch is %d bytes per GPU, budget %d", tc.app, tc.scale, got, tc.budget)
 		}
 	}
 }

@@ -691,6 +691,240 @@ void main() {
 `,
 		scalars: nScalar,
 	},
+	// Lockstep tiles: bodies with inner loops, data-dependent arms and
+	// gathers run a tile of consecutive iterations at once. Each
+	// template below must engage the tiled body on every machine
+	// (stores stay unconditional, so no launch needs per-iteration
+	// dirty marking) and match the interpreter bit for bit.
+	{
+		// Uniform inner loop with a private float accumulator and an int
+		// one (kept bounded: the interval prover gives up on a loop whose
+		// int scalar grows without limit), the bound a launch scalar.
+		name: "lock-innerloop-acc",
+		src: `
+int n, k;
+float in_[n + 8], out_[n];
+int cnt_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copyout(out_, cnt_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int j, c;
+            float acc;
+            acc = 0.0;
+            c = 0;
+            for (j = 0; j <= k; j++) {
+                acc += in_[i + j] * 0.5;
+                c = (c + j) % 5;
+            }
+            out_[i] = acc;
+            cnt_[i] = c;
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["k"] = float64(rng.Intn(8))
+			return m
+		},
+	},
+	{
+		// Nested arms writing private scalars (then/else, an arm inside an
+		// arm), read after the branches by an unconditional store.
+		name: "lock-nested-arms",
+		src: `
+int n;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v, w;
+            v = in_[i];
+            w = 1;
+            if (v > 0) {
+                w = v * 2;
+                if (v % 2 == 0) {
+                    w = w + 7;
+                } else {
+                    w = w - v / 3;
+                }
+            } else {
+                w = 0 - v;
+            }
+            out_[i] = w + out_[i];
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
+	{
+		// Sentinel-guarded gather: negative entries of nbr_ must never
+		// index a_ (the MD neighbor-list shape), in an inner loop.
+		name: "lock-sentinel-gather",
+		src: `
+int n;
+int nbr_[2 * n];
+float a_[4004], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nbr_, a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, j;
+            float s;
+            s = 0.0;
+            for (e = 0; e < 2; e++) {
+                j = nbr_[2 * i + e];
+                if (j >= 0) {
+                    s += a_[4 * j] - a_[4 * j + 3];
+                }
+            }
+            out_[i] = s;
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
+	{
+		// Integer division under an arm: the lanes where the divisor is
+		// zero are inactive and must not divide.
+		name: "lock-masked-div",
+		src: `
+int n;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int d, q;
+            d = in_[i] % 5;
+            q = 0 - 1;
+            if (d != 0) {
+                q = 1000 / d + in_[i] % d;
+            }
+            out_[i] = q;
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	},
+	{
+		// A scalar reduction and a reductiontoarray update, each under an
+		// arm: the active lanes fold in ascending order.
+		name: "lock-reduce-arm",
+		src: `
+int n, k;
+float total;
+int in_[n], hist_[k];
+void main() {
+    int i;
+    total = 0.0;
+    #pragma acc data copyin(in_) copy(hist_)
+    {
+        #pragma acc parallel loop reduction(+:total)
+        for (i = 0; i < n; i++) {
+            int v;
+            v = in_[i];
+            if (v > 0) {
+                total += 0.1 * v;
+            }
+            if (v % 3 != 0) {
+                #pragma acc reductiontoarray(+: hist_[(v % k + k) % k])
+                hist_[(v % k + k) % k] += v;
+            }
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["k"] = float64(3 + rng.Intn(13))
+			return m
+		},
+	},
+	{
+		// A read-only array with a row per iteration, stored column-major
+		// on the device (stride(s) with a launch scalar): the inner loop
+		// walks it with unit physical stride; a reductiontoarray loop runs
+		// lane by lane (the KMEANS shape).
+		name: "lock-stride-transformed",
+		src: `
+int n, s;
+float feat_[n * s], out_[n], sum_[s];
+void main() {
+    int i;
+    #pragma acc data copyin(feat_) copyout(out_) copy(sum_)
+    {
+        #pragma acc localaccess(feat_) stride(s)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int f;
+            float d;
+            d = 0.0;
+            for (f = 0; f < s; f++) {
+                d += feat_[i * s + f] * feat_[i * s + f];
+            }
+            out_[i] = d + feat_[i * s];
+            for (f = 0; f < s; f++) {
+                #pragma acc reductiontoarray(+: sum_[f])
+                sum_[f] += feat_[i * s + f];
+            }
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["s"] = float64(1 + rng.Intn(6))
+			return m
+		},
+	},
+}
+
+// Worker chunks of 1, VecTile-1 and VecTile+1 iterations on the
+// desktop's 2 GPUs x 4 workers (the tile edges), under arms and a
+// gather: one lockstep template per chunk size.
+func init() {
+	const src = `
+int n;
+int in_[n], idx_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, idx_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            v = in_[idx_[i]];
+            if (v < 0) {
+                v = 0 - v;
+            }
+            out_[i] = v + i;
+        }
+    }
+}
+`
+	for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+		n := float64(8 * chunk)
+		specTemplates = append(specTemplates, specTemplate{
+			name:    fmt.Sprintf("lock-chunk-%d", chunk),
+			src:     src,
+			scalars: func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} },
+		})
+	}
 }
 
 // runSpecTemplate compiles, binds and runs one template, filling every
@@ -765,6 +999,14 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		label := fmt.Sprintf("%s on %s (n=%g)", tpl.name, spec.Name, scalars["n"])
 		if refErr != nil || err != nil {
 			t.Fatalf("%s: run failed: interp %v, spec %v", label, refErr, err)
+		}
+		if strings.HasPrefix(tpl.name, "lock-") {
+			// The lockstep templates must compare the tiled body with the
+			// interpreter, not the per-iteration body.
+			if r.SpecTiledIters() == 0 || r.SpecFallbacks() != 0 || len(r.SpecUntiled()) != 0 {
+				t.Fatalf("%s: not tiled: %d tiled iterations, untiled %v, fallbacks %v, rejects %v",
+					label, r.SpecTiledIters(), r.SpecUntiled(), r.SpecFallbackReasons(), r.SpecRejects())
+			}
 		}
 		if strings.HasPrefix(tpl.name, "guard-") {
 			// The affine-guard templates must compare the split executor

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,9 +44,22 @@ import (
 // charged per observed arm execution, and data-dependent store
 // footprints fall back to per-iteration dirty marking through the
 // same bitmap the interpreter uses. Layout-transformed copies remap
-// logical offsets through DArray.off on every access. Only straight-
-// line affine bodies have a tiled form (ir.VStmt); arms, gathers and
-// scatters run the per-iteration body.
+// logical offsets through DArray.off (the tiled body walks them with a
+// physical stride where the row width divides the access stride).
+//
+// A handled chunk runs one of two bodies, chosen per piece: the tiled
+// one (ir.VStmt: a tile of consecutive iterations in lockstep —
+// straight-line statements, data-dependent arms, uniform inner loops,
+// gathers) or the per-iteration one. The per-iteration body runs where
+// the kernel has no tiled form (KernelSpec.Untiled: "shape" or "order"
+// — scatters, stores inside loops, lane-divergent loop bounds, a
+// reduction target with two update sites), where stores need
+// per-iteration dirty marking this launch ("dirty"), and where the
+// piece's affine accesses fail the alias check ("alias"). A kernel
+// marked SerialWorkers (it gathers from an array it scatters to) runs
+// its workers in worker order on one goroutine, here and on the
+// interpreter, so that what it counts does not depend on how the
+// workers interleave.
 //
 // Affine guards (if (i > 0 && i < n - 1) ...) are not arms: the
 // translator compiled one straight-line variant per arm path
@@ -79,6 +93,17 @@ type specExec struct {
 	// pieces counts the sub-ranges the handled chunks of a guarded
 	// kernel were cut into. Host strand only.
 	pieces int64
+	// tiled counts the iterations the tiled bodies ran; untiled counts
+	// the handled chunks that ran a per-iteration body, by reason. Host
+	// strand only.
+	tiled   int64
+	untiled map[string]int64
+	// free holds the idle tile scratch, shared by the GPUs. A worker
+	// leases one for its run, so the list grows to the number of workers
+	// that ran at once — the host's parallelism — not to the number
+	// spawned; mu guards it.
+	mu   sync.Mutex
+	free []*ir.VecEnv
 }
 
 // SpecHits returns how many per-GPU chunks the specialized executors
@@ -110,6 +135,31 @@ func (r *Runtime) SpecSplitPieces() int64 {
 		n += ex.pieces
 	}
 	return n
+}
+
+// SpecTiledIters returns how many iterations ran in lockstep tiles (the
+// tiled body); the other iterations of handled chunks ran the
+// per-iteration specialized body.
+func (r *Runtime) SpecTiledIters() int64 {
+	var n int64
+	for _, ex := range r.specExecs {
+		n += ex.tiled
+	}
+	return n
+}
+
+// SpecUntiled counts the handled chunks that ran a per-iteration body,
+// by reason: "shape" or "order" (the kernel has no tiled form), "dirty"
+// (stores needed per-iteration dirty marking) or "alias" (the launch's
+// affine accesses overlap).
+func (r *Runtime) SpecUntiled() map[string]int64 {
+	out := map[string]int64{}
+	for _, ex := range r.specExecs {
+		for reason, n := range ex.untiled {
+			out[reason] += n
+		}
+	}
+	return out
 }
 
 // SpecFallbackReasons breaks SpecFallbacks down by cause ("transform",
@@ -148,7 +198,7 @@ func (r *Runtime) PhaseBWall() time.Duration {
 type specGPU struct {
 	// envs are the per-worker direct environments.
 	envs []*ir.DEnv
-	// slots is the ParallelForWorkers result storage.
+	// slots is the ForWorkers result storage.
 	slots []sim.WorkerSlot
 	// evalEnv evaluates guards and access-index endpoints against the
 	// host scalars.
@@ -161,8 +211,6 @@ type specGPU struct {
 	cuts   []int64
 	// branch accumulates arm-taken counts over the workers.
 	branch []int64
-	// venvs wrap envs for the tiled bodies (nil when the spec has none).
-	venvs []*ir.VecEnv
 	// penv is the interval prover's abstract environment (computed-
 	// access kernels only); scans memoizes its per-launch array scans.
 	penv  *ir.PEnv
@@ -170,9 +218,31 @@ type specGPU struct {
 	// reason records why this GPU's chunk bounced to the interpreter
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
-	// vecAlias records that the alias check kept a piece off its tiled
-	// body this launch (the scalar spec body ran it).
-	vecAlias bool
+	// tiled is how many of this launch's iterations ran tiled; untiled
+	// says why some piece ran the per-iteration body ("" when none did).
+	tiled   int64
+	untiled string
+}
+
+// lease hands a worker tile scratch for runs of up to chunk iterations.
+func (ex *specExec) lease(chunk int) *ir.VecEnv {
+	ex.mu.Lock()
+	var vm *ir.VecEnv
+	if n := len(ex.free); n > 0 {
+		vm, ex.free = ex.free[n-1], ex.free[:n-1]
+	}
+	ex.mu.Unlock()
+	if vm == nil {
+		vm = ex.spec.NewVecEnv()
+	}
+	vm.Reserve(chunk)
+	return vm
+}
+
+func (ex *specExec) release(vm *ir.VecEnv) {
+	ex.mu.Lock()
+	ex.free = append(ex.free, vm)
+	ex.mu.Unlock()
 }
 
 // specPiece is the iterations [lo, hi) of a chunk and the straight-line
@@ -184,8 +254,11 @@ type specPiece struct {
 	// guardFlops is what evaluating the guards costs per iteration here
 	// (short-circuiting makes it differ between pieces).
 	guardFlops int64
-	// vec selects the tiled body (it passed the alias check).
-	vec bool
+	// vec selects the tiled body (it passed the alias check). offWalk
+	// rules it out: an affine access walks a column-major copy with a
+	// stride its row width does not divide, which the tiled body's
+	// straight-line loads do not map.
+	vec, offWalk bool
 	// v0, v1 hold each access's index at the piece's first and last
 	// iteration (v.Accesses order; meaningless for computed accesses);
 	// accA/accB are the coefficients the tiled body walks with:
@@ -201,7 +274,7 @@ func (gs *specGPU) addPiece(lo, hi int64, v *ir.KernelSpec, guardFlops int64) {
 		gs.pieces = append(gs.pieces, specPiece{})
 	}
 	pc := &gs.pieces[len(gs.pieces)-1]
-	pc.lo, pc.hi, pc.v, pc.guardFlops, pc.vec = lo, hi, v, guardFlops, false
+	pc.lo, pc.hi, pc.v, pc.guardFlops, pc.vec, pc.offWalk = lo, hi, v, guardFlops, false, false
 	na := len(v.Accesses)
 	if cap(pc.v0) < na {
 		buf := make([]int64, 4*na)
@@ -236,6 +309,7 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 			uiBySlot: make([]int, k.Spec.NumArrays),
 			gs:       make([]specGPU, r.mach.NumGPUs()),
 			reasons:  map[string]int64{},
+			untiled:  map[string]int64{},
 		}
 		for slot := range ex.uiBySlot {
 			ex.uiBySlot[slot] = -1
@@ -257,20 +331,16 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	spec := ex.spec
 	n := p.count()
 	gs := &ex.gs[g]
-	gs.reason, gs.vecAlias = "", false
+	gs.reason, gs.untiled, gs.tiled = "", "", 0
 
 	// Structural per-GPU fallbacks. Layout-transformed copies are
 	// handled (the direct arrays carry the column-major remap), except
 	// under reduction lanes, whose merge addresses logical order.
-	anyTransform := false
 	for ui := range k.Arrays {
 		nd := &nds[ui]
-		if nd.transform {
-			anyTransform = true
-			if nd.wantLanes {
-				gs.reason = "transform"
-				return sim.Counters{}, false, nil
-			}
+		if nd.transform && nd.wantLanes {
+			gs.reason = "transform"
+			return sim.Counters{}, false, nil
 		}
 		if nd.wantMiss {
 			gs.reason = "miss"
@@ -278,7 +348,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	// The chunking ParallelForWorkers will apply: nw workers of up to
+	// The chunking ForWorkers will apply: nw workers of up to
 	// chunk iterations each.
 	workers := dev.Spec.Workers
 	if workers > int(n) {
@@ -286,7 +356,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	}
 	chunk := (int(n) + workers - 1) / workers
 	nw := (int(n) + chunk - 1) / chunk
-	ex.ensureScratch(gs, nw, chunk)
+	ex.ensureScratch(gs, nw)
 
 	if gs.reason = ex.plan(r, k, env, g, gs, p); gs.reason != "" {
 		return sim.Counters{}, false, nil
@@ -307,7 +377,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	}
 	atomic.AddInt64(&ex.hits, 1)
 
-	// Worker environments: one per chunk ParallelForWorkers will spawn,
+	// Worker environments: one per chunk ForWorkers will spawn,
 	// with the host scalars, identity reduction slots, zeroed arm
 	// counters and the GPU's slices bound by slot.
 	// liveDirty marks slots whose stores must mark dirty bits per
@@ -353,22 +423,36 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	// The tiled body walks physical slices with logical-affine strides,
-	// so transformed copies keep the per-iteration path; so does a
-	// piece whose accesses fail the alias check.
+	// Each piece runs its tiled body unless it has none, its stores must
+	// mark dirty bits one by one, or its accesses fail the alias check.
+	anyVec := false
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
-		pc.vec = pc.v.VecBody != nil && !liveDirty && !anyTransform
-		if pc.vec && !pc.prepVec() {
-			pc.vec, gs.vecAlias = false, true
+		switch {
+		case pc.v.VecBody == nil:
+			gs.untiled = pc.v.Untiled
+		case pc.offWalk:
+			gs.untiled = "shape"
+		case liveDirty:
+			gs.untiled = "dirty"
+		case !pc.prepVec():
+			gs.untiled = "alias"
+		default:
+			pc.vec, anyVec = true, true
+			gs.tiled += pc.hi - pc.lo
 		}
 	}
 	loopSlot := spec.LoopSlot
 	// Each worker walks its range through the pieces in ascending order,
 	// so worker identity, reduction lanes and the order scalar
 	// reductions fold in are those of the unsplit schedule.
-	_, err := dev.ParallelForWorkers(int(n), gs.slots, func(w, start, end int) (sim.Counters, error) {
+	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
 		de := gs.envs[w]
+		var vm *ir.VecEnv
+		if anyVec {
+			vm = ex.lease(chunk)
+			vm.D = de
+		}
 		lo, hi := p.lo+int64(start), p.lo+int64(end)
 		for pi := range gs.pieces {
 			pc := &gs.pieces[pi]
@@ -381,11 +465,13 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 				}
 				continue
 			}
-			vm := gs.venvs[w]
 			vm.AccA, vm.AccB = pc.accA, pc.accB
 			for ; s < e; s += ir.VecTile {
 				pc.v.VecBody(vm, s, int(min(e-s, ir.VecTile)))
 			}
+		}
+		if vm != nil {
+			ex.release(vm) // a body that panics keeps its scratch: the list just regrows
 		}
 		return sim.Counters{}, nil
 	})
@@ -473,10 +559,11 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	return ctrs, true, nil
 }
 
-// ensureScratch sizes the per-GPU scratch for a launch of nw workers of
-// up to chunk iterations each; later launches of the same shape reuse
-// it.
-func (ex *specExec) ensureScratch(gs *specGPU, nw, chunk int) {
+// ensureScratch sizes the per-GPU scratch for a launch of nw workers;
+// later launches of the same shape reuse it. Each spawned worker keeps
+// its own direct environment (it holds the worker's reduction partials
+// and arm counts); tile scratch is leased by the workers that run.
+func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 	spec := ex.spec
 	if gs.evalEnv == nil {
 		gs.evalEnv = &ir.Env{
@@ -488,18 +575,9 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw, chunk int) {
 			gs.penv = spec.Prover.NewPEnv()
 		}
 	}
-	tiled := spec.VecBody != nil || spec.Guard != nil
 	for w := len(gs.envs); w < nw; w++ {
 		gs.envs = append(gs.envs, spec.NewDEnv())
 		gs.slots = append(gs.slots, sim.WorkerSlot{})
-		if tiled {
-			gs.venvs = append(gs.venvs, spec.NewVecEnv(gs.envs[w]))
-		}
-	}
-	if tiled {
-		for _, vm := range gs.venvs[:nw] {
-			vm.Reserve(chunk)
-		}
 	}
 }
 
@@ -558,6 +636,9 @@ func (ex *specExec) plan(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specG
 				}
 			} else if !c.valid || lo < c.lo || hi > c.hi {
 				return "range"
+			}
+			if n := pc.hi - pc.lo; c.transformed && n > 1 && (v1-v0)/(n-1)%c.width != 0 {
+				pc.offWalk = true
 			}
 			pc.v0[ai], pc.v1[ai] = v0, v1
 		}
@@ -802,13 +883,15 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 // only if they provably hit the same element every iteration (program
 // order is then preserved per element) or provably disjoint element
 // sets. Reduce accesses write per-worker lanes, not the array, so they
-// only interfere with other reduces. (Bodies with computed accesses
-// have no tiled form, so every access here is affine.)
+// only interfere with other reduces. Computed accesses are left out: a
+// tiled body never stores through one, gathers only from arrays it does
+// not store to, and has one update site per reduction target.
 func (pc *specPiece) prepVec() bool {
 	n := pc.hi - pc.lo
+	acc := pc.v.Accesses
 	for ai := range pc.v0 {
 		var A int64
-		if n > 1 {
+		if n > 1 && acc[ai].Affine {
 			A = (pc.v1[ai] - pc.v0[ai]) / (n - 1)
 		}
 		pc.accA[ai] = A
@@ -817,10 +900,9 @@ func (pc *specPiece) prepVec() bool {
 	if n == 1 {
 		return true // one iteration (a boundary piece): nothing to reorder
 	}
-	acc := pc.v.Accesses
 	for i := range acc {
 		for j := i + 1; j < len(acc); j++ {
-			if acc[i].Slot != acc[j].Slot {
+			if acc[i].Slot != acc[j].Slot || !acc[i].Affine || !acc[j].Affine {
 				continue
 			}
 			ki, kj := acc[i].Kind, acc[j].Kind

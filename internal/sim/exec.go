@@ -12,12 +12,12 @@ import (
 // recovered and surfaced as an error so a bad kernel cannot take down
 // the host process.
 func (d *Device) ParallelFor(n int, fn func(start, end int) Counters) (Counters, error) {
-	return d.ParallelForWorkers(n, nil, func(_, start, end int) (Counters, error) {
+	return d.ForWorkers(n, nil, false, func(_, start, end int) (Counters, error) {
 		return fn(start, end), nil
 	})
 }
 
-// WorkerSlot is one worker's result cell for ParallelForWorkers.
+// WorkerSlot is one worker's result cell for ForWorkers.
 // Callers may keep a slice of them across launches so the steady state
 // allocates nothing.
 type WorkerSlot struct {
@@ -25,15 +25,18 @@ type WorkerSlot struct {
 	Err error
 }
 
-// ParallelForWorkers is ParallelFor with stable worker identities and
-// batched accounting: fn receives the worker index w (the chunk index,
+// ForWorkers is ParallelFor with stable worker identities and batched
+// accounting: fn receives the worker index w (the chunk index,
 // deterministic across runs) alongside its range, returns its range's
 // Counters once instead of incrementing shared state per element, and
 // may return an error, which is reported in worker order. slots, when
 // non-nil and large enough, is reused as the per-worker result storage;
 // pass nil to let the call allocate. Panics in fn are still recovered
-// into errors.
-func (d *Device) ParallelForWorkers(n int, slots []WorkerSlot, fn func(w, start, end int) (Counters, error)) (Counters, error) {
+// into errors. serial runs the same chunks, with the same worker
+// identities, in worker order on the calling goroutine — for kernels
+// whose lanes race on device memory in a way that would make their work
+// counters depend on the interleaving.
+func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(w, start, end int) (Counters, error)) (Counters, error) {
 	if n <= 0 {
 		return Counters{}, nil
 	}
@@ -49,10 +52,10 @@ func (d *Device) ParallelForWorkers(n int, slots []WorkerSlot, fn func(w, start,
 	if len(slots) < nw {
 		slots = make([]WorkerSlot, nw)
 	}
-	if raceDetectorEnabled {
-		// Kernels may carry benign app-level races (same-value
-		// relaxations); run the simulated lanes one by one so the
-		// detector watches only the runtime's real concurrency.
+	if serial || raceDetectorEnabled {
+		// Under the race detector every kernel runs this way: kernels
+		// may carry benign app-level races (same-value relaxations), and
+		// the detector should watch only the runtime's real concurrency.
 		for w := 0; w < nw; w++ {
 			start := w * chunk
 			end := start + chunk

@@ -94,6 +94,25 @@ func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived ...*cc.VarDecl
 	return a.arrays
 }
 
+// gathersWhatItScatters reports an array the body both loads and stores
+// through data-dependent subscripts (BFS: `if (cost[w] < 0) cost[w] =
+// ...`). Two iterations may then test and update one element, so what
+// the kernel counts depends on how its workers interleave; the runtime
+// runs such a kernel's workers in order (ir.Kernel.SerialWorkers).
+func gathersWhatItScatters(infos map[*cc.VarDecl]*accessInfo) bool {
+	for _, in := range infos {
+		if !in.indirectRead {
+			continue
+		}
+		for _, w := range in.writes {
+			if w.indirect {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 func (a *analyzer) walkAssigns(s cc.Stmt, fn func(*cc.AssignStmt)) {
 	switch st := s.(type) {
 	case *cc.Block:

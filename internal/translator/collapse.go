@@ -162,6 +162,7 @@ func (t *xlate) buildCollapsedKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 		}
 	}
 
+	k.SerialWorkers = gathersWhatItScatters(infos)
 	k.Efficiency = kernelEfficiency(k, true)
 	k.EfficiencyBaseline = kernelEfficiency(k, false)
 	k.CPUEfficiency = 1.0

@@ -210,6 +210,7 @@ func (t *xlate) buildKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 		}
 	}
 
+	k.SerialWorkers = gathersWhatItScatters(infos)
 	k.Efficiency = kernelEfficiency(k, true)
 	k.EfficiencyBaseline = kernelEfficiency(k, false)
 	k.CPUEfficiency = 1.0
