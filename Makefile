@@ -22,8 +22,9 @@ all: build vet test
 # frontend fuzzer, the audited random-program fuzzer, the
 # vet-vs-auditor cross-check fuzzer, the specialized-vs-interpreted
 # differential fuzzer, the trace well-formedness fuzzer, the
-# async-vs-sync schedule-equivalence fuzzer and the static-vs-dynamic
-# dependence cross-check fuzzer.
+# async-vs-sync schedule-equivalence fuzzer, the static-vs-dynamic
+# dependence cross-check fuzzer and the transfer-pricing-vs-reference
+# fuzzer.
 check: lint
 	$(GO) test ./...
 	$(GO) test -race -short -timeout 1200s ./...
@@ -71,6 +72,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzTraceWellFormed -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzAsyncVsSyncSchedule -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzDepCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
+	$(GO) test -fuzz=FuzzTransferTimeMatchesReference -fuzztime=5s -run='^$$' ./internal/sim
 
 build:
 	$(GO) build ./...
@@ -107,7 +109,8 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # bench-quick is the host-performance regression gate: the steady-state
-# allocation-budget assertions (loader paths, specialized launches, and
+# allocation-budget assertions (loader paths, specialized launches, the
+# whole replicated-ping-pong launch under the async schedule, and
 # the tracing-disabled launch path, which must add zero allocations),
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
@@ -118,7 +121,10 @@ bench:
 # interpreter, results verified both sides), plus one iteration of
 # each wall-clock gate benchmark (legacy-vs-optimized loader,
 # replicated-write diff, plan resolution, and the Phase-B
-# interpreter-vs-specialized pairs), the accd program-cache gate
+# interpreter-vs-specialized pairs, and the per-launch overhead of the
+# replicated ping-pong under both schedules — the one to profile:
+# go test ./internal/rt -run '^$' -bench LaunchOverhead -cpuprofile
+# cpu.out), the accd program-cache gate
 # (warm-cache throughput >= 5x cold-cache on the mixed service
 # corpus), and the accd equivalence gate (256-way concurrent responses
 # bit-identical to serial, under the race detector). Cheap enough to
@@ -126,8 +132,8 @@ bench:
 # NIC-aware async schedule to >=1.2x over sync on the halo-bound
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
-	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
-		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil' \
+	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
+		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core

@@ -173,7 +173,7 @@ func traceCases(t *testing.T) []struct {
 			name:   "stencil_exchange",
 			golden: filepath.Join(exDir, "vet", "stencil_exchange.trace.json"),
 			run: func(t *testing.T, tr *trace.Tracer) *Result {
-				res, err := runExchange(exchangeFile, sim.Desktop().WithGPUs(4), tr)
+				res, err := runExchange(exchangeFile, sim.Desktop().WithGPUs(4), rt.Options{}, tr)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -185,7 +185,7 @@ func traceCases(t *testing.T) []struct {
 
 // runExchange runs examples/vet/stencil_exchange.c at n=256 on the given
 // machine; shared with the metrics cross-checks below.
-func runExchange(path string, spec sim.MachineSpec, tr *trace.Tracer) (*Result, error) {
+func runExchange(path string, spec sim.MachineSpec, opts rt.Options, tr *trace.Tracer) (*Result, error) {
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -201,7 +201,7 @@ func runExchange(path string, spec sim.MachineSpec, tr *trace.Tracer) (*Result, 
 		a.F32[i] = float32(i % 17)
 	}
 	bind := ir.NewBindings().SetScalar("n", n).SetArray("a", a).SetArray("b", b)
-	return prog.Run(bind, Config{Machine: spec, Trace: tr})
+	return prog.Run(bind, Config{Machine: spec, Options: opts, Trace: tr})
 }
 
 func chromeTrace(t *testing.T, tr *trace.Tracer) []byte {
@@ -271,7 +271,7 @@ func TestTraceMetricsCrossCheck(t *testing.T) {
 	const gpus = 4
 	path := filepath.Join("..", "..", "examples", "vet", "stencil_exchange.c")
 	tr := trace.New()
-	res, err := runExchange(path, sim.Desktop().WithGPUs(gpus), tr)
+	res, err := runExchange(path, sim.Desktop().WithGPUs(gpus), rt.Options{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,6 +297,25 @@ func TestTraceMetricsCrossCheck(t *testing.T) {
 	}
 	if got, want := m.Counter("spec.tiled_iters"), res.Runtime.SpecTiledIters(); got != want || want == 0 {
 		t.Errorf("spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d (want equal and non-zero)", got, want)
+	}
+
+	// Scheduler counters: the synchronous schedule has no scheduler, so
+	// neither exists; under async every priced batch issues as at least
+	// one sub-batch, and a batch the hazards serialise shows as many.
+	var syncJSON bytes.Buffer
+	if err := m.WriteJSON(&syncJSON); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(syncJSON.Bytes(), []byte("sched.")) {
+		t.Errorf("synchronous run recorded scheduler metrics:\n%s", syncJSON.Bytes())
+	}
+	atr := trace.New()
+	if _, err := runExchange(path, sim.Desktop().WithGPUs(gpus), rt.Options{Async: true}, atr); err != nil {
+		t.Fatal(err)
+	}
+	batches, subs := atr.Metrics().Counter("sched.batches"), atr.Metrics().Counter("sched.sub_batches")
+	if batches == 0 || subs < batches {
+		t.Errorf("async run: sched.batches = %d, sched.sub_batches = %d, want 0 < batches <= sub_batches", batches, subs)
 	}
 
 	// Halo spans vs the ACCV007 predictions. The vetter predicts an
@@ -370,7 +389,7 @@ func TestMultiNodeTraceMetricsCrossCheck(t *testing.T) {
 	spec := sim.Cluster(nodes, gpus/nodes)
 	path := filepath.Join("..", "..", "examples", "vet", "stencil_exchange.c")
 	tr := trace.New()
-	res, err := runExchange(path, spec, tr)
+	res, err := runExchange(path, spec, rt.Options{}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,7 +102,7 @@ func checkAsyncVsSync(t testing.TB, p randProg) {
 // every program must satisfy the schedule-equivalence contract on
 // every platform. Wired into make fuzz-smoke.
 func FuzzAsyncVsSyncSchedule(f *testing.F) {
-	for _, seed := range []int64{0, 7, 42, 12345, 99999} {
+	for _, seed := range asyncFuzzSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
@@ -114,7 +114,7 @@ func FuzzAsyncVsSyncSchedule(f *testing.F) {
 // audited corpus seeds, so plain `go test` exercises the same programs
 // the fuzzer starts from.
 func TestAsyncVsSyncSeedCorpus(t *testing.T) {
-	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
+	seeds := asyncCorpusSeeds
 	if testing.Short() {
 		seeds = seeds[:4]
 	}

@@ -21,12 +21,13 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 		st := r.state(use.Decl)
 		switch {
 		case use.Reduced:
-			p2p = append(p2p, r.mergeReduction(st, use, gpus)...)
+			p2p = r.mergeReduction(p2p, st, use, gpus)
 		case use.Written:
 			if r.distributed(use) {
-				p2p = append(p2p, r.deliverMisses(st, gpus)...)
-				halo := r.syncOverlaps(st, gpus)
-				if len(halo) > 0 {
+				p2p = r.deliverMisses(p2p, st, gpus)
+				h0 := len(p2p)
+				p2p = r.syncOverlaps(p2p, st, gpus)
+				if halo := p2p[h0:]; len(halo) > 0 {
 					var bytes int64
 					inter := 0
 					for _, t := range halo {
@@ -43,7 +44,6 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 							"kernel %s: array %s, %d transfer(s), %d bytes", k.Name, use.Decl.Name, len(halo), bytes))
 					}
 				}
-				p2p = append(p2p, halo...)
 			} else {
 				p2p = append(p2p, r.syncReplicated(st, gpus)...)
 			}
@@ -108,14 +108,11 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 //     and value-forwarding behaviour exactly, because values are read
 //     at apply time.
 //  3. clear — a new BSP superstep starts clean; per-copy clears are
-//     disjoint and run concurrently.
+//     disjoint and run concurrently, each sized to the chunks the copy
+//     dirtied (gpuCopy.clearDirty).
 func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Transfer {
 	if len(gpus) == 1 {
-		c := st.copies[0]
-		if c.dirty != nil {
-			clear(c.dirty)
-			clear(c.chunkDirty)
-		}
+		st.copies[0].clearDirty()
 		return nil
 	}
 
@@ -169,13 +166,7 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 	}
 
 	// Stage 3 — clear.
-	r.fanOutGPUs(len(gpus), func(g int) {
-		c := st.copies[g]
-		if c.dirty != nil {
-			clear(c.dirty)
-			clear(c.chunkDirty)
-		}
-	})
+	r.fanOutGPUs(len(gpus), func(g int) { st.copies[g].clearDirty() })
 
 	// Concatenate per-source transfers in source order — the exact
 	// sequence the serial scheme emitted.
@@ -286,8 +277,7 @@ func (r *Runtime) chunkFanOut(dst []sim.Transfer, st *arrayState, ngpus, g int, 
 // deliverMisses routes buffered remote writes on distributed arrays to
 // the GPUs whose partitions hold the destination (paper §IV-D2). A
 // write nobody holds lands on the host mirror.
-func (r *Runtime) deliverMisses(st *arrayState, gpus []*sim.Device) []sim.Transfer {
-	var transfers []sim.Transfer
+func (r *Runtime) deliverMisses(transfers []sim.Transfer, st *arrayState, gpus []*sim.Device) []sim.Transfer {
 	isInt := st.decl.Type == cc.TInt
 	for g := range gpus {
 		src := st.copies[g]
@@ -302,7 +292,11 @@ func (r *Runtime) deliverMisses(st *arrayState, gpus []*sim.Device) []sim.Transf
 			continue
 		}
 		// bytesTo tallies record payloads per destination GPU.
-		bytesTo := make([]int64, len(gpus))
+		if cap(r.missBytes) < len(gpus) {
+			r.missBytes = make([]int64, len(gpus))
+		}
+		bytesTo := r.missBytes[:len(gpus)]
+		clear(bytesTo)
 		var hostBytes int64
 		for _, lane := range src.miss {
 			for _, rec := range lane {
@@ -358,14 +352,13 @@ func (r *Runtime) deliverMisses(st *arrayState, gpus []*sim.Device) []sim.Transf
 // Elements inside the receiver's own core are never overwritten: under
 // the dependence-free loop contract the receiver's writes are at least
 // as fresh.
-func (r *Runtime) syncOverlaps(st *arrayState, gpus []*sim.Device) []sim.Transfer {
+func (r *Runtime) syncOverlaps(transfers []sim.Transfer, st *arrayState, gpus []*sim.Device) []sim.Transfer {
 	if len(gpus) == 1 {
-		return nil
+		return transfers
 	}
 	if r.opts.Sabotage != nil && r.opts.Sabotage.DropOverlapSync {
-		return nil // test hook: skip the halo exchange entirely
+		return transfers // test hook: skip the halo exchange entirely
 	}
-	var transfers []sim.Transfer
 	for g := range gpus {
 		src := st.copies[g]
 		if !src.valid || src.coreHi < src.coreLo {
@@ -387,7 +380,8 @@ func (r *Runtime) syncOverlaps(st *arrayState, gpus []*sim.Device) []sim.Transfe
 			// Subtract the receiver's own core, leaving up to two
 			// halo segments.
 			var bytes int64
-			for _, seg := range subtractRange(lo, hi, dst.coreLo, dst.coreHi) {
+			segs, nseg := subtractRange(lo, hi, dst.coreLo, dst.coreHi)
+			for _, seg := range segs[:nseg] {
 				for i := seg[0]; i <= seg[1]; i++ {
 					dst.storeF(dst.phys(i), src.loadF(src.phys(i)))
 				}
@@ -403,19 +397,20 @@ func (r *Runtime) syncOverlaps(st *arrayState, gpus []*sim.Device) []sim.Transfe
 }
 
 // subtractRange removes [subLo, subHi] from [lo, hi], returning the
-// remaining inclusive segments.
-func subtractRange(lo, hi, subLo, subHi int64) [][2]int64 {
+// remaining inclusive segments: the first n entries of segs.
+func subtractRange(lo, hi, subLo, subHi int64) (segs [2][2]int64, n int) {
 	if subHi < subLo || subHi < lo || subLo > hi {
-		return [][2]int64{{lo, hi}}
+		return [2][2]int64{{lo, hi}}, 1
 	}
-	var out [][2]int64
 	if subLo > lo {
-		out = append(out, [2]int64{lo, subLo - 1})
+		segs[n] = [2]int64{lo, subLo - 1}
+		n++
 	}
 	if subHi < hi {
-		out = append(out, [2]int64{subHi + 1, hi})
+		segs[n] = [2]int64{subHi + 1, hi}
+		n++
 	}
-	return out
+	return segs, n
 }
 
 func max64(a, b int64) int64 {
@@ -436,7 +431,7 @@ func min64(a, b int64) int64 {
 // per-GPU delta (the shared-memory and intra-GPU levels), the deltas
 // merge across GPUs (a reduce + broadcast tree over the bus), and the
 // combined delta lands on every replica.
-func (r *Runtime) mergeReduction(st *arrayState, use *ir.ArrayUse, gpus []*sim.Device) []sim.Transfer {
+func (r *Runtime) mergeReduction(transfers []sim.Transfer, st *arrayState, use *ir.ArrayUse, gpus []*sim.Device) []sim.Transfer {
 	n := st.n
 	op := use.ReduceOp
 	isInt := st.decl.Type == cc.TInt
@@ -491,7 +486,6 @@ func (r *Runtime) mergeReduction(st *arrayState, use *ir.ArrayUse, gpus []*sim.D
 	st.deviceNewer = true
 
 	// Bus cost: a reduce tree then a broadcast of the delta array.
-	var transfers []sim.Transfer
 	laneBytes := n * st.elemSize
 	for g := 1; g < len(gpus); g++ {
 		transfers = append(transfers,

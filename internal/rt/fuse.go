@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"accmulti/internal/ir"
@@ -12,8 +11,8 @@ import (
 // Cross-kernel launch fusion, runtime half (the translator half marks
 // candidate pairs via Kernel.FuseNext). A fused launch runs both
 // kernels' Phase B chunks in one per-GPU fan-out — each GPU executes
-// its k1 chunk then its k2 chunk on one goroutine — saving a host
-// barrier and a goroutine spawn round per pair. Everything else is a
+// its k1 chunk then its k2 chunk in one run — saving a host barrier and
+// a fan-out round per pair. Everything else is a
 // wall-clock-only rearrangement: the virtual-time accounting, the
 // report, the plan cache, the fault-oracle consumption order and the
 // final array contents are bit-identical to launching the pair
@@ -168,28 +167,21 @@ func (r *Runtime) launchFused(k1, k2 *ir.Kernel, env *ir.Env, gpus []*sim.Device
 	eff1, eff2 := r.kernelEfficiency(k1), r.kernelEfficiency(k2)
 	r.launchScratch(len(gpus))
 	r.fusedScratch(len(gpus))
+	partials1 := gpuPartials(k1, &r.partials, len(gpus))
+	partials2 := gpuPartials(k2, &r.partials2, len(gpus))
 	wall0 := time.Now()
-	partials1 := make([][]float64, len(gpus))
-	partials2 := make([][]float64, len(gpus))
-	var wg sync.WaitGroup
-	for g, dev := range gpus {
-		wg.Add(1)
-		go func(g int, dev *sim.Device) {
-			defer wg.Done()
-			c1, red1, h1, err1 := r.runOnGPU(k1, env, g, dev, parts1[g], needs1[g], ex1)
-			r.gpuCost[g] = dev.Spec.KernelCost(c1, eff1)
-			r.gpuCtrs[g], r.gpuErrs[g], r.gpuSpec[g] = c1, err1, h1
-			partials1[g] = red1
-			if err1 != nil {
-				return // sequential schedule would never start k2
-			}
-			c2, red2, h2, err2 := r.runOnGPU(k2, env, g, dev, parts2[g], needs2[g], ex2)
-			r.gpuCost2[g] = dev.Spec.KernelCost(c2, eff2)
-			r.gpuCtrs2[g], r.gpuErrs2[g], r.gpuSpec2[g] = c2, err2, h2
-			partials2[g] = red2
-		}(g, dev)
-	}
-	wg.Wait()
+	sim.FanOut(len(gpus), func(g int) {
+		dev := gpus[g]
+		c1, h1, err1 := r.runOnGPU(k1, env, g, dev, parts1[g], needs1[g], ex1, partials1[g])
+		r.gpuCost[g] = dev.Spec.KernelCost(c1, eff1)
+		r.gpuCtrs[g], r.gpuErrs[g], r.gpuSpec[g] = c1, err1, h1
+		if err1 != nil {
+			return // sequential schedule would never start k2
+		}
+		c2, h2, err2 := r.runOnGPU(k2, env, g, dev, parts2[g], needs2[g], ex2, partials2[g])
+		r.gpuCost2[g] = dev.Spec.KernelCost(c2, eff2)
+		r.gpuCtrs2[g], r.gpuErrs2[g], r.gpuSpec2[g] = c2, err2, h2
+	})
 	r.phaseBWall += time.Since(wall0)
 
 	// k1's epilogue: merge, communication step, write epochs, copy-out

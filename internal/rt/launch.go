@@ -311,13 +311,13 @@ loading:
 		}
 	}
 
-	// Phase B — kernel execution on every GPU concurrently. The
+	// Phase B — kernel execution, fanned out over the GPUs. The
 	// specialized executor, when one applies, is resolved on the host
-	// strand (its cache is unsynchronized); each GPU goroutine then
-	// decides independently whether its chunk can take the fast path.
+	// strand (its cache is unsynchronized); each GPU's run then decides
+	// independently whether its chunk can take the fast path.
 	//
-	// Results land in per-GPU slots (each goroutine writes only its
-	// own index) and merge on the host strand in GPU order after the
+	// Results land in per-GPU slots (each run writes only its own
+	// index) and merge on the host strand in GPU order after the
 	// barrier, so the surfaced error, the report fields and the
 	// committed kernel spans do not depend on goroutine interleaving.
 	ex := r.specExecutor(k)
@@ -327,49 +327,42 @@ loading:
 	if tracer != nil {
 		tracer.EnsureLanes(len(gpus))
 	}
+	partials := gpuPartials(k, &r.partials, len(gpus))
 	t0 := r.rep.Total()
 	wall0 := time.Now()
-	var wg sync.WaitGroup
-	// Per-GPU scalar reduction partials.
-	partials := make([][]float64, len(gpus))
-	for g, dev := range gpus {
-		wg.Add(1)
-		go func(g int, dev *sim.Device) {
-			defer wg.Done()
-			counters, redVals, handled, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex)
-			cost := dev.Spec.KernelCost(counters, eff)
-			if r.opts.Mode == ModeBaseline && counters.ReduceOps > 0 {
-				// Without the reductiontoarray extension the compiler
-				// serializes dynamic array reductions (paper §III-B).
-				cost += time.Duration(float64(counters.ReduceOps) / (baselineSerialGOPS * 1e9) * float64(time.Second))
+	sim.FanOut(len(gpus), func(g int) {
+		dev := gpus[g]
+		counters, handled, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, partials[g])
+		cost := dev.Spec.KernelCost(counters, eff)
+		if r.opts.Mode == ModeBaseline && counters.ReduceOps > 0 {
+			// Without the reductiontoarray extension the compiler
+			// serializes dynamic array reductions (paper §III-B).
+			cost += time.Duration(float64(counters.ReduceOps) / (baselineSerialGOPS * 1e9) * float64(time.Second))
+		}
+		r.gpuCost[g] = cost
+		r.gpuCtrs[g] = counters
+		r.gpuErrs[g] = err
+		r.gpuSpec[g] = handled
+		// Under the async scheduler the kernel spans are emitted by
+		// sched.kernels with their overlapped begin times instead.
+		if tracer != nil && r.sched == nil && err == nil && parts[g].count() > 0 {
+			kind := trace.KindKernel
+			if handled {
+				kind = trace.KindSpecKernel
 			}
-			r.gpuCost[g] = cost
-			r.gpuCtrs[g] = counters
-			r.gpuErrs[g] = err
-			r.gpuSpec[g] = handled
-			partials[g] = redVals
-			// Under the async scheduler the kernel spans are emitted by
-			// sched.kernels with their overlapped begin times instead.
-			if tracer != nil && r.sched == nil && err == nil && parts[g].count() > 0 {
-				kind := trace.KindKernel
-				if handled {
-					kind = trace.KindSpecKernel
-				}
-				tracer.LaneEmit(g, trace.Span{Kind: kind, Lane: g,
-					Begin: t0, End: t0 + cost, Name: k.Name, Lo: parts[g].lo, Hi: parts[g].hi - 1})
-				for ui, use := range k.Arrays {
-					if nd := needs[g][ui]; nd.wantDirty {
-						// The dirty bits settle as the kernel retires:
-						// an instant at the kernel span's end, nested
-						// inside it.
-						tracer.LaneEmit(g, trace.Span{Kind: trace.KindDirtyMark, Lane: g,
-							Begin: t0 + cost, End: t0 + cost, Name: use.Decl.Name, Lo: nd.lo, Hi: nd.hi})
-					}
+			tracer.LaneEmit(g, trace.Span{Kind: kind, Lane: g,
+				Begin: t0, End: t0 + cost, Name: k.Name, Lo: parts[g].lo, Hi: parts[g].hi - 1})
+			for ui, use := range k.Arrays {
+				if nd := needs[g][ui]; nd.wantDirty {
+					// The dirty bits settle as the kernel retires:
+					// an instant at the kernel span's end, nested
+					// inside it.
+					tracer.LaneEmit(g, trace.Span{Kind: trace.KindDirtyMark, Lane: g,
+						Begin: t0 + cost, End: t0 + cost, Name: use.Decl.Name, Lo: nd.lo, Hi: nd.hi})
 				}
 			}
-		}(g, dev)
-	}
-	wg.Wait()
+		}
+	})
 	r.phaseBWall += time.Since(wall0)
 	if tracer != nil {
 		tracer.FlushLanes()
@@ -398,8 +391,10 @@ loading:
 		// is known and error-free.
 		r.sched.kernels(k, len(gpus), parts, needs)
 	}
-	r.tracef("kernels: %s over [%d,%d) on %d GPU(s): %v (%d flops, %d bytes)",
-		k.Name, lower, upper, len(gpus), maxKernel, total.Flops, total.BytesRead+total.BytesWritten)
+	if r.opts.Trace != nil {
+		r.tracef("kernels: %s over [%d,%d) on %d GPU(s): %v (%d flops, %d bytes)",
+			k.Name, lower, upper, len(gpus), maxKernel, total.Flops, total.BytesRead+total.BytesWritten)
+	}
 
 	// Phase C — inter-GPU communication manager.
 	if err := r.commSync(k, env, gpus, partials); err != nil {
@@ -509,20 +504,20 @@ func (r *Runtime) kernelEfficiency(k *ir.Kernel) float64 {
 }
 
 // runOnGPU executes one GPU's share of the iteration space and returns
-// the work counters, the GPU's scalar-reduction partials and whether
-// the specialized executor handled the chunk. The specialized executor
-// handles the chunk when its per-GPU conditions hold; otherwise the
-// instrumented interpreter runs.
-func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p span, nds []need, ex *specExec) (sim.Counters, []float64, bool, error) {
-	redVals := identityPartials(k)
+// the work counters and whether the specialized executor handled the
+// chunk; redVals, the GPU's scalar-reduction partials, arrive holding
+// the identities and leave holding the chunk's folds. The specialized
+// executor handles the chunk when its per-GPU conditions hold;
+// otherwise the instrumented interpreter runs.
+func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p span, nds []need, ex *specExec, redVals []float64) (sim.Counters, bool, error) {
 	n := p.count()
 	if n == 0 {
-		return sim.Counters{}, redVals, false, nil
+		return sim.Counters{}, false, nil
 	}
 	if ex != nil {
 		counters, handled, err := ex.run(r, k, env, g, dev, p, nds, redVals)
 		if handled {
-			return counters, redVals, true, err
+			return counters, true, err
 		}
 	}
 	views := r.buildViews(k, env, g, nds)
@@ -567,7 +562,7 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 			dv.c.mergeChunkLanes()
 		}
 	}
-	return counters, redVals, false, err
+	return counters, false, err
 }
 
 // buildViews produces the kernel's view table for one GPU: host views
@@ -590,16 +585,26 @@ func (r *Runtime) buildViews(k *ir.Kernel, env *ir.Env, g int, nds []need) []ir.
 // Scalar reduction helpers: partials are carried as float64 (exact for
 // the int values the apps produce) and written back per declared type.
 
-func identityPartials(k *ir.Kernel) []float64 {
-	vals := make([]float64, len(k.ScalarReds))
-	for i, red := range k.ScalarReds {
-		if red.Decl.Type == cc.TInt {
-			vals[i] = float64(ir.IdentityI(red.Op))
-		} else {
-			vals[i] = ir.IdentityF(red.Op)
-		}
+// gpuPartials returns one slice of scalar-reduction partials per GPU,
+// each reset to the kernel's identities; set is the scratch they live
+// in across launches.
+func gpuPartials(k *ir.Kernel, set *[][]float64, ngpus int) [][]float64 {
+	for len(*set) < ngpus {
+		*set = append(*set, nil)
 	}
-	return vals
+	partials := (*set)[:ngpus]
+	for g := range partials {
+		vals := partials[g][:0]
+		for _, red := range k.ScalarReds {
+			if red.Decl.Type == cc.TInt {
+				vals = append(vals, float64(ir.IdentityI(red.Op)))
+			} else {
+				vals = append(vals, ir.IdentityF(red.Op))
+			}
+		}
+		partials[g] = vals
+	}
+	return partials
 }
 
 func setRedSlot(e *ir.Env, red ir.ScalarRed, v float64) {

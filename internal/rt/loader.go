@@ -548,8 +548,10 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 		}
 	}
 	if reload {
-		r.tracef("loader: reload %s gpu%d [%d,%d] content=%v (covered=%v fresh=%v devNewer=%v)",
-			st.decl.Name, c.g, nd.lo, nd.hi, nd.contentIn, covered, fresh, st.deviceNewer)
+		if r.opts.Trace != nil {
+			r.tracef("loader: reload %s gpu%d [%d,%d] content=%v (covered=%v fresh=%v devNewer=%v)",
+				st.decl.Name, c.g, nd.lo, nd.hi, nd.contentIn, covered, fresh, st.deviceNewer)
+		}
 		if err := c.realloc(nd); err != nil {
 			return transfers, job, err
 		}

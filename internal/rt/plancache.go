@@ -1,9 +1,8 @@
 package rt
 
 import (
-	"sync"
-
 	"accmulti/internal/ir"
+	"accmulti/internal/sim"
 	"accmulti/internal/trace"
 )
 
@@ -137,34 +136,25 @@ func (r *Runtime) computePlan(k *ir.Kernel, env *ir.Env, ngpus int, lower, upper
 	return parts, needs
 }
 
-// fanOutGPUs runs fn(0..n-1) on one goroutine per index and waits for
-// all of them — the host-side analogue of sim.Machine.OnEachGPU, used
-// for per-GPU work whose writes are disjoint by construction (each
-// index touches only its own GPU's storage). DisableHostParallel (and
-// the trivial n<=1 case) degrades to the serial loop, which must be
-// observationally identical — the report-invariance tests pin that.
+// fanOutGPUs runs fn(0..n-1) through sim.FanOut — for per-GPU work
+// whose writes are disjoint by construction (each index touches only
+// its own GPU's storage). DisableHostParallel degrades to the serial
+// loop, which must be observationally identical — the
+// report-invariance tests pin that.
 func (r *Runtime) fanOutGPUs(n int, fn func(g int)) {
-	if n <= 1 || r.opts.DisableHostParallel {
+	if r.opts.DisableHostParallel {
 		for g := 0; g < n; g++ {
 			fn(g)
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for g := 0; g < n; g++ {
-		go func(g int) {
-			defer wg.Done()
-			fn(g)
-		}(g)
-	}
-	wg.Wait()
+	sim.FanOut(n, fn)
 }
 
 // copyJob is one deferred host→device content copy: the serial prepare
 // pass makes every allocation and accounting decision (so the fault
 // oracles observe the exact legacy order), and the bulk element
-// movement — the actual hot loop — runs later, one goroutine per GPU.
+// movement — the actual hot loop — runs later, fanned out per GPU.
 type copyJob struct {
 	st     *arrayState
 	c      *gpuCopy

@@ -137,6 +137,7 @@ type runResult struct {
 	total           float64
 	rep             *rt.Report
 	mach            *sim.Machine
+	runtime         *rt.Runtime
 }
 
 // runFull executes the program, returning results, the report, the
@@ -168,7 +169,7 @@ func (p randProg) runFull(t testing.TB, spec sim.MachineSpec, opts rt.Options, p
 	mach.InjectFaults(plan)
 	runtime := rt.New(mach, opts)
 	runErr := runtime.Run(inst)
-	res := runResult{rep: runtime.Report(), mach: mach}
+	res := runResult{rep: runtime.Report(), mach: mach, runtime: runtime}
 	if runErr != nil {
 		return res, runErr
 	}

@@ -132,7 +132,7 @@ type Options struct {
 	// virtual-time report must be bit-identical either way.
 	DisablePlanCache bool
 	// DisableHostParallel runs the host-side loader copies and the
-	// dirty-diff stages serially instead of one goroutine per GPU.
+	// dirty-diff stages serially instead of fanned out over the GPUs.
 	// Exists for the report-invariance tests and wall-clock ablations;
 	// the virtual-time report must be bit-identical either way.
 	DisableHostParallel bool
@@ -266,6 +266,10 @@ type Runtime struct {
 	diffs         []srcDiff      // per-source dirty-run diffs
 	diffLists     [][]span       // runsDisjoint input scratch
 	diffIdx       []int          // runsDisjoint merge cursors
+	missBytes     []int64        // deliverMisses per-destination tallies
+	// Per-GPU scalar-reduction partials; partials2 serves the trailing
+	// kernel of a fused pair.
+	partials, partials2 [][]float64
 
 	// Phase B per-GPU result slots, indexed by GPU. Each launch
 	// goroutine writes only its own slot; the host strand merges them

@@ -123,11 +123,22 @@ type asyncSched struct {
 	hostBarrier time.Duration
 	hazards     map[string]*arrHazard
 
-	// Scratch, reused across batches.
+	// Scratch, reused across batches and launches.
 	pendIdx   []int
 	pendReady []time.Duration
 	subBatch  []sim.Transfer
-	fpA, fpB  []hazFootprint
+	subIdx    []int
+	begins    []time.Duration
+	// What derive works out once per batch: transfer i's hazard state
+	// xhaz[i] (nil for a scalar delivery), its footprints
+	// fp[fpAt[i]:fpAt[i+1]] and its conflict row conf[i*words:(i+1)*words],
+	// bit j set when the earlier transfer j must precede it. issued is
+	// the same-width set of transfers the batch has scheduled so far.
+	xhaz   []*arrHazard
+	fp     []hazFootprint
+	fpAt   []int
+	conf   []uint64
+	issued []uint64
 }
 
 func newAsyncSched(r *Runtime) *asyncSched {
@@ -213,12 +224,12 @@ type hazFootprint struct {
 	write  bool
 }
 
-// xferFootprints derives the read/write footprint of one transfer from
-// its metadata. The scalar-reduction delivery carries no array range;
-// its ordering constraint (after the producing kernel) is handled in
+// appendFootprints appends the read/write footprint of one transfer,
+// derived from its metadata; h is the hazard state of the array it
+// moves. The scalar-reduction delivery carries no array range; its
+// ordering constraint (after the producing kernel) is handled in
 // xferReady directly.
-func (s *asyncSched) xferFootprints(t sim.Transfer, buf []hazFootprint) []hazFootprint {
-	buf = buf[:0]
+func appendFootprints(buf []hazFootprint, t sim.Transfer, h *arrHazard) []hazFootprint {
 	lo, hi := hazRange(t)
 	switch t.Kind {
 	case sim.HostToDevice:
@@ -226,17 +237,15 @@ func (s *asyncSched) xferFootprints(t sim.Transfer, buf []hazFootprint) []hazFoo
 			hazFootprint{host: true, lo: lo, hi: hi},
 			hazFootprint{g: t.Dst, lo: lo, hi: hi, write: true})
 	case sim.DeviceToHost:
-		if t.Tag == sim.TagScalar {
-			return buf
-		}
 		buf = append(buf,
 			hazFootprint{g: t.Src, lo: lo, hi: hi},
 			hazFootprint{host: true, lo: lo, hi: hi, write: true})
 	default: // PeerToPeer
 		buf = append(buf, hazFootprint{g: t.Src, lo: lo, hi: hi})
 		if t.Tag == sim.TagHalo {
-			core := s.haz(t.Label).core[t.Dst]
-			for _, seg := range subtractRange(lo, hi, core[0], core[1]) {
+			core := h.core[t.Dst]
+			segs, n := subtractRange(lo, hi, core[0], core[1])
+			for _, seg := range segs[:n] {
 				buf = append(buf, hazFootprint{g: t.Dst, lo: seg[0], hi: seg[1], write: true})
 			}
 		} else {
@@ -246,22 +255,97 @@ func (s *asyncSched) xferFootprints(t sim.Transfer, buf []hazFootprint) []hazFoo
 	return buf
 }
 
-// xferReady is the earliest time one transfer may issue given the
-// current hazard state (bus availability is applied by the caller).
-func (s *asyncSched) xferReady(t sim.Transfer) time.Duration {
-	if t.Kind == sim.DeviceToHost && t.Tag == sim.TagScalar {
+// derive works out, once for a whole batch, what every round of the
+// batch needs: each transfer's hazard state and footprints (valid for
+// the whole batch: arrHazard.core changes only in kernels) and the
+// conflict relation between its transfers, which depends on footprints
+// alone, never on how far the hazard clocks have advanced. It returns
+// the width of a conflict row in words.
+func (s *asyncSched) derive(transfers []sim.Transfer) int {
+	n := len(transfers)
+	s.xhaz, s.fp, s.fpAt = s.xhaz[:0], s.fp[:0], append(s.fpAt[:0], 0)
+	for _, t := range transfers {
+		var h *arrHazard
+		if t.Kind != sim.DeviceToHost || t.Tag != sim.TagScalar {
+			h = s.haz(t.Label)
+			s.fp = appendFootprints(s.fp, t, h)
+		}
+		s.xhaz = append(s.xhaz, h)
+		s.fpAt = append(s.fpAt, len(s.fp))
+	}
+	// append(x[:0], make(…)...) zero-extends in place once x is large enough.
+	words := (n + 63) / 64
+	s.conf = append(s.conf[:0], make([]uint64, n*words)...)
+	s.issued = append(s.issued[:0], make([]uint64, words)...)
+	for i := 1; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if s.conflict(transfers, j, i) {
+				s.conf[i*words+j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+	return words
+}
+
+// conflict reports whether transfer i must wait for the earlier
+// transfer j of the same batch. Only same-array flows can couple inside
+// one batch (no host code runs mid-batch), and one array has one hazard
+// state.
+func (s *asyncSched) conflict(transfers []sim.Transfer, j, i int) bool {
+	if s.xhaz[j] != s.xhaz[i] || s.xhaz[i] == nil {
+		return false
+	}
+	if transfers[j].Kind == sim.DeviceToHost && transfers[i].Kind == sim.DeviceToHost {
+		// Concurrent gathers of one array read distinct GPU copies, and
+		// where their host-write ranges overlap (resident halos) the
+		// copies are coherent — the communication step of the superstep
+		// that produced them has completed — so either write order
+		// stores the same bytes. Not a hazard.
+		return false
+	}
+	for _, x := range s.fp[s.fpAt[j]:s.fpAt[j+1]] {
+		for _, y := range s.fp[s.fpAt[i]:s.fpAt[i+1]] {
+			if !x.write && !y.write {
+				continue
+			}
+			if x.host != y.host || (!x.host && x.g != y.g) {
+				continue
+			}
+			if x.lo <= y.hi && x.hi >= y.lo {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// blocked reports whether a transfer with conflict row row still waits
+// for an unissued earlier transfer of its batch.
+func (s *asyncSched) blocked(row []uint64) bool {
+	for w, bits := range row {
+		if bits&^s.issued[w] != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// xferReady is the earliest time transfer i of the derived batch may
+// issue given the current hazard state (bus availability is applied by
+// the caller).
+func (s *asyncSched) xferReady(t sim.Transfer, i int) time.Duration {
+	h := s.xhaz[i]
+	if h == nil {
 		// The scalar partial rides the kernel-completion path of its
 		// producing GPU.
 		return s.gpuFree[t.Src]
 	}
-	h := s.haz(t.Label)
 	var ready time.Duration
 	if t.Kind == sim.HostToDevice {
 		// Host content may have been produced by invisible host code.
 		ready = s.hostBarrier
 	}
-	s.fpA = s.xferFootprints(t, s.fpA)
-	for _, fp := range s.fpA {
+	for _, fp := range s.fp[s.fpAt[i]:s.fpAt[i+1]] {
 		clock := &h.host
 		if !fp.host {
 			clock = &h.dev[fp.g]
@@ -279,21 +363,19 @@ func (s *asyncSched) xferReady(t sim.Transfer) time.Duration {
 	return ready
 }
 
-// xferApply records one scheduled transfer's accesses at its end time.
-func (s *asyncSched) xferApply(t sim.Transfer, end time.Duration) {
-	if t.Kind == sim.DeviceToHost {
+// xferApply records the accesses of transfer i of the derived batch,
+// scheduled to end at end.
+func (s *asyncSched) xferApply(t sim.Transfer, i int, end time.Duration) {
+	if t.Kind == sim.DeviceToHost && end > s.hostBarrier {
 		// Host code may read anything a D2H delivered (gathered
 		// arrays, miss records landing on the mirror, scalar results).
-		if end > s.hostBarrier {
-			s.hostBarrier = end
-		}
-		if t.Tag == sim.TagScalar {
-			return
-		}
+		s.hostBarrier = end
 	}
-	h := s.haz(t.Label)
-	s.fpA = s.xferFootprints(t, s.fpA)
-	for _, fp := range s.fpA {
+	h := s.xhaz[i]
+	if h == nil {
+		return
+	}
+	for _, fp := range s.fp[s.fpAt[i]:s.fpAt[i+1]] {
 		clock := &h.host
 		if !fp.host {
 			clock = &h.dev[fp.g]
@@ -304,39 +386,6 @@ func (s *asyncSched) xferApply(t sim.Transfer, end time.Duration) {
 			clock.reads.Add(fp.lo, fp.hi, end)
 		}
 	}
-}
-
-// xferConflict reports whether b must wait for a (both pending in the
-// same batch, a earlier in program order). Only same-array flows can
-// couple inside one batch: no host code runs mid-batch.
-func (s *asyncSched) xferConflict(a, b sim.Transfer) bool {
-	if a.Label != b.Label {
-		return false
-	}
-	if a.Kind == sim.DeviceToHost && b.Kind == sim.DeviceToHost {
-		// Concurrent gathers of one array read distinct GPU copies, and
-		// where their host-write ranges overlap (resident halos) the
-		// copies are coherent — the communication step of the superstep
-		// that produced them has completed — so either write order
-		// stores the same bytes. Not a hazard.
-		return false
-	}
-	s.fpA = s.xferFootprints(a, s.fpA)
-	s.fpB = s.xferFootprints(b, s.fpB)
-	for _, x := range s.fpA {
-		for _, y := range s.fpB {
-			if !x.write && !y.write {
-				continue
-			}
-			if x.host != y.host || (!x.host && x.g != y.g) {
-				continue
-			}
-			if x.lo <= y.hi && x.hi >= y.lo {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // batch schedules one priced transfer batch. The batch splits into
@@ -354,28 +403,28 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 		return
 	}
 	tr := s.r.opts.Tracer
+	if tr != nil {
+		tr.Metrics().Inc("sched.batches", 1)
+	}
+	spec := &s.r.mach.Spec
+	words := s.derive(transfers)
 
 	pend := s.pendIdx[:0]
+	ready := s.pendReady[:0]
 	for i := range transfers {
 		pend = append(pend, i)
-	}
-	ready := s.pendReady[:0]
-	for range transfers {
 		ready = append(ready, 0)
 	}
 	const never = time.Duration(1<<63 - 1)
 
 	for len(pend) > 0 {
-		// Compute readiness; defer transfers conflicting with an
-		// earlier still-pending one.
+		// Compute readiness; a transfer conflicting with an earlier
+		// still-pending one is deferred, whatever its hazards say.
 		minReady := never
 		for pi, i := range pend {
-			rdy := s.xferReady(transfers[i])
-			for _, j := range pend[:pi] {
-				if s.xferConflict(transfers[j], transfers[i]) {
-					rdy = never
-					break
-				}
+			rdy := never
+			if !s.blocked(s.conf[i*words : (i+1)*words]) {
+				rdy = s.xferReady(transfers[i], i)
 			}
 			ready[pi] = rdy
 			if rdy < minReady {
@@ -411,11 +460,11 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			}
 		}
 		// Everything ready by the issue time shares the sub-batch.
-		sub := s.subBatch[:0]
+		sub, subIdx := s.subBatch[:0], s.subIdx[:0]
 		n := 0
 		for pi, i := range pend {
 			if ready[pi] <= t0 {
-				sub = append(sub, transfers[i])
+				sub, subIdx = append(sub, transfers[i]), append(subIdx, i)
 			} else {
 				pend[n] = i
 				ready[n] = ready[pi]
@@ -432,6 +481,9 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 		// is worth it exactly when the straggler's lateness is below the
 		// discount; halo pushes staggered by graded kernel writes stay
 		// split (their lateness is a kernel fraction, far above it).
+		// subTime is the price of sub while priced holds.
+		var subTime time.Duration
+		priced := false
 		for len(rest) > 0 {
 			best := -1
 			for k := range rest {
@@ -445,39 +497,46 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			if best < 0 {
 				break
 			}
+			i := rest[best]
 			if r := ready[best]; r > t0 {
-				one := transfers[rest[best] : rest[best]+1]
-				joined := append(sub, one[0])
-				saved := s.r.mach.Spec.TransferTime(sub) + s.r.mach.Spec.TransferTime(one) -
-					s.r.mach.Spec.TransferTime(joined)
-				if r-t0 > saved {
+				if !priced {
+					subTime, priced = spec.TransferTime(sub), true
+				}
+				joinedTime := spec.TransferTime(append(sub, transfers[i]))
+				if saved := subTime + spec.TransferTime(transfers[i:i+1]) - joinedTime; r-t0 > saved {
 					break
 				}
-				t0 = r
+				t0, subTime = r, joinedTime
+			} else {
+				priced = false
 			}
 			if s.nodeFree != nil {
 				// The joining straggler's resources must be free too.
-				if f := s.resFree(transfers[rest[best]]); f > t0 {
+				if f := s.resFree(transfers[i]); f > t0 {
 					t0 = f
 				}
 			}
-			sub = append(sub, transfers[rest[best]])
+			sub, subIdx = append(sub, transfers[i]), append(subIdx, i)
 			copy(rest[best:], rest[best+1:])
 			copy(ready[best:], ready[best+1:])
 			rest = rest[:len(rest)-1]
 		}
-		end := t0 + s.r.mach.Spec.TransferTime(sub)
-		for _, t := range sub {
-			s.xferApply(t, end)
+		if !priced {
+			subTime = spec.TransferTime(sub)
+		}
+		end := t0 + subTime
+		for k, t := range sub {
+			s.xferApply(t, subIdx[k], end)
+			s.issued[subIdx[k]/64] |= 1 << (subIdx[k] % 64)
 		}
 		if tr != nil {
+			tr.Metrics().Inc("sched.sub_batches", 1)
 			s.emitAsyncTransferSpans(tr, sub, t0, end)
 		}
-		s.subBatch = sub
+		s.subBatch, s.subIdx = sub, subIdx
 		if s.nodeFree == nil {
 			s.busFree = end
 		} else {
-			spec := &s.r.mach.Spec
 			for _, t := range sub {
 				s.nodeFree[spec.NodeOf(t.Src)] = end
 				s.nodeFree[spec.NodeOf(t.Dst)] = end
@@ -546,7 +605,10 @@ func (s *asyncSched) emitAsyncTransferSpans(tr *trace.Tracer, transfers []sim.Tr
 // barrier, when the per-GPU costs are merged and error-free.
 func (s *asyncSched) kernels(k *ir.Kernel, ngpus int, parts []span, needs [][]need) {
 	r := s.r
-	begins := make([]time.Duration, ngpus)
+	if cap(s.begins) < ngpus {
+		s.begins = make([]time.Duration, ngpus)
+	}
+	begins := s.begins[:ngpus]
 	for g := 0; g < ngpus; g++ {
 		if parts[g].count() == 0 {
 			continue

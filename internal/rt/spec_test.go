@@ -747,8 +747,9 @@ func newSpecLaunchState(tb testing.TB, src string, scalars map[string]float64, o
 
 // TestSpecLaunchSteadyStateAllocBudget bounds the per-launch allocation
 // count of the specialized path: all executor state is reused, so a
-// steady-state launch allocates only the fixed fan-out scaffolding
-// (goroutine closures and result recording), independent of n.
+// steady-state launch allocates only the fan-out scaffolding — a few
+// closures on one processor, a bounded set per fan-out otherwise —
+// independent of n.
 func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 	for _, tc := range []struct {
 		name, src string
@@ -769,9 +770,25 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 			if h := specHits(s.r); h == 0 {
 				t.Fatal("fast path never ran; budget would measure the interpreter")
 			}
-			ngpus := float64(s.r.mach.NumGPUs())
-			if limit := 20*ngpus + 20; allocs > limit {
-				t.Errorf("%s n=%v: steady-state launch allocates %v objects, budget %v", tc.name, n, allocs, limit)
+			// One processor: sim.FanOut spawns nothing, and what is left is
+			// the launch's own fan-out closures (Phase B, and scan, apply
+			// and clear per replicated written array).
+			if allocs > 6 {
+				t.Errorf("%s n=%v: steady-state launch allocates %v objects on one processor, budget 6", tc.name, n, allocs)
+			}
+			// Processors to spare: a launch makes at most one fan-out per
+			// GPU (its workers) plus those four, each paying its closures,
+			// counter and wait group and at worst a goroutine record per
+			// processor.
+			for _, procs := range []int{2, 4} {
+				got := allocsPerRunAt(procs, 20, func() {
+					if err := s.r.Launch(s.k, s.env); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if limit := float64((s.r.mach.NumGPUs() + 4) * (procs + 5)); got > limit {
+					t.Errorf("%s n=%v: steady-state launch allocates %v objects on %d processors, budget %v", tc.name, n, got, procs, limit)
+				}
 			}
 			// The count must not scale with the iteration space.
 			if n == 1<<12 {
@@ -911,7 +928,7 @@ func phaseBTime(t *testing.T, src string, scalars map[string]float64, opts Optio
 	for run := 0; run < 3; run++ {
 		start := time.Now()
 		for g, dev := range r.mach.GPUs() {
-			if _, _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex); err != nil {
+			if _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -964,7 +981,7 @@ func benchPhaseB(b *testing.B, src string, scalars map[string]float64, opts Opti
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for g, dev := range r.mach.GPUs() {
-			if _, _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex); err != nil {
+			if _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

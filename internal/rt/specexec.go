@@ -222,6 +222,14 @@ type specGPU struct {
 	// says why some piece ran the per-iteration body ("" when none did).
 	tiled   int64
 	untiled string
+	// work is the ForWorkers callback (runChunk on this slot), built
+	// once; lo, chunk and anyVec are what it needs of the launch at hand:
+	// the span's first iteration, the worker chunk length, and whether
+	// any piece runs tiled.
+	work   func(w, start, end int) (sim.Counters, error)
+	lo     int64
+	chunk  int
+	anyVec bool
 }
 
 // lease hands a worker tile scratch for runs of up to chunk iterations.
@@ -425,7 +433,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 
 	// Each piece runs its tiled body unless it has none, its stores must
 	// mark dirty bits one by one, or its accesses fail the alias check.
-	anyVec := false
+	gs.lo, gs.chunk, gs.anyVec = p.lo, chunk, false
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
 		switch {
@@ -438,43 +446,11 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		case !pc.prepVec():
 			gs.untiled = "alias"
 		default:
-			pc.vec, anyVec = true, true
+			pc.vec, gs.anyVec = true, true
 			gs.tiled += pc.hi - pc.lo
 		}
 	}
-	loopSlot := spec.LoopSlot
-	// Each worker walks its range through the pieces in ascending order,
-	// so worker identity, reduction lanes and the order scalar
-	// reductions fold in are those of the unsplit schedule.
-	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
-		de := gs.envs[w]
-		var vm *ir.VecEnv
-		if anyVec {
-			vm = ex.lease(chunk)
-			vm.D = de
-		}
-		lo, hi := p.lo+int64(start), p.lo+int64(end)
-		for pi := range gs.pieces {
-			pc := &gs.pieces[pi]
-			s, e := max(lo, pc.lo), min(hi, pc.hi)
-			if !pc.vec {
-				body, ints := pc.v.Body, de.Ints
-				for ; s < e; s++ {
-					ints[loopSlot] = s
-					body(de)
-				}
-				continue
-			}
-			vm.AccA, vm.AccB = pc.accA, pc.accB
-			for ; s < e; s += ir.VecTile {
-				pc.v.VecBody(vm, s, int(min(e-s, ir.VecTile)))
-			}
-		}
-		if vm != nil {
-			ex.release(vm) // a body that panics keeps its scratch: the list just regrows
-		}
-		return sim.Counters{}, nil
-	})
+	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, gs.work)
 	if err != nil {
 		return sim.Counters{}, true, err
 	}
@@ -559,6 +535,41 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	return ctrs, true, nil
 }
 
+// runChunk is one worker's share of a handled chunk: iterations
+// [start, end) of the GPU's span, walked through the launch's pieces in
+// ascending order, so worker identity, reduction lanes and the order
+// scalar reductions fold in are those of the unsplit schedule.
+func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (sim.Counters, error) {
+	de := gs.envs[w]
+	var vm *ir.VecEnv
+	if gs.anyVec {
+		vm = ex.lease(gs.chunk)
+		vm.D = de
+	}
+	loopSlot := ex.spec.LoopSlot
+	lo, hi := gs.lo+int64(start), gs.lo+int64(end)
+	for pi := range gs.pieces {
+		pc := &gs.pieces[pi]
+		s, e := max(lo, pc.lo), min(hi, pc.hi)
+		if !pc.vec {
+			body, ints := pc.v.Body, de.Ints
+			for ; s < e; s++ {
+				ints[loopSlot] = s
+				body(de)
+			}
+			continue
+		}
+		vm.AccA, vm.AccB = pc.accA, pc.accB
+		for ; s < e; s += ir.VecTile {
+			pc.v.VecBody(vm, s, int(min(e-s, ir.VecTile)))
+		}
+	}
+	if vm != nil {
+		ex.release(vm) // a body that panics keeps its scratch: the list just regrows
+	}
+	return sim.Counters{}, nil
+}
+
 // ensureScratch sizes the per-GPU scratch for a launch of nw workers;
 // later launches of the same shape reuse it. Each spawned worker keeps
 // its own direct environment (it holds the worker's reduction partials
@@ -574,6 +585,7 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		if spec.Prover != nil {
 			gs.penv = spec.Prover.NewPEnv()
 		}
+		gs.work = func(w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, w, start, end) }
 	}
 	for w := len(gs.envs); w < nw; w++ {
 		gs.envs = append(gs.envs, spec.NewDEnv())

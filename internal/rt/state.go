@@ -111,6 +111,21 @@ func (c *gpuCopy) mergeChunkLanes() {
 	}
 }
 
+// clearDirty starts the next superstep clean. A dirty byte implies its
+// chunk's second-level bit (the store paths set both, see
+// mergeChunkLanes and markDirtyAffine — scanDirty relies on the same),
+// so only the first-level bytes of marked chunks need clearing: the
+// cost follows what the kernel wrote, not the size of the array.
+func (c *gpuCopy) clearDirty() {
+	for ch, b := range c.chunkDirty {
+		if b != 0 {
+			lo := int64(ch) * c.chunkElems
+			clear(c.dirty[lo:min(lo+c.chunkElems, int64(len(c.dirty)))])
+			c.chunkDirty[ch] = 0
+		}
+	}
+}
+
 // state returns (creating on first touch) the runtime state of decl.
 func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
 	st, ok := r.arrays[decl]

@@ -1,6 +1,9 @@
 package sim
 
-import "time"
+import (
+	"math/bits"
+	"time"
+)
 
 // TransferKind classifies a bus transfer by its endpoints.
 type TransferKind int
@@ -120,9 +123,8 @@ func (b *BusSpec) TransferTime(transfers []Transfer) time.Duration {
 		return 0
 	}
 	var hostBytes, peerBytes int64
-	var nTransfers int
-	hostEndpoints := map[int]struct{}{}
-	peerPairs := map[[2]int]struct{}{}
+	var nTransfers, hostEndpoints, peerPairs int
+	var gpus, pairs pairSet
 	for _, t := range transfers {
 		if t.Bytes <= 0 {
 			continue
@@ -131,31 +133,39 @@ func (b *BusSpec) TransferTime(transfers []Transfer) time.Duration {
 		switch t.Kind {
 		case HostToDevice:
 			hostBytes += t.Bytes
-			hostEndpoints[t.Dst] = struct{}{}
+			hostEndpoints += gpus.add(t.Dst, 0)
 		case DeviceToHost:
 			hostBytes += t.Bytes
-			hostEndpoints[t.Src] = struct{}{}
+			hostEndpoints += gpus.add(t.Src, 0)
 		case PeerToPeer:
 			peerBytes += t.Bytes
-			peerPairs[[2]int{t.Src, t.Dst}] = struct{}{}
+			peerPairs += pairs.add(t.Src, t.Dst)
 		}
 	}
+	sec := b.nodeSeconds(hostBytes, hostEndpoints, peerBytes, peerPairs)
+	sec += float64(nTransfers) * b.LatencyUS * 1e-6
+	return secToDuration(sec)
+}
+
+// nodeSeconds is the bandwidth term of one node's share of a phase:
+// hostBytes over the links of hostEndpoints distinct GPUs, peerBytes
+// over peerPairs distinct (source, destination) pairs.
+func (b *BusSpec) nodeSeconds(hostBytes int64, hostEndpoints int, peerBytes int64, peerPairs int) float64 {
 	var sec float64
 	if hostBytes > 0 {
-		sec += float64(hostBytes) / (b.aggregateHostGBs(len(hostEndpoints)) * 1e9)
+		sec += float64(hostBytes) / (b.aggregateHostGBs(hostEndpoints) * 1e9)
 	}
 	if peerBytes > 0 {
 		if b.PeerGBs > 0 {
 			// Direct peer DMA; concurrent pairs share the fabric with
 			// the same concurrency behaviour as the host links.
-			sec += float64(peerBytes) / (b.PeerGBs * (1 + float64(len(peerPairs)-1)*b.HostConcurrency) * 1e9)
+			sec += float64(peerBytes) / (b.PeerGBs * (1 + float64(peerPairs-1)*b.HostConcurrency) * 1e9)
 		} else {
 			// Staged through the host: D2H then H2D on the host links.
-			sec += 2 * float64(peerBytes) / (b.aggregateHostGBs(len(peerPairs)) * 1e9)
+			sec += 2 * float64(peerBytes) / (b.aggregateHostGBs(peerPairs) * 1e9)
 		}
 	}
-	sec += float64(nTransfers) * b.LatencyUS * 1e-6
-	return secToDuration(sec)
+	return sec
 }
 
 func (b *BusSpec) aggregateHostGBs(nDevices int) float64 {
@@ -163,6 +173,37 @@ func (b *BusSpec) aggregateHostGBs(nDevices int) float64 {
 		nDevices = 1
 	}
 	return b.HostLinkGBs * (1 + float64(nDevices-1)*b.HostConcurrency)
+}
+
+// pairSet counts distinct (a, b) pairs of GPU ids without allocating:
+// pricing runs several times per launch. A validated machine has at
+// most 16 GPUs, so a pair of ids in [0, 16) is a bit; any other pair
+// spills into a map made on first use, which keeps the count right for
+// every transfer list. A set of single GPUs holds the pairs (g, 0).
+type pairSet struct {
+	bits [4]uint64 // bit a*16 + b
+	over map[[2]int]struct{}
+}
+
+// add returns 1 when (a, b) was not yet in the set, else 0.
+func (s *pairSet) add(a, b int) int {
+	if uint(a) < 16 && uint(b) < 16 {
+		w, old := a/4, s.bits[a/4]
+		s.bits[w] |= 1 << (a%4*16 + b)
+		return bits.OnesCount64(s.bits[w] ^ old)
+	}
+	if s.over == nil {
+		s.over = map[[2]int]struct{}{}
+	}
+	n := len(s.over)
+	s.over[[2]int{a, b}] = struct{}{}
+	return len(s.over) - n
+}
+
+// nodeLoad is what one node carries in a priced phase.
+type nodeLoad struct {
+	hostBytes, peerBytes     int64
+	hostEndpoints, peerPairs int
 }
 
 // TransferTime prices a phase of transfers on the whole machine. On a
@@ -176,15 +217,15 @@ func (m *MachineSpec) TransferTime(transfers []Transfer) time.Duration {
 	if m.NodeCount() <= 1 {
 		return m.Bus.TransferTime(transfers)
 	}
-	nodes := m.NodeCount()
-	hostBytes := make([]int64, nodes)
-	hostEndpoints := make([]map[int]struct{}, nodes)
-	peerBytes := make([]int64, nodes)
-	peerPairs := make([]map[[2]int]struct{}, nodes)
-	for n := 0; n < nodes; n++ {
-		hostEndpoints[n] = map[int]struct{}{}
-		peerPairs[n] = map[[2]int]struct{}{}
+	// A GPU sits on one node and an intra-node pair on one node, so
+	// machine-wide sets tell each node's distinct endpoints and pairs.
+	var gpus, pairs pairSet
+	var fixed [16]nodeLoad // a validated machine has at most 16 GPUs, so nodes
+	loads := fixed[:]
+	if m.NodeCount() > len(fixed) {
+		loads = make([]nodeLoad, m.NodeCount())
 	}
+	loads = loads[:m.NodeCount()]
 	var netBytes int64
 	var nTransfers, netMsgs int
 
@@ -200,8 +241,8 @@ func (m *MachineSpec) TransferTime(transfers []Transfer) time.Duration {
 				g = t.Src
 			}
 			nd := m.NodeOf(g)
-			hostBytes[nd] += t.Bytes
-			hostEndpoints[nd][g] = struct{}{}
+			loads[nd].hostBytes += t.Bytes
+			loads[nd].hostEndpoints += gpus.add(g, 0)
 			if nd != 0 {
 				netBytes += t.Bytes
 				netMsgs++
@@ -209,34 +250,23 @@ func (m *MachineSpec) TransferTime(transfers []Transfer) time.Duration {
 		case PeerToPeer:
 			n1, n2 := m.NodeOf(t.Src), m.NodeOf(t.Dst)
 			if n1 == n2 {
-				peerBytes[n1] += t.Bytes
-				peerPairs[n1][[2]int{t.Src, t.Dst}] = struct{}{}
+				loads[n1].peerBytes += t.Bytes
+				loads[n1].peerPairs += pairs.add(t.Src, t.Dst)
 				continue
 			}
 			// Staged: source PCIe down, network, destination PCIe up.
 			netBytes += t.Bytes
 			netMsgs++
-			hostBytes[n1] += t.Bytes
-			hostEndpoints[n1][t.Src] = struct{}{}
-			hostBytes[n2] += t.Bytes
-			hostEndpoints[n2][t.Dst] = struct{}{}
+			loads[n1].hostBytes += t.Bytes
+			loads[n1].hostEndpoints += gpus.add(t.Src, 0)
+			loads[n2].hostBytes += t.Bytes
+			loads[n2].hostEndpoints += gpus.add(t.Dst, 0)
 		}
 	}
 
 	var slowestNode float64
-	for n := 0; n < nodes; n++ {
-		var sec float64
-		if hostBytes[n] > 0 {
-			sec += float64(hostBytes[n]) / (m.Bus.aggregateHostGBs(len(hostEndpoints[n])) * 1e9)
-		}
-		if peerBytes[n] > 0 {
-			if m.Bus.PeerGBs > 0 {
-				sec += float64(peerBytes[n]) / (m.Bus.PeerGBs * (1 + float64(len(peerPairs[n])-1)*m.Bus.HostConcurrency) * 1e9)
-			} else {
-				sec += 2 * float64(peerBytes[n]) / (m.Bus.aggregateHostGBs(len(peerPairs[n])) * 1e9)
-			}
-		}
-		if sec > slowestNode {
+	for _, l := range loads {
+		if sec := m.Bus.nodeSeconds(l.hostBytes, l.hostEndpoints, l.peerBytes, l.peerPairs); sec > slowestNode {
 			slowestNode = sec
 		}
 	}

@@ -53,8 +53,12 @@ type Device struct {
 	// the CPU device has ID -1).
 	ID int
 
-	mu      sync.Mutex
-	used    int64
+	mu   sync.Mutex
+	used int64
+	// usedBy splits used by MemClass, kept current by AllocBytes and
+	// Free so the runtime's per-launch memory sampling reads two numbers
+	// instead of walking the buffers.
+	usedBy  [2]int64
 	buffers map[*Buffer]struct{}
 
 	// faults points at the machine's fault-injection state, nil when
@@ -96,6 +100,7 @@ func (d *Device) AllocBytes(name string, class MemClass, bytes int64, data any) 
 	}
 	b := &Buffer{Name: name, Class: class, Bytes: bytes, Data: data, dev: d}
 	d.used += bytes
+	d.usedBy[class] += bytes
 	d.buffers[b] = struct{}{}
 	return b, nil
 }
@@ -115,6 +120,7 @@ func (d *Device) Free(b *Buffer) error {
 	}
 	b.freed = true
 	d.used -= b.Bytes
+	d.usedBy[b.Class] -= b.Bytes
 	delete(d.buffers, b)
 	return nil
 }
@@ -130,13 +136,7 @@ func (d *Device) UsedBytes() int64 {
 func (d *Device) UsedByClass(class MemClass) int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	var n int64
-	for b := range d.buffers {
-		if b.Class == class {
-			n += b.Bytes
-		}
-	}
-	return n
+	return d.usedBy[class]
 }
 
 // Allocations returns a stable snapshot of live allocations, largest

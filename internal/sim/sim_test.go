@@ -2,7 +2,9 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -151,15 +153,15 @@ func TestAllocationsSnapshot(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
+func TestForWorkersCoversRangeExactlyOnce(t *testing.T) {
 	m, _ := NewMachine(Desktop())
 	for _, n := range []int{0, 1, 3, 4, 5, 1000, 1001} {
 		seen := make([]int32, n)
-		c, err := m.GPU(0).ParallelFor(n, func(start, end int) Counters {
+		c, err := m.GPU(0).ForWorkers(n, nil, false, func(_, start, end int) (Counters, error) {
 			for i := start; i < end; i++ {
 				seen[i]++
 			}
-			return Counters{Iterations: int64(end - start)}
+			return Counters{Iterations: int64(end - start)}, nil
 		})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -175,40 +177,104 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	}
 }
 
-func TestParallelForPanicRecovered(t *testing.T) {
+func TestForWorkersPanicRecovered(t *testing.T) {
 	m, _ := NewMachine(Desktop())
-	_, err := m.GPU(0).ParallelFor(100, func(start, end int) Counters {
-		panic("kernel bug")
-	})
-	if err == nil {
-		t.Fatal("panic should surface as error")
+	for _, n := range []int{1, 100} { // one chunk on the caller, then a fan-out
+		_, err := m.GPU(0).ForWorkers(n, nil, false, func(_, start, end int) (Counters, error) {
+			panic("kernel bug")
+		})
+		if err == nil {
+			t.Fatalf("n=%d: panic should surface as error", n)
+		}
 	}
 }
 
-func TestOnEachGPU(t *testing.T) {
-	m, _ := NewMachine(SupercomputerNode())
-	visited := make([]bool, m.NumGPUs())
-	err := m.OnEachGPU(func(g int, dev *Device) error {
-		visited[g] = dev.ID == g
-		return nil
+// TestFanOutOneProcessor pins the zero-spawn path: with one processor
+// every index runs on the calling goroutine, in ascending order.
+func TestFanOutOneProcessor(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	caller := goroutineID()
+	var order []int
+	FanOut(9, func(i int) {
+		if id := goroutineID(); id != caller {
+			t.Errorf("index %d ran on goroutine %s, caller is %s", i, id, caller)
+		}
+		order = append(order, i) // unsynchronized on purpose: -race flags a spawn
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g, ok := range visited {
-		if !ok {
-			t.Errorf("GPU %d not visited correctly", g)
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("order %v, want ascending", order)
 		}
 	}
-	wantErr := errors.New("boom")
-	if err := m.OnEachGPU(func(g int, dev *Device) error {
-		if g == 1 {
-			return wantErr
-		}
-		return nil
-	}); !errors.Is(err, wantErr) {
-		t.Errorf("error not propagated: %v", err)
+	if len(order) != 9 {
+		t.Fatalf("ran %d of 9 indices", len(order))
 	}
+}
+
+// TestFanOutBounded runs more indices than processors: each index runs
+// exactly once and never more than GOMAXPROCS at a time.
+func TestFanOutBounded(t *testing.T) {
+	const procs, n = 4, 64
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	var running, peak atomic.Int64
+	seen := make([]atomic.Int32, n)
+	FanOut(n, func(i int) {
+		now := running.Add(1)
+		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
+		}
+		seen[i].Add(1)
+		runtime.Gosched() // let the other goroutines overlap this index
+		running.Add(-1)
+	})
+	for i := range seen {
+		if c := seen[i].Load(); c != 1 {
+			t.Errorf("index %d ran %d times", i, c)
+		}
+	}
+	if p := peak.Load(); p > procs {
+		t.Errorf("%d indices ran at once, GOMAXPROCS is %d", p, procs)
+	}
+	FanOut(0, func(int) { t.Error("fn called for n = 0") })
+}
+
+// TestFanOutCallerTakesPart holds every spawned goroutine until the
+// calling goroutine has run an index, which then panics: the caller is
+// one of the workers, and its panic reaches it only after the others
+// have run every remaining index.
+func TestFanOutCallerTakesPart(t *testing.T) {
+	const n = 32
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var callerRan atomic.Bool
+	var done atomic.Int64
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("panic did not propagate")
+			}
+		}()
+		caller := goroutineID()
+		FanOut(n, func(i int) {
+			if goroutineID() == caller {
+				callerRan.Store(true)
+				panic("boom")
+			}
+			for !callerRan.Load() {
+				runtime.Gosched()
+			}
+			done.Add(1)
+		})
+	}()
+	if got := done.Load(); got != n-1 {
+		t.Errorf("%d of %d other indices had finished when FanOut returned", got, n-1)
+	}
+}
+
+// goroutineID reads the current goroutine's number off its stack header
+// ("goroutine 18 [running]:"); tests only.
+func goroutineID() string {
+	var buf [64]byte
+	fields := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return fields[1]
 }
 
 func TestKernelCostRoofline(t *testing.T) {

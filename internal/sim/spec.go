@@ -58,8 +58,9 @@ type DeviceSpec struct {
 	// LaunchOverheadUS is the fixed cost of one kernel launch (GPU) or
 	// one parallel-region fork/join (CPU), in microseconds.
 	LaunchOverheadUS float64
-	// Workers is the number of host worker goroutines used to execute
-	// this device's share of a kernel functionally.
+	// Workers is the number of worker chunks this device's share of a
+	// kernel is executed in functionally (on as many goroutines as the
+	// host has processors; see FanOut).
 	Workers int
 }
 
