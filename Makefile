@@ -115,16 +115,18 @@ bench:
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
 # (Phase B specialized vs interpreter: MD >=4x and KMEANS >=5x on
-# lockstep tiles, BFS >=2x, results verified both sides), the
+# lockstep tiles, BFS >=2x on tiles with a lane-major edge loop,
+# results verified both sides), the
 # guarded-stencil gate (>=4x Phase-B
 # on the boundary-guarded localaccess stencil, index-set split vs
 # interpreter, results verified both sides), plus one iteration of
 # each wall-clock gate benchmark (legacy-vs-optimized loader,
 # replicated-write diff, plan resolution, and the Phase-B
-# interpreter-vs-specialized pairs, and the per-launch overhead of the
-# replicated ping-pong under both schedules — the one to profile:
-# go test ./internal/rt -run '^$' -bench LaunchOverhead -cpuprofile
-# cpu.out), the accd program-cache gate
+# interpreter-vs-specialized pairs, the per-launch overhead of the
+# replicated ping-pong under both schedules and whole BFS per kernel
+# iteration — the two to profile: go test ./internal/rt -run '^$' -bench
+# 'LaunchOverhead|PhaseBBFS' -cpuprofile cpu.out), the accd
+# program-cache gate
 # (warm-cache throughput >= 5x cold-cache on the mixed service
 # corpus), and the accd equivalence gate (256-way concurrent responses
 # bit-identical to serial, under the race detector). Cheap enough to
@@ -133,7 +135,7 @@ bench:
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
 	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
-		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkLaunchOverhead' \
+		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBBFS|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core

@@ -238,6 +238,9 @@ func printSpecSummary(r *rt.Runtime) {
 	if tiled := r.SpecTiledIters(); tiled > 0 {
 		fmt.Printf("  %d iterations ran in lockstep tiles\n", tiled)
 	}
+	if hazard := r.SpecHazardLanes(); hazard > 0 {
+		fmt.Printf("  %d of them re-ran per iteration after a store into their tile's window\n", hazard)
+	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
 			return

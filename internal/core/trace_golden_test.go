@@ -298,6 +298,11 @@ func TestTraceMetricsCrossCheck(t *testing.T) {
 	if got, want := m.Counter("spec.tiled_iters"), res.Runtime.SpecTiledIters(); got != want || want == 0 {
 		t.Errorf("spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d (want equal and non-zero)", got, want)
 	}
+	// No tile of a stencil watches a window (TestObserversKeepTheBody
+	// holds the two against each other on BFS, where they are non-zero).
+	if got, want := m.Counter("spec.hazard_lanes"), res.Runtime.SpecHazardLanes(); got != want || want != 0 {
+		t.Errorf("spec.hazard_lanes metric = %d, Runtime.SpecHazardLanes() = %d (want both zero)", got, want)
+	}
 
 	// Scheduler counters: the synchronous schedule has no scheduler, so
 	// neither exists; under async every priced batch issues as at least
@@ -452,10 +457,11 @@ func TestMultiNodeTraceMetricsCrossCheck(t *testing.T) {
 // TestObserversKeepTheBody pins that attaching an observer does not
 // change which kernel body runs: KMEANS (lockstep tiles for the
 // assignment kernel, the per-iteration body where the center update
-// stores under an arm on replicated arrays) and BFS (per-iteration
-// only) execute the same number of tiled iterations and the same
-// per-iteration chunks bare, with the span tracer, and with text
-// narration; the tracer's metrics agree with the runtime's counts.
+// stores under an arm on replicated arrays) and BFS (tiles whose
+// lane-major loop now and then stores into the tile's own window)
+// execute the same number of tiled iterations, the same hazard lanes
+// and the same per-iteration chunks bare, with the span tracer, and with
+// text narration; the tracer's metrics agree with the runtime's counts.
 func TestObserversKeepTheBody(t *testing.T) {
 	for name, scale := range map[string]float64{"KMEANS": 0.004, "BFS": 0.002} {
 		app, err := apps.ByName(name)
@@ -478,8 +484,8 @@ func TestObserversKeepTheBody(t *testing.T) {
 			return res.Runtime
 		}
 		bare := run(Config{})
-		if name == "KMEANS" && bare.SpecTiledIters() == 0 {
-			t.Fatal("KMEANS ran no lockstep tiles; test premise broken")
+		if bare.SpecTiledIters() == 0 || name == "BFS" && bare.SpecHazardLanes() == 0 {
+			t.Fatalf("%s ran %d iterations in tiles, %d hazard lanes; test premise broken", name, bare.SpecTiledIters(), bare.SpecHazardLanes())
 		}
 		tr := trace.New()
 		var narration bytes.Buffer
@@ -487,14 +493,19 @@ func TestObserversKeepTheBody(t *testing.T) {
 			"tracer":    run(Config{Trace: tr}),
 			"narration": run(Config{Options: rt.Options{Trace: &narration}}),
 		} {
-			if r.SpecTiledIters() != bare.SpecTiledIters() || !reflect.DeepEqual(r.SpecUntiled(), bare.SpecUntiled()) || r.SpecHits() != bare.SpecHits() {
-				t.Errorf("%s with %s: tiled %d untiled %v hits %d; bare: tiled %d untiled %v hits %d", name, label,
-					r.SpecTiledIters(), r.SpecUntiled(), r.SpecHits(), bare.SpecTiledIters(), bare.SpecUntiled(), bare.SpecHits())
+			if r.SpecTiledIters() != bare.SpecTiledIters() || r.SpecHazardLanes() != bare.SpecHazardLanes() ||
+				!reflect.DeepEqual(r.SpecUntiled(), bare.SpecUntiled()) || r.SpecHits() != bare.SpecHits() {
+				t.Errorf("%s with %s: tiled %d hazard %d untiled %v hits %d; bare: tiled %d hazard %d untiled %v hits %d", name, label,
+					r.SpecTiledIters(), r.SpecHazardLanes(), r.SpecUntiled(), r.SpecHits(),
+					bare.SpecTiledIters(), bare.SpecHazardLanes(), bare.SpecUntiled(), bare.SpecHits())
 			}
 		}
 		m := tr.Metrics()
 		if got, want := m.Counter("spec.tiled_iters"), bare.SpecTiledIters(); got != want {
 			t.Errorf("%s: spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d", name, got, want)
+		}
+		if got, want := m.Counter("spec.hazard_lanes"), bare.SpecHazardLanes(); got != want {
+			t.Errorf("%s: spec.hazard_lanes metric = %d, Runtime.SpecHazardLanes() = %d", name, got, want)
 		}
 		for reason, want := range bare.SpecUntiled() {
 			if got := m.Counter("spec.untiled." + reason); got != want {

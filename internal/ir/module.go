@@ -150,8 +150,8 @@ type Kernel struct {
 	// "loop", "induction", "shape"); empty when Spec is present. The
 	// runtime surfaces it in the per-reason fallback metrics.
 	SpecReason string
-	// SerialWorkers marks a kernel that gathers from an array it also
-	// stores to through a computed index (BFS: `if (cost[w] < 0)
+	// SerialWorkers marks a kernel that loads from an array it also
+	// stores to through a data-dependent index (BFS: `if (cost[w] < 0)
 	// cost[w] = ...`). Two workers of one device can then both pass the
 	// test for the same element, and how many do depends on their
 	// interleaving — so would the work counters. Every engine runs such

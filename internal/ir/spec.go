@@ -43,11 +43,13 @@ import (
 //
 // A spec carries up to two bodies. Body is one closure tree per
 // iteration and always exists. VecBody (specvec.go) runs a tile of
-// consecutive iterations in lockstep, one tight loop per expression
-// node; it covers straight-line statements, data-dependent arms,
-// uniform inner loops, gathers and layout-transformed copies, and is
-// absent (Untiled says why) for scatters, stores inside loops and loops
-// whose bounds differ from lane to lane.
+// consecutive iterations: straight-line statements, data-dependent
+// arms, uniform inner loops, gathers and layout-transformed copies in
+// lockstep, one tight loop per expression node; loops with stores in
+// them or lane-divergent trips one lane after the other through their
+// Body closures. It is absent (Untiled says why) where a scatter or a
+// gather reaches across that division, where the body is nothing but
+// such a loop, and for a reduction target with two update sites.
 //
 // One branch shape leaves the arm machinery altogether: a top-level if
 // whose condition is an affine guard (&&, ||, ! over integer
@@ -117,6 +119,11 @@ type SpecAccess struct {
 	// range-check the whole chunk before running the fast path. Nil for
 	// computed accesses.
 	Index ExprI
+	// LaneLoop, on a spec with a tiled body, is zero for an access the
+	// tile executes in lockstep; otherwise it numbers (from 1) the loop
+	// around the access that the tile runs lane by lane, through the
+	// loop's per-iteration closure.
+	LaneLoop int
 }
 
 // Exact reports a store whose per-chunk footprint is exactly the
@@ -165,6 +172,14 @@ type DArray struct {
 	// physical offset = (p%TWidth)*TRows + p/TWidth for logical offset
 	// p. Zero TWidth means the copy is stored in logical order.
 	TWidth, TRows int64
+	// WinLo/WinLen is the window of physical offsets the running tile's
+	// lockstep prefix loaded from an array its lane-major loop stores to
+	// (BFS: the guard reads cost[i], the loop stores cost[w]); a store
+	// inside it sets Hit, and the tile's remaining lanes re-run in
+	// iteration order. Zero WinLen: nothing is watched.
+	WinLo  int64
+	WinLen uint64
+	Hit    bool
 }
 
 // off maps a logical offset into the copy to its physical offset.
@@ -181,6 +196,17 @@ func (a *DArray) mark(p int64) {
 		a.Dirty[p] = 1
 		a.ChunkLane[p/a.ChunkElems] = 1
 	}
+	if uint64(p-a.WinLo) < a.WinLen {
+		a.Hit = true
+	}
+}
+
+// watch widens the window to cover the physical offsets lo..hi.
+func (a *DArray) watch(lo, hi int64) {
+	if a.WinLen > 0 {
+		lo, hi = min(lo, a.WinLo), max(hi, a.WinLo+int64(a.WinLen)-1)
+	}
+	a.WinLo, a.WinLen = lo, uint64(hi-lo+1)
 }
 
 // DEnv is one worker's environment for a specialized body: flat scalar
@@ -192,6 +218,9 @@ type DEnv struct {
 	Arrays []DArray
 	// Branch counts executions per if-arm, indexed like KernelSpec.Arms.
 	Branch []int64
+	// HazardLanes counts the lanes of tiles that re-ran on the
+	// per-iteration body after a store hit a watched window.
+	HazardLanes int64
 }
 
 // NewDEnv allocates a worker environment sized for the spec.
@@ -321,6 +350,11 @@ type specBuilder struct {
 	// assigned marks scalars the body writes: index expressions must
 	// not depend on them (their value would vary mid-iteration).
 	assigned map[*cc.VarDecl]bool
+	// reds marks the kernel's reduction scalars, whose final value in a
+	// worker's environment the launch merges; serial says the kernel's
+	// workers run one after the other (Kernel.SerialWorkers).
+	reds     map[*cc.VarDecl]bool
+	serial   bool
 	spec     *KernelSpec
 	arms     []*IterCost
 	cur      *IterCost
@@ -340,29 +374,37 @@ type specBuilder struct {
 	uniform func(cc.Expr) bool
 }
 
-// loopRec is one compiled inner loop and the positions of the access
-// and arm cursors just after it.
+// loopRec is one compiled inner loop, the position of the access cursor
+// before its header and the positions of the access and arm cursors
+// just after it.
 type loopRec struct {
-	stmt           DStmt
-	accEnd, armEnd int
+	stmt                   DStmt
+	accBeg, accEnd, armEnd int
 }
 
-// BuildKernelSpec compiles the specialized form of a kernel body. When
-// the body is not eligible it returns a nil spec and the rejection
-// category ("branch", "intrinsic", "loop", "induction", "shape") for
-// the per-reason fallback metrics.
-func BuildKernelSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program) (*KernelSpec, string) {
-	assigned := map[*cc.VarDecl]bool{}
-	collectAssignedScalars(body, assigned)
-	if assigned[loopVar] {
+// BuildKernelSpec compiles the specialized form of the body of k, whose
+// induction variable, reduction clauses and SerialWorkers mark are
+// already set. When the body is not eligible it returns a nil spec and
+// the rejection category ("branch", "intrinsic", "loop", "induction",
+// "shape") for the per-reason fallback metrics.
+func BuildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program) (*KernelSpec, string) {
+	kb := specBuilder{
+		loopVar: k.LoopVar, serial: k.SerialWorkers,
+		assigned: map[*cc.VarDecl]bool{}, reds: map[*cc.VarDecl]bool{},
+	}
+	collectAssignedScalars(body, kb.assigned)
+	for _, r := range k.ScalarReds {
+		kb.reds[r.Decl] = true
+	}
+	if kb.assigned[k.LoopVar] {
 		return nil, errSpecInduction.reason // body rewrites the induction variable
 	}
 	if hasTopLevelIf(body) {
-		if spec := splitGuards(body, loopVar, prog, assigned); spec != nil {
+		if spec := splitGuards(body, prog, kb); spec != nil {
 			return spec, ""
 		}
 	}
-	return buildSpec(body, loopVar, prog, assigned)
+	return buildSpec(body, prog, kb)
 }
 
 // hasTopLevelIf reports an if directly in the body's (nested) blocks,
@@ -382,19 +424,16 @@ func hasTopLevelIf(s cc.Stmt) bool {
 }
 
 // buildSpec compiles one body (a whole kernel body, or one variant of a
-// split one) given the scalars the whole kernel body assigns.
-func buildSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map[*cc.VarDecl]bool) (*KernelSpec, string) {
-	b := &specBuilder{
-		loopVar:  loopVar,
-		assigned: assigned,
-		spec: &KernelSpec{
-			LoopSlot:      loopVar.Slot,
-			NumInts:       prog.NumInts,
-			NumFloats:     prog.NumFloats,
-			NumArrays:     prog.NumArrays,
-			InexactStores: make([]bool, prog.NumArrays),
-			WrittenSlots:  make([]bool, prog.NumArrays),
-		},
+// split one); kb holds what is known of the whole kernel.
+func buildSpec(body cc.Stmt, prog *cc.Program, kb specBuilder) (*KernelSpec, string) {
+	b := &kb
+	b.spec = &KernelSpec{
+		LoopSlot:      b.loopVar.Slot,
+		NumInts:       prog.NumInts,
+		NumFloats:     prog.NumFloats,
+		NumArrays:     prog.NumArrays,
+		InexactStores: make([]bool, prog.NumArrays),
+		WrittenSlots:  make([]bool, prog.NumArrays),
 	}
 	b.spec.Base.Stores = make([]int64, prog.NumArrays)
 	b.cur = &b.spec.Base
@@ -416,7 +455,7 @@ func buildSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map
 		}
 	}
 	if b.spec.HasComputed {
-		b.spec.Prover = buildProver(body, loopVar, prog, b.spec)
+		b.spec.Prover = buildProver(body, b.loopVar, prog, b.spec)
 	}
 	buildVec(body, b)
 	return b.spec, ""
@@ -426,7 +465,7 @@ func buildSpec(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map
 // statement list, forks at every affine-guarded if and compiles the
 // statements each path executes as one variant.
 type guardSplitter struct {
-	sb    *specBuilder // affineDegree's view: induction variable, assigned scalars
+	sb    *specBuilder // what is known of the whole kernel; affineDegree's view
 	prog  *cc.Program
 	guard *SpecGuard
 	// set and folded record, over all variants, the scalars assigned
@@ -440,9 +479,9 @@ type guardSplitter struct {
 // splitGuards compiles the index-set split of a body with at least one
 // affine guard. Nil means "compile the ordinary way": no guard, too
 // many paths, or a variant that is not a straight-line tiled spec.
-func splitGuards(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned map[*cc.VarDecl]bool) *KernelSpec {
+func splitGuards(body cc.Stmt, prog *cc.Program, kb specBuilder) *KernelSpec {
 	s := &guardSplitter{
-		sb:     &specBuilder{loopVar: loopVar, assigned: assigned},
+		sb:     &kb,
 		prog:   prog,
 		guard:  &SpecGuard{},
 		set:    map[*cc.VarDecl]bool{},
@@ -453,7 +492,7 @@ func splitGuards(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, assigned m
 		return nil
 	}
 	spec := &KernelSpec{
-		LoopSlot: loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
+		LoopSlot: kb.loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
 		InexactStores: make([]bool, prog.NumArrays),
 		Guard:         s.guard,
 	}
@@ -521,7 +560,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 			}
 		}
 	}
-	v, _ := buildSpec(&cc.Block{Stmts: done}, s.sb.loopVar, s.prog, s.sb.assigned)
+	v, _ := buildSpec(&cc.Block{Stmts: done}, s.prog, *s.sb)
 	if v == nil || v.VecBody == nil || len(v.Arms) > 0 || v.HasComputed {
 		return nil
 	}
@@ -744,6 +783,7 @@ func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
 	if st.Cond == nil {
 		return nil, errSpecLoop
 	}
+	accBeg := len(b.spec.Accesses)
 	var init DStmt
 	var err error
 	if st.Init != nil {
@@ -808,7 +848,7 @@ func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
 	if b.loops == nil {
 		b.loops = map[*cc.ForStmt]loopRec{}
 	}
-	b.loops[st] = loopRec{stmt: loop, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
+	b.loops[st] = loopRec{stmt: loop, accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
 	return loop, nil
 }
 

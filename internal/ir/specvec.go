@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"slices"
+
 	"accmulti/internal/cc"
 )
 
@@ -14,16 +16,19 @@ import (
 // node becomes one tight loop over the tile's lanes. It covers
 // straight-line statements, data-dependent if-arms, canonical inner
 // loops with tile-uniform bounds, gathers and layout-transformed
-// copies:
+// copies — and, around them, the loops no lockstep schedule may reorder,
+// which a tile runs one lane at a time (lockstep prefix, lane-major
+// tail):
 //
 //   - A scalar the body assigns with "=" is private: one value per
 //     lane, kept in a scratch vector. An inner loop's induction
 //     variable is uniform: one value for the whole tile, kept in the
 //     worker's DEnv, so every subtree over uniform scalars, loop
 //     invariants and loads of arrays the kernel never writes is
-//     evaluated once per tile step by the scalar spec compiler. An
-//     op-assigned scalar that is never "="-set or read is a kernel
-//     reduction: folded into the DEnv over the lanes in ascending order.
+//     evaluated once per tile step by the scalar spec compiler. A scalar
+//     nothing reads with one assignment site — an op-assignment, or any
+//     assignment of a reduction scalar — is a fold: updated in the DEnv
+//     over the lanes in ascending order.
 //   - Under an if-arm only the lanes that took the arm (VecEnv.act)
 //     execute what can fault or has an effect: loads, stores, integer
 //     division, folds, reduction-lane updates and writes to private
@@ -36,30 +41,46 @@ import (
 //     row width divides a it is the walk (b mod width)*rows + i*a/width,
 //     unit stride for the row-per-iteration pattern the transform
 //     exists for. Any other index is evaluated per lane.
-//   - A loop that contains a fold or a reduction-lane update runs lane
-//     by lane through its per-iteration closure, the lane's private
-//     scalars copied in and out, so one target sees its updates in
-//     iteration order.
+//   - A loop that holds an ordered effect — a plain array store, a fold,
+//     a reduction-lane update — or whose trips differ from lane to lane
+//     runs lane-major: one active lane after the other, ascending,
+//     through the loop's per-iteration closure, the privates live around
+//     it copied in and out (SPMV: `acc = 0.0` and `y[i] = acc` in
+//     lockstep around the CSR loop).
 //
 // Bit-exactness contract (the same one the DStmt path honours): every
 // float64 operation happens in the same order with the same operands as
 // the interpreter would have performed it for each element, with
 // float32 rounding applied at exactly the same points. What makes the
-// statement-by-statement schedule element-equivalent to the iteration-
-// by-iteration one:
+// tile schedule element-equivalent to the iteration-by-iteration one:
 //
 //   - Every read of a private scalar is dominated by an "=" in an
-//     enclosing block, so no value carries from one iteration to the
-//     next (scan rejects bodies where one does); within an iteration
-//     each lane performs its own operations in program order.
+//     enclosing block, every read of an inner induction variable lies in
+//     its loop, so no value carries from one iteration to the next;
+//     within one, each lane performs its operations in program order.
 //   - A fold or reduction target has one update site, and the lanes
 //     reach it in ascending order.
-//   - Array stores are affine in the induction variable, outside inner
-//     loops, and never to an array the body also gathers from. Against
-//     the other affine accesses of the same array the runtime proves,
-//     per launch, that they hit the same element every iteration or
-//     disjoint element sets (internal/rt); when that fails the launch
-//     silently uses the per-iteration DStmt body, which is always exact.
+//   - A store the tile executes in lockstep is affine in the induction
+//     variable, outside inner loops, and never to an array the body also
+//     gathers from. Against the other affine accesses of the same array
+//     the runtime proves, per launch, that they hit the same element
+//     every iteration or disjoint element sets (internal/rt); when that
+//     fails the launch silently uses the per-iteration DStmt body, which
+//     is always exact.
+//   - An array stored inside a lane-major loop is accessed nowhere
+//     outside that loop, with one exception: the BFS idiom, a prefix
+//     that loads cost[i] over a loop that stores cost[w]. Evaluating a
+//     tile's prefix before its loops is exact unless a store lands on an
+//     element the prefix has already loaded for a later lane. scan admits
+//     it when the kernel's workers run in order (Kernel.SerialWorkers),
+//     the loop is the last thing on its path, and everything before it is
+//     free of effects, faults and foreign arm counts (tailPath). Each
+//     tile then sets the window of physical offsets its prefix loads
+//     (DArray.watch); every per-iteration store passes DArray.mark, which
+//     raises Hit inside the window; laneMajorLoop looks after each lane,
+//     and on a hit the lanes after it run the exact per-iteration Body,
+//     which re-evaluates the prefix in order, while the enclosing arms
+//     take back what they had counted for them (VecEnv.cut).
 //
 // Fused multiply-add shapes (k*x ± y in one pass) keep an explicit
 // float64(...) conversion around the product: the Go spec lets an
@@ -103,6 +124,10 @@ type VecEnv struct {
 	act  []int32
 	mask [][]int32
 	tile int
+	// cut, when nonzero, says a store hit a watched window (DArray.Hit)
+	// in the current tile: only its first cut lanes ran here, the rest
+	// re-ran on the per-iteration body, which counted its own arms.
+	cut int
 }
 
 // VStmt executes one tile: iterations i0 .. i0+L-1, L ≤ VecTile.
@@ -201,9 +226,14 @@ type vecBuilder struct {
 	// (the main pass already accounted every cost and access).
 	sb, sc  *specBuilder
 	scalars map[*cc.VarDecl]scalarInfo
-	// laneMajor marks the loops that run lane by lane.
-	laneMajor map[*cc.ForStmt]bool
-	ai, armi  int
+	// laneMajor holds the loops that run lane by lane, each with the
+	// private scalars defined around it (the ones a lane carries in and
+	// out).
+	laneMajor map[*cc.ForStmt][]*cc.VarDecl
+	// windows lists the prefix loads (spec.Accesses indices) of arrays
+	// the lane-major loop stores to: what each tile watches.
+	windows  []int
+	ai, armi int
 	// masked is set while compiling inside an if-arm; depth counts the
 	// arms open there. usesAct records that some op walks VecEnv.act.
 	masked         bool
@@ -215,9 +245,12 @@ type vecBuilder struct {
 	baseI, baseF int
 	nBufI, nBufF int
 	// undo logs the scalars scan defined since a block was entered; lm
-	// is set inside a loop that runs lane by lane.
-	undo []*cc.VarDecl
-	lm   int
+	// is set inside a loop that runs lane by lane. lockstep says some
+	// statement runs in lockstep, newLane that some loop runs lane by lane
+	// for its stores or its divergent trips.
+	undo              []*cc.VarDecl
+	lm                int
+	lockstep, newLane bool
 }
 
 // buildVec attaches a tiled body to an already-built spec when the
@@ -231,7 +264,8 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 			loopVar: b.loopVar, assigned: b.assigned, noRecord: true,
 			spec: &KernelSpec{}, cur: &IterCost{},
 		},
-		scalars: make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
+		scalars:   make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
+		laneMajor: map[*cc.ForStmt][]*cc.VarDecl{},
 	}
 	v.sc.uniform = v.uniform
 	if spec.Untiled = v.scan(body); spec.Untiled != "" {
@@ -254,32 +288,61 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 			body(vm, i0, L)
 		}
 	}
+	if wins := v.windows; len(wins) > 0 {
+		// Watch what this tile's prefix loads of the arrays its lane-major
+		// loop stores to: each load's walk over the tile, as physical
+		// offsets (a written array is never layout-transformed).
+		body, acc := st, spec.Accesses
+		st = func(vm *VecEnv, i0 int64, L int) {
+			vm.cut = 0
+			for _, ai := range wins {
+				a := &vm.D.Arrays[acc[ai].Slot]
+				a.WinLen, a.Hit = 0, false
+			}
+			for _, ai := range wins {
+				a := &vm.D.Arrays[acc[ai].Slot]
+				p := vm.AccA[ai]*i0 + vm.AccB[ai] - a.Base
+				q := p + vm.AccA[ai]*int64(L-1)
+				a.watch(min(p, q), max(p, q))
+			}
+			body(vm, i0, L)
+		}
+	}
 	spec.VecBody = st
+}
+
+// eachExpr calls fn for e and every expression under it, operands left
+// to right.
+func eachExpr(e cc.Expr, fn func(cc.Expr)) {
+	fn(e)
+	switch x := e.(type) {
+	case *cc.IndexExpr:
+		eachExpr(x.Index, fn)
+	case *cc.UnaryExpr:
+		eachExpr(x.X, fn)
+	case *cc.BinaryExpr:
+		eachExpr(x.X, fn)
+		eachExpr(x.Y, fn)
+	case *cc.CallExpr:
+		for _, a := range x.Args {
+			eachExpr(a, fn)
+		}
+	case *cc.CastExpr:
+		eachExpr(x.X, fn)
+	case *cc.CondExpr:
+		eachExpr(x.Cond, fn)
+		eachExpr(x.Then, fn)
+		eachExpr(x.Else, fn)
+	}
 }
 
 // eachIdent calls fn for every scalar or array-index identifier in e.
 func eachIdent(e cc.Expr, fn func(*cc.Ident)) {
-	switch x := e.(type) {
-	case *cc.Ident:
-		fn(x)
-	case *cc.IndexExpr:
-		eachIdent(x.Index, fn)
-	case *cc.UnaryExpr:
-		eachIdent(x.X, fn)
-	case *cc.BinaryExpr:
-		eachIdent(x.X, fn)
-		eachIdent(x.Y, fn)
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			eachIdent(a, fn)
+	eachExpr(e, func(x cc.Expr) {
+		if id, ok := x.(*cc.Ident); ok {
+			fn(id)
 		}
-	case *cc.CastExpr:
-		eachIdent(x.X, fn)
-	case *cc.CondExpr:
-		eachIdent(x.Cond, fn)
-		eachIdent(x.Then, fn)
-		eachIdent(x.Else, fn)
-	}
+	})
 }
 
 // eachAssign calls fn for every assignment under s, loop headers
@@ -313,22 +376,12 @@ func eachAssign(s cc.Stmt, fn func(*cc.AssignStmt)) {
 
 // countLoads counts the array loads in e, nested index loads included:
 // how far a subtree compiled elsewhere moves the access cursor.
-func countLoads(e cc.Expr) int {
-	n := 0
-	switch x := e.(type) {
-	case *cc.IndexExpr:
-		n = 1 + countLoads(x.Index)
-	case *cc.UnaryExpr:
-		n = countLoads(x.X)
-	case *cc.BinaryExpr:
-		n = countLoads(x.X) + countLoads(x.Y)
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			n += countLoads(a)
+func countLoads(e cc.Expr) (n int) {
+	eachExpr(e, func(x cc.Expr) {
+		if _, ok := x.(*cc.IndexExpr); ok {
+			n++
 		}
-	case *cc.CastExpr:
-		n = countLoads(x.X)
-	}
+	})
 	return n
 }
 
@@ -363,34 +416,27 @@ func (v *vecBuilder) uniform(e cc.Expr) bool {
 	return false
 }
 
-// scan decides whether the lockstep schedule reproduces the
-// per-iteration one and classifies the body-assigned scalars for it. It
-// returns "" or the reason the kernel keeps its per-iteration body:
-// "order" when a fold or reduction target would see its updates out of
-// iteration order, "shape" for everything else.
+// scan decides whether the tile schedule — statements in lockstep, the
+// loops it cannot reorder lane by lane — reproduces the per-iteration
+// one, and classifies the body-assigned scalars for it. It returns "" or
+// the reason the kernel keeps its per-iteration body: "order" when a
+// fold or reduction target would see its updates out of iteration
+// order, "shape" for everything else.
 func (v *vecBuilder) scan(body cc.Stmt) string {
-	// Ordered effects, from the access table: stores affine and outside
-	// loops, no array both stored and gathered, one site per reduction.
 	acc := v.spec.Accesses
 	for i := range acc {
-		a := &acc[i]
-		if a.Kind == AccessStore && (!a.Affine || a.InLoop) {
-			return "shape"
-		}
-		for j := range acc {
-			switch b := &acc[j]; {
-			case b.Slot != a.Slot:
-			case a.Kind == AccessReduce && b.Kind == AccessReduce && j < i:
-				return "order"
-			case a.Kind == AccessLoad && !a.Affine && b.Kind == AccessStore:
-				return "shape"
+		for j := range acc[:i] {
+			if acc[i].Kind == AccessReduce && acc[j].Kind == AccessReduce && acc[i].Slot == acc[j].Slot {
+				return "order" // one update site per reduction target
 			}
 		}
 	}
 
 	// Assignment sites: an inner induction variable is written by
 	// canonical loop headers only, a private scalar has an "=", a fold
-	// is one op-assignment of a scalar nothing reads.
+	// is the one assignment of a scalar nothing reads — an op-assignment,
+	// or any assignment of a reduction scalar, whose last value the
+	// launch merges.
 	v.count(body)
 	for d := range v.sb.assigned {
 		u := v.scalars[d]
@@ -399,11 +445,11 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 			u.kind = kUniform
 		case u.loopVar:
 			return "shape"
-		case u.eq > 0:
+		case u.eq > 0 && !v.sb.reds[d]:
 			u.kind = kPrivate
 		case u.reads > 0:
 			return "shape"
-		case u.op > 1:
+		case u.eq+u.op > 1:
 			return "order"
 		default:
 			u.kind = kFold
@@ -413,7 +459,90 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 	if !v.check(body) {
 		return "shape"
 	}
+	if v.newLane && !v.lockstep {
+		return "shape" // nothing but such loops: nothing would run in lockstep
+	}
+
+	// Ordered effects, from the access table. A store the tile executes
+	// in lockstep is affine in the induction variable and outside loops,
+	// and nothing gathers from its array, in lockstep or lane by lane (its
+	// affine accesses face the launch's alias check). An array stored
+	// inside a lane-major loop is accessed nowhere else — but for affine
+	// loads in the effect-free prefix of a serial kernel that ends in that
+	// loop, which each tile watches (see laneMajorLoop).
+	for i := range acc {
+		a := &acc[i]
+		if a.Kind != AccessStore {
+			continue
+		}
+		if a.LaneLoop == 0 && (!a.Affine || a.InLoop) {
+			return "shape"
+		}
+		for j := range acc {
+			b := &acc[j]
+			if b.Slot != a.Slot || a.LaneLoop != 0 && b.LaneLoop == a.LaneLoop {
+				continue
+			}
+			if a.LaneLoop == 0 {
+				if b.Kind == AccessLoad && !b.Affine {
+					return "shape"
+				}
+				continue
+			}
+			if !v.sb.serial || b.Kind != AccessLoad || !b.Affine || !v.tailPath(body, i) {
+				return "shape"
+			}
+			if !slices.Contains(v.windows, j) {
+				v.windows = append(v.windows, j)
+			}
+		}
+	}
 	return ""
+}
+
+// tailPath reports that the loop holding access ai is the last thing the
+// body executes on its path and that nothing before it has an effect,
+// can fault or counts an arm the path does not lie in: every block on
+// the way holds declarations and assignments to private scalars, then
+// the loop or an else-less if that ends in it. After a window hit the rest of such a
+// tile can re-run on the per-iteration body, only the enclosing arms'
+// counts to take back — the prefix ran for lanes that, in iteration
+// order, might never have reached it.
+func (v *vecBuilder) tailPath(s cc.Stmt, ai int) bool {
+	switch st := s.(type) {
+	case *cc.Block:
+		for i, c := range st.Stmts {
+			if i == len(st.Stmts)-1 {
+				return v.tailPath(c, ai)
+			}
+			if as, ok := c.(*cc.AssignStmt); ok {
+				id, ok := as.LHS.(*cc.Ident)
+				if !ok || v.scalars[id.Decl].kind != kPrivate || divides(as.RHS) || id.Decl.Type == cc.TInt && (as.Op == "/=" || as.Op == "%=") {
+					return false
+				}
+			} else if _, ok := c.(*cc.DeclStmt); !ok {
+				return false
+			}
+		}
+	case *cc.IfStmt:
+		return st.Else == nil && !divides(st.Cond) && v.tailPath(st.Then, ai)
+	case *cc.ForStmt:
+		rec := v.sb.loops[st]
+		return rec.accBeg <= ai && ai < rec.accEnd
+	}
+	return false
+}
+
+// divides reports an int division or modulo in e whose divisor is not a
+// nonzero literal: the one operation of an expression that can fault.
+func divides(e cc.Expr) (found bool) {
+	eachExpr(e, func(x cc.Expr) {
+		if b, ok := x.(*cc.BinaryExpr); ok && (b.Op == "/" || b.Op == "%") && b.Type() == cc.TInt {
+			lit, isLit := b.Y.(*cc.NumLit)
+			found = found || !isLit || lit.IsFloat || lit.I == 0
+		}
+	})
+	return found
 }
 
 // count tallies the assignment sites and reads of every scalar.
@@ -459,15 +588,12 @@ func (v *vecBuilder) count(s cc.Stmt) {
 			v.count(st.Else)
 		}
 	case *cc.ForStmt:
-		lv, _, _, ok := canonicalFor(st)
-		if ok && st.Init != nil && st.Init.Op == "=" {
-			if id, isID := st.Init.LHS.(*cc.Ident); isID && id.Decl == lv {
-				tally(lv, func(u *scalarInfo) { u.loopVar = true })
-				read(st.Init.RHS)
-				read(st.Cond)
-				v.count(st.Body)
-				return
-			}
+		if lv := countedVar(st); lv != nil {
+			tally(lv, func(u *scalarInfo) { u.loopVar = true })
+			read(st.Init.RHS)
+			read(st.Cond)
+			v.count(st.Body)
+			return
 		}
 		if st.Init != nil {
 			assign(st.Init)
@@ -480,6 +606,19 @@ func (v *vecBuilder) count(s cc.Stmt) {
 		}
 		v.count(st.Body)
 	}
+}
+
+// countedVar returns the variable of a canonical counted loop whose
+// header alone sets it (`for (v = ...; v < bound; v++)`), or nil.
+func countedVar(st *cc.ForStmt) *cc.VarDecl {
+	lv, _, _, ok := canonicalFor(st)
+	if !ok || st.Init == nil || st.Init.Op != "=" {
+		return nil
+	}
+	if id, isID := st.Init.LHS.(*cc.Ident); !isID || id.Decl != lv {
+		return nil
+	}
+	return lv
 }
 
 // define records that an "=" to d dominates what follows in the block,
@@ -514,7 +653,9 @@ func (v *vecBuilder) leave(mark int) {
 
 // readsOK checks every scalar read in e: a private one behind an "="
 // that dominates it (no carry from the previous iteration), an inner
-// induction variable inside its loop.
+// induction variable inside its loop — in lockstep and lane by lane
+// alike: a tile has one slot for it, and outside the loop that slot holds
+// what the last lane to run the loop left, not this lane's value.
 func (v *vecBuilder) readsOK(e cc.Expr) bool {
 	ok := true
 	eachIdent(e, func(x *cc.Ident) {
@@ -522,7 +663,7 @@ func (v *vecBuilder) readsOK(e cc.Expr) bool {
 		case kPrivate:
 			ok = ok && u.defined
 		case kUniform:
-			ok = ok && (u.open > 0 || v.lm > 0)
+			ok = ok && u.open > 0
 		case kFold:
 			ok = false
 		}
@@ -530,15 +671,19 @@ func (v *vecBuilder) readsOK(e cc.Expr) bool {
 	return ok
 }
 
-// ordered reports a fold or a reduction-lane update under s.
-func (v *vecBuilder) ordered(s cc.Stmt) bool {
-	found := false
+// effects reports a plain array store, and a fold or a reduction-lane
+// update, under s: what must happen in iteration order.
+func (v *vecBuilder) effects(s cc.Stmt) (store, fold bool) {
 	eachAssign(s, func(st *cc.AssignStmt) {
-		if id, ok := st.LHS.(*cc.Ident); st.Reduce != nil || ok && v.scalars[id.Decl].kind == kFold {
-			found = true
+		if id, ok := st.LHS.(*cc.Ident); ok {
+			fold = fold || v.scalars[id.Decl].kind == kFold
+		} else if st.Reduce != nil {
+			fold = true
+		} else {
+			store = true
 		}
 	})
-	return found
+	return store, fold
 }
 
 // check walks the body in program order with the dominance state.
@@ -557,27 +702,24 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 	case *cc.DeclStmt:
 		return true
 	case *cc.AssignStmt:
+		v.lockstep = v.lockstep || v.lm == 0
 		if !v.readsOK(st.RHS) {
 			return false
 		}
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
-			switch u := v.scalars[lhs.Decl]; u.kind {
-			case kPrivate:
-				if st.Op == "=" {
-					v.define(lhs.Decl)
-					return true
-				}
+			if u := v.scalars[lhs.Decl]; u.kind == kPrivate && st.Op == "=" {
+				v.define(lhs.Decl)
+			} else if u.kind == kPrivate {
 				return u.defined
-			case kUniform:
-				return v.lm > 0 // a header of a loop that runs lane by lane
 			}
-			return true
+			return true // an "=", a fold, or a counted loop's header
 		case *cc.IndexExpr:
 			return v.readsOK(lhs.Index)
 		}
 		return false
 	case *cc.IfStmt:
+		v.lockstep = v.lockstep || v.lm == 0
 		if !v.readsOK(st.Cond) {
 			return false
 		}
@@ -590,34 +732,33 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		}
 		return ok
 	case *cc.ForStmt:
-		if v.lm == 0 && v.ordered(st) {
-			if v.laneMajor == nil {
-				v.laneMajor = map[*cc.ForStmt]bool{}
+		if store, fold := v.effects(st); v.lm == 0 && (store || fold || !v.uniformLoop(st)) {
+			// A loop with an ordered effect, or whose trips differ from lane
+			// to lane, runs lane by lane: number its accesses, and note the
+			// private scalars defined around it.
+			v.newLane = v.newLane || store || !fold
+			rec := v.sb.loops[st]
+			for ai := rec.accBeg; ai < rec.accEnd; ai++ {
+				v.spec.Accesses[ai].LaneLoop = len(v.laneMajor) + 1
 			}
-			v.laneMajor[st] = true
 			v.lm++
-			defer func() { v.lm-- }()
+			ok := v.checkLoop(st)
+			v.lm--
+			v.laneMajor[st] = slices.Clone(v.undo)
+			return ok
 		}
+		v.lockstep = v.lockstep || v.lm == 0
 		return v.checkLoop(st)
 	}
 	return false
 }
 
-// checkLoop checks an inner loop: the canonical counted shape with a
-// uniform init and a uniform bound its body cannot change, or — inside
-// a loop that runs lane by lane — anything the scalar compiler took.
-func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
-	if v.lm > 0 {
-		if st.Init != nil && !v.check(st.Init) {
-			return false
-		}
-		mark := len(v.undo)
-		ok := (st.Cond == nil || v.readsOK(st.Cond)) && v.check(st.Body) && (st.Post == nil || v.check(st.Post))
-		v.leave(mark)
-		return ok
-	}
+// uniformLoop reports the canonical counted shape with a uniform init
+// and a uniform bound its body cannot change: every lane of a tile runs
+// the same trips.
+func (v *vecBuilder) uniformLoop(st *cc.ForStmt) bool {
 	lv, bound, _, _ := canonicalFor(st)
-	if v.scalars[lv].kind != kUniform || !v.uniform(st.Init.RHS) || !v.uniform(bound) || !v.readsOK(st.Init.RHS) {
+	if v.scalars[lv].kind != kUniform || !v.uniform(st.Init.RHS) || !v.uniform(bound) {
 		return false
 	}
 	own := false // the bound reads lv, or the body writes it
@@ -627,17 +768,28 @@ func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
 			own = true
 		}
 	})
-	if own {
+	return !own
+}
+
+// checkLoop checks an inner loop: a uniform one (uniformLoop), or —
+// inside a loop that runs lane by lane — anything the scalar compiler
+// took. An induction variable (every header that sets one is a counted
+// one, see count) is readable from its loop's condition to its post
+// statement.
+func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
+	if st.Init != nil && !v.check(st.Init) {
 		return false
 	}
+	lv := countedVar(st)
 	open := func(by int) {
-		u := v.scalars[lv]
-		u.open += by
-		v.scalars[lv] = u
+		if u := v.scalars[lv]; u.kind == kUniform {
+			u.open += by
+			v.scalars[lv] = u
+		}
 	}
 	open(1)
 	mark := len(v.undo)
-	ok := v.readsOK(st.Cond) && v.check(st.Body)
+	ok := (st.Cond == nil || v.readsOK(st.Cond)) && v.check(st.Body) && (st.Post == nil || v.check(st.Post))
 	v.leave(mark)
 	open(-1)
 	return ok
@@ -749,8 +901,8 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.IfStmt:
 		return v.ifStmt(st)
 	case *cc.ForStmt:
-		if v.laneMajor[st] {
-			return v.laneMajorLoop(st)
+		if live, ok := v.laneMajor[st]; ok {
+			return v.laneMajorLoop(st, live)
 		}
 		return v.forStmt(st)
 	}
@@ -826,6 +978,11 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 		vm.D.Branch[thenIdx] += int64(len(th))
 		if vm.act = th; then != nil && len(th) > 0 {
 			then(vm, i0, L)
+			// A tile cut short under this arm (laneMajorLoop) takes back the
+			// lanes that went on to count themselves.
+			for n := len(th); vm.cut > 0 && n > 0 && int(th[n-1]) >= vm.cut; n-- {
+				vm.D.Branch[thenIdx]--
+			}
 		}
 		if elseIdx >= 0 {
 			vm.D.Branch[elseIdx] += int64(len(el))
@@ -879,24 +1036,33 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	}, nil
 }
 
-// laneMajorLoop runs a loop that holds a fold or a reduction-lane
-// update one active lane at a time through its per-iteration closure,
-// so each target sees its updates in iteration order. The lane's
-// private scalars are copied into the DEnv before and back out after.
-func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt) (VStmt, error) {
+// laneMajorLoop runs a loop the lockstep schedule cannot reorder — it
+// holds a store, a fold or a reduction-lane update, or its trips differ
+// from lane to lane — one active lane at a time, ascending, through its
+// per-iteration closure, so every effect happens in iteration order.
+// The private scalars live around the loop are copied into the lane's
+// DEnv before and back out after.
+//
+// Where the tile watches windows (scan admitted prefix loads of an array
+// this loop stores to), a lane whose store landed on an element the
+// prefix had already loaded for a later lane ends the tile: the lanes
+// after it run the whole per-iteration body, which re-evaluates the
+// prefix in order, and the enclosing arms take their counts back.
+func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error) {
 	rec := v.sb.loops[st]
 	v.ai, v.armi = rec.accEnd, rec.armEnd
 	v.usesAct = true
 	loop, loopSlot := rec.stmt, v.loopVar.Slot
 	type priv struct{ slot, bid int }
 	var pi, pf []priv
-	for d, u := range v.scalars {
-		if u.buf > 0 && d.Type == cc.TInt {
-			pi = append(pi, priv{d.Slot, u.buf - 1})
-		} else if u.buf > 0 {
-			pf = append(pf, priv{d.Slot, u.buf - 1})
+	for _, d := range live {
+		if bid := v.scalars[d].buf - 1; d.Type == cc.TInt {
+			pi = append(pi, priv{d.Slot, bid})
+		} else {
+			pf = append(pf, priv{d.Slot, bid})
 		}
 	}
+	spec, wins := v.spec, v.windows
 	return func(vm *VecEnv, i0 int64, L int) {
 		D := vm.D
 		for _, t := range vm.act {
@@ -914,85 +1080,113 @@ func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt) (VStmt, error) {
 			for _, p := range pf {
 				vm.BufF[p.bid][t] = D.Floats[p.slot]
 			}
-		}
-	}, nil
-}
-
-// privateAssign compiles an assignment to a private scalar: a write of
-// the active lanes of its vector, "=" or a lane-wise update, with the
-// interpreter's float32 rounding per step.
-func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
-	v.usesAct = true
-	op := st.Op[0]
-	if d.Type == cc.TInt {
-		bid := v.scalars[d].buf - 1
-		r, err := v.vExprI(st.RHS)
-		if _, opErr := intApply(st.Op, st.Pos()); err != nil || bid < 0 || op != '=' && opErr != nil {
-			return nil, errSpecIneligible
-		}
-		rv := v.matI(r)
-		return func(vm *VecEnv, i0 int64, L int) {
-			s, out := rv(vm, i0, L), vm.BufI[bid][:L]
-			if act := vm.act; len(act) < L {
-				for _, t := range act {
-					out[t] = updI(op, out[t], s[t])
+			for _, ai := range wins {
+				if !D.Arrays[spec.Accesses[ai].Slot].Hit {
+					continue
+				}
+				vm.cut = int(t) + 1
+				D.HazardLanes += int64(L - vm.cut)
+				for i := i0 + int64(vm.cut); i < i0+int64(L); i++ {
+					D.Ints[loopSlot] = i
+					spec.Body(D)
 				}
 				return
 			}
-			for t, x := range s {
-				out[t] = updI(op, out[t], x)
-			}
-		}, nil
-	}
-	bid := v.scalars[d].buf - 1
-	r, err := v.vExprF(st.RHS)
-	if _, opErr := floatApply(st.Op, st.Pos()); err != nil || bid < 0 || op != '=' && opErr != nil {
-		return nil, errSpecIneligible
-	}
-	rv, f32 := v.matF(r), d.Type == cc.TFloat
-	return func(vm *VecEnv, i0 int64, L int) {
-		s, out := rv(vm, i0, L), vm.BufF[bid][:L]
-		if act := vm.act; len(act) < L {
-			for _, t := range act {
-				out[t] = updF(op, f32, out[t], s[t])
-			}
-			return
-		}
-		for t, x := range s {
-			out[t] = updF(op, f32, out[t], x)
 		}
 	}, nil
 }
 
-// updI and updF are one lane's assignment to a private scalar holding
-// old: "=" or the compound operator named by its first byte.
-func updI(op byte, old, x int64) int64 {
-	if op == '=' {
-		return x
+// assignLanes writes the active lanes of a private scalar's vector: "="
+// or the lane-wise update op names by its first byte, rounded through R
+// (float32 for a float scalar: the interpreter's rounding per step;
+// float64 and int64 are the identity). The operator picks a loop, never a
+// lane.
+func assignLanes[S int64 | float64, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
+	switch op {
+	case '=':
+		for _, t := range act {
+			out[t] = S(R(s[t]))
+		}
+	case '+':
+		for _, t := range act {
+			out[t] = S(R(out[t] + s[t]))
+		}
+	case '-':
+		for _, t := range act {
+			out[t] = S(R(out[t] - s[t]))
+		}
+	case '*':
+		for _, t := range act {
+			out[t] = S(R(out[t] * s[t]))
+		}
+	default:
+		for _, t := range act {
+			out[t] = S(R(out[t] / s[t]))
+		}
 	}
-	return intOp(op, old, x)
 }
 
-func updF(op byte, f32 bool, old, x float64) float64 {
+// assignLanesI adds the operators only an int scalar has.
+func assignLanesI(op byte, out, s []int64, act []int32) {
 	switch op {
-	case '+':
-		x = old + x
-	case '-':
-		x = old - x
-	case '*':
-		x = old * x
-	case '/':
-		x = old / x
+	case '%':
+		for _, t := range act {
+			out[t] %= s[t]
+		}
+	case '<':
+		for _, t := range act {
+			out[t] <<= uint(s[t])
+		}
+	case '>':
+		for _, t := range act {
+			out[t] >>= uint(s[t])
+		}
+	default:
+		assignLanes[int64, int64](op, out, s, act)
 	}
-	if f32 {
-		x = float64(float32(x))
+}
+
+// privateAssign compiles an assignment to a private scalar: a write of
+// the active lanes of its vector.
+func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
+	v.usesAct = true
+	bid := v.scalars[d].buf - 1
+	if bid < 0 {
+		return nil, errSpecIneligible
 	}
-	return x
+	op := st.Op[0]
+	if d.Type != cc.TInt {
+		r, err := v.vExprF(st.RHS)
+		if _, opErr := floatApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
+			return nil, errSpecIneligible
+		}
+		rv, upd := v.matF(r), assignLanes[float64, float64]
+		if d.Type == cc.TFloat {
+			upd = assignLanes[float64, float32]
+		}
+		return func(vm *VecEnv, i0 int64, L int) {
+			upd(op, vm.BufF[bid][:L], rv(vm, i0, L), vm.act)
+		}, nil
+	}
+	r, err := v.vExprI(st.RHS)
+	if _, opErr := intApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
+		return nil, errSpecIneligible
+	}
+	rv := v.matI(r)
+	return func(vm *VecEnv, i0 int64, L int) {
+		s, out := rv(vm, i0, L), vm.BufI[bid][:L]
+		if op == '=' && len(vm.act) == L {
+			copy(out, s)
+			return
+		}
+		assignLanesI(op, out, s, vm.act)
+	}, nil
 }
 
 // fold compiles a kernel scalar reduction: the active lanes' values
 // fold into the worker's partial in ascending lane order, which is
-// iteration order, with float32 rounding per step.
+// iteration order, with float32 rounding per step. A reduction scalar
+// assigned with "=" keeps the last active lane's value.
 func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 	v.usesAct = true
 	slot := d.Slot
@@ -1002,6 +1196,9 @@ func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 			return nil, err
 		}
 		apply, err := intApply(st.Op, st.Pos())
+		if st.Op == "=" {
+			apply, err = func(_, x int64) int64 { return x }, nil
+		}
 		if err != nil {
 			return nil, errSpecIneligible
 		}
@@ -1020,6 +1217,9 @@ func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 		return nil, err
 	}
 	apply, err := floatApply(st.Op, st.Pos())
+	if st.Op == "=" {
+		apply, err = func(_, x float64) float64 { return x }, nil
+	}
 	if err != nil {
 		return nil, errSpecIneligible
 	}

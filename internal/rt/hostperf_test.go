@@ -395,20 +395,22 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 }
 
 // TestCopyJobMatchesLegacyLoad checks the deferred bulk copy against
-// the per-element loop for every element type and for the 2-D layout
-// transform.
+// the per-element loop, device buffer against device buffer, for every
+// element type, the plain layout and the 2-D layout transform at row
+// widths 1, 3, 64 and 128, one row holding the whole copy, and a width
+// that leaves the last row short (which keeps the element loop).
 func TestCopyJobMatchesLegacyLoad(t *testing.T) {
+	const n = 4096
 	for _, typ := range []cc.ElemType{cc.TFloat, cc.TDouble, cc.TInt} {
-		for _, transform := range []bool{false, true} {
-			const n = 4096
+		for _, width := range []int64{0, 1, 3, 64, 128, n, 100} {
 			r := newPerfRuntime(t, 2, Options{})
-			st := newPerfArray(t, r, "a", typ, n)
-			fillHost(rand.New(rand.NewSource(11)), st.host)
-			nd := need{lo: 0, hi: n - 1, contentIn: true, coreLo: 0, coreHi: -1}
-			if transform {
-				nd.transform = true
-				nd.width = 64
+			size := int64(n)
+			if width == 3 {
+				size = n - n%3
 			}
+			st := newPerfArray(t, r, "a", typ, size)
+			fillHost(rand.New(rand.NewSource(11)), st.host)
+			nd := need{lo: 0, hi: size - 1, contentIn: true, coreLo: 0, coreHi: -1, transform: width > 0, width: width}
 			cNew, cOld := st.copies[0], st.copies[1]
 			if err := cNew.realloc(nd); err != nil {
 				t.Fatal(err)
@@ -419,10 +421,8 @@ func TestCopyJobMatchesLegacyLoad(t *testing.T) {
 			cNew.valid, cOld.valid = true, true
 			copyJob{st: st, c: cNew, lo: nd.lo, hi: nd.hi}.run()
 			legacyLoadContent(st, cOld, nd.lo, nd.hi)
-			for i := int64(0); i < n; i++ {
-				if got, want := cNew.loadF(cNew.phys(i)), cOld.loadF(cOld.phys(i)); got != want {
-					t.Fatalf("%v transform=%v: element %d: job %v, legacy %v", typ, transform, i, got, want)
-				}
+			if !reflect.DeepEqual(cNew.f32, cOld.f32) || !reflect.DeepEqual(cNew.f64, cOld.f64) || !reflect.DeepEqual(cNew.i32, cOld.i32) {
+				t.Fatalf("%v width %d: the job's device buffer differs from the element loop's", typ, width)
 			}
 		}
 	}

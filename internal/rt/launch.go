@@ -450,6 +450,7 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 				ex.pieces += pieces
 			}
 			ex.tiled += gs.tiled
+			ex.hazard += gs.hazard
 			if gs.untiled != "" {
 				ex.untiled[gs.untiled]++
 			}
@@ -460,6 +461,9 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 				}
 				if gs.tiled > 0 {
 					tracer.Metrics().Inc("spec.tiled_iters", gs.tiled)
+				}
+				if gs.hazard > 0 {
+					tracer.Metrics().Inc("spec.hazard_lanes", gs.hazard)
 				}
 				if gs.untiled != "" {
 					tracer.Metrics().Inc("spec.untiled."+gs.untiled, 1)

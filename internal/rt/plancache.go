@@ -180,8 +180,29 @@ func (j copyJob) run() {
 		}
 		return
 	}
-	for i := j.lo; i <= j.hi; i++ {
-		c.storeF(c.phys(i), hostLoadF(host, i))
+	if n := j.hi - j.lo + 1; j.lo != c.lo || n != c.rows*c.width {
+		for i := j.lo; i <= j.hi; i++ {
+			c.storeF(c.phys(i), hostLoadF(host, i))
+		}
+		return
+	}
+	// A column-major copy filled whole is a transpose of the host rows.
+	switch {
+	case c.f32 != nil:
+		transpose(c.f32, host.F32[j.lo:j.hi+1], c.rows, c.width)
+	case c.f64 != nil:
+		transpose(c.f64, host.F64[j.lo:j.hi+1], c.rows, c.width)
+	default:
+		transpose(c.i32, host.I32[j.lo:j.hi+1], c.rows, c.width)
+	}
+}
+
+// transpose stores the rows×width row-major src column-major into dst.
+func transpose[T any](dst, src []T, rows, width int64) {
+	for row := int64(0); row < rows; row++ {
+		for col, x := range src[row*width : (row+1)*width] {
+			dst[int64(col)*rows+row] = x
+		}
 	}
 }
 

@@ -76,10 +76,14 @@ func appPhaseBWall(t *testing.T, name string, scale float64, opts Options) time.
 // interpreter at desktop scale — MD (sentinel-guarded gather in an
 // inner loop) by >= 4x and KMEANS (nested inner loops over a
 // layout-transformed matrix, reduction-to-array) by >= 5x, both on
-// lockstep tiles; BFS (a scatter in a lane-divergent loop over a CSR
-// row, per-iteration body) by >= 2x — with results verified against the
-// Go reference on both sides. Skipped in -short mode: wall-clock ratios
-// under -race are noise, not signal.
+// lockstep tiles; BFS (the sparse guard in lockstep, the scattering
+// edge loop over a CSR row lane by lane) by >= 2x — with results
+// verified against the Go reference on both sides. BFS reads 3.2-4.2x in
+// quiet stretches of the development box and 2.8-3.0x in disturbed ones
+// (the specialized side slows by a quarter there, the interpreter hardly
+// at all), too close to 3 for a wall-clock floor; that it runs on tiles
+// is pinned by counts instead (TestBFSRunsTiled). Skipped in -short mode:
+// wall-clock ratios under -race are noise, not signal.
 func TestPaperAppSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate: skipped in -short mode")
@@ -106,10 +110,11 @@ func TestPaperAppSpeedupGate(t *testing.T) {
 }
 
 // TestAppTileClassification pins which body each app's main kernel
-// runs: lockstep tiles for MD, KMEANS and NBODY (uniform inner loops);
-// the per-iteration body for SPMV (loop bounds differ from lane to
-// lane) and BFS (a scatter inside such a loop, into an array the body
-// also gathers from).
+// runs: tiles for MD, KMEANS and NBODY (uniform inner loops), for SPMV
+// (a lockstep prefix and suffix around a CSR loop that runs lane by
+// lane) and for BFS (the guard in lockstep, the scattering edge loop
+// lane by lane); the per-iteration body for HOTSPOT2D, whose body is
+// nothing but one loop with a store in it.
 func TestAppTileClassification(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
@@ -118,8 +123,9 @@ func TestAppTileClassification(t *testing.T) {
 		{"MD", nil},
 		{"KMEANS", nil},
 		{"NBODY", nil},
-		{"SPMV", []string{"shape", "order"}},
-		{"BFS", []string{"shape", "order"}},
+		{"SPMV", nil},
+		{"BFS", nil},
+		{"HOTSPOT2D", []string{"shape"}},
 	} {
 		mod, _, _ := appInstance(t, tc.app, 0.001)
 		spec := mod.Kernels[0].Spec

@@ -925,6 +925,410 @@ void main() {
 			scalars: func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} },
 		})
 	}
+	specTemplates = append(specTemplates, tailTemplates()...)
+	// Every compound operator of a private int scalar, over the whole tile
+	// and under arms: the divisor is zero in the lanes that skip the arm.
+	specTemplates = append(specTemplates, specTemplate{
+		name: "lock-int-opassign",
+		src: `
+int n;
+int in_[n], den_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, den_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v, d;
+            v = in_[i];
+            d = den_[i] % 5;
+            v += i;
+            v *= 3;
+            v -= d;
+            v <<= 2;
+            v %= 100003;
+            v >>= 1;
+            v /= 3;
+            if (d != 0) {
+                v /= d;
+                v %= d * 7;
+                v += 11;
+                v <<= 3;
+                v >>= 1;
+            } else {
+                v = 5 - v;
+                v *= in_[i];
+                v -= i;
+            }
+            out_[i] = v;
+        }
+    }
+}
+`,
+		scalars: nScalar,
+	})
+}
+
+// csrPrologue is host code that turns whatever the filler wrote into a
+// valid CSR graph over n vertices: off_ the prefix sums of degrees 0..3
+// drawn from deg_, edges_ folded into [0, n).
+const csrPrologue = `
+    off_[0] = 0;
+    for (j = 0; j < n; j++) {
+        off_[j + 1] = off_[j] + (deg_[j] % 4 + 4) % 4;
+    }
+    for (j = 0; j < 3 * n; j++) {
+        edges_[j] = (edges_[j] % n + n) % n;
+    }
+`
+
+// tailTemplates are the bodies with a lockstep prefix over a loop that
+// runs lane by lane (tail-*: they must tile), the neighbouring shapes
+// that must not (untail-*), and a reduction scalar assigned with
+// "=" under an arm, an else-arm and an affine guard.
+func tailTemplates() []specTemplate {
+	// The BFS body: the guard reads cost_[i], the edge loop tests and
+	// sets cost_[w] — on earlier lanes, later lanes of the same tile
+	// (the window) and other tiles alike.
+	const bfs = `
+int n, level, changed;
+int deg_[n], off_[n + 1], edges_[3 * n], cost_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    for (j = 0; j < n; j++) {
+        cost_[j] = 0 - 1;
+    }
+    for (j = 0; j < n; j += 97) {
+        cost_[j] = 0;
+    }
+    #pragma acc data copyin(off_, edges_) copy(cost_)
+    {
+        changed = 1;
+        level = 0;
+        while (changed) {
+            changed = 0;
+            LOCAL
+            #pragma acc parallel loop reduction(|:changed)
+            for (i = 0; i < n; i++) {
+                int e, w;
+                if (cost_[i] == level) {
+                    for (e = off_[i]; e < off_[i + 1]; e++) {
+                        w = edges_[e];
+                        if (cost_[w] < 0) {
+                            cost_[w] = level + 1;
+                            changed = 1;
+                        }
+                    }
+                }
+            }
+            level++;
+        }
+    }
+}
+`
+	out := []specTemplate{
+		{name: "tail-bfs", src: strings.Replace(bfs, "LOCAL", "", 1), scalars: nScalar},
+		{
+			// The app's own directives: off_ and edges_ distributed, the
+			// edge range a bounds-form footprint.
+			name: "tail-bfs-localaccess",
+			src: strings.Replace(bfs, "LOCAL", `#pragma acc localaccess(off_) stride(1, 0, 1)
+            #pragma acc localaccess(edges_) bounds(off_[i], off_[i+1]-1)`, 1),
+			scalars: nScalar,
+		},
+		{
+			// Every store negates its target, so guards of earlier lanes,
+			// of the storing lane and of later lanes of the same tile flip
+			// both ways; the fold counts exactly the trips that ran.
+			name: "tail-flip",
+			src: `
+int n;
+float trips;
+int deg_[n], off_[n + 1], edges_[3 * n], g_[n];
+void main() {
+    int i, j, s;` + csrPrologue + `
+    trips = 0.0;
+    #pragma acc data copyin(off_, edges_) copy(g_)
+    {
+        for (s = 0; s < 3; s++) {
+            #pragma acc parallel loop reduction(+:trips)
+            for (i = 0; i < n; i++) {
+                int e, w;
+                if (g_[i] > 0) {
+                    for (e = off_[i]; e < off_[i + 1]; e++) {
+                        w = edges_[e];
+                        g_[w] = 0 - g_[w];
+                        trips += 1.0;
+                    }
+                }
+            }
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// Nested guards over a private scalar loaded from the watched
+			// array, a second watched load with another stride, and stores
+			// one lane ahead: the nearest hazard there is.
+			name: "tail-nested-guard",
+			src: `
+int n, k;
+int deg_[n], off_[n + 1], edges_[3 * n], c_[2 * n + 2], in_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_, in_) copy(c_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, w, v;
+            v = c_[i];
+            if (v > k) {
+                if (c_[2 * i + 1] + in_[i] > k) {
+                    for (e = off_[i]; e < off_[i + 1]; e++) {
+                        w = edges_[e];
+                        c_[i + 1] = c_[i + 1] - v;
+                        c_[2 * w] = in_[w] + e;
+                    }
+                }
+            }
+        }
+    }
+}
+`,
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				m := nScalar(rng)
+				m["k"] = float64(rng.Intn(600) - 300)
+				return m
+			},
+		},
+		{
+			// SPMV: trips differ from lane to lane, the accumulator is a
+			// private scalar carried through the loop, the store after it
+			// runs in lockstep.
+			name: "tail-spmv",
+			src: `
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n];
+float vals_[3 * n], x_[n], y_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_, vals_, x_) copyout(y_)
+    {
+        #pragma acc localaccess(y_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            acc = 0.0;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                acc += vals_[e] * x_[edges_[e]];
+            }
+            y_[i] = acc + off_[i];
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// A scatter in a loop with uniform bounds, into an array nothing
+			// else touches, after a lockstep arm.
+			name: "tail-scatter",
+			src: `
+int n;
+int idx_[n], in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(idx_, in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, v;
+            v = in_[i];
+            if (v < 0) {
+                v = 0 - v;
+            }
+            for (e = 0; e < 2; e++) {
+                out_[idx_[i]] = v + e;
+            }
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// A lockstep store into the array the loop gathers from: the
+			// loop of a later lane would read what an earlier lane had not
+			// stored yet. Must keep its per-iteration body. (The store writes
+			// what the host already put there, or the workers would race.)
+			name: "untail-prestore",
+			src: `
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n], in_[n], y_[n];
+float out_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    for (j = 0; j < n; j++) {
+        y_[j] = in_[j];
+    }
+    #pragma acc data copyin(off_, edges_, in_) copy(y_, out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            y_[i] = in_[i];
+            acc = 0.0;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                acc += y_[edges_[e]] * 0.5;
+            }
+            out_[i] = acc;
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// The BFS shape with a statement after the guarded loop: a tile
+			// cut short could not take it back. Must keep its per-iteration
+			// body.
+			name: "untail-after",
+			src: `
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n], g_[n], out_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_) copy(g_, out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, w;
+            if (g_[i] > 0) {
+                for (e = off_[i]; e < off_[i + 1]; e++) {
+                    w = edges_[e];
+                    g_[w] = 0 - g_[w];
+                }
+            }
+            out_[i] = g_[i];
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+	}
+	// The BFS body on worker chunks of 1, VecTile-1 and VecTile+1.
+	for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+		n := float64(8 * chunk)
+		out = append(out, specTemplate{
+			name:    fmt.Sprintf("tail-chunk-%d", chunk),
+			src:     strings.Replace(bfs, "LOCAL", "", 1),
+			scalars: func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} },
+		})
+	}
+	// A reduction scalar assigned with "=": the worker keeps the value of
+	// its last iteration that assigned.
+	for _, tc := range []struct{ name, typ, op, guard, stmt string }{
+		{"lock-red-assign-arm", "int", "max", "in_[i] > k", "r = in_[i] + i;"},
+		{"lock-red-assign-else", "float", "max", "in_[i] <= k", "{ } else { r = in_[i] * 0.25; }"},
+		{"guard-red-assign", "int", "|", "i > k && i < n - m", "r = 1;"},
+		{"guard-red-assign-float", "float", "+", "i == k || i >= n - m", "r = 0.5 * m;"},
+	} {
+		out = append(out, specTemplate{
+			name: tc.name,
+			src: fmt.Sprintf(`
+int n, k, m;
+%s r;
+int in_[n];
+void main() {
+    int i;
+    r = 0;
+    #pragma acc data copyin(in_)
+    {
+        #pragma acc parallel loop reduction(%s:r)
+        for (i = 0; i < n; i++) {
+            if (%s) %s
+        }
+    }
+}
+`, tc.typ, tc.op, tc.guard, tc.stmt),
+			scalars: guardScalars,
+		})
+	}
+	// A division in the prefix over a value loaded from the watched
+	// array: a tile would divide for lanes that, in iteration order, an
+	// earlier store had turned away first — and a division can fault.
+	// Must keep its per-iteration body.
+	out = append(out, specTemplate{
+		name: "untail-div",
+		src: `
+int n, k;
+int deg_[n], off_[n + 1], edges_[3 * n], g_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_) copy(g_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, w, q;
+            q = 1000 / (g_[i] % 5 + 7);
+            if (q > k) {
+                for (e = off_[i]; e < off_[i + 1]; e++) {
+                    w = edges_[e];
+                    g_[w] = g_[w] + q;
+                }
+            }
+        }
+    }
+}
+`,
+		scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["k"] = float64(80 + rng.Intn(200))
+			return m
+		},
+	})
+	// A loop that runs lane by lane reads the induction variable of
+	// another loop outside that loop: left by an earlier loop of the same
+	// iteration (after), or by the previous iteration (carry). A tile has
+	// one slot for it, holding what the last lane to run that loop left.
+	// Must keep its per-iteration body.
+	for _, tc := range []struct{ name, before, after string }{
+		{"untail-loopvar-after", "", "for (k = 0; k < 1; k++) { y_[i] = acc + e; }"},
+		{"untail-loopvar-carry", "for (k = 0; k < 1; k++) { y_[i] = e; }", "z_[i] = acc;"},
+	} {
+		out = append(out, specTemplate{
+			name: tc.name,
+			src: strings.NewReplacer("BEFORE", tc.before, "AFTER", tc.after).Replace(`
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n];
+float vals_[3 * n], y_[n], z_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, vals_) copy(y_, z_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, k;
+            float acc;
+            BEFORE
+            acc = 0.0;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                acc += vals_[e];
+            }
+            AFTER
+        }
+    }
+}
+`),
+			scalars: nScalar,
+		})
+	}
+	return out
 }
 
 // runSpecTemplate compiles, binds and runs one template, filling every
@@ -1007,6 +1411,11 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 				t.Fatalf("%s: not tiled: %d tiled iterations, untiled %v, fallbacks %v, rejects %v",
 					label, r.SpecTiledIters(), r.SpecUntiled(), r.SpecFallbackReasons(), r.SpecRejects())
 			}
+		}
+		if strings.HasPrefix(tpl.name, "tail-") && (r.SpecTiledIters() == 0 || r.SpecFallbacks() != 0 || len(r.SpecUntiled()) != 0) ||
+			strings.HasPrefix(tpl.name, "untail-") && (r.SpecTiledIters() != 0 || r.SpecFallbacks() != 0 || r.SpecUntiled()["shape"] == 0) {
+			t.Fatalf("%s: wrong body: %d tiled iterations, untiled %v, fallbacks %v, rejects %v",
+				label, r.SpecTiledIters(), r.SpecUntiled(), r.SpecFallbackReasons(), r.SpecRejects())
 		}
 		if strings.HasPrefix(tpl.name, "guard-") {
 			// The affine-guard templates must compare the split executor

@@ -48,16 +48,21 @@ import (
 // physical stride where the row width divides the access stride).
 //
 // A handled chunk runs one of two bodies, chosen per piece: the tiled
-// one (ir.VStmt: a tile of consecutive iterations in lockstep —
-// straight-line statements, data-dependent arms, uniform inner loops,
-// gathers) or the per-iteration one. The per-iteration body runs where
-// the kernel has no tiled form (KernelSpec.Untiled: "shape" or "order"
-// — scatters, stores inside loops, lane-divergent loop bounds, a
-// reduction target with two update sites), where stores need
-// per-iteration dirty marking this launch ("dirty"), and where the
-// piece's affine accesses fail the alias check ("alias"). A kernel
-// marked SerialWorkers (it gathers from an array it scatters to) runs
-// its workers in worker order on one goroutine, here and on the
+// one (ir.VStmt: a tile of consecutive iterations — straight-line
+// statements, data-dependent arms, uniform inner loops and gathers in
+// lockstep, loops that store or whose trips diverge lane by lane) or the
+// per-iteration one. The per-iteration body runs where the kernel has no
+// tiled form (KernelSpec.Untiled: "shape" or "order" — a body that is
+// nothing but a storing loop, a scatter or gather across the lockstep /
+// lane-major division, a reduction target with two update sites), where
+// a store the tile would execute in lockstep needs per-iteration dirty
+// marking this launch ("dirty"; stores inside a lane-major loop mark
+// through their closures either way), and where the piece's affine
+// accesses fail the alias check ("alias"). A tile whose lane-major loop
+// stores into the window its own lockstep prefix loaded (BFS) finishes
+// its remaining lanes on the per-iteration body: SpecHazardLanes. A
+// kernel marked SerialWorkers (it loads from an array it scatters to)
+// runs its workers in worker order on one goroutine, here and on the
 // interpreter, so that what it counts does not depend on how the
 // workers interleave.
 //
@@ -93,11 +98,12 @@ type specExec struct {
 	// pieces counts the sub-ranges the handled chunks of a guarded
 	// kernel were cut into. Host strand only.
 	pieces int64
-	// tiled counts the iterations the tiled bodies ran; untiled counts
-	// the handled chunks that ran a per-iteration body, by reason. Host
-	// strand only.
-	tiled   int64
-	untiled map[string]int64
+	// tiled counts the iterations of the pieces the tiled bodies ran,
+	// hazard those of them that re-ran per-iteration after a window hit;
+	// untiled counts the handled chunks that ran a per-iteration body, by
+	// reason. Host strand only.
+	tiled, hazard int64
+	untiled       map[string]int64
 	// free holds the idle tile scratch, shared by the GPUs. A worker
 	// leases one for its run, so the list grows to the number of workers
 	// that ran at once — the host's parallelism — not to the number
@@ -144,6 +150,17 @@ func (r *Runtime) SpecTiledIters() int64 {
 	var n int64
 	for _, ex := range r.specExecs {
 		n += ex.tiled
+	}
+	return n
+}
+
+// SpecHazardLanes returns how many of the SpecTiledIters iterations
+// re-ran on the per-iteration body, their tile's lane-major loop having
+// stored into the window its lockstep prefix had loaded (ir.DArray.Hit).
+func (r *Runtime) SpecHazardLanes() int64 {
+	var n int64
+	for _, ex := range r.specExecs {
+		n += ex.hazard
 	}
 	return n
 }
@@ -212,16 +229,19 @@ type specGPU struct {
 	// branch accumulates arm-taken counts over the workers.
 	branch []int64
 	// penv is the interval prover's abstract environment (computed-
-	// access kernels only); scans memoizes its per-launch array scans.
-	penv  *ir.PEnv
-	scans []scanEntry
+	// access kernels only); scans memoizes its array scans, scanned
+	// counts the elements they read.
+	penv    *ir.PEnv
+	scans   []scanEntry
+	scanned int64
 	// reason records why this GPU's chunk bounced to the interpreter
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
-	// tiled is how many of this launch's iterations ran tiled; untiled
-	// says why some piece ran the per-iteration body ("" when none did).
-	tiled   int64
-	untiled string
+	// tiled is how many of this launch's iterations ran tiled, hazard
+	// how many of those re-ran after a window hit; untiled says why some
+	// piece ran the per-iteration body ("" when none did).
+	tiled, hazard int64
+	untiled       string
 	// work is the ForWorkers callback (runChunk on this slot), built
 	// once; lo, chunk and anyVec are what it needs of the launch at hand:
 	// the span's first iteration, the worker chunk length, and whether
@@ -339,7 +359,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	spec := ex.spec
 	n := p.count()
 	gs := &ex.gs[g]
-	gs.reason, gs.untiled, gs.tiled = "", "", 0
+	gs.reason, gs.untiled, gs.tiled, gs.hazard = "", "", 0, 0
 
 	// Structural per-GPU fallbacks. Layout-transformed copies are
 	// handled (the direct arrays carry the column-major remap), except
@@ -379,7 +399,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			gs.reason = "indirect"
 			return sim.Counters{}, false, nil
 		}
-		if !ex.prove(r, k, env, g, gs, p, n) {
+		if !ex.prove(r, k, env, g, gs, p) {
 			return sim.Counters{}, false, nil
 		}
 	}
@@ -388,30 +408,23 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	// Worker environments: one per chunk ForWorkers will spawn,
 	// with the host scalars, identity reduction slots, zeroed arm
 	// counters and the GPU's slices bound by slot.
-	// liveDirty marks slots whose stores must mark dirty bits per
-	// iteration (some store's footprint is data-dependent: under an
-	// arm, in an inner loop, or at a computed index); their direct
-	// arrays get the dirty buffers bound so the store closures mark
-	// exactly what executes.
-	liveDirty := false
+	// A slot whose stores must mark dirty bits per iteration (some
+	// store's footprint is data-dependent: under an arm, in an inner
+	// loop, or at a computed index) gets the dirty buffers bound, so the
+	// store closures mark exactly what executes.
 	for w := 0; w < nw; w++ {
 		de := gs.envs[w]
 		copy(de.Ints, env.Ints)
 		copy(de.Floats, env.Floats)
-		for i := range de.Branch {
-			de.Branch[i] = 0
-		}
+		clear(de.Branch)
+		de.HazardLanes = 0
 		for ri, red := range k.ScalarReds {
 			setRedSlotD(de, red, redVals[ri])
 		}
 		for ui, use := range k.Arrays {
 			c := r.state(use.Decl).copies[g]
 			da := &de.Arrays[use.Decl.Slot]
-			da.F32, da.F64, da.I32 = c.f32, c.f64, c.i32
-			da.Base = c.lo
-			da.LaneF, da.LaneI = nil, nil
-			da.Dirty, da.ChunkLane = nil, nil
-			da.TWidth, da.TRows = 0, 0
+			*da = ir.DArray{F32: c.f32, F64: c.f64, I32: c.i32, Base: c.lo}
 			if c.transformed {
 				da.TWidth, da.TRows = c.width, c.rows
 			}
@@ -426,13 +439,14 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 				da.Dirty = c.dirty
 				da.ChunkLane = c.chunkLanes[w]
 				da.ChunkElems = c.chunkElems
-				liveDirty = true
 			}
 		}
 	}
 
-	// Each piece runs its tiled body unless it has none, its stores must
-	// mark dirty bits one by one, or its accesses fail the alias check.
+	// Each piece runs its tiled body unless it has none, one of its
+	// lockstep stores must mark dirty bits one by one (the stores of a
+	// lane-major loop mark through their closures either way), or its
+	// accesses fail the alias check.
 	gs.lo, gs.chunk, gs.anyVec = p.lo, chunk, false
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
@@ -441,7 +455,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			gs.untiled = pc.v.Untiled
 		case pc.offWalk:
 			gs.untiled = "shape"
-		case liveDirty:
+		case pc.lockstepDirty(gs.envs[0]):
 			gs.untiled = "dirty"
 		case !pc.prepVec():
 			gs.untiled = "alias"
@@ -461,10 +475,11 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			redVals[ri] = mergeRed(red, redVals[ri], getRedSlotD(gs.envs[w], red))
 		}
 	}
-	for j := range gs.branch {
-		gs.branch[j] = 0
-		for w := 0; w < nw; w++ {
-			gs.branch[j] += gs.envs[w].Branch[j]
+	clear(gs.branch)
+	for _, de := range gs.envs[:nw] {
+		gs.hazard += de.HazardLanes
+		for j := range gs.branch {
+			gs.branch[j] += de.Branch[j]
 		}
 	}
 
@@ -796,13 +811,18 @@ func affineFits(a, b, tmax int64) bool {
 // prove discharges every computed access for this GPU's chunk: the
 // interval prover walks the abstract body over [p.lo, p.hi-1] with
 // scalar seeds from the host environment and value intervals of
-// read-only int arrays resolved by memoized min/max scans of the
-// resident subregion; each recorded computed-access interval must then
-// lie inside the copy's residency (reduces: the logical array). False
+// read-only int arrays resolved by memoized min/max scans; each recorded
+// computed-access interval must then lie inside the copy's residency
+// (reduces: the logical array). The first walk answers every load from
+// one scan of the array's whole residency — a sound superset of any
+// subrange, and the abstract loops ask for many, widening step by step —
+// so each resident element is read at most once per content; only when
+// that proof fails does a second walk scan the exact subranges. False
 // means fall back (gs.reason set); nothing was mutated.
-func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specGPU, p span, n int64) bool {
+func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specGPU, p span) bool {
 	spec := ex.spec
 	pe := gs.penv
+	exact, widened := false, false
 	pe.Load = func(slot int, idx ir.Ival) ir.Ival {
 		if !idx.Bounded() {
 			return ir.IvalTop()
@@ -827,11 +847,11 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 			return ir.IvalTop()
 		}
 		lo, hi := idx.Lo, idx.Hi
-		if c.transformed {
-			// Logical→physical is a permutation of the residency, so
-			// scanning the whole resident buffer yields a sound (and for
-			// full-residency loads, exact) superset of the values at any
-			// logical subrange.
+		if !exact || c.transformed {
+			// The whole residency: what the first walk settles for, and
+			// all a column-major copy offers (logical→physical permutes
+			// the residency, so no logical subrange is a physical one).
+			widened = widened || !c.transformed && (lo != c.lo || hi != c.hi)
 			lo, hi = c.lo, c.hi
 		}
 		ent := (*scanEntry)(nil)
@@ -845,47 +865,61 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 				break
 			}
 		}
-		vals := c.i32[lo-c.lo : hi-c.lo+1]
-		v := ir.Ival{Lo: int64(vals[0]), Hi: int64(vals[0])}
-		for _, x := range vals[1:] {
-			if int64(x) < v.Lo {
-				v.Lo = int64(x)
-			}
-			if int64(x) > v.Hi {
-				v.Hi = int64(x)
-			}
-		}
 		if ent == nil {
 			gs.scans = append(gs.scans, scanEntry{slot: slot, lo: lo, hi: hi})
 			ent = &gs.scans[len(gs.scans)-1]
 		}
-		ent.epoch, ent.val = c.wepoch, v
-		return v
+		// min and max compile to conditional moves: no branch on the data.
+		vals := c.i32[lo-c.lo : hi-c.lo+1]
+		vlo, vhi := vals[0], vals[0]
+		for _, x := range vals[1:] {
+			vlo, vhi = min(vlo, x), max(vhi, x)
+		}
+		gs.scanned += int64(len(vals))
+		ent.epoch, ent.val = c.wepoch, ir.Ival{Lo: int64(vlo), Hi: int64(vhi)}
+		return ent.val
 	}
-	spec.Prover.Prove(pe, env, p.lo, p.hi-1)
-	pe.Load = nil
-	for ai := range spec.Accesses {
-		a := &spec.Accesses[ai]
+	defer func() { pe.Load = nil }()
+	for ; ; exact = true {
+		widened = false
+		spec.Prover.Prove(pe, env, p.lo, p.hi-1)
+		if gs.reason = ex.checkProof(r, k, g, gs); gs.reason == "" || !widened {
+			return gs.reason == ""
+		}
+	}
+}
+
+// checkProof holds every computed access's proven interval against the
+// copy's residency; it returns the fallback reason, "" when all fit.
+func (ex *specExec) checkProof(r *Runtime, k *ir.Kernel, g int, gs *specGPU) string {
+	for ai := range ex.spec.Accesses {
+		a := &ex.spec.Accesses[ai]
 		if a.Affine {
 			continue
 		}
-		iv := pe.Access[ai]
-		ui := ex.uiBySlot[a.Slot]
-		st := r.state(k.Arrays[ui].Decl)
+		iv := gs.penv.Access[ai]
+		st := r.state(k.Arrays[ex.uiBySlot[a.Slot]].Decl)
 		if a.Kind == ir.AccessReduce {
 			if !iv.Bounded() || iv.Lo < 0 || iv.Hi >= st.n {
-				gs.reason = "indirect"
-				return false
+				return "indirect"
 			}
-			continue
-		}
-		c := st.copies[g]
-		if !c.valid || !iv.Bounded() || iv.Lo < c.lo || iv.Hi > c.hi {
-			gs.reason = "indirect"
-			return false
+		} else if c := st.copies[g]; !c.valid || !iv.Bounded() || iv.Lo < c.lo || iv.Hi > c.hi {
+			return "indirect"
 		}
 	}
-	return true
+	return ""
+}
+
+// lockstepDirty reports a store the tiled body would execute in lockstep
+// on a slot whose stores mark dirty bits one by one this launch (de is
+// any of the launch's worker environments: all bind the same slots).
+func (pc *specPiece) lockstepDirty(de *ir.DEnv) bool {
+	for ai := range pc.v.Accesses {
+		if a := &pc.v.Accesses[ai]; a.Kind == ir.AccessStore && a.LaneLoop == 0 && de.Arrays[a.Slot].Dirty != nil {
+			return true
+		}
+	}
+	return false
 }
 
 // prepVec derives each access's affine coefficients over the piece from
@@ -895,9 +929,10 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 // only if they provably hit the same element every iteration (program
 // order is then preserved per element) or provably disjoint element
 // sets. Reduce accesses write per-worker lanes, not the array, so they
-// only interfere with other reduces. Computed accesses are left out: a
-// tiled body never stores through one, gathers only from arrays it does
-// not store to, and has one update site per reduction target.
+// only interfere with other reduces. Left out, because the tile
+// builder's static rules cover them (ir.vecBuilder.scan): computed
+// accesses, and stores inside a lane-major loop, which face only their
+// own loop — run in iteration order — and watched prefix loads.
 func (pc *specPiece) prepVec() bool {
 	n := pc.hi - pc.lo
 	acc := pc.v.Accesses
@@ -920,8 +955,8 @@ func (pc *specPiece) prepVec() bool {
 			ki, kj := acc[i].Kind, acc[j].Kind
 			var conflict bool
 			switch {
-			case ki == ir.AccessStore && kj != ir.AccessReduce,
-				kj == ir.AccessStore && ki != ir.AccessReduce:
+			case ki == ir.AccessStore && acc[i].LaneLoop == 0 && kj != ir.AccessReduce,
+				kj == ir.AccessStore && acc[j].LaneLoop == 0 && ki != ir.AccessReduce:
 				conflict = true
 			case ki == ir.AccessReduce && kj == ir.AccessReduce:
 				conflict = true

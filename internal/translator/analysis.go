@@ -94,14 +94,16 @@ func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived ...*cc.VarDecl
 	return a.arrays
 }
 
-// gathersWhatItScatters reports an array the body both loads and stores
-// through data-dependent subscripts (BFS: `if (cost[w] < 0) cost[w] =
-// ...`). Two iterations may then test and update one element, so what
-// the kernel counts depends on how its workers interleave; the runtime
-// runs such a kernel's workers in order (ir.Kernel.SerialWorkers).
+// gathersWhatItScatters reports an array the body loads and also stores
+// through a data-dependent subscript (BFS: `if (cost[i] == level)` ...
+// `if (cost[w] < 0) cost[w] = ...`). Two iterations may then test and
+// update one element, so what the kernel counts depends on how its
+// workers interleave — whether the read is itself indirect or affine,
+// the store can land on any worker's element; the runtime runs such a
+// kernel's workers in order (ir.Kernel.SerialWorkers).
 func gathersWhatItScatters(infos map[*cc.VarDecl]*accessInfo) bool {
 	for _, in := range infos {
-		if !in.indirectRead {
+		if !in.read {
 			continue
 		}
 		for _, w := range in.writes {

@@ -220,7 +220,7 @@ func (t *xlate) buildKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 			break
 		}
 	}
-	k.Spec, k.SpecReason = ir.BuildKernelSpec(st.Body, loopVar, t.prog)
+	k.Spec, k.SpecReason = ir.BuildKernelSpec(k, st.Body, t.prog)
 	return k, nil
 }
 
