@@ -5,15 +5,14 @@
 //
 //	accbench [-scale f] [-apps MD,KMEANS,BFS] [-verify] [-seed n] [targets...]
 //
-// Targets: table1 table2 fig7 fig8 fig9 ablations cluster wallclock
-// async appstudy node loadtest all (default: all; wallclock, appstudy
-// and loadtest are opt-in — they measure real elapsed host time, not
-// simulated time, so they only run when asked for; appstudy is the
-// interpreter-vs-specialized Phase-B study, loadtest the warm-vs-cold
-// accd service study sized with -lt-workers/-lt-requests; node is the
-// cluster-topology sync-vs-async study). Host time by workload and by
-// layer, judged run against run, is the job of the benchmark/ package
-// (`make bench-host`), not of these studies. The Proposal
+// Targets: table1 table2 fig7 fig8 fig9 ablations cluster async node
+// loadtest all (default: all; loadtest is opt-in — it measures real
+// elapsed host time, not simulated time, so it only runs when asked
+// for: the warm-vs-cold accd service study sized with
+// -lt-workers/-lt-requests; node is the cluster-topology sync-vs-async
+// study). Host time by workload and by layer, judged run against run,
+// is the job of the benchmark/ package (`make bench-host`), not of
+// these studies. The Proposal
 // configurations run under the pipelined scheduler unless -no-async
 // asks for the paper's bulk-synchronous schedule; the async target
 // compares the two over the shipped example apps.
@@ -131,9 +130,7 @@ func main() {
 		table2    []bench.Table2Row
 		ablations []bench.AblationRow
 		cluster   []bench.ClusterRow
-		wallclock []bench.WallClockRow
 		asyncRows []bench.AsyncRow
-		appstudy  []bench.AppStudyRow
 		nodeRows  []bench.NodeRow
 		loadtest  *bench.LoadTestReport
 		err       error
@@ -158,18 +155,8 @@ func main() {
 			fatal(err)
 		}
 	}
-	if want["wallclock"] { // opt-in: measures real time, not simulated
-		if wallclock, err = bench.WallClock(cfg); err != nil {
-			fatal(err)
-		}
-	}
 	if all || want["async"] {
 		if asyncRows, err = bench.AsyncStudy(cfg); err != nil {
-			fatal(err)
-		}
-	}
-	if want["appstudy"] { // opt-in: measures real time, not simulated
-		if appstudy, err = bench.AppStudy(cfg); err != nil {
 			fatal(err)
 		}
 	}
@@ -186,7 +173,7 @@ func main() {
 	}
 
 	if *jsonOut {
-		if err := bench.WriteJSON(os.Stdout, figRes, table2, ablations, cluster, wallclock, asyncRows, appstudy, nodeRows, loadtest); err != nil {
+		if err := bench.WriteJSON(os.Stdout, figRes, table2, ablations, cluster, asyncRows, nodeRows, loadtest); err != nil {
 			fatal(err)
 		}
 		return
@@ -226,16 +213,9 @@ func main() {
 		bench.RenderCluster(os.Stdout, cluster)
 		fmt.Println()
 	}
-	if wallclock != nil {
-		bench.RenderWallClock(os.Stdout, wallclock)
-		fmt.Println()
-	}
 	if asyncRows != nil {
 		bench.RenderAsync(os.Stdout, asyncRows)
 		fmt.Println()
-	}
-	if appstudy != nil {
-		bench.RenderAppStudy(os.Stdout, appstudy)
 	}
 	if nodeRows != nil {
 		bench.RenderNode(os.Stdout, nodeRows)

@@ -45,17 +45,15 @@ type JSONDocument struct {
 	Table2    []Table2Row        `json:",omitempty"`
 	Ablations []AblationRow      `json:",omitempty"`
 	Cluster   []ClusterRow       `json:",omitempty"`
-	WallClock []WallClockRow     `json:",omitempty"`
 	Async     []AsyncRow         `json:",omitempty"`
-	AppStudy  []AppStudyRow      `json:",omitempty"`
 	Node      []NodeRow          `json:",omitempty"`
 	LoadTest  *LoadTestReport    `json:",omitempty"`
 	Headline  map[string]float64 `json:",omitempty"`
 }
 
 // WriteJSON serializes an evaluation bundle. Any section may be nil.
-func WriteJSON(w io.Writer, res *Results, table2 []Table2Row, abl []AblationRow, cluster []ClusterRow, wall []WallClockRow, async []AsyncRow, appstudy []AppStudyRow, node []NodeRow, loadtest *LoadTestReport) error {
-	doc := JSONDocument{Table2: table2, Ablations: abl, Cluster: cluster, WallClock: wall, Async: async, AppStudy: appstudy, Node: node, LoadTest: loadtest}
+func WriteJSON(w io.Writer, res *Results, table2 []Table2Row, abl []AblationRow, cluster []ClusterRow, async []AsyncRow, node []NodeRow, loadtest *LoadTestReport) error {
+	doc := JSONDocument{Table2: table2, Ablations: abl, Cluster: cluster, Async: async, Node: node, LoadTest: loadtest}
 	if res != nil {
 		doc.Config = res.Config
 		doc.Headline = res.Headline()

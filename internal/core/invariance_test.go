@@ -23,19 +23,23 @@ import (
 
 // perfVariants returns the option sets compared against the default.
 func perfVariants(base rt.Options) map[string]rt.Options {
-	serial, noCache, noSpec := base, base, base
-	serial.DisableHostParallel = true
+	noCache, noSpec := base, base
 	noCache.DisablePlanCache = true
 	noSpec.DisableSpecialize = true
-	both := serial
-	both.DisablePlanCache = true
+	both := noCache
 	both.DisableSpecialize = true
 	return map[string]rt.Options{
-		"no-host-parallel": serial,
-		"no-plan-cache":    noCache,
-		"no-specialize":    noSpec,
-		"all-serial":       both,
+		"no-plan-cache": noCache,
+		"no-specialize": noSpec,
+		"all-off":       both,
 	}
+}
+
+// oneProcVariants are the option sets run again at GOMAXPROCS=1, where
+// every host fan-out is the ascending serial loop: the default and
+// everything off at once.
+func oneProcVariants() map[string]rt.Options {
+	return map[string]rt.Options{"default": {}, "all-off": perfVariants(rt.Options{})["all-off"]}
 }
 
 // fillDeterministic gives every instance array reproducible nonzero
@@ -126,10 +130,12 @@ func TestExamplesReportInvariance(t *testing.T) {
 					rep, arr := runExample(t, src, want.scalars, spec, opts)
 					checkSameRun(t, fmt.Sprintf("%s on %s (%s)", name, spec.Name, vname), refRep, rep, refArr, arr)
 				}
-				prev := goruntime.GOMAXPROCS(1)
-				rep, arr := runExample(t, src, want.scalars, spec, rt.Options{})
-				goruntime.GOMAXPROCS(prev)
-				checkSameRun(t, fmt.Sprintf("%s on %s (GOMAXPROCS=1)", name, spec.Name), refRep, rep, refArr, arr)
+				for vname, opts := range oneProcVariants() {
+					prev := goruntime.GOMAXPROCS(1)
+					rep, arr := runExample(t, src, want.scalars, spec, opts)
+					goruntime.GOMAXPROCS(prev)
+					checkSameRun(t, fmt.Sprintf("%s on %s (GOMAXPROCS=1, %s)", name, spec.Name, vname), refRep, rep, refArr, arr)
+				}
 			}
 		})
 	}
@@ -168,11 +174,13 @@ func TestAppsReportInvariance(t *testing.T) {
 					t.Fatalf("%s (%s): Report diverged\nwant %+v\ngot  %+v", app.Name, vname, ref.Report, res.Report)
 				}
 			}
-			prev := goruntime.GOMAXPROCS(1)
-			res := run(rt.Options{})
-			goruntime.GOMAXPROCS(prev)
-			if !reflect.DeepEqual(ref.Report, res.Report) {
-				t.Fatalf("%s (GOMAXPROCS=1): Report diverged", app.Name)
+			for vname, opts := range oneProcVariants() {
+				prev := goruntime.GOMAXPROCS(1)
+				res := run(opts)
+				goruntime.GOMAXPROCS(prev)
+				if !reflect.DeepEqual(ref.Report, res.Report) {
+					t.Fatalf("%s (GOMAXPROCS=1, %s): Report diverged", app.Name, vname)
+				}
 			}
 		})
 	}

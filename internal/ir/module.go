@@ -157,13 +157,6 @@ type Kernel struct {
 	// interleaving — so would the work counters. Every engine runs such
 	// a kernel's workers in worker order on one goroutine per device.
 	SerialWorkers bool
-	// FuseNext points at the lexically next kernel in the same block
-	// when the translator proved the pair fusable: both specialized,
-	// no scalar reductions or array reduces, and declaration-level
-	// disjointness — an array either kernel writes appears nowhere in
-	// the other kernel. The runtime may then execute both kernels'
-	// Phase B in one fan-out when its own per-launch gates also hold.
-	FuseNext *Kernel
 }
 
 // Use returns the ArrayUse for a declaration, if the kernel touches it.

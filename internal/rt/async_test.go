@@ -80,20 +80,20 @@ func checkAsyncVsSync(t testing.TB, p randProg) {
 
 		// Async determinism: the wall-clock ablations must not move a
 		// single virtual-time stamp of the overlapped schedule.
-		for _, opts := range []rt.Options{
-			{Async: true, DisableHostParallel: true},
-			{Async: true, DisablePlanCache: true},
-			{Async: true, DisableSpecialize: true},
+		for _, cfg := range []invarianceConfig{
+			{name: "one-proc", opts: rt.Options{Async: true}, oneProc: true},
+			{name: "no-plan-cache", opts: rt.Options{Async: true, DisablePlanCache: true}},
+			{name: "no-specialize", opts: rt.Options{Async: true, DisableSpecialize: true}},
 		} {
-			again, err := p.runFull(t, spec, opts, nil)
+			again, err := cfg.run(t, p, spec, nil)
 			if err != nil {
-				t.Fatalf("async %+v on %s: %v\n%s", opts, spec.Name, err, p.src)
+				t.Fatalf("async %s on %s: %v\n%s", cfg.name, spec.Name, err, p.src)
 			}
 			if again.rep.AsyncTime != async.rep.AsyncTime {
-				t.Fatalf("on %s: async makespan not invariant under %+v: %v vs %v\n%s",
-					spec.Name, opts, again.rep.AsyncTime, async.rep.AsyncTime, p.src)
+				t.Fatalf("on %s: async makespan not invariant under %s: %v vs %v\n%s",
+					spec.Name, cfg.name, again.rep.AsyncTime, async.rep.AsyncTime, p.src)
 			}
-			compareI32(t, p.src, fmt.Sprintf("%s/%+v", spec.Name, opts), "out_", again.out, sync.out)
+			compareI32(t, p.src, spec.Name+"/"+cfg.name, "out_", again.out, sync.out)
 		}
 	}
 }
@@ -131,7 +131,7 @@ func TestAsyncVsSyncSeedCorpus(t *testing.T) {
 // states must verify against the oracle, and the final results must
 // match the CPU reference.
 func TestAsyncAuditedCorpus(t *testing.T) {
-	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987}
+	seeds := auditedSeeds
 	if testing.Short() {
 		seeds = seeds[:5]
 	}

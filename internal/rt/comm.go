@@ -118,7 +118,7 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 
 	// Stage 1 — scan.
 	diffs := r.diffScratchFor(len(gpus))
-	r.fanOutGPUs(len(gpus), func(g int) {
+	sim.FanOut(len(gpus), func(g int) {
 		r.scanDirty(st, gpus, g, &diffs[g])
 	})
 
@@ -146,7 +146,7 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 		}
 	}
 	if withRuns <= 1 || runsDisjoint(lists, idx) {
-		r.fanOutGPUs(len(gpus), apply)
+		sim.FanOut(len(gpus), apply)
 	} else {
 		for g := range gpus {
 			apply(g)
@@ -166,7 +166,7 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 	}
 
 	// Stage 3 — clear.
-	r.fanOutGPUs(len(gpus), func(g int) { st.copies[g].clearDirty() })
+	sim.FanOut(len(gpus), func(g int) { st.copies[g].clearDirty() })
 
 	// Concatenate per-source transfers in source order — the exact
 	// sequence the serial scheme emitted.

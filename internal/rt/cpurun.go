@@ -38,7 +38,7 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	}
 
 	base := env.CloneWithViews(views)
-	redVals := gpuPartials(k, &r.partials, 1)[0]
+	redVals := r.gpuPartials(k, 1)[0]
 	for ri, red := range k.ScalarReds {
 		setRedSlot(base, red, redVals[ri])
 	}

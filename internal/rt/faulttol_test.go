@@ -218,9 +218,16 @@ func TestFaultPlanEquivalence(t *testing.T) {
 // the same bucket accounting — only the time stamps may move. The
 // scheduler surfaces each failed attempt as a bus-time penalty but the
 // error itself still travels the synchronous retry/fallback path.
+//
+// The Phase B engine is the second axis: a fault-armed run executes the
+// specialized bodies like any other, and with them switched off
+// (DisableSpecialize) the same plan must fire at the same allocations
+// and transfer attempts — whole report, time stamps included, and final
+// arrays bit-identical on either schedule.
 func TestFaultPlanAsyncEquivalence(t *testing.T) {
 	plan := &sim.FaultPlan{Seed: 7, OOMGPU: 1, OOMAlloc: 2, TransferFailRate: 0.2, TransferFailCap: 2}
 	var fallbacks, retries int
+	var specHits int64
 	for _, seed := range []int64{11, 22, 33} {
 		p := genRandProg(rand.New(rand.NewSource(seed)))
 		refOut, refOut2, refHist, refTotal := p.run(t, sim.Desktop(), rt.Options{Mode: rt.ModeCPU})
@@ -245,9 +252,27 @@ func TestFaultPlanAsyncEquivalence(t *testing.T) {
 			t.Fatalf("seed %d: faulted async report diverges from sync modulo time:\nasync: %+v\nsync:  %+v\n%s",
 				seed, got, want, p.src)
 		}
+		for _, c := range []struct {
+			label string
+			fast  runResult
+			opts  rt.Options
+		}{
+			{"sync", sync, rt.Options{DisableSpecialize: true}},
+			{"async", async, rt.Options{Async: true, DisableSpecialize: true}},
+		} {
+			interp, err := p.runFull(t, sim.Desktop(), c.opts, plan)
+			if err != nil {
+				t.Fatalf("seed %d: faulted %s interpreter run must degrade, not fail: %v\n%s", seed, c.label, err, p.src)
+			}
+			checkRunsIdentical(t, fmt.Sprintf("seed %d faulted %s, specialized vs interpreter", seed, c.label), p.src, interp, c.fast)
+			specHits += c.fast.runtime.SpecHits()
+		}
 		fallbacks += async.rep.Fallbacks
 		retries += async.rep.TransferRetries
 		assertDevicesEmpty(t, async.mach, fmt.Sprintf("async seed %d", seed))
+	}
+	if specHits == 0 {
+		t.Error("no fault-armed run reached the specialized executor")
 	}
 	if fallbacks == 0 {
 		t.Error("the OOM injection never triggered a fallback under async")

@@ -366,10 +366,9 @@ func transfersEqual(a, b []sim.Transfer) bool {
 // whenever both are legal (disjoint writes), under the race detector.
 func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 	const ngpus, n = 4, 2048
-	run := func(hostParallel bool) *arrayState {
-		opts := Options{ChunkBytes: 512}
-		opts.DisableHostParallel = !hostParallel
-		r := newPerfRuntime(t, ngpus, opts)
+	run := func(procs int) *arrayState {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		r := newPerfRuntime(t, ngpus, Options{ChunkBytes: 512})
 		st := newPerfArray(t, r, "a", cc.TFloat, n)
 		fillHost(rand.New(rand.NewSource(3)), st.host)
 		loadReplicas(t, r, st, true)
@@ -384,7 +383,7 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 		r.syncReplicated(st, r.mach.GPUs())
 		return st
 	}
-	a, b := run(true), run(false)
+	a, b := run(ngpus), run(1)
 	for g := 0; g < ngpus; g++ {
 		for p := int64(0); p < n; p++ {
 			if a.copies[g].loadF(p) != b.copies[g].loadF(p) {
@@ -566,27 +565,22 @@ func TestPlanCacheScalarValidation(t *testing.T) {
 // --- allocation budget ---
 
 // TestSteadyStateAllocBudget pins that the reused scratch keeps the
-// per-superstep hot paths allocation-free once warm (serial mode; with
-// processors to spare each fan-out additionally pays its scaffolding,
+// per-superstep hot paths allocation-free once warm (on one processor,
+// which testing.AllocsPerRun pins; with processors to spare each fan-out additionally pays its scaffolding,
 // bounded in GOMAXPROCS, not in GPUs).
 func TestSteadyStateAllocBudget(t *testing.T) {
 	const ngpus = 4
 	const n = 64 << 10
-	setup := func(opts Options) (*Runtime, *arrayState, [][]uint8, [][]uint8) {
-		r := newPerfRuntime(t, ngpus, opts)
-		st := newPerfArray(t, r, "a", cc.TFloat, n)
-		fillHost(rand.New(rand.NewSource(5)), st.host)
-		loadReplicas(t, r, st, true)
-		var dirtyT, chunkT [][]uint8
-		for g := 0; g < ngpus; g++ {
-			markDirty(st.copies[g], int64(g)*n/ngpus, int64(g+1)*n/ngpus)
-			dirtyT = append(dirtyT, append([]uint8(nil), st.copies[g].dirty...))
-			chunkT = append(chunkT, append([]uint8(nil), st.copies[g].chunkDirty...))
-		}
-		return r, st, dirtyT, chunkT
+	r := newPerfRuntime(t, ngpus, Options{})
+	st := newPerfArray(t, r, "a", cc.TFloat, n)
+	fillHost(rand.New(rand.NewSource(5)), st.host)
+	loadReplicas(t, r, st, true)
+	var dirtyT, chunkT [][]uint8
+	for g := 0; g < ngpus; g++ {
+		markDirty(st.copies[g], int64(g)*n/ngpus, int64(g+1)*n/ngpus)
+		dirtyT = append(dirtyT, append([]uint8(nil), st.copies[g].dirty...))
+		chunkT = append(chunkT, append([]uint8(nil), st.copies[g].chunkDirty...))
 	}
-
-	r, st, dirtyT, chunkT := setup(Options{DisableHostParallel: true})
 	sync := func() {
 		for g := 0; g < ngpus; g++ {
 			copy(st.copies[g].dirty, dirtyT[g])
@@ -613,16 +607,8 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	// With processors to spare, each of the three fan-outs (scan, apply,
 	// clear) adds its own closures, counter and wait group, and at worst
 	// one goroutine record per processor; nothing per GPU.
-	rp, stp, dirtyP, chunkP := setup(Options{})
-	syncP := func() {
-		for g := 0; g < ngpus; g++ {
-			copy(stp.copies[g].dirty, dirtyP[g])
-			copy(stp.copies[g].chunkDirty, chunkP[g])
-		}
-		rp.syncReplicated(stp, rp.mach.GPUs())
-	}
 	for _, procs := range []int{2, 4} {
-		if avg, limit := allocsPerRunAt(procs, 20, syncP), float64(3*(procs+5)); avg > limit {
+		if avg, limit := allocsPerRunAt(procs, 20, sync), float64(3*(procs+5)); avg > limit {
 			t.Errorf("syncReplicated on %d processors allocates %.1f objects per superstep, want <= %v", procs, avg, limit)
 		}
 	}

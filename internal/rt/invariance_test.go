@@ -19,15 +19,30 @@ import (
 // on, off, and under GOMAXPROCS=1. These tests pin that over the
 // audited random-program corpus on every machine tier.
 
-// invarianceConfigs are the runtime configurations whose Reports and
-// outputs must match the default exactly.
-func invarianceConfigs() map[string]rt.Options {
-	return map[string]rt.Options{
-		"no-plan-cache":    {DisablePlanCache: true},
-		"no-host-parallel": {DisableHostParallel: true},
-		"no-specialize":    {DisableSpecialize: true},
-		"all-serial":       {DisablePlanCache: true, DisableHostParallel: true, DisableSpecialize: true},
+// invarianceConfig is one runtime configuration whose Report and
+// outputs must match the default exactly. oneProc runs it at
+// GOMAXPROCS=1, where every sim.FanOut is the ascending serial loop and
+// starts no goroutine: the serial-order reference for the host fan-outs.
+type invarianceConfig struct {
+	name    string
+	opts    rt.Options
+	oneProc bool
+}
+
+func invarianceConfigs() []invarianceConfig {
+	return []invarianceConfig{
+		{name: "no-plan-cache", opts: rt.Options{DisablePlanCache: true}},
+		{name: "one-proc", oneProc: true},
+		{name: "no-specialize", opts: rt.Options{DisableSpecialize: true}},
+		{name: "all-serial", opts: rt.Options{DisablePlanCache: true, DisableSpecialize: true}, oneProc: true},
 	}
+}
+
+func (c invarianceConfig) run(t testing.TB, p randProg, spec sim.MachineSpec, plan *sim.FaultPlan) (runResult, error) {
+	if c.oneProc {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	}
+	return p.runFull(t, spec, c.opts, plan)
 }
 
 func checkRunsIdentical(t *testing.T, label, src string, want, got runResult) {
@@ -59,12 +74,12 @@ func TestHostPerfReportInvariance(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d on %s: %v\n%s", seed, spec.Name, err, p.src)
 			}
-			for name, opts := range invarianceConfigs() {
-				res, err := p.runFull(t, spec, opts, nil)
+			for _, cfg := range invarianceConfigs() {
+				res, err := cfg.run(t, p, spec, nil)
 				if err != nil {
-					t.Fatalf("seed %d on %s (%s): %v\n%s", seed, spec.Name, name, err, p.src)
+					t.Fatalf("seed %d on %s (%s): %v\n%s", seed, spec.Name, cfg.name, err, p.src)
 				}
-				label := fmt.Sprintf("seed %d on %s (%s)", seed, spec.Name, name)
+				label := fmt.Sprintf("seed %d on %s (%s)", seed, spec.Name, cfg.name)
 				checkRunsIdentical(t, label, p.src, ref, res)
 			}
 		}
@@ -111,18 +126,18 @@ func TestHostPerfInvarianceUnderFaults(t *testing.T) {
 		plan := &sim.FaultPlan{Seed: 20130700 + seed, TransferFailRate: 0.05}
 		spec := sim.Desktop()
 		ref, refErr := p.runFull(t, spec, rt.Options{}, plan)
-		for name, opts := range invarianceConfigs() {
-			res, err := p.runFull(t, spec, opts, plan)
+		for _, cfg := range invarianceConfigs() {
+			res, err := cfg.run(t, p, spec, plan)
 			if (refErr == nil) != (err == nil) {
 				t.Fatalf("seed %d (%s): error divergence: default %v, variant %v\n%s",
-					seed, name, refErr, err, p.src)
+					seed, cfg.name, refErr, err, p.src)
 			}
 			if !reflect.DeepEqual(ref.rep, res.rep) {
 				t.Fatalf("seed %d (%s): faulted Report diverged\nwant %+v\ngot  %+v\n%s",
-					seed, name, ref.rep, res.rep, p.src)
+					seed, cfg.name, ref.rep, res.rep, p.src)
 			}
 			if refErr == nil {
-				checkRunsIdentical(t, fmt.Sprintf("seed %d (%s) faulted", seed, name), p.src, ref, res)
+				checkRunsIdentical(t, fmt.Sprintf("seed %d (%s) faulted", seed, cfg.name), p.src, ref, res)
 			}
 		}
 	}

@@ -88,14 +88,6 @@ func (r *Runtime) Launch(k *ir.Kernel, env *ir.Env) error {
 	if err := r.interrupted(); err != nil {
 		return err
 	}
-	if r.fusedDone == k {
-		// This kernel already executed, fused with its predecessor
-		// (see fuse.go); only the per-call entry bookkeeping remains.
-		r.fusedDone = nil
-		r.kernelExecs[k.ID]++
-		r.rep.KernelLaunches++
-		return nil
-	}
 	r.kernelExecs[k.ID]++
 	r.rep.KernelLaunches++
 	if r.opts.Mode == ModeCPU {
@@ -301,16 +293,6 @@ loading:
 		}
 	}
 
-	// Cross-kernel fusion: when the next launch is a proven-independent
-	// partner and its Phase A is provably a no-op, run both kernels'
-	// chunks in this launch's fan-out (fuse.go). Accounting stays
-	// sequential-identical; only wall-clock time changes.
-	if k2 := r.fuseCandidate(k, gpus); k2 != nil {
-		if done, err := r.launchFused(k, k2, env, gpus, parts, needs); done {
-			return err
-		}
-	}
-
 	// Phase B — kernel execution, fanned out over the GPUs. The
 	// specialized executor, when one applies, is resolved on the host
 	// strand (its cache is unsynchronized); each GPU's run then decides
@@ -327,7 +309,7 @@ loading:
 	if tracer != nil {
 		tracer.EnsureLanes(len(gpus))
 	}
-	partials := gpuPartials(k, &r.partials, len(gpus))
+	partials := r.gpuPartials(k, len(gpus))
 	t0 := r.rep.Total()
 	wall0 := time.Now()
 	sim.FanOut(len(gpus), func(g int) {
@@ -436,9 +418,7 @@ loading:
 
 // specTally records one per-GPU chunk's specialized-executor outcome:
 // hit and fallback counters (with per-reason breakdown) for eligible
-// kernels, compile-time rejection counters otherwise. Shared by the
-// normal and the fused launch epilogues so the bookkeeping cannot
-// drift between them.
+// kernels, compile-time rejection counters otherwise.
 func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chunk int64) {
 	tracer := r.opts.Tracer
 	if ex != nil {
@@ -590,13 +570,12 @@ func (r *Runtime) buildViews(k *ir.Kernel, env *ir.Env, g int, nds []need) []ir.
 // the int values the apps produce) and written back per declared type.
 
 // gpuPartials returns one slice of scalar-reduction partials per GPU,
-// each reset to the kernel's identities; set is the scratch they live
-// in across launches.
-func gpuPartials(k *ir.Kernel, set *[][]float64, ngpus int) [][]float64 {
-	for len(*set) < ngpus {
-		*set = append(*set, nil)
+// each reset to the kernel's identities.
+func (r *Runtime) gpuPartials(k *ir.Kernel, ngpus int) [][]float64 {
+	for len(r.partials) < ngpus {
+		r.partials = append(r.partials, nil)
 	}
-	partials := (*set)[:ngpus]
+	partials := r.partials[:ngpus]
 	for g := range partials {
 		vals := partials[g][:0]
 		for _, red := range k.ScalarReds {

@@ -136,21 +136,6 @@ func (r *Runtime) computePlan(k *ir.Kernel, env *ir.Env, ngpus int, lower, upper
 	return parts, needs
 }
 
-// fanOutGPUs runs fn(0..n-1) through sim.FanOut — for per-GPU work
-// whose writes are disjoint by construction (each index touches only
-// its own GPU's storage). DisableHostParallel degrades to the serial
-// loop, which must be observationally identical — the
-// report-invariance tests pin that.
-func (r *Runtime) fanOutGPUs(n int, fn func(g int)) {
-	if r.opts.DisableHostParallel {
-		for g := 0; g < n; g++ {
-			fn(g)
-		}
-		return
-	}
-	sim.FanOut(n, fn)
-}
-
 // copyJob is one deferred host→device content copy: the serial prepare
 // pass makes every allocation and accounting decision (so the fault
 // oracles observe the exact legacy order), and the bulk element
@@ -226,7 +211,7 @@ func (r *Runtime) runCopyJobs(jobs [][]copyJob) {
 	if !any {
 		return
 	}
-	r.fanOutGPUs(len(jobs), func(g int) {
+	sim.FanOut(len(jobs), func(g int) {
 		for _, j := range jobs[g] {
 			j.run()
 		}

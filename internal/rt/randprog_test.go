@@ -3,6 +3,7 @@ package rt_test
 import (
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
+	"accmulti/internal/trace"
 	"accmulti/internal/translator"
 )
 
@@ -190,18 +192,28 @@ func (p randProg) run(t testing.TB, spec sim.MachineSpec, opts rt.Options) (out,
 	return res.out, res.out2, res.hist, res.total
 }
 
-// checkAuditedEquivalence runs one generated program on the CPU
-// reference and on audited multi-GPU configurations, comparing all
-// observable results exactly.
-func checkAuditedEquivalence(t testing.TB, p randProg) {
-	refOut, refOut2, refHist, refTotal := p.run(t, sim.Desktop(), rt.Options{Mode: rt.ModeCPU})
-	for _, spec := range []sim.MachineSpec{
+// auditedSeeds is the fixed generator-seed table of the audited corpus:
+// large enough that all template features (two-phase programs, nested
+// present regions, scatter on distributed arrays, reductions) occur.
+var auditedSeeds = []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987}
+
+// auditedSpecs are the platforms the audited corpus runs on.
+func auditedSpecs() []sim.MachineSpec {
+	return []sim.MachineSpec{
 		sim.Desktop().WithGPUs(1),
 		sim.Desktop(),
 		sim.SupercomputerNode(),
 		sim.Cluster(2, 2),
 		sim.Cluster(3, 2),
-	} {
+	}
+}
+
+// checkAuditedEquivalence runs one generated program on the CPU
+// reference and on audited multi-GPU configurations, comparing all
+// observable results exactly.
+func checkAuditedEquivalence(t testing.TB, p randProg) {
+	refOut, refOut2, refHist, refTotal := p.run(t, sim.Desktop(), rt.Options{Mode: rt.ModeCPU})
+	for _, spec := range auditedSpecs() {
 		opts := rt.Options{Auditor: audit.New(audit.Options{})}
 		out, out2, hist, total := p.run(t, spec, opts)
 		compareI32(t, p.src, spec.Name, "out_", out, refOut)
@@ -256,12 +268,10 @@ func TestRandomProgramsMultiGPUEquivalence(t *testing.T) {
 	}
 }
 
-// TestAuditedSeedCorpus drives a fixed table of generator seeds through
-// the shadow-oracle auditor on every platform. The seed list is large
-// enough that all template features (two-phase programs, nested
-// present regions, scatter on distributed arrays, reductions) occur.
+// TestAuditedSeedCorpus drives the fixed table of generator seeds
+// through the shadow-oracle auditor on every platform.
 func TestAuditedSeedCorpus(t *testing.T) {
-	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 233, 377, 610, 987}
+	seeds := auditedSeeds
 	if testing.Short() {
 		seeds = seeds[:5]
 	}
@@ -270,6 +280,53 @@ func TestAuditedSeedCorpus(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			checkAuditedEquivalence(t, genRandProg(rand.New(rand.NewSource(seed))))
 		})
+	}
+}
+
+// specRoute renders everything the runtime counts about which Phase B
+// engine ran each chunk.
+func specRoute(r *rt.Runtime) string {
+	return fmt.Sprintf("hits %d, fallbacks %v, tiled %d, hazard %d, untiled %v, split pieces %d",
+		r.SpecHits(), r.SpecFallbackReasons(), r.SpecTiledIters(), r.SpecHazardLanes(), r.SpecUntiled(), r.SpecSplitPieces())
+}
+
+// TestObserversKeepTheRouteCorpus pins, over the audited seed corpus on
+// every platform, that the Phase B route is chosen from the kernel and
+// its data alone: the span tracer, text narration, the shadow auditor,
+// an armed fault plan (its rate never fires) and the async schedule each
+// leave every specialization counter where the bare synchronous run put
+// it.
+func TestObserversKeepTheRouteCorpus(t *testing.T) {
+	seeds := auditedSeeds
+	if testing.Short() {
+		seeds = seeds[:5]
+	}
+	armed := &sim.FaultPlan{Seed: 1, TransferFailRate: 1e-12}
+	for _, seed := range seeds {
+		p := genRandProg(rand.New(rand.NewSource(seed)))
+		for _, spec := range auditedSpecs() {
+			route := func(opts rt.Options, plan *sim.FaultPlan) string {
+				res, err := p.runFull(t, spec, opts, plan)
+				if err != nil {
+					t.Fatalf("seed %d on %s: %v\n%s", seed, spec.Name, err, p.src)
+				}
+				return specRoute(res.runtime)
+			}
+			bare := route(rt.Options{}, nil)
+			for label, got := range map[string]string{
+				"tracer":     route(rt.Options{Tracer: trace.New()}, nil),
+				"narration":  route(rt.Options{Trace: io.Discard}, nil),
+				"auditor":    route(rt.Options{Auditor: audit.New(audit.Options{})}, nil),
+				"fault plan": route(rt.Options{}, armed),
+				"async":      route(rt.Options{Async: true}, nil),
+				"everything": route(rt.Options{Async: true, Tracer: trace.New(), Trace: io.Discard,
+					Auditor: audit.New(audit.Options{})}, armed),
+			} {
+				if got != bare {
+					t.Errorf("seed %d on %s with %s: %s; bare: %s\n%s", seed, spec.Name, label, got, bare, p.src)
+				}
+			}
+		}
 	}
 }
 

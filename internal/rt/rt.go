@@ -75,8 +75,14 @@ const (
 	missRecordBytes = 12
 )
 
-// Options configures a runtime. The Disable* switches exist for the
-// ablation studies; the default (all false) is the proposed system.
+// Options configures a runtime; the zero value is the proposed system.
+// Of the seven Disable* switches, four are the paper's ablations
+// (distribution, layout transform, two-level dirty bits, reload skip),
+// DisableDegradation makes faults fatal, and DisablePlanCache and
+// DisableSpecialize select the reference implementations the invariance
+// tests compare against. Which engine runs a kernel's Phase B depends on
+// the kernel, its data and DisableSpecialize alone: not on Async, Trace,
+// Tracer, Auditor, BalanceLoad or a fault plan armed on the machine.
 type Options struct {
 	// Mode selects the execution strategy (default ModeMultiGPU).
 	Mode Mode
@@ -131,18 +137,6 @@ type Options struct {
 	// for the report-invariance tests and wall-clock ablations; the
 	// virtual-time report must be bit-identical either way.
 	DisablePlanCache bool
-	// DisableHostParallel runs the host-side loader copies and the
-	// dirty-diff stages serially instead of fanned out over the GPUs.
-	// Exists for the report-invariance tests and wall-clock ablations;
-	// the virtual-time report must be bit-identical either way.
-	DisableHostParallel bool
-	// DisableFusion turns cross-kernel launch fusion off: adjacent
-	// independent launches (Kernel.FuseNext pairs) run their Phase B
-	// fan-outs separately. Fusion is a wall-clock-only optimization
-	// with sequential-identical accounting, so reports, events,
-	// transfers and final array contents must be bit-identical either
-	// way; the fused-vs-unfused A/B tests pin that.
-	DisableFusion bool
 	// Interrupt, when non-nil, is polled at the run loop's directive
 	// boundaries (data-region entry, update directives, kernel
 	// launches). The first non-nil return aborts the run with an
@@ -153,10 +147,10 @@ type Options struct {
 	// never interrupted is bit-identical to one with Interrupt nil.
 	Interrupt func() error
 	// DisableSpecialize turns the specialized kernel executors off:
-	// every launch runs the instrumented closure-tree interpreter, as
-	// before PR 4. Exists for the report-invariance tests and wall-clock
-	// ablations; reports, events, transfers and final array contents
-	// must be bit-identical either way.
+	// every launch runs the instrumented closure-tree interpreter, the
+	// reference the differential tests compare against; reports, events,
+	// transfers and final array contents must be bit-identical either
+	// way.
 	DisableSpecialize bool
 	// Sabotage deliberately corrupts communication steps so tests can
 	// prove the auditor detects real consistency bugs. Never set it
@@ -245,7 +239,7 @@ type Runtime struct {
 	specRejects map[string]int64
 	// phaseBWall accumulates real wall-clock time spent inside the
 	// Phase B kernel fan-out (all GPUs' chunk execution, specialized or
-	// interpreted), for the paper-app speedup gate and bench.AppStudy.
+	// interpreted), for the paper-app speedup gate and benchmark/.
 	phaseBWall time.Duration
 	// scalarScratch is reused for plan-cache validation fingerprints.
 	scalarScratch []int64
@@ -267,9 +261,7 @@ type Runtime struct {
 	diffLists     [][]span       // runsDisjoint input scratch
 	diffIdx       []int          // runsDisjoint merge cursors
 	missBytes     []int64        // deliverMisses per-destination tallies
-	// Per-GPU scalar-reduction partials; partials2 serves the trailing
-	// kernel of a fused pair.
-	partials, partials2 [][]float64
+	partials      [][]float64    // per-GPU scalar-reduction partials
 
 	// Phase B per-GPU result slots, indexed by GPU. Each launch
 	// goroutine writes only its own slot; the host strand merges them
@@ -280,19 +272,6 @@ type Runtime struct {
 	gpuCtrs []sim.Counters
 	gpuErrs []error
 	gpuSpec []bool
-	// Second slot set for the trailing kernel of a fused launch pair
-	// (see fuse.go); sized by fusedScratch.
-	gpuCost2 []time.Duration
-	gpuCtrs2 []sim.Counters
-	gpuErrs2 []error
-	gpuSpec2 []bool
-
-	// fusedDone marks the kernel whose launch already ran fused with
-	// its predecessor: the next Launch call for it reduces to entry
-	// bookkeeping. fusedLaunches counts committed fusions (wall-clock
-	// telemetry only — deliberately not a Report field).
-	fusedDone     *ir.Kernel
-	fusedLaunches int
 }
 
 type fpKey struct {

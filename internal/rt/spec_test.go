@@ -280,8 +280,9 @@ func specHits(r *Runtime) int64 {
 
 // TestSpecFastPathTaken pins that an eligible kernel actually runs the
 // fast path (so the differential suites compare spec against interp,
-// not interp against itself) and that each fallback condition of the
-// decision matrix keeps the executor away.
+// not interp against itself), that only the DisableSpecialize reference
+// switch keeps the executor away, and that an armed fault plan or an
+// attached auditor does not.
 func TestSpecFastPathTaken(t *testing.T) {
 	scalars := map[string]float64{"n": 4096, "a": 1.5}
 	run := func(opts Options, plan *sim.FaultPlan) *Runtime {
@@ -298,22 +299,20 @@ func TestSpecFastPathTaken(t *testing.T) {
 		return r
 	}
 
-	r := run(Options{}, nil)
-	if len(r.specExecs) != 1 {
-		t.Fatalf("want 1 cached executor, have %d", len(r.specExecs))
+	for label, r := range map[string]*Runtime{
+		"bare":             run(Options{}, nil),
+		"armed fault plan": run(Options{}, &sim.FaultPlan{Seed: 1, TransferFailRate: 1e-12}),
+		"audit mode":       run(Options{Auditor: noopAudit{}}, nil),
+	} {
+		if len(r.specExecs) != 1 {
+			t.Fatalf("%s: want 1 cached executor, have %d", label, len(r.specExecs))
+		}
+		if h := specHits(r); h != int64(r.mach.NumGPUs()) {
+			t.Fatalf("%s: fast path handled %d GPU chunks, want %d", label, h, r.mach.NumGPUs())
+		}
 	}
-	if h := specHits(r); h != int64(r.mach.NumGPUs()) {
-		t.Fatalf("fast path handled %d GPU chunks, want %d", h, r.mach.NumGPUs())
-	}
-
 	if r := run(Options{DisableSpecialize: true}, nil); len(r.specExecs) != 0 {
 		t.Fatal("DisableSpecialize must keep the executor cache empty")
-	}
-	if r := run(Options{}, &sim.FaultPlan{Seed: 1, TransferFailRate: 1e-12}); len(r.specExecs) != 0 {
-		t.Fatal("an armed fault plan must keep the executor cache empty")
-	}
-	if r := run(Options{Auditor: noopAudit{}}, nil); len(r.specExecs) != 0 {
-		t.Fatal("audit mode must keep the executor cache empty")
 	}
 }
 

@@ -373,9 +373,8 @@ void main() {
 		scalars: nScalar,
 	},
 	{
-		// Iterated adjacent independent pair: the launch-fusion shape.
-		// Warm iterations execute fused on the spec side; the report and
-		// contents must still match the interpreter bit for bit.
+		// Iterated adjacent pair of kernels over disjoint arrays, inside
+		// one data region (the name is the golden file's row key).
 		name: "fused-pair-iter",
 		src: `
 int n, steps, t;

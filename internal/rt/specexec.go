@@ -23,9 +23,9 @@ import (
 // array contents must be bit-identical with the fast path on or off, so
 // the executor only runs when it can reproduce the interpreter exactly:
 //
-//   - Launch-global fallbacks (specExecutor returns nil): specialization
-//     disabled, audit mode (the auditor observes per-access semantics),
-//     an armed fault plan, or no KernelSpec at all.
+//   - Kernel-wide (specExecutor returns nil): no KernelSpec at all, or
+//     the DisableSpecialize reference switch. Nothing else about the run
+//     — schedule, tracer, narration, auditor, fault plan — is consulted.
 //   - Per-GPU fallbacks (run returns handled=false): miss-check lanes
 //     (distributed writes buffer out-of-partition stores one record at
 //     a time), a layout-transformed copy feeding a reduction lane
@@ -210,6 +210,10 @@ func (r *Runtime) PhaseBWall() time.Duration {
 	return r.phaseBWall
 }
 
+// FusedLaunches is always 0: launch fusion is gone. It stays only until
+// its one caller, benchmark/layers.go (rt.fused_launches), drops it.
+func (r *Runtime) FusedLaunches() int { return 0 }
+
 // specGPU is one GPU's executor scratch, reused across launches so the
 // steady state allocates nothing.
 type specGPU struct {
@@ -327,7 +331,7 @@ type scanEntry struct {
 // whole launch must interpret. Called on the host strand only (the
 // cache map is unsynchronized, like the plan cache).
 func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
-	if k.Spec == nil || r.opts.DisableSpecialize || r.auditing() || r.mach.FaultPlan() != nil {
+	if k.Spec == nil || r.opts.DisableSpecialize {
 		return nil
 	}
 	ex, ok := r.specExecs[k.ID]

@@ -64,13 +64,13 @@ func TestTraceReportInvariance(t *testing.T) {
 			}
 
 			// Option matrix with tracing armed: the report still must not move.
-			for name, opts := range invarianceConfigs() {
-				opts.Tracer = trace.New()
-				res, err := p.runFull(t, spec, opts, nil)
+			for _, cfg := range invarianceConfigs() {
+				cfg.opts.Tracer = trace.New()
+				res, err := cfg.run(t, p, spec, nil)
 				if err != nil {
-					t.Fatalf("seed %d on %s (%s traced): %v\n%s", seed, spec.Name, name, err, p.src)
+					t.Fatalf("seed %d on %s (%s traced): %v\n%s", seed, spec.Name, cfg.name, err, p.src)
 				}
-				checkRunsIdentical(t, fmt.Sprintf("seed %d on %s (%s traced)", seed, spec.Name, name),
+				checkRunsIdentical(t, fmt.Sprintf("seed %d on %s (%s traced)", seed, spec.Name, cfg.name),
 					p.src, ref, res)
 			}
 		}

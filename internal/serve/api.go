@@ -60,7 +60,6 @@ type RunRequest struct {
 type RunOptions struct {
 	NoAsync      bool `json:"no_async,omitempty"`
 	NoSpecialize bool `json:"no_specialize,omitempty"`
-	NoFusion     bool `json:"no_fusion,omitempty"`
 	BalanceLoad  bool `json:"balance_load,omitempty"`
 	// Audit verifies every device copy against the sequential shadow
 	// oracle during the run (slower; error 422 on divergence).

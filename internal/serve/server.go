@@ -355,7 +355,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Mode:              mode,
 		Async:             !req.Options.NoAsync,
 		DisableSpecialize: req.Options.NoSpecialize,
-		DisableFusion:     req.Options.NoFusion,
 		BalanceLoad:       req.Options.BalanceLoad,
 		Interrupt:         func() error { return ctx.Err() },
 	}

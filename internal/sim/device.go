@@ -180,52 +180,47 @@ func (e *OutOfMemoryError) Error() string {
 		e.Device, cause, e.Name, e.Requested, e.Used, e.Capacity)
 }
 
-// AllocFloat32 allocates an n-element float32 buffer.
-func (d *Device) AllocFloat32(name string, class MemClass, n int) (*Buffer, []float32, error) {
-	data := make([]float32, n)
-	b, err := d.AllocBytes(name, class, int64(n)*4, data)
+// allocSlice reserves n elements of size bytes each, with AllocBytes'
+// checks and fault-oracle draws, and only then makes the backing slice:
+// a request the device refuses costs no host memory.
+func allocSlice[T any](d *Device, name string, class MemClass, n int, size int64) (*Buffer, []T, error) {
+	b, err := d.AllocBytes(name, class, int64(n)*size, nil)
 	if err != nil {
 		return nil, nil, err
 	}
+	made := false
+	defer func() {
+		if !made { // make panicked (a length the host cannot address)
+			_ = d.Free(b) // just reserved here, so Free cannot fail
+		}
+	}()
+	data := make([]T, n)
+	b.Data = data
+	made = true
 	return b, data, nil
+}
+
+// AllocFloat32 allocates an n-element float32 buffer.
+func (d *Device) AllocFloat32(name string, class MemClass, n int) (*Buffer, []float32, error) {
+	return allocSlice[float32](d, name, class, n, 4)
 }
 
 // AllocFloat64 allocates an n-element float64 buffer.
 func (d *Device) AllocFloat64(name string, class MemClass, n int) (*Buffer, []float64, error) {
-	data := make([]float64, n)
-	b, err := d.AllocBytes(name, class, int64(n)*8, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, data, nil
+	return allocSlice[float64](d, name, class, n, 8)
 }
 
 // AllocInt32 allocates an n-element int32 buffer.
 func (d *Device) AllocInt32(name string, class MemClass, n int) (*Buffer, []int32, error) {
-	data := make([]int32, n)
-	b, err := d.AllocBytes(name, class, int64(n)*4, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, data, nil
+	return allocSlice[int32](d, name, class, n, 4)
 }
 
 // AllocInt64 allocates an n-element int64 buffer.
 func (d *Device) AllocInt64(name string, class MemClass, n int) (*Buffer, []int64, error) {
-	data := make([]int64, n)
-	b, err := d.AllocBytes(name, class, int64(n)*8, data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, data, nil
+	return allocSlice[int64](d, name, class, n, 8)
 }
 
 // AllocBytesSlice allocates an n-element byte buffer (dirty-bit arrays).
 func (d *Device) AllocBytesSlice(name string, class MemClass, n int) (*Buffer, []byte, error) {
-	data := make([]byte, n)
-	b, err := d.AllocBytes(name, class, int64(n), data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, data, nil
+	return allocSlice[byte](d, name, class, n, 1)
 }

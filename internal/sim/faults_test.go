@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 )
 
@@ -128,6 +129,31 @@ func TestMemShrinkForcesGenuineOOM(t *testing.T) {
 	var oom *OutOfMemoryError
 	if !errors.As(err, &oom) || oom.Injected {
 		t.Fatalf("want genuine OOM, got %v", err)
+	}
+}
+
+// TestRefusedAllocMakesNoHostSlice pins that the typed allocators
+// reserve simulated capacity before they make the backing slice: a
+// request the device refuses costs no host memory, on every rung of the
+// OOM ladder and for any accd request larger than the simulated GPU.
+func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
+	spec := Desktop()
+	mach, _ := NewMachine(spec)
+	mach.InjectFaults(&FaultPlan{MemShrink: 1e-7})
+	g := mach.GPU(0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := g.AllocFloat64("big", MemUser, int(spec.GPU.MemBytes/8))
+	runtime.ReadMemStats(&after)
+	var oom *OutOfMemoryError
+	if !errors.As(err, &oom) || oom.Injected {
+		t.Fatalf("want genuine OOM, got %v", err)
+	}
+	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<20 {
+		t.Errorf("a refused %d-byte request allocated %d bytes on the host", oom.Requested, delta)
+	}
+	if g.UsedBytes() != 0 {
+		t.Errorf("the refused request left %d bytes reserved", g.UsedBytes())
 	}
 }
 

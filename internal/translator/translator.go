@@ -30,7 +30,7 @@ const (
 
 // Translate converts an analyzed program into an executable module.
 func Translate(prog *cc.Program) (*ir.Module, error) {
-	t := &xlate{prog: prog, m: &ir.Module{Prog: prog}, kernelOf: map[*cc.ForStmt]*ir.Kernel{}}
+	t := &xlate{prog: prog, m: &ir.Module{Prog: prog}}
 	t.m.ArraySizes = make([]ir.ExprI, prog.NumArrays)
 	for _, d := range prog.ArrayDecls() {
 		sz, err := ir.CompileExprI(d.Size)
@@ -50,7 +50,6 @@ func Translate(prog *cc.Program) (*ir.Module, error) {
 	}
 	t.m.Main = main
 	stripFlappingTransforms(t.m)
-	t.markFusablePairs()
 	t.m.GeneratedSource = emit(t.m)
 	return t.m, nil
 }
@@ -90,9 +89,6 @@ func stripFlappingTransforms(m *ir.Module) {
 type xlate struct {
 	prog *cc.Program
 	m    *ir.Module
-	// kernelOf maps each parallel loop statement to its translated
-	// kernel, for the post-pass that marks fusable adjacent pairs.
-	kernelOf map[*cc.ForStmt]*ir.Kernel
 }
 
 func (t *xlate) dataRegion(b *cc.Block, body ir.Stmt) (ir.Stmt, error) {
@@ -139,7 +135,6 @@ func (t *xlate) parallelFor(st *cc.ForStmt) (ir.Stmt, error) {
 		return nil, err
 	}
 	t.m.Kernels = append(t.m.Kernels, k)
-	t.kernelOf[st] = k
 	return func(env *ir.Env) error { return env.H.Launch(k, env) }, nil
 }
 
