@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short cover bench bench-quick bench-host eval eval-json examples clean check fuzz-smoke accvet trace-check loadtest-smoke
+.PHONY: all build vet lint test test-short cover cover-fastpath loc bench bench-quick bench-host eval eval-json examples clean check fuzz-smoke accvet trace-check loadtest-smoke
 
 # Optional linters: used when present on PATH, skipped (with a pinned
 # install hint) when absent — `make lint` must work in a hermetic
@@ -103,6 +103,35 @@ test-short:
 
 cover:
 	$(GO) test -cover ./...
+
+# cover-fastpath answers "which safety code of the Phase B fast path has no
+# test ever run?": one whole-suite profile over every package (a block
+# counts as covered when any test binary ran it), then the uncovered
+# blocks of internal/ir/spec*.go and internal/rt/specexec.go, one per
+# line with the source line they start at, leaving out blocks that only
+# return an error or a rejection. Advisory: not part of `make check`; the
+# wall-clock and allocation gates may fail under the instrumentation (they
+# are listed, the profile is still whole).
+cover-fastpath:
+	$(GO) test -timeout 3600s -coverpkg=./internal/...,./cmd/...,. -coverprofile=cover-fastpath.out ./... | grep -E '^(--- FAIL|FAIL)' || true
+	@awk 'NR > 1 && $$1 ~ /internal\/(ir\/spec[^\/]*|rt\/specexec)\.go:/ { n[$$1] = $$2; if ($$3 > 0) hit[$$1] = 1 } \
+	END { \
+		for (k in n) { split(k, p, ":"); f = p[1]; sub("^accmulti/", "", f); tot[f] += n[k]; \
+			if (!hit[k]) { unc[f] += n[k]; split(p[2], q, "."); at[f, q[1] + 0] = 1 } } \
+		for (f in tot) { i = 0; open = 0; while ((getline line < f) > 0) { i++; \
+			if (open && line !~ /return .*(err|Err|nil, "|false)/) { \
+				sub(/^[ \t]+/, "", line); printf "%s:%d: %s\n", f, i, line } \
+			open = ((f, i) in at) } \
+			close(f) } \
+		for (f in tot) printf "%s: %d of %d statements uncovered\n", f, unc[f], tot[f] \
+	}' cover-fastpath.out | sort -t: -k1,1 -k2,2n
+
+# loc prints the non-test Go lines per package, benchmark/ excluded: the
+# figure every CHANGES.md entry quotes.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
 # The full benchmark matrix as testing.B benches (one per table/figure).
 bench:

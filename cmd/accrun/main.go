@@ -19,8 +19,9 @@
 // Chromium browser's about://tracing, or drop it on ui.perfetto.dev):
 // one lane per GPU plus host and comms lanes, stamped with the
 // simulated clock. -metrics dumps the aggregate counters and
-// histograms as JSON. -narrate prints the legacy one-line-per-event
-// commentary to stderr.
+// histograms as JSON. -narrate prints the same span stream as text, one
+// line per span, to stderr, and a summary of which kernel engine ran to
+// stdout.
 //
 // -vet runs the accvet directive checks first, printing diagnostics to
 // stderr and refusing to execute a program with verification errors;
@@ -51,6 +52,7 @@ import (
 	"accmulti/internal/diag"
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
+	"accmulti/internal/trace"
 )
 
 type setFlags []string
@@ -64,7 +66,7 @@ func main() {
 	machine := flag.String("machine", "desktop", "platform: desktop, super, or a topology like 2x4:nic=1G")
 	gpus := flag.Int("gpus", 0, "override GPU count (0 = platform default)")
 	mode := flag.String("mode", "proposal", "proposal, openmp, baseline or cuda")
-	narrate := flag.Bool("narrate", false, "print one line per runtime event (loader, kernels, comm)")
+	narrate := flag.Bool("narrate", false, "print the span stream as text (one line per span) and the kernel-engine summary")
 	kernels := flag.Bool("kernels", false, "print a per-kernel statistics table after the run")
 	printArr := flag.String("print", "", "print this array's first elements after the run")
 	vet := flag.Bool("vet", false, "run the accvet directive checks before executing; abort on errors")
@@ -102,10 +104,10 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *narrate {
-		opts.Trace = os.Stderr
-	}
 	tracer := rf.NewTracer()
+	if *narrate && tracer == nil {
+		tracer = trace.New()
+	}
 	// The CLI defaults to the pipelined schedule: same results and
 	// accounting, overlapped makespan. -no-async restores the pure
 	// bulk-synchronous timeline.
@@ -159,6 +161,12 @@ func main() {
 		Audit: *auditRun, AuditTolerance: *auditTol, Faults: plan,
 		Trace: tracer,
 	})
+	if *narrate {
+		// What the run stated before it ended, a failed one included.
+		if werr := trace.WriteText(os.Stderr, tracer); werr != nil {
+			fatal(werr)
+		}
+	}
 	if err != nil {
 		fatal(err)
 	}
@@ -174,7 +182,7 @@ func main() {
 	fmt.Printf("machine: %s (%d GPUs), mode %s\n", spec.Name, spec.NumGPUs, opts.Mode)
 	fmt.Println(res.Report)
 	if *narrate {
-		printSpecSummary(res.Runtime)
+		printSpecSummary(res.Runtime.SpecStats())
 	}
 	if *auditRun {
 		fmt.Println("audit: all device copies matched the sequential oracle")
@@ -229,17 +237,16 @@ func main() {
 // closure tree per iteration and why), with the interpreter fallbacks
 // broken down by runtime reason and the outright-rejected kernels by
 // compile-time reason.
-func printSpecSummary(r *rt.Runtime) {
-	hits, fb := r.SpecHits(), r.SpecFallbacks()
-	fmt.Printf("spec: %d chunks specialized, %d interpreter fallbacks\n", hits, fb)
-	if pieces := r.SpecSplitPieces(); pieces > 0 {
-		fmt.Printf("  affine-guard chunks split into %d pieces\n", pieces)
+func printSpecSummary(st rt.SpecStats) {
+	fmt.Printf("spec: %d chunks specialized, %d interpreter fallbacks\n", st.Hits, st.Fallbacks)
+	if st.SplitPieces > 0 {
+		fmt.Printf("  affine-guard chunks split into %d pieces\n", st.SplitPieces)
 	}
-	if tiled := r.SpecTiledIters(); tiled > 0 {
-		fmt.Printf("  %d iterations ran in lockstep tiles\n", tiled)
+	if st.TiledIters > 0 {
+		fmt.Printf("  %d iterations ran in lockstep tiles\n", st.TiledIters)
 	}
-	if hazard := r.SpecHazardLanes(); hazard > 0 {
-		fmt.Printf("  %d of them re-ran per iteration after a store into their tile's window\n", hazard)
+	if st.HazardLanes > 0 {
+		fmt.Printf("  %d of them re-ran per iteration after a store into their tile's window\n", st.HazardLanes)
 	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
@@ -256,9 +263,9 @@ func printSpecSummary(r *rt.Runtime) {
 		}
 		fmt.Printf("  %s: %s\n", label, strings.Join(parts, " "))
 	}
-	printReasons("chunks on the per-iteration body (by reason)", r.SpecUntiled())
-	printReasons("fallback reasons", r.SpecFallbackReasons())
-	printReasons("rejected kernels (chunks, by compile reason)", r.SpecRejects())
+	printReasons("chunks on the per-iteration body (by reason)", st.Untiled)
+	printReasons("fallback reasons", st.FallbackReasons)
+	printReasons("rejected kernels (chunks, by compile reason)", st.Rejects)
 }
 
 func fatal(err error) {

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -52,15 +53,38 @@ func TestAccrunModesAndMachines(t *testing.T) {
 	}
 }
 
+// -narrate is a text sink over the span stream: it prints exactly the
+// spans -trace writes, one line each, then the kernel-engine summary.
 func TestAccrunNarrate(t *testing.T) {
 	bin := buildTool(t)
+	for _, schedule := range [][]string{nil, {"-no-async"}} {
+		args := append(schedule, "-narrate", "-trace", filepath.Join(t.TempDir(), "t.json"),
+			"-set", "n=1000", "-set", "k=4", "../../examples/testdata/histogram.c")
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("accrun %v: %v\n%s", args, err, out)
+		}
+		var spans, lines int
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "[") {
+				lines++
+			}
+			fmt.Sscanf(line, "trace: %d spans", &spans)
+		}
+		if spans == 0 || lines != spans {
+			t.Errorf("accrun %v: %d narration lines for %d spans:\n%s", args, lines, spans, out)
+		}
+		for _, want := range []string{"h2d", "kernel", "gather", "spec: "} {
+			if !strings.Contains(string(out), want) {
+				t.Errorf("accrun %v: output lacks %q:\n%s", args, want, out)
+			}
+		}
+	}
+	// Without a sink flag -narrate attaches its own tracer.
 	out, err := exec.Command(bin, "-narrate", "-set", "n=1000", "-set", "k=4",
 		"../../examples/testdata/histogram.c").CombinedOutput()
-	if err != nil {
-		t.Fatalf("accrun -narrate: %v\n%s", err, out)
-	}
-	if !strings.Contains(string(out), "loader: kernel") {
-		t.Errorf("narration output missing:\n%s", out)
+	if err != nil || !strings.Contains(string(out), "] h2d") {
+		t.Errorf("accrun -narrate alone: %v\n%s", err, out)
 	}
 }
 

@@ -52,8 +52,8 @@ func (a *analyzer) checkLoopRaces(loop *translator.LoopAccess) {
 						"touch the same element on different iterations, so distributing the "+
 						"iterations across GPUs changes the result — compute into a fresh array "+
 						"or split the loop at the dependence",
-					fp.Array.Name, w.Src, affineText(w.Coef, w.Off, loop.LoopVar.Name),
-					r.Src, affineText(r.Coef, r.Off, loop.LoopVar.Name))
+					fp.Array.Name, w.Src, AffineText(w.Coef, w.Off, loop.LoopVar.Name),
+					r.Src, AffineText(r.Coef, r.Off, loop.LoopVar.Name))
 			}
 		}
 
@@ -227,7 +227,7 @@ func (a *analyzer) advise() {
 			// the distributed writes cross block boundaries.
 			for i, w := range loopWrites {
 				for _, prev := range loopWrites[:i] {
-					if w.Off != prev.Off && (w.Off-prev.Off)%max64(coef, 1) == 0 {
+					if w.Off != prev.Off && (w.Off-prev.Off)%max(coef, 1) == 0 {
 						ok = false
 					}
 				}
@@ -254,7 +254,7 @@ func (a *analyzer) advise() {
 		if loop.For != nil && loop.For.Parallel != nil {
 			line = loop.For.Parallel.Line
 		}
-		fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", name, strideText(coef, needL, needR))
+		fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", name, StrideText(coef, needL, needR))
 		a.add(diag.Info, "ACCV012", line, 0, name, fix,
 			"every kernel accesses %q with the common stride %d and writes only its own "+
 				"block (halo need (%d, %d)): a localaccess on each loop would distribute the "+
@@ -264,16 +264,10 @@ func (a *analyzer) advise() {
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// strideText renders the canonical shortest stride clause (mirrors the
-// base pass's rendering so fix-its stay uniform).
-func strideText(s, l, r int64) string {
+// StrideText renders the canonical shortest stride clause of a
+// footprint; the base pass (internal/analysis) renders its fix-its with it
+// too, so they stay uniform.
+func StrideText(s, l, r int64) string {
 	switch {
 	case l == 0 && r == 0:
 		return fmt.Sprintf("stride(%d)", s)
@@ -284,8 +278,8 @@ func strideText(s, l, r int64) string {
 	}
 }
 
-// affineText renders coef*i + off for messages.
-func affineText(coef, off int64, ivar string) string {
+// AffineText renders coef*i + off for messages, here and in the base pass.
+func AffineText(coef, off int64, ivar string) string {
 	switch {
 	case coef == 0:
 		return fmt.Sprintf("%d", off)

@@ -158,19 +158,6 @@ func (fp strideFP) contains(coef, off int64) bool {
 	return coef == fp.s && off >= -fp.l && off <= fp.s-1+fp.r
 }
 
-// strideText renders the canonical shortest stride clause for the
-// given footprint.
-func strideText(s, l, r int64) string {
-	switch {
-	case l == 0 && r == 0:
-		return fmt.Sprintf("stride(%d)", s)
-	case l == r:
-		return fmt.Sprintf("stride(%d, %d)", s, l)
-	default:
-		return fmt.Sprintf("stride(%d, %d, %d)", s, l, r)
-	}
-}
-
 func (v *vetter) checkLoop(loop *translator.LoopAccess) {
 	safe := true
 	for _, fp := range loop.Arrays {
@@ -221,8 +208,8 @@ func (v *vetter) checkFootprint(loop *translator.LoopAccess, fp *translator.Arra
 					"localaccess(%s) %s (line %d) declares the per-iteration footprint "+
 						"[%d*i-%d, %d*(i+1)-1+%d], but the loop reads %s = %s: "+
 						"the declared range is narrower than the actual reads",
-					fp.Array.Name, strideText(sfp.s, sfp.l, sfp.r), spec.Line,
-					sfp.s, sfp.l, sfp.s, sfp.r, r.Src, affineText(r.Coef, r.Off, loop.LoopVar.Name))
+					fp.Array.Name, dataflow.StrideText(sfp.s, sfp.l, sfp.r), spec.Line,
+					sfp.s, sfp.l, sfp.s, sfp.r, r.Src, dataflow.AffineText(r.Coef, r.Off, loop.LoopVar.Name))
 			}
 		}
 		if !narrow {
@@ -254,7 +241,7 @@ func (v *vetter) checkFootprint(loop *translator.LoopAccess, fp *translator.Arra
 					"the declared range is narrower than the actual reads",
 				fp.Array.Name, spec.Line,
 				translator.ExprString(spec.Lower), translator.ExprString(spec.Upper),
-				r.Src, affineText(r.Coef, r.Off, loop.LoopVar.Name))
+				r.Src, dataflow.AffineText(r.Coef, r.Off, loop.LoopVar.Name))
 		}
 	}
 	return verified
@@ -283,7 +270,7 @@ func (v *vetter) checkTooWide(fp *translator.ArrayFootprint, sfp strideFP) {
 		}
 	}
 	if sfp.l > needL || sfp.r > needR {
-		fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", fp.Array.Name, strideText(sfp.s, needL, needR))
+		fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", fp.Array.Name, dataflow.StrideText(sfp.s, needL, needR))
 		v.add(diag.Warning, "ACCV002", fp.Spec.Line, fp.Spec.ClauseCol, fp.Array.Name, fix,
 			"localaccess(%s) declares halo (%d, %d) but the loop only needs (%d, %d): "+
 				"the extra halo is replicated to every GPU and transferred on each launch",
@@ -325,7 +312,7 @@ func (v *vetter) inferLocalAccess(loop *translator.LoopAccess, fp *translator.Ar
 	if loop.For != nil && loop.For.Parallel != nil {
 		line = loop.For.Parallel.Line
 	}
-	fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", fp.Array.Name, strideText(coef, needL, needR))
+	fix := fmt.Sprintf("#pragma acc localaccess(%s) %s", fp.Array.Name, dataflow.StrideText(coef, needL, needR))
 	v.add(diag.Info, "ACCV004", line, 0, fp.Array.Name, fix,
 		"array %q is read-only in this loop and every read is affine "+
 			"(footprint [%d*i-%d, %d*(i+1)-1+%d]); a localaccess directive would "+
@@ -548,20 +535,6 @@ func ExchangeTransfers(nodes, gpus int) (total, interNode int) {
 		interNode = 2 * (nodes - 1)
 	}
 	return total, interNode
-}
-
-// affineText renders coef*i + off for messages.
-func affineText(coef, off int64, ivar string) string {
-	switch {
-	case coef == 0:
-		return fmt.Sprintf("%d", off)
-	case off == 0:
-		return fmt.Sprintf("%d*%s", coef, ivar)
-	case off < 0:
-		return fmt.Sprintf("%d*%s - %d", coef, ivar, -off)
-	default:
-		return fmt.Sprintf("%d*%s + %d", coef, ivar, off)
-	}
 }
 
 func firstIndirect(reads []translator.IndexForm) translator.IndexForm {

@@ -29,6 +29,11 @@ type AsyncRow struct {
 	// Machine and GPUs identify the platform.
 	Machine string
 	GPUs    int
+	SchedulePair
+}
+
+// SchedulePair is one program on one machine under both schedules.
+type SchedulePair struct {
 	// SyncUS and AsyncUS are the reported simulated totals in
 	// microseconds: the bulk-synchronous phase sum and the overlapped
 	// makespan.
@@ -185,50 +190,53 @@ func asyncNormalize(rep *rt.Report) *rt.Report {
 	return &c
 }
 
-// AsyncStudy measures every example under both schedules.
-func AsyncStudy(cfg Config) ([]AsyncRow, error) {
+// compareSchedules compiles every example, runs it on each machine under
+// the bulk-synchronous and then the pipelined schedule, compares the two
+// reports modulo time and hands the pair to row.
+func compareSchedules(machines []sim.MachineSpec, row func(app string, spec sim.MachineSpec, p SchedulePair)) error {
 	dir, err := examplesDir()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	spec := sim.Desktop()
-	var rows []AsyncRow
 	for _, wl := range asyncWorkloads() {
 		src, err := exampleSource(dir, wl.name)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		prog, err := core.Compile(src)
 		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
+			return fmt.Errorf("bench: %s: %w", wl.name, err)
 		}
-		run := func(opts rt.Options) (*rt.Report, error) {
-			res, err := prog.Run(wl.bind(), core.Config{Machine: spec, Options: opts})
-			if err != nil {
-				return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
+		for _, spec := range machines {
+			var reps [2]*rt.Report
+			for i, opts := range []rt.Options{{}, {Async: true}} {
+				res, err := prog.Run(wl.bind(), core.Config{Machine: spec, Options: opts})
+				if err != nil {
+					return fmt.Errorf("bench: %s on %s: %w", wl.name, spec.Name, err)
+				}
+				reps[i] = res.Report
 			}
-			return res.Report, nil
+			us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
+			p := SchedulePair{
+				SyncUS: us(reps[0].Total()), AsyncUS: us(reps[1].Total()),
+				Equivalent: reflect.DeepEqual(asyncNormalize(reps[0]), asyncNormalize(reps[1])),
+			}
+			if p.AsyncUS > 0 {
+				p.Speedup = p.SyncUS / p.AsyncUS
+			}
+			row(wl.name, spec, p)
 		}
-		syncRep, err := run(rt.Options{})
-		if err != nil {
-			return nil, err
-		}
-		asyncRep, err := run(rt.Options{Async: true})
-		if err != nil {
-			return nil, err
-		}
-		us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-		row := AsyncRow{
-			App: wl.name, Machine: spec.Name, GPUs: spec.NumGPUs,
-			SyncUS: us(syncRep.Total()), AsyncUS: us(asyncRep.Total()),
-			Equivalent: reflect.DeepEqual(asyncNormalize(syncRep), asyncNormalize(asyncRep)),
-		}
-		if row.AsyncUS > 0 {
-			row.Speedup = row.SyncUS / row.AsyncUS
-		}
-		rows = append(rows, row)
 	}
-	return rows, nil
+	return nil
+}
+
+// AsyncStudy measures every example under both schedules.
+func AsyncStudy(cfg Config) ([]AsyncRow, error) {
+	var rows []AsyncRow
+	err := compareSchedules([]sim.MachineSpec{sim.Desktop()}, func(app string, spec sim.MachineSpec, p SchedulePair) {
+		rows = append(rows, AsyncRow{App: app, Machine: spec.Name, GPUs: spec.NumGPUs, SchedulePair: p})
+	})
+	return rows, err
 }
 
 // RenderAsync prints the study as text.

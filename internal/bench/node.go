@@ -3,11 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
-	"reflect"
-	"time"
 
-	"accmulti/internal/core"
-	"accmulti/internal/rt"
 	"accmulti/internal/sim"
 )
 
@@ -29,72 +25,21 @@ type NodeRow struct {
 	Shape string
 	// Nodes and GPUs identify the platform size.
 	Nodes, GPUs int
-	// SyncUS and AsyncUS are the reported simulated totals in
-	// microseconds under the bulk-synchronous and pipelined schedules.
-	SyncUS, AsyncUS float64
-	// Speedup is SyncUS / AsyncUS.
-	Speedup float64
-	// Equivalent records that the two reports matched modulo time —
-	// the differential contract the fuzz harness enforces, re-checked
-	// here on every topology.
-	Equivalent bool
+	// The totals under both schedules and the report equivalence,
+	// re-checked here on every topology.
+	SchedulePair
 }
 
 // NodeStudy measures every example on each cluster shape under both
 // schedules.
 func NodeStudy(cfg Config) ([]NodeRow, error) {
-	dir, err := examplesDir()
-	if err != nil {
-		return nil, err
-	}
-	shapes := []struct {
-		label string
-		spec  sim.MachineSpec
-	}{
-		{"1x3", sim.Cluster(1, 3)},
-		{"2x2", sim.Cluster(2, 2)},
-		{"2x3", sim.Cluster(2, 3)},
-	}
+	machines := []sim.MachineSpec{sim.Cluster(1, 3), sim.Cluster(2, 2), sim.Cluster(2, 3)}
 	var rows []NodeRow
-	for _, wl := range asyncWorkloads() {
-		src, err := exampleSource(dir, wl.name)
-		if err != nil {
-			return nil, err
-		}
-		prog, err := core.Compile(src)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s: %w", wl.name, err)
-		}
-		for _, sh := range shapes {
-			run := func(opts rt.Options) (*rt.Report, error) {
-				res, err := prog.Run(wl.bind(), core.Config{Machine: sh.spec, Options: opts})
-				if err != nil {
-					return nil, fmt.Errorf("bench: %s on %s: %w", wl.name, sh.label, err)
-				}
-				return res.Report, nil
-			}
-			syncRep, err := run(rt.Options{})
-			if err != nil {
-				return nil, err
-			}
-			asyncRep, err := run(rt.Options{Async: true})
-			if err != nil {
-				return nil, err
-			}
-			us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-			row := NodeRow{
-				App: wl.name, Shape: sh.label,
-				Nodes: sh.spec.NodeCount(), GPUs: sh.spec.NumGPUs,
-				SyncUS: us(syncRep.Total()), AsyncUS: us(asyncRep.Total()),
-				Equivalent: reflect.DeepEqual(asyncNormalize(syncRep), asyncNormalize(asyncRep)),
-			}
-			if row.AsyncUS > 0 {
-				row.Speedup = row.SyncUS / row.AsyncUS
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	err := compareSchedules(machines, func(app string, spec sim.MachineSpec, p SchedulePair) {
+		rows = append(rows, NodeRow{App: app, Shape: fmt.Sprintf("%dx%d", spec.NodeCount(), spec.GPUsPerNode()),
+			Nodes: spec.NodeCount(), GPUs: spec.NumGPUs, SchedulePair: p})
+	})
+	return rows, err
 }
 
 // RenderNode prints the study as text.

@@ -101,7 +101,7 @@ func (p *Program) Run(b *ir.Bindings, cfg Config) (*Result, error) {
 // not be reused (MemShrink permanently scales the device capacities).
 //
 // RunOn is safe to call concurrently on one shared Program: every
-// piece of per-run state (instance, runtime, report, tracer lanes)
+// piece of per-run state (instance, runtime, report)
 // is created here, and the compiled Module is never mutated after
 // Compile returns. Concurrent runs must use distinct machines and
 // distinct Bindings.

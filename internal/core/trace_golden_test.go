@@ -2,10 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -288,20 +289,14 @@ func TestTraceMetricsCrossCheck(t *testing.T) {
 		t.Errorf("bytes.p2p metric = %d, Report.BytesP2P = %d", got, want)
 	}
 
-	// Spec counters vs the runtime's own bookkeeping.
-	if got, want := m.Counter("spec.hits"), res.Runtime.SpecHits(); got != want {
-		t.Errorf("spec.hits metric = %d, Runtime.SpecHits() = %d", got, want)
-	}
-	if got, want := m.Counter("spec.fallbacks"), res.Runtime.SpecFallbacks(); got != want {
-		t.Errorf("spec.fallbacks metric = %d, Runtime.SpecFallbacks() = %d", got, want)
-	}
-	if got, want := m.Counter("spec.tiled_iters"), res.Runtime.SpecTiledIters(); got != want || want == 0 {
-		t.Errorf("spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d (want equal and non-zero)", got, want)
-	}
+	// Spec counters vs the runtime's own bookkeeping: every spec.*
+	// metric equals its SpecStats field, and no other spec.* key exists.
+	stats := res.Runtime.SpecStats()
+	checkSpecMetrics(t, "stencil_exchange", m, stats)
 	// No tile of a stencil watches a window (TestObserversKeepTheBody
-	// holds the two against each other on BFS, where they are non-zero).
-	if got, want := m.Counter("spec.hazard_lanes"), res.Runtime.SpecHazardLanes(); got != want || want != 0 {
-		t.Errorf("spec.hazard_lanes metric = %d, Runtime.SpecHazardLanes() = %d (want both zero)", got, want)
+	// holds the metric against the count on BFS, where it is non-zero).
+	if stats.TiledIters == 0 || stats.HazardLanes != 0 {
+		t.Errorf("SpecStats = %+v, want tiled iterations and no hazard lanes", stats)
 	}
 
 	// Scheduler counters: the synchronous schedule has no scheduler, so
@@ -454,11 +449,45 @@ func TestMultiNodeTraceMetricsCrossCheck(t *testing.T) {
 	}
 }
 
-// specRoute renders everything the runtime counts about which Phase B
-// engine ran each chunk.
-func specRoute(r *rt.Runtime) string {
-	return fmt.Sprintf("hits %d, fallbacks %v, tiled %d, hazard %d, untiled %v, split pieces %d",
-		r.SpecHits(), r.SpecFallbackReasons(), r.SpecTiledIters(), r.SpecHazardLanes(), r.SpecUntiled(), r.SpecSplitPieces())
+// checkSpecMetrics holds the tracer's spec.* counters against the
+// run's SpecStats: the same keys (a key only when non-zero) and values.
+func checkSpecMetrics(t *testing.T, label string, m *trace.Metrics, st rt.SpecStats) {
+	t.Helper()
+	want := map[string]int64{
+		"spec.hits": st.Hits, "spec.fallbacks": st.Fallbacks, "spec.split_pieces": st.SplitPieces,
+		"spec.tiled_iters": st.TiledIters, "spec.hazard_lanes": st.HazardLanes,
+	}
+	for prefix, by := range map[string]map[string]int64{
+		"spec.untiled.": st.Untiled, "spec.fallbacks.": st.FallbackReasons, "spec.reject.": st.Rejects,
+	} {
+		for reason, n := range by {
+			want[prefix+reason] = n
+		}
+	}
+	for key, n := range want {
+		if n == 0 {
+			delete(want, key)
+		}
+	}
+	var dump bytes.Buffer
+	if err := m.WriteJSON(&dump); err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(dump.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]int64{}
+	for key, n := range doc.Counters {
+		if strings.HasPrefix(key, "spec.") {
+			got[key] = n
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: spec.* metrics %v, SpecStats says %v", label, got, want)
+	}
 }
 
 // TestObserversKeepTheBody pins that neither an observer nor the
@@ -466,12 +495,12 @@ func specRoute(r *rt.Runtime) string {
 // tiles), KMEANS (lockstep tiles for the assignment kernel, the
 // per-iteration body where the center update stores under an arm on
 // replicated arrays) and BFS (tiles whose lane-major loop now and then
-// stores into the tile's own window) execute the same hits, fallbacks,
-// tiled iterations, hazard lanes, per-iteration chunks and split pieces
-// bare on the synchronous schedule, with the span tracer, with text
-// narration, under the shadow auditor, with a fault plan armed (its
-// rate never fires), on the async schedule and with all of them at
-// once; the tracer's metrics agree with the runtime's counts.
+// stores into the tile's own window) count the same SpecStats — hits,
+// fallbacks, tiled iterations, hazard lanes, per-iteration chunks and
+// split pieces — bare on the synchronous schedule, with the span tracer,
+// under the shadow auditor, with a fault plan armed (its rate never
+// fires), on the async schedule and with all of them at once; the
+// tracer's metrics agree with the runtime's counts.
 func TestObserversKeepTheBody(t *testing.T) {
 	for name, scale := range map[string]float64{"MD": 0.03, "KMEANS": 0.004, "BFS": 0.002} {
 		app, err := apps.ByName(name)
@@ -493,12 +522,11 @@ func TestObserversKeepTheBody(t *testing.T) {
 			}
 			return res.Runtime
 		}
-		bare := run(Config{})
-		if bare.SpecTiledIters() == 0 || name == "BFS" && bare.SpecHazardLanes() == 0 {
-			t.Fatalf("%s ran %d iterations in tiles, %d hazard lanes; test premise broken", name, bare.SpecTiledIters(), bare.SpecHazardLanes())
+		bare := run(Config{}).SpecStats()
+		if bare.TiledIters == 0 || name == "BFS" && bare.HazardLanes == 0 {
+			t.Fatalf("%s ran %d iterations in tiles, %d hazard lanes; test premise broken", name, bare.TiledIters, bare.HazardLanes)
 		}
 		tr := trace.New()
-		var narration bytes.Buffer
 		// The oracle compares KMEANS' clusters bit for bit, and they derive
 		// from float32 sums the GPUs associate in another order: the shadow
 		// auditor refuses that app on every engine, so MD stands in for it.
@@ -506,28 +534,16 @@ func TestObserversKeepTheBody(t *testing.T) {
 		armed := &sim.FaultPlan{Seed: 1, TransferFailRate: 1e-12}
 		for label, r := range map[string]*rt.Runtime{
 			"tracer":     run(Config{Trace: tr}),
-			"narration":  run(Config{Options: rt.Options{Trace: &narration}}),
 			"auditor":    run(Config{Audit: audited}),
 			"fault plan": run(Config{Faults: armed}),
 			"async":      run(Config{Options: rt.Options{Async: true}}),
 			"everything": run(Config{Audit: audited, Trace: trace.New(), Faults: armed,
-				Options: rt.Options{Async: true, Trace: &narration}}),
+				Options: rt.Options{Async: true}}),
 		} {
-			if got, want := specRoute(r), specRoute(bare); got != want {
-				t.Errorf("%s with %s: %s; bare: %s", name, label, got, want)
+			if got := r.SpecStats(); !reflect.DeepEqual(got, bare) {
+				t.Errorf("%s with %s: %+v; bare: %+v", name, label, got, bare)
 			}
 		}
-		m := tr.Metrics()
-		if got, want := m.Counter("spec.tiled_iters"), bare.SpecTiledIters(); got != want {
-			t.Errorf("%s: spec.tiled_iters metric = %d, Runtime.SpecTiledIters() = %d", name, got, want)
-		}
-		if got, want := m.Counter("spec.hazard_lanes"), bare.SpecHazardLanes(); got != want {
-			t.Errorf("%s: spec.hazard_lanes metric = %d, Runtime.SpecHazardLanes() = %d", name, got, want)
-		}
-		for reason, want := range bare.SpecUntiled() {
-			if got := m.Counter("spec.untiled." + reason); got != want {
-				t.Errorf("%s: spec.untiled.%s metric = %d, Runtime.SpecUntiled() = %d", name, reason, got, want)
-			}
-		}
+		checkSpecMetrics(t, name, tr.Metrics(), bare)
 	}
 }

@@ -54,13 +54,6 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 	if err := r.account(p2p, &r.rep.GPUGPUTime); err != nil {
 		return err
 	}
-	if r.opts.Trace != nil && len(p2p) > 0 {
-		var bytes int64
-		for _, t := range p2p {
-			bytes += t.Bytes
-		}
-		r.tracef("comm: kernel %s, %d GPU-GPU transfers, %d bytes", k.Name, len(p2p), bytes)
-	}
 
 	// Scalar reductions: per-GPU partials travel over the bus (tiny
 	// device-to-host copies) and merge with the original host value,
@@ -372,8 +365,8 @@ func (r *Runtime) syncOverlaps(transfers []sim.Transfer, st *arrayState, gpus []
 			if !dst.valid {
 				continue
 			}
-			lo := max64(src.coreLo, dst.lo)
-			hi := min64(src.coreHi, dst.hi)
+			lo := max(src.coreLo, dst.lo)
+			hi := min(src.coreHi, dst.hi)
 			if hi < lo {
 				continue
 			}
@@ -411,20 +404,6 @@ func subtractRange(lo, hi, subLo, subHi int64) (segs [2][2]int64, n int) {
 		n++
 	}
 	return segs, n
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // mergeReduction completes a reductiontoarray: worker lanes fold into a

@@ -1,12 +1,9 @@
 package rt
 
 import (
-	"errors"
 	"fmt"
-	"sync"
 
 	"accmulti/internal/ir"
-	"accmulti/internal/sim"
 )
 
 // launchCPU is the OpenMP baseline: the same kernel runs on the
@@ -37,41 +34,8 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 		}
 	}
 
-	base := env.CloneWithViews(views)
 	redVals := r.gpuPartials(k, 1)[0]
-	for ri, red := range k.ScalarReds {
-		setRedSlot(base, red, redVals[ri])
-	}
-	var rmu sync.Mutex
-	loopSlot := k.LoopVar.Slot
-	counters, err := cpu.ForWorkers(int(n), nil, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
-		we := base.Clone()
-		we.WorkerID = w
-		for it := start; it < end; it++ {
-			we.Ints[loopSlot] = lower + int64(it)
-			if err := k.Body(we); err != nil {
-				if errors.Is(err, ir.ErrLoopContinue) {
-					continue // `continue` binding to the parallel loop
-				}
-				if errors.Is(err, ir.ErrLoopBreak) {
-					return sim.Counters{}, fmt.Errorf("line %d: break out of a parallel loop is not allowed", k.Line)
-				}
-				return sim.Counters{}, err
-			}
-		}
-		rmu.Lock()
-		for ri, red := range k.ScalarReds {
-			redVals[ri] = mergeRed(red, redVals[ri], getRedSlot(we, red))
-		}
-		rmu.Unlock()
-		return sim.Counters{
-			Flops:        we.Flops,
-			BytesRead:    we.BytesRead,
-			BytesWritten: we.BytesWritten,
-			Iterations:   int64(end - start),
-			ReduceOps:    we.ReduceOps,
-		}, nil
-	})
+	counters, err := interpretWorkers(k, env.CloneWithViews(views), lower, n, cpu, redVals)
 	if err != nil {
 		return fmt.Errorf("rt: kernel %s on CPU: %w", k.Name, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"accmulti/internal/cc"
@@ -159,7 +158,6 @@ func (r *Runtime) Launch(k *ir.Kernel, env *ir.Env) error {
 		if err := r.opts.Auditor.AfterLaunch(k, env, r.snapshotCopies(k), r.rep.Total()); err != nil {
 			return err
 		}
-		r.tracef("audit: kernel %s verified", k.Name)
 	}
 	return nil
 }
@@ -278,20 +276,6 @@ loading:
 		return loadErr
 	}
 	r.sampleMemory()
-	if r.opts.Trace != nil {
-		var loaded int64
-		for _, t := range transfers {
-			loaded += t.Bytes
-		}
-		r.tracef("loader: kernel %s, %d bytes H2D across %d GPUs", k.Name, loaded, len(gpus))
-		for g := range gpus {
-			for ui, use := range k.Arrays {
-				nd := needs[g][ui]
-				r.tracef("  gpu%d %-10s [%d,%d] dirty=%v miss=%v lanes=%v transform=%v",
-					g, use.Decl.Name, nd.lo, nd.hi, nd.wantDirty, nd.wantMiss, nd.wantLanes, nd.transform)
-			}
-		}
-	}
 
 	// Phase B — kernel execution, fanned out over the GPUs. The
 	// specialized executor, when one applies, is resolved on the host
@@ -300,15 +284,11 @@ loading:
 	//
 	// Results land in per-GPU slots (each run writes only its own
 	// index) and merge on the host strand in GPU order after the
-	// barrier, so the surfaced error, the report fields and the
-	// committed kernel spans do not depend on goroutine interleaving.
+	// barrier, so the surfaced error, the report fields and the kernel
+	// spans do not depend on goroutine interleaving.
 	ex := r.specExecutor(k)
 	eff := r.kernelEfficiency(k)
 	r.launchScratch(len(gpus))
-	tracer := r.opts.Tracer
-	if tracer != nil {
-		tracer.EnsureLanes(len(gpus))
-	}
 	partials := r.gpuPartials(k, len(gpus))
 	t0 := r.rep.Total()
 	wall0 := time.Now()
@@ -325,30 +305,8 @@ loading:
 		r.gpuCtrs[g] = counters
 		r.gpuErrs[g] = err
 		r.gpuSpec[g] = handled
-		// Under the async scheduler the kernel spans are emitted by
-		// sched.kernels with their overlapped begin times instead.
-		if tracer != nil && r.sched == nil && err == nil && parts[g].count() > 0 {
-			kind := trace.KindKernel
-			if handled {
-				kind = trace.KindSpecKernel
-			}
-			tracer.LaneEmit(g, trace.Span{Kind: kind, Lane: g,
-				Begin: t0, End: t0 + cost, Name: k.Name, Lo: parts[g].lo, Hi: parts[g].hi - 1})
-			for ui, use := range k.Arrays {
-				if nd := needs[g][ui]; nd.wantDirty {
-					// The dirty bits settle as the kernel retires:
-					// an instant at the kernel span's end, nested
-					// inside it.
-					tracer.LaneEmit(g, trace.Span{Kind: trace.KindDirtyMark, Lane: g,
-						Begin: t0 + cost, End: t0 + cost, Name: use.Decl.Name, Lo: nd.lo, Hi: nd.hi})
-				}
-			}
-		}
 	})
 	r.phaseBWall += time.Since(wall0)
-	if tracer != nil {
-		tracer.FlushLanes()
-	}
 	var maxKernel time.Duration
 	var total sim.Counters
 	for g := range gpus {
@@ -367,16 +325,18 @@ loading:
 	ks.Launches++
 	ks.Time += maxKernel
 	ks.Counters.Add(total)
+	// Every GPU's cost is known and error-free: the async scheduler
+	// places the launch's kernel nodes on their engine timelines, the
+	// synchronous schedule starts them all at the phase's begin.
+	begins := r.gpuBegin[:len(gpus)]
 	if r.sched != nil {
-		// Schedule the launch's kernel nodes on their engine timelines
-		// (and emit their overlapped spans) now that every GPU's cost
-		// is known and error-free.
-		r.sched.kernels(k, len(gpus), parts, needs)
+		r.sched.kernels(k, parts, needs, begins)
+	} else {
+		for g := range begins {
+			begins[g] = t0
+		}
 	}
-	if r.opts.Trace != nil {
-		r.tracef("kernels: %s over [%d,%d) on %d GPU(s): %v (%d flops, %d bytes)",
-			k.Name, lower, upper, len(gpus), maxKernel, total.Flops, total.BytesRead+total.BytesWritten)
-	}
+	r.emitKernelSpans(k, parts, needs, begins)
 
 	// Phase C — inter-GPU communication manager.
 	if err := r.commSync(k, env, gpus, partials); err != nil {
@@ -416,59 +376,120 @@ loading:
 	return nil
 }
 
-// specTally records one per-GPU chunk's specialized-executor outcome:
-// hit and fallback counters (with per-reason breakdown) for eligible
-// kernels, compile-time rejection counters otherwise.
+// emitKernelSpans states one error-free launch's Phase B on the tracer,
+// GPU ascending: the GPU's kernel span over [begins[g], begins[g] + its
+// cost], then one dirty-mark instant per array whose dirty bits the
+// kernel set — they settle as the kernel retires, so the instant sits on
+// the span's end, nested inside it. Host strand, after the merge.
+func (r *Runtime) emitKernelSpans(k *ir.Kernel, parts []span, needs [][]need, begins []time.Duration) {
+	tr := r.opts.Tracer
+	if tr == nil {
+		return
+	}
+	for g, p := range parts {
+		if p.count() == 0 {
+			continue
+		}
+		kind := trace.KindKernel
+		if r.gpuSpec[g] {
+			kind = trace.KindSpecKernel
+		}
+		end := begins[g] + r.gpuCost[g]
+		tr.Emit(trace.Span{Kind: kind, Lane: g,
+			Begin: begins[g], End: end, Name: k.Name, Lo: p.lo, Hi: p.hi - 1})
+		for ui, use := range k.Arrays {
+			if nd := needs[g][ui]; nd.wantDirty {
+				tr.Emit(trace.Span{Kind: trace.KindDirtyMark, Lane: g,
+					Begin: end, End: end, Name: use.Decl.Name, Lo: nd.lo, Hi: nd.hi})
+			}
+		}
+	}
+}
+
+// SpecStats is what a run counts about the engine that ran each non-empty
+// per-GPU chunk of Phase B. It is the one source of these figures: accrun
+// prints it, the differential tests compare it whole, and a traced run
+// copies it into the tracer's spec.* metrics when it ends.
+type SpecStats struct {
+	// Hits counts the chunks the specialized executor handled, Fallbacks
+	// those of eligible kernels that bounced to the interpreter.
+	Hits, Fallbacks int64
+	// SplitPieces counts the pieces the handled chunks of affine-guarded
+	// kernels were cut into (index-set splitting): at least one per such
+	// chunk, more where a guard changes inside the chunk.
+	SplitPieces int64
+	// TiledIters counts the iterations that ran in lockstep tiles (the
+	// other iterations of handled chunks ran the per-iteration body);
+	// HazardLanes those of them that re-ran per iteration, their tile's
+	// lane-major loop having stored into the window its lockstep prefix
+	// had loaded (ir.DArray.Hit).
+	TiledIters, HazardLanes int64
+	// Untiled counts the handled chunks that ran a per-iteration body, by
+	// reason: "shape" or "order" (the kernel has no tiled form), "dirty"
+	// (stores needed per-iteration dirty marking) or "alias" (the
+	// launch's affine accesses overlap).
+	Untiled map[string]int64
+	// FallbackReasons breaks Fallbacks down by cause ("transform",
+	// "miss", "range", "reduction", "indirect", "guard", "fault",
+	// "shape").
+	FallbackReasons map[string]int64
+	// Rejects counts the chunks of kernels the spec compiler rejected
+	// outright, by compile-time reason (ir.Kernel.SpecReason).
+	Rejects map[string]int64
+}
+
+// SpecStats returns the run's engine counts so far. The maps are the
+// runtime's own: read them, do not write them.
+func (r *Runtime) SpecStats() SpecStats { return r.spec }
+
+// flush adds every non-zero count to m under its spec.* key.
+func (s SpecStats) flush(m *trace.Metrics) {
+	counts := map[string]int64{
+		"spec.hits": s.Hits, "spec.fallbacks": s.Fallbacks, "spec.split_pieces": s.SplitPieces,
+		"spec.tiled_iters": s.TiledIters, "spec.hazard_lanes": s.HazardLanes,
+	}
+	for prefix, by := range map[string]map[string]int64{
+		"spec.untiled.": s.Untiled, "spec.fallbacks.": s.FallbackReasons, "spec.reject.": s.Rejects,
+	} {
+		for reason, n := range by {
+			counts[prefix+reason] = n
+		}
+	}
+	for key, n := range counts {
+		if n != 0 {
+			m.Inc(key, n)
+		}
+	}
+}
+
+// specTally counts one non-empty per-GPU chunk in r.spec: handled by the
+// specialized executor (and how), bounced by it to the interpreter (and
+// why), or never eligible because the translator built no spec.
 func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chunk int64) {
-	tracer := r.opts.Tracer
-	if ex != nil {
-		if handled {
-			gs := &ex.gs[g]
-			var pieces int64
-			if ex.spec.Guard != nil {
-				pieces = int64(len(gs.pieces))
-				ex.pieces += pieces
-			}
-			ex.tiled += gs.tiled
-			ex.hazard += gs.hazard
-			if gs.untiled != "" {
-				ex.untiled[gs.untiled]++
-			}
-			if tracer != nil {
-				tracer.Metrics().Inc("spec.hits", 1)
-				if pieces > 0 {
-					tracer.Metrics().Inc("spec.split_pieces", pieces)
-				}
-				if gs.tiled > 0 {
-					tracer.Metrics().Inc("spec.tiled_iters", gs.tiled)
-				}
-				if gs.hazard > 0 {
-					tracer.Metrics().Inc("spec.hazard_lanes", gs.hazard)
-				}
-				if gs.untiled != "" {
-					tracer.Metrics().Inc("spec.untiled."+gs.untiled, 1)
-				}
-			}
-		} else if chunk > 0 {
-			ex.fallbacks++
-			reason := ex.gs[g].reason
-			if reason == "" {
-				reason = "shape"
-			}
-			ex.reasons[reason]++
-			if tracer != nil {
-				tracer.Metrics().Inc("spec.fallbacks", 1)
-				tracer.Metrics().Inc("spec.fallbacks."+reason, 1)
-			}
+	st := &r.spec
+	switch {
+	case chunk == 0:
+	case handled:
+		gs := &ex.gs[g]
+		st.Hits++
+		if ex.spec.Guard != nil {
+			st.SplitPieces += int64(len(gs.pieces))
 		}
-	} else if k.Spec == nil && !r.opts.DisableSpecialize && chunk > 0 {
-		// Compile-time rejection: the translator never built a spec.
-		// Tracked separately from runtime fallbacks (spec.fallbacks
-		// totals stay equal to Runtime.SpecFallbacks).
-		r.specRejects[k.SpecReason]++
-		if tracer != nil {
-			tracer.Metrics().Inc("spec.reject."+k.SpecReason, 1)
+		st.TiledIters += gs.tiled
+		st.HazardLanes += gs.hazard
+		if gs.untiled != "" {
+			st.Untiled[gs.untiled]++
 		}
+	case ex != nil:
+		st.Fallbacks++
+		reason := ex.gs[g].reason
+		if reason == "" {
+			reason = "shape"
+		}
+		st.FallbackReasons[reason]++
+	case k.Spec == nil && !r.opts.DisableSpecialize:
+		// Compile-time rejection, tracked apart from runtime fallbacks.
+		st.Rejects[k.SpecReason]++
 	}
 }
 
@@ -505,17 +526,37 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 		}
 	}
 	views := r.buildViews(k, env, g, nds)
-	base := env.CloneWithViews(views)
+	counters, err := interpretWorkers(k, env.CloneWithViews(views), p.lo, n, dev, redVals)
+	// Fold per-lane chunk marks into the shared chunk-dirty array now
+	// that the worker strands are done.
+	for _, v := range views {
+		if dv, ok := v.(*devView); ok && dv.markDirty {
+			dv.c.mergeChunkLanes()
+		}
+	}
+	return counters, false, err
+}
+
+// interpretWorkers runs iterations [lo, lo+n) of the kernel through the
+// closure interpreter on dev's workers: the engine of every GPU chunk the
+// fast path declines and of the whole OpenMP bar, and the reference the
+// differential tests hold the fast path against. Each worker runs on its
+// own clone of base; redVals arrives holding the scalar reductions'
+// identities and leaves with the workers' partials folded in worker
+// order — the specialized executor's order — so the result is a pure
+// function of the input, whatever the host's parallelism.
+func interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev *sim.Device, redVals []float64) (sim.Counters, error) {
 	for ri, red := range k.ScalarReds {
 		setRedSlot(base, red, redVals[ri])
 	}
-	var rmu sync.Mutex
+	envs := make([]*ir.Env, min(int64(dev.Spec.Workers), n)) // worker w's, nil past the last
 	loopSlot := k.LoopVar.Slot
 	counters, err := dev.ForWorkers(int(n), nil, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
 		we := base.Clone()
 		we.WorkerID = w
+		envs[w] = we
 		for it := start; it < end; it++ {
-			we.Ints[loopSlot] = p.lo + int64(it)
+			we.Ints[loopSlot] = lo + int64(it)
 			if err := k.Body(we); err != nil {
 				if errors.Is(err, ir.ErrLoopContinue) {
 					continue // `continue` binding to the parallel loop
@@ -526,11 +567,6 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 				return sim.Counters{}, err
 			}
 		}
-		rmu.Lock()
-		for ri, red := range k.ScalarReds {
-			redVals[ri] = mergeRed(red, redVals[ri], getRedSlot(we, red))
-		}
-		rmu.Unlock()
 		return sim.Counters{
 			Flops:        we.Flops,
 			BytesRead:    we.BytesRead,
@@ -539,14 +575,15 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 			ReduceOps:    we.ReduceOps,
 		}, nil
 	})
-	// Fold per-lane chunk marks into the shared chunk-dirty array now
-	// that the worker strands are done.
-	for _, v := range views {
-		if dv, ok := v.(*devView); ok && dv.markDirty {
-			dv.c.mergeChunkLanes()
+	for _, we := range envs {
+		if we == nil {
+			break
+		}
+		for ri, red := range k.ScalarReds {
+			redVals[ri] = mergeRed(red, redVals[ri], getRedSlot(we, red))
 		}
 	}
-	return counters, false, err
+	return counters, err
 }
 
 // buildViews produces the kernel's view table for one GPU: host views

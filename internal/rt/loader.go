@@ -37,7 +37,6 @@ func (r *Runtime) EnterData(reg *ir.DataRegion, _ *ir.Env) error {
 			if !st.present {
 				return fmt.Errorf("rt: line %d: present(%s): array is not resident on the devices", reg.Line, arg.Decl.Name)
 			}
-			r.tracef("data enter: present %s asserted", arg.Decl.Name)
 			continue
 		}
 		st.present = true
@@ -46,7 +45,6 @@ func (r *Runtime) EnterData(reg *ir.DataRegion, _ *ir.Env) error {
 		// classes; create/copyout content starts as zeroed storage.
 		r.bumpHost(st)
 		st.deviceNewer = false
-		r.tracef("data enter: %s %s (%d elems)", arg.Class, arg.Decl.Name, st.n)
 	}
 	if r.auditing() {
 		return r.opts.Auditor.AfterEnterData(reg, nil, r.rep.Total())
@@ -78,7 +76,6 @@ func (r *Runtime) ExitData(reg *ir.DataRegion, _ *ir.Env) error {
 			return err
 		}
 		st.present = false
-		r.tracef("data exit: %s released", arg.Decl.Name)
 	}
 	if err := r.account(transfers, &r.rep.CPUGPUTime); err != nil {
 		return err
@@ -184,13 +181,14 @@ func (r *Runtime) account(transfers []sim.Transfer, bucket *time.Duration) error
 		}
 	}
 	if r.sched != nil {
-		// The async scheduler owns the batch's timing (and its span
-		// emission): it splits the batch into ready-time sub-batches on
-		// the bus timeline. The bucket increment above is untouched —
-		// buckets keep their synchronous values under async.
+		// The async scheduler owns the batch's timing: it splits the
+		// batch into ready-time sub-batches on the bus timeline and has
+		// each one's spans emitted over its own window. The bucket
+		// increment above is untouched — buckets keep their synchronous
+		// values under async.
 		r.sched.batch(transfers, penalty)
-	} else if tr := r.opts.Tracer; tr != nil {
-		r.emitTransferSpans(tr, transfers, begin, r.rep.Total())
+	} else {
+		r.emitTransferSpans(transfers, begin, r.rep.Total(), false)
 	}
 	return nil
 }
@@ -213,48 +211,52 @@ var (
 	}
 )
 
-// emitTransferSpans renders one priced batch as spans: the whole batch
-// occupies the virtual-time window the pricing advanced, and every
-// transfer in it becomes one span over that window — H2D on the
-// destination GPU's lane, gathers on the source GPU's lane, GPU-GPU
-// traffic on the comms lane (kind halo-exchange or d2d by tag). On a
-// multi-node machine GPU-GPU spans land on the destination node's NIC
-// lane instead, with Detail marking the path — "nic" for cross-node
-// traffic, "p2p" for intra-node peers — and host transfers crossing a
-// node boundary carry the "nic" detail on their GPU lane.
-func (r *Runtime) emitTransferSpans(tr *trace.Tracer, transfers []sim.Transfer, begin, end time.Duration) {
+// emitTransferSpans states one priced batch (a sub-batch, under the async
+// schedule) on the tracer: every transfer in it becomes one span over the
+// window [begin, end] the schedule gave the batch, of kind h2d, gather,
+// halo-exchange or d2d (by tag). GPU-GPU traffic sits on the comms lane.
+// Host transfers sit on their GPU's lane (H2D the destination's, gathers
+// the source's) unless overlapped: under the async schedule transfers run
+// alongside kernels, so they move to the comms lane too, whose bus
+// timeline is monotone, and trace.CheckWellFormed's per-lane nesting keeps
+// holding. On a multi-node machine the comms lane is the destination
+// node's NIC lane — well-formed because a sub-batch serializes on that
+// node's fabric — and Detail marks the path: "nic" for traffic crossing
+// nodes, "p2p" for intra-node peers.
+func (r *Runtime) emitTransferSpans(transfers []sim.Transfer, begin, end time.Duration, overlapped bool) {
+	tr := r.opts.Tracer
+	if tr == nil {
+		return
+	}
 	m := tr.Metrics()
 	spec := &r.mach.Spec
 	multi := spec.NodeCount() > 1
 	for _, t := range transfers {
-		s := trace.Span{Begin: begin, End: end, Name: t.Label,
+		s := trace.Span{Begin: begin, End: end, Lane: trace.LaneComms, Name: t.Label,
 			Bytes: t.Bytes, Lo: t.Lo, Hi: t.Hi, Src: t.Src, Dst: t.Dst}
-		switch t.Kind {
-		case sim.HostToDevice:
-			s.Kind, s.Lane = trace.KindH2D, t.Dst
-			if multi && spec.CrossNode(t.Src, t.Dst) {
+		if multi {
+			s.Lane = trace.LaneNIC(spec.NodeOf(t.Dst))
+			if spec.CrossNode(t.Src, t.Dst) {
 				s.Detail = "nic"
+			} else if t.Kind == sim.PeerToPeer {
+				s.Detail = "p2p"
 			}
-		case sim.DeviceToHost:
-			s.Kind, s.Lane = trace.KindGather, t.Src
-			if multi && spec.CrossNode(t.Src, t.Dst) {
-				s.Detail = "nic"
+		}
+		switch {
+		case t.Kind == sim.HostToDevice:
+			s.Kind = trace.KindH2D
+			if !overlapped {
+				s.Lane = t.Dst
 			}
+		case t.Kind == sim.DeviceToHost:
+			s.Kind = trace.KindGather
+			if !overlapped {
+				s.Lane = t.Src
+			}
+		case t.Tag == sim.TagHalo:
+			s.Kind = trace.KindHalo
 		default:
-			s.Lane = trace.LaneComms
-			if multi {
-				s.Lane = trace.LaneNIC(spec.NodeOf(t.Dst))
-				if spec.CrossNode(t.Src, t.Dst) {
-					s.Detail = "nic"
-				} else {
-					s.Detail = "p2p"
-				}
-			}
-			if t.Tag == sim.TagHalo {
-				s.Kind = trace.KindHalo
-			} else {
-				s.Kind = trace.KindD2D
-			}
+			s.Kind = trace.KindD2D
 		}
 		tr.Emit(s)
 		m.Inc(bytesKindKeys[t.Kind], t.Bytes)
@@ -548,10 +550,6 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 		}
 	}
 	if reload {
-		if r.opts.Trace != nil {
-			r.tracef("loader: reload %s gpu%d [%d,%d] content=%v (covered=%v fresh=%v devNewer=%v)",
-				st.decl.Name, c.g, nd.lo, nd.hi, nd.contentIn, covered, fresh, st.deviceNewer)
-		}
 		if err := c.realloc(nd); err != nil {
 			return transfers, job, err
 		}

@@ -3,8 +3,8 @@ package rt_test
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -283,19 +283,11 @@ func TestAuditedSeedCorpus(t *testing.T) {
 	}
 }
 
-// specRoute renders everything the runtime counts about which Phase B
-// engine ran each chunk.
-func specRoute(r *rt.Runtime) string {
-	return fmt.Sprintf("hits %d, fallbacks %v, tiled %d, hazard %d, untiled %v, split pieces %d",
-		r.SpecHits(), r.SpecFallbackReasons(), r.SpecTiledIters(), r.SpecHazardLanes(), r.SpecUntiled(), r.SpecSplitPieces())
-}
-
 // TestObserversKeepTheRouteCorpus pins, over the audited seed corpus on
 // every platform, that the Phase B route is chosen from the kernel and
-// its data alone: the span tracer, text narration, the shadow auditor,
-// an armed fault plan (its rate never fires) and the async schedule each
-// leave every specialization counter where the bare synchronous run put
-// it.
+// its data alone: the span tracer, the shadow auditor, an armed fault
+// plan (its rate never fires) and the async schedule each leave the whole
+// SpecStats value where the bare synchronous run put it.
 func TestObserversKeepTheRouteCorpus(t *testing.T) {
 	seeds := auditedSeeds
 	if testing.Short() {
@@ -305,25 +297,24 @@ func TestObserversKeepTheRouteCorpus(t *testing.T) {
 	for _, seed := range seeds {
 		p := genRandProg(rand.New(rand.NewSource(seed)))
 		for _, spec := range auditedSpecs() {
-			route := func(opts rt.Options, plan *sim.FaultPlan) string {
+			route := func(opts rt.Options, plan *sim.FaultPlan) rt.SpecStats {
 				res, err := p.runFull(t, spec, opts, plan)
 				if err != nil {
 					t.Fatalf("seed %d on %s: %v\n%s", seed, spec.Name, err, p.src)
 				}
-				return specRoute(res.runtime)
+				return res.runtime.SpecStats()
 			}
 			bare := route(rt.Options{}, nil)
-			for label, got := range map[string]string{
+			for label, got := range map[string]rt.SpecStats{
 				"tracer":     route(rt.Options{Tracer: trace.New()}, nil),
-				"narration":  route(rt.Options{Trace: io.Discard}, nil),
 				"auditor":    route(rt.Options{Auditor: audit.New(audit.Options{})}, nil),
 				"fault plan": route(rt.Options{}, armed),
 				"async":      route(rt.Options{Async: true}, nil),
-				"everything": route(rt.Options{Async: true, Tracer: trace.New(), Trace: io.Discard,
+				"everything": route(rt.Options{Async: true, Tracer: trace.New(),
 					Auditor: audit.New(audit.Options{})}, armed),
 			} {
-				if got != bare {
-					t.Errorf("seed %d on %s with %s: %s; bare: %s\n%s", seed, spec.Name, label, got, bare, p.src)
+				if !reflect.DeepEqual(got, bare) {
+					t.Errorf("seed %d on %s with %s: %+v; bare: %+v\n%s", seed, spec.Name, label, got, bare, p.src)
 				}
 			}
 		}

@@ -19,7 +19,6 @@ package rt
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"accmulti/internal/cc"
@@ -81,8 +80,11 @@ const (
 // DisableDegradation makes faults fatal, and DisablePlanCache and
 // DisableSpecialize select the reference implementations the invariance
 // tests compare against. Which engine runs a kernel's Phase B depends on
-// the kernel, its data and DisableSpecialize alone: not on Async, Trace,
-// Tracer, Auditor, BalanceLoad or a fault plan armed on the machine.
+// the kernel, its data and DisableSpecialize alone: not on Async, Tracer,
+// Auditor, BalanceLoad or a fault plan armed on the machine. A run states
+// what it did once — spans and metrics on Tracer, totals in the Report,
+// engine choices in SpecStats — and every rendering (Chrome JSON, the
+// text narration of accrun -narrate) reads those.
 type Options struct {
 	// Mode selects the execution strategy (default ModeMultiGPU).
 	Mode Mode
@@ -112,16 +114,12 @@ type Options struct {
 	// synchronous schedule; only time stamps differ. Ignored in
 	// ModeCPU, which performs no transfers to overlap.
 	Async bool
-	// Trace, when non-nil, receives one line per runtime event
-	// (region entries, loads, launches, communication), stamped with
-	// the simulated clock.
-	Trace io.Writer
 	// Tracer, when non-nil, receives structured spans and metrics for
-	// every runtime operation (see internal/trace). All stamps come
-	// from the simulated clock, so the span stream is bit-identical
-	// across runs and host-parallelism settings; the report and the
-	// final arrays are bit-identical with the tracer on or off. When
-	// nil (the default), no emission path allocates.
+	// every runtime operation (see internal/trace), all emitted on the
+	// host strand. All stamps come from the simulated clock, so the span
+	// stream is bit-identical across runs and host-parallelism settings;
+	// the report and the final arrays are bit-identical with the tracer
+	// on or off. When nil (the default), no emission path allocates.
 	Tracer *trace.Tracer
 	// Auditor, when non-nil, receives consistency-audit events (see
 	// AuditSink); internal/audit provides the shadow-oracle
@@ -234,9 +232,8 @@ type Runtime struct {
 	// specialized body is static and all launch-varying state is
 	// re-bound on every run.
 	specExecs map[int]*specExec
-	// specRejects counts non-empty per-GPU chunks of kernels the spec
-	// compiler rejected, by Kernel.SpecReason.
-	specRejects map[string]int64
+	// spec counts which engine ran each per-GPU chunk (specTally).
+	spec SpecStats
 	// phaseBWall accumulates real wall-clock time spent inside the
 	// Phase B kernel fan-out (all GPUs' chunk execution, specialized or
 	// interpreted), for the paper-app speedup gate and benchmark/.
@@ -266,12 +263,15 @@ type Runtime struct {
 	// Phase B per-GPU result slots, indexed by GPU. Each launch
 	// goroutine writes only its own slot; the host strand merges them
 	// in GPU order after the barrier, which makes the merged report
-	// fields, the surfaced error and the committed span order
-	// deterministic no matter how the goroutines interleave.
+	// fields, the surfaced error and the kernel spans (emitted from the
+	// merged slots) deterministic no matter how the goroutines interleave.
 	gpuCost []time.Duration
 	gpuCtrs []sim.Counters
 	gpuErrs []error
 	gpuSpec []bool
+	// gpuBegin is when each GPU's kernel starts on the simulated clock,
+	// filled after the merge by whichever schedule is armed.
+	gpuBegin []time.Duration
 }
 
 type fpKey struct {
@@ -316,9 +316,6 @@ func (r *Runtime) bumpHost(st *arrayState) {
 
 // New creates a runtime for the machine.
 func New(mach *sim.Machine, opts Options) *Runtime {
-	if opts.Tracer != nil {
-		opts.Tracer.EnsureLanes(mach.NumGPUs())
-	}
 	r := &Runtime{
 		mach:        mach,
 		opts:        opts.withDefaults(),
@@ -329,7 +326,7 @@ func New(mach *sim.Machine, opts Options) *Runtime {
 		balCache:    map[balKey]balVal{},
 		planCache:   map[planKey]*launchPlan{},
 		specExecs:   map[int]*specExec{},
-		specRejects: map[string]int64{},
+		spec:        SpecStats{Untiled: map[string]int64{}, FallbackReasons: map[string]int64{}, Rejects: map[string]int64{}},
 	}
 	if r.opts.Async && r.opts.Mode != ModeCPU {
 		r.sched = newAsyncSched(r)
@@ -359,7 +356,6 @@ func (r *Runtime) addEvent(kind, detail string) {
 				Begin: now, End: now, Name: kind, Lo: 0, Hi: -1, Detail: detail})
 		}
 	}
-	r.tracef("%s: %s", kind, detail)
 }
 
 // launchScratch sizes and clears the Phase B per-GPU result slots.
@@ -369,6 +365,7 @@ func (r *Runtime) launchScratch(n int) {
 		r.gpuCtrs = append(r.gpuCtrs, sim.Counters{})
 		r.gpuErrs = append(r.gpuErrs, nil)
 		r.gpuSpec = append(r.gpuSpec, false)
+		r.gpuBegin = append(r.gpuBegin, 0)
 	}
 	for g := 0; g < n; g++ {
 		r.gpuCost[g], r.gpuCtrs[g], r.gpuErrs[g], r.gpuSpec[g] = 0, sim.Counters{}, nil, false
@@ -376,7 +373,9 @@ func (r *Runtime) launchScratch(n int) {
 }
 
 // Run binds nothing new; it executes an already bound instance with
-// this runtime as the hook table and finalizes accounting.
+// this runtime as the hook table and finalizes accounting. A Runtime is
+// for one run: its Report and SpecStats only ever accumulate, and the
+// latter is copied into the tracer's spec.* metrics when the run ends.
 func (r *Runtime) Run(inst *ir.Instance) error {
 	r.inst = inst
 	defer func() { r.inst = nil }()
@@ -386,6 +385,9 @@ func (r *Runtime) Run(inst *ir.Instance) error {
 		}
 	}
 	err := inst.Run(r)
+	if t := r.opts.Tracer; t != nil {
+		r.spec.flush(t.Metrics())
+	}
 	// Release whatever is still resident — programs may leave arrays
 	// on the devices (no data region, or an aborted run) and the
 	// device memory accounting must balance either way.

@@ -1,6 +1,10 @@
 package rt
 
 import (
+	"math"
+	"math/rand"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -9,52 +13,6 @@ import (
 	"accmulti/internal/sim"
 	"accmulti/internal/translator"
 )
-
-func TestTraceNarratesPhases(t *testing.T) {
-	var sb strings.Builder
-	src := `
-int n;
-float x[n], y[n];
-void main() {
-    int i;
-    #pragma acc data copyin(x) copy(y)
-    {
-        #pragma acc parallel loop
-        for (i = 0; i < n; i++) { y[i] = x[(i + 1) % n]; }
-    }
-}
-`
-	prog, err := cc.ParseProgram(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mod, err := translator.Translate(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inst, err := mod.Bind(ir.NewBindings().SetScalar("n", 10000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mach, _ := sim.NewMachine(sim.Desktop())
-	r := New(mach, Options{Trace: &sb})
-	if err := r.Run(inst); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"data enter: copyin x",
-		"data enter: copy y",
-		"loader: kernel",
-		"kernels: main_L",
-		"comm: kernel", // y is replicated + written on 2 GPUs
-		"data exit: y released",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q in:\n%s", want, out)
-		}
-	}
-}
 
 func TestNestedDataRegions(t *testing.T) {
 	src := `
@@ -558,6 +516,74 @@ void main() {
 	for _, g := range mach.GPUs() {
 		if g.UsedBytes() != 0 {
 			t.Errorf("GPU%d leaks %d bytes after failed run", g.ID, g.UsedBytes())
+		}
+	}
+}
+
+// TestInterpreterReductionOrder pins that the closure interpreter — the
+// reference of the differential tests, every fallback chunk and the whole
+// OpenMP bar — folds scalar-reduction partials in worker order, like the
+// specialized executor, and not in the order its workers happen to
+// finish: a double dot product (examples/testdata/dotprod.c with double
+// arrays) has one bit pattern over many runs on four processors, and on
+// the GPUs it is the specialized path's.
+func TestInterpreterReductionOrder(t *testing.T) {
+	src, err := os.ReadFile("../../examples/testdata/dotprod.c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := cc.ParseProgram(strings.ReplaceAll(string(src), "float", "double"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := translator.Translate(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4001
+	rng := rand.New(rand.NewSource(7))
+	xs, ys := make([]float64, n), make([]float64, n)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64()*2-1, rng.Float64()*2-1
+	}
+	dot := func(opts Options) uint64 {
+		inst, err := mod.Bind(ir.NewBindings().SetScalar("n", n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range inst.Arrays {
+			copy(a.F64, map[string][]float64{"x": xs, "y": ys}[a.Decl.Name])
+		}
+		mach, _ := sim.NewMachine(sim.Desktop())
+		if err := New(mach, opts).Run(inst); err != nil {
+			t.Fatal(err)
+		}
+		v, err := inst.ScalarF("dot")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return math.Float64bits(v)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	runs := 2000
+	if testing.Short() {
+		runs = 200
+	}
+	specialized := dot(Options{})
+	for _, tc := range []struct {
+		name string
+		opts Options
+		want uint64
+	}{
+		{"interpreter on the GPUs", Options{DisableSpecialize: true}, specialized},
+		{"OpenMP", Options{Mode: ModeCPU}, dot(Options{Mode: ModeCPU})},
+	} {
+		seen := map[uint64]int{}
+		for i := 0; i < runs; i++ {
+			seen[dot(tc.opts)]++
+		}
+		if len(seen) != 1 || seen[tc.want] != runs {
+			t.Errorf("%s: %d runs gave bit patterns %v, want only %#x", tc.name, runs, seen, tc.want)
 		}
 	}
 }

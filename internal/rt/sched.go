@@ -26,7 +26,7 @@ import (
 // returns it when the scheduler is armed, which is how the overlap
 // shows up in reported simulated time.
 //
-// Interference rules (DESIGN.md §13 documents the model):
+// Interference rules (DESIGN.md §12 documents the model):
 //
 //   - Every transfer derives a (reads, writes) footprint over
 //     locations (array × host-mirror) and (array × GPU g) from its
@@ -128,7 +128,6 @@ type asyncSched struct {
 	pendReady []time.Duration
 	subBatch  []sim.Transfer
 	subIdx    []int
-	begins    []time.Duration
 	// What derive works out once per batch: transfer i's hazard state
 	// xhaz[i] (nil for a scalar delivery), its footprints
 	// fp[fpAt[i]:fpAt[i+1]] and its conflict row conf[i*words:(i+1)*words],
@@ -531,7 +530,7 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 		}
 		if tr != nil {
 			tr.Metrics().Inc("sched.sub_batches", 1)
-			s.emitAsyncTransferSpans(tr, sub, t0, end)
+			s.r.emitTransferSpans(sub, t0, end, true)
 		}
 		s.subBatch, s.subIdx = sub, subIdx
 		if s.nodeFree == nil {
@@ -552,63 +551,17 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 	s.pendReady = ready[:0]
 }
 
-// emitAsyncTransferSpans renders one sub-batch as spans over its
-// scheduled window. Unlike the synchronous layout (H2D and gathers on
-// GPU lanes), every transfer span lands on a comms lane: transfers
-// overlap kernels under the async schedule, and the per-lane nesting
-// invariant of trace.CheckWellFormed must keep holding. Single-node
-// machines use the one comms lane, whose bus timeline is monotone; on
-// multi-node machines each span lands on its destination node's NIC
-// lane (tagged "nic" for cross-node traffic, "p2p" for intra-node
-// peers), which stays well-formed because the sub-batch serialized on
-// that node's fabric. The metric increments are identical to the
-// synchronous path.
-func (s *asyncSched) emitAsyncTransferSpans(tr *trace.Tracer, transfers []sim.Transfer, begin, end time.Duration) {
-	m := tr.Metrics()
-	spec := &s.r.mach.Spec
-	for _, t := range transfers {
-		lane, detail := trace.LaneComms, ""
-		if s.nodeFree != nil {
-			lane = trace.LaneNIC(spec.NodeOf(t.Dst))
-			if spec.CrossNode(t.Src, t.Dst) {
-				detail = "nic"
-			} else if t.Kind == sim.PeerToPeer {
-				detail = "p2p"
-			}
-		}
-		sp := trace.Span{Begin: begin, End: end, Lane: lane, Detail: detail, Name: t.Label,
-			Bytes: t.Bytes, Lo: t.Lo, Hi: t.Hi, Src: t.Src, Dst: t.Dst}
-		switch t.Kind {
-		case sim.HostToDevice:
-			sp.Kind = trace.KindH2D
-		case sim.DeviceToHost:
-			sp.Kind = trace.KindGather
-		default:
-			if t.Tag == sim.TagHalo {
-				sp.Kind = trace.KindHalo
-			} else {
-				sp.Kind = trace.KindD2D
-			}
-		}
-		tr.Emit(sp)
-		m.Inc(bytesKindKeys[t.Kind], t.Bytes)
-		m.Inc(bytesPolicyKeys[t.Tag], t.Bytes)
-	}
-}
-
 // kernels schedules one launch's per-GPU kernel nodes. The kernels of
 // one launch are mutually independent under the BSP contract (each GPU
 // writes only its own core or its own replica's envelope), so all
 // readiness is computed against the pre-launch hazard state and all
 // updates apply afterwards — exactly the concurrency the synchronous
 // runtime grants them. Called on the host strand after the Phase B
-// barrier, when the per-GPU costs are merged and error-free.
-func (s *asyncSched) kernels(k *ir.Kernel, ngpus int, parts []span, needs [][]need) {
+// barrier, when the per-GPU costs are merged and error-free; begins[g]
+// receives the time GPU g's kernel starts.
+func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins []time.Duration) {
 	r := s.r
-	if cap(s.begins) < ngpus {
-		s.begins = make([]time.Duration, ngpus)
-	}
-	begins := s.begins[:ngpus]
+	ngpus := len(begins)
 	for g := 0; g < ngpus; g++ {
 		if parts[g].count() == 0 {
 			continue
@@ -680,20 +633,6 @@ func (s *asyncSched) kernels(k *ir.Kernel, ngpus int, parts []span, needs [][]ne
 				}
 			}
 			h.core[g] = [2]int64{nd.coreLo, nd.coreHi}
-		}
-		if tr := r.opts.Tracer; tr != nil && r.gpuErrs[g] == nil {
-			kind := trace.KindKernel
-			if r.gpuSpec[g] {
-				kind = trace.KindSpecKernel
-			}
-			tr.Emit(trace.Span{Kind: kind, Lane: g,
-				Begin: begin, End: end, Name: k.Name, Lo: parts[g].lo, Hi: parts[g].hi - 1})
-			for ui, use := range k.Arrays {
-				if nd := needs[g][ui]; nd.wantDirty {
-					tr.Emit(trace.Span{Kind: trace.KindDirtyMark, Lane: g,
-						Begin: end, End: end, Name: use.Decl.Name, Lo: nd.lo, Hi: nd.hi})
-				}
-			}
 		}
 	}
 }

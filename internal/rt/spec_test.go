@@ -214,8 +214,8 @@ void main() {
 	}
 	ref, refInst := run(Options{DisableSpecialize: true})
 	r, inst := run(Options{})
-	if r.SpecTiledIters() != n || r.SpecFallbacks() != 0 {
-		t.Fatalf("tiled %d of %d iterations, fallbacks %v", r.SpecTiledIters(), n, r.SpecFallbackReasons())
+	if st := r.SpecStats(); st.TiledIters != n || st.Fallbacks != 0 {
+		t.Fatalf("tiled %d of %d iterations, fallbacks %v", st.TiledIters, n, st.FallbackReasons)
 	}
 	if !reflect.DeepEqual(ref.Report(), r.Report()) {
 		t.Fatalf("Report diverged\ninterp %+v\ntiled  %+v", ref.Report(), r.Report())
@@ -270,14 +270,6 @@ func buildSpecInstance(tb testing.TB, src string, scalars map[string]float64) (*
 	return mod, inst
 }
 
-func specHits(r *Runtime) int64 {
-	var hits int64
-	for _, ex := range r.specExecs {
-		hits += ex.hits
-	}
-	return hits
-}
-
 // TestSpecFastPathTaken pins that an eligible kernel actually runs the
 // fast path (so the differential suites compare spec against interp,
 // not interp against itself), that only the DisableSpecialize reference
@@ -307,7 +299,7 @@ func TestSpecFastPathTaken(t *testing.T) {
 		if len(r.specExecs) != 1 {
 			t.Fatalf("%s: want 1 cached executor, have %d", label, len(r.specExecs))
 		}
-		if h := specHits(r); h != int64(r.mach.NumGPUs()) {
+		if h := r.SpecHits(); h != int64(r.mach.NumGPUs()) {
 			t.Fatalf("%s: fast path handled %d GPU chunks, want %d", label, h, r.mach.NumGPUs())
 		}
 	}
@@ -433,9 +425,9 @@ func TestAffineGuardSpecializes(t *testing.T) {
 				t.Fatalf("%s: %d launches, want %d", label, launches, steps*tc.kernels)
 			}
 			if fb := r.SpecFallbacks(); fb != 0 {
-				t.Errorf("%s: %d interpreter fallbacks %v", label, fb, r.SpecFallbackReasons())
+				t.Errorf("%s: %d interpreter fallbacks %v", label, fb, r.SpecStats().FallbackReasons)
 			}
-			if rej := r.SpecRejects(); len(rej) != 0 {
+			if rej := r.SpecStats().Rejects; len(rej) != 0 {
 				t.Errorf("%s: rejected chunks %v", label, rej)
 			}
 			if hits, want := r.SpecHits(), int64(launches*mach.NumGPUs()); hits != want {
@@ -443,7 +435,7 @@ func TestAffineGuardSpecializes(t *testing.T) {
 			}
 			// The first and the last GPU each cut one boundary iteration
 			// off; the GPUs between them run one piece.
-			if pieces, want := r.SpecSplitPieces(), int64(steps*(mach.NumGPUs()+len(mod.Kernels[0].Spec.Guard.Atoms))); pieces != want {
+			if pieces, want := r.SpecStats().SplitPieces, int64(steps*(mach.NumGPUs()+len(mod.Kernels[0].Spec.Guard.Atoms))); pieces != want {
 				t.Errorf("%s: %d pieces, want %d", label, pieces, want)
 			}
 			if tc.name == "boundary" {
@@ -766,7 +758,7 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if h := specHits(s.r); h == 0 {
+			if h := s.r.SpecHits(); h == 0 {
 				t.Fatal("fast path never ran; budget would measure the interpreter")
 			}
 			// One processor: sim.FanOut spawns nothing, and what is left is

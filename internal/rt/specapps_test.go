@@ -168,7 +168,7 @@ func TestPaperAppSpecCoverage(t *testing.T) {
 				t.Fatal(err)
 			}
 			hits, falls := r.SpecHits(), r.SpecFallbacks()
-			t.Logf("%s: spec hits %d, fallbacks %d %v rejects %v", tc.name, hits, falls, r.SpecFallbackReasons(), r.SpecRejects())
+			t.Logf("%s: spec hits %d, fallbacks %d %v rejects %v", tc.name, hits, falls, r.SpecStats().FallbackReasons, r.SpecStats().Rejects)
 			if hits == 0 {
 				t.Errorf("%s: the specialized executor never ran", tc.name)
 			}

@@ -31,6 +31,10 @@ type specTemplate struct {
 	src  string
 	// scalars produces the bindings (always including "n").
 	scalars func(rng *rand.Rand) map[string]float64
+	// tweak, when set, edits the translated module before it is bound: a
+	// kernel shape the translator never emits but the runtime must stay
+	// safe on.
+	tweak func(*ir.Module)
 }
 
 func nScalar(rng *rand.Rand) map[string]float64 {
@@ -925,6 +929,7 @@ void main() {
 		})
 	}
 	specTemplates = append(specTemplates, tailTemplates()...)
+	specTemplates = append(specTemplates, safetyTemplates()...)
 	// Every compound operator of a private int scalar, over the whole tile
 	// and under arms: the divisor is zero in the lanes that skip the arm.
 	specTemplates = append(specTemplates, specTemplate{
@@ -966,6 +971,177 @@ void main() {
 `,
 		scalars: nScalar,
 	})
+}
+
+// safetyTemplates make the fast path's safety checks fire — four per-GPU
+// fallbacks and two per-piece demotions to the per-iteration body that
+// no other template, app or example reaches. Each is named
+// safety-<reason>, and checkSpecDiff requires that reason to be counted
+// on every machine, then holds the outcome against the interpreter like
+// any other template. The offending accesses of safety-range and
+// safety-reduction sit under an arm the fill never takes (|in_| ≤ 1000):
+// the endpoint checks cover every access of a piece, executed or not.
+func safetyTemplates() []specTemplate {
+	return []specTemplate{
+		{
+			// "range": an affine read one past a halo-less residency.
+			name: "safety-range",
+			src: `
+int n;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc localaccess(in_) stride(1)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            v = in_[i];
+            if (v > 5000) {
+                out_[i] = in_[i + 1];
+            } else {
+                out_[i] = v * 3;
+            }
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// "reduction": an affine reductiontoarray index that leaves
+			// [0, n) at the last iteration.
+			name: "safety-reduction",
+			src: `
+int n;
+int in_[n], hist_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(hist_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            v = in_[i];
+            if (v > 5000) {
+                #pragma acc reductiontoarray(+: hist_[i + 1])
+                hist_[i + 1] += v;
+            } else {
+                #pragma acc reductiontoarray(+: hist_[i])
+                hist_[i] += v;
+            }
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// "transform": a reduction-lane target stored column-major. The
+			// translator transforms read-only arrays only, so the module is
+			// edited by hand; lanes are indexed logically, so the chunk must
+			// leave the fast path.
+			name: "safety-transform",
+			src: `
+int n;
+int in_[n], hist_[2 * n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(hist_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            #pragma acc reductiontoarray(+: hist_[2 * i])
+            hist_[2 * i] += in_[i];
+        }
+    }
+}
+`,
+			scalars: nScalar,
+			tweak: func(m *ir.Module) {
+				for _, use := range m.Kernels[0].Arrays {
+					if use.Reduced {
+						use.Transform2D, use.Width = true, func(*ir.Env) int64 { return 2 }
+					}
+				}
+			},
+		},
+		{
+			// "guard": i * m with m = 2^62 wraps from the third iteration
+			// on; the interpreter compares wrapped values, which no cut of
+			// the index set describes.
+			name: "safety-guard",
+			src: `
+int n, m;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i * m > 0) {
+                out_[i] = in_[i];
+            } else {
+                out_[i] = 0 - in_[i];
+            }
+        }
+    }
+}
+`,
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				m := nScalar(rng)
+				m["m"] = 1 << 62
+				return m
+			},
+		},
+		{
+			// Untiled "alias": a store and a load of one array whose strides
+			// differ and whose ranges overlap (they never meet: even against
+			// odd elements), which the tile's alias check cannot tell apart.
+			name: "safety-alias",
+			src: `
+int n;
+int io_[4 * n + 4];
+void main() {
+    int i;
+    #pragma acc data copy(io_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            io_[2 * i] = io_[4 * i + 1] + 1;
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// Untiled "shape" at launch: a walk of stride 6 over a
+			// column-major copy of row width 4, which the tiled body's
+			// strided loads do not map.
+			name: "safety-offstride",
+			src: `
+int n;
+float mat_[8 * n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(mat_) copy(out_)
+    {
+        #pragma acc localaccess(mat_) stride(4, 0, 4 * n)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = mat_[6 * i] * 2.0;
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+	}
 }
 
 // csrPrologue is host code that turns whatever the filler wrote into a
@@ -1343,6 +1519,9 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 	if err != nil {
 		t.Fatalf("%s: translate: %v", tpl.name, err)
 	}
+	if tpl.tweak != nil {
+		tpl.tweak(mod)
+	}
 	bind := ir.NewBindings()
 	for name, v := range scalars {
 		bind.SetScalar(name, v)
@@ -1403,25 +1582,38 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		if refErr != nil || err != nil {
 			t.Fatalf("%s: run failed: interp %v, spec %v", label, refErr, err)
 		}
+		st := r.SpecStats()
 		if strings.HasPrefix(tpl.name, "lock-") {
 			// The lockstep templates must compare the tiled body with the
 			// interpreter, not the per-iteration body.
-			if r.SpecTiledIters() == 0 || r.SpecFallbacks() != 0 || len(r.SpecUntiled()) != 0 {
-				t.Fatalf("%s: not tiled: %d tiled iterations, untiled %v, fallbacks %v, rejects %v",
-					label, r.SpecTiledIters(), r.SpecUntiled(), r.SpecFallbackReasons(), r.SpecRejects())
+			if st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0 {
+				t.Fatalf("%s: not tiled: %+v", label, st)
 			}
 		}
-		if strings.HasPrefix(tpl.name, "tail-") && (r.SpecTiledIters() == 0 || r.SpecFallbacks() != 0 || len(r.SpecUntiled()) != 0) ||
-			strings.HasPrefix(tpl.name, "untail-") && (r.SpecTiledIters() != 0 || r.SpecFallbacks() != 0 || r.SpecUntiled()["shape"] == 0) {
-			t.Fatalf("%s: wrong body: %d tiled iterations, untiled %v, fallbacks %v, rejects %v",
-				label, r.SpecTiledIters(), r.SpecUntiled(), r.SpecFallbackReasons(), r.SpecRejects())
+		if strings.HasPrefix(tpl.name, "tail-") && (st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0) ||
+			strings.HasPrefix(tpl.name, "untail-") && (st.TiledIters != 0 || st.Fallbacks != 0 || st.Untiled["shape"] == 0) {
+			t.Fatalf("%s: wrong body: %+v", label, st)
+		}
+		if reason, ok := strings.CutPrefix(tpl.name, "safety-"); ok {
+			// The safety templates must compare the path their check guards
+			// with the interpreter: the fallback (or the per-iteration body)
+			// taken for that reason.
+			fired := st.FallbackReasons[reason]
+			switch reason {
+			case "alias":
+				fired = st.Untiled["alias"]
+			case "offstride":
+				fired = st.Untiled["shape"]
+			}
+			if fired == 0 {
+				t.Fatalf("%s: check did not fire: %+v", label, st)
+			}
 		}
 		if strings.HasPrefix(tpl.name, "guard-") {
 			// The affine-guard templates must compare the split executor
 			// with the interpreter, not the interpreter with itself.
-			if r.SpecSplitPieces() == 0 || r.SpecFallbacks() != 0 || len(r.SpecRejects()) != 0 {
-				t.Fatalf("%s: not split: %d pieces, fallbacks %v, rejects %v",
-					label, r.SpecSplitPieces(), r.SpecFallbackReasons(), r.SpecRejects())
+			if st.SplitPieces == 0 || st.Fallbacks != 0 || len(st.Rejects) != 0 {
+				t.Fatalf("%s: not split: %+v", label, st)
 			}
 		}
 		refRep, rep := ref.Report(), r.Report()
@@ -1472,4 +1664,47 @@ func FuzzSpecializedVsInterp(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		checkSpecDiff(t, tpl, tpl.scalars(rng), seed^0x5eed)
 	})
+}
+
+// TestSafetyFallbackErrorText is the other half of the range and
+// reduction safety templates: when the offending access does execute,
+// the chunk the fast path declined fails on the interpreter with the
+// interpreter's own diagnostic, word for word what DisableSpecialize
+// reports.
+func TestSafetyFallbackErrorText(t *testing.T) {
+	for _, tc := range []struct{ name, src, want string }{
+		{"range", `
+int n;
+int in_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc localaccess(in_) stride(1)
+    #pragma acc localaccess(out_) stride(1)
+    #pragma acc parallel loop
+    for (i = 0; i < n - 1; i++) {
+        out_[i] = in_[i + 1];
+    }
+}
+`, "in_"},
+		{"reduction", `
+int n;
+int in_[n], hist_[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        #pragma acc reductiontoarray(+: hist_[i + 1])
+        hist_[i + 1] += in_[i];
+    }
+}
+`, "index out of range [1000]"},
+	} {
+		tpl := specTemplate{name: "error-" + tc.name, src: tc.src}
+		scalars := map[string]float64{"n": 1000}
+		_, _, refErr := runSpecTemplate(t, tpl, scalars, 7, sim.Desktop(), rt.Options{DisableSpecialize: true})
+		_, _, err := runSpecTemplate(t, tpl, scalars, 7, sim.Desktop(), rt.Options{})
+		if refErr == nil || err == nil || err.Error() != refErr.Error() || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s:\n  specialized: %v\n  interpreter: %v\n  want the same error, mentioning %q", tc.name, err, refErr, tc.want)
+		}
+	}
 }

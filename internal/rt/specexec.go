@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"accmulti/internal/cc"
@@ -60,7 +59,7 @@ import (
 // through their closures either way), and where the piece's affine
 // accesses fail the alias check ("alias"). A tile whose lane-major loop
 // stores into the window its own lockstep prefix loaded (BFS) finishes
-// its remaining lanes on the per-iteration body: SpecHazardLanes. A
+// its remaining lanes on the per-iteration body: SpecStats.HazardLanes. A
 // kernel marked SerialWorkers (it loads from an array it scatters to)
 // runs its workers in worker order on one goroutine, here and on the
 // interpreter, so that what it counts does not depend on how the
@@ -87,23 +86,6 @@ type specExec struct {
 	uiBySlot []int
 	// gs is the per-GPU reusable launch scratch, indexed by GPU.
 	gs []specGPU
-	// hits counts per-GPU chunks the fast path handled (tests assert
-	// eligible kernels actually specialize). Atomic: GPU goroutines.
-	hits int64
-	// fallbacks counts non-empty per-GPU chunks that bounced to the
-	// interpreter. Host strand only (bumped at the launch barrier).
-	fallbacks int64
-	// reasons breaks fallbacks down by cause. Host strand only.
-	reasons map[string]int64
-	// pieces counts the sub-ranges the handled chunks of a guarded
-	// kernel were cut into. Host strand only.
-	pieces int64
-	// tiled counts the iterations of the pieces the tiled bodies ran,
-	// hazard those of them that re-ran per-iteration after a window hit;
-	// untiled counts the handled chunks that ran a per-iteration body, by
-	// reason. Host strand only.
-	tiled, hazard int64
-	untiled       map[string]int64
 	// free holds the idle tile scratch, shared by the GPUs. A worker
 	// leases one for its run, so the list grows to the number of workers
 	// that ran at once — the host's parallelism — not to the number
@@ -112,103 +94,21 @@ type specExec struct {
 	free []*ir.VecEnv
 }
 
-// SpecHits returns how many per-GPU chunks the specialized executors
-// handled across the run.
-func (r *Runtime) SpecHits() int64 {
-	var n int64
-	for _, ex := range r.specExecs {
-		n += atomic.LoadInt64(&ex.hits)
-	}
-	return n
-}
+// SpecHits, SpecFallbacks, PhaseBWall and FusedLaunches are what
+// benchmark/layers.go reads of a finished run; everything else reads
+// SpecStats.
 
-// SpecFallbacks returns how many non-empty per-GPU chunks of eligible
-// kernels fell back to the interpreter.
-func (r *Runtime) SpecFallbacks() int64 {
-	var n int64
-	for _, ex := range r.specExecs {
-		n += ex.fallbacks
-	}
-	return n
-}
+// SpecHits is SpecStats().Hits.
+func (r *Runtime) SpecHits() int64 { return r.spec.Hits }
 
-// SpecSplitPieces returns how many pieces the handled chunks of
-// affine-guarded kernels were cut into (index-set splitting): at least
-// one per such chunk, more where a guard changes inside the chunk.
-func (r *Runtime) SpecSplitPieces() int64 {
-	var n int64
-	for _, ex := range r.specExecs {
-		n += ex.pieces
-	}
-	return n
-}
-
-// SpecTiledIters returns how many iterations ran in lockstep tiles (the
-// tiled body); the other iterations of handled chunks ran the
-// per-iteration specialized body.
-func (r *Runtime) SpecTiledIters() int64 {
-	var n int64
-	for _, ex := range r.specExecs {
-		n += ex.tiled
-	}
-	return n
-}
-
-// SpecHazardLanes returns how many of the SpecTiledIters iterations
-// re-ran on the per-iteration body, their tile's lane-major loop having
-// stored into the window its lockstep prefix had loaded (ir.DArray.Hit).
-func (r *Runtime) SpecHazardLanes() int64 {
-	var n int64
-	for _, ex := range r.specExecs {
-		n += ex.hazard
-	}
-	return n
-}
-
-// SpecUntiled counts the handled chunks that ran a per-iteration body,
-// by reason: "shape" or "order" (the kernel has no tiled form), "dirty"
-// (stores needed per-iteration dirty marking) or "alias" (the launch's
-// affine accesses overlap).
-func (r *Runtime) SpecUntiled() map[string]int64 {
-	out := map[string]int64{}
-	for _, ex := range r.specExecs {
-		for reason, n := range ex.untiled {
-			out[reason] += n
-		}
-	}
-	return out
-}
-
-// SpecFallbackReasons breaks SpecFallbacks down by cause ("transform",
-// "miss", "range", "reduction", "indirect", "guard", "fault", "shape").
-func (r *Runtime) SpecFallbackReasons() map[string]int64 {
-	out := map[string]int64{}
-	for _, ex := range r.specExecs {
-		for reason, n := range ex.reasons {
-			out[reason] += n
-		}
-	}
-	return out
-}
-
-// SpecRejects counts non-empty per-GPU chunks of kernels the spec
-// compiler rejected outright, by compile-time reason ("branch",
-// "intrinsic", "loop", "induction", "shape").
-func (r *Runtime) SpecRejects() map[string]int64 {
-	out := make(map[string]int64, len(r.specRejects))
-	for reason, n := range r.specRejects {
-		out[reason] = n
-	}
-	return out
-}
+// SpecFallbacks is SpecStats().Fallbacks.
+func (r *Runtime) SpecFallbacks() int64 { return r.spec.Fallbacks }
 
 // PhaseBWall reports the real wall-clock time this runtime has spent
 // inside Phase B kernel fan-outs (chunk execution on all GPUs), across
 // every launch so far. The paper-app speedup gate compares this figure
 // between a specialized and a DisableSpecialize run of the same app.
-func (r *Runtime) PhaseBWall() time.Duration {
-	return r.phaseBWall
-}
+func (r *Runtime) PhaseBWall() time.Duration { return r.phaseBWall }
 
 // FusedLaunches is always 0: launch fusion is gone. It stays only until
 // its one caller, benchmark/layers.go (rt.fused_launches), drops it.
@@ -340,8 +240,6 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 			spec:     k.Spec,
 			uiBySlot: make([]int, k.Spec.NumArrays),
 			gs:       make([]specGPU, r.mach.NumGPUs()),
-			reasons:  map[string]int64{},
-			untiled:  map[string]int64{},
 		}
 		for slot := range ex.uiBySlot {
 			ex.uiBySlot[slot] = -1
@@ -407,7 +305,6 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			return sim.Counters{}, false, nil
 		}
 	}
-	atomic.AddInt64(&ex.hits, 1)
 
 	// Worker environments: one per chunk ForWorkers will spawn,
 	// with the host scalars, identity reduction slots, zeroed arm

@@ -24,32 +24,47 @@ var updateSpecFallbacks = flag.Bool("update-spec-fallbacks", false, "rewrite tes
 // six apps: the lines of the templates and apps that existed then were
 // generated at the parent of the change that made the interval prover
 // answer loads from whole-residency scans, so a proof that a wider scan
-// loses — a chunk handled before, interpreted now — shows up here.
+// loses — a chunk handled before, interpreted now — shows up here. The
+// safety templates come last (rows are only ever appended) and also list
+// the chunks that ran the per-iteration body, by reason.
 func TestSpecFallbackReasonsGolden(t *testing.T) {
 	machines := []sim.MachineSpec{sim.Desktop(), sim.Cluster(2, 2)}
 	var lines []string
-	record := func(name string, m sim.MachineSpec, r *rt.Runtime) {
-		reasons := r.SpecFallbackReasons()
+	byReason := func(prefix string, reasons map[string]int64) string {
 		keys := make([]string, 0, len(reasons))
 		for k := range reasons {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
-		line := fmt.Sprintf("%s @ %s: hits=%d", name, m.Name, r.SpecHits())
+		var line string
 		for _, k := range keys {
-			line += fmt.Sprintf(" %s=%d", k, reasons[k])
+			line += fmt.Sprintf(" %s%s=%d", prefix, k, reasons[k])
+		}
+		return line
+	}
+	record := func(name string, m sim.MachineSpec, r *rt.Runtime, untiled bool) {
+		st := r.SpecStats()
+		line := fmt.Sprintf("%s @ %s: hits=%d", name, m.Name, st.Hits) + byReason("", st.FallbackReasons)
+		if untiled {
+			line += byReason("untiled.", st.Untiled)
 		}
 		lines = append(lines, line)
 	}
-	for _, tpl := range specTemplates {
-		for _, m := range machines {
-			r, _, err := runSpecTemplate(t, tpl, tpl.scalars(rand.New(rand.NewSource(1))), 1007, m, rt.Options{})
-			if err != nil {
-				t.Fatalf("%s: %v", tpl.name, err)
+	templates := func(safety bool) {
+		for _, tpl := range specTemplates {
+			if strings.HasPrefix(tpl.name, "safety-") != safety {
+				continue
 			}
-			record(tpl.name, m, r)
+			for _, m := range machines {
+				r, _, err := runSpecTemplate(t, tpl, tpl.scalars(rand.New(rand.NewSource(1))), 1007, m, rt.Options{})
+				if err != nil {
+					t.Fatalf("%s: %v", tpl.name, err)
+				}
+				record(tpl.name, m, r, safety)
+			}
 		}
 	}
+	templates(false)
 	for _, ac := range []struct {
 		name  string
 		scale float64
@@ -83,9 +98,10 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			if err := r.Run(inst); err != nil {
 				t.Fatalf("%s: %v", ac.name, err)
 			}
-			record("app "+ac.name, m, r)
+			record("app "+ac.name, m, r, false)
 		}
 	}
+	templates(true)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

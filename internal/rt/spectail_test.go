@@ -57,8 +57,8 @@ void main() {
 				if err := r.Run(inst); err != nil {
 					t.Fatalf("%s on %s: %v", tc.name, spec.Name, err)
 				}
-				if i == 1 && (r.SpecTiledIters() == 0 || r.SpecFallbacks() != 0) {
-					t.Fatalf("%s on %s: not tiled: untiled %v, fallbacks %v", tc.name, spec.Name, r.SpecUntiled(), r.SpecFallbackReasons())
+				if st := r.SpecStats(); i == 1 && (st.TiledIters == 0 || st.Fallbacks != 0) {
+					t.Fatalf("%s on %s: not tiled: %+v", tc.name, spec.Name, st)
 				}
 				if d := inst.Module.Prog.Scope["r"]; tc.typ == "int" {
 					got[i] = float64(inst.Env.Ints[d.Slot])
@@ -91,10 +91,11 @@ func TestBFSRunsTiled(t *testing.T) {
 		t.Fatal(err)
 	}
 	iters := r.Report().Counters.Iterations
-	tiled, hazard := r.SpecTiledIters(), r.SpecHazardLanes()
-	t.Logf("BFS 0.01x: %d iterations, %d tiled, %d hazard lanes, untiled %v", iters, tiled, hazard, r.SpecUntiled())
-	if tiled != iters || len(r.SpecUntiled()) != 0 || r.SpecFallbacks() != 0 {
-		t.Errorf("tiled %d of %d iterations, untiled %v, fallbacks %v", tiled, iters, r.SpecUntiled(), r.SpecFallbackReasons())
+	st := r.SpecStats()
+	tiled, hazard := st.TiledIters, st.HazardLanes
+	t.Logf("BFS 0.01x: %d iterations, %d tiled, %d hazard lanes, untiled %v", iters, tiled, hazard, st.Untiled)
+	if tiled != iters || len(st.Untiled) != 0 || st.Fallbacks != 0 {
+		t.Errorf("tiled %d of %d iterations: %+v", tiled, iters, st)
 	}
 	if hazard == 0 || hazard*100 >= iters {
 		t.Errorf("%d hazard lanes of %d iterations; want some (layers share tiles) and under 1%%", hazard, iters)
@@ -204,10 +205,11 @@ void main() {
 		}
 		want[i].g, want[i].ran, want[i].rep = g, ran, *r.Report()
 		if i == 1 {
-			if r.SpecTiledIters() != int64(n) || len(r.SpecUntiled()) != 0 {
-				t.Fatalf("tiled %d of %d iterations, untiled %v", r.SpecTiledIters(), n, r.SpecUntiled())
+			st := r.SpecStats()
+			if st.TiledIters != int64(n) || len(st.Untiled) != 0 {
+				t.Fatalf("tiled %d of %d iterations, untiled %v", st.TiledIters, n, st.Untiled)
 			}
-			hazard = r.SpecHazardLanes()
+			hazard = st.HazardLanes
 		}
 	}
 	if !reflect.DeepEqual(want[0], want[1]) {
@@ -286,7 +288,7 @@ void main() {
 		t.Fatal(err)
 	}
 	if r.SpecHits() == 0 || r.SpecFallbacks() != 0 {
-		t.Errorf("hostile values outside the loaded range: %d hits, fallbacks %v; want the exact re-proof to pass", r.SpecHits(), r.SpecFallbackReasons())
+		t.Errorf("hostile values outside the loaded range: %d hits, fallbacks %v; want the exact re-proof to pass", r.SpecHits(), r.SpecStats().FallbackReasons)
 	}
 	for i, v := range inst.Arrays[2].I32 {
 		if v != inst.Arrays[1].I32[(i*7)%n] {

@@ -18,7 +18,7 @@ func TestOptionsSurface(t *testing.T) {
 		{reflect.TypeOf(rt.Options{}), []string{
 			"Mode", "ChunkBytes",
 			"DisableDistribution", "DisableLayoutTransform", "DisableTwoLevelDirty", "DisableReloadSkip",
-			"BalanceLoad", "Async", "Trace", "Tracer", "Auditor",
+			"BalanceLoad", "Async", "Tracer", "Auditor",
 			"DisableDegradation", "DisablePlanCache",
 			"Interrupt", "DisableSpecialize", "Sabotage",
 		}},

@@ -10,21 +10,20 @@
 // That makes traces goldenable, and the golden/invariance tests under
 // internal/core and internal/rt lean on it.
 //
-// Two sinks consume the span stream:
+// Three sinks consume the span stream:
 //
 //   - WriteChrome renders Chrome trace-event JSON, loadable in a
 //     Chromium browser's about://tracing (or https://ui.perfetto.dev):
 //     one lane per GPU plus host and comms lanes.
+//   - WriteText renders one line per span (accrun -narrate).
 //   - Metrics aggregates counters and fixed-bucket histograms (bytes
 //     moved per placement policy, spec hits/fallbacks, reload skips,
 //     fault retries), dumped as deterministic JSON.
 //
-// Concurrency contract: Emit may only be called from the runtime's
-// host strand. Per-GPU goroutines use LaneEmit(g, …) — each lane
-// buffer has exactly one writer during a phase — and the host strand
-// commits the buffers in lane order with FlushLanes at the phase
-// barrier. The committed span order is therefore deterministic no
-// matter how the goroutines interleave.
+// A Tracer is host-strand-only: the runtime emits every span after the
+// barrier of the phase it describes, in an order it chooses itself (GPU
+// ascending), so nothing here is synchronized and the committed order
+// cannot depend on how goroutines interleave.
 package trace
 
 import "time"
@@ -140,7 +139,6 @@ func (s Span) Duration() time.Duration { return s.End - s.Begin }
 type Tracer struct {
 	mets  *Metrics
 	spans []Span
-	lanes [][]Span
 	procs []string
 	pid   int
 }
@@ -169,35 +167,8 @@ func (t *Tracer) BeginProcess(name string) int {
 	return t.pid
 }
 
-// Emit commits one span from the host strand.
-func (t *Tracer) Emit(s Span) { t.commit(s) }
-
-// EnsureLanes sizes the per-GPU lane buffers. Host strand only.
-func (t *Tracer) EnsureLanes(n int) {
-	for len(t.lanes) < n {
-		t.lanes = append(t.lanes, nil)
-	}
-}
-
-// LaneEmit buffers a span from GPU goroutine lane (the lane's single
-// writer during a phase). Nothing is committed until FlushLanes.
-func (t *Tracer) LaneEmit(lane int, s Span) {
-	t.lanes[lane] = append(t.lanes[lane], s)
-}
-
-// FlushLanes commits the buffered lane spans in (lane, emission) order
-// — the deterministic ordered flush all phase-parallel emission routes
-// through. Host strand only, after the phase barrier.
-func (t *Tracer) FlushLanes() {
-	for lane := range t.lanes {
-		for _, s := range t.lanes[lane] {
-			t.commit(s)
-		}
-		t.lanes[lane] = t.lanes[lane][:0]
-	}
-}
-
-func (t *Tracer) commit(s Span) {
+// Emit commits one span. Host strand only.
+func (t *Tracer) Emit(s Span) {
 	s.Proc = t.pid
 	t.spans = append(t.spans, s)
 	t.mets.Inc("spans."+s.Kind.String(), 1)

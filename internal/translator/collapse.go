@@ -129,48 +129,13 @@ func (t *xlate) buildCollapsedKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 		Body: body,
 	}
 
-	reds, err := st.Parallel.Reductions()
-	if err != nil {
-		return nil, err
-	}
-	for _, r := range reds {
-		k.ScalarReds = append(k.ScalarReds, ir.ScalarRed{Decl: t.prog.Scope[r.Var], Op: r.Op})
-	}
-
 	// Access analysis over the inner body. Both original induction
 	// variables are derived (assigned) values, so the analyzer treats
 	// them as body locals: accesses classify as non-affine, which is
 	// conservative and correct. localaccess footprints refer to the
 	// flat index.
-	infos := analyzeKernelBody(inner.Body, flat, outerVar, innerVar)
-	specs := map[*cc.VarDecl]*cc.LocalSpec{}
-	for _, sp := range st.Specs {
-		if infos[sp.Array] == nil {
-			return nil, fmt.Errorf("translator: line %d: localaccess(%s) but the loop never accesses it", sp.Line, sp.Array.Name)
-		}
-		specs[sp.Array] = sp
-	}
-	decls := sortedDecls(infos)
-	for _, d := range decls {
-		use, err := t.buildArrayUse(infos[d], specs[d])
-		if err != nil {
-			return nil, err
-		}
-		k.Arrays = append(k.Arrays, use)
-		if use.Reduced {
-			k.HasArrayReduction = true
-		}
-	}
-
-	k.SerialWorkers = gathersWhatItScatters(infos)
-	k.Efficiency = kernelEfficiency(k, true)
-	k.EfficiencyBaseline = kernelEfficiency(k, false)
-	k.CPUEfficiency = 1.0
-	for _, u := range k.Arrays {
-		if u.IndirectRead {
-			k.CPUEfficiency = effCPUIrregular
-			break
-		}
+	if err := t.finishKernel(k, st, analyzeKernelBody(inner.Body, flat, outerVar, innerVar)); err != nil {
+		return nil, err
 	}
 	return k, nil
 }

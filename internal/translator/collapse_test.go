@@ -43,21 +43,31 @@ func TestCollapseKernelShape(t *testing.T) {
 }
 
 func TestCollapseErrors(t *testing.T) {
-	cases := []struct{ body, want string }{
+	const twoLocal = "#pragma acc localaccess(b) stride(1)\n#pragma acc localaccess(b) stride(1)\n"
+	cases := []struct{ pragmas, body, want string }{
 		{ // not a perfect nest
-			`for (r = 0; r < h; r++) {
+			"", `for (r = 0; r < h; r++) {
                 a[r] = 0.0;
                 for (c = 0; c < w; c++) { b[r * w + c] = 0.0; }
             }`, "perfect loop nest"},
 		{ // inner bounds depend on the outer variable
-			`for (r = 0; r < h; r++) {
+			"", `for (r = 0; r < h; r++) {
                 for (c = 0; c < r; c++) { b[r * w + c] = 0.0; }
             }`, "independent"},
 		{ // no nested loop at all
-			`for (r = 0; r < h; r++) { a[r] = 0.0; }`, "loop nest"},
+			"", `for (r = 0; r < h; r++) { a[r] = 0.0; }`, "loop nest"},
+		{ // a second localaccess for one array, on a collapsed loop as on a flat one
+			twoLocal, `for (r = 0; r < h; r++) {
+                for (c = 0; c < w; c++) { b[r * w + c] = 0.0; }
+            }`, `line 6: duplicate localaccess for array "b"`},
+		{twoLocal + "#pragma acc parallel loop\n",
+			`for (r = 0; r < h; r++) { b[r] = 0.0; }`, `line 6: duplicate localaccess for array "b"`},
 	}
 	for _, tc := range cases {
-		src := "int h, w;\nfloat a[h * w], b[h * w];\nvoid main() {\nint r, c;\n#pragma acc parallel loop collapse(2)\n" + tc.body + "\n}"
+		if !strings.HasSuffix(tc.pragmas, "loop\n") {
+			tc.pragmas += "#pragma acc parallel loop collapse(2)\n"
+		}
+		src := "int h, w;\nfloat a[h * w], b[h * w];\nvoid main() {\nint r, c;\n" + tc.pragmas + tc.body + "\n}"
 		prog, err := cc.ParseProgram(src)
 		if err != nil {
 			t.Fatalf("parse: %v", err)

@@ -171,33 +171,40 @@ func (t *xlate) buildKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 		Body:    body,
 	}
 
-	// Scalar reductions.
+	if err := t.finishKernel(k, st, analyzeKernelBody(st.Body, loopVar)); err != nil {
+		return nil, err
+	}
+	k.Spec, k.SpecReason = ir.BuildKernelSpec(k, st.Body, t.prog)
+	return k, nil
+}
+
+// finishKernel completes a kernel whose loop, bounds and body are set,
+// flat or collapsed: the directive's scalar reductions, the loop's
+// localaccess specs merged with the body's access analysis into
+// ArrayUses, and the cost model's efficiencies.
+func (t *xlate) finishKernel(k *ir.Kernel, st *cc.ForStmt, infos map[*cc.VarDecl]*accessInfo) error {
 	reds, err := st.Parallel.Reductions()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for _, r := range reds {
 		k.ScalarReds = append(k.ScalarReds, ir.ScalarRed{Decl: t.prog.Scope[r.Var], Op: r.Op})
 	}
 
-	// Access analysis + localaccess merge.
-	infos := analyzeKernelBody(st.Body, loopVar)
 	specs := map[*cc.VarDecl]*cc.LocalSpec{}
 	for _, sp := range st.Specs {
 		if _, dup := specs[sp.Array]; dup {
-			return nil, fmt.Errorf("translator: line %d: duplicate localaccess for array %q", sp.Line, sp.Array.Name)
+			return fmt.Errorf("translator: line %d: duplicate localaccess for array %q", sp.Line, sp.Array.Name)
 		}
 		specs[sp.Array] = sp
 		if infos[sp.Array] == nil {
-			return nil, fmt.Errorf("translator: line %d: localaccess(%s) but the loop never accesses it", sp.Line, sp.Array.Name)
+			return fmt.Errorf("translator: line %d: localaccess(%s) but the loop never accesses it", sp.Line, sp.Array.Name)
 		}
 	}
-
-	decls := sortedDecls(infos)
-	for _, d := range decls {
+	for _, d := range sortedDecls(infos) {
 		use, err := t.buildArrayUse(infos[d], specs[d])
 		if err != nil {
-			return nil, err
+			return err
 		}
 		k.Arrays = append(k.Arrays, use)
 		if use.Reduced {
@@ -215,8 +222,7 @@ func (t *xlate) buildKernel(st *cc.ForStmt) (*ir.Kernel, error) {
 			break
 		}
 	}
-	k.Spec, k.SpecReason = ir.BuildKernelSpec(k, st.Body, t.prog)
-	return k, nil
+	return nil
 }
 
 func (t *xlate) buildArrayUse(in *accessInfo, spec *cc.LocalSpec) (*ir.ArrayUse, error) {
