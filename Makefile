@@ -143,8 +143,8 @@ bench:
 # the tracing-disabled launch path, which must add zero allocations),
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
-# (Phase B specialized vs interpreter: MD >=4x and KMEANS >=5x on
-# lockstep tiles, BFS >=2x on tiles with a lane-major edge loop,
+# (Phase B specialized vs interpreter: KMEANS >=20x and MD >=7x on
+# lockstep tiles, BFS >=3.1x with its edge loop as flat tiles,
 # results verified both sides), the
 # guarded-stencil gate (>=4x Phase-B
 # on the boundary-guarded localaccess stencil, index-set split vs
@@ -152,9 +152,9 @@ bench:
 # each wall-clock gate benchmark (legacy-vs-optimized loader,
 # replicated-write diff, plan resolution, and the Phase-B
 # interpreter-vs-specialized pairs, the per-launch overhead of the
-# replicated ping-pong under both schedules and whole BFS per kernel
-# iteration — the two to profile: go test ./internal/rt -run '^$' -bench
-# 'LaunchOverhead|PhaseBBFS' -cpuprofile cpu.out), the accd
+# replicated ping-pong under both schedules and the three paper apps
+# whole, per kernel iteration — the ones to profile: go test ./internal/rt
+# -run '^$' -bench 'LaunchOverhead|PhaseBApps' -cpuprofile cpu.out), the accd
 # program-cache gate
 # (warm-cache throughput >= 5x cold-cache on the mixed service
 # corpus), and the accd equivalence gate (256-way concurrent responses
@@ -164,7 +164,7 @@ bench:
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
 	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
-		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBBFS|BenchmarkLaunchOverhead' \
+		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBApps|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core

@@ -248,6 +248,9 @@ func printSpecSummary(st rt.SpecStats) {
 	if st.HazardLanes > 0 {
 		fmt.Printf("  %d of them re-ran per iteration after a store into their tile's window\n", st.HazardLanes)
 	}
+	if st.LaneMajorTrips > 0 || st.FlatCuts > 0 {
+		fmt.Printf("  %d inner-loop trips ran lane by lane, %d flat tiles were cut at a hazard\n", st.LaneMajorTrips, st.FlatCuts)
+	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
 			return

@@ -70,6 +70,9 @@ type Program struct {
 	NumInts, NumFloats, NumArrays int
 	// Source is the original text, kept for diagnostics and codegen.
 	Source string
+	// peakExpr and peakStmt are how deep the program's expressions and
+	// statements nest (the parser holds both to maxNest).
+	peakExpr, peakStmt int
 }
 
 // ArrayDecls returns the global array declarations in source order.
@@ -100,18 +103,25 @@ type Expr interface {
 	Column() int
 	// Type is the analyzed value type (valid after ParseProgram).
 	Type() ElemType
+	// base is the node's common part (position, type, depth).
+	base() *exprBase
 }
 
 type exprBase struct {
 	Line int
-	Col  int
-	T    ElemType
+	Col  int32
+	// depth is the height of the tree under a node the parser built: one
+	// more than its deepest operand's (see parser.built). It shares a word
+	// with Col, so the nodes are as large as they were without it.
+	depth int32
+	T     ElemType
 }
 
 func (e *exprBase) Pos() int        { return e.Line }
-func (e *exprBase) Column() int     { return e.Col }
+func (e *exprBase) Column() int     { return int(e.Col) }
 func (e *exprBase) Type() ElemType  { return e.T }
 func (e *exprBase) setT(t ElemType) { e.T = t }
+func (e *exprBase) base() *exprBase { return e }
 
 // NumLit is an integer or floating literal.
 type NumLit struct {

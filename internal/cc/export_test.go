@@ -1,0 +1,7 @@
+package cc
+
+// MaxNest and NestPeaks show the external tests the nesting budget and
+// how much of it a parsed program used.
+const MaxNest = maxNest
+
+func (p *Program) NestPeaks() (expr, stmt int) { return p.peakExpr, p.peakStmt }

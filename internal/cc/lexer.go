@@ -12,6 +12,10 @@ type lexer struct {
 	line      int
 	lineStart int // byte offset of the current line's first character
 	toks      []Token
+	// brackets and braces count the unclosed ( and [, and the unclosed {:
+	// the nesting the parser would refuse (maxNest), refused before a
+	// megabyte of brackets becomes a hundred megabytes of tokens.
+	brackets, braces int
 }
 
 // col returns the 1-based column of byte offset pos on the current line.
@@ -63,6 +67,21 @@ func (lx *lexer) run() error {
 		default:
 			if !lx.punct() {
 				return errf(lx.line, "unexpected character %q", c)
+			}
+			switch c {
+			case '(', '[':
+				lx.brackets++
+			case ')', ']':
+				lx.brackets--
+			case '{':
+				lx.braces++
+			case '}':
+				lx.braces--
+			}
+			if tok := lx.toks[len(lx.toks)-1]; lx.brackets > maxNest {
+				return tooDeep("expression", tok)
+			} else if lx.braces > maxNest {
+				return tooDeep("statement", tok)
 			}
 		}
 	}

@@ -11,6 +11,41 @@ import (
 type parser struct {
 	toks []Token
 	pos  int
+	// exprNest and stmtNest count the expressions and the statements the
+	// parser is inside of: its own recursion depth.
+	exprNest, stmtNest int
+	// peakExpr and peakStmt are the deepest nesting met so far (for
+	// expressions, of the recursion and of the trees built).
+	peakExpr, peakStmt int
+}
+
+// maxNest bounds how deep expressions and statements may nest. Source
+// arrives from the network (accd), and every walker downstream — sema,
+// the folders, the compilers, the closures they build — recurses over the
+// tree: an unbounded depth is a stack overflow, which no recover catches.
+// The bound applies to the parser's own recursion (parentheses build no
+// node) and to the height of the tree it builds (a sum of a million terms
+// is built in a loop, left-deep). The deepest expression of the shipped
+// corpus is a few dozen levels.
+const maxNest = 1000
+
+// tooDeep is the diagnostic of a construct at tok past the budget.
+func tooDeep(what string, tok Token) error {
+	return &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf("%s nested deeper than %d", what, maxNest)}
+}
+
+// built gives a node the parser has just made its depth, one more than
+// its deepest operand's, and holds it to the budget.
+func (p *parser) built(e Expr, operands ...Expr) (Expr, error) {
+	b := e.base()
+	for _, o := range operands {
+		b.depth = max(b.depth, o.base().depth+1)
+	}
+	if b.depth > maxNest {
+		return nil, tooDeep("expression", Token{Line: b.Line, Col: int(b.Col)})
+	}
+	p.peakExpr = max(p.peakExpr, int(b.depth))
+	return e, nil
 }
 
 // ParseProgram lexes, parses and analyzes a translation unit.
@@ -25,6 +60,7 @@ func ParseProgram(src string) (*Program, error) {
 		return nil, err
 	}
 	prog.Source = src
+	prog.peakExpr, prog.peakStmt = p.peakExpr, p.peakStmt
 	if err := analyze(prog); err != nil {
 		return nil, err
 	}
@@ -230,7 +266,20 @@ func (p *parser) parseBlock(data *acc.Directive) (*Block, error) {
 	return b, nil
 }
 
+// parseStmt is on every path by which statement parsing recurses, so it
+// is where that recursion is counted (an error abandons the parser, and
+// its counters with it).
 func (p *parser) parseStmt() (Stmt, error) {
+	if p.stmtNest++; p.stmtNest > maxNest {
+		return nil, tooDeep("statement", p.cur())
+	}
+	p.peakStmt = max(p.peakStmt, p.stmtNest)
+	st, err := p.parseDirectedStmt()
+	p.stmtNest--
+	return st, err
+}
+
+func (p *parser) parseDirectedStmt() (Stmt, error) {
 	var pd pending
 	// Gather directives that prefix the statement.
 	for p.cur().Kind == TokPragma {
@@ -349,7 +398,7 @@ func (p *parser) parseLocalDecl(t ElemType, line int) (Stmt, error) {
 			}
 			inits = append(inits, &AssignStmt{
 				stmtBase: stmtBase{Line: tok.Line},
-				LHS:      &Ident{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, Name: tok.Text},
+				LHS:      &Ident{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Name: tok.Text},
 				Op:       "=",
 				RHS:      rhs,
 			})
@@ -537,7 +586,7 @@ func (p *parser) parseTernary() (Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CondExpr{exprBase: exprBase{Line: cond.Pos(), Col: cond.Column()}, Cond: cond, Then: then, Else: els}, nil
+	return p.built(&CondExpr{exprBase: exprBase{Line: cond.Pos(), Col: int32(cond.Column())}, Cond: cond, Then: then, Else: els}, cond, then, els)
 }
 
 func (p *parser) parseBinary(minPrec int) (Expr, error) {
@@ -559,11 +608,25 @@ func (p *parser) parseBinary(minPrec int) (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		lhs = &BinaryExpr{exprBase: exprBase{Line: lhs.Pos(), Col: lhs.Column()}, Op: tok.Text, X: lhs, Y: rhs}
+		if lhs, err = p.built(&BinaryExpr{exprBase: exprBase{Line: lhs.Pos(), Col: int32(lhs.Column())}, Op: tok.Text, X: lhs, Y: rhs}, lhs, rhs); err != nil {
+			return nil, err
+		}
 	}
 }
 
+// parseUnary is on every path by which expression parsing recurses, so it
+// is where that recursion is counted.
 func (p *parser) parseUnary() (Expr, error) {
+	if p.exprNest++; p.exprNest > maxNest {
+		return nil, tooDeep("expression", p.cur())
+	}
+	p.peakExpr = max(p.peakExpr, p.exprNest)
+	x, err := p.parsePrefixed()
+	p.exprNest--
+	return x, err
+}
+
+func (p *parser) parsePrefixed() (Expr, error) {
 	tok := p.cur()
 	if tok.Kind == TokPunct {
 		switch tok.Text {
@@ -576,7 +639,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			if tok.Text == "+" {
 				return x, nil
 			}
-			return &UnaryExpr{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, Op: tok.Text, X: x}, nil
+			return p.built(&UnaryExpr{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Op: tok.Text, X: x}, x)
 		}
 	}
 	return p.parsePostfix()
@@ -601,10 +664,13 @@ func (p *parser) parsePostfix() (Expr, error) {
 			if !ok {
 				return nil, errf(x.Pos(), "only named arrays can be indexed")
 			}
-			x = &IndexExpr{
+			x, err = p.built(&IndexExpr{
 				exprBase: exprBase{Line: id.Line, Col: id.Col},
 				Array:    &VarDecl{Name: id.Name, Line: id.Line}, // resolved by sema
 				Index:    idx,
+			}, idx)
+			if err != nil {
+				return nil, err
 			}
 		case p.accept("("):
 			id, ok := x.(*Ident)
@@ -628,7 +694,9 @@ func (p *parser) parsePostfix() (Expr, error) {
 					return nil, err
 				}
 			}
-			x = call
+			if x, err = p.built(call, call.Args...); err != nil {
+				return nil, err
+			}
 		default:
 			return x, nil
 		}
@@ -644,20 +712,20 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, errf(tok.Line, "bad integer literal %q", tok.Text)
 		}
-		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, I: v}, nil
+		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, I: v}, nil
 	case TokFloat:
 		p.pos++
 		v, err := strconv.ParseFloat(tok.Text, 64)
 		if err != nil {
 			return nil, errf(tok.Line, "bad float literal %q", tok.Text)
 		}
-		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, IsFloat: true, F: v}, nil
+		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, IsFloat: true, F: v}, nil
 	case TokIdent:
 		if IsKeyword(tok.Text) {
 			return nil, errf(tok.Line, "unexpected keyword %q in expression", tok.Text)
 		}
 		p.pos++
-		return &Ident{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, Name: tok.Text}, nil
+		return &Ident{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Name: tok.Text}, nil
 	case TokPunct:
 		if tok.Text == "(" {
 			p.pos++
@@ -671,7 +739,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 				if err != nil {
 					return nil, err
 				}
-				return &CastExpr{exprBase: exprBase{Line: tok.Line, Col: tok.Col}, To: t, X: x}, nil
+				return p.built(&CastExpr{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, To: t, X: x}, x)
 			}
 			x, err := p.parseExpr()
 			if err != nil {

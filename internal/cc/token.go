@@ -61,13 +61,17 @@ var keywords = map[string]bool{
 // IsKeyword reports whether the name is reserved.
 func IsKeyword(name string) bool { return keywords[name] }
 
-// Error is a positioned frontend error.
+// Error is a positioned frontend error; Col is 0 where only the line is
+// known.
 type Error struct {
-	Line int
-	Msg  string
+	Line, Col int
+	Msg       string
 }
 
 func (e *Error) Error() string {
+	if e.Col > 0 {
+		return fmt.Sprintf("cc: line %d:%d: %s", e.Line, e.Col, e.Msg)
+	}
 	return fmt.Sprintf("cc: line %d: %s", e.Line, e.Msg)
 }
 

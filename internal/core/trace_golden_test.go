@@ -456,6 +456,7 @@ func checkSpecMetrics(t *testing.T, label string, m *trace.Metrics, st rt.SpecSt
 	want := map[string]int64{
 		"spec.hits": st.Hits, "spec.fallbacks": st.Fallbacks, "spec.split_pieces": st.SplitPieces,
 		"spec.tiled_iters": st.TiledIters, "spec.hazard_lanes": st.HazardLanes,
+		"spec.lane_major_trips": st.LaneMajorTrips, "spec.flat_cuts": st.FlatCuts,
 	}
 	for prefix, by := range map[string]map[string]int64{
 		"spec.untiled.": st.Untiled, "spec.fallbacks.": st.FallbackReasons, "spec.reject.": st.Rejects,

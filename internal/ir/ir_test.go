@@ -2,6 +2,7 @@ package ir
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -347,6 +348,64 @@ func TestLocalFootprintBounds(t *testing.T) {
 	if e.Ints[0] != 42 {
 		t.Error("Range must restore the loop slot")
 	}
+}
+
+// TestBoundsFootprintScan holds the direct scan of `bounds(off[i],
+// off[i+1]-1)` against the closure loop it replaces, on random non-
+// monotone arrays with empty rows, values outside the array, a
+// one-iteration range and the clamps; a shape the scan does not know, and
+// an index outside the array, must leave the closure in charge.
+func TestBoundsFootprintScan(t *testing.T) {
+	prog, err := cc.ParseProgram(`
+int n, i, j, a, b, c, d;
+int off[n + 1];
+void main() { a = off[i]; b = off[i + 1] - 1; c = off[j] + 2; d = off[i / 2]; }
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := func(k int) cc.Expr { return prog.Main.Body.Stmts[k].(*cc.AssignStmt).RHS }
+	const n = 40
+	inst, err := (&Module{Prog: prog, ArraySizes: []ExprI{func(*Env) int64 { return n + 1 }}}).Bind(NewBindings())
+	if err != nil {
+		t.Fatal(err)
+	}
+	host, off, iSlot := inst.Env, inst.Arrays[0].I32, prog.Scope["i"].Slot
+	for _, tc := range []struct {
+		lower, upper int
+		scanned      bool
+	}{{0, 1, true}, {1, 0, true}, {0, 2, false}, {3, 1, false}} {
+		fast, err := BoundsFootprint(rhs(tc.lower), rhs(tc.upper))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fast.lower != nil && fast.upper != nil && fast.lower.v == iSlot && fast.upper.v == iSlot; got != tc.scanned {
+			t.Fatalf("bounds(%d, %d): scan shape recognized %v, want %v", tc.lower, tc.upper, got, tc.scanned)
+		}
+		slow := &LocalFootprint{Lower: fast.Lower, Upper: fast.Upper}
+		rng := rand.New(rand.NewSource(int64(7 + tc.lower)))
+		for round := 0; round < 300; round++ {
+			for k := range off {
+				off[k] = int32(rng.Intn(3*n) - n) // non-monotone, some outside [0, 2n)
+			}
+			itLo := int64(rng.Intn(n / 2))
+			itHi := itLo + 1 + int64(rng.Intn(n/2-1)) // reads up to off[itHi]
+			if round%5 == 0 {
+				itHi = itLo + 1
+			}
+			host.Ints[iSlot] = 42
+			wantLo, wantHi := slow.Range(host, iSlot, itLo, itHi, 2*n)
+			gotLo, gotHi := fast.Range(host, iSlot, itLo, itHi, 2*n)
+			if gotLo != wantLo || gotHi != wantHi || host.Ints[iSlot] != 42 {
+				t.Fatalf("bounds(%d, %d) over [%d, %d): scan [%d, %d], closure loop [%d, %d], loop slot %d",
+					tc.lower, tc.upper, itLo, itHi, gotLo, gotHi, wantLo, wantHi, host.Ints[iSlot])
+			}
+		}
+	}
+	// off[i+1] at i = n is outside the array: the scan declines, the
+	// closure panics like any out-of-range host load.
+	fp, _ := BoundsFootprint(rhs(0), rhs(1))
+	mustPanic(t, func() { fp.Range(host, iSlot, n-1, n+1, 2*n) })
 }
 
 func TestCompileRejectsBareDirectives(t *testing.T) {

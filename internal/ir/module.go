@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"slices"
 
 	"accmulti/internal/acc"
 	"accmulti/internal/cc"
@@ -19,6 +20,91 @@ type LocalFootprint struct {
 	// Lower, Upper are evaluated per iteration with the induction
 	// variable stored in its slot (bounds form).
 	Lower, Upper ExprI
+	// lower, upper, when both set, say what Lower and Upper compute, so
+	// that Range can read it off the host array (BoundsFootprint).
+	lower, upper *boundScan
+}
+
+// boundScan is a bounds-form expression of the shape arr[v + off] + add:
+// a host int array read at a literal distance from an int scalar (for
+// Range to use it, the induction variable), plus a literal. It is the
+// shape of every bounds() in the apps, the examples and the test
+// templates (`bounds(off[i], off[i+1]-1)`).
+type boundScan struct {
+	arr, v   int
+	off, add int64
+}
+
+// BoundsFootprint compiles the bounds form of a localaccess directive.
+func BoundsFootprint(lower, upper cc.Expr) (*LocalFootprint, error) {
+	f := &LocalFootprint{lower: matchBoundScan(lower), upper: matchBoundScan(upper)}
+	var err error
+	if f.Lower, err = CompileExprI(lower); err != nil {
+		return nil, err
+	}
+	if f.Upper, err = CompileExprI(upper); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// litOffset splits e into x + k with an int literal k (x is e, k zero,
+// when e is no such sum or difference).
+func litOffset(e cc.Expr) (x cc.Expr, k int64) {
+	b, ok := e.(*cc.BinaryExpr)
+	if !ok || b.Op != "+" && b.Op != "-" {
+		return e, 0
+	}
+	if lit, ok := b.Y.(*cc.NumLit); ok && !lit.IsFloat {
+		if b.Op == "-" {
+			return b.X, -lit.I
+		}
+		return b.X, lit.I
+	}
+	if lit, ok := b.X.(*cc.NumLit); ok && !lit.IsFloat && b.Op == "+" {
+		return b.Y, lit.I
+	}
+	return e, 0
+}
+
+func matchBoundScan(e cc.Expr) *boundScan {
+	x, add := litOffset(foldExpr(e))
+	ld, ok := x.(*cc.IndexExpr)
+	if !ok || ld.Array.Type != cc.TInt {
+		return nil
+	}
+	iv, off := litOffset(foldExpr(ld.Index))
+	id, ok := iv.(*cc.Ident)
+	if !ok || id.Decl.IsArray || id.Decl.Type != cc.TInt {
+		return nil
+	}
+	return &boundScan{arr: ld.Array.Slot, v: id.Decl.Slot, off: off, add: add}
+}
+
+// values returns arr[it + off] for it in [itLo, itHi), itHi > itLo. ok is
+// false where the closure must speak: no such shape, another variable, a
+// view that is not the host's int array, or an index outside it (the
+// closure then fails as it always did).
+func (b *boundScan) values(host *Env, loopSlot int, itLo, itHi int64) (vals []int32, ok bool) {
+	if b == nil || b.v != loopSlot {
+		return nil, false
+	}
+	view, isHost := host.Views[b.arr].(*hostI32)
+	if !isHost || itLo+b.off < 0 || itHi+b.off > int64(len(view.a.I32)) {
+		return nil, false
+	}
+	return view.a.I32[itLo+b.off : itHi+b.off], true
+}
+
+// scanBounds is the bounds form's loop over [itLo, itHi), itHi > itLo,
+// read off the host arrays: the least Lower and the greatest Upper.
+func (f *LocalFootprint) scanBounds(host *Env, loopSlot int, itLo, itHi int64) (lo, hi int64, ok bool) {
+	lows, okL := f.lower.values(host, loopSlot, itLo, itHi)
+	ups, okU := f.upper.values(host, loopSlot, itLo, itHi)
+	if !okL || !okU {
+		return 0, 0, false
+	}
+	return int64(slices.Min(lows)) + f.lower.add, int64(slices.Max(ups)) + f.upper.add, true
 }
 
 // Range computes the inclusive element range [lo, hi] read by
@@ -31,13 +117,14 @@ func (f *LocalFootprint) Range(host *Env, loopSlot int, itLo, itHi, n int64) (in
 		return 0, -1
 	}
 	var lo, hi int64
+	var ok bool
 	if f.HasStride {
 		s := f.Stride(host)
 		l := f.Left(host)
 		r := f.Right(host)
 		lo = s*itLo - l
 		hi = s*itHi - 1 + r
-	} else {
+	} else if lo, hi, ok = f.scanBounds(host, loopSlot, itLo, itHi); !ok {
 		saved := host.Ints[loopSlot]
 		lo, hi = int64(1)<<62, int64(-1)<<62
 		for i := itLo; i < itHi; i++ {

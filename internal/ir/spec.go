@@ -46,10 +46,12 @@ import (
 // consecutive iterations: straight-line statements, data-dependent
 // arms, uniform inner loops, gathers and layout-transformed copies in
 // lockstep, one tight loop per expression node; loops with stores in
-// them or lane-divergent trips one lane after the other through their
-// Body closures. It is absent (Untiled says why) where a scatter or a
-// gather reaches across that division, where the body is nothing but
-// such a loop, and for a reduction target with two update sites.
+// them or lane-divergent trips as flat tiles (specflat.go: the same
+// body in lockstep over their trips), or, the few shapes those do not
+// take, one lane after the other through their Body closures. It is
+// absent (Untiled says why) where a scatter or a gather reaches across
+// that division, where the body is nothing but such a loop, and for a
+// reduction target with two update sites.
 //
 // One branch shape leaves the arm machinery altogether: a top-level if
 // whose condition is an affine guard (&&, ||, ! over integer
@@ -120,9 +122,10 @@ type SpecAccess struct {
 	// computed accesses.
 	Index ExprI
 	// LaneLoop, on a spec with a tiled body, is zero for an access the
-	// tile executes in lockstep; otherwise it numbers (from 1) the loop
-	// around the access that the tile runs lane by lane, through the
-	// loop's per-iteration closure.
+	// tile executes in lockstep with the statements around it; otherwise
+	// it numbers (from 1) the loop around the access that the tile runs
+	// as flat tiles, or lane by lane through the loop's per-iteration
+	// closure.
 	LaneLoop int
 }
 
@@ -173,7 +176,7 @@ type DArray struct {
 	// p. Zero TWidth means the copy is stored in logical order.
 	TWidth, TRows int64
 	// WinLo/WinLen is the window of physical offsets the running tile's
-	// lockstep prefix loaded from an array its lane-major loop stores to
+	// lockstep prefix loaded from an array its flat or lane-major loop stores to
 	// (BFS: the guard reads cost[i], the loop stores cost[w]); a store
 	// inside it sets Hit, and the tile's remaining lanes re-run in
 	// iteration order. Zero WinLen: nothing is watched.
@@ -221,6 +224,10 @@ type DEnv struct {
 	// HazardLanes counts the lanes of tiles that re-ran on the
 	// per-iteration body after a store hit a watched window.
 	HazardLanes int64
+	// LaneMajorTrips counts the inner-loop trips a tile ran through a
+	// loop's per-iteration closure, FlatCuts the flat tiles a hazard ended
+	// early (specvec.go).
+	LaneMajorTrips, FlatCuts int64
 }
 
 // NewDEnv allocates a worker environment sized for the spec.
@@ -286,6 +293,9 @@ type KernelSpec struct {
 	// NumBufI/NumBufF/NumMask size a VecEnv's scratch vectors and lane
 	// lists.
 	NumBufI, NumBufF, NumMask int
+	// FlatBufI/FlatBufF/FlatMask/FlatSites size the scratch of its flat
+	// tiles (specflat.go); FlatMask is zero when no loop runs as flat tiles.
+	FlatBufI, FlatBufF, FlatMask, FlatSites int
 	// Guard, when non-nil, makes this spec an index-set split: Body,
 	// costs and accesses live in Guard.Variants, one of which covers
 	// each sub-range of a chunk; only the environment sizes above (and
@@ -366,7 +376,8 @@ type specBuilder struct {
 	// model and desynchronize the prover's access cursor.
 	noRecord bool
 	// loops records every compiled inner loop, for the tile builder: a
-	// loop it must run lane by lane reuses the per-iteration closure.
+	// loop it runs lane by lane, or falls back to that for, reuses the
+	// per-iteration closures.
 	loops map[*cc.ForStmt]loopRec
 	// uniform, when set, names subtrees affineDegree takes as constants
 	// although the body assigns scalars in them (the tile builder's
@@ -375,11 +386,12 @@ type specBuilder struct {
 }
 
 // loopRec is one compiled inner loop, the position of the access cursor
-// before its header and the positions of the access and arm cursors
-// just after it.
+// before its header, the positions of the access and arm cursors just
+// after it, the arm that counts its completed trips, and the closure of
+// one trip's body.
 type loopRec struct {
-	stmt                   DStmt
-	accBeg, accEnd, armEnd int
+	stmt, body                      DStmt
+	accBeg, accEnd, armEnd, bodyArm int
 }
 
 // BuildKernelSpec compiles the specialized form of the body of k, whose
@@ -848,7 +860,7 @@ func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
 	if b.loops == nil {
 		b.loops = map[*cc.ForStmt]loopRec{}
 	}
-	b.loops[st] = loopRec{stmt: loop, accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
+	b.loops[st] = loopRec{stmt: loop, body: body, accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms), bodyArm: bodyIdx}
 	return loop, nil
 }
 

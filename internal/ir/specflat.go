@@ -1,0 +1,690 @@
+package ir
+
+import (
+	"slices"
+
+	"accmulti/internal/cc"
+)
+
+// Flat tiles: a counted loop whose trips differ from lane to lane, or
+// that holds ordered effects, without leaving the lockstep schedule.
+//
+// The loop's init and bound are evaluated for the tile's active lanes in
+// lockstep. Their trips, concatenated in lane-major order — which is
+// iteration order —, are then walked VecTile at a time: a flat tile, whose
+// flat lane p stands for one trip, seg[p] its outer lane. The body is
+// compiled by the same builder with the flat lane as the lane (vecBuilder.
+// flat set): the kernel's induction variable and the loop's are int
+// vectors, a private scalar "="-assigned in the body is a vector over the
+// flat lanes, one defined around the loop is read through seg, every
+// access is a gather or a scatter. It runs on scratch of its own
+// (VecEnv.flat).
+//
+// A flat tile computes first and commits after. Every effect of the body
+// — a store, a fold, a reduction-lane update, an op-assignment to a
+// private scalar of the outer tile (SPMV's acc, a segmented update with
+// its rounding per step), an arm's count — is recorded where the
+// statement stands (flatSite: the lanes that reached it, their indices
+// and values) and committed when the body has run, each site in ascending
+// flat order. A target has one site (flatOK, and scan's "order"), so
+// site-major order is lane-major order for every target.
+//
+// One array of the loop may be both loaded and stored (BFS: cost[w]; or
+// stored in the loop and loaded by the tile's prefix, the watched window).
+// Its loads precede its store in the body, and its commit walks the flat
+// lanes one by one: a lane's loads are held against memory as the earlier
+// lanes' stores have left it, then its own store commits. The first lane
+// q that loaded a value an earlier lane of the flat tile has since
+// changed ends the tile: lanes below q saw exactly what they would have
+// seen in iteration order and commit, the next flat tile starts at q and
+// loads afresh (SpecStats.FlatCuts). Lane 0 follows only committed tiles,
+// so every flat tile commits at least one lane. A store into the watched
+// window (DArray.Hit) keeps its meaning: the storing outer lane finishes
+// its trips, in as many flat tiles as it takes, and the outer lanes after
+// it re-run on the per-iteration body.
+//
+// What a cut discards was computed for nothing. An outer tile that has
+// discarded more than half of what it committed, beyond a slack of
+// flatSlack lanes, finishes lane by lane through the loop's per-iteration
+// closures, from the trip it stands at (laneRunner, always exact). So
+// does, from the start, an outer tile of fewer than flatMin lanes: too few
+// trips to pay for setting a flat tile up.
+
+// flatSlack is how many flat lanes an outer tile may compute and discard
+// at hazard cuts, beyond half of those it committed, before it finishes
+// lane by lane. A loop whose every lane collides with the one before it
+// (each flat tile commits one lane of VecTile) gives up after three flat
+// tiles; BFS at 0.01x discards 9 % of its flat lanes and never does.
+const flatSlack = 2 * VecTile
+
+// flatMin is the shortest a flat tile gets: after a cut the next one is
+// as long as the cut one got (hazards come in stretches), doubling back to
+// VecTile with every flat tile that commits whole. An outer tile of fewer
+// lanes (a worker's chunk in a very small launch) runs the loop lane by
+// lane: accd's tiny BFS runs, 17 lanes a chunk, took a fifth longer as
+// flat tiles.
+const flatMin = 32
+
+// flatSite is what one effect site of a flat body, or one load to hold
+// against memory at commit, recorded in the running flat tile: the flat
+// lanes that reached it, ascending, and per flat lane the logical index
+// and the value.
+type flatSite struct {
+	act []int32
+	idx []int64
+	vi  []int64
+	vf  []float64
+	// cur is the commit walk's place in act.
+	cur int
+}
+
+// keep copies what the site's statement computed in a flat tile of vm (a
+// nil vector is not kept). A vector is allocated when first kept, as long
+// as the longest flat tile.
+func (s *flatSite) keep(vm *VecEnv, act []int32, idx, vi []int64, vf []float64) {
+	s.act, s.cur = kept(s.act, act, vm.tile), 0
+	s.idx, s.vi, s.vf = kept(s.idx, idx, vm.tile), kept(s.vi, vi, vm.tile), kept(s.vf, vf, vm.tile)
+}
+
+func kept[E any](dst, src []E, tile int) []E {
+	if cap(dst) < len(src) {
+		dst = make([]E, 0, tile)
+	}
+	return append(dst[:0], src...)
+}
+
+// below returns the lanes of act under q.
+func below(act []int32, q int) []int32 {
+	if n := len(act); n == 0 || int(act[n-1]) < q {
+		return act
+	}
+	i, _ := slices.BinarySearch(act, int32(q))
+	return act[:i]
+}
+
+// flatLoop is the flat loop being compiled.
+type flatLoop struct {
+	lv *cc.VarDecl
+	// iv and lvv number the flat int vectors holding the kernel's
+	// induction variable (filled when the body reads it: readsIV) and the
+	// loop's.
+	iv, lvv int
+	readsIV bool
+	// local holds the private scalars the body assigns with "=": vectors
+	// over the flat lanes. Any other private scalar belongs to the outer
+	// tile.
+	local map[*cc.VarDecl]bool
+	// siteBeg is the loop's first site (VecEnv.sites).
+	siteBeg int
+	// commits run when a flat tile's body has, in program order, for the
+	// flat lanes under q.
+	commits []func(vm *VecEnv, q int)
+	// stores are the body's store sites. hazSlot is the array whose
+	// commit holds loads against memory (-1: none), hazLoads its load sites
+	// (at most maxHazLoads); its store stands first in stores.
+	stores   []flatStoreSite
+	hazSlot  int
+	hazLoads []int
+}
+
+const maxHazLoads = 4
+
+// flatStoreSite is a store of a flat body: the array, the site that
+// records it, and the operator of a compound store (nil for "=").
+type flatStoreSite struct {
+	slot, site int
+	applyI     func(int64, int64) int64
+	applyF     func(float64, float64) float64
+}
+
+func (v *vecBuilder) newSite() int {
+	v.spec.FlatSites++
+	return v.spec.FlatSites - 1
+}
+
+// flatOK decides whether a loop that check marked lane-major can run as
+// flat tiles, live being the private scalars defined around it. It cannot
+// when it is not a counted loop whose header alone sets its variable;
+// when its init or bound reads what the body assigns or stores; when the
+// body holds a loop; when the body assigns with "=" a private scalar live
+// around the loop, or op-assigns one in two places or reads it (the
+// running value exists only at commit); when an array has two store
+// sites; when two arrays need the lane-by-lane commit, or one is loaded
+// after its store; or when such an array is there and something may
+// divide by zero (a lane past a hazard computes on stale values before it
+// is discarded).
+func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
+	lv := countedVar(st)
+	if lv == nil || v.scalars[lv].kind != kUniform {
+		return nil
+	}
+	fl := &flatLoop{lv: lv, local: map[*cc.VarDecl]bool{}, hazSlot: -1}
+	var (
+		ok               = true
+		div              bool
+		stores           = map[int]int{}
+		loaded           = map[int]int{}
+		eq, opSet, reads = map[*cc.VarDecl]int{}, map[*cc.VarDecl]int{}, map[*cc.VarDecl]int{}
+	)
+	read := func(e cc.Expr) {
+		div = div || divides(e)
+		eachExpr(e, func(x cc.Expr) {
+			switch y := x.(type) {
+			case *cc.Ident:
+				reads[y.Decl]++
+			case *cc.IndexExpr:
+				ok = ok && stores[y.Array.Slot] == 0 // a load after the store
+				loaded[y.Array.Slot]++
+			}
+		})
+	}
+	var walk func(s cc.Stmt)
+	walk = func(s cc.Stmt) {
+		switch x := s.(type) {
+		case *cc.Block:
+			for _, c := range x.Stmts {
+				walk(c)
+			}
+		case *cc.DeclStmt:
+		case *cc.IfStmt:
+			read(x.Cond)
+			walk(x.Then)
+			if x.Else != nil {
+				walk(x.Else)
+			}
+		case *cc.AssignStmt:
+			read(x.RHS)
+			switch lhs := x.LHS.(type) {
+			case *cc.Ident:
+				if x.Op == "=" {
+					eq[lhs.Decl]++
+				} else {
+					opSet[lhs.Decl]++
+					div = div || lhs.Decl.Type == cc.TInt && (x.Op == "/=" || x.Op == "%=")
+				}
+			case *cc.IndexExpr:
+				read(lhs.Index)
+				if x.Reduce == nil {
+					stores[lhs.Array.Slot]++
+				}
+			}
+		default:
+			ok = false // a loop in the loop
+		}
+	}
+	walk(st.Body)
+	_, bound, _, _ := canonicalFor(st)
+	for _, e := range []cc.Expr{st.Init.RHS, bound} {
+		eachExpr(e, func(x cc.Expr) {
+			switch y := x.(type) {
+			case *cc.Ident:
+				ok = ok && eq[y.Decl]+opSet[y.Decl] == 0 && (y.Decl != lv || e != bound)
+			case *cc.IndexExpr:
+				ok = ok && stores[y.Array.Slot] == 0
+			}
+		})
+	}
+	for d := range opSet {
+		if u := v.scalars[d]; u.kind == kPrivate && eq[d] == 0 {
+			ok = ok && opSet[d] == 1 && reads[d] == 0
+		}
+	}
+	for d := range eq {
+		if v.scalars[d].kind == kPrivate {
+			ok = ok && !slices.Contains(live, d)
+			fl.local[d] = true
+		}
+	}
+	ok = ok && eq[lv]+opSet[lv] == 0
+	watched := map[int]bool{}
+	for _, ai := range v.windows {
+		watched[v.spec.Accesses[ai].Slot] = true
+	}
+	for slot, n := range stores {
+		ok = ok && n == 1
+		if loaded[slot] > 0 || watched[slot] {
+			ok = ok && fl.hazSlot < 0 && !div && loaded[slot] <= maxHazLoads
+			fl.hazSlot = slot
+		}
+	}
+	if !ok {
+		return nil
+	}
+	return fl
+}
+
+// flatLoop compiles a loop flatOK took: its header for the outer tile,
+// its body for the flat tiles, and the driver that walks the trips.
+func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) (VStmt, error) {
+	rec := v.sb.loops[st]
+	_, boundX, incl, _ := canonicalFor(st)
+	ai, armi := v.ai, v.armi
+	init, err := v.vExprI(st.Init.RHS)
+	if err != nil {
+		return nil, err
+	}
+	bound, err := v.vExprI(boundX)
+	if err != nil {
+		return nil, err
+	}
+	lov, hiv := v.matI(init), v.matI(bound)
+	condIdx, bodyIdx := v.armi, v.armi+1
+	v.armi += 2
+	v.usesAct = true
+
+	// The body, numbered against the flat scratch: the private vectors
+	// keep their numbers there, then come the two induction variables.
+	outer := *v
+	fl.iv, fl.lvv, fl.siteBeg = v.baseI, v.baseI+1, v.spec.FlatSites
+	v.baseI += 2
+	v.nBufI, v.nBufF, v.depth, v.maxArms, v.masked, v.flat = v.baseI, v.baseF, 0, 0, false, fl
+	body, err := v.stmt(st.Body)
+	spec := v.spec
+	spec.FlatBufI, spec.FlatBufF = max(spec.FlatBufI, v.nBufI), max(spec.FlatBufF, v.nBufF)
+	spec.FlatMask = max(spec.FlatMask, 1+2*v.maxArms)
+	cursorA, cursorArm := v.ai, v.armi
+	*v = outer
+	if err != nil || cursorA != rec.accEnd || cursorArm != rec.armEnd {
+		return nil, errSpecIneligible
+	}
+	// The same loop lane by lane, for an outer tile that cuts too often.
+	v.ai, v.armi = ai, armi
+	lanes := v.laneRunner(st, live)
+	siteEnd := spec.FlatSites
+
+	return func(vm *VecEnv, i0 int64, L int) {
+		if L < flatMin {
+			// A launch this small: a flat tile costs more to set up than its
+			// few trips cost one by one.
+			lanes.run(vm, i0, L, vm.act, 0, 0)
+			return
+		}
+		D, fvm, act := vm.D, vm.flatScratch(), vm.act
+		lo, hi := lov(vm, i0, L), hiv(vm, i0, L)
+		end := func(t int32) int64 {
+			if incl {
+				return hi[t] + 1
+			}
+			return hi[t]
+		}
+		// charge counts the loop's two buckets for the outer lanes whose
+		// trips ran, or will, off the loop's own closure.
+		charge := func(lanes []int32) {
+			for _, t := range lanes {
+				trips := max(end(t)-lo[t], 0)
+				D.Branch[condIdx] += trips + 1
+				D.Branch[bodyIdx] += trips
+			}
+		}
+		fvm.D = D
+		seg, iv, lvv := fvm.seg, fvm.BufI[fl.iv], fvm.BufI[fl.lvv]
+		// (k, x) is the trip the walk stands at: lane act[k], the loop's
+		// variable at x. stop, once set, is the outer lane that stored into
+		// the tile's window.
+		var committed, wasted int
+		k, x, stop, limit := 0, int64(0), int32(-1), len(seg)
+		if len(act) > 0 {
+			x = lo[act[0]]
+		}
+		for k < len(act) && (stop < 0 || act[k] == stop) {
+			n, kk, xx := 0, k, x
+			for kk < len(act) && n < limit && (stop < 0 || act[kk] == stop) {
+				t := act[kk]
+				if m := int(min(end(t)-xx, int64(limit-n))); m > 0 {
+					s, l := seg[n:n+m], lvv[n:n+m]
+					for j := range s {
+						s[j], l[j] = t, xx+int64(j)
+					}
+					if it := i0 + int64(t); fl.readsIV {
+						for j := range iv[n : n+m] {
+							iv[n+j] = it
+						}
+					}
+					n, xx = n+m, xx+int64(m)
+				}
+				if xx >= end(t) {
+					if kk++; kk < len(act) {
+						xx = lo[act[kk]]
+					}
+				}
+			}
+			q := n
+			if n > 0 {
+				for i := fl.siteBeg; i < siteEnd; i++ {
+					fvm.sites[i].act = fvm.sites[i].act[:0]
+				}
+				fvm.act = fvm.mask[0][:n]
+				if body != nil {
+					body(fvm, i0, n)
+				}
+				var hit int32
+				if q, hit = fl.commit(fvm, n); stop < 0 {
+					stop = hit
+				}
+			}
+			// Flat lane q, or the trip after the flat tile, is where the next
+			// flat tile starts — unless the outer lane that stored into the
+			// window is done: the lanes after it (empty rows among them) are
+			// the per-iteration body's.
+			if committed += q; q == n {
+				k, x = kk, xx
+			} else {
+				for act[k] != seg[q] {
+					k++
+				}
+				x = lvv[q]
+			}
+			if stop >= 0 && (k == len(act) || act[k] != stop) {
+				for k > 0 && act[k-1] > stop {
+					k--
+				}
+				break
+			}
+			if q == n {
+				limit = min(2*limit, len(seg))
+				continue
+			}
+			limit = max(q, flatMin)
+			D.FlatCuts++
+			if wasted += n - q; wasted > committed+flatSlack {
+				charge(act[:k+1])
+				lanes.run(vm, i0, L, act[k:], x, max(end(act[k]), x))
+				return
+			}
+		}
+		if charge(act[:k]); stop >= 0 {
+			lanes.hit(vm, i0, L, int(stop))
+		}
+	}, nil
+}
+
+// flatScratch sizes the scratch of the tile's flat tiles when the first
+// one is about to run. A flat tile is as long as its scratch allows,
+// whatever the rows: four trips a lane of the outer tile keep the scratch
+// of a small launch small.
+func (vm *VecEnv) flatScratch() *VecEnv {
+	f := vm.flat
+	if want := min(4*vm.tile, VecTile); f.tile < want {
+		f.Reserve(want)
+		f.seg = make([]int32, f.tile)
+	}
+	return f
+}
+
+// commit commits a flat tile of n lanes whose body has run and returns
+// how many of its lanes, from the first, it committed, and the outer lane
+// that stored into the tile's window (-1: none).
+func (fl *flatLoop) commit(vm *VecEnv, n int) (q int, hit int32) {
+	q, hit = n, -1
+	for i, st := range fl.stores {
+		if i == 0 && st.slot == fl.hazSlot {
+			q, hit = st.walk(vm, n, fl.hazLoads)
+		} else {
+			st.walk(vm, q, nil)
+		}
+	}
+	for _, c := range fl.commits {
+		c(vm, q)
+	}
+	return q, hit
+}
+
+// walk commits the site's stores of the flat lanes under n, ascending,
+// through DArray.mark like any per-iteration store. Where load sites are
+// given it stops at the first lane one of whose loads an earlier store
+// of the walk has changed: see the file header.
+func (st flatStoreSite) walk(vm *VecEnv, n int, loadSites []int) (q int, hit int32) {
+	rec := &vm.sites[st.site]
+	if len(rec.act) == 0 {
+		return n, -1 // no lane stores: every load saw committed memory
+	}
+	var loads [maxHazLoads]*flatSite
+	for j, k := range loadSites {
+		loads[j] = &vm.sites[k]
+	}
+	held := loads[:len(loadSites)]
+	switch a := &vm.D.Arrays[st.slot]; {
+	case a.I32 != nil:
+		return walkLanes(a, a.I32, vm.seg, n, held, rec, func(s *flatSite) []int64 { return s.vi }, st.applyI)
+	case a.F32 != nil:
+		return walkLanes(a, a.F32, vm.seg, n, held, rec, func(s *flatSite) []float64 { return s.vf }, st.applyF)
+	default:
+		return walkLanes(a, a.F64, vm.seg, n, held, rec, func(s *flatSite) []float64 { return s.vf }, st.applyF)
+	}
+}
+
+func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []T, seg []int32, n int,
+	loads []*flatSite, st *flatSite, vals func(*flatSite) []S, apply func(S, S) S) (q int, hit int32) {
+	var lv [maxHazLoads][]S
+	for j, s := range loads {
+		lv[j] = vals(s)
+	}
+	sv, hit := vals(st), int32(-1)
+	// seen has a bit per low index byte-and-a-half of the flat tile's
+	// stores so far: a load whose bit is clear stands without a look at
+	// memory. Before the first store every load stands.
+	var seen [64]uint64
+	base, sact, cur := a.Base, st.act, 0
+	for p := int(sact[0]); p < n; p++ {
+		if hit >= 0 && seg[p] != hit {
+			return p, hit
+		}
+		for j, s := range loads {
+			if cur == 0 {
+				break
+			}
+			if len(s.act) != n { // not every lane loads here: find p
+				for s.cur < len(s.act) && int(s.act[s.cur]) < p {
+					s.cur++
+				}
+				if s.cur == len(s.act) || int(s.act[s.cur]) != p {
+					continue
+				}
+			}
+			if x := s.idx[p]; seen[x>>6&63]>>(x&63)&1 != 0 && S(src[a.off(x-base)]) != lv[j][p] {
+				return p, hit
+			}
+		}
+		if cur < len(sact) && int(sact[cur]) == p {
+			cur++
+			x := st.idx[p]
+			seen[x>>6&63] |= 1 << (x & 63)
+			o := a.off(x - base)
+			if apply != nil {
+				src[o] = T(apply(S(src[o]), sv[p]))
+			} else {
+				src[o] = T(sv[p])
+			}
+			if a.mark(o); a.Hit && hit < 0 {
+				hit = seg[p]
+			}
+		}
+	}
+	return n, hit
+}
+
+// flatIdent compiles a read of one of the scalars that are vectors only
+// in a flat body: the two induction variables, and a private scalar of
+// the outer tile, read through seg. Nil for any other.
+func (v *vecBuilder) flatIdent(d *cc.VarDecl) (vecI, vecF) {
+	fl := v.flat
+	switch {
+	case fl == nil:
+	case d == v.loopVar || d == fl.lv:
+		bid := fl.iv
+		if d == fl.lv {
+			bid = fl.lvv
+		} else {
+			fl.readsIV = true
+		}
+		return func(vm *VecEnv, i0 int64, L int) []int64 { return vm.BufI[bid][:L] }, nil
+	case v.scalars[d].kind != kPrivate || fl.local[d] || v.scalars[d].buf == 0:
+	case d.Type == cc.TInt:
+		src, bid := v.scalars[d].buf-1, v.pushI()
+		return func(vm *VecEnv, i0 int64, L int) []int64 {
+			return segRead(vm.BufI[bid][:L], vm.outer.BufI[src], vm.seg)
+		}, nil
+	default:
+		src, bid := v.scalars[d].buf-1, v.pushF()
+		return nil, func(vm *VecEnv, i0 int64, L int) []float64 {
+			return segRead(vm.BufF[bid][:L], vm.outer.BufF[src], vm.seg)
+		}
+	}
+	return nil, nil
+}
+
+// segRead gives every flat lane its outer lane's element of src.
+func segRead[S int64 | float64](out, src []S, seg []int32) []S {
+	for p := range out {
+		out[p] = src[seg[p]]
+	}
+	return out
+}
+
+// flatValue compiles the right-hand side of an effect as a vector of the
+// target's type (one of the two results is nil).
+func (v *vecBuilder) flatValue(e cc.Expr, typ cc.ElemType) (vecI, vecF, error) {
+	if typ == cc.TInt {
+		r, err := v.vExprI(e)
+		if err != nil {
+			return nil, nil, err
+		}
+		return v.matI(r), nil, nil
+	}
+	r, err := v.vExprF(e)
+	if err != nil {
+		return nil, nil, err
+	}
+	return nil, v.matF(r), nil
+}
+
+// record is the statement of an effect site of a flat body: it keeps the
+// lanes that reached it with their indices (ix, nil for a scalar target)
+// and values.
+func record(site int, ix, ri vecI, rf vecF) VStmt {
+	return func(vm *VecEnv, i0 int64, L int) {
+		var q, si []int64
+		var sf []float64
+		if ix != nil {
+			q = ix(vm, i0, L)
+		}
+		if ri != nil {
+			si = ri(vm, i0, L)
+		} else {
+			sf = rf(vm, i0, L)
+		}
+		vm.sites[site].keep(vm, vm.act, q, si, sf)
+	}
+}
+
+// flatFold compiles, in a flat body, a fold (outer false: into the
+// worker's scalar) or the op-assignment of a private scalar of the outer
+// tile (into its vector, at the flat lane's outer lane): applied at
+// commit in ascending flat order with the scalar's rounding per step.
+func (v *vecBuilder) flatFold(st *cc.AssignStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
+	ri, rf, err := v.flatValue(st.RHS, d.Type)
+	if err != nil {
+		return nil, err
+	}
+	applyI, errI := intFold(st)
+	applyF, errF := floatFold(st)
+	if d.Type == cc.TInt && errI != nil || d.Type != cc.TInt && errF != nil {
+		return nil, errSpecIneligible
+	}
+	site, slot, bid, f32 := v.newSite(), d.Slot, v.scalars[d].buf-1, d.Type == cc.TFloat
+	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
+		// The target is element seg[t] of the outer vector, or the one
+		// scalar.
+		s, o := &vm.sites[site], int32(0)
+		if ri != nil {
+			out := vm.D.Ints[slot : slot+1]
+			if outer {
+				out = vm.outer.BufI[bid]
+			}
+			for _, t := range below(s.act, q) {
+				if outer {
+					o = vm.seg[t]
+				}
+				out[o] = applyI(out[o], s.vi[t])
+			}
+			return
+		}
+		out := vm.D.Floats[slot : slot+1]
+		if outer {
+			out = vm.outer.BufF[bid]
+		}
+		for _, t := range below(s.act, q) {
+			if outer {
+				o = vm.seg[t]
+			}
+			if out[o] = applyF(out[o], s.vf[t]); f32 {
+				out[o] = float64(float32(out[o]))
+			}
+		}
+	})
+	return record(site, nil, ri, rf), nil
+}
+
+// flatElement compiles what an effect on an array element records: the
+// index and the value as vectors, in the order the per-iteration
+// statement evaluates them.
+func (v *vecBuilder) flatElement(st *cc.AssignStmt, lhs *cc.IndexExpr) (ix, ri vecI, rf vecF, err error) {
+	li, err := v.laneIndex(lhs.Index)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ix = v.idxVec(li)
+	ri, rf, err = v.flatValue(st.RHS, lhs.Array.Type)
+	return ix, ri, rf, err
+}
+
+// flatReduce compiles a reduction-lane update of a flat body.
+func (v *vecBuilder) flatReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
+	ix, ri, rf, err := v.flatElement(st, lhs)
+	if err != nil {
+		return nil, err
+	}
+	site, slot, mul := v.newSite(), lhs.Array.Slot, st.Reduce.Op == "*"
+	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
+		if s, a := &vm.sites[site], &vm.D.Arrays[slot]; ri != nil {
+			reduceLanes(a.LaneI, s.idx, s.vi, below(s.act, q), mul)
+		} else {
+			reduceLanes(a.LaneF, s.idx, s.vf, below(s.act, q), mul)
+		}
+	})
+	return record(site, ix, ri, rf), nil
+}
+
+// flatStore compiles a store of a flat body: a scatter at commit
+// (flatStoreSite.walk).
+func (v *vecBuilder) flatStore(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
+	fl, typ := v.flat, lhs.Array.Type
+	ix, ri, rf, err := v.flatElement(st, lhs)
+	if err != nil {
+		return nil, err
+	}
+	site := flatStoreSite{slot: lhs.Array.Slot, site: v.newSite()}
+	if st.Op != "=" {
+		var errI, errF error
+		site.applyI, errI = intApply(st.Op, st.Pos())
+		site.applyF, errF = floatApply(st.Op, st.Pos())
+		if typ == cc.TInt && errI != nil || typ != cc.TInt && errF != nil {
+			return nil, errSpecIneligible
+		}
+	}
+	if site.slot == fl.hazSlot {
+		fl.stores = slices.Insert(fl.stores, 0, site)
+	} else {
+		fl.stores = append(fl.stores, site)
+	}
+	return record(site.site, ix, ri, rf), nil
+}
+
+// flatWatch gives a load of the flat loop's lane-walked array its site:
+// the load keeps there what each lane loaded and where (logical indices),
+// for the commit to hold against memory.
+func (v *vecBuilder) flatWatch() int {
+	site := v.newSite()
+	v.flat.hazLoads = append(v.flat.hazLoads, site)
+	return site
+}

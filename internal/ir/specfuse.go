@@ -8,10 +8,10 @@ import (
 //
 // The generic spec compiler emits one closure per expression node. The
 // recognizers below collapse the integer shapes that head every
-// per-iteration body still on the hot path — BFS's CSR walk, SPMV's
-// row loop, the loops the tiled bodies run lane by lane, and every
-// uniform subtree a tile evaluates once per step — into single
-// closures:
+// per-iteration body still on the hot path — untiled kernels, the few
+// loops the tiled bodies run lane by lane (none of the apps', whose CSR
+// walks run as flat tiles), and every uniform subtree a tile evaluates
+// once per step — into single closures:
 //
 //   - index expressions (i, i+c, k*i+c, s1*s2+s3, ...) become one
 //     closure instead of a closure subtree,

@@ -14,11 +14,11 @@ import (
 // that runs a tile of up to VecTile consecutive iterations in lockstep,
 // the way the warp of the GPU the paper targets would: each expression
 // node becomes one tight loop over the tile's lanes. It covers
-// straight-line statements, data-dependent if-arms, canonical inner
-// loops with tile-uniform bounds, gathers and layout-transformed
-// copies — and, around them, the loops no lockstep schedule may reorder,
-// which a tile runs one lane at a time (lockstep prefix, lane-major
-// tail):
+// straight-line statements, data-dependent if-arms, gathers,
+// layout-transformed copies and inner loops, each loop on the schedule
+// its shape allows (check): in lockstep when its trips are uniform
+// across the tile, as flat tiles when they are not or when it holds
+// ordered effects (specflat.go), one lane at a time as the last resort:
 //
 //   - A scalar the body assigns with "=" is private: one value per
 //     lane, kept in a scratch vector. An inner loop's induction
@@ -41,12 +41,17 @@ import (
 //     row width divides a it is the walk (b mod width)*rows + i*a/width,
 //     unit stride for the row-per-iteration pattern the transform
 //     exists for. Any other index is evaluated per lane.
-//   - A loop that holds an ordered effect — a plain array store, a fold,
-//     a reduction-lane update — or whose trips differ from lane to lane
-//     runs lane-major: one active lane after the other, ascending,
-//     through the loop's per-iteration closure, the privates live around
-//     it copied in and out (SPMV: `acc = 0.0` and `y[i] = acc` in
-//     lockstep around the CSR loop).
+//   - A uniform loop whose only ordered effects are reduction-lane
+//     updates at indices injective in its variable stays in lockstep
+//     (injective, forStmt: KMEANS). A counted loop that holds a plain
+//     array store, a fold or any other reduction-lane update, or whose
+//     trips differ from lane to lane, runs as flat tiles: its (lane,
+//     trip) pairs in lane-major order, the body in lockstep over them,
+//     cut at the first hazard (SPMV: `acc = 0.0` and `y[i] = acc` in
+//     lockstep around the CSR loop; BFS). What neither takes runs
+//     lane-major: one active lane after the other, ascending, through
+//     the loop's per-iteration closure, the privates live around it
+//     copied in and out (laneRunner).
 //
 // Bit-exactness contract (the same one the DStmt path honours): every
 // float64 operation happens in the same order with the same operands as
@@ -59,7 +64,9 @@ import (
 //     its loop, so no value carries from one iteration to the next;
 //     within one, each lane performs its operations in program order.
 //   - A fold or reduction target has one update site, and the lanes
-//     reach it in ascending order.
+//     reach it in ascending order; inside a uniform loop, an element of
+//     a reduction target is updated by the lanes in ascending order on
+//     one trip, or by one lane (forStmt's per-tile check).
 //   - A store the tile executes in lockstep is affine in the induction
 //     variable, outside inner loops, and never to an array the body also
 //     gathers from. Against the other affine accesses of the same array
@@ -67,8 +74,8 @@ import (
 //     every iteration or disjoint element sets (internal/rt); when that
 //     fails the launch silently uses the per-iteration DStmt body, which
 //     is always exact.
-//   - An array stored inside a lane-major loop is accessed nowhere
-//     outside that loop, with one exception: the BFS idiom, a prefix
+//   - An array stored inside a flat or lane-major loop is accessed
+//     nowhere outside that loop, with one exception: the BFS idiom, a prefix
 //     that loads cost[i] over a loop that stores cost[w]. Evaluating a
 //     tile's prefix before its loops is exact unless a store lands on an
 //     element the prefix has already loaded for a later lane. scan admits
@@ -76,11 +83,11 @@ import (
 //     the loop is the last thing on its path, and everything before it is
 //     free of effects, faults and foreign arm counts (tailPath). Each
 //     tile then sets the window of physical offsets its prefix loads
-//     (DArray.watch); every per-iteration store passes DArray.mark, which
-//     raises Hit inside the window; laneMajorLoop looks after each lane,
-//     and on a hit the lanes after it run the exact per-iteration Body,
-//     which re-evaluates the prefix in order, while the enclosing arms
-//     take back what they had counted for them (VecEnv.cut).
+//     (DArray.watch); every such store passes DArray.mark, which raises
+//     Hit inside the window; the storing lane finishes its loop, and the
+//     lanes after it run the exact per-iteration Body, which re-evaluates
+//     the prefix in order, while the enclosing arms take back what they
+//     had counted for them (laneRunner.hit, VecEnv.cut).
 //
 // Fused multiply-add shapes (k*x ± y in one pass) keep an explicit
 // float64(...) conversion around the product: the Go spec lets an
@@ -128,6 +135,13 @@ type VecEnv struct {
 	// in the current tile: only its first cut lanes ran here, the rest
 	// re-ran on the per-iteration body, which counted its own arms.
 	cut int
+	// flat is the scratch the tile's flat tiles run on (specflat.go), nil
+	// for a spec without a flat loop. In it, outer is the tile's own
+	// scratch, seg maps a flat lane to its outer lane and sites hold what
+	// the flat body's effect sites recorded.
+	flat, outer *VecEnv
+	seg         []int32
+	sites       []flatSite
 }
 
 // VStmt executes one tile: iterations i0 .. i0+L-1, L ≤ VecTile.
@@ -135,7 +149,14 @@ type VStmt func(vm *VecEnv, i0 int64, L int)
 
 // NewVecEnv allocates tile scratch for the spec; Reserve sizes it.
 func (s *KernelSpec) NewVecEnv() *VecEnv {
-	return &VecEnv{BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF), mask: make([][]int32, s.NumMask)}
+	vm := &VecEnv{BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF), mask: make([][]int32, s.NumMask)}
+	if s.FlatMask > 0 {
+		vm.flat = &VecEnv{
+			BufI: make([][]int64, s.FlatBufI), BufF: make([][]float64, s.FlatBufF), mask: make([][]int32, s.FlatMask),
+			outer: vm, sites: make([]flatSite, s.FlatSites),
+		}
+	}
+	return vm
 }
 
 // Reserve sizes the scratch for tiles of up to n iterations (at most
@@ -230,6 +251,13 @@ type vecBuilder struct {
 	// private scalars defined around it (the ones a lane carries in and
 	// out).
 	laneMajor map[*cc.ForStmt][]*cc.VarDecl
+	// injLoops holds the uniform loops that update reduction lanes in
+	// lockstep (injective), with the same scalars; inj collects, while one
+	// compiles, the indices forStmt checks before the first trip.
+	injLoops map[*cc.ForStmt][]*cc.VarDecl
+	inj      *injLoop
+	// flat is set while the body of a flat loop compiles (specflat.go).
+	flat *flatLoop
 	// windows lists the prefix loads (spec.Accesses indices) of arrays
 	// the lane-major loop stores to: what each tile watches.
 	windows  []int
@@ -266,6 +294,7 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 		},
 		scalars:   make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
 		laneMajor: map[*cc.ForStmt][]*cc.VarDecl{},
+		injLoops:  map[*cc.ForStmt][]*cc.VarDecl{},
 	}
 	v.sc.uniform = v.uniform
 	if spec.Untiled = v.scan(body); spec.Untiled != "" {
@@ -396,7 +425,7 @@ func (v *vecBuilder) uniform(e cc.Expr) bool {
 		return true
 	case *cc.Ident:
 		k := v.scalars[x.Decl].kind
-		return x.Decl != v.loopVar && (k == 0 || k == kUniform)
+		return x.Decl != v.loopVar && (k == 0 || k == kUniform) && (v.flat == nil || x.Decl != v.flat.lv)
 	case *cc.IndexExpr:
 		return !v.spec.WrittenSlots[x.Array.Slot] && v.uniform(x.Index)
 	case *cc.UnaryExpr:
@@ -671,19 +700,19 @@ func (v *vecBuilder) readsOK(e cc.Expr) bool {
 	return ok
 }
 
-// effects reports a plain array store, and a fold or a reduction-lane
-// update, under s: what must happen in iteration order.
-func (v *vecBuilder) effects(s cc.Stmt) (store, fold bool) {
+// effects reports a plain array store, a fold and a reduction-lane
+// update under s: what must happen in iteration order.
+func (v *vecBuilder) effects(s cc.Stmt) (store, fold, reduce bool) {
 	eachAssign(s, func(st *cc.AssignStmt) {
 		if id, ok := st.LHS.(*cc.Ident); ok {
 			fold = fold || v.scalars[id.Decl].kind == kFold
 		} else if st.Reduce != nil {
-			fold = true
+			reduce = true
 		} else {
 			store = true
 		}
 	})
-	return store, fold
+	return store, fold, reduce
 }
 
 // check walks the body in program order with the dominance state.
@@ -732,11 +761,20 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		}
 		return ok
 	case *cc.ForStmt:
-		if store, fold := v.effects(st); v.lm == 0 && (store || fold || !v.uniformLoop(st)) {
+		store, fold, reduce := v.effects(st)
+		if v.lm == 0 && reduce && !store && !fold && v.uniformLoop(st) && v.injective(st) {
+			// Reduction-lane updates only, each at an index injective in
+			// the loop variable: lockstep like any uniform loop (the
+			// privates around it noted for the exact fallback, see forStmt).
+			v.lockstep = true
+			v.injLoops[st] = slices.Clone(v.undo)
+			return v.checkLoop(st)
+		}
+		if v.lm == 0 && (store || fold || reduce || !v.uniformLoop(st)) {
 			// A loop with an ordered effect, or whose trips differ from lane
 			// to lane, runs lane by lane: number its accesses, and note the
 			// private scalars defined around it.
-			v.newLane = v.newLane || store || !fold
+			v.newLane = v.newLane || store || !fold && !reduce
 			rec := v.sb.loops[st]
 			for ai := rec.accBeg; ai < rec.accEnd; ai++ {
 				v.spec.Accesses[ai].LaneLoop = len(v.laneMajor) + 1
@@ -751,6 +789,89 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		return v.checkLoop(st)
 	}
 	return false
+}
+
+// injective reports that every reduction-lane update under the uniform
+// loop st sits outside deeper loops and has an index c*lv + rest in the
+// loop variable lv with (a) c a nonzero literal, (b) rest free of lv and
+// (c) rest reading nothing the loop changes: no scalar it assigns, no
+// array the kernel writes. One lane's trips then update distinct
+// elements, so an element sees at most one update per iteration. What
+// keeps an element's updates in lane order across trips is checked per
+// tile (forStmt); for that check the index of a float target can be
+// evaluated before the first trip: it does not divide and, under an arm
+// of the loop, it does not load.
+func (v *vecBuilder) injective(st *cc.ForStmt) bool {
+	lv := countedVar(st)
+	assigned := map[*cc.VarDecl]bool{}
+	collectAssignedScalars(st.Body, assigned)
+	var walk func(s cc.Stmt, arm bool) bool
+	walk = func(s cc.Stmt, arm bool) bool {
+		switch x := s.(type) {
+		case *cc.Block:
+			for _, c := range x.Stmts {
+				if !walk(c, arm) {
+					return false
+				}
+			}
+		case *cc.IfStmt:
+			return walk(x.Then, true) && (x.Else == nil || walk(x.Else, true))
+		case *cc.ForStmt:
+			store, fold, reduce := v.effects(x)
+			return !store && !fold && !reduce
+		case *cc.AssignStmt:
+			lhs, isIdx := x.LHS.(*cc.IndexExpr)
+			if x.Reduce == nil || !isIdx {
+				break
+			}
+			idx := foldExpr(lhs.Index)
+			c, ok := lvCoef(idx, lv)
+			float := lhs.Array.Type != cc.TInt
+			eachExpr(idx, func(e cc.Expr) {
+				switch y := e.(type) {
+				case *cc.Ident:
+					ok = ok && (y.Decl == lv || !assigned[y.Decl])
+				case *cc.IndexExpr:
+					ok = ok && !v.spec.WrittenSlots[y.Array.Slot] && !(float && arm)
+				}
+			})
+			return ok && c != 0 && c > -1<<31 && c < 1<<31 && !(float && divides(idx))
+		}
+		return true
+	}
+	return walk(st.Body, false)
+}
+
+// lvCoef returns c when e is c*lv + rest with a literal c and a rest
+// that does not mention lv.
+func lvCoef(e cc.Expr, lv *cc.VarDecl) (c int64, ok bool) {
+	switch x := e.(type) {
+	case *cc.Ident:
+		return b2i(x.Decl == lv), true
+	case *cc.UnaryExpr:
+		if c, ok := lvCoef(x.X, lv); ok && x.Op == "-" {
+			return -c, true
+		}
+	case *cc.BinaryExpr:
+		cx, okx := lvCoef(x.X, lv)
+		cy, oky := lvCoef(x.Y, lv)
+		kx, litX := x.X.(*cc.NumLit)
+		ky, litY := x.Y.(*cc.NumLit)
+		switch {
+		case !okx || !oky || x.Type() != cc.TInt:
+		case x.Op == "+":
+			return cx + cy, true
+		case x.Op == "-":
+			return cx - cy, true
+		case x.Op == "*" && litX && !kx.IsFloat:
+			return kx.I * cy, true
+		case x.Op == "*" && litY && !ky.IsFloat:
+			return cx * ky.I, true
+		}
+	}
+	free := true
+	eachIdent(e, func(x *cc.Ident) { free = free && x.Decl != lv })
+	return 0, free
 }
 
 // uniformLoop reports the canonical counted shape with a uniform init
@@ -888,12 +1009,20 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.AssignStmt:
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
-			if v.scalars[lhs.Decl].kind == kFold {
+			switch fold := v.scalars[lhs.Decl].kind == kFold; {
+			case v.flat != nil && (fold || !v.flat.local[lhs.Decl]):
+				return v.flatFold(st, lhs.Decl, !fold)
+			case fold:
 				return v.fold(st, lhs.Decl)
 			}
 			return v.privateAssign(st, lhs.Decl)
 		case *cc.IndexExpr:
-			if st.Reduce != nil {
+			switch {
+			case v.flat != nil && st.Reduce != nil:
+				return v.flatReduce(st, lhs)
+			case v.flat != nil:
+				return v.flatStore(st, lhs)
+			case st.Reduce != nil:
 				return v.arrayReduce(st, lhs)
 			}
 			return v.arrayAssign(st, lhs)
@@ -901,10 +1030,13 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.IfStmt:
 		return v.ifStmt(st)
 	case *cc.ForStmt:
-		if live, ok := v.laneMajor[st]; ok {
+		if live, ok := v.laneMajor[st]; !ok {
+			return v.forStmt(st)
+		} else if fl := v.flatOK(st, live); fl != nil {
+			return v.flatLoop(st, live, fl)
+		} else {
 			return v.laneMajorLoop(st, live)
 		}
-		return v.forStmt(st)
 	}
 	return nil, errSpecIneligible
 }
@@ -962,6 +1094,17 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 		}
 	}
 	v.depth, v.masked = depth, outer
+	// In a flat body the arms' counts wait for the commit (specflat.go).
+	thSite, elSite := -1, -1
+	if fl := v.flat; fl != nil {
+		thSite, elSite = v.newSite(), v.newSite()
+		fl.commits = append(fl.commits, func(vm *VecEnv, q int) {
+			vm.D.Branch[thenIdx] += int64(len(below(vm.sites[thSite].act, q)))
+			if elseIdx >= 0 {
+				vm.D.Branch[elseIdx] += int64(len(below(vm.sites[elSite].act, q)))
+			}
+		})
+	}
 	return func(vm *VecEnv, i0 int64, L int) {
 		c := cv(vm, i0, L)
 		lanes := vm.act
@@ -974,8 +1117,15 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 			nt += int(c[t])
 			ne += 1 - int(c[t])
 		}
-		th, el = th[:nt], el[:ne]
-		vm.D.Branch[thenIdx] += int64(len(th))
+		if th, el = th[:nt], el[:ne]; thSite >= 0 {
+			vm.sites[thSite].keep(vm, th, nil, nil, nil)
+			vm.sites[elSite].keep(vm, el, nil, nil, nil)
+		} else {
+			vm.D.Branch[thenIdx] += int64(len(th))
+			if elseIdx >= 0 {
+				vm.D.Branch[elseIdx] += int64(len(el))
+			}
+		}
 		if vm.act = th; then != nil && len(th) > 0 {
 			then(vm, i0, L)
 			// A tile cut short under this arm (laneMajorLoop) takes back the
@@ -984,20 +1134,39 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 				vm.D.Branch[thenIdx]--
 			}
 		}
-		if elseIdx >= 0 {
-			vm.D.Branch[elseIdx] += int64(len(el))
-			if vm.act = el; els != nil && len(el) > 0 {
-				els(vm, i0, L)
-			}
+		if vm.act = el; els != nil && len(el) > 0 {
+			els(vm, i0, L)
 		}
 		vm.act = lanes
 	}, nil
 }
 
+// injLoop is the injective loop being compiled, injSite a float
+// reduction-lane update in it: its index over the tile and the magnitude
+// of its coefficient in the loop variable.
+type (
+	injLoop struct {
+		lv    *cc.VarDecl
+		sites []injSite
+	}
+	injSite struct {
+		ix   vecI
+		coef int64
+	}
+)
+
 // forStmt compiles a canonical inner loop whose init and bound are
 // uniform: the whole tile runs the same trips, the induction variable
 // one DEnv scalar for all lanes. The two cost buckets receive what the
 // active lanes' per-iteration loops would have counted.
+//
+// Where the loop updates reduction lanes (injective), trip-major order
+// must still hand every element its updates in lane order. Int targets
+// do not care: + and * wrap, commute and associate. For a float target
+// the tile checks before the first trip that the active lanes' indices
+// are congruent modulo |c|*trips: two lanes then update the same elements
+// on the same trips, or element ranges a whole span apart. A tile that
+// fails runs the loop lane by lane, which is always exact.
 func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	lv, boundX, incl, _ := canonicalFor(st)
 	init, err := v.sc.exprI(st.Init.RHS)
@@ -1012,9 +1181,23 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	condIdx, bodyIdx := v.armi, v.armi+1
 	v.armi += 2
 	v.usesAct = true
+	live, inj := v.injLoops[st]
+	if inj {
+		v.inj = &injLoop{lv: lv}
+	}
 	body, err := v.stmt(st.Body)
+	var sites []injSite
+	if inj {
+		sites, v.inj = v.inj.sites, nil
+	}
 	if err != nil {
 		return nil, err
+	}
+	var laneMajor VStmt
+	if len(sites) > 0 {
+		if laneMajor, err = v.laneMajorLoop(st, live); err != nil {
+			return nil, err
+		}
 	}
 	slot := lv.Slot
 	return func(vm *VecEnv, i0 int64, L int) {
@@ -1024,6 +1207,10 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 			hi++
 		}
 		n, lanes := max(hi-x, 0), int64(len(vm.act))
+		if D.Ints[slot] = x; laneMajor != nil && n > 1 && !laneOrdered(vm, sites, n, i0, L) {
+			laneMajor(vm, i0, L)
+			return
+		}
 		D.Branch[condIdx] += (n + 1) * lanes
 		D.Branch[bodyIdx] += n * lanes
 		for ; x < hi; x++ {
@@ -1036,9 +1223,29 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	}, nil
 }
 
-// laneMajorLoop runs a loop the lockstep schedule cannot reorder — it
-// holds a store, a fold or a reduction-lane update, or its trips differ
-// from lane to lane — one active lane at a time, ascending, through its
+// laneOrdered is the per-tile check of an injective loop about to run n
+// trips, its induction variable set to the first (see forStmt).
+func laneOrdered(vm *VecEnv, sites []injSite, n, i0 int64, L int) bool {
+	if len(vm.act) == 0 {
+		return true
+	}
+	if n >= 1<<31 {
+		return false // the span below might not fit
+	}
+	for _, s := range sites {
+		q, span := s.ix(vm, i0, L), s.coef*n
+		first := q[vm.act[0]]
+		for _, t := range vm.act {
+			if (q[t]-first)%span != 0 {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// laneMajorLoop runs a loop neither lockstep nor flat tiles take, one
+// active lane at a time, ascending, through its
 // per-iteration closure, so every effect happens in iteration order.
 // The private scalars live around the loop are copied into the lane's
 // DEnv before and back out after.
@@ -1049,73 +1256,129 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 // after it run the whole per-iteration body, which re-evaluates the
 // prefix in order, and the enclosing arms take their counts back.
 func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error) {
+	r := v.laneRunner(st, live)
+	return func(vm *VecEnv, i0 int64, L int) { r.run(vm, i0, L, vm.act, 0, 0) }, nil
+}
+
+// laneRunner is a loop a tile runs lane by lane: its per-iteration
+// closures (the whole loop, one trip of it) and the private scalars a
+// lane carries in and out.
+type laneRunner struct {
+	loop, trip            DStmt
+	loopSlot, lvSlot, arm int
+	privI, privF          []lanePriv
+	spec                  *KernelSpec
+	wins                  []int
+}
+
+type lanePriv struct{ slot, bid int }
+
+// laneRunner takes the loop's place at the access and arm cursors.
+func (v *vecBuilder) laneRunner(st *cc.ForStmt, live []*cc.VarDecl) *laneRunner {
 	rec := v.sb.loops[st]
 	v.ai, v.armi = rec.accEnd, rec.armEnd
 	v.usesAct = true
-	loop, loopSlot := rec.stmt, v.loopVar.Slot
-	type priv struct{ slot, bid int }
-	var pi, pf []priv
+	r := &laneRunner{loop: rec.stmt, trip: rec.body, loopSlot: v.loopVar.Slot, arm: rec.bodyArm, spec: v.spec, wins: v.windows}
+	if lv := countedVar(st); lv != nil {
+		r.lvSlot = lv.Slot
+	}
 	for _, d := range live {
 		if bid := v.scalars[d].buf - 1; d.Type == cc.TInt {
-			pi = append(pi, priv{d.Slot, bid})
+			r.privI = append(r.privI, lanePriv{d.Slot, bid})
 		} else {
-			pf = append(pf, priv{d.Slot, bid})
+			r.privF = append(r.privF, lanePriv{d.Slot, bid})
 		}
 	}
-	spec, wins := v.spec, v.windows
-	return func(vm *VecEnv, i0 int64, L int) {
-		D := vm.D
-		for _, t := range vm.act {
-			D.Ints[loopSlot] = i0 + int64(t)
-			for _, p := range pi {
-				D.Ints[p.slot] = vm.BufI[p.bid][t]
-			}
-			for _, p := range pf {
-				D.Floats[p.slot] = vm.BufF[p.bid][t]
-			}
-			loop(D)
-			for _, p := range pi {
-				vm.BufI[p.bid][t] = D.Ints[p.slot]
-			}
-			for _, p := range pf {
-				vm.BufF[p.bid][t] = D.Floats[p.slot]
-			}
-			for _, ai := range wins {
-				if !D.Arrays[spec.Accesses[ai].Slot].Hit {
-					continue
-				}
-				vm.cut = int(t) + 1
-				D.HazardLanes += int64(L - vm.cut)
-				for i := i0 + int64(vm.cut); i < i0+int64(L); i++ {
-					D.Ints[loopSlot] = i
-					spec.Body(D)
-				}
-				return
-			}
-		}
-	}, nil
+	return r
 }
 
-// assignLanes writes the active lanes of a private scalar's vector: "="
-// or the lane-wise update op names by its first byte, rounded through R
+// run runs the loop for the outer lanes given, ascending. The first of
+// them, when to > from, only finishes a loop begun elsewhere: the trips
+// from..to-1 of its induction variable (a counted loop, its buckets
+// already charged). LaneMajorTrips counts the trips run here; iterations
+// re-run whole after a window hit are HazardLanes'.
+func (r *laneRunner) run(vm *VecEnv, i0 int64, L int, lanes []int32, from, to int64) {
+	D := vm.D
+	for k, t := range lanes {
+		D.Ints[r.loopSlot] = i0 + int64(t)
+		for _, p := range r.privI {
+			D.Ints[p.slot] = vm.BufI[p.bid][t]
+		}
+		for _, p := range r.privF {
+			D.Floats[p.slot] = vm.BufF[p.bid][t]
+		}
+		if before := D.Branch[r.arm]; k > 0 || to <= from {
+			r.loop(D)
+			D.LaneMajorTrips += D.Branch[r.arm] - before
+		} else {
+			for x := from; x < to; x++ {
+				D.Ints[r.lvSlot] = x
+				r.trip(D)
+			}
+			D.Ints[r.lvSlot] = to
+			D.LaneMajorTrips += to - from
+		}
+		for _, p := range r.privI {
+			vm.BufI[p.bid][t] = D.Ints[p.slot]
+		}
+		for _, p := range r.privF {
+			vm.BufF[p.bid][t] = D.Floats[p.slot]
+		}
+		if r.hit(vm, i0, L, int(t)) {
+			return
+		}
+	}
+}
+
+// hit ends a tile whose outer lane t stored into a watched window: the
+// lanes after it run the whole per-iteration body, in order.
+func (r *laneRunner) hit(vm *VecEnv, i0 int64, L, t int) bool {
+	D := vm.D
+	for _, ai := range r.wins {
+		if !D.Arrays[r.spec.Accesses[ai].Slot].Hit {
+			continue
+		}
+		vm.cut = t + 1
+		D.HazardLanes += int64(L - vm.cut)
+		for i := i0 + int64(vm.cut); i < i0+int64(L); i++ {
+			D.Ints[r.loopSlot] = i
+			r.spec.Body(D)
+		}
+		return true
+	}
+	return false
+}
+
+// setLanes writes the active lanes of a private scalar's vector: "=" or
+// the lane-wise update op names by its first byte, rounded through R
 // (float32 for a float scalar: the interpreter's rounding per step;
-// float64 and int64 are the identity). The operator picks a loop, never a
-// lane.
-func assignLanes[S int64 | float64, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
-	switch op {
-	case '=':
+// float64 and int64 are the identity). A tile with every lane active is
+// walked densely. The operator picks a loop, never a lane.
+func setLanes[S int64 | float64, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
+	dense := len(act) == len(out)
+	s = s[:len(out)]
+	switch {
+	case op == '=' && dense:
+		for t := range out {
+			out[t] = S(R(s[t]))
+		}
+	case op == '=':
 		for _, t := range act {
 			out[t] = S(R(s[t]))
 		}
-	case '+':
+	case op == '+' && dense:
+		for t := range out {
+			out[t] = S(R(out[t] + s[t]))
+		}
+	case op == '+':
 		for _, t := range act {
 			out[t] = S(R(out[t] + s[t]))
 		}
-	case '-':
+	case op == '-':
 		for _, t := range act {
 			out[t] = S(R(out[t] - s[t]))
 		}
-	case '*':
+	case op == '*':
 		for _, t := range act {
 			out[t] = S(R(out[t] * s[t]))
 		}
@@ -1126,8 +1389,8 @@ func assignLanes[S int64 | float64, R int64 | float32 | float64](op byte, out, s
 	}
 }
 
-// assignLanesI adds the operators only an int scalar has.
-func assignLanesI(op byte, out, s []int64, act []int32) {
+// setLanesI adds the operators only an int scalar has.
+func setLanesI(op byte, out, s []int64, act []int32) {
 	switch op {
 	case '%':
 		for _, t := range act {
@@ -1142,12 +1405,143 @@ func assignLanesI(op byte, out, s []int64, act []int32) {
 			out[t] >>= uint(s[t])
 		}
 	default:
-		assignLanes[int64, int64](op, out, s, act)
+		setLanes[int64, int64](op, out, s, act)
 	}
 }
 
-// privateAssign compiles an assignment to a private scalar: a write of
-// the active lanes of its vector.
+// The forms of fuseLanes: out = a op c, out = a op k and out = k - a
+// with c a vector and k uniform, and out ± = a * c.
+const (
+	fuAddV = iota
+	fuAddK
+	fuSubV
+	fuSubK
+	fuRsubK
+	fuMulV
+	fuMulK
+	fuAccAdd
+	fuAccSub
+)
+
+// fuseLanes is setLanes with the last operation of the right-hand side
+// folded into the pass: one float64 operation, then the assignment's
+// own, the explicit conversion between them keeping the pair from
+// contracting into a multiply-add (see the file header).
+func fuseLanes[R float32 | float64](form int, out, a, c []float64, k float64, act []int32) {
+	a = a[:len(out)]
+	if c != nil {
+		c = c[:len(out)]
+	}
+	if len(act) == len(out) {
+		form += fuAccSub + 1
+	}
+	switch form {
+	case fuAddV:
+		for _, t := range act {
+			out[t] = float64(R(a[t] + c[t]))
+		}
+	case fuAddK:
+		for _, t := range act {
+			out[t] = float64(R(a[t] + k))
+		}
+	case fuSubV:
+		for _, t := range act {
+			out[t] = float64(R(a[t] - c[t]))
+		}
+	case fuSubK:
+		for _, t := range act {
+			out[t] = float64(R(a[t] - k))
+		}
+	case fuRsubK:
+		for _, t := range act {
+			out[t] = float64(R(k - a[t]))
+		}
+	case fuMulV:
+		for _, t := range act {
+			out[t] = float64(R(a[t] * c[t]))
+		}
+	case fuMulK:
+		for _, t := range act {
+			out[t] = float64(R(a[t] * k))
+		}
+	case fuAccAdd:
+		for _, t := range act {
+			out[t] = float64(R(out[t] + float64(a[t]*c[t])))
+		}
+	case fuAccSub:
+		for _, t := range act {
+			out[t] = float64(R(out[t] - float64(a[t]*c[t])))
+		}
+	case fuAccSub + 1 + fuAddV:
+		for t := range out {
+			out[t] = float64(R(a[t] + c[t]))
+		}
+	case fuAccSub + 1 + fuAddK:
+		for t := range out {
+			out[t] = float64(R(a[t] + k))
+		}
+	case fuAccSub + 1 + fuSubV:
+		for t := range out {
+			out[t] = float64(R(a[t] - c[t]))
+		}
+	case fuAccSub + 1 + fuSubK:
+		for t := range out {
+			out[t] = float64(R(a[t] - k))
+		}
+	case fuAccSub + 1 + fuRsubK:
+		for t := range out {
+			out[t] = float64(R(k - a[t]))
+		}
+	case fuAccSub + 1 + fuMulV:
+		for t := range out {
+			out[t] = float64(R(a[t] * c[t]))
+		}
+	case fuAccSub + 1 + fuMulK:
+		for t := range out {
+			out[t] = float64(R(a[t] * k))
+		}
+	case fuAccSub + 1 + fuAccAdd:
+		for t := range out {
+			out[t] = float64(R(out[t] + float64(a[t]*c[t])))
+		}
+	default:
+		for t := range out {
+			out[t] = float64(R(out[t] - float64(a[t]*c[t])))
+		}
+	}
+}
+
+// fuseForms lists, by the operator of the right-hand side, the forms for
+// vector op vector, vector op uniform and uniform op vector.
+var fuseForms = map[string][3]int{
+	"+": {fuAddV, fuAddK, fuAddK}, "-": {fuSubV, fuSubK, fuRsubK}, "*": {fuMulV, fuMulK, fuMulK},
+}
+
+// fuseForm picks the fuseLanes form of `lhs aop (x iop y)`; ka and kc
+// say which operand is uniform, swap that the uniform one came first.
+// ok is false where no form covers the statement.
+func fuseForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
+	forms := fuseForms[iop]
+	switch {
+	case ka && kc:
+	case aop == "=" && kc:
+		return forms[1], false, true
+	case aop == "=" && ka:
+		return forms[2], true, true
+	case aop == "=":
+		return forms[0], false, true
+	case aop == "+=" && iop == "*" && !ka && !kc:
+		return fuAccAdd, false, true
+	case aop == "-=" && iop == "*" && !ka && !kc:
+		return fuAccSub, false, true
+	}
+	return 0, false, false
+}
+
+// privateAssign compiles an assignment to a private scalar: one pass
+// over the active lanes of its vector. A float right-hand side that ends
+// in +, - or * runs that operation in the same pass (fuseLanes); any
+// other is computed into a scratch vector first.
 func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 	v.usesAct = true
 	bid := v.scalars[d].buf - 1
@@ -1155,32 +1549,85 @@ func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, err
 		return nil, errSpecIneligible
 	}
 	op := st.Op[0]
-	if d.Type != cc.TInt {
-		r, err := v.vExprF(st.RHS)
-		if _, opErr := floatApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
+	if d.Type == cc.TInt {
+		r, err := v.vExprI(st.RHS)
+		if _, opErr := intApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
 			return nil, errSpecIneligible
 		}
-		rv, upd := v.matF(r), assignLanes[float64, float64]
-		if d.Type == cc.TFloat {
-			upd = assignLanes[float64, float32]
-		}
+		rv := v.matI(r)
 		return func(vm *VecEnv, i0 int64, L int) {
-			upd(op, vm.BufF[bid][:L], rv(vm, i0, L), vm.act)
+			setLanesI(op, vm.BufI[bid][:L], rv(vm, i0, L), vm.act)
 		}, nil
 	}
-	r, err := v.vExprI(st.RHS)
-	if _, opErr := intApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
+	if _, opErr := floatApply(st.Op, st.Pos()); st.Op != "=" && opErr != nil {
 		return nil, errSpecIneligible
 	}
-	rv := v.matI(r)
-	return func(vm *VecEnv, i0 int64, L int) {
-		s, out := rv(vm, i0, L), vm.BufI[bid][:L]
-		if op == '=' && len(vm.act) == L {
-			copy(out, s)
-			return
+	set, fuse := setLanes[float64, float64], fuseLanes[float64]
+	if d.Type == cc.TFloat {
+		set, fuse = setLanes[float64, float32], fuseLanes[float32]
+	}
+	if x, ok := foldExpr(st.RHS).(*cc.BinaryExpr); ok && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
+		ka, kc := v.uniform(foldExpr(x.X)), v.uniform(foldExpr(x.Y))
+		if form, swap, ok := fuseForm(st.Op, x.Op, ka, kc); ok {
+			a, err := v.vExprF(x.X)
+			if err != nil {
+				return nil, err
+			}
+			c, err := v.vExprF(x.Y)
+			if err != nil {
+				return nil, err
+			}
+			// Operands run in program order (the second one's temporaries
+			// sit above the first one's result); a is the vector of a
+			// mixed pair.
+			xv, yv, kx, ky := a.vec, c.vec, a.inv, c.inv
+			if ka != (xv == nil) || kc != (yv == nil) {
+				return nil, errSpecIneligible
+			}
+			return func(vm *VecEnv, i0 int64, L int) {
+				var s, q []float64
+				var k float64
+				if xv != nil {
+					s = xv(vm, i0, L)
+				} else {
+					k = kx(vm.D)
+				}
+				if yv != nil {
+					q = yv(vm, i0, L)
+				} else {
+					k = ky(vm.D)
+				}
+				if swap {
+					s, q = q, nil
+				}
+				fuse(form, vm.BufF[bid][:L], s, q, k, vm.act)
+			}, nil
 		}
-		assignLanesI(op, out, s, vm.act)
+	}
+	r, err := v.vExprF(st.RHS)
+	if err != nil {
+		return nil, errSpecIneligible
+	}
+	rv := v.matF(r)
+	return func(vm *VecEnv, i0 int64, L int) {
+		set(op, vm.BufF[bid][:L], rv(vm, i0, L), vm.act)
 	}, nil
+}
+
+// intFold and floatFold give the step of a fold: the assignment's
+// operator, "=" keeping the new value.
+func intFold(st *cc.AssignStmt) (func(int64, int64) int64, error) {
+	if st.Op == "=" {
+		return func(_, x int64) int64 { return x }, nil
+	}
+	return intApply(st.Op, st.Pos())
+}
+
+func floatFold(st *cc.AssignStmt) (func(float64, float64) float64, error) {
+	if st.Op == "=" {
+		return func(_, x float64) float64 { return x }, nil
+	}
+	return floatApply(st.Op, st.Pos())
 }
 
 // fold compiles a kernel scalar reduction: the active lanes' values
@@ -1195,10 +1642,7 @@ func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		apply, err := intApply(st.Op, st.Pos())
-		if st.Op == "=" {
-			apply, err = func(_, x int64) int64 { return x }, nil
-		}
+		apply, err := intFold(st)
 		if err != nil {
 			return nil, errSpecIneligible
 		}
@@ -1216,10 +1660,7 @@ func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	apply, err := floatApply(st.Op, st.Pos())
-	if st.Op == "=" {
-		apply, err = func(_, x float64) float64 { return x }, nil
-	}
+	apply, err := floatFold(st)
 	if err != nil {
 		return nil, errSpecIneligible
 	}
@@ -1255,8 +1696,9 @@ type laneIdx struct {
 // index first, then the site itself.
 func (v *vecBuilder) laneIndex(idx cc.Expr) (laneIdx, error) {
 	idx = foldExpr(idx)
-	if _, err := v.sc.affineDegree(idx); err != nil {
-		// A gather; a uniform scale and offset stay out of the vector.
+	if _, err := v.sc.affineDegree(idx); err != nil || v.flat != nil {
+		// A gather (in a flat body, any access: the induction variable is a
+		// vector); a uniform scale and offset stay out of the vector.
 		li := laneIdx{affine: -1}
 		peel := func(op string, dst *dExprI) {
 			b, ok := idx.(*cc.BinaryExpr)
@@ -1480,9 +1922,13 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 		}}, nil
 	}
 	v.usesAct = true
-	ix := li.vec
+	ix, watch := li.vec, -1
 	if ix == nil {
 		ix = v.idxVec(li)
+	}
+	if v.flat != nil && slot == v.flat.hazSlot {
+		// The whole index as a vector, kept with what was loaded.
+		ix, li, watch = v.idxVec(li), laneIdx{affine: -1}, v.flatWatch()
 	}
 	if typ == cc.TInt {
 		bid := v.outI(m)
@@ -1491,7 +1937,9 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 			out := vm.BufI[bid][:L]
 			a := &vm.D.Arrays[slot]
 			k, c := li.scale(vm.D)
-			fetch(out, a.I32, a, q, k, c, vm.act)
+			if fetch(out, a.I32, a, q, k, c, vm.act); watch >= 0 {
+				vm.sites[watch].keep(vm, vm.act, q, out, nil)
+			}
 			return out
 		}}, vOpF{}, nil
 	}
@@ -1504,6 +1952,9 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 			fetch(out, a.F32, a, q, k, c, vm.act)
 		} else {
 			fetch(out, a.F64, a, q, k, c, vm.act)
+		}
+		if watch >= 0 {
+			vm.sites[watch].keep(vm, vm.act, q, nil, out)
 		}
 		return out
 	}}, nil
@@ -1540,6 +1991,24 @@ func storeLanes[T int32 | float32 | float64, S int64 | float64](dst []T, p, A in
 	}
 }
 
+// markWalk records the stores the lanes act (nil: all L of the tile) made
+// to the walk p, p+A, ..., where the launch bound dirty bits to the copy:
+// the bits the per-iteration body's stores set one by one.
+func (a *DArray) markWalk(p, A int64, L int, act []int32) {
+	if a.Dirty == nil {
+		return
+	}
+	if act == nil {
+		for t := 0; t < L; t++ {
+			a.mark(p + A*int64(t))
+		}
+		return
+	}
+	for _, t := range act {
+		a.mark(p + A*int64(t))
+	}
+}
+
 // arrayAssign compiles a store. scan admitted only stores affine in the
 // induction variable, so the walk comes from the runtime's coefficients
 // (a written array is never layout-transformed).
@@ -1561,7 +2030,9 @@ func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 			return func(vm *VecEnv, i0 int64, L int) {
 				s := rv(vm, i0, L)
 				a := &vm.D.Arrays[slot]
-				walkStore(a.I32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
+				p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+				walkStore(a.I32, p, A, s)
+				a.markWalk(p, A, L, nil)
 			}, nil
 		}
 		var apply func(int64, int64) int64
@@ -1573,7 +2044,9 @@ func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			a := &vm.D.Arrays[slot]
-			storeLanes(a.I32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s, apply, vm.act)
+			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+			storeLanes(a.I32, p, A, s, apply, vm.act)
+			a.markWalk(p, A, L, vm.act)
 		}, nil
 	}
 	r, err := v.vExprF(st.RHS)
@@ -1585,14 +2058,18 @@ func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			a := &vm.D.Arrays[slot]
-			walkStore(a.F32, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
+			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+			walkStore(a.F32, p, A, s)
+			a.markWalk(p, A, L, nil)
 		}, nil
 	}
 	if dense {
 		return func(vm *VecEnv, i0 int64, L int) {
 			s := rv(vm, i0, L)
 			a := &vm.D.Arrays[slot]
-			walkStore(a.F64, vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai], s)
+			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+			walkStore(a.F64, p, A, s)
+			a.markWalk(p, A, L, nil)
 		}, nil
 	}
 	var apply func(float64, float64) float64
@@ -1604,11 +2081,13 @@ func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 	return func(vm *VecEnv, i0 int64, L int) {
 		s := rv(vm, i0, L)
 		a := &vm.D.Arrays[slot]
-		if p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]; typ == cc.TFloat {
+		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+		if typ == cc.TFloat {
 			storeLanes(a.F32, p, A, s, apply, vm.act)
 		} else {
 			storeLanes(a.F64, p, A, s, apply, vm.act)
 		}
+		a.markWalk(p, A, L, vm.act)
 	}, nil
 }
 
@@ -1650,6 +2129,10 @@ func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 	r, err := v.vExprF(st.RHS)
 	if err != nil {
 		return nil, err
+	}
+	if v.inj != nil {
+		c, _ := lvCoef(foldExpr(lhs.Index), v.inj.lv)
+		v.inj.sites = append(v.inj.sites, injSite{ix, max(c, -c)})
 	}
 	rv := v.matF(r)
 	return func(vm *VecEnv, i0 int64, L int) {
@@ -1730,6 +2213,9 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 		return vOpI{inv: func(*DEnv) int64 { return k }}, nil
 
 	case *cc.Ident:
+		if vec, _ := v.flatIdent(x.Decl); vec != nil {
+			return vOpI{vec: vec}, nil
+		}
 		if x.Decl == v.loopVar {
 			bid := v.pushI()
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
@@ -2058,6 +2544,9 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 		return vOpF{inv: func(*DEnv) float64 { return k }}, nil
 
 	case *cc.Ident:
+		if _, vec := v.flatIdent(x.Decl); vec != nil {
+			return vOpF{vec: vec}, nil
+		}
 		if u := v.scalars[x.Decl]; u.kind == kPrivate {
 			bid := u.buf - 1
 			if bid < 0 {

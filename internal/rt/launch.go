@@ -424,6 +424,10 @@ type SpecStats struct {
 	// lane-major loop having stored into the window its lockstep prefix
 	// had loaded (ir.DArray.Hit).
 	TiledIters, HazardLanes int64
+	// LaneMajorTrips counts the inner-loop trips tiles ran lane by lane,
+	// through the loop's per-iteration closure; FlatCuts the flat tiles of
+	// a lane-divergent loop that a store-before-load hazard ended early.
+	LaneMajorTrips, FlatCuts int64
 	// Untiled counts the handled chunks that ran a per-iteration body, by
 	// reason: "shape" or "order" (the kernel has no tiled form), "dirty"
 	// (stores needed per-iteration dirty marking) or "alias" (the
@@ -447,6 +451,7 @@ func (s SpecStats) flush(m *trace.Metrics) {
 	counts := map[string]int64{
 		"spec.hits": s.Hits, "spec.fallbacks": s.Fallbacks, "spec.split_pieces": s.SplitPieces,
 		"spec.tiled_iters": s.TiledIters, "spec.hazard_lanes": s.HazardLanes,
+		"spec.lane_major_trips": s.LaneMajorTrips, "spec.flat_cuts": s.FlatCuts,
 	}
 	for prefix, by := range map[string]map[string]int64{
 		"spec.untiled.": s.Untiled, "spec.fallbacks.": s.FallbackReasons, "spec.reject.": s.Rejects,
@@ -477,6 +482,8 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 		}
 		st.TiledIters += gs.tiled
 		st.HazardLanes += gs.hazard
+		st.LaneMajorTrips += gs.laneTrips
+		st.FlatCuts += gs.flatCuts
 		if gs.untiled != "" {
 			st.Untiled[gs.untiled]++
 		}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -152,7 +153,10 @@ func TestSpecScratchLease(t *testing.T) {
 
 // TestHostileMaskedLanes pins the lanes-not-speculation rule of the
 // lockstep tiles: what an inactive lane holds — an index far outside
-// the array, a zero divisor — is never dereferenced or divided by.
+// the array, a zero divisor — is never dereferenced or divided by, and
+// what it would compute — inf - inf in the lanes whose divisor is zero —
+// never reaches a private scalar's vector, through the fused assignment
+// either (fuseLanes: "=" over -, "+=" and "-=" over a product).
 // The tiled run must neither fault nor move a counter relative to the
 // interpreter, which evaluates the guarded expressions only where the
 // guards hold.
@@ -160,16 +164,27 @@ func TestHostileMaskedLanes(t *testing.T) {
 	const src = `
 int n, m;
 int idx_[n], den_[n], a_[m], out_[n];
+float big_[n], outf_[n];
 void main() {
     int i;
-    #pragma acc data copyin(idx_, den_, a_) copyout(out_)
+    #pragma acc data copyin(idx_, den_, a_, big_) copyout(out_, outf_)
     {
         #pragma acc parallel loop
         for (i = 0; i < n; i++) {
             int j, d, v;
+            float x, y, s;
             j = idx_[i];
             d = den_[i];
             v = 0;
+            x = big_[i] * 10.0;
+            y = x;
+            s = 1.0;
+            if (d != 0) {
+                s = x - y;
+                s += x * y;
+                s -= y * 0.5;
+            }
+            outf_[i] = s;
             if (j >= 0) {
                 if (j < m) {
                     v = a_[j];
@@ -202,6 +217,12 @@ void main() {
 			}
 			den.I32[i] = int32(i%5 - 2) // zero in one lane of five
 		}
+		big, _ := inst.Array("big_")
+		for i := range big.F32 {
+			if big.F32[i] = float32(i%7) - 3; i%5 == 2 {
+				big.F32[i] = 3e38 // x and y are +Inf where the divisor is zero
+			}
+		}
 		mach, err := sim.NewMachine(sim.Desktop())
 		if err != nil {
 			t.Fatal(err)
@@ -224,6 +245,13 @@ void main() {
 	got, _ := inst.Array("out_")
 	if !reflect.DeepEqual(want.I32, got.I32) {
 		t.Fatal("out_ diverged")
+	}
+	wantF, _ := refInst.Array("outf_")
+	gotF, _ := inst.Array("outf_")
+	for i, w := range wantF.F32 {
+		if g := gotF.F32[i]; g != w || i%5 == 2 && g != 1 {
+			t.Fatalf("outf_[%d] = %v tiled, %v interpreted (1 where the arm is skipped)", i, g, w)
+		}
 	}
 }
 
@@ -683,6 +711,92 @@ func TestMarkDirtyAffine(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestLockstepStoreDirtyBits holds the dirty bits a tile sets for a store
+// under an arm (from its active-lane list) and for an unconditional store
+// to the same array (the whole tile) against the interpreter's, which
+// marks store by store: element bits and second-level chunk bits of every
+// GPU's copy after Phase B alone, and the P2P bytes of whole launches,
+// which follow from the chunk bits. The kernel is KMEANS's centre update;
+// one element in a hundred or so keeps the arm, so that some chunks of
+// that half of the array stay clean in every tile. Mutation check: marking every lane of the
+// tile under the arm (ir.DArray.markWalk with act nil) fails here on the
+// bits and on BytesP2P.
+func TestLockstepStoreDirtyBits(t *testing.T) {
+	const src = `
+int n;
+int cnt_[n];
+float a_[2 * n], b_[n];
+void main() {
+    int j;
+    #pragma acc parallel loop
+    for (j = 0; j < n; j++) {
+        if ((j + cnt_[j] % 2) % 100 == 0) {
+            a_[j] = b_[j] / (float)(cnt_[j] + 7);
+        }
+        if (cnt_[j] % 5 == 0) {
+            a_[n + j] += 1.0;
+        } else {
+            a_[n + j] = b_[j];
+        }
+        b_[j] = 0.5;
+    }
+}
+`
+	type bits struct{ dirty, chunks [][]uint8 }
+	phaseB := func(opts Options) (bits, SpecStats, int64) {
+		s := newSpecLaunchState(t, src, map[string]float64{"n": 3000}, opts)
+		r, k, env := s.r, s.k, s.env
+		p2p := r.Report().BytesP2P
+		parts, needs := r.resolvePlan(k, env, r.mach.NumGPUs(), k.Lower(env), k.Upper(env))
+		for _, use := range k.Arrays {
+			for _, c := range r.state(use.Decl).copies {
+				c.clearDirty()
+			}
+		}
+		ex := r.specExecutor(k)
+		var got bits
+		for g, dev := range r.mach.GPUs() {
+			_, handled, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.specTally(k, ex, g, handled, parts[g].count())
+			ui := slices.IndexFunc(k.Arrays, func(use *ir.ArrayUse) bool { return use.Decl.Name == "a_" })
+			c := r.state(k.Arrays[ui].Decl).copies[g]
+			if !needs[g][ui].wantDirty {
+				t.Fatal("premise: a_ is not dirty-marked on this machine")
+			}
+			got.dirty = append(got.dirty, slices.Clone(c.dirty))
+			got.chunks = append(got.chunks, slices.Clone(c.chunkDirty))
+		}
+		return got, r.SpecStats(), p2p
+	}
+	// Chunks of 16 elements.
+	want, _, wantP2P := phaseB(Options{ChunkBytes: 64, DisableSpecialize: true})
+	got, st, gotP2P := phaseB(Options{ChunkBytes: 64})
+	if st.TiledIters == 0 || len(st.Untiled) != 0 || st.Fallbacks != 0 {
+		t.Fatalf("the kernel did not run tiled: %+v", st)
+	}
+	marked := 0
+	for g := range want.dirty {
+		for p, b := range want.dirty[g] {
+			marked += int(b)
+			if got.dirty[g][p] != b {
+				t.Fatalf("GPU %d: dirty[%d] = %d in the tile, %d in the interpreter", g, p, got.dirty[g][p], b)
+			}
+		}
+		if !slices.Equal(got.chunks[g], want.chunks[g]) {
+			t.Fatalf("GPU %d: chunk bits %v in the tile, %v in the interpreter", g, got.chunks[g], want.chunks[g])
+		}
+	}
+	if marked <= 3000+10 || marked > 3000+60 {
+		t.Errorf("%d elements marked; want the 3000 unconditional ones and a hundredth or so of the rest", marked)
+	}
+	if gotP2P != wantP2P || gotP2P == 0 {
+		t.Errorf("BytesP2P %d tiled, %d interpreted; want equal and nonzero", gotP2P, wantP2P)
 	}
 }
 

@@ -35,6 +35,9 @@ type specTemplate struct {
 	// kernel shape the translator never emits but the runtime must stay
 	// safe on.
 	tweak func(*ir.Module)
+	// check, when set, holds the specialized run's engine counts to what
+	// the template is there to exercise.
+	check func(rt.SpecStats) error
 }
 
 func nScalar(rng *rand.Rand) map[string]float64 {
@@ -930,6 +933,7 @@ void main() {
 	}
 	specTemplates = append(specTemplates, tailTemplates()...)
 	specTemplates = append(specTemplates, safetyTemplates()...)
+	specTemplates = append(specTemplates, loopTemplates()...)
 	// Every compound operator of a private int scalar, over the whole tile
 	// and under arms: the divisor is zero in the lanes that skip the arm.
 	specTemplates = append(specTemplates, specTemplate{
@@ -1506,6 +1510,264 @@ void main() {
 	return out
 }
 
+// loopTemplates hold the three loop schedules of a tile against the
+// interpreter. loopred-*: reduction-lane updates inside a uniform loop, at
+// indices injective in its variable, in lockstep. unloopred-*: the
+// neighbouring shapes the injectivity rule must turn away (they run as
+// flat tiles or lane by lane, both in iteration order); each is built so
+// that trip-major order changes the bits of a float sum. flat-*: loops
+// with divergent trips or ordered effects as flat tiles, with the hazards
+// the commit must catch (n is fixed where the counts are held: a worker's
+// chunk of fewer than 32 iterations runs such a loop lane by lane).
+//
+// Mutation checks (each was made, the named templates failed, and it was
+// undone): without rule (c) of vecBuilder.injective (the rest of the
+// index reads nothing the loop assigns), unloopred-rest-assigned; without
+// rule (a) (a nonzero coefficient), unloopred-coef0 and unloopred-cancel;
+// without the per-tile laneOrdered check, loopred-overlap; committing a
+// flat tile past its first hazard lane (walkLanes never returning early),
+// flat-bfs-dup, flat-rmw and the tail-* BFS bodies; folding the segmented
+// acc without its float32 rounding per step (flatFold), flat-spmv and
+// tail-spmv.
+func loopTemplates() []specTemplate {
+	want := func(cond func(rt.SpecStats) bool, what string) func(rt.SpecStats) error {
+		return func(st rt.SpecStats) error {
+			if !cond(st) {
+				return fmt.Errorf("want %s", what)
+			}
+			return nil
+		}
+	}
+	fixedN := func(n float64) func(*rand.Rand) map[string]float64 {
+		return func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} }
+	}
+	lockstep := want(func(st rt.SpecStats) bool { return st.LaneMajorTrips == 0 && st.FlatCuts == 0 }, "no lane-major trip, no flat cut")
+	kmeansScalars := func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["k"], m["nf"] = float64(3+rng.Intn(5)), float64(2+rng.Intn(8))
+		return m
+	}
+	// The KMEANS body with the loop's body left open.
+	loopred := func(name, body string, check func(rt.SpecStats) error) specTemplate {
+		return specTemplate{name: name, scalars: kmeansScalars, check: check, src: `
+int n, k, nf;
+float feat_[n * nf], newf_[k * nf];
+int in_[n], cnt_[k * nf], out_[n * nf];
+double prod_[k * nf], newc_[k * nf + 4 * nf + 8];
+void main() {
+    int i;
+    #pragma acc data copyin(feat_, in_) copy(newc_, newf_, cnt_, prod_, out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int f, g, best, b;
+            best = (in_[i] % k + k) % k;
+            for (f = 0; f < nf; f++) {
+                ` + body + `
+            }
+        }
+    }
+}
+`}
+	}
+	// The addends carry more bits than a float64 sum keeps and the target
+	// is a double, so that the order of an element's updates shows in its
+	// bits.
+	const sum = `#pragma acc reductiontoarray(+: newc_[IDX])
+                newc_[IDX] += feat_[i * nf + f] * feat_[i * nf + f] * 1.1;`
+	at := func(idx string) string { return strings.ReplaceAll(sum, "IDX", idx) }
+	out := []specTemplate{
+		// Double, float and int targets, + and *, an update under an arm of
+		// the loop, coefficients 1 and -1.
+		loopred("loopred-kmeans", at("best * nf + f")+`
+                #pragma acc reductiontoarray(+: newf_[best * nf + f])
+                newf_[best * nf + f] += feat_[i * nf + f];
+                #pragma acc reductiontoarray(+: cnt_[nf * best + (nf - 1 - f)])
+                cnt_[nf * best + (nf - 1 - f)] += in_[i] + f;
+                if (feat_[i * nf + f] > 0.0) {
+                    #pragma acc reductiontoarray(*: prod_[best * nf + f])
+                    prod_[best * nf + f] *= 1.0 + 0.001 * feat_[i * nf + f];
+                }`, lockstep),
+		// Injective per lane, but the lanes' element ranges overlap (best +
+		// 2f against best' + 2f'): trip-major order would reorder an
+		// element's float updates, so the tile runs the loop lane by lane.
+		loopred("loopred-overlap", at("best + 2 * f"),
+			want(func(st rt.SpecStats) bool { return st.LaneMajorTrips > 0 }, "lane-major trips")),
+		// An int target commutes: no per-tile check, whatever the overlap.
+		loopred("loopred-overlap-int", `#pragma acc reductiontoarray(+: cnt_[best + f])
+                cnt_[best + f] += in_[i];`, lockstep),
+		loopred("unloopred-coef0", at("best"), nil),
+		loopred("unloopred-cancel", at("2 * f - 2 * f + best + 2 * nf"), nil),
+		loopred("unloopred-rest-assigned", `b = (in_[f] % 3 + 3) % 3;
+                `+at("b + f"), nil),
+		loopred("unloopred-nested", `for (g = 0; g < 2; g++) {
+                    `+at("best * nf + f")+`
+                }`, nil),
+		loopred("unloopred-store-too", `out_[i * nf + f] = in_[i] + f;
+                `+at("best * nf + f"), nil),
+	}
+
+	// BFS over a graph built so that two parents of one undiscovered vertex
+	// share a flat tile: both edges of vertex m (m < 300, the first
+	// frontier) point at 300+m/2, from adjacent flat lanes, but for the
+	// first edges of vertices 0 and 250, which point at 900 from flat lanes
+	// 0 and 500. Every vertex has two edges.
+	out = append(out, specTemplate{
+		name:    "flat-bfs-dup",
+		scalars: fixedN(1200),
+		check:   want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 }, "flat cuts"),
+		src: `
+int n, level, changed;
+int off_[n + 1], edges_[2 * n], cost_[n];
+void main() {
+    int i, j;
+    for (j = 0; j < n; j++) {
+        off_[j] = 2 * j;
+        edges_[2 * j] = (j * 7919 + 13) % n;
+        edges_[2 * j + 1] = (j * 104729 + 7) % n;
+        cost_[j] = 0 - 1;
+    }
+    off_[n] = 2 * n;
+    for (j = 0; j < 300; j++) {
+        edges_[2 * j] = 300 + j / 2;
+        edges_[2 * j + 1] = 300 + j / 2;
+        cost_[j] = 0;
+    }
+    edges_[0] = 900;
+    edges_[500] = 900;
+    #pragma acc data copyin(off_, edges_) copy(cost_)
+    {
+        changed = 1;
+        level = 0;
+        while (changed) {
+            changed = 0;
+            #pragma acc parallel loop reduction(|:changed)
+            for (i = 0; i < n; i++) {
+                int e, w;
+                if (cost_[i] == level) {
+                    for (e = off_[i]; e < off_[i + 1]; e++) {
+                        w = edges_[e];
+                        if (cost_[w] < 0) {
+                            cost_[w] = level + 1;
+                            changed = 1;
+                        }
+                    }
+                }
+            }
+            level++;
+        }
+    }
+}
+`})
+	// tail-flip's read-modify-write with few targets (TARGETS of them), so
+	// that flat lanes of one flat tile load what earlier ones store: some
+	// cuts at 97 targets, nothing but cuts at 2 — the outer tile then gives
+	// the loop up and finishes lane by lane.
+	for _, tc := range []struct {
+		name, targets string
+		scalars       func(*rand.Rand) map[string]float64
+		check         func(rt.SpecStats) error
+	}{
+		{"flat-rmw", "97", fixedN(1024), want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 }, "flat cuts")},
+		{"flat-dense-cuts", "2", fixedN(4096),
+			want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 && st.LaneMajorTrips > 0 }, "flat cuts, then lane-major trips")},
+	} {
+		out = append(out, specTemplate{name: tc.name, scalars: tc.scalars, check: tc.check, src: strings.ReplaceAll(`
+int n;
+float trips;
+int deg_[n], off_[n + 1], edges_[3 * n], g_[n];
+void main() {
+    int i, j, s;`+csrPrologue+`
+    for (j = 0; j < 3 * n; j++) {
+        edges_[j] = edges_[j] % TARGETS;
+    }
+    trips = 0.0;
+    #pragma acc data copyin(off_, edges_) copy(g_)
+    {
+        for (s = 0; s < 2; s++) {
+            #pragma acc parallel loop reduction(+:trips)
+            for (i = 0; i < n; i++) {
+                int e, w;
+                if (g_[i] > 0 - 2000) {
+                    for (e = off_[i]; e < off_[i + 1]; e++) {
+                        w = edges_[e];
+                        g_[w] = 0 - g_[w] + e;
+                        trips += 1.0;
+                    }
+                }
+            }
+        }
+    }
+}
+`, "TARGETS", tc.targets)})
+	}
+	out = append(out,
+		// SPMV with rows of 0, 1 and 700 entries: a row spans flat tiles, the
+		// accumulator of the outer tile rounds to float32 at every step.
+		specTemplate{name: "flat-spmv", scalars: fixedN(640), check: lockstep, src: `
+int n;
+int off_[n + 1], cols_[240 * n];
+float vals_[240 * n], x_[n], y_[n];
+void main() {
+    int i, j;
+    off_[0] = 0;
+    for (j = 0; j < n; j++) {
+        off_[j + 1] = off_[j] + (j % 3) * (j % 3) * 175 - (j % 3) * 174;
+    }
+    for (j = 0; j < 240 * n; j++) {
+        cols_[j] = (j * 7919 + 13) % n;
+    }
+    #pragma acc data copyin(off_, cols_, vals_, x_) copyout(y_)
+    {
+        #pragma acc localaccess(y_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            acc = 0.5;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                acc += vals_[e] * x_[cols_[e]] * 1000.0;
+            }
+            y_[i] = acc;
+        }
+    }
+}
+`},
+		// Rows of five trips whose middle one stores into the window the
+		// tile's guard loaded (three lanes ahead), the others outside every
+		// window: the storing lane finishes its row, the lanes after it
+		// re-run with the guard they now see.
+		specTemplate{name: "flat-window", scalars: fixedN(2048),
+			check: want(func(st rt.SpecStats) bool { return st.HazardLanes > 0 && st.LaneMajorTrips == 0 }, "hazard lanes, no lane-major trip"),
+			src: `
+int n;
+int tgt_[5 * n], g_[7 * n];
+void main() {
+    int i, j;
+    for (j = 0; j < n; j++) {
+        for (i = 0; i < 5; i++) {
+            tgt_[5 * j + i] = n + 5 * j + i;
+        }
+        tgt_[5 * j + 2] = min(j + 3, n - 1);
+    }
+    #pragma acc data copyin(tgt_) copy(g_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e, w;
+            if (g_[i] > 0) {
+                for (e = 5 * i; e < 5 * i + 5; e++) {
+                    w = tgt_[e];
+                    g_[w] = 0 - g_[w] - e;
+                }
+            }
+        }
+    }
+}
+`})
+	return out
+}
+
 // runSpecTemplate compiles, binds and runs one template, filling every
 // array deterministically from fillSeed after Bind (the module
 // auto-allocates unbound arrays). idx_ arrays get a permutation of [0, n).
@@ -1588,6 +1850,16 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 			// interpreter, not the per-iteration body.
 			if st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0 {
 				t.Fatalf("%s: not tiled: %+v", label, st)
+			}
+		}
+		for _, prefix := range []string{"loopred-", "unloopred-", "flat-"} {
+			if strings.HasPrefix(tpl.name, prefix) && (st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0) {
+				t.Fatalf("%s: not tiled: %+v", label, st)
+			}
+		}
+		if tpl.check != nil {
+			if err := tpl.check(st); err != nil {
+				t.Fatalf("%s: %v: %+v", label, err, st)
 			}
 		}
 		if strings.HasPrefix(tpl.name, "tail-") && (st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0) ||

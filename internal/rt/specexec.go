@@ -48,18 +48,23 @@ import (
 //
 // A handled chunk runs one of two bodies, chosen per piece: the tiled
 // one (ir.VStmt: a tile of consecutive iterations — straight-line
-// statements, data-dependent arms, uniform inner loops and gathers in
-// lockstep, loops that store or whose trips diverge lane by lane) or the
-// per-iteration one. The per-iteration body runs where the kernel has no
-// tiled form (KernelSpec.Untiled: "shape" or "order" — a body that is
-// nothing but a storing loop, a scatter or gather across the lockstep /
-// lane-major division, a reduction target with two update sites), where
-// a store the tile would execute in lockstep needs per-iteration dirty
-// marking this launch ("dirty"; stores inside a lane-major loop mark
-// through their closures either way), and where the piece's affine
-// accesses fail the alias check ("alias"). A tile whose lane-major loop
-// stores into the window its own lockstep prefix loaded (BFS) finishes
-// its remaining lanes on the per-iteration body: SpecStats.HazardLanes. A
+// statements, data-dependent arms, gathers and uniform inner loops in
+// lockstep, loops that store or whose trips diverge as flat tiles, see
+// ir/specflat.go) or the per-iteration one. The per-iteration body runs
+// where the kernel has no tiled form (KernelSpec.Untiled: "shape" or
+// "order" — a body that is nothing but a storing loop, a scatter or
+// gather across the division between the lockstep statements and such a
+// loop, a reduction target with two update sites), where a store the
+// tile would execute in lockstep must mark dirty bits one by one on a
+// column-major copy ("dirty"; on a copy in logical order the tile marks
+// from its active-lane list, and the stores of flat tiles mark as they
+// commit), and where the piece's affine accesses fail the alias check
+// ("alias"). A tile whose loop stores into the window its own lockstep
+// prefix loaded (BFS) finishes its remaining lanes on the per-iteration
+// body: SpecStats.HazardLanes. What a tile's loops did beyond the plain
+// schedule is counted too: LaneMajorTrips (trips run through a loop's
+// per-iteration closure: none on the apps) and FlatCuts (flat tiles a
+// store-before-load hazard ended early). A
 // kernel marked SerialWorkers (it loads from an array it scatters to)
 // runs its workers in worker order on one goroutine, here and on the
 // interpreter, so that what it counts does not depend on how the
@@ -142,10 +147,12 @@ type specGPU struct {
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
 	// tiled is how many of this launch's iterations ran tiled, hazard
-	// how many of those re-ran after a window hit; untiled says why some
-	// piece ran the per-iteration body ("" when none did).
-	tiled, hazard int64
-	untiled       string
+	// how many of those re-ran after a window hit, laneTrips the inner-loop
+	// trips tiles ran lane by lane, flatCuts the flat tiles a hazard cut;
+	// untiled says why some piece ran the per-iteration body ("" when none
+	// did).
+	tiled, hazard, laneTrips, flatCuts int64
+	untiled                            string
 	// work is the ForWorkers callback (runChunk on this slot), built
 	// once; lo, chunk and anyVec are what it needs of the launch at hand:
 	// the span's first iteration, the worker chunk length, and whether
@@ -261,7 +268,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	spec := ex.spec
 	n := p.count()
 	gs := &ex.gs[g]
-	gs.reason, gs.untiled, gs.tiled, gs.hazard = "", "", 0, 0
+	gs.reason, gs.untiled, gs.tiled, gs.hazard, gs.laneTrips, gs.flatCuts = "", "", 0, 0, 0, 0
 
 	// Structural per-GPU fallbacks. Layout-transformed copies are
 	// handled (the direct arrays carry the column-major remap), except
@@ -318,7 +325,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		copy(de.Ints, env.Ints)
 		copy(de.Floats, env.Floats)
 		clear(de.Branch)
-		de.HazardLanes = 0
+		de.HazardLanes, de.LaneMajorTrips, de.FlatCuts = 0, 0, 0
 		for ri, red := range k.ScalarReds {
 			setRedSlotD(de, red, redVals[ri])
 		}
@@ -345,9 +352,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	}
 
 	// Each piece runs its tiled body unless it has none, one of its
-	// lockstep stores must mark dirty bits one by one (the stores of a
-	// lane-major loop mark through their closures either way), or its
-	// accesses fail the alias check.
+	// lockstep stores must mark dirty bits one by one on a column-major
+	// copy, or its accesses fail the alias check.
 	gs.lo, gs.chunk, gs.anyVec = p.lo, chunk, false
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
@@ -379,6 +385,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	clear(gs.branch)
 	for _, de := range gs.envs[:nw] {
 		gs.hazard += de.HazardLanes
+		gs.laneTrips += de.LaneMajorTrips
+		gs.flatCuts += de.FlatCuts
 		for j := range gs.branch {
 			gs.branch[j] += de.Branch[j]
 		}
@@ -812,11 +820,14 @@ func (ex *specExec) checkProof(r *Runtime, k *ir.Kernel, g int, gs *specGPU) str
 }
 
 // lockstepDirty reports a store the tiled body would execute in lockstep
-// on a slot whose stores mark dirty bits one by one this launch (de is
-// any of the launch's worker environments: all bind the same slots).
+// on a column-major copy whose stores mark dirty bits one by one this
+// launch: the tile marks along the logical walk (ir.DArray.markWalk),
+// which is the physical one only on a copy in logical order (de is any of
+// the launch's worker environments: all bind the same slots).
 func (pc *specPiece) lockstepDirty(de *ir.DEnv) bool {
 	for ai := range pc.v.Accesses {
-		if a := &pc.v.Accesses[ai]; a.Kind == ir.AccessStore && a.LaneLoop == 0 && de.Arrays[a.Slot].Dirty != nil {
+		a := &pc.v.Accesses[ai]
+		if da := &de.Arrays[a.Slot]; a.Kind == ir.AccessStore && a.LaneLoop == 0 && da.Dirty != nil && da.TWidth != 0 {
 			return true
 		}
 	}

@@ -50,9 +50,21 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 		}
 		lines = append(lines, line)
 	}
-	templates := func(safety bool) {
+	// The groups in the order their rows were first written: the original
+	// templates, (the apps,) the safety templates, the loop templates.
+	group := func(name string) int {
+		switch prefix, _, _ := strings.Cut(name, "-"); prefix {
+		case "safety":
+			return 1
+		case "loopred", "unloopred", "flat":
+			return 2
+		}
+		return 0
+	}
+	templates := func(g int) {
+		safety := g == 1
 		for _, tpl := range specTemplates {
-			if strings.HasPrefix(tpl.name, "safety-") != safety {
+			if group(tpl.name) != g {
 				continue
 			}
 			for _, m := range machines {
@@ -64,7 +76,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			}
 		}
 	}
-	templates(false)
+	templates(0)
 	for _, ac := range []struct {
 		name  string
 		scale float64
@@ -101,7 +113,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			record("app "+ac.name, m, r, false)
 		}
 	}
-	templates(true)
+	templates(1)
+	templates(2)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

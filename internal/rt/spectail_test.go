@@ -74,7 +74,7 @@ void main() {
 }
 
 // TestBFSRunsTiled pins the paper's irregular app on the tile executor:
-// the guard in lockstep, the edge loop lane by lane, no piece on the
+// the guard in lockstep, the edge loop as flat tiles, no piece on the
 // per-iteration body, and only the tiles that straddle two BFS layers
 // cut short by a store into their own window.
 func TestBFSRunsTiled(t *testing.T) {
@@ -102,36 +102,41 @@ func TestBFSRunsTiled(t *testing.T) {
 	}
 }
 
-// BenchmarkPhaseBBFS runs BFS whole (0.01x, desktop; ten guarded sweeps
-// over a layered graph) and reports the host time Phase B took per
-// kernel iteration — the one to profile for the tile executor's sparse
-// guards: go test ./internal/rt -run '^$' -bench PhaseBBFS -cpuprofile
-// cpu.out.
-func BenchmarkPhaseBBFS(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		opts Options
-	}{{"specialized", Options{}}, {"interpreted", Options{DisableSpecialize: true}}} {
-		b.Run(bc.name, func(b *testing.B) {
-			var wall time.Duration
-			var iters int64
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				_, inst, _ := appInstance(b, "BFS", 0.01)
-				mach, err := sim.NewMachine(sim.Desktop())
-				if err != nil {
-					b.Fatal(err)
+// BenchmarkPhaseBApps runs the three paper apps whole, at the scales of
+// the host-time benchmark's apps_kernel workload (desktop), and reports
+// the host time Phase B took per kernel iteration, specialized and
+// interpreted — the ones to profile for the tile executor: go test
+// ./internal/rt -run '^$' -bench PhaseBApps/BFS/spec -cpuprofile cpu.out.
+func BenchmarkPhaseBApps(b *testing.B) {
+	for _, app := range []struct {
+		name  string
+		scale float64
+	}{{"BFS", 0.01}, {"KMEANS", 0.001}, {"MD", 0.05}} {
+		for _, bc := range []struct {
+			name string
+			opts Options
+		}{{"specialized", Options{}}, {"interpreted", Options{DisableSpecialize: true}}} {
+			b.Run(app.name+"/"+bc.name, func(b *testing.B) {
+				var wall time.Duration
+				var iters int64
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					_, inst, _ := appInstance(b, app.name, app.scale)
+					mach, err := sim.NewMachine(sim.Desktop())
+					if err != nil {
+						b.Fatal(err)
+					}
+					r := New(mach, bc.opts)
+					b.StartTimer()
+					if err := r.Run(inst); err != nil {
+						b.Fatal(err)
+					}
+					wall += r.PhaseBWall()
+					iters += r.Report().Counters.Iterations
 				}
-				r := New(mach, bc.opts)
-				b.StartTimer()
-				if err := r.Run(inst); err != nil {
-					b.Fatal(err)
-				}
-				wall += r.PhaseBWall()
-				iters += r.Report().Counters.Iterations
-			}
-			b.ReportMetric(float64(wall.Nanoseconds())/float64(iters), "ns/iter")
-		})
+				b.ReportMetric(float64(wall.Nanoseconds())/float64(iters), "ns/iter")
+			})
+		}
 	}
 }
 

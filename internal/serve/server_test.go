@@ -268,6 +268,17 @@ func TestRunEndpointBasics(t *testing.T) {
 		t.Errorf("error code = %q", eresp.Error.Code)
 	}
 
+	// So is a source nested past the parser's budget (it used to end the
+	// process with a stack overflow): a positioned compile error.
+	bomb := "int x;\nvoid main() { x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "; }"
+	rec = post(t, h, "/v1/compile", marshal(t, &CompileRequest{Source: bomb}))
+	eresp = ErrorResponse{}
+	json.Unmarshal(rec.Body.Bytes(), &eresp)
+	if rec.Code != http.StatusUnprocessableEntity || eresp.Error.Code != "compile_error" ||
+		!strings.Contains(eresp.Error.Message, "line 2:1019: expression nested deeper than") {
+		t.Errorf("nested source: status %d, error %+v", rec.Code, eresp.Error)
+	}
+
 	// Vet rejection carries the diagnostics.
 	rec = post(t, h, "/v1/run", marshal(t, &RunRequest{
 		Source: vetBadSrc, Vet: true, Scalars: map[string]float64{"n": 16},

@@ -281,13 +281,8 @@ func (t *xlate) buildArrayUse(in *accessInfo, spec *cc.LocalSpec) (*ir.ArrayUse,
 		if fp.Right, err = ir.CompileExprI(spec.Right); err != nil {
 			return nil, err
 		}
-	} else {
-		if fp.Lower, err = ir.CompileExprI(spec.Lower); err != nil {
-			return nil, err
-		}
-		if fp.Upper, err = ir.CompileExprI(spec.Upper); err != nil {
-			return nil, err
-		}
+	} else if fp, err = ir.BoundsFootprint(spec.Lower, spec.Upper); err != nil {
+		return nil, err
 	}
 	use.Local = fp
 
