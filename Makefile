@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-short cover cover-fastpath loc bench bench-quick bench-host eval eval-json examples clean check fuzz-smoke accvet trace-check loadtest-smoke
+.PHONY: all build vet lint test test-short cover cover-fastpath loc bench bench-quick bench-host eval eval-json examples clean check invariants fuzz-smoke accvet trace-check loadtest-smoke
 
 # Optional linters: used when present on PATH, skipped (with a pinned
 # install hint) when absent — `make lint` must work in a hermetic
@@ -13,7 +13,8 @@ GOVULNCHECK_VERSION ?= v1.1.4
 all: build vet test
 
 # check is the pre-PR gate: lint (go vet plus the optional linters when
-# installed), the plain test suite, the race
+# installed), the invariants table's own tests (the fast gate: it fails
+# first), the plain test suite, the race
 # detector over the suite (the runtime launches kernels concurrently
 # across simulated GPUs; -short skips the full-scale app inputs, which
 # take ~10x longer under the detector), the trace golden/invariance
@@ -26,6 +27,7 @@ all: build vet test
 # dependence cross-check fuzzer and the transfer-pricing-vs-reference
 # fuzzer.
 check: lint
+	$(MAKE) invariants
 	$(GO) test ./...
 	$(GO) test -race -short -timeout 1200s ./...
 	$(MAKE) trace-check
@@ -33,6 +35,22 @@ check: lint
 	$(MAKE) loadtest-smoke
 	$(MAKE) accvet
 	$(MAKE) fuzz-smoke
+
+# invariants runs exactly the tests DESIGN.md §6 names as pinning its
+# rows — read out of the table's last column, so the table cannot name a
+# test that is gone: a name `go test -list` does not find fails the
+# target before anything runs. Fuzz targets run their seed corpus, the
+# one benchmark a single iteration. The fast pre-commit gate.
+invariants:
+	@names=$$(awk -F'|' '/^## 6\. /{on=1} /^## 7\. /{on=0} on && /^\| [0-9]/{print $$5}' DESIGN.md | \
+		grep -oE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]+`' | tr -d '`' | sort -u); \
+	re="^($$(echo $$names | tr ' ' '|'))$$"; \
+	have=$$($(GO) test -list "$$re" ./... | grep -E '^(Test|Fuzz|Benchmark)'); \
+	for n in $$names; do \
+		echo "$$have" | grep -qx "$$n" || { echo "invariants: DESIGN.md §6 names $$n, which no package has"; exit 1; }; \
+	done; \
+	echo "invariants: $$(echo $$names | wc -w) tests named by DESIGN.md §6"; \
+	$(GO) test -run "$$re" -bench "$$re" -benchtime=1x ./internal/... ./cmd/...
 
 # loadtest-smoke is the fast correctness pass over the accd load-test
 # harness: a small concurrent run of the mixed corpus where every
@@ -164,7 +182,7 @@ bench:
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
 	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
-		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBApps|BenchmarkLaunchOverhead' \
+		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBApps|BenchmarkPhaseBUntiled|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core

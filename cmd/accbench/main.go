@@ -88,7 +88,7 @@ func main() {
 		}()
 	}
 
-	cfg := bench.Config{Scale: *scale, Seed: *seed, Verify: *verify, NoSpecialize: rf.NoSpecialize, Async: !rf.NoAsync}
+	cfg := bench.Config{Scale: *scale, Seed: *seed, Verify: *verify, Reference: rf.Reference, Async: !rf.NoAsync}
 	if tracer := rf.NewTracer(); tracer != nil {
 		cfg.Trace = tracer
 		defer func() {

@@ -37,6 +37,12 @@ type App struct {
 	// Generate builds an input at a fraction of the paper's size
 	// (scale 1.0 reproduces the paper's footprint).
 	Generate func(scale float64, seed int64) (*Input, error)
+	// Shape is the sizes of Generate(scale, seed) without the data: the
+	// scalars every array length of Source depends on, the same for
+	// every seed. It costs nothing, so a footprint can be computed (and
+	// refused) before anything is generated. Where a size does depend
+	// on the seed (SPMV's nnz) it is the upper bound.
+	Shape func(scale float64) *ir.Bindings
 	// DefaultScale keeps functional runs tractable in the harness.
 	DefaultScale float64
 }

@@ -102,20 +102,16 @@ func TestKernelExecutionCounts(t *testing.T) {
 
 func TestDeviceMemoryPaperScale(t *testing.T) {
 	// Table II column A at scale 1.0, against the paper's numbers
-	// (MD 39.8 MB, KMEANS 69.2 MB, BFS 444.9 MB) within 15%.
-	// Binding at full scale only sizes arrays; nothing executes, but
-	// BFS allocates ~450 MB of host slices here.
+	// (MD 39.8 MB, KMEANS 69.2 MB, BFS 444.9 MB) within 15%: a question
+	// about sizes, asked of the sizes (Shape) — nothing is generated or
+	// allocated.
 	want := map[string]float64{"MD": 39.8e6, "KMEANS": 69.2e6, "BFS": 444.9e6}
 	for _, app := range All() {
 		prog, err := core.Compile(app.Source)
 		if err != nil {
 			t.Fatal(err)
 		}
-		in, err := app.Generate(1.0, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := core.DeviceMemoryUsage(prog, in.Bindings)
+		got, err := core.DeviceMemoryUsage(prog, app.Shape(1.0))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,6 +119,41 @@ func TestDeviceMemoryPaperScale(t *testing.T) {
 		if ratio := float64(got) / w; ratio < 0.85 || ratio > 1.15 {
 			t.Errorf("%s: device memory = %.1f MB, paper %.1f MB (ratio %.2f)",
 				app.Name, float64(got)/1e6, w/1e6, ratio)
+		}
+	}
+}
+
+// TestShapeMatchesGenerate pins Shape to the generators: every scalar it
+// gives is the one Generate binds, for any seed — but SPMV's nnz, drawn
+// by the seed, of which it is the upper bound — and they are all the
+// scalars the array sizes read (the footprints agree).
+func TestShapeMatchesGenerate(t *testing.T) {
+	for _, app := range append(All(), Extended()...) {
+		prog, err := core.Compile(app.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{0.00001, 0.002, 0.01} {
+			shape := app.Shape(scale)
+			want, err := core.DeviceMemoryUsage(prog, shape)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				in, err := app.Generate(scale, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for name, v := range shape.Scalars {
+					got := in.Bindings.Scalars[name]
+					if bound := app.Name == "SPMV" && name == "nnz"; got != v && !(bound && got < v) {
+						t.Errorf("%s %gx seed %d: Shape says %s = %g, Generate bound %g", app.Name, scale, seed, name, v, got)
+					}
+				}
+				if got, err := core.DeviceMemoryUsage(prog, in.Bindings); err != nil || got != want && !(app.Name == "SPMV" && got < want) {
+					t.Errorf("%s %gx seed %d: footprint %d bytes (%v), Shape's %d", app.Name, scale, seed, got, err, want)
+				}
+			}
 		}
 	}
 }

@@ -73,16 +73,21 @@ func BFS() *App {
 		Source:       bfsSource,
 		DefaultScale: 0.04,
 		Generate:     generateBFS,
+		Shape:        shapeBFS,
 	}
 }
 
+func shapeBFS(scale float64) *ir.Bindings {
+	nv := max(scaled(bfsVerticesPaper, scale), bfsLayers)
+	return ir.NewBindings().
+		SetScalar("nv", float64(nv)).
+		SetScalar("ne", float64(workload.LayeredGraphEdges(nv, bfsAvgDegree, bfsLayers)))
+}
+
 func generateBFS(scale float64, seed int64) (*Input, error) {
-	nv := scaled(bfsVerticesPaper, scale)
-	if nv < bfsLayers {
-		nv = bfsLayers
-	}
+	b := shapeBFS(scale)
+	nv, ne := int(b.Scalars["nv"]), int(b.Scalars["ne"])
 	g := workload.GenLayeredGraph(nv, bfsAvgDegree, bfsLayers, seed)
-	ne := g.NumEdges()
 
 	offD := &cc.VarDecl{Name: "off", Type: cc.TInt, IsArray: true}
 	edgD := &cc.VarDecl{Name: "edges", Type: cc.TInt, IsArray: true}
@@ -95,10 +100,7 @@ func generateBFS(scale float64, seed int64) (*Input, error) {
 	}
 	cost.I32[0] = 0
 
-	b := ir.NewBindings().
-		SetScalar("nv", float64(nv)).
-		SetScalar("ne", float64(ne)).
-		SetArray("off", off).
+	b.SetArray("off", off).
 		SetArray("edges", edges).
 		SetArray("cost", cost)
 

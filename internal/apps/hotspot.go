@@ -79,15 +79,18 @@ func HotSpot() *App {
 		Source:       hotspotSource,
 		DefaultScale: 0.25,
 		Generate:     generateHotSpot,
+		Shape:        shapeHotSpot,
 	}
 }
 
+func shapeHotSpot(scale float64) *ir.Bindings {
+	dim := float64(max(scaled(hotspotDimDefault, math.Sqrt(scale)), 8))
+	return ir.NewBindings().SetScalar("h", dim).SetScalar("w", dim)
+}
+
 func generateHotSpot(scale float64, seed int64) (*Input, error) {
-	dim := scaled(hotspotDimDefault, math.Sqrt(scale))
-	if dim < 8 {
-		dim = 8
-	}
-	h, w := dim, dim
+	bind := shapeHotSpot(scale)
+	h, w := int(bind.Scalars["h"]), int(bind.Scalars["w"])
 	rng := rand.New(rand.NewSource(seed))
 	temp := make([]float32, h*w)
 	power := make([]float32, h*w)
@@ -99,10 +102,7 @@ func generateHotSpot(scale float64, seed int64) (*Input, error) {
 	}
 	tempCopy := append([]float32(nil), temp...)
 
-	bind := ir.NewBindings().
-		SetScalar("h", float64(h)).
-		SetScalar("w", float64(w)).
-		SetScalar("steps", hotspotSteps).
+	bind.SetScalar("steps", hotspotSteps).
 		SetArray("temp", &ir.HostArray{Decl: &cc.VarDecl{Name: "temp", Type: cc.TFloat, IsArray: true}, F32: temp}).
 		SetArray("power", &ir.HostArray{Decl: &cc.VarDecl{Name: "power", Type: cc.TFloat, IsArray: true}, F32: power})
 

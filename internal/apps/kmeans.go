@@ -100,14 +100,20 @@ func KMeans() *App {
 		Source:       kmeansSource,
 		DefaultScale: 0.1,
 		Generate:     generateKMeans,
+		Shape:        shapeKMeans,
 	}
 }
 
+func shapeKMeans(scale float64) *ir.Bindings {
+	return ir.NewBindings().
+		SetScalar("n", float64(max(scaled(kmPointsPaper, scale), kmClusters))).
+		SetScalar("k", kmClusters).
+		SetScalar("nf", kmFeatures)
+}
+
 func generateKMeans(scale float64, seed int64) (*Input, error) {
-	n := scaled(kmPointsPaper, scale)
-	if n < kmClusters {
-		n = kmClusters
-	}
+	b := shapeKMeans(scale)
+	n := int(b.Scalars["n"])
 	fs := workload.GenFeatures(n, kmFeatures, kmClusters, seed)
 
 	featD := &cc.VarDecl{Name: "feat", Type: cc.TFloat, IsArray: true}
@@ -118,11 +124,7 @@ func generateKMeans(scale float64, seed int64) (*Input, error) {
 	copy(clusters.F32, fs.Data[:kmClusters*kmFeatures])
 	seedCenters := append([]float32(nil), clusters.F32...)
 
-	b := ir.NewBindings().
-		SetScalar("n", float64(n)).
-		SetScalar("k", kmClusters).
-		SetScalar("nf", kmFeatures).
-		SetScalar("iters", kmIterations).
+	b.SetScalar("iters", kmIterations).
 		SetArray("feat", feat).
 		SetArray("clusters", clusters)
 

@@ -84,11 +84,19 @@ func MD() *App {
 		Source:       mdSource,
 		DefaultScale: 1.0,
 		Generate:     generateMD,
+		Shape:        shapeMD,
 	}
 }
 
+func shapeMD(scale float64) *ir.Bindings {
+	return ir.NewBindings().
+		SetScalar("natoms", float64(scaled(mdAtomsPaper, scale))).
+		SetScalar("maxn", mdMaxN)
+}
+
 func generateMD(scale float64, seed int64) (*Input, error) {
-	n := scaled(mdAtomsPaper, scale)
+	b := shapeMD(scale)
+	n := int(b.Scalars["natoms"])
 	atoms := workload.GenAtoms(n, mdMaxN, seed)
 	cutsq := atoms.Cutoff * atoms.Cutoff
 
@@ -97,10 +105,7 @@ func generateMD(scale float64, seed int64) (*Input, error) {
 	pos := &ir.HostArray{Decl: posD, F32: atoms.Pos}
 	nbr := &ir.HostArray{Decl: nbrD, I32: atoms.Nbr}
 
-	b := ir.NewBindings().
-		SetScalar("natoms", float64(n)).
-		SetScalar("maxn", mdMaxN).
-		SetScalar("lj1", mdLJ1).
+	b.SetScalar("lj1", mdLJ1).
 		SetScalar("lj2", mdLJ2).
 		SetScalar("cutsq", cutsq).
 		SetArray("pos", pos).

@@ -74,11 +74,17 @@ func NBody() *App {
 		Source:       nbodySource,
 		DefaultScale: 0.25,
 		Generate:     generateNBody,
+		Shape:        shapeNBody,
 	}
 }
 
+func shapeNBody(scale float64) *ir.Bindings {
+	return ir.NewBindings().SetScalar("n", float64(scaled(nbodyDefault, scale)))
+}
+
 func generateNBody(scale float64, seed int64) (*Input, error) {
-	n := scaled(nbodyDefault, scale)
+	bind := shapeNBody(scale)
+	n := int(bind.Scalars["n"])
 	rng := rand.New(rand.NewSource(seed))
 	pos := make([]float32, 4*n)
 	for i := 0; i < n; i++ {
@@ -87,9 +93,7 @@ func generateNBody(scale float64, seed int64) (*Input, error) {
 		pos[4*i+2] = float32(rng.NormFloat64() * 10)
 		pos[4*i+3] = float32(0.5 + rng.Float64()) // mass
 	}
-	bind := ir.NewBindings().
-		SetScalar("n", float64(n)).
-		SetScalar("soft", nbodySoft).
+	bind.SetScalar("soft", nbodySoft).
 		SetArray("pos", &ir.HostArray{Decl: &cc.VarDecl{Name: "pos", Type: cc.TFloat, IsArray: true}, F32: pos})
 
 	want := nbodyReference(pos, n)

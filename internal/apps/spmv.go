@@ -63,11 +63,22 @@ func SpMV() *App {
 		Source:       spmvSource,
 		DefaultScale: 0.25,
 		Generate:     generateSpMV,
+		Shape:        shapeSpMV,
 	}
 }
 
-func generateSpMV(scale float64, seed int64) (*Input, error) {
+// shapeSpMV gives nnz as its upper bound: a row's degree is drawn from
+// [1, 2*spmvNnzPerRow-1] by the seed.
+func shapeSpMV(scale float64) *ir.Bindings {
 	n := scaled(spmvRowsDefault, scale)
+	return ir.NewBindings().
+		SetScalar("n", float64(n)).
+		SetScalar("nnz", float64(n*(2*spmvNnzPerRow-1)))
+}
+
+func generateSpMV(scale float64, seed int64) (*Input, error) {
+	bind := shapeSpMV(scale)
+	n := int(bind.Scalars["n"])
 	rng := rand.New(rand.NewSource(seed))
 
 	rowptr := make([]int32, n+1)
@@ -87,9 +98,7 @@ func generateSpMV(scale float64, seed int64) (*Input, error) {
 		x[i] = float32(rng.NormFloat64())
 	}
 
-	bind := ir.NewBindings().
-		SetScalar("n", float64(n)).
-		SetScalar("nnz", float64(len(cols))).
+	bind.SetScalar("nnz", float64(len(cols))).
 		SetScalar("iters", spmvIters).
 		SetArray("rowptr", &ir.HostArray{Decl: &cc.VarDecl{Name: "rowptr", Type: cc.TInt, IsArray: true}, I32: rowptr}).
 		SetArray("cols", &ir.HostArray{Decl: &cc.VarDecl{Name: "cols", Type: cc.TInt, IsArray: true}, I32: cols}).

@@ -33,10 +33,10 @@ type Config struct {
 	Verify bool
 	// Apps restricts the sweep (empty = all three).
 	Apps []string
-	// NoSpecialize disables the specialized kernel executors (the
-	// Phase-B direct-slice fast path) in every measured configuration,
-	// isolating the other host optimizations.
-	NoSpecialize bool
+	// Reference runs every measured configuration on the reference
+	// implementations (rt.Options.Reference): the simulated results must
+	// not move, only the host time does.
+	Reference bool
 	// Async runs the Proposal (multi-GPU) configurations under the
 	// pipelined scheduler, so their simulated totals are overlapped
 	// makespans instead of bulk-synchronous phase sums. Results and
@@ -203,9 +203,7 @@ func runMachine(cfg Config, app *apps.App, prog *core.Program, mach sim.MachineS
 
 // runOnce executes one configuration, optionally verifying results.
 func runOnce(cfg Config, app *apps.App, prog *core.Program, spec sim.MachineSpec, opts rt.Options, scale float64) (*rt.Report, error) {
-	if cfg.NoSpecialize {
-		opts.DisableSpecialize = true
-	}
+	opts.Reference = cfg.Reference
 	if cfg.Async && opts.Mode == rt.ModeMultiGPU {
 		opts.Async = true
 	}

@@ -217,7 +217,6 @@ func loadCorpus(seed int64) ([]loadReq, error) {
 			Vet:       a.vet,
 			Generator: &serve.GeneratorSpec{App: a.name, Scale: a.scale, Seed: seed},
 			Scalars:   a.scalars,
-			Options:   serve.RunOptions{NoSpecialize: true},
 		}, true); err != nil {
 			return nil, err
 		}
@@ -237,7 +236,6 @@ func loadCorpus(seed int64) ([]loadReq, error) {
 	for _, k := range []int{8} {
 		if err := add(fmt.Sprintf("pipeline%d", k), &serve.RunRequest{
 			Source: pipelineSrc(k), Vet: true,
-			Options: serve.RunOptions{NoSpecialize: true},
 			Scalars: map[string]float64{"n": 32},
 		}, true); err != nil {
 			return nil, err

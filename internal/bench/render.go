@@ -59,11 +59,7 @@ func Table2(cfg Config) ([]Table2Row, error) {
 		}
 		stats := prog.Stats()
 
-		full, err := app.Generate(1.0, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		memBytes, err := core.DeviceMemoryUsage(prog, full.Bindings)
+		memBytes, err := core.DeviceMemoryUsage(prog, app.Shape(1.0))
 		if err != nil {
 			return nil, err
 		}

@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"strings"
 	"unicode"
 )
@@ -31,6 +32,13 @@ func Lex(src string) ([]Token, error) {
 	return lx.toks, nil
 }
 
+// maxTokens bounds the token stream of one source. A token is 40 bytes,
+// and the shortest one a byte of source: without the bound the 64 MiB
+// body accd accepts becomes 2.5 GB of tokens before the parser has
+// refused anything. The longest source of the shipped corpus (a
+// 128-kernel pipeline) is under 9000 tokens.
+const maxTokens = 1 << 20
+
 // two- and three-character punctuation, longest match first.
 var punct2 = []string{
 	"<<=", ">>=",
@@ -40,6 +48,10 @@ var punct2 = []string{
 
 func (lx *lexer) run() error {
 	for lx.pos < len(lx.src) {
+		if len(lx.toks) > maxTokens {
+			tok := lx.toks[maxTokens]
+			return &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf("source longer than %d tokens", maxTokens)}
+		}
 		c := lx.src[lx.pos]
 		switch {
 		case c == '\n':

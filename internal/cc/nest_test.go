@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"accmulti/internal/apps"
 	"accmulti/internal/cc"
@@ -15,35 +15,42 @@ import (
 
 // TestNestingBombs feeds the parser the inputs that used to end the
 // process with a stack overflow no recover catches — three million
-// nested parentheses (the parser's own recursion), a sum of two million
-// terms (a left-deep tree built in a loop: the first recursive walker
-// downstream overflowed) — and a hundred thousand pragma-nested blocks.
-// Each must come back as one positioned error, quickly. To see them fail
-// at a commit without the budget, run this test in a subprocess there:
-// the failure is the death of the process, not a t.Error. In -short mode
-// (the race detector's) the inputs are a tenth the size.
+// nested parentheses (the parser's own recursion), a sum of a quarter of
+// a million terms (a left-deep tree built in a loop: the first recursive
+// walker downstream overflowed), a hundred thousand pragma-nested blocks
+// — and the ones that used to cost gigabytes before anything refused
+// them: two million terms, three million operators. Each must come back
+// as one positioned error having allocated little: the nesting budget
+// cuts brackets and braces in the lexer, the token budget everything
+// else, and neither depends on how busy the machine is. To see the first
+// kind fail at a commit without the budget, run this test in a subprocess
+// there: the failure is the death of the process, not a t.Error.
 func TestNestingBombs(t *testing.T) {
-	scale := 1
-	if testing.Short() {
-		scale = 10
-	}
 	wrap := func(stmt string) string { return "int n, x;\nfloat a[n];\nvoid main() {\n" + stmt + "\n}\n" }
-	parens, terms, blocks := 3_000_000/scale, 2_000_000/scale, 100_000/scale
+	const parens, blocks = 3_000_000, 100_000
+	tooLong := fmt.Sprintf("source longer than %d tokens", cc.MaxTokens)
 	for _, tc := range []struct{ name, src, want string }{
 		{"parentheses", wrap("x = " + strings.Repeat("(", parens) + "1" + strings.Repeat(")", parens) + ";"), "expression nested deeper than"},
-		{"sum", wrap("x = 1" + strings.Repeat("+1", terms-1) + ";"), "expression nested deeper than"},
-		{"unary", wrap("x = " + strings.Repeat("!", parens) + "1;"), "expression nested deeper than"},
+		{"sum", wrap("x = 1" + strings.Repeat("+1", cc.MaxTokens/4) + ";"), "expression nested deeper than"},
+		{"unary", wrap("x = " + strings.Repeat("!", cc.MaxTokens/2) + "1;"), "expression nested deeper than"},
 		{"blocks", wrap(strings.Repeat("#pragma acc data copy(a)\n{\n", blocks) + strings.Repeat("}\n", blocks)), "statement nested deeper than"},
 		{"ifs", wrap(strings.Repeat("if (x) ", blocks) + "x = 1;"), "statement nested deeper than"},
+		{"long sum", wrap("x = 1" + strings.Repeat("+1", 2_000_000) + ";"), tooLong},
+		{"long unary", wrap("x = " + strings.Repeat("!", parens) + "1;"), tooLong},
 	} {
-		start := time.Now()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
 		_, err := cc.ParseProgram(tc.src)
+		runtime.ReadMemStats(&after)
 		var perr *cc.Error
 		if !errors.As(err, &perr) || perr.Line == 0 || perr.Col == 0 || !strings.Contains(perr.Msg, tc.want) {
 			t.Errorf("%s: got %v; want one positioned error saying %q", tc.name, err, tc.want)
 		}
-		if d := time.Since(start); d > 10*time.Second {
-			t.Errorf("%s: took %v", tc.name, d)
+		// A token is 40 bytes and the slice grows by a quarter at a time:
+		// the budget's worth of tokens is 5 x 40 MB allocated in all
+		// (four times that for the two million terms, unbounded).
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+			t.Errorf("%s: allocated %d MB", tc.name, mb)
 		}
 	}
 	// The budget itself: a tree of exactly MaxNest levels parses, one

@@ -1,7 +1,7 @@
 // Package cliutil factors the flag handling and output plumbing shared
 // by the command-line tools (accrun, accbench, accd): machine/mode
 // spelling, the trace/metrics sink flags, fault-plan parsing, and the
-// runtime ablation switches (-no-async, -no-specialize, -no-degrade).
+// runtime switches (-no-async, -reference, -no-degrade).
 // Each tool registers the subsets it supports on its own FlagSet, so
 // the spellings and help strings stay identical across binaries.
 package cliutil
@@ -65,14 +65,15 @@ type RunFlags struct {
 	TraceFile, MetricsFile string
 	// Faults is the raw -faults plan spec (see sim.ParseFaultPlan).
 	Faults string
-	// NoAsync / NoSpecialize / NoDegrade are the ablation switches.
-	NoAsync, NoSpecialize, NoDegrade bool
+	// NoAsync / NoDegrade are the ablation switches; Reference selects
+	// the reference implementations (rt.Options.Reference).
+	NoAsync, Reference, NoDegrade bool
 }
 
-// RegisterAblations adds -no-async and -no-specialize.
+// RegisterAblations adds -no-async and -reference.
 func (f *RunFlags) RegisterAblations(fs *flag.FlagSet) {
 	fs.BoolVar(&f.NoAsync, "no-async", false, "disable the pipelined scheduler: report strictly bulk-synchronous phase times")
-	fs.BoolVar(&f.NoSpecialize, "no-specialize", false, "disable the specialized kernel executors (Phase B fast path)")
+	fs.BoolVar(&f.Reference, "reference", false, "run the reference implementations: the interpreter for every kernel chunk, the launch plan recomputed every launch")
 }
 
 // RegisterFaults adds -faults and -no-degrade.
@@ -95,7 +96,7 @@ func (f *RunFlags) FaultPlan() (*sim.FaultPlan, error) { return sim.ParseFaultPl
 // paper's bulk-synchronous timeline.
 func (f *RunFlags) ApplyTo(opts *rt.Options) {
 	opts.Async = !f.NoAsync
-	opts.DisableSpecialize = f.NoSpecialize
+	opts.Reference = f.Reference
 	opts.DisableDegradation = f.NoDegrade
 }
 

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"accmulti/internal/analysis"
 	"accmulti/internal/audit"
@@ -165,9 +166,12 @@ func (p *Program) Stats() Stats {
 
 // DeviceMemoryUsage evaluates the single-GPU device footprint of the
 // bound program's arrays (Table II column A): the bytes a 1-GPU run
-// keeps resident for the program's device arrays.
+// keeps resident for the program's device arrays. The sizes come from
+// b's scalars (its arrays are only held to them) and nothing is
+// allocated, so it is safe to ask of sizes nobody has admitted yet (the
+// sum saturates).
 func DeviceMemoryUsage(p *Program, b *ir.Bindings) (int64, error) {
-	inst, err := p.Module.Bind(b)
+	bytes, err := p.Module.ArrayBytes(b)
 	if err != nil {
 		return 0, err
 	}
@@ -179,7 +183,11 @@ func DeviceMemoryUsage(p *Program, b *ir.Bindings) (int64, error) {
 				continue
 			}
 			seen[u.Decl.Name] = true
-			total += inst.Arrays[u.Decl.Slot].Bytes()
+			n := bytes[u.Decl.Slot]
+			if n > math.MaxInt64-total {
+				return math.MaxInt64, nil
+			}
+			total += n
 		}
 	}
 	return total, nil

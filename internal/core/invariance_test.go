@@ -16,30 +16,23 @@ import (
 )
 
 // Report-invariance coverage for the host-side performance layer over
-// every shipped example program and evaluation app: the plan cache and
-// the host parallelism must leave the virtual-time report and all
-// computed arrays bit-identical — on by default, forced off, and under
-// GOMAXPROCS=1.
+// every shipped example program and evaluation app: the specialized
+// executors, the plan cache and the host parallelism must leave the
+// virtual-time report and all computed arrays bit-identical — on by
+// default, on the reference implementations, and under GOMAXPROCS=1.
 
-// perfVariants returns the option sets compared against the default.
-func perfVariants(base rt.Options) map[string]rt.Options {
-	noCache, noSpec := base, base
-	noCache.DisablePlanCache = true
-	noSpec.DisableSpecialize = true
-	both := noCache
-	both.DisableSpecialize = true
-	return map[string]rt.Options{
-		"no-plan-cache": noCache,
-		"no-specialize": noSpec,
-		"all-off":       both,
-	}
-}
-
-// oneProcVariants are the option sets run again at GOMAXPROCS=1, where
-// every host fan-out is the ascending serial loop: the default and
-// everything off at once.
-func oneProcVariants() map[string]rt.Options {
-	return map[string]rt.Options{"default": {}, "all-off": perfVariants(rt.Options{})["all-off"]}
+// perfVariants are the option sets compared against the default, each
+// at the ambient GOMAXPROCS and again at GOMAXPROCS=1 (where every host
+// fan-out is the ascending serial loop); the default itself only at one
+// processor.
+var perfVariants = []struct {
+	name    string
+	opts    rt.Options
+	oneProc bool
+}{
+	{"reference", rt.Options{Reference: true}, false},
+	{"GOMAXPROCS=1, default", rt.Options{}, true},
+	{"GOMAXPROCS=1, reference", rt.Options{Reference: true}, true},
 }
 
 // fillDeterministic gives every instance array reproducible nonzero
@@ -126,15 +119,14 @@ func TestExamplesReportInvariance(t *testing.T) {
 			src := string(raw)
 			for _, spec := range []sim.MachineSpec{sim.Desktop(), sim.SupercomputerNode()} {
 				refRep, refArr := runExample(t, src, want.scalars, spec, rt.Options{})
-				for vname, opts := range perfVariants(rt.Options{}) {
-					rep, arr := runExample(t, src, want.scalars, spec, opts)
-					checkSameRun(t, fmt.Sprintf("%s on %s (%s)", name, spec.Name, vname), refRep, rep, refArr, arr)
-				}
-				for vname, opts := range oneProcVariants() {
-					prev := goruntime.GOMAXPROCS(1)
-					rep, arr := runExample(t, src, want.scalars, spec, opts)
+				for _, v := range perfVariants {
+					prev := goruntime.GOMAXPROCS(0)
+					if v.oneProc {
+						goruntime.GOMAXPROCS(1)
+					}
+					rep, arr := runExample(t, src, want.scalars, spec, v.opts)
 					goruntime.GOMAXPROCS(prev)
-					checkSameRun(t, fmt.Sprintf("%s on %s (GOMAXPROCS=1, %s)", name, spec.Name, vname), refRep, rep, refArr, arr)
+					checkSameRun(t, fmt.Sprintf("%s on %s (%s)", name, spec.Name, v.name), refRep, rep, refArr, arr)
 				}
 			}
 		})
@@ -168,18 +160,15 @@ func TestAppsReportInvariance(t *testing.T) {
 				return res
 			}
 			ref := run(rt.Options{})
-			for vname, opts := range perfVariants(rt.Options{}) {
-				res := run(opts)
-				if !reflect.DeepEqual(ref.Report, res.Report) {
-					t.Fatalf("%s (%s): Report diverged\nwant %+v\ngot  %+v", app.Name, vname, ref.Report, res.Report)
+			for _, v := range perfVariants {
+				prev := goruntime.GOMAXPROCS(0)
+				if v.oneProc {
+					goruntime.GOMAXPROCS(1)
 				}
-			}
-			for vname, opts := range oneProcVariants() {
-				prev := goruntime.GOMAXPROCS(1)
-				res := run(opts)
+				res := run(v.opts)
 				goruntime.GOMAXPROCS(prev)
 				if !reflect.DeepEqual(ref.Report, res.Report) {
-					t.Fatalf("%s (GOMAXPROCS=1, %s): Report diverged", app.Name, vname)
+					t.Fatalf("%s (%s): Report diverged\nwant %+v\ngot  %+v", app.Name, v.name, ref.Report, res.Report)
 				}
 			}
 		})
@@ -212,7 +201,7 @@ func TestBFSReportDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := prog.Run(in.Bindings, Config{Machine: sim.Desktop().WithGPUs(4), Options: rt.Options{DisableSpecialize: run%2 == 1}})
+		res, err := prog.Run(in.Bindings, Config{Machine: sim.Desktop().WithGPUs(4), Options: rt.Options{Reference: run%2 == 1}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -63,7 +63,7 @@ type reentrantParams struct {
 }
 
 func reentrantVariants() []reentrantParams {
-	noSpec := rt.Options{DisableSpecialize: true}
+	noSpec := rt.Options{Reference: true}
 	async := rt.Options{Async: true}
 	return []reentrantParams{
 		{n: 64, steps: 3, spec: sim.Desktop(), seed: 1},

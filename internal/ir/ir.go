@@ -34,6 +34,8 @@ type Env struct {
 	Views []ArrayView
 	// H is the runtime hook table, set on the host environment only.
 	H Hooks
+	// trips counts the host loops' back-edges (see polled).
+	trips uint
 	// WorkerID identifies the worker strand within one kernel launch
 	// on one device (the "thread block" of the reduction hierarchy).
 	WorkerID int
@@ -98,6 +100,10 @@ type Hooks interface {
 	Update(u *UpdateOp, e *Env) error
 	// Launch executes one parallel loop across the devices.
 	Launch(k *Kernel, e *Env) error
+	// Poll is called every pollTrips back-edges of the host program's
+	// sequential loops, which may never reach a directive; a non-nil
+	// error ends the run.
+	Poll() error
 }
 
 // IdentityF returns the float identity element of a reduction operator.

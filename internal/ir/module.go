@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"accmulti/internal/acc"
@@ -307,6 +308,62 @@ type Instance struct {
 	Arrays []*HostArray
 }
 
+// sizes binds b's global scalars into a fresh host environment,
+// evaluates every array's element count (by slot) in it and holds b's
+// arrays to them: everything Bind checks, nothing allocated.
+func (m *Module) sizes(b *Bindings) (*Env, []int64, error) {
+	env := NewEnv(m.Prog)
+	// Bind scalars first: array sizes may reference them.
+	for name, v := range b.Scalars {
+		d, ok := m.Prog.Scope[name]
+		if !ok || !d.Global {
+			return nil, nil, bindErrf("no global scalar %q in program", name)
+		}
+		if d.IsArray {
+			return nil, nil, bindErrf("%q is an array; bind it with SetArray", name)
+		}
+		if d.Type == cc.TInt {
+			env.SetI(d, int64(v))
+		} else {
+			env.SetF(d, v)
+		}
+	}
+	lens := make([]int64, m.Prog.NumArrays)
+	for _, d := range m.Prog.ArrayDecls() {
+		n := m.ArraySizes[d.Slot](env)
+		if n < 0 || n > math.MaxInt64/8 {
+			return nil, nil, bindErrf("array %q has size %d", d.Name, n)
+		}
+		if a, supplied := b.Arrays[d.Name]; supplied && a.Len() != n {
+			return nil, nil, bindErrf("array %q bound with %d elements, program declares %d", d.Name, a.Len(), n)
+		}
+		lens[d.Slot] = n
+	}
+	for name := range b.Arrays {
+		if d, ok := m.Prog.Scope[name]; !ok || !d.IsArray {
+			return nil, nil, bindErrf("no global array %q in program", name)
+		}
+	}
+	return env, lens, nil
+}
+
+// ArrayBytes is the storage size of every array (by slot) an instance
+// bound with b would have, with Bind's checks and without allocating any:
+// what an admission check can afford to ask before an input is generated.
+func (m *Module) ArrayBytes(b *Bindings) ([]int64, error) {
+	if b == nil {
+		b = NewBindings()
+	}
+	_, lens, err := m.sizes(b)
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range m.Prog.ArrayDecls() {
+		lens[d.Slot] *= d.Type.Size()
+	}
+	return lens, nil
+}
+
 // Bind creates an execution instance: global scalars take their bound
 // values, array sizes are evaluated, and host arrays are attached
 // (allocated zeroed when not supplied).
@@ -314,47 +371,20 @@ func (m *Module) Bind(b *Bindings) (*Instance, error) {
 	if b == nil {
 		b = NewBindings()
 	}
-	env := NewEnv(m.Prog)
-	// Bind scalars first: array sizes may reference them.
-	for name := range b.Scalars {
-		d, ok := m.Prog.Scope[name]
-		if !ok || !d.Global {
-			return nil, bindErrf("no global scalar %q in program", name)
-		}
-		if d.IsArray {
-			return nil, bindErrf("%q is an array; bind it with SetArray", name)
-		}
-		v := b.Scalars[name]
-		if d.Type == cc.TInt {
-			env.SetI(d, int64(v))
-		} else {
-			env.SetF(d, v)
-		}
+	env, lens, err := m.sizes(b)
+	if err != nil {
+		return nil, err
 	}
 	inst := &Instance{Module: m, Env: env, Arrays: make([]*HostArray, m.Prog.NumArrays)}
 	for _, d := range m.Prog.ArrayDecls() {
-		n := m.ArraySizes[d.Slot](env)
-		if n < 0 {
-			return nil, bindErrf("array %q has negative size %d", d.Name, n)
-		}
 		a, supplied := b.Arrays[d.Name]
-		if supplied {
-			if a.Len() != n {
-				return nil, bindErrf("array %q bound with %d elements, program declares %d", d.Name, a.Len(), n)
-			}
-			if a.Decl == nil {
-				a.Decl = d
-			}
-		} else {
-			a = NewHostArray(d, n)
+		if !supplied {
+			a = NewHostArray(d, lens[d.Slot])
+		} else if a.Decl == nil {
+			a.Decl = d
 		}
 		inst.Arrays[d.Slot] = a
 		env.Views[d.Slot] = a.View()
-	}
-	for name := range b.Arrays {
-		if d, ok := m.Prog.Scope[name]; !ok || !d.IsArray {
-			return nil, bindErrf("no global array %q in program", name)
-		}
 	}
 	return inst, nil
 }

@@ -38,11 +38,14 @@ import (
 // (data-dependent cost), unknown builtins, assignment to the induction
 // variable — makes BuildKernelSpec return nil with a reason category
 // and the kernel permanently runs on the instrumented interpreter. The
-// runtime adds launch-time fallback conditions on top (audit mode,
-// fault plans, miss-check lanes, failed range proofs; see internal/rt).
+// runtime adds launch-time fallback conditions on top (miss-check
+// lanes, failed range checks and proofs; see internal/rt/specexec.go).
 //
 // A spec carries up to two bodies. Body is one closure tree per
-// iteration and always exists. VecBody (specvec.go) runs a tile of
+// iteration, one closure per expression node, and always exists; it is
+// the cold one (hazard lanes, the safety pieces, kernels with no tiled
+// form) and the only rewrite it gets is the hoisted counted loop of
+// specfuse.go. VecBody (specvec.go) runs a tile of
 // consecutive iterations: straight-line statements, data-dependent
 // arms, uniform inner loops, gathers and layout-transformed copies in
 // lockstep, one tight loop per expression node; loops with stores in
@@ -276,9 +279,7 @@ type KernelSpec struct {
 	// must discharge the Prover before taking the fast path.
 	HasComputed bool
 	// Prover is the compiled interval abstraction of Body (see
-	// specprove.go), built only when HasComputed; nil when the abstract
-	// walk could not mirror the body (the kernel then always falls back
-	// on computed-access range checks).
+	// specprove.go): non-nil exactly when HasComputed.
 	Prover *SpecProver
 	// VecBody, when non-nil, is the tiled form of Body (see specvec.go):
 	// one call runs up to VecTile consecutive iterations in lockstep,
@@ -467,7 +468,9 @@ func buildSpec(body cc.Stmt, prog *cc.Program, kb specBuilder) (*KernelSpec, str
 		}
 	}
 	if b.spec.HasComputed {
-		b.spec.Prover = buildProver(body, b.loopVar, prog, b.spec)
+		if b.spec.Prover = buildProver(body, b.loopVar, prog, b.spec); b.spec.Prover == nil {
+			return nil, "shape" // no launch could discharge the computed accesses
+		}
 	}
 	buildVec(body, b)
 	return b.spec, ""
@@ -930,9 +933,6 @@ func (b *specBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (DStmt, err
 		}
 		switch st.Op {
 		case "=":
-			if fused := fuseAssignI(st, slot); fused != nil {
-				return fused, nil
-			}
 			return func(e *DEnv) { e.Ints[slot] = rhs(e) }, nil
 		case "+=":
 			return func(e *DEnv) { e.Ints[slot] += rhs(e) }, nil
@@ -1158,26 +1158,14 @@ func (b *specBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (DStmt, 
 
 func (b *specBuilder) exprI(e cc.Expr) (dExprI, error) {
 	e = foldExpr(e)
-	var d dExprI
+	ci, cf, err := b.compile(e)
+	if err != nil {
+		return nil, err
+	}
 	if e.Type() == cc.TInt {
-		ci, _, err := b.compile(e)
-		if err != nil {
-			return nil, err
-		}
-		d = ci
-	} else {
-		_, cf, err := b.compile(e)
-		if err != nil {
-			return nil, err
-		}
-		d = func(env *DEnv) int64 { return int64(cf(env)) }
+		return ci, nil
 	}
-	// The generic pass above did all the bookkeeping (cost, access
-	// recording); a fused superoperator replaces only the closure.
-	if f := fuseExprI(e); f != nil {
-		return f, nil
-	}
-	return d, nil
+	return func(env *DEnv) int64 { return int64(cf(env)) }, nil
 }
 
 func (b *specBuilder) exprF(e cc.Expr) (dExprF, error) {
@@ -1193,24 +1181,18 @@ func (b *specBuilder) exprF(e cc.Expr) (dExprF, error) {
 }
 
 func (b *specBuilder) cond(e cc.Expr) (func(*DEnv) bool, error) {
-	var c func(*DEnv) bool
 	if e.Type() == cc.TInt {
 		op, err := b.exprI(e)
 		if err != nil {
 			return nil, err
 		}
-		c = func(env *DEnv) bool { return op(env) != 0 }
-	} else {
-		op, err := b.exprF(e)
-		if err != nil {
-			return nil, err
-		}
-		c = func(env *DEnv) bool { return op(env) != 0 }
+		return func(env *DEnv) bool { return op(env) != 0 }, nil
 	}
-	if f := fuseCond(foldExpr(e)); f != nil {
-		return f, nil
+	op, err := b.exprF(e)
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	return func(env *DEnv) bool { return op(env) != 0 }, nil
 }
 
 func (b *specBuilder) compile(e cc.Expr) (dExprI, dExprF, error) {

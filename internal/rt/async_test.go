@@ -82,8 +82,7 @@ func checkAsyncVsSync(t testing.TB, p randProg) {
 		// single virtual-time stamp of the overlapped schedule.
 		for _, cfg := range []invarianceConfig{
 			{name: "one-proc", opts: rt.Options{Async: true}, oneProc: true},
-			{name: "no-plan-cache", opts: rt.Options{Async: true, DisablePlanCache: true}},
-			{name: "no-specialize", opts: rt.Options{Async: true, DisableSpecialize: true}},
+			{name: "reference", opts: rt.Options{Async: true, Reference: true}},
 		} {
 			again, err := cfg.run(t, p, spec, nil)
 			if err != nil {

@@ -221,7 +221,7 @@ func TestFaultPlanEquivalence(t *testing.T) {
 //
 // The Phase B engine is the second axis: a fault-armed run executes the
 // specialized bodies like any other, and with them switched off
-// (DisableSpecialize) the same plan must fire at the same allocations
+// (Reference) the same plan must fire at the same allocations
 // and transfer attempts — whole report, time stamps included, and final
 // arrays bit-identical on either schedule.
 func TestFaultPlanAsyncEquivalence(t *testing.T) {
@@ -257,8 +257,8 @@ func TestFaultPlanAsyncEquivalence(t *testing.T) {
 			fast  runResult
 			opts  rt.Options
 		}{
-			{"sync", sync, rt.Options{DisableSpecialize: true}},
-			{"async", async, rt.Options{Async: true, DisableSpecialize: true}},
+			{"sync", sync, rt.Options{Reference: true}},
+			{"async", async, rt.Options{Async: true, Reference: true}},
 		} {
 			interp, err := p.runFull(t, sim.Desktop(), c.opts, plan)
 			if err != nil {

@@ -517,11 +517,11 @@ func TestPlanCacheReuseAndInvalidation(t *testing.T) {
 		t.Fatal("ngpus=4 plan evicted by the ngpus=2 resolution")
 	}
 
-	// DisablePlanCache always recomputes.
-	r.opts.DisablePlanCache = true
+	// Reference always recomputes.
+	r.opts.Reference = true
 	parts7, _ := r.resolvePlan(k, env, 4, 0, upper)
 	if &parts7[0] == &parts6[0] {
-		t.Fatal("DisablePlanCache served a cached plan")
+		t.Fatal("Reference served a cached plan")
 	}
 }
 
@@ -754,7 +754,7 @@ func BenchmarkLaunchPlanResolve(b *testing.B) {
 		return r, k, &ir.Env{}
 	}
 	b.Run("legacy", func(b *testing.B) {
-		r, k, env := build(b, Options{DisablePlanCache: true})
+		r, k, env := build(b, Options{Reference: true})
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -121,3 +121,46 @@ func TestInterruptNilIdentical(t *testing.T) {
 		t.Fatalf("report differs with benign Interrupt hook:\n%v\nvs\n%v", rA.Report(), rB.Report())
 	}
 }
+
+// TestInterruptHostLoop pins the host half of the contract: a host loop
+// that never reaches a directive still polls Interrupt (every 1024
+// back-edges, while and for alike), so a cancelled run comes back as an
+// *InterruptedError instead of holding its caller for ever.
+func TestInterruptHostLoop(t *testing.T) {
+	for _, src := range []string{
+		`int x; void main(){ x = 0; while (1) { x = x + 1; } }`,
+		`int x, j; void main(){ x = 0; for (j = 0; j >= 0; j = j * 0) { x = x + 1; } }`,
+	} {
+		prog, err := cc.ParseProgram(src)
+		if err != nil {
+			t.Fatalf("parse: %v", err)
+		}
+		mod, err := translator.Translate(prog)
+		if err != nil {
+			t.Fatalf("translate: %v", err)
+		}
+		inst, err := mod.Bind(ir.NewBindings())
+		if err != nil {
+			t.Fatalf("bind: %v", err)
+		}
+		mach, err := sim.NewMachine(sim.Desktop())
+		if err != nil {
+			t.Fatalf("machine: %v", err)
+		}
+		polls := 0
+		r := New(mach, Options{Interrupt: func() error {
+			if polls++; polls > 3 {
+				return context.Canceled
+			}
+			return nil
+		}})
+		err = r.Run(inst)
+		var ie *InterruptedError
+		if !errors.As(err, &ie) || !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: got %v; want an *InterruptedError wrapping context.Canceled", src, err)
+		}
+		if x := inst.Env.Ints[prog.Scope["x"].Slot]; x != 4*1024-1 {
+			t.Errorf("%s: interrupted after %d trips; want the fourth poll, at trip 4096", src, x)
+		}
+	}
+}

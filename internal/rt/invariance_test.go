@@ -31,10 +31,9 @@ type invarianceConfig struct {
 
 func invarianceConfigs() []invarianceConfig {
 	return []invarianceConfig{
-		{name: "no-plan-cache", opts: rt.Options{DisablePlanCache: true}},
+		{name: "reference", opts: rt.Options{Reference: true}},
 		{name: "one-proc", oneProc: true},
-		{name: "no-specialize", opts: rt.Options{DisableSpecialize: true}},
-		{name: "all-serial", opts: rt.Options{DisablePlanCache: true, DisableSpecialize: true}, oneProc: true},
+		{name: "all-serial", opts: rt.Options{Reference: true}, oneProc: true},
 	}
 }
 
@@ -57,6 +56,42 @@ func checkRunsIdentical(t *testing.T, label, src string, want, got runResult) {
 	}
 }
 
+// restridedProg launches one kernel twice over the same bounds with a
+// localaccess stride read from a host scalar that changed in between: the
+// second launch's footprints differ from the cached plan's, which only
+// the plan cache's scalar validation can see. No random program does this.
+func restridedProg() randProg {
+	const n = 600
+	p := randProg{n: n, in: make([]int32, 2*n), idx: make([]int32, n), src: `
+int n, k;
+int in_[2 * n], out_[n];
+int idx_[n];
+int out2_[n];
+int hist_[k];
+int total;
+void main() {
+    int i, t, s;
+    total = 0;
+    #pragma acc data copyin(in_, idx_) copy(out_, out2_, hist_)
+    {
+        for (t = 0; t < 2; t++) {
+            s = t + 1;
+            #pragma acc localaccess(in_) stride(s)
+            #pragma acc localaccess(out_) stride(1)
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                out_[i] = out_[i] + in_[s * i];
+            }
+        }
+    }
+}
+`}
+	for i := range p.in {
+		p.in[i] = int32(i%97 - 40)
+	}
+	return p
+}
+
 func TestHostPerfReportInvariance(t *testing.T) {
 	seeds := []int64{1, 2, 3, 5, 8, 13, 21, 34, 55, 89}
 	if testing.Short() {
@@ -67,19 +102,22 @@ func TestHostPerfReportInvariance(t *testing.T) {
 		sim.Desktop(),
 		sim.SupercomputerNode(),
 	}
+	progs := map[string]randProg{"restrided": restridedProg()}
 	for _, seed := range seeds {
-		p := genRandProg(rand.New(rand.NewSource(seed)))
+		progs[fmt.Sprintf("seed %d", seed)] = genRandProg(rand.New(rand.NewSource(seed)))
+	}
+	for name, p := range progs {
 		for _, spec := range specs {
 			ref, err := p.runFull(t, spec, rt.Options{}, nil)
 			if err != nil {
-				t.Fatalf("seed %d on %s: %v\n%s", seed, spec.Name, err, p.src)
+				t.Fatalf("%s on %s: %v\n%s", name, spec.Name, err, p.src)
 			}
 			for _, cfg := range invarianceConfigs() {
 				res, err := cfg.run(t, p, spec, nil)
 				if err != nil {
-					t.Fatalf("seed %d on %s (%s): %v\n%s", seed, spec.Name, cfg.name, err, p.src)
+					t.Fatalf("%s on %s (%s): %v\n%s", name, spec.Name, cfg.name, err, p.src)
 				}
-				label := fmt.Sprintf("seed %d on %s (%s)", seed, spec.Name, cfg.name)
+				label := fmt.Sprintf("%s on %s (%s)", name, spec.Name, cfg.name)
 				checkRunsIdentical(t, label, p.src, ref, res)
 			}
 		}

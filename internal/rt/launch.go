@@ -84,7 +84,7 @@ func (r *Runtime) partitionTopo(lower, upper int64, n int) []span {
 // permanently redistributes across the surviving node prefix. Each
 // step is recorded in the report's Events.
 func (r *Runtime) Launch(k *ir.Kernel, env *ir.Env) error {
-	if err := r.interrupted(); err != nil {
+	if err := r.Poll(); err != nil {
 		return err
 	}
 	r.kernelExecs[k.ID]++
@@ -429,13 +429,11 @@ type SpecStats struct {
 	// a lane-divergent loop that a store-before-load hazard ended early.
 	LaneMajorTrips, FlatCuts int64
 	// Untiled counts the handled chunks that ran a per-iteration body, by
-	// reason: "shape" or "order" (the kernel has no tiled form), "dirty"
-	// (stores needed per-iteration dirty marking) or "alias" (the
-	// launch's affine accesses overlap).
+	// reason: "shape" or "order" (the kernel has no tiled form) or
+	// "alias" (the launch's affine accesses overlap).
 	Untiled map[string]int64
 	// FallbackReasons breaks Fallbacks down by cause ("transform",
-	// "miss", "range", "reduction", "indirect", "guard", "fault",
-	// "shape").
+	// "miss", "range", "reduction", "indirect", "guard", "fault").
 	FallbackReasons map[string]int64
 	// Rejects counts the chunks of kernels the spec compiler rejected
 	// outright, by compile-time reason (ir.Kernel.SpecReason).
@@ -489,12 +487,8 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 		}
 	case ex != nil:
 		st.Fallbacks++
-		reason := ex.gs[g].reason
-		if reason == "" {
-			reason = "shape"
-		}
-		st.FallbackReasons[reason]++
-	case k.Spec == nil && !r.opts.DisableSpecialize:
+		st.FallbackReasons[ex.gs[g].reason]++
+	case k.Spec == nil && !r.opts.Reference:
 		// Compile-time rejection, tracked apart from runtime fallbacks.
 		st.Rejects[k.SpecReason]++
 	}

@@ -22,7 +22,7 @@ import (
 // the kernel launches, where the footprints are known — this is what
 // lets distribution-based arrays load only their partitions.
 func (r *Runtime) EnterData(reg *ir.DataRegion, _ *ir.Env) error {
-	if err := r.interrupted(); err != nil {
+	if err := r.Poll(); err != nil {
 		return err
 	}
 	r.regionDepth++
@@ -90,7 +90,7 @@ func (r *Runtime) ExitData(reg *ir.DataRegion, _ *ir.Env) error {
 // content now; update device re-establishes the host copy as canonical
 // (the loader re-ships it before the next kernel that needs it).
 func (r *Runtime) Update(u *ir.UpdateOp, _ *ir.Env) error {
-	if err := r.interrupted(); err != nil {
+	if err := r.Poll(); err != nil {
 		return err
 	}
 	if r.opts.Mode == ModeCPU {

@@ -78,7 +78,7 @@ func scalarsEqual(a, b []int64) bool {
 // serving a validated cached plan when one exists. The returned slices
 // are owned by the cache: callers must treat them as read-only.
 func (r *Runtime) resolvePlan(k *ir.Kernel, env *ir.Env, ngpus int, lower, upper int64) ([]span, [][]need) {
-	if r.opts.DisablePlanCache || r.opts.BalanceLoad {
+	if r.opts.Reference || r.opts.BalanceLoad {
 		return r.computePlan(k, env, ngpus, lower, upper)
 	}
 	key := planKey{kernel: k.ID, ngpus: ngpus, replicate: r.forceReplicate}

@@ -75,13 +75,13 @@ const (
 )
 
 // Options configures a runtime; the zero value is the proposed system.
-// Of the seven Disable* switches, four are the paper's ablations
-// (distribution, layout transform, two-level dirty bits, reload skip),
-// DisableDegradation makes faults fatal, and DisablePlanCache and
-// DisableSpecialize select the reference implementations the invariance
-// tests compare against. Which engine runs a kernel's Phase B depends on
-// the kernel, its data and DisableSpecialize alone: not on Async, Tracer,
-// Auditor, BalanceLoad or a fault plan armed on the machine. A run states
+// Of the five Disable* switches, four are the paper's ablations
+// (distribution, layout transform, two-level dirty bits, reload skip)
+// and DisableDegradation makes faults fatal; Reference selects the
+// reference implementations the invariance tests compare against. Which
+// engine runs a kernel's Phase B depends on the kernel, its data and
+// Reference alone: not on Async, Tracer, Auditor, BalanceLoad or a fault
+// plan armed on the machine. A run states
 // what it did once — spans and metrics on Tracer, totals in the Report,
 // engine choices in SpecStats — and every rendering (Chrome JSON, the
 // text narration of accrun -narrate) reads those.
@@ -130,26 +130,23 @@ type Options struct {
 	// of triggering the fallback ladder / bounded retries. The default
 	// (false) is the resilient behaviour.
 	DisableDegradation bool
-	// DisablePlanCache turns the launch-plan cache off: partition and
-	// per-GPU needs are recomputed from scratch every launch. Exists
-	// for the report-invariance tests and wall-clock ablations; the
-	// virtual-time report must be bit-identical either way.
-	DisablePlanCache bool
 	// Interrupt, when non-nil, is polled at the run loop's directive
 	// boundaries (data-region entry, update directives, kernel
-	// launches). The first non-nil return aborts the run with an
+	// launches) and every 1024 back-edges of the host program's own
+	// loops. The first non-nil return aborts the run with an
 	// *InterruptedError wrapping the cause; device memory is still
 	// released by Run's epilogue. This is how an embedding service
 	// threads per-request timeout and cancellation through the run
 	// loop without plumbing a context into every hook. A run that is
 	// never interrupted is bit-identical to one with Interrupt nil.
 	Interrupt func() error
-	// DisableSpecialize turns the specialized kernel executors off:
-	// every launch runs the instrumented closure-tree interpreter, the
-	// reference the differential tests compare against; reports, events,
-	// transfers and final array contents must be bit-identical either
-	// way.
-	DisableSpecialize bool
+	// Reference runs the reference implementations the differential and
+	// invariance tests compare against: every chunk of every launch on
+	// the instrumented closure-tree interpreter, and the launch plan
+	// (partition and per-GPU needs) recomputed from scratch every launch.
+	// Reports, events, transfers and final array contents must be
+	// bit-identical either way.
+	Reference bool
 	// Sabotage deliberately corrupts communication steps so tests can
 	// prove the auditor detects real consistency bugs. Never set it
 	// outside tests.
@@ -297,8 +294,9 @@ func (e *InterruptedError) Error() string { return "rt: run interrupted: " + e.C
 // context.Canceled).
 func (e *InterruptedError) Unwrap() error { return e.Cause }
 
-// interrupted polls the Interrupt hook at a run-loop boundary.
-func (r *Runtime) interrupted() error {
+// Poll polls the Interrupt hook: at every run-loop boundary, and (as the
+// ir.Hooks method) every 1024 back-edges of the host program's loops.
+func (r *Runtime) Poll() error {
 	if r.opts.Interrupt == nil {
 		return nil
 	}

@@ -575,7 +575,7 @@ func TestInterpreterReductionOrder(t *testing.T) {
 		opts Options
 		want uint64
 	}{
-		{"interpreter on the GPUs", Options{DisableSpecialize: true}, specialized},
+		{"interpreter on the GPUs", Options{Reference: true}, specialized},
 		{"OpenMP", Options{Mode: ModeCPU}, dot(Options{Mode: ModeCPU})},
 	} {
 		seen := map[uint64]int{}

@@ -13,7 +13,7 @@ import (
 
 // exec compiles src, binds it, and runs it on a fresh machine with the
 // given options, returning the instance and the runtime.
-func exec(t *testing.T, src string, spec sim.MachineSpec, opts Options, bind *ir.Bindings) (*ir.Instance, *Runtime) {
+func exec(t testing.TB, src string, spec sim.MachineSpec, opts Options, bind *ir.Bindings) (*ir.Instance, *Runtime) {
 	t.Helper()
 	prog, err := cc.ParseProgram(src)
 	if err != nil {

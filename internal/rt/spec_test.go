@@ -233,7 +233,7 @@ void main() {
 		}
 		return r, inst
 	}
-	ref, refInst := run(Options{DisableSpecialize: true})
+	ref, refInst := run(Options{Reference: true})
 	r, inst := run(Options{})
 	if st := r.SpecStats(); st.TiledIters != n || st.Fallbacks != 0 {
 		t.Fatalf("tiled %d of %d iterations, fallbacks %v", st.TiledIters, n, st.FallbackReasons)
@@ -300,7 +300,7 @@ func buildSpecInstance(tb testing.TB, src string, scalars map[string]float64) (*
 
 // TestSpecFastPathTaken pins that an eligible kernel actually runs the
 // fast path (so the differential suites compare spec against interp,
-// not interp against itself), that only the DisableSpecialize reference
+// not interp against itself), that only the Reference
 // switch keeps the executor away, and that an armed fault plan or an
 // attached auditor does not.
 func TestSpecFastPathTaken(t *testing.T) {
@@ -331,8 +331,8 @@ func TestSpecFastPathTaken(t *testing.T) {
 			t.Fatalf("%s: fast path handled %d GPU chunks, want %d", label, h, r.mach.NumGPUs())
 		}
 	}
-	if r := run(Options{DisableSpecialize: true}, nil); len(r.specExecs) != 0 {
-		t.Fatal("DisableSpecialize must keep the executor cache empty")
+	if r := run(Options{Reference: true}, nil); len(r.specExecs) != 0 {
+		t.Fatal("Reference must keep the executor cache empty")
 	}
 }
 
@@ -593,7 +593,7 @@ void main() {
 }
 `
 		var msgs []string
-		for _, opts := range []Options{{}, {DisableSpecialize: true}} {
+		for _, opts := range []Options{{}, {Reference: true}} {
 			mod, inst := buildSpecInstance(t, src, map[string]float64{"n": 512, "d": 0})
 			if mod.Kernels[0].Spec == nil {
 				t.Fatalf("%s: kernel did not compile a KernelSpec", name)
@@ -634,7 +634,7 @@ void main() {
 	var msgs []string
 	for _, opts := range []Options{
 		{},
-		{DisableSpecialize: true},
+		{Reference: true},
 		{Mode: ModeCPU},
 	} {
 		_, inst := buildSpecInstance(t, src, scalars)
@@ -775,7 +775,7 @@ void main() {
 		return got, r.SpecStats(), p2p
 	}
 	// Chunks of 16 elements.
-	want, _, wantP2P := phaseB(Options{ChunkBytes: 64, DisableSpecialize: true})
+	want, _, wantP2P := phaseB(Options{ChunkBytes: 64, Reference: true})
 	got, st, gotP2P := phaseB(Options{ChunkBytes: 64})
 	if st.TiledIters == 0 || len(st.Untiled) != 0 || st.Fallbacks != 0 {
 		t.Fatalf("the kernel did not run tiled: %+v", st)
@@ -1011,7 +1011,7 @@ func TestGuardedStencilSpeedupGate(t *testing.T) {
 		}
 		return best
 	}
-	legacy := wall(Options{DisableSpecialize: true})
+	legacy := wall(Options{Reference: true})
 	fast := wall(Options{})
 	speedup := float64(legacy) / float64(fast)
 	t.Logf("guarded stencil: legacy %v, specialized %v, speedup %.1fx", legacy, fast, speedup)
@@ -1061,7 +1061,7 @@ func TestPhaseBSpeedupGate(t *testing.T) {
 		{"saxpy", specSaxpySrc, map[string]float64{"n": 1 << 20, "a": 1.5}},
 		{"stencil", specStencilSrc, map[string]float64{"n": 1 << 20}},
 	} {
-		legacy := phaseBTime(t, tc.src, tc.scalars, Options{DisableSpecialize: true})
+		legacy := phaseBTime(t, tc.src, tc.scalars, Options{Reference: true})
 		fast := phaseBTime(t, tc.src, tc.scalars, Options{})
 		speedup := float64(legacy) / float64(fast)
 		t.Logf("%s: legacy %v, specialized %v, speedup %.1fx", tc.name, legacy, fast, speedup)
@@ -1077,7 +1077,7 @@ func benchPhaseB(b *testing.B, src string, scalars map[string]float64, opts Opti
 	s := newSpecLaunchState(b, src, scalars, opts)
 	r, k, env := s.r, s.k, s.env
 	ex := r.specExecutor(k)
-	if opts.DisableSpecialize != (ex == nil) {
+	if opts.Reference != (ex == nil) {
 		b.Fatal("executor resolution disagrees with options")
 	}
 	lower, upper := k.Lower(env), k.Upper(env)
@@ -1099,7 +1099,7 @@ func benchPhaseB(b *testing.B, src string, scalars map[string]float64, opts Opti
 func BenchmarkPhaseBSaxpy(b *testing.B) {
 	scalars := map[string]float64{"n": 1 << 20, "a": 1.5}
 	b.Run("legacy", func(b *testing.B) {
-		benchPhaseB(b, specSaxpySrc, scalars, Options{DisableSpecialize: true})
+		benchPhaseB(b, specSaxpySrc, scalars, Options{Reference: true})
 	})
 	b.Run("specialized", func(b *testing.B) {
 		benchPhaseB(b, specSaxpySrc, scalars, Options{})
@@ -1109,7 +1109,7 @@ func BenchmarkPhaseBSaxpy(b *testing.B) {
 func BenchmarkPhaseBStencil(b *testing.B) {
 	scalars := map[string]float64{"n": 1 << 20}
 	b.Run("legacy", func(b *testing.B) {
-		benchPhaseB(b, specStencilSrc, scalars, Options{DisableSpecialize: true})
+		benchPhaseB(b, specStencilSrc, scalars, Options{Reference: true})
 	})
 	b.Run("specialized", func(b *testing.B) {
 		benchPhaseB(b, specStencilSrc, scalars, Options{})
@@ -1190,7 +1190,7 @@ void main() {
 					return New(mach, opts).Run(inst)
 				}
 				errSpec := run(Options{})
-				errInterp := run(Options{DisableSpecialize: true})
+				errInterp := run(Options{Reference: true})
 				if errSpec == nil || errInterp == nil {
 					t.Fatalf("hostile index must error on both paths; spec=%v interp=%v", errSpec, errInterp)
 				}

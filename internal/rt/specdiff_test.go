@@ -16,7 +16,7 @@ import (
 
 // Differential suite for the specialized kernel executors (PR 4): every
 // template below runs twice — once with the fast path enabled (the
-// default) and once with DisableSpecialize — and the two executions
+// default) and once with Reference — and the two executions
 // must be bit-identical in every observable: the virtual-time report
 // (counters, transfer volumes, events, peaks), every array's final
 // contents, and the host scalar state. The template family deliberately
@@ -977,7 +977,7 @@ void main() {
 	})
 }
 
-// safetyTemplates make the fast path's safety checks fire — four per-GPU
+// safetyTemplates make the fast path's safety checks fire — five per-GPU
 // fallbacks and two per-piece demotions to the per-iteration body that
 // no other template, app or example reaches. Each is named
 // safety-<reason>, and checkSpecDiff requires that reason to be counted
@@ -1139,6 +1139,29 @@ void main() {
         #pragma acc parallel loop
         for (i = 0; i < n; i++) {
             out_[i] = mat_[6 * i] * 2.0;
+        }
+    }
+}
+`,
+			scalars: nScalar,
+		},
+		{
+			// "indirect", the reduce half: a computed reductiontoarray index
+			// the interval domain cannot keep inside [0, n) — idx_[i] -
+			// idx_[i] is [-(n-1), n-1] to it — although every iteration
+			// lands on hist_[i].
+			name: "safety-indirect",
+			src: `
+int n;
+int in_[n], idx_[n], hist_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, idx_) copy(hist_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            #pragma acc reductiontoarray(+: hist_[idx_[i] - idx_[i] + i])
+            hist_[idx_[i] - idx_[i] + i] += in_[i];
         }
     }
 }
@@ -1838,7 +1861,7 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		sim.SupercomputerNode(),
 		sim.Cluster(2, 2),
 	} {
-		ref, refInst, refErr := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{DisableSpecialize: true})
+		ref, refInst, refErr := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{Reference: true})
 		r, inst, err := runSpecTemplate(t, tpl, scalars, fillSeed, spec, rt.Options{})
 		label := fmt.Sprintf("%s on %s (n=%g)", tpl.name, spec.Name, scalars["n"])
 		if refErr != nil || err != nil {
@@ -1941,7 +1964,7 @@ func FuzzSpecializedVsInterp(f *testing.F) {
 // TestSafetyFallbackErrorText is the other half of the range and
 // reduction safety templates: when the offending access does execute,
 // the chunk the fast path declined fails on the interpreter with the
-// interpreter's own diagnostic, word for word what DisableSpecialize
+// interpreter's own diagnostic, word for word what Reference
 // reports.
 func TestSafetyFallbackErrorText(t *testing.T) {
 	for _, tc := range []struct{ name, src, want string }{
@@ -1973,7 +1996,7 @@ void main() {
 	} {
 		tpl := specTemplate{name: "error-" + tc.name, src: tc.src}
 		scalars := map[string]float64{"n": 1000}
-		_, _, refErr := runSpecTemplate(t, tpl, scalars, 7, sim.Desktop(), rt.Options{DisableSpecialize: true})
+		_, _, refErr := runSpecTemplate(t, tpl, scalars, 7, sim.Desktop(), rt.Options{Reference: true})
 		_, _, err := runSpecTemplate(t, tpl, scalars, 7, sim.Desktop(), rt.Options{})
 		if refErr == nil || err == nil || err.Error() != refErr.Error() || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s:\n  specialized: %v\n  interpreter: %v\n  want the same error, mentioning %q", tc.name, err, refErr, tc.want)

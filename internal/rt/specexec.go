@@ -23,12 +23,14 @@ import (
 // the executor only runs when it can reproduce the interpreter exactly:
 //
 //   - Kernel-wide (specExecutor returns nil): no KernelSpec at all, or
-//     the DisableSpecialize reference switch. Nothing else about the run
-//     — schedule, tracer, narration, auditor, fault plan — is consulted.
+//     Options.Reference. Nothing else about the run — schedule, tracer,
+//     narration, auditor, fault plan — is consulted.
 //   - Per-GPU fallbacks (run returns handled=false): miss-check lanes
 //     (distributed writes buffer out-of-partition stores one record at
 //     a time), a layout-transformed copy feeding a reduction lane
-//     (lanes are logically indexed), an empty resident range on an
+//     (lanes are logically indexed; the translator transforms no array
+//     the module writes or reduces, so no other store meets a
+//     column-major copy), an empty resident range on an
 //     accessed array, an endpoint range check that fails, a computed
 //     access the interval prover cannot place inside the residency, an
 //     affine guard whose operands overflow, or an index or guard
@@ -54,12 +56,10 @@ import (
 // where the kernel has no tiled form (KernelSpec.Untiled: "shape" or
 // "order" — a body that is nothing but a storing loop, a scatter or
 // gather across the division between the lockstep statements and such a
-// loop, a reduction target with two update sites), where a store the
-// tile would execute in lockstep must mark dirty bits one by one on a
-// column-major copy ("dirty"; on a copy in logical order the tile marks
-// from its active-lane list, and the stores of flat tiles mark as they
-// commit), and where the piece's affine accesses fail the alias check
-// ("alias"). A tile whose loop stores into the window its own lockstep
+// loop, a reduction target with two update sites) and where the piece's
+// affine accesses fail the alias check ("alias"); a lockstep store that
+// must mark dirty bits one by one marks from the tile's active-lane list,
+// the stores of flat tiles as they commit. A tile whose loop stores into the window its own lockstep
 // prefix loaded (BFS) finishes its remaining lanes on the per-iteration
 // body: SpecStats.HazardLanes. What a tile's loops did beyond the plain
 // schedule is counted too: LaneMajorTrips (trips run through a loop's
@@ -87,7 +87,7 @@ import (
 type specExec struct {
 	spec *ir.KernelSpec
 	// uiBySlot maps array slots to the kernel's Arrays index (-1 when
-	// the slot is not a kernel array).
+	// the slot is not a kernel array: no access of the spec names one).
 	uiBySlot []int
 	// gs is the per-GPU reusable launch scratch, indexed by GPU.
 	gs []specGPU
@@ -112,7 +112,7 @@ func (r *Runtime) SpecFallbacks() int64 { return r.spec.Fallbacks }
 // PhaseBWall reports the real wall-clock time this runtime has spent
 // inside Phase B kernel fan-outs (chunk execution on all GPUs), across
 // every launch so far. The paper-app speedup gate compares this figure
-// between a specialized and a DisableSpecialize run of the same app.
+// between a specialized and a Reference run of the same app.
 func (r *Runtime) PhaseBWall() time.Duration { return r.phaseBWall }
 
 // FusedLaunches is always 0: launch fusion is gone. It stays only until
@@ -238,7 +238,7 @@ type scanEntry struct {
 // whole launch must interpret. Called on the host strand only (the
 // cache map is unsynchronized, like the plan cache).
 func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
-	if k.Spec == nil || r.opts.DisableSpecialize {
+	if k.Spec == nil || r.opts.Reference {
 		return nil
 	}
 	ex, ok := r.specExecs[k.ID]
@@ -303,14 +303,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	// mutation. A failed (or impossible) proof hands the whole chunk to
 	// the interpreter, which reproduces the exact legacy behaviour for
 	// genuinely out-of-range indices — including its diagnostics.
-	if spec.HasComputed {
-		if spec.Prover == nil {
-			gs.reason = "indirect"
-			return sim.Counters{}, false, nil
-		}
-		if !ex.prove(r, k, env, g, gs, p) {
-			return sim.Counters{}, false, nil
-		}
+	if spec.HasComputed && !ex.prove(r, k, env, g, gs, p) {
+		return sim.Counters{}, false, nil
 	}
 
 	// Worker environments: one per chunk ForWorkers will spawn,
@@ -319,7 +313,9 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	// A slot whose stores must mark dirty bits per iteration (some
 	// store's footprint is data-dependent: under an arm, in an inner
 	// loop, or at a computed index) gets the dirty buffers bound, so the
-	// store closures mark exactly what executes.
+	// store closures mark exactly what executes. Only a copy the kernel
+	// reads can be column-major (DESIGN §6, invariant 6), so every mark
+	// lands on a copy in logical order.
 	for w := 0; w < nw; w++ {
 		de := gs.envs[w]
 		copy(de.Ints, env.Ints)
@@ -343,7 +339,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 					da.LaneF = c.lanesF[w]
 				}
 			}
-			if nds[ui].wantDirty && (spec.InexactStores[use.Decl.Slot] || c.transformed) {
+			if nds[ui].wantDirty && spec.InexactStores[use.Decl.Slot] {
 				da.Dirty = c.dirty
 				da.ChunkLane = c.chunkLanes[w]
 				da.ChunkElems = c.chunkElems
@@ -351,9 +347,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	// Each piece runs its tiled body unless it has none, one of its
-	// lockstep stores must mark dirty bits one by one on a column-major
-	// copy, or its accesses fail the alias check.
+	// Each piece runs its tiled body unless it has none or its accesses
+	// fail the alias check.
 	gs.lo, gs.chunk, gs.anyVec = p.lo, chunk, false
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
@@ -362,8 +357,6 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			gs.untiled = pc.v.Untiled
 		case pc.offWalk:
 			gs.untiled = "shape"
-		case pc.lockstepDirty(gs.envs[0]):
-			gs.untiled = "dirty"
 		case !pc.prepVec():
 			gs.untiled = "alias"
 		default:
@@ -427,14 +420,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			if !nds[ui].wantDirty || spec.InexactStores[a.Slot] {
 				continue
 			}
-			c := r.state(k.Arrays[ui].Decl).copies[g]
-			if c.transformed {
-				// Per-iteration marking already ran (dirty buffers were
-				// bound): the physical stride of a logical-affine store is
-				// not affine through the layout remap.
-				continue
-			}
-			markDirtyAffine(c, pc.v0[ai], pc.v1[ai], pc.hi-pc.lo)
+			markDirtyAffine(r.state(k.Arrays[ui].Decl).copies[g], pc.v0[ai], pc.v1[ai], pc.hi-pc.lo)
 		}
 	}
 	for ui, use := range k.Arrays {
@@ -442,9 +428,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			continue
 		}
 		slot := use.Decl.Slot
-		c := r.state(use.Decl).copies[g]
-		if spec.InexactStores[slot] || c.transformed {
-			c.mergeChunkLanes()
+		if spec.InexactStores[slot] {
+			r.state(use.Decl).copies[g].mergeChunkLanes()
 		}
 		var stores int64
 		for pi := range gs.pieces {
@@ -552,14 +537,10 @@ func (ex *specExec) plan(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specG
 		pc := &gs.pieces[pi]
 		for ai := range pc.v.Accesses {
 			a := &pc.v.Accesses[ai]
-			ui := ex.uiBySlot[a.Slot]
-			if ui < 0 {
-				return "shape"
-			}
 			if !a.Affine {
 				continue // discharged by the interval prover
 			}
-			st := r.state(k.Arrays[ui].Decl)
+			st := r.state(k.Arrays[ex.uiBySlot[a.Slot]].Decl)
 			c := st.copies[g]
 			ev.Ints[spec.LoopSlot] = pc.lo
 			v0 := a.Index(ev)
@@ -585,9 +566,9 @@ func (ex *specExec) plan(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specG
 // split cuts a guarded kernel's chunk at the roots of the guard's
 // comparisons, so that every comparison — hence every guard, the
 // variant it selects and what evaluating it costs — is constant on each
-// piece, and records one piece per run of equal (variant, cost). Both
-// ends of a piece are evaluated with the interpreter's own conditions;
-// false (overflowing operands, or ends that disagree) means fall back.
+// piece, and records one piece per run of equal (variant, cost), both
+// read off the interpreter's own conditions at the piece's first
+// iteration; false (overflowing operands) means fall back.
 func (ex *specExec) split(gs *specGPU, p span) bool {
 	guard, ev, loopSlot := ex.spec.Guard, gs.evalEnv, ex.spec.LoopSlot
 	n := p.count()
@@ -617,9 +598,6 @@ func (ex *specExec) split(gs *specGPU, p span) bool {
 			continue // two comparisons with the same root
 		}
 		vi, cost := selectAt(lo)
-		if vj, cj := selectAt(hi - 1); vj != vi || cj != cost {
-			return false
-		}
 		v := guard.Variants[vi]
 		if last := len(gs.pieces) - 1; last >= 0 && gs.pieces[last].v == v && gs.pieces[last].guardFlops == cost {
 			gs.pieces[last].hi = hi
@@ -733,26 +711,13 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 	pe := gs.penv
 	exact, widened := false, false
 	pe.Load = func(slot int, idx ir.Ival) ir.Ival {
-		if !idx.Bounded() {
-			return ir.IvalTop()
-		}
-		ui := ex.uiBySlot[slot]
-		if ui < 0 {
-			return ir.IvalTop()
-		}
-		use := k.Arrays[ui]
-		if use.Written || use.Reduced {
-			// The kernel mutates this array, so a value scan would be
-			// stale after every launch. Top is sound; precision only
-			// matters when the values feed computed indices, and a
-			// kernel that indexes through an array it also writes
-			// belongs on the interpreter anyway.
-			return ir.IvalTop()
-		}
-		c := r.state(use.Decl).copies[g]
+		// The prover asks only for arrays the kernel never writes (a scan
+		// of one it mutates would be stale at once: ir answers Top itself).
+		c := r.state(k.Arrays[ex.uiBySlot[slot]].Decl).copies[g]
 		if !c.valid || c.i32 == nil || idx.Lo < c.lo || idx.Hi > c.hi {
-			// The load's own recorded access interval fails its range
-			// check below, so an unbounded value costs nothing extra.
+			// The load's own recorded access interval — unbounded, or past
+			// the residency — fails its range check below, so an unbounded
+			// value costs nothing extra.
 			return ir.IvalTop()
 		}
 		lo, hi := idx.Lo, idx.Hi
@@ -819,29 +784,15 @@ func (ex *specExec) checkProof(r *Runtime, k *ir.Kernel, g int, gs *specGPU) str
 	return ""
 }
 
-// lockstepDirty reports a store the tiled body would execute in lockstep
-// on a column-major copy whose stores mark dirty bits one by one this
-// launch: the tile marks along the logical walk (ir.DArray.markWalk),
-// which is the physical one only on a copy in logical order (de is any of
-// the launch's worker environments: all bind the same slots).
-func (pc *specPiece) lockstepDirty(de *ir.DEnv) bool {
-	for ai := range pc.v.Accesses {
-		a := &pc.v.Accesses[ai]
-		if da := &de.Arrays[a.Slot]; a.Kind == ir.AccessStore && a.LaneLoop == 0 && da.Dirty != nil && da.TWidth != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // prepVec derives each access's affine coefficients over the piece from
 // its endpoint values and decides whether the tiled body's statement-
 // blocked schedule is element-equivalent to the per-iteration schedule.
 // Two accesses of the same array may be reordered against each other
 // only if they provably hit the same element every iteration (program
 // order is then preserved per element) or provably disjoint element
-// sets. Reduce accesses write per-worker lanes, not the array, so they
-// only interfere with other reduces. Left out, because the tile
+// sets. Reduce accesses write per-worker lanes, not the array, and a
+// tiled body has one per target, so they interfere with nothing. Left
+// out, because the tile
 // builder's static rules cover them (ir.vecBuilder.scan): computed
 // accesses, and stores inside a lane-major loop, which face only their
 // own loop — run in iteration order — and watched prefix loads.
@@ -865,15 +816,8 @@ func (pc *specPiece) prepVec() bool {
 				continue
 			}
 			ki, kj := acc[i].Kind, acc[j].Kind
-			var conflict bool
-			switch {
-			case ki == ir.AccessStore && acc[i].LaneLoop == 0 && kj != ir.AccessReduce,
-				kj == ir.AccessStore && acc[j].LaneLoop == 0 && ki != ir.AccessReduce:
-				conflict = true
-			case ki == ir.AccessReduce && kj == ir.AccessReduce:
-				conflict = true
-			}
-			if !conflict {
+			if !(ki == ir.AccessStore && acc[i].LaneLoop == 0 && kj != ir.AccessReduce ||
+				kj == ir.AccessStore && acc[j].LaneLoop == 0 && ki != ir.AccessReduce) {
 				continue
 			}
 			ai, bi := pc.accA[i], pc.accB[i]
@@ -894,15 +838,7 @@ func (pc *specPiece) prepVec() bool {
 // element: separated ranges, or equal nonzero strides whose offset
 // difference is not a multiple of the stride.
 func vecDisjoint(v0i, v1i, v0j, v1j, ai, aj, bi, bj int64) bool {
-	loi, hii := v0i, v1i
-	if loi > hii {
-		loi, hii = hii, loi
-	}
-	loj, hij := v0j, v1j
-	if loj > hij {
-		loj, hij = hij, loj
-	}
-	if hii < loj || hij < loi {
+	if max(v0i, v1i) < min(v0j, v1j) || max(v0j, v1j) < min(v0i, v1i) {
 		return true
 	}
 	return ai == aj && ai != 0 && (bi-bj)%ai != 0

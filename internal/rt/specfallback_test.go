@@ -51,10 +51,14 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 		lines = append(lines, line)
 	}
 	// The groups in the order their rows were first written: the original
-	// templates, (the apps,) the safety templates, the loop templates.
+	// templates, (the apps,) the safety templates, the loop templates,
+	// the safety templates written since.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); prefix {
 		case "safety":
+			if name == "safety-indirect" {
+				return 3
+			}
 			return 1
 		case "loopred", "unloopred", "flat":
 			return 2
@@ -62,7 +66,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 		return 0
 	}
 	templates := func(g int) {
-		safety := g == 1
+		safety := g == 1 || g == 3
 		for _, tpl := range specTemplates {
 			if group(tpl.name) != g {
 				continue
@@ -115,6 +119,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	}
 	templates(1)
 	templates(2)
+	templates(3)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

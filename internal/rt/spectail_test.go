@@ -42,7 +42,7 @@ void main() {
 `, tc.typ, tc.ident, tc.op, tc.guard, tc.stmt)
 		for _, spec := range []sim.MachineSpec{sim.Desktop().WithGPUs(1), sim.Desktop(), sim.Cluster(2, 2)} {
 			var got [2]float64
-			for i, opts := range []Options{{DisableSpecialize: true}, {}} {
+			for i, opts := range []Options{{Reference: true}, {}} {
 				_, inst := buildSpecInstance(t, src, map[string]float64{"n": n})
 				a := inst.Arrays[0].I32
 				for j := range a {
@@ -115,7 +115,7 @@ func BenchmarkPhaseBApps(b *testing.B) {
 		for _, bc := range []struct {
 			name string
 			opts Options
-		}{{"specialized", Options{}}, {"interpreted", Options{DisableSpecialize: true}}} {
+		}{{"specialized", Options{}}, {"interpreted", Options{Reference: true}}} {
 			b.Run(app.name+"/"+bc.name, func(b *testing.B) {
 				var wall time.Duration
 				var iters int64
@@ -135,6 +135,85 @@ func BenchmarkPhaseBApps(b *testing.B) {
 					iters += r.Report().Counters.Iterations
 				}
 				b.ReportMetric(float64(wall.Nanoseconds())/float64(iters), "ns/iter")
+			})
+		}
+	}
+}
+
+// BenchmarkPhaseBUntiled is the number for the per-iteration specialized
+// body, which no shipped app reaches any more (BenchmarkPhaseBApps is all
+// tiles): two kernels with no tiled form, on one GPU, Phase B host time
+// per kernel iteration, specialized and interpreted. A top-level scatter
+// through a permutation built on the host, and a body that is nothing but
+// a loop with a store in it — the shape the per-iteration body is still
+// the designated engine for, and the one ir.fuseFor is kept for (DESIGN
+// §11 has what each costs without it, and without the integer
+// superoperators that once sat beside it).
+func BenchmarkPhaseBUntiled(b *testing.B) {
+	for _, k := range []struct {
+		name, src string
+		scalars   map[string]float64
+	}{
+		{"scatter", `
+int n;
+int idx_[n];
+float a_[n], out_[n];
+void main() {
+    int i, j;
+    for (j = 0; j < n; j++) {
+        idx_[j] = (j * 5 + 3) % n;
+        a_[j] = j % 17;
+    }
+    #pragma acc data copyin(idx_, a_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[idx_[i]] = a_[i] * 2 + 1;
+        }
+    }
+}
+`, map[string]float64{"n": 1 << 20}},
+		{"rowsweep", `
+int h, w;
+float m_[h * w], s_[h * w];
+void main() {
+    int i, c, j;
+    for (j = 0; j < h * w; j++) {
+        m_[j] = j % 13;
+    }
+    #pragma acc data copyin(m_) copy(s_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < h; i++) {
+            for (c = 1; c < w; c++) {
+                s_[i * w + c] = m_[i * w + c] + m_[i * w + c - 1];
+            }
+        }
+    }
+}
+`, map[string]float64{"h": 4096, "w": 256}},
+	} {
+		for _, bc := range []struct {
+			name string
+			opts Options
+		}{{"specialized", Options{}}, {"interpreted", Options{Reference: true}}} {
+			b.Run(k.name+"/"+bc.name, func(b *testing.B) {
+				var wall time.Duration
+				var iters int64
+				for i := 0; i < b.N; i++ {
+					bind := ir.NewBindings()
+					for name, v := range k.scalars {
+						bind.SetScalar(name, v)
+					}
+					_, r := exec(b, k.src, sim.Desktop().WithGPUs(1), bc.opts, bind)
+					if st := r.SpecStats(); !bc.opts.Reference && (st.TiledIters != 0 || st.Fallbacks != 0 || st.Untiled["shape"] == 0) {
+						b.Fatalf("not on the per-iteration body: %+v", st)
+					}
+					wall += r.PhaseBWall()
+					iters += r.Report().Counters.Iterations
+				}
+				b.ReportMetric(float64(wall.Nanoseconds())/float64(iters), "ns/iter")
+				b.ReportMetric(float64(wall.Microseconds())/1e3/float64(b.N), "phaseB-ms")
 			})
 		}
 	}
@@ -188,7 +267,7 @@ void main() {
 		rep    Report
 	}
 	var hazard int64
-	for i, opts := range []Options{{DisableSpecialize: true}, {}} {
+	for i, opts := range []Options{{Reference: true}, {}} {
 		_, inst := buildSpecInstance(t, src, map[string]float64{"n": float64(n)})
 		tgt, g, ran := inst.Arrays[0].I32, inst.Arrays[1].I32, inst.Arrays[2].I32
 		for j := range g {

@@ -10,6 +10,7 @@ import (
 
 	"accmulti/internal/apps"
 	"accmulti/internal/cc"
+	"accmulti/internal/core"
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 )
@@ -58,9 +59,8 @@ type RunRequest struct {
 
 // RunOptions mirrors the runtime ablation switches of the CLIs.
 type RunOptions struct {
-	NoAsync      bool `json:"no_async,omitempty"`
-	NoSpecialize bool `json:"no_specialize,omitempty"`
-	BalanceLoad  bool `json:"balance_load,omitempty"`
+	NoAsync     bool `json:"no_async,omitempty"`
+	BalanceLoad bool `json:"balance_load,omitempty"`
 	// Audit verifies every device copy against the sequential shadow
 	// oracle during the run (slower; error 422 on divergence).
 	Audit bool `json:"audit,omitempty"`
@@ -119,23 +119,42 @@ type ErrorDetail struct {
 	Diagnostics json.RawMessage `json:"diagnostics,omitempty"`
 }
 
-// buildBindings materializes the request's bindings: generator first,
-// then explicit scalars and arrays layered on top. The program's
-// declarations type-check inline arrays.
-func buildBindings(req *RunRequest, prog *cc.Program) (*ir.Bindings, error) {
+// buildBindings materializes the request's bindings — generator first,
+// then explicit scalars and arrays layered on top, the program's
+// declarations type-checking inline arrays — and their device-memory
+// footprint (the admission weight), refusing one past limit: the scalars
+// are the client's, and a generator or a bind would allocate what they
+// say.
+func buildBindings(req *RunRequest, prog *core.Program, limit int64) (*ir.Bindings, int64, error) {
+	admit := func(b *ir.Bindings) (int64, error) {
+		footprint, err := core.DeviceMemoryUsage(prog, b)
+		if err == nil && footprint > limit {
+			err = fmt.Errorf("the program's arrays take %d bytes; the machine's devices hold %d", footprint, limit)
+		}
+		return footprint, err
+	}
 	b := ir.NewBindings()
 	if g := req.Generator; g != nil {
 		app, err := apps.ByName(g.App)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		scale := g.Scale
 		if scale <= 0 {
 			scale = app.DefaultScale
 		}
+		// The sizes first, with the request's scalars over them as they
+		// will be over the input: Generate runs only on a scale admitted.
+		shape := app.Shape(scale)
+		for name, v := range req.Scalars {
+			shape.SetScalar(name, v)
+		}
+		if _, err := admit(shape); err != nil {
+			return nil, 0, err
+		}
 		in, err := app.Generate(scale, g.Seed)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		b = in.Bindings
 	}
@@ -143,17 +162,18 @@ func buildBindings(req *RunRequest, prog *cc.Program) (*ir.Bindings, error) {
 		b.SetScalar(name, v)
 	}
 	for name, p := range req.Arrays {
-		d, ok := prog.Scope[name]
+		d, ok := prog.Source.Scope[name]
 		if !ok || !d.IsArray {
-			return nil, fmt.Errorf("no global array %q in program", name)
+			return nil, 0, fmt.Errorf("no global array %q in program", name)
 		}
 		a, err := p.toHostArray(d)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		b.SetArray(name, a)
 	}
-	return b, nil
+	footprint, err := admit(b)
+	return b, footprint, err
 }
 
 func (p *ArrayPayload) toHostArray(d *cc.VarDecl) (*ir.HostArray, error) {

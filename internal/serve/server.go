@@ -292,13 +292,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// 4. Bindings and the admission weight: the estimated
-	// device-memory footprint of the bound program.
-	bind, err := buildBindings(&req, prog.Source)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	footprint, err := core.DeviceMemoryUsage(prog, bind)
+	// device-memory footprint of the bound program, which must fit the
+	// machine's devices between them.
+	bind, footprint, err := buildBindings(&req, prog, int64(spec.NumGPUs)*spec.GPU.MemBytes)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -352,11 +348,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	opts := rt.Options{
-		Mode:              mode,
-		Async:             !req.Options.NoAsync,
-		DisableSpecialize: req.Options.NoSpecialize,
-		BalanceLoad:       req.Options.BalanceLoad,
-		Interrupt:         func() error { return ctx.Err() },
+		Mode:        mode,
+		Async:       !req.Options.NoAsync,
+		BalanceLoad: req.Options.BalanceLoad,
+		Interrupt:   func() error { return ctx.Err() },
 	}
 	res, runErr := prog.RunOn(mach, bind, core.Config{
 		Options: opts,

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -130,7 +131,7 @@ func mixedCorpus(t *testing.T) [][]byte {
 		Arrays: map[string]*ArrayPayload{"x": {F32: seq32(96)}}})
 	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 48}, Mode: "openmp"})
 	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 48},
-		Options: RunOptions{NoAsync: true, NoSpecialize: true}})
+		Options: RunOptions{NoAsync: true}})
 	add(&RunRequest{Source: stencilSrc, Generator: nil, Vet: true,
 		Scalars: map[string]float64{"n": 32, "steps": 1}})
 	add(&RunRequest{Source: vetBadSrc, Vet: true, Scalars: map[string]float64{"n": 32}})
@@ -413,6 +414,63 @@ func TestRequestTimeoutDuringRun(t *testing.T) {
 	json.Unmarshal(rec.Body.Bytes(), &eresp)
 	if eresp.Error.Code != "timeout" {
 		t.Errorf("error code = %q", eresp.Error.Code)
+	}
+}
+
+// TestOversizedFootprintRefused pins that sizes a client picks are held
+// to the machine's device memory before anything is allocated for them: a
+// generator scale (BFS 200x is 89 GB of graph) is refused on its Shape,
+// Generate never runs, and a scalar that sizes a 40 GB array likewise.
+func TestOversizedFootprintRefused(t *testing.T) {
+	h := New(Config{}).Handler()
+	bfs, err := apps.ByName("BFS")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, req := range map[string]*RunRequest{
+		"generator scale": {Source: bfs.Source, Generator: &GeneratorSpec{App: "BFS", Scale: 200, Seed: 1}},
+		"scalar":          {Source: reduceSrc, Scalars: map[string]float64{"n": 1e10}},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rec := post(t, h, "/v1/run", marshal(t, req))
+		runtime.ReadMemStats(&after)
+		var eresp ErrorResponse
+		json.Unmarshal(rec.Body.Bytes(), &eresp)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(eresp.Error.Message, "the machine's devices hold") {
+			t.Errorf("%s: status %d, %q; want 400 naming the device memory", name, rec.Code, eresp.Error.Message)
+		}
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 8 {
+			t.Errorf("%s: refusing allocated %d MB", name, mb)
+		}
+	}
+}
+
+// TestTimeoutEndsHostLoop pins that a host loop which never reaches a
+// directive cannot hold a run slot past its deadline: the request answers
+// 504, no run is in flight afterwards, and the machine it leased is back
+// in the pool for the next request.
+func TestTimeoutEndsHostLoop(t *testing.T) {
+	s := New(Config{Concurrency: 1})
+	h := s.Handler()
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{
+		Source:    "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }",
+		TimeoutMS: 50,
+	}))
+	var eresp ErrorResponse
+	json.Unmarshal(rec.Body.Bytes(), &eresp)
+	if rec.Code != http.StatusGatewayTimeout || eresp.Error.Code != "timeout" {
+		t.Fatalf("status %d code %q, want 504 timeout: %s", rec.Code, eresp.Error.Code, rec.Body.String())
+	}
+	waitLoad(t, h, 0, 0)
+	if idle := s.pool.Idle(); idle != 1 {
+		t.Errorf("%d machines idle in the pool, want the leased one back", idle)
+	}
+	if rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})); rec.Code != http.StatusOK {
+		t.Fatalf("request after the timeout: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if body := get(t, h, "/v1/metrics").Body.String(); !strings.Contains(body, "pool.reuse") || strings.Contains(body, "pool.discard") {
+		t.Errorf("metrics after the timeout: want the machine reused, none discarded:\n%s", body)
 	}
 }
 

@@ -19,10 +19,9 @@ func TestOptionsSurface(t *testing.T) {
 			"Mode", "ChunkBytes",
 			"DisableDistribution", "DisableLayoutTransform", "DisableTwoLevelDirty", "DisableReloadSkip",
 			"BalanceLoad", "Async", "Tracer", "Auditor",
-			"DisableDegradation", "DisablePlanCache",
-			"Interrupt", "DisableSpecialize", "Sabotage",
+			"DisableDegradation", "Interrupt", "Reference", "Sabotage",
 		}},
-		{reflect.TypeOf(RunOptions{}), []string{"NoAsync", "NoSpecialize", "BalanceLoad", "Audit"}},
+		{reflect.TypeOf(RunOptions{}), []string{"NoAsync", "BalanceLoad", "Audit"}},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumField(); i++ {

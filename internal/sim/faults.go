@@ -225,15 +225,6 @@ func (e *NodeLostError) Error() string {
 	return fmt.Sprintf("sim: %s unreachable: node %d lost (injected fault)", e.Device, e.Node)
 }
 
-// FaultPlan returns the armed plan, or nil.
-func (m *Machine) FaultPlan() *FaultPlan {
-	if m.faults == nil {
-		return nil
-	}
-	p := m.faults.plan
-	return &p
-}
-
 // allocFails decides whether the next allocation on device id is the
 // plan's one-shot injected OOM. Counting covers every allocation so the
 // "Nth allocation" is well defined and reproducible.

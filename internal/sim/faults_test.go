@@ -194,7 +194,4 @@ func TestTransferFailuresAreDeterministicAndBounded(t *testing.T) {
 	if clean.TransferAttemptFails() {
 		t.Error("unarmed machine must not fail transfers")
 	}
-	if clean.FaultPlan() != nil {
-		t.Error("unarmed machine must report a nil plan")
-	}
 }

@@ -26,26 +26,11 @@ func (g *Graph) NumVertices() int { return len(g.Offsets) - 1 }
 // NumEdges returns the edge count.
 func (g *Graph) NumEdges() int { return len(g.Edges) }
 
-// GenLayeredGraph builds a graph whose BFS from vertex 0 takes exactly
-// `layers` levels (cost values 0..layers-1): vertices split into layers
-// of geometrically growing size starting from the single source, every
-// layer-(k+1) vertex has a deterministic in-edge from layer k, edges
-// otherwise point forward (or sideways in the last layer), and each
-// vertex adds avgDeg-1 random forward edges. With layers=10 the BFS
-// kernel executes 10 times — 9 productive sweeps plus the terminating
-// one — matching the paper's SHOC input. The CSR is built in one pass
-// (deterministic out-degrees), so paper-scale graphs (~90M edges)
-// generate in seconds.
-func GenLayeredGraph(nv, avgDeg, layers int, seed int64) *Graph {
-	if layers < 1 {
-		layers = 1
-	}
-	if nv < layers {
-		nv = layers
-	}
-	rng := rand.New(rand.NewSource(seed))
-
-	// Geometric layer sizes: size_k ~ r^k with layer 0 = one source.
+// layerSizes splits nv vertices (at least one per layer) into layers of
+// geometrically growing size: size_k ~ r^k with layer 0 = one source.
+func layerSizes(nv, layers int) []int {
+	layers = max(layers, 1)
+	nv = max(nv, layers)
 	sizes := make([]int, layers)
 	r := math.Pow(float64(nv), 1/float64(layers-1))
 	weights := make([]float64, layers)
@@ -66,6 +51,36 @@ func GenLayeredGraph(nv, avgDeg, layers int, seed int64) *Graph {
 	if sizes[layers-1] < 1 {
 		sizes[layers-1] = 1
 	}
+	return sizes
+}
+
+// LayeredGraphEdges is GenLayeredGraph(nv, avgDeg, layers, seed).NumEdges()
+// for every seed, without building the graph: every vertex has avgDeg-1
+// random edges, and the vertices of a layer cover the next layer's once
+// between them.
+func LayeredGraphEdges(nv, avgDeg, layers int) int {
+	sizes := layerSizes(nv, layers)
+	ne := max(nv, len(sizes)) * max(avgDeg-1, 0)
+	for _, size := range sizes[1:] {
+		ne += size
+	}
+	return ne
+}
+
+// GenLayeredGraph builds a graph whose BFS from vertex 0 takes exactly
+// `layers` levels (cost values 0..layers-1): vertices split into layers
+// of geometrically growing size starting from the single source, every
+// layer-(k+1) vertex has a deterministic in-edge from layer k, edges
+// otherwise point forward (or sideways in the last layer), and each
+// vertex adds avgDeg-1 random forward edges. With layers=10 the BFS
+// kernel executes 10 times — 9 productive sweeps plus the terminating
+// one — matching the paper's SHOC input. The CSR is built in one pass
+// (deterministic out-degrees), so paper-scale graphs (~90M edges)
+// generate in seconds.
+func GenLayeredGraph(nv, avgDeg, layers int, seed int64) *Graph {
+	sizes := layerSizes(nv, layers)
+	nv, layers = max(nv, len(sizes)), len(sizes)
+	rng := rand.New(rand.NewSource(seed))
 	starts := make([]int, layers+1)
 	for k := 0; k < layers; k++ {
 		starts[k+1] = starts[k] + sizes[k]

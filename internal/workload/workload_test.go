@@ -59,6 +59,22 @@ func TestLayeredGraphCSRWellFormed(t *testing.T) {
 	}
 }
 
+// TestLayeredGraphEdgesMatchesGenerator pins the closed form against the
+// graphs themselves, tiny ones (where rounding clamps layers) included.
+func TestLayeredGraphEdgesMatchesGenerator(t *testing.T) {
+	for _, layers := range []int{1, 2, 3, 10} {
+		for _, deg := range []int{0, 1, 3, 14} {
+			for nv := 1; nv < 400; nv += 1 + nv/7 {
+				for seed := int64(1); seed <= 2; seed++ {
+					if got, want := LayeredGraphEdges(nv, deg, layers), GenLayeredGraph(nv, deg, layers, seed).NumEdges(); got != want {
+						t.Fatalf("nv %d, degree %d, %d layers, seed %d: %d edges, the graph has %d", nv, deg, layers, seed, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestGraphDeterminism(t *testing.T) {
 	a := GenLayeredGraph(3000, 5, 10, 42)
 	b := GenLayeredGraph(3000, 5, 10, 42)
