@@ -24,8 +24,8 @@ all: build vet test
 # vet-vs-auditor cross-check fuzzer, the specialized-vs-interpreted
 # differential fuzzer, the trace well-formedness fuzzer, the
 # async-vs-sync schedule-equivalence fuzzer, the static-vs-dynamic
-# dependence cross-check fuzzer and the transfer-pricing-vs-reference
-# fuzzer.
+# dependence cross-check fuzzer, the transfer-pricing-vs-reference
+# fuzzer and the accd request fuzzer.
 check: lint
 	$(MAKE) invariants
 	$(GO) test ./...
@@ -91,6 +91,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzAsyncVsSyncSchedule -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzDepCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzTransferTimeMatchesReference -fuzztime=5s -run='^$$' ./internal/sim
+	$(GO) test -fuzz=FuzzServeRequest -fuzztime=5s -fuzzminimizetime=1s -run='^$$' ./internal/serve
 
 build:
 	$(GO) build ./...

@@ -2,6 +2,7 @@ package acc
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -48,7 +49,7 @@ func TestParseParallelLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reds) != 2 || reds[0] != (Reduction{"+", "sum"}) || reds[1] != (Reduction{"max", "m"}) {
+	if len(reds) != 2 || reds[0] != (Reduction{RedAdd, "sum"}) || reds[1] != (Reduction{RedMax, "m"}) {
 		t.Fatalf("reductions = %v", reds)
 	}
 	if _, ok := d.Clause("gang"); !ok {
@@ -294,5 +295,33 @@ func TestDataArgsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestIdentityAndMerge(t *testing.T) {
+	for op := RedAdd; op <= RedLAnd; op++ {
+		if back, ok := ParseRedOp(op.String()); !ok || back != op {
+			t.Errorf("ParseRedOp(%q) = %v, %v", op, back, ok)
+		}
+		idF := op.IdentityF()
+		if got := op.MergeF(idF, 5); got != op.MergeF(5, idF) {
+			t.Errorf("MergeF(%q) not symmetric around identity", op)
+		}
+		idI := op.IdentityI()
+		if got := op.MergeI(idI, 5); got != op.MergeI(5, idI) {
+			t.Errorf("MergeI(%q) not symmetric around identity", op)
+		}
+	}
+	if RedAdd.MergeF(2, 3) != 5 || RedMax.MergeI(2, 3) != 3 || RedMin.MergeI(2, 3) != 2 {
+		t.Error("merge results wrong")
+	}
+	if RedLOr.MergeI(0, 7) != 1 || RedLAnd.MergeI(1, 0) != 0 || RedOr.MergeI(5, 2) != 7 {
+		t.Error("logical merges wrong")
+	}
+	if !math.IsInf(RedMax.IdentityF(), -1) || !math.IsInf(RedMin.IdentityF(), 1) {
+		t.Error("float min/max identities wrong")
+	}
+	if _, ok := ParseRedOp("?"); ok {
+		t.Error("ParseRedOp accepted an unknown operator")
 	}
 }

@@ -161,7 +161,7 @@ func (d *Directive) DataArgs() ([]DataArg, error) {
 
 // Reduction is a scalar reduction clause `reduction(op:var)`.
 type Reduction struct {
-	Op  string // "+", "*", "max", "min", "|", "&", "||", "&&"
+	Op  RedOp
 	Var string
 }
 
@@ -173,12 +173,13 @@ func (d *Directive) Reductions() ([]Reduction, error) {
 			continue
 		}
 		for _, a := range c.Args {
-			op, v, err := splitColon(a)
+			name, v, err := splitColon(a)
 			if err != nil {
 				return nil, fmt.Errorf("acc: line %d: reduction(%s): %w", d.Line, a, err)
 			}
-			if !validReduceOp(op) {
-				return nil, fmt.Errorf("acc: line %d: reduction(%s): unsupported operator %q", d.Line, a, op)
+			op, ok := ParseRedOp(name)
+			if !ok {
+				return nil, fmt.Errorf("acc: line %d: reduction(%s): unsupported operator %q", d.Line, a, name)
 			}
 			if !isIdent(v) {
 				return nil, fmt.Errorf("acc: line %d: reduction(%s): variable must be an identifier", d.Line, a)
@@ -297,7 +298,7 @@ func ParseReductionToArray(d *Directive) (ReductionToArray, error) {
 	if err != nil {
 		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray(%s): %w", d.Line, head.Args[0], err)
 	}
-	if !validReduceOp(op) {
+	if _, ok := ParseRedOp(op); !ok {
 		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray: unsupported operator %q", d.Line, op)
 	}
 	arr, idx, err := splitIndex(target)
@@ -305,12 +306,4 @@ func ParseReductionToArray(d *Directive) (ReductionToArray, error) {
 		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray(%s): %w", d.Line, head.Args[0], err)
 	}
 	return ReductionToArray{Op: op, Array: arr, Index: idx, Line: d.Line}, nil
-}
-
-func validReduceOp(op string) bool {
-	switch op {
-	case "+", "*", "max", "min", "|", "&", "||", "&&":
-		return true
-	}
-	return false
 }

@@ -8,8 +8,10 @@
 // (ACCV010 dead device writes, ACCV011 redundant transfers, ACCV012
 // distributability advisor).
 //
-// The pass consumes the same footprints the runtime's placement and
-// the PR-6 pipelined scheduler consume (translator.AnalyzeProgram) and
+// The pass reads the program skeleton (translator.ProgramAccess): the
+// footprints the runtime's placement and the pipelined scheduler consume,
+// and the skeleton's own tree of regions, kernels, updates, host
+// statements, host loops and branches — it builds no tree of its own. It
 // reuses the scheduler's hazard-interval representation
 // (rt.IntervalSet) for its footprint envelopes, so the static
 // dependences it derives and the dependences the scheduler serializes
@@ -72,11 +74,8 @@ func Analyze(pa *translator.ProgramAccess) *Result {
 	for _, loop := range pa.Loops {
 		a.checkLoopRaces(loop)
 	}
-	t := a.buildTree()
-	if t != nil {
-		a.cleanliness(t)
-		a.liveness(t)
-	}
+	a.cleanSeq(pa.Body, cstate{}, true)
+	a.liveness()
 	a.advise()
 	a.deps()
 	return a.res
@@ -97,9 +96,6 @@ type analyzer struct {
 	// raced names arrays with an ACCV008/ACCV009 finding; the
 	// distributability advisor must not propose spreading them.
 	raced map[string]bool
-	// loopPaths maps each kernel to the ids of its enclosing host-side
-	// loops, for dependence direction through back edges.
-	loopPaths map[*translator.LoopAccess][]int
 }
 
 func (a *analyzer) add(sev diag.Severity, code string, line, col int, symbol, fixit, format string, args ...any) {
@@ -117,255 +113,6 @@ func (a *analyzer) add(sev diag.Severity, code string, line, col int, symbol, fi
 		FixIt:    fixit,
 		Symbol:   symbol,
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Program tree
-//
-// The analyses run over a small structured IR of main's body: kernels,
-// host statements that touch arrays, update directives, data regions,
-// host-side loops and branches. It mirrors the statement walk of
-// translator.AnalyzeProgram, so the nth data Block matches
-// pa.Regions[n] and parallel ForStmts match pa.Loops by their AST
-// node.
-
-type nodeKind int
-
-const (
-	nSeq nodeKind = iota
-	nKernel
-	nRegion
-	nHostLoop
-	nBranch
-	nHost
-	nUpdate
-)
-
-type node struct {
-	kind nodeKind
-	line int
-	// kids is the ordered body: all children for nSeq/nRegion/nHostLoop,
-	// the then branch for nBranch (elseKids holds the else branch).
-	kids     []*node
-	elseKids []*node
-	loop     *translator.LoopAccess // nKernel
-	region   *translator.RegionInfo // nRegion
-	// reads/writes are the arrays a host statement touches (whole-array
-	// conservative).
-	reads, writes []*cc.VarDecl
-	// upHost/upDev are the arrays of an update directive's host/self
-	// and device clauses.
-	upHost, upDev []*cc.VarDecl
-	// loopID identifies an nHostLoop for common-ancestor queries.
-	loopID int
-}
-
-type treeBuilder struct {
-	a         *analyzer
-	regionIdx int
-	loops     map[*cc.ForStmt]*translator.LoopAccess
-	loopStack []int
-	nextLoop  int
-	failed    bool
-}
-
-func (a *analyzer) buildTree() *node {
-	b := &treeBuilder{a: a, loops: map[*cc.ForStmt]*translator.LoopAccess{}}
-	a.loopPaths = map[*translator.LoopAccess][]int{}
-	for _, loop := range a.pa.Loops {
-		b.loops[loop.For] = loop
-	}
-	kids := b.walk(a.pa.Prog.Main.Body)
-	if b.failed {
-		return nil
-	}
-	return &node{kind: nSeq, kids: kids}
-}
-
-func (b *treeBuilder) walk(s cc.Stmt) []*node {
-	if b.failed || s == nil {
-		return nil
-	}
-	switch st := s.(type) {
-	case *cc.Block:
-		var kids []*node
-		inner := st.Stmts
-		if st.Data != nil {
-			if b.regionIdx >= len(b.a.pa.Regions) || b.a.pa.Regions[b.regionIdx].Line != st.Data.Line {
-				b.failed = true // region walk diverged from AnalyzeProgram
-				return nil
-			}
-			region := b.a.pa.Regions[b.regionIdx]
-			b.regionIdx++
-			r := &node{kind: nRegion, region: region, line: region.Line}
-			for _, sub := range inner {
-				r.kids = append(r.kids, b.walk(sub)...)
-			}
-			return []*node{r}
-		}
-		for _, sub := range inner {
-			kids = append(kids, b.walk(sub)...)
-		}
-		return kids
-	case *cc.ForStmt:
-		if st.Parallel != nil {
-			loop := b.loops[st]
-			if loop == nil {
-				b.failed = true
-				return nil
-			}
-			b.a.loopPaths[loop] = append([]int(nil), b.loopStack...)
-			return []*node{{kind: nKernel, loop: loop, line: st.Line}}
-		}
-		id := b.nextLoop
-		b.nextLoop++
-		var out []*node
-		if h := b.hostAssign(st.Init); h != nil {
-			out = append(out, h)
-		}
-		if h := b.hostExpr(st.Line, st.Cond); h != nil {
-			out = append(out, h)
-		}
-		ln := &node{kind: nHostLoop, line: st.Line, loopID: id}
-		if h := b.hostExpr(st.Line, st.Cond); h != nil {
-			ln.kids = append(ln.kids, h)
-		}
-		b.loopStack = append(b.loopStack, id)
-		ln.kids = append(ln.kids, b.walk(st.Body)...)
-		b.loopStack = b.loopStack[:len(b.loopStack)-1]
-		if h := b.hostAssign(st.Post); h != nil {
-			ln.kids = append(ln.kids, h)
-		}
-		return append(out, ln)
-	case *cc.WhileStmt:
-		id := b.nextLoop
-		b.nextLoop++
-		var out []*node
-		if h := b.hostExpr(st.Line, st.Cond); h != nil {
-			out = append(out, h)
-		}
-		ln := &node{kind: nHostLoop, line: st.Line, loopID: id}
-		if h := b.hostExpr(st.Line, st.Cond); h != nil {
-			ln.kids = append(ln.kids, h)
-		}
-		b.loopStack = append(b.loopStack, id)
-		ln.kids = append(ln.kids, b.walk(st.Body)...)
-		b.loopStack = b.loopStack[:len(b.loopStack)-1]
-		return append(out, ln)
-	case *cc.IfStmt:
-		var out []*node
-		if h := b.hostExpr(st.Line, st.Cond); h != nil {
-			out = append(out, h)
-		}
-		br := &node{kind: nBranch, line: st.Line}
-		br.kids = b.walk(st.Then)
-		if st.Else != nil {
-			br.elseKids = b.walk(st.Else)
-		}
-		return append(out, br)
-	case *cc.AssignStmt:
-		if h := b.hostAssign(st); h != nil {
-			return []*node{h}
-		}
-		return nil
-	case *cc.UpdateStmt:
-		return []*node{b.update(st)}
-	}
-	return nil
-}
-
-// hostAssign summarizes one host assignment's array accesses
-// (whole-array conservative).
-func (b *treeBuilder) hostAssign(st *cc.AssignStmt) *node {
-	if st == nil {
-		return nil
-	}
-	n := &node{kind: nHost, line: st.Line}
-	add := func(list *[]*cc.VarDecl, d *cc.VarDecl) {
-		for _, x := range *list {
-			if x == d {
-				return
-			}
-		}
-		*list = append(*list, d)
-	}
-	exprArrays(st.RHS, func(d *cc.VarDecl) { add(&n.reads, d) })
-	if ix, ok := st.LHS.(*cc.IndexExpr); ok {
-		exprArrays(ix.Index, func(d *cc.VarDecl) { add(&n.reads, d) })
-		if st.Op != "=" {
-			add(&n.reads, ix.Array) // compound assignment reads the element
-		}
-		add(&n.writes, ix.Array)
-	}
-	if len(n.reads) == 0 && len(n.writes) == 0 {
-		return nil
-	}
-	return n
-}
-
-// hostExpr summarizes the array reads of one host expression.
-func (b *treeBuilder) hostExpr(line int, e cc.Expr) *node {
-	if e == nil {
-		return nil
-	}
-	n := &node{kind: nHost, line: line}
-	exprArrays(e, func(d *cc.VarDecl) {
-		for _, x := range n.reads {
-			if x == d {
-				return
-			}
-		}
-		n.reads = append(n.reads, d)
-	})
-	if len(n.reads) == 0 {
-		return nil
-	}
-	return n
-}
-
-func (b *treeBuilder) update(st *cc.UpdateStmt) *node {
-	n := &node{kind: nUpdate, line: st.Line}
-	for _, c := range st.Directive.Clauses {
-		var dst *[]*cc.VarDecl
-		switch c.Name {
-		case "host", "self":
-			dst = &n.upHost
-		case "device":
-			dst = &n.upDev
-		default:
-			continue
-		}
-		for _, name := range c.Args {
-			if d := b.a.pa.Prog.Scope[name]; d != nil && d.IsArray {
-				*dst = append(*dst, d)
-			}
-		}
-	}
-	return n
-}
-
-// exprArrays calls fn for every array an expression loads from.
-func exprArrays(e cc.Expr, fn func(*cc.VarDecl)) {
-	switch x := e.(type) {
-	case *cc.IndexExpr:
-		fn(x.Array)
-		exprArrays(x.Index, fn)
-	case *cc.BinaryExpr:
-		exprArrays(x.X, fn)
-		exprArrays(x.Y, fn)
-	case *cc.UnaryExpr:
-		exprArrays(x.X, fn)
-	case *cc.CondExpr:
-		exprArrays(x.Cond, fn)
-		exprArrays(x.Then, fn)
-		exprArrays(x.Else, fn)
-	case *cc.CallExpr:
-		for _, arg := range x.Args {
-			exprArrays(arg, fn)
-		}
-	case *cc.CastExpr:
-		exprArrays(x.X, fn)
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -717,66 +464,60 @@ func (s *liveState) intersects(writes []translator.IndexForm) bool {
 // liveness runs the backward pass: at program end every array's host
 // mirror is live (final values are observable), and facts flow
 // backwards through gathers, loads, updates, kernels and host code.
-func (a *analyzer) liveness(t *node) {
+func (a *analyzer) liveness() {
 	end := newLstate()
 	for _, d := range a.pa.Prog.ArrayDecls() {
 		end.host.get(d).markWhole()
 	}
-	a.liveBack(t, end, true)
+	a.liveSeq(a.pa.Body, end, true)
 }
 
-// liveBack processes one node backwards, mutating s (the liveness just
-// below the node) into the liveness just above it. rep arms ACCV010
+// liveSeq processes a node sequence backwards, mutating s (the liveness
+// just below it) into the liveness just above it. rep arms ACCV010
 // reporting (off during fixpoint iterations).
-func (a *analyzer) liveBack(n *node, s *lstate, rep bool) *lstate {
-	switch n.kind {
-	case nSeq:
-		for i := len(n.kids) - 1; i >= 0; i-- {
-			s = a.liveBack(n.kids[i], s, rep)
-		}
-	case nRegion:
-		a.regionExitBack(n.region, s)
-		for i := len(n.kids) - 1; i >= 0; i-- {
-			s = a.liveBack(n.kids[i], s, rep)
-		}
-		a.regionEntryBack(n.region, s)
-	case nKernel:
-		a.kernelBack(n.loop, s, rep)
-	case nHost:
-		for _, d := range n.reads {
+func (a *analyzer) liveSeq(kids []*translator.Node, s *lstate, rep bool) *lstate {
+	for i := len(kids) - 1; i >= 0; i-- {
+		s = a.liveBack(kids[i], s, rep)
+	}
+	return s
+}
+
+func (a *analyzer) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
+	switch n.Kind {
+	case translator.NodeRegion:
+		a.regionExitBack(n.Region, s)
+		s = a.liveSeq(n.Kids, s, rep)
+		a.regionEntryBack(n.Region, s)
+	case translator.NodeKernel:
+		a.kernelBack(n.Loop, s, rep)
+	case translator.NodeHost:
+		for _, d := range n.Reads {
 			s.host.get(d).markWhole()
 		}
 		// Host writes have unknown extent: no kill.
-	case nUpdate:
-		for _, d := range n.upHost {
+	case translator.NodeUpdate:
+		for _, d := range n.Update.ToHost {
 			// D2H: the device elements host later needs become live on
 			// the device; the host copy is fully overwritten.
 			unionState(s.dev.get(d), s.host[d])
 			delete(s.host, d)
 		}
-		for _, d := range n.upDev {
+		for _, d := range n.Update.ToDevice {
 			unionState(s.host.get(d), s.dev[d])
 			delete(s.dev, d)
 		}
-	case nBranch:
-		sThen := a.liveBack(&node{kind: nSeq, kids: n.kids}, s.clone(), rep)
-		var sElse *lstate
-		if n.elseKids != nil {
-			sElse = a.liveBack(&node{kind: nSeq, kids: n.elseKids}, s.clone(), rep)
-		} else {
-			sElse = s.clone()
-		}
-		sThen.union(sElse)
+	case translator.NodeBranch:
+		sThen := a.liveSeq(n.Kids, s.clone(), rep)
+		sThen.union(a.liveSeq(n.Else, s.clone(), rep))
 		return sThen
-	case nHostLoop:
-		body := &node{kind: nSeq, kids: n.kids}
+	case translator.NodeHostLoop:
 		below := s.clone()
 		// Fixpoint on the body-bottom state: liveness at the end of an
 		// arbitrary iteration is what escapes the loop plus what the
 		// next iteration reads.
 		cur := below.clone()
 		for iter := 0; iter < 8; iter++ {
-			head := a.liveBack(body, cur.clone(), false)
+			head := a.liveSeq(n.Kids, cur.clone(), false)
 			next := below.clone()
 			next.union(head)
 			if next.eq(cur) {
@@ -784,7 +525,7 @@ func (a *analyzer) liveBack(n *node, s *lstate, rep bool) *lstate {
 			}
 			cur = next
 		}
-		head := a.liveBack(body, cur, rep)
+		head := a.liveSeq(n.Kids, cur, rep)
 		head.union(below) // zero-iteration path
 		return head
 	}
@@ -794,9 +535,6 @@ func (a *analyzer) liveBack(n *node, s *lstate, rep bool) *lstate {
 func (a *analyzer) regionExitBack(r *translator.RegionInfo, s *lstate) {
 	for _, arg := range r.Args {
 		d := arg.Decl
-		if d == nil {
-			continue
-		}
 		switch arg.Class {
 		case acc.ClassCopy, acc.ClassCopyOut:
 			// Exit gather: device elements the host needs become live
@@ -816,9 +554,6 @@ func (a *analyzer) regionExitBack(r *translator.RegionInfo, s *lstate) {
 func (a *analyzer) regionEntryBack(r *translator.RegionInfo, s *lstate) {
 	for _, arg := range r.Args {
 		d := arg.Decl
-		if d == nil {
-			continue
-		}
 		switch arg.Class {
 		case acc.ClassCopy, acc.ClassCopyIn:
 			// Entry load: fully defines the device copy from the host.
@@ -956,25 +691,21 @@ func (c cstate) eq(o cstate) bool {
 	return true
 }
 
-// cleanliness runs the forward pass flagging transfers of data the
-// other side never touched since the last synchronization.
-func (a *analyzer) cleanliness(t *node) {
-	a.cleanFwd(t, cstate{}, true)
+// cleanSeq runs the forward pass over a node sequence, flagging transfers
+// of data the other side never touched since the last synchronization.
+func (a *analyzer) cleanSeq(kids []*translator.Node, s cstate, rep bool) cstate {
+	for _, k := range kids {
+		s = a.cleanFwd(k, s, rep)
+	}
+	return s
 }
 
-func (a *analyzer) cleanFwd(n *node, s cstate, rep bool) cstate {
-	switch n.kind {
-	case nSeq:
-		for _, k := range n.kids {
-			s = a.cleanFwd(k, s, rep)
-		}
-	case nRegion:
+func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
+	switch n.Kind {
+	case translator.NodeRegion:
 		created := []*cc.VarDecl{}
-		for _, arg := range n.region.Args {
+		for _, arg := range n.Region.Args {
 			d := arg.Decl
-			if d == nil {
-				continue
-			}
 			switch arg.Class {
 			case acc.ClassCopy, acc.ClassCopyIn:
 				s[d] = &coh{} // entry load synchronizes both sides
@@ -985,17 +716,12 @@ func (a *analyzer) cleanFwd(n *node, s cstate, rep bool) cstate {
 				created = append(created, d)
 			}
 		}
-		for _, k := range n.kids {
-			s = a.cleanFwd(k, s, rep)
-		}
-		for _, arg := range n.region.Args {
+		s = a.cleanSeq(n.Kids, s, rep)
+		for _, arg := range n.Region.Args {
 			d := arg.Decl
-			if d == nil {
-				continue
-			}
 			if arg.Class == acc.ClassCopy || arg.Class == acc.ClassCopyOut {
 				if st := s[d]; rep && st != nil && !st.devAhead {
-					a.add(diag.Warning, "ACCV011", n.region.Line, 0, d.Name, fmt.Sprintf("copyin(%s)", d.Name),
+					a.add(diag.Warning, "ACCV011", n.Region.Line, 0, d.Name, fmt.Sprintf("copyin(%s)", d.Name),
 						"the data region copies %q back to the host at exit, but no kernel wrote it "+
 							"on the device: the gather re-copies clean data — declare the array copyin "+
 							"(or create) instead",
@@ -1006,57 +732,53 @@ func (a *analyzer) cleanFwd(n *node, s cstate, rep bool) cstate {
 		for _, d := range created {
 			delete(s, d)
 		}
-	case nKernel:
-		for _, fp := range n.loop.Arrays {
+	case translator.NodeKernel:
+		for _, fp := range n.Loop.Arrays {
 			if (fp.Written || fp.Reduced) && s[fp.Array] != nil {
 				s[fp.Array].devAhead = true
 			}
 		}
-	case nHost:
-		for _, d := range n.writes {
+	case translator.NodeHost:
+		for _, d := range n.Writes {
 			if s[d] != nil {
 				s[d].hostAhead = true
 			}
 		}
-	case nUpdate:
-		for _, d := range n.upHost {
+	case translator.NodeUpdate:
+		for _, d := range n.Update.ToHost {
 			st := s[d]
 			if st == nil {
 				continue
 			}
 			if rep && !st.devAhead {
-				a.add(diag.Warning, "ACCV011", n.line, 0, d.Name, "",
+				a.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
 					"update host(%s) copies device data the kernels never wrote since the last "+
 						"synchronization: the transfer re-copies clean data — drop the update",
 					d.Name)
 			}
 			st.devAhead, st.hostAhead = false, false
 		}
-		for _, d := range n.upDev {
+		for _, d := range n.Update.ToDevice {
 			st := s[d]
 			if st == nil {
 				continue
 			}
 			if rep && !st.hostAhead {
-				a.add(diag.Warning, "ACCV011", n.line, 0, d.Name, "",
+				a.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
 					"update device(%s) reloads host data the host code never wrote since the last "+
 						"synchronization: the transfer re-copies clean data — drop the update",
 					d.Name)
 			}
 			st.devAhead, st.hostAhead = false, false
 		}
-	case nBranch:
+	case translator.NodeBranch:
 		sElse := s.clone()
-		s = a.cleanFwd(&node{kind: nSeq, kids: n.kids}, s, rep)
-		if n.elseKids != nil {
-			sElse = a.cleanFwd(&node{kind: nSeq, kids: n.elseKids}, sElse, rep)
-		}
-		s.or(sElse)
-	case nHostLoop:
-		body := &node{kind: nSeq, kids: n.kids}
+		s = a.cleanSeq(n.Kids, s, rep)
+		s.or(a.cleanSeq(n.Else, sElse, rep))
+	case translator.NodeHostLoop:
 		entry := s.clone()
 		for iter := 0; iter < 8; iter++ {
-			after := a.cleanFwd(body, entry.clone(), false)
+			after := a.cleanSeq(n.Kids, entry.clone(), false)
 			next := entry.clone()
 			next.or(after)
 			if next.eq(entry) {
@@ -1064,7 +786,7 @@ func (a *analyzer) cleanFwd(n *node, s cstate, rep bool) cstate {
 			}
 			entry = next
 		}
-		after := a.cleanFwd(body, entry.clone(), rep)
+		after := a.cleanSeq(n.Kids, entry.clone(), rep)
 		after.or(entry) // zero-iteration path
 		return after
 	}
@@ -1085,9 +807,9 @@ func (a *analyzer) deps() {
 			ordered := i < j
 			backEdge := false
 			if i == j {
-				backEdge = len(a.loopPaths[w]) > 0
+				backEdge = len(w.HostLoops) > 0
 			} else if i > j {
-				backEdge = shareLoop(a.loopPaths[w], a.loopPaths[r])
+				backEdge = shareLoop(w.HostLoops, r.HostLoops)
 			}
 			if !ordered && !backEdge {
 				continue

@@ -85,18 +85,28 @@ func (r *Result) Safe() bool {
 }
 
 // Vet analyzes a parsed program and returns diagnostics. It fails only
-// when the underlying access analysis cannot run (loops the translator
-// would reject); directive problems are reported as diagnostics.
+// when the underlying access analysis cannot run (loops whose shape the
+// translator rejects); directive problems are reported as diagnostics.
 func Vet(prog *cc.Program) (*Result, error) {
 	pa, err := translator.AnalyzeProgram(prog)
 	if err != nil {
 		return nil, err
 	}
+	return VetAccess(pa), nil
+}
+
+// VetAccess vets a program whose skeleton is already extracted (a compile
+// keeps it: core.Program.Vet). It only reads pa.
+func VetAccess(pa *translator.ProgramAccess) *Result {
 	v := &vetter{res: &Result{FootprintSafe: map[int]bool{}, Access: pa}}
 	for _, loop := range pa.Loops {
 		v.checkLoop(loop)
 	}
-	v.checkInterKernel(pa)
+	for _, region := range pa.Regions {
+		for _, w := range region.Loops {
+			v.predictExchange(w, region.Loops)
+		}
+	}
 
 	flow := dataflow.Analyze(pa)
 	v.res.Flow = flow
@@ -116,7 +126,7 @@ func Vet(prog *cc.Program) (*Result, error) {
 		v.res.Diags = kept
 	}
 	v.res.Diags.Sort()
-	return v.res, nil
+	return v.res
 }
 
 type vetter struct {
@@ -427,35 +437,12 @@ func reduceOp(assignOp string) (string, bool) {
 	return "", false
 }
 
-// checkInterKernel predicts inter-GPU halo exchanges (ACCV007): inside
+// predictExchange predicts inter-GPU halo exchanges (ACCV007): inside
 // one data region, an array written distributed by one loop and read
 // with a halo-widened footprint by another forces the comm manager to
 // push each GPU's boundary elements into its neighbours' halo windows
 // after every writer launch (once the reader's widened extents are
-// resident).
-func (v *vetter) checkInterKernel(pa *translator.ProgramAccess) {
-	// Group loops by region in first-appearance order: map iteration
-	// order must never leak into the diagnostic order.
-	var regions []*translator.RegionInfo
-	byRegion := map[*translator.RegionInfo][]*translator.LoopAccess{}
-	for _, loop := range pa.Loops {
-		if loop.Region == nil {
-			continue
-		}
-		if _, seen := byRegion[loop.Region]; !seen {
-			regions = append(regions, loop.Region)
-		}
-		byRegion[loop.Region] = append(byRegion[loop.Region], loop)
-	}
-	for _, region := range regions {
-		loops := byRegion[region]
-		for _, w := range loops {
-			v.predictExchange(w, loops)
-		}
-	}
-}
-
-// predictExchange reports at most one ACCV007 per (writer loop, array):
+// resident). It reports at most one ACCV007 per (writer loop, array):
 // the exchange happens once per writer launch no matter how many later
 // kernels read through the resident halo windows, so multiple readers
 // fold into the diagnostic of the widest one.

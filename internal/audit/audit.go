@@ -382,21 +382,21 @@ func (a *Auditor) AfterUpdate(u *ir.UpdateOp, _ *ir.Env, now time.Duration) erro
 
 // Scalar reduction helpers, mirroring the runtime's float64 carrier.
 
-func identityRed(red ir.ScalarRed) float64 {
+func identityRed(red cc.Reduction) float64 {
 	if red.Decl.Type == cc.TInt {
-		return float64(ir.IdentityI(red.Op))
+		return float64(red.Op.IdentityI())
 	}
-	return ir.IdentityF(red.Op)
+	return red.Op.IdentityF()
 }
 
-func getRedSlot(e *ir.Env, red ir.ScalarRed) float64 {
+func getRedSlot(e *ir.Env, red cc.Reduction) float64 {
 	if red.Decl.Type == cc.TInt {
 		return float64(e.Ints[red.Decl.Slot])
 	}
 	return e.Floats[red.Decl.Slot]
 }
 
-func setRedSlot(e *ir.Env, red ir.ScalarRed, v float64) {
+func setRedSlot(e *ir.Env, red cc.Reduction, v float64) {
 	if red.Decl.Type == cc.TInt {
 		e.Ints[red.Decl.Slot] = int64(v)
 	} else {
@@ -404,9 +404,9 @@ func setRedSlot(e *ir.Env, red ir.ScalarRed, v float64) {
 	}
 }
 
-func mergeRed(red ir.ScalarRed, a, b float64) float64 {
+func mergeRed(red cc.Reduction, a, b float64) float64 {
 	if red.Decl.Type == cc.TInt {
-		return float64(ir.MergeI(red.Op, int64(a), int64(b)))
+		return float64(red.Op.MergeI(int64(a), int64(b)))
 	}
-	return ir.MergeF(red.Op, a, b)
+	return red.Op.MergeF(a, b)
 }

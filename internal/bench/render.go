@@ -3,7 +3,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"accmulti/internal/apps"
@@ -170,11 +169,4 @@ func (r *Results) Headline() map[string]float64 {
 		}
 	}
 	return best
-}
-
-// SortedApps returns the sweep's applications in canonical order.
-func (r *Results) SortedApps() []string {
-	out := append([]string(nil), r.Config.Apps...)
-	sort.Strings(out)
-	return out
 }

@@ -195,6 +195,22 @@ type Block struct {
 	stmtBase
 	Stmts []Stmt
 	Data  *acc.Directive
+	// Args are Data's clauses resolved by semantic analysis, in source
+	// order.
+	Args []DataArg
+}
+
+// DataArg is one array named in a data clause, bound to its declaration.
+type DataArg struct {
+	Decl  *VarDecl
+	Class acc.DataClass
+}
+
+// Reduction is one scalar `reduction(op:var)` clause, bound to its
+// declaration.
+type Reduction struct {
+	Decl *VarDecl
+	Op   acc.RedOp
 }
 
 // DeclStmt declares locals (no initializer in the subset; assign
@@ -245,6 +261,8 @@ type ForStmt struct {
 	Local []acc.LocalAccess
 	// Specs are the semantically resolved forms of Local.
 	Specs []*LocalSpec
+	// Reductions are Parallel's scalar reduction clauses, resolved.
+	Reductions []Reduction
 }
 
 // BranchStmt is break or continue (IsBreak selects which), bound to
@@ -258,4 +276,7 @@ type BranchStmt struct {
 type UpdateStmt struct {
 	stmtBase
 	Directive *acc.Directive
+	// ToHost (host and self clauses) and ToDevice (device clauses) are
+	// the directive's arrays resolved by semantic analysis.
+	ToHost, ToDevice []*VarDecl
 }

@@ -133,7 +133,8 @@ func (sa *sema) stmt(s Stmt) error {
 	switch st := s.(type) {
 	case *Block:
 		if st.Data != nil {
-			if _, err := sa.dataArrays(st.Data); err != nil {
+			var err error
+			if st.Args, err = sa.dataArrays(st.Data); err != nil {
 				return err
 			}
 		}
@@ -182,8 +183,9 @@ func (sa *sema) stmt(s Stmt) error {
 		}
 	case *UpdateStmt:
 		for _, c := range st.Directive.Clauses {
-			if c.Name != "host" && c.Name != "device" && c.Name != "self" {
-				continue
+			dst := &st.ToHost // host, self
+			if c.Name == "device" {
+				dst = &st.ToDevice
 			}
 			for _, name := range c.Args {
 				d, err := sa.lookup(name, st.Line)
@@ -193,6 +195,7 @@ func (sa *sema) stmt(s Stmt) error {
 				if !d.IsArray {
 					return errf(st.Line, "update %s(%s): %q is not an array", c.Name, name, name)
 				}
+				*dst = append(*dst, d)
 			}
 		}
 	default:
@@ -201,11 +204,14 @@ func (sa *sema) stmt(s Stmt) error {
 	return nil
 }
 
-func (sa *sema) dataArrays(d *acc.Directive) ([]acc.DataArg, error) {
+// dataArrays resolves the data clauses of a data or parallel-loop
+// directive.
+func (sa *sema) dataArrays(d *acc.Directive) ([]DataArg, error) {
 	args, err := d.DataArgs()
 	if err != nil {
 		return nil, err
 	}
+	var out []DataArg
 	for _, a := range args {
 		decl, err := sa.lookup(a.Array, d.Line)
 		if err != nil {
@@ -214,8 +220,9 @@ func (sa *sema) dataArrays(d *acc.Directive) ([]acc.DataArg, error) {
 		if !decl.IsArray {
 			return nil, errf(d.Line, "data clause %s(%s): %q is not an array", a.Class, a.Array, a.Array)
 		}
+		out = append(out, DataArg{Decl: decl, Class: a.Class})
 	}
-	return args, nil
+	return out, nil
 }
 
 func (sa *sema) assign(st *AssignStmt) error {
@@ -296,10 +303,11 @@ func (sa *sema) forStmt(st *ForStmt) error {
 		if _, err := sa.dataArrays(st.Parallel); err != nil {
 			return err
 		}
-		if _, err := st.Parallel.Reductions(); err != nil {
+		reds, err := st.Parallel.Reductions()
+		if err != nil {
 			return err
 		}
-		for _, red := range mustReductions(st.Parallel) {
+		for _, red := range reds {
 			d, err := sa.lookup(red.Var, st.Parallel.Line)
 			if err != nil {
 				return err
@@ -307,6 +315,7 @@ func (sa *sema) forStmt(st *ForStmt) error {
 			if d.IsArray {
 				return errf(st.Parallel.Line, "reduction(%s:%s): scalar reductions need a scalar variable (use reductiontoarray for arrays)", red.Op, red.Var)
 			}
+			st.Reductions = append(st.Reductions, Reduction{Decl: d, Op: red.Op})
 		}
 	}
 	for _, la := range st.Local {
@@ -322,11 +331,6 @@ func (sa *sema) forStmt(st *ForStmt) error {
 	sa.loopDepth++
 	defer func() { sa.loopDepth-- }()
 	return sa.stmt(st.Body)
-}
-
-func mustReductions(d *acc.Directive) []acc.Reduction {
-	reds, _ := d.Reductions()
-	return reds
 }
 
 func (sa *sema) localSpec(la acc.LocalAccess) (*LocalSpec, error) {

@@ -25,6 +25,9 @@ type Program struct {
 	Module *ir.Module
 	// Source is the type-checked AST the module was translated from.
 	Source *cc.Program
+	// Access is the program skeleton the module was lowered from; Vet
+	// reads it again instead of analysing Source a second time.
+	Access *translator.ProgramAccess
 }
 
 // Compile parses, analyzes and translates OpenACC C source.
@@ -33,11 +36,15 @@ func Compile(source string) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	mod, err := translator.Translate(prog)
+	pa, err := translator.AnalyzeProgram(prog)
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Module: mod, Source: prog}, nil
+	mod, err := translator.Lower(pa)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{Module: mod, Source: prog, Access: pa}, nil
 }
 
 // GeneratedSource returns the translator's CUDA-like output.
@@ -45,7 +52,7 @@ func (p *Program) GeneratedSource() string { return p.Module.GeneratedSource }
 
 // Vet runs the accvet directive-verification pass over the compiled
 // program, returning its diagnostics and footprint-safety verdicts.
-func (p *Program) Vet() (*analysis.Result, error) { return analysis.Vet(p.Source) }
+func (p *Program) Vet() (*analysis.Result, error) { return analysis.VetAccess(p.Access), nil }
 
 // Config selects the platform and runtime behaviour of one run.
 type Config struct {

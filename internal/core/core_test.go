@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"accmulti/internal/analysis"
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
@@ -62,6 +63,32 @@ func TestCompileAndRun(t *testing.T) {
 	}
 	if res.Runtime.KernelExecs()[0] != 1 {
 		t.Errorf("kernel execs = %v", res.Runtime.KernelExecs())
+	}
+}
+
+// TestVetReusesCompileAnalysis: a compiled program is analysed once. Vet
+// reads the skeleton Compile lowered the module from, and says what
+// analysis.Vet says from the source alone.
+func TestVetReusesCompileAnalysis(t *testing.T) {
+	prog, err := Compile(coreSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 2 {
+		res, err := prog.Vet()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Access != prog.Access {
+			t.Fatal("Vet analysed the program again instead of reusing Compile's skeleton")
+		}
+		fresh, err := analysis.Vet(prog.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := res.Diags.Format("p"), fresh.Diags.Format("p"); got != want {
+			t.Errorf("Program.Vet:\n%s\nanalysis.Vet:\n%s", got, want)
+		}
 	}
 }
 

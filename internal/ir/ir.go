@@ -13,12 +13,7 @@
 // the simulator's cost model prices.
 package ir
 
-import (
-	"fmt"
-	"math"
-
-	"accmulti/internal/cc"
-)
+import "accmulti/internal/cc"
 
 // Env is the execution environment of one sequential strand: the host
 // program, or one worker's share of a kernel. Scalars live in flat
@@ -104,98 +99,4 @@ type Hooks interface {
 	// sequential loops, which may never reach a directive; a non-nil
 	// error ends the run.
 	Poll() error
-}
-
-// IdentityF returns the float identity element of a reduction operator.
-func IdentityF(op string) float64 {
-	switch op {
-	case "+", "|", "||":
-		return 0
-	case "*":
-		return 1
-	case "max":
-		return math.Inf(-1)
-	case "min":
-		return math.Inf(1)
-	case "&", "&&":
-		return 1
-	default:
-		panic(fmt.Sprintf("ir: no identity for reduction op %q", op))
-	}
-}
-
-// IdentityI returns the int identity element of a reduction operator.
-func IdentityI(op string) int64 {
-	switch op {
-	case "+", "|", "||":
-		return 0
-	case "*":
-		return 1
-	case "max":
-		return math.MinInt64
-	case "min":
-		return math.MaxInt64
-	case "&":
-		return -1
-	case "&&":
-		return 1
-	default:
-		panic(fmt.Sprintf("ir: no identity for reduction op %q", op))
-	}
-}
-
-// MergeF combines two float partial results of a reduction.
-func MergeF(op string, a, b float64) float64 {
-	switch op {
-	case "+":
-		return a + b
-	case "*":
-		return a * b
-	case "max":
-		return math.Max(a, b)
-	case "min":
-		return math.Min(a, b)
-	case "|", "||":
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	case "&", "&&":
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	default:
-		panic(fmt.Sprintf("ir: no merge for reduction op %q", op))
-	}
-}
-
-// MergeI combines two int partial results of a reduction.
-func MergeI(op string, a, b int64) int64 {
-	switch op {
-	case "+":
-		return a + b
-	case "*":
-		return a * b
-	case "max":
-		return max(a, b)
-	case "min":
-		return min(a, b)
-	case "|":
-		return a | b
-	case "&":
-		return a & b
-	case "||":
-		if a != 0 || b != 0 {
-			return 1
-		}
-		return 0
-	case "&&":
-		if a != 0 && b != 0 {
-			return 1
-		}
-		return 0
-	default:
-		panic(fmt.Sprintf("ir: no merge for reduction op %q", op))
-	}
 }

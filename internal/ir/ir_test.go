@@ -1,7 +1,6 @@
 package ir
 
 import (
-	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -220,33 +219,6 @@ func TestEnvClone(t *testing.T) {
 	if len(v2.Views) != 2 {
 		t.Error("CloneWithViews did not swap views")
 	}
-}
-
-func TestIdentityAndMerge(t *testing.T) {
-	ops := []string{"+", "*", "max", "min", "|", "&", "||", "&&"}
-	for _, op := range ops {
-		idF := IdentityF(op)
-		if got := MergeF(op, idF, 5); got != MergeF(op, 5, idF) {
-			t.Errorf("MergeF(%q) not symmetric around identity", op)
-		}
-		idI := IdentityI(op)
-		if got := MergeI(op, idI, 5); got != MergeI(op, 5, idI) {
-			t.Errorf("MergeI(%q) not symmetric around identity", op)
-		}
-	}
-	if MergeF("+", 2, 3) != 5 || MergeI("max", 2, 3) != 3 || MergeI("min", 2, 3) != 2 {
-		t.Error("merge results wrong")
-	}
-	if MergeI("||", 0, 7) != 1 || MergeI("&&", 1, 0) != 0 || MergeI("|", 5, 2) != 7 {
-		t.Error("logical merges wrong")
-	}
-	if !math.IsInf(IdentityF("max"), -1) || !math.IsInf(IdentityF("min"), 1) {
-		t.Error("float min/max identities wrong")
-	}
-	mustPanic(t, func() { IdentityF("?") })
-	mustPanic(t, func() { IdentityI("?") })
-	mustPanic(t, func() { MergeF("?", 1, 2) })
-	mustPanic(t, func() { MergeI("?", 1, 2) })
 }
 
 func mustPanic(t *testing.T, f func()) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 
-	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -192,12 +191,6 @@ type ArrayUse struct {
 	Width ExprI
 }
 
-// ScalarRed is one scalar reduction clause of a parallel loop.
-type ScalarRed struct {
-	Decl *cc.VarDecl
-	Op   string
-}
-
 // Kernel is one translated parallel loop.
 type Kernel struct {
 	// ID indexes the kernel within its module.
@@ -217,7 +210,7 @@ type Kernel struct {
 	// Arrays lists every array the kernel touches, in slot order.
 	Arrays []*ArrayUse
 	// ScalarReds lists the loop's scalar reduction clauses.
-	ScalarReds []ScalarRed
+	ScalarReds []cc.Reduction
 	// Efficiency is the cost model's memory-coalescing factor in
 	// (0, 1], derived from the access patterns.
 	Efficiency float64
@@ -257,17 +250,11 @@ func (k *Kernel) Use(d *cc.VarDecl) *ArrayUse {
 	return nil
 }
 
-// ResolvedArg is a data-clause argument bound to its declaration.
-type ResolvedArg struct {
-	Decl  *cc.VarDecl
-	Class acc.DataClass
-}
-
 // DataRegion is one structured data region.
 type DataRegion struct {
 	ID   int
 	Line int
-	Args []ResolvedArg
+	Args []cc.DataArg
 }
 
 // UpdateOp is one update directive.

@@ -405,7 +405,7 @@ func BuildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program) (*KernelSpec, st
 		loopVar: k.LoopVar, serial: k.SerialWorkers,
 		assigned: map[*cc.VarDecl]bool{}, reds: map[*cc.VarDecl]bool{},
 	}
-	collectAssignedScalars(body, kb.assigned)
+	cc.AssignedScalars(body, kb.assigned)
 	for _, r := range k.ScalarReds {
 		kb.reds[r.Decl] = true
 	}
@@ -618,15 +618,6 @@ func (s *guardSplitter) guardCond(e cc.Expr) bool {
 	}
 	d, err := s.sb.affineDegree(e)
 	return err == nil && d == 0
-}
-
-// collectAssignedScalars records every scalar the body assigns.
-func collectAssignedScalars(s cc.Stmt, out map[*cc.VarDecl]bool) {
-	eachAssign(s, func(st *cc.AssignStmt) {
-		if id, ok := st.LHS.(*cc.Ident); ok {
-			out[id.Decl] = true
-		}
-	})
 }
 
 // affineDegree returns the degree (0 or 1) of a folded index expression

@@ -168,7 +168,7 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 	)
 	read := func(e cc.Expr) {
 		div = div || divides(e)
-		eachExpr(e, func(x cc.Expr) {
+		cc.EachExpr(e, func(x cc.Expr) {
 			switch y := x.(type) {
 			case *cc.Ident:
 				reads[y.Decl]++
@@ -215,7 +215,7 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 	walk(st.Body)
 	_, bound, _, _ := canonicalFor(st)
 	for _, e := range []cc.Expr{st.Init.RHS, bound} {
-		eachExpr(e, func(x cc.Expr) {
+		cc.EachExpr(e, func(x cc.Expr) {
 			switch y := x.(type) {
 			case *cc.Ident:
 				ok = ok && eq[y.Decl]+opSet[y.Decl] == 0 && (y.Decl != lv || e != bound)

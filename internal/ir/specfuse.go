@@ -27,7 +27,7 @@ import (
 // stmtWrites collects the scalar slots assigned and the array slots
 // stored to anywhere under s, including nested loop inits and posts.
 func stmtWrites(s cc.Stmt, scalars, arrays map[int]bool) {
-	eachAssign(s, func(st *cc.AssignStmt) {
+	cc.EachAssign(s, func(st *cc.AssignStmt) {
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
 			scalars[lhs.Decl.Slot] = true
@@ -39,7 +39,7 @@ func stmtWrites(s cc.Stmt, scalars, arrays map[int]bool) {
 
 // exprReads collects the scalar slots and array slots e reads.
 func exprReads(e cc.Expr, scalars, arrays map[int]bool) {
-	eachExpr(e, func(x cc.Expr) {
+	cc.EachExpr(e, func(x cc.Expr) {
 		switch x := x.(type) {
 		case *cc.Ident:
 			scalars[x.Decl.Slot] = true

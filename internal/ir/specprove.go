@@ -354,7 +354,7 @@ func buildProver(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, spec *Kern
 		assigned: map[*cc.VarDecl]bool{},
 		spec:     spec,
 	}
-	collectAssignedScalars(body, b.assigned)
+	cc.AssignedScalars(body, b.assigned)
 	st, err := b.stmt(body)
 	if err != nil || b.ai != len(spec.Accesses) {
 		return nil
@@ -507,9 +507,9 @@ func (b *proveBuilder) forStmt(st *cc.ForStmt) (pStmt, error) {
 	// Slots the loop body/post assign: topped at the pass cap to force
 	// stability regardless of trip counts.
 	loopAssigned := map[*cc.VarDecl]bool{}
-	collectAssignedScalars(st.Body, loopAssigned)
+	cc.AssignedScalars(st.Body, loopAssigned)
 	if st.Post != nil {
-		collectAssignedScalars(st.Post, loopAssigned)
+		cc.AssignedScalars(st.Post, loopAssigned)
 	}
 	var loopSlots []int
 	for d, w := range loopAssigned {

@@ -340,73 +340,10 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 	spec.VecBody = st
 }
 
-// eachExpr calls fn for e and every expression under it, operands left
-// to right.
-func eachExpr(e cc.Expr, fn func(cc.Expr)) {
-	fn(e)
-	switch x := e.(type) {
-	case *cc.IndexExpr:
-		eachExpr(x.Index, fn)
-	case *cc.UnaryExpr:
-		eachExpr(x.X, fn)
-	case *cc.BinaryExpr:
-		eachExpr(x.X, fn)
-		eachExpr(x.Y, fn)
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			eachExpr(a, fn)
-		}
-	case *cc.CastExpr:
-		eachExpr(x.X, fn)
-	case *cc.CondExpr:
-		eachExpr(x.Cond, fn)
-		eachExpr(x.Then, fn)
-		eachExpr(x.Else, fn)
-	}
-}
-
-// eachIdent calls fn for every scalar or array-index identifier in e.
-func eachIdent(e cc.Expr, fn func(*cc.Ident)) {
-	eachExpr(e, func(x cc.Expr) {
-		if id, ok := x.(*cc.Ident); ok {
-			fn(id)
-		}
-	})
-}
-
-// eachAssign calls fn for every assignment under s, loop headers
-// included (and inside constructs that will later reject the body: the
-// walk stays conservative and total).
-func eachAssign(s cc.Stmt, fn func(*cc.AssignStmt)) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, c := range st.Stmts {
-			eachAssign(c, fn)
-		}
-	case *cc.AssignStmt:
-		fn(st)
-	case *cc.IfStmt:
-		eachAssign(st.Then, fn)
-		if st.Else != nil {
-			eachAssign(st.Else, fn)
-		}
-	case *cc.WhileStmt:
-		eachAssign(st.Body, fn)
-	case *cc.ForStmt:
-		if st.Init != nil {
-			fn(st.Init)
-		}
-		if st.Post != nil {
-			fn(st.Post)
-		}
-		eachAssign(st.Body, fn)
-	}
-}
-
 // countLoads counts the array loads in e, nested index loads included:
 // how far a subtree compiled elsewhere moves the access cursor.
 func countLoads(e cc.Expr) (n int) {
-	eachExpr(e, func(x cc.Expr) {
+	cc.EachExpr(e, func(x cc.Expr) {
 		if _, ok := x.(*cc.IndexExpr); ok {
 			n++
 		}
@@ -565,7 +502,7 @@ func (v *vecBuilder) tailPath(s cc.Stmt, ai int) bool {
 // divides reports an int division or modulo in e whose divisor is not a
 // nonzero literal: the one operation of an expression that can fault.
 func divides(e cc.Expr) (found bool) {
-	eachExpr(e, func(x cc.Expr) {
+	cc.EachExpr(e, func(x cc.Expr) {
 		if b, ok := x.(*cc.BinaryExpr); ok && (b.Op == "/" || b.Op == "%") && b.Type() == cc.TInt {
 			lit, isLit := b.Y.(*cc.NumLit)
 			found = found || !isLit || lit.IsFloat || lit.I == 0
@@ -582,9 +519,9 @@ func (v *vecBuilder) count(s cc.Stmt) {
 		v.scalars[d] = u
 	}
 	read := func(e cc.Expr) {
-		eachIdent(e, func(x *cc.Ident) {
-			if v.sb.assigned[x.Decl] {
-				tally(x.Decl, func(u *scalarInfo) { u.reads++ })
+		cc.EachExpr(e, func(x cc.Expr) {
+			if id, ok := x.(*cc.Ident); ok && v.sb.assigned[id.Decl] {
+				tally(id.Decl, func(u *scalarInfo) { u.reads++ })
 			}
 		})
 	}
@@ -687,8 +624,12 @@ func (v *vecBuilder) leave(mark int) {
 // what the last lane to run the loop left, not this lane's value.
 func (v *vecBuilder) readsOK(e cc.Expr) bool {
 	ok := true
-	eachIdent(e, func(x *cc.Ident) {
-		switch u := v.scalars[x.Decl]; u.kind {
+	cc.EachExpr(e, func(x cc.Expr) {
+		id, isID := x.(*cc.Ident)
+		if !isID {
+			return
+		}
+		switch u := v.scalars[id.Decl]; u.kind {
 		case kPrivate:
 			ok = ok && u.defined
 		case kUniform:
@@ -703,7 +644,7 @@ func (v *vecBuilder) readsOK(e cc.Expr) bool {
 // effects reports a plain array store, a fold and a reduction-lane
 // update under s: what must happen in iteration order.
 func (v *vecBuilder) effects(s cc.Stmt) (store, fold, reduce bool) {
-	eachAssign(s, func(st *cc.AssignStmt) {
+	cc.EachAssign(s, func(st *cc.AssignStmt) {
 		if id, ok := st.LHS.(*cc.Ident); ok {
 			fold = fold || v.scalars[id.Decl].kind == kFold
 		} else if st.Reduce != nil {
@@ -804,7 +745,7 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 func (v *vecBuilder) injective(st *cc.ForStmt) bool {
 	lv := countedVar(st)
 	assigned := map[*cc.VarDecl]bool{}
-	collectAssignedScalars(st.Body, assigned)
+	cc.AssignedScalars(st.Body, assigned)
 	var walk func(s cc.Stmt, arm bool) bool
 	walk = func(s cc.Stmt, arm bool) bool {
 		switch x := s.(type) {
@@ -827,7 +768,7 @@ func (v *vecBuilder) injective(st *cc.ForStmt) bool {
 			idx := foldExpr(lhs.Index)
 			c, ok := lvCoef(idx, lv)
 			float := lhs.Array.Type != cc.TInt
-			eachExpr(idx, func(e cc.Expr) {
+			cc.EachExpr(idx, func(e cc.Expr) {
 				switch y := e.(type) {
 				case *cc.Ident:
 					ok = ok && (y.Decl == lv || !assigned[y.Decl])
@@ -869,9 +810,17 @@ func lvCoef(e cc.Expr, lv *cc.VarDecl) (c int64, ok bool) {
 			return cx * ky.I, true
 		}
 	}
-	free := true
-	eachIdent(e, func(x *cc.Ident) { free = free && x.Decl != lv })
-	return 0, free
+	return 0, !mentions(e, lv)
+}
+
+// mentions reports a read of the scalar d in e.
+func mentions(e cc.Expr, d *cc.VarDecl) (found bool) {
+	cc.EachExpr(e, func(x cc.Expr) {
+		if id, ok := x.(*cc.Ident); ok && id.Decl == d {
+			found = true
+		}
+	})
+	return found
 }
 
 // uniformLoop reports the canonical counted shape with a uniform init
@@ -882,9 +831,8 @@ func (v *vecBuilder) uniformLoop(st *cc.ForStmt) bool {
 	if v.scalars[lv].kind != kUniform || !v.uniform(st.Init.RHS) || !v.uniform(bound) {
 		return false
 	}
-	own := false // the bound reads lv, or the body writes it
-	eachIdent(bound, func(x *cc.Ident) { own = own || x.Decl == lv })
-	eachAssign(st.Body, func(a *cc.AssignStmt) {
+	own := mentions(bound, lv) // the bound reads lv, or the body writes it
+	cc.EachAssign(st.Body, func(a *cc.AssignStmt) {
 		if id, ok := a.LHS.(*cc.Ident); ok && id.Decl == lv {
 			own = true
 		}

@@ -35,7 +35,7 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	}
 
 	redVals := r.gpuPartials(k, 1)[0]
-	counters, err := interpretWorkers(k, env.CloneWithViews(views), lower, n, cpu, redVals)
+	counters, err := r.interpretWorkers(k, env.CloneWithViews(views), lower, n, cpu, redVals)
 	if err != nil {
 		return fmt.Errorf("rt: kernel %s on CPU: %w", k.Name, err)
 	}

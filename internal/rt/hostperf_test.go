@@ -66,8 +66,12 @@ func loadReplicas(tb testing.TB, r *Runtime, st *arrayState, wantDirty bool) {
 	tb.Helper()
 	for g := range st.copies {
 		nd := need{lo: 0, hi: st.n - 1, contentIn: true, wantDirty: wantDirty, coreLo: 0, coreHi: -1}
-		if _, err := r.ensureLoaded(st, st.copies[g], nd); err != nil {
+		_, job, err := r.prepareLoad(st, st.copies[g], nd, nil)
+		if err != nil {
 			tb.Fatal(err)
+		}
+		if job.c != nil {
+			job.run()
 		}
 	}
 }

@@ -3,7 +3,9 @@ package rt
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
@@ -66,10 +68,9 @@ func TestInterruptAbortsRun(t *testing.T) {
 	if err != nil {
 		t.Fatalf("machine: %v", err)
 	}
-	polls := 0
+	var polls atomic.Int64 // the kernels' workers poll too
 	r := New(mach, Options{Interrupt: func() error {
-		polls++
-		if polls > 5 {
+		if polls.Add(1) > 5 {
 			return context.DeadlineExceeded
 		}
 		return nil
@@ -162,5 +163,79 @@ func TestInterruptHostLoop(t *testing.T) {
 		if x := inst.Env.Ints[prog.Scope["x"].Slot]; x != 4*1024-1 {
 			t.Errorf("%s: interrupted after %d trips; want the fourth poll, at trip 4096", src, x)
 		}
+	}
+}
+
+// TestInterruptKernel pins the kernel half of the contract: one launch
+// with an enormous trip count polls Interrupt from inside Phase B — on the
+// tile executor, on the per-iteration specialized body and on the
+// interpreter — so a cancelled run comes back as an *InterruptedError
+// within 100 ms instead of holding its caller until the loop ends.
+func TestInterruptKernel(t *testing.T) {
+	const tiled = `int n; float s; void main(){ int i; s = 0.0;
+#pragma acc parallel loop reduction(+:s)
+for (i = 0; i < n; i++) { s += 1.0; } }`
+	const untiled = `int n; float a_[4]; void main(){ int i;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { a_[1] = a_[1] + 1.0; } }`
+	for _, tc := range []struct {
+		name, src string
+		opts      Options
+		route     func(SpecStats) bool
+	}{
+		{"tiled", tiled, Options{}, func(s SpecStats) bool { return s.TiledIters > 0 }},
+		{"untiled", untiled, Options{}, func(s SpecStats) bool { return s.TiledIters == 0 && s.Untiled["alias"] > 0 }},
+		{"reference", tiled, Options{Reference: true}, func(s SpecStats) bool { return s.Hits == 0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, small := exec(t, tc.src, sim.Desktop(), tc.opts, ir.NewBindings().SetScalar("n", 4096))
+			if st := small.SpecStats(); !tc.route(st) {
+				t.Fatalf("not on the %s route: %+v", tc.name, st)
+			}
+
+			prog, err := cc.ParseProgram(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mod, err := translator.Translate(prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inst, err := mod.Bind(ir.NewBindings().SetScalar("n", 100_000_000_000))
+			if err != nil {
+				t.Fatal(err)
+			}
+			mach, err := sim.NewMachine(sim.Desktop())
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Interrupt is called from the kernel's worker goroutines.
+			var fire atomic.Bool
+			var firedAt atomic.Int64
+			timer := time.AfterFunc(20*time.Millisecond, func() { fire.Store(true) })
+			defer timer.Stop()
+			opts := tc.opts
+			opts.Interrupt = func() error {
+				if !fire.Load() {
+					return nil
+				}
+				firedAt.CompareAndSwap(0, time.Now().UnixNano())
+				return context.DeadlineExceeded
+			}
+			err = New(mach, opts).Run(inst)
+			late := time.Duration(time.Now().UnixNano() - firedAt.Load())
+			var ie *InterruptedError
+			if !errors.As(err, &ie) || !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("got %v; want an *InterruptedError wrapping context.DeadlineExceeded", err)
+			}
+			if late > 100*time.Millisecond {
+				t.Errorf("run returned %v after Interrupt fired; want under 100ms", late)
+			}
+			for _, g := range mach.GPUs() {
+				if used := g.UsedBytes(); used != 0 {
+					t.Errorf("%s still holds %d bytes after the interrupted run", g, used)
+				}
+			}
+		})
 	}
 }

@@ -527,7 +527,7 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 		}
 	}
 	views := r.buildViews(k, env, g, nds)
-	counters, err := interpretWorkers(k, env.CloneWithViews(views), p.lo, n, dev, redVals)
+	counters, err := r.interpretWorkers(k, env.CloneWithViews(views), p.lo, n, dev, redVals)
 	// Fold per-lane chunk marks into the shared chunk-dirty array now
 	// that the worker strands are done.
 	for _, v := range views {
@@ -545,8 +545,9 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 // own clone of base; redVals arrives holding the scalar reductions'
 // identities and leaves with the workers' partials folded in worker
 // order — the specialized executor's order — so the result is a pure
-// function of the input, whatever the host's parallelism.
-func interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev *sim.Device, redVals []float64) (sim.Counters, error) {
+// function of the input, whatever the host's parallelism. Each worker
+// polls Interrupt every pollIters iterations.
+func (r *Runtime) interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev *sim.Device, redVals []float64) (sim.Counters, error) {
 	for ri, red := range k.ScalarReds {
 		setRedSlot(base, red, redVals[ri])
 	}
@@ -557,6 +558,11 @@ func interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev *sim.Device, 
 		we.WorkerID = w
 		envs[w] = we
 		for it := start; it < end; it++ {
+			if (it-start)%pollIters == 0 {
+				if err := r.Poll(); err != nil {
+					return sim.Counters{}, err
+				}
+			}
 			we.Ints[loopSlot] = lo + int64(it)
 			if err := k.Body(we); err != nil {
 				if errors.Is(err, ir.ErrLoopContinue) {
@@ -618,9 +624,9 @@ func (r *Runtime) gpuPartials(k *ir.Kernel, ngpus int) [][]float64 {
 		vals := partials[g][:0]
 		for _, red := range k.ScalarReds {
 			if red.Decl.Type == cc.TInt {
-				vals = append(vals, float64(ir.IdentityI(red.Op)))
+				vals = append(vals, float64(red.Op.IdentityI()))
 			} else {
-				vals = append(vals, ir.IdentityF(red.Op))
+				vals = append(vals, red.Op.IdentityF())
 			}
 		}
 		partials[g] = vals
@@ -628,7 +634,7 @@ func (r *Runtime) gpuPartials(k *ir.Kernel, ngpus int) [][]float64 {
 	return partials
 }
 
-func setRedSlot(e *ir.Env, red ir.ScalarRed, v float64) {
+func setRedSlot(e *ir.Env, red cc.Reduction, v float64) {
 	if red.Decl.Type == cc.TInt {
 		e.Ints[red.Decl.Slot] = int64(v)
 	} else {
@@ -636,16 +642,16 @@ func setRedSlot(e *ir.Env, red ir.ScalarRed, v float64) {
 	}
 }
 
-func getRedSlot(e *ir.Env, red ir.ScalarRed) float64 {
+func getRedSlot(e *ir.Env, red cc.Reduction) float64 {
 	if red.Decl.Type == cc.TInt {
 		return float64(e.Ints[red.Decl.Slot])
 	}
 	return e.Floats[red.Decl.Slot]
 }
 
-func mergeRed(red ir.ScalarRed, a, b float64) float64 {
+func mergeRed(red cc.Reduction, a, b float64) float64 {
 	if red.Decl.Type == cc.TInt {
-		return float64(ir.MergeI(red.Op, int64(a), int64(b)))
+		return float64(red.Op.MergeI(int64(a), int64(b)))
 	}
-	return ir.MergeF(red.Op, a, b)
+	return red.Op.MergeF(a, b)
 }

@@ -475,22 +475,10 @@ func (r *Runtime) transformActive(use *ir.ArrayUse) bool {
 	return use.Transform2D && !r.opts.DisableLayoutTransform && r.opts.Mode != ModeBaseline
 }
 
-// ensureLoaded reconciles one GPU copy with a need, returning the bus
-// transfers performed. This is where the reload-skip optimization
-// lives: a valid copy of the right lineage covering the needed range
-// costs nothing. It is prepareLoad with the deferred content copy run
-// inline — launchAttempt uses the split form to overlap the copies of
-// all GPUs.
-func (r *Runtime) ensureLoaded(st *arrayState, c *gpuCopy, nd need) ([]sim.Transfer, error) {
-	transfers, job, err := r.prepareLoad(st, c, nd, nil)
-	if job.c != nil {
-		job.run()
-	}
-	return transfers, err
-}
-
-// prepareLoad is the serial half of loading one GPU copy: every
-// decision and every side effect whose *order* is observable — device
+// prepareLoad reconciles one GPU copy with a need. This is where the
+// reload-skip optimization lives: a valid copy of the right lineage
+// covering the needed range costs nothing. It is the serial half of the
+// load: every decision and every side effect whose *order* is observable — device
 // allocations (the deterministic OOM fault oracle counts them per
 // device), host gathers, transfer records (the transient-failure
 // oracle consumes a seeded stream per priced transfer) and version

@@ -132,8 +132,13 @@ type Options struct {
 	DisableDegradation bool
 	// Interrupt, when non-nil, is polled at the run loop's directive
 	// boundaries (data-region entry, update directives, kernel
-	// launches) and every 1024 back-edges of the host program's own
-	// loops. The first non-nil return aborts the run with an
+	// launches), every 1024 back-edges of the host program's own
+	// loops, and from inside a kernel: every 1024 iterations of the
+	// interpreter and of the per-iteration specialized body, every 64
+	// tiles of the tile executor. The kernel polls come from the worker
+	// goroutines, several at once, so the hook must be safe for
+	// concurrent use (a context's Err is). The first non-nil return — in
+	// a kernel, the first in worker order — aborts the run with an
 	// *InterruptedError wrapping the cause; device memory is still
 	// released by Run's epilogue. This is how an embedding service
 	// threads per-request timeout and cancellation through the run
@@ -294,8 +299,20 @@ func (e *InterruptedError) Error() string { return "rt: run interrupted: " + e.C
 // context.Canceled).
 func (e *InterruptedError) Unwrap() error { return e.Cause }
 
-// Poll polls the Interrupt hook: at every run-loop boundary, and (as the
-// ir.Hooks method) every 1024 back-edges of the host program's loops.
+// pollIters and pollTiles are how much of a kernel one worker runs
+// between two polls: iterations of the interpreter and of the
+// per-iteration specialized body, tiles of the tile executor. Rare enough
+// that apps_kernel does not see the polls, often enough that an
+// interrupted launch ends within microseconds.
+const (
+	pollIters = 1024
+	pollTiles = 64
+)
+
+// Poll polls the Interrupt hook: at every run-loop boundary, (as the
+// ir.Hooks method) every 1024 back-edges of the host program's loops,
+// and from the kernels' workers. It only reads the options, so it is as
+// safe for concurrent use as the hook.
 func (r *Runtime) Poll() error {
 	if r.opts.Interrupt == nil {
 		return nil

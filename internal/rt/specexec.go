@@ -86,6 +86,8 @@ import (
 // chunk attains its extrema at the chunk's first and last iteration).
 type specExec struct {
 	spec *ir.KernelSpec
+	// poll is the runtime's Poll, called from the worker goroutines.
+	poll func() error
 	// uiBySlot maps array slots to the kernel's Arrays index (-1 when
 	// the slot is not a kernel array: no access of the spec names one).
 	uiBySlot []int
@@ -245,6 +247,7 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 	if !ok {
 		ex = &specExec{
 			spec:     k.Spec,
+			poll:     r.Poll,
 			uiBySlot: make([]int, k.Spec.NumArrays),
 			gs:       make([]specGPU, r.mach.NumGPUs()),
 		}
@@ -460,17 +463,31 @@ func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (sim.Counters, erro
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
 		s, e := max(lo, pc.lo), min(hi, pc.hi)
+		// Either body runs in blocks with a poll before each: an
+		// interrupted worker stops within one block, and one that starts
+		// after the interrupt runs nothing. Like a panicking body, an
+		// interrupted one keeps its scratch.
 		if !pc.vec {
 			body, ints := pc.v.Body, de.Ints
-			for ; s < e; s++ {
-				ints[loopSlot] = s
-				body(de)
+			for s < e {
+				if err := ex.poll(); err != nil {
+					return sim.Counters{}, err
+				}
+				for stop := min(e, s+pollIters); s < stop; s++ {
+					ints[loopSlot] = s
+					body(de)
+				}
 			}
 			continue
 		}
 		vm.AccA, vm.AccB = pc.accA, pc.accB
-		for ; s < e; s += ir.VecTile {
-			pc.v.VecBody(vm, s, int(min(e-s, ir.VecTile)))
+		for s < e {
+			if err := ex.poll(); err != nil {
+				return sim.Counters{}, err
+			}
+			for stop := min(e, s+pollTiles*ir.VecTile); s < stop; s += ir.VecTile {
+				pc.v.VecBody(vm, s, int(min(stop-s, ir.VecTile)))
+			}
 		}
 	}
 	if vm != nil {
@@ -895,7 +912,7 @@ func fillOnes(s []uint8) {
 
 // setRedSlotD / getRedSlotD mirror setRedSlot/getRedSlot for direct
 // environments.
-func setRedSlotD(e *ir.DEnv, red ir.ScalarRed, v float64) {
+func setRedSlotD(e *ir.DEnv, red cc.Reduction, v float64) {
 	if red.Decl.Type == cc.TInt {
 		e.Ints[red.Decl.Slot] = int64(v)
 	} else {
@@ -903,7 +920,7 @@ func setRedSlotD(e *ir.DEnv, red ir.ScalarRed, v float64) {
 	}
 }
 
-func getRedSlotD(e *ir.DEnv, red ir.ScalarRed) float64 {
+func getRedSlotD(e *ir.DEnv, red cc.Reduction) float64 {
 	if red.Decl.Type == cc.TInt {
 		return float64(e.Ints[red.Decl.Slot])
 	}

@@ -166,15 +166,3 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return c.lru.Len()
 }
-
-// Keys returns the completed entry keys, most recently used first —
-// the deterministic eviction order (last element goes first).
-func (c *Cache) Keys() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	keys := make([]string, 0, c.lru.Len())
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		keys = append(keys, el.Value.(string))
-	}
-	return keys
-}

@@ -37,8 +37,9 @@ type Config struct {
 	MaxBodyBytes int64
 	// Compile substitutes the compiler (tests only; nil = core.Compile).
 	Compile func(string) (*core.Program, error)
-	// runGate, when set, runs after admission and before the run —
-	// package tests use it to hold a run slot deterministically.
+	// runGate, when set, runs after admission and the machine lease,
+	// before the run — package tests use it to hold a run slot
+	// deterministically, or to panic under one.
 	runGate func(*RunRequest)
 }
 
@@ -331,14 +332,28 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.sched.release()
+		s.mets.Inc("run.timeout", 1)
 		writeError(w, http.StatusGatewayTimeout, "timeout", "request timed out while queued")
 		return
 	}
-	defer s.sched.release()
+	// The request holds a run slot from here on. One exit gives it back
+	// and counts how the run ended, in exactly one of run.ok, run.error,
+	// run.timeout and run.panic. A panic below stops here, as a 500: it
+	// costs this request and the machine it had leased — never pooled
+	// again, whatever state the run left it in — not the daemon.
+	outcome, leased := "run.error", false
+	defer func() {
+		if p := recover(); p != nil {
+			outcome = "run.panic"
+			if leased {
+				s.mets.Inc("pool.discard-panic", 1)
+			}
+			writeError(w, http.StatusInternalServerError, "internal", fmt.Sprintf("panic during the run: %v", p))
+		}
+		s.sched.release()
+		s.mets.Inc(outcome, 1)
+	}()
 	s.mets.Observe("queue.wait_us", trace.DurationBucketsUS, time.Since(began).Microseconds())
-	if s.cfg.runGate != nil {
-		s.cfg.runGate(&req)
-	}
 
 	// 6. Lease a machine and run, with cancellation threaded through
 	// the runtime's Interrupt hook.
@@ -346,6 +361,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
+	}
+	leased = true
+	if s.cfg.runGate != nil {
+		s.cfg.runGate(&req)
 	}
 	opts := rt.Options{
 		Mode:        mode,
@@ -358,6 +377,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		Audit:   req.Options.Audit,
 		Faults:  plan,
 	})
+	leased = false
 	// Machines that ran a fault plan are poisoned (capacity shrink);
 	// everything else goes back to the pool if pristine.
 	if !plan.Active() {
@@ -366,6 +386,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if runErr != nil {
 		var ie *rt.InterruptedError
 		if errors.As(runErr, &ie) || ctx.Err() != nil {
+			outcome = "run.timeout"
 			writeError(w, http.StatusGatewayTimeout, "timeout", "request timed out or was canceled during the run")
 			return
 		}
@@ -379,7 +400,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
-	s.mets.Inc("run.ok", 1)
+	outcome = "run.ok"
 	s.mets.Observe("run.service_us", trace.DurationBucketsUS, time.Since(began).Microseconds())
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -91,7 +91,7 @@ void main() {
 }
 `
 
-func post(t *testing.T, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+func post(t testing.TB, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest("POST", path, bytes.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")
@@ -100,14 +100,14 @@ func post(t *testing.T, h http.Handler, path string, body []byte) *httptest.Resp
 	return rec
 }
 
-func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
+func get(t testing.TB, h http.Handler, path string) *httptest.ResponseRecorder {
 	t.Helper()
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
 	return rec
 }
 
-func marshal(t *testing.T, v any) []byte {
+func marshal(t testing.TB, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -119,7 +119,7 @@ func marshal(t *testing.T, v any) []byte {
 // mixedCorpus is the load-test request mix: stencil and reduction
 // kernels at several sizes, generator-driven paper apps, a vet-
 // rejected source and a source that does not compile.
-func mixedCorpus(t *testing.T) [][]byte {
+func mixedCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var corpus [][]byte
 	add := func(r *RunRequest) { corpus = append(corpus, marshal(t, r)) }
@@ -356,7 +356,7 @@ func gatedBody(t *testing.T) []byte {
 }
 
 // waitLoad polls /healthz until the scheduler shows the wanted load.
-func waitLoad(t *testing.T, h http.Handler, running, queued int) {
+func waitLoad(t testing.TB, h http.Handler, running, queued int) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
@@ -447,16 +447,25 @@ func TestOversizedFootprintRefused(t *testing.T) {
 }
 
 // TestTimeoutEndsHostLoop pins that a host loop which never reaches a
-// directive cannot hold a run slot past its deadline: the request answers
-// 504, no run is in flight afterwards, and the machine it leased is back
-// in the pool for the next request.
+// directive cannot hold a run slot past its deadline.
 func TestTimeoutEndsHostLoop(t *testing.T) {
+	checkTimeoutEndsRun(t, "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }")
+}
+
+// TestTimeoutEndsKernel pins the same of one kernel launch with an
+// enormous trip count.
+func TestTimeoutEndsKernel(t *testing.T) {
+	checkTimeoutEndsRun(t, "float s;\nvoid main(){ int i; s = 0.0;\n#pragma acc parallel loop reduction(+:s)\n"+
+		"for (i = 0; i < 100000000000; i++) { s += 1.0; } }")
+}
+
+// checkTimeoutEndsRun posts a program that never ends with a 50 ms
+// deadline: the request answers 504, no run is in flight afterwards, and
+// the machine it leased is back in the pool for the next request.
+func checkTimeoutEndsRun(t *testing.T, src string) {
 	s := New(Config{Concurrency: 1})
 	h := s.Handler()
-	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{
-		Source:    "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }",
-		TimeoutMS: 50,
-	}))
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, TimeoutMS: 50}))
 	var eresp ErrorResponse
 	json.Unmarshal(rec.Body.Bytes(), &eresp)
 	if rec.Code != http.StatusGatewayTimeout || eresp.Error.Code != "timeout" {
@@ -469,8 +478,8 @@ func TestTimeoutEndsHostLoop(t *testing.T) {
 	if rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})); rec.Code != http.StatusOK {
 		t.Fatalf("request after the timeout: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if body := get(t, h, "/v1/metrics").Body.String(); !strings.Contains(body, "pool.reuse") || strings.Contains(body, "pool.discard") {
-		t.Errorf("metrics after the timeout: want the machine reused, none discarded:\n%s", body)
+	if c := counters(t, h); c["pool.reuse"] != 1 || c["run.timeout"] != 1 || c["pool.discard-dirty"]+c["pool.discard-full"] != 0 {
+		t.Errorf("counters after the timeout: want the machine reused, none discarded: %v", c)
 	}
 }
 
@@ -537,6 +546,118 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, counter := range []string{"cache.hit", "cache.miss", "run.ok"} {
 		if !strings.Contains(body, counter) {
 			t.Errorf("metrics missing %q:\n%s", counter, body)
+		}
+	}
+}
+
+// outOfRangeSrc stores past the end of its array: the run fails, the
+// program compiles.
+const outOfRangeSrc = `
+int n;
+float a[n];
+
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        a[i + n] = 1.0;
+    }
+}
+`
+
+// counters reads the service counters off /v1/metrics.
+func counters(t testing.TB, h http.Handler) map[string]int64 {
+	t.Helper()
+	var m struct {
+		Counters map[string]int64 `json:"counters"`
+	}
+	if err := json.Unmarshal(get(t, h, "/v1/metrics").Body.Bytes(), &m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Counters
+}
+
+// TestRunPanicContained pins that a panic below the handler costs one
+// request and one machine, not the daemon: the client gets a 500 JSON
+// body, the slot is released, the machine the run had leased is never
+// pooled again, and the next request is served normally.
+func TestRunPanicContained(t *testing.T) {
+	s := New(Config{Concurrency: 1, runGate: func(r *RunRequest) {
+		if r.Scalars["n"] == 62 {
+			panic("gate blew up")
+		}
+	}})
+	h := s.Handler()
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 62}}))
+	var eresp ErrorResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &eresp); err != nil {
+		t.Fatalf("reply is not JSON: %v: %s", err, rec.Body.String())
+	}
+	if rec.Code != http.StatusInternalServerError || eresp.Error.Code != "internal" {
+		t.Fatalf("status %d code %q, want 500 internal: %s", rec.Code, eresp.Error.Code, rec.Body.String())
+	}
+	waitLoad(t, h, 0, 0)
+	if idle := s.pool.Idle(); idle != 0 {
+		t.Errorf("%d machines idle in the pool, want the panicked run's quarantined", idle)
+	}
+	if rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})); rec.Code != http.StatusOK {
+		t.Fatalf("request after the panic: status %d: %s", rec.Code, rec.Body.String())
+	}
+	if c := counters(t, h); c["pool.discard-panic"] != 1 || c["run.panic"] != 1 || c["run.ok"] != 1 {
+		t.Errorf("counters after the panic: %v", c)
+	}
+}
+
+// TestRunOutcomesCounted pins the slot accounting: after a burst with one
+// request of every fate, each request that was granted a run slot is
+// counted in exactly one of run.ok, run.error, run.timeout and run.panic,
+// the two that never got one in the queue's rejected and canceled, and
+// no slot is held.
+func TestRunOutcomesCounted(t *testing.T) {
+	gate := make(chan struct{})
+	s := New(Config{Concurrency: 1, QueueDepth: 1, runGate: func(r *RunRequest) {
+		switch r.Scalars["n"] {
+		case 63:
+			<-gate
+		case 62:
+			panic("gate blew up")
+		}
+	}})
+	h := s.Handler()
+	run := func(r *RunRequest) int { return post(t, h, "/v1/run", marshal(t, r)).Code }
+	small := map[string]float64{"n": 8}
+
+	held := make(chan int, 1)
+	go func() { held <- run(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 63}}) }()
+	waitLoad(t, h, 1, 0)
+	queued := make(chan int, 1)
+	go func() { queued <- run(&RunRequest{Source: reduceSrc, Scalars: small, TimeoutMS: 200}) }()
+	waitLoad(t, h, 1, 1)
+	if code := run(&RunRequest{Source: reduceSrc, Scalars: small}); code != http.StatusTooManyRequests {
+		t.Errorf("queue full: status %d, want 429", code)
+	}
+	if code := <-queued; code != http.StatusGatewayTimeout {
+		t.Errorf("canceled while queued: status %d, want 504", code)
+	}
+	close(gate)
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held request: status %d, want 200", code)
+	}
+	if code := run(&RunRequest{Source: outOfRangeSrc, Scalars: small}); code != http.StatusUnprocessableEntity {
+		t.Errorf("run error: status %d, want 422", code)
+	}
+	if code := run(&RunRequest{Source: "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }", TimeoutMS: 50}); code != http.StatusGatewayTimeout {
+		t.Errorf("timeout: status %d, want 504", code)
+	}
+	if code := run(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 62}}); code != http.StatusInternalServerError {
+		t.Errorf("panic: status %d, want 500", code)
+	}
+
+	waitLoad(t, h, 0, 0)
+	c := counters(t, h)
+	for _, name := range []string{"run.ok", "run.error", "run.timeout", "run.panic", "queue.rejected", "queue.canceled"} {
+		if c[name] != 1 {
+			t.Errorf("%s = %d, want 1 (counters: %v)", name, c[name], c)
 		}
 	}
 }

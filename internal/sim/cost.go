@@ -109,44 +109,6 @@ func (s *DeviceSpec) KernelCost(c Counters, efficiency float64) time.Duration {
 	return secToDuration(sec)
 }
 
-// TransferTime prices a phase of bus transfers. Transfers of the same
-// kind issued in one phase are assumed to be pipelined DMAs: they share
-// the relevant aggregate bandwidth and each pays the fixed latency.
-//
-// Host transfers from/to n distinct GPUs see the aggregate host
-// bandwidth HostLinkGBs * (1 + (n-1)*HostConcurrency). Peer transfers
-// use the peer path when present; otherwise each peer byte is staged
-// through host memory and pays the host link twice (the supercomputer
-// node behaviour the paper observes for BFS).
-func (b *BusSpec) TransferTime(transfers []Transfer) time.Duration {
-	if len(transfers) == 0 {
-		return 0
-	}
-	var hostBytes, peerBytes int64
-	var nTransfers, hostEndpoints, peerPairs int
-	var gpus, pairs pairSet
-	for _, t := range transfers {
-		if t.Bytes <= 0 {
-			continue
-		}
-		nTransfers++
-		switch t.Kind {
-		case HostToDevice:
-			hostBytes += t.Bytes
-			hostEndpoints += gpus.add(t.Dst, 0)
-		case DeviceToHost:
-			hostBytes += t.Bytes
-			hostEndpoints += gpus.add(t.Src, 0)
-		case PeerToPeer:
-			peerBytes += t.Bytes
-			peerPairs += pairs.add(t.Src, t.Dst)
-		}
-	}
-	sec := b.nodeSeconds(hostBytes, hostEndpoints, peerBytes, peerPairs)
-	sec += float64(nTransfers) * b.LatencyUS * 1e-6
-	return secToDuration(sec)
-}
-
 // nodeSeconds is the bandwidth term of one node's share of a phase:
 // hostBytes over the links of hostEndpoints distinct GPUs, peerBytes
 // over peerPairs distinct (source, destination) pairs.
@@ -206,17 +168,24 @@ type nodeLoad struct {
 	hostEndpoints, peerPairs int
 }
 
-// TransferTime prices a phase of transfers on the whole machine. On a
-// single node it defers to the bus model; on a cluster, traffic whose
-// endpoints sit on different nodes is staged through the endpoint
-// nodes' host memories and the network: intra-node work overlaps
-// across nodes (max), the shared network serializes, and every network
-// message pays its latency. Host memory (and the host program) live on
-// node 0, so host transfers to remote GPUs also cross the network.
+// TransferTime prices a phase of transfers on the whole machine.
+// Transfers of the same kind issued in one phase are assumed to be
+// pipelined DMAs: they share the relevant aggregate bandwidth and each
+// pays the fixed latency.
+//
+// Within a node, host transfers from/to n distinct GPUs see the
+// aggregate host bandwidth HostLinkGBs * (1 + (n-1)*HostConcurrency).
+// Peer transfers use the peer path when present; otherwise each peer
+// byte is staged through host memory and pays the host link twice (the
+// supercomputer node behaviour the paper observes for BFS).
+//
+// On a cluster, traffic whose endpoints sit on different nodes is staged
+// through the endpoint nodes' host memories and the network: intra-node
+// work overlaps across nodes (max), the shared network serializes, and
+// every network message pays its latency. Host memory (and the host
+// program) live on node 0, so host transfers to remote GPUs also cross
+// the network. A single node is the cluster of one: nothing crosses.
 func (m *MachineSpec) TransferTime(transfers []Transfer) time.Duration {
-	if m.NodeCount() <= 1 {
-		return m.Bus.TransferTime(transfers)
-	}
 	// A GPU sits on one node and an intra-node pair on one node, so
 	// machine-wide sets tell each node's distinct endpoints and pairs.
 	var gpus, pairs pairSet

@@ -183,7 +183,7 @@ func TestTransferTimeMatchesReference(t *testing.T) {
 		for i := 0; i < 400; i++ {
 			tr := randTransfers(rng, -3, 40)
 			want := refBusTransferTime(&m.Bus, tr)
-			if got := m.Bus.TransferTime(tr); got != want {
+			if got := m.TransferTime(tr); got != want {
 				t.Fatalf("%s: bus TransferTime = %d ns, reference %d ns for %+v", m.Name, got, want, tr)
 			}
 		}
@@ -200,7 +200,7 @@ func FuzzTransferTimeMatchesReference(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		for _, m := range []MachineSpec{Desktop(), SupercomputerNode()} {
 			tr := randTransfers(rng, lo, lo+span)
-			if got, want := m.Bus.TransferTime(tr), refBusTransferTime(&m.Bus, tr); got != want {
+			if got, want := m.TransferTime(tr), refBusTransferTime(&m.Bus, tr); got != want {
 				t.Fatalf("%s: bus TransferTime = %d ns, reference %d ns for %+v", m.Name, got, want, tr)
 			}
 		}

@@ -304,7 +304,7 @@ func TestKernelCostRoofline(t *testing.T) {
 }
 
 func TestTransferTimeHostAggregation(t *testing.T) {
-	bus := Desktop().Bus
+	bus := Desktop()
 	one := bus.TransferTime([]Transfer{{Kind: HostToDevice, Bytes: 55_000_000, Dst: 0}})
 	// Same bytes split across two GPUs benefits from concurrency.
 	two := bus.TransferTime([]Transfer{
@@ -323,8 +323,8 @@ func TestTransferTimeHostAggregation(t *testing.T) {
 }
 
 func TestTransferTimePeerPathVsStaged(t *testing.T) {
-	desktop := Desktop().Bus         // has P2P
-	super := SupercomputerNode().Bus // staged through host
+	desktop := Desktop()         // has P2P
+	super := SupercomputerNode() // staged through host
 	tr := []Transfer{{Kind: PeerToPeer, Bytes: 100_000_000, Src: 0, Dst: 1}}
 	d := desktop.TransferTime(tr)
 	s := super.TransferTime(tr)
@@ -351,7 +351,7 @@ func TestCountersAdd(t *testing.T) {
 
 // Property: transfer time is monotone in bytes and never negative.
 func TestTransferTimeMonotoneProperty(t *testing.T) {
-	bus := Desktop().Bus
+	bus := Desktop()
 	f := func(a, b uint32) bool {
 		x, y := int64(a%(1<<30)), int64(b%(1<<30))
 		if x > y {
@@ -369,7 +369,7 @@ func TestTransferTimeMonotoneProperty(t *testing.T) {
 // Property: splitting one host transfer into two to the same device
 // only adds latency, never reduces time below the single transfer.
 func TestTransferSplitProperty(t *testing.T) {
-	bus := SupercomputerNode().Bus
+	bus := SupercomputerNode()
 	f := func(a, b uint32) bool {
 		x, y := int64(a%(1<<28)), int64(b%(1<<28))
 		whole := bus.TransferTime([]Transfer{{Kind: HostToDevice, Bytes: x + y, Dst: 0}})
@@ -440,10 +440,11 @@ func TestClusterTransferTime(t *testing.T) {
 	if remote <= local {
 		t.Errorf("remote-node load must be slower: local=%v remote=%v", local, remote)
 	}
-	// Single-node specs defer to the bus model exactly.
-	d := Desktop()
+	// A single node is the cluster of one.
+	d, d1 := Desktop(), Desktop()
+	d1.Nodes = 1
 	tr := []Transfer{{Kind: HostToDevice, Bytes: 10_000_000, Dst: 1}}
-	if d.TransferTime(tr) != d.Bus.TransferTime(tr) {
+	if d.TransferTime(tr) != d1.TransferTime(tr) || d.TransferTime(tr) != refBusTransferTime(&d.Bus, tr) {
 		t.Error("single node must match the bus model")
 	}
 	// Intra-node traffic on different nodes overlaps: loading both

@@ -173,9 +173,9 @@ func (m *MachineSpec) NodeCount() int {
 func (m *MachineSpec) GPUsPerNode() int { return m.NumGPUs / m.NodeCount() }
 
 // NodeOf returns the node hosting GPU g (host endpoints, g < 0, are
-// node 0).
+// node 0, and so is every id on a single node).
 func (m *MachineSpec) NodeOf(g int) int {
-	if g < 0 {
+	if g < 0 || m.NodeCount() == 1 {
 		return 0
 	}
 	return g / m.GPUsPerNode()

@@ -43,9 +43,6 @@ func (m *Metrics) Inc(name string, delta int64) { m.counters[name] += delta }
 // Counter returns the named counter's value (0 if never incremented).
 func (m *Metrics) Counter(name string) int64 { return m.counters[name] }
 
-// Hist returns the named histogram, or nil if never observed.
-func (m *Metrics) Hist(name string) *Histogram { return m.hists[name] }
-
 // Observe records v into the named histogram, creating it with the
 // given bounds on first use (later calls keep the original bounds).
 func (m *Metrics) Observe(name string, bounds []int64, v int64) {

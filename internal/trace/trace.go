@@ -155,9 +155,6 @@ func (t *Tracer) Metrics() *Metrics { return t.mets }
 // owned by the tracer; callers must not mutate it.
 func (t *Tracer) Spans() []Span { return t.spans }
 
-// Processes returns the registered trace-process names (index = Proc).
-func (t *Tracer) Processes() []string { return t.procs }
-
 // BeginProcess groups subsequent spans under a new named trace process
 // — one per measured configuration when a benchmark sweep shares a
 // tracer — and returns its id. Host strand only.

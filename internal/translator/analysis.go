@@ -9,41 +9,10 @@
 package translator
 
 import (
+	"sort"
+
 	"accmulti/internal/cc"
 )
-
-// accessInfo accumulates what the kernel body does to one array.
-type accessInfo struct {
-	decl    *cc.VarDecl
-	read    bool
-	written bool
-	reduced bool
-	redOp   string
-	// readIndexKinds/writeIndexKinds classify every index expression.
-	indirectRead bool
-	affineRead   bool // stays true only while all read indices are affine
-	sawRead      bool
-	writesAffine bool // all write indices literal-affine in the loop var
-	writeCoeffs  []affineForm
-	// reads/writes/reduces record every individual subscript with its
-	// classification, in body order, for the vet pass.
-	reads, writes, reduces []indexAccess
-}
-
-// indexAccess is one observed subscript of an array.
-type indexAccess struct {
-	ref      *cc.IndexExpr
-	op       string // assignment operator for writes/reduces, "" for reads
-	form     affineForm
-	affine   bool // function of the induction variable and invariants only
-	indirect bool // data dependent (goes through another array load)
-}
-
-// affineForm is index = A*i + C with literal A and C.
-type affineForm struct {
-	A, C int64
-	OK   bool
-}
 
 // analyzer walks a kernel body classifying array accesses.
 type analyzer struct {
@@ -56,29 +25,31 @@ type analyzer struct {
 	// dependent: assigned from an expression that loads an array.
 	// Indexing with a tainted scalar is an indirect access.
 	tainted map[*cc.VarDecl]bool
-	arrays  map[*cc.VarDecl]*accessInfo
+	arrays  map[*cc.VarDecl]*ArrayFootprint
 }
 
-// derived lists additional scalars whose values the kernel wrapper
-// computes per iteration (collapsed loops' original induction
-// variables); they classify like body locals.
-func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived ...*cc.VarDecl) map[*cc.VarDecl]*accessInfo {
+// analyzeKernelBody returns what one iteration of the body does to every
+// array it touches, in declaration (slot) order. derived lists additional
+// scalars whose values the kernel wrapper computes per iteration
+// (collapsed loops' original induction variables); they classify like
+// body locals.
+func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived []*cc.VarDecl) []*ArrayFootprint {
 	a := &analyzer{
 		loopVar:    loopVar,
 		bodyLocals: map[*cc.VarDecl]bool{},
 		tainted:    map[*cc.VarDecl]bool{},
-		arrays:     map[*cc.VarDecl]*accessInfo{},
+		arrays:     map[*cc.VarDecl]*ArrayFootprint{},
 	}
+	cc.AssignedScalars(body, a.bodyLocals)
+	delete(a.bodyLocals, loopVar)
 	for _, d := range derived {
 		a.bodyLocals[d] = true
 	}
-	// First pass: find scalars assigned in the body.
-	a.collectLocals(body)
 	// Taint fixed point: a local becomes data dependent when any of
 	// its assignments reads an array or another tainted local.
 	for changed := true; changed; {
 		changed = false
-		a.walkAssigns(body, func(st *cc.AssignStmt) {
+		cc.EachAssign(body, func(st *cc.AssignStmt) {
 			id, ok := st.LHS.(*cc.Ident)
 			if !ok || a.tainted[id.Decl] {
 				return
@@ -89,9 +60,33 @@ func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived ...*cc.VarDecl
 			}
 		})
 	}
-	// Second pass: classify accesses.
-	a.stmt(body)
-	return a.arrays
+	// Classify the accesses, in body order.
+	cc.EachStmt(body, func(s cc.Stmt) {
+		switch st := s.(type) {
+		case *cc.AssignStmt:
+			a.assign(st)
+		case *cc.IfStmt:
+			a.rvalue(st.Cond)
+		case *cc.WhileStmt:
+			a.rvalue(st.Cond)
+		case *cc.ForStmt:
+			if st.Init != nil {
+				a.assign(st.Init)
+			}
+			if st.Cond != nil {
+				a.rvalue(st.Cond)
+			}
+			if st.Post != nil {
+				a.assign(st.Post)
+			}
+		}
+	})
+	out := make([]*ArrayFootprint, 0, len(a.arrays))
+	for _, fp := range a.arrays {
+		out = append(out, fp)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Array.Slot < out[j].Array.Slot })
+	return out
 }
 
 // gathersWhatItScatters reports an array the body loads and also stores
@@ -101,13 +96,13 @@ func analyzeKernelBody(body cc.Stmt, loopVar *cc.VarDecl, derived ...*cc.VarDecl
 // workers interleave — whether the read is itself indirect or affine,
 // the store can land on any worker's element; the runtime runs such a
 // kernel's workers in order (ir.Kernel.SerialWorkers).
-func gathersWhatItScatters(infos map[*cc.VarDecl]*accessInfo) bool {
-	for _, in := range infos {
-		if !in.read {
+func gathersWhatItScatters(arrays []*ArrayFootprint) bool {
+	for _, fp := range arrays {
+		if !fp.Read {
 			continue
 		}
-		for _, w := range in.writes {
-			if w.indirect {
+		for _, w := range fp.Writes {
+			if w.Indirect {
 				return true
 			}
 		}
@@ -115,226 +110,77 @@ func gathersWhatItScatters(infos map[*cc.VarDecl]*accessInfo) bool {
 	return false
 }
 
-func (a *analyzer) walkAssigns(s cc.Stmt, fn func(*cc.AssignStmt)) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, sub := range st.Stmts {
-			a.walkAssigns(sub, fn)
-		}
-	case *cc.AssignStmt:
-		fn(st)
-	case *cc.IfStmt:
-		a.walkAssigns(st.Then, fn)
-		if st.Else != nil {
-			a.walkAssigns(st.Else, fn)
-		}
-	case *cc.WhileStmt:
-		a.walkAssigns(st.Body, fn)
-	case *cc.ForStmt:
-		if st.Init != nil {
-			a.walkAssigns(st.Init, fn)
-		}
-		if st.Post != nil {
-			a.walkAssigns(st.Post, fn)
-		}
-		a.walkAssigns(st.Body, fn)
-	}
-}
-
 // dataDependent reports whether the expression reads an array or a
 // tainted local.
 func (a *analyzer) dataDependent(e cc.Expr) bool {
 	dep := false
-	walkExpr(e, func(sub cc.Expr) {
+	cc.EachExpr(e, func(sub cc.Expr) {
 		switch x := sub.(type) {
 		case *cc.IndexExpr:
 			dep = true
 		case *cc.Ident:
-			if a.tainted[x.Decl] {
-				dep = true
-			}
+			dep = dep || a.tainted[x.Decl]
 		}
 	})
 	return dep
 }
 
-func (a *analyzer) info(d *cc.VarDecl) *accessInfo {
-	in, ok := a.arrays[d]
+func (a *analyzer) info(d *cc.VarDecl) *ArrayFootprint {
+	fp, ok := a.arrays[d]
 	if !ok {
-		in = &accessInfo{decl: d, affineRead: true, writesAffine: true}
-		a.arrays[d] = in
+		fp = &ArrayFootprint{Array: d}
+		a.arrays[d] = fp
 	}
-	return in
-}
-
-func (a *analyzer) collectLocals(s cc.Stmt) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, sub := range st.Stmts {
-			a.collectLocals(sub)
-		}
-	case *cc.AssignStmt:
-		if id, ok := st.LHS.(*cc.Ident); ok && id.Decl != a.loopVar {
-			a.bodyLocals[id.Decl] = true
-		}
-	case *cc.IfStmt:
-		a.collectLocals(st.Then)
-		if st.Else != nil {
-			a.collectLocals(st.Else)
-		}
-	case *cc.WhileStmt:
-		a.collectLocals(st.Body)
-	case *cc.ForStmt:
-		if st.Init != nil {
-			a.collectLocals(st.Init)
-		}
-		if st.Post != nil {
-			a.collectLocals(st.Post)
-		}
-		a.collectLocals(st.Body)
-	}
-}
-
-func (a *analyzer) stmt(s cc.Stmt) {
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, sub := range st.Stmts {
-			a.stmt(sub)
-		}
-	case *cc.DeclStmt:
-	case *cc.AssignStmt:
-		a.assign(st)
-	case *cc.IfStmt:
-		a.rvalue(st.Cond)
-		a.stmt(st.Then)
-		if st.Else != nil {
-			a.stmt(st.Else)
-		}
-	case *cc.WhileStmt:
-		a.rvalue(st.Cond)
-		a.stmt(st.Body)
-	case *cc.ForStmt:
-		if st.Init != nil {
-			a.assign(st.Init)
-		}
-		if st.Cond != nil {
-			a.rvalue(st.Cond)
-		}
-		if st.Post != nil {
-			a.assign(st.Post)
-		}
-		a.stmt(st.Body)
-	}
+	return fp
 }
 
 func (a *analyzer) assign(st *cc.AssignStmt) {
 	a.rvalue(st.RHS)
-	switch lhs := st.LHS.(type) {
-	case *cc.Ident:
-		// Scalar write: private per worker, nothing to classify.
-	case *cc.IndexExpr:
-		a.rvalue(lhs.Index) // index math reads
-		in := a.info(lhs.Array)
-		if st.Reduce != nil {
-			in.reduced = true
-			in.redOp = st.Reduce.Op
-			in.reduces = append(in.reduces, a.classify(lhs, st.Op))
-			return
-		}
-		in.written = true
-		if st.Op != "=" {
-			// Compound assignment reads the old value.
-			a.classifyRead(in, lhs)
-		}
-		w := a.classify(lhs, st.Op)
-		in.writes = append(in.writes, w)
-		in.writeCoeffs = append(in.writeCoeffs, w.form)
-		if !w.form.OK {
-			in.writesAffine = false
-		}
+	lhs, ok := st.LHS.(*cc.IndexExpr)
+	if !ok {
+		return // scalar write: private per worker, nothing to classify
 	}
+	a.rvalue(lhs.Index) // index math reads
+	fp := a.info(lhs.Array)
+	if st.Reduce != nil {
+		fp.Reduced = true
+		fp.ReduceOp = st.Reduce.Op
+		fp.Reduces = append(fp.Reduces, a.classify(lhs, st.Op))
+		return
+	}
+	fp.Written = true
+	if st.Op != "=" {
+		a.classifyRead(lhs) // compound assignment reads the old value
+	}
+	fp.Writes = append(fp.Writes, a.classify(lhs, st.Op))
 }
 
 // rvalue classifies every array read inside an expression.
 func (a *analyzer) rvalue(e cc.Expr) {
-	switch x := e.(type) {
-	case *cc.IndexExpr:
-		a.rvalue(x.Index)
-		a.classifyRead(a.info(x.Array), x)
-	case *cc.BinaryExpr:
-		a.rvalue(x.X)
-		a.rvalue(x.Y)
-	case *cc.UnaryExpr:
-		a.rvalue(x.X)
-	case *cc.CondExpr:
-		a.rvalue(x.Cond)
-		a.rvalue(x.Then)
-		a.rvalue(x.Else)
-	case *cc.CallExpr:
-		for _, arg := range x.Args {
-			a.rvalue(arg)
+	cc.EachExpr(e, func(x cc.Expr) {
+		if ref, ok := x.(*cc.IndexExpr); ok {
+			a.classifyRead(ref)
 		}
-	case *cc.CastExpr:
-		a.rvalue(x.X)
-	}
+	})
 }
 
-func (a *analyzer) classifyRead(in *accessInfo, ref *cc.IndexExpr) {
-	in.read = true
-	in.sawRead = true
+func (a *analyzer) classifyRead(ref *cc.IndexExpr) {
+	fp := a.info(ref.Array)
 	r := a.classify(ref, "")
-	in.reads = append(in.reads, r)
-	if r.indirect {
-		in.indirectRead = true
-		in.affineRead = false
-		return
-	}
-	if !r.affine {
-		in.affineRead = false
-	}
+	fp.Read = true
+	fp.AffineRead = (len(fp.Reads) == 0 || fp.AffineRead) && r.Affine
+	fp.IndirectRead = fp.IndirectRead || r.Indirect
+	fp.Reads = append(fp.Reads, r)
 }
 
 // classify records one subscript with every classification the vet pass
-// and the translator need.
-func (a *analyzer) classify(ref *cc.IndexExpr, op string) indexAccess {
-	out := indexAccess{ref: ref, op: op, form: a.literalAffine(ref.Index)}
-	out.indirect = a.dataDependent(ref.Index)
-	out.affine = !out.indirect && a.isAffine(ref.Index)
+// and the lowering need.
+func (a *analyzer) classify(ref *cc.IndexExpr, op string) IndexForm {
+	out := IndexForm{Line: ref.Pos(), Col: ref.Column(), Src: ExprString(ref), Op: op}
+	out.Coef, out.Off, out.Literal = LiteralAffine(ref.Index, a.loopVar)
+	out.Indirect = a.dataDependent(ref.Index)
+	out.Affine = !out.Indirect && a.isAffine(ref.Index)
 	return out
-}
-
-// mentionsArray reports whether the expression loads any array.
-func mentionsArray(e cc.Expr) bool {
-	found := false
-	walkExpr(e, func(sub cc.Expr) {
-		if _, ok := sub.(*cc.IndexExpr); ok {
-			found = true
-		}
-	})
-	return found
-}
-
-func walkExpr(e cc.Expr, fn func(cc.Expr)) {
-	fn(e)
-	switch x := e.(type) {
-	case *cc.IndexExpr:
-		walkExpr(x.Index, fn)
-	case *cc.BinaryExpr:
-		walkExpr(x.X, fn)
-		walkExpr(x.Y, fn)
-	case *cc.UnaryExpr:
-		walkExpr(x.X, fn)
-	case *cc.CondExpr:
-		walkExpr(x.Cond, fn)
-		walkExpr(x.Then, fn)
-		walkExpr(x.Else, fn)
-	case *cc.CallExpr:
-		for _, arg := range x.Args {
-			walkExpr(arg, fn)
-		}
-	case *cc.CastExpr:
-		walkExpr(x.X, fn)
-	}
 }
 
 // isAffine reports whether the index is a function of the induction
@@ -343,66 +189,51 @@ func walkExpr(e cc.Expr, fn func(cc.Expr)) {
 // for optimization eligibility, not correctness.
 func (a *analyzer) isAffine(e cc.Expr) bool {
 	ok := true
-	walkExpr(e, func(sub cc.Expr) {
+	cc.EachExpr(e, func(sub cc.Expr) {
 		switch x := sub.(type) {
-		case *cc.IndexExpr:
+		case *cc.IndexExpr, *cc.CallExpr:
 			ok = false
 		case *cc.Ident:
-			if a.bodyLocals[x.Decl] {
-				ok = false
-			}
-		case *cc.CallExpr:
-			ok = false
+			ok = ok && !a.bodyLocals[x.Decl]
 		}
 	})
 	return ok
 }
 
-func (a *analyzer) literalAffine(e cc.Expr) affineForm {
-	return literalAffine(e, a.loopVar)
-}
-
-// literalAffine recognizes index expressions of the form A*i + C with
-// integer literal A and C (the conservative pattern used to elide
-// write-miss checks, paper §IV-D2).
-func literalAffine(e cc.Expr, loopVar *cc.VarDecl) affineForm {
+// LiteralAffine recognizes index expressions of the form coef*i + off
+// with integer literal coef and off: the affine pattern the verifier
+// reasons about and the conservative one used to elide write-miss checks
+// (paper §IV-D2).
+func LiteralAffine(e cc.Expr, loopVar *cc.VarDecl) (coef, off int64, ok bool) {
 	switch x := e.(type) {
 	case *cc.NumLit:
 		if !x.IsFloat {
-			return affineForm{A: 0, C: x.I, OK: true}
+			return 0, x.I, true
 		}
 	case *cc.Ident:
 		if x.Decl == loopVar {
-			return affineForm{A: 1, C: 0, OK: true}
+			return 1, 0, true
 		}
 	case *cc.BinaryExpr:
-		l := literalAffine(x.X, loopVar)
-		r := literalAffine(x.Y, loopVar)
-		if !l.OK || !r.OK {
-			return affineForm{}
+		la, lc, okL := LiteralAffine(x.X, loopVar)
+		ra, rc, okR := LiteralAffine(x.Y, loopVar)
+		if !okL || !okR {
+			return 0, 0, false
 		}
 		switch x.Op {
 		case "+":
-			return affineForm{A: l.A + r.A, C: l.C + r.C, OK: true}
+			return la + ra, lc + rc, true
 		case "-":
-			return affineForm{A: l.A - r.A, C: l.C - r.C, OK: true}
+			return la - ra, lc - rc, true
 		case "*":
 			// One side must be constant.
-			if l.A == 0 {
-				return affineForm{A: l.C * r.A, C: l.C * r.C, OK: true}
+			if la == 0 {
+				return lc * ra, lc * rc, true
 			}
-			if r.A == 0 {
-				return affineForm{A: r.C * l.A, C: r.C * l.C, OK: true}
+			if ra == 0 {
+				return rc * la, rc * lc, true
 			}
 		}
 	}
-	return affineForm{}
-}
-
-// litInt extracts an integer literal from an expression, if it is one.
-func litInt(e cc.Expr) (int64, bool) {
-	if n, ok := e.(*cc.NumLit); ok && !n.IsFloat {
-		return n.I, true
-	}
-	return 0, false
+	return 0, 0, false
 }

@@ -2,9 +2,7 @@ package translator
 
 import (
 	"fmt"
-	"sort"
 
-	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
 )
@@ -28,9 +26,22 @@ const (
 	effCPUIrregular = 0.42
 )
 
-// Translate converts an analyzed program into an executable module.
+// Translate converts an analyzed program into an executable module:
+// AnalyzeProgram, then Lower.
 func Translate(prog *cc.Program) (*ir.Module, error) {
-	t := &xlate{prog: prog, m: &ir.Module{Prog: prog}}
+	pa, err := AnalyzeProgram(prog)
+	if err != nil {
+		return nil, err
+	}
+	return Lower(pa)
+}
+
+// Lower turns a program skeleton into the executable module. Main's
+// statements compile to closures; at each directive the handlers find
+// the skeleton's node by its statement and lower that.
+func Lower(pa *ProgramAccess) (*ir.Module, error) {
+	prog := pa.Prog
+	t := &xlate{pa: pa, m: &ir.Module{Prog: prog}}
 	t.m.ArraySizes = make([]ir.ExprI, prog.NumArrays)
 	for _, d := range prog.ArrayDecls() {
 		sz, err := ir.CompileExprI(d.Size)
@@ -50,7 +61,7 @@ func Translate(prog *cc.Program) (*ir.Module, error) {
 	}
 	t.m.Main = main
 	stripFlappingTransforms(t.m)
-	t.m.GeneratedSource = emit(t.m)
+	t.m.GeneratedSource = emit(t.m, pa)
 	return t.m, nil
 }
 
@@ -87,19 +98,13 @@ func stripFlappingTransforms(m *ir.Module) {
 }
 
 type xlate struct {
-	prog *cc.Program
-	m    *ir.Module
+	pa *ProgramAccess
+	m  *ir.Module
 }
 
 func (t *xlate) dataRegion(b *cc.Block, body ir.Stmt) (ir.Stmt, error) {
-	args, err := b.Data.DataArgs()
-	if err != nil {
-		return nil, err
-	}
-	r := &ir.DataRegion{ID: len(t.m.Regions), Line: b.Data.Line}
-	for _, a := range args {
-		r.Args = append(r.Args, ir.ResolvedArg{Decl: t.prog.Scope[a.Array], Class: a.Class})
-	}
+	info := t.pa.regions[b]
+	r := &ir.DataRegion{ID: len(t.m.Regions), Line: info.Line, Args: info.Args}
 	t.m.Regions = append(t.m.Regions, r)
 	return func(env *ir.Env) error {
 		if err := env.H.EnterData(r, env); err != nil {
@@ -113,24 +118,13 @@ func (t *xlate) dataRegion(b *cc.Block, body ir.Stmt) (ir.Stmt, error) {
 }
 
 func (t *xlate) update(st *cc.UpdateStmt) (ir.Stmt, error) {
-	u := &ir.UpdateOp{Line: st.Line}
-	for _, c := range st.Directive.Clauses {
-		for _, name := range c.Args {
-			d := t.prog.Scope[name]
-			switch c.Name {
-			case "host", "self":
-				u.ToHost = append(u.ToHost, d)
-			case "device":
-				u.ToDevice = append(u.ToDevice, d)
-			}
-		}
-	}
+	u := &ir.UpdateOp{Line: st.Line, ToHost: st.ToHost, ToDevice: st.ToDevice}
 	t.m.Updates = append(t.m.Updates, u)
 	return func(env *ir.Env) error { return env.H.Update(u, env) }, nil
 }
 
 func (t *xlate) parallelFor(st *cc.ForStmt) (ir.Stmt, error) {
-	k, err := t.buildKernel(st)
+	k, err := t.lowerKernel(t.pa.kernels[st])
 	if err != nil {
 		return nil, err
 	}
@@ -138,81 +132,44 @@ func (t *xlate) parallelFor(st *cc.ForStmt) (ir.Stmt, error) {
 	return func(env *ir.Env) error { return env.H.Launch(k, env) }, nil
 }
 
-// buildKernel checks the loop is canonical, compiles its body in kernel
-// mode, and assembles the array configuration information.
-func (t *xlate) buildKernel(st *cc.ForStmt) (*ir.Kernel, error) {
-	if hasCollapse2(st.Parallel) {
-		return t.buildCollapsedKernel(st)
+// lowerKernel compiles one analysed loop: bounds and body to interpreter
+// closures, its footprints to the array configuration information, the
+// cost model's efficiencies, and (flat loops) the specialized form.
+func (t *xlate) lowerKernel(l *LoopAccess) (*ir.Kernel, error) {
+	if l.Invalid != nil {
+		return nil, l.Invalid
 	}
-	loopVar, lower, upper, err := canonicalLoop(st)
-	if err != nil {
-		return nil, err
-	}
-	lo, err := ir.CompileExprI(lower)
-	if err != nil {
-		return nil, err
-	}
-	hi, err := ir.CompileExprI(upper)
-	if err != nil {
-		return nil, err
-	}
-	body, err := ir.CompileStmt(st.Body, nil)
-	if err != nil {
-		return nil, err
-	}
-
 	k := &ir.Kernel{
-		ID:      len(t.m.Kernels),
-		Name:    fmt.Sprintf("main_L%d", st.Line),
-		Line:    st.Line,
-		LoopVar: loopVar,
-		Lower:   lo,
-		Upper:   hi,
-		Body:    body,
+		ID:         l.ID,
+		Name:       fmt.Sprintf("main_L%d", l.Line),
+		Line:       l.Line,
+		LoopVar:    l.LoopVar,
+		ScalarReds: l.For.Reductions,
 	}
-
-	if err := t.finishKernel(k, st, analyzeKernelBody(st.Body, loopVar)); err != nil {
+	body, err := ir.CompileStmt(l.body, nil)
+	if err != nil {
 		return nil, err
 	}
-	k.Spec, k.SpecReason = ir.BuildKernelSpec(k, st.Body, t.prog)
-	return k, nil
-}
-
-// finishKernel completes a kernel whose loop, bounds and body are set,
-// flat or collapsed: the directive's scalar reductions, the loop's
-// localaccess specs merged with the body's access analysis into
-// ArrayUses, and the cost model's efficiencies.
-func (t *xlate) finishKernel(k *ir.Kernel, st *cc.ForStmt, infos map[*cc.VarDecl]*accessInfo) error {
-	reds, err := st.Parallel.Reductions()
+	if l.Collapsed {
+		err = t.collapsedBounds(k, l, body)
+	} else {
+		err = flatBounds(k, l, body)
+	}
 	if err != nil {
-		return err
-	}
-	for _, r := range reds {
-		k.ScalarReds = append(k.ScalarReds, ir.ScalarRed{Decl: t.prog.Scope[r.Var], Op: r.Op})
+		return nil, err
 	}
 
-	specs := map[*cc.VarDecl]*cc.LocalSpec{}
-	for _, sp := range st.Specs {
-		if _, dup := specs[sp.Array]; dup {
-			return fmt.Errorf("translator: line %d: duplicate localaccess for array %q", sp.Line, sp.Array.Name)
-		}
-		specs[sp.Array] = sp
-		if infos[sp.Array] == nil {
-			return fmt.Errorf("translator: line %d: localaccess(%s) but the loop never accesses it", sp.Line, sp.Array.Name)
-		}
-	}
-	for _, d := range sortedDecls(infos) {
-		use, err := t.buildArrayUse(infos[d], specs[d])
+	for _, fp := range l.Arrays {
+		use, err := buildArrayUse(fp)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		k.Arrays = append(k.Arrays, use)
 		if use.Reduced {
 			k.HasArrayReduction = true
 		}
 	}
-
-	k.SerialWorkers = gathersWhatItScatters(infos)
+	k.SerialWorkers = gathersWhatItScatters(l.Arrays)
 	k.Efficiency = kernelEfficiency(k, true)
 	k.EfficiencyBaseline = kernelEfficiency(k, false)
 	k.CPUEfficiency = 1.0
@@ -222,49 +179,99 @@ func (t *xlate) finishKernel(k *ir.Kernel, st *cc.ForStmt, infos map[*cc.VarDecl
 			break
 		}
 	}
+	if !l.Collapsed { // collapsed kernels always interpret
+		k.Spec, k.SpecReason = ir.BuildKernelSpec(k, l.For.Body, t.pa.Prog)
+	}
+	return k, nil
+}
+
+// flatBounds gives a canonical loop's kernel its iteration space.
+func flatBounds(k *ir.Kernel, l *LoopAccess, body ir.Stmt) (err error) {
+	if k.Lower, err = ir.CompileExprI(l.Lower); err != nil {
+		return err
+	}
+	k.Upper, err = ir.CompileExprI(l.Upper)
+	k.Body = body
+	return err
+}
+
+// collapsedBounds gives a collapse(2) kernel its flat iteration space:
+// the synthesized induction variable gets a slot (the int table grows;
+// translation happens before any environment is built), the kernel runs
+// over [0, rows*cols), and each iteration derives the nest's two
+// variables from the flat index before the inner body runs.
+func (t *xlate) collapsedBounds(k *ir.Kernel, l *LoopAccess, innerBody ir.Stmt) error {
+	flat := *l.LoopVar
+	flat.Slot = t.pa.Prog.NumInts
+	t.pa.Prog.NumInts++
+	k.LoopVar = &flat
+
+	var bounds [4]ir.ExprI
+	for i, e := range []cc.Expr{l.outer.Lower, l.outer.Upper, l.inner.Lower, l.inner.Upper} {
+		var err error
+		if bounds[i], err = ir.CompileExprI(e); err != nil {
+			return err
+		}
+	}
+	oLo, oHi, iLo, iHi := bounds[0], bounds[1], bounds[2], bounds[3]
+	oSlot, iSlot, fSlot := l.outer.Var.Slot, l.inner.Var.Slot, flat.Slot
+	k.Lower = func(env *ir.Env) int64 { return 0 }
+	k.Upper = func(env *ir.Env) int64 {
+		o := oHi(env) - oLo(env)
+		w := iHi(env) - iLo(env)
+		if o <= 0 || w <= 0 {
+			return 0
+		}
+		return o * w
+	}
+	k.Body = func(env *ir.Env) error {
+		w := iHi(env) - iLo(env)
+		if w <= 0 {
+			return nil
+		}
+		f := env.Ints[fSlot]
+		env.Ints[oSlot] = oLo(env) + f/w
+		env.Ints[iSlot] = iLo(env) + f%w
+		return innerBody(env)
+	}
 	return nil
 }
 
-func (t *xlate) buildArrayUse(in *accessInfo, spec *cc.LocalSpec) (*ir.ArrayUse, error) {
+// buildArrayUse is one array's entry of the array configuration
+// information.
+func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 	use := &ir.ArrayUse{
-		Decl:         in.decl,
-		Read:         in.read,
-		Written:      in.written,
-		Reduced:      in.reduced,
-		AffineRead:   in.sawRead && in.affineRead,
-		IndirectRead: in.indirectRead,
+		Decl:         in.Array,
+		Read:         in.Read,
+		Written:      in.Written,
+		Reduced:      in.Reduced,
+		AffineRead:   in.AffineRead,
+		IndirectRead: in.IndirectRead,
 		WriteCoef:    -1,
 	}
-	if in.written && in.writesAffine && len(in.writeCoeffs) > 0 {
-		coef := in.writeCoeffs[0].A
-		lo, hi := in.writeCoeffs[0].C, in.writeCoeffs[0].C
+	writesAffine := true
+	for _, w := range in.Writes {
+		writesAffine = writesAffine && w.Literal
+	}
+	if in.Written && writesAffine {
+		coef := in.Writes[0].Coef
+		lo, hi := in.Writes[0].Off, in.Writes[0].Off
 		uniform := true
-		for _, w := range in.writeCoeffs[1:] {
-			if w.A != coef {
+		for _, w := range in.Writes[1:] {
+			if w.Coef != coef {
 				uniform = false
 				break
 			}
-			if w.C < lo {
-				lo = w.C
-			}
-			if w.C > hi {
-				hi = w.C
-			}
+			lo, hi = min(lo, w.Off), max(hi, w.Off)
 		}
 		if uniform && coef > 0 {
 			use.WriteCoef, use.WriteOffLo, use.WriteOffHi = coef, lo, hi
 		}
 	}
-	if in.reduced {
-		if in.written {
-			return nil, fmt.Errorf("translator: array %q is both reduced and plainly written in one loop", in.decl.Name)
-		}
-		if in.redOp == "*" {
-			use.ReduceOp = ir.ReduceMul
-		} else {
-			use.ReduceOp = ir.ReduceAdd
-		}
+	if in.ReduceOp == "*" {
+		use.ReduceOp = ir.ReduceMul
 	}
+	spec := in.Spec
 	if spec == nil {
 		return use, nil
 	}
@@ -290,14 +297,14 @@ func (t *xlate) buildArrayUse(in *accessInfo, spec *cc.LocalSpec) (*ir.ArrayUse,
 	// A*i + C with literal coefficients, the footprint is a literal
 	// stride form, and A*i + C provably stays inside
 	// [stride*i - left, stride*(i+1) - 1 + right] for all i >= 0.
-	if in.written && in.writesAffine && spec.HasStride {
-		s, okS := litInt(spec.Stride)
-		l, okL := litInt(spec.Left)
-		r, okR := litInt(spec.Right)
+	if in.Written && writesAffine && spec.HasStride {
+		s, okS := LiteralInt(spec.Stride)
+		l, okL := LiteralInt(spec.Left)
+		r, okR := LiteralInt(spec.Right)
 		if okS && okL && okR {
 			within := true
-			for _, w := range in.writeCoeffs {
-				if !w.OK || w.A != s || w.C < -l || w.C > s-1+r {
+			for _, w := range in.Writes {
+				if w.Coef != s || w.Off < -l || w.Off > s-1+r {
 					within = false
 					break
 				}
@@ -309,11 +316,11 @@ func (t *xlate) buildArrayUse(in *accessInfo, spec *cc.LocalSpec) (*ir.ArrayUse,
 	// Coalescing layout transform (paper §IV-B4): read-only arrays
 	// with affine-per-row access and a localaccess stride wider than
 	// one element are stored transposed on the device.
-	if in.read && !in.indirectRead && spec.HasStride {
-		s, lit := litInt(spec.Stride)
+	if in.Read && !in.IndirectRead && spec.HasStride {
+		s, lit := LiteralInt(spec.Stride)
 		if !lit || s > 1 {
 			use.StridedRead = true
-			if !in.written && !in.reduced {
+			if !in.Written && !in.Reduced {
 				use.Transform2D = true
 				use.Width = fp.Stride
 			}
@@ -346,50 +353,3 @@ func kernelEfficiency(k *ir.Kernel, withTransform bool) float64 {
 func BaselineEfficiency(k *ir.Kernel) float64 {
 	return kernelEfficiency(k, false)
 }
-
-// canonicalLoop validates `for (i = L; i < U; i++)` and returns the
-// pieces.
-func canonicalLoop(st *cc.ForStmt) (loopVar *cc.VarDecl, lower, upper cc.Expr, err error) {
-	fail := func(msg string) (*cc.VarDecl, cc.Expr, cc.Expr, error) {
-		return nil, nil, nil, fmt.Errorf("translator: line %d: parallel loop must have the form `for (i = L; i < U; i++)`: %s", st.Line, msg)
-	}
-	if st.Init == nil || st.Cond == nil || st.Post == nil {
-		return fail("missing init, condition or post")
-	}
-	initLHS, ok := st.Init.LHS.(*cc.Ident)
-	if !ok || st.Init.Op != "=" {
-		return fail("initializer must assign the induction variable")
-	}
-	loopVar = initLHS.Decl
-	if loopVar.Type != cc.TInt {
-		return fail("induction variable must be an int")
-	}
-	cond, ok := st.Cond.(*cc.BinaryExpr)
-	if !ok || cond.Op != "<" {
-		return fail("condition must be `i < U`")
-	}
-	condLHS, ok := cond.X.(*cc.Ident)
-	if !ok || condLHS.Decl != loopVar {
-		return fail("condition must compare the induction variable")
-	}
-	postLHS, ok := st.Post.LHS.(*cc.Ident)
-	if !ok || postLHS.Decl != loopVar || st.Post.Op != "+=" {
-		return fail("post statement must be `i++`")
-	}
-	one, ok := st.Post.RHS.(*cc.NumLit)
-	if !ok || one.IsFloat || one.I != 1 {
-		return fail("post statement must increment by 1")
-	}
-	// The iteration bounds must not depend on anything the kernel
-	// changes; requiring them to avoid arrays keeps this checkable.
-	if mentionsArray(st.Init.RHS) || mentionsArray(cond.Y) {
-		return fail("loop bounds must not read arrays")
-	}
-	return loopVar, st.Init.RHS, cond.Y, nil
-}
-
-func sortDecls(decls []*cc.VarDecl) {
-	sort.Slice(decls, func(i, j int) bool { return decls[i].Slot < decls[j].Slot })
-}
-
-var _ = acc.KindParallelLoop // acc is used by emit.go diagnostics

@@ -120,7 +120,7 @@ void main() {
 	if !k.HasArrayReduction {
 		t.Fatal("array reduction not detected")
 	}
-	if len(k.ScalarReds) != 1 || k.ScalarReds[0].Decl.Name != "delta" || k.ScalarReds[0].Op != "+" {
+	if len(k.ScalarReds) != 1 || k.ScalarReds[0].Decl.Name != "delta" || k.ScalarReds[0].Op.String() != "+" {
 		t.Fatalf("scalar reds = %+v", k.ScalarReds)
 	}
 	uses := map[string]*ir.ArrayUse{}
