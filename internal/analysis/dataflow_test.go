@@ -373,8 +373,8 @@ void main() {
 	if len(res.Diags.ByCode("ACCV004")) != 0 {
 		t.Errorf("ACCV004 should be folded into ACCV012: %v", res.Diags)
 	}
-	if !res.Flow.Distributable["a"] || !res.Flow.Distributable["b"] {
-		t.Errorf("Distributable = %v", res.Flow.Distributable)
+	if !res.Distributable["a"] || !res.Distributable["b"] {
+		t.Errorf("Distributable = %v", res.Distributable)
 	}
 }
 

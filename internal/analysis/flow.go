@@ -1,39 +1,31 @@
-// Package dataflow is the whole-program, per-array dataflow pass of
-// accvet. Where the base pass (internal/analysis) checks each parallel
-// loop's directives against its own footprint, this pass reasons
-// across statements: it proves loop-carried dependences inside single
-// kernels (ACCV008, races.go), flags unprovable scatter writes
-// (ACCV009), and runs kernel-to-kernel liveness/reaching-definitions
-// and transfer-cleanliness analyses over the translated program
-// (ACCV010 dead device writes, ACCV011 redundant transfers, ACCV012
-// distributability advisor).
-//
-// The pass reads the program skeleton (translator.ProgramAccess): the
-// footprints the runtime's placement and the pipelined scheduler consume,
-// and the skeleton's own tree of regions, kernels, updates, host
-// statements, host loops and branches — it builds no tree of its own. It
-// reuses the scheduler's hazard-interval representation
-// (rt.IntervalSet) for its footprint envelopes, so the static
-// dependences it derives and the dependences the scheduler serializes
-// at run time come from one model; the cross-check tests in
-// internal/rt pin the two against each other.
+package analysis
+
+// Region and program flow: what moves between kernels, the host and the
+// devices. The pass reads the program skeleton (translator.ProgramAccess)
+// — the footprints the runtime's placement and the pipelined scheduler
+// consume, and the skeleton's own tree of regions, kernels, updates, host
+// statements, host loops and branches — and derives the halo exchanges a
+// distributed writer owes its readers (ACCV007), a backward liveness
+// (ACCV010 dead device writes), a forward transfer cleanliness (ACCV011
+// redundant transfers) and the cross-kernel dependence edges (Deps) the
+// cross-check tests in internal/rt pin against what the scheduler
+// serializes at run time.
 //
 // Abstract domain: per array and per residence plane (host mirror,
 // device copies collectively) the analyses track either whole-array
-// facts or bounded sets of congruence classes coef*i + off over an
-// iteration domain [lo, hi) whose bounds are linear in one scalar.
-// Joins are unions (may-analysis); class sets overflow to the
+// facts or bounded sets of subscript classes coef*i + off over an
+// iteration domain [lo, hi) whose bounds are linear in the program's
+// scalars. Joins are unions (may-analysis); class sets overflow to the
 // conservative whole-array element, so every verdict that triggers a
-// diagnostic is proven, never guessed:
-//
-//	ACCV010 fires only when no live class intersects any written class,
-//	ACCV011 fires only when no device/host write could have happened
-//	since the last synchronization on any path, and
-//	ACCV008/ACCV009/ACCV012 come from races.go's per-loop proofs.
-package dataflow
+// diagnostic is proven, never guessed: ACCV010 fires only when no live
+// class meets any written class, ACCV011 only when no device/host write
+// could have happened since the last synchronization on any path.
 
 import (
 	"fmt"
+	"slices"
+	"sort"
+	"strings"
 
 	"accmulti/internal/acc"
 	"accmulti/internal/cc"
@@ -41,78 +33,66 @@ import (
 	"accmulti/internal/translator"
 )
 
-// Dep is one statically derived cross-kernel device dependence: the
-// loop at WriterLine produces elements of Array that the loop at
-// ReaderLine consumes through the same device allocation (WriterLine
-// == ReaderLine for a kernel iterated in-place by a host loop).
-type Dep struct {
-	Array                  string
-	WriterLine, ReaderLine int
-}
+// ---------------------------------------------------------------------------
+// Halo exchange (ACCV007)
 
-// Result is the outcome of the dataflow pass.
-type Result struct {
-	// Diags are the findings (unsorted; the caller merges and sorts).
-	Diags diag.List
-	// Distributable names the arrays ACCV012 proposed a localaccess
-	// for; the base pass suppresses its per-loop ACCV004 hints on them.
-	Distributable map[string]bool
-	// Deps are the cross-kernel dependences, sorted by (array, writer,
-	// reader). The scheduler cross-check pins every runtime-serialized
-	// kernel-to-kernel dependence against this list.
-	Deps []Dep
-}
-
-// Analyze runs the dataflow pass over an analyzed program.
-func Analyze(pa *translator.ProgramAccess) *Result {
-	a := &analyzer{
-		pa:       pa,
-		res:      &Result{Distributable: map[string]bool{}},
-		reported: map[repKey]bool{},
-		raced:    map[string]bool{},
+// predictExchange predicts inter-GPU halo exchanges (ACCV007): inside
+// one data region, an array written distributed by one loop and read
+// with a halo-widened footprint by another forces the comm manager to
+// push each GPU's boundary elements into its neighbours' halo windows
+// after every writer launch (once the reader's widened extents are
+// resident). It reports at most one ACCV007 per (writer loop, array):
+// the exchange happens once per writer launch no matter how many later
+// kernels read through the resident halo windows, so multiple readers
+// fold into the diagnostic of the widest one.
+func (v *vetter) predictExchange(wLoop *translator.LoopAccess, loops []*translator.LoopAccess) {
+	for _, wfp := range wLoop.Arrays {
+		wWin, ok := provableWindow(wfp.Spec)
+		if !wfp.Written || !ok {
+			continue
+		}
+		type haloReader struct {
+			loop *translator.LoopAccess
+			win  translator.Window
+		}
+		var readers []haloReader
+		best := -1 // the reader with the widest halo, the first of equals
+		for _, rLoop := range loops {
+			rfp := rLoop.Footprint(wfp.Array)
+			if rLoop == wLoop || rfp == nil || !rfp.Read {
+				continue
+			}
+			rWin, ok := provableWindow(rfp.Spec)
+			if !ok || rWin.S != wWin.S || rWin.L+rWin.R == 0 {
+				continue
+			}
+			if best < 0 || rWin.L+rWin.R > readers[best].win.L+readers[best].win.R {
+				best = len(readers)
+			}
+			readers = append(readers, haloReader{rLoop, rWin})
+		}
+		if best < 0 {
+			continue
+		}
+		extra := ""
+		if len(readers) > 1 {
+			var lines []string
+			for i, r := range readers {
+				if i != best {
+					lines = append(lines, fmt.Sprint(r.loop.Line))
+				}
+			}
+			extra = fmt.Sprintf("; the halo reader(s) at line(s) %s reuse the same resident windows without additional traffic",
+				strings.Join(lines, ", "))
+		}
+		rd := readers[best]
+		spec := rd.loop.Footprint(wfp.Array).Spec
+		v.add(diag.Info, "ACCV007", spec.Line, spec.ClauseCol, wfp.Array.Name, "",
+			"array %q is written distributed by the loop at line %d and read with halo "+
+				"(%d, %d) by the loop at line %d: once the halo windows are resident, every "+
+				"launch of the writer exchanges %d boundary element(s) per adjacent GPU pair%s",
+			wfp.Array.Name, wLoop.Line, rd.win.L, rd.win.R, rd.loop.Line, rd.win.L+rd.win.R, extra)
 	}
-	for _, loop := range pa.Loops {
-		a.checkLoopRaces(loop)
-	}
-	a.cleanSeq(pa.Body, cstate{}, true)
-	a.liveness()
-	a.advise()
-	a.deps()
-	return a.res
-}
-
-type repKey struct {
-	code      string
-	line, col int
-	symbol    string
-}
-
-type analyzer struct {
-	pa  *translator.ProgramAccess
-	res *Result
-	// reported dedupes diagnostics across the repeated passes the
-	// host-loop fixpoints make over one body.
-	reported map[repKey]bool
-	// raced names arrays with an ACCV008/ACCV009 finding; the
-	// distributability advisor must not propose spreading them.
-	raced map[string]bool
-}
-
-func (a *analyzer) add(sev diag.Severity, code string, line, col int, symbol, fixit, format string, args ...any) {
-	key := repKey{code: code, line: line, col: col, symbol: symbol}
-	if a.reported[key] {
-		return
-	}
-	a.reported[key] = true
-	a.res.Diags.Add(diag.Diagnostic{
-		Severity: sev,
-		Code:     code,
-		Line:     line,
-		Col:      col,
-		Message:  fmt.Sprintf(format, args...),
-		FixIt:    fixit,
-		Symbol:   symbol,
-	})
 }
 
 // ---------------------------------------------------------------------------
@@ -152,110 +132,40 @@ func ownerRegion(r *translator.RegionInfo, d *cc.VarDecl) *translator.RegionInfo
 	return nil
 }
 
-// bnd is one linear bound scale*sym + off (sym nil for literals).
-type bnd struct {
-	ok    bool
-	sym   *cc.VarDecl
-	scale int64
-	off   int64
-}
-
-func sameAxis(a, b bnd) bool {
-	return a.ok && b.ok && a.sym == b.sym && (a.sym == nil || a.scale == b.scale)
-}
-
-// parseBnd parses a loop-bound expression into linear form over at
-// most one scalar.
-func parseBnd(e cc.Expr) bnd {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		if x.IsFloat {
-			return bnd{}
-		}
-		return bnd{ok: true, off: x.I}
-	case *cc.Ident:
-		if x.Decl == nil || x.Decl.IsArray {
-			return bnd{}
-		}
-		return bnd{ok: true, sym: x.Decl, scale: 1}
-	case *cc.UnaryExpr:
-		if x.Op != "-" {
-			return bnd{}
-		}
-		b := parseBnd(x.X)
-		if !b.ok {
-			return bnd{}
-		}
-		return bnd{ok: true, sym: b.sym, scale: -b.scale, off: -b.off}
-	case *cc.BinaryExpr:
-		a, c := parseBnd(x.X), parseBnd(x.Y)
-		if !a.ok || !c.ok {
-			return bnd{}
-		}
-		switch x.Op {
-		case "+":
-			return addBnd(a, c)
-		case "-":
-			return addBnd(a, bnd{ok: true, sym: c.sym, scale: -c.scale, off: -c.off})
-		case "*":
-			if a.sym == nil {
-				return bnd{ok: true, sym: c.sym, scale: c.scale * a.off, off: c.off * a.off}
-			}
-			if c.sym == nil {
-				return bnd{ok: true, sym: a.sym, scale: a.scale * c.off, off: a.off * c.off}
-			}
-		}
-	}
-	return bnd{}
-}
-
-func addBnd(a, b bnd) bnd {
-	switch {
-	case a.sym == nil:
-		return bnd{ok: true, sym: b.sym, scale: b.scale, off: a.off + b.off}
-	case b.sym == nil || a.sym == b.sym:
-		scale := a.scale
-		if b.sym == a.sym {
-			scale += b.scale
-		}
-		return bnd{ok: true, sym: a.sym, scale: scale, off: a.off + b.off}
-	}
-	return bnd{}
-}
-
 // domain is the iteration domain [lo, hi) of one loop.
 type domain struct {
 	ok     bool
-	lo, hi bnd
+	lo, hi cc.Linear
 }
 
 func loopDomain(loop *translator.LoopAccess) domain {
 	if loop.Collapsed || loop.Lower == nil || loop.Upper == nil {
 		return domain{}
 	}
-	lo, hi := parseBnd(loop.Lower), parseBnd(loop.Upper)
-	if !lo.ok || !hi.ok {
-		return domain{}
-	}
-	return domain{ok: true, lo: lo, hi: hi}
+	lo, okLo := cc.LinearOf(loop.Lower)
+	hi, okHi := cc.LinearOf(loop.Upper)
+	return domain{ok: okLo && okHi, lo: lo, hi: hi}
 }
 
 // covers reports that domain w provably includes every iteration of
-// domain l (same symbolic axis, wider or equal literal ends).
+// domain l (ends that differ by constants only, w's at or beyond l's).
 func (w domain) covers(l domain) bool {
-	return w.ok && l.ok && sameAxis(w.lo, l.lo) && sameAxis(w.hi, l.hi) &&
-		w.lo.off <= l.lo.off && w.hi.off >= l.hi.off
+	below, okLo := l.lo.Minus(w.lo)
+	above, okHi := w.hi.Minus(l.hi)
+	return w.ok && l.ok && okLo && okHi && below >= 0 && above >= 0
 }
 
 // coversArray reports that the iteration domain provably spans the
 // whole array: it starts at (or below) element 0 and its upper bound
-// is at least the array's declared size along the same symbolic axis.
+// exceeds the array's declared size by a constant that is not negative.
 func coversArray(dom domain, d *cc.VarDecl) bool {
-	if !dom.ok || dom.lo.sym != nil || dom.lo.off > 0 || d.Size == nil {
+	if !dom.ok || d.Size == nil {
 		return false
 	}
-	size := parseBnd(d.Size)
-	return sameAxis(dom.hi, size) && dom.hi.off >= size.off
+	first, okLo := dom.lo.Minus(cc.Linear{})
+	size, okSize := cc.LinearOf(d.Size)
+	above, okHi := dom.hi.Minus(size)
+	return okLo && okSize && okHi && first <= 0 && above >= 0
 }
 
 func (d domain) eq(o domain) bool {
@@ -265,7 +175,9 @@ func (d domain) eq(o domain) bool {
 	if !d.ok {
 		return true
 	}
-	return d.lo == o.lo && d.hi == o.hi
+	dLo, okLo := d.lo.Minus(o.lo)
+	dHi, okHi := d.hi.Minus(o.hi)
+	return okLo && okHi && dLo == 0 && dHi == 0
 }
 
 // ---------------------------------------------------------------------------
@@ -275,10 +187,10 @@ func (d domain) eq(o domain) bool {
 // whole-array element (conservatively more live).
 const maxClasses = 16
 
-// liveClass is one congruence class coef*i + off over dom.
+// liveClass is one subscript class over the iterations of dom.
 type liveClass struct {
-	coef, off int64
-	dom       domain
+	translator.Class
+	dom domain
 }
 
 // liveState is the per-array, per-plane fact: whole-array live, or
@@ -295,7 +207,7 @@ func (s *liveState) addClass(c liveClass) {
 		return
 	}
 	for _, x := range s.cls {
-		if x.coef == c.coef && x.off == c.off && x.dom.eq(c.dom) {
+		if x.Class == c.Class && x.dom.eq(c.dom) {
 			return
 		}
 	}
@@ -385,7 +297,7 @@ func stateEq(a, b *liveState) bool {
 	for _, c := range a.cls {
 		found := false
 		for _, d := range b.cls {
-			if c.coef == d.coef && c.off == d.off && c.dom.eq(d.dom) {
+			if c.Class == d.Class && c.dom.eq(d.dom) {
 				found = true
 				break
 			}
@@ -415,30 +327,6 @@ func (s *lstate) eq(o *lstate) bool {
 	return planeEq(s.host, o.host) && planeEq(s.dev, o.dev)
 }
 
-// gcd64 is the positive gcd (gcd(0, x) = |x|).
-func gcd64(a, b int64) int64 {
-	if a < 0 {
-		a = -a
-	}
-	if b < 0 {
-		b = -b
-	}
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-// classesIntersect reports whether the element sets coef1*i + off1 and
-// coef2*j + off2 can share an element (domains ignored: conservative).
-func classesIntersect(c1, o1, c2, o2 int64) bool {
-	g := gcd64(c1, c2)
-	if g == 0 {
-		return o1 == o2
-	}
-	return (o1-o2)%g == 0
-}
-
 // intersects reports whether any live element could be among the
 // written classes.
 func (s *liveState) intersects(writes []translator.IndexForm) bool {
@@ -450,7 +338,7 @@ func (s *liveState) intersects(writes []translator.IndexForm) bool {
 	}
 	for _, c := range s.cls {
 		for _, w := range writes {
-			if classesIntersect(c.coef, c.off, w.Coef, w.Off) {
+			if translator.Meet(c.Class, w.Class) {
 				return true
 			}
 		}
@@ -464,32 +352,32 @@ func (s *liveState) intersects(writes []translator.IndexForm) bool {
 // liveness runs the backward pass: at program end every array's host
 // mirror is live (final values are observable), and facts flow
 // backwards through gathers, loads, updates, kernels and host code.
-func (a *analyzer) liveness() {
+func (v *vetter) liveness() {
 	end := newLstate()
-	for _, d := range a.pa.Prog.ArrayDecls() {
+	for _, d := range v.pa.Prog.ArrayDecls() {
 		end.host.get(d).markWhole()
 	}
-	a.liveSeq(a.pa.Body, end, true)
+	v.liveSeq(v.pa.Body, end, true)
 }
 
 // liveSeq processes a node sequence backwards, mutating s (the liveness
 // just below it) into the liveness just above it. rep arms ACCV010
 // reporting (off during fixpoint iterations).
-func (a *analyzer) liveSeq(kids []*translator.Node, s *lstate, rep bool) *lstate {
+func (v *vetter) liveSeq(kids []*translator.Node, s *lstate, rep bool) *lstate {
 	for i := len(kids) - 1; i >= 0; i-- {
-		s = a.liveBack(kids[i], s, rep)
+		s = v.liveBack(kids[i], s, rep)
 	}
 	return s
 }
 
-func (a *analyzer) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
+func (v *vetter) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
 	switch n.Kind {
 	case translator.NodeRegion:
-		a.regionExitBack(n.Region, s)
-		s = a.liveSeq(n.Kids, s, rep)
-		a.regionEntryBack(n.Region, s)
+		v.regionExitBack(n.Region, s)
+		s = v.liveSeq(n.Kids, s, rep)
+		v.regionEntryBack(n.Region, s)
 	case translator.NodeKernel:
-		a.kernelBack(n.Loop, s, rep)
+		v.kernelBack(n.Loop, s, rep)
 	case translator.NodeHost:
 		for _, d := range n.Reads {
 			s.host.get(d).markWhole()
@@ -507,8 +395,8 @@ func (a *analyzer) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
 			delete(s.dev, d)
 		}
 	case translator.NodeBranch:
-		sThen := a.liveSeq(n.Kids, s.clone(), rep)
-		sThen.union(a.liveSeq(n.Else, s.clone(), rep))
+		sThen := v.liveSeq(n.Kids, s.clone(), rep)
+		sThen.union(v.liveSeq(n.Else, s.clone(), rep))
 		return sThen
 	case translator.NodeHostLoop:
 		below := s.clone()
@@ -517,7 +405,7 @@ func (a *analyzer) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
 		// next iteration reads.
 		cur := below.clone()
 		for iter := 0; iter < 8; iter++ {
-			head := a.liveSeq(n.Kids, cur.clone(), false)
+			head := v.liveSeq(n.Kids, cur.clone(), false)
 			next := below.clone()
 			next.union(head)
 			if next.eq(cur) {
@@ -525,14 +413,14 @@ func (a *analyzer) liveBack(n *translator.Node, s *lstate, rep bool) *lstate {
 			}
 			cur = next
 		}
-		head := a.liveSeq(n.Kids, cur, rep)
+		head := v.liveSeq(n.Kids, cur, rep)
 		head.union(below) // zero-iteration path
 		return head
 	}
 	return s
 }
 
-func (a *analyzer) regionExitBack(r *translator.RegionInfo, s *lstate) {
+func (v *vetter) regionExitBack(r *translator.RegionInfo, s *lstate) {
 	for _, arg := range r.Args {
 		d := arg.Decl
 		switch arg.Class {
@@ -551,7 +439,7 @@ func (a *analyzer) regionExitBack(r *translator.RegionInfo, s *lstate) {
 	}
 }
 
-func (a *analyzer) regionEntryBack(r *translator.RegionInfo, s *lstate) {
+func (v *vetter) regionEntryBack(r *translator.RegionInfo, s *lstate) {
 	for _, arg := range r.Args {
 		d := arg.Decl
 		switch arg.Class {
@@ -569,7 +457,7 @@ func (a *analyzer) regionEntryBack(r *translator.RegionInfo, s *lstate) {
 	}
 }
 
-func (a *analyzer) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) {
+func (v *vetter) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) {
 	dom := loopDomain(loop)
 	for _, fp := range loop.Arrays {
 		d := fp.Array
@@ -588,7 +476,7 @@ func (a *analyzer) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) 
 		// discarded before any kernel, host statement, update or
 		// copy-out consumes it.
 		if rep && len(fp.Writes)+len(fp.Reduces) > 0 {
-			eff := append(append([]translator.IndexForm{}, fp.Writes...), fp.Reduces...)
+			eff := slices.Concat(fp.Writes, fp.Reduces)
 			provable := true
 			for _, w := range eff {
 				if !w.Literal {
@@ -598,7 +486,7 @@ func (a *analyzer) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) 
 			}
 			if provable && !dev.intersects(eff) {
 				w := eff[0]
-				a.add(diag.Warning, "ACCV010", w.Line, w.Col, d.Name, "",
+				v.add(diag.Warning, "ACCV010", w.Line, w.Col, d.Name, "",
 					"the loop at line %d writes %s, but nothing reads the written elements of %q "+
 						"before they are overwritten or the data region releases them: the device "+
 						"write and its merge traffic are dead — read the result, copy it out, or drop the write",
@@ -623,7 +511,7 @@ func (a *analyzer) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) 
 			}
 			kept := dev.cls[:0]
 			for _, c := range dev.cls {
-				if c.coef == w.Coef && c.off == w.Off && dom.covers(c.dom) {
+				if c.Class == w.Class && dom.covers(c.dom) {
 					continue
 				}
 				kept = append(kept, c)
@@ -634,7 +522,7 @@ func (a *analyzer) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) 
 		// Gen: everything the kernel reads was live before it.
 		for _, r := range fp.Reads {
 			if r.Literal {
-				dev.addClass(liveClass{coef: r.Coef, off: r.Off, dom: dom})
+				dev.addClass(liveClass{Class: r.Class, dom: dom})
 			} else {
 				dev.markWhole()
 			}
@@ -693,14 +581,14 @@ func (c cstate) eq(o cstate) bool {
 
 // cleanSeq runs the forward pass over a node sequence, flagging transfers
 // of data the other side never touched since the last synchronization.
-func (a *analyzer) cleanSeq(kids []*translator.Node, s cstate, rep bool) cstate {
+func (v *vetter) cleanSeq(kids []*translator.Node, s cstate, rep bool) cstate {
 	for _, k := range kids {
-		s = a.cleanFwd(k, s, rep)
+		s = v.cleanFwd(k, s, rep)
 	}
 	return s
 }
 
-func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
+func (v *vetter) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 	switch n.Kind {
 	case translator.NodeRegion:
 		created := []*cc.VarDecl{}
@@ -716,12 +604,12 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 				created = append(created, d)
 			}
 		}
-		s = a.cleanSeq(n.Kids, s, rep)
+		s = v.cleanSeq(n.Kids, s, rep)
 		for _, arg := range n.Region.Args {
 			d := arg.Decl
 			if arg.Class == acc.ClassCopy || arg.Class == acc.ClassCopyOut {
 				if st := s[d]; rep && st != nil && !st.devAhead {
-					a.add(diag.Warning, "ACCV011", n.Region.Line, 0, d.Name, fmt.Sprintf("copyin(%s)", d.Name),
+					v.add(diag.Warning, "ACCV011", n.Region.Line, 0, d.Name, fmt.Sprintf("copyin(%s)", d.Name),
 						"the data region copies %q back to the host at exit, but no kernel wrote it "+
 							"on the device: the gather re-copies clean data — declare the array copyin "+
 							"(or create) instead",
@@ -751,7 +639,7 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 				continue
 			}
 			if rep && !st.devAhead {
-				a.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
+				v.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
 					"update host(%s) copies device data the kernels never wrote since the last "+
 						"synchronization: the transfer re-copies clean data — drop the update",
 					d.Name)
@@ -764,7 +652,7 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 				continue
 			}
 			if rep && !st.hostAhead {
-				a.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
+				v.add(diag.Warning, "ACCV011", n.Line, 0, d.Name, "",
 					"update device(%s) reloads host data the host code never wrote since the last "+
 						"synchronization: the transfer re-copies clean data — drop the update",
 					d.Name)
@@ -773,12 +661,12 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 		}
 	case translator.NodeBranch:
 		sElse := s.clone()
-		s = a.cleanSeq(n.Kids, s, rep)
-		s.or(a.cleanSeq(n.Else, sElse, rep))
+		s = v.cleanSeq(n.Kids, s, rep)
+		s.or(v.cleanSeq(n.Else, sElse, rep))
 	case translator.NodeHostLoop:
 		entry := s.clone()
 		for iter := 0; iter < 8; iter++ {
-			after := a.cleanSeq(n.Kids, entry.clone(), false)
+			after := v.cleanSeq(n.Kids, entry.clone(), false)
 			next := entry.clone()
 			next.or(after)
 			if next.eq(entry) {
@@ -786,7 +674,7 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 			}
 			entry = next
 		}
-		after := a.cleanSeq(n.Kids, entry.clone(), rep)
+		after := v.cleanSeq(n.Kids, entry.clone(), rep)
 		after.or(entry) // zero-iteration path
 		return after
 	}
@@ -800,10 +688,10 @@ func (a *analyzer) cleanFwd(n *translator.Node, s cstate, rep bool) cstate {
 // (or reduces into) an array and a loop that reads it through the same
 // device allocation, in program order or through the back edge of a
 // shared enclosing host loop.
-func (a *analyzer) deps() {
+func (v *vetter) deps() {
 	seen := map[Dep]bool{}
-	for i, w := range a.pa.Loops {
-		for j, r := range a.pa.Loops {
+	for i, w := range v.pa.Loops {
+		for j, r := range v.pa.Loops {
 			ordered := i < j
 			backEdge := false
 			if i == j {
@@ -829,12 +717,21 @@ func (a *analyzer) deps() {
 				dep := Dep{Array: wfp.Array.Name, WriterLine: w.Line, ReaderLine: r.Line}
 				if !seen[dep] {
 					seen[dep] = true
-					a.res.Deps = append(a.res.Deps, dep)
+					v.res.Deps = append(v.res.Deps, dep)
 				}
 			}
 		}
 	}
-	sortDeps(a.res.Deps)
+	sort.Slice(v.res.Deps, func(i, j int) bool {
+		p, q := v.res.Deps[i], v.res.Deps[j]
+		if p.Array != q.Array {
+			return p.Array < q.Array
+		}
+		if p.WriterLine != q.WriterLine {
+			return p.WriterLine < q.WriterLine
+		}
+		return p.ReaderLine < q.ReaderLine
+	})
 }
 
 func shareLoop(a, b []int) bool {
@@ -846,22 +743,4 @@ func shareLoop(a, b []int) bool {
 		}
 	}
 	return false
-}
-
-func sortDeps(deps []Dep) {
-	for i := 1; i < len(deps); i++ {
-		for j := i; j > 0 && depLess(deps[j], deps[j-1]); j-- {
-			deps[j], deps[j-1] = deps[j-1], deps[j]
-		}
-	}
-}
-
-func depLess(a, b Dep) bool {
-	if a.Array != b.Array {
-		return a.Array < b.Array
-	}
-	if a.WriterLine != b.WriterLine {
-		return a.WriterLine < b.WriterLine
-	}
-	return a.ReaderLine < b.ReaderLine
 }

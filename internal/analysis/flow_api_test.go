@@ -1,17 +1,17 @@
-package dataflow_test
+package analysis_test
 
 import (
 	"testing"
 
-	"accmulti/internal/analysis/dataflow"
+	"accmulti/internal/analysis"
 	"accmulti/internal/cc"
 	"accmulti/internal/translator"
 )
 
-// The pass's diagnostics are exercised exhaustively through
-// analysis.Vet (internal/analysis/dataflow_test.go); this file pins
-// the package's own contract: Analyze is usable standalone on a bare
-// ProgramAccess and reports the dependence graph with stable ordering.
+// The flow analyses' diagnostics are exercised exhaustively through
+// analysis.Vet (dataflow_test.go); this file pins the contract the runtime
+// cross-checks build on: VetAccess is usable on a bare ProgramAccess and
+// reports the dependence graph with stable ordering.
 
 const producerConsumerSrc = `int n;
 float a[n];
@@ -42,9 +42,9 @@ func TestAnalyzeStandalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := dataflow.Analyze(pa)
+	res := analysis.VetAccess(pa)
 	if res == nil {
-		t.Fatal("Analyze returned nil")
+		t.Fatal("VetAccess returned nil")
 	}
 	for _, d := range res.Diags {
 		if d.Severity.String() == "error" {
@@ -54,7 +54,7 @@ func TestAnalyzeStandalone(t *testing.T) {
 	if len(pa.Loops) != 2 {
 		t.Fatalf("expected 2 kernels, got %d", len(pa.Loops))
 	}
-	want := dataflow.Dep{Array: "b", WriterLine: pa.Loops[0].Line, ReaderLine: pa.Loops[1].Line}
+	want := analysis.Dep{Array: "b", WriterLine: pa.Loops[0].Line, ReaderLine: pa.Loops[1].Line}
 	found := false
 	for _, d := range res.Deps {
 		if d == want {

@@ -27,9 +27,11 @@ type Env struct {
 	// Views holds one ArrayView per declared array, indexed by slot.
 	// The runtime swaps device views in before running a kernel.
 	Views []ArrayView
-	// H is the runtime hook table, set on the host environment only.
+	// H is the runtime hook table. The host code calls into all of it;
+	// a kernel worker's clone only polls (see tick).
 	H Hooks
-	// trips counts the host loops' back-edges (see polled).
+	// trips counts the back-edges of the sequential loops this
+	// environment ran (see tick).
 	trips uint
 	// WorkerID identifies the worker strand within one kernel launch
 	// on one device (the "thread block" of the reduction hierarchy).
@@ -62,6 +64,7 @@ func (e *Env) Clone() *Env {
 		Ints:   append([]int64(nil), e.Ints...),
 		Floats: append([]float64(nil), e.Floats...),
 		Views:  e.Views,
+		H:      e.H,
 	}
 	return c
 }
@@ -95,8 +98,9 @@ type Hooks interface {
 	Update(u *UpdateOp, e *Env) error
 	// Launch executes one parallel loop across the devices.
 	Launch(k *Kernel, e *Env) error
-	// Poll is called every pollTrips back-edges of the host program's
-	// sequential loops, which may never reach a directive; a non-nil
+	// Poll is called every pollTrips back-edges of sequential loops — the
+	// host program's, which may never reach a directive, and those inside
+	// a kernel iteration, from the kernel's worker goroutines; a non-nil
 	// error ends the run.
 	Poll() error
 }

@@ -231,6 +231,36 @@ type DEnv struct {
 	// loop's per-iteration closure, FlatCuts the flat tiles a hazard ended
 	// early (specvec.go).
 	LaneMajorTrips, FlatCuts int64
+	// Poll, when set, is asked every pollTrips trips of the body's inner
+	// loops whether to go on (see tick).
+	Poll  func() error
+	trips int64
+}
+
+// Interrupt is what a specialized body panics with when Poll says stop:
+// the bodies return nothing, so the executor that set Poll recovers it.
+type Interrupt struct{ Err error }
+
+// tick counts n more trips of an inner loop about to run and, every
+// pollTrips of them, asks Poll whether to go on. A caller with more trips
+// than that ahead runs them in blocks (blockEnd) with a tick before each.
+func (e *DEnv) tick(n int64) {
+	if e.trips += n; e.trips < pollTrips {
+		return
+	}
+	if e.trips = 0; e.Poll != nil {
+		if err := e.Poll(); err != nil {
+			panic(Interrupt{err})
+		}
+	}
+}
+
+// blockEnd ticks for the next block of the trips [x, hi) and returns
+// where it ends.
+func (e *DEnv) blockEnd(x, hi int64) int64 {
+	end := min(hi, x+pollTrips)
+	e.tick(end - x)
+	return end
 }
 
 // NewDEnv allocates a worker environment sized for the spec.
@@ -841,6 +871,7 @@ func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
 		loop = func(env *DEnv) {
 			init(env)
 			for {
+				env.tick(1)
 				env.Branch[condIdx]++
 				if !cond(env) {
 					return

@@ -354,6 +354,7 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) 
 					fvm.sites[i].act = fvm.sites[i].act[:0]
 				}
 				fvm.act = fvm.mask[0][:n]
+				D.tick(int64(n))
 				if body != nil {
 					body(fvm, i0, n)
 				}

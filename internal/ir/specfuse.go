@@ -139,9 +139,11 @@ func (b *specBuilder) fuseFor(st *cc.ForStmt, init, body DStmt, condIdx, bodyIdx
 		}
 		env.Branch[condIdx] += n + 1
 		env.Branch[bodyIdx] += n
-		for ; v < bnd; v++ {
-			env.Ints[slot] = v
-			body(env)
+		for v < bnd {
+			for end := env.blockEnd(v, bnd); v < end; v++ {
+				env.Ints[slot] = v
+				body(env)
+			}
 		}
 		env.Ints[slot] = v
 	}

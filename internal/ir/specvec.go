@@ -1161,10 +1161,12 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 		}
 		D.Branch[condIdx] += (n + 1) * lanes
 		D.Branch[bodyIdx] += n * lanes
-		for ; x < hi; x++ {
-			D.Ints[slot] = x
-			if body != nil {
-				body(vm, i0, L)
+		for x < hi {
+			for end := D.blockEnd(x, hi); x < end; x++ {
+				D.Ints[slot] = x
+				if body != nil {
+					body(vm, i0, L)
+				}
 			}
 		}
 		D.Ints[slot] = x
@@ -1259,9 +1261,11 @@ func (r *laneRunner) run(vm *VecEnv, i0 int64, L int, lanes []int32, from, to in
 			r.loop(D)
 			D.LaneMajorTrips += D.Branch[r.arm] - before
 		} else {
-			for x := from; x < to; x++ {
-				D.Ints[r.lvSlot] = x
-				r.trip(D)
+			for x := from; x < to; {
+				for end := D.blockEnd(x, to); x < end; x++ {
+					D.Ints[r.lvSlot] = x
+					r.trip(D)
+				}
 			}
 			D.Ints[r.lvSlot] = to
 			D.LaneMajorTrips += to - from

@@ -98,9 +98,11 @@ func CompileStmt(s cc.Stmt, h *StmtHandlers) (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		body = polled(body, h)
 		return func(env *Env) error {
 			for cond(env) {
+				if err := env.tick(); err != nil {
+					return err
+				}
 				if err := body(env); err != nil {
 					if errors.Is(err, ErrLoopBreak) {
 						return nil
@@ -135,28 +137,22 @@ func CompileStmt(s cc.Stmt, h *StmtHandlers) (Stmt, error) {
 	return nil, fmt.Errorf("ir: line %d: cannot compile statement %T", s.Pos(), s)
 }
 
-// pollTrips is how many host-loop trips pass between two polls of the
-// runtime: rare enough to cost a host loop nothing, often enough that a
+// pollTrips is how many trips of sequential loops pass between two polls
+// of the runtime: rare enough to cost a loop nothing, often enough that a
 // loop of empty trips is interrupted within microseconds.
 const pollTrips = 1024
 
-// polled is the body of a sequential loop of the host program (h != nil;
-// kernel bodies compile with no handlers and are returned as they are):
-// every pollTrips-th trip, over all the loops of the run, first asks the
-// runtime whether to go on. A host loop need not contain a directive, so
-// without this one that never ends would never meet a poll.
-func polled(body Stmt, h *StmtHandlers) Stmt {
-	if h == nil {
-		return body
+// tick starts one trip of a sequential loop, of the host program or inside
+// a kernel iteration: every pollTrips-th, over all the loops this
+// environment runs, first asks the runtime whether to go on. A host loop
+// need not contain a directive and a kernel iteration's loop sits below
+// the workers' per-iteration polls, so without this one that never ends
+// would never meet a poll.
+func (env *Env) tick() error {
+	if env.trips++; env.trips%pollTrips != 0 || env.H == nil {
+		return nil
 	}
-	return func(env *Env) error {
-		if env.trips++; env.trips%pollTrips == 0 && env.H != nil {
-			if err := env.H.Poll(); err != nil {
-				return err
-			}
-		}
-		return body(env)
-	}
+	return env.H.Poll()
 }
 
 func compileBlockBody(b *cc.Block, h *StmtHandlers) (Stmt, error) {
@@ -203,7 +199,6 @@ func compileSequentialFor(st *cc.ForStmt, h *StmtHandlers) (Stmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	body = polled(body, h)
 	return func(env *Env) error {
 		if init != nil {
 			if err := init(env); err != nil {
@@ -211,6 +206,9 @@ func compileSequentialFor(st *cc.ForStmt, h *StmtHandlers) (Stmt, error) {
 			}
 		}
 		for cond(env) {
+			if err := env.tick(); err != nil {
+				return err
+			}
 			if err := body(env); err != nil {
 				if errors.Is(err, ErrLoopBreak) {
 					return nil

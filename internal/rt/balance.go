@@ -12,17 +12,6 @@ import (
 // Skewed degree distributions otherwise leave one GPU doing most of
 // the work while the others idle at the superstep barrier.
 
-type balKey struct {
-	kernel int
-	slot   int
-}
-
-type balVal struct {
-	prefix []int64 // prefix[i] = total weight of iterations [lower, lower+i)
-	lower  int64
-	epoch  int64
-}
-
 // balancedPartition splits [lower, upper) so cumulative footprint
 // weight is even across GPUs. Returns nil when the kernel has no
 // bounds-form footprint to weigh by (caller falls back to the equal
@@ -38,7 +27,7 @@ func (r *Runtime) balancedPartition(k *ir.Kernel, env *ir.Env, lower, upper int6
 	if use == nil || upper <= lower || n <= 1 {
 		return nil
 	}
-	pfx := r.weightPrefix(k, use, env, lower, upper)
+	pfx := weightPrefix(k, use, env, lower, upper)
 	total := pfx[len(pfx)-1]
 	if total <= 0 {
 		return nil
@@ -71,13 +60,10 @@ func (r *Runtime) balancedPartition(k *ir.Kernel, env *ir.Env, lower, upper int6
 	return parts
 }
 
-// weightPrefix evaluates per-iteration footprint sizes once per host
-// epoch and caches the prefix sums.
-func (r *Runtime) weightPrefix(k *ir.Kernel, use *ir.ArrayUse, env *ir.Env, lower, upper int64) []int64 {
-	key := balKey{kernel: k.ID, slot: use.Decl.Slot}
-	if v, ok := r.balCache[key]; ok && v.epoch == r.hostEpoch && v.lower == lower && int64(len(v.prefix)) == upper-lower+1 {
-		return v.prefix
-	}
+// weightPrefix evaluates per-iteration footprint sizes: prefix[i] is the
+// total weight of iterations [lower, lower+i). The launch plan that holds
+// the resulting partition is what is cached (resolvePlan).
+func weightPrefix(k *ir.Kernel, use *ir.ArrayUse, env *ir.Env, lower, upper int64) []int64 {
 	slot := k.LoopVar.Slot
 	saved := env.Ints[slot]
 	pfx := make([]int64, upper-lower+1)
@@ -92,6 +78,5 @@ func (r *Runtime) weightPrefix(k *ir.Kernel, use *ir.ArrayUse, env *ir.Env, lowe
 		pfx[i-lower+1] = pfx[i-lower] + w
 	}
 	env.Ints[slot] = saved
-	r.balCache[key] = balVal{prefix: pfx, lower: lower, epoch: r.hostEpoch}
 	return pfx
 }

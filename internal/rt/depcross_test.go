@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"accmulti/internal/analysis"
-	"accmulti/internal/analysis/dataflow"
 	"accmulti/internal/cc"
 	"accmulti/internal/diag"
 	"accmulti/internal/ir"
@@ -17,7 +16,7 @@ import (
 )
 
 // This file cross-checks the PR-7 whole-program dataflow pass
-// (internal/analysis/dataflow) against the runtime from two sides:
+// (internal/analysis, flow.go) against the runtime from two sides:
 //
 //  1. Programs the pass declares race-free must execute bit-exactly
 //     under the PR-1 shadow auditor on every machine — a missed race
@@ -47,9 +46,6 @@ func TestStaticDepsCoverRuntimeHazards(t *testing.T) {
 	if res.Diags.HasErrors() {
 		t.Fatalf("ping-pong stencil should be statically clean: %v", res.Diags)
 	}
-	if res.Flow == nil {
-		t.Fatal("vet result carries no dataflow analysis")
-	}
 	pa, err := translator.AnalyzeProgram(prog)
 	if err != nil {
 		t.Fatal(err)
@@ -60,16 +56,16 @@ func TestStaticDepsCoverRuntimeHazards(t *testing.T) {
 	l1, l2 := pa.Loops[0].Line, pa.Loops[1].Line
 	// Forward edge: loop 1 writes b, loop 2 reads it. Back edge: loop 2
 	// writes a, the next while-iteration of loop 1 reads it.
-	for _, want := range []dataflow.Dep{
+	for _, want := range []analysis.Dep{
 		{Array: "b", WriterLine: l1, ReaderLine: l2},
 		{Array: "a", WriterLine: l2, ReaderLine: l1},
 	} {
-		if !hasDep(res.Flow.Deps, want) {
-			t.Errorf("static deps missing %+v (got %+v)", want, res.Flow.Deps)
+		if !hasDep(res.Deps, want) {
+			t.Errorf("static deps missing %+v (got %+v)", want, res.Deps)
 		}
 	}
 	depArrays := map[string]bool{}
-	for _, d := range res.Flow.Deps {
+	for _, d := range res.Deps {
 		depArrays[d.Array] = true
 	}
 
@@ -133,12 +129,12 @@ func TestStaticDepsCoverRuntimeHazards(t *testing.T) {
 		}
 		aname = strings.TrimSuffix(aname, ",")
 		if !depArrays[aname] {
-			t.Errorf("halo exchange on %q has no static dependence edge (deps: %+v)", aname, res.Flow.Deps)
+			t.Errorf("halo exchange on %q has no static dependence edge (deps: %+v)", aname, res.Deps)
 		}
 	}
 }
 
-func hasDep(deps []dataflow.Dep, want dataflow.Dep) bool {
+func hasDep(deps []analysis.Dep, want analysis.Dep) bool {
 	for _, d := range deps {
 		if d == want {
 			return true
@@ -252,10 +248,10 @@ func checkDepCrossCheck(t testing.TB, seed int64) {
 		t.Fatalf("analyze affine:\n%s\n%v", ap.src, err)
 	}
 	if len(apa.Loops) == 2 {
-		want := dataflow.Dep{Array: "out_", WriterLine: apa.Loops[0].Line, ReaderLine: apa.Loops[1].Line}
-		if !hasDep(ares.Flow.Deps, want) {
+		want := analysis.Dep{Array: "out_", WriterLine: apa.Loops[0].Line, ReaderLine: apa.Loops[1].Line}
+		if !hasDep(ares.Deps, want) {
 			t.Fatalf("static deps miss the producer->consumer edge %+v:\n%s\ndeps: %+v",
-				want, ap.src, ares.Flow.Deps)
+				want, ap.src, ares.Deps)
 		}
 	}
 

@@ -170,7 +170,9 @@ func TestInterruptHostLoop(t *testing.T) {
 // with an enormous trip count polls Interrupt from inside Phase B — on the
 // tile executor, on the per-iteration specialized body and on the
 // interpreter — so a cancelled run comes back as an *InterruptedError
-// within 100 ms instead of holding its caller until the loop ends.
+// within 100 ms instead of holding its caller until the loop ends. The
+// inner legs hold the same of a launch of few iterations whose inner loop
+// has the enormous trip count (m), on every engine that runs inner loops.
 func TestInterruptKernel(t *testing.T) {
 	const tiled = `int n; float s; void main(){ int i; s = 0.0;
 #pragma acc parallel loop reduction(+:s)
@@ -178,17 +180,59 @@ for (i = 0; i < n; i++) { s += 1.0; } }`
 	const untiled = `int n; float a_[4]; void main(){ int i;
 #pragma acc parallel loop
 for (i = 0; i < n; i++) { a_[1] = a_[1] + 1.0; } }`
+	// One iteration counts the trips of its inner loop into s.
+	inner := func(loop, store string) string {
+		return `int n, m; float a_[n + 2]; void main(){ int i; int j; float s;
+#pragma acc parallel loop
+for (i = 0; i < n; i++) { s = 0.0; ` + loop + ` { s += 1.0; } ` + store + ` } }`
+	}
+	const (
+		uniform   = `for (j = 0; j < m; j++)`
+		divergent = `for (j = 0; j < m + i % 2; j++)`
+		strided   = `for (j = 0; j < m; j = j + 2)`
+		while     = `j = 0; while (j < m) { j = j + 1; } for (j = 0; j < 1; j++)`
+		own       = `a_[i] = s;`
+		shared    = `a_[1] = a_[1] + s;`
+	)
+	outer := [2]map[string]float64{{"n": 4096}, {"n": 100_000_000_000}}
+	trips := func(n float64) [2]map[string]float64 {
+		return [2]map[string]float64{{"n": n, "m": 64}, {"n": n, "m": 2_000_000_000}}
+	}
+	lockstep := func(s SpecStats) bool { return s.TiledIters > 0 && s.LaneMajorTrips == 0 && len(s.Untiled) == 0 }
+	perIter := func(s SpecStats) bool { return s.TiledIters == 0 && s.Untiled["alias"] > 0 }
+	interp := func(s SpecStats) bool { return s.Hits == 0 }
 	for _, tc := range []struct {
 		name, src string
 		opts      Options
 		route     func(SpecStats) bool
+		scalars   [2]map[string]float64 // the small run proving the route, the one interrupted
 	}{
-		{"tiled", tiled, Options{}, func(s SpecStats) bool { return s.TiledIters > 0 }},
-		{"untiled", untiled, Options{}, func(s SpecStats) bool { return s.TiledIters == 0 && s.Untiled["alias"] > 0 }},
-		{"reference", tiled, Options{Reference: true}, func(s SpecStats) bool { return s.Hits == 0 }},
+		{"tiled", tiled, Options{}, func(s SpecStats) bool { return s.TiledIters > 0 }, outer},
+		{"untiled", untiled, Options{}, perIter, outer},
+		{"reference", tiled, Options{Reference: true}, interp, outer},
+		// A uniform loop runs trip by trip for the whole tile; one whose
+		// trips differ by lane as flat tiles, or, the launch too small for
+		// those, lane by lane through the per-iteration loop.
+		{"inner-lockstep", inner(uniform, own), Options{}, lockstep, trips(64)},
+		{"inner-flat", inner(divergent, own), Options{}, lockstep, trips(8192)},
+		{"inner-lane-major", inner(divergent, own), Options{}, func(s SpecStats) bool { return s.LaneMajorTrips > 0 }, trips(4)},
+		// The per-iteration body: a counted loop (fused) and one that is not.
+		{"inner-fused", inner(uniform, shared), Options{}, perIter, trips(4)},
+		{"inner-open-coded", inner(strided, shared), Options{}, perIter, trips(4)},
+		// The interpreter: a for under Reference, a while (which no
+		// specialized form takes).
+		{"inner-reference", inner(uniform, own), Options{Reference: true}, interp, trips(4)},
+		{"inner-while", inner(while, own), Options{}, interp, trips(4)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, small := exec(t, tc.src, sim.Desktop(), tc.opts, ir.NewBindings().SetScalar("n", 4096))
+			bind := func(scalars map[string]float64) *ir.Bindings {
+				b := ir.NewBindings()
+				for name, v := range scalars {
+					b.SetScalar(name, v)
+				}
+				return b
+			}
+			_, small := exec(t, tc.src, sim.Desktop(), tc.opts, bind(tc.scalars[0]))
 			if st := small.SpecStats(); !tc.route(st) {
 				t.Fatalf("not on the %s route: %+v", tc.name, st)
 			}
@@ -201,7 +245,7 @@ for (i = 0; i < n; i++) { a_[1] = a_[1] + 1.0; } }`
 			if err != nil {
 				t.Fatal(err)
 			}
-			inst, err := mod.Bind(ir.NewBindings().SetScalar("n", 100_000_000_000))
+			inst, err := mod.Bind(bind(tc.scalars[1]))
 			if err != nil {
 				t.Fatal(err)
 			}

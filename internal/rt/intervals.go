@@ -5,14 +5,12 @@ import (
 	"time"
 )
 
-// This file exports the PR-6 hazard-interval representation. The async
+// This file exports the hazard-interval representation. The async
 // scheduler (sched.go) tracks every array access as a bounded covering
-// list of [Lo, Hi] element ranges with settle times; the static
-// dataflow pass (internal/analysis/dataflow) reuses the same
-// representation for its per-array footprint envelopes, and the
-// dependence cross-check tests compare the scheduler's recorded runtime
-// hazards against the statically derived dependences through
-// Runtime.HazardIntervals.
+// list of [Lo, Hi] element ranges with settle times, and the dependence
+// cross-check tests compare the scheduler's recorded runtime hazards
+// against the dependences accvet derives statically
+// (analysis.Result.Deps) through Runtime.HazardIntervals.
 
 // defaultIntervalCap bounds each IntervalSet; beyond it the set
 // compacts to one conservative covering interval. Correctness never
@@ -20,7 +18,7 @@ import (
 const defaultIntervalCap = 24
 
 // Interval is one settled access range: logical elements [Lo, Hi]
-// complete at End. Static users that only need ranges leave End zero.
+// complete at End.
 type Interval struct {
 	Lo, Hi int64
 	End    time.Duration

@@ -366,7 +366,7 @@ func (r *Runtime) computeNeed(k *ir.Kernel, use *ir.ArrayUse, host *ir.Env, p sp
 	nd := need{lo: 0, hi: st.n - 1}
 	distributed := r.distributed(use)
 	if distributed {
-		nd.lo, nd.hi = r.footprint(k, use, host, p, st)
+		nd.lo, nd.hi = use.Local.Range(host, k.LoopVar.Slot, p.lo, p.hi, st.n)
 	}
 	if use.Reduced {
 		// Reduction targets stay replicated (the merged delta is
@@ -444,23 +444,6 @@ func (r *Runtime) computeNeed(k *ir.Kernel, use *ir.ArrayUse, host *ir.Env, p sp
 		}
 	}
 	return nd
-}
-
-// footprint evaluates a localaccess range, memoizing bounds-form
-// results (which cost a pass over the iteration space) until host
-// content changes. Stride-form ranges are cheap but may reference host
-// scalars, so they are evaluated fresh each launch.
-func (r *Runtime) footprint(k *ir.Kernel, use *ir.ArrayUse, host *ir.Env, p span, st *arrayState) (int64, int64) {
-	if use.Local.HasStride {
-		return use.Local.Range(host, k.LoopVar.Slot, p.lo, p.hi, st.n)
-	}
-	key := fpKey{kernel: k.ID, slot: use.Decl.Slot, g: -1, pLo: p.lo, pHi: p.hi}
-	if v, ok := r.fpCache[key]; ok && v.epoch == r.hostEpoch {
-		return v.lo, v.hi
-	}
-	lo, hi := use.Local.Range(host, k.LoopVar.Slot, p.lo, p.hi, st.n)
-	r.fpCache[key] = fpVal{lo: lo, hi: hi, epoch: r.hostEpoch}
-	return lo, hi
 }
 
 // writeCoversAll is a conservative test for "the kernel overwrites the

@@ -6,14 +6,17 @@ import (
 	"accmulti/internal/trace"
 )
 
-// Launch-plan cache (host-side performance layer). Iterative apps (MD,
-// KMEANS, the HOTSPOT2D ping-pong) relaunch identical kernels hundreds
-// of times; partition and per-GPU needs are pure functions of the
-// kernel, the active device count, the degradation rung, the loop
-// bounds, the host scalars the localaccess/width expressions read, and
-// — for bounds-form footprints — host array content. The cache stores
-// the resolved plan keyed by the first three and validates the rest on
-// every hit, so a stale plan can never be served:
+// Launch-plan cache (host-side performance layer): the one cache in front
+// of a launch. Iterative apps (MD, KMEANS, the HOTSPOT2D ping-pong)
+// relaunch identical kernels hundreds of times; the partition (equal or,
+// under BalanceLoad, weighted by footprint) and the per-GPU needs
+// (bounds-form footprints included, each one pass over the iteration
+// space) are pure functions of the kernel, the active device count, the
+// degradation rung, the loop bounds, the host scalars the
+// localaccess/width expressions read, and — for bounds-form footprints —
+// host array content. The cache stores the resolved plan keyed by the
+// first three and validates the rest on every hit, so a stale plan can
+// never be served:
 //
 //   - loop bounds are re-evaluated and compared (they are one closure
 //     call each);
@@ -21,17 +24,16 @@ import (
 //     every transform array re-evaluates Width; the values must match
 //     the ones the plan was built from;
 //   - the global hostEpoch must match, which covers bounds-form
-//     footprints (the same invariant the footprint cache relies on:
-//     their inputs only change when host array content changes, and
-//     every legal content change calls bumpHost). The epoch also
-//     invalidates after gathers, update directives, region entries and
-//     the degradation ladder's resetKernelArrays.
+//     footprints and BalanceLoad's weights (their inputs only change
+//     when host array content changes, and every legal content change
+//     calls bumpHost). The epoch also invalidates after gathers, update
+//     directives, region entries and the degradation ladder's
+//     resetKernelArrays.
 //
 // Degraded retries additionally miss by construction: the active GPU
-// count and the forceReplicate rung are part of the key. BalanceLoad
-// partitions depend on footprint-weight prefixes with their own cache,
-// so balanced launches bypass this cache entirely (the extension is
-// off by default).
+// count and the forceReplicate rung are part of the key. Nothing below
+// the plan memoizes: Options.Reference recomputes all of it, footprints
+// and weights included, on every launch.
 type planKey struct {
 	kernel    int
 	ngpus     int
@@ -78,7 +80,7 @@ func scalarsEqual(a, b []int64) bool {
 // serving a validated cached plan when one exists. The returned slices
 // are owned by the cache: callers must treat them as read-only.
 func (r *Runtime) resolvePlan(k *ir.Kernel, env *ir.Env, ngpus int, lower, upper int64) ([]span, [][]need) {
-	if r.opts.Reference || r.opts.BalanceLoad {
+	if r.opts.Reference {
 		return r.computePlan(k, env, ngpus, lower, upper)
 	}
 	key := planKey{kernel: k.ID, ngpus: ngpus, replicate: r.forceReplicate}

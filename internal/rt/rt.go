@@ -135,7 +135,8 @@ type Options struct {
 	// launches), every 1024 back-edges of the host program's own
 	// loops, and from inside a kernel: every 1024 iterations of the
 	// interpreter and of the per-iteration specialized body, every 64
-	// tiles of the tile executor. The kernel polls come from the worker
+	// tiles of the tile executor, and every 1024 trips of a loop inside
+	// an iteration, on every engine. The kernel polls come from the worker
 	// goroutines, several at once, so the hook must be safe for
 	// concurrent use (a context's Err is). The first non-nil return — in
 	// a kernel, the first in worker order — aborts the run with an
@@ -204,15 +205,8 @@ type Runtime struct {
 	// kernelExecs counts launches per kernel ID (Table II column C).
 	kernelExecs map[int]int
 
-	// Footprint cache: bounds-form localaccess ranges cost one pass
-	// over the iteration space to evaluate, so the runtime caches them
-	// per (kernel, array, GPU, partition) until any host copy changes.
-	fpCache map[fpKey]fpVal
-	// balCache memoizes per-kernel footprint weight prefixes for
-	// load-balanced partitioning.
-	balCache map[balKey]balVal
 	// hostEpoch advances whenever any array's host content becomes
-	// canonical, invalidating the footprint cache.
+	// canonical, invalidating the launch-plan cache.
 	hostEpoch int64
 	// forceReplicate is set while a launch retries on the replication
 	// rung of the OOM degradation ladder: localaccess arrays place as
@@ -276,16 +270,6 @@ type Runtime struct {
 	gpuBegin []time.Duration
 }
 
-type fpKey struct {
-	kernel, slot, g int
-	pLo, pHi        int64
-}
-
-type fpVal struct {
-	lo, hi int64
-	epoch  int64
-}
-
 // InterruptedError reports a run aborted by Options.Interrupt (a
 // per-request timeout or cancellation in an embedding service).
 type InterruptedError struct {
@@ -337,8 +321,6 @@ func New(mach *sim.Machine, opts Options) *Runtime {
 		rep:         NewReport(),
 		arrays:      map[*cc.VarDecl]*arrayState{},
 		kernelExecs: map[int]int{},
-		fpCache:     map[fpKey]fpVal{},
-		balCache:    map[balKey]balVal{},
 		planCache:   map[planKey]*launchPlan{},
 		specExecs:   map[int]*specExec{},
 		spec:        SpecStats{Untiled: map[string]int64{}, FallbackReasons: map[string]int64{}, Rejects: map[string]int64{}},

@@ -451,7 +451,18 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 // [start, end) of the GPU's span, walked through the launch's pieces in
 // ascending order, so worker identity, reduction lanes and the order
 // scalar reductions fold in are those of the unsplit schedule.
-func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (sim.Counters, error) {
+func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (_ sim.Counters, err error) {
+	// A body's inner loops poll too (ir.DEnv.Poll) and, returning nothing,
+	// unwind an interrupted iteration with a panic.
+	defer func() {
+		if p := recover(); p != nil {
+			it, ok := p.(ir.Interrupt)
+			if !ok {
+				panic(p)
+			}
+			err = it.Err
+		}
+	}()
 	de := gs.envs[w]
 	var vm *ir.VecEnv
 	if gs.anyVec {
@@ -514,7 +525,9 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		gs.work = func(w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, w, start, end) }
 	}
 	for w := len(gs.envs); w < nw; w++ {
-		gs.envs = append(gs.envs, spec.NewDEnv())
+		de := spec.NewDEnv()
+		de.Poll = ex.poll
+		gs.envs = append(gs.envs, de)
 		gs.slots = append(gs.slots, sim.WorkerSlot{})
 	}
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
 	"accmulti/internal/apps"
 	"accmulti/internal/cc"
@@ -101,6 +103,56 @@ type RunResponse struct {
 	Digests map[string]string `json:"digests"`
 	// Arrays inlines the contents of the requested return_arrays.
 	Arrays map[string]*ArrayPayload `json:"arrays,omitempty"`
+}
+
+// body is the reply's JSON. JSON has no number for a NaN or an infinity
+// and encoding/json refuses one; a run that divides by zero still gets its
+// reply, and the same one every time: the body is then encoded again with
+// such a value as the string "NaN", "+Inf" or "-Inf" in the number's
+// place, every finite value as before.
+func (r *RunResponse) body() ([]byte, error) {
+	data, err := json.Marshal(r)
+	var nonFinite *json.UnsupportedValueError
+	if !errors.As(err, &nonFinite) {
+		return data, err
+	}
+	type array struct {
+		F32 []loose[float32] `json:"f32,omitempty"`
+		F64 []loose[float64] `json:"f64,omitempty"`
+		I32 []int32          `json:"i32,omitempty"`
+	}
+	arrays := map[string]array{}
+	for name, p := range r.Arrays {
+		arrays[name] = array{loosen(p.F32), loosen(p.F64), p.I32}
+	}
+	scalars := map[string]loose[float64]{}
+	for name, v := range r.Scalars {
+		scalars[name] = loose[float64]{v}
+	}
+	return json.Marshal(struct {
+		Report  *rt.Report                `json:"report"`
+		Scalars map[string]loose[float64] `json:"scalars"`
+		Digests map[string]string         `json:"digests"`
+		Arrays  map[string]array          `json:"arrays,omitempty"`
+	}{r.Report, scalars, r.Digests, arrays})
+}
+
+// loose is a float of a reply that need not be finite (RunResponse.body).
+type loose[T float32 | float64] struct{ v T }
+
+func (l loose[T]) MarshalJSON() ([]byte, error) {
+	if f := float64(l.v); math.IsNaN(f) || math.IsInf(f, 0) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 64)), nil
+	}
+	return json.Marshal(l.v)
+}
+
+func loosen[T float32 | float64](vs []T) []loose[T] {
+	out := make([]loose[T], len(vs))
+	for i, v := range vs {
+		out[i] = loose[T]{v}
+	}
+	return out
 }
 
 // ErrorResponse is the structured error body of every non-2xx reply.

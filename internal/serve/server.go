@@ -129,6 +129,11 @@ func (s *Server) Drain(ctx context.Context) error {
 // struct fields in declaration order, map keys sorted).
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	data, err := json.Marshal(v)
+	writeBody(w, status, data, err)
+}
+
+// writeBody writes an encoded reply, or the 500 of one that did not encode.
+func writeBody(w http.ResponseWriter, status int, data []byte, err error) {
 	if err != nil {
 		http.Error(w, `{"error":{"code":"internal","message":"encoding failed"}}`, http.StatusInternalServerError)
 		return
@@ -402,7 +407,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	outcome = "run.ok"
 	s.mets.Observe("run.service_us", trace.DurationBucketsUS, time.Since(began).Microseconds())
-	writeJSON(w, http.StatusOK, resp)
+	data, err := resp.body()
+	writeBody(w, http.StatusOK, data, err)
 }
 
 // rejectAdmission maps admission errors to their structured replies.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -14,6 +15,10 @@ import (
 	"time"
 
 	"accmulti/internal/apps"
+	"accmulti/internal/core"
+	"accmulti/internal/ir"
+	"accmulti/internal/rt"
+	"accmulti/internal/sim"
 )
 
 // stencilSrc is a multi-launch iterated stencil: enough kernel
@@ -158,12 +163,46 @@ type verdict struct {
 	body string
 }
 
+// hostileCorpus is what a client that means harm sends: each request with
+// the status and error code accd must answer it with. The run of the last
+// one panics under panicGate.
+func hostileCorpus(t testing.TB) (bodies [][]byte, want []verdict) {
+	add := func(r *RunRequest, code int, errCode string) {
+		bodies = append(bodies, marshal(t, r))
+		want = append(want, verdict{code, errCode})
+	}
+	// One kernel iteration that never leaves its inner loop, a host loop
+	// that never ends, a parenthesis bomb, arrays no machine holds.
+	add(&RunRequest{TimeoutMS: 50, Source: "float a[4];\nvoid main(){ int i; int j; float s;\n#pragma acc parallel loop\n" +
+		"for (i = 0; i < 4; i++) { s = 0.0; for (j = 0; j < 2000000000; j++) { s += 1.0; } a[i] = s; } }"},
+		http.StatusGatewayTimeout, "timeout")
+	add(&RunRequest{TimeoutMS: 50, Source: "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }"},
+		http.StatusGatewayTimeout, "timeout")
+	add(&RunRequest{Source: "int x;\nvoid main(){ x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "; }"},
+		http.StatusUnprocessableEntity, "compile_error")
+	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 1e10}}, http.StatusBadRequest, "bad_request")
+	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 62}}, http.StatusInternalServerError, "internal")
+	return bodies, want
+}
+
+func panicGate(r *RunRequest) {
+	if r.Scalars["n"] == 62 {
+		panic("gate blew up")
+	}
+}
+
 // TestServeEquivalenceUnderLoad is the exact-validation gate: every
 // response under >=256-way concurrency must be bit-identical to the
-// same request served serially by a fresh server. Run under -race this
-// also stresses the shared Program/cache/pool/scheduler state.
+// same request served serially by a fresh server — whatever else is in
+// flight: the hostile corpus runs beside the well-formed one, each of its
+// requests answered with its own structured error, and afterwards no run
+// slot is held, nothing is queued and every machine built is idle in the
+// pool but the panicked run's. Run under -race this also stresses the
+// shared Program/cache/pool/scheduler state.
 func TestServeEquivalenceUnderLoad(t *testing.T) {
 	corpus := mixedCorpus(t)
+	// A run whose results are not finite is a well-formed one.
+	corpus = append(corpus, marshal(t, &RunRequest{Source: "float t;\nvoid main(){ t = 0.0; t /= 0.0; }"}))
 
 	// Serial baseline on its own server instance.
 	baseline := make([]verdict, len(corpus))
@@ -183,16 +222,17 @@ func TestServeEquivalenceUnderLoad(t *testing.T) {
 	}
 
 	const workers = 256
-	loaded := New(Config{})
+	loaded := New(Config{runGate: panicGate})
+	h := loaded.Handler()
 	var wg sync.WaitGroup
-	errc := make(chan error, workers)
+	errc := make(chan error, 2*workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for k := 0; k < 2; k++ {
 				i := (w + k*workers/2) % len(corpus)
-				rec := post(t, loaded.Handler(), "/v1/run", corpus[i])
+				rec := post(t, h, "/v1/run", corpus[i])
 				if rec.Code != baseline[i].code {
 					errc <- fmt.Errorf("worker %d req %d: status %d, serial %d (body %.200s)",
 						w, i, rec.Code, baseline[i].code, rec.Body.String())
@@ -205,10 +245,33 @@ func TestServeEquivalenceUnderLoad(t *testing.T) {
 			}
 		}(w)
 	}
+	hostile, want := hostileCorpus(t)
+	const rounds = 3
+	for i := range hostile {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for k := 0; k < rounds; k++ {
+				rec := post(t, h, "/v1/run", hostile[i])
+				var eresp ErrorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &eresp); err != nil || rec.Code != want[i].code || eresp.Error.Code != want[i].body {
+					errc <- fmt.Errorf("hostile req %d: status %d, body %.200s; want %d %s", i, rec.Code, rec.Body.String(), want[i].code, want[i].body)
+				}
+			}
+		}(i)
+	}
 	wg.Wait()
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+	waitLoad(t, h, 0, 0)
+	c := counters(t, h)
+	if c["run.panic"] != rounds || c["pool.discard-dirty"] != 0 {
+		t.Errorf("want %d contained panics and no machine returned dirty: %v", rounds, c)
+	}
+	if idle, kept := int64(loaded.pool.Idle()), c["pool.create"]-c["pool.discard-panic"]-c["pool.discard-full"]; idle != kept {
+		t.Errorf("%d machines idle in the pool, want %d: every one built but the quarantined and those the full pool dropped", idle, kept)
 	}
 }
 
@@ -459,6 +522,13 @@ func TestTimeoutEndsKernel(t *testing.T) {
 		"for (i = 0; i < 100000000000; i++) { s += 1.0; } }")
 }
 
+// TestTimeoutEndsInnerLoop pins the same of a launch of four iterations,
+// each of which never leaves its inner loop.
+func TestTimeoutEndsInnerLoop(t *testing.T) {
+	checkTimeoutEndsRun(t, "float a[4];\nvoid main(){ int i; int j; float s;\n#pragma acc parallel loop\n"+
+		"for (i = 0; i < 4; i++) { s = 0.0; for (j = 0; j < 2000000000; j++) { s += 1.0; } a[i] = s; } }")
+}
+
 // checkTimeoutEndsRun posts a program that never ends with a 50 ms
 // deadline: the request answers 504, no run is in flight afterwards, and
 // the machine it leased is back in the pool for the next request.
@@ -659,5 +729,72 @@ func TestRunOutcomesCounted(t *testing.T) {
 		if c[name] != 1 {
 			t.Errorf("%s = %d, want 1 (counters: %v)", name, c[name], c)
 		}
+	}
+}
+
+// TestNonFiniteResultsEncode pins that a run whose results JSON has no
+// number for is still a 200 with a deterministic body: NaN and the
+// infinities travel as the strings "NaN", "+Inf" and "-Inf" in place of
+// the number, scalars and inlined arrays of both float widths alike, and
+// the digests are those of a serial core run.
+func TestNonFiniteResultsEncode(t *testing.T) {
+	const src = `float t; double u, w;
+float a[4]; double b[4];
+void main() {
+    int i;
+    t = 0.0; t /= 0.0;
+    u = 1.0; u /= 0.0;
+    w = 0.1;
+    #pragma acc parallel loop
+    for (i = 0; i < 4; i++) {
+        a[i] = (1.0 - i) / 0.0;
+        b[i] = (i - 1.0) / 0.0;
+    }
+}
+`
+	h := New(Config{Concurrency: 1}).Handler()
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, ReturnArrays: []string{"a", "b"}}))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got struct {
+		Scalars map[string]any
+		Arrays  map[string]map[string][]any
+		Digests map[string]string
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("%v: %s", err, rec.Body.String())
+	}
+	want := []any{"+Inf", "NaN", "-Inf", "-Inf"}
+	if got.Scalars["t"] != "NaN" || got.Scalars["u"] != "+Inf" || got.Scalars["w"] != 0.1 ||
+		!reflect.DeepEqual(got.Arrays["a"]["f32"], want) ||
+		!reflect.DeepEqual(got.Arrays["b"]["f64"], []any{"-Inf", "NaN", "+Inf", "+Inf"}) {
+		t.Errorf("scalars %v arrays %v", got.Scalars, got.Arrays)
+	}
+	// The fallback encoding keeps the plain one's field order.
+	at := -1
+	for _, key := range []string{`"report":`, `"scalars":`, `"digests":`, `"arrays":`} {
+		if next := strings.Index(rec.Body.String(), key); next <= at {
+			t.Errorf("%s out of order in %s", key, rec.Body.String())
+		} else {
+			at = next
+		}
+	}
+	prog, err := core.Compile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Run(ir.NewBindings(), core.Config{Machine: sim.Desktop(), Options: rt.Options{Async: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res.Instance.Arrays {
+		if d := digest(a); got.Digests[a.Decl.Name] != d {
+			t.Errorf("digest of %s is %s, a serial core run's is %s", a.Decl.Name, got.Digests[a.Decl.Name], d)
+		}
+	}
+	// The reply stays a pure function of the request.
+	if again := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, ReturnArrays: []string{"a", "b"}})); !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
+		t.Errorf("second reply differs:\n%s\n%s", rec.Body.String(), again.Body.String())
 	}
 }

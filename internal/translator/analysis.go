@@ -177,7 +177,7 @@ func (a *analyzer) classifyRead(ref *cc.IndexExpr) {
 // and the lowering need.
 func (a *analyzer) classify(ref *cc.IndexExpr, op string) IndexForm {
 	out := IndexForm{Line: ref.Pos(), Col: ref.Column(), Src: ExprString(ref), Op: op}
-	out.Coef, out.Off, out.Literal = LiteralAffine(ref.Index, a.loopVar)
+	out.Class, out.Literal = ClassOf(ref.Index, a.loopVar)
 	out.Indirect = a.dataDependent(ref.Index)
 	out.Affine = !out.Indirect && a.isAffine(ref.Index)
 	return out
@@ -198,42 +198,4 @@ func (a *analyzer) isAffine(e cc.Expr) bool {
 		}
 	})
 	return ok
-}
-
-// LiteralAffine recognizes index expressions of the form coef*i + off
-// with integer literal coef and off: the affine pattern the verifier
-// reasons about and the conservative one used to elide write-miss checks
-// (paper §IV-D2).
-func LiteralAffine(e cc.Expr, loopVar *cc.VarDecl) (coef, off int64, ok bool) {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		if !x.IsFloat {
-			return 0, x.I, true
-		}
-	case *cc.Ident:
-		if x.Decl == loopVar {
-			return 1, 0, true
-		}
-	case *cc.BinaryExpr:
-		la, lc, okL := LiteralAffine(x.X, loopVar)
-		ra, rc, okR := LiteralAffine(x.Y, loopVar)
-		if !okL || !okR {
-			return 0, 0, false
-		}
-		switch x.Op {
-		case "+":
-			return la + ra, lc + rc, true
-		case "-":
-			return la - ra, lc - rc, true
-		case "*":
-			// One side must be constant.
-			if la == 0 {
-				return lc * ra, lc * rc, true
-			}
-			if ra == 0 {
-				return rc * la, rc * lc, true
-			}
-		}
-	}
-	return 0, 0, false
 }

@@ -34,9 +34,9 @@ type IndexForm struct {
 	// assigned in the body).
 	Affine bool
 	// Literal reports that the subscript is Coef*i + Off with integer
-	// literal coefficients; only then are Coef and Off meaningful.
-	Literal   bool
-	Coef, Off int64
+	// literal coefficients; only then is the Class meaningful.
+	Literal bool
+	Class
 	// Indirect reports a data-dependent subscript (the index goes
 	// through another array load, as in pos[nbr[j]]).
 	Indirect bool

@@ -2,6 +2,7 @@ package translator
 
 import (
 	"fmt"
+	"slices"
 
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
@@ -249,23 +250,10 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 		IndirectRead: in.IndirectRead,
 		WriteCoef:    -1,
 	}
-	writesAffine := true
-	for _, w := range in.Writes {
-		writesAffine = writesAffine && w.Literal
-	}
-	if in.Written && writesAffine {
-		coef := in.Writes[0].Coef
-		lo, hi := in.Writes[0].Off, in.Writes[0].Off
-		uniform := true
+	if coef, ok := CommonCoef(in.Writes); ok && coef > 0 {
+		use.WriteCoef, use.WriteOffLo, use.WriteOffHi = coef, in.Writes[0].Off, in.Writes[0].Off
 		for _, w := range in.Writes[1:] {
-			if w.Coef != coef {
-				uniform = false
-				break
-			}
-			lo, hi = min(lo, w.Off), max(hi, w.Off)
-		}
-		if uniform && coef > 0 {
-			use.WriteCoef, use.WriteOffLo, use.WriteOffHi = coef, lo, hi
+			use.WriteOffLo, use.WriteOffHi = min(use.WriteOffLo, w.Off), max(use.WriteOffHi, w.Off)
 		}
 	}
 	if in.ReduceOp == "*" {
@@ -293,24 +281,10 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 	}
 	use.Local = fp
 
-	// Write-miss check elision (paper §IV-D2): every write index is
-	// A*i + C with literal coefficients, the footprint is a literal
-	// stride form, and A*i + C provably stays inside
-	// [stride*i - left, stride*(i+1) - 1 + right] for all i >= 0.
-	if in.Written && writesAffine && spec.HasStride {
-		s, okS := LiteralInt(spec.Stride)
-		l, okL := LiteralInt(spec.Left)
-		r, okR := LiteralInt(spec.Right)
-		if okS && okL && okR {
-			within := true
-			for _, w := range in.Writes {
-				if w.Coef != s || w.Off < -l || w.Off > s-1+r {
-					within = false
-					break
-				}
-			}
-			use.WritesWithinLocal = within
-		}
+	// Write-miss check elision (paper §IV-D2): every store provably stays
+	// inside the declared window.
+	if win, ok := WindowOf(spec); ok && in.Written {
+		use.WritesWithinLocal = !slices.ContainsFunc(in.Writes, func(w IndexForm) bool { return !win.Contains(w) })
 	}
 
 	// Coalescing layout transform (paper §IV-B4): read-only arrays

@@ -300,15 +300,18 @@ void main() {
 func TestLiteralAffine(t *testing.T) {
 	prog, err := cc.ParseProgram(`
 int n, w;
-float a[n];
+float a[n], b[n];
 void main() {
     int i;
     #pragma acc localaccess(a) stride(4, 0, 3)
+    #pragma acc localaccess(b) stride(4, 0, 3)
     #pragma acc parallel loop
     for (i = 0; i < n / 4; i++) {
         a[4 * i] = 0.0;
         a[4 * i + 3] = 0.0;
         a[i * 2 + i * 2 + 6] = 0.0;
+        b[4 * i] = 0.0;
+        b[4 * i + 7] = 0.0;
     }
 }
 `)
@@ -319,11 +322,13 @@ void main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	u := m.Kernels[0].Arrays[0]
-	// 4i and 4i+3 fit stride(4,0,3); 4i+6 exceeds right halo 3+3=6? The
-	// range is [4i, 4i+3+3] = [4i, 4i+6], so 4i+6 is inside.
-	if !u.WritesWithinLocal {
+	// The window is [4i, 4i+3+3] = [4i, 4i+6]: 4i, 4i+3 and 4i+6 (the right
+	// edge) are inside, 4i+7 is one past it.
+	if u := m.Kernels[0].Arrays[0]; !u.WritesWithinLocal {
 		t.Errorf("all writes in range; elision expected: %+v", u)
+	}
+	if u := m.Kernels[0].Arrays[1]; u.WritesWithinLocal || u.WriteCoef != 4 || u.WriteOffLo != 0 || u.WriteOffHi != 7 {
+		t.Errorf("a write one past the window keeps its miss check: %+v", u)
 	}
 }
 
