@@ -233,10 +233,9 @@ func main() {
 }
 
 // printSpecSummary reports how much of Phase B ran on the specialized
-// executors and which of their two bodies ran (lockstep tiles, or one
-// closure tree per iteration and why), with the interpreter fallbacks
-// broken down by runtime reason and the outright-rejected kernels by
-// compile-time reason.
+// executor's lockstep tiles and how their loops went, with the
+// interpreter fallbacks broken down by runtime reason and the
+// outright-rejected kernels by compile-time reason.
 func printSpecSummary(st rt.SpecStats) {
 	fmt.Printf("spec: %d chunks specialized, %d interpreter fallbacks\n", st.Hits, st.Fallbacks)
 	if st.SplitPieces > 0 {
@@ -246,10 +245,10 @@ func printSpecSummary(st rt.SpecStats) {
 		fmt.Printf("  %d iterations ran in lockstep tiles\n", st.TiledIters)
 	}
 	if st.HazardLanes > 0 {
-		fmt.Printf("  %d of them re-ran per iteration after a store into their tile's window\n", st.HazardLanes)
+		fmt.Printf("  %d of them went to the next tile after a store into their tile's window\n", st.HazardLanes)
 	}
-	if st.LaneMajorTrips > 0 || st.FlatCuts > 0 {
-		fmt.Printf("  %d inner-loop trips ran lane by lane, %d flat tiles were cut at a hazard\n", st.LaneMajorTrips, st.FlatCuts)
+	if st.FlatCuts > 0 {
+		fmt.Printf("  %d flat tiles were cut at a hazard\n", st.FlatCuts)
 	}
 	printReasons := func(label string, m map[string]int64) {
 		if len(m) == 0 {
@@ -266,7 +265,6 @@ func printSpecSummary(st rt.SpecStats) {
 		}
 		fmt.Printf("  %s: %s\n", label, strings.Join(parts, " "))
 	}
-	printReasons("chunks on the per-iteration body (by reason)", st.Untiled)
 	printReasons("fallback reasons", st.FallbackReasons)
 	printReasons("rejected kernels (chunks, by compile reason)", st.Rejects)
 }

@@ -229,6 +229,13 @@ func (a *Auditor) oracleRun(k *ir.Kernel, env *ir.Env) error {
 	lower, upper := k.Lower(env), k.Upper(env)
 	slot := k.LoopVar.Slot
 	for i := lower; i < upper; i++ {
+		// The runtime has not begun the launch: the oracle polls like the
+		// workers would, every 1024 iterations.
+		if (i-lower)%1024 == 0 && oenv.H != nil {
+			if err := oenv.H.Poll(); err != nil {
+				return err
+			}
+		}
 		oenv.Ints[slot] = i
 		if err := k.Body(oenv); err != nil {
 			if errors.Is(err, ir.ErrLoopContinue) {

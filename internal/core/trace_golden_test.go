@@ -455,11 +455,10 @@ func checkSpecMetrics(t *testing.T, label string, m *trace.Metrics, st rt.SpecSt
 	t.Helper()
 	want := map[string]int64{
 		"spec.hits": st.Hits, "spec.fallbacks": st.Fallbacks, "spec.split_pieces": st.SplitPieces,
-		"spec.tiled_iters": st.TiledIters, "spec.hazard_lanes": st.HazardLanes,
-		"spec.lane_major_trips": st.LaneMajorTrips, "spec.flat_cuts": st.FlatCuts,
+		"spec.tiled_iters": st.TiledIters, "spec.hazard_lanes": st.HazardLanes, "spec.flat_cuts": st.FlatCuts,
 	}
 	for prefix, by := range map[string]map[string]int64{
-		"spec.untiled.": st.Untiled, "spec.fallbacks.": st.FallbackReasons, "spec.reject.": st.Rejects,
+		"spec.fallbacks.": st.FallbackReasons, "spec.reject.": st.Rejects,
 	} {
 		for reason, n := range by {
 			want[prefix+reason] = n
@@ -493,12 +492,12 @@ func checkSpecMetrics(t *testing.T, label string, m *trace.Metrics, st rt.SpecSt
 
 // TestObserversKeepTheBody pins that neither an observer nor the
 // schedule changes which kernel body runs: MD (gathers in lockstep
-// tiles), KMEANS (lockstep tiles for the assignment kernel, the
-// per-iteration body where the center update stores under an arm on
-// replicated arrays) and BFS (tiles whose lane-major loop now and then
-// stores into the tile's own window) count the same SpecStats — hits,
-// fallbacks, tiled iterations, hazard lanes, per-iteration chunks and
-// split pieces — bare on the synchronous schedule, with the span tracer,
+// tiles), KMEANS (lockstep tiles for both kernels, the center update's
+// store under an arm on replicated arrays marking from the arm's lanes)
+// and BFS (tiles whose flat loop now and then stores into the tile's own
+// window) count the same SpecStats — hits, fallbacks, tiled iterations,
+// hazard lanes, flat cuts, rejects and split pieces — bare on the
+// synchronous schedule, with the span tracer,
 // under the shadow auditor, with a fault plan armed (its rate never
 // fires), on the async schedule and with all of them at once; the
 // tracer's metrics agree with the runtime's counts.

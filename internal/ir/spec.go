@@ -11,9 +11,9 @@ import (
 // BuildKernelSpec pattern-matches a kernel body against the eligible
 // shape — straight-line or simply-branched statements whose array
 // accesses are affine in the induction variable — and compiles a second
-// body that runs directly on the device copies' backing slices, with no
-// ArrayView dispatch, no per-access counter increments and no per-store
-// dirty marking. The instrumentation the interpreter performs
+// form of it that runs directly on the device copies' backing slices,
+// with no ArrayView dispatch, no per-access counter increments and no
+// per-store dirty marking. The instrumentation the interpreter performs
 // per-access is reconstructed analytically:
 //
 //   - Per-iteration operation and byte costs are accumulated at compile
@@ -33,28 +33,26 @@ import (
 // loop-variable subscripts, modular arithmetic — compile with their
 // ranges discharged at launch by the interval prover (specprove.go)
 // instead of endpoint evaluation; stores with data-dependent footprints
-// mark dirty bits per iteration like the interpreter. Anything left —
-// while loops, break/continue, ?:, short-circuit operators
-// (data-dependent cost), unknown builtins, assignment to the induction
-// variable — makes BuildKernelSpec return nil with a reason category
-// and the kernel permanently runs on the instrumented interpreter. The
-// runtime adds launch-time fallback conditions on top (miss-check
-// lanes, failed range checks and proofs; see internal/rt/specexec.go).
+// mark dirty bits one by one like the interpreter.
 //
-// A spec carries up to two bodies. Body is one closure tree per
-// iteration, one closure per expression node, and always exists; it is
-// the cold one (hazard lanes, the safety pieces, kernels with no tiled
-// form) and the only rewrite it gets is the hoisted counted loop of
-// specfuse.go. VecBody (specvec.go) runs a tile of
-// consecutive iterations: straight-line statements, data-dependent
-// arms, uniform inner loops, gathers and layout-transformed copies in
-// lockstep, one tight loop per expression node; loops with stores in
-// them or lane-divergent trips as flat tiles (specflat.go: the same
-// body in lockstep over their trips), or, the few shapes those do not
-// take, one lane after the other through their Body closures. It is
-// absent (Untiled says why) where a scatter or a gather reaches across
-// that division, where the body is nothing but such a loop, and for a
-// reduction target with two update sites.
+// The specBuilder below walks the body once to record all of that —
+// costs, accesses, arms, inner loops — and compiles no statement; the one
+// compiled form is VecBody (specvec.go), which runs a tile of consecutive
+// iterations: straight-line statements, data-dependent arms, uniform
+// inner loops, gathers and layout-transformed copies in lockstep, one
+// tight loop per expression node; loops with stores in them or
+// lane-divergent trips as flat tiles (specflat.go: the same body in
+// lockstep over their trips). The builder's expression compiler stays for
+// what a tile evaluates once per step, its uniform subtrees. A kernel the
+// tiles do not take — while loops, break/continue, ?:, short-circuit
+// operators (data-dependent cost), unknown builtins, assignment to the
+// induction variable; a scatter or a gather across the division between
+// the lockstep statements and a flat loop, a loop flat tiles do not take,
+// a reduction target with two update sites — makes BuildKernelSpec return
+// nil with a reason category, and the kernel permanently runs on the
+// instrumented interpreter. The runtime adds launch-time fallback
+// conditions on top (miss-check lanes, failed range checks, proofs and
+// alias checks; see internal/rt/specexec.go).
 //
 // One branch shape leaves the arm machinery altogether: a top-level if
 // whose condition is an affine guard (&&, ||, ! over integer
@@ -124,12 +122,10 @@ type SpecAccess struct {
 	// range-check the whole chunk before running the fast path. Nil for
 	// computed accesses.
 	Index ExprI
-	// LaneLoop, on a spec with a tiled body, is zero for an access the
-	// tile executes in lockstep with the statements around it; otherwise
-	// it numbers (from 1) the loop around the access that the tile runs
-	// as flat tiles, or lane by lane through the loop's per-iteration
-	// closure.
-	LaneLoop int
+	// FlatLoop is zero for an access the tile executes in lockstep with
+	// the statements around it; otherwise it numbers (from 1) the loop
+	// around the access that the tile runs as flat tiles.
+	FlatLoop int
 }
 
 // Exact reports a store whose per-chunk footprint is exactly the
@@ -179,10 +175,10 @@ type DArray struct {
 	// p. Zero TWidth means the copy is stored in logical order.
 	TWidth, TRows int64
 	// WinLo/WinLen is the window of physical offsets the running tile's
-	// lockstep prefix loaded from an array its flat or lane-major loop stores to
-	// (BFS: the guard reads cost[i], the loop stores cost[w]); a store
-	// inside it sets Hit, and the tile's remaining lanes re-run in
-	// iteration order. Zero WinLen: nothing is watched.
+	// lockstep prefix loaded from an array its flat loop stores to (BFS:
+	// the guard reads cost[i], the loop stores cost[w]); a store inside it
+	// sets Hit, and the tile's lanes after the storing one go to the next
+	// tile. Zero WinLen: nothing is watched.
 	WinLo  int64
 	WinLen uint64
 	Hit    bool
@@ -215,30 +211,27 @@ func (a *DArray) watch(lo, hi int64) {
 	a.WinLo, a.WinLen = lo, uint64(hi-lo+1)
 }
 
-// DEnv is one worker's environment for a specialized body: flat scalar
-// tables (same slots as Env), direct array handles by slot, and the
-// arm-taken counters the analytic cost model consumes.
+// DEnv is one worker's environment for the tiles: flat scalar tables
+// (same slots as Env), direct array handles by slot, and the arm-taken
+// counters the analytic cost model consumes.
 type DEnv struct {
 	Ints   []int64
 	Floats []float64
 	Arrays []DArray
 	// Branch counts executions per if-arm, indexed like KernelSpec.Arms.
 	Branch []int64
-	// HazardLanes counts the lanes of tiles that re-ran on the
-	// per-iteration body after a store hit a watched window.
-	HazardLanes int64
-	// LaneMajorTrips counts the inner-loop trips a tile ran through a
-	// loop's per-iteration closure, FlatCuts the flat tiles a hazard ended
-	// early (specvec.go).
-	LaneMajorTrips, FlatCuts int64
+	// HazardLanes counts the lanes tiles handed to the next tile after a
+	// store hit a watched window, FlatCuts the flat tiles a hazard ended
+	// early (specflat.go).
+	HazardLanes, FlatCuts int64
 	// Poll, when set, is asked every pollTrips trips of the body's inner
 	// loops whether to go on (see tick).
 	Poll  func() error
 	trips int64
 }
 
-// Interrupt is what a specialized body panics with when Poll says stop:
-// the bodies return nothing, so the executor that set Poll recovers it.
+// Interrupt is what a tile panics with when Poll says stop: a tile
+// returns no error, so the executor that set Poll recovers it.
 type Interrupt struct{ Err error }
 
 // tick counts n more trips of an inner loop about to run and, every
@@ -273,9 +266,8 @@ func (s *KernelSpec) NewDEnv() *DEnv {
 	}
 }
 
-// DStmt executes one iteration's worth of a specialized statement.
-type DStmt func(*DEnv)
-
+// dExprI and dExprF are a uniform subtree compiled against the worker's
+// scalars: one value for every lane of a tile step.
 type (
 	dExprI func(*DEnv) int64
 	dExprF func(*DEnv) float64
@@ -283,9 +275,6 @@ type (
 
 // KernelSpec is the compiled specialization of one kernel.
 type KernelSpec struct {
-	// Body executes one iteration; the runner stores the iteration
-	// index in LoopSlot first.
-	Body DStmt
 	// LoopSlot is the induction variable's int slot.
 	LoopSlot int
 	// NumInts/NumFloats/NumArrays size worker environments.
@@ -308,26 +297,25 @@ type KernelSpec struct {
 	// HasComputed reports at least one non-affine access: the runtime
 	// must discharge the Prover before taking the fast path.
 	HasComputed bool
-	// Prover is the compiled interval abstraction of Body (see
+	// Prover is the compiled interval abstraction of the body (see
 	// specprove.go): non-nil exactly when HasComputed.
 	Prover *SpecProver
-	// VecBody, when non-nil, is the tiled form of Body (see specvec.go):
-	// one call runs up to VecTile consecutive iterations in lockstep,
-	// one tight loop per expression node. The runtime may only use it
-	// when its per-launch alias check proves the tile schedule
-	// element-equivalent.
-	VecBody VStmt
-	// Untiled says why VecBody is nil: "shape" (a construct the lockstep
-	// schedule does not cover) or "order" (an ordered effect it would
-	// reorder). Empty when VecBody is set, and on a split spec.
-	Untiled string
+	// VecBody is the compiled body (see specvec.go): one call runs the
+	// iterations i0 .. i0+L-1, L ≤ VecTile, in lockstep, one tight loop
+	// per expression node, and returns how many of them, from the first,
+	// it ran — L, or fewer when a flat loop stored into the window the
+	// tile's prefix loaded (the caller starts the next tile at the first
+	// one it did not run). The runtime may only use it when its per-launch
+	// alias check proves the tile schedule element-equivalent. Nil on a
+	// split spec.
+	VecBody func(vm *VecEnv, i0 int64, L int) int
 	// NumBufI/NumBufF/NumMask size a VecEnv's scratch vectors and lane
 	// lists.
 	NumBufI, NumBufF, NumMask int
 	// FlatBufI/FlatBufF/FlatMask/FlatSites size the scratch of its flat
 	// tiles (specflat.go); FlatMask is zero when no loop runs as flat tiles.
 	FlatBufI, FlatBufF, FlatMask, FlatSites int
-	// Guard, when non-nil, makes this spec an index-set split: Body,
+	// Guard, when non-nil, makes this spec an index-set split: the body,
 	// costs and accesses live in Guard.Variants, one of which covers
 	// each sub-range of a chunk; only the environment sizes above (and
 	// NumBufI/NumBufF, the maximum over the variants) are meaningful
@@ -384,8 +372,9 @@ func (g *SpecGuard) Select(env *Env) int {
 	return n.Variant
 }
 
-// specBuilder compiles the body, accumulating static costs into the
-// bucket that is live at each compile site (Base, or the current arm).
+// specBuilder records the body, accumulating static costs into the
+// bucket that is live at each site (Base, or the current arm), and
+// compiles expressions for the tiles' uniform subtrees.
 type specBuilder struct {
 	loopVar *cc.VarDecl
 	// assigned marks scalars the body writes: index expressions must
@@ -401,14 +390,11 @@ type specBuilder struct {
 	cur      *IterCost
 	inBranch bool
 	inLoop   bool
-	// noRecord compiles a second copy of a subtree whose cost and
-	// accesses the normal walk already recorded (the fused for-loop's
-	// hoisted bound): recording it again would double-charge the cost
-	// model and desynchronize the prover's access cursor.
+	// noRecord compiles a subtree whose cost and accesses the walk already
+	// recorded (a tile's uniform subtree): recording it again would
+	// double-charge the cost model and desynchronize the access cursors.
 	noRecord bool
-	// loops records every compiled inner loop, for the tile builder: a
-	// loop it runs lane by lane, or falls back to that for, reuses the
-	// per-iteration closures.
+	// loops records every inner loop, for the tile builder.
 	loops map[*cc.ForStmt]loopRec
 	// uniform, when set, names subtrees affineDegree takes as constants
 	// although the body assigns scalars in them (the tile builder's
@@ -416,13 +402,11 @@ type specBuilder struct {
 	uniform func(cc.Expr) bool
 }
 
-// loopRec is one compiled inner loop, the position of the access cursor
-// before its header, the positions of the access and arm cursors just
-// after it, the arm that counts its completed trips, and the closure of
-// one trip's body.
+// loopRec is one inner loop: the position of the access cursor before
+// its header, and the positions of the access and arm cursors just after
+// it.
 type loopRec struct {
-	stmt, body                      DStmt
-	accBeg, accEnd, armEnd, bodyArm int
+	accBeg, accEnd, armEnd int
 }
 
 // BuildKernelSpec compiles the specialized form of the body of k, whose
@@ -480,14 +464,9 @@ func buildSpec(body cc.Stmt, prog *cc.Program, kb specBuilder) (*KernelSpec, str
 	}
 	b.spec.Base.Stores = make([]int64, prog.NumArrays)
 	b.cur = &b.spec.Base
-	st, err := b.stmt(body)
-	if err != nil {
+	if err := b.stmt(body); err != nil {
 		return nil, specReason(err)
 	}
-	if st == nil {
-		st = dNop
-	}
-	b.spec.Body = st
 	b.spec.Arms = make([]IterCost, len(b.arms))
 	for i, a := range b.arms {
 		b.spec.Arms[i] = *a
@@ -502,7 +481,9 @@ func buildSpec(body cc.Stmt, prog *cc.Program, kb specBuilder) (*KernelSpec, str
 			return nil, "shape" // no launch could discharge the computed accesses
 		}
 	}
-	buildVec(body, b)
+	if reason := buildVec(body, b); reason != "" {
+		return nil, reason
+	}
 	return b.spec, ""
 }
 
@@ -606,7 +587,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 		}
 	}
 	v, _ := buildSpec(&cc.Block{Stmts: done}, s.prog, *s.sb)
-	if v == nil || v.VecBody == nil || len(v.Arms) > 0 || v.HasComputed {
+	if v == nil || len(v.Arms) > 0 || v.HasComputed {
 		return nil
 	}
 	s.guard.Variants = append(s.guard.Variants, v)
@@ -741,276 +722,152 @@ func (b *specBuilder) affineDegree(e cc.Expr) (int, error) {
 	return 0, errSpecIneligible
 }
 
-// dNop is the empty statement.
-func dNop(*DEnv) {}
-
-func (b *specBuilder) stmt(s cc.Stmt) (DStmt, error) {
+// stmt walks one statement of the body in the interpreter's order,
+// charging every cost to the bucket live where the interpreter incurs it
+// (Base, or the current arm) and recording every access, arm and inner
+// loop. The error names a construct no specialized form takes.
+func (b *specBuilder) stmt(s cc.Stmt) error {
 	switch st := s.(type) {
 	case *cc.Block:
 		if st.Data != nil {
-			return nil, errSpecIneligible
+			return errSpecIneligible
 		}
-		var seq []DStmt
 		for _, c := range st.Stmts {
-			d, err := b.stmt(c)
-			if err != nil {
-				return nil, err
-			}
-			if d != nil {
-				seq = append(seq, d)
+			if err := b.stmt(c); err != nil {
+				return err
 			}
 		}
-		switch len(seq) {
-		case 0:
-			return nil, nil
-		case 1:
-			return seq[0], nil
-		case 2:
-			s0, s1 := seq[0], seq[1]
-			return func(env *DEnv) { s0(env); s1(env) }, nil
-		}
-		return func(env *DEnv) {
-			for _, d := range seq {
-				d(env)
-			}
-		}, nil
+		return nil
 
 	case *cc.DeclStmt:
-		return nil, nil // slots live in the environment
+		return nil // slots live in the environment
 
 	case *cc.AssignStmt:
 		switch lhs := st.LHS.(type) {
 		case *cc.Ident:
 			if lhs.Decl == b.loopVar {
-				return nil, errSpecIneligible
+				return errSpecIneligible
 			}
-			return b.scalarAssign(st, lhs)
+			// A compound assignment is one more operation, four for a
+			// float division.
+			if st.Op == "/=" && lhs.Decl.Type != cc.TInt {
+				b.cur.Flops += 4
+			} else if st.Op != "=" {
+				b.cur.Flops++
+			}
+			return b.rhs(st, lhs.Decl.Type)
 		case *cc.IndexExpr:
-			if st.Reduce != nil {
-				return b.arrayReduce(st, lhs)
-			}
 			return b.arrayAssign(st, lhs)
 		}
-		return nil, errSpecIneligible
+		return errSpecIneligible
 
 	case *cc.IfStmt:
 		return b.ifStmt(st)
 
 	case *cc.ForStmt:
 		if st.Parallel != nil {
-			return nil, errSpecLoop // nested parallel loops: interpreter only
+			return errSpecLoop // nested parallel loops: interpreter only
 		}
 		return b.forStmt(st)
 
 	case *cc.WhileStmt, *cc.BranchStmt:
-		return nil, errSpecLoop
+		return errSpecLoop
 	}
 	// Update directives and other constructs: interpreter only.
-	return nil, errSpecIneligible
+	return errSpecIneligible
 }
 
-// forStmt compiles an inner sequential loop. The loop gets two cost
-// buckets with DEnv.Branch counters: one counted per condition
-// evaluation (trips+1 — the condition's cost lives there) and one
-// counted per completed iteration (trips — body and post cost live
-// there). The init's cost belongs to the enclosing bucket, exactly
-// mirroring the interpreter's per-execution accounting.
-func (b *specBuilder) forStmt(st *cc.ForStmt) (DStmt, error) {
+// newArm opens a cost bucket counted by its own DEnv.Branch entry.
+func (b *specBuilder) newArm() *IterCost {
+	c := &IterCost{Stores: make([]int64, b.spec.NumArrays)}
+	b.arms = append(b.arms, c)
+	return c
+}
+
+// forStmt records an inner sequential loop. The loop gets two cost
+// buckets: one counted per condition evaluation (trips+1 — the
+// condition's cost lives there) and one counted per completed iteration
+// (trips — body and post cost live there). The init's cost belongs to
+// the enclosing bucket, exactly mirroring the interpreter's
+// per-execution accounting.
+func (b *specBuilder) forStmt(st *cc.ForStmt) error {
 	if st.Cond == nil {
-		return nil, errSpecLoop
+		return errSpecLoop
 	}
 	accBeg := len(b.spec.Accesses)
-	var init DStmt
-	var err error
 	if st.Init != nil {
-		if init, err = b.stmt(st.Init); err != nil {
-			return nil, err
+		if err := b.stmt(st.Init); err != nil {
+			return err
 		}
 	}
 	savedCur, savedLoop := b.cur, b.inLoop
 	defer func() { b.cur, b.inLoop = savedCur, savedLoop }()
 	b.inLoop = true
-
-	newArm := func() (int, *IterCost) {
-		c := &IterCost{Stores: make([]int64, b.spec.NumArrays)}
-		b.arms = append(b.arms, c)
-		return len(b.arms) - 1, c
+	b.cur = b.newArm()
+	if _, err := b.cond(st.Cond); err != nil {
+		return err
 	}
-	condIdx, condCost := newArm()
-	b.cur = condCost
-	cond, err := b.cond(st.Cond)
-	if err != nil {
-		return nil, err
+	b.cur = b.newArm()
+	if err := b.stmt(st.Body); err != nil {
+		return err
 	}
-	bodyIdx, bodyCost := newArm()
-	b.cur = bodyCost
-	body, err := b.stmt(st.Body)
-	if err != nil {
-		return nil, err
-	}
-	if body == nil {
-		body = dNop
-	}
-	var post DStmt
 	if st.Post != nil {
-		if post, err = b.stmt(st.Post); err != nil {
-			return nil, err
-		}
-	}
-	if post == nil {
-		post = dNop
-	}
-	if init == nil {
-		init = dNop
-	}
-	// Canonical counted loops run fused: the invariant bound is hoisted
-	// and the induction variable becomes a plain Go loop variable. The
-	// cost buckets receive exactly the open-coded totals.
-	loop := b.fuseFor(st, init, body, condIdx, bodyIdx)
-	if loop == nil {
-		loop = func(env *DEnv) {
-			init(env)
-			for {
-				env.tick(1)
-				env.Branch[condIdx]++
-				if !cond(env) {
-					return
-				}
-				body(env)
-				post(env)
-				env.Branch[bodyIdx]++
-			}
+		if err := b.stmt(st.Post); err != nil {
+			return err
 		}
 	}
 	if b.loops == nil {
 		b.loops = map[*cc.ForStmt]loopRec{}
 	}
-	b.loops[st] = loopRec{stmt: loop, body: body, accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms), bodyArm: bodyIdx}
-	return loop, nil
+	b.loops[st] = loopRec{accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
+	return nil
 }
 
-// ifStmt compiles a simple branch. Each arm gets its own cost bucket
-// and a DEnv.Branch counter; the condition's cost belongs to the
-// enclosing bucket (it is evaluated unconditionally).
-func (b *specBuilder) ifStmt(st *cc.IfStmt) (DStmt, error) {
-	cond, err := b.cond(st.Cond)
-	if err != nil {
-		return nil, err
+// ifStmt records a simple branch. Each arm gets its own cost bucket; the
+// condition's cost belongs to the enclosing bucket (it is evaluated
+// unconditionally).
+func (b *specBuilder) ifStmt(st *cc.IfStmt) error {
+	if _, err := b.cond(st.Cond); err != nil {
+		return err
 	}
 	savedCur, savedBranch := b.cur, b.inBranch
 	defer func() { b.cur, b.inBranch = savedCur, savedBranch }()
 	b.inBranch = true
-
-	newArm := func() (int, *IterCost) {
-		c := &IterCost{Stores: make([]int64, b.spec.NumArrays)}
-		b.arms = append(b.arms, c)
-		return len(b.arms) - 1, c
+	b.cur = b.newArm()
+	if err := b.stmt(st.Then); err != nil || st.Else == nil {
+		return err
 	}
-	thenIdx, thenCost := newArm()
-	b.cur = thenCost
-	then, err := b.stmt(st.Then)
-	if err != nil {
-		return nil, err
-	}
-	if then == nil {
-		then = dNop
-	}
-	if st.Else == nil {
-		return func(env *DEnv) {
-			if cond(env) {
-				env.Branch[thenIdx]++
-				then(env)
-			}
-		}, nil
-	}
-	elseIdx, elseCost := newArm()
-	b.cur = elseCost
-	els, err := b.stmt(st.Else)
-	if err != nil {
-		return nil, err
-	}
-	if els == nil {
-		els = dNop
-	}
-	return func(env *DEnv) {
-		if cond(env) {
-			env.Branch[thenIdx]++
-			then(env)
-		} else {
-			env.Branch[elseIdx]++
-			els(env)
-		}
-	}, nil
+	b.cur = b.newArm()
+	return b.stmt(st.Else)
 }
 
-func (b *specBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (DStmt, error) {
-	slot := lhs.Decl.Slot
-	if lhs.Decl.Type == cc.TInt {
-		rhs, err := b.exprI(st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		if st.Op != "=" {
-			b.cur.Flops++
-		}
-		switch st.Op {
-		case "=":
-			return func(e *DEnv) { e.Ints[slot] = rhs(e) }, nil
-		case "+=":
-			return func(e *DEnv) { e.Ints[slot] += rhs(e) }, nil
-		case "-=":
-			return func(e *DEnv) { e.Ints[slot] -= rhs(e) }, nil
-		case "*=":
-			return func(e *DEnv) { e.Ints[slot] *= rhs(e) }, nil
-		case "/=":
-			return func(e *DEnv) { e.Ints[slot] /= rhs(e) }, nil
-		case "%=":
-			return func(e *DEnv) { e.Ints[slot] %= rhs(e) }, nil
-		case "<<=":
-			return func(e *DEnv) { e.Ints[slot] <<= uint(rhs(e)) }, nil
-		case ">>=":
-			return func(e *DEnv) { e.Ints[slot] >>= uint(rhs(e)) }, nil
-		}
-		return nil, errSpecIneligible
+// rhs records the right-hand side of an assignment to a target of type
+// typ and checks its operator: one the interpreter has for that type.
+func (b *specBuilder) rhs(st *cc.AssignStmt, typ cc.ElemType) error {
+	var err error
+	if typ == cc.TInt {
+		_, err = b.exprI(st.RHS)
+	} else {
+		_, err = b.exprF(st.RHS)
 	}
-	rhs, err := b.exprF(st.RHS)
+	if err != nil || st.Op == "=" || st.Reduce != nil {
+		return err
+	}
+	if _, err = intApply(st.Op, st.Pos()); typ != cc.TInt {
+		_, err = floatApply(st.Op, st.Pos())
+	}
 	if err != nil {
-		return nil, err
+		return errSpecIneligible
 	}
-	round := func(v float64) float64 { return v }
-	if lhs.Decl.Type == cc.TFloat {
-		round = func(v float64) float64 { return float64(float32(v)) }
-	}
-	switch st.Op {
-	case "=":
-	case "+=", "-=", "*=":
-		b.cur.Flops++
-	case "/=":
-		b.cur.Flops += 4
-	default:
-		return nil, errSpecIneligible
-	}
-	switch st.Op {
-	case "=":
-		return func(e *DEnv) { e.Floats[slot] = round(rhs(e)) }, nil
-	case "+=":
-		return func(e *DEnv) { e.Floats[slot] = round(e.Floats[slot] + rhs(e)) }, nil
-	case "-=":
-		return func(e *DEnv) { e.Floats[slot] = round(e.Floats[slot] - rhs(e)) }, nil
-	case "*=":
-		return func(e *DEnv) { e.Floats[slot] = round(e.Floats[slot] * rhs(e)) }, nil
-	default:
-		return func(e *DEnv) { e.Floats[slot] = round(e.Floats[slot] / rhs(e)) }, nil
-	}
+	return nil
 }
 
-// index compiles an access index. Affine indices compile twice — once
-// against the host Env for the launch-time endpoint checks, once for
-// the specialized body. Non-affine (computed) indices — indirect loads,
-// inner-loop-variable subscripts, modular arithmetic — compile only the
-// direct form; the interval prover bounds their ranges at launch.
-// Only the direct compilation accrues cost (one evaluation per
-// execution, like the interpreter).
+// index compiles an access index. An affine one also compiles against
+// the host Env for the launch-time endpoint checks; a non-affine
+// (computed) one — indirect loads, inner-loop-variable subscripts,
+// modular arithmetic — is bounded at launch by the interval prover. Only
+// the direct form accrues cost (one evaluation per execution, like the
+// interpreter).
 func (b *specBuilder) index(idx cc.Expr) (ExprI, dExprI, bool, error) {
 	affine := true
 	if _, err := b.affineDegree(foldExpr(idx)); err != nil {
@@ -1024,155 +881,50 @@ func (b *specBuilder) index(idx cc.Expr) (ExprI, dExprI, bool, error) {
 	var hostIdx ExprI
 	if affine && !b.noRecord {
 		var err error
-		hostIdx, err = CompileExprI(idx)
-		if err != nil {
+		if hostIdx, err = CompileExprI(idx); err != nil {
 			return nil, nil, false, errSpecIneligible
 		}
 	}
 	didx, err := b.exprI(idx)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	return hostIdx, didx, affine, nil
+	return hostIdx, didx, affine, err
 }
 
-func (b *specBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (DStmt, error) {
+// arrayAssign records a store or a reduction-lane update: its index, the
+// access, then the value.
+func (b *specBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) error {
 	decl := lhs.Array
 	slot := decl.Slot
-	hostIdx, didx, affine, err := b.index(lhs.Index)
+	hostIdx, _, affine, err := b.index(lhs.Index)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	acc := SpecAccess{
 		Slot: slot, Kind: AccessStore, InBranch: b.inBranch, InLoop: b.inLoop,
 		Affine: affine, Index: hostIdx,
 	}
+	b.spec.WrittenSlots[slot] = true
+	if st.Reduce != nil {
+		// The interpreter charges one flop at the statement plus the view's
+		// fixed reduce cost (one flop, 8 bytes each way, one ReduceOp).
+		acc.Kind = AccessReduce
+		b.cur.Flops += 2
+		b.cur.ReduceOps++
+		b.cur.BytesRead += 8
+		b.cur.BytesWritten += 8
+	} else {
+		if !acc.Exact() {
+			b.spec.InexactStores[slot] = true
+		}
+		size := decl.Type.Size()
+		b.cur.Stores[slot]++
+		b.cur.BytesWritten += size
+		if st.Op != "=" {
+			b.cur.Flops++
+			b.cur.BytesRead += size
+		}
+	}
 	b.spec.Accesses = append(b.spec.Accesses, acc)
-	if !acc.Exact() {
-		b.spec.InexactStores[slot] = true
-	}
-	b.spec.WrittenSlots[slot] = true
-	size := decl.Type.Size()
-	b.cur.Stores[slot]++
-	b.cur.BytesWritten += size
-	if decl.Type == cc.TInt {
-		rhs, err := b.exprI(st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		if st.Op == "=" {
-			return func(e *DEnv) {
-				a := &e.Arrays[slot]
-				p := a.off(didx(e) - a.Base)
-				a.I32[p] = int32(rhs(e))
-				a.mark(p)
-			}, nil
-		}
-		apply, err := intApply(st.Op, st.Pos())
-		if err != nil {
-			return nil, errSpecIneligible
-		}
-		b.cur.Flops++
-		b.cur.BytesRead += size
-		return func(e *DEnv) {
-			a := &e.Arrays[slot]
-			p := a.off(didx(e) - a.Base)
-			a.I32[p] = int32(apply(int64(a.I32[p]), rhs(e)))
-			a.mark(p)
-		}, nil
-	}
-	rhs, err := b.exprF(st.RHS)
-	if err != nil {
-		return nil, err
-	}
-	f32 := decl.Type == cc.TFloat
-	if st.Op == "=" {
-		if f32 {
-			return func(e *DEnv) {
-				a := &e.Arrays[slot]
-				p := a.off(didx(e) - a.Base)
-				a.F32[p] = float32(rhs(e))
-				a.mark(p)
-			}, nil
-		}
-		return func(e *DEnv) {
-			a := &e.Arrays[slot]
-			p := a.off(didx(e) - a.Base)
-			a.F64[p] = rhs(e)
-			a.mark(p)
-		}, nil
-	}
-	apply, err := floatApply(st.Op, st.Pos())
-	if err != nil {
-		return nil, errSpecIneligible
-	}
-	b.cur.Flops++
-	b.cur.BytesRead += size
-	if f32 {
-		return func(e *DEnv) {
-			a := &e.Arrays[slot]
-			p := a.off(didx(e) - a.Base)
-			a.F32[p] = float32(apply(float64(a.F32[p]), rhs(e)))
-			a.mark(p)
-		}, nil
-	}
-	return func(e *DEnv) {
-		a := &e.Arrays[slot]
-		p := a.off(didx(e) - a.Base)
-		a.F64[p] = apply(a.F64[p], rhs(e))
-		a.mark(p)
-	}, nil
-}
-
-func (b *specBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (DStmt, error) {
-	decl := lhs.Array
-	slot := decl.Slot
-	hostIdx, didx, affine, err := b.index(lhs.Index)
-	if err != nil {
-		return nil, err
-	}
-	b.spec.Accesses = append(b.spec.Accesses, SpecAccess{
-		Slot: slot, Kind: AccessReduce, InBranch: b.inBranch, InLoop: b.inLoop,
-		Affine: affine, Index: hostIdx,
-	})
-	b.spec.WrittenSlots[slot] = true
-	mul := st.Reduce.Op == "*"
-	// The interpreter charges one flop at the statement plus the view's
-	// fixed reduce cost (one flop, 8 bytes each way, one ReduceOp).
-	b.cur.Flops += 2
-	b.cur.ReduceOps++
-	b.cur.BytesRead += 8
-	b.cur.BytesWritten += 8
-	if decl.Type == cc.TInt {
-		rhs, err := b.exprI(st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		if mul {
-			return func(e *DEnv) {
-				a := &e.Arrays[slot]
-				a.LaneI[didx(e)] *= rhs(e)
-			}, nil
-		}
-		return func(e *DEnv) {
-			a := &e.Arrays[slot]
-			a.LaneI[didx(e)] += rhs(e)
-		}, nil
-	}
-	rhs, err := b.exprF(st.RHS)
-	if err != nil {
-		return nil, err
-	}
-	if mul {
-		return func(e *DEnv) {
-			a := &e.Arrays[slot]
-			a.LaneF[didx(e)] *= rhs(e)
-		}, nil
-	}
-	return func(e *DEnv) {
-		a := &e.Arrays[slot]
-		a.LaneF[didx(e)] += rhs(e)
-	}, nil
+	return b.rhs(st, decl.Type)
 }
 
 // exprI, exprF and cond mirror CompileExprI/CompileExprF/compileCond:

@@ -30,39 +30,25 @@ import (
 // site-major order is lane-major order for every target.
 //
 // One array of the loop may be both loaded and stored (BFS: cost[w]; or
-// stored in the loop and loaded by the tile's prefix, the watched window).
-// Its loads precede its store in the body, and its commit walks the flat
-// lanes one by one: a lane's loads are held against memory as the earlier
-// lanes' stores have left it, then its own store commits. The first lane
+// stored in the loop and loaded by the tile's prefix, the watched window),
+// at up to maxHazSites sites each. Its loads precede its stores in the
+// body, and its commit walks the flat lanes one by one: a lane's loads are
+// held against memory as the earlier lanes' stores have left it, then its
+// own stores commit, in program order. The first lane
 // q that loaded a value an earlier lane of the flat tile has since
 // changed ends the tile: lanes below q saw exactly what they would have
 // seen in iteration order and commit, the next flat tile starts at q and
 // loads afresh (SpecStats.FlatCuts). Lane 0 follows only committed tiles,
-// so every flat tile commits at least one lane. A store into the watched
-// window (DArray.Hit) keeps its meaning: the storing outer lane finishes
-// its trips, in as many flat tiles as it takes, and the outer lanes after
-// it re-run on the per-iteration body.
-//
-// What a cut discards was computed for nothing. An outer tile that has
-// discarded more than half of what it committed, beyond a slack of
-// flatSlack lanes, finishes lane by lane through the loop's per-iteration
-// closures, from the trip it stands at (laneRunner, always exact). So
-// does, from the start, an outer tile of fewer than flatMin lanes: too few
-// trips to pay for setting a flat tile up.
+// so every flat tile commits at least one lane, and the walk always ends.
+// A store into the watched window (DArray.Hit) keeps its meaning: the
+// storing outer lane finishes its trips, in as many flat tiles as it
+// takes, and the outer tile ends after it (VecEnv.cut): the outer lanes
+// after it start the next tile.
 
-// flatSlack is how many flat lanes an outer tile may compute and discard
-// at hazard cuts, beyond half of those it committed, before it finishes
-// lane by lane. A loop whose every lane collides with the one before it
-// (each flat tile commits one lane of VecTile) gives up after three flat
-// tiles; BFS at 0.01x discards 9 % of its flat lanes and never does.
-const flatSlack = 2 * VecTile
-
-// flatMin is the shortest a flat tile gets: after a cut the next one is
-// as long as the cut one got (hazards come in stretches), doubling back to
-// VecTile with every flat tile that commits whole. An outer tile of fewer
-// lanes (a worker's chunk in a very small launch) runs the loop lane by
-// lane: accd's tiny BFS runs, 17 lanes a chunk, took a fifth longer as
-// flat tiles.
+// flatMin is the shortest a flat tile gets after a cut, the scratch
+// allowing: the next one is as long as the cut one got (hazards come in
+// stretches), doubling back to VecTile with every flat tile that commits
+// whole.
 const flatMin = 32
 
 // flatSite is what one effect site of a flat body, or one load to hold
@@ -120,14 +106,16 @@ type flatLoop struct {
 	// flat lanes under q.
 	commits []func(vm *VecEnv, q int)
 	// stores are the body's store sites. hazSlot is the array whose
-	// commit holds loads against memory (-1: none), hazLoads its load sites
-	// (at most maxHazLoads); its store stands first in stores.
-	stores   []flatStoreSite
-	hazSlot  int
-	hazLoads []int
+	// commit holds loads against memory (-1: none), hazLoads its load sites;
+	// its nHaz store sites stand first in stores, in program order.
+	stores        []flatStoreSite
+	hazSlot, nHaz int
+	hazLoads      []int
 }
 
-const maxHazLoads = 4
+// maxHazSites bounds the load sites, and the store sites, of the array
+// whose commit walks lane by lane.
+const maxHazSites = 4
 
 // flatStoreSite is a store of a flat body: the array, the site that
 // records it, and the operator of a compound store (nil for "=").
@@ -142,17 +130,17 @@ func (v *vecBuilder) newSite() int {
 	return v.spec.FlatSites - 1
 }
 
-// flatOK decides whether a loop that check marked lane-major can run as
-// flat tiles, live being the private scalars defined around it. It cannot
+// flatOK decides whether a loop that check marked for flat tiles can run
+// as them, live being the private scalars defined around it. It cannot
 // when it is not a counted loop whose header alone sets its variable;
 // when its init or bound reads what the body assigns or stores; when the
 // body holds a loop; when the body assigns with "=" a private scalar live
 // around the loop, or op-assigns one in two places or reads it (the
-// running value exists only at commit); when an array has two store
-// sites; when two arrays need the lane-by-lane commit, or one is loaded
-// after its store; or when such an array is there and something may
-// divide by zero (a lane past a hazard computes on stale values before it
-// is discarded).
+// running value exists only at commit); when an array other than the one
+// below has two store sites; when two arrays need the lane-by-lane
+// commit, or one is loaded after its store; or when such an array is
+// there and something may divide by zero (a lane past a hazard computes on
+// stale values before it is discarded).
 func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 	lv := countedVar(st)
 	if lv == nil || v.scalars[lv].kind != kUniform {
@@ -241,10 +229,11 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 		watched[v.spec.Accesses[ai].Slot] = true
 	}
 	for slot, n := range stores {
-		ok = ok && n == 1
 		if loaded[slot] > 0 || watched[slot] {
-			ok = ok && fl.hazSlot < 0 && !div && loaded[slot] <= maxHazLoads
+			ok = ok && fl.hazSlot < 0 && !div && loaded[slot] <= maxHazSites && n <= maxHazSites
 			fl.hazSlot = slot
+		} else {
+			ok = ok && n == 1
 		}
 	}
 	if !ok {
@@ -253,12 +242,16 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 	return fl
 }
 
-// flatLoop compiles a loop flatOK took: its header for the outer tile,
-// its body for the flat tiles, and the driver that walks the trips.
-func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) (VStmt, error) {
+// flatLoop compiles a loop as flat tiles — its header for the outer
+// tile, its body for the flat tiles, and the walk over the trips
+// — or fails where flatOK refuses it.
+func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error) {
+	fl := v.flatOK(st, live)
+	if fl == nil {
+		return nil, errSpecIneligible
+	}
 	rec := v.sb.loops[st]
 	_, boundX, incl, _ := canonicalFor(st)
-	ai, armi := v.ai, v.armi
 	init, err := v.vExprI(st.Init.RHS)
 	if err != nil {
 		return nil, err
@@ -287,18 +280,10 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) 
 	if err != nil || cursorA != rec.accEnd || cursorArm != rec.armEnd {
 		return nil, errSpecIneligible
 	}
-	// The same loop lane by lane, for an outer tile that cuts too often.
-	v.ai, v.armi = ai, armi
-	lanes := v.laneRunner(st, live)
+	v.ai, v.armi = cursorA, cursorArm
 	siteEnd := spec.FlatSites
 
 	return func(vm *VecEnv, i0 int64, L int) {
-		if L < flatMin {
-			// A launch this small: a flat tile costs more to set up than its
-			// few trips cost one by one.
-			lanes.run(vm, i0, L, vm.act, 0, 0)
-			return
-		}
 		D, fvm, act := vm.D, vm.flatScratch(), vm.act
 		lo, hi := lov(vm, i0, L), hiv(vm, i0, L)
 		end := func(t int32) int64 {
@@ -307,21 +292,11 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) 
 			}
 			return hi[t]
 		}
-		// charge counts the loop's two buckets for the outer lanes whose
-		// trips ran, or will, off the loop's own closure.
-		charge := func(lanes []int32) {
-			for _, t := range lanes {
-				trips := max(end(t)-lo[t], 0)
-				D.Branch[condIdx] += trips + 1
-				D.Branch[bodyIdx] += trips
-			}
-		}
 		fvm.D = D
 		seg, iv, lvv := fvm.seg, fvm.BufI[fl.iv], fvm.BufI[fl.lvv]
 		// (k, x) is the trip the walk stands at: lane act[k], the loop's
 		// variable at x. stop, once set, is the outer lane that stored into
 		// the tile's window.
-		var committed, wasted int
 		k, x, stop, limit := 0, int64(0), int32(-1), len(seg)
 		if len(act) > 0 {
 			x = lo[act[0]]
@@ -366,8 +341,8 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) 
 			// Flat lane q, or the trip after the flat tile, is where the next
 			// flat tile starts — unless the outer lane that stored into the
 			// window is done: the lanes after it (empty rows among them) are
-			// the per-iteration body's.
-			if committed += q; q == n {
+			// the next tile's.
+			if q == n {
 				k, x = kk, xx
 			} else {
 				for act[k] != seg[q] {
@@ -385,16 +360,18 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl, fl *flatLoop) 
 				limit = min(2*limit, len(seg))
 				continue
 			}
-			limit = max(q, flatMin)
+			limit = max(q, min(flatMin, len(seg)))
 			D.FlatCuts++
-			if wasted += n - q; wasted > committed+flatSlack {
-				charge(act[:k+1])
-				lanes.run(vm, i0, L, act[k:], x, max(end(act[k]), x))
-				return
-			}
 		}
-		if charge(act[:k]); stop >= 0 {
-			lanes.hit(vm, i0, L, int(stop))
+		// The loop's two buckets, for the outer lanes whose trips ran.
+		for _, t := range act[:k] {
+			trips := max(end(t)-lo[t], 0)
+			D.Branch[condIdx] += trips + 1
+			D.Branch[bodyIdx] += trips
+		}
+		if stop >= 0 {
+			vm.cut = int(stop) + 1
+			D.HazardLanes += int64(L - vm.cut)
 		}
 	}, nil
 }
@@ -417,12 +394,11 @@ func (vm *VecEnv) flatScratch() *VecEnv {
 // that stored into the tile's window (-1: none).
 func (fl *flatLoop) commit(vm *VecEnv, n int) (q int, hit int32) {
 	q, hit = n, -1
-	for i, st := range fl.stores {
-		if i == 0 && st.slot == fl.hazSlot {
-			q, hit = st.walk(vm, n, fl.hazLoads)
-		} else {
-			st.walk(vm, q, nil)
-		}
+	if fl.nHaz > 0 {
+		q, hit = commitStores(vm, fl.stores[:fl.nHaz], n, fl.hazLoads)
+	}
+	for i := fl.nHaz; i < len(fl.stores); i++ {
+		commitStores(vm, fl.stores[i:i+1], q, nil)
 	}
 	for _, c := range fl.commits {
 		c(vm, q)
@@ -430,48 +406,62 @@ func (fl *flatLoop) commit(vm *VecEnv, n int) (q int, hit int32) {
 	return q, hit
 }
 
-// walk commits the site's stores of the flat lanes under n, ascending,
-// through DArray.mark like any per-iteration store. Where load sites are
-// given it stops at the first lane one of whose loads an earlier store
-// of the walk has changed: see the file header.
-func (st flatStoreSite) walk(vm *VecEnv, n int, loadSites []int) (q int, hit int32) {
-	rec := &vm.sites[st.site]
-	if len(rec.act) == 0 {
-		return n, -1 // no lane stores: every load saw committed memory
-	}
-	var loads [maxHazLoads]*flatSite
+// commitStores commits the stores to one array the sites sts recorded for the
+// flat lanes under n, lane by lane, ascending, each lane's in program
+// order, through DArray.mark, which marks what the interpreter's stores
+// mark. Where load sites are given it stops at the first lane one of
+// whose loads an earlier store of the walk has changed: see the file
+// header.
+func commitStores(vm *VecEnv, sts []flatStoreSite, n int, loadSites []int) (q int, hit int32) {
+	var loads [maxHazSites]*flatSite
 	for j, k := range loadSites {
 		loads[j] = &vm.sites[k]
 	}
 	held := loads[:len(loadSites)]
-	switch a := &vm.D.Arrays[st.slot]; {
+	vi := func(s *flatSite) []int64 { return s.vi }
+	vf := func(s *flatSite) []float64 { return s.vf }
+	switch a := &vm.D.Arrays[sts[0].slot]; {
 	case a.I32 != nil:
-		return walkLanes(a, a.I32, vm.seg, n, held, rec, func(s *flatSite) []int64 { return s.vi }, st.applyI)
+		return walkLanes(a, a.I32, vm, n, held, sts, vi, func(st flatStoreSite) func(int64, int64) int64 { return st.applyI })
 	case a.F32 != nil:
-		return walkLanes(a, a.F32, vm.seg, n, held, rec, func(s *flatSite) []float64 { return s.vf }, st.applyF)
+		return walkLanes(a, a.F32, vm, n, held, sts, vf, func(st flatStoreSite) func(float64, float64) float64 { return st.applyF })
 	default:
-		return walkLanes(a, a.F64, vm.seg, n, held, rec, func(s *flatSite) []float64 { return s.vf }, st.applyF)
+		return walkLanes(a, a.F64, vm, n, held, sts, vf, func(st flatStoreSite) func(float64, float64) float64 { return st.applyF })
 	}
 }
 
-func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []T, seg []int32, n int,
-	loads []*flatSite, st *flatSite, vals func(*flatSite) []S, apply func(S, S) S) (q int, hit int32) {
-	var lv [maxHazLoads][]S
+func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []T, vm *VecEnv, n int,
+	loads []*flatSite, sts []flatStoreSite, vals func(*flatSite) []S, applyOf func(flatStoreSite) func(S, S) S) (q int, hit int32) {
+	var lv [maxHazSites][]S
 	for j, s := range loads {
 		lv[j] = vals(s)
 	}
-	sv, hit := vals(st), int32(-1)
+	// The walk starts at the first lane that stores: every load before it
+	// saw committed memory.
+	var (
+		recs [maxHazSites]*flatSite
+		sv   [maxHazSites][]S
+		ops  [maxHazSites]func(S, S) S
+		cur  [maxHazSites]int
+	)
+	p0 := n
+	for j, st := range sts {
+		recs[j], sv[j], ops[j] = &vm.sites[st.site], vals(&vm.sites[st.site]), applyOf(st)
+		if len(recs[j].act) > 0 {
+			p0 = min(p0, int(recs[j].act[0]))
+		}
+	}
 	// seen has a bit per low index byte-and-a-half of the flat tile's
 	// stores so far: a load whose bit is clear stands without a look at
 	// memory. Before the first store every load stands.
 	var seen [64]uint64
-	base, sact, cur := a.Base, st.act, 0
-	for p := int(sact[0]); p < n; p++ {
+	stored, seg, base, hit := false, vm.seg, a.Base, int32(-1)
+	for p := p0; p < n; p++ {
 		if hit >= 0 && seg[p] != hit {
 			return p, hit
 		}
 		for j, s := range loads {
-			if cur == 0 {
+			if !stored {
 				break
 			}
 			if len(s.act) != n { // not every lane loads here: find p
@@ -486,15 +476,19 @@ func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []
 				return p, hit
 			}
 		}
-		if cur < len(sact) && int(sact[cur]) == p {
-			cur++
-			x := st.idx[p]
+		for j := range sts {
+			rec := recs[j]
+			if cur[j] == len(rec.act) || int(rec.act[cur[j]]) != p {
+				continue
+			}
+			cur[j], stored = cur[j]+1, true
+			x := rec.idx[p]
 			seen[x>>6&63] |= 1 << (x & 63)
 			o := a.off(x - base)
-			if apply != nil {
-				src[o] = T(apply(S(src[o]), sv[p]))
+			if apply := ops[j]; apply != nil {
+				src[o] = T(apply(S(src[o]), sv[j][p]))
 			} else {
-				src[o] = T(sv[p])
+				src[o] = T(sv[j][p])
 			}
 			if a.mark(o); a.Hit && hit < 0 {
 				hit = seg[p]
@@ -627,7 +621,7 @@ func (v *vecBuilder) flatFold(st *cc.AssignStmt, d *cc.VarDecl, outer bool) (VSt
 }
 
 // flatElement compiles what an effect on an array element records: the
-// index and the value as vectors, in the order the per-iteration
+// index and the value as vectors, in the order the interpreter's
 // statement evaluates them.
 func (v *vecBuilder) flatElement(st *cc.AssignStmt, lhs *cc.IndexExpr) (ix, ri vecI, rf vecF, err error) {
 	li, err := v.laneIndex(lhs.Index)
@@ -674,7 +668,8 @@ func (v *vecBuilder) flatStore(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, err
 		}
 	}
 	if site.slot == fl.hazSlot {
-		fl.stores = slices.Insert(fl.stores, 0, site)
+		fl.stores = slices.Insert(fl.stores, fl.nHaz, site)
+		fl.nHaz++
 	} else {
 		fl.stores = append(fl.stores, site)
 	}

@@ -8,17 +8,18 @@ import (
 
 // Vectorized (tiled) execution of specialized kernel bodies.
 //
-// The per-iteration DStmt closure tree pays roughly one indirect call
-// per expression node per iteration, which caps the fast path at about
-// 2x over the interpreter. The builder below compiles a second form
-// that runs a tile of up to VecTile consecutive iterations in lockstep,
-// the way the warp of the GPU the paper targets would: each expression
-// node becomes one tight loop over the tile's lanes. It covers
-// straight-line statements, data-dependent if-arms, gathers,
-// layout-transformed copies and inner loops, each loop on the schedule
-// its shape allows (check): in lockstep when its trips are uniform
-// across the tile, as flat tiles when they are not or when it holds
-// ordered effects (specflat.go), one lane at a time as the last resort:
+// A closure tree walked once per iteration pays roughly one indirect
+// call per expression node per iteration, which capped the fast path at
+// about 2x over the interpreter. The builder below compiles the body
+// into the one form the specialized executor runs: a tile of up to
+// VecTile consecutive iterations in lockstep, the way the warp of the GPU
+// the paper targets would, each expression node one tight loop over the
+// tile's lanes. It covers straight-line statements, data-dependent
+// if-arms, gathers, layout-transformed copies and inner loops, each loop
+// on the schedule its shape allows (check): in lockstep when its trips
+// are uniform across the tile, as flat tiles when they are not or when it
+// holds ordered effects (specflat.go). A body it does not take has no
+// specialized form: the kernel runs on the interpreter.
 //
 //   - A scalar the body assigns with "=" is private: one value per
 //     lane, kept in a scratch vector. An inner loop's induction
@@ -48,16 +49,15 @@ import (
 //     trips differ from lane to lane, runs as flat tiles: its (lane,
 //     trip) pairs in lane-major order, the body in lockstep over them,
 //     cut at the first hazard (SPMV: `acc = 0.0` and `y[i] = acc` in
-//     lockstep around the CSR loop; BFS). What neither takes runs
-//     lane-major: one active lane after the other, ascending, through
-//     the loop's per-iteration closure, the privates live around it
-//     copied in and out (laneRunner).
+//     lockstep around the CSR loop; BFS; a body that is nothing but
+//     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
+//     kernel on the interpreter.
 //
-// Bit-exactness contract (the same one the DStmt path honours): every
-// float64 operation happens in the same order with the same operands as
-// the interpreter would have performed it for each element, with
-// float32 rounding applied at exactly the same points. What makes the
-// tile schedule element-equivalent to the iteration-by-iteration one:
+// Bit-exactness contract: every float64 operation happens in the same
+// order with the same operands as the interpreter would have performed
+// it for each element, with float32 rounding applied at exactly the same
+// points. What makes the tile schedule element-equivalent to the
+// iteration-by-iteration one:
 //
 //   - Every read of a private scalar is dominated by an "=" in an
 //     enclosing block, every read of an inner induction variable lies in
@@ -72,22 +72,21 @@ import (
 //     gathers from. Against the other affine accesses of the same array
 //     the runtime proves, per launch, that they hit the same element
 //     every iteration or disjoint element sets (internal/rt); when that
-//     fails the launch silently uses the per-iteration DStmt body, which
-//     is always exact.
-//   - An array stored inside a flat or lane-major loop is accessed
-//     nowhere outside that loop, with one exception: the BFS idiom, a prefix
-//     that loads cost[i] over a loop that stores cost[w]. Evaluating a
-//     tile's prefix before its loops is exact unless a store lands on an
-//     element the prefix has already loaded for a later lane. scan admits
-//     it when the kernel's workers run in order (Kernel.SerialWorkers),
-//     the loop is the last thing on its path, and everything before it is
-//     free of effects, faults and foreign arm counts (tailPath). Each
-//     tile then sets the window of physical offsets its prefix loads
+//     fails the chunk runs on the interpreter.
+//   - An array stored inside a flat loop is accessed nowhere outside
+//     that loop, with one exception: the BFS idiom, a prefix that loads
+//     cost[i] over a loop that stores cost[w]. Evaluating a tile's prefix
+//     before its loops is exact unless a store lands on an element the
+//     prefix has already loaded for a later lane. scan admits it when the
+//     kernel's workers run in order (Kernel.SerialWorkers), the loop is
+//     the last thing on its path, and everything before it is free of
+//     effects, faults and foreign arm counts (tailPath). Each tile then
+//     sets the window of physical offsets its prefix loads
 //     (DArray.watch); every such store passes DArray.mark, which raises
-//     Hit inside the window; the storing lane finishes its loop, and the
-//     lanes after it run the exact per-iteration Body, which re-evaluates
-//     the prefix in order, while the enclosing arms take back what they
-//     had counted for them (laneRunner.hit, VecEnv.cut).
+//     Hit inside the window; the storing lane finishes its loop, the
+//     enclosing arms take back what they had counted for the lanes after
+//     it (VecEnv.cut), and the tile ends there: the next one starts at
+//     the lane after the storing one and evaluates the prefix afresh.
 //
 // Fused multiply-add shapes (k*x ± y in one pass) keep an explicit
 // float64(...) conversion around the product: the Go spec lets an
@@ -113,9 +112,8 @@ const VecTile = 512
 // coefficients, the per-node scratch vectors and the active-lane lists.
 type VecEnv struct {
 	// D is the worker's direct environment (scalars, arrays, lanes, arm
-	// counters); shared with the per-iteration path so reduction merging
-	// is identical either way. The runtime sets it when it hands the
-	// scratch to a worker.
+	// counters). The runtime sets it when it hands the scratch to a
+	// worker.
 	D *DEnv
 	// AccA/AccB give each affine access's index over the current piece
 	// (Accesses order): index(i) = AccA*i + AccB. Written by the
@@ -132,8 +130,8 @@ type VecEnv struct {
 	mask [][]int32
 	tile int
 	// cut, when nonzero, says a store hit a watched window (DArray.Hit)
-	// in the current tile: only its first cut lanes ran here, the rest
-	// re-ran on the per-iteration body, which counted its own arms.
+	// in the current tile: only its first cut lanes ran, the rest go to
+	// the next tile.
 	cut int
 	// flat is the scratch the tile's flat tiles run on (specflat.go), nil
 	// for a spec without a flat loop. In it, outer is the tile's own
@@ -144,7 +142,8 @@ type VecEnv struct {
 	sites       []flatSite
 }
 
-// VStmt executes one tile: iterations i0 .. i0+L-1, L ≤ VecTile.
+// VStmt executes one statement for a tile: iterations i0 .. i0+L-1,
+// L ≤ VecTile.
 type VStmt func(vm *VecEnv, i0 int64, L int)
 
 // NewVecEnv allocates tile scratch for the spec; Reserve sizes it.
@@ -242,15 +241,14 @@ type scalarInfo struct {
 type vecBuilder struct {
 	loopVar *cc.VarDecl
 	spec    *KernelSpec
-	// sb is the finished scalar build (its loop records); sc compiles
-	// uniform subtrees with the scalar spec compiler, recording nothing
-	// (the main pass already accounted every cost and access).
+	// sb is the finished record of the body (its loop records); sc
+	// compiles uniform subtrees with its expression compiler, recording
+	// nothing (the walk already accounted every cost and access).
 	sb, sc  *specBuilder
 	scalars map[*cc.VarDecl]scalarInfo
-	// laneMajor holds the loops that run lane by lane, each with the
-	// private scalars defined around it (the ones a lane carries in and
-	// out).
-	laneMajor map[*cc.ForStmt][]*cc.VarDecl
+	// flatLoops holds the loops that run as flat tiles, each with the
+	// private scalars defined around it.
+	flatLoops map[*cc.ForStmt][]*cc.VarDecl
 	// injLoops holds the uniform loops that update reduction lanes in
 	// lockstep (injective), with the same scalars; inj collects, while one
 	// compiles, the indices forStmt checks before the first trip.
@@ -259,7 +257,7 @@ type vecBuilder struct {
 	// flat is set while the body of a flat loop compiles (specflat.go).
 	flat *flatLoop
 	// windows lists the prefix loads (spec.Accesses indices) of arrays
-	// the lane-major loop stores to: what each tile watches.
+	// a flat loop stores to: what each tile watches.
 	windows  []int
 	ai, armi int
 	// masked is set while compiling inside an if-arm; depth counts the
@@ -272,19 +270,15 @@ type vecBuilder struct {
 	topI, topF   int
 	baseI, baseF int
 	nBufI, nBufF int
-	// undo logs the scalars scan defined since a block was entered; lm
-	// is set inside a loop that runs lane by lane. lockstep says some
-	// statement runs in lockstep, newLane that some loop runs lane by lane
-	// for its stores or its divergent trips.
-	undo              []*cc.VarDecl
-	lm                int
-	lockstep, newLane bool
+	// undo logs the scalars scan defined since a block was entered;
+	// inFlat is set while check is inside a flat loop.
+	undo   []*cc.VarDecl
+	inFlat bool
 }
 
-// buildVec attaches a tiled body to an already-built spec when the
-// shape allows it; otherwise it leaves VecBody nil and says why in
-// Untiled (the per-iteration body still runs).
-func buildVec(body cc.Stmt, b *specBuilder) {
+// buildVec compiles the tiled body of an already-recorded spec, or
+// returns why the shape has none ("order" or "shape").
+func buildVec(body cc.Stmt, b *specBuilder) string {
 	spec := b.spec
 	v := &vecBuilder{
 		loopVar: b.loopVar, spec: spec, sb: b,
@@ -293,17 +287,16 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 			spec: &KernelSpec{}, cur: &IterCost{},
 		},
 		scalars:   make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
-		laneMajor: map[*cc.ForStmt][]*cc.VarDecl{},
+		flatLoops: map[*cc.ForStmt][]*cc.VarDecl{},
 		injLoops:  map[*cc.ForStmt][]*cc.VarDecl{},
 	}
 	v.sc.uniform = v.uniform
-	if spec.Untiled = v.scan(body); spec.Untiled != "" {
-		return
+	if reason := v.scan(body); reason != "" {
+		return reason
 	}
 	st, err := v.stmt(body)
 	if err != nil || v.ai != len(spec.Accesses) || v.armi != len(spec.Arms) {
-		spec.Untiled = "shape"
-		return
+		return "shape"
 	}
 	if st == nil {
 		st = func(*VecEnv, int64, int) {} // empty body (an if without else, split)
@@ -311,33 +304,36 @@ func buildVec(body cc.Stmt, b *specBuilder) {
 	spec.NumBufI, spec.NumBufF = v.nBufI, v.nBufF
 	if v.usesAct {
 		spec.NumMask = 1 + 2*v.maxArms
-		body := st
-		st = func(vm *VecEnv, i0 int64, L int) {
+	}
+	usesAct, wins, acc := v.usesAct, v.windows, spec.Accesses
+	spec.VecBody = func(vm *VecEnv, i0 int64, L int) int {
+		if usesAct {
 			vm.act = vm.mask[0][:L]
-			body(vm, i0, L)
 		}
-	}
-	if wins := v.windows; len(wins) > 0 {
-		// Watch what this tile's prefix loads of the arrays its lane-major
-		// loop stores to: each load's walk over the tile, as physical
-		// offsets (a written array is never layout-transformed).
-		body, acc := st, spec.Accesses
-		st = func(vm *VecEnv, i0 int64, L int) {
-			vm.cut = 0
-			for _, ai := range wins {
-				a := &vm.D.Arrays[acc[ai].Slot]
-				a.WinLen, a.Hit = 0, false
-			}
-			for _, ai := range wins {
-				a := &vm.D.Arrays[acc[ai].Slot]
-				p := vm.AccA[ai]*i0 + vm.AccB[ai] - a.Base
-				q := p + vm.AccA[ai]*int64(L-1)
-				a.watch(min(p, q), max(p, q))
-			}
-			body(vm, i0, L)
+		if len(wins) == 0 {
+			st(vm, i0, L)
+			return L
 		}
+		// Watch what this tile's prefix loads of the arrays its flat loop
+		// stores to: each load's walk over the tile, as physical offsets (a
+		// written array is never layout-transformed).
+		vm.cut = 0
+		for _, ai := range wins {
+			a := &vm.D.Arrays[acc[ai].Slot]
+			a.WinLen, a.Hit = 0, false
+		}
+		for _, ai := range wins {
+			a := &vm.D.Arrays[acc[ai].Slot]
+			p := vm.AccA[ai]*i0 + vm.AccB[ai] - a.Base
+			q := p + vm.AccA[ai]*int64(L-1)
+			a.watch(min(p, q), max(p, q))
+		}
+		if st(vm, i0, L); vm.cut > 0 {
+			return vm.cut
+		}
+		return L
 	}
-	spec.VecBody = st
+	return ""
 }
 
 // countLoads counts the array loads in e, nested index loads included:
@@ -383,11 +379,11 @@ func (v *vecBuilder) uniform(e cc.Expr) bool {
 }
 
 // scan decides whether the tile schedule — statements in lockstep, the
-// loops it cannot reorder lane by lane — reproduces the per-iteration
-// one, and classifies the body-assigned scalars for it. It returns "" or
-// the reason the kernel keeps its per-iteration body: "order" when a
-// fold or reduction target would see its updates out of iteration
-// order, "shape" for everything else.
+// loops it cannot reorder as flat tiles — reproduces the
+// iteration-by-iteration one, and classifies the body-assigned scalars
+// for it. It returns "" or the reason the kernel has no tiled form:
+// "order" when a fold or reduction target would see its updates out of
+// iteration order, "shape" for everything else.
 func (v *vecBuilder) scan(body cc.Stmt) string {
 	acc := v.spec.Accesses
 	for i := range acc {
@@ -425,31 +421,28 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 	if !v.check(body) {
 		return "shape"
 	}
-	if v.newLane && !v.lockstep {
-		return "shape" // nothing but such loops: nothing would run in lockstep
-	}
 
 	// Ordered effects, from the access table. A store the tile executes
 	// in lockstep is affine in the induction variable and outside loops,
-	// and nothing gathers from its array, in lockstep or lane by lane (its
-	// affine accesses face the launch's alias check). An array stored
-	// inside a lane-major loop is accessed nowhere else — but for affine
-	// loads in the effect-free prefix of a serial kernel that ends in that
-	// loop, which each tile watches (see laneMajorLoop).
+	// and nothing gathers from its array, in lockstep or in a flat loop
+	// (its affine accesses face the launch's alias check). An array stored
+	// inside a flat loop is accessed nowhere else — but for affine loads in
+	// the effect-free prefix of a serial kernel that ends in that loop,
+	// which each tile watches (see flatLoop).
 	for i := range acc {
 		a := &acc[i]
 		if a.Kind != AccessStore {
 			continue
 		}
-		if a.LaneLoop == 0 && (!a.Affine || a.InLoop) {
+		if a.FlatLoop == 0 && (!a.Affine || a.InLoop) {
 			return "shape"
 		}
 		for j := range acc {
 			b := &acc[j]
-			if b.Slot != a.Slot || a.LaneLoop != 0 && b.LaneLoop == a.LaneLoop {
+			if b.Slot != a.Slot || a.FlatLoop != 0 && b.FlatLoop == a.FlatLoop {
 				continue
 			}
-			if a.LaneLoop == 0 {
+			if a.FlatLoop == 0 {
 				if b.Kind == AccessLoad && !b.Affine {
 					return "shape"
 				}
@@ -470,8 +463,8 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 // body executes on its path and that nothing before it has an effect,
 // can fault or counts an arm the path does not lie in: every block on
 // the way holds declarations and assignments to private scalars, then
-// the loop or an else-less if that ends in it. After a window hit the rest of such a
-// tile can re-run on the per-iteration body, only the enclosing arms'
+// the loop or an else-less if that ends in it. After a window hit the
+// rest of such a tile can go to the next tile, only the enclosing arms'
 // counts to take back — the prefix ran for lanes that, in iteration
 // order, might never have reached it.
 func (v *vecBuilder) tailPath(s cc.Stmt, ai int) bool {
@@ -574,6 +567,33 @@ func (v *vecBuilder) count(s cc.Stmt) {
 	}
 }
 
+// canonicalFor matches the counted loop `for (...; v < bound; v++)`
+// (also <=) over an int scalar v and returns v, the folded bound and
+// whether the comparison includes it.
+func canonicalFor(st *cc.ForStmt) (lv *cc.VarDecl, bound cc.Expr, incl, ok bool) {
+	post := st.Post
+	if post == nil || post.Op != "+=" || st.Cond == nil {
+		return nil, nil, false, false
+	}
+	id, isID := post.LHS.(*cc.Ident)
+	one, isLit := post.RHS.(*cc.NumLit)
+	if !isID || id.Decl.Type != cc.TInt || !isLit || one.IsFloat || one.I != 1 {
+		return nil, nil, false, false
+	}
+	cmp, isCmp := foldExpr(st.Cond).(*cc.BinaryExpr)
+	if !isCmp || (cmp.Op != "<" && cmp.Op != "<=") {
+		return nil, nil, false, false
+	}
+	if cv, isCV := cmp.X.(*cc.Ident); !isCV || cv.Decl != id.Decl {
+		return nil, nil, false, false
+	}
+	bound = foldExpr(cmp.Y)
+	if bound.Type() != cc.TInt {
+		return nil, nil, false, false
+	}
+	return id.Decl, bound, cmp.Op == "<=", true
+}
+
 // countedVar returns the variable of a canonical counted loop whose
 // header alone sets it (`for (v = ...; v < bound; v++)`), or nil.
 func countedVar(st *cc.ForStmt) *cc.VarDecl {
@@ -619,9 +639,9 @@ func (v *vecBuilder) leave(mark int) {
 
 // readsOK checks every scalar read in e: a private one behind an "="
 // that dominates it (no carry from the previous iteration), an inner
-// induction variable inside its loop — in lockstep and lane by lane
-// alike: a tile has one slot for it, and outside the loop that slot holds
-// what the last lane to run the loop left, not this lane's value.
+// induction variable inside its loop — in lockstep and in a flat loop
+// alike: outside the loop, the tile's one slot for it holds what the
+// last trip left, not this lane's value.
 func (v *vecBuilder) readsOK(e cc.Expr) bool {
 	ok := true
 	cc.EachExpr(e, func(x cc.Expr) {
@@ -672,7 +692,6 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 	case *cc.DeclStmt:
 		return true
 	case *cc.AssignStmt:
-		v.lockstep = v.lockstep || v.lm == 0
 		if !v.readsOK(st.RHS) {
 			return false
 		}
@@ -689,7 +708,6 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		}
 		return false
 	case *cc.IfStmt:
-		v.lockstep = v.lockstep || v.lm == 0
 		if !v.readsOK(st.Cond) {
 			return false
 		}
@@ -702,31 +720,31 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		}
 		return ok
 	case *cc.ForStmt:
+		if v.inFlat {
+			return false // a loop in a flat loop: flatOK takes none
+		}
 		store, fold, reduce := v.effects(st)
-		if v.lm == 0 && reduce && !store && !fold && v.uniformLoop(st) && v.injective(st) {
+		if reduce && !store && !fold && v.uniformLoop(st) && v.injective(st) {
 			// Reduction-lane updates only, each at an index injective in
 			// the loop variable: lockstep like any uniform loop (the
-			// privates around it noted for the exact fallback, see forStmt).
-			v.lockstep = true
+			// privates around it noted for the flat fallback, see forStmt).
 			v.injLoops[st] = slices.Clone(v.undo)
 			return v.checkLoop(st)
 		}
-		if v.lm == 0 && (store || fold || reduce || !v.uniformLoop(st)) {
+		if store || fold || reduce || !v.uniformLoop(st) {
 			// A loop with an ordered effect, or whose trips differ from lane
-			// to lane, runs lane by lane: number its accesses, and note the
+			// to lane, runs as flat tiles: number its accesses, and note the
 			// private scalars defined around it.
-			v.newLane = v.newLane || store || !fold && !reduce
 			rec := v.sb.loops[st]
 			for ai := rec.accBeg; ai < rec.accEnd; ai++ {
-				v.spec.Accesses[ai].LaneLoop = len(v.laneMajor) + 1
+				v.spec.Accesses[ai].FlatLoop = len(v.flatLoops) + 1
 			}
-			v.lm++
+			v.inFlat = true
 			ok := v.checkLoop(st)
-			v.lm--
-			v.laneMajor[st] = slices.Clone(v.undo)
+			v.inFlat = false
+			v.flatLoops[st] = slices.Clone(v.undo)
 			return ok
 		}
-		v.lockstep = v.lockstep || v.lm == 0
 		return v.checkLoop(st)
 	}
 	return false
@@ -840,11 +858,10 @@ func (v *vecBuilder) uniformLoop(st *cc.ForStmt) bool {
 	return !own
 }
 
-// checkLoop checks an inner loop: a uniform one (uniformLoop), or —
-// inside a loop that runs lane by lane — anything the scalar compiler
-// took. An induction variable (every header that sets one is a counted
-// one, see count) is readable from its loop's condition to its post
-// statement.
+// checkLoop checks an inner loop: a uniform one (uniformLoop), or one
+// that runs as flat tiles. An induction variable (every header that sets
+// one is a counted one, see count) is readable from its loop's condition
+// to its post statement.
 func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
 	if st.Init != nil && !v.check(st.Init) {
 		return false
@@ -978,13 +995,10 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 	case *cc.IfStmt:
 		return v.ifStmt(st)
 	case *cc.ForStmt:
-		if live, ok := v.laneMajor[st]; !ok {
-			return v.forStmt(st)
-		} else if fl := v.flatOK(st, live); fl != nil {
-			return v.flatLoop(st, live, fl)
-		} else {
-			return v.laneMajorLoop(st, live)
+		if live, ok := v.flatLoops[st]; ok {
+			return v.flatLoop(st, live)
 		}
+		return v.forStmt(st)
 	}
 	return nil, errSpecIneligible
 }
@@ -992,7 +1006,7 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 // ifStmt compiles a data-dependent branch: the condition is evaluated
 // for the lanes active so far, which split into the then- and the
 // else-list; each arm runs with its list as VecEnv.act and counts its
-// length, exactly what the per-iteration arms count one by one.
+// length, exactly what the interpreter's arms count one by one.
 func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 	// cv is 1 in the lanes where the condition holds, 0 elsewhere (a
 	// comparison already is; anything else is compared with zero).
@@ -1076,8 +1090,8 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 		}
 		if vm.act = th; then != nil && len(th) > 0 {
 			then(vm, i0, L)
-			// A tile cut short under this arm (laneMajorLoop) takes back the
-			// lanes that went on to count themselves.
+			// A tile cut short under this arm (flatLoop) takes back the lanes
+			// it hands to the next tile.
 			for n := len(th); vm.cut > 0 && n > 0 && int(th[n-1]) >= vm.cut; n-- {
 				vm.D.Branch[thenIdx]--
 			}
@@ -1106,7 +1120,7 @@ type (
 // forStmt compiles a canonical inner loop whose init and bound are
 // uniform: the whole tile runs the same trips, the induction variable
 // one DEnv scalar for all lanes. The two cost buckets receive what the
-// active lanes' per-iteration loops would have counted.
+// active lanes' loops count on the interpreter.
 //
 // Where the loop updates reduction lanes (injective), trip-major order
 // must still hand every element its updates in lane order. Int targets
@@ -1114,8 +1128,10 @@ type (
 // the tile checks before the first trip that the active lanes' indices
 // are congruent modulo |c|*trips: two lanes then update the same elements
 // on the same trips, or element ranges a whole span apart. A tile that
-// fails runs the loop lane by lane, which is always exact.
+// fails runs the loop as flat tiles, in iteration order: the loop
+// compiles both ways, and one flatOK refuses leaves the kernel unspecialized.
 func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
+	ai, armi := v.ai, v.armi
 	lv, boundX, incl, _ := canonicalFor(st)
 	init, err := v.sc.exprI(st.Init.RHS)
 	if err != nil {
@@ -1141,9 +1157,10 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	var laneMajor VStmt
+	var flat VStmt
 	if len(sites) > 0 {
-		if laneMajor, err = v.laneMajorLoop(st, live); err != nil {
+		v.ai, v.armi = ai, armi
+		if flat, err = v.flatLoop(st, live); err != nil {
 			return nil, err
 		}
 	}
@@ -1155,8 +1172,8 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 			hi++
 		}
 		n, lanes := max(hi-x, 0), int64(len(vm.act))
-		if D.Ints[slot] = x; laneMajor != nil && n > 1 && !laneOrdered(vm, sites, n, i0, L) {
-			laneMajor(vm, i0, L)
+		if D.Ints[slot] = x; flat != nil && n > 1 && !laneOrdered(vm, sites, n, i0, L) {
+			flat(vm, i0, L)
 			return
 		}
 		D.Branch[condIdx] += (n + 1) * lanes
@@ -1192,113 +1209,6 @@ func laneOrdered(vm *VecEnv, sites []injSite, n, i0 int64, L int) bool {
 		}
 	}
 	return true
-}
-
-// laneMajorLoop runs a loop neither lockstep nor flat tiles take, one
-// active lane at a time, ascending, through its
-// per-iteration closure, so every effect happens in iteration order.
-// The private scalars live around the loop are copied into the lane's
-// DEnv before and back out after.
-//
-// Where the tile watches windows (scan admitted prefix loads of an array
-// this loop stores to), a lane whose store landed on an element the
-// prefix had already loaded for a later lane ends the tile: the lanes
-// after it run the whole per-iteration body, which re-evaluates the
-// prefix in order, and the enclosing arms take their counts back.
-func (v *vecBuilder) laneMajorLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error) {
-	r := v.laneRunner(st, live)
-	return func(vm *VecEnv, i0 int64, L int) { r.run(vm, i0, L, vm.act, 0, 0) }, nil
-}
-
-// laneRunner is a loop a tile runs lane by lane: its per-iteration
-// closures (the whole loop, one trip of it) and the private scalars a
-// lane carries in and out.
-type laneRunner struct {
-	loop, trip            DStmt
-	loopSlot, lvSlot, arm int
-	privI, privF          []lanePriv
-	spec                  *KernelSpec
-	wins                  []int
-}
-
-type lanePriv struct{ slot, bid int }
-
-// laneRunner takes the loop's place at the access and arm cursors.
-func (v *vecBuilder) laneRunner(st *cc.ForStmt, live []*cc.VarDecl) *laneRunner {
-	rec := v.sb.loops[st]
-	v.ai, v.armi = rec.accEnd, rec.armEnd
-	v.usesAct = true
-	r := &laneRunner{loop: rec.stmt, trip: rec.body, loopSlot: v.loopVar.Slot, arm: rec.bodyArm, spec: v.spec, wins: v.windows}
-	if lv := countedVar(st); lv != nil {
-		r.lvSlot = lv.Slot
-	}
-	for _, d := range live {
-		if bid := v.scalars[d].buf - 1; d.Type == cc.TInt {
-			r.privI = append(r.privI, lanePriv{d.Slot, bid})
-		} else {
-			r.privF = append(r.privF, lanePriv{d.Slot, bid})
-		}
-	}
-	return r
-}
-
-// run runs the loop for the outer lanes given, ascending. The first of
-// them, when to > from, only finishes a loop begun elsewhere: the trips
-// from..to-1 of its induction variable (a counted loop, its buckets
-// already charged). LaneMajorTrips counts the trips run here; iterations
-// re-run whole after a window hit are HazardLanes'.
-func (r *laneRunner) run(vm *VecEnv, i0 int64, L int, lanes []int32, from, to int64) {
-	D := vm.D
-	for k, t := range lanes {
-		D.Ints[r.loopSlot] = i0 + int64(t)
-		for _, p := range r.privI {
-			D.Ints[p.slot] = vm.BufI[p.bid][t]
-		}
-		for _, p := range r.privF {
-			D.Floats[p.slot] = vm.BufF[p.bid][t]
-		}
-		if before := D.Branch[r.arm]; k > 0 || to <= from {
-			r.loop(D)
-			D.LaneMajorTrips += D.Branch[r.arm] - before
-		} else {
-			for x := from; x < to; {
-				for end := D.blockEnd(x, to); x < end; x++ {
-					D.Ints[r.lvSlot] = x
-					r.trip(D)
-				}
-			}
-			D.Ints[r.lvSlot] = to
-			D.LaneMajorTrips += to - from
-		}
-		for _, p := range r.privI {
-			vm.BufI[p.bid][t] = D.Ints[p.slot]
-		}
-		for _, p := range r.privF {
-			vm.BufF[p.bid][t] = D.Floats[p.slot]
-		}
-		if r.hit(vm, i0, L, int(t)) {
-			return
-		}
-	}
-}
-
-// hit ends a tile whose outer lane t stored into a watched window: the
-// lanes after it run the whole per-iteration body, in order.
-func (r *laneRunner) hit(vm *VecEnv, i0 int64, L, t int) bool {
-	D := vm.D
-	for _, ai := range r.wins {
-		if !D.Arrays[r.spec.Accesses[ai].Slot].Hit {
-			continue
-		}
-		vm.cut = t + 1
-		D.HazardLanes += int64(L - vm.cut)
-		for i := i0 + int64(vm.cut); i < i0+int64(L); i++ {
-			D.Ints[r.loopSlot] = i
-			r.spec.Body(D)
-		}
-		return true
-	}
-	return false
 }
 
 // setLanes writes the active lanes of a private scalar's vector: "=" or
@@ -1463,17 +1373,17 @@ func fuseLanes[R float32 | float64](form int, out, a, c []float64, k float64, ac
 	}
 }
 
-// fuseForms lists, by the operator of the right-hand side, the forms for
+// fusedForms lists, by the operator of the right-hand side, the forms for
 // vector op vector, vector op uniform and uniform op vector.
-var fuseForms = map[string][3]int{
+var fusedForms = map[string][3]int{
 	"+": {fuAddV, fuAddK, fuAddK}, "-": {fuSubV, fuSubK, fuRsubK}, "*": {fuMulV, fuMulK, fuMulK},
 }
 
-// fuseForm picks the fuseLanes form of `lhs aop (x iop y)`; ka and kc
+// fusedForm picks the fuseLanes form of `lhs aop (x iop y)`; ka and kc
 // say which operand is uniform, swap that the uniform one came first.
 // ok is false where no form covers the statement.
-func fuseForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
-	forms := fuseForms[iop]
+func fusedForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
+	forms := fusedForms[iop]
 	switch {
 	case ka && kc:
 	case aop == "=" && kc:
@@ -1520,7 +1430,7 @@ func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, err
 	}
 	if x, ok := foldExpr(st.RHS).(*cc.BinaryExpr); ok && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
 		ka, kc := v.uniform(foldExpr(x.X)), v.uniform(foldExpr(x.Y))
-		if form, swap, ok := fuseForm(st.Op, x.Op, ka, kc); ok {
+		if form, swap, ok := fusedForm(st.Op, x.Op, ka, kc); ok {
 			a, err := v.vExprF(x.X)
 			if err != nil {
 				return nil, err
@@ -1818,8 +1728,8 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 	slot, typ := x.Array.Slot, x.Array.Type
 	if ai := li.affine; ai >= 0 && !v.masked {
 		// The straight-line case, kept lean: the runtime's coefficients,
-		// no helper call (it left to the per-iteration body any piece
-		// whose walk a column-major copy would break).
+		// no helper call (it sent to the interpreter any piece whose walk
+		// a column-major copy would break).
 		if typ == cc.TInt {
 			bid := v.outI(m)
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
@@ -1879,8 +1789,10 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 		ix = v.idxVec(li)
 	}
 	if v.flat != nil && slot == v.flat.hazSlot {
-		// The whole index as a vector, kept with what was loaded.
+		// The whole index as a vector, kept with what was loaded: the
+		// result must not take its vector.
 		ix, li, watch = v.idxVec(li), laneIdx{affine: -1}, v.flatWatch()
+		m = v.mark()
 	}
 	if typ == cc.TInt {
 		bid := v.outI(m)
@@ -1945,7 +1857,7 @@ func storeLanes[T int32 | float32 | float64, S int64 | float64](dst []T, p, A in
 
 // markWalk records the stores the lanes act (nil: all L of the tile) made
 // to the walk p, p+A, ..., where the launch bound dirty bits to the copy:
-// the bits the per-iteration body's stores set one by one.
+// the bits the interpreter's stores set one by one.
 func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 	if a.Dirty == nil {
 		return

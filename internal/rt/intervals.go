@@ -26,30 +26,16 @@ type Interval struct {
 
 // IntervalSet is a bounded covering list of intervals, the hazard
 // representation of the pipelined scheduler. The zero value is an empty
-// set with the default cap.
+// set.
 type IntervalSet struct {
 	ivls []Interval
-	cap  int
 }
 
-// NewIntervalSet returns a set bounded to cap intervals (cap <= 0
-// selects the default).
-func NewIntervalSet(cap int) *IntervalSet {
-	return &IntervalSet{cap: cap}
-}
-
-func (s *IntervalSet) limit() int {
-	if s.cap > 0 {
-		return s.cap
-	}
-	return defaultIntervalCap
-}
-
-// Add records an access; over the cap the list compacts to a single
-// conservative covering interval.
+// Add records an access; over defaultIntervalCap the list compacts to a
+// single conservative covering interval.
 func (s *IntervalSet) Add(lo, hi int64, end time.Duration) {
 	s.ivls = append(s.ivls, Interval{Lo: lo, Hi: hi, End: end})
-	if len(s.ivls) <= s.limit() {
+	if len(s.ivls) <= defaultIntervalCap {
 		return
 	}
 	cover := s.ivls[0]
@@ -87,27 +73,6 @@ func (s *IntervalSet) Overlaps(lo, hi int64) bool {
 		}
 	}
 	return false
-}
-
-// Cover returns the union covering interval, or ok=false for an empty
-// set.
-func (s *IntervalSet) Cover() (Interval, bool) {
-	if len(s.ivls) == 0 {
-		return Interval{}, false
-	}
-	cover := s.ivls[0]
-	for _, iv := range s.ivls[1:] {
-		if iv.Lo < cover.Lo {
-			cover.Lo = iv.Lo
-		}
-		if iv.Hi > cover.Hi {
-			cover.Hi = iv.Hi
-		}
-		if iv.End > cover.End {
-			cover.End = iv.End
-		}
-	}
-	return cover, true
 }
 
 // Len returns how many intervals the set currently holds.

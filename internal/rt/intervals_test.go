@@ -6,12 +6,9 @@ import (
 )
 
 func TestIntervalSetBasics(t *testing.T) {
-	var s IntervalSet // zero value usable, default cap
-	if s.Len() != 0 {
+	var s IntervalSet // zero value usable
+	if s.Len() != 0 || len(s.Intervals()) != 0 {
 		t.Fatalf("empty set Len = %d", s.Len())
-	}
-	if _, ok := s.Cover(); ok {
-		t.Fatal("empty set reported a cover")
 	}
 	if s.Overlaps(0, 100) {
 		t.Fatal("empty set overlaps")
@@ -37,40 +34,36 @@ func TestIntervalSetBasics(t *testing.T) {
 	if got := s.Settled(10, 19); got != 0 {
 		t.Fatalf("Settled over a gap = %v, want 0", got)
 	}
-	cover, ok := s.Cover()
-	if !ok || cover.Lo != 0 || cover.Hi != 29 || cover.End != 30*time.Microsecond {
-		t.Fatalf("Cover = %+v, %v", cover, ok)
-	}
 }
 
-// TestIntervalSetCompaction checks the bounded-cap behaviour: past the
-// cap the set collapses to one covering interval, and queries stay
-// conservative (never lose an access, may over-approximate gaps).
+// TestIntervalSetCompaction checks the bounded-cap behaviour: past
+// defaultIntervalCap the set collapses to one covering interval, and
+// queries stay conservative (never lose an access, may over-approximate
+// gaps).
 func TestIntervalSetCompaction(t *testing.T) {
-	s := NewIntervalSet(4)
-	for i := int64(0); i < 4; i++ {
+	var s IntervalSet
+	for i := int64(0); i < defaultIntervalCap; i++ {
 		s.Add(10*i, 10*i+4, time.Duration(i+1)*time.Microsecond)
 	}
-	if s.Len() != 4 {
+	if s.Len() != defaultIntervalCap {
 		t.Fatalf("Len = %d before overflow", s.Len())
 	}
 	// A gap is still visible while the list is precise.
 	if s.Overlaps(5, 9) {
 		t.Fatal("precise set overlaps a gap")
 	}
-	s.Add(100, 104, 9*time.Microsecond)
+	s.Add(1000, 1004, 99*time.Microsecond)
 	if s.Len() != 1 {
 		t.Fatalf("overflowed set Len = %d, want 1 covering interval", s.Len())
 	}
-	cover, ok := s.Cover()
-	if !ok || cover.Lo != 0 || cover.Hi != 104 || cover.End != 9*time.Microsecond {
+	if cover := s.Intervals()[0]; cover.Lo != 0 || cover.Hi != 1004 || cover.End != 99*time.Microsecond {
 		t.Fatalf("compacted cover = %+v", cover)
 	}
 	// After compaction the former gap conservatively overlaps.
 	if !s.Overlaps(5, 9) {
 		t.Fatal("compacted set must stay covering")
 	}
-	if got := s.Settled(5, 9); got != 9*time.Microsecond {
+	if got := s.Settled(5, 9); got != 99*time.Microsecond {
 		t.Fatalf("compacted Settled = %v", got)
 	}
 }

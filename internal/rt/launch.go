@@ -418,22 +418,17 @@ type SpecStats struct {
 	// kernels were cut into (index-set splitting): at least one per such
 	// chunk, more where a guard changes inside the chunk.
 	SplitPieces int64
-	// TiledIters counts the iterations that ran in lockstep tiles (the
-	// other iterations of handled chunks ran the per-iteration body);
-	// HazardLanes those of them that re-ran per iteration, their tile's
-	// lane-major loop having stored into the window its lockstep prefix
-	// had loaded (ir.DArray.Hit).
+	// TiledIters counts the iterations that ran in lockstep tiles: every
+	// iteration of a handled chunk. HazardLanes counts the lanes a tile
+	// handed to the next one, its flat loop having stored into the window
+	// its lockstep prefix had loaded (ir.DArray.Hit).
 	TiledIters, HazardLanes int64
-	// LaneMajorTrips counts the inner-loop trips tiles ran lane by lane,
-	// through the loop's per-iteration closure; FlatCuts the flat tiles of
-	// a lane-divergent loop that a store-before-load hazard ended early.
-	LaneMajorTrips, FlatCuts int64
-	// Untiled counts the handled chunks that ran a per-iteration body, by
-	// reason: "shape" or "order" (the kernel has no tiled form) or
-	// "alias" (the launch's affine accesses overlap).
-	Untiled map[string]int64
+	// FlatCuts counts the flat tiles of a lane-divergent loop that a
+	// store-before-load hazard ended early.
+	FlatCuts int64
 	// FallbackReasons breaks Fallbacks down by cause ("transform",
-	// "miss", "range", "reduction", "indirect", "guard", "fault").
+	// "miss", "range", "reduction", "indirect", "guard", "fault",
+	// "alias").
 	FallbackReasons map[string]int64
 	// Rejects counts the chunks of kernels the spec compiler rejected
 	// outright, by compile-time reason (ir.Kernel.SpecReason).
@@ -448,11 +443,10 @@ func (r *Runtime) SpecStats() SpecStats { return r.spec }
 func (s SpecStats) flush(m *trace.Metrics) {
 	counts := map[string]int64{
 		"spec.hits": s.Hits, "spec.fallbacks": s.Fallbacks, "spec.split_pieces": s.SplitPieces,
-		"spec.tiled_iters": s.TiledIters, "spec.hazard_lanes": s.HazardLanes,
-		"spec.lane_major_trips": s.LaneMajorTrips, "spec.flat_cuts": s.FlatCuts,
+		"spec.tiled_iters": s.TiledIters, "spec.hazard_lanes": s.HazardLanes, "spec.flat_cuts": s.FlatCuts,
 	}
 	for prefix, by := range map[string]map[string]int64{
-		"spec.untiled.": s.Untiled, "spec.fallbacks.": s.FallbackReasons, "spec.reject.": s.Rejects,
+		"spec.fallbacks.": s.FallbackReasons, "spec.reject.": s.Rejects,
 	} {
 		for reason, n := range by {
 			counts[prefix+reason] = n
@@ -478,13 +472,9 @@ func (r *Runtime) specTally(k *ir.Kernel, ex *specExec, g int, handled bool, chu
 		if ex.spec.Guard != nil {
 			st.SplitPieces += int64(len(gs.pieces))
 		}
-		st.TiledIters += gs.tiled
+		st.TiledIters += chunk
 		st.HazardLanes += gs.hazard
-		st.LaneMajorTrips += gs.laneTrips
 		st.FlatCuts += gs.flatCuts
-		if gs.untiled != "" {
-			st.Untiled[gs.untiled]++
-		}
 	case ex != nil:
 		st.Fallbacks++
 		st.FallbackReasons[ex.gs[g].reason]++

@@ -134,9 +134,9 @@ type Options struct {
 	// boundaries (data-region entry, update directives, kernel
 	// launches), every 1024 back-edges of the host program's own
 	// loops, and from inside a kernel: every 1024 iterations of the
-	// interpreter and of the per-iteration specialized body, every 64
-	// tiles of the tile executor, and every 1024 trips of a loop inside
-	// an iteration, on every engine. The kernel polls come from the worker
+	// interpreter and of the auditor's oracle, every 64 tiles of the tile
+	// executor, and every 1024 trips of a loop inside an iteration, on
+	// either engine. The kernel polls come from the worker
 	// goroutines, several at once, so the hook must be safe for
 	// concurrent use (a context's Err is). The first non-nil return — in
 	// a kernel, the first in worker order — aborts the run with an
@@ -284,8 +284,8 @@ func (e *InterruptedError) Error() string { return "rt: run interrupted: " + e.C
 func (e *InterruptedError) Unwrap() error { return e.Cause }
 
 // pollIters and pollTiles are how much of a kernel one worker runs
-// between two polls: iterations of the interpreter and of the
-// per-iteration specialized body, tiles of the tile executor. Rare enough
+// between two polls: iterations of the interpreter, tiles' worth of
+// iterations of the tile executor. Rare enough
 // that apps_kernel does not see the polls, often enough that an
 // interrupted launch ends within microseconds.
 const (
@@ -323,7 +323,7 @@ func New(mach *sim.Machine, opts Options) *Runtime {
 		kernelExecs: map[int]int{},
 		planCache:   map[planKey]*launchPlan{},
 		specExecs:   map[int]*specExec{},
-		spec:        SpecStats{Untiled: map[string]int64{}, FallbackReasons: map[string]int64{}, Rejects: map[string]int64{}},
+		spec:        SpecStats{FallbackReasons: map[string]int64{}, Rejects: map[string]int64{}},
 	}
 	if r.opts.Async && r.opts.Mode != ModeCPU {
 		r.sched = newAsyncSched(r)

@@ -388,23 +388,29 @@ void main() {
 	if k := mod.Kernels[0]; k.Spec != nil || k.SpecReason != "branch" {
 		t.Fatalf("data-dependent && guard: spec %v, reason %q; want no spec, \"branch\"", k.Spec != nil, k.SpecReason)
 	}
-	src = `
+	// A scatter at top level has no tiled form; inside a loop it runs as
+	// flat tiles, its index proved at launch.
+	const scatter = `
 int n;
 int in_[n], idx_[n], out_[n];
 void main() {
-    int i;
+    int i, e;
     #pragma acc parallel loop
     for (i = 0; i < n; i++) {
-        out_[idx_[i]] = in_[i];
+        LOOP out_[idx_[i]] = in_[i];
     }
 }
 `
-	mod, _ = buildSpecInstance(t, src, map[string]float64{"n": 64})
+	mod, _ = buildSpecInstance(t, strings.Replace(scatter, "LOOP", "", 1), map[string]float64{"n": 64})
+	if k := mod.Kernels[0]; k.Spec != nil || k.SpecReason != "shape" {
+		t.Fatalf("top-level scatter: spec %v, reason %q; want no spec, \"shape\"", k.Spec != nil, k.SpecReason)
+	}
+	mod, _ = buildSpecInstance(t, strings.Replace(scatter, "LOOP", "for (e = 0; e < 1; e++)", 1), map[string]float64{"n": 64})
 	if mod.Kernels[0].Spec == nil {
-		t.Fatal("indirect store did not compile a KernelSpec")
+		t.Fatal("scatter in a loop did not compile a KernelSpec")
 	}
 	if mod.Kernels[0].Spec.Prover == nil {
-		t.Fatal("indirect store spec has no interval prover")
+		t.Fatal("scatter spec has no interval prover")
 	}
 	mod, _ = buildSpecInstance(t, specSaxpySrc, map[string]float64{"n": 64, "a": 1})
 	if mod.Kernels[0].Spec == nil {
@@ -777,7 +783,7 @@ void main() {
 	// Chunks of 16 elements.
 	want, _, wantP2P := phaseB(Options{ChunkBytes: 64, Reference: true})
 	got, st, gotP2P := phaseB(Options{ChunkBytes: 64})
-	if st.TiledIters == 0 || len(st.Untiled) != 0 || st.Fallbacks != 0 {
+	if st.TiledIters == 0 || st.Fallbacks != 0 {
 		t.Fatalf("the kernel did not run tiled: %+v", st)
 	}
 	marked := 0
@@ -964,8 +970,8 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 		r.inst = inst
 		k := mod.Kernels[0]
 		ex := r.specExecutor(k)
-		if ex == nil || k.Spec.VecBody == nil {
-			t.Fatalf("%s: kernel %s has no tiled body (%q)", tc.app, k.Name, k.Spec.Untiled)
+		if ex == nil {
+			t.Fatalf("%s: kernel %s has no tiled body (%q)", tc.app, k.Name, k.SpecReason)
 		}
 		workers := mach.GPUs()[0].Spec.Workers
 		n := int(k.Upper(inst.Env) - k.Lower(inst.Env))
@@ -1138,16 +1144,19 @@ void main() {
     }
 }
 `,
+		// A scatter has a tiled form only inside a loop (flat tiles).
 		"scatter": `
 int n;
 int in_[n], idx_[n], out_[n];
 void main() {
-    int i;
+    int i, e;
     #pragma acc data copyin(in_, idx_) copy(out_)
     {
         #pragma acc parallel loop
         for (i = 0; i < n; i++) {
-            out_[idx_[i]] = in_[i] + 1;
+            for (e = 0; e < 1; e++) {
+                out_[idx_[i]] = in_[i] + 1;
+            }
         }
     }
 }

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"slices"
 	"testing"
 	"time"
 
@@ -111,42 +110,28 @@ func TestPaperAppSpeedupGate(t *testing.T) {
 	}
 }
 
-// TestAppTileClassification pins which body each app's main kernel
-// runs: tiles for MD, KMEANS and NBODY (uniform inner loops), for SPMV
-// (a lockstep prefix and suffix around a CSR loop that runs lane by
-// lane) and for BFS (the guard in lockstep, the scattering edge loop
-// lane by lane); the per-iteration body for HOTSPOT2D, whose body is
-// nothing but one loop with a store in it.
+// TestAppTileClassification pins that every kernel of the six apps
+// compiles to tiles: MD, KMEANS and NBODY (uniform inner loops), SPMV (a
+// lockstep prefix and suffix around a CSR loop that runs as flat tiles),
+// BFS (the guard in lockstep, the scattering edge loop as flat tiles) and
+// HOTSPOT2D, whose bodies are nothing but one loop with a store in it
+// (flat tiles; its chunks fall back "miss" at launch all the same).
 func TestAppTileClassification(t *testing.T) {
-	for _, tc := range []struct {
-		app     string
-		untiled []string // admissible KernelSpec.Untiled values; nil = tiled
-	}{
-		{"MD", nil},
-		{"KMEANS", nil},
-		{"NBODY", nil},
-		{"SPMV", nil},
-		{"BFS", nil},
-		{"HOTSPOT2D", []string{"shape"}},
-	} {
-		mod, _, _ := appInstance(t, tc.app, 0.001)
-		spec := mod.Kernels[0].Spec
-		if spec == nil {
-			t.Errorf("%s: kernel has no KernelSpec (%q)", tc.app, mod.Kernels[0].SpecReason)
-			continue
-		}
-		if tiled := spec.VecBody != nil; tiled != (tc.untiled == nil) || !tiled && !slices.Contains(tc.untiled, spec.Untiled) {
-			t.Errorf("%s: tiled body %v, untiled reason %q; want tiled %v (reasons %v)",
-				tc.app, tiled, spec.Untiled, tc.untiled == nil, tc.untiled)
+	for _, app := range []string{"MD", "KMEANS", "NBODY", "SPMV", "BFS", "HOTSPOT2D"} {
+		mod, _, _ := appInstance(t, app, 0.001)
+		for _, k := range mod.Kernels {
+			if k.Spec == nil || k.Spec.VecBody == nil {
+				t.Errorf("%s: kernel %s has no tiled body (%q)", app, k.Name, k.SpecReason)
+			}
 		}
 	}
 }
 
-// TestAppTrips pins where the inner-loop trips of the tiled apps run: none
-// through a loop's per-iteration closure (the KMEANS reductiontoarray
-// loop is injective in its variable and runs in lockstep, the CSR loops of
-// BFS and SPMV run as flat tiles), and on BFS few flat tiles cut short by
-// a store an earlier flat lane made to an element a later one loads.
+// TestAppTrips pins where the inner-loop trips of the tiled apps run: in
+// lockstep (the KMEANS reductiontoarray loop is injective in its
+// variable), or as flat tiles (the CSR loops of BFS and SPMV) of which, on
+// BFS, few are cut short by a store an earlier flat lane made to an
+// element a later one loads. Every iteration of every chunk runs tiled.
 func TestAppTrips(t *testing.T) {
 	for _, tc := range []struct {
 		app     string
@@ -168,17 +153,16 @@ func TestAppTrips(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := r.SpecStats()
-		t.Logf("%s %gx: %d tiled iterations, %d lane-major trips, %d flat cuts, untiled %v",
-			tc.app, tc.scale, st.TiledIters, st.LaneMajorTrips, st.FlatCuts, st.Untiled)
-		if st.LaneMajorTrips != 0 || st.FlatCuts > tc.maxCuts || st.Untiled["dirty"] != 0 {
-			t.Errorf("%s: %d lane-major trips (want 0), %d flat cuts (want <= %d), untiled %v (want no dirty)",
-				tc.app, st.LaneMajorTrips, st.FlatCuts, tc.maxCuts, st.Untiled)
+		t.Logf("%s %gx: %d tiled iterations, %d flat cuts, %d hazard lanes", tc.app, tc.scale, st.TiledIters, st.FlatCuts, st.HazardLanes)
+		if iters := r.Report().Counters.Iterations; st.TiledIters != iters || st.FlatCuts > tc.maxCuts {
+			t.Errorf("%s: %d of %d iterations tiled, %d flat cuts (want <= %d)", tc.app, st.TiledIters, iters, st.FlatCuts, tc.maxCuts)
 		}
 	}
 }
 
 // bfsFlatCutsMax is twice the flat tiles BFS 0.01x on desktop cut at a
-// hazard when TestAppTrips was written.
+// hazard when TestAppTrips was written (388; 398 since a window hit
+// starts the next tile instead of the per-iteration body).
 const bfsFlatCutsMax = 2 * 388
 
 func TestPaperAppSpecCoverage(t *testing.T) {

@@ -414,7 +414,7 @@ void main() {
 	// Affine guards (index-set splitting): each template below puts the
 	// guard's cut points somewhere else relative to the GPU and worker
 	// chunking, and must cost, mark and compute exactly like the
-	// interpreter's per-iteration branch.
+	// interpreter's branch.
 	{
 		// The boundary-guarded localaccess stencil (examples/stencil1d):
 		// two-sided && guard, distributed placement with halos, iterated.
@@ -673,7 +673,7 @@ void main() {
 	},
 	{
 		// A guard over a layout-transformed (column-major) read-only
-		// array: the pieces run the per-iteration variant bodies.
+		// array: the pieces run their variants' tiles.
 		name: "guard-transformed",
 		src: `
 int n;
@@ -700,8 +700,8 @@ void main() {
 	// Lockstep tiles: bodies with inner loops, data-dependent arms and
 	// gathers run a tile of consecutive iterations at once. Each
 	// template below must engage the tiled body on every machine
-	// (stores stay unconditional, so no launch needs per-iteration
-	// dirty marking) and match the interpreter bit for bit.
+	// (stores stay unconditional, so no launch needs one-by-one dirty
+	// marking) and match the interpreter bit for bit.
 	{
 		// Uniform inner loop with a private float accumulator and an int
 		// one (kept bounded: the interval prover gives up on a loop whose
@@ -863,8 +863,8 @@ void main() {
 	{
 		// A read-only array with a row per iteration, stored column-major
 		// on the device (stride(s) with a launch scalar): the inner loop
-		// walks it with unit physical stride; a reductiontoarray loop runs
-		// lane by lane (the KMEANS shape).
+		// walks it with unit physical stride; a reductiontoarray loop stays
+		// in lockstep, injective in its variable (the KMEANS shape).
 		name: "lock-stride-transformed",
 		src: `
 int n, s;
@@ -975,11 +975,90 @@ void main() {
 `,
 		scalars: nScalar,
 	})
+	specTemplates = append(specTemplates, flatRowTemplates()...)
 }
 
-// safetyTemplates make the fast path's safety checks fire — five per-GPU
-// fallbacks and two per-piece demotions to the per-iteration body that
-// no other template, app or example reaches. Each is named
+// rejects holds a specialized run to kernels the tiles rejected at
+// translate time for reason.
+func rejects(reason string) func(rt.SpecStats) error {
+	return func(st rt.SpecStats) error {
+		if st.Rejects[reason] == 0 {
+			return fmt.Errorf("want kernels rejected %q", reason)
+		}
+		return nil
+	}
+}
+
+// flatRowTemplates are bodies that are nothing but a loop with a store
+// in it, a row of w elements per iteration: they run as flat tiles,
+// every lane's row in iteration order. HOTSPOT2D's body over replicated
+// arrays (four guarded neighbour loads; a ghost row above and below keeps
+// every index inside what the interval prover can bound), and a row
+// sweep.
+func flatRowTemplates() []specTemplate {
+	rows := func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["w"] = float64(1 + rng.Intn(40))
+		return m
+	}
+	all := func(st rt.SpecStats) error {
+		if st.Hits == 0 || st.Fallbacks != 0 || st.FlatCuts != 0 {
+			return fmt.Errorf("want every chunk on flat tiles, none cut")
+		}
+		return nil
+	}
+	return []specTemplate{
+		{name: "flat-rows-hotspot", scalars: rows, check: all, src: `
+int n, w;
+float temp_[(n + 2) * w], power_[(n + 2) * w], tnew_[(n + 2) * w];
+void main() {
+    int r, c, p;
+    #pragma acc data copyin(temp_, power_) copy(tnew_)
+    {
+        #pragma acc parallel loop
+        for (r = 0; r < n; r++) {
+            for (c = 0; c < w; c++) {
+                float up, down, left, right, center;
+                p = (r + 1) * w + c;
+                center = temp_[p];
+                up = center;
+                down = center;
+                left = center;
+                right = center;
+                if (r > 0) { up = temp_[p - w]; }
+                if (r < n - 1) { down = temp_[p + w]; }
+                if (c > 0) { left = temp_[p - 1]; }
+                if (c < w - 1) { right = temp_[p + 1]; }
+                tnew_[p] = center
+                    + 0.1 * (up + down + left + right - 4.0 * center)
+                    + 0.05 * power_[p];
+            }
+        }
+    }
+}
+`},
+		{name: "flat-rows-sweep", scalars: rows, check: all, src: `
+int n, w;
+float m_[n * w], s_[n * w];
+void main() {
+    int i, c;
+    #pragma acc data copyin(m_) copy(s_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            for (c = 1; c < w; c++) {
+                s_[i * w + c] = m_[i * w + c] + m_[i * w + c - 1];
+            }
+        }
+    }
+}
+`},
+	}
+}
+
+// safetyTemplates make the fast path's safety checks fire — seven per-GPU
+// fallbacks to the interpreter that no other template, app or example
+// reaches, and the translate-time "order" rejection. Each is named
 // safety-<reason>, and checkSpecDiff requires that reason to be counted
 // on every machine, then holds the outcome against the interpreter like
 // any other template. The offending accesses of safety-range and
@@ -1016,14 +1095,16 @@ void main() {
 		},
 		{
 			// "reduction": an affine reductiontoarray index that leaves
-			// [0, n) at the last iteration.
+			// [0, n) at the last iteration (the second kernel). The first
+			// kernel updates one target at two sites, which no tile orders:
+			// rejected at translate time, "order".
 			name: "safety-reduction",
 			src: `
 int n;
-int in_[n], hist_[n];
+int in_[n], hist_[n], out_[n];
 void main() {
     int i;
-    #pragma acc data copyin(in_) copy(hist_)
+    #pragma acc data copyin(in_) copy(hist_, out_)
     {
         #pragma acc parallel loop
         for (i = 0; i < n; i++) {
@@ -1037,10 +1118,22 @@ void main() {
                 hist_[i] += v;
             }
         }
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int u;
+            u = in_[i];
+            if (u > 5000) {
+                #pragma acc reductiontoarray(+: hist_[i + 1])
+                hist_[i + 1] += u;
+            } else {
+                out_[i] = u;
+            }
+        }
     }
 }
 `,
 			scalars: nScalar,
+			check:   rejects("order"),
 		},
 		{
 			// "transform": a reduction-lane target stored column-major. The
@@ -1102,9 +1195,9 @@ void main() {
 			},
 		},
 		{
-			// Untiled "alias": a store and a load of one array whose strides
-			// differ and whose ranges overlap (they never meet: even against
-			// odd elements), which the tile's alias check cannot tell apart.
+			// "alias": a store and a load of one array whose strides differ
+			// and whose ranges overlap (they never meet: even against odd
+			// elements), which the tile's alias check cannot tell apart.
 			name: "safety-alias",
 			src: `
 int n;
@@ -1123,9 +1216,9 @@ void main() {
 			scalars: nScalar,
 		},
 		{
-			// Untiled "shape" at launch: a walk of stride 6 over a
-			// column-major copy of row width 4, which the tiled body's
-			// strided loads do not map.
+			// "transform", off the stride: a walk of stride 6 over a
+			// column-major copy of row width 4, which the tiles' strided
+			// loads do not map.
 			name: "safety-offstride",
 			src: `
 int n;
@@ -1185,9 +1278,9 @@ const csrPrologue = `
 `
 
 // tailTemplates are the bodies with a lockstep prefix over a loop that
-// runs lane by lane (tail-*: they must tile), the neighbouring shapes
-// that must not (untail-*), and a reduction scalar assigned with
-// "=" under an arm, an else-arm and an affine guard.
+// runs as flat tiles (tail-*: they must tile), the neighbouring shapes
+// the tiles reject at translate time (untail-*: "shape"), and a reduction
+// scalar assigned with "=" under an arm, an else-arm and an affine guard.
 func tailTemplates() []specTemplate {
 	// The BFS body: the guard reads cost_[i], the edge loop tests and
 	// sets cost_[w] — on earlier lanes, later lanes of the same tile
@@ -1364,8 +1457,8 @@ void main() {
 		{
 			// A lockstep store into the array the loop gathers from: the
 			// loop of a later lane would read what an earlier lane had not
-			// stored yet. Must keep its per-iteration body. (The store writes
-			// what the host already put there, or the workers would race.)
+			// stored yet. The tiles reject it. (The store writes what the
+			// host already put there, or the workers would race.)
 			name: "untail-prestore",
 			src: `
 int n;
@@ -1396,8 +1489,7 @@ void main() {
 		},
 		{
 			// The BFS shape with a statement after the guarded loop: a tile
-			// cut short could not take it back. Must keep its per-iteration
-			// body.
+			// cut short could not take it back. The tiles reject it.
 			name: "untail-after",
 			src: `
 int n;
@@ -1464,7 +1556,7 @@ void main() {
 	// A division in the prefix over a value loaded from the watched
 	// array: a tile would divide for lanes that, in iteration order, an
 	// earlier store had turned away first — and a division can fault.
-	// Must keep its per-iteration body.
+	// The tiles reject it.
 	out = append(out, specTemplate{
 		name: "untail-div",
 		src: `
@@ -1494,11 +1586,11 @@ void main() {
 			return m
 		},
 	})
-	// A loop that runs lane by lane reads the induction variable of
+	// A loop that runs as flat tiles reads the induction variable of
 	// another loop outside that loop: left by an earlier loop of the same
 	// iteration (after), or by the previous iteration (carry). A tile has
 	// one slot for it, holding what the last lane to run that loop left.
-	// Must keep its per-iteration body.
+	// The tiles reject it.
 	for _, tc := range []struct{ name, before, after string }{
 		{"untail-loopvar-after", "", "for (k = 0; k < 1; k++) { y_[i] = acc + e; }"},
 		{"untail-loopvar-carry", "for (k = 0; k < 1; k++) { y_[i] = e; }", "z_[i] = acc;"},
@@ -1533,15 +1625,15 @@ void main() {
 	return out
 }
 
-// loopTemplates hold the three loop schedules of a tile against the
+// loopTemplates hold the loop schedules of a tile against the
 // interpreter. loopred-*: reduction-lane updates inside a uniform loop, at
 // indices injective in its variable, in lockstep. unloopred-*: the
 // neighbouring shapes the injectivity rule must turn away (they run as
-// flat tiles or lane by lane, both in iteration order); each is built so
-// that trip-major order changes the bits of a float sum. flat-*: loops
-// with divergent trips or ordered effects as flat tiles, with the hazards
-// the commit must catch (n is fixed where the counts are held: a worker's
-// chunk of fewer than 32 iterations runs such a loop lane by lane).
+// flat tiles, in iteration order, or — a loop in the loop — are rejected
+// at translate time); each is built so that trip-major order changes the
+// bits of a float sum. flat-*: loops with divergent trips or ordered
+// effects as flat tiles, with the hazards the commit must catch (n is
+// fixed where the counts are held).
 //
 // Mutation checks (each was made, the named templates failed, and it was
 // undone): without rule (c) of vecBuilder.injective (the rest of the
@@ -1551,7 +1643,9 @@ void main() {
 // flat tile past its first hazard lane (walkLanes never returning early),
 // flat-bfs-dup, flat-rmw and the tail-* BFS bodies; folding the segmented
 // acc without its float32 rounding per step (flatFold), flat-spmv and
-// tail-spmv.
+// tail-spmv; runChunk starting the next tile L lanes on instead of at the
+// first lane a window hit handed over, flat-window, the tail-* BFS bodies
+// and tail-chunk-511/513 (and TestTileWindowEdges, TestBFSRunsTiled).
 func loopTemplates() []specTemplate {
 	want := func(cond func(rt.SpecStats) bool, what string) func(rt.SpecStats) error {
 		return func(st rt.SpecStats) error {
@@ -1564,7 +1658,8 @@ func loopTemplates() []specTemplate {
 	fixedN := func(n float64) func(*rand.Rand) map[string]float64 {
 		return func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} }
 	}
-	lockstep := want(func(st rt.SpecStats) bool { return st.LaneMajorTrips == 0 && st.FlatCuts == 0 }, "no lane-major trip, no flat cut")
+	noCuts := want(func(st rt.SpecStats) bool { return st.FlatCuts == 0 }, "no flat cut")
+	tiled := want(func(st rt.SpecStats) bool { return st.TiledIters > 0 && st.Fallbacks == 0 }, "tiles")
 	kmeansScalars := func(rng *rand.Rand) map[string]float64 {
 		m := nScalar(rng)
 		m["k"], m["nf"] = float64(3+rng.Intn(5)), float64(2+rng.Intn(8))
@@ -1610,24 +1705,24 @@ void main() {
                 if (feat_[i * nf + f] > 0.0) {
                     #pragma acc reductiontoarray(*: prod_[best * nf + f])
                     prod_[best * nf + f] *= 1.0 + 0.001 * feat_[i * nf + f];
-                }`, lockstep),
+                }`, noCuts),
 		// Injective per lane, but the lanes' element ranges overlap (best +
 		// 2f against best' + 2f'): trip-major order would reorder an
-		// element's float updates, so the tile runs the loop lane by lane.
-		loopred("loopred-overlap", at("best + 2 * f"),
-			want(func(st rt.SpecStats) bool { return st.LaneMajorTrips > 0 }, "lane-major trips")),
+		// element's float updates, so the tile runs the loop as flat tiles.
+		loopred("loopred-overlap", at("best + 2 * f"), noCuts),
 		// An int target commutes: no per-tile check, whatever the overlap.
 		loopred("loopred-overlap-int", `#pragma acc reductiontoarray(+: cnt_[best + f])
-                cnt_[best + f] += in_[i];`, lockstep),
-		loopred("unloopred-coef0", at("best"), nil),
-		loopred("unloopred-cancel", at("2 * f - 2 * f + best + 2 * nf"), nil),
+                cnt_[best + f] += in_[i];`, noCuts),
+		loopred("unloopred-coef0", at("best"), tiled),
+		loopred("unloopred-cancel", at("2 * f - 2 * f + best + 2 * nf"), tiled),
 		loopred("unloopred-rest-assigned", `b = (in_[f] % 3 + 3) % 3;
-                `+at("b + f"), nil),
+                `+at("b + f"), tiled),
+		// A loop in the loop: neither lockstep nor flat tiles take it.
 		loopred("unloopred-nested", `for (g = 0; g < 2; g++) {
                     `+at("best * nf + f")+`
-                }`, nil),
+                }`, rejects("shape")),
 		loopred("unloopred-store-too", `out_[i * nf + f] = in_[i] + f;
-                `+at("best * nf + f"), nil),
+                `+at("best * nf + f"), tiled),
 	}
 
 	// BFS over a graph built so that two parents of one undiscovered vertex
@@ -1684,16 +1779,15 @@ void main() {
 `})
 	// tail-flip's read-modify-write with few targets (TARGETS of them), so
 	// that flat lanes of one flat tile load what earlier ones store: some
-	// cuts at 97 targets, nothing but cuts at 2 — the outer tile then gives
-	// the loop up and finishes lane by lane.
+	// cuts at 97 targets, nothing but cuts at 2 — every flat tile commits a
+	// lane or two, and the walk still ends.
 	for _, tc := range []struct {
 		name, targets string
 		scalars       func(*rand.Rand) map[string]float64
 		check         func(rt.SpecStats) error
 	}{
 		{"flat-rmw", "97", fixedN(1024), want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 }, "flat cuts")},
-		{"flat-dense-cuts", "2", fixedN(4096),
-			want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 && st.LaneMajorTrips > 0 }, "flat cuts, then lane-major trips")},
+		{"flat-dense-cuts", "2", fixedN(4096), want(func(st rt.SpecStats) bool { return st.FlatCuts > 0 }, "flat cuts")},
 	} {
 		out = append(out, specTemplate{name: tc.name, scalars: tc.scalars, check: tc.check, src: strings.ReplaceAll(`
 int n;
@@ -1727,7 +1821,7 @@ void main() {
 	out = append(out,
 		// SPMV with rows of 0, 1 and 700 entries: a row spans flat tiles, the
 		// accumulator of the outer tile rounds to float32 at every step.
-		specTemplate{name: "flat-spmv", scalars: fixedN(640), check: lockstep, src: `
+		specTemplate{name: "flat-spmv", scalars: fixedN(640), check: noCuts, src: `
 int n;
 int off_[n + 1], cols_[240 * n];
 float vals_[240 * n], x_[n], y_[n];
@@ -1759,9 +1853,9 @@ void main() {
 		// Rows of five trips whose middle one stores into the window the
 		// tile's guard loaded (three lanes ahead), the others outside every
 		// window: the storing lane finishes its row, the lanes after it
-		// re-run with the guard they now see.
+		// start the next tile, with the guard they now see.
 		specTemplate{name: "flat-window", scalars: fixedN(2048),
-			check: want(func(st rt.SpecStats) bool { return st.HazardLanes > 0 && st.LaneMajorTrips == 0 }, "hazard lanes, no lane-major trip"),
+			check: want(func(st rt.SpecStats) bool { return st.HazardLanes > 0 }, "hazard lanes"),
 			src: `
 int n;
 int tgt_[5 * n], g_[7 * n];
@@ -1868,15 +1962,10 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 			t.Fatalf("%s: run failed: interp %v, spec %v", label, refErr, err)
 		}
 		st := r.SpecStats()
-		if strings.HasPrefix(tpl.name, "lock-") {
-			// The lockstep templates must compare the tiled body with the
-			// interpreter, not the per-iteration body.
-			if st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0 {
-				t.Fatalf("%s: not tiled: %+v", label, st)
-			}
-		}
-		for _, prefix := range []string{"loopred-", "unloopred-", "flat-"} {
-			if strings.HasPrefix(tpl.name, prefix) && (st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0) {
+		for _, prefix := range []string{"lock-", "loopred-", "flat-", "tail-"} {
+			// These must compare the tiles with the interpreter, not the
+			// interpreter with itself.
+			if strings.HasPrefix(tpl.name, prefix) && (st.TiledIters == 0 || st.Fallbacks != 0) {
 				t.Fatalf("%s: not tiled: %+v", label, st)
 			}
 		}
@@ -1885,22 +1974,16 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 				t.Fatalf("%s: %v: %+v", label, err, st)
 			}
 		}
-		if strings.HasPrefix(tpl.name, "tail-") && (st.TiledIters == 0 || st.Fallbacks != 0 || len(st.Untiled) != 0) ||
-			strings.HasPrefix(tpl.name, "untail-") && (st.TiledIters != 0 || st.Fallbacks != 0 || st.Untiled["shape"] == 0) {
-			t.Fatalf("%s: wrong body: %+v", label, st)
+		if strings.HasPrefix(tpl.name, "untail-") && (st.Hits != 0 || st.Rejects["shape"] == 0) {
+			t.Fatalf("%s: not rejected: %+v", label, st)
 		}
 		if reason, ok := strings.CutPrefix(tpl.name, "safety-"); ok {
 			// The safety templates must compare the path their check guards
-			// with the interpreter: the fallback (or the per-iteration body)
-			// taken for that reason.
-			fired := st.FallbackReasons[reason]
-			switch reason {
-			case "alias":
-				fired = st.Untiled["alias"]
-			case "offstride":
-				fired = st.Untiled["shape"]
+			// with the interpreter: the fallback taken for that reason.
+			if reason == "offstride" {
+				reason = "transform"
 			}
-			if fired == 0 {
+			if fired := st.FallbackReasons[reason]; fired == 0 {
 				t.Fatalf("%s: check did not fire: %+v", label, st)
 			}
 		}

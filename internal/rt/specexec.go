@@ -30,12 +30,14 @@ import (
 //     a time), a layout-transformed copy feeding a reduction lane
 //     (lanes are logically indexed; the translator transforms no array
 //     the module writes or reduces, so no other store meets a
-//     column-major copy), an empty resident range on an
-//     accessed array, an endpoint range check that fails, a computed
-//     access the interval prover cannot place inside the residency, an
-//     affine guard whose operands overflow, or an index or guard
-//     operand that faults — the interpreter then reproduces the exact
-//     legacy behaviour, including its partition-violation panic texts.
+//     column-major copy) or walked with a stride its row width does not
+//     divide, an empty resident range on an accessed array, an endpoint
+//     range check that fails, a computed access the interval prover
+//     cannot place inside the residency, an affine guard whose operands
+//     overflow, an index or guard operand that faults, or affine
+//     accesses the alias check cannot order — the interpreter then
+//     reproduces the exact legacy behaviour, including its
+//     partition-violation panic texts.
 //
 // Beyond affine bodies, the executor covers gather loads (a[idx[i]]),
 // guarded stores (top-level if/else arms), inner loops,
@@ -43,38 +45,30 @@ import (
 // discharged per chunk by the interval prover (ir.SpecProver) with
 // min/max value scans of resident index arrays, branch-arm costs are
 // charged per observed arm execution, and data-dependent store
-// footprints fall back to per-iteration dirty marking through the
-// same bitmap the interpreter uses. Layout-transformed copies remap
+// footprints mark their dirty bits one store at a time, in the same
+// bitmap the interpreter uses. Layout-transformed copies remap
 // logical offsets through DArray.off (the tiled body walks them with a
 // physical stride where the row width divides the access stride).
 //
-// A handled chunk runs one of two bodies, chosen per piece: the tiled
-// one (ir.VStmt: a tile of consecutive iterations — straight-line
-// statements, data-dependent arms, gathers and uniform inner loops in
-// lockstep, loops that store or whose trips diverge as flat tiles, see
-// ir/specflat.go) or the per-iteration one. The per-iteration body runs
-// where the kernel has no tiled form (KernelSpec.Untiled: "shape" or
-// "order" — a body that is nothing but a storing loop, a scatter or
-// gather across the division between the lockstep statements and such a
-// loop, a reduction target with two update sites) and where the piece's
-// affine accesses fail the alias check ("alias"); a lockstep store that
-// must mark dirty bits one by one marks from the tile's active-lane list,
-// the stores of flat tiles as they commit. A tile whose loop stores into the window its own lockstep
-// prefix loaded (BFS) finishes its remaining lanes on the per-iteration
-// body: SpecStats.HazardLanes. What a tile's loops did beyond the plain
-// schedule is counted too: LaneMajorTrips (trips run through a loop's
-// per-iteration closure: none on the apps) and FlatCuts (flat tiles a
-// store-before-load hazard ended early). A
-// kernel marked SerialWorkers (it loads from an array it scatters to)
-// runs its workers in worker order on one goroutine, here and on the
-// interpreter, so that what it counts does not depend on how the
-// workers interleave.
+// A handled chunk runs tiles (KernelSpec.VecBody: a tile of consecutive
+// iterations — straight-line statements, data-dependent arms, gathers and
+// uniform inner loops in lockstep, loops that store or whose trips
+// diverge as flat tiles, see ir/specflat.go); a lockstep store that must
+// mark dirty bits one by one marks from the tile's active-lane list, the
+// stores of flat tiles as they commit. A tile whose loop stores into the
+// window its own lockstep prefix loaded (BFS) ends after the storing
+// lane, and the next tile starts at the lane after it:
+// SpecStats.HazardLanes counts the lanes so handed on, FlatCuts the flat
+// tiles a store-before-load hazard ended early. A kernel marked
+// SerialWorkers (it loads from an array it scatters to) runs its workers
+// in worker order on one goroutine, here and on the interpreter, so that
+// what it counts does not depend on how the workers interleave.
 //
 // Affine guards (if (i > 0 && i < n - 1) ...) are not arms: the
 // translator compiled one straight-line variant per arm path
 // (ir.SpecGuard), and each launch cuts the GPU's chunk at the roots of
 // the guard's comparisons into pieces on which the guard is constant.
-// Each piece runs its variant's tiled body, is range- and alias-checked
+// Each piece runs its variant's tiles, is range- and alias-checked
 // against that variant's accesses only, and is costed and dirty-marked
 // in bulk like an unguarded chunk.
 //
@@ -148,21 +142,15 @@ type specGPU struct {
 	// reason records why this GPU's chunk bounced to the interpreter
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
-	// tiled is how many of this launch's iterations ran tiled, hazard
-	// how many of those re-ran after a window hit, laneTrips the inner-loop
-	// trips tiles ran lane by lane, flatCuts the flat tiles a hazard cut;
-	// untiled says why some piece ran the per-iteration body ("" when none
-	// did).
-	tiled, hazard, laneTrips, flatCuts int64
-	untiled                            string
+	// hazard is how many of this launch's lanes tiles handed to the next
+	// tile after a window hit, flatCuts the flat tiles a hazard cut.
+	hazard, flatCuts int64
 	// work is the ForWorkers callback (runChunk on this slot), built
-	// once; lo, chunk and anyVec are what it needs of the launch at hand:
-	// the span's first iteration, the worker chunk length, and whether
-	// any piece runs tiled.
-	work   func(w, start, end int) (sim.Counters, error)
-	lo     int64
-	chunk  int
-	anyVec bool
+	// once; lo and chunk are what it needs of the launch at hand: the
+	// span's first iteration and the worker chunk length.
+	work  func(w, start, end int) (sim.Counters, error)
+	lo    int64
+	chunk int
 }
 
 // lease hands a worker tile scratch for runs of up to chunk iterations.
@@ -186,8 +174,8 @@ func (ex *specExec) release(vm *ir.VecEnv) {
 	ex.mu.Unlock()
 }
 
-// specPiece is the iterations [lo, hi) of a chunk and the straight-line
-// body that runs them.
+// specPiece is the iterations [lo, hi) of a chunk and the body that
+// runs them.
 type specPiece struct {
 	lo, hi int64
 	// v is the spec itself, or the guard's variant for this sub-range.
@@ -195,11 +183,10 @@ type specPiece struct {
 	// guardFlops is what evaluating the guards costs per iteration here
 	// (short-circuiting makes it differ between pieces).
 	guardFlops int64
-	// vec selects the tiled body (it passed the alias check). offWalk
-	// rules it out: an affine access walks a column-major copy with a
-	// stride its row width does not divide, which the tiled body's
-	// straight-line loads do not map.
-	vec, offWalk bool
+	// offWalk says an affine access walks a column-major copy with a
+	// stride its row width does not divide, which the tiles' straight-line
+	// loads do not map.
+	offWalk bool
 	// v0, v1 hold each access's index at the piece's first and last
 	// iteration (v.Accesses order; meaningless for computed accesses);
 	// accA/accB are the coefficients the tiled body walks with:
@@ -215,7 +202,7 @@ func (gs *specGPU) addPiece(lo, hi int64, v *ir.KernelSpec, guardFlops int64) {
 		gs.pieces = append(gs.pieces, specPiece{})
 	}
 	pc := &gs.pieces[len(gs.pieces)-1]
-	pc.lo, pc.hi, pc.v, pc.guardFlops, pc.vec, pc.offWalk = lo, hi, v, guardFlops, false, false
+	pc.lo, pc.hi, pc.v, pc.guardFlops, pc.offWalk = lo, hi, v, guardFlops, false
 	na := len(v.Accesses)
 	if cap(pc.v0) < na {
 		buf := make([]int64, 4*na)
@@ -271,7 +258,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	spec := ex.spec
 	n := p.count()
 	gs := &ex.gs[g]
-	gs.reason, gs.untiled, gs.tiled, gs.hazard, gs.laneTrips, gs.flatCuts = "", "", 0, 0, 0, 0
+	gs.reason, gs.hazard, gs.flatCuts = "", 0, 0
 
 	// Structural per-GPU fallbacks. Layout-transformed copies are
 	// handled (the direct arrays carry the column-major remap), except
@@ -310,6 +297,20 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		return sim.Counters{}, false, nil
 	}
 
+	// A piece the tiles cannot run exactly hands the chunk over too: an
+	// affine walk across a column-major copy off its stride, or affine
+	// accesses the alias check cannot order.
+	for pi := range gs.pieces {
+		if pc := &gs.pieces[pi]; pc.offWalk {
+			gs.reason = "transform"
+		} else if !pc.prepVec() {
+			gs.reason = "alias"
+		}
+		if gs.reason != "" {
+			return sim.Counters{}, false, nil
+		}
+	}
+
 	// Worker environments: one per chunk ForWorkers will spawn,
 	// with the host scalars, identity reduction slots, zeroed arm
 	// counters and the GPU's slices bound by slot.
@@ -324,7 +325,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		copy(de.Ints, env.Ints)
 		copy(de.Floats, env.Floats)
 		clear(de.Branch)
-		de.HazardLanes, de.LaneMajorTrips, de.FlatCuts = 0, 0, 0
+		de.HazardLanes, de.FlatCuts = 0, 0
 		for ri, red := range k.ScalarReds {
 			setRedSlotD(de, red, redVals[ri])
 		}
@@ -350,23 +351,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		}
 	}
 
-	// Each piece runs its tiled body unless it has none or its accesses
-	// fail the alias check.
-	gs.lo, gs.chunk, gs.anyVec = p.lo, chunk, false
-	for pi := range gs.pieces {
-		pc := &gs.pieces[pi]
-		switch {
-		case pc.v.VecBody == nil:
-			gs.untiled = pc.v.Untiled
-		case pc.offWalk:
-			gs.untiled = "shape"
-		case !pc.prepVec():
-			gs.untiled = "alias"
-		default:
-			pc.vec, gs.anyVec = true, true
-			gs.tiled += pc.hi - pc.lo
-		}
-	}
+	gs.lo, gs.chunk = p.lo, chunk
 	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, gs.work)
 	if err != nil {
 		return sim.Counters{}, true, err
@@ -381,7 +366,6 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	clear(gs.branch)
 	for _, de := range gs.envs[:nw] {
 		gs.hazard += de.HazardLanes
-		gs.laneTrips += de.LaneMajorTrips
 		gs.flatCuts += de.FlatCuts
 		for j := range gs.branch {
 			gs.branch[j] += de.Branch[j]
@@ -407,7 +391,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	// data-dependent stores mark in bulk, piece by piece: the footprint
 	// is the arithmetic progression between the endpoint indices. Slots
 	// with any inexact store had the dirty buffers bound above, so the
-	// store closures already marked precisely what executed; fold their
+	// tiles already marked precisely what executed; fold their
 	// per-worker chunk lanes now. Either way the interpreter would have
 	// charged 2 bytes of dirty-bit traffic per executed store, which the
 	// per-slot store counts reproduce exactly (base stores every
@@ -452,8 +436,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 // ascending order, so worker identity, reduction lanes and the order
 // scalar reductions fold in are those of the unsplit schedule.
 func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (_ sim.Counters, err error) {
-	// A body's inner loops poll too (ir.DEnv.Poll) and, returning nothing,
-	// unwind an interrupted iteration with a panic.
+	// A tile's inner loops poll too (ir.DEnv.Poll) and, returning no
+	// error, unwind an interrupted tile with a panic.
 	defer func() {
 		if p := recover(); p != nil {
 			it, ok := p.(ir.Interrupt)
@@ -463,47 +447,28 @@ func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (_ sim.Counters, er
 			err = it.Err
 		}
 	}()
-	de := gs.envs[w]
-	var vm *ir.VecEnv
-	if gs.anyVec {
-		vm = ex.lease(gs.chunk)
-		vm.D = de
-	}
-	loopSlot := ex.spec.LoopSlot
+	vm := ex.lease(gs.chunk)
+	vm.D = gs.envs[w]
 	lo, hi := gs.lo+int64(start), gs.lo+int64(end)
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
 		s, e := max(lo, pc.lo), min(hi, pc.hi)
-		// Either body runs in blocks with a poll before each: an
-		// interrupted worker stops within one block, and one that starts
-		// after the interrupt runs nothing. Like a panicking body, an
-		// interrupted one keeps its scratch.
-		if !pc.vec {
-			body, ints := pc.v.Body, de.Ints
-			for s < e {
-				if err := ex.poll(); err != nil {
-					return sim.Counters{}, err
-				}
-				for stop := min(e, s+pollIters); s < stop; s++ {
-					ints[loopSlot] = s
-					body(de)
-				}
-			}
-			continue
-		}
+		// Tiles run in blocks with a poll before each: an interrupted
+		// worker stops within one block, and one that starts after the
+		// interrupt runs nothing. Like a panicking tile, an interrupted one
+		// keeps its scratch. A tile cut short by a window hit is followed
+		// by one that starts at the first lane it did not run.
 		vm.AccA, vm.AccB = pc.accA, pc.accB
 		for s < e {
 			if err := ex.poll(); err != nil {
 				return sim.Counters{}, err
 			}
-			for stop := min(e, s+pollTiles*ir.VecTile); s < stop; s += ir.VecTile {
-				pc.v.VecBody(vm, s, int(min(stop-s, ir.VecTile)))
+			for stop := min(e, s+pollTiles*ir.VecTile); s < stop; {
+				s += int64(pc.v.VecBody(vm, s, int(min(stop-s, ir.VecTile))))
 			}
 		}
 	}
-	if vm != nil {
-		ex.release(vm) // a body that panics keeps its scratch: the list just regrows
-	}
+	ex.release(vm) // a tile that panics keeps its scratch: the list just regrows
 	return sim.Counters{}, nil
 }
 
@@ -815,17 +780,17 @@ func (ex *specExec) checkProof(r *Runtime, k *ir.Kernel, g int, gs *specGPU) str
 }
 
 // prepVec derives each access's affine coefficients over the piece from
-// its endpoint values and decides whether the tiled body's statement-
-// blocked schedule is element-equivalent to the per-iteration schedule.
+// its endpoint values and decides whether the tiles' statement-blocked
+// schedule is element-equivalent to the iteration-by-iteration one.
 // Two accesses of the same array may be reordered against each other
 // only if they provably hit the same element every iteration (program
 // order is then preserved per element) or provably disjoint element
 // sets. Reduce accesses write per-worker lanes, not the array, and a
 // tiled body has one per target, so they interfere with nothing. Left
-// out, because the tile
-// builder's static rules cover them (ir.vecBuilder.scan): computed
-// accesses, and stores inside a lane-major loop, which face only their
-// own loop — run in iteration order — and watched prefix loads.
+// out, because the tile builder's static rules cover them
+// (ir.vecBuilder.scan): computed accesses, and stores inside a flat loop,
+// which face only their own loop — run in iteration order — and watched
+// prefix loads.
 func (pc *specPiece) prepVec() bool {
 	n := pc.hi - pc.lo
 	acc := pc.v.Accesses
@@ -846,8 +811,8 @@ func (pc *specPiece) prepVec() bool {
 				continue
 			}
 			ki, kj := acc[i].Kind, acc[j].Kind
-			if !(ki == ir.AccessStore && acc[i].LaneLoop == 0 && kj != ir.AccessReduce ||
-				kj == ir.AccessStore && acc[j].LaneLoop == 0 && ki != ir.AccessReduce) {
+			if !(ki == ir.AccessStore && acc[i].FlatLoop == 0 && kj != ir.AccessReduce ||
+				kj == ir.AccessStore && acc[j].FlatLoop == 0 && ki != ir.AccessReduce) {
 				continue
 			}
 			ai, bi := pc.accA[i], pc.accB[i]

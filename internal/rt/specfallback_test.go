@@ -26,7 +26,7 @@ var updateSpecFallbacks = flag.Bool("update-spec-fallbacks", false, "rewrite tes
 // answer loads from whole-residency scans, so a proof that a wider scan
 // loses — a chunk handled before, interpreted now — shows up here. The
 // safety templates come last (rows are only ever appended) and also list
-// the chunks that ran the per-iteration body, by reason.
+// the chunks of kernels the tiles rejected, by reason.
 func TestSpecFallbackReasonsGolden(t *testing.T) {
 	machines := []sim.MachineSpec{sim.Desktop(), sim.Cluster(2, 2)}
 	var lines []string
@@ -42,31 +42,29 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 		}
 		return line
 	}
-	record := func(name string, m sim.MachineSpec, r *rt.Runtime, untiled bool) {
+	record := func(name string, m sim.MachineSpec, r *rt.Runtime, rejects bool) {
 		st := r.SpecStats()
 		line := fmt.Sprintf("%s @ %s: hits=%d", name, m.Name, st.Hits) + byReason("", st.FallbackReasons)
-		if untiled {
-			line += byReason("untiled.", st.Untiled)
+		if rejects {
+			line += byReason("reject.", st.Rejects)
 		}
 		lines = append(lines, line)
 	}
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
-	// the safety templates written since.
+	// the templates written since.
 	group := func(name string) int {
-		switch prefix, _, _ := strings.Cut(name, "-"); prefix {
-		case "safety":
-			if name == "safety-indirect" {
-				return 3
-			}
+		switch prefix, _, _ := strings.Cut(name, "-"); {
+		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
+			return 3
+		case prefix == "safety":
 			return 1
-		case "loopred", "unloopred", "flat":
+		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
 			return 2
 		}
 		return 0
 	}
 	templates := func(g int) {
-		safety := g == 1 || g == 3
 		for _, tpl := range specTemplates {
 			if group(tpl.name) != g {
 				continue
@@ -76,7 +74,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", tpl.name, err)
 				}
-				record(tpl.name, m, r, safety)
+				record(tpl.name, m, r, strings.HasPrefix(tpl.name, "safety-"))
 			}
 		}
 	}

@@ -74,9 +74,10 @@ void main() {
 }
 
 // TestBFSRunsTiled pins the paper's irregular app on the tile executor:
-// the guard in lockstep, the edge loop as flat tiles, no piece on the
-// per-iteration body, and only the tiles that straddle two BFS layers
-// cut short by a store into their own window.
+// the guard in lockstep, the edge loop as flat tiles, every iteration in
+// a tile, and only the tiles that straddle two BFS layers cut short by a
+// store into their own window, their remaining lanes handed to the next
+// tile.
 func TestBFSRunsTiled(t *testing.T) {
 	_, inst, in := appInstance(t, "BFS", 0.01)
 	mach, err := sim.NewMachine(sim.Desktop())
@@ -93,12 +94,15 @@ func TestBFSRunsTiled(t *testing.T) {
 	iters := r.Report().Counters.Iterations
 	st := r.SpecStats()
 	tiled, hazard := st.TiledIters, st.HazardLanes
-	t.Logf("BFS 0.01x: %d iterations, %d tiled, %d hazard lanes, untiled %v", iters, tiled, hazard, st.Untiled)
-	if tiled != iters || len(st.Untiled) != 0 || st.Fallbacks != 0 {
+	t.Logf("BFS 0.01x: %d iterations, %d tiled, %d hazard lanes", iters, tiled, hazard)
+	if tiled != iters || st.Fallbacks != 0 {
 		t.Errorf("tiled %d of %d iterations: %+v", tiled, iters, st)
 	}
-	if hazard == 0 || hazard*100 >= iters {
-		t.Errorf("%d hazard lanes of %d iterations; want some (layers share tiles) and under 1%%", hazard, iters)
+	// A tile that straddles two layers is cut once per frontier lane that
+	// stores into it, each cut handing the lanes after that one to the
+	// next tile: 88 321 handed lanes at this scale (6.5 %).
+	if hazard == 0 || hazard*10 >= iters {
+		t.Errorf("%d hazard lanes of %d iterations; want some (layers share tiles) and under 10%%", hazard, iters)
 	}
 }
 
@@ -140,19 +144,19 @@ func BenchmarkPhaseBApps(b *testing.B) {
 	}
 }
 
-// BenchmarkPhaseBUntiled is the number for the per-iteration specialized
-// body, which no shipped app reaches any more (BenchmarkPhaseBApps is all
-// tiles): two kernels with no tiled form, on one GPU, Phase B host time
-// per kernel iteration, specialized and interpreted. A top-level scatter
-// through a permutation built on the host, and a body that is nothing but
-// a loop with a store in it — the shape the per-iteration body is still
-// the designated engine for, and the one ir.fuseFor is kept for (DESIGN
-// §11 has what each costs without it, and without the integer
-// superoperators that once sat beside it).
-func BenchmarkPhaseBUntiled(b *testing.B) {
+// BenchmarkPhaseBFlatOrRejected is the number for the two kernel shapes
+// off the apps' routes (BenchmarkPhaseBApps), on one GPU, Phase B host
+// time per kernel iteration, specialized and interpreted: a body that is
+// nothing but a loop with a store in it, which runs as flat tiles
+// (rowsweep), and a top-level scatter through a permutation built on the
+// host, which the tiles reject and the interpreter runs (scatter). DESIGN
+// §11 has what each cost on the per-iteration specialized body that once
+// ran both.
+func BenchmarkPhaseBFlatOrRejected(b *testing.B) {
 	for _, k := range []struct {
 		name, src string
 		scalars   map[string]float64
+		route     func(SpecStats) bool // of the specialized run
 	}{
 		{"scatter", `
 int n;
@@ -172,7 +176,9 @@ void main() {
         }
     }
 }
-`, map[string]float64{"n": 1 << 20}},
+`, map[string]float64{"n": 1 << 20}, func(st SpecStats) bool {
+			return st.Hits == 0 && st.Rejects["shape"] > 0
+		}},
 		{"rowsweep", `
 int h, w;
 float m_[h * w], s_[h * w];
@@ -191,7 +197,9 @@ void main() {
         }
     }
 }
-`, map[string]float64{"h": 4096, "w": 256}},
+`, map[string]float64{"h": 4096, "w": 256}, func(st SpecStats) bool {
+			return st.Fallbacks == 0 && st.TiledIters == 4096 // h
+		}},
 	} {
 		for _, bc := range []struct {
 			name string
@@ -206,8 +214,8 @@ void main() {
 						bind.SetScalar(name, v)
 					}
 					_, r := exec(b, k.src, sim.Desktop().WithGPUs(1), bc.opts, bind)
-					if st := r.SpecStats(); !bc.opts.Reference && (st.TiledIters != 0 || st.Fallbacks != 0 || st.Untiled["shape"] == 0) {
-						b.Fatalf("not on the per-iteration body: %+v", st)
+					if st := r.SpecStats(); !bc.opts.Reference && !k.route(st) {
+						b.Fatalf("%s is off its route: %+v", k.name, st)
 					}
 					wall += r.PhaseBWall()
 					iters += r.Report().Counters.Iterations
@@ -223,9 +231,10 @@ void main() {
 // tile watches — its last lane, the lane after the storing one, the
 // storing lane itself, an earlier lane, the first element past the
 // window — each flipping the guard of the lane it lands on. One worker
-// chunk is exactly one tile, one scenario; the interpreter is the
-// oracle, and the hazard lanes are what the protocol promises: every
-// lane after a storing lane whose store fell inside the window.
+// chunk starts as exactly one tile, one scenario; the interpreter is the
+// oracle, and the hazard lanes are what the protocol promises: every lane
+// after a storing lane whose store fell inside its tile's window, handed
+// to a tile that starts there and watches a window of its own.
 func TestTileWindowEdges(t *testing.T) {
 	const src = `
 int n;
@@ -241,7 +250,8 @@ void main() {
                 for (e = i; e <= i; e++) {
                     w = tgt_[e];
                     g_[w] = 0 - g_[w];
-                    ran_[i] = ran_[i] + 1;
+                    #pragma acc reductiontoarray(+: ran_[i])
+                    ran_[i] += 1;
                 }
             }
         }
@@ -290,8 +300,8 @@ void main() {
 		want[i].g, want[i].ran, want[i].rep = g, ran, *r.Report()
 		if i == 1 {
 			st := r.SpecStats()
-			if st.TiledIters != int64(n) || len(st.Untiled) != 0 {
-				t.Fatalf("tiled %d of %d iterations, untiled %v", st.TiledIters, n, st.Untiled)
+			if st.TiledIters != int64(n) || st.Fallbacks != 0 {
+				t.Fatalf("tiled %d of %d iterations: %+v", st.TiledIters, n, st)
 			}
 			hazard = st.HazardLanes
 		}
@@ -304,10 +314,13 @@ void main() {
 		}
 		t.Fatalf("tiled run diverged from the interpreter\ninterp %+v\ntiled  %+v", want[0].rep, want[1].rep)
 	}
-	// Tile 0 is cut after lane 0, tile 1 after lane 0, tile 2 after its
-	// last lane (the store past the window cuts nothing), tile 3 after
-	// lane 100.
-	if wantHaz := int64((T - 1) + (T - 1) + 0 + (T - 101)); hazard != wantHaz {
+	// Chunk 0: its tile is cut after lane 0; the next, lanes 1..T-1, after
+	// its last lane (T-1 stores into itself). Chunk 1: cut after lane 0;
+	// the next tile, from lane 1, after lane 9, whose store into itself
+	// now lands in a watched window; the one after it, from lane 10, sees
+	// lane 20's store land behind it. Chunk 2: after its last lane (the
+	// store past the window cuts nothing). Chunk 3: after lane 100.
+	if wantHaz := int64((T - 1) + (T - 1) + (T - 10) + 0 + (T - 101)); hazard != wantHaz {
 		t.Errorf("%d hazard lanes, want %d", hazard, wantHaz)
 	}
 }

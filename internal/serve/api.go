@@ -174,14 +174,26 @@ type ErrorDetail struct {
 // buildBindings materializes the request's bindings — generator first,
 // then explicit scalars and arrays layered on top, the program's
 // declarations type-checking inline arrays — and their device-memory
-// footprint (the admission weight), refusing one past limit: the scalars
-// are the client's, and a generator or a bind would allocate what they
-// say.
+// footprint (the admission weight), refusing bindings whose arrays take
+// more than limit: the scalars are the client's, and a generator or a
+// bind would allocate what they say — Bind every array, those only the
+// host program touches too.
 func buildBindings(req *RunRequest, prog *core.Program, limit int64) (*ir.Bindings, int64, error) {
 	admit := func(b *ir.Bindings) (int64, error) {
 		footprint, err := core.DeviceMemoryUsage(prog, b)
-		if err == nil && footprint > limit {
-			err = fmt.Errorf("the program's arrays take %d bytes; the machine's devices hold %d", footprint, limit)
+		if err != nil {
+			return 0, err
+		}
+		bytes, _ := prog.Module.ArrayBytes(b) // b passed DeviceMemoryUsage's
+		var all int64
+		for _, n := range bytes {
+			if all = all + n; all < 0 {
+				all = math.MaxInt64
+				break
+			}
+		}
+		if all > limit {
+			err = fmt.Errorf("the program's arrays take %d bytes; the machine's devices hold %d", all, limit)
 		}
 		return footprint, err
 	}

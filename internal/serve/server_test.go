@@ -181,6 +181,7 @@ func hostileCorpus(t testing.TB) (bodies [][]byte, want []verdict) {
 	add(&RunRequest{Source: "int x;\nvoid main(){ x = " + strings.Repeat("(", 100000) + "1" + strings.Repeat(")", 100000) + "; }"},
 		http.StatusUnprocessableEntity, "compile_error")
 	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 1e10}}, http.StatusBadRequest, "bad_request")
+	add(&RunRequest{Source: hostOnlySrc, Scalars: map[string]float64{"n": 1e10}}, http.StatusBadRequest, "bad_request")
 	add(&RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 62}}, http.StatusInternalServerError, "internal")
 	return bodies, want
 }
@@ -480,10 +481,24 @@ func TestRequestTimeoutDuringRun(t *testing.T) {
 	}
 }
 
+// hostOnlySrc sizes an array only the host program touches: Bind
+// allocates it all the same.
+const hostOnlySrc = `int n;
+float big[n];
+float a[8];
+void main() {
+    int i;
+    big[0] = 1;
+    #pragma acc parallel loop
+    for (i = 0; i < 8; i++) { a[i] = i; }
+}
+`
+
 // TestOversizedFootprintRefused pins that sizes a client picks are held
 // to the machine's device memory before anything is allocated for them: a
 // generator scale (BFS 200x is 89 GB of graph) is refused on its Shape,
-// Generate never runs, and a scalar that sizes a 40 GB array likewise.
+// Generate never runs, and a scalar that sizes a 40 GB array likewise —
+// one a kernel touches, or one only the host program does.
 func TestOversizedFootprintRefused(t *testing.T) {
 	h := New(Config{}).Handler()
 	bfs, err := apps.ByName("BFS")
@@ -493,6 +508,7 @@ func TestOversizedFootprintRefused(t *testing.T) {
 	for name, req := range map[string]*RunRequest{
 		"generator scale": {Source: bfs.Source, Generator: &GeneratorSpec{App: "BFS", Scale: 200, Seed: 1}},
 		"scalar":          {Source: reduceSrc, Scalars: map[string]float64{"n": 1e10}},
+		"host-only array": {Source: hostOnlySrc, Scalars: map[string]float64{"n": 1e10}},
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -512,30 +528,41 @@ func TestOversizedFootprintRefused(t *testing.T) {
 // TestTimeoutEndsHostLoop pins that a host loop which never reaches a
 // directive cannot hold a run slot past its deadline.
 func TestTimeoutEndsHostLoop(t *testing.T) {
-	checkTimeoutEndsRun(t, "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }")
+	checkTimeoutEndsRun(t, "int x;\nvoid main(){ x = 0; while (1) { x = x + 1; } }", false)
 }
+
+// endlessKernelSrc is one kernel launch with an enormous trip count.
+const endlessKernelSrc = "float s;\nvoid main(){ int i; s = 0.0;\n#pragma acc parallel loop reduction(+:s)\n" +
+	"for (i = 0; i < 100000000000; i++) { s += 1.0; } }"
 
 // TestTimeoutEndsKernel pins the same of one kernel launch with an
 // enormous trip count.
 func TestTimeoutEndsKernel(t *testing.T) {
-	checkTimeoutEndsRun(t, "float s;\nvoid main(){ int i; s = 0.0;\n#pragma acc parallel loop reduction(+:s)\n"+
-		"for (i = 0; i < 100000000000; i++) { s += 1.0; } }")
+	checkTimeoutEndsRun(t, endlessKernelSrc, false)
+}
+
+// TestTimeoutEndsAuditedRun pins the same of that launch under the shadow
+// auditor, whose sequential oracle runs the whole launch before the
+// runtime touches it.
+func TestTimeoutEndsAuditedRun(t *testing.T) {
+	checkTimeoutEndsRun(t, endlessKernelSrc, true)
 }
 
 // TestTimeoutEndsInnerLoop pins the same of a launch of four iterations,
 // each of which never leaves its inner loop.
 func TestTimeoutEndsInnerLoop(t *testing.T) {
 	checkTimeoutEndsRun(t, "float a[4];\nvoid main(){ int i; int j; float s;\n#pragma acc parallel loop\n"+
-		"for (i = 0; i < 4; i++) { s = 0.0; for (j = 0; j < 2000000000; j++) { s += 1.0; } a[i] = s; } }")
+		"for (i = 0; i < 4; i++) { s = 0.0; for (j = 0; j < 2000000000; j++) { s += 1.0; } a[i] = s; } }", false)
 }
 
 // checkTimeoutEndsRun posts a program that never ends with a 50 ms
-// deadline: the request answers 504, no run is in flight afterwards, and
-// the machine it leased is back in the pool for the next request.
-func checkTimeoutEndsRun(t *testing.T, src string) {
+// deadline, audited or not: the request answers 504, no run is in flight
+// afterwards, and the machine it leased is back in the pool for the next
+// request.
+func checkTimeoutEndsRun(t *testing.T, src string, audit bool) {
 	s := New(Config{Concurrency: 1})
 	h := s.Handler()
-	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, TimeoutMS: 50}))
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, TimeoutMS: 50, Options: RunOptions{Audit: audit}}))
 	var eresp ErrorResponse
 	json.Unmarshal(rec.Body.Bytes(), &eresp)
 	if rec.Code != http.StatusGatewayTimeout || eresp.Error.Code != "timeout" {
