@@ -390,9 +390,23 @@ func compileCall(x *cc.CallExpr) (ExprI, ExprF, error) {
 		}
 		args[i] = c
 	}
-	var fn1 func(float64) float64
-	var fn2 func(float64, float64) float64
-	switch x.Name {
+	fn1, fn2, ok := floatBuiltin(x.Name)
+	if !ok {
+		return nil, nil, fmt.Errorf("ir: line %d: unknown builtin %q", x.Pos(), x.Name)
+	}
+	if fn1 != nil {
+		a0 := args[0]
+		return nil, func(env *Env) float64 { env.Flops += flops; return fn1(a0(env)) }, nil
+	}
+	a0, a1 := args[0], args[1]
+	return nil, func(env *Env) float64 { env.Flops += flops; return fn2(a0(env), a1(env)) }, nil
+}
+
+// floatBuiltin maps a float builtin name to its math implementation
+// (one- or two-argument); the interpreter and the tiles share it so they
+// call bit-identical functions.
+func floatBuiltin(name string) (fn1 func(float64) float64, fn2 func(float64, float64) float64, ok bool) {
+	switch name {
 	case "sqrt", "sqrtf":
 		fn1 = math.Sqrt
 	case "fabs", "fabsf", "abs":
@@ -412,12 +426,7 @@ func compileCall(x *cc.CallExpr) (ExprI, ExprF, error) {
 	case "max":
 		fn2 = math.Max
 	default:
-		return nil, nil, fmt.Errorf("ir: line %d: unknown builtin %q", x.Pos(), x.Name)
+		return nil, nil, false
 	}
-	if fn1 != nil {
-		a0 := args[0]
-		return nil, func(env *Env) float64 { env.Flops += flops; return fn1(a0(env)) }, nil
-	}
-	a0, a1 := args[0], args[1]
-	return nil, func(env *Env) float64 { env.Flops += flops; return fn2(a0(env), a1(env)) }, nil
+	return fn1, fn2, true
 }

@@ -2,7 +2,8 @@ package ir
 
 import (
 	"errors"
-	"math"
+	"slices"
+	"strings"
 
 	"accmulti/internal/cc"
 )
@@ -35,15 +36,18 @@ import (
 // instead of endpoint evaluation; stores with data-dependent footprints
 // mark dirty bits one by one like the interpreter.
 //
-// The specBuilder below walks the body once to record all of that —
-// costs, accesses, arms, inner loops — and compiles no statement; the one
-// compiled form is VecBody (specvec.go), which runs a tile of consecutive
+// lower below walks the body once and records all of that — costs,
+// accesses, arms, inner loops — into a lowered body: every subtree folded
+// once, every access and arm numbered as it is met, every node summarized
+// (the scalars it reads, the induction variable, loads of written arrays,
+// effects, division). The passes read those numbers and summaries and keep
+// no count of their own: the prover (specprove.go) and the one compiled
+// form, VecBody (specvec.go), which runs a tile of consecutive
 // iterations: straight-line statements, data-dependent arms, uniform
 // inner loops, gathers and layout-transformed copies in lockstep, one
 // tight loop per expression node; loops with stores in them or
 // lane-divergent trips as flat tiles (specflat.go: the same body in
-// lockstep over their trips). The builder's expression compiler stays for
-// what a tile evaluates once per step, its uniform subtrees. A kernel the
+// lockstep over their trips). A kernel the
 // tiles do not take — while loops, break/continue, ?:, short-circuit
 // operators (data-dependent cost), unknown builtins, assignment to the
 // induction variable; a scatter or a gather across the division between
@@ -372,41 +376,118 @@ func (g *SpecGuard) Select(env *Env) int {
 	return n.Variant
 }
 
-// specBuilder records the body, accumulating static costs into the
-// bucket that is live at each site (Base, or the current arm), and
-// compiles expressions for the tiles' uniform subtrees.
-type specBuilder struct {
+// kernelFacts is what is known of the whole kernel before a body is
+// lowered: its induction variable, the scalars its body assigns (one bit
+// each: every summary's scalar set is a mask over them), which of them are
+// reduction scalars, and whether its workers run one after the other
+// (Kernel.SerialWorkers). A split kernel's variants share it.
+type kernelFacts struct {
 	loopVar *cc.VarDecl
-	// assigned marks scalars the body writes: index expressions must
-	// not depend on them (their value would vary mid-iteration).
-	assigned map[*cc.VarDecl]bool
-	// reds marks the kernel's reduction scalars, whose final value in a
-	// worker's environment the launch merges; serial says the kernel's
-	// workers run one after the other (Kernel.SerialWorkers).
-	reds     map[*cc.VarDecl]bool
-	serial   bool
-	spec     *KernelSpec
+	prog    *cc.Program
+	bit     map[*cc.VarDecl]int
+	decls   []*cc.VarDecl
+	reds    uint64
+	serial  bool
+	// counts, set by VerifyLowering only, counts what the passes read.
+	counts *lowerCheck
+}
+
+// maxScalars bounds the scalars a body may assign: one bit of a summary's
+// mask each.
+const maxScalars = 64
+
+// mask gives d's bit, zero for a scalar the body does not assign.
+func (kf *kernelFacts) mask(d *cc.VarDecl) uint64 {
+	if b, ok := kf.bit[d]; ok {
+		return 1 << b
+	}
+	return 0
+}
+
+// kExpr is one node of a lowered expression: the folded source node, its
+// operands lowered, and what the subtree does.
+type kExpr struct {
+	e cc.Expr
+	// x is the operand of a unary operator or a cast and the subscript of
+	// an access, x and y those of a binary operator and a builtin's
+	// arguments (y nil for a one-argument builtin).
+	x, y *kExpr
+	// lo and hi bound the numbers of every access in the subtree.
+	lo, hi int
+	sum
+}
+
+// site is an access's number in KernelSpec.Accesses: the lowering numbers
+// an access right after every access in its subscript.
+func (k *kExpr) site() int { return k.hi - 1 }
+
+// sum summarizes a subtree for the passes: reads holds the body-assigned
+// scalars it reads (kernelFacts.bit); iv says it reads the induction
+// variable, written that it loads an array the kernel writes, divides that
+// it holds an int / or % whose divisor is not a nonzero literal (the one
+// operation of an expression that can fault).
+type sum struct {
+	reads                uint64
+	iv, written, divides bool
+}
+
+func (s *sum) add(o sum) {
+	s.reads |= o.reads
+	s.iv, s.written, s.divides = s.iv || o.iv, s.written || o.written, s.divides || o.divides
+}
+
+// kStmt is one lowered statement.
+type kStmt struct {
+	s cc.Stmt
+	// kids: a block's statements; an if's then and else; a for's init,
+	// body and post (nil where there is none).
+	kids []*kStmt
+	// x is an array assignment's target access (its site numbered), or the
+	// condition of an if or a for; y an assignment's value.
+	x, y *kExpr
+	// arm numbers an if's then-arm (elseArm its else-arm, -1 without one)
+	// and a for's condition bucket (its body's is arm+1), in KernelSpec.Arms.
+	arm, elseArm int
+	// lo and hi bound the numbers of every access in the statement.
+	lo, hi int
+	// lv is a counted loop's variable (countedVar), nil for any other.
+	lv *cc.VarDecl
+	// sets holds the body-assigned scalars it assigns; store and reduce
+	// say it holds a plain array store or a reduction-lane update.
+	sets          uint64
+	store, reduce bool
+}
+
+// scalarUse is how a body uses one scalar it assigns: its "=" and compound
+// assignment sites outside counted loop headers, whether anything reads it
+// and whether a counted loop's header sets it.
+type scalarUse struct {
+	eq, op        int
+	read, loopVar bool
+}
+
+// lowered is one body lowered: its statement tree, the spec it recorded —
+// costs, accesses and arms, each numbered as the lowering met it — every
+// access's node by number, and how the body uses its scalars.
+type lowered struct {
+	*kernelFacts
+	spec  *KernelSpec
+	body  *kStmt
+	sites []*kExpr
+	uses  []scalarUse
+}
+
+// lowering is the walk that builds a lowered body: the cost bucket live
+// at each point (Base, or the current arm) and the arms and loops around it.
+type lowering struct {
+	*lowered
 	arms     []*IterCost
 	cur      *IterCost
 	inBranch bool
 	inLoop   bool
-	// noRecord compiles a subtree whose cost and accesses the walk already
-	// recorded (a tile's uniform subtree): recording it again would
-	// double-charge the cost model and desynchronize the access cursors.
-	noRecord bool
-	// loops records every inner loop, for the tile builder.
-	loops map[*cc.ForStmt]loopRec
-	// uniform, when set, names subtrees affineDegree takes as constants
-	// although the body assigns scalars in them (the tile builder's
-	// view: an inner induction variable is one value per tile step).
-	uniform func(cc.Expr) bool
-}
-
-// loopRec is one inner loop: the position of the access cursor before
-// its header, and the positions of the access and arm cursors just after
-// it.
-type loopRec struct {
-	accBeg, accEnd, armEnd int
+	// guard lowers an affine guard's condition (guardSplitter): && and ||
+	// are operators like any other there.
+	guard bool
 }
 
 // BuildKernelSpec compiles the specialized form of the body of k, whose
@@ -415,23 +496,35 @@ type loopRec struct {
 // the rejection category ("branch", "intrinsic", "loop", "induction",
 // "shape") for the per-reason fallback metrics.
 func BuildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program) (*KernelSpec, string) {
-	kb := specBuilder{
-		loopVar: k.LoopVar, serial: k.SerialWorkers,
-		assigned: map[*cc.VarDecl]bool{}, reds: map[*cc.VarDecl]bool{},
-	}
-	cc.AssignedScalars(body, kb.assigned)
-	for _, r := range k.ScalarReds {
-		kb.reds[r.Decl] = true
-	}
-	if kb.assigned[k.LoopVar] {
+	return buildKernelSpec(k, body, prog, nil)
+}
+
+func buildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program, check *lowerCheck) (*KernelSpec, string) {
+	assigned := map[*cc.VarDecl]bool{}
+	cc.AssignedScalars(body, assigned)
+	if assigned[k.LoopVar] {
 		return nil, errSpecInduction.reason // body rewrites the induction variable
 	}
+	if len(assigned) > maxScalars {
+		return nil, specReason(errSpecIneligible)
+	}
+	kf := &kernelFacts{loopVar: k.LoopVar, prog: prog, serial: k.SerialWorkers, bit: map[*cc.VarDecl]int{}, counts: check}
+	for d := range assigned {
+		kf.decls = append(kf.decls, d)
+	}
+	slices.SortFunc(kf.decls, func(a, b *cc.VarDecl) int { return strings.Compare(a.Name, b.Name) })
+	for b, d := range kf.decls {
+		kf.bit[d] = b
+	}
+	for _, r := range k.ScalarReds {
+		kf.reds |= kf.mask(r.Decl)
+	}
 	if hasTopLevelIf(body) {
-		if spec := splitGuards(body, prog, kb); spec != nil {
+		if spec := splitGuards(body, kf); spec != nil {
 			return spec, ""
 		}
 	}
-	return buildSpec(body, prog, kb)
+	return buildSpec(body, kf)
 }
 
 // hasTopLevelIf reports an if directly in the body's (nested) blocks,
@@ -450,50 +543,496 @@ func hasTopLevelIf(s cc.Stmt) bool {
 	return false
 }
 
-// buildSpec compiles one body (a whole kernel body, or one variant of a
-// split one); kb holds what is known of the whole kernel.
-func buildSpec(body cc.Stmt, prog *cc.Program, kb specBuilder) (*KernelSpec, string) {
-	b := &kb
-	b.spec = &KernelSpec{
-		LoopSlot:      b.loopVar.Slot,
+// buildSpec lowers one body (a whole kernel body, or one variant of a
+// split one) and runs the passes over it: the prover when an access is
+// computed, then the tile builder.
+func buildSpec(body cc.Stmt, kf *kernelFacts) (*KernelSpec, string) {
+	l, err := lower(body, kf)
+	if err != nil {
+		return nil, specReason(err)
+	}
+	if l.spec.HasComputed {
+		l.spec.Prover = buildProver(l)
+	}
+	if reason := buildVec(l); reason != "" {
+		return nil, reason
+	}
+	kf.counts.verify(l)
+	return l.spec, ""
+}
+
+// newLowering starts the lowering of one body into a fresh spec.
+func newLowering(kf *kernelFacts) *lowering {
+	prog := kf.prog
+	l := &lowering{lowered: &lowered{kernelFacts: kf, uses: make([]scalarUse, len(kf.decls)), spec: &KernelSpec{
+		LoopSlot:      kf.loopVar.Slot,
 		NumInts:       prog.NumInts,
 		NumFloats:     prog.NumFloats,
 		NumArrays:     prog.NumArrays,
 		InexactStores: make([]bool, prog.NumArrays),
 		WrittenSlots:  make([]bool, prog.NumArrays),
+	}}}
+	l.spec.Base.Stores = make([]int64, prog.NumArrays)
+	l.cur = &l.spec.Base
+	return l
+}
+
+// lower lowers a body in one walk, in the interpreter's order: every
+// subtree folded once, every access and arm numbered as it is met (the
+// spec's Accesses and Arms appended in the same step), every cost charged
+// to the bucket live where the interpreter incurs it, every node
+// summarized. The error names a construct no specialized form takes.
+func lower(body cc.Stmt, kf *kernelFacts) (*lowered, error) {
+	l := newLowering(kf)
+	cc.EachAssign(body, func(st *cc.AssignStmt) {
+		if x, ok := st.LHS.(*cc.IndexExpr); ok {
+			l.spec.WrittenSlots[x.Array.Slot] = true
+		}
+	})
+	var err error
+	if l.body, err = l.stmt(body); err != nil {
+		return nil, err
 	}
-	b.spec.Base.Stores = make([]int64, prog.NumArrays)
-	b.cur = &b.spec.Base
-	if err := b.stmt(body); err != nil {
-		return nil, specReason(err)
+	l.spec.Arms = make([]IterCost, len(l.arms))
+	for i, a := range l.arms {
+		l.spec.Arms[i] = *a
 	}
-	b.spec.Arms = make([]IterCost, len(b.arms))
-	for i, a := range b.arms {
-		b.spec.Arms[i] = *a
+	return l.lowered, nil
+}
+
+// stmt lowers one statement.
+func (l *lowering) stmt(s cc.Stmt) (*kStmt, error) {
+	k := &kStmt{s: s, lo: len(l.spec.Accesses), elseArm: -1}
+	var err error
+	switch st := s.(type) {
+	case *cc.Block:
+		if st.Data != nil {
+			return nil, errSpecIneligible
+		}
+		k.kids = make([]*kStmt, len(st.Stmts))
+		for i, c := range st.Stmts {
+			if k.kids[i], err = l.stmt(c); err != nil {
+				return nil, err
+			}
+		}
+	case *cc.DeclStmt:
+		// Slots live in the environment.
+	case *cc.AssignStmt:
+		if err = l.assign(k, st); err == nil {
+			l.tally(st)
+		}
+	case *cc.IfStmt:
+		err = l.ifStmt(k, st)
+	case *cc.ForStmt:
+		err = l.forStmt(k, st)
+	case *cc.WhileStmt, *cc.BranchStmt:
+		err = errSpecLoop
+	default:
+		// Update directives and other constructs: interpreter only.
+		err = errSpecIneligible
 	}
-	for ai := range b.spec.Accesses {
-		if !b.spec.Accesses[ai].Affine {
-			b.spec.HasComputed = true
+	if err != nil {
+		return nil, err
+	}
+	k.hi = len(l.spec.Accesses)
+	for _, c := range k.kids {
+		if c != nil {
+			k.sets |= c.sets
+			k.store, k.reduce = k.store || c.store, k.reduce || c.reduce
 		}
 	}
-	if b.spec.HasComputed {
-		if b.spec.Prover = buildProver(body, b.loopVar, prog, b.spec); b.spec.Prover == nil {
-			return nil, "shape" // no launch could discharge the computed accesses
+	return k, nil
+}
+
+// tally counts an assignment site of a scalar.
+func (l *lowering) tally(st *cc.AssignStmt) {
+	if id, ok := st.LHS.(*cc.Ident); ok {
+		if u := &l.uses[l.bit[id.Decl]]; st.Op == "=" {
+			u.eq++
+		} else {
+			u.op++
 		}
 	}
-	if reason := buildVec(body, b); reason != "" {
-		return nil, reason
+}
+
+// expr lowers a statement's expression, folded once here.
+func (l *lowering) expr(e cc.Expr) (*kExpr, error) { return l.node(foldExpr(e)) }
+
+// assign lowers an assignment: to a scalar, one more operation for a
+// compound one (four for a float division), then the value; to an array,
+// the target's subscript, the access, its cost, then the value.
+func (l *lowering) assign(k *kStmt, st *cc.AssignStmt) error {
+	typ := cc.TInt
+	switch lhs := st.LHS.(type) {
+	case *cc.Ident:
+		typ, k.sets = lhs.Decl.Type, l.mask(lhs.Decl)
+		if st.Op == "/=" && typ != cc.TInt {
+			l.cur.Flops += 4
+		} else if st.Op != "=" {
+			l.cur.Flops++
+		}
+	case *cc.IndexExpr:
+		typ = lhs.Array.Type
+		kind := AccessStore
+		if st.Reduce != nil {
+			kind = AccessReduce
+		}
+		var err error
+		if k.x, err = l.access(lhs, kind); err != nil {
+			return err
+		}
+		slot, size := lhs.Array.Slot, typ.Size()
+		if kind == AccessReduce {
+			// The interpreter charges one flop at the statement plus the
+			// view's fixed reduce cost (one flop, 8 bytes each way, one
+			// ReduceOp).
+			k.reduce = true
+			l.cur.Flops += 2
+			l.cur.ReduceOps++
+			l.cur.BytesRead += 8
+			l.cur.BytesWritten += 8
+		} else {
+			if !l.spec.Accesses[k.x.site()].Exact() {
+				l.spec.InexactStores[slot] = true
+			}
+			k.store = true
+			l.cur.Stores[slot]++
+			l.cur.BytesWritten += size
+			if st.Op != "=" {
+				l.cur.Flops++
+				l.cur.BytesRead += size
+			}
+		}
+	default:
+		return errSpecIneligible
 	}
-	return b.spec, ""
+	var err error
+	if k.y, err = l.expr(st.RHS); err != nil || st.Op == "=" || st.Reduce != nil {
+		return err
+	}
+	// The operator must be one the interpreter has for the target's type.
+	if _, err = intApply(st.Op, st.Pos()); typ != cc.TInt {
+		_, err = floatApply(st.Op, st.Pos())
+	}
+	if err != nil {
+		return errSpecIneligible
+	}
+	return nil
+}
+
+// newArm opens a cost bucket counted by its own DEnv.Branch entry.
+func (l *lowering) newArm() int {
+	l.arms = append(l.arms, &IterCost{Stores: make([]int64, l.spec.NumArrays)})
+	l.cur = l.arms[len(l.arms)-1]
+	return len(l.arms) - 1
+}
+
+// ifStmt lowers a simple branch. Each arm gets its own cost bucket; the
+// condition's cost belongs to the enclosing bucket (it is evaluated
+// unconditionally).
+func (l *lowering) ifStmt(k *kStmt, st *cc.IfStmt) error {
+	var err error
+	if k.x, err = l.expr(st.Cond); err != nil {
+		return err
+	}
+	savedCur, savedBranch := l.cur, l.inBranch
+	defer func() { l.cur, l.inBranch = savedCur, savedBranch }()
+	l.inBranch = true
+	k.kids = make([]*kStmt, 2)
+	k.arm = l.newArm()
+	if k.kids[0], err = l.stmt(st.Then); err != nil || st.Else == nil {
+		return err
+	}
+	k.elseArm = l.newArm()
+	k.kids[1], err = l.stmt(st.Else)
+	return err
+}
+
+// forStmt lowers an inner sequential loop. The loop gets two cost
+// buckets: one counted per condition evaluation (trips+1 — the
+// condition's cost lives there) and one counted per completed iteration
+// (trips — body and post cost live there). The init's cost belongs to
+// the enclosing bucket, exactly mirroring the interpreter's
+// per-execution accounting. A counted loop's header sets its variable:
+// those two assignments are not the variable's uses.
+func (l *lowering) forStmt(k *kStmt, st *cc.ForStmt) error {
+	if st.Parallel != nil || st.Cond == nil {
+		return errSpecLoop // nested parallel loops: interpreter only
+	}
+	k.kids = make([]*kStmt, 3)
+	lowerPart := func(i int, s *cc.AssignStmt) (err error) {
+		if s != nil {
+			k.kids[i] = &kStmt{s: s, lo: len(l.spec.Accesses), elseArm: -1}
+			err = l.assign(k.kids[i], s)
+			k.kids[i].hi = len(l.spec.Accesses)
+		}
+		return err
+	}
+	if err := lowerPart(0, st.Init); err != nil {
+		return err
+	}
+	savedCur, savedLoop := l.cur, l.inLoop
+	defer func() { l.cur, l.inLoop = savedCur, savedLoop }()
+	l.inLoop = true
+	k.arm = l.newArm()
+	var err error
+	if k.x, err = l.expr(st.Cond); err != nil {
+		return err
+	}
+	l.newArm()
+	if k.kids[1], err = l.stmt(st.Body); err != nil {
+		return err
+	}
+	if err := lowerPart(2, st.Post); err != nil {
+		return err
+	}
+	if k.lv = countedVar(k); k.lv != nil {
+		l.uses[l.bit[k.lv]].loopVar = true
+		return nil
+	}
+	for _, s := range []*cc.AssignStmt{st.Init, st.Post} {
+		if s != nil {
+			l.tally(s)
+		}
+	}
+	return nil
+}
+
+// countedVar returns the variable of a canonical counted loop whose
+// header alone sets it — `for (v = ...; v < bound; v++)` (also <=) over
+// an int scalar v, an int bound — or nil.
+func countedVar(k *kStmt) *cc.VarDecl {
+	st := k.s.(*cc.ForStmt)
+	init, post := st.Init, st.Post
+	if init == nil || post == nil || init.Op != "=" || post.Op != "+=" {
+		return nil
+	}
+	id, isID := post.LHS.(*cc.Ident)
+	in, isIn := init.LHS.(*cc.Ident)
+	one, isLit := post.RHS.(*cc.NumLit)
+	cmp, isCmp := k.x.e.(*cc.BinaryExpr)
+	if !isID || !isIn || !isLit || !isCmp || in.Decl != id.Decl || id.Decl.Type != cc.TInt || one.IsFloat || one.I != 1 ||
+		cmp.Op != "<" && cmp.Op != "<=" || cmp.Y.Type() != cc.TInt {
+		return nil
+	}
+	if cv, isCV := cmp.X.(*cc.Ident); !isCV || cv.Decl != id.Decl {
+		return nil
+	}
+	return id.Decl
+}
+
+// bound returns a counted loop's bound and whether the comparison
+// includes it.
+func (k *kStmt) bound() (*kExpr, bool) {
+	return k.x.y, k.x.e.(*cc.BinaryExpr).Op == "<="
+}
+
+// access lowers an access: its subscript, then the access itself, numbered
+// after every access inside the subscript. An affine subscript also
+// compiles against the host Env for the launch-time endpoint checks; a
+// non-affine (computed) one — indirect loads, inner-loop-variable
+// subscripts, modular arithmetic — is bounded at launch by the interval
+// prover.
+func (l *lowering) access(x *cc.IndexExpr, kind AccessKind) (*kExpr, error) {
+	k := &kExpr{e: x, lo: len(l.spec.Accesses)}
+	var err error
+	if k.x, err = l.expr(x.Index); err != nil {
+		return nil, err
+	}
+	a := SpecAccess{Slot: x.Array.Slot, Kind: kind, InBranch: l.inBranch, InLoop: l.inLoop}
+	if _, a.Affine = affineDegree(k.x, nil); a.Affine {
+		if a.Index, err = CompileExprI(x.Index); err != nil {
+			return nil, errSpecIneligible
+		}
+	} else {
+		l.spec.HasComputed = true
+	}
+	l.spec.Accesses = append(l.spec.Accesses, a)
+	l.sites = append(l.sites, k)
+	k.hi = len(l.spec.Accesses)
+	k.sum = k.x.sum
+	return k, nil
+}
+
+// node lowers a folded expression, charging what the interpreter charges
+// per evaluation.
+func (l *lowering) node(e cc.Expr) (*kExpr, error) {
+	k := &kExpr{e: e, lo: len(l.spec.Accesses)}
+	var err error
+	switch x := e.(type) {
+	case *cc.NumLit:
+	case *cc.Ident:
+		k.iv, k.reads = x.Decl == l.loopVar, l.mask(x.Decl)
+		if k.reads != 0 {
+			l.uses[l.bit[x.Decl]].read = true
+		}
+	case *cc.IndexExpr:
+		if k, err = l.access(x, AccessLoad); err != nil {
+			return nil, err
+		}
+		k.written = l.spec.WrittenSlots[x.Array.Slot]
+		l.cur.BytesRead += x.Array.Type.Size()
+		return k, nil
+	case *cc.UnaryExpr:
+		if x.Op != "-" && x.Op != "!" && x.Op != "~" {
+			return nil, errSpecIneligible
+		}
+		l.cur.Flops++
+		k.x, err = l.node(x.X)
+	case *cc.BinaryExpr:
+		err = l.binary(k, x)
+	case *cc.CondExpr:
+		// The arms' costs are data-dependent: interpreter only.
+		return nil, errSpecBranch
+	case *cc.CallExpr:
+		err = l.call(k, x)
+	case *cc.CastExpr:
+		k.x, err = l.node(x.X)
+	default:
+		return nil, errSpecIneligible
+	}
+	if err != nil {
+		return nil, err
+	}
+	if k.x != nil {
+		k.add(k.x.sum)
+	}
+	if k.y != nil {
+		k.add(k.y.sum)
+	}
+	k.hi = len(l.spec.Accesses)
+	return k, nil
+}
+
+// binary lowers a binary operator: one operation, four for a float
+// division.
+func (l *lowering) binary(k *kExpr, x *cc.BinaryExpr) error {
+	short := x.Op == "&&" || x.Op == "||"
+	if short && !l.guard {
+		// Short-circuiting makes the right operand's cost
+		// data-dependent; the analytic formulas cannot express that.
+		return errSpecBranch
+	}
+	var err error
+	if k.x, err = l.node(x.X); err != nil {
+		return err
+	}
+	if k.y, err = l.node(x.Y); err != nil {
+		return err
+	}
+	switch x.Op {
+	case "<", "<=", ">", ">=", "==", "!=", "+", "-", "*":
+	case "/":
+		if x.Type() != cc.TInt {
+			l.cur.Flops += 3
+			break
+		}
+		fallthrough
+	case "%":
+		lit, isLit := x.Y.(*cc.NumLit)
+		k.divides = x.Type() == cc.TInt && (!isLit || lit.IsFloat || lit.I == 0)
+		fallthrough
+	case "&", "|", "^", "<<", ">>":
+		if x.Type() != cc.TInt {
+			return errSpecIneligible
+		}
+	default:
+		if !short {
+			return errSpecIneligible
+		}
+	}
+	l.cur.Flops++
+	return nil
+}
+
+// call lowers a builtin: its cost from the fixed table, then the
+// arguments.
+func (l *lowering) call(k *kExpr, x *cc.CallExpr) error {
+	bi, ok := cc.Builtins[x.Name]
+	if !ok {
+		return errSpecIntrinsic
+	}
+	l.cur.Flops += bi.Flops
+	var err error
+	if k.x, err = l.node(x.Args[0]); err != nil {
+		return err
+	}
+	if len(x.Args) > 1 {
+		if k.y, err = l.node(x.Args[1]); err != nil {
+			return err
+		}
+	}
+	if x.Type() == cc.TInt && x.Name != "min" && x.Name != "max" && x.Name != "abs" {
+		return errSpecIntrinsic
+	}
+	if _, _, ok := floatBuiltin(x.Name); !ok {
+		return errSpecIntrinsic
+	}
+	return nil
+}
+
+// affineDegree returns the degree (0 or 1) of a lowered subscript in the
+// induction variable, ok false when it is not affine. Degree ≤ 1 with
+// loop-invariant coefficients means the index is exactly a*i + b in int64
+// arithmetic, hence monotone over any iteration chunk — the property the
+// endpoint range checks and the bulk dirty marking rely on. uniform, when
+// set, names subtrees taken as constants although the body assigns
+// scalars in them (the tile builder's view: an inner induction variable
+// is one value per tile step).
+func affineDegree(k *kExpr, uniform func(*kExpr) bool) (int, bool) {
+	if uniform != nil && uniform(k) {
+		return 0, true
+	}
+	switch x := k.e.(type) {
+	case *cc.NumLit:
+		return 0, true
+	case *cc.Ident:
+		if k.iv {
+			return 1, true
+		}
+		return 0, k.reads == 0 // a body-assigned scalar varies mid-iteration
+	case *cc.UnaryExpr:
+		d, ok := affineDegree(k.x, uniform)
+		return d, ok && (x.Op == "-" || d == 0)
+	case *cc.BinaryExpr:
+		dx, okX := affineDegree(k.x, uniform)
+		dy, okY := affineDegree(k.y, uniform)
+		if !okX || !okY {
+			return 0, false
+		}
+		switch x.Op {
+		case "+", "-":
+			d := max(dx, dy)
+			return d, d == 0 || x.Type() == cc.TInt
+		case "*":
+			d := dx + dy
+			return d, d == 0 || d == 1 && x.Type() == cc.TInt
+		}
+		// Division, modulo, shifts, bitwise and comparisons break
+		// affinity unless fully invariant.
+		return 0, dx == 0 && dy == 0
+	case *cc.CallExpr:
+		for _, a := range [2]*kExpr{k.x, k.y} {
+			if d, ok := affineDegree(a, uniform); a != nil && (!ok || d != 0) {
+				return 0, false
+			}
+		}
+		return 0, true
+	case *cc.CastExpr:
+		d, ok := affineDegree(k.x, uniform)
+		return d, ok && (d == 0 || x.To == cc.TInt && x.X.Type() == cc.TInt)
+	}
+	return 0, false // an access: an indirect index
 }
 
 // guardSplitter builds the SpecGuard of a body: it walks the top-level
 // statement list, forks at every affine-guarded if and compiles the
 // statements each path executes as one variant.
 type guardSplitter struct {
-	sb    *specBuilder // what is known of the whole kernel; affineDegree's view
-	prog  *cc.Program
+	kf    *kernelFacts
 	guard *SpecGuard
+	// cond lowers the candidate guards' conditions, for their summaries.
+	cond *lowering
 	// set and folded record, over all variants, the scalars assigned
 	// with "=" and with an accumulating operator. The tiled body keeps
 	// "=" scalars in per-tile vectors but folds accumulators in the
@@ -505,20 +1044,22 @@ type guardSplitter struct {
 // splitGuards compiles the index-set split of a body with at least one
 // affine guard. Nil means "compile the ordinary way": no guard, too
 // many paths, or a variant that is not a straight-line tiled spec.
-func splitGuards(body cc.Stmt, prog *cc.Program, kb specBuilder) *KernelSpec {
+func splitGuards(body cc.Stmt, kf *kernelFacts) *KernelSpec {
 	s := &guardSplitter{
-		sb:     &kb,
-		prog:   prog,
+		kf:     kf,
 		guard:  &SpecGuard{},
+		cond:   newLowering(kf),
 		set:    map[*cc.VarDecl]bool{},
 		folded: map[*cc.VarDecl]bool{},
 	}
+	s.cond.guard = true
 	s.guard.Tree = s.walk([]cc.Stmt{body}, nil, false)
 	if s.guard.Tree == nil || s.guard.Tree.Cond == nil {
 		return nil
 	}
+	prog := kf.prog
 	spec := &KernelSpec{
-		LoopSlot: kb.loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
+		LoopSlot: kf.loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
 		InexactStores: make([]bool, prog.NumArrays),
 		Guard:         s.guard,
 	}
@@ -544,7 +1085,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 			}
 		case *cc.IfStmt:
 			n0 := len(s.guard.Atoms)
-			if s.guardCond(foldExpr(x.Cond)) {
+			if c, err := s.cond.expr(x.Cond); err == nil && s.guardCond(c) {
 				cond, err := compileCond(x.Cond)
 				if err != nil {
 					return nil
@@ -586,7 +1127,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 			}
 		}
 	}
-	v, _ := buildSpec(&cc.Block{Stmts: done}, s.prog, *s.sb)
+	v, _ := buildSpec(&cc.Block{Stmts: done}, s.kf)
 	if v == nil || len(v.Arms) > 0 || v.HasComputed {
 		return nil
 	}
@@ -594,28 +1135,28 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 	return &GuardNode{Variant: len(s.guard.Variants) - 1}
 }
 
-// guardCond reports whether a (folded) condition is an affine guard:
-// &&, || and ! over int comparisons whose sides are affine in the
-// induction variable — recorded as atoms — and over loop-invariant
-// subconditions, which are constant for the launch. Array loads,
-// body-assigned scalars and ?: anywhere make it data-dependent.
-func (s *guardSplitter) guardCond(e cc.Expr) bool {
-	switch x := e.(type) {
+// guardCond reports whether a lowered condition is an affine guard: &&,
+// || and ! over int comparisons whose sides are affine in the induction
+// variable — recorded as atoms — and over loop-invariant subconditions,
+// which are constant for the launch. Array loads, body-assigned scalars
+// and ?: anywhere make it data-dependent.
+func (s *guardSplitter) guardCond(k *kExpr) bool {
+	switch x := k.e.(type) {
 	case *cc.UnaryExpr:
 		if x.Op == "!" {
-			return s.guardCond(x.X)
+			return s.guardCond(k.x)
 		}
 	case *cc.BinaryExpr:
 		switch x.Op {
 		case "&&", "||":
-			return s.guardCond(x.X) && s.guardCond(x.Y)
+			return s.guardCond(k.x) && s.guardCond(k.y)
 		case "<", "<=", ">", ">=", "==", "!=":
 			if x.X.Type() != cc.TInt || x.Y.Type() != cc.TInt {
 				break
 			}
-			dx, errX := s.sb.affineDegree(x.X)
-			dy, errY := s.sb.affineDegree(x.Y)
-			if errX != nil || errY != nil || dx+dy == 0 {
+			dx, okX := affineDegree(k.x, nil)
+			dy, okY := affineDegree(k.y, nil)
+			if !okX || !okY || dx+dy == 0 {
 				break
 			}
 			cx, errX := CompileExprI(x.X)
@@ -627,677 +1168,8 @@ func (s *guardSplitter) guardCond(e cc.Expr) bool {
 			return true
 		}
 	}
-	d, err := s.sb.affineDegree(e)
-	return err == nil && d == 0
-}
-
-// affineDegree returns the degree (0 or 1) of a folded index expression
-// in the induction variable. Degree ≤ 1 with loop-invariant
-// coefficients means the index is exactly a*i + b in int64 arithmetic,
-// hence monotone over any iteration chunk — the property the endpoint
-// range checks and the bulk dirty marking rely on.
-func (b *specBuilder) affineDegree(e cc.Expr) (int, error) {
-	if b.uniform != nil && b.uniform(e) {
-		return 0, nil
-	}
-	switch x := e.(type) {
-	case *cc.NumLit:
-		return 0, nil
-	case *cc.Ident:
-		if x.Decl == b.loopVar {
-			return 1, nil
-		}
-		if b.assigned[x.Decl] {
-			return 0, errSpecIneligible // varies mid-iteration
-		}
-		return 0, nil
-	case *cc.IndexExpr:
-		return 0, errSpecIneligible // indirect index
-	case *cc.UnaryExpr:
-		d, err := b.affineDegree(x.X)
-		if err != nil {
-			return 0, err
-		}
-		if x.Op == "-" {
-			return d, nil
-		}
-		if d != 0 {
-			return 0, errSpecIneligible
-		}
-		return 0, nil
-	case *cc.BinaryExpr:
-		dx, err := b.affineDegree(x.X)
-		if err != nil {
-			return 0, err
-		}
-		dy, err := b.affineDegree(x.Y)
-		if err != nil {
-			return 0, err
-		}
-		switch x.Op {
-		case "+", "-":
-			d := dx
-			if dy > d {
-				d = dy
-			}
-			if d > 0 && x.Type() != cc.TInt {
-				return 0, errSpecIneligible
-			}
-			return d, nil
-		case "*":
-			if dx > 0 && dy > 0 {
-				return 0, errSpecIneligible // degree 2
-			}
-			d := dx + dy
-			if d > 0 && x.Type() != cc.TInt {
-				return 0, errSpecIneligible
-			}
-			return d, nil
-		default:
-			// Division, modulo, shifts, bitwise and comparisons break
-			// affinity unless fully invariant.
-			if dx != 0 || dy != 0 {
-				return 0, errSpecIneligible
-			}
-			return 0, nil
-		}
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			if d, err := b.affineDegree(a); err != nil || d != 0 {
-				return 0, errSpecIneligible
-			}
-		}
-		return 0, nil
-	case *cc.CastExpr:
-		if x.To == cc.TInt && x.X.Type() == cc.TInt {
-			return b.affineDegree(x.X)
-		}
-		if d, err := b.affineDegree(x.X); err != nil || d != 0 {
-			return 0, errSpecIneligible
-		}
-		return 0, nil
-	case *cc.CondExpr:
-		return 0, errSpecIneligible
-	}
-	return 0, errSpecIneligible
-}
-
-// stmt walks one statement of the body in the interpreter's order,
-// charging every cost to the bucket live where the interpreter incurs it
-// (Base, or the current arm) and recording every access, arm and inner
-// loop. The error names a construct no specialized form takes.
-func (b *specBuilder) stmt(s cc.Stmt) error {
-	switch st := s.(type) {
-	case *cc.Block:
-		if st.Data != nil {
-			return errSpecIneligible
-		}
-		for _, c := range st.Stmts {
-			if err := b.stmt(c); err != nil {
-				return err
-			}
-		}
-		return nil
-
-	case *cc.DeclStmt:
-		return nil // slots live in the environment
-
-	case *cc.AssignStmt:
-		switch lhs := st.LHS.(type) {
-		case *cc.Ident:
-			if lhs.Decl == b.loopVar {
-				return errSpecIneligible
-			}
-			// A compound assignment is one more operation, four for a
-			// float division.
-			if st.Op == "/=" && lhs.Decl.Type != cc.TInt {
-				b.cur.Flops += 4
-			} else if st.Op != "=" {
-				b.cur.Flops++
-			}
-			return b.rhs(st, lhs.Decl.Type)
-		case *cc.IndexExpr:
-			return b.arrayAssign(st, lhs)
-		}
-		return errSpecIneligible
-
-	case *cc.IfStmt:
-		return b.ifStmt(st)
-
-	case *cc.ForStmt:
-		if st.Parallel != nil {
-			return errSpecLoop // nested parallel loops: interpreter only
-		}
-		return b.forStmt(st)
-
-	case *cc.WhileStmt, *cc.BranchStmt:
-		return errSpecLoop
-	}
-	// Update directives and other constructs: interpreter only.
-	return errSpecIneligible
-}
-
-// newArm opens a cost bucket counted by its own DEnv.Branch entry.
-func (b *specBuilder) newArm() *IterCost {
-	c := &IterCost{Stores: make([]int64, b.spec.NumArrays)}
-	b.arms = append(b.arms, c)
-	return c
-}
-
-// forStmt records an inner sequential loop. The loop gets two cost
-// buckets: one counted per condition evaluation (trips+1 — the
-// condition's cost lives there) and one counted per completed iteration
-// (trips — body and post cost live there). The init's cost belongs to
-// the enclosing bucket, exactly mirroring the interpreter's
-// per-execution accounting.
-func (b *specBuilder) forStmt(st *cc.ForStmt) error {
-	if st.Cond == nil {
-		return errSpecLoop
-	}
-	accBeg := len(b.spec.Accesses)
-	if st.Init != nil {
-		if err := b.stmt(st.Init); err != nil {
-			return err
-		}
-	}
-	savedCur, savedLoop := b.cur, b.inLoop
-	defer func() { b.cur, b.inLoop = savedCur, savedLoop }()
-	b.inLoop = true
-	b.cur = b.newArm()
-	if _, err := b.cond(st.Cond); err != nil {
-		return err
-	}
-	b.cur = b.newArm()
-	if err := b.stmt(st.Body); err != nil {
-		return err
-	}
-	if st.Post != nil {
-		if err := b.stmt(st.Post); err != nil {
-			return err
-		}
-	}
-	if b.loops == nil {
-		b.loops = map[*cc.ForStmt]loopRec{}
-	}
-	b.loops[st] = loopRec{accBeg: accBeg, accEnd: len(b.spec.Accesses), armEnd: len(b.arms)}
-	return nil
-}
-
-// ifStmt records a simple branch. Each arm gets its own cost bucket; the
-// condition's cost belongs to the enclosing bucket (it is evaluated
-// unconditionally).
-func (b *specBuilder) ifStmt(st *cc.IfStmt) error {
-	if _, err := b.cond(st.Cond); err != nil {
-		return err
-	}
-	savedCur, savedBranch := b.cur, b.inBranch
-	defer func() { b.cur, b.inBranch = savedCur, savedBranch }()
-	b.inBranch = true
-	b.cur = b.newArm()
-	if err := b.stmt(st.Then); err != nil || st.Else == nil {
-		return err
-	}
-	b.cur = b.newArm()
-	return b.stmt(st.Else)
-}
-
-// rhs records the right-hand side of an assignment to a target of type
-// typ and checks its operator: one the interpreter has for that type.
-func (b *specBuilder) rhs(st *cc.AssignStmt, typ cc.ElemType) error {
-	var err error
-	if typ == cc.TInt {
-		_, err = b.exprI(st.RHS)
-	} else {
-		_, err = b.exprF(st.RHS)
-	}
-	if err != nil || st.Op == "=" || st.Reduce != nil {
-		return err
-	}
-	if _, err = intApply(st.Op, st.Pos()); typ != cc.TInt {
-		_, err = floatApply(st.Op, st.Pos())
-	}
-	if err != nil {
-		return errSpecIneligible
-	}
-	return nil
-}
-
-// index compiles an access index. An affine one also compiles against
-// the host Env for the launch-time endpoint checks; a non-affine
-// (computed) one — indirect loads, inner-loop-variable subscripts,
-// modular arithmetic — is bounded at launch by the interval prover. Only
-// the direct form accrues cost (one evaluation per execution, like the
-// interpreter).
-func (b *specBuilder) index(idx cc.Expr) (ExprI, dExprI, bool, error) {
-	affine := true
-	if _, err := b.affineDegree(foldExpr(idx)); err != nil {
-		// Reasoned rejections (?:, short-circuit, unknown builtins)
-		// stay rejections; plain non-affinity demotes to computed.
-		if err != errSpecIneligible {
-			return nil, nil, false, err
-		}
-		affine = false
-	}
-	var hostIdx ExprI
-	if affine && !b.noRecord {
-		var err error
-		if hostIdx, err = CompileExprI(idx); err != nil {
-			return nil, nil, false, errSpecIneligible
-		}
-	}
-	didx, err := b.exprI(idx)
-	return hostIdx, didx, affine, err
-}
-
-// arrayAssign records a store or a reduction-lane update: its index, the
-// access, then the value.
-func (b *specBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) error {
-	decl := lhs.Array
-	slot := decl.Slot
-	hostIdx, _, affine, err := b.index(lhs.Index)
-	if err != nil {
-		return err
-	}
-	acc := SpecAccess{
-		Slot: slot, Kind: AccessStore, InBranch: b.inBranch, InLoop: b.inLoop,
-		Affine: affine, Index: hostIdx,
-	}
-	b.spec.WrittenSlots[slot] = true
-	if st.Reduce != nil {
-		// The interpreter charges one flop at the statement plus the view's
-		// fixed reduce cost (one flop, 8 bytes each way, one ReduceOp).
-		acc.Kind = AccessReduce
-		b.cur.Flops += 2
-		b.cur.ReduceOps++
-		b.cur.BytesRead += 8
-		b.cur.BytesWritten += 8
-	} else {
-		if !acc.Exact() {
-			b.spec.InexactStores[slot] = true
-		}
-		size := decl.Type.Size()
-		b.cur.Stores[slot]++
-		b.cur.BytesWritten += size
-		if st.Op != "=" {
-			b.cur.Flops++
-			b.cur.BytesRead += size
-		}
-	}
-	b.spec.Accesses = append(b.spec.Accesses, acc)
-	return b.rhs(st, decl.Type)
-}
-
-// exprI, exprF and cond mirror CompileExprI/CompileExprF/compileCond:
-// same folding entry points, same coercions, no runtime counters.
-
-func (b *specBuilder) exprI(e cc.Expr) (dExprI, error) {
-	e = foldExpr(e)
-	ci, cf, err := b.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	if e.Type() == cc.TInt {
-		return ci, nil
-	}
-	return func(env *DEnv) int64 { return int64(cf(env)) }, nil
-}
-
-func (b *specBuilder) exprF(e cc.Expr) (dExprF, error) {
-	e = foldExpr(e)
-	ci, cf, err := b.compile(e)
-	if err != nil {
-		return nil, err
-	}
-	if e.Type() == cc.TInt {
-		return func(env *DEnv) float64 { return float64(ci(env)) }, nil
-	}
-	return cf, nil
-}
-
-func (b *specBuilder) cond(e cc.Expr) (func(*DEnv) bool, error) {
-	if e.Type() == cc.TInt {
-		op, err := b.exprI(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *DEnv) bool { return op(env) != 0 }, nil
-	}
-	op, err := b.exprF(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(env *DEnv) bool { return op(env) != 0 }, nil
-}
-
-func (b *specBuilder) compile(e cc.Expr) (dExprI, dExprF, error) {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		if x.IsFloat {
-			v := x.F
-			return nil, func(*DEnv) float64 { return v }, nil
-		}
-		v := x.I
-		return func(*DEnv) int64 { return v }, nil, nil
-
-	case *cc.Ident:
-		slot := x.Decl.Slot
-		if x.Type() == cc.TInt {
-			return func(env *DEnv) int64 { return env.Ints[slot] }, nil, nil
-		}
-		return nil, func(env *DEnv) float64 { return env.Floats[slot] }, nil
-
-	case *cc.IndexExpr:
-		return b.load(x)
-
-	case *cc.BinaryExpr:
-		return b.binary(x)
-
-	case *cc.UnaryExpr:
-		switch x.Op {
-		case "-":
-			b.cur.Flops++
-			if x.Type() == cc.TInt {
-				op, err := b.exprI(x.X)
-				if err != nil {
-					return nil, nil, err
-				}
-				return func(env *DEnv) int64 { return -op(env) }, nil, nil
-			}
-			op, err := b.exprF(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nil, func(env *DEnv) float64 { return -op(env) }, nil
-		case "!":
-			op, err := b.cond(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			b.cur.Flops++
-			return func(env *DEnv) int64 {
-				if op(env) {
-					return 0
-				}
-				return 1
-			}, nil, nil
-		case "~":
-			op, err := b.exprI(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			b.cur.Flops++
-			return func(env *DEnv) int64 { return ^op(env) }, nil, nil
-		}
-		return nil, nil, errSpecIneligible
-
-	case *cc.CondExpr:
-		// The arms' costs are data-dependent: interpreter only.
-		return nil, nil, errSpecBranch
-
-	case *cc.CallExpr:
-		return b.call(x)
-
-	case *cc.CastExpr:
-		if x.To == cc.TInt {
-			if x.X.Type() == cc.TInt {
-				return b.compile(x.X)
-			}
-			op, err := b.exprF(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(env *DEnv) int64 { return int64(op(env)) }, nil, nil
-		}
-		op, err := b.exprF(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		if x.To == cc.TFloat {
-			return nil, func(env *DEnv) float64 { return float64(float32(op(env))) }, nil
-		}
-		return nil, op, nil
-	}
-	return nil, nil, errSpecIneligible
-}
-
-// load compiles an array read as a direct slice access.
-func (b *specBuilder) load(x *cc.IndexExpr) (dExprI, dExprF, error) {
-	slot := x.Array.Slot
-	hostIdx, didx, affine, err := b.index(x.Index)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !b.noRecord {
-		b.spec.Accesses = append(b.spec.Accesses, SpecAccess{
-			Slot: slot, Kind: AccessLoad, InBranch: b.inBranch, InLoop: b.inLoop,
-			Affine: affine, Index: hostIdx,
-		})
-		b.cur.BytesRead += x.Array.Type.Size()
-	}
-	switch x.Array.Type {
-	case cc.TInt:
-		return func(env *DEnv) int64 {
-			a := &env.Arrays[slot]
-			return int64(a.I32[a.off(didx(env)-a.Base)])
-		}, nil, nil
-	case cc.TFloat:
-		return nil, func(env *DEnv) float64 {
-			a := &env.Arrays[slot]
-			return float64(a.F32[a.off(didx(env)-a.Base)])
-		}, nil
-	default:
-		return nil, func(env *DEnv) float64 {
-			a := &env.Arrays[slot]
-			return a.F64[a.off(didx(env)-a.Base)]
-		}, nil
-	}
-}
-
-func (b *specBuilder) binary(x *cc.BinaryExpr) (dExprI, dExprF, error) {
-	switch x.Op {
-	case "&&", "||":
-		// Short-circuiting makes the right operand's cost
-		// data-dependent; the analytic formulas cannot express that.
-		return nil, nil, errSpecBranch
-	}
-
-	switch x.Op {
-	case "<", "<=", ">", ">=", "==", "!=":
-		if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-			a, err := b.exprI(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			c, err := b.exprI(x.Y)
-			if err != nil {
-				return nil, nil, err
-			}
-			b.cur.Flops++
-			var fn dExprI
-			switch x.Op {
-			case "<":
-				fn = func(e *DEnv) int64 { return b2i(a(e) < c(e)) }
-			case "<=":
-				fn = func(e *DEnv) int64 { return b2i(a(e) <= c(e)) }
-			case ">":
-				fn = func(e *DEnv) int64 { return b2i(a(e) > c(e)) }
-			case ">=":
-				fn = func(e *DEnv) int64 { return b2i(a(e) >= c(e)) }
-			case "==":
-				fn = func(e *DEnv) int64 { return b2i(a(e) == c(e)) }
-			default:
-				fn = func(e *DEnv) int64 { return b2i(a(e) != c(e)) }
-			}
-			return fn, nil, nil
-		}
-		a, err := b.exprF(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := b.exprF(x.Y)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.cur.Flops++
-		var fn dExprI
-		switch x.Op {
-		case "<":
-			fn = func(e *DEnv) int64 { return b2i(a(e) < c(e)) }
-		case "<=":
-			fn = func(e *DEnv) int64 { return b2i(a(e) <= c(e)) }
-		case ">":
-			fn = func(e *DEnv) int64 { return b2i(a(e) > c(e)) }
-		case ">=":
-			fn = func(e *DEnv) int64 { return b2i(a(e) >= c(e)) }
-		case "==":
-			fn = func(e *DEnv) int64 { return b2i(a(e) == c(e)) }
-		default:
-			fn = func(e *DEnv) int64 { return b2i(a(e) != c(e)) }
-		}
-		return fn, nil, nil
-	}
-
-	if x.Type() == cc.TInt {
-		a, err := b.exprI(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		c, err := b.exprI(x.Y)
-		if err != nil {
-			return nil, nil, err
-		}
-		b.cur.Flops++
-		switch x.Op {
-		case "+":
-			return func(e *DEnv) int64 { return a(e) + c(e) }, nil, nil
-		case "-":
-			return func(e *DEnv) int64 { return a(e) - c(e) }, nil, nil
-		case "*":
-			return func(e *DEnv) int64 { return a(e) * c(e) }, nil, nil
-		case "/":
-			return func(e *DEnv) int64 { return a(e) / c(e) }, nil, nil
-		case "%":
-			return func(e *DEnv) int64 { return a(e) % c(e) }, nil, nil
-		case "&":
-			return func(e *DEnv) int64 { return a(e) & c(e) }, nil, nil
-		case "|":
-			return func(e *DEnv) int64 { return a(e) | c(e) }, nil, nil
-		case "^":
-			return func(e *DEnv) int64 { return a(e) ^ c(e) }, nil, nil
-		case "<<":
-			return func(e *DEnv) int64 { return a(e) << uint(c(e)) }, nil, nil
-		case ">>":
-			return func(e *DEnv) int64 { return a(e) >> uint(c(e)) }, nil, nil
-		}
-		return nil, nil, errSpecIneligible
-	}
-
-	a, err := b.exprF(x.X)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := b.exprF(x.Y)
-	if err != nil {
-		return nil, nil, err
-	}
-	switch x.Op {
-	case "+":
-		b.cur.Flops++
-		return nil, func(e *DEnv) float64 { return a(e) + c(e) }, nil
-	case "-":
-		b.cur.Flops++
-		return nil, func(e *DEnv) float64 { return a(e) - c(e) }, nil
-	case "*":
-		b.cur.Flops++
-		return nil, func(e *DEnv) float64 { return a(e) * c(e) }, nil
-	case "/":
-		b.cur.Flops += 4
-		return nil, func(e *DEnv) float64 { return a(e) / c(e) }, nil
-	}
-	return nil, nil, errSpecIneligible
-}
-
-func (b *specBuilder) call(x *cc.CallExpr) (dExprI, dExprF, error) {
-	bi, ok := cc.Builtins[x.Name]
-	if !ok {
-		return nil, nil, errSpecIntrinsic
-	}
-	b.cur.Flops += bi.Flops
-	if x.Type() == cc.TInt {
-		args := make([]dExprI, len(x.Args))
-		for i, a := range x.Args {
-			c, err := b.exprI(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			args[i] = c
-		}
-		switch x.Name {
-		case "min":
-			a0, a1 := args[0], args[1]
-			return func(e *DEnv) int64 { return min(a0(e), a1(e)) }, nil, nil
-		case "max":
-			a0, a1 := args[0], args[1]
-			return func(e *DEnv) int64 { return max(a0(e), a1(e)) }, nil, nil
-		case "abs":
-			a0 := args[0]
-			return func(e *DEnv) int64 {
-				v := a0(e)
-				if v < 0 {
-					return -v
-				}
-				return v
-			}, nil, nil
-		}
-		return nil, nil, errSpecIntrinsic
-	}
-	args := make([]dExprF, len(x.Args))
-	for i, a := range x.Args {
-		c, err := b.exprF(a)
-		if err != nil {
-			return nil, nil, err
-		}
-		args[i] = c
-	}
-	fn1, fn2, ok := floatBuiltin(x.Name)
-	if !ok {
-		return nil, nil, errSpecIntrinsic
-	}
-	if fn1 != nil {
-		a0 := args[0]
-		return nil, func(e *DEnv) float64 { return fn1(a0(e)) }, nil
-	}
-	a0, a1 := args[0], args[1]
-	return nil, func(e *DEnv) float64 { return fn2(a0(e), a1(e)) }, nil
-}
-
-// floatBuiltin maps a float builtin name to its math implementation
-// (one- or two-argument); both spec compilation paths share it so they
-// call bit-identical functions.
-func floatBuiltin(name string) (fn1 func(float64) float64, fn2 func(float64, float64) float64, ok bool) {
-	switch name {
-	case "sqrt", "sqrtf":
-		fn1 = math.Sqrt
-	case "fabs", "fabsf", "abs":
-		fn1 = math.Abs
-	case "exp", "expf":
-		fn1 = math.Exp
-	case "log", "logf":
-		fn1 = math.Log
-	case "floor":
-		fn1 = math.Floor
-	case "ceil":
-		fn1 = math.Ceil
-	case "pow", "powf":
-		fn2 = math.Pow
-	case "min":
-		fn2 = math.Min
-	case "max":
-		fn2 = math.Max
-	default:
-		return nil, nil, false
-	}
-	return fn1, fn2, true
+	d, ok := affineDegree(k, nil)
+	return ok && d == 0
 }
 
 func b2i(b bool) int64 {

@@ -17,8 +17,8 @@ import (
 // flat set): the kernel's induction variable and the loop's are int
 // vectors, a private scalar "="-assigned in the body is a vector over the
 // flat lanes, one defined around the loop is read through seg, every
-// access is a gather or a scatter. It runs on scratch of its own
-// (VecEnv.flat).
+// access is a gather or a scatter, numbered as the lowering numbered it.
+// It runs on scratch of its own (VecEnv.flat).
 //
 // A flat tile computes first and commits after. Every effect of the body
 // — a store, a fold, a reduction-lane update, an op-assignment to a
@@ -141,57 +141,54 @@ func (v *vecBuilder) newSite() int {
 // commit, or one is loaded after its store; or when such an array is
 // there and something may divide by zero (a lane past a hazard computes on
 // stale values before it is discarded).
-func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
-	lv := countedVar(st)
+func (v *vecBuilder) flatOK(k *kStmt, live []*cc.VarDecl) *flatLoop {
+	lv := k.lv
 	if lv == nil || v.scalars[lv].kind != kUniform {
 		return nil
 	}
 	fl := &flatLoop{lv: lv, local: map[*cc.VarDecl]bool{}, hazSlot: -1}
 	var (
-		ok               = true
-		div              bool
-		stores           = map[int]int{}
-		loaded           = map[int]int{}
-		eq, opSet, reads = map[*cc.VarDecl]int{}, map[*cc.VarDecl]int{}, map[*cc.VarDecl]int{}
+		ok          = true
+		div         bool
+		reads, sets uint64
+		stores      = map[int]int{}
+		loaded      = map[int]int{}
+		eq, opSet   = map[*cc.VarDecl]int{}, map[*cc.VarDecl]int{}
 	)
-	read := func(e cc.Expr) {
-		div = div || divides(e)
-		cc.EachExpr(e, func(x cc.Expr) {
-			switch y := x.(type) {
-			case *cc.Ident:
-				reads[y.Decl]++
-			case *cc.IndexExpr:
-				ok = ok && stores[y.Array.Slot] == 0 // a load after the store
-				loaded[y.Array.Slot]++
-			}
-		})
+	read := func(e *kExpr) {
+		div, reads = div || e.divides, reads|e.reads
+		for s := e.lo; s < e.hi; s++ {
+			slot := v.spec.Accesses[s].Slot
+			ok = ok && stores[slot] == 0 // a load after the store
+			loaded[slot]++
+		}
 	}
-	var walk func(s cc.Stmt)
-	walk = func(s cc.Stmt) {
-		switch x := s.(type) {
+	var walk func(s *kStmt)
+	walk = func(s *kStmt) {
+		switch x := s.s.(type) {
 		case *cc.Block:
-			for _, c := range x.Stmts {
+			for _, c := range s.kids {
 				walk(c)
 			}
 		case *cc.DeclStmt:
 		case *cc.IfStmt:
-			read(x.Cond)
-			walk(x.Then)
-			if x.Else != nil {
-				walk(x.Else)
+			read(s.x)
+			walk(s.kids[0])
+			if s.kids[1] != nil {
+				walk(s.kids[1])
 			}
 		case *cc.AssignStmt:
-			read(x.RHS)
+			read(s.y)
 			switch lhs := x.LHS.(type) {
 			case *cc.Ident:
-				if x.Op == "=" {
+				if sets |= s.sets; x.Op == "=" {
 					eq[lhs.Decl]++
 				} else {
 					opSet[lhs.Decl]++
 					div = div || lhs.Decl.Type == cc.TInt && (x.Op == "/=" || x.Op == "%=")
 				}
 			case *cc.IndexExpr:
-				read(lhs.Index)
+				read(s.x.x)
 				if x.Reduce == nil {
 					stores[lhs.Array.Slot]++
 				}
@@ -200,21 +197,18 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 			ok = false // a loop in the loop
 		}
 	}
-	walk(st.Body)
-	_, bound, _, _ := canonicalFor(st)
-	for _, e := range []cc.Expr{st.Init.RHS, bound} {
-		cc.EachExpr(e, func(x cc.Expr) {
-			switch y := x.(type) {
-			case *cc.Ident:
-				ok = ok && eq[y.Decl]+opSet[y.Decl] == 0 && (y.Decl != lv || e != bound)
-			case *cc.IndexExpr:
-				ok = ok && stores[y.Array.Slot] == 0
-			}
-		})
+	walk(k.kids[1])
+	bound, _ := k.bound()
+	for _, e := range []*kExpr{k.kids[0].y, bound} {
+		ok = ok && e.reads&sets == 0
+		for s := e.lo; s < e.hi; s++ {
+			ok = ok && stores[v.spec.Accesses[s].Slot] == 0
+		}
 	}
+	ok = ok && bound.reads&v.mask(lv) == 0
 	for d := range opSet {
 		if u := v.scalars[d]; u.kind == kPrivate && eq[d] == 0 {
-			ok = ok && opSet[d] == 1 && reads[d] == 0
+			ok = ok && opSet[d] == 1 && reads&v.mask(d) == 0
 		}
 	}
 	for d := range eq {
@@ -245,14 +239,13 @@ func (v *vecBuilder) flatOK(st *cc.ForStmt, live []*cc.VarDecl) *flatLoop {
 // flatLoop compiles a loop as flat tiles — its header for the outer
 // tile, its body for the flat tiles, and the walk over the trips
 // — or fails where flatOK refuses it.
-func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error) {
-	fl := v.flatOK(st, live)
+func (v *vecBuilder) flatLoop(k *kStmt, live []*cc.VarDecl) (VStmt, error) {
+	fl := v.flatOK(k, live)
 	if fl == nil {
 		return nil, errSpecIneligible
 	}
-	rec := v.sb.loops[st]
-	_, boundX, incl, _ := canonicalFor(st)
-	init, err := v.vExprI(st.Init.RHS)
+	boundX, incl := k.bound()
+	init, err := v.vExprI(k.kids[0].y)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +254,7 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error)
 		return nil, err
 	}
 	lov, hiv := v.matI(init), v.matI(bound)
-	condIdx, bodyIdx := v.armi, v.armi+1
-	v.armi += 2
+	condIdx, bodyIdx := v.takeArm(k.arm), v.takeArm(k.arm+1)
 	v.usesAct = true
 
 	// The body, numbered against the flat scratch: the private vectors
@@ -271,16 +263,14 @@ func (v *vecBuilder) flatLoop(st *cc.ForStmt, live []*cc.VarDecl) (VStmt, error)
 	fl.iv, fl.lvv, fl.siteBeg = v.baseI, v.baseI+1, v.spec.FlatSites
 	v.baseI += 2
 	v.nBufI, v.nBufF, v.depth, v.maxArms, v.masked, v.flat = v.baseI, v.baseF, 0, 0, false, fl
-	body, err := v.stmt(st.Body)
+	body, err := v.stmt(k.kids[1])
 	spec := v.spec
 	spec.FlatBufI, spec.FlatBufF = max(spec.FlatBufI, v.nBufI), max(spec.FlatBufF, v.nBufF)
 	spec.FlatMask = max(spec.FlatMask, 1+2*v.maxArms)
-	cursorA, cursorArm := v.ai, v.armi
 	*v = outer
-	if err != nil || cursorA != rec.accEnd || cursorArm != rec.armEnd {
-		return nil, errSpecIneligible
+	if err != nil {
+		return nil, err
 	}
-	v.ai, v.armi = cursorA, cursorArm
 	siteEnd := spec.FlatSites
 
 	return func(vm *VecEnv, i0 int64, L int) {
@@ -538,7 +528,7 @@ func segRead[S int64 | float64](out, src []S, seg []int32) []S {
 
 // flatValue compiles the right-hand side of an effect as a vector of the
 // target's type (one of the two results is nil).
-func (v *vecBuilder) flatValue(e cc.Expr, typ cc.ElemType) (vecI, vecF, error) {
+func (v *vecBuilder) flatValue(e *kExpr, typ cc.ElemType) (vecI, vecF, error) {
 	if typ == cc.TInt {
 		r, err := v.vExprI(e)
 		if err != nil {
@@ -576,8 +566,9 @@ func record(site int, ix, ri vecI, rf vecF) VStmt {
 // worker's scalar) or the op-assignment of a private scalar of the outer
 // tile (into its vector, at the flat lane's outer lane): applied at
 // commit in ascending flat order with the scalar's rounding per step.
-func (v *vecBuilder) flatFold(st *cc.AssignStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
-	ri, rf, err := v.flatValue(st.RHS, d.Type)
+func (v *vecBuilder) flatFold(k *kStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
+	st := k.s.(*cc.AssignStmt)
+	ri, rf, err := v.flatValue(k.y, d.Type)
 	if err != nil {
 		return nil, err
 	}
@@ -623,19 +614,20 @@ func (v *vecBuilder) flatFold(st *cc.AssignStmt, d *cc.VarDecl, outer bool) (VSt
 // flatElement compiles what an effect on an array element records: the
 // index and the value as vectors, in the order the interpreter's
 // statement evaluates them.
-func (v *vecBuilder) flatElement(st *cc.AssignStmt, lhs *cc.IndexExpr) (ix, ri vecI, rf vecF, err error) {
-	li, err := v.laneIndex(lhs.Index)
+func (v *vecBuilder) flatElement(k *kStmt, kind AccessKind) (ix, ri vecI, rf vecF, err error) {
+	li, err := v.laneIndex(k.x.x, v.take(k.x, kind))
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	ix = v.idxVec(li)
-	ri, rf, err = v.flatValue(st.RHS, lhs.Array.Type)
+	ri, rf, err = v.flatValue(k.y, k.x.e.(*cc.IndexExpr).Array.Type)
 	return ix, ri, rf, err
 }
 
 // flatReduce compiles a reduction-lane update of a flat body.
-func (v *vecBuilder) flatReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
-	ix, ri, rf, err := v.flatElement(st, lhs)
+func (v *vecBuilder) flatReduce(k *kStmt) (VStmt, error) {
+	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
+	ix, ri, rf, err := v.flatElement(k, AccessReduce)
 	if err != nil {
 		return nil, err
 	}
@@ -652,9 +644,10 @@ func (v *vecBuilder) flatReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, er
 
 // flatStore compiles a store of a flat body: a scatter at commit
 // (flatStoreSite.walk).
-func (v *vecBuilder) flatStore(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
+func (v *vecBuilder) flatStore(k *kStmt) (VStmt, error) {
+	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
 	fl, typ := v.flat, lhs.Array.Type
-	ix, ri, rf, err := v.flatElement(st, lhs)
+	ix, ri, rf, err := v.flatElement(k, AccessStore)
 	if err != nil {
 		return nil, err
 	}

@@ -22,7 +22,9 @@ import (
 // the copy's resident range and falls back to the interpreter when a
 // proof fails — reproducing the legacy behaviour exactly, including
 // the interpreter's partition-violation panics on genuinely
-// out-of-range indices.
+// out-of-range indices. The abstract body is a pass over the lowered body
+// (spec.go): each statement records the interval of every access it
+// holds under the number the lowering gave that access.
 //
 // Soundness rules:
 //   - All arithmetic saturates to the sentinel bounds; any operand
@@ -327,130 +329,147 @@ func (pr *SpecProver) Prove(pe *PEnv, env *Env, itLo, itHi int64) {
 	}
 }
 
-// proveBuilder compiles the abstract body, mirroring specBuilder's
-// traversal exactly: the access cursor must visit the sites in the
-// same order specBuilder appended them, and the final cursor position
-// is asserted. Any divergence aborts the build — the kernel then
-// simply has no prover and computed accesses always fall back.
+// proveBuilder compiles the abstract body: a pass over the lowered body
+// in which every statement records the index interval of each access it
+// holds, by the access's number, at the abstract state where the
+// interpreter would evaluate it.
 type proveBuilder struct {
-	loopVar  *cc.VarDecl
-	assigned map[*cc.VarDecl]bool
-	spec     *KernelSpec
-	ai       int
-	// noRecord compiles a subtree whose loads resolve values but do not
-	// touch the access records: the refinement bound re-walks a subtree
-	// the condition walk already recorded, and recording it again at
-	// fresh cursor positions would corrupt later access sites.
-	noRecord bool
+	*lowered
 }
 
-var errProveAbort = &specErr{reason: "prove"}
-
-// buildProver compiles the interval abstraction of a successfully
-// specialized body, or nil when the abstract walk cannot mirror it.
-func buildProver(body cc.Stmt, loopVar *cc.VarDecl, prog *cc.Program, spec *KernelSpec) *SpecProver {
-	b := &proveBuilder{
-		loopVar:  loopVar,
-		assigned: map[*cc.VarDecl]bool{},
-		spec:     spec,
-	}
-	cc.AssignedScalars(body, b.assigned)
-	st, err := b.stmt(body)
-	if err != nil || b.ai != len(spec.Accesses) {
-		return nil
-	}
+// buildProver compiles the interval abstraction of a lowered body.
+func buildProver(l *lowered) *SpecProver {
+	b := &proveBuilder{l}
+	st := b.stmt(l.body)
 	if st == nil {
-		st = func(*PEnv) {}
+		st = pNop
 	}
 	pr := &SpecProver{
 		body:     st,
-		loopSlot: loopVar.Slot,
-		numInts:  prog.NumInts,
-		nAccess:  len(spec.Accesses),
+		loopSlot: l.loopVar.Slot,
+		numInts:  l.prog.NumInts,
+		nAccess:  len(l.spec.Accesses),
 	}
-	for d, w := range b.assigned {
-		if w && !d.IsArray && d.Type == cc.TInt {
-			pr.assignedSlots = append(pr.assignedSlots, d.Slot)
+	pr.assignedSlots = b.intSlots(^uint64(0))
+	return pr
+}
+
+// intSlots lists the int slots of the body-assigned scalars in mask.
+func (b *proveBuilder) intSlots(mask uint64) (slots []int) {
+	for i, d := range b.decls {
+		if mask&(1<<i) != 0 && d.Type == cc.TInt {
+			slots = append(slots, d.Slot)
 		}
 	}
-	return pr
+	return slots
 }
 
 func pNop(*PEnv) {}
 
-func (b *proveBuilder) stmt(s cc.Stmt) (pStmt, error) {
-	switch st := s.(type) {
+// stmt compiles one statement; nil for one with nothing to record or
+// assign.
+func (b *proveBuilder) stmt(k *kStmt) pStmt {
+	switch st := k.s.(type) {
 	case *cc.Block:
-		if st.Data != nil {
-			return nil, errProveAbort
-		}
 		var seq []pStmt
-		for _, c := range st.Stmts {
-			d, err := b.stmt(c)
-			if err != nil {
-				return nil, err
-			}
-			if d != nil {
+		for _, c := range k.kids {
+			if d := b.stmt(c); d != nil {
 				seq = append(seq, d)
 			}
 		}
 		switch len(seq) {
 		case 0:
-			return nil, nil
+			return nil
 		case 1:
-			return seq[0], nil
+			return seq[0]
 		}
 		return func(e *PEnv) {
 			for _, d := range seq {
 				d(e)
 			}
-		}, nil
-
-	case *cc.DeclStmt:
-		return nil, nil
-
+		}
 	case *cc.AssignStmt:
-		switch lhs := st.LHS.(type) {
-		case *cc.Ident:
-			return b.scalarAssign(st, lhs)
-		case *cc.IndexExpr:
-			return b.arrayWrite(st, lhs)
-		}
-		return nil, errProveAbort
-
+		return b.assign(k, st)
 	case *cc.IfStmt:
-		return b.ifStmt(st)
-
+		return b.ifStmt(k)
 	case *cc.ForStmt:
-		if st.Parallel != nil {
-			return nil, errProveAbort
-		}
-		return b.forStmt(st)
+		return b.forStmt(k)
 	}
-	return nil, errProveAbort
+	return nil // a declaration
 }
 
-func (b *proveBuilder) ifStmt(st *cc.IfStmt) (pStmt, error) {
-	condW, refineT, refineF, err := b.cond(st.Cond)
-	if err != nil {
-		return nil, err
+// record compiles the recording of the accesses lo..hi-1 of one
+// statement, store the one the statement stores or reduces to (-1: none).
+func (b *proveBuilder) record(lo, hi, store int, kind AccessKind) pStmt {
+	if lo == hi {
+		return pNop
 	}
-	then, err := b.stmt(st.Then)
-	if err != nil {
-		return nil, err
+	idx := make([]pExprI, hi-lo)
+	for s := lo; s < hi; s++ {
+		k := AccessLoad
+		if s == store {
+			k = kind
+		}
+		b.counts.read(b.lowered, readProve, b.sites[s], k)
+		idx[s-lo] = b.ival(b.sites[s].x)
+	}
+	return func(e *PEnv) {
+		for j, iv := range idx {
+			e.record(lo+j, iv(e))
+		}
+	}
+}
+
+// assign compiles an assignment: its accesses recorded, then an int
+// scalar's new interval (a float scalar carries none).
+func (b *proveBuilder) assign(k *kStmt, st *cc.AssignStmt) pStmt {
+	store, kind := -1, AccessStore
+	if k.x != nil {
+		store = k.x.site()
+		if st.Reduce != nil {
+			kind = AccessReduce
+		}
+	}
+	rec := b.record(k.lo, k.hi, store, kind)
+	lhs, ok := st.LHS.(*cc.Ident)
+	if !ok || lhs.Decl.Type != cc.TInt {
+		return rec
+	}
+	slot, rhs := lhs.Decl.Slot, b.ival(k.y)
+	var op func(a, c Ival) Ival
+	switch st.Op {
+	case "=":
+		op = func(_, c Ival) Ival { return c }
+	case "+=":
+		op = ivAdd
+	case "-=":
+		op = ivSub
+	case "*=":
+		op = ivMul
+	case "/=":
+		op = ivDiv
+	case "%=":
+		op = ivMod
+	default: // <<=, >>=
+		op = func(Ival, Ival) Ival { return IvalTop() }
+	}
+	return func(e *PEnv) {
+		rec(e)
+		e.Ints[slot] = op(e.Ints[slot], rhs(e))
+	}
+}
+
+func (b *proveBuilder) ifStmt(k *kStmt) pStmt {
+	condW, refineT, refineF := b.cond(k.x)
+	then, els := b.stmt(k.kids[0]), pStmt(nil)
+	if k.kids[1] != nil {
+		els = b.stmt(k.kids[1])
 	}
 	if then == nil {
 		then = pNop
 	}
-	els := pNop
-	if st.Else != nil {
-		e, err := b.stmt(st.Else)
-		if err != nil {
-			return nil, err
-		}
-		if e != nil {
-			els = e
-		}
+	if els == nil {
+		els = pNop
 	}
 	return func(e *PEnv) {
 		condW(e)
@@ -465,58 +484,27 @@ func (b *proveBuilder) ifStmt(st *cc.IfStmt) (pStmt, error) {
 		joinInts(e.Ints, after)
 		e.pop()
 		e.pop()
-	}, nil
+	}
 }
 
-func (b *proveBuilder) forStmt(st *cc.ForStmt) (pStmt, error) {
-	if st.Cond == nil {
-		return nil, errProveAbort
-	}
-	var init pStmt
-	var err error
-	if st.Init != nil {
-		if init, err = b.stmt(st.Init); err != nil {
-			return nil, err
+func (b *proveBuilder) forStmt(k *kStmt) pStmt {
+	var init, body, post pStmt = pNop, pNop, pNop
+	for i, p := range []*pStmt{&init, &body, &post} {
+		if c := k.kids[i]; c != nil {
+			if d := b.stmt(c); d != nil {
+				*p = d
+			}
 		}
 	}
-	if init == nil {
-		init = pNop
-	}
-	condW, refineT, refineF, err := b.cond(st.Cond)
-	if err != nil {
-		return nil, err
-	}
-	targets := b.refineTargets(st.Cond)
-	body, err := b.stmt(st.Body)
-	if err != nil {
-		return nil, err
-	}
-	if body == nil {
-		body = pNop
-	}
-	post := pNop
-	if st.Post != nil {
-		p, err := b.stmt(st.Post)
-		if err != nil {
-			return nil, err
-		}
-		if p != nil {
-			post = p
-		}
-	}
+	condW, refineT, refineF := b.cond(k.x)
+	targets := b.refineTargets(k.x)
 	// Slots the loop body/post assign: topped at the pass cap to force
 	// stability regardless of trip counts.
-	loopAssigned := map[*cc.VarDecl]bool{}
-	cc.AssignedScalars(st.Body, loopAssigned)
-	if st.Post != nil {
-		cc.AssignedScalars(st.Post, loopAssigned)
+	sets := k.kids[1].sets
+	if k.kids[2] != nil {
+		sets |= k.kids[2].sets
 	}
-	var loopSlots []int
-	for d, w := range loopAssigned {
-		if w && !d.IsArray && d.Type == cc.TInt {
-			loopSlots = append(loopSlots, d.Slot)
-		}
-	}
+	loopSlots := b.intSlots(sets)
 	return func(e *PEnv) {
 		init(e)
 		for pass := 0; pass <= proveCapPasses+2; pass++ {
@@ -552,359 +540,125 @@ func (b *proveBuilder) forStmt(st *cc.ForStmt) (pStmt, error) {
 		}
 		condW(e)
 		refineF(e)
-	}, nil
+	}
 }
 
-func (b *proveBuilder) scalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (pStmt, error) {
-	if lhs.Decl.Type != cc.TInt {
-		// Float scalars carry no interval; walk the RHS for its
-		// access-site records only.
-		w, err := b.walk(st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		return w, nil
+// ival compiles the interval of an expression's int value: Top for a
+// float one converted to int, [0,1] for a comparison or a negation, the
+// value scan of a load from an int array the kernel never writes (a
+// pre-execution scan cannot bound what later iterations load from a
+// written one).
+func (b *proveBuilder) ival(k *kExpr) pExprI {
+	top := func(*PEnv) Ival { return IvalTop() }
+	flag := func(*PEnv) Ival { return Ival{0, 1} }
+	if k.e.Type() != cc.TInt {
+		return top
 	}
-	slot := lhs.Decl.Slot
-	rhs, err := b.exprI(st.RHS)
-	if err != nil {
-		return nil, err
-	}
-	switch st.Op {
-	case "=":
-		return func(e *PEnv) { e.Ints[slot] = rhs(e) }, nil
-	case "+=":
-		return func(e *PEnv) { e.Ints[slot] = ivAdd(e.Ints[slot], rhs(e)) }, nil
-	case "-=":
-		return func(e *PEnv) { e.Ints[slot] = ivSub(e.Ints[slot], rhs(e)) }, nil
-	case "*=":
-		return func(e *PEnv) { e.Ints[slot] = ivMul(e.Ints[slot], rhs(e)) }, nil
-	case "/=":
-		return func(e *PEnv) { e.Ints[slot] = ivDiv(e.Ints[slot], rhs(e)) }, nil
-	case "%=":
-		return func(e *PEnv) { e.Ints[slot] = ivMod(e.Ints[slot], rhs(e)) }, nil
-	case "<<=", ">>=":
-		return func(e *PEnv) { rhs(e); e.Ints[slot] = IvalTop() }, nil
-	}
-	return nil, errProveAbort
-}
-
-// arrayWrite mirrors arrayAssign/arrayReduce: index walk (recording
-// its inner loads), then this site's record, then the RHS walk.
-func (b *proveBuilder) arrayWrite(st *cc.AssignStmt, lhs *cc.IndexExpr) (pStmt, error) {
-	idx, err := b.exprI(lhs.Index)
-	if err != nil {
-		return nil, err
-	}
-	ai := b.ai
-	b.ai++
-	rhsW, err := b.walk(st.RHS)
-	if err != nil {
-		return nil, err
-	}
-	if rhsW == nil {
-		rhsW = pNop
-	}
-	return func(e *PEnv) {
-		e.record(ai, idx(e))
-		rhsW(e)
-	}, nil
-}
-
-// walk compiles an expression for its side effects (access records)
-// only, discarding any value.
-func (b *proveBuilder) walk(ex cc.Expr) (pStmt, error) {
-	ex = foldExpr(ex)
-	if ex.Type() == cc.TInt {
-		v, err := b.compileI(ex)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *PEnv) { v(e) }, nil
-	}
-	return b.compileF(ex)
-}
-
-// exprI mirrors specBuilder.exprI: fold, then compile; non-int
-// expressions walk for records and yield Top (float-to-int casts are
-// unbounded).
-func (b *proveBuilder) exprI(ex cc.Expr) (pExprI, error) {
-	ex = foldExpr(ex)
-	if ex.Type() == cc.TInt {
-		return b.compileI(ex)
-	}
-	w, err := b.compileF(ex)
-	if err != nil {
-		return nil, err
-	}
-	return func(e *PEnv) Ival { w(e); return IvalTop() }, nil
-}
-
-func (b *proveBuilder) compileI(ex cc.Expr) (pExprI, error) {
-	switch x := ex.(type) {
+	switch x := k.e.(type) {
 	case *cc.NumLit:
 		v := Ival{x.I, x.I}
-		return func(*PEnv) Ival { return v }, nil
-
+		return func(*PEnv) Ival { return v }
 	case *cc.Ident:
 		slot := x.Decl.Slot
-		return func(e *PEnv) Ival { return e.Ints[slot] }, nil
-
+		return func(e *PEnv) Ival { return e.Ints[slot] }
 	case *cc.IndexExpr:
-		idx, err := b.exprI(x.Index)
-		if err != nil {
-			return nil, err
+		if b.spec.WrittenSlots[x.Array.Slot] {
+			return top
 		}
-		slot := x.Array.Slot
-		written := b.spec.WrittenSlots[slot]
-		if b.noRecord {
-			return func(e *PEnv) Ival {
-				iv := idx(e)
-				if written {
-					return IvalTop()
-				}
-				return e.load(slot, iv)
-			}, nil
-		}
-		ai := b.ai
-		b.ai++
-		return func(e *PEnv) Ival {
-			iv := idx(e)
-			e.record(ai, iv)
-			if written {
-				// The kernel writes this array: a pre-execution scan
-				// cannot bound what later iterations load.
-				return IvalTop()
-			}
-			return e.load(slot, iv)
-		}, nil
-
-	case *cc.BinaryExpr:
-		return b.binaryI(x)
-
+		idx, slot := b.ival(k.x), x.Array.Slot
+		return func(e *PEnv) Ival { return e.load(slot, idx(e)) }
 	case *cc.UnaryExpr:
 		switch x.Op {
 		case "-":
-			v, err := b.exprI(x.X)
-			if err != nil {
-				return nil, err
-			}
-			return func(e *PEnv) Ival { return ivNeg(v(e)) }, nil
+			v := b.ival(k.x)
+			return func(e *PEnv) Ival { return ivNeg(v(e)) }
 		case "!":
-			w, err := b.walk(x.X)
-			if err != nil {
-				return nil, err
-			}
-			return func(e *PEnv) Ival { w(e); return Ival{0, 1} }, nil
-		case "~":
-			v, err := b.exprI(x.X)
-			if err != nil {
-				return nil, err
-			}
-			return func(e *PEnv) Ival { v(e); return IvalTop() }, nil
+			return flag
 		}
-		return nil, errProveAbort
-
-	case *cc.CallExpr:
-		return b.callI(x)
-
-	case *cc.CastExpr:
-		if x.To == cc.TInt && x.X.Type() == cc.TInt {
-			return b.compileI(x.X)
-		}
-		// float -> int: unbounded, but the subtree still records.
-		w, err := b.walk(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *PEnv) Ival { w(e); return IvalTop() }, nil
-	}
-	return nil, errProveAbort
-}
-
-func (b *proveBuilder) binaryI(x *cc.BinaryExpr) (pExprI, error) {
-	switch x.Op {
-	case "<", "<=", ">", ">=", "==", "!=":
-		// Comparison over ints or floats; either way the result is a
-		// flag. Walk both sides in specBuilder order.
-		wx, err := b.walk(x.X)
-		if err != nil {
-			return nil, err
-		}
-		wy, err := b.walk(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *PEnv) Ival { wx(e); wy(e); return Ival{0, 1} }, nil
-	}
-	a, err := b.exprI(x.X)
-	if err != nil {
-		return nil, err
-	}
-	c, err := b.exprI(x.Y)
-	if err != nil {
-		return nil, err
-	}
-	switch x.Op {
-	case "+":
-		return func(e *PEnv) Ival { return ivAdd(a(e), c(e)) }, nil
-	case "-":
-		return func(e *PEnv) Ival { return ivSub(a(e), c(e)) }, nil
-	case "*":
-		return func(e *PEnv) Ival { return ivMul(a(e), c(e)) }, nil
-	case "/":
-		return func(e *PEnv) Ival { return ivDiv(a(e), c(e)) }, nil
-	case "%":
-		return func(e *PEnv) Ival { return ivMod(a(e), c(e)) }, nil
-	case "&":
-		return func(e *PEnv) Ival {
-			av, cv := a(e), c(e)
-			if av.Lo >= 0 && cv.Lo >= 0 {
-				return Ival{0, min(av.Hi, cv.Hi)}
-			}
-			return IvalTop()
-		}, nil
-	case "|", "^", "<<", ">>":
-		return func(e *PEnv) Ival { a(e); c(e); return IvalTop() }, nil
-	}
-	return nil, errProveAbort
-}
-
-func (b *proveBuilder) callI(x *cc.CallExpr) (pExprI, error) {
-	args := make([]pExprI, len(x.Args))
-	for i, a := range x.Args {
-		c, err := b.exprI(a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = c
-	}
-	switch x.Name {
-	case "min":
-		a0, a1 := args[0], args[1]
-		return func(e *PEnv) Ival { return ivMin(a0(e), a1(e)) }, nil
-	case "max":
-		a0, a1 := args[0], args[1]
-		return func(e *PEnv) Ival { return ivMax(a0(e), a1(e)) }, nil
-	case "abs":
-		a0 := args[0]
-		return func(e *PEnv) Ival { return ivAbs(a0(e)) }, nil
-	}
-	return nil, errProveAbort
-}
-
-// compileF walks a float-typed expression for its access records.
-func (b *proveBuilder) compileF(ex cc.Expr) (pStmt, error) {
-	switch x := ex.(type) {
-	case *cc.NumLit, *cc.Ident:
-		return pNop, nil
-
-	case *cc.IndexExpr:
-		idx, err := b.exprI(x.Index)
-		if err != nil {
-			return nil, err
-		}
-		if b.noRecord {
-			return func(e *PEnv) { idx(e) }, nil
-		}
-		ai := b.ai
-		b.ai++
-		return func(e *PEnv) { e.record(ai, idx(e)) }, nil
-
 	case *cc.BinaryExpr:
-		wx, err := b.walk(x.X)
-		if err != nil {
-			return nil, err
-		}
-		wy, err := b.walk(x.Y)
-		if err != nil {
-			return nil, err
-		}
-		return func(e *PEnv) { wx(e); wy(e) }, nil
-
-	case *cc.UnaryExpr:
-		return b.walk(x.X)
-
+		return b.binary(k, x.Op)
 	case *cc.CallExpr:
-		var seq []pStmt
-		for _, a := range x.Args {
-			w, err := b.walk(a)
-			if err != nil {
-				return nil, err
-			}
-			seq = append(seq, w)
+		a0 := b.ival(k.x)
+		if k.y == nil {
+			return func(e *PEnv) Ival { return ivAbs(a0(e)) }
 		}
-		return func(e *PEnv) {
-			for _, w := range seq {
-				w(e)
-			}
-		}, nil
-
+		a1 := b.ival(k.y)
+		switch x.Name {
+		case "min":
+			return func(e *PEnv) Ival { return ivMin(a0(e), a1(e)) }
+		}
+		return func(e *PEnv) Ival { return ivMax(a0(e), a1(e)) }
 	case *cc.CastExpr:
-		return b.walk(x.X)
+		return b.ival(k.x) // int to int; a float operand converts as Top above
 	}
-	return nil, errProveAbort
+	return top
 }
 
-// cond compiles a condition's walk plus its true/false refiners. The
-// refiners run immediately after the walk at the same abstract state,
-// so re-evaluating the bound expression inside them is exact.
-func (b *proveBuilder) cond(ex cc.Expr) (condW, refineT, refineF pStmt, err error) {
-	folded := foldExpr(ex)
-	w, err := b.walk(folded)
-	if err != nil {
-		return nil, nil, nil, err
+func (b *proveBuilder) binary(k *kExpr, op string) pExprI {
+	switch op {
+	case "<", "<=", ">", ">=", "==", "!=":
+		return func(*PEnv) Ival { return Ival{0, 1} }
+	case "|", "^", "<<", ">>":
+		return func(*PEnv) Ival { return IvalTop() }
 	}
-	if w == nil {
-		w = pNop
+	a, c := b.ival(k.x), b.ival(k.y)
+	switch op {
+	case "+":
+		return func(e *PEnv) Ival { return ivAdd(a(e), c(e)) }
+	case "-":
+		return func(e *PEnv) Ival { return ivSub(a(e), c(e)) }
+	case "*":
+		return func(e *PEnv) Ival { return ivMul(a(e), c(e)) }
+	case "/":
+		return func(e *PEnv) Ival { return ivDiv(a(e), c(e)) }
+	case "%":
+		return func(e *PEnv) Ival { return ivMod(a(e), c(e)) }
 	}
-	refineT, refineF = pNop, pNop
-	bin, ok := folded.(*cc.BinaryExpr)
+	// &: within [0, the smaller bound] over two nonnegative operands.
+	return func(e *PEnv) Ival {
+		av, cv := a(e), c(e)
+		if av.Lo >= 0 && cv.Lo >= 0 {
+			return Ival{0, min(av.Hi, cv.Hi)}
+		}
+		return IvalTop()
+	}
+}
+
+// cond compiles a condition's recording plus its true/false refiners. The
+// refiners run immediately after the recording at the same abstract
+// state, so evaluating the bound's interval inside them is exact.
+func (b *proveBuilder) cond(k *kExpr) (condW, refineT, refineF pStmt) {
+	condW, refineT, refineF = b.record(k.lo, k.hi, -1, AccessLoad), pNop, pNop
+	slot, relop, bound := condRefinePattern(k)
+	if bound == nil {
+		return condW, refineT, refineF
+	}
+	bv := b.ival(bound)
+	return condW, refineWith(slot, relop, bv, true), refineWith(slot, relop, bv, false)
+}
+
+// condRefinePattern matches `ident relop expr` / `expr relop ident` over
+// an int scalar and an int bound, returning the scalar's slot and the
+// operator as seen from it; a nil bound when the condition does not match.
+func condRefinePattern(k *kExpr) (slot int, relop string, bound *kExpr) {
+	bin, ok := k.e.(*cc.BinaryExpr)
 	if !ok {
-		return w, refineT, refineF, nil
+		return 0, "", nil
 	}
-	relop := ""
 	switch bin.Op {
 	case "<", "<=", ">", ">=", "==", "!=":
-		relop = bin.Op
 	default:
-		return w, refineT, refineF, nil
+		return 0, "", nil
 	}
-	// Pattern: int scalar relop int expr (or mirrored). The bound-side
-	// compile shares the condition's recorded cursors by re-walking a
-	// second compiled copy of the SAME subtree — access joins are
-	// idempotent, so re-recording is harmless, but the cursor must not
-	// advance again: compile with a throwaway cursor and reuse only
-	// when the subtree contains no access sites.
-	ident, bound, mirrored := condRefinePattern(bin)
-	if ident == nil || bound.Type() != cc.TInt {
-		return w, refineT, refineF, nil
-	}
-	savedNR := b.noRecord
-	b.noRecord = true
-	bv, err := b.compileI(foldExpr(bound))
-	b.noRecord = savedNR
-	if err != nil {
-		return w, refineT, refineF, nil
-	}
-	slot := ident.Decl.Slot
-	if mirrored {
-		relop = mirrorRelop(relop)
-	}
-	refineT = refineWith(slot, relop, bv, true)
-	refineF = refineWith(slot, relop, bv, false)
-	return w, refineT, refineF, nil
-}
-
-// condRefinePattern matches `ident relop expr` / `expr relop ident`.
-func condRefinePattern(bin *cc.BinaryExpr) (id *cc.Ident, bound cc.Expr, mirrored bool) {
 	if x, ok := bin.X.(*cc.Ident); ok && x.Type() == cc.TInt {
-		return x, bin.Y, false
+		slot, relop, bound = x.Decl.Slot, bin.Op, k.y
+	} else if y, ok := bin.Y.(*cc.Ident); ok && y.Type() == cc.TInt {
+		slot, relop, bound = y.Decl.Slot, mirrorRelop(bin.Op), k.x
 	}
-	if y, ok := bin.Y.(*cc.Ident); ok && y.Type() == cc.TInt {
-		return y, bin.X, true
+	if bound == nil || bound.e.Type() != cc.TInt {
+		return 0, "", nil
 	}
-	return nil, nil, false
+	return slot, relop, bound
 }
 
 func mirrorRelop(op string) string {
@@ -983,19 +737,9 @@ func refineWith(slot int, relop string, bound pExprI, taken bool) pStmt {
 // refineTargets lists the scalar slots the loop condition's refiner
 // clamps — the slots directional widening may safely top out, because
 // the next pass's refinement recovers their moving bound.
-func (b *proveBuilder) refineTargets(cond cc.Expr) []int {
-	bin, ok := foldExpr(cond).(*cc.BinaryExpr)
-	if !ok {
-		return nil
+func (b *proveBuilder) refineTargets(cond *kExpr) []int {
+	if slot, _, bound := condRefinePattern(cond); bound != nil {
+		return []int{slot}
 	}
-	switch bin.Op {
-	case "<", "<=", ">", ">=", "==", "!=":
-	default:
-		return nil
-	}
-	id, bound, _ := condRefinePattern(bin)
-	if id == nil || bound.Type() != cc.TInt {
-		return nil
-	}
-	return []int{id.Decl.Slot}
+	return nil
 }

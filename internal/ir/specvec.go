@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math/bits"
 	"slices"
 
 	"accmulti/internal/cc"
@@ -10,7 +11,9 @@ import (
 //
 // A closure tree walked once per iteration pays roughly one indirect
 // call per expression node per iteration, which capped the fast path at
-// about 2x over the interpreter. The builder below compiles the body
+// about 2x over the interpreter. The builder below is a pass over the
+// lowered body (spec.go) that takes every access and arm number from the
+// node it compiles, and compiles the body
 // into the one form the specialized executor runs: a tile of up to
 // VecTile consecutive iterations in lockstep, the way the warp of the GPU
 // the paper targets would, each expression node one tight loop over the
@@ -26,7 +29,8 @@ import (
 //     variable is uniform: one value for the whole tile, kept in the
 //     worker's DEnv, so every subtree over uniform scalars, loop
 //     invariants and loads of arrays the kernel never writes is
-//     evaluated once per tile step by the scalar spec compiler. A scalar
+//     evaluated once per tile step: the builder's ops come back uniform
+//     (vOpI.inv) whenever all their operands are. A scalar
 //     nothing reads with one assignment site — an op-assignment, or any
 //     assignment of a reduction scalar — is a fold: updated in the DEnv
 //     over the lanes in ascending order.
@@ -222,11 +226,6 @@ const (
 // assigns.
 type scalarInfo struct {
 	kind scalarKind
-	// eq and op count its "=" and compound assignment sites outside
-	// canonical loop headers, reads its reads; loopVar says a canonical
-	// loop header writes it.
-	eq, op, reads int
-	loopVar       bool
 	// Scan state: an "=" dominates the current point; how many of the
 	// loops it is the induction variable of are open there.
 	defined bool
@@ -235,31 +234,34 @@ type scalarInfo struct {
 	buf int
 }
 
-// vecBuilder compiles the tiled body, mirroring specBuilder's AST walk
-// exactly so its access and arm cursors stay in lockstep with
-// spec.Accesses and spec.Arms.
+// vecBuilder compiles the tiled body: a pass over the lowered body that
+// takes every access and arm number from the node it compiles.
 type vecBuilder struct {
-	loopVar *cc.VarDecl
-	spec    *KernelSpec
-	// sb is the finished record of the body (its loop records); sc
-	// compiles uniform subtrees with its expression compiler, recording
-	// nothing (the walk already accounted every cost and access).
-	sb, sc  *specBuilder
+	*lowered
 	scalars map[*cc.VarDecl]scalarInfo
+	// lanes holds the scalars with a value per lane (private and fold
+	// ones): a subtree that reads none of them, nor the induction
+	// variable, nor an array the kernel writes, is uniform.
+	lanes, folds uint64
 	// flatLoops holds the loops that run as flat tiles, each with the
 	// private scalars defined around it.
-	flatLoops map[*cc.ForStmt][]*cc.VarDecl
+	flatLoops map[*kStmt][]*cc.VarDecl
 	// injLoops holds the uniform loops that update reduction lanes in
 	// lockstep (injective), with the same scalars; inj collects, while one
 	// compiles, the indices forStmt checks before the first trip.
-	injLoops map[*cc.ForStmt][]*cc.VarDecl
+	injLoops map[*kStmt][]*cc.VarDecl
 	inj      *injLoop
-	// flat is set while the body of a flat loop compiles (specflat.go).
+	// flat is set while the body of a flat loop compiles (specflat.go);
+	// alt while an injective loop's flat form compiles, the second form of
+	// the same accesses.
 	flat *flatLoop
+	alt  bool
+	// ivScalar compiles the induction variable as one scalar, its DEnv
+	// slot: the two evaluations per tile step of an index walk.
+	ivScalar bool
 	// windows lists the prefix loads (spec.Accesses indices) of arrays
 	// a flat loop stores to: what each tile watches.
-	windows  []int
-	ai, armi int
+	windows []int
 	// masked is set while compiling inside an if-arm; depth counts the
 	// arms open there. usesAct records that some op walks VecEnv.act.
 	masked         bool
@@ -276,26 +278,21 @@ type vecBuilder struct {
 	inFlat bool
 }
 
-// buildVec compiles the tiled body of an already-recorded spec, or
-// returns why the shape has none ("order" or "shape").
-func buildVec(body cc.Stmt, b *specBuilder) string {
-	spec := b.spec
+// buildVec compiles the tiled body of a lowered body, or returns why the
+// shape has none ("order" or "shape").
+func buildVec(l *lowered) string {
+	spec := l.spec
 	v := &vecBuilder{
-		loopVar: b.loopVar, spec: spec, sb: b,
-		sc: &specBuilder{
-			loopVar: b.loopVar, assigned: b.assigned, noRecord: true,
-			spec: &KernelSpec{}, cur: &IterCost{},
-		},
-		scalars:   make(map[*cc.VarDecl]scalarInfo, len(b.assigned)),
-		flatLoops: map[*cc.ForStmt][]*cc.VarDecl{},
-		injLoops:  map[*cc.ForStmt][]*cc.VarDecl{},
+		lowered:   l,
+		scalars:   make(map[*cc.VarDecl]scalarInfo, len(l.decls)),
+		flatLoops: map[*kStmt][]*cc.VarDecl{},
+		injLoops:  map[*kStmt][]*cc.VarDecl{},
 	}
-	v.sc.uniform = v.uniform
-	if reason := v.scan(body); reason != "" {
+	if reason := v.scan(); reason != "" {
 		return reason
 	}
-	st, err := v.stmt(body)
-	if err != nil || v.ai != len(spec.Accesses) || v.armi != len(spec.Arms) {
+	st, err := v.stmt(l.body)
+	if err != nil {
 		return "shape"
 	}
 	if st == nil {
@@ -336,14 +333,15 @@ func buildVec(body cc.Stmt, b *specBuilder) string {
 	return ""
 }
 
-// countLoads counts the array loads in e, nested index loads included:
-// how far a subtree compiled elsewhere moves the access cursor.
-func countLoads(e cc.Expr) (n int) {
-	cc.EachExpr(e, func(x cc.Expr) {
-		if _, ok := x.(*cc.IndexExpr); ok {
-			n++
-		}
-	})
+// take is how the tile builder reads the number of the access it compiles.
+func (v *vecBuilder) take(k *kExpr, kind AccessKind) int {
+	v.counts.read(v.lowered, readTile+int(b2i(v.alt)), k, kind)
+	return k.site()
+}
+
+// takeArm reads the number of an arm whose count an op advances.
+func (v *vecBuilder) takeArm(n int) int {
+	v.counts.arm(v.lowered, readTile+int(b2i(v.alt)), n)
 	return n
 }
 
@@ -351,31 +349,14 @@ func countLoads(e cc.Expr) (n int) {
 // step: no outer induction variable, no private or fold scalar, and
 // loads only of arrays the kernel never writes (other iterations of
 // this very kernel may store to a written one, and the interpreter
-// re-reads it every iteration).
-func (v *vecBuilder) uniform(e cc.Expr) bool {
-	switch x := e.(type) {
-	case *cc.NumLit:
-		return true
-	case *cc.Ident:
-		k := v.scalars[x.Decl].kind
-		return x.Decl != v.loopVar && (k == 0 || k == kUniform) && (v.flat == nil || x.Decl != v.flat.lv)
-	case *cc.IndexExpr:
-		return !v.spec.WrittenSlots[x.Array.Slot] && v.uniform(x.Index)
-	case *cc.UnaryExpr:
-		return v.uniform(x.X)
-	case *cc.BinaryExpr:
-		return v.uniform(x.X) && v.uniform(x.Y)
-	case *cc.CallExpr:
-		for _, a := range x.Args {
-			if !v.uniform(a) {
-				return false
-			}
-		}
-		return true
-	case *cc.CastExpr:
-		return v.uniform(x.X)
+// re-reads it every iteration). In a flat body the loop's own variable
+// varies too.
+func (v *vecBuilder) uniform(k *kExpr) bool {
+	lanes := v.lanes
+	if v.flat != nil {
+		lanes |= v.mask(v.flat.lv)
 	}
-	return false
+	return !k.iv && !k.written && k.reads&lanes == 0
 }
 
 // scan decides whether the tile schedule — statements in lockstep, the
@@ -384,7 +365,7 @@ func (v *vecBuilder) uniform(e cc.Expr) bool {
 // for it. It returns "" or the reason the kernel has no tiled form:
 // "order" when a fold or reduction target would see its updates out of
 // iteration order, "shape" for everything else.
-func (v *vecBuilder) scan(body cc.Stmt) string {
+func (v *vecBuilder) scan() string {
 	acc := v.spec.Accesses
 	for i := range acc {
 		for j := range acc[:i] {
@@ -399,26 +380,31 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 	// is the one assignment of a scalar nothing reads — an op-assignment,
 	// or any assignment of a reduction scalar, whose last value the
 	// launch merges.
-	v.count(body)
-	for d := range v.sb.assigned {
-		u := v.scalars[d]
-		switch {
-		case u.loopVar && u.eq+u.op == 0:
+	for b, d := range v.decls {
+		var u scalarInfo
+		switch use := v.uses[b]; {
+		case use.loopVar && use.eq+use.op == 0:
 			u.kind = kUniform
-		case u.loopVar:
+		case use.loopVar:
 			return "shape"
-		case u.eq > 0 && !v.sb.reds[d]:
+		case use.eq > 0 && v.reds&(1<<b) == 0:
 			u.kind = kPrivate
-		case u.reads > 0:
+		case use.read:
 			return "shape"
-		case u.eq+u.op > 1:
+		case use.eq+use.op > 1:
 			return "order"
 		default:
 			u.kind = kFold
 		}
+		if u.kind != kUniform {
+			v.lanes |= 1 << b
+		}
+		if u.kind == kFold {
+			v.folds |= 1 << b
+		}
 		v.scalars[d] = u
 	}
-	if !v.check(body) {
+	if !v.check(v.body) {
 		return "shape"
 	}
 
@@ -448,7 +434,7 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 				}
 				continue
 			}
-			if !v.sb.serial || b.Kind != AccessLoad || !b.Affine || !v.tailPath(body, i) {
+			if !v.serial || b.Kind != AccessLoad || !b.Affine || !v.tailPath(v.body, i) {
 				return "shape"
 			}
 			if !slices.Contains(v.windows, j) {
@@ -467,144 +453,28 @@ func (v *vecBuilder) scan(body cc.Stmt) string {
 // rest of such a tile can go to the next tile, only the enclosing arms'
 // counts to take back — the prefix ran for lanes that, in iteration
 // order, might never have reached it.
-func (v *vecBuilder) tailPath(s cc.Stmt, ai int) bool {
-	switch st := s.(type) {
+func (v *vecBuilder) tailPath(k *kStmt, ai int) bool {
+	switch st := k.s.(type) {
 	case *cc.Block:
-		for i, c := range st.Stmts {
-			if i == len(st.Stmts)-1 {
+		for i, c := range k.kids {
+			if i == len(k.kids)-1 {
 				return v.tailPath(c, ai)
 			}
-			if as, ok := c.(*cc.AssignStmt); ok {
+			if as, ok := c.s.(*cc.AssignStmt); ok {
 				id, ok := as.LHS.(*cc.Ident)
-				if !ok || v.scalars[id.Decl].kind != kPrivate || divides(as.RHS) || id.Decl.Type == cc.TInt && (as.Op == "/=" || as.Op == "%=") {
+				if !ok || v.scalars[id.Decl].kind != kPrivate || c.y.divides || id.Decl.Type == cc.TInt && (as.Op == "/=" || as.Op == "%=") {
 					return false
 				}
-			} else if _, ok := c.(*cc.DeclStmt); !ok {
+			} else if _, ok := c.s.(*cc.DeclStmt); !ok {
 				return false
 			}
 		}
 	case *cc.IfStmt:
-		return st.Else == nil && !divides(st.Cond) && v.tailPath(st.Then, ai)
+		return st.Else == nil && !k.x.divides && v.tailPath(k.kids[0], ai)
 	case *cc.ForStmt:
-		rec := v.sb.loops[st]
-		return rec.accBeg <= ai && ai < rec.accEnd
+		return k.lo <= ai && ai < k.hi
 	}
 	return false
-}
-
-// divides reports an int division or modulo in e whose divisor is not a
-// nonzero literal: the one operation of an expression that can fault.
-func divides(e cc.Expr) (found bool) {
-	cc.EachExpr(e, func(x cc.Expr) {
-		if b, ok := x.(*cc.BinaryExpr); ok && (b.Op == "/" || b.Op == "%") && b.Type() == cc.TInt {
-			lit, isLit := b.Y.(*cc.NumLit)
-			found = found || !isLit || lit.IsFloat || lit.I == 0
-		}
-	})
-	return found
-}
-
-// count tallies the assignment sites and reads of every scalar.
-func (v *vecBuilder) count(s cc.Stmt) {
-	tally := func(d *cc.VarDecl, f func(*scalarInfo)) {
-		u := v.scalars[d]
-		f(&u)
-		v.scalars[d] = u
-	}
-	read := func(e cc.Expr) {
-		cc.EachExpr(e, func(x cc.Expr) {
-			if id, ok := x.(*cc.Ident); ok && v.sb.assigned[id.Decl] {
-				tally(id.Decl, func(u *scalarInfo) { u.reads++ })
-			}
-		})
-	}
-	assign := func(st *cc.AssignStmt) {
-		read(st.RHS)
-		switch lhs := st.LHS.(type) {
-		case *cc.Ident:
-			tally(lhs.Decl, func(u *scalarInfo) {
-				if st.Op == "=" {
-					u.eq++
-				} else {
-					u.op++
-				}
-			})
-		case *cc.IndexExpr:
-			read(lhs.Index)
-		}
-	}
-	switch st := s.(type) {
-	case *cc.Block:
-		for _, c := range st.Stmts {
-			v.count(c)
-		}
-	case *cc.AssignStmt:
-		assign(st)
-	case *cc.IfStmt:
-		read(st.Cond)
-		v.count(st.Then)
-		if st.Else != nil {
-			v.count(st.Else)
-		}
-	case *cc.ForStmt:
-		if lv := countedVar(st); lv != nil {
-			tally(lv, func(u *scalarInfo) { u.loopVar = true })
-			read(st.Init.RHS)
-			read(st.Cond)
-			v.count(st.Body)
-			return
-		}
-		if st.Init != nil {
-			assign(st.Init)
-		}
-		if st.Cond != nil {
-			read(st.Cond)
-		}
-		if st.Post != nil {
-			assign(st.Post)
-		}
-		v.count(st.Body)
-	}
-}
-
-// canonicalFor matches the counted loop `for (...; v < bound; v++)`
-// (also <=) over an int scalar v and returns v, the folded bound and
-// whether the comparison includes it.
-func canonicalFor(st *cc.ForStmt) (lv *cc.VarDecl, bound cc.Expr, incl, ok bool) {
-	post := st.Post
-	if post == nil || post.Op != "+=" || st.Cond == nil {
-		return nil, nil, false, false
-	}
-	id, isID := post.LHS.(*cc.Ident)
-	one, isLit := post.RHS.(*cc.NumLit)
-	if !isID || id.Decl.Type != cc.TInt || !isLit || one.IsFloat || one.I != 1 {
-		return nil, nil, false, false
-	}
-	cmp, isCmp := foldExpr(st.Cond).(*cc.BinaryExpr)
-	if !isCmp || (cmp.Op != "<" && cmp.Op != "<=") {
-		return nil, nil, false, false
-	}
-	if cv, isCV := cmp.X.(*cc.Ident); !isCV || cv.Decl != id.Decl {
-		return nil, nil, false, false
-	}
-	bound = foldExpr(cmp.Y)
-	if bound.Type() != cc.TInt {
-		return nil, nil, false, false
-	}
-	return id.Decl, bound, cmp.Op == "<=", true
-}
-
-// countedVar returns the variable of a canonical counted loop whose
-// header alone sets it (`for (v = ...; v < bound; v++)`), or nil.
-func countedVar(st *cc.ForStmt) *cc.VarDecl {
-	lv, _, _, ok := canonicalFor(st)
-	if !ok || st.Init == nil || st.Init.Op != "=" {
-		return nil
-	}
-	if id, isID := st.Init.LHS.(*cc.Ident); !isID || id.Decl != lv {
-		return nil
-	}
-	return lv
 }
 
 // define records that an "=" to d dominates what follows in the block,
@@ -637,53 +507,40 @@ func (v *vecBuilder) leave(mark int) {
 	v.undo = v.undo[:mark]
 }
 
-// readsOK checks every scalar read in e: a private one behind an "="
+// readsOK checks every scalar read in k: a private one behind an "="
 // that dominates it (no carry from the previous iteration), an inner
 // induction variable inside its loop — in lockstep and in a flat loop
 // alike: outside the loop, the tile's one slot for it holds what the
 // last trip left, not this lane's value.
-func (v *vecBuilder) readsOK(e cc.Expr) bool {
-	ok := true
-	cc.EachExpr(e, func(x cc.Expr) {
-		id, isID := x.(*cc.Ident)
-		if !isID {
-			return
-		}
-		switch u := v.scalars[id.Decl]; u.kind {
+func (v *vecBuilder) readsOK(k *kExpr) bool {
+	for m := k.reads; m != 0; m &= m - 1 {
+		switch u := v.scalars[v.decls[bits.TrailingZeros64(m)]]; u.kind {
 		case kPrivate:
-			ok = ok && u.defined
+			if !u.defined {
+				return false
+			}
 		case kUniform:
-			ok = ok && u.open > 0
+			if u.open == 0 {
+				return false
+			}
 		case kFold:
-			ok = false
+			return false
 		}
-	})
-	return ok
+	}
+	return true
 }
 
 // effects reports a plain array store, a fold and a reduction-lane
-// update under s: what must happen in iteration order.
-func (v *vecBuilder) effects(s cc.Stmt) (store, fold, reduce bool) {
-	cc.EachAssign(s, func(st *cc.AssignStmt) {
-		if id, ok := st.LHS.(*cc.Ident); ok {
-			fold = fold || v.scalars[id.Decl].kind == kFold
-		} else if st.Reduce != nil {
-			reduce = true
-		} else {
-			store = true
-		}
-	})
-	return store, fold, reduce
+// update under k: what must happen in iteration order.
+func (v *vecBuilder) effects(k *kStmt) (store, fold, reduce bool) {
+	return k.store, k.sets&v.folds != 0, k.reduce
 }
 
 // check walks the body in program order with the dominance state.
-func (v *vecBuilder) check(s cc.Stmt) bool {
-	switch st := s.(type) {
+func (v *vecBuilder) check(k *kStmt) bool {
+	switch st := k.s.(type) {
 	case *cc.Block:
-		if st.Data != nil {
-			return false
-		}
-		for _, c := range st.Stmts {
+		for _, c := range k.kids {
 			if !v.check(c) {
 				return false
 			}
@@ -692,7 +549,7 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 	case *cc.DeclStmt:
 		return true
 	case *cc.AssignStmt:
-		if !v.readsOK(st.RHS) {
+		if !v.readsOK(k.y) {
 			return false
 		}
 		switch lhs := st.LHS.(type) {
@@ -704,18 +561,18 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 			}
 			return true // an "=", a fold, or a counted loop's header
 		case *cc.IndexExpr:
-			return v.readsOK(lhs.Index)
+			return v.readsOK(k.x.x)
 		}
 		return false
 	case *cc.IfStmt:
-		if !v.readsOK(st.Cond) {
+		if !v.readsOK(k.x) {
 			return false
 		}
 		mark := len(v.undo)
-		ok := v.check(st.Then)
+		ok := v.check(k.kids[0])
 		v.leave(mark)
-		if ok && st.Else != nil {
-			ok = v.check(st.Else)
+		if ok && k.kids[1] != nil {
+			ok = v.check(k.kids[1])
 			v.leave(mark)
 		}
 		return ok
@@ -723,35 +580,34 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 		if v.inFlat {
 			return false // a loop in a flat loop: flatOK takes none
 		}
-		store, fold, reduce := v.effects(st)
-		if reduce && !store && !fold && v.uniformLoop(st) && v.injective(st) {
+		store, fold, reduce := v.effects(k)
+		if reduce && !store && !fold && v.uniformLoop(k) && v.injective(k) {
 			// Reduction-lane updates only, each at an index injective in
 			// the loop variable: lockstep like any uniform loop (the
 			// privates around it noted for the flat fallback, see forStmt).
-			v.injLoops[st] = slices.Clone(v.undo)
-			return v.checkLoop(st)
+			v.injLoops[k] = slices.Clone(v.undo)
+			return v.checkLoop(k)
 		}
-		if store || fold || reduce || !v.uniformLoop(st) {
+		if store || fold || reduce || !v.uniformLoop(k) {
 			// A loop with an ordered effect, or whose trips differ from lane
 			// to lane, runs as flat tiles: number its accesses, and note the
 			// private scalars defined around it.
-			rec := v.sb.loops[st]
-			for ai := rec.accBeg; ai < rec.accEnd; ai++ {
+			for ai := k.lo; ai < k.hi; ai++ {
 				v.spec.Accesses[ai].FlatLoop = len(v.flatLoops) + 1
 			}
 			v.inFlat = true
-			ok := v.checkLoop(st)
+			ok := v.checkLoop(k)
 			v.inFlat = false
-			v.flatLoops[st] = slices.Clone(v.undo)
+			v.flatLoops[k] = slices.Clone(v.undo)
 			return ok
 		}
-		return v.checkLoop(st)
+		return v.checkLoop(k)
 	}
 	return false
 }
 
 // injective reports that every reduction-lane update under the uniform
-// loop st sits outside deeper loops and has an index c*lv + rest in the
+// loop k sits outside deeper loops and has an index c*lv + rest in the
 // loop variable lv with (a) c a nonzero literal, (b) rest free of lv and
 // (c) rest reading nothing the loop changes: no scalar it assigns, no
 // array the kernel writes. One lane's trips then update distinct
@@ -760,60 +616,49 @@ func (v *vecBuilder) check(s cc.Stmt) bool {
 // tile (forStmt); for that check the index of a float target can be
 // evaluated before the first trip: it does not divide and, under an arm
 // of the loop, it does not load.
-func (v *vecBuilder) injective(st *cc.ForStmt) bool {
-	lv := countedVar(st)
-	assigned := map[*cc.VarDecl]bool{}
-	cc.AssignedScalars(st.Body, assigned)
-	var walk func(s cc.Stmt, arm bool) bool
-	walk = func(s cc.Stmt, arm bool) bool {
-		switch x := s.(type) {
+func (v *vecBuilder) injective(k *kStmt) bool {
+	lv, changed := v.mask(k.lv), k.kids[1].sets
+	var walk func(s *kStmt, arm bool) bool
+	walk = func(s *kStmt, arm bool) bool {
+		switch x := s.s.(type) {
 		case *cc.Block:
-			for _, c := range x.Stmts {
+			for _, c := range s.kids {
 				if !walk(c, arm) {
 					return false
 				}
 			}
 		case *cc.IfStmt:
-			return walk(x.Then, true) && (x.Else == nil || walk(x.Else, true))
+			return walk(s.kids[0], true) && (s.kids[1] == nil || walk(s.kids[1], true))
 		case *cc.ForStmt:
-			store, fold, reduce := v.effects(x)
+			store, fold, reduce := v.effects(s)
 			return !store && !fold && !reduce
 		case *cc.AssignStmt:
-			lhs, isIdx := x.LHS.(*cc.IndexExpr)
-			if x.Reduce == nil || !isIdx {
+			if x.Reduce == nil || s.x == nil {
 				break
 			}
-			idx := foldExpr(lhs.Index)
+			idx, float := s.x.x, s.x.e.(*cc.IndexExpr).Array.Type != cc.TInt
 			c, ok := lvCoef(idx, lv)
-			float := lhs.Array.Type != cc.TInt
-			cc.EachExpr(idx, func(e cc.Expr) {
-				switch y := e.(type) {
-				case *cc.Ident:
-					ok = ok && (y.Decl == lv || !assigned[y.Decl])
-				case *cc.IndexExpr:
-					ok = ok && !v.spec.WrittenSlots[y.Array.Slot] && !(float && arm)
-				}
-			})
-			return ok && c != 0 && c > -1<<31 && c < 1<<31 && !(float && divides(idx))
+			return ok && c != 0 && c > -1<<31 && c < 1<<31 && idx.reads&changed == 0 && !idx.written &&
+				!(float && (idx.divides || arm && idx.hi > idx.lo))
 		}
 		return true
 	}
-	return walk(st.Body, false)
+	return walk(k.kids[1], false)
 }
 
-// lvCoef returns c when e is c*lv + rest with a literal c and a rest
-// that does not mention lv.
-func lvCoef(e cc.Expr, lv *cc.VarDecl) (c int64, ok bool) {
-	switch x := e.(type) {
+// lvCoef returns c when k is c*lv + rest with a literal c and a rest
+// that does not read lv (a body-assigned scalar: lv is its bit).
+func lvCoef(k *kExpr, lv uint64) (c int64, ok bool) {
+	switch x := k.e.(type) {
 	case *cc.Ident:
-		return b2i(x.Decl == lv), true
+		return b2i(k.reads&lv != 0), true
 	case *cc.UnaryExpr:
-		if c, ok := lvCoef(x.X, lv); ok && x.Op == "-" {
+		if c, ok := lvCoef(k.x, lv); ok && x.Op == "-" {
 			return -c, true
 		}
 	case *cc.BinaryExpr:
-		cx, okx := lvCoef(x.X, lv)
-		cy, oky := lvCoef(x.Y, lv)
+		cx, okx := lvCoef(k.x, lv)
+		cy, oky := lvCoef(k.y, lv)
 		kx, litX := x.X.(*cc.NumLit)
 		ky, litY := x.Y.(*cc.NumLit)
 		switch {
@@ -828,54 +673,39 @@ func lvCoef(e cc.Expr, lv *cc.VarDecl) (c int64, ok bool) {
 			return cx * ky.I, true
 		}
 	}
-	return 0, !mentions(e, lv)
-}
-
-// mentions reports a read of the scalar d in e.
-func mentions(e cc.Expr, d *cc.VarDecl) (found bool) {
-	cc.EachExpr(e, func(x cc.Expr) {
-		if id, ok := x.(*cc.Ident); ok && id.Decl == d {
-			found = true
-		}
-	})
-	return found
+	return 0, k.reads&lv == 0
 }
 
 // uniformLoop reports the canonical counted shape with a uniform init
 // and a uniform bound its body cannot change: every lane of a tile runs
 // the same trips.
-func (v *vecBuilder) uniformLoop(st *cc.ForStmt) bool {
-	lv, bound, _, _ := canonicalFor(st)
-	if v.scalars[lv].kind != kUniform || !v.uniform(st.Init.RHS) || !v.uniform(bound) {
+func (v *vecBuilder) uniformLoop(k *kStmt) bool {
+	if k.lv == nil || v.scalars[k.lv].kind != kUniform {
 		return false
 	}
-	own := mentions(bound, lv) // the bound reads lv, or the body writes it
-	cc.EachAssign(st.Body, func(a *cc.AssignStmt) {
-		if id, ok := a.LHS.(*cc.Ident); ok && id.Decl == lv {
-			own = true
-		}
-	})
-	return !own
+	bound, _ := k.bound()
+	lvBit := v.mask(k.lv)
+	// The bound reads lv, or the body writes it.
+	return v.uniform(k.kids[0].y) && v.uniform(bound) && bound.reads&lvBit == 0 && k.kids[1].sets&lvBit == 0
 }
 
 // checkLoop checks an inner loop: a uniform one (uniformLoop), or one
 // that runs as flat tiles. An induction variable (every header that sets
-// one is a counted one, see count) is readable from its loop's condition
-// to its post statement.
-func (v *vecBuilder) checkLoop(st *cc.ForStmt) bool {
-	if st.Init != nil && !v.check(st.Init) {
+// one is a counted one) is readable from its loop's condition to its post
+// statement.
+func (v *vecBuilder) checkLoop(k *kStmt) bool {
+	if k.kids[0] != nil && !v.check(k.kids[0]) {
 		return false
 	}
-	lv := countedVar(st)
 	open := func(by int) {
-		if u := v.scalars[lv]; u.kind == kUniform {
+		if u := v.scalars[k.lv]; k.lv != nil && u.kind == kUniform {
 			u.open += by
-			v.scalars[lv] = u
+			v.scalars[k.lv] = u
 		}
 	}
 	open(1)
 	mark := len(v.undo)
-	ok := (st.Cond == nil || v.readsOK(st.Cond)) && v.check(st.Body) && (st.Post == nil || v.check(st.Post))
+	ok := v.readsOK(k.x) && v.check(k.kids[1]) && (k.kids[2] == nil || v.check(k.kids[2]))
 	v.leave(mark)
 	open(-1)
 	return ok
@@ -943,13 +773,12 @@ func (v *vecBuilder) matF(o vOpF) vecF {
 		return out
 	}
 }
-
-func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
+func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 	v.topI, v.topF = v.baseI, v.baseF // the previous statement's vectors are dead
-	switch st := s.(type) {
+	switch st := k.s.(type) {
 	case *cc.Block:
 		var seq []VStmt
-		for _, c := range st.Stmts {
+		for _, c := range k.kids {
 			d, err := v.stmt(c)
 			if err != nil {
 				return nil, err
@@ -976,29 +805,29 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 		case *cc.Ident:
 			switch fold := v.scalars[lhs.Decl].kind == kFold; {
 			case v.flat != nil && (fold || !v.flat.local[lhs.Decl]):
-				return v.flatFold(st, lhs.Decl, !fold)
+				return v.flatFold(k, lhs.Decl, !fold)
 			case fold:
-				return v.fold(st, lhs.Decl)
+				return v.fold(k, lhs.Decl)
 			}
-			return v.privateAssign(st, lhs.Decl)
+			return v.privateAssign(k, lhs.Decl)
 		case *cc.IndexExpr:
 			switch {
 			case v.flat != nil && st.Reduce != nil:
-				return v.flatReduce(st, lhs)
+				return v.flatReduce(k)
 			case v.flat != nil:
-				return v.flatStore(st, lhs)
+				return v.flatStore(k)
 			case st.Reduce != nil:
-				return v.arrayReduce(st, lhs)
+				return v.arrayReduce(k)
 			}
-			return v.arrayAssign(st, lhs)
+			return v.arrayAssign(k)
 		}
 	case *cc.IfStmt:
-		return v.ifStmt(st)
+		return v.ifStmt(k)
 	case *cc.ForStmt:
-		if live, ok := v.flatLoops[st]; ok {
-			return v.flatLoop(st, live)
+		if live, ok := v.flatLoops[k]; ok {
+			return v.flatLoop(k, live)
 		}
-		return v.forStmt(st)
+		return v.forStmt(k)
 	}
 	return nil, errSpecIneligible
 }
@@ -1007,17 +836,17 @@ func (v *vecBuilder) stmt(s cc.Stmt) (VStmt, error) {
 // for the lanes active so far, which split into the then- and the
 // else-list; each arm runs with its list as VecEnv.act and counts its
 // length, exactly what the interpreter's arms count one by one.
-func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
+func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 	// cv is 1 in the lanes where the condition holds, 0 elsewhere (a
 	// comparison already is; anything else is compared with zero).
 	var cv vecI
-	if st.Cond.Type() == cc.TInt {
-		o, err := v.vExprI(st.Cond)
+	if k.x.e.Type() == cc.TInt {
+		o, err := v.vExprI(k.x)
 		if err != nil {
 			return nil, err
 		}
 		cv = v.matI(o)
-		if b, ok := foldExpr(st.Cond).(*cc.BinaryExpr); !ok || cmpCode[b.Op] == 0 {
+		if b, ok := k.x.e.(*cc.BinaryExpr); !ok || cmpCode[b.Op] == 0 {
 			iv, bid := cv, v.pushI()
 			cv = func(vm *VecEnv, i0 int64, L int) []int64 {
 				out := vm.BufI[bid][:L]
@@ -1026,7 +855,7 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 			}
 		}
 	} else {
-		o, err := v.vExprF(st.Cond)
+		o, err := v.vExprF(k.x)
 		if err != nil {
 			return nil, err
 		}
@@ -1037,21 +866,19 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 			return out
 		}
 	}
-	thenIdx, elseIdx := v.armi, -1
-	v.armi++
+	thenIdx, elseIdx := v.takeArm(k.arm), k.elseArm
 	depth, outer := v.depth, v.masked
 	v.depth++
 	v.maxArms = max(v.maxArms, v.depth)
 	v.masked, v.usesAct = true, true
-	then, err := v.stmt(st.Then)
+	then, err := v.stmt(k.kids[0])
 	if err != nil {
 		return nil, err
 	}
 	var els VStmt
-	if st.Else != nil {
-		elseIdx = v.armi
-		v.armi++
-		if els, err = v.stmt(st.Else); err != nil {
+	if k.kids[1] != nil {
+		v.takeArm(elseIdx)
+		if els, err = v.stmt(k.kids[1]); err != nil {
 			return nil, err
 		}
 	}
@@ -1103,12 +930,12 @@ func (v *vecBuilder) ifStmt(st *cc.IfStmt) (VStmt, error) {
 	}, nil
 }
 
-// injLoop is the injective loop being compiled, injSite a float
-// reduction-lane update in it: its index over the tile and the magnitude
-// of its coefficient in the loop variable.
+// injLoop is the injective loop being compiled (lv its variable's bit),
+// injSite a float reduction-lane update in it: its index over the tile
+// and the magnitude of its coefficient in the loop variable.
 type (
 	injLoop struct {
-		lv    *cc.VarDecl
+		lv    uint64
 		sites []injSite
 	}
 	injSite struct {
@@ -1130,26 +957,23 @@ type (
 // on the same trips, or element ranges a whole span apart. A tile that
 // fails runs the loop as flat tiles, in iteration order: the loop
 // compiles both ways, and one flatOK refuses leaves the kernel unspecialized.
-func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
-	ai, armi := v.ai, v.armi
-	lv, boundX, incl, _ := canonicalFor(st)
-	init, err := v.sc.exprI(st.Init.RHS)
+func (v *vecBuilder) forStmt(k *kStmt) (VStmt, error) {
+	boundX, incl := k.bound()
+	init, err := v.vExprI(k.kids[0].y)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := v.sc.exprI(boundX)
+	bound, err := v.vExprI(boundX)
 	if err != nil {
 		return nil, err
 	}
-	v.ai += countLoads(foldExpr(st.Init.RHS)) + countLoads(boundX)
-	condIdx, bodyIdx := v.armi, v.armi+1
-	v.armi += 2
+	condIdx, bodyIdx := v.takeArm(k.arm), v.takeArm(k.arm+1)
 	v.usesAct = true
-	live, inj := v.injLoops[st]
+	live, inj := v.injLoops[k]
 	if inj {
-		v.inj = &injLoop{lv: lv}
+		v.inj = &injLoop{lv: v.mask(k.lv)}
 	}
-	body, err := v.stmt(st.Body)
+	body, err := v.stmt(k.kids[1])
 	var sites []injSite
 	if inj {
 		sites, v.inj = v.inj.sites, nil
@@ -1159,27 +983,29 @@ func (v *vecBuilder) forStmt(st *cc.ForStmt) (VStmt, error) {
 	}
 	var flat VStmt
 	if len(sites) > 0 {
-		v.ai, v.armi = ai, armi
-		if flat, err = v.flatLoop(st, live); err != nil {
+		alt := v.alt
+		v.alt = true
+		flat, err = v.flatLoop(k, live)
+		if v.alt = alt; err != nil {
 			return nil, err
 		}
 	}
-	slot := lv.Slot
+	slot, lo, hi := k.lv.Slot, init.inv, bound.inv
 	return func(vm *VecEnv, i0 int64, L int) {
 		D := vm.D
-		x, hi := init(D), bound(D)
+		x, end := lo(D), hi(D)
 		if incl {
-			hi++
+			end++
 		}
-		n, lanes := max(hi-x, 0), int64(len(vm.act))
+		n, lanes := max(end-x, 0), int64(len(vm.act))
 		if D.Ints[slot] = x; flat != nil && n > 1 && !laneOrdered(vm, sites, n, i0, L) {
 			flat(vm, i0, L)
 			return
 		}
 		D.Branch[condIdx] += (n + 1) * lanes
 		D.Branch[bodyIdx] += n * lanes
-		for x < hi {
-			for end := D.blockEnd(x, hi); x < end; x++ {
+		for x < end {
+			for stop := D.blockEnd(x, end); x < stop; x++ {
 				D.Ints[slot] = x
 				if body != nil {
 					body(vm, i0, L)
@@ -1404,7 +1230,8 @@ func fusedForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
 // over the active lanes of its vector. A float right-hand side that ends
 // in +, - or * runs that operation in the same pass (fuseLanes); any
 // other is computed into a scratch vector first.
-func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
+func (v *vecBuilder) privateAssign(k *kStmt, d *cc.VarDecl) (VStmt, error) {
+	st := k.s.(*cc.AssignStmt)
 	v.usesAct = true
 	bid := v.scalars[d].buf - 1
 	if bid < 0 {
@@ -1412,7 +1239,7 @@ func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, err
 	}
 	op := st.Op[0]
 	if d.Type == cc.TInt {
-		r, err := v.vExprI(st.RHS)
+		r, err := v.vExprI(k.y)
 		if _, opErr := intApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
 			return nil, errSpecIneligible
 		}
@@ -1428,24 +1255,22 @@ func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, err
 	if d.Type == cc.TFloat {
 		set, fuse = setLanes[float64, float32], fuseLanes[float32]
 	}
-	if x, ok := foldExpr(st.RHS).(*cc.BinaryExpr); ok && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
-		ka, kc := v.uniform(foldExpr(x.X)), v.uniform(foldExpr(x.Y))
-		if form, swap, ok := fusedForm(st.Op, x.Op, ka, kc); ok {
-			a, err := v.vExprF(x.X)
-			if err != nil {
-				return nil, err
-			}
-			c, err := v.vExprF(x.Y)
-			if err != nil {
-				return nil, err
-			}
-			// Operands run in program order (the second one's temporaries
-			// sit above the first one's result); a is the vector of a
-			// mixed pair.
+	var r vOpF
+	var err error
+	if x, ok := k.y.e.(*cc.BinaryExpr); ok && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
+		// Operands run in program order (the second one's temporaries sit
+		// above the first one's result); a is the vector of a mixed pair.
+		m := v.mark()
+		a, errA := v.vExprF(k.y.x)
+		if errA != nil {
+			return nil, errA
+		}
+		c, errC := v.vExprF(k.y.y)
+		if errC != nil {
+			return nil, errC
+		}
+		if form, swap, ok := fusedForm(st.Op, x.Op, a.inv != nil, c.inv != nil); ok {
 			xv, yv, kx, ky := a.vec, c.vec, a.inv, c.inv
-			if ka != (xv == nil) || kc != (yv == nil) {
-				return nil, errSpecIneligible
-			}
 			return func(vm *VecEnv, i0 int64, L int) {
 				var s, q []float64
 				var k float64
@@ -1465,8 +1290,10 @@ func (v *vecBuilder) privateAssign(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, err
 				fuse(form, vm.BufF[bid][:L], s, q, k, vm.act)
 			}, nil
 		}
+		r, err = v.arithF(x.Op, a, c, m)
+	} else {
+		r, err = v.vExprF(k.y)
 	}
-	r, err := v.vExprF(st.RHS)
 	if err != nil {
 		return nil, errSpecIneligible
 	}
@@ -1496,11 +1323,12 @@ func floatFold(st *cc.AssignStmt) (func(float64, float64) float64, error) {
 // fold into the worker's partial in ascending lane order, which is
 // iteration order, with float32 rounding per step. A reduction scalar
 // assigned with "=" keeps the last active lane's value.
-func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
+func (v *vecBuilder) fold(k *kStmt, d *cc.VarDecl) (VStmt, error) {
+	st := k.s.(*cc.AssignStmt)
 	v.usesAct = true
 	slot := d.Slot
 	if d.Type == cc.TInt {
-		r, err := v.vExprI(st.RHS)
+		r, err := v.vExprI(k.y)
 		if err != nil {
 			return nil, err
 		}
@@ -1518,7 +1346,7 @@ func (v *vecBuilder) fold(st *cc.AssignStmt, d *cc.VarDecl) (VStmt, error) {
 			vm.D.Ints[slot] = acc
 		}, nil
 	}
-	r, err := v.vExprF(st.RHS)
+	r, err := v.vExprF(k.y)
 	if err != nil {
 		return nil, err
 	}
@@ -1553,61 +1381,56 @@ type laneIdx struct {
 	mul, add dExprI
 }
 
-// laneIndex compiles an access index and takes the site's place in
-// spec.Accesses, in specBuilder.index's order: the loads inside the
-// index first, then the site itself.
-func (v *vecBuilder) laneIndex(idx cc.Expr) (laneIdx, error) {
-	idx = foldExpr(idx)
-	if _, err := v.sc.affineDegree(idx); err != nil || v.flat != nil {
+// laneIndex compiles the subscript idx of access site.
+func (v *vecBuilder) laneIndex(idx *kExpr, site int) (laneIdx, error) {
+	if _, ok := affineDegree(idx, v.uniform); !ok || v.flat != nil {
 		// A gather (in a flat body, any access: the induction variable is a
 		// vector); a uniform scale and offset stay out of the vector.
 		li := laneIdx{affine: -1}
-		peel := func(op string, dst *dExprI) {
-			b, ok := idx.(*cc.BinaryExpr)
-			if !ok || b.Op != op || b.Type() != cc.TInt || err != nil {
-				return
+		peel := func(op string, dst *dExprI) error {
+			b, ok := idx.e.(*cc.BinaryExpr)
+			if !ok || b.Op != op || b.Type() != cc.TInt {
+				return nil
 			}
-			k, e := b.X, b.Y
+			k, e := idx.x, idx.y
 			if !v.uniform(k) {
-				k, e = b.Y, b.X
+				k, e = e, k
 			}
-			if v.uniform(k) {
-				v.ai += countLoads(k)
-				*dst, err = v.sc.exprI(k)
-				idx = e
+			if !v.uniform(k) {
+				return nil
 			}
+			o, err := v.vExprI(k)
+			*dst, idx = o.inv, e
+			return err
 		}
-		err = nil
-		peel("+", &li.add)
-		peel("*", &li.mul)
-		if err != nil {
+		if err := peel("+", &li.add); err != nil {
+			return laneIdx{}, err
+		}
+		if err := peel("*", &li.mul); err != nil {
 			return laneIdx{}, err
 		}
 		o, err := v.vExprI(idx)
 		if err != nil {
 			return laneIdx{}, err
 		}
-		v.ai++
 		li.vec = v.matI(o)
 		return li, nil
 	}
-	v.ai += countLoads(idx)
-	ai := v.ai
-	v.ai++
-	if v.spec.Accesses[ai].Affine {
+	if v.spec.Accesses[site].Affine {
 		// The runtime derived the coefficients for its range checks.
-		return laneIdx{affine: ai, walk: func(vm *VecEnv, i0 int64) (int64, int64) {
-			A := vm.AccA[ai]
-			return A*i0 + vm.AccB[ai], A
+		return laneIdx{affine: site, walk: func(vm *VecEnv, i0 int64) (int64, int64) {
+			A := vm.AccA[site]
+			return A*i0 + vm.AccB[site], A
 		}}, nil
 	}
 	// Affine in the induction variable with uniform coefficients (an
 	// inner loop's a*i + f): two evaluations per tile step give the walk.
-	d, err := v.sc.exprI(idx)
-	if err != nil {
+	v.ivScalar = true
+	o, err := v.vExprI(idx)
+	if v.ivScalar = false; err != nil {
 		return laneIdx{}, err
 	}
-	slot := v.loopVar.Slot
+	d, slot := o.inv, v.loopVar.Slot
 	return laneIdx{affine: -1, walk: func(vm *VecEnv, i0 int64) (int64, int64) {
 		D := vm.D
 		D.Ints[slot] = i0
@@ -1719,13 +1542,17 @@ func (v *vecBuilder) idxVec(li laneIdx) vecI {
 // load compiles an array read: a dense strided walk when the index is
 // affine across the lanes and every lane is active, a per-lane fetch of
 // the active lanes otherwise (a gather, or any load under an arm).
-func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
+func (v *vecBuilder) load(k *kExpr) (vOpI, vOpF, error) {
+	x := k.e.(*cc.IndexExpr)
+	slot, typ, site := x.Array.Slot, x.Array.Type, v.take(k, AccessLoad)
+	if v.uniform(k) {
+		return v.uniformLoad(k.x, slot, typ)
+	}
 	m := v.mark()
-	li, err := v.laneIndex(x.Index)
+	li, err := v.laneIndex(k.x, site)
 	if err != nil {
 		return vOpI{}, vOpF{}, err
 	}
-	slot, typ := x.Array.Slot, x.Array.Type
 	if ai := li.affine; ai >= 0 && !v.masked {
 		// The straight-line case, kept lean: the runtime's coefficients,
 		// no helper call (it sent to the interpreter any piece whose walk
@@ -1824,6 +1651,29 @@ func (v *vecBuilder) load(x *cc.IndexExpr) (vOpI, vOpF, error) {
 	}}, nil
 }
 
+// uniformLoad compiles a load with one value for the whole tile step: a
+// uniform subscript into an array the kernel never writes.
+func (v *vecBuilder) uniformLoad(idx *kExpr, slot int, typ cc.ElemType) (vOpI, vOpF, error) {
+	o, err := v.vExprI(idx)
+	ix := o.inv
+	switch typ {
+	case cc.TInt:
+		return vOpI{inv: func(D *DEnv) int64 {
+			a := &D.Arrays[slot]
+			return int64(a.I32[a.off(ix(D)-a.Base)])
+		}}, vOpF{}, err
+	case cc.TFloat:
+		return vOpI{}, vOpF{inv: func(D *DEnv) float64 {
+			a := &D.Arrays[slot]
+			return float64(a.F32[a.off(ix(D)-a.Base)])
+		}}, err
+	}
+	return vOpI{}, vOpF{inv: func(D *DEnv) float64 {
+		a := &D.Arrays[slot]
+		return a.F64[a.off(ix(D)-a.Base)]
+	}}, err
+}
+
 // walkStore writes s to the walk p, p+A, ... of dst, every lane. Small
 // enough to inline, like walkLoad.
 func walkStore[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int64, s []S) {
@@ -1876,16 +1726,13 @@ func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 // arrayAssign compiles a store. scan admitted only stores affine in the
 // induction variable, so the walk comes from the runtime's coefficients
 // (a written array is never layout-transformed).
-func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
-	slot, typ := lhs.Array.Slot, lhs.Array.Type
-	// The spec pass appended the store access before compiling the RHS;
-	// take the cursor in the same order.
-	ai := v.ai
-	v.ai++
+func (v *vecBuilder) arrayAssign(k *kStmt) (VStmt, error) {
+	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
+	slot, typ, ai := lhs.Array.Slot, lhs.Array.Type, v.take(k.x, AccessStore)
 	dense := !v.masked && st.Op == "="
 	v.usesAct = v.usesAct || !dense
 	if typ == cc.TInt {
-		r, err := v.vExprI(st.RHS)
+		r, err := v.vExprI(k.y)
 		if err != nil {
 			return nil, err
 		}
@@ -1913,7 +1760,7 @@ func (v *vecBuilder) arrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 			a.markWalk(p, A, L, vm.act)
 		}, nil
 	}
-	r, err := v.vExprF(st.RHS)
+	r, err := v.vExprF(k.y)
 	if err != nil {
 		return nil, err
 	}
@@ -1969,10 +1816,11 @@ func reduceLanes[S int64 | float64](lane []S, q []int64, s []S, act []int32, mul
 	}
 }
 
-func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, error) {
+func (v *vecBuilder) arrayReduce(k *kStmt) (VStmt, error) {
+	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
 	slot := lhs.Array.Slot
 	v.usesAct = true
-	li, err := v.laneIndex(lhs.Index)
+	li, err := v.laneIndex(k.x.x, v.take(k.x, AccessReduce))
 	if err != nil {
 		return nil, err
 	}
@@ -1980,7 +1828,7 @@ func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 	ix := v.idxVec(li)
 	mul := st.Reduce.Op == "*"
 	if lhs.Array.Type == cc.TInt {
-		r, err := v.vExprI(st.RHS)
+		r, err := v.vExprI(k.y)
 		if err != nil {
 			return nil, err
 		}
@@ -1990,12 +1838,12 @@ func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 			reduceLanes(vm.D.Arrays[slot].LaneI, q, s, vm.act, mul)
 		}, nil
 	}
-	r, err := v.vExprF(st.RHS)
+	r, err := v.vExprF(k.y)
 	if err != nil {
 		return nil, err
 	}
 	if v.inj != nil {
-		c, _ := lvCoef(foldExpr(lhs.Index), v.inj.lv)
+		c, _ := lvCoef(k.x.x, v.inj.lv)
 		v.inj.sites = append(v.inj.sites, injSite{ix, max(c, -c)})
 	}
 	rv := v.matF(r)
@@ -2005,26 +1853,23 @@ func (v *vecBuilder) arrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (VStmt, e
 	}, nil
 }
 
-// vExprI and vExprF mirror the spec compiler's coercion entry points:
-// fold, then (new here) hoist whole-expression uniforms, then compile
-// by type with a conversion pass when the types differ.
-func (v *vecBuilder) vExprI(e cc.Expr) (vOpI, error) {
-	e = foldExpr(e)
-	if v.uniform(e) {
-		v.ai += countLoads(e)
-		inv, err := v.sc.exprI(e)
-		if err != nil {
-			return vOpI{}, err
-		}
-		return vOpI{inv: inv}, nil
-	}
-	if e.Type() == cc.TInt {
-		return v.compileI(e)
+// vExprI and vExprF compile a lowered expression by type, with a
+// conversion pass when the types differ. A node whose operands are all
+// uniform is uniform itself (inv): one value per tile step, evaluated
+// against the worker's scalars — literals, loop invariants, inner
+// induction variables and loads of arrays the kernel never writes, and
+// what is computed from them.
+func (v *vecBuilder) vExprI(k *kExpr) (vOpI, error) {
+	if k.e.Type() == cc.TInt {
+		return v.compileI(k)
 	}
 	m := v.mark()
-	f, err := v.compileF(e)
+	f, err := v.compileF(k)
 	if err != nil {
 		return vOpI{}, err
+	}
+	if g := f.inv; g != nil {
+		return vOpI{inv: func(D *DEnv) int64 { return int64(g(D)) }}, nil
 	}
 	fv := v.matF(f)
 	bid := v.outI(m)
@@ -2038,23 +1883,17 @@ func (v *vecBuilder) vExprI(e cc.Expr) (vOpI, error) {
 	}}, nil
 }
 
-func (v *vecBuilder) vExprF(e cc.Expr) (vOpF, error) {
-	e = foldExpr(e)
-	if v.uniform(e) {
-		v.ai += countLoads(e)
-		inv, err := v.sc.exprF(e)
-		if err != nil {
-			return vOpF{}, err
-		}
-		return vOpF{inv: inv}, nil
-	}
-	if e.Type() != cc.TInt {
-		return v.compileF(e)
+func (v *vecBuilder) vExprF(k *kExpr) (vOpF, error) {
+	if k.e.Type() != cc.TInt {
+		return v.compileF(k)
 	}
 	m := v.mark()
-	i, err := v.compileI(e)
+	i, err := v.compileI(k)
 	if err != nil {
 		return vOpF{}, err
+	}
+	if g := i.inv; g != nil {
+		return vOpF{inv: func(D *DEnv) float64 { return float64(g(D)) }}, nil
 	}
 	iv := v.matI(i)
 	bid := v.outF(m)
@@ -2068,19 +1907,19 @@ func (v *vecBuilder) vExprF(e cc.Expr) (vOpF, error) {
 	}}, nil
 }
 
-// compileI compiles a non-invariant int-typed expression.
-func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
+// compileI compiles an int-typed expression.
+func (v *vecBuilder) compileI(k *kExpr) (vOpI, error) {
 	m := v.mark()
-	switch x := e.(type) {
+	switch x := k.e.(type) {
 	case *cc.NumLit:
-		k := x.I
-		return vOpI{inv: func(*DEnv) int64 { return k }}, nil
+		c := x.I
+		return vOpI{inv: func(*DEnv) int64 { return c }}, nil
 
 	case *cc.Ident:
 		if vec, _ := v.flatIdent(x.Decl); vec != nil {
 			return vOpI{vec: vec}, nil
 		}
-		if x.Decl == v.loopVar {
+		if x.Decl == v.loopVar && !v.ivScalar {
 			bid := v.pushI()
 			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 				out := vm.BufI[bid][:L]
@@ -2103,18 +1942,21 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 		return vOpI{inv: func(e *DEnv) int64 { return e.Ints[slot] }}, nil
 
 	case *cc.IndexExpr:
-		o, _, err := v.load(x)
+		o, _, err := v.load(k)
 		return o, err
 
 	case *cc.BinaryExpr:
-		return v.binaryI(x)
+		return v.binaryI(k)
 
 	case *cc.UnaryExpr:
 		switch x.Op {
 		case "-":
-			o, err := v.vExprI(x.X)
+			o, err := v.vExprI(k.x)
 			if err != nil {
 				return vOpI{}, err
+			}
+			if g := o.inv; g != nil {
+				return vOpI{inv: func(D *DEnv) int64 { return -g(D) }}, nil
 			}
 			ov := v.matI(o)
 			bid := v.outI(m)
@@ -2127,11 +1969,14 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 				return out
 			}}, nil
 		case "!":
-			return v.notOp(x.X)
+			return v.notOp(k.x)
 		case "~":
-			o, err := v.vExprI(x.X)
+			o, err := v.vExprI(k.x)
 			if err != nil {
 				return vOpI{}, err
+			}
+			if g := o.inv; g != nil {
+				return vOpI{inv: func(D *DEnv) int64 { return ^g(D) }}, nil
 			}
 			ov := v.matI(o)
 			bid := v.outI(m)
@@ -2147,40 +1992,28 @@ func (v *vecBuilder) compileI(e cc.Expr) (vOpI, error) {
 		return vOpI{}, errSpecIneligible
 
 	case *cc.CallExpr:
-		return v.callI(x)
+		return v.callI(k)
 
 	case *cc.CastExpr:
 		if x.To != cc.TInt {
 			return vOpI{}, errSpecIneligible
 		}
-		if x.X.Type() == cc.TInt {
-			return v.vExprI(x.X)
-		}
-		f, err := v.vExprF(x.X)
-		if err != nil {
-			return vOpI{}, err
-		}
-		fv := v.matF(f)
-		bid := v.outI(m)
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := fv(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = int64(s[t])
-			}
-			return out
-		}}, nil
+		// The same conversion as an int context's (vExprI).
+		return v.vExprI(k.x)
 	}
 	return vOpI{}, errSpecIneligible
 }
 
 // notOp compiles logical negation over either operand type.
-func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
+func (v *vecBuilder) notOp(inner *kExpr) (vOpI, error) {
 	m := v.mark()
-	if inner.Type() == cc.TInt {
+	if inner.e.Type() == cc.TInt {
 		o, err := v.vExprI(inner)
 		if err != nil {
 			return vOpI{}, err
+		}
+		if g := o.inv; g != nil {
+			return vOpI{inv: func(D *DEnv) int64 { return b2i(g(D) == 0) }}, nil
 		}
 		ov := v.matI(o)
 		bid := v.outI(m)
@@ -2197,6 +2030,9 @@ func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
 	if err != nil {
 		return vOpI{}, err
 	}
+	if g := o.inv; g != nil {
+		return vOpI{inv: func(D *DEnv) int64 { return b2i(g(D) == 0) }}, nil
+	}
 	ov := v.matF(o)
 	bid := v.outI(m)
 	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
@@ -2209,26 +2045,30 @@ func (v *vecBuilder) notOp(inner cc.Expr) (vOpI, error) {
 	}}, nil
 }
 
-func (v *vecBuilder) binaryI(x *cc.BinaryExpr) (vOpI, error) {
+func (v *vecBuilder) binaryI(k *kExpr) (vOpI, error) {
+	x := k.e.(*cc.BinaryExpr)
 	m := v.mark()
 	switch x.Op {
 	case "&&", "||":
 		return vOpI{}, errSpecIneligible
 	case "<", "<=", ">", ">=", "==", "!=":
-		return v.compare(x)
+		return v.compare(k)
 	case "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>":
 	default:
 		return vOpI{}, errSpecIneligible
 	}
-	a, err := v.vExprI(x.X)
+	a, err := v.vExprI(k.x)
 	if err != nil {
 		return vOpI{}, err
 	}
-	c, err := v.vExprI(x.Y)
+	c, err := v.vExprI(k.y)
 	if err != nil {
 		return vOpI{}, err
 	}
 	op := x.Op[0]
+	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
+		return vOpI{inv: func(D *DEnv) int64 { return intOp(op, ka(D), kc(D)) }}, nil
+	}
 	// Division faults on a zero divisor: under an arm, active lanes only.
 	faults := v.masked && (op == '/' || op == '%')
 	av, ak, cv, ck := a.vec, a.inv, c.vec, c.inv
@@ -2348,17 +2188,22 @@ func cmpLanes[S int64 | float64](out []int64, op byte, s, q []S, k S) {
 
 // compare compiles a comparison (int result) over either operand type;
 // a uniform operand is compared as a scalar.
-func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
+func (v *vecBuilder) compare(k *kExpr) (vOpI, error) {
+	x := k.e.(*cc.BinaryExpr)
 	m := v.mark()
 	op := cmpCode[x.Op]
 	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-		a, err := v.vExprI(x.X)
+		a, err := v.vExprI(k.x)
 		if err != nil {
 			return vOpI{}, err
 		}
-		c, err := v.vExprI(x.Y)
+		c, err := v.vExprI(k.y)
 		if err != nil {
 			return vOpI{}, err
+		}
+		if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
+			cmp := intCmp(x.Op)
+			return vOpI{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
 		}
 		if a.vec == nil {
 			a, c, op = c, a, cmpMirror[op]
@@ -2375,13 +2220,17 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 			return out
 		}}, nil
 	}
-	a, err := v.vExprF(x.X)
+	a, err := v.vExprF(k.x)
 	if err != nil {
 		return vOpI{}, err
 	}
-	c, err := v.vExprF(x.Y)
+	c, err := v.vExprF(k.y)
 	if err != nil {
 		return vOpI{}, err
+	}
+	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
+		cmp := floatCmp(x.Op)
+		return vOpI{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
 	}
 	if a.vec == nil {
 		a, c, op = c, a, cmpMirror[op]
@@ -2399,13 +2248,13 @@ func (v *vecBuilder) compare(x *cc.BinaryExpr) (vOpI, error) {
 	}}, nil
 }
 
-// compileF compiles a non-invariant float-typed expression.
-func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
+// compileF compiles a float-typed expression.
+func (v *vecBuilder) compileF(k *kExpr) (vOpF, error) {
 	m := v.mark()
-	switch x := e.(type) {
+	switch x := k.e.(type) {
 	case *cc.NumLit:
-		k := x.F
-		return vOpF{inv: func(*DEnv) float64 { return k }}, nil
+		c := x.F
+		return vOpF{inv: func(*DEnv) float64 { return c }}, nil
 
 	case *cc.Ident:
 		if _, vec := v.flatIdent(x.Decl); vec != nil {
@@ -2424,19 +2273,30 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 		return vOpF{inv: func(e *DEnv) float64 { return e.Floats[slot] }}, nil
 
 	case *cc.IndexExpr:
-		_, o, err := v.load(x)
+		_, o, err := v.load(k)
 		return o, err
 
 	case *cc.BinaryExpr:
-		return v.binaryF(x)
+		a, err := v.vExprF(k.x)
+		if err != nil {
+			return vOpF{}, err
+		}
+		c, err := v.vExprF(k.y)
+		if err != nil {
+			return vOpF{}, err
+		}
+		return v.arithF(x.Op, a, c, m)
 
 	case *cc.UnaryExpr:
 		if x.Op != "-" {
 			return vOpF{}, errSpecIneligible
 		}
-		o, err := v.vExprF(x.X)
+		o, err := v.vExprF(k.x)
 		if err != nil {
 			return vOpF{}, err
+		}
+		if g := o.inv; g != nil {
+			return vOpF{inv: func(D *DEnv) float64 { return -g(D) }}, nil
 		}
 		ov := v.matF(o)
 		bid := v.outF(m)
@@ -2450,19 +2310,22 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 		}}, nil
 
 	case *cc.CallExpr:
-		return v.callF(x)
+		return v.callF(k)
 
 	case *cc.CastExpr:
 		if x.To == cc.TInt {
 			return vOpF{}, errSpecIneligible
 		}
-		o, err := v.vExprF(x.X)
+		o, err := v.vExprF(k.x)
 		if err != nil {
 			return vOpF{}, err
 		}
 		if x.To != cc.TFloat {
 			// Cast to double is the identity on the float64 value.
 			return o, nil
+		}
+		if g := o.inv; g != nil {
+			return vOpF{inv: func(D *DEnv) float64 { return float64(float32(g(D))) }}, nil
 		}
 		ov := v.matF(o)
 		bid := v.outF(m)
@@ -2478,24 +2341,29 @@ func (v *vecBuilder) compileF(e cc.Expr) (vOpF, error) {
 	return vOpF{}, errSpecIneligible
 }
 
-// binaryF compiles float arithmetic. Multiplication with one invariant
-// operand becomes a scalar-vector pass and advertises itself through
-// kMul/mulX; addition and subtraction fuse such products into a single
-// pass. The explicit float64(...) around each fused product pins the
-// intermediate rounding the interpreter performs (the Go spec otherwise
-// permits fusing into an FMA).
-func (v *vecBuilder) binaryF(x *cc.BinaryExpr) (vOpF, error) {
-	m := v.mark()
-	a, err := v.vExprF(x.X)
-	if err != nil {
-		return vOpF{}, err
-	}
-	c, err := v.vExprF(x.Y)
-	if err != nil {
-		return vOpF{}, err
+// arithF combines the compiled operands of float arithmetic, m the
+// stacks' height before them. Multiplication with one invariant operand
+// becomes a scalar-vector pass and advertises itself through kMul/mulX;
+// addition and subtraction fuse such products into a single pass. The
+// explicit float64(...) around each fused product pins the intermediate
+// rounding the interpreter performs (the Go spec otherwise permits fusing
+// into an FMA).
+func (v *vecBuilder) arithF(op string, a, c vOpF, m bufMark) (vOpF, error) {
+	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
+		switch op {
+		case "+":
+			return vOpF{inv: func(D *DEnv) float64 { return ka(D) + kc(D) }}, nil
+		case "-":
+			return vOpF{inv: func(D *DEnv) float64 { return ka(D) - kc(D) }}, nil
+		case "*":
+			return vOpF{inv: func(D *DEnv) float64 { return ka(D) * kc(D) }}, nil
+		case "/":
+			return vOpF{inv: func(D *DEnv) float64 { return ka(D) / kc(D) }}, nil
+		}
+		return vOpF{}, errSpecIneligible
 	}
 	bid := v.outF(m)
-	switch x.Op {
+	switch op {
 	case "*":
 		switch {
 		case a.inv != nil:
@@ -2539,7 +2407,7 @@ func (v *vecBuilder) binaryF(x *cc.BinaryExpr) (vOpF, error) {
 		}}, nil
 
 	case "+", "-":
-		sub := x.Op == "-"
+		sub := op == "-"
 		switch {
 		case a.kMul != nil && c.kMul != nil:
 			k1, x1, k2, x2 := a.kMul, a.mulX, c.kMul, c.mulX
@@ -2720,19 +2588,37 @@ func (v *vecBuilder) binaryF(x *cc.BinaryExpr) (vOpF, error) {
 	return vOpF{}, errSpecIneligible
 }
 
-// callI compiles the int builtins (min, max, abs).
-func (v *vecBuilder) callI(x *cc.CallExpr) (vOpI, error) {
-	if _, ok := cc.Builtins[x.Name]; !ok {
-		return vOpI{}, errSpecIneligible
-	}
-	m := v.mark()
-	args := make([]vecI, len(x.Args))
-	for i, a := range x.Args {
+// callI compiles the int builtins (min, max, abs). The lowering admitted
+// no other call; a uniform call compiles its arguments as uniform ones (a
+// broadcast per argument would sit below the later arguments' scratch).
+func (v *vecBuilder) callI(k *kExpr) (vOpI, error) {
+	x := k.e.(*cc.CallExpr)
+	m, uniform := v.mark(), v.uniform(k)
+	var (
+		args [2]vecI
+		invs [2]dExprI
+	)
+	for i, a := range [2]*kExpr{k.x, k.y} {
+		if a == nil {
+			break
+		}
 		o, err := v.vExprI(a)
 		if err != nil {
 			return vOpI{}, err
 		}
-		args[i] = v.matI(o)
+		if invs[i] = o.inv; !uniform {
+			args[i] = v.matI(o)
+		}
+	}
+	if uniform {
+		a0, a1 := invs[0], invs[1]
+		switch x.Name {
+		case "min":
+			return vOpI{inv: func(D *DEnv) int64 { return min(a0(D), a1(D)) }}, nil
+		case "max":
+			return vOpI{inv: func(D *DEnv) int64 { return max(a0(D), a1(D)) }}, nil
+		}
+		return vOpI{inv: func(D *DEnv) int64 { return max(a0(D), -a0(D)) }}, nil
 	}
 	bid := v.outI(m)
 	switch x.Name {
@@ -2776,21 +2662,31 @@ func (v *vecBuilder) callI(x *cc.CallExpr) (vOpI, error) {
 	return vOpI{}, errSpecIneligible
 }
 
-// callF compiles the float builtins with the same math funcs the scalar
-// spec path uses.
-func (v *vecBuilder) callF(x *cc.CallExpr) (vOpF, error) {
-	fn1, fn2, ok := floatBuiltin(x.Name)
-	if !ok {
-		return vOpF{}, errSpecIneligible
-	}
-	m := v.mark()
-	args := make([]vecF, len(x.Args))
-	for i, a := range x.Args {
+// callF compiles the float builtins with the math funcs the interpreter
+// calls, a uniform call as callI does.
+func (v *vecBuilder) callF(k *kExpr) (vOpF, error) {
+	fn1, fn2, _ := floatBuiltin(k.e.(*cc.CallExpr).Name)
+	m, uniform := v.mark(), v.uniform(k)
+	var (
+		args [2]vecF
+		invs [2]dExprF
+	)
+	for i, a := range [2]*kExpr{k.x, k.y} {
+		if a == nil {
+			break
+		}
 		o, err := v.vExprF(a)
 		if err != nil {
 			return vOpF{}, err
 		}
-		args[i] = v.matF(o)
+		if invs[i] = o.inv; !uniform {
+			args[i] = v.matF(o)
+		}
+	}
+	if a0, a1 := invs[0], invs[1]; uniform && fn1 != nil {
+		return vOpF{inv: func(D *DEnv) float64 { return fn1(a0(D)) }}, nil
+	} else if uniform {
+		return vOpF{inv: func(D *DEnv) float64 { return fn2(a0(D), a1(D)) }}, nil
 	}
 	bid := v.outF(m)
 	if fn1 != nil {

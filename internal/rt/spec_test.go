@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -418,6 +419,22 @@ void main() {
 	}
 	if mod.Kernels[0].SpecReason != "" {
 		t.Fatalf("saxpy SpecReason = %q, want empty", mod.Kernels[0].SpecReason)
+	}
+	// A lowered node keeps the body-assigned scalars it reads as one bit
+	// each: 64 private scalars compile, a 65th makes the body a "shape"
+	// reject.
+	for _, m := range []int{64, 65} {
+		var body strings.Builder
+		for s := range m {
+			fmt.Fprintf(&body, "        int p%d;\n        p%d = i + %d;\n        out_[i] = out_[i] + p%d;\n", s, s, s, s)
+		}
+		src := "int n;\nint out_[n];\nvoid main() {\n    int i;\n    #pragma acc parallel loop\n    for (i = 0; i < n; i++) {\n" +
+			body.String() + "    }\n}\n"
+		mod, _ = buildSpecInstance(t, src, map[string]float64{"n": 64})
+		k := mod.Kernels[0]
+		if want := m <= 64; (k.Spec != nil) != want || (!want && k.SpecReason != "shape") {
+			t.Fatalf("%d assigned scalars: spec %v, reason %q", m, k.Spec != nil, k.SpecReason)
+		}
 	}
 }
 

@@ -3,10 +3,14 @@ package rt_test
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"accmulti/internal/apps"
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
@@ -976,6 +980,238 @@ void main() {
 		scalars: nScalar,
 	})
 	specTemplates = append(specTemplates, flatRowTemplates()...)
+	specTemplates = append(specTemplates, siteTemplates()...)
+}
+
+// siteTemplates hold an access beside or inside a subtree the tiles
+// evaluate once per step, at every place where a builder once had to
+// step its own access count past such a subtree. lock-peel-*: a gather
+// whose index adds or scales by a uniform operand the tile keeps out of
+// the index vector, in both operand orders, and in a flat body. sites-*:
+// loads in a uniform loop's header (and uniform unary operators, casts
+// and builtins after it) and in a flat loop's bound, a
+// condition the prover refines by a bound that loads, a nested gather
+// under an else-arm, and an affine-guard split whose variants both load.
+// Each asserts that its tile or split engaged.
+func siteTemplates() []specTemplate {
+	want := func(cond func(rt.SpecStats) bool, what string) func(rt.SpecStats) error {
+		return func(st rt.SpecStats) error {
+			if !cond(st) {
+				return fmt.Errorf("want %s", what)
+			}
+			return nil
+		}
+	}
+	tiled := want(func(st rt.SpecStats) bool { return st.TiledIters > 0 && st.Fallbacks == 0 }, "tiles")
+	split := want(func(st rt.SpecStats) bool { return st.SplitPieces > 0 && st.Fallbacks == 0 }, "a split")
+	peel := func(name, index string) specTemplate {
+		return specTemplate{name: name, scalars: nScalar, check: tiled, src: strings.Replace(`
+int n;
+int idx_[n], c_[1];
+float x_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(idx_, c_, x_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = x_[INDEX];
+        }
+    }
+}
+`, "INDEX", index, 1)}
+	}
+	return []specTemplate{
+		peel("lock-peel-add", "idx_[i] + (c_[0] - c_[0])"),
+		peel("lock-peel-mul", "idx_[i] * (c_[0] - c_[0] + 1)"),
+		peel("lock-peel-add-mirrored", "(c_[0] - c_[0]) + idx_[i]"),
+		peel("lock-peel-mul-mirrored", "(c_[0] - c_[0] + 1) * idx_[i]"),
+		{name: "lock-peel-flat", scalars: nScalar, check: tiled, src: `
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n], z_[1];
+float vals_[3 * n], x_[n], y_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_, vals_, x_, z_) copyout(y_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            acc = 0.0;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                acc += vals_[e] * x_[edges_[e] + (z_[0] - z_[0])];
+            }
+            y_[i] = acc;
+        }
+    }
+}
+`},
+		{name: "sites-loop-header", scalars: nScalar, check: tiled, src: `
+int n;
+int lo_[1], hi_[1];
+float w_[1], a_[4 * n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(lo_, hi_, w_, a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int j;
+            float s;
+            s = 0.0;
+            for (j = min(abs(lo_[0]), 0); j < min(abs(hi_[0]), 3) + 1; j++) {
+                s += a_[4 * i + j];
+            }
+            out_[i] = s + a_[4 * i] + (-(~lo_[0]) + !hi_[0] + max(lo_[0], 1)) * 0.001
+                + sqrt(fabs(-w_[0])) - pow(fabs(w_[0]), 2.0) / (1.0 + fabs(w_[0] + w_[0]) - w_[0] * w_[0])
+                + (float)(w_[0] * 3.0) + (int)(w_[0] * 10.0) + !w_[0];
+        }
+    }
+}
+`},
+		{name: "sites-flat-bound", scalars: nScalar, check: tiled, src: `
+int n;
+int deg_[n], off_[n + 1], edges_[3 * n], pad_[1];
+float vals_[3 * n], y_[n];
+void main() {
+    int i, j;` + csrPrologue + `
+    #pragma acc data copyin(off_, edges_, vals_, pad_) copyout(y_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            acc = 0.0;
+            for (e = off_[i]; e < off_[i + 1] + (pad_[0] - pad_[0]); e++) {
+                acc += vals_[e];
+            }
+            y_[i] = acc;
+        }
+    }
+}
+`},
+		{name: "sites-refine", scalars: nScalar, check: tiled, src: `
+int n;
+int cap_[1], in_[n], out_[4 * n];
+void main() {
+    int i;
+    #pragma acc data copyin(cap_, in_) copy(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int k;
+            for (k = 0; k < 4; k++) {
+                if (k < cap_[0] % 5) {
+                    out_[4 * i + k] = in_[i] + k;
+                }
+            }
+        }
+    }
+}
+`},
+		{name: "sites-else-gather", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], idx_[n], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, idx_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (in_[i] > 0) {
+                out_[i] = in_[i];
+            } else {
+                out_[i] = in_[idx_[idx_[i]]] + idx_[i];
+            }
+        }
+    }
+}
+`},
+		{name: "sites-guard", scalars: guardScalars, check: split, src: `
+int n, k, m;
+float a_[n], b_[n + 1], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(a_, b_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i < k) {
+                out_[i] = a_[i] + b_[i + 1];
+            } else {
+                out_[i] = b_[i] * m;
+            }
+        }
+    }
+}
+`},
+	}
+}
+
+// TestLoweredSitesReadOnce lowers every kernel of the apps, of every
+// template above and of every source under examples/, guard variants
+// included, and holds each pass over a lowered body to the numbers the
+// lowering gave (ir.VerifyLowering): the tile builders read every access
+// once and the prover once more when the body has a computed access, each
+// as the slot and kind it was numbered with, and one op counts each arm.
+func TestLoweredSitesReadOnce(t *testing.T) {
+	srcs := map[string]string{}
+	for _, app := range append(apps.All(), apps.Extended()...) {
+		srcs["app "+app.Name] = app.Source
+	}
+	for _, tpl := range specTemplates {
+		srcs[tpl.name] = tpl.src
+	}
+	files, _ := filepath.Glob("../../examples/*/*.c")
+	mains, _ := filepath.Glob("../../examples/*/main.go")
+	embedded := regexp.MustCompile("(?s)const source = `(.*?)`")
+	for _, f := range append(files, mains...) {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m := embedded.FindSubmatch(b); m != nil {
+			b = m[1]
+		}
+		srcs[f] = string(b)
+	}
+	if len(files) == 0 || len(mains) == 0 {
+		t.Fatalf("no example sources: %d C files, %d Go mains", len(files), len(mains))
+	}
+	tiled, split := 0, 0
+	for name, src := range srcs {
+		if strings.HasSuffix(name, "main.go") && !strings.Contains(src, "#pragma acc") {
+			continue // an example that runs an app's source
+		}
+		prog, err := cc.ParseProgram(src)
+		if err != nil {
+			t.Fatalf("%s: parse: %v", name, err)
+		}
+		pa, err := translator.AnalyzeProgram(prog)
+		if err != nil {
+			continue // a vet example the translator refuses
+		}
+		mod, err := translator.Lower(pa)
+		if err != nil || len(mod.Kernels) != len(pa.Loops) {
+			t.Fatalf("%s: lower: %v (%d kernels of %d loops)", name, err, len(mod.Kernels), len(pa.Loops))
+		}
+		for i, k := range mod.Kernels {
+			if pa.Loops[i].Collapsed {
+				continue
+			}
+			n, err := ir.VerifyLowering(k, pa.Loops[i].For.Body, prog)
+			if err != nil {
+				t.Errorf("%s: kernel %s: %v", name, k.Name, err)
+			}
+			if tiled += n; k.Spec != nil && k.Spec.Guard != nil {
+				split++
+			}
+		}
+	}
+	if tiled < len(specTemplates) || split == 0 {
+		t.Errorf("%d lowered bodies tiled, %d kernels split: the corpus lost its tiles", tiled, split)
+	}
 }
 
 // rejects holds a specialized run to kernels the tiles rejected at
