@@ -99,10 +99,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# lint is the static-analysis gate: go vet always runs; staticcheck and
-# govulncheck run only when their binaries are already installed (no
-# network fetches from the build).
+# lint is the static-analysis gate: go vet always runs, and any file
+# gofmt would change fails it; staticcheck and govulncheck run only when
+# their binaries are already installed (no network fetches from the
+# build).
 lint: vet
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "lint: gofmt would change:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	accbench [-scale f] [-apps MD,KMEANS,BFS] [-verify] [-seed n] [targets...]
+//	accbench [-scale f] [-apps MD,KMEANS,BFS,SPMV,HOTSPOT2D,NBODY] [-verify] [-seed n] [targets...]
 //
 // Targets: table1 table2 fig7 fig8 fig9 ablations cluster async node
 // loadtest all (default: all; loadtest is opt-in — it measures real
@@ -51,7 +51,7 @@ func main() {
 	var (
 		scale      = flag.Float64("scale", 1.0, "multiplier on the per-app default bench scales")
 		appScale   = flag.String("appscale", "", "per-app input fractions, e.g. MD=1.0,BFS=0.05")
-		appsFlag   = flag.String("apps", "", "comma-separated subset of MD,KMEANS,BFS")
+		appsFlag   = flag.String("apps", "", "comma-separated subset of MD,KMEANS,BFS,SPMV,HOTSPOT2D,NBODY (default: MD,KMEANS,BFS)")
 		verify     = flag.Bool("verify", false, "verify every run against the Go references")
 		seed       = flag.Int64("seed", 0, "input generator seed (0 = default)")
 		jsonOut    = flag.Bool("json", false, "emit the selected sections as JSON instead of text")

@@ -7,6 +7,7 @@ package apps
 
 import (
 	"fmt"
+	"strings"
 
 	"accmulti/internal/ir"
 )
@@ -64,18 +65,16 @@ func Extended() []*App {
 // ByName looks an application up by name, searching the paper's three
 // and the extensions.
 func ByName(name string) (*App, error) {
+	var names []string
 	for _, a := range append(All(), Extended()...) {
 		if a.Name == name {
 			return a, nil
 		}
+		names = append(names, a.Name)
 	}
-	return nil, fmt.Errorf("apps: unknown application %q (have MD, KMEANS, BFS, SPMV, HOTSPOT2D)", name)
+	return nil, fmt.Errorf("apps: unknown application %q (have %s)", name, strings.Join(names, ", "))
 }
 
 func scaled(v int, scale float64) int {
-	n := int(float64(v) * scale)
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(int(float64(v)*scale), 1)
 }

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"strings"
 	"testing"
 
 	"accmulti/internal/core"
@@ -16,6 +17,16 @@ func TestExtendedRegistry(t *testing.T) {
 	for _, name := range []string{"SPMV", "HOTSPOT2D", "NBODY"} {
 		if _, err := ByName(name); err != nil {
 			t.Errorf("ByName(%s): %v", name, err)
+		}
+	}
+	// The error for an unknown name lists every app there is.
+	_, err := ByName("NOPE")
+	if err == nil {
+		t.Fatal("ByName(NOPE): no error")
+	}
+	for _, a := range append(All(), ext...) {
+		if !strings.Contains(err.Error(), a.Name) {
+			t.Errorf("ByName(NOPE) error %q does not name %s", err, a.Name)
 		}
 	}
 }

@@ -57,7 +57,7 @@ var defaultBenchScale = map[string]float64{
 	"MD":     1.0,
 	"KMEANS": 0.08,
 	"BFS":    0.1,
-	// Extension apps (beyond the paper): -apps SPMV,HOTSPOT2D.
+	// Extension apps (beyond the paper): -apps SPMV,HOTSPOT2D,NBODY.
 	"SPMV":      0.25,
 	"HOTSPOT2D": 0.25,
 	"NBODY":     0.25,

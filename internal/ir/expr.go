@@ -232,7 +232,7 @@ func compileBinary(x *cc.BinaryExpr) (ExprI, ExprF, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			cmp := intCmp(x.Op)
+			cmp := cmpOf[int64](x.Op)
 			return func(env *Env) int64 {
 				env.Flops++
 				if cmp(a(env), b(env)) {
@@ -249,7 +249,7 @@ func compileBinary(x *cc.BinaryExpr) (ExprI, ExprF, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		cmp := floatCmp(x.Op)
+		cmp := cmpOf[float64](x.Op)
 		return func(env *Env) int64 {
 			env.Flops++
 			if cmp(a(env), b(env)) {
@@ -317,37 +317,21 @@ func compileBinary(x *cc.BinaryExpr) (ExprI, ExprF, error) {
 	return nil, nil, fmt.Errorf("ir: line %d: unknown float operator %q", x.Pos(), x.Op)
 }
 
-func intCmp(op string) func(int64, int64) bool {
+// cmpOf gives a comparison operator over either scalar type.
+func cmpOf[S num](op string) func(S, S) bool {
 	switch op {
 	case "<":
-		return func(a, b int64) bool { return a < b }
+		return func(a, b S) bool { return a < b }
 	case "<=":
-		return func(a, b int64) bool { return a <= b }
+		return func(a, b S) bool { return a <= b }
 	case ">":
-		return func(a, b int64) bool { return a > b }
+		return func(a, b S) bool { return a > b }
 	case ">=":
-		return func(a, b int64) bool { return a >= b }
+		return func(a, b S) bool { return a >= b }
 	case "==":
-		return func(a, b int64) bool { return a == b }
+		return func(a, b S) bool { return a == b }
 	default:
-		return func(a, b int64) bool { return a != b }
-	}
-}
-
-func floatCmp(op string) func(float64, float64) bool {
-	switch op {
-	case "<":
-		return func(a, b float64) bool { return a < b }
-	case "<=":
-		return func(a, b float64) bool { return a <= b }
-	case ">":
-		return func(a, b float64) bool { return a > b }
-	case ">=":
-		return func(a, b float64) bool { return a >= b }
-	case "==":
-		return func(a, b float64) bool { return a == b }
-	default:
-		return func(a, b float64) bool { return a != b }
+		return func(a, b S) bool { return a != b }
 	}
 }
 

@@ -168,7 +168,7 @@ func foldBinary(x *cc.BinaryExpr, fx, fy cc.Expr) cc.Expr {
 		case ">>":
 			v = a.I >> uint(b.I)
 		case "<", "<=", ">", ">=", "==", "!=":
-			v = boolToInt(intCmp(x.Op)(a.I, b.I))
+			v = boolToInt(cmpOf[int64](x.Op)(a.I, b.I))
 		case "&&":
 			v = boolToInt(a.I != 0 && b.I != 0)
 		case "||":
@@ -198,7 +198,7 @@ func foldBinary(x *cc.BinaryExpr, fx, fy cc.Expr) cc.Expr {
 		setLitType(lit, x.Type())
 		return lit
 	case "<", "<=", ">", ">=", "==", "!=":
-		return intLit(x.Pos(), boolToInt(floatCmp(x.Op)(af, bf)))
+		return intLit(x.Pos(), boolToInt(cmpOf[float64](x.Op)(af, bf)))
 	case "&&":
 		return intLit(x.Pos(), boolToInt(af != 0 && bf != 0))
 	case "||":

@@ -270,11 +270,15 @@ func (s *KernelSpec) NewDEnv() *DEnv {
 	}
 }
 
-// dExprI and dExprF are a uniform subtree compiled against the worker's
-// scalars: one value for every lane of a tile step.
 type (
-	dExprI func(*DEnv) int64
-	dExprF func(*DEnv) float64
+	// num is what one lane of a tile holds: every int expression computes
+	// in int64, every float one in float64.
+	num interface{ int64 | float64 }
+	// elem is the element type of a device copy.
+	elem interface{ int32 | float32 | float64 }
+	// dExpr is a uniform subtree compiled against the worker's scalars: one
+	// value for every lane of a tile step.
+	dExpr[S num] func(*DEnv) S
 )
 
 // KernelSpec is the compiled specialization of one kernel.

@@ -64,13 +64,21 @@ type flatSite struct {
 	cur int
 }
 
-// keep copies what the site's statement computed in a flat tile of vm (a
-// nil vector is not kept). A vector is allocated when first kept, as long
-// as the longest flat tile.
-func (s *flatSite) keep(vm *VecEnv, act []int32, idx, vi []int64, vf []float64) {
+// keep copies the lanes that reached the site in a flat tile of vm and
+// their indices (nil: none), keepVals their values. A vector is allocated
+// when first kept, as long as the longest flat tile.
+func (s *flatSite) keep(vm *VecEnv, act []int32, idx []int64) {
 	s.act, s.cur = kept(s.act, act, vm.tile), 0
-	s.idx, s.vi, s.vf = kept(s.idx, idx, vm.tile), kept(s.vi, vi, vm.tile), kept(s.vf, vf, vm.tile)
+	s.idx = kept(s.idx, idx, vm.tile)
 }
+
+func keepVals[S num](s *flatSite, vm *VecEnv, val []S) {
+	p := vals[S](s)
+	*p = kept(*p, val, vm.tile)
+}
+
+// vals picks the site's values of lane type S.
+func vals[S num](s *flatSite) *[]S { return pick[S, []S](&s.vi, &s.vf) }
 
 func kept[E any](dst, src []E, tile int) []E {
 	if cap(dst) < len(src) {
@@ -118,11 +126,11 @@ type flatLoop struct {
 const maxHazSites = 4
 
 // flatStoreSite is a store of a flat body: the array, the site that
-// records it, and the operator of a compound store (nil for "=").
+// records it, and the operator of a compound store, a func(S, S) S of the
+// array's lane type (nil for "=").
 type flatStoreSite struct {
 	slot, site int
-	applyI     func(int64, int64) int64
-	applyF     func(float64, float64) float64
+	apply      any
 }
 
 func (v *vecBuilder) newSite() int {
@@ -245,27 +253,27 @@ func (v *vecBuilder) flatLoop(k *kStmt, live []*cc.VarDecl) (VStmt, error) {
 		return nil, errSpecIneligible
 	}
 	boundX, incl := k.bound()
-	init, err := v.vExprI(k.kids[0].y)
+	init, err := compile[int64](v, k.kids[0].y)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := v.vExprI(boundX)
+	bound, err := compile[int64](v, boundX)
 	if err != nil {
 		return nil, err
 	}
-	lov, hiv := v.matI(init), v.matI(bound)
+	lov, hiv := mat(v, init), mat(v, bound)
 	condIdx, bodyIdx := v.takeArm(k.arm), v.takeArm(k.arm+1)
 	v.usesAct = true
 
 	// The body, numbered against the flat scratch: the private vectors
 	// keep their numbers there, then come the two induction variables.
 	outer := *v
-	fl.iv, fl.lvv, fl.siteBeg = v.baseI, v.baseI+1, v.spec.FlatSites
-	v.baseI += 2
-	v.nBufI, v.nBufF, v.depth, v.maxArms, v.masked, v.flat = v.baseI, v.baseF, 0, 0, false, fl
+	fl.iv, fl.lvv, fl.siteBeg = v.base[0], v.base[0]+1, v.spec.FlatSites
+	v.base[0] += 2
+	v.nBuf, v.depth, v.maxArms, v.masked, v.flat = v.base, 0, 0, false, fl
 	body, err := v.stmt(k.kids[1])
 	spec := v.spec
-	spec.FlatBufI, spec.FlatBufF = max(spec.FlatBufI, v.nBufI), max(spec.FlatBufF, v.nBufF)
+	spec.FlatBufI, spec.FlatBufF = max(spec.FlatBufI, v.nBuf[0]), max(spec.FlatBufF, v.nBuf[1])
 	spec.FlatMask = max(spec.FlatMask, 1+2*v.maxArms)
 	*v = outer
 	if err != nil {
@@ -408,23 +416,21 @@ func commitStores(vm *VecEnv, sts []flatStoreSite, n int, loadSites []int) (q in
 		loads[j] = &vm.sites[k]
 	}
 	held := loads[:len(loadSites)]
-	vi := func(s *flatSite) []int64 { return s.vi }
-	vf := func(s *flatSite) []float64 { return s.vf }
 	switch a := &vm.D.Arrays[sts[0].slot]; {
 	case a.I32 != nil:
-		return walkLanes(a, a.I32, vm, n, held, sts, vi, func(st flatStoreSite) func(int64, int64) int64 { return st.applyI })
+		return walkLanes[int32, int64](a, vm, n, held, sts)
 	case a.F32 != nil:
-		return walkLanes(a, a.F32, vm, n, held, sts, vf, func(st flatStoreSite) func(float64, float64) float64 { return st.applyF })
+		return walkLanes[float32, float64](a, vm, n, held, sts)
 	default:
-		return walkLanes(a, a.F64, vm, n, held, sts, vf, func(st flatStoreSite) func(float64, float64) float64 { return st.applyF })
+		return walkLanes[float64, float64](a, vm, n, held, sts)
 	}
 }
 
-func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []T, vm *VecEnv, n int,
-	loads []*flatSite, sts []flatStoreSite, vals func(*flatSite) []S, applyOf func(flatStoreSite) func(S, S) S) (q int, hit int32) {
+func walkLanes[T elem, S num](a *DArray, vm *VecEnv, n int, loads []*flatSite, sts []flatStoreSite) (q int, hit int32) {
+	src := elems[T](a)
 	var lv [maxHazSites][]S
 	for j, s := range loads {
-		lv[j] = vals(s)
+		lv[j] = *vals[S](s)
 	}
 	// The walk starts at the first lane that stores: every load before it
 	// saw committed memory.
@@ -436,7 +442,8 @@ func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []
 	)
 	p0 := n
 	for j, st := range sts {
-		recs[j], sv[j], ops[j] = &vm.sites[st.site], vals(&vm.sites[st.site]), applyOf(st)
+		recs[j], sv[j] = &vm.sites[st.site], *vals[S](&vm.sites[st.site])
+		ops[j], _ = st.apply.(func(S, S) S)
 		if len(recs[j].act) > 0 {
 			p0 = min(p0, int(recs[j].act[0]))
 		}
@@ -491,7 +498,7 @@ func walkLanes[T int32 | float32 | float64, S int64 | float64](a *DArray, src []
 // flatIdent compiles a read of one of the scalars that are vectors only
 // in a flat body: the two induction variables, and a private scalar of
 // the outer tile, read through seg. Nil for any other.
-func (v *vecBuilder) flatIdent(d *cc.VarDecl) (vecI, vecF) {
+func flatIdent[S num](v *vecBuilder, d *cc.VarDecl) vec[S] {
 	fl := v.flat
 	switch {
 	case fl == nil:
@@ -502,63 +509,37 @@ func (v *vecBuilder) flatIdent(d *cc.VarDecl) (vecI, vecF) {
 		} else {
 			fl.readsIV = true
 		}
-		return func(vm *VecEnv, i0 int64, L int) []int64 { return vm.BufI[bid][:L] }, nil
+		return func(vm *VecEnv, i0 int64, L int) []S { return bufs[S](vm)[bid][:L] }
 	case v.scalars[d].kind != kPrivate || fl.local[d] || v.scalars[d].buf == 0:
-	case d.Type == cc.TInt:
-		src, bid := v.scalars[d].buf-1, v.pushI()
-		return func(vm *VecEnv, i0 int64, L int) []int64 {
-			return segRead(vm.BufI[bid][:L], vm.outer.BufI[src], vm.seg)
-		}, nil
 	default:
-		src, bid := v.scalars[d].buf-1, v.pushF()
-		return nil, func(vm *VecEnv, i0 int64, L int) []float64 {
-			return segRead(vm.BufF[bid][:L], vm.outer.BufF[src], vm.seg)
+		src, bid := v.scalars[d].buf-1, push[S](v)
+		return func(vm *VecEnv, i0 int64, L int) []S {
+			return segRead(bufs[S](vm)[bid][:L], bufs[S](vm.outer)[src], vm.seg)
 		}
 	}
-	return nil, nil
+	return nil
 }
 
 // segRead gives every flat lane its outer lane's element of src.
-func segRead[S int64 | float64](out, src []S, seg []int32) []S {
+func segRead[S num](out, src []S, seg []int32) []S {
 	for p := range out {
 		out[p] = src[seg[p]]
 	}
 	return out
 }
 
-// flatValue compiles the right-hand side of an effect as a vector of the
-// target's type (one of the two results is nil).
-func (v *vecBuilder) flatValue(e *kExpr, typ cc.ElemType) (vecI, vecF, error) {
-	if typ == cc.TInt {
-		r, err := v.vExprI(e)
-		if err != nil {
-			return nil, nil, err
-		}
-		return v.matI(r), nil, nil
-	}
-	r, err := v.vExprF(e)
-	if err != nil {
-		return nil, nil, err
-	}
-	return nil, v.matF(r), nil
-}
-
 // record is the statement of an effect site of a flat body: it keeps the
 // lanes that reached it with their indices (ix, nil for a scalar target)
 // and values.
-func record(site int, ix, ri vecI, rf vecF) VStmt {
+func record[S num](site int, ix vec[int64], r vec[S]) VStmt {
 	return func(vm *VecEnv, i0 int64, L int) {
-		var q, si []int64
-		var sf []float64
+		var q []int64
 		if ix != nil {
 			q = ix(vm, i0, L)
 		}
-		if ri != nil {
-			si = ri(vm, i0, L)
-		} else {
-			sf = rf(vm, i0, L)
-		}
-		vm.sites[site].keep(vm, vm.act, q, si, sf)
+		val, s := r(vm, i0, L), &vm.sites[site]
+		s.keep(vm, vm.act, q)
+		keepVals(s, vm, val)
 	}
 }
 
@@ -566,107 +547,80 @@ func record(site int, ix, ri vecI, rf vecF) VStmt {
 // worker's scalar) or the op-assignment of a private scalar of the outer
 // tile (into its vector, at the flat lane's outer lane): applied at
 // commit in ascending flat order with the scalar's rounding per step.
-func (v *vecBuilder) flatFold(k *kStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
-	st := k.s.(*cc.AssignStmt)
-	ri, rf, err := v.flatValue(k.y, d.Type)
+func flatFold[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
+	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
 	}
-	applyI, errI := intFold(st)
-	applyF, errF := floatFold(st)
-	if d.Type == cc.TInt && errI != nil || d.Type != cc.TInt && errF != nil {
-		return nil, errSpecIneligible
-	}
+	rv, apply := mat(v, r), foldOp[S](k.s.(*cc.AssignStmt).Op)
 	site, slot, bid, f32 := v.newSite(), d.Slot, v.scalars[d].buf-1, d.Type == cc.TFloat
 	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
 		// The target is element seg[t] of the outer vector, or the one
 		// scalar.
 		s, o := &vm.sites[site], int32(0)
-		if ri != nil {
-			out := vm.D.Ints[slot : slot+1]
-			if outer {
-				out = vm.outer.BufI[bid]
-			}
-			for _, t := range below(s.act, q) {
-				if outer {
-					o = vm.seg[t]
-				}
-				out[o] = applyI(out[o], s.vi[t])
-			}
-			return
-		}
-		out := vm.D.Floats[slot : slot+1]
+		out, val := slots[S](vm.D)[slot:slot+1], *vals[S](s)
 		if outer {
-			out = vm.outer.BufF[bid]
+			out = bufs[S](vm.outer)[bid]
 		}
 		for _, t := range below(s.act, q) {
 			if outer {
 				o = vm.seg[t]
 			}
-			if out[o] = applyF(out[o], s.vf[t]); f32 {
-				out[o] = float64(float32(out[o]))
+			if out[o] = apply(out[o], val[t]); f32 {
+				out[o] = S(float32(out[o]))
 			}
 		}
 	})
-	return record(site, nil, ri, rf), nil
+	return record(site, nil, rv), nil
 }
 
 // flatElement compiles what an effect on an array element records: the
 // index and the value as vectors, in the order the interpreter's
 // statement evaluates them.
-func (v *vecBuilder) flatElement(k *kStmt, kind AccessKind) (ix, ri vecI, rf vecF, err error) {
+func flatElement[S num](v *vecBuilder, k *kStmt, kind AccessKind) (vec[int64], vec[S], error) {
 	li, err := v.laneIndex(k.x.x, v.take(k.x, kind))
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	ix = v.idxVec(li)
-	ri, rf, err = v.flatValue(k.y, k.x.e.(*cc.IndexExpr).Array.Type)
-	return ix, ri, rf, err
+	ix := v.idxVec(li)
+	r, err := compile[S](v, k.y)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ix, mat(v, r), nil
 }
 
 // flatReduce compiles a reduction-lane update of a flat body.
-func (v *vecBuilder) flatReduce(k *kStmt) (VStmt, error) {
+func flatReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
-	ix, ri, rf, err := v.flatElement(k, AccessReduce)
+	ix, rv, err := flatElement[S](v, k, AccessReduce)
 	if err != nil {
 		return nil, err
 	}
 	site, slot, mul := v.newSite(), lhs.Array.Slot, st.Reduce.Op == "*"
 	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
-		if s, a := &vm.sites[site], &vm.D.Arrays[slot]; ri != nil {
-			reduceLanes(a.LaneI, s.idx, s.vi, below(s.act, q), mul)
-		} else {
-			reduceLanes(a.LaneF, s.idx, s.vf, below(s.act, q), mul)
-		}
+		s := &vm.sites[site]
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), s.idx, *vals[S](s), below(s.act, q), mul)
 	})
-	return record(site, ix, ri, rf), nil
+	return record(site, ix, rv), nil
 }
 
 // flatStore compiles a store of a flat body: a scatter at commit
-// (flatStoreSite.walk).
-func (v *vecBuilder) flatStore(k *kStmt) (VStmt, error) {
-	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
-	fl, typ := v.flat, lhs.Array.Type
-	ix, ri, rf, err := v.flatElement(k, AccessStore)
+// (commitStores).
+func flatStore[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+	st, fl := k.s.(*cc.AssignStmt), v.flat
+	ix, rv, err := flatElement[S](v, k, AccessStore)
 	if err != nil {
 		return nil, err
 	}
-	site := flatStoreSite{slot: lhs.Array.Slot, site: v.newSite()}
-	if st.Op != "=" {
-		var errI, errF error
-		site.applyI, errI = intApply(st.Op, st.Pos())
-		site.applyF, errF = floatApply(st.Op, st.Pos())
-		if typ == cc.TInt && errI != nil || typ != cc.TInt && errF != nil {
-			return nil, errSpecIneligible
-		}
-	}
+	site := flatStoreSite{slot: k.x.e.(*cc.IndexExpr).Array.Slot, site: v.newSite(), apply: applyOf[S](st.Op)}
 	if site.slot == fl.hazSlot {
 		fl.stores = slices.Insert(fl.stores, fl.nHaz, site)
 		fl.nHaz++
 	} else {
 		fl.stores = append(fl.stores, site)
 	}
-	return record(site.site, ix, ri, rf), nil
+	return record(site.site, ix, rv), nil
 }
 
 // flatWatch gives a load of the flat loop's lane-walked array its site:

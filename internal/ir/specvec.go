@@ -30,7 +30,7 @@ import (
 //     worker's DEnv, so every subtree over uniform scalars, loop
 //     invariants and loads of arrays the kernel never writes is
 //     evaluated once per tile step: the builder's ops come back uniform
-//     (vOpI.inv) whenever all their operands are. A scalar
+//     (vOp.inv) whenever all their operands are. A scalar
 //     nothing reads with one assignment site — an op-assignment, or any
 //     assignment of a reduction scalar — is a fold: updated in the DEnv
 //     over the lanes in ascending order.
@@ -92,6 +92,15 @@ import (
 //     it (VecEnv.cut), and the tile ends there: the next one starts at
 //     the lane after the storing one and evaluates the prefix afresh.
 //
+// The builder is written once over the lane type S (num: int64 for every
+// int expression, float64 for every float one) and, where it touches a
+// copy, the element type T (elem); the operators only one of them has —
+// the int bit operators, %, shifts, ~ and the fault of a division under
+// an arm, the float fused products, (float) rounding and math calls —
+// and the read of a uniform scalar, run on an inner loop's every trip,
+// are the only typed code. Every lane loop is a loop over one concrete
+// type, its operator picked by a switch outside it.
+//
 // Fused multiply-add shapes (k*x ± y in one pass) keep an explicit
 // float64(...) conversion around the product: the Go spec lets an
 // implementation fuse floating-point operations across statements
@@ -103,7 +112,7 @@ import (
 // size (4 KiB per buffer).
 const VecTile = 512
 
-// Scratch vectors are numbered by a stack, one per element type: a
+// Scratch vectors are numbered by a stack, one per lane type: a
 // node's operands push theirs, and the node pops them all before
 // pushing its own result, so a body needs as many vectors as its
 // deepest expression keeps live, not one per node. The result may
@@ -170,18 +179,9 @@ func (vm *VecEnv) Reserve(n int) {
 	if n <= vm.tile {
 		return
 	}
-	bi := make([]int64, n*len(vm.BufI))
-	for i := range vm.BufI {
-		vm.BufI[i] = bi[i*n : (i+1)*n : (i+1)*n]
-	}
-	bf := make([]float64, n*len(vm.BufF))
-	for i := range vm.BufF {
-		vm.BufF[i] = bf[i*n : (i+1)*n : (i+1)*n]
-	}
-	bm := make([]int32, n*len(vm.mask))
-	for i := range vm.mask {
-		vm.mask[i] = bm[i*n : (i+1)*n : (i+1)*n]
-	}
+	carve(vm.BufI, n)
+	carve(vm.BufF, n)
+	carve(vm.mask, n)
 	if len(vm.mask) > 0 {
 		for t := range vm.mask[0] {
 			vm.mask[0][t] = int32(t)
@@ -190,27 +190,25 @@ func (vm *VecEnv) Reserve(n int) {
 	vm.tile = n
 }
 
-type (
-	vecI func(vm *VecEnv, i0 int64, L int) []int64
-	vecF func(vm *VecEnv, i0 int64, L int) []float64
-)
-
-// vOpI is a compiled int expression: either uniform (inv set, evaluated
-// once per tile step against the worker scalars) or varying (vec set,
-// filling/returning a scratch vector).
-type vOpI struct {
-	inv dExprI
-	vec vecI
+// carve cuts one allocation into the vectors of bufs, n elements each.
+func carve[E any](bufs [][]E, n int) {
+	b := make([]E, n*len(bufs))
+	for i := range bufs {
+		bufs[i] = b[i*n : (i+1)*n : (i+1)*n]
+	}
 }
 
-// vOpF is the float counterpart. kMul/mulX additionally expose a
-// (uniform × varying) product so an enclosing add/sub can fuse the
-// multiply into its own pass.
-type vOpF struct {
-	inv  dExprF
-	vec  vecF
-	kMul dExprF
-	mulX vecF
+// vec fills and returns a scratch vector: one value per lane of the tile.
+type vec[S num] func(vm *VecEnv, i0 int64, L int) []S
+
+// vOp is a compiled expression with lanes of type S: either uniform (inv
+// set, evaluated once per tile step against the worker scalars) or
+// varying (vec set). A float product with a uniform factor also exposes
+// the factor and the vector (kMul, mulX), so an enclosing add or subtract
+// can form the product in its own pass.
+type vOp[S num] struct {
+	inv, kMul dExpr[S]
+	vec, mulX vec[S]
 }
 
 // scalarKind says how the tile schedule holds a body-assigned scalar.
@@ -267,11 +265,9 @@ type vecBuilder struct {
 	masked         bool
 	depth, maxArms int
 	usesAct        bool
-	// topI/topF are the scratch stacks' heights, baseI/baseF the part
-	// held by private vectors, nBufI/nBufF the high-water marks.
-	topI, topF   int
-	baseI, baseF int
-	nBufI, nBufF int
+	// top holds the scratch stacks' heights, int64 then float64, base the
+	// part held by private vectors, nBuf the high-water marks.
+	top, base, nBuf [2]int
 	// undo logs the scalars scan defined since a block was entered;
 	// inFlat is set while check is inside a flat loop.
 	undo   []*cc.VarDecl
@@ -298,7 +294,7 @@ func buildVec(l *lowered) string {
 	if st == nil {
 		st = func(*VecEnv, int64, int) {} // empty body (an if without else, split)
 	}
-	spec.NumBufI, spec.NumBufF = v.nBufI, v.nBufF
+	spec.NumBufI, spec.NumBufF = v.nBuf[0], v.nBuf[1]
 	if v.usesAct {
 		spec.NumMask = 1 + 2*v.maxArms
 	}
@@ -487,13 +483,11 @@ func (v *vecBuilder) define(d *cc.VarDecl) {
 	u.defined = true
 	v.undo = append(v.undo, d)
 	if u.buf == 0 && d.Type == cc.TInt {
-		u.buf = v.pushI() + 1
-		v.baseI = v.topI
+		u.buf = push[int64](v) + 1
 	} else if u.buf == 0 {
-		u.buf = v.pushF() + 1
-		v.baseF = v.topF
+		u.buf = push[float64](v) + 1
 	}
-	v.scalars[d] = u
+	v.base, v.scalars[d] = v.top, u
 }
 
 // leave forgets the definitions made since the undo log stood at mark:
@@ -711,46 +705,64 @@ func (v *vecBuilder) checkLoop(k *kStmt) bool {
 	return ok
 }
 
-func (v *vecBuilder) pushI() int {
-	v.topI++
-	v.nBufI = max(v.nBufI, v.topI)
-	return v.topI - 1
+// isF reports the float lane type: a constant in each instantiation, so
+// the branches on it cost nothing at run time.
+func isF[S num]() bool { return S(1)/2 != 0 }
+
+// pick returns f when S is float64, else i: two pointers to the float and
+// the int half of a structure, through which the tiles reach S's half
+// without boxing a slice.
+func pick[S num, E any](i, f any) *E {
+	if isF[S]() {
+		return f.(*E)
+	}
+	return i.(*E)
 }
 
-func (v *vecBuilder) pushF() int {
-	v.topF++
-	v.nBufF = max(v.nBufF, v.topF)
-	return v.topF - 1
+// as gives x as R, the same type written for one lane type: the bridge
+// from generic code to what only one lane type has.
+func as[R, X any](x X) R { return any(x).(R) }
+
+// bufs, slots and laneOf pick S's scratch vectors, scalars and reduction
+// lane; elems picks T's backing slice.
+func bufs[S num](vm *VecEnv) [][]S { return *pick[S, [][]S](&vm.BufI, &vm.BufF) }
+func slots[S num](D *DEnv) []S     { return *pick[S, []S](&D.Ints, &D.Floats) }
+func laneOf[S num](a *DArray) []S  { return *pick[S, []S](&a.LaneI, &a.LaneF) }
+
+func elems[T elem](a *DArray) []T {
+	if T(1)/2 == 0 {
+		return *any(&a.I32).(*[]T)
+	}
+	if p, ok := any(&a.F32).(*[]T); ok {
+		return *p
+	}
+	return *any(&a.F64).(*[]T)
 }
 
-// bufMark is the stacks' height at a node's entry.
-type bufMark struct{ i, f int }
-
-func (v *vecBuilder) mark() bufMark { return bufMark{v.topI, v.topF} }
-
-// outI/outF pop everything pushed since m (the node's operands) and
-// push the node's result.
-func (v *vecBuilder) outI(m bufMark) int {
-	v.topI, v.topF = m.i, m.f
-	return v.pushI()
+// push takes the next vector of S's stack.
+func push[S num](v *vecBuilder) int {
+	i := int(b2i(isF[S]()))
+	v.top[i]++
+	v.nBuf[i] = max(v.nBuf[i], v.top[i])
+	return v.top[i] - 1
 }
 
-func (v *vecBuilder) outF(m bufMark) int {
-	v.topI, v.topF = m.i, m.f
-	return v.pushF()
+// result pops everything pushed since m, the stacks' height at a node's
+// entry (its operands), and pushes the node's result.
+func result[S num](v *vecBuilder, m [2]int) int {
+	v.top = m
+	return push[S](v)
 }
 
-// matI/matF materialize an operand into a vector, broadcasting
-// uniform values through a dedicated buffer.
-func (v *vecBuilder) matI(o vOpI) vecI {
+// mat materializes an operand into a vector, broadcasting a uniform value
+// through a dedicated buffer.
+func mat[S num](v *vecBuilder, o vOp[S]) vec[S] {
 	if o.vec != nil {
 		return o.vec
 	}
-	bid := v.pushI()
-	inv := o.inv
-	return func(vm *VecEnv, i0 int64, L int) []int64 {
-		k := inv(vm.D)
-		out := vm.BufI[bid][:L]
+	bid, inv := push[S](v), o.inv
+	return func(vm *VecEnv, i0 int64, L int) []S {
+		k, out := inv(vm.D), bufs[S](vm)[bid][:L]
 		for t := range out {
 			out[t] = k
 		}
@@ -758,23 +770,8 @@ func (v *vecBuilder) matI(o vOpI) vecI {
 	}
 }
 
-func (v *vecBuilder) matF(o vOpF) vecF {
-	if o.vec != nil {
-		return o.vec
-	}
-	bid := v.pushF()
-	inv := o.inv
-	return func(vm *VecEnv, i0 int64, L int) []float64 {
-		k := inv(vm.D)
-		out := vm.BufF[bid][:L]
-		for t := range out {
-			out[t] = k
-		}
-		return out
-	}
-}
 func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
-	v.topI, v.topF = v.baseI, v.baseF // the previous statement's vectors are dead
+	v.top = v.base // the previous statement's vectors are dead
 	switch st := k.s.(type) {
 	case *cc.Block:
 		var seq []VStmt
@@ -801,26 +798,10 @@ func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 	case *cc.DeclStmt:
 		return nil, nil
 	case *cc.AssignStmt:
-		switch lhs := st.LHS.(type) {
-		case *cc.Ident:
-			switch fold := v.scalars[lhs.Decl].kind == kFold; {
-			case v.flat != nil && (fold || !v.flat.local[lhs.Decl]):
-				return v.flatFold(k, lhs.Decl, !fold)
-			case fold:
-				return v.fold(k, lhs.Decl)
-			}
-			return v.privateAssign(k, lhs.Decl)
-		case *cc.IndexExpr:
-			switch {
-			case v.flat != nil && st.Reduce != nil:
-				return v.flatReduce(k)
-			case v.flat != nil:
-				return v.flatStore(k)
-			case st.Reduce != nil:
-				return v.arrayReduce(k)
-			}
-			return v.arrayAssign(k)
+		if st.LHS.Type() == cc.TInt {
+			return assign[int64](v, k)
 		}
+		return assign[float64](v, k)
 	case *cc.IfStmt:
 		return v.ifStmt(k)
 	case *cc.ForStmt:
@@ -832,6 +813,38 @@ func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 	return nil, errSpecIneligible
 }
 
+// assign compiles an assignment whose target holds S's values.
+func assign[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+	st := k.s.(*cc.AssignStmt)
+	switch lhs := st.LHS.(type) {
+	case *cc.Ident:
+		switch isFold := v.scalars[lhs.Decl].kind == kFold; {
+		case v.flat != nil && (isFold || !v.flat.local[lhs.Decl]):
+			return flatFold[S](v, k, lhs.Decl, !isFold)
+		case isFold:
+			return fold[S](v, k, lhs.Decl)
+		}
+		return private[S](v, k, lhs.Decl)
+	case *cc.IndexExpr:
+		switch {
+		case v.flat != nil && st.Reduce != nil:
+			return flatReduce[S](v, k)
+		case v.flat != nil:
+			return flatStore[S](v, k)
+		case st.Reduce != nil:
+			return arrayReduce[S](v, k)
+		}
+		switch lhs.Array.Type {
+		case cc.TInt:
+			return arrayAssign[S, int32](v, k)
+		case cc.TFloat:
+			return arrayAssign[S, float32](v, k)
+		}
+		return arrayAssign[S, float64](v, k)
+	}
+	return nil, errSpecIneligible
+}
+
 // ifStmt compiles a data-dependent branch: the condition is evaluated
 // for the lanes active so far, which split into the then- and the
 // else-list; each arm runs with its list as VecEnv.act and counts its
@@ -839,33 +852,17 @@ func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 	// cv is 1 in the lanes where the condition holds, 0 elsewhere (a
 	// comparison already is; anything else is compared with zero).
-	var cv vecI
-	if k.x.e.Type() == cc.TInt {
-		o, err := v.vExprI(k.x)
-		if err != nil {
-			return nil, err
-		}
-		cv = v.matI(o)
-		if b, ok := k.x.e.(*cc.BinaryExpr); !ok || cmpCode[b.Op] == 0 {
-			iv, bid := cv, v.pushI()
-			cv = func(vm *VecEnv, i0 int64, L int) []int64 {
-				out := vm.BufI[bid][:L]
-				cmpLanes(out, '!', iv(vm, i0, L), nil, 0)
-				return out
-			}
-		}
+	var c vOp[int64]
+	var err error
+	if b, ok := k.x.e.(*cc.BinaryExpr); ok && cmpCode[b.Op] != 0 {
+		c, err = compare(v, k.x)
 	} else {
-		o, err := v.vExprF(k.x)
-		if err != nil {
-			return nil, err
-		}
-		fv, bid := v.matF(o), v.pushI()
-		cv = func(vm *VecEnv, i0 int64, L int) []int64 {
-			out := vm.BufI[bid][:L]
-			cmpLanes(out, '!', fv(vm, i0, L), nil, 0)
-			return out
-		}
+		c, err = zeroTest(v, k.x, "!=")
 	}
+	if err != nil {
+		return nil, err
+	}
+	cv := mat(v, c)
 	thenIdx, elseIdx := v.takeArm(k.arm), k.elseArm
 	depth, outer := v.depth, v.masked
 	v.depth++
@@ -907,8 +904,8 @@ func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 			ne += 1 - int(c[t])
 		}
 		if th, el = th[:nt], el[:ne]; thSite >= 0 {
-			vm.sites[thSite].keep(vm, th, nil, nil, nil)
-			vm.sites[elSite].keep(vm, el, nil, nil, nil)
+			vm.sites[thSite].keep(vm, th, nil)
+			vm.sites[elSite].keep(vm, el, nil)
 		} else {
 			vm.D.Branch[thenIdx] += int64(len(th))
 			if elseIdx >= 0 {
@@ -939,7 +936,7 @@ type (
 		sites []injSite
 	}
 	injSite struct {
-		ix   vecI
+		ix   vec[int64]
 		coef int64
 	}
 )
@@ -959,11 +956,11 @@ type (
 // compiles both ways, and one flatOK refuses leaves the kernel unspecialized.
 func (v *vecBuilder) forStmt(k *kStmt) (VStmt, error) {
 	boundX, incl := k.bound()
-	init, err := v.vExprI(k.kids[0].y)
+	init, err := compile[int64](v, k.kids[0].y)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := v.vExprI(boundX)
+	bound, err := compile[int64](v, boundX)
 	if err != nil {
 		return nil, err
 	}
@@ -1042,7 +1039,7 @@ func laneOrdered(vm *VecEnv, sites []injSite, n, i0 int64, L int) bool {
 // (float32 for a float scalar: the interpreter's rounding per step;
 // float64 and int64 are the identity). A tile with every lane active is
 // walked densely. The operator picks a loop, never a lane.
-func setLanes[S int64 | float64, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
+func setLanes[S num, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
 	dense := len(act) == len(out)
 	s = s[:len(out)]
 	switch {
@@ -1097,6 +1094,17 @@ func setLanesI(op byte, out, s []int64, act []int32) {
 	}
 }
 
+// setter gives the lane-wise update of a private scalar of type t.
+func setter[S num](t cc.ElemType) func(op byte, out, s []S, act []int32) {
+	switch t {
+	case cc.TInt:
+		return as[func(byte, []S, []S, []int32)](setLanesI)
+	case cc.TFloat:
+		return setLanes[S, float32]
+	}
+	return setLanes[S, S]
+}
+
 // The forms of fuseLanes: out = a op c, out = a op k and out = k - a
 // with c a vector and k uniform, and out ± = a * c.
 const (
@@ -1111,8 +1119,8 @@ const (
 	fuAccSub
 )
 
-// fuseLanes is setLanes with the last operation of the right-hand side
-// folded into the pass: one float64 operation, then the assignment's
+// fuseLanes is setLanes with the last operation of a float right-hand
+// side folded into the pass: one float64 operation, then the assignment's
 // own, the explicit conversion between them keeping the pair from
 // contracting into a multiply-add (see the file header).
 func fuseLanes[R float32 | float64](form int, out, a, c []float64, k float64, act []int32) {
@@ -1226,144 +1234,105 @@ func fusedForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
 	return 0, false, false
 }
 
-// privateAssign compiles an assignment to a private scalar: one pass
-// over the active lanes of its vector. A float right-hand side that ends
-// in +, - or * runs that operation in the same pass (fuseLanes); any
-// other is computed into a scratch vector first.
-func (v *vecBuilder) privateAssign(k *kStmt, d *cc.VarDecl) (VStmt, error) {
+// private compiles an assignment to a private scalar: one pass over the
+// active lanes of its vector. A float right-hand side that ends in +, -
+// or * runs that operation in the same pass (fused); any other is
+// computed into a scratch vector first.
+func private[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	st := k.s.(*cc.AssignStmt)
 	v.usesAct = true
-	bid := v.scalars[d].buf - 1
+	bid, op := v.scalars[d].buf-1, st.Op[0]
 	if bid < 0 {
 		return nil, errSpecIneligible
 	}
-	op := st.Op[0]
-	if d.Type == cc.TInt {
-		r, err := v.vExprI(k.y)
-		if _, opErr := intApply(st.Op, st.Pos()); err != nil || st.Op != "=" && opErr != nil {
-			return nil, errSpecIneligible
-		}
-		rv := v.matI(r)
-		return func(vm *VecEnv, i0 int64, L int) {
-			setLanesI(op, vm.BufI[bid][:L], rv(vm, i0, L), vm.act)
-		}, nil
-	}
-	if _, opErr := floatApply(st.Op, st.Pos()); st.Op != "=" && opErr != nil {
-		return nil, errSpecIneligible
-	}
-	set, fuse := setLanes[float64, float64], fuseLanes[float64]
-	if d.Type == cc.TFloat {
-		set, fuse = setLanes[float64, float32], fuseLanes[float32]
-	}
-	var r vOpF
+	var r vOp[S]
 	var err error
-	if x, ok := k.y.e.(*cc.BinaryExpr); ok && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
+	if x, ok := k.y.e.(*cc.BinaryExpr); ok && isF[S]() && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
 		// Operands run in program order (the second one's temporaries sit
 		// above the first one's result); a is the vector of a mixed pair.
-		m := v.mark()
-		a, errA := v.vExprF(k.y.x)
-		if errA != nil {
-			return nil, errA
+		m := v.top
+		a, err := compile[S](v, k.y.x)
+		if err != nil {
+			return nil, err
 		}
-		c, errC := v.vExprF(k.y.y)
-		if errC != nil {
-			return nil, errC
+		c, err := compile[S](v, k.y.y)
+		if err != nil {
+			return nil, err
 		}
 		if form, swap, ok := fusedForm(st.Op, x.Op, a.inv != nil, c.inv != nil); ok {
-			xv, yv, kx, ky := a.vec, c.vec, a.inv, c.inv
-			return func(vm *VecEnv, i0 int64, L int) {
-				var s, q []float64
-				var k float64
-				if xv != nil {
-					s = xv(vm, i0, L)
-				} else {
-					k = kx(vm.D)
-				}
-				if yv != nil {
-					q = yv(vm, i0, L)
-				} else {
-					k = ky(vm.D)
-				}
-				if swap {
-					s, q = q, nil
-				}
-				fuse(form, vm.BufF[bid][:L], s, q, k, vm.act)
-			}, nil
+			return fused(form, swap, as[vOp[float64]](a), as[vOp[float64]](c), bid, d.Type == cc.TFloat), nil
 		}
-		r, err = v.arithF(x.Op, a, c, m)
-	} else {
-		r, err = v.vExprF(k.y)
+		r = arith(v, x.Op[0], a, c, m)
+	} else if r, err = compile[S](v, k.y); err != nil {
+		return nil, err
 	}
-	if err != nil {
-		return nil, errSpecIneligible
-	}
-	rv := v.matF(r)
+	set, rv := setter[S](d.Type), mat(v, r)
 	return func(vm *VecEnv, i0 int64, L int) {
-		set(op, vm.BufF[bid][:L], rv(vm, i0, L), vm.act)
+		set(op, bufs[S](vm)[bid][:L], rv(vm, i0, L), vm.act)
 	}, nil
 }
 
-// intFold and floatFold give the step of a fold: the assignment's
-// operator, "=" keeping the new value.
-func intFold(st *cc.AssignStmt) (func(int64, int64) int64, error) {
-	if st.Op == "=" {
-		return func(_, x int64) int64 { return x }, nil
+// fused is a private float scalar's assignment in the form fusedForm
+// picked, a the vector of a mixed pair.
+func fused(form int, swap bool, a, c vOp[float64], bid int, f32 bool) VStmt {
+	fuse := fuseLanes[float64]
+	if f32 {
+		fuse = fuseLanes[float32]
 	}
-	return intApply(st.Op, st.Pos())
+	return func(vm *VecEnv, i0 int64, L int) {
+		s, q, ka, kc := operands(vm, i0, L, a, c)
+		k := kc
+		if swap {
+			s, q, k = q, nil, ka
+		}
+		fuse(form, vm.BufF[bid][:L], s, q, k, vm.act)
+	}
 }
 
-func floatFold(st *cc.AssignStmt) (func(float64, float64) float64, error) {
-	if st.Op == "=" {
-		return func(_, x float64) float64 { return x }, nil
+// applyOf gives the operator of a compound assignment over S (nil for
+// "=", which the lowering checked the interpreter has for the target).
+func applyOf[S num](op string) func(S, S) S {
+	if op == "=" {
+		return nil
 	}
-	return floatApply(st.Op, st.Pos())
+	fi, _ := intApply(op, 0)
+	ff, _ := floatApply(op, 0)
+	return *pick[S, func(S, S) S](&fi, &ff)
+}
+
+// foldOp is the step of a fold: the assignment's operator, "=" keeping the
+// new value.
+func foldOp[S num](op string) func(S, S) S {
+	if op == "=" {
+		return func(_, x S) S { return x }
+	}
+	return applyOf[S](op)
 }
 
 // fold compiles a kernel scalar reduction: the active lanes' values
 // fold into the worker's partial in ascending lane order, which is
 // iteration order, with float32 rounding per step. A reduction scalar
 // assigned with "=" keeps the last active lane's value.
-func (v *vecBuilder) fold(k *kStmt, d *cc.VarDecl) (VStmt, error) {
-	st := k.s.(*cc.AssignStmt)
+func fold[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	v.usesAct = true
-	slot := d.Slot
-	if d.Type == cc.TInt {
-		r, err := v.vExprI(k.y)
-		if err != nil {
-			return nil, err
-		}
-		apply, err := intFold(st)
-		if err != nil {
-			return nil, errSpecIneligible
-		}
-		rv := v.matI(r)
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			acc := vm.D.Ints[slot]
-			for _, t := range vm.act {
-				acc = apply(acc, s[t])
-			}
-			vm.D.Ints[slot] = acc
-		}, nil
-	}
-	r, err := v.vExprF(k.y)
+	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
 	}
-	apply, err := floatFold(st)
-	if err != nil {
-		return nil, errSpecIneligible
-	}
-	rv, f32 := v.matF(r), d.Type == cc.TFloat
+	apply, rv, slot, f32 := foldOp[S](k.s.(*cc.AssignStmt).Op), mat(v, r), d.Slot, d.Type == cc.TFloat
 	return func(vm *VecEnv, i0 int64, L int) {
-		s := rv(vm, i0, L)
-		acc := vm.D.Floats[slot]
-		for _, t := range vm.act {
-			if acc = apply(acc, s[t]); f32 {
-				acc = float64(float32(acc))
+		s, sc := rv(vm, i0, L), slots[S](vm.D)
+		acc := sc[slot]
+		if f32 {
+			for _, t := range vm.act {
+				acc = S(float32(apply(acc, s[t])))
+			}
+		} else {
+			for _, t := range vm.act {
+				acc = apply(acc, s[t])
 			}
 		}
-		vm.D.Floats[slot] = acc
+		sc[slot] = acc
 	}, nil
 }
 
@@ -1377,8 +1346,8 @@ type laneIdx struct {
 	affine int
 	// The index of lane t is mul*vec[t] + add; a nil mul is 1, a nil
 	// add 0 (pos[4*jn + 1] needs no pass over jn to form its index).
-	vec      vecI
-	mul, add dExprI
+	vec      vec[int64]
+	mul, add dExpr[int64]
 }
 
 // laneIndex compiles the subscript idx of access site.
@@ -1387,7 +1356,7 @@ func (v *vecBuilder) laneIndex(idx *kExpr, site int) (laneIdx, error) {
 		// A gather (in a flat body, any access: the induction variable is a
 		// vector); a uniform scale and offset stay out of the vector.
 		li := laneIdx{affine: -1}
-		peel := func(op string, dst *dExprI) error {
+		peel := func(op string, dst *dExpr[int64]) error {
 			b, ok := idx.e.(*cc.BinaryExpr)
 			if !ok || b.Op != op || b.Type() != cc.TInt {
 				return nil
@@ -1399,7 +1368,7 @@ func (v *vecBuilder) laneIndex(idx *kExpr, site int) (laneIdx, error) {
 			if !v.uniform(k) {
 				return nil
 			}
-			o, err := v.vExprI(k)
+			o, err := compile[int64](v, k)
 			*dst, idx = o.inv, e
 			return err
 		}
@@ -1409,11 +1378,11 @@ func (v *vecBuilder) laneIndex(idx *kExpr, site int) (laneIdx, error) {
 		if err := peel("*", &li.mul); err != nil {
 			return laneIdx{}, err
 		}
-		o, err := v.vExprI(idx)
+		o, err := compile[int64](v, idx)
 		if err != nil {
 			return laneIdx{}, err
 		}
-		li.vec = v.matI(o)
+		li.vec = mat(v, o)
 		return li, nil
 	}
 	if v.spec.Accesses[site].Affine {
@@ -1426,7 +1395,7 @@ func (v *vecBuilder) laneIndex(idx *kExpr, site int) (laneIdx, error) {
 	// Affine in the induction variable with uniform coefficients (an
 	// inner loop's a*i + f): two evaluations per tile step give the walk.
 	v.ivScalar = true
-	o, err := v.vExprI(idx)
+	o, err := compile[int64](v, idx)
 	if v.ivScalar = false; err != nil {
 		return laneIdx{}, err
 	}
@@ -1460,7 +1429,7 @@ func (a *DArray) span(p, step int64) (int64, int64, bool) {
 // element per lane. Small enough to inline: a call frame under every
 // load would push the worker goroutines of even a one-statement kernel
 // past their initial stack.
-func walkLoad[T int32 | float32 | float64, S int64 | float64](out []S, src []T, p, step int64) {
+func walkLoad[T elem, S num](out []S, src []T, p, step int64) {
 	if step == 1 {
 		s := src[p : p+int64(len(out))]
 		for t := range s {
@@ -1476,7 +1445,7 @@ func walkLoad[T int32 | float32 | float64, S int64 | float64](out []S, src []T, 
 
 // loadWalk reads a walk of logical indices into out, through off lane
 // by lane where a column-major copy breaks the walk's affinity.
-func loadWalk[T int32 | float32 | float64, S int64 | float64](out []S, src []T, a *DArray, p, step int64) {
+func loadWalk[T elem, S num](out []S, src []T, a *DArray, p, step int64) {
 	p, step, ok := a.span(p, step)
 	if ok {
 		walkLoad(out, src, p, step)
@@ -1489,7 +1458,7 @@ func loadWalk[T int32 | float32 | float64, S int64 | float64](out []S, src []T, 
 }
 
 // fetch reads the active lanes' elements at logical indices k*idx + c.
-func fetch[T int32 | float32 | float64, S int64 | float64](out []S, src []T, a *DArray, idx []int64, k, c int64, act []int32) {
+func fetch[T elem, S num](out []S, src []T, a *DArray, idx []int64, k, c int64, act []int32) {
 	c -= a.Base
 	if a.TWidth == 0 {
 		for _, t := range act {
@@ -1516,11 +1485,11 @@ func (li *laneIdx) scale(D *DEnv) (k, c int64) {
 
 // idxVec gives every lane's logical index. Computing it is total, so
 // it runs dense; only the lanes that dereference it must be active.
-func (v *vecBuilder) idxVec(li laneIdx) vecI {
+func (v *vecBuilder) idxVec(li laneIdx) vec[int64] {
 	if li.vec != nil && li.mul == nil && li.add == nil {
 		return li.vec
 	}
-	bid := v.pushI()
+	bid := push[int64](v)
 	return func(vm *VecEnv, i0 int64, L int) []int64 {
 		out := vm.BufI[bid][:L]
 		if li.walk == nil {
@@ -1539,74 +1508,55 @@ func (v *vecBuilder) idxVec(li laneIdx) vecI {
 	}
 }
 
-// load compiles an array read: a dense strided walk when the index is
-// affine across the lanes and every lane is active, a per-lane fetch of
-// the active lanes otherwise (a gather, or any load under an arm).
-func (v *vecBuilder) load(k *kExpr) (vOpI, vOpF, error) {
-	x := k.e.(*cc.IndexExpr)
-	slot, typ, site := x.Array.Slot, x.Array.Type, v.take(k, AccessLoad)
-	if v.uniform(k) {
-		return v.uniformLoad(k.x, slot, typ)
+// load compiles an array read into lanes of type S.
+func load[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	switch k.e.(*cc.IndexExpr).Array.Type {
+	case cc.TInt:
+		return loadFrom[S, int32](v, k)
+	case cc.TFloat:
+		return loadFrom[S, float32](v, k)
 	}
-	m := v.mark()
+	return loadFrom[S, float64](v, k)
+}
+
+// loadFrom compiles a read of a T array: one value for the tile step when
+// its subscript is uniform and the kernel never writes the array, a dense
+// strided walk when the index is affine across the lanes and every lane is
+// active, a per-lane fetch of the active lanes otherwise (a gather, or any
+// load under an arm).
+func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	slot, site := k.e.(*cc.IndexExpr).Array.Slot, v.take(k, AccessLoad)
+	if v.uniform(k) {
+		o, err := compile[int64](v, k.x)
+		ix := o.inv
+		return vOp[S]{inv: func(D *DEnv) S {
+			a := &D.Arrays[slot]
+			return S(elems[T](a)[a.off(ix(D)-a.Base)])
+		}}, err
+	}
+	m := v.top
 	li, err := v.laneIndex(k.x, site)
 	if err != nil {
-		return vOpI{}, vOpF{}, err
+		return vOp[S]{}, err
 	}
 	if ai := li.affine; ai >= 0 && !v.masked {
 		// The straight-line case, kept lean: the runtime's coefficients,
 		// no helper call (it sent to the interpreter any piece whose walk
 		// a column-major copy would break).
-		if typ == cc.TInt {
-			bid := v.outI(m)
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				out := vm.BufI[bid][:L]
-				a := &vm.D.Arrays[slot]
-				p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
-				walkLoad(out, a.I32, p, step)
-				return out
-			}}, vOpF{}, nil
-		}
-		bid := v.outF(m)
-		if typ == cc.TFloat {
-			return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				out := vm.BufF[bid][:L]
-				a := &vm.D.Arrays[slot]
-				p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
-				walkLoad(out, a.F32, p, step)
-				return out
-			}}, nil
-		}
-		return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			out := vm.BufF[bid][:L]
-			a := &vm.D.Arrays[slot]
+		bid := result[S](v, m)
+		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
-			walkLoad(out, a.F64, p, step)
+			walkLoad(out, elems[T](a), p, step)
 			return out
 		}}, nil
 	}
-	if li.walk != nil && !v.masked {
-		wk := li.walk
-		if typ == cc.TInt {
-			bid := v.outI(m)
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				out := vm.BufI[bid][:L]
-				a := &vm.D.Arrays[slot]
-				p, step := wk(vm, i0)
-				loadWalk(out, a.I32, a, p, step)
-				return out
-			}}, vOpF{}, nil
-		}
-		bid := v.outF(m)
-		return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			out := vm.BufF[bid][:L]
-			a := &vm.D.Arrays[slot]
+	if wk := li.walk; wk != nil && !v.masked {
+		bid := result[S](v, m)
+		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step := wk(vm, i0)
-			if typ == cc.TFloat {
-				loadWalk(out, a.F32, a, p, step)
-			} else {
-				loadWalk(out, a.F64, a, p, step)
-			}
+			loadWalk(out, elems[T](a), a, p, step)
 			return out
 		}}, nil
 	}
@@ -1619,64 +1569,25 @@ func (v *vecBuilder) load(k *kExpr) (vOpI, vOpF, error) {
 		// The whole index as a vector, kept with what was loaded: the
 		// result must not take its vector.
 		ix, li, watch = v.idxVec(li), laneIdx{affine: -1}, v.flatWatch()
-		m = v.mark()
+		m = v.top
 	}
-	if typ == cc.TInt {
-		bid := v.outI(m)
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			q := ix(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			a := &vm.D.Arrays[slot]
-			k, c := li.scale(vm.D)
-			if fetch(out, a.I32, a, q, k, c, vm.act); watch >= 0 {
-				vm.sites[watch].keep(vm, vm.act, q, out, nil)
-			}
-			return out
-		}}, vOpF{}, nil
-	}
-	bid := v.outF(m)
-	return vOpI{}, vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+	bid := result[S](v, m)
+	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
 		q := ix(vm, i0, L)
-		out := vm.BufF[bid][:L]
+		out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 		k, c := li.scale(vm.D)
-		if a := &vm.D.Arrays[slot]; typ == cc.TFloat {
-			fetch(out, a.F32, a, q, k, c, vm.act)
-		} else {
-			fetch(out, a.F64, a, q, k, c, vm.act)
-		}
-		if watch >= 0 {
-			vm.sites[watch].keep(vm, vm.act, q, nil, out)
+		if fetch(out, elems[T](a), a, q, k, c, vm.act); watch >= 0 {
+			s := &vm.sites[watch]
+			s.keep(vm, vm.act, q)
+			keepVals(s, vm, out)
 		}
 		return out
 	}}, nil
 }
 
-// uniformLoad compiles a load with one value for the whole tile step: a
-// uniform subscript into an array the kernel never writes.
-func (v *vecBuilder) uniformLoad(idx *kExpr, slot int, typ cc.ElemType) (vOpI, vOpF, error) {
-	o, err := v.vExprI(idx)
-	ix := o.inv
-	switch typ {
-	case cc.TInt:
-		return vOpI{inv: func(D *DEnv) int64 {
-			a := &D.Arrays[slot]
-			return int64(a.I32[a.off(ix(D)-a.Base)])
-		}}, vOpF{}, err
-	case cc.TFloat:
-		return vOpI{}, vOpF{inv: func(D *DEnv) float64 {
-			a := &D.Arrays[slot]
-			return float64(a.F32[a.off(ix(D)-a.Base)])
-		}}, err
-	}
-	return vOpI{}, vOpF{inv: func(D *DEnv) float64 {
-		a := &D.Arrays[slot]
-		return a.F64[a.off(ix(D)-a.Base)]
-	}}, err
-}
-
 // walkStore writes s to the walk p, p+A, ... of dst, every lane. Small
 // enough to inline, like walkLoad.
-func walkStore[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int64, s []S) {
+func walkStore[T elem, S num](dst []T, p, A int64, s []S) {
 	if A == 1 {
 		d := dst[p : p+int64(len(s))]
 		for t := range d {
@@ -1692,7 +1603,7 @@ func walkStore[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int
 
 // storeLanes writes the active lanes of s to the walk; apply, when set,
 // combines with the old element (a compound assignment).
-func storeLanes[T int32 | float32 | float64, S int64 | float64](dst []T, p, A int64, s []S, apply func(S, S) S, act []int32) {
+func storeLanes[T elem, S num](dst []T, p, A int64, s []S, apply func(S, S) S, act []int32) {
 	if apply == nil {
 		for _, t := range act {
 			dst[p+A*int64(t)] = T(s[t])
@@ -1723,88 +1634,34 @@ func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 	}
 }
 
-// arrayAssign compiles a store. scan admitted only stores affine in the
-// induction variable, so the walk comes from the runtime's coefficients
-// (a written array is never layout-transformed).
-func (v *vecBuilder) arrayAssign(k *kStmt) (VStmt, error) {
-	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
-	slot, typ, ai := lhs.Array.Slot, lhs.Array.Type, v.take(k.x, AccessStore)
+// arrayAssign compiles a store into a T array. scan admitted only stores
+// affine in the induction variable, so the walk comes from the runtime's
+// coefficients (a written array is never layout-transformed).
+func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
+	st, slot, ai := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array.Slot, v.take(k.x, AccessStore)
 	dense := !v.masked && st.Op == "="
 	v.usesAct = v.usesAct || !dense
-	if typ == cc.TInt {
-		r, err := v.vExprI(k.y)
-		if err != nil {
-			return nil, err
-		}
-		rv := v.matI(r)
-		if dense {
-			return func(vm *VecEnv, i0 int64, L int) {
-				s := rv(vm, i0, L)
-				a := &vm.D.Arrays[slot]
-				p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-				walkStore(a.I32, p, A, s)
-				a.markWalk(p, A, L, nil)
-			}, nil
-		}
-		var apply func(int64, int64) int64
-		if st.Op != "=" {
-			if apply, err = intApply(st.Op, st.Pos()); err != nil {
-				return nil, errSpecIneligible
-			}
-		}
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			a := &vm.D.Arrays[slot]
-			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-			storeLanes(a.I32, p, A, s, apply, vm.act)
-			a.markWalk(p, A, L, vm.act)
-		}, nil
-	}
-	r, err := v.vExprF(k.y)
+	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
 	}
-	rv := v.matF(r)
-	if dense && typ == cc.TFloat {
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			a := &vm.D.Arrays[slot]
-			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-			walkStore(a.F32, p, A, s)
-			a.markWalk(p, A, L, nil)
-		}, nil
-	}
-	if dense {
-		return func(vm *VecEnv, i0 int64, L int) {
-			s := rv(vm, i0, L)
-			a := &vm.D.Arrays[slot]
-			p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-			walkStore(a.F64, p, A, s)
-			a.markWalk(p, A, L, nil)
-		}, nil
-	}
-	var apply func(float64, float64) float64
-	if st.Op != "=" {
-		if apply, err = floatApply(st.Op, st.Pos()); err != nil {
-			return nil, errSpecIneligible
-		}
-	}
+	rv, apply := mat(v, r), applyOf[S](st.Op)
 	return func(vm *VecEnv, i0 int64, L int) {
-		s := rv(vm, i0, L)
-		a := &vm.D.Arrays[slot]
+		s, a := rv(vm, i0, L), &vm.D.Arrays[slot]
 		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-		if typ == cc.TFloat {
-			storeLanes(a.F32, p, A, s, apply, vm.act)
-		} else {
-			storeLanes(a.F64, p, A, s, apply, vm.act)
+		if dense {
+			walkStore(elems[T](a), p, A, s)
+			a.markWalk(p, A, L, nil)
+			return
 		}
+		storeLanes(elems[T](a), p, A, s, apply, vm.act)
 		a.markWalk(p, A, L, vm.act)
 	}, nil
 }
 
 // reduceLanes updates the worker's reduction lane at the active lanes'
 // logical indices q, in ascending lane order.
-func reduceLanes[S int64 | float64](lane []S, q []int64, s []S, act []int32, mul bool) {
+func reduceLanes[S num](lane []S, q []int64, s []S, act []int32, mul bool) {
 	if mul {
 		for _, t := range act {
 			lane[q[t]] *= s[t]
@@ -1816,279 +1673,406 @@ func reduceLanes[S int64 | float64](lane []S, q []int64, s []S, act []int32, mul
 	}
 }
 
-func (v *vecBuilder) arrayReduce(k *kStmt) (VStmt, error) {
-	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
-	slot := lhs.Array.Slot
+func arrayReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+	st, slot := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array.Slot
 	v.usesAct = true
 	li, err := v.laneIndex(k.x.x, v.take(k.x, AccessReduce))
 	if err != nil {
 		return nil, err
 	}
 	// Lanes are indexed by logical element index: no Base shift.
-	ix := v.idxVec(li)
-	mul := st.Reduce.Op == "*"
-	if lhs.Array.Type == cc.TInt {
-		r, err := v.vExprI(k.y)
-		if err != nil {
-			return nil, err
-		}
-		rv := v.matI(r)
-		return func(vm *VecEnv, i0 int64, L int) {
-			q, s := ix(vm, i0, L), rv(vm, i0, L)
-			reduceLanes(vm.D.Arrays[slot].LaneI, q, s, vm.act, mul)
-		}, nil
-	}
-	r, err := v.vExprF(k.y)
+	ix, mul := v.idxVec(li), st.Reduce.Op == "*"
+	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
 	}
-	if v.inj != nil {
+	if v.inj != nil && isF[S]() {
 		c, _ := lvCoef(k.x.x, v.inj.lv)
 		v.inj.sites = append(v.inj.sites, injSite{ix, max(c, -c)})
 	}
-	rv := v.matF(r)
+	rv := mat(v, r)
 	return func(vm *VecEnv, i0 int64, L int) {
 		q, s := ix(vm, i0, L), rv(vm, i0, L)
-		reduceLanes(vm.D.Arrays[slot].LaneF, q, s, vm.act, mul)
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), q, s, vm.act, mul)
 	}, nil
 }
 
-// vExprI and vExprF compile a lowered expression by type, with a
-// conversion pass when the types differ. A node whose operands are all
-// uniform is uniform itself (inv): one value per tile step, evaluated
-// against the worker's scalars — literals, loop invariants, inner
-// induction variables and loads of arrays the kernel never writes, and
-// what is computed from them.
-func (v *vecBuilder) vExprI(k *kExpr) (vOpI, error) {
-	if k.e.Type() == cc.TInt {
-		return v.compileI(k)
+// compile compiles a lowered expression into lanes of type S, converting
+// once where the expression's own type is the other one. A node whose
+// operands are all uniform is uniform itself (inv): one value per tile
+// step, evaluated against the worker's scalars — literals, loop
+// invariants, inner induction variables and loads of arrays the kernel
+// never writes, and what is computed from them.
+func compile[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	switch float := k.e.Type() != cc.TInt; {
+	case float == isF[S]():
+		return compileNode[S](v, k)
+	case float:
+		return convert[float64, S](v, k)
 	}
-	m := v.mark()
-	f, err := v.compileF(k)
+	return convert[int64, S](v, k)
+}
+
+// convert compiles an expression of lane type F into lanes of type S.
+func convert[F, S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	m := v.top
+	o, err := compileNode[F](v, k)
 	if err != nil {
-		return vOpI{}, err
+		return vOp[S]{}, err
 	}
-	if g := f.inv; g != nil {
-		return vOpI{inv: func(D *DEnv) int64 { return int64(g(D)) }}, nil
+	if g := o.inv; g != nil {
+		return vOp[S]{inv: func(D *DEnv) S { return S(g(D)) }}, nil
 	}
-	fv := v.matF(f)
-	bid := v.outI(m)
-	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		s := fv(vm, i0, L)
-		out := vm.BufI[bid][:L]
+	ov, bid := mat(v, o), result[S](v, m)
+	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		s, out := ov(vm, i0, L), bufs[S](vm)[bid][:L]
 		for t := range s {
-			out[t] = int64(s[t])
+			out[t] = S(s[t])
 		}
 		return out
 	}}, nil
 }
 
-func (v *vecBuilder) vExprF(k *kExpr) (vOpF, error) {
-	if k.e.Type() != cc.TInt {
-		return v.compileF(k)
-	}
-	m := v.mark()
-	i, err := v.compileI(k)
-	if err != nil {
-		return vOpF{}, err
-	}
-	if g := i.inv; g != nil {
-		return vOpF{inv: func(D *DEnv) float64 { return float64(g(D)) }}, nil
-	}
-	iv := v.matI(i)
-	bid := v.outF(m)
-	return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-		s := iv(vm, i0, L)
-		out := vm.BufF[bid][:L]
-		for t := range s {
-			out[t] = float64(s[t])
-		}
-		return out
-	}}, nil
-}
-
-// compileI compiles an int-typed expression.
-func (v *vecBuilder) compileI(k *kExpr) (vOpI, error) {
-	m := v.mark()
+// compileNode compiles an expression of S's type. The lowering admitted
+// only what the tiles have an op for: no && or ||, no operator a type
+// lacks, no builtin but min, max and abs on int and floatBuiltin's on
+// float.
+func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	m := v.top
 	switch x := k.e.(type) {
 	case *cc.NumLit:
-		c := x.I
-		return vOpI{inv: func(*DEnv) int64 { return c }}, nil
-
+		c := S(x.I)
+		if isF[S]() {
+			c = S(x.F)
+		}
+		return vOp[S]{inv: func(*DEnv) S { return c }}, nil
 	case *cc.Ident:
-		if vec, _ := v.flatIdent(x.Decl); vec != nil {
-			return vOpI{vec: vec}, nil
-		}
-		if x.Decl == v.loopVar && !v.ivScalar {
-			bid := v.pushI()
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				out := vm.BufI[bid][:L]
-				for t := range out {
-					out[t] = i0 + int64(t)
-				}
-				return out
-			}}, nil
-		}
-		if u := v.scalars[x.Decl]; u.kind == kPrivate {
-			bid := u.buf - 1
-			if bid < 0 {
-				return vOpI{}, errSpecIneligible
-			}
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				return vm.BufI[bid][:L]
-			}}, nil
-		}
-		slot := x.Decl.Slot
-		return vOpI{inv: func(e *DEnv) int64 { return e.Ints[slot] }}, nil
-
+		return ident[S](v, x.Decl)
 	case *cc.IndexExpr:
-		o, _, err := v.load(k)
-		return o, err
-
+		return load[S](v, k)
 	case *cc.BinaryExpr:
-		return v.binaryI(k)
-
+		if cmpCode[x.Op] != 0 {
+			o, err := compare(v, k)
+			return as[vOp[S]](o), err
+		}
+		a, err := compile[S](v, k.x)
+		if err != nil {
+			return vOp[S]{}, err
+		}
+		c, err := compile[S](v, k.y)
+		if err != nil {
+			return vOp[S]{}, err
+		}
+		return arith(v, x.Op[0], a, c, m), nil
 	case *cc.UnaryExpr:
-		switch x.Op {
-		case "-":
-			o, err := v.vExprI(k.x)
-			if err != nil {
-				return vOpI{}, err
-			}
-			if g := o.inv; g != nil {
-				return vOpI{inv: func(D *DEnv) int64 { return -g(D) }}, nil
-			}
-			ov := v.matI(o)
-			bid := v.outI(m)
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				s := ov(vm, i0, L)
-				out := vm.BufI[bid][:L]
-				for t := range s {
-					out[t] = -s[t]
-				}
-				return out
-			}}, nil
-		case "!":
-			return v.notOp(k.x)
-		case "~":
-			o, err := v.vExprI(k.x)
-			if err != nil {
-				return vOpI{}, err
-			}
-			if g := o.inv; g != nil {
-				return vOpI{inv: func(D *DEnv) int64 { return ^g(D) }}, nil
-			}
-			ov := v.matI(o)
-			bid := v.outI(m)
-			return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-				s := ov(vm, i0, L)
-				out := vm.BufI[bid][:L]
-				for t := range s {
-					out[t] = ^s[t]
-				}
-				return out
-			}}, nil
+		if x.Op == "!" {
+			o, err := zeroTest(v, k.x, "==")
+			return as[vOp[S]](o), err
 		}
-		return vOpI{}, errSpecIneligible
-
+		o, err := compile[S](v, k.x)
+		switch {
+		case err != nil:
+			return o, err
+		case x.Op == "~":
+			return as[vOp[S]](complement(v, as[vOp[int64]](o), m)), nil
+		}
+		return negate(v, o, m), nil
 	case *cc.CallExpr:
-		return v.callI(k)
-
+		return call[S](v, k)
 	case *cc.CastExpr:
-		if x.To != cc.TInt {
-			return vOpI{}, errSpecIneligible
+		// To int or double: the conversion of the context; to float, a
+		// rounding to float32 on top.
+		o, err := compile[S](v, k.x)
+		if err != nil || x.To != cc.TFloat {
+			return o, err
 		}
-		// The same conversion as an int context's (vExprI).
-		return v.vExprI(k.x)
+		return as[vOp[S]](round32(v, as[vOp[float64]](o), m)), nil
 	}
-	return vOpI{}, errSpecIneligible
+	return vOp[S]{}, errSpecIneligible
 }
 
-// notOp compiles logical negation over either operand type.
-func (v *vecBuilder) notOp(inner *kExpr) (vOpI, error) {
-	m := v.mark()
-	if inner.e.Type() == cc.TInt {
-		o, err := v.vExprI(inner)
-		if err != nil {
-			return vOpI{}, err
-		}
-		if g := o.inv; g != nil {
-			return vOpI{inv: func(D *DEnv) int64 { return b2i(g(D) == 0) }}, nil
-		}
-		ov := v.matI(o)
-		bid := v.outI(m)
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := ov(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = b2i(s[t] == 0)
+// ident compiles a scalar read: the kernel's induction variable (an iota
+// over the tile), a private scalar's vector, or a uniform scalar.
+func ident[S num](v *vecBuilder, d *cc.VarDecl) (vOp[S], error) {
+	if vec := flatIdent[S](v, d); vec != nil {
+		return vOp[S]{vec: vec}, nil
+	}
+	if d == v.loopVar && !v.ivScalar {
+		bid := push[S](v)
+		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+			out := bufs[S](vm)[bid][:L]
+			for t := range out {
+				out[t] = S(i0 + int64(t))
 			}
 			return out
 		}}, nil
 	}
-	o, err := v.vExprF(inner)
-	if err != nil {
-		return vOpI{}, err
-	}
-	if g := o.inv; g != nil {
-		return vOpI{inv: func(D *DEnv) int64 { return b2i(g(D) == 0) }}, nil
-	}
-	ov := v.matF(o)
-	bid := v.outI(m)
-	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		s := ov(vm, i0, L)
-		out := vm.BufI[bid][:L]
-		for t := range s {
-			out[t] = b2i(s[t] == 0)
+	if u := v.scalars[d]; u.kind == kPrivate {
+		bid := u.buf - 1
+		if bid < 0 {
+			return vOp[S]{}, errSpecIneligible
 		}
-		return out
-	}}, nil
+		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S { return bufs[S](vm)[bid][:L] }}, nil
+	}
+	slot := d.Slot
+	if isF[S]() {
+		return as[vOp[S]](vOp[float64]{inv: func(D *DEnv) float64 { return D.Floats[slot] }}), nil
+	}
+	return as[vOp[S]](vOp[int64]{inv: func(D *DEnv) int64 { return D.Ints[slot] }}), nil
 }
 
-func (v *vecBuilder) binaryI(k *kExpr) (vOpI, error) {
-	x := k.e.(*cc.BinaryExpr)
-	m := v.mark()
-	switch x.Op {
-	case "&&", "||":
-		return vOpI{}, errSpecIneligible
-	case "<", "<=", ">", ">=", "==", "!=":
-		return v.compare(k)
-	case "+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>":
-	default:
-		return vOpI{}, errSpecIneligible
+// negate compiles unary minus.
+func negate[S num](v *vecBuilder, o vOp[S], m [2]int) vOp[S] {
+	if g := o.inv; g != nil {
+		return vOp[S]{inv: func(D *DEnv) S { return -g(D) }}
 	}
-	a, err := v.vExprI(k.x)
-	if err != nil {
-		return vOpI{}, err
+	ov, bid := mat(v, o), result[S](v, m)
+	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		s, out := ov(vm, i0, L), bufs[S](vm)[bid][:L]
+		for t := range s {
+			out[t] = -s[t]
+		}
+		return out
+	}}
+}
+
+// complement compiles ~, which only an int has.
+func complement(v *vecBuilder, o vOp[int64], m [2]int) vOp[int64] {
+	if g := o.inv; g != nil {
+		return vOp[int64]{inv: func(D *DEnv) int64 { return ^g(D) }}
 	}
-	c, err := v.vExprI(k.y)
-	if err != nil {
-		return vOpI{}, err
+	ov, bid := mat(v, o), result[int64](v, m)
+	return vOp[int64]{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+		s, out := ov(vm, i0, L), vm.BufI[bid][:L]
+		for t := range s {
+			out[t] = ^s[t]
+		}
+		return out
+	}}
+}
+
+// round32 compiles a (float) cast: the float64 value rounded to float32,
+// which only a float has.
+func round32(v *vecBuilder, o vOp[float64], m [2]int) vOp[float64] {
+	if g := o.inv; g != nil {
+		return vOp[float64]{inv: func(D *DEnv) float64 { return float64(float32(g(D))) }}
 	}
-	op := x.Op[0]
+	ov, bid := mat(v, o), result[float64](v, m)
+	return vOp[float64]{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+		s, out := ov(vm, i0, L), vm.BufF[bid][:L]
+		for t := range s {
+			out[t] = float64(float32(s[t]))
+		}
+		return out
+	}}
+}
+
+// operands evaluates the two operands of a lane op: each a vector or,
+// where its vec is nil, one scalar.
+func operands[S num](vm *VecEnv, i0 int64, L int, a, c vOp[S]) (s, q []S, ka, kc S) {
+	if a.vec != nil {
+		s = a.vec(vm, i0, L)
+	} else {
+		ka = a.inv(vm.D)
+	}
+	if c.vec != nil {
+		q = c.vec(vm, i0, L)
+	} else {
+		kc = c.inv(vm.D)
+	}
+	return s, q, ka, kc
+}
+
+// arith combines the compiled operands of a binary operator, m the
+// stacks' height before them. A float product with one uniform factor
+// advertises itself through kMul/mulX, and an enclosing + or - forms it
+// in its own pass (mulAdd). What only an int has — %, the bit operators,
+// the shifts and the fault of a division under an arm — is intArith's.
+func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
-		return vOpI{inv: func(D *DEnv) int64 { return intOp(op, ka(D), kc(D)) }}, nil
+		return vOp[S]{inv: binop(op, ka, kc)}
 	}
-	// Division faults on a zero divisor: under an arm, active lanes only.
-	faults := v.masked && (op == '/' || op == '%')
-	av, ak, cv, ck := a.vec, a.inv, c.vec, c.inv
-	bid := v.outI(m)
-	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		// Each operand is a vector or, where that is nil, one scalar.
-		var s, q []int64
-		var ka, kc int64
-		if av != nil {
-			s = av(vm, i0, L)
-		} else {
-			ka = ak(vm.D)
+	bid := result[S](v, m)
+	switch {
+	case (op == '+' || op == '-') && (a.kMul != nil || c.kMul != nil):
+		return as[vOp[S]](mulAdd(op == '-', as[vOp[float64]](a), as[vOp[float64]](c), bid))
+	case !isF[S]() && op != '+' && op != '-' && op != '*' && (op != '/' || v.masked):
+		return as[vOp[S]](intArith(op, as[vOp[int64]](a), as[vOp[int64]](c), bid, v.masked))
+	}
+	o := vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		s, q, ka, kc := operands(vm, i0, L, a, c)
+		out := bufs[S](vm)[bid][:L]
+		arithLanes(op, out, s, q, ka, kc)
+		return out
+	}}
+	if op == '*' && isF[S]() {
+		if a.inv != nil {
+			o.kMul, o.mulX = a.inv, c.vec
+		} else if c.inv != nil {
+			o.kMul, o.mulX = c.inv, a.vec
 		}
-		if cv != nil {
-			q = cv(vm, i0, L)
-		} else {
-			kc = ck(vm.D)
+	}
+	return o
+}
+
+// binop compiles a uniform node of a binary operator named by its first
+// byte: + - * / over either type, intOp's operators over int.
+func binop[S num](op byte, ka, kc dExpr[S]) dExpr[S] {
+	switch op {
+	case '+':
+		return func(D *DEnv) S { return ka(D) + kc(D) }
+	case '-':
+		return func(D *DEnv) S { return ka(D) - kc(D) }
+	case '*':
+		return func(D *DEnv) S { return ka(D) * kc(D) }
+	case '/':
+		return func(D *DEnv) S { return ka(D) / kc(D) }
+	}
+	a, c := as[dExpr[int64]](ka), as[dExpr[int64]](kc)
+	return as[dExpr[S]](dExpr[int64](func(D *DEnv) int64 { return intOp(op, a(D), c(D)) }))
+}
+
+// arithLanes sets out[t] to x op y for + - * /, x being s[t] or, where s
+// is nil, ka, and y q[t] or kc. The operator and the operands' shapes pick
+// a loop, never a lane.
+func arithLanes[S num](op byte, out, s, q []S, ka, kc S) {
+	switch {
+	case s == nil && op == '+':
+		for t, y := range q[:len(out)] {
+			out[t] = ka + y
 		}
+	case s == nil && op == '-':
+		for t, y := range q[:len(out)] {
+			out[t] = ka - y
+		}
+	case s == nil && op == '*':
+		for t, y := range q[:len(out)] {
+			out[t] = ka * y
+		}
+	case s == nil:
+		for t, y := range q[:len(out)] {
+			out[t] = ka / y
+		}
+	case q == nil && op == '+':
+		for t, x := range s[:len(out)] {
+			out[t] = x + kc
+		}
+	case q == nil && op == '-':
+		for t, x := range s[:len(out)] {
+			out[t] = x - kc
+		}
+	case q == nil && op == '*':
+		for t, x := range s[:len(out)] {
+			out[t] = x * kc
+		}
+	case q == nil:
+		for t, x := range s[:len(out)] {
+			out[t] = x / kc
+		}
+	case op == '+':
+		for t, x := range s[:len(out)] {
+			out[t] = x + q[t]
+		}
+	case op == '-':
+		for t, x := range s[:len(out)] {
+			out[t] = x - q[t]
+		}
+	case op == '*':
+		for t, x := range s[:len(out)] {
+			out[t] = x * q[t]
+		}
+	default:
+		for t, x := range s[:len(out)] {
+			out[t] = x / q[t]
+		}
+	}
+}
+
+// mulAdd compiles x ± y where an operand is a float product with a
+// uniform factor (kMul × mulX), forming the product in the same pass. The
+// explicit float64(...) around each product pins the intermediate
+// rounding the interpreter performs (the Go spec otherwise permits fusing
+// into an FMA).
+func mulAdd(sub bool, a, c vOp[float64], bid int) vOp[float64] {
+	return vOp[float64]{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+		out := vm.BufF[bid][:L]
+		switch {
+		case a.kMul != nil && c.kMul != nil:
+			ka, kc := a.kMul(vm.D), c.kMul(vm.D)
+			s, q := a.mulX(vm, i0, L)[:L], c.mulX(vm, i0, L)[:L]
+			if sub {
+				for t := range out {
+					out[t] = float64(ka*s[t]) - float64(kc*q[t])
+				}
+			} else {
+				for t := range out {
+					out[t] = float64(ka*s[t]) + float64(kc*q[t])
+				}
+			}
+		case a.kMul != nil && c.inv != nil:
+			ka, kc := a.kMul(vm.D), c.inv(vm.D)
+			s := a.mulX(vm, i0, L)[:L]
+			if sub {
+				for t := range out {
+					out[t] = float64(ka*s[t]) - kc
+				}
+			} else {
+				for t := range out {
+					out[t] = float64(ka*s[t]) + kc
+				}
+			}
+		case a.inv != nil:
+			ka, kc := a.inv(vm.D), c.kMul(vm.D)
+			q := c.mulX(vm, i0, L)[:L]
+			if sub {
+				for t := range out {
+					out[t] = ka - float64(kc*q[t])
+				}
+			} else {
+				for t := range out {
+					out[t] = ka + float64(kc*q[t])
+				}
+			}
+		case a.kMul != nil:
+			ka := a.kMul(vm.D)
+			s, q := a.mulX(vm, i0, L)[:L], c.vec(vm, i0, L)[:L]
+			if sub {
+				for t := range out {
+					out[t] = float64(ka*s[t]) - q[t]
+				}
+			} else {
+				for t := range out {
+					out[t] = float64(ka*s[t]) + q[t]
+				}
+			}
+		default:
+			kc := c.kMul(vm.D)
+			s, q := a.vec(vm, i0, L)[:L], c.mulX(vm, i0, L)[:L]
+			if sub {
+				for t := range out {
+					out[t] = s[t] - float64(kc*q[t])
+				}
+			} else {
+				for t := range out {
+					out[t] = s[t] + float64(kc*q[t])
+				}
+			}
+		}
+		return out
+	}}
+}
+
+// intArith compiles the int operators intOp applies lane by lane — %,
+// the bit operators, the shifts — and a / or % under an arm, which runs
+// over the active lanes only: a zero divisor in a lane that did not take
+// the arm must not fault.
+func intArith(op byte, a, c vOp[int64], bid int, masked bool) vOp[int64] {
+	faults := masked && (op == '/' || op == '%')
+	return vOp[int64]{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+		s, q, ka, kc := operands(vm, i0, L, a, c)
 		out := vm.BufI[bid][:L]
-		if faults {
+		switch {
+		case faults:
 			for _, t := range vm.act {
 				if s != nil {
 					ka = s[t]
@@ -2098,9 +2082,6 @@ func (v *vecBuilder) binaryI(k *kExpr) (vOpI, error) {
 				}
 				out[t] = intOp(op, ka, kc)
 			}
-			return out
-		}
-		switch {
 		case s == nil:
 			for t, y := range q {
 				out[t] = intOp(op, ka, y)
@@ -2115,18 +2096,13 @@ func (v *vecBuilder) binaryI(k *kExpr) (vOpI, error) {
 			}
 		}
 		return out
-	}}, nil
+	}}
 }
 
-// intOp applies an int binary operator named by its first byte.
+// intOp applies an int operator named by its first byte that only an
+// int has, or a division (+, - and * never reach it).
 func intOp(op byte, a, b int64) int64 {
 	switch op {
-	case '+':
-		return a + b
-	case '-':
-		return a - b
-	case '*':
-		return a * b
 	case '/':
 		return a / b
 	case '%':
@@ -2151,7 +2127,7 @@ var (
 )
 
 // cmpLanes sets out[t] to s[t] op y, y being q[t] or, when q is nil, k.
-func cmpLanes[S int64 | float64](out []int64, op byte, s, q []S, k S) {
+func cmpLanes[S num](out []int64, op byte, s, q []S, k S) {
 	y := func(t int) S {
 		if q != nil {
 			return q[t]
@@ -2186,528 +2162,146 @@ func cmpLanes[S int64 | float64](out []int64, op byte, s, q []S, k S) {
 	}
 }
 
-// compare compiles a comparison (int result) over either operand type;
-// a uniform operand is compared as a scalar.
-func (v *vecBuilder) compare(k *kExpr) (vOpI, error) {
+// compare compiles a comparison over operands of either type.
+func compare(v *vecBuilder, k *kExpr) (vOp[int64], error) {
 	x := k.e.(*cc.BinaryExpr)
-	m := v.mark()
-	op := cmpCode[x.Op]
 	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-		a, err := v.vExprI(k.x)
-		if err != nil {
-			return vOpI{}, err
-		}
-		c, err := v.vExprI(k.y)
-		if err != nil {
-			return vOpI{}, err
-		}
-		if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
-			cmp := intCmp(x.Op)
-			return vOpI{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
-		}
-		if a.vec == nil {
-			a, c, op = c, a, cmpMirror[op]
-		}
-		av, cv, ck := a.vec, c.vec, c.inv
-		bid := v.outI(m)
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s, out := av(vm, i0, L), vm.BufI[bid][:L]
-			if cv != nil {
-				cmpLanes(out, op, s, cv(vm, i0, L), 0)
-			} else {
-				cmpLanes(out, op, s, nil, ck(vm.D))
-			}
-			return out
-		}}, nil
+		return compareAs[int64](v, x.Op, k.x, k.y)
 	}
-	a, err := v.vExprF(k.x)
-	if err != nil {
-		return vOpI{}, err
+	return compareAs[float64](v, x.Op, k.x, k.y)
+}
+
+// zeroTest compiles k op 0 for k of either type: "!=" is a condition's
+// truth, "==" logical negation.
+func zeroTest(v *vecBuilder, k *kExpr, op string) (vOp[int64], error) {
+	if k.e.Type() == cc.TInt {
+		return compareAs[int64](v, op, k, nil)
 	}
-	c, err := v.vExprF(k.y)
+	return compareAs[float64](v, op, k, nil)
+}
+
+// compareAs compiles x op y (int result) over lanes of type S, a nil y
+// standing for 0. A uniform operand is compared as a scalar, the operator
+// mirrored when it is the left one.
+func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (vOp[int64], error) {
+	m := v.top
+	a, err := compile[S](v, x)
 	if err != nil {
-		return vOpI{}, err
+		return vOp[int64]{}, err
+	}
+	c := vOp[S]{inv: func(*DEnv) S { return 0 }}
+	if y != nil {
+		if c, err = compile[S](v, y); err != nil {
+			return vOp[int64]{}, err
+		}
 	}
 	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
-		cmp := floatCmp(x.Op)
-		return vOpI{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
+		cmp := cmpOf[S](op)
+		return vOp[int64]{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
 	}
+	code := cmpCode[op]
 	if a.vec == nil {
-		a, c, op = c, a, cmpMirror[op]
+		a, c, code = c, a, cmpMirror[code]
 	}
 	av, cv, ck := a.vec, c.vec, c.inv
-	bid := v.outI(m)
-	return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+	bid := result[int64](v, m)
+	return vOp[int64]{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
 		s, out := av(vm, i0, L), vm.BufI[bid][:L]
 		if cv != nil {
-			cmpLanes(out, op, s, cv(vm, i0, L), 0)
+			cmpLanes(out, code, s, cv(vm, i0, L), 0)
 		} else {
-			cmpLanes(out, op, s, nil, ck(vm.D))
+			cmpLanes(out, code, s, nil, ck(vm.D))
 		}
 		return out
 	}}, nil
 }
 
-// compileF compiles a float-typed expression.
-func (v *vecBuilder) compileF(k *kExpr) (vOpF, error) {
-	m := v.mark()
-	switch x := k.e.(type) {
-	case *cc.NumLit:
-		c := x.F
-		return vOpF{inv: func(*DEnv) float64 { return c }}, nil
-
-	case *cc.Ident:
-		if _, vec := v.flatIdent(x.Decl); vec != nil {
-			return vOpF{vec: vec}, nil
-		}
-		if u := v.scalars[x.Decl]; u.kind == kPrivate {
-			bid := u.buf - 1
-			if bid < 0 {
-				return vOpF{}, errSpecIneligible
-			}
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				return vm.BufF[bid][:L]
-			}}, nil
-		}
-		slot := x.Decl.Slot
-		return vOpF{inv: func(e *DEnv) float64 { return e.Floats[slot] }}, nil
-
-	case *cc.IndexExpr:
-		_, o, err := v.load(k)
-		return o, err
-
-	case *cc.BinaryExpr:
-		a, err := v.vExprF(k.x)
-		if err != nil {
-			return vOpF{}, err
-		}
-		c, err := v.vExprF(k.y)
-		if err != nil {
-			return vOpF{}, err
-		}
-		return v.arithF(x.Op, a, c, m)
-
-	case *cc.UnaryExpr:
-		if x.Op != "-" {
-			return vOpF{}, errSpecIneligible
-		}
-		o, err := v.vExprF(k.x)
-		if err != nil {
-			return vOpF{}, err
-		}
-		if g := o.inv; g != nil {
-			return vOpF{inv: func(D *DEnv) float64 { return -g(D) }}, nil
-		}
-		ov := v.matF(o)
-		bid := v.outF(m)
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := ov(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			for t := range s {
-				out[t] = -s[t]
-			}
-			return out
-		}}, nil
-
-	case *cc.CallExpr:
-		return v.callF(k)
-
-	case *cc.CastExpr:
-		if x.To == cc.TInt {
-			return vOpF{}, errSpecIneligible
-		}
-		o, err := v.vExprF(k.x)
-		if err != nil {
-			return vOpF{}, err
-		}
-		if x.To != cc.TFloat {
-			// Cast to double is the identity on the float64 value.
-			return o, nil
-		}
-		if g := o.inv; g != nil {
-			return vOpF{inv: func(D *DEnv) float64 { return float64(float32(g(D))) }}, nil
-		}
-		ov := v.matF(o)
-		bid := v.outF(m)
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := ov(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			for t := range s {
-				out[t] = float64(float32(s[t]))
-			}
-			return out
-		}}, nil
-	}
-	return vOpF{}, errSpecIneligible
-}
-
-// arithF combines the compiled operands of float arithmetic, m the
-// stacks' height before them. Multiplication with one invariant operand
-// becomes a scalar-vector pass and advertises itself through kMul/mulX;
-// addition and subtraction fuse such products into a single pass. The
-// explicit float64(...) around each fused product pins the intermediate
-// rounding the interpreter performs (the Go spec otherwise permits fusing
-// into an FMA).
-func (v *vecBuilder) arithF(op string, a, c vOpF, m bufMark) (vOpF, error) {
-	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
-		switch op {
-		case "+":
-			return vOpF{inv: func(D *DEnv) float64 { return ka(D) + kc(D) }}, nil
-		case "-":
-			return vOpF{inv: func(D *DEnv) float64 { return ka(D) - kc(D) }}, nil
-		case "*":
-			return vOpF{inv: func(D *DEnv) float64 { return ka(D) * kc(D) }}, nil
-		case "/":
-			return vOpF{inv: func(D *DEnv) float64 { return ka(D) / kc(D) }}, nil
-		}
-		return vOpF{}, errSpecIneligible
-	}
-	bid := v.outF(m)
-	switch op {
-	case "*":
-		switch {
-		case a.inv != nil:
-			k, cv := a.inv, c.vec
-			return vOpF{
-				vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-					kk := k(vm.D)
-					s := cv(vm, i0, L)
-					out := vm.BufF[bid][:L]
-					for t := range s {
-						out[t] = kk * s[t]
-					}
-					return out
-				},
-				kMul: k, mulX: cv,
-			}, nil
-		case c.inv != nil:
-			av, k := a.vec, c.inv
-			return vOpF{
-				vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-					kk := k(vm.D)
-					s := av(vm, i0, L)
-					out := vm.BufF[bid][:L]
-					for t := range s {
-						out[t] = s[t] * kk
-					}
-					return out
-				},
-				kMul: k, mulX: av,
-			}, nil
-		}
-		av, cv := a.vec, c.vec
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := av(vm, i0, L)
-			q := cv(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			for t := range s {
-				out[t] = s[t] * q[t]
-			}
-			return out
-		}}, nil
-
-	case "+", "-":
-		sub := op == "-"
-		switch {
-		case a.kMul != nil && c.kMul != nil:
-			k1, x1, k2, x2 := a.kMul, a.mulX, c.kMul, c.mulX
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				ka, kc := k1(vm.D), k2(vm.D)
-				s := x1(vm, i0, L)
-				q := x2(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = float64(ka*s[t]) - float64(kc*q[t])
-					}
-				} else {
-					for t := range s {
-						out[t] = float64(ka*s[t]) + float64(kc*q[t])
-					}
-				}
-				return out
-			}}, nil
-		case a.kMul != nil && c.inv != nil:
-			k1, x1, k2 := a.kMul, a.mulX, c.inv
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				ka, kc := k1(vm.D), k2(vm.D)
-				s := x1(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = float64(ka*s[t]) - kc
-					}
-				} else {
-					for t := range s {
-						out[t] = float64(ka*s[t]) + kc
-					}
-				}
-				return out
-			}}, nil
-		case a.inv != nil && c.kMul != nil:
-			k1, k2, x2 := a.inv, c.kMul, c.mulX
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				ka, kc := k1(vm.D), k2(vm.D)
-				q := x2(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range q {
-						out[t] = ka - float64(kc*q[t])
-					}
-				} else {
-					for t := range q {
-						out[t] = ka + float64(kc*q[t])
-					}
-				}
-				return out
-			}}, nil
-		case a.kMul != nil:
-			k1, x1, cv := a.kMul, a.mulX, c.vec
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				ka := k1(vm.D)
-				s := x1(vm, i0, L)
-				q := cv(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = float64(ka*s[t]) - q[t]
-					}
-				} else {
-					for t := range s {
-						out[t] = float64(ka*s[t]) + q[t]
-					}
-				}
-				return out
-			}}, nil
-		case c.kMul != nil:
-			av, k2, x2 := a.vec, c.kMul, c.mulX
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				kc := k2(vm.D)
-				s := av(vm, i0, L)
-				q := x2(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = s[t] - float64(kc*q[t])
-					}
-				} else {
-					for t := range s {
-						out[t] = s[t] + float64(kc*q[t])
-					}
-				}
-				return out
-			}}, nil
-		case a.inv != nil:
-			k, cv := a.inv, c.vec
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				kk := k(vm.D)
-				s := cv(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = kk - s[t]
-					}
-				} else {
-					for t := range s {
-						out[t] = kk + s[t]
-					}
-				}
-				return out
-			}}, nil
-		case c.inv != nil:
-			av, k := a.vec, c.inv
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				kk := k(vm.D)
-				s := av(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				if sub {
-					for t := range s {
-						out[t] = s[t] - kk
-					}
-				} else {
-					for t := range s {
-						out[t] = s[t] + kk
-					}
-				}
-				return out
-			}}, nil
-		}
-		av, cv := a.vec, c.vec
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := av(vm, i0, L)
-			q := cv(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			if sub {
-				for t := range s {
-					out[t] = s[t] - q[t]
-				}
-			} else {
-				for t := range s {
-					out[t] = s[t] + q[t]
-				}
-			}
-			return out
-		}}, nil
-
-	case "/":
-		switch {
-		case a.inv != nil:
-			k, cv := a.inv, v.matF(c)
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				kk := k(vm.D)
-				s := cv(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				for t := range s {
-					out[t] = kk / s[t]
-				}
-				return out
-			}}, nil
-		case c.inv != nil:
-			av, k := v.matF(a), c.inv
-			return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-				kk := k(vm.D)
-				s := av(vm, i0, L)
-				out := vm.BufF[bid][:L]
-				for t := range s {
-					out[t] = s[t] / kk
-				}
-				return out
-			}}, nil
-		}
-		av, cv := v.matF(a), v.matF(c)
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := av(vm, i0, L)
-			q := cv(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			for t := range s {
-				out[t] = s[t] / q[t]
-			}
-			return out
-		}}, nil
-	}
-	return vOpF{}, errSpecIneligible
-}
-
-// callI compiles the int builtins (min, max, abs). The lowering admitted
-// no other call; a uniform call compiles its arguments as uniform ones (a
-// broadcast per argument would sit below the later arguments' scratch).
-func (v *vecBuilder) callI(k *kExpr) (vOpI, error) {
-	x := k.e.(*cc.CallExpr)
-	m, uniform := v.mark(), v.uniform(k)
+// call compiles a builtin over lanes of type S: min, max and abs for int,
+// floatBuiltin's functions, those the interpreter calls, for float. A
+// uniform call compiles its arguments as uniform ones (a broadcast per
+// argument would sit below the later arguments' scratch).
+func call[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+	m, uniform := v.top, v.uniform(k)
 	var (
-		args [2]vecI
-		invs [2]dExprI
+		args [2]vec[S]
+		invs [2]dExpr[S]
 	)
 	for i, a := range [2]*kExpr{k.x, k.y} {
 		if a == nil {
 			break
 		}
-		o, err := v.vExprI(a)
+		o, err := compile[S](v, a)
 		if err != nil {
-			return vOpI{}, err
+			return vOp[S]{}, err
 		}
 		if invs[i] = o.inv; !uniform {
-			args[i] = v.matI(o)
+			args[i] = mat(v, o)
 		}
 	}
-	if uniform {
-		a0, a1 := invs[0], invs[1]
-		switch x.Name {
-		case "min":
-			return vOpI{inv: func(D *DEnv) int64 { return min(a0(D), a1(D)) }}, nil
-		case "max":
-			return vOpI{inv: func(D *DEnv) int64 { return max(a0(D), a1(D)) }}, nil
-		}
-		return vOpI{inv: func(D *DEnv) int64 { return max(a0(D), -a0(D)) }}, nil
-	}
-	bid := v.outI(m)
-	switch x.Name {
-	case "min":
-		a0, a1 := args[0], args[1]
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := a0(vm, i0, L)
-			q := a1(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = min(s[t], q[t])
-			}
-			return out
-		}}, nil
-	case "max":
-		a0, a1 := args[0], args[1]
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := a0(vm, i0, L)
-			q := a1(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				out[t] = max(s[t], q[t])
-			}
-			return out
-		}}, nil
-	case "abs":
-		a0 := args[0]
-		return vOpI{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-			s := a0(vm, i0, L)
-			out := vm.BufI[bid][:L]
-			for t := range s {
-				w := s[t]
-				if w < 0 {
-					w = -w
-				}
-				out[t] = w
-			}
-			return out
-		}}, nil
-	}
-	return vOpI{}, errSpecIneligible
-}
-
-// callF compiles the float builtins with the math funcs the interpreter
-// calls, a uniform call as callI does.
-func (v *vecBuilder) callF(k *kExpr) (vOpF, error) {
-	fn1, fn2, _ := floatBuiltin(k.e.(*cc.CallExpr).Name)
-	m, uniform := v.mark(), v.uniform(k)
-	var (
-		args [2]vecF
-		invs [2]dExprF
-	)
-	for i, a := range [2]*kExpr{k.x, k.y} {
-		if a == nil {
-			break
-		}
-		o, err := v.vExprF(a)
-		if err != nil {
-			return vOpF{}, err
-		}
-		if invs[i] = o.inv; !uniform {
-			args[i] = v.matF(o)
-		}
-	}
+	fn1, fn2, code := builtin[S](k.e.(*cc.CallExpr).Name)
 	if a0, a1 := invs[0], invs[1]; uniform && fn1 != nil {
-		return vOpF{inv: func(D *DEnv) float64 { return fn1(a0(D)) }}, nil
+		return vOp[S]{inv: func(D *DEnv) S { return fn1(a0(D)) }}, nil
 	} else if uniform {
-		return vOpF{inv: func(D *DEnv) float64 { return fn2(a0(D), a1(D)) }}, nil
+		return vOp[S]{inv: func(D *DEnv) S { return fn2(a0(D), a1(D)) }}, nil
 	}
-	bid := v.outF(m)
-	if fn1 != nil {
-		a0 := args[0]
-		return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-			s := a0(vm, i0, L)
-			out := vm.BufF[bid][:L]
-			for t := range s {
-				out[t] = fn1(s[t])
-			}
-			return out
-		}}, nil
-	}
-	a0, a1 := args[0], args[1]
-	return vOpF{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+	bid, a0, a1 := result[S](v, m), args[0], args[1]
+	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		var q []S
 		s := a0(vm, i0, L)
-		q := a1(vm, i0, L)
-		out := vm.BufF[bid][:L]
+		if a1 != nil {
+			q = a1(vm, i0, L)
+		}
+		out := bufs[S](vm)[bid][:L]
+		callLanes(code, out, s, q, fn1, fn2)
+		return out
+	}}, nil
+}
+
+// builtin gives a builtin over S, of one argument or two, and the code
+// callLanes runs it by: 'm', 'M' and 'a' for the int min, max and abs,
+// whose lanes run without a call, '1' and '2' for a float function.
+func builtin[S num](name string) (fn1 func(S) S, fn2 func(S, S) S, code byte) {
+	if isF[S]() {
+		f1, f2, _ := floatBuiltin(name)
+		if f1 != nil {
+			return as[func(S) S](f1), nil, '1'
+		}
+		return nil, as[func(S, S) S](f2), '2'
+	}
+	switch name {
+	case "min":
+		return nil, func(a, b S) S { return min(a, b) }, 'm'
+	case "max":
+		return nil, func(a, b S) S { return max(a, b) }, 'M'
+	}
+	return func(a S) S { return max(a, -a) }, nil, 'a'
+}
+
+// callLanes runs a builtin over the lanes (see builtin).
+func callLanes[S num](code byte, out, s, q []S, fn1 func(S) S, fn2 func(S, S) S) {
+	switch code {
+	case 'm':
+		for t := range s {
+			out[t] = min(s[t], q[t])
+		}
+	case 'M':
+		for t := range s {
+			out[t] = max(s[t], q[t])
+		}
+	case 'a':
+		for t, w := range s {
+			if w < 0 {
+				w = -w
+			}
+			out[t] = w
+		}
+	case '1':
+		for t := range s {
+			out[t] = fn1(s[t])
+		}
+	default:
 		for t := range s {
 			out[t] = fn2(s[t], q[t])
 		}
-		return out
-	}}, nil
+	}
 }

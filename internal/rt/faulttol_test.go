@@ -265,7 +265,7 @@ func TestFaultPlanAsyncEquivalence(t *testing.T) {
 				t.Fatalf("seed %d: faulted %s interpreter run must degrade, not fail: %v\n%s", seed, c.label, err, p.src)
 			}
 			checkRunsIdentical(t, fmt.Sprintf("seed %d faulted %s, specialized vs interpreter", seed, c.label), p.src, interp, c.fast)
-			specHits += c.fast.runtime.SpecHits()
+			specHits += c.fast.runtime.SpecStats().Hits
 		}
 		fallbacks += async.rep.Fallbacks
 		retries += async.rep.TransferRetries

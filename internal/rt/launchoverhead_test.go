@@ -68,7 +68,7 @@ func newPingPong(tb testing.TB, spec sim.MachineSpec, opts Options) *pingPong {
 	for i := 0; i < 2*defaultIntervalCap; i++ {
 		p.step(tb)
 	}
-	if r.SpecHits() == 0 {
+	if r.SpecStats().Hits == 0 {
 		tb.Fatal("the ping-pong kernels never ran specialized")
 	}
 	return p

@@ -328,7 +328,7 @@ func TestSpecFastPathTaken(t *testing.T) {
 		if len(r.specExecs) != 1 {
 			t.Fatalf("%s: want 1 cached executor, have %d", label, len(r.specExecs))
 		}
-		if h := r.SpecHits(); h != int64(r.mach.NumGPUs()) {
+		if h := r.SpecStats().Hits; h != int64(r.mach.NumGPUs()) {
 			t.Fatalf("%s: fast path handled %d GPU chunks, want %d", label, h, r.mach.NumGPUs())
 		}
 	}
@@ -475,13 +475,13 @@ func TestAffineGuardSpecializes(t *testing.T) {
 			if launches != steps*tc.kernels {
 				t.Fatalf("%s: %d launches, want %d", label, launches, steps*tc.kernels)
 			}
-			if fb := r.SpecFallbacks(); fb != 0 {
+			if fb := r.SpecStats().Fallbacks; fb != 0 {
 				t.Errorf("%s: %d interpreter fallbacks %v", label, fb, r.SpecStats().FallbackReasons)
 			}
 			if rej := r.SpecStats().Rejects; len(rej) != 0 {
 				t.Errorf("%s: rejected chunks %v", label, rej)
 			}
-			if hits, want := r.SpecHits(), int64(launches*mach.NumGPUs()); hits != want {
+			if hits, want := r.SpecStats().Hits, int64(launches*mach.NumGPUs()); hits != want {
 				t.Errorf("%s: %d chunks specialized, want %d (launches x GPUs)", label, hits, want)
 			}
 			// The first and the last GPU each cut one boundary iteration
@@ -895,7 +895,7 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if h := s.r.SpecHits(); h == 0 {
+			if h := s.r.SpecStats().Hits; h == 0 {
 				t.Fatal("fast path never ran; budget would measure the interpreter")
 			}
 			// One processor: sim.FanOut spawns nothing, and what is left is

@@ -192,8 +192,9 @@ func TestPaperAppSpecCoverage(t *testing.T) {
 			if err := in.Verify(inst); err != nil {
 				t.Fatal(err)
 			}
-			hits, falls := r.SpecHits(), r.SpecFallbacks()
-			t.Logf("%s: spec hits %d, fallbacks %d %v rejects %v", tc.name, hits, falls, r.SpecStats().FallbackReasons, r.SpecStats().Rejects)
+			st := r.SpecStats()
+			hits, falls := st.Hits, st.Fallbacks
+			t.Logf("%s: spec hits %d, fallbacks %d %v rejects %v", tc.name, hits, falls, st.FallbackReasons, st.Rejects)
 			if hits == 0 {
 				t.Errorf("%s: the specialized executor never ran", tc.name)
 			}

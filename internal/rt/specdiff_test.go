@@ -981,6 +981,216 @@ void main() {
 	})
 	specTemplates = append(specTemplates, flatRowTemplates()...)
 	specTemplates = append(specTemplates, siteTemplates()...)
+	specTemplates = append(specTemplates, typeTemplates()...)
+}
+
+// typeTemplates hold every operation the tile builder writes once for
+// both lane types to the interpreter with int and with float operands,
+// side by side: compound assignments of private scalars (/= and the int
+// operators under an arm), !, unary - and ~, (float) and other casts of
+// uniform and lane values, comparisons whose left operand is uniform (the
+// mirrored path), min, max and abs, compound stores into int, float and
+// double arrays over the whole tile and under arms, and folds into an int
+// and a float scalar inside a flat loop (two kernels: an int the loop
+// body keeps growing would cost the interval prover its bound on the
+// loop variable, and the float fold's loads their proof). Each asserts
+// that its tiles engaged.
+func typeTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	return []specTemplate{
+		{name: "types-private-ops", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], den_[n], out_[n];
+float f_[n], g_[n];
+double d_[n], h_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, den_, f_, d_) copyout(out_, g_, h_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int a, k;
+            float b;
+            double c;
+            a = in_[i] + 2000;
+            k = (den_[i] % 4 + 4) % 4;
+            b = f_[i];
+            c = d_[i];
+            a %= 97;
+            a <<= 3;
+            a >>= 1;
+            b += 0.5;
+            b -= f_[i] * 0.25;
+            b *= 1.5;
+            c += d_[i] * 3.0;
+            c -= 0.125;
+            c *= c;
+            b = f_[i] * 0.5 + b;
+            b = 1.5 - b;
+            c = c + 0.25;
+            if (k != 0) {
+                a /= k;
+                a %= k + 5;
+                a <<= k;
+                a >>= k - 1;
+                b /= f_[i] + 2.0;
+                b = b * 0.5;
+                b = b + 0.5;
+                c /= k;
+            } else {
+                b /= 3.0;
+                c /= d_[i] - 2.0;
+            }
+            out_[i] = a;
+            g_[i] = b;
+            h_[i] = c + (0.5 * d_[i] - 0.25 * d_[i]) + (0.5 - 0.25 * d_[i]) + (0.5 * d_[i] - c);
+        }
+    }
+}
+`},
+		{name: "types-unary", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], c_[1], out_[n];
+float f_[n], w_[1], g_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, c_, f_, w_) copyout(out_, g_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = -in_[i] + 3 * !in_[i] + 5 * !(in_[i] % 3) + ~in_[i] + 7 * !f_[i] + 11 * !(f_[i] - f_[i]) + (3 << (in_[i] & 7))
+                + (-c_[0] + !c_[0] + ~c_[0] + !w_[0] + !(w_[0] - w_[0])) * 13;
+            g_[i] = -f_[i] + !in_[i] - w_[0] * -f_[i] + -w_[0] + !(f_[i] * 0.0) - (-(in_[i] * 2)) + ~c_[0];
+        }
+    }
+}
+`},
+		{name: "types-cast", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], out_[n];
+float w_[1], f_[n], g_[n];
+double d_[n], e_[1], h_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, w_, f_, d_, e_) copyout(out_, g_, h_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            g_[i] = (float)(e_[0] * 3.3) + (float)(d_[i] * 1.1) + (float)in_[i] + (float)(w_[0] + 0.1);
+            h_[i] = (double)f_[i] * 0.3 + (double)(in_[i] / 3) + (float)(d_[i] / 7.0) + (float)e_[0];
+            out_[i] = (int)(d_[i] * 100.0) + (int)(e_[0] * 10.0) + (int)f_[i] + (int)(w_[0] * 1000.0);
+        }
+    }
+}
+`},
+		{name: "types-compare-mirror", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], c_[1], out_[n];
+float f_[n], w_[1];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, c_, f_, w_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            v = (c_[0] < in_[i]) + 2 * (c_[0] <= in_[i]) + 4 * (c_[0] > in_[i]) + 8 * (c_[0] >= in_[i])
+                + 16 * (c_[0] % 4 == in_[i] % 4) + 32 * (c_[0] % 4 != in_[i] % 4)
+                + 64 * (w_[0] < f_[i]) + 128 * (w_[0] <= f_[i]) + 256 * (w_[0] > f_[i]) + 512 * (w_[0] >= f_[i])
+                + 1024 * (w_[0] == f_[i]) + 2048 * (w_[0] != f_[i]) + 4096 * (c_[0] < w_[0]);
+            if (c_[0] % 3 < in_[i] % 3) {
+                v += 8192;
+            }
+            if (w_[0] >= f_[i]) {
+                v -= 16384;
+            }
+            out_[i] = v;
+        }
+    }
+}
+`},
+		{name: "types-minmax", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], c_[1], out_[n];
+float f_[n], w_[1], g_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, c_, f_, w_) copyout(out_, g_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = min(in_[i], c_[0]) + max(in_[i], 3) + abs(in_[i]) + min(c_[0], 5) + max(c_[0], -5)
+                + abs(c_[0]) + abs(-c_[0]) + min(max(in_[i], -100), 100);
+            g_[i] = min(f_[i], w_[0]) + max(f_[i], 0.25) + abs(f_[i]) + fabs(f_[i]) + min(w_[0], 0.5)
+                + max(w_[0], -0.5) + abs(w_[0]) + fabs(w_[0]) + max(in_[i], f_[i]);
+        }
+    }
+}
+`},
+		{name: "types-store-compound", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], a_[n];
+float f_[n], b_[n];
+double d_[n], e_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, f_, d_) copy(a_, b_, e_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a_[i] += in_[i];
+            b_[i] -= f_[i];
+            e_[i] *= d_[i] + 1.5;
+            if (in_[i] > 0) {
+                a_[i] *= 3;
+                a_[i] <<= 1;
+                b_[i] *= 2.0;
+                e_[i] /= 3.0;
+            } else {
+                a_[i] -= 7;
+                a_[i] %= 1000;
+                b_[i] /= f_[i] + 2.0;
+                e_[i] += d_[i];
+            }
+        }
+    }
+}
+`},
+		{name: "types-flat-fold", scalars: nScalar, check: tiled, src: `
+int n;
+int cnt;
+float tot;
+int deg_[n], off_[n + 1], edges_[3 * n];
+float vals_[3 * n];
+void main() {
+    int i, j;` + csrPrologue + `
+    cnt = 0;
+    tot = 0.0;
+    #pragma acc data copyin(off_, edges_, vals_)
+    {
+        #pragma acc parallel loop reduction(+:cnt)
+        for (i = 0; i < n; i++) {
+            int e;
+            for (e = off_[i]; e < off_[i + 1]; e++) {
+                cnt += (3 * e + i) % 7;
+            }
+        }
+        #pragma acc parallel loop reduction(+:tot)
+        for (i = 0; i < n; i++) {
+            int f;
+            for (f = off_[i]; f < off_[i + 1]; f++) {
+                tot += vals_[f] * 0.5;
+            }
+        }
+    }
+}
+`},
+	}
 }
 
 // siteTemplates hold an access beside or inside a subtree the tiles

@@ -96,8 +96,8 @@ type specExec struct {
 }
 
 // SpecHits, SpecFallbacks, PhaseBWall and FusedLaunches are what
-// benchmark/layers.go reads of a finished run; everything else reads
-// SpecStats.
+// benchmark/layers.go reads of a finished run, and it is their only
+// caller: everything else, the tests included, reads SpecStats.
 
 // SpecHits is SpecStats().Hits.
 func (r *Runtime) SpecHits() int64 { return r.spec.Hits }

@@ -52,11 +52,13 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	}
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
-	// the templates written since.
+	// safety-indirect and the flat-row templates, the type-matrix templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
 			return 3
+		case prefix == "types":
+			return 4
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -118,6 +120,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(1)
 	templates(2)
 	templates(3)
+	templates(4)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

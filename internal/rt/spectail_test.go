@@ -384,8 +384,8 @@ void main() {
 	if err := r.Run(inst); err != nil {
 		t.Fatal(err)
 	}
-	if r.SpecHits() == 0 || r.SpecFallbacks() != 0 {
-		t.Errorf("hostile values outside the loaded range: %d hits, fallbacks %v; want the exact re-proof to pass", r.SpecHits(), r.SpecStats().FallbackReasons)
+	if st := r.SpecStats(); st.Hits == 0 || st.Fallbacks != 0 {
+		t.Errorf("hostile values outside the loaded range: %d hits, fallbacks %v; want the exact re-proof to pass", st.Hits, st.FallbackReasons)
 	}
 	for i, v := range inst.Arrays[2].I32 {
 		if v != inst.Arrays[1].I32[(i*7)%n] {

@@ -19,7 +19,7 @@ func TestTraceDisabledAllocBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if h := s.r.SpecHits(); h == 0 {
+	if h := s.r.SpecStats().Hits; h == 0 {
 		t.Fatal("fast path never ran; budget would measure the interpreter")
 	}
 	ngpus := float64(s.r.mach.NumGPUs())
