@@ -318,8 +318,8 @@ type KernelSpec struct {
 	// split spec.
 	VecBody func(vm *VecEnv, i0 int64, L int) int
 	// NumBufI/NumBufF/NumMask size a VecEnv's scratch vectors and lane
-	// lists.
-	NumBufI, NumBufF, NumMask int
+	// lists, HeldI/HeldF the slabs of its held loads (specvec.go).
+	NumBufI, NumBufF, NumMask, HeldI, HeldF int
 	// FlatBufI/FlatBufF/FlatMask/FlatSites size the scratch of its flat
 	// tiles (specflat.go); FlatMask is zero when no loop runs as flat tiles.
 	FlatBufI, FlatBufF, FlatMask, FlatSites int

@@ -600,7 +600,7 @@ func flatReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	site, slot, mul := v.newSite(), lhs.Array.Slot, st.Reduce.Op == "*"
 	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
 		s := &vm.sites[site]
-		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), s.idx, *vals[S](s), below(s.act, q), mul)
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), s.idx, 1, 0, *vals[S](s), below(s.act, q), mul)
 	})
 	return record(site, ix, rv), nil
 }

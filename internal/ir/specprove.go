@@ -498,11 +498,14 @@ func (b *proveBuilder) forStmt(k *kStmt) pStmt {
 	}
 	condW, refineT, refineF := b.cond(k.x)
 	targets := b.refineTargets(k.x)
-	// Slots the loop body/post assign: topped at the pass cap to force
-	// stability regardless of trip counts.
+	// Slots the loop body/post assign, topped at the pass cap to force
+	// stability; a counted loop's variable is left to its header's bounds.
 	sets := k.kids[1].sets
 	if k.kids[2] != nil {
 		sets |= k.kids[2].sets
+	}
+	if k.lv != nil && k.kids[1].sets&b.mask(k.lv) == 0 {
+		sets &^= b.mask(k.lv)
 	}
 	loopSlots := b.intSlots(sets)
 	return func(e *PEnv) {

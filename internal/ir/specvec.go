@@ -37,10 +37,11 @@ import (
 //   - Under an if-arm only the lanes that took the arm (VecEnv.act)
 //     execute what can fault or has an effect: loads, stores, integer
 //     division, folds, reduction-lane updates and writes to private
-//     vectors. Total operations (float arithmetic, integer + - *,
-//     comparisons) run dense over the tile; what they compute in
-//     inactive lanes is never read. Arm counters advance by the
-//     active-lane count, loop buckets by trips × active lanes.
+//     vectors. Total operations (float arithmetic, integer + - *) run
+//     dense over the tile; what they compute in inactive lanes is never
+//     read. A comparison runs over the active lanes only: the pass that
+//     compares splits them. Arm counters advance by the active-lane
+//     count, loop buckets by trips × active lanes.
 //   - An access whose index is affine across the lanes (a*i + b with
 //     uniform a and b) is a strided walk; on a column-major copy whose
 //     row width divides a it is the walk (b mod width)*rows + i*a/width,
@@ -56,6 +57,18 @@ import (
 //     lockstep around the CSR loop; BFS; a body that is nothing but
 //     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
 //     kernel on the interpreter.
+//
+// Four exact rewrites pay once what the body would pay per trip or per
+// statement. (1) Held loads (hold): a walk of an array the kernel never
+// writes, outside every arm, whose index reads one body-assigned scalar u
+// (a lockstep loop's variable), is kept per tile and value of u, and read
+// every later time the tile gets there: on the next trip of a loop around
+// (KMEANS's c loop), or at a load of the same array and index elsewhere
+// (the newc loop). (2) An if splits its lanes in the pass that compares; a
+// comparison used as a value is the same split. (3) "=" of a load to a
+// private scalar that needs no rounding loads into the scalar's vector.
+// (4) A reduction-lane update keeps a uniform scale and offset out of its
+// index vector.
 //
 // Bit-exactness contract: every float64 operation happens in the same
 // order with the same operands as the interpreter would have performed
@@ -112,6 +125,12 @@ import (
 // size (4 KiB per buffer).
 const VecTile = 512
 
+// holdTrips caps the trips a group of held loads keeps, maxHeld a body's groups.
+const holdTrips, maxHeld = 64, 4
+
+// heldState is a group of held loads in a tile: u at its first load, trips held.
+type heldState struct{ x0, n int64 }
+
 // Scratch vectors are numbered by a stack, one per lane type: a
 // node's operands push theirs, and the node pops them all before
 // pushing its own result, so a body needs as many vectors as its
@@ -146,6 +165,10 @@ type VecEnv struct {
 	// in the current tile: only its first cut lanes ran, the rest go to
 	// the next tile.
 	cut int
+	// held is each group of held loads in the running tile, heldI/heldF their slabs.
+	held  []heldState
+	heldI [][]int64
+	heldF [][]float64
 	// flat is the scratch the tile's flat tiles run on (specflat.go), nil
 	// for a spec without a flat loop. In it, outer is the tile's own
 	// scratch, seg maps a flat lane to its outer lane and sites hold what
@@ -161,7 +184,8 @@ type VStmt func(vm *VecEnv, i0 int64, L int)
 
 // NewVecEnv allocates tile scratch for the spec; Reserve sizes it.
 func (s *KernelSpec) NewVecEnv() *VecEnv {
-	vm := &VecEnv{BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF), mask: make([][]int32, s.NumMask)}
+	vm := &VecEnv{BufI: make([][]int64, s.NumBufI), BufF: make([][]float64, s.NumBufF), mask: make([][]int32, s.NumMask),
+		heldI: make([][]int64, s.HeldI), heldF: make([][]float64, s.HeldF), held: make([]heldState, s.HeldI+s.HeldF)}
 	if s.FlatMask > 0 {
 		vm.flat = &VecEnv{
 			BufI: make([][]int64, s.FlatBufI), BufF: make([][]float64, s.FlatBufF), mask: make([][]int32, s.FlatMask),
@@ -182,6 +206,8 @@ func (vm *VecEnv) Reserve(n int) {
 	carve(vm.BufI, n)
 	carve(vm.BufF, n)
 	carve(vm.mask, n)
+	carve(vm.heldI, holdTrips*n)
+	carve(vm.heldF, holdTrips*n)
 	if len(vm.mask) > 0 {
 		for t := range vm.mask[0] {
 			vm.mask[0][t] = int32(t)
@@ -249,6 +275,12 @@ type vecBuilder struct {
 	// compiles, the indices forStmt checks before the first trip.
 	injLoops map[*kStmt][]*cc.VarDecl
 	inj      *injLoop
+	// loops holds the lockstep loops open here; held each group of held loads'
+	// first load, slab its number in its lane type, nHeld their counts.
+	loops []*kStmt
+	held  []*kExpr
+	slab  []int
+	nHeld [2]int
 	// flat is set while the body of a flat loop compiles (specflat.go);
 	// alt while an injective loop's flat form compiles, the second form of
 	// the same accesses.
@@ -295,6 +327,7 @@ func buildVec(l *lowered) string {
 		st = func(*VecEnv, int64, int) {} // empty body (an if without else, split)
 	}
 	spec.NumBufI, spec.NumBufF = v.nBuf[0], v.nBuf[1]
+	spec.HeldI, spec.HeldF = v.nHeld[0], v.nHeld[1]
 	if v.usesAct {
 		spec.NumMask = 1 + 2*v.maxArms
 	}
@@ -303,6 +336,7 @@ func buildVec(l *lowered) string {
 		if usesAct {
 			vm.act = vm.mask[0][:L]
 		}
+		clear(vm.held)
 		if len(wins) == 0 {
 			st(vm, i0, L)
 			return L
@@ -723,11 +757,12 @@ func pick[S num, E any](i, f any) *E {
 // from generic code to what only one lane type has.
 func as[R, X any](x X) R { return any(x).(R) }
 
-// bufs, slots and laneOf pick S's scratch vectors, scalars and reduction
-// lane; elems picks T's backing slice.
-func bufs[S num](vm *VecEnv) [][]S { return *pick[S, [][]S](&vm.BufI, &vm.BufF) }
-func slots[S num](D *DEnv) []S     { return *pick[S, []S](&D.Ints, &D.Floats) }
-func laneOf[S num](a *DArray) []S  { return *pick[S, []S](&a.LaneI, &a.LaneF) }
+// bufs, heldOf, slots and laneOf pick S's scratch vectors, held loads'
+// slabs, scalars and reduction lane; elems picks T's backing slice.
+func bufs[S num](vm *VecEnv) [][]S   { return *pick[S, [][]S](&vm.BufI, &vm.BufF) }
+func heldOf[S num](vm *VecEnv) [][]S { return *pick[S, [][]S](&vm.heldI, &vm.heldF) }
+func slots[S num](D *DEnv) []S       { return *pick[S, []S](&D.Ints, &D.Floats) }
+func laneOf[S num](a *DArray) []S    { return *pick[S, []S](&a.LaneI, &a.LaneF) }
 
 func elems[T elem](a *DArray) []T {
 	if T(1)/2 == 0 {
@@ -845,24 +880,15 @@ func assign[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	return nil, errSpecIneligible
 }
 
-// ifStmt compiles a data-dependent branch: the condition is evaluated
-// for the lanes active so far, which split into the then- and the
-// else-list; each arm runs with its list as VecEnv.act and counts its
+// ifStmt compiles a data-dependent branch: the lanes active so far split
+// into the then- and the else-list in the pass that evaluates the
+// condition; each arm runs with its list as VecEnv.act and counts its
 // length, exactly what the interpreter's arms count one by one.
 func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
-	// cv is 1 in the lanes where the condition holds, 0 elsewhere (a
-	// comparison already is; anything else is compared with zero).
-	var c vOp[int64]
-	var err error
-	if b, ok := k.x.e.(*cc.BinaryExpr); ok && cmpCode[b.Op] != 0 {
-		c, err = compare(v, k.x)
-	} else {
-		c, err = zeroTest(v, k.x, "!=")
-	}
+	_, split, err := condOf(v, k.x)
 	if err != nil {
 		return nil, err
 	}
-	cv := mat(v, c)
 	thenIdx, elseIdx := v.takeArm(k.arm), k.elseArm
 	depth, outer := v.depth, v.masked
 	v.depth++
@@ -892,18 +918,9 @@ func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 		})
 	}
 	return func(vm *VecEnv, i0 int64, L int) {
-		c := cv(vm, i0, L)
 		lanes := vm.act
-		// Both lists take every lane and advance past the ones that are
-		// theirs: no branch on the data.
-		th, el := vm.mask[1+2*depth][:len(lanes)], vm.mask[2+2*depth][:len(lanes)]
-		nt, ne := 0, 0
-		for _, t := range lanes {
-			th[nt], el[ne] = t, t
-			nt += int(c[t])
-			ne += 1 - int(c[t])
-		}
-		if th, el = th[:nt], el[:ne]; thSite >= 0 {
+		th, el := split(vm, i0, L, vm.mask[1+2*depth], vm.mask[2+2*depth])
+		if thSite >= 0 {
 			vm.sites[thSite].keep(vm, th, nil)
 			vm.sites[elSite].keep(vm, el, nil)
 		} else {
@@ -970,7 +987,9 @@ func (v *vecBuilder) forStmt(k *kStmt) (VStmt, error) {
 	if inj {
 		v.inj = &injLoop{lv: v.mask(k.lv)}
 	}
+	v.loops = append(v.loops, k)
 	body, err := v.stmt(k.kids[1])
+	v.loops = v.loops[:len(v.loops)-1]
 	var sites []injSite
 	if inj {
 		sites, v.inj = v.inj.sites, nil
@@ -1245,6 +1264,12 @@ func private[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	if bid < 0 {
 		return nil, errSpecIneligible
 	}
+	if x, ok := k.y.e.(*cc.IndexExpr); ok && op == '=' && !v.uniform(k.y) && k.y.x.reads&v.mask(d) == 0 &&
+		(d.Type == cc.TInt) == (x.Array.Type == cc.TInt) && (d.Type != cc.TFloat || x.Array.Type == cc.TFloat) {
+		o, err := load[S](v, k.y, bid)
+		v.counts.note("direct " + d.Name)
+		return func(vm *VecEnv, i0 int64, L int) { o.vec(vm, i0, L) }, err
+	}
 	var r vOp[S]
 	var err error
 	if x, ok := k.y.e.(*cc.BinaryExpr); ok && isF[S]() && x.Type() != cc.TInt && (x.Op == "+" || x.Op == "-" || x.Op == "*") {
@@ -1508,15 +1533,16 @@ func (v *vecBuilder) idxVec(li laneIdx) vec[int64] {
 	}
 }
 
-// load compiles an array read into lanes of type S.
-func load[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+// load compiles an array read into lanes of type S (into: a private scalar's
+// vector, or -1).
+func load[S num](v *vecBuilder, k *kExpr, into int) (vOp[S], error) {
 	switch k.e.(*cc.IndexExpr).Array.Type {
 	case cc.TInt:
-		return loadFrom[S, int32](v, k)
+		return loadFrom[S, int32](v, k, into)
 	case cc.TFloat:
-		return loadFrom[S, float32](v, k)
+		return loadFrom[S, float32](v, k, into)
 	}
-	return loadFrom[S, float64](v, k)
+	return loadFrom[S, float64](v, k, into)
 }
 
 // loadFrom compiles a read of a T array: one value for the tile step when
@@ -1524,7 +1550,7 @@ func load[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 // strided walk when the index is affine across the lanes and every lane is
 // active, a per-lane fetch of the active lanes otherwise (a gather, or any
 // load under an arm).
-func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
+func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) {
 	slot, site := k.e.(*cc.IndexExpr).Array.Slot, v.take(k, AccessLoad)
 	if v.uniform(k) {
 		o, err := compile[int64](v, k.x)
@@ -1539,11 +1565,17 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	if err != nil {
 		return vOp[S]{}, err
 	}
+	dest := func() int { // into, or the stack's next
+		if v.top = m; into >= 0 {
+			return into
+		}
+		return push[S](v)
+	}
 	if ai := li.affine; ai >= 0 && !v.masked {
 		// The straight-line case, kept lean: the runtime's coefficients,
 		// no helper call (it sent to the interpreter any piece whose walk
 		// a column-major copy would break).
-		bid := result[S](v, m)
+		bid := dest()
 		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
@@ -1552,13 +1584,13 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
 		}}, nil
 	}
 	if wk := li.walk; wk != nil && !v.masked {
-		bid := result[S](v, m)
-		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		bid := dest()
+		return vOp[S]{vec: hold(v, k, into, func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step := wk(vm, i0)
 			loadWalk(out, elems[T](a), a, p, step)
 			return out
-		}}, nil
+		})}, nil
 	}
 	v.usesAct = true
 	ix, watch := li.vec, -1
@@ -1571,7 +1603,7 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
 		ix, li, watch = v.idxVec(li), laneIdx{affine: -1}, v.flatWatch()
 		m = v.top
 	}
-	bid := result[S](v, m)
+	bid := dest()
 	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
 		q := ix(vm, i0, L)
 		out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
@@ -1583,6 +1615,73 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
 		}
 		return out
 	}}, nil
+}
+
+// hold makes the walk load of k a held load (file header): its vector at
+// u = x0 + t is the t-th of its group's slab, x0 being u at the group's
+// first load in the tile. It leaves loads into a private scalar's vector,
+// of written arrays, whose index reads no body-assigned scalar or two, and
+// a group's first outside two loops.
+func hold[S num](v *vecBuilder, k *kExpr, into int, ld vec[S]) vec[S] {
+	r := k.x.reads
+	if into >= 0 || k.written || r == 0 || r&(r-1) != 0 {
+		return ld
+	}
+	g := slices.IndexFunc(v.held, func(h *kExpr) bool { return same(h, k) })
+	if f := b2i(isF[S]()); g < 0 && len(v.loops) > 1 && len(v.held) < maxHeld {
+		g, v.held, v.slab, v.nHeld[f] = len(v.held), append(v.held, k), append(v.slab, v.nHeld[f]), v.nHeld[f]+1
+	} else if g < 0 {
+		return ld
+	}
+	v.counts.note("held " + k.e.(*cc.IndexExpr).Array.Name)
+	slab, slot := v.slab[g], v.decls[bits.TrailingZeros64(r)].Slot
+	return func(vm *VecEnv, i0 int64, L int) []S {
+		h, x := &vm.held[g], vm.D.Ints[slot]
+		if h.n == 0 {
+			h.x0 = x
+		}
+		t := uint64(x - h.x0)
+		at := heldOf[S](vm)[slab][min(t, holdTrips-1)*uint64(vm.tile):][:L]
+		if t < uint64(h.n) {
+			return at
+		}
+		s := ld(vm, i0, L)
+		if t == uint64(h.n) && t < holdTrips {
+			copy(at, s)
+			h.n++
+		}
+		return s
+	}
+}
+
+// same reports two lowered expressions of one shape over the same
+// operands: one value wherever the scalars they read are equal.
+func same(a, b *kExpr) bool {
+	if a == nil || b == nil {
+		return a == b
+	}
+	return a.e.Type() == b.e.Type() && same(a.x, b.x) && same(a.y, b.y) && nodeKey(a.e) == nodeKey(b.e)
+}
+
+// nodeKey tells a lowered node from another of the same type and operands.
+func nodeKey(e cc.Expr) any {
+	switch x := e.(type) {
+	case *cc.NumLit:
+		return [2]any{x.I, x.F}
+	case *cc.Ident:
+		return x.Decl
+	case *cc.IndexExpr:
+		return x.Array
+	case *cc.BinaryExpr:
+		return "b" + x.Op
+	case *cc.UnaryExpr:
+		return "u" + x.Op
+	case *cc.CallExpr:
+		return "c" + x.Name
+	case *cc.CastExpr:
+		return x.To
+	}
+	return e
 }
 
 // walkStore writes s to the walk p, p+A, ... of dst, every lane. Small
@@ -1660,16 +1759,16 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 }
 
 // reduceLanes updates the worker's reduction lane at the active lanes'
-// logical indices q, in ascending lane order.
-func reduceLanes[S num](lane []S, q []int64, s []S, act []int32, mul bool) {
+// logical indices k*q[t] + c, in ascending lane order.
+func reduceLanes[S num](lane []S, q []int64, k, c int64, s []S, act []int32, mul bool) {
 	if mul {
 		for _, t := range act {
-			lane[q[t]] *= s[t]
+			lane[k*q[t]+c] *= s[t]
 		}
 		return
 	}
 	for _, t := range act {
-		lane[q[t]] += s[t]
+		lane[k*q[t]+c] += s[t]
 	}
 }
 
@@ -1680,20 +1779,25 @@ func arrayReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Lanes are indexed by logical element index: no Base shift.
-	ix, mul := v.idxVec(li), st.Reduce.Op == "*"
+	// Lanes are indexed by logical element index: no Base shift. A gather's
+	// uniform scale and offset stay out of its index vector, as in fetch.
+	ix, sc, mul := li.vec, li, st.Reduce.Op == "*"
+	if ix == nil {
+		ix, sc = v.idxVec(li), laneIdx{}
+	}
 	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
 	}
 	if v.inj != nil && isF[S]() {
 		c, _ := lvCoef(k.x.x, v.inj.lv)
-		v.inj.sites = append(v.inj.sites, injSite{ix, max(c, -c)})
+		v.inj.sites = append(v.inj.sites, injSite{v.idxVec(li), max(c, -c)})
 	}
 	rv := mat(v, r)
 	return func(vm *VecEnv, i0 int64, L int) {
 		q, s := ix(vm, i0, L), rv(vm, i0, L)
-		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), q, s, vm.act, mul)
+		kq, c := sc.scale(vm.D)
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), q, kq, c, s, vm.act, mul)
 	}, nil
 }
 
@@ -1749,10 +1853,10 @@ func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	case *cc.Ident:
 		return ident[S](v, x.Decl)
 	case *cc.IndexExpr:
-		return load[S](v, k)
+		return load[S](v, k, -1)
 	case *cc.BinaryExpr:
 		if cmpCode[x.Op] != 0 {
-			o, err := compare(v, k)
+			o, err := truth(v, k)
 			return as[vOp[S]](o), err
 		}
 		a, err := compile[S](v, k.x)
@@ -1766,7 +1870,7 @@ func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 		return arith(v, x.Op[0], a, c, m), nil
 	case *cc.UnaryExpr:
 		if x.Op == "!" {
-			o, err := zeroTest(v, k.x, "==")
+			o, err := truth(v, k)
 			return as[vOp[S]](o), err
 		}
 		o, err := compile[S](v, k.x)
@@ -2126,94 +2230,128 @@ var (
 	cmpMirror = map[byte]byte{'<': '>', 'l': 'g', '>': '<', 'g': 'l', '=': '=', '!': '!'}
 )
 
-// cmpLanes sets out[t] to s[t] op y, y being q[t] or, when q is nil, k.
-func cmpLanes[S num](out []int64, op byte, s, q []S, k S) {
-	y := func(t int) S {
+// splitLanes splits the lanes act by s[t] op y, y being q[t] or, where q
+// is nil, k, into th (where it holds) and el, in one pass.
+func splitLanes[S num](op byte, s, q []S, k S, act, th, el []int32) ([]int32, []int32) {
+	y := func(t int32) S {
 		if q != nil {
 			return q[t]
 		}
 		return k
 	}
+	nt, ne := 0, 0
 	switch op {
 	case '<':
-		for t, x := range s {
-			out[t] = b2i(x < y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] < y(t))
 		}
 	case 'l':
-		for t, x := range s {
-			out[t] = b2i(x <= y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] <= y(t))
 		}
 	case '>':
-		for t, x := range s {
-			out[t] = b2i(x > y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] > y(t))
 		}
 	case 'g':
-		for t, x := range s {
-			out[t] = b2i(x >= y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] >= y(t))
 		}
 	case '=':
-		for t, x := range s {
-			out[t] = b2i(x == y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] == y(t))
 		}
 	default:
-		for t, x := range s {
-			out[t] = b2i(x != y(t))
+		for _, t := range act {
+			nt, ne = keep(th, el, t, nt, ne, s[t] != y(t))
 		}
 	}
+	return th[:nt], el[:ne]
 }
 
-// compare compiles a comparison over operands of either type.
-func compare(v *vecBuilder, k *kExpr) (vOp[int64], error) {
-	x := k.e.(*cc.BinaryExpr)
-	if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-		return compareAs[int64](v, x.Op, k.x, k.y)
+// keep puts lane t on both lists and advances the one it belongs to.
+func keep(th, el []int32, t int32, nt, ne int, b bool) (int, int) {
+	th[nt], el[ne] = t, t
+	i := int(b2i(b))
+	return nt + i, ne + 1 - i
+}
+
+// splitter splits the active lanes by a condition into th and el, ascending.
+type splitter func(vm *VecEnv, i0 int64, L int, th, el []int32) ([]int32, []int32)
+
+// condOf compiles the condition k — a comparison, "!x" as x == 0, else
+// k != 0 — over its operands' lane type (compareAs).
+func condOf(v *vecBuilder, k *kExpr) (dExpr[int64], splitter, error) {
+	op, x, y := "!=", k, (*kExpr)(nil)
+	if b, ok := k.e.(*cc.BinaryExpr); ok && cmpCode[b.Op] != 0 {
+		op, x, y = b.Op, k.x, k.y
+	} else if u, ok := k.e.(*cc.UnaryExpr); ok && u.Op == "!" {
+		op, x = "==", k.x
 	}
-	return compareAs[float64](v, x.Op, k.x, k.y)
-}
-
-// zeroTest compiles k op 0 for k of either type: "!=" is a condition's
-// truth, "==" logical negation.
-func zeroTest(v *vecBuilder, k *kExpr, op string) (vOp[int64], error) {
-	if k.e.Type() == cc.TInt {
-		return compareAs[int64](v, op, k, nil)
+	if x.e.Type() == cc.TInt && (y == nil || y.e.Type() == cc.TInt) {
+		return compareAs[int64](v, op, x, y)
 	}
-	return compareAs[float64](v, op, k, nil)
+	return compareAs[float64](v, op, x, y)
 }
 
-// compareAs compiles x op y (int result) over lanes of type S, a nil y
-// standing for 0. A uniform operand is compared as a scalar, the operator
-// mirrored when it is the left one.
-func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (vOp[int64], error) {
-	m := v.top
+// truth compiles a comparison or "!" used as a value: the split into the
+// lists of an arm one deeper, then 1 and 0 written to their lanes.
+func truth(v *vecBuilder, k *kExpr) (vOp[int64], error) {
+	m, d := v.top, v.depth
+	inv, split, err := condOf(v, k)
+	if err != nil || inv != nil {
+		return vOp[int64]{inv: inv}, err
+	}
+	v.counts.note("truth")
+	bid := result[int64](v, m)
+	v.usesAct, v.maxArms = true, max(v.maxArms, d+1)
+	return vOp[int64]{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
+		out := vm.BufI[bid][:L]
+		th, el := split(vm, i0, L, vm.mask[1+2*d], vm.mask[2+2*d])
+		for _, t := range th {
+			out[t] = 1
+		}
+		for _, t := range el {
+			out[t] = 0
+		}
+		return out
+	}}, nil
+}
+
+// compareAs compiles x op y over lanes of type S, a nil y standing for 0:
+// its split and, when both operands are uniform, its value (inv; the split
+// compares a broadcast). A uniform operand is compared as a scalar, the
+// operator mirrored when it is the left one.
+func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (dExpr[int64], splitter, error) {
 	a, err := compile[S](v, x)
 	if err != nil {
-		return vOp[int64]{}, err
+		return nil, nil, err
 	}
 	c := vOp[S]{inv: func(*DEnv) S { return 0 }}
 	if y != nil {
 		if c, err = compile[S](v, y); err != nil {
-			return vOp[int64]{}, err
+			return nil, nil, err
 		}
 	}
+	var inv dExpr[int64]
 	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
 		cmp := cmpOf[S](op)
-		return vOp[int64]{inv: func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }}, nil
+		inv, a.vec = func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }, mat(v, a)
 	}
 	code := cmpCode[op]
 	if a.vec == nil {
 		a, c, code = c, a, cmpMirror[code]
 	}
 	av, cv, ck := a.vec, c.vec, c.inv
-	bid := result[int64](v, m)
-	return vOp[int64]{vec: func(vm *VecEnv, i0 int64, L int) []int64 {
-		s, out := av(vm, i0, L), vm.BufI[bid][:L]
+	return inv, func(vm *VecEnv, i0 int64, L int, th, el []int32) ([]int32, []int32) {
+		s, q, k := av(vm, i0, L), []S(nil), S(0)
 		if cv != nil {
-			cmpLanes(out, code, s, cv(vm, i0, L), 0)
+			q = cv(vm, i0, L)
 		} else {
-			cmpLanes(out, code, s, nil, ck(vm.D))
+			k = ck(vm.D)
 		}
-		return out
-	}}, nil
+		return splitLanes(code, s, q, k, vm.act, th, el)
+	}, nil
 }
 
 // call compiles a builtin over lanes of type S: min, max and abs for int,

@@ -13,12 +13,20 @@ import (
 // loop also compiles), once by the prover when the body has one, each as
 // the slot and kind the lowering numbered; every arm must be counted by
 // exactly one op of the tile builder. It returns how many lowered bodies
-// got tiles (a split kernel's variants each count) and the first number
-// read otherwise.
-func VerifyLowering(k *Kernel, body cc.Stmt, prog *cc.Program) (int, error) {
-	c := &lowerCheck{}
+// got tiles (a split kernel's variants each count), the first number read
+// otherwise, and the rewrites' notes.
+func VerifyLowering(k *Kernel, body cc.Stmt, prog *cc.Program) (int, map[string]int, error) {
+	c := &lowerCheck{notes: map[string]int{}}
 	buildKernelSpec(k, body, prog, c)
-	return c.bodies, c.err
+	return c.bodies, c.notes, c.err
+}
+
+// note counts where a tile rewrite took: "held a", "direct s" (a load into
+// private s's vector), "truth" (a comparison computed as a value).
+func (c *lowerCheck) note(what string) {
+	if c != nil {
+		c.notes[what]++
+	}
 }
 
 // The passes that read access and arm numbers.
@@ -36,6 +44,7 @@ type lowerCheck struct {
 	arms   [2][]int
 	bodies int
 	err    error
+	notes  map[string]int
 }
 
 // at starts the counts afresh when the passes moved to another body.

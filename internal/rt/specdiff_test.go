@@ -982,6 +982,264 @@ void main() {
 	specTemplates = append(specTemplates, flatRowTemplates()...)
 	specTemplates = append(specTemplates, siteTemplates()...)
 	specTemplates = append(specTemplates, typeTemplates()...)
+	specTemplates = append(specTemplates, rewriteTemplates()...)
+}
+
+// rewriteTemplates hold the tile builder's four rewrites (ir specvec.go)
+// to the interpreter. hoist-*: held loads — KMEANS's shape, feature rows
+// longer than a group keeps (nf up to 80); an inner header that reads the
+// outer loop's variable, so a trip starts where the group has a gap
+// (m = 3, w < 3); siblings with other headers and other offsets, an index
+// reading two loop variables; a zero-trip outer loop before a sibling; the
+// same load under an arm and a whole inner loop under one. split-*: ifs
+// that split as they compare — NaN operands, uniform left operands
+// (mirrored), conditions that are no comparison, `!`, comparisons combined
+// with `&` and `|`, a uniform condition, and an affine guard with `&&`
+// beside them; a double array loaded into a float private, which must
+// still round, and into a double one, which loads straight in. Each
+// asserts that its tiles engaged.
+func rewriteTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	rows := func(lo, hi int) func(rng *rand.Rand) map[string]float64 {
+		return func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["w"] = float64(lo + rng.Intn(hi-lo+1))
+			m["m"] = float64(rng.Intn(4))
+			m["z"] = float64(rng.Intn(3))
+			return m
+		}
+	}
+	return []specTemplate{
+		{name: "hoist-kmeans", check: tiled, scalars: func(rng *rand.Rand) map[string]float64 {
+			m := nScalar(rng)
+			m["k"] = float64(1 + rng.Intn(6))
+			m["nf"] = float64(1 + rng.Intn(80))
+			return m
+		}, src: `
+int n, k, nf;
+float feat_[n * nf], cl_[k * nf], newc_[k * nf];
+int member_[n], cnt_[2 * k + 2];
+void main() {
+    int i;
+    #pragma acc data copyin(feat_, cl_) copy(newc_, member_, cnt_)
+    {
+        #pragma acc localaccess(feat_) stride(nf)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int c, f, best;
+            float bestd;
+            bestd = 1.0e30;
+            best = 0;
+            for (c = 0; c < k; c++) {
+                float d, diff;
+                d = 0.0;
+                for (f = 0; f < nf; f++) {
+                    diff = feat_[i * nf + f] - cl_[c * nf + f];
+                    d += diff * diff;
+                }
+                if (d < bestd) {
+                    bestd = d;
+                    best = c;
+                }
+            }
+            member_[i] = best;
+            for (f = 0; f < nf; f++) {
+                #pragma acc reductiontoarray(+: newc_[best * nf + f])
+                newc_[best * nf + f] += feat_[i * nf + f];
+            }
+            #pragma acc reductiontoarray(+: cnt_[best * 2 + 1])
+            cnt_[best * 2 + 1] += 1;
+        }
+    }
+}
+`},
+		{name: "hoist-header", scalars: rows(1, 70), check: tiled, src: `
+int n, w, m, z;
+float a_[n * w + 8], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int c, f;
+            float s;
+            s = 0.0;
+            for (c = 0; c < 3; c++) {
+                for (f = m * c; f < m * c + w; f++) {
+                    s += a_[i * w + f] * (c + 1);
+                }
+                for (f = 0; f < c + 2; f++) {
+                    s -= a_[i * w + f + c] * 0.5;
+                }
+            }
+            for (f = 1; f < w; f++) {
+                s += a_[i * w + f + 1] * 0.25;
+            }
+            for (f = 0; f < 2 * m + w; f++) {
+                s += a_[i * w + f] * 0.125;
+            }
+            out_[i] = s;
+        }
+    }
+}
+`},
+		{name: "hoist-zero-trip", scalars: rows(1, 40), check: tiled, src: `
+int n, w, m, z;
+float a_[n * w], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int c, f;
+            float s;
+            s = 0.0;
+            for (c = 0; c < z; c++) {
+                for (f = 0; f < w; f++) {
+                    s += a_[i * w + f] * (c + 2);
+                }
+            }
+            for (f = 0; f < w; f++) {
+                s += a_[i * w + f];
+            }
+            out_[i] = s;
+        }
+    }
+}
+`},
+		{name: "hoist-arm", scalars: rows(1, 40), check: tiled, src: `
+int n, w, m, z;
+int g_[n];
+float a_[n * w], out_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(g_, a_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int c, f;
+            float s;
+            s = 0.0;
+            for (c = 0; c < 3; c++) {
+                for (f = 0; f < w; f++) {
+                    if (g_[i] > c * 300) {
+                        s += a_[i * w + f];
+                    }
+                    s += a_[i * w + f] * 0.5;
+                }
+                if (g_[i] < 0) {
+                    for (f = 0; f < w; f++) {
+                        s -= a_[i * w + f] * 0.25;
+                    }
+                }
+            }
+            out_[i] = s;
+        }
+    }
+}
+`},
+		{name: "split-nan", scalars: nScalar, check: tiled, src: `
+int n;
+int in_[n], c_[1], out_[n];
+float f_[n], w_[1];
+void main() {
+    int i;
+    #pragma acc data copyin(in_, c_, f_, w_) copyout(out_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            float z;
+            z = f_[i] + (f_[i] - f_[i]) / (in_[i] % 2);
+            v = (z < 0.5) + 2 * (z != z) + 4 * !z + 8 * (w_[0] > z) + 16 * (z >= f_[i]);
+            if (z < 0.5) { v += 32; }
+            if (z >= f_[i]) { v += 64; } else { v += 128; }
+            if (z == z) { v += 256; }
+            if (z != z) { v += 512; }
+            if (z) { v += 1024; }
+            if (!(z <= w_[0])) { v += 2048; }
+            if (w_[0] < z) { v += 4096; }
+            if (0.25 >= z) { v += 8192; }
+            if (c_[0] % 7 > in_[i] % 7) { v += 16384; }
+            if (3 != in_[i] % 4) { v -= 1; }
+            if (w_[0] > 0.0) { v += 32768; }
+            out_[i] = v;
+        }
+    }
+}
+`},
+		{name: "split-logic", scalars: nScalar, check: func(st rt.SpecStats) error {
+			if st.TiledIters == 0 || st.SplitPieces == 0 || st.Fallbacks != 0 {
+				return fmt.Errorf("want tiles and a split")
+			}
+			return nil
+		}, src: `
+int n;
+int in_[n], out_[n], g_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(in_) copyout(out_, g_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int v;
+            v = in_[i];
+            if (!(v > 100)) {
+                if ((v < -300) & !(v % 3 == 0)) {
+                    v = v * 2;
+                } else {
+                    v = v + 7;
+                }
+            }
+            if (!v) { v = 1; }
+            if (!(v & 1) | (v < 0)) { v -= 3; }
+            out_[i] = v;
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (i > 3 && !(i >= n - 5)) {
+                g_[i] = in_[i] + 1;
+            } else {
+                g_[i] = 0;
+            }
+        }
+    }
+}
+`},
+		{name: "split-double-float", scalars: nScalar, check: tiled, src: `
+int n;
+int idx_[n];
+double d_[n], h_[n], e_[n];
+float f_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(idx_, d_, f_) copyout(h_, e_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            float p, q;
+            double r;
+            p = d_[i];
+            q = d_[idx_[i]];
+            r = f_[i];
+            if (d_[i] > 0.0) {
+                p = d_[idx_[i]];
+                r = d_[i];
+            }
+            h_[i] = p * 3.0 + q;
+            e_[i] = r * 3.0 + p;
+        }
+    }
+}
+`},
+	}
 }
 
 // typeTemplates hold every operation the tile builder writes once for
@@ -991,10 +1249,10 @@ void main() {
 // uniform and lane values, comparisons whose left operand is uniform (the
 // mirrored path), min, max and abs, compound stores into int, float and
 // double arrays over the whole tile and under arms, and folds into an int
-// and a float scalar inside a flat loop (two kernels: an int the loop
-// body keeps growing would cost the interval prover its bound on the
-// loop variable, and the float fold's loads their proof). Each asserts
-// that its tiles engaged.
+// and a float scalar inside one flat loop (the int the loop body keeps
+// growing must not cost the interval prover its bound on the loop
+// variable, nor the float fold's loads their proof). Each asserts that
+// its tiles engaged.
 func typeTemplates() []specTemplate {
 	tiled := func(st rt.SpecStats) error {
 		if st.TiledIters == 0 || st.Fallbacks != 0 {
@@ -1173,18 +1431,12 @@ void main() {
     tot = 0.0;
     #pragma acc data copyin(off_, edges_, vals_)
     {
-        #pragma acc parallel loop reduction(+:cnt)
+        #pragma acc parallel loop reduction(+:cnt) reduction(+:tot)
         for (i = 0; i < n; i++) {
             int e;
             for (e = off_[i]; e < off_[i + 1]; e++) {
                 cnt += (3 * e + i) % 7;
-            }
-        }
-        #pragma acc parallel loop reduction(+:tot)
-        for (i = 0; i < n; i++) {
-            int f;
-            for (f = off_[i]; f < off_[i + 1]; f++) {
-                tot += vals_[f] * 0.5;
+                tot += vals_[e] * 0.5;
             }
         }
     }
@@ -1410,7 +1662,7 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 			if pa.Loops[i].Collapsed {
 				continue
 			}
-			n, err := ir.VerifyLowering(k, pa.Loops[i].For.Body, prog)
+			n, _, err := ir.VerifyLowering(k, pa.Loops[i].For.Body, prog)
 			if err != nil {
 				t.Errorf("%s: kernel %s: %v", name, k.Name, err)
 			}
@@ -1421,6 +1673,50 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 	}
 	if tiled < len(specTemplates) || split == 0 {
 		t.Errorf("%d lowered bodies tiled, %d kernels split: the corpus lost its tiles", tiled, split)
+	}
+}
+
+// TestRewritesEngage pins where the tile builder's rewrites take on the
+// paper apps (ir.VerifyLowering's count): KMEANS's feature loads are held, the distance
+// loop's and the centre update's in one group; MD's neighbour index and
+// atom position and BFS's edge target load straight into their vectors;
+// and no kernel computes a comparison as a value: every if splits its
+// lanes in the pass that compares.
+func TestRewritesEngage(t *testing.T) {
+	for app, want := range map[string]map[string]int{
+		"MD":     {"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1},
+		"KMEANS": {"held feat": 2},
+		"BFS":    {"direct w": 1},
+	} {
+		a, err := apps.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := cc.ParseProgram(a.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, err := translator.AnalyzeProgram(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mod, err := translator.Lower(pa)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int{}
+		for i, k := range mod.Kernels {
+			_, notes, err := ir.VerifyLowering(k, pa.Loops[i].For.Body, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for what, n := range notes {
+				got[what] += n
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: rewrites %v, want %v", app, got, want)
+		}
 	}
 }
 

@@ -52,13 +52,16 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	}
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
-	// safety-indirect and the flat-row templates, the type-matrix templates.
+	// safety-indirect and the flat-row templates, the type-matrix templates,
+	// the rewrite templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
 			return 3
 		case prefix == "types":
 			return 4
+		case prefix == "hoist" || prefix == "split":
+			return 5
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -121,6 +124,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(2)
 	templates(3)
 	templates(4)
+	templates(5)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {
