@@ -202,14 +202,18 @@ W ?= apps_kernel
 bench-host:
 	bash benchmark/run.sh --workload $(W) --seed 1 --seconds 20 --trace 0 $(ARGS)
 
-# phaseb-ab compares the paper apps' Phase B host time of BASE (a git
-# revision) with the working tree: it extracts BASE with git archive into
-# a temporary directory outside the checkout, builds the internal/rt test
-# binaries of both, runs BenchmarkPhaseBApps (specialized, one processor)
-# N rounds, alternating which side runs first, and prints each app's
-# median ns/iter per side and their ratio.
+# phaseb-ab compares the Phase B host time of BASE (a git revision) with
+# the working tree: it extracts BASE with git archive into a temporary
+# directory outside the checkout, builds the internal/rt test binaries of
+# both, runs BENCH (default PhaseBApps, the paper apps; PhaseBStencil and
+# PhaseBSaxpy are the others) specialized on one processor N rounds,
+# alternating which side runs first, and prints each benchmark's median
+# ns per iteration (apps) or per op and their ratio.
 BASE ?= HEAD
 N ?= 6
+BENCH ?= PhaseBApps
+# PhaseBApps has a level per app: PhaseBApps/<app>/specialized.
+BENCHRE = $(BENCH)/$(if $(filter PhaseBApps,$(BENCH)),.*/)specialized
 phaseb-ab:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && mkdir "$$tmp/src" && \
 	git archive $(BASE) | tar -x -C "$$tmp/src" && \
@@ -218,15 +222,16 @@ phaseb-ab:
 	for r in $$(seq $(N)); do \
 		if [ $$((r % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
 		for side in $$order; do \
-			(cd internal/rt && "$$tmp/$$side.test" -test.run '^$$' -test.bench 'PhaseBApps/.*/specialized' \
+			(cd internal/rt && "$$tmp/$$side.test" -test.run '^$$' -test.bench '$(BENCHRE)' \
 				-test.cpu 1 -test.timeout 600s) | \
-				awk -v s=$$side '/ns\/iter/ { split($$1, p, "/"); print p[2], s, $$(NF-1) }'; \
+				awk -v s=$$side '/ns\/(iter|op)/ { n = $$1; sub(/^Benchmark/, "", n); sub(/\/specialized$$/, "", n); \
+					for (i = NF; i >= 3; i--) if ($$i ~ /^ns\//) { print n, s, $$(i - 1); break } }'; \
 		done; \
 	done | sort -k1,1 -k2,2 -k3,3g | \
 	awk '{ k = $$1 " " $$2; v[k, ++n[k]] = $$3 } \
 		END { for (k in n) { m = n[k]; med[k] = m % 2 ? v[k, (m + 1) / 2] : (v[k, m / 2] + v[k, m / 2 + 1]) / 2 } \
 			for (k in med) { split(k, p, " "); if (p[2] == "base") \
-				printf "%-8s base %9.2f  head %9.2f ns/iter  base/head %.3fx  (%d runs each)\n", p[1], med[k], med[p[1] " head"], med[k] / med[p[1] " head"], n[k] } }' | sort
+				printf "%-18s base %11.2f  head %11.2f ns  base/head %.3fx  (%d runs each)\n", p[1], med[k], med[p[1] " head"], med[k] / med[p[1] " head"], n[k] } }' | sort
 
 # Regenerate the paper's evaluation (Tables I-II, Figs 7-9, ablations,
 # cluster study) with result verification. -no-async keeps the

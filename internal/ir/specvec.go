@@ -58,17 +58,21 @@ import (
 //     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
 //     kernel on the interpreter.
 //
-// Four exact rewrites pay once what the body would pay per trip or per
-// statement. (1) Held loads (hold): a walk of an array the kernel never
-// writes, outside every arm, whose index reads one body-assigned scalar u
-// (a lockstep loop's variable), is kept per tile and value of u, and read
-// every later time the tile gets there: on the next trip of a loop around
-// (KMEANS's c loop), or at a load of the same array and index elsewhere
-// (the newc loop). (2) An if splits its lanes in the pass that compares; a
-// comparison used as a value is the same split. (3) "=" of a load to a
-// private scalar that needs no rounding loads into the scalar's vector.
-// (4) A reduction-lane update keeps a uniform scale and offset out of its
-// index vector.
+// Five exact rewrites pay once what the body would pay per trip, per
+// statement or per pass. (1) Held loads (hold): a walk of an array the
+// kernel never writes, outside every arm, whose index reads one
+// body-assigned scalar u (a lockstep loop's variable), is kept per tile and
+// value of u, and read every later time the tile gets there: on the next
+// trip of a loop around (KMEANS's c loop), or at a load of the same array
+// and index elsewhere (the newc loop). (2) An if splits its lanes in the
+// pass that compares; a comparison used as a value is the same split. (3)
+// "=" of a load to a private scalar that needs no rounding loads into the
+// scalar's vector. (4) A reduction-lane update keeps a uniform scale and
+// offset out of its index vector. (5) A read-only walk is read in the pass that uses it: an
+// unmasked straight-line walk load of an array the kernel never writes
+// names its walk on its op (walkOf), and mulAdd and a dense "=" store of it
+// (copyWalk) read the copy itself where the physical step is 1, converting
+// as the vector would have, and the vector otherwise.
 //
 // Bit-exactness contract: every float64 operation happens in the same
 // order with the same operands as the interpreter would have performed
@@ -231,10 +235,37 @@ type vec[S num] func(vm *VecEnv, i0 int64, L int) []S
 // set, evaluated once per tile step against the worker scalars) or
 // varying (vec set). A float product with a uniform factor also exposes
 // the factor and the vector (kMul, mulX), so an enclosing add or subtract
-// can form the product in its own pass.
+// can form the product in its own pass. w names the read-only walk the
+// vector loads (a product's: mulX), which mulAdd and a copy read straight
+// from the array (rewrite 5).
 type vOp[S num] struct {
 	inv, kMul dExpr[S]
 	vec, mulX vec[S]
+	w         walkOf
+}
+
+// walkOf is an unmasked straight-line walk of an array the kernel never
+// writes, loaded into no private: the array and its access number, whose
+// coefficients the runtime supplies. arr is nil for any other vector.
+type walkOf struct {
+	arr  *cc.VarDecl
+	site int
+}
+
+// elem is the element type w reads; for no walk, a float64 vector's: double.
+func (w walkOf) elem() cc.ElemType {
+	if w.arr == nil {
+		return cc.TDouble
+	}
+	return w.arr.Type
+}
+
+// loads is the walk o's vec loads: none for a product, whose w is mulX's.
+func (o vOp[S]) loads() walkOf {
+	if o.kMul != nil {
+		return walkOf{}
+	}
+	return o.w
 }
 
 // scalarKind says how the tile schedule holds a body-assigned scalar.
@@ -1468,6 +1499,21 @@ func walkLoad[T elem, S num](out []S, src []T, p, step int64) {
 	}
 }
 
+// direct gives the elements the walk w reads over the tile, straight from
+// the copy, when its physical step is 1 (rewrite 5); ok is false for any
+// other step and where w names no walk: the consumer reads the vector.
+func direct[T elem](vm *VecEnv, i0 int64, L int, w walkOf) (src []T, ok bool) {
+	if w.arr == nil {
+		return nil, false
+	}
+	a := &vm.D.Arrays[w.arr.Slot]
+	p, step, ok := a.span(vm.AccA[w.site]*i0+vm.AccB[w.site], vm.AccA[w.site])
+	if !ok || step != 1 {
+		return nil, false
+	}
+	return elems[T](a)[p : p+int64(L)], true
+}
+
 // loadWalk reads a walk of logical indices into out, through off lane
 // by lane where a column-major copy breaks the walk's affinity.
 func loadWalk[T elem, S num](out []S, src []T, a *DArray, p, step int64) {
@@ -1575,8 +1621,11 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 		// The straight-line case, kept lean: the runtime's coefficients,
 		// no helper call (it sent to the interpreter any piece whose walk
 		// a column-major copy would break).
-		bid := dest()
-		return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+		bid, w := dest(), walkOf{}
+		if !k.written && into < 0 {
+			w = walkOf{k.e.(*cc.IndexExpr).Array, ai}
+		}
+		return vOp[S]{w: w, vec: func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
 			walkLoad(out, elems[T](a), p, step)
@@ -1744,6 +1793,16 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
+	if w := r.loads(); dense && w.arr != nil {
+		v.counts.note("fused " + w.arr.Name)
+		switch w.arr.Type {
+		case cc.TInt:
+			return copyWalk[S, T, int32](r, slot, ai), nil
+		case cc.TFloat:
+			return copyWalk[S, T, float32](r, slot, ai), nil
+		}
+		return copyWalk[S, T, float64](r, slot, ai), nil
+	}
 	rv, apply := mat(v, r), applyOf[S](st.Op)
 	return func(vm *VecEnv, i0 int64, L int) {
 		s, a := rv(vm, i0, L), &vm.D.Arrays[slot]
@@ -1756,6 +1815,27 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 		storeLanes(elems[T](a), p, A, s, apply, vm.act)
 		a.markWalk(p, A, L, vm.act)
 	}, nil
+}
+
+// copyWalk is a dense "=" of the read-only walk r into a T array: walk to
+// walk in one pass where both steps are 1, through the lane type S as the
+// vector path converts (a NaN's bits go the interpreter's way), r's vector
+// and walkStore otherwise.
+func copyWalk[S num, T, U elem](r vOp[S], slot, ai int) VStmt {
+	return func(vm *VecEnv, i0 int64, L int) {
+		a := &vm.D.Arrays[slot]
+		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+		if src, ok := direct[U](vm, i0, L, r.w); ok && A == 1 {
+			dst := elems[T](a)[p : p+int64(L)]
+			src = src[:len(dst)]
+			for t := range dst {
+				dst[t] = T(S(src[t]))
+			}
+		} else {
+			walkStore(elems[T](a), p, A, r.vec(vm, i0, L))
+		}
+		a.markWalk(p, A, L, nil)
+	}
 }
 
 // reduceLanes updates the worker's reduction lane at the active lanes'
@@ -1827,8 +1907,12 @@ func convert[F, S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	if g := o.inv; g != nil {
 		return vOp[S]{inv: func(D *DEnv) S { return S(g(D)) }}, nil
 	}
-	ov, bid := mat(v, o), result[S](v, m)
-	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
+	// An int walk keeps its name in float lanes: the widening is exact.
+	ov, bid, w := mat(v, o), result[S](v, m), o.w
+	if isF[F]() {
+		w = walkOf{}
+	}
+	return vOp[S]{w: w, vec: func(vm *VecEnv, i0 int64, L int) []S {
 		s, out := ov(vm, i0, L), bufs[S](vm)[bid][:L]
 		for t := range s {
 			out[t] = S(s[t])
@@ -1999,7 +2083,7 @@ func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 	bid := result[S](v, m)
 	switch {
 	case (op == '+' || op == '-') && (a.kMul != nil || c.kMul != nil):
-		return as[vOp[S]](mulAdd(op == '-', as[vOp[float64]](a), as[vOp[float64]](c), bid))
+		return as[vOp[S]](mulAdd(v, op == '-', as[vOp[float64]](a), as[vOp[float64]](c), bid))
 	case !isF[S]() && op != '+' && op != '-' && op != '*' && (op != '/' || v.masked):
 		return as[vOp[S]](intArith(op, as[vOp[int64]](a), as[vOp[int64]](c), bid, v.masked))
 	}
@@ -2011,9 +2095,9 @@ func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 	}}
 	if op == '*' && isF[S]() {
 		if a.inv != nil {
-			o.kMul, o.mulX = a.inv, c.vec
+			o.kMul, o.mulX, o.w = a.inv, c.vec, c.loads()
 		} else if c.inv != nil {
-			o.kMul, o.mulX = c.inv, a.vec
+			o.kMul, o.mulX, o.w = c.inv, a.vec, a.loads()
 		}
 	}
 	return o
@@ -2096,74 +2180,136 @@ func arithLanes[S num](op byte, out, s, q []S, ka, kc S) {
 // uniform factor (kMul × mulX), forming the product in the same pass. The
 // explicit float64(...) around each product pins the intermediate
 // rounding the interpreter performs (the Go spec otherwise permits fusing
-// into an FMA).
-func mulAdd(sub bool, a, c vOp[float64], bid int) vOp[float64] {
+// into an FMA). An operand's vector that is a read-only walk is read from
+// the copy in that pass (rewrite 5).
+func mulAdd(v *vecBuilder, sub bool, a, c vOp[float64], bid int) vOp[float64] {
+	for _, w := range [2]walkOf{a.w, c.w} {
+		if w.arr != nil {
+			v.counts.note("fused " + w.arr.Name)
+		}
+	}
+	return mulAddOfs[a.w.elem()][c.w.elem()](sub, a, c, bid)
+}
+
+// mulAddOfs holds mulAddOf by the element types a's and c's walks read, in
+// cc.ElemType order: instantiated outside generic code, they cost no alloc.
+var mulAddOfs = [3][3]func(bool, vOp[float64], vOp[float64], int) vOp[float64]{
+	{mulAddOf[int32, int32], mulAddOf[int32, float32], mulAddOf[int32, float64]},
+	{mulAddOf[float32, int32], mulAddOf[float32, float32], mulAddOf[float32, float64]},
+	{mulAddOf[float64, int32], mulAddOf[float64, float32], mulAddOf[float64, float64]},
+}
+
+// The forms of a mulAdd operand: a product k*x[t], a uniform k, a vector x[t].
+const (
+	termP = iota
+	termK
+	termV
+)
+
+// termOf gives a mulAdd operand's form, its uniform part (0 for a vector)
+// and its vector.
+func termOf(o vOp[float64]) (int, dExpr[float64], vec[float64]) {
+	switch {
+	case o.kMul != nil:
+		return termP, o.kMul, o.mulX
+	case o.inv != nil:
+		return termK, o.inv, nil
+	}
+	return termV, func(*DEnv) float64 { return 0 }, o.vec
+}
+
+// mulAddOf is mulAdd's pass over operands whose walks, where direct gives
+// them, hold T and U elements.
+func mulAddOf[T, U elem](sub bool, a, c vOp[float64], bid int) vOp[float64] {
+	ta, ua, xa := termOf(a)
+	tc, uc, xc := termOf(c)
+	form, aw, cw := 3*ta+tc, a.w, c.w
 	return vOp[float64]{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
+		ka, kc := ua(vm.D), uc(vm.D)
+		s, sok := direct[T](vm, i0, L, aw)
+		q, qok := direct[U](vm, i0, L, cw)
+		var x, y []float64
+		if !sok && xa != nil {
+			x = xa(vm, i0, L)
+		}
+		if !qok && xc != nil {
+			y = xc(vm, i0, L)
+		}
 		out := vm.BufF[bid][:L]
 		switch {
-		case a.kMul != nil && c.kMul != nil:
-			ka, kc := a.kMul(vm.D), c.kMul(vm.D)
-			s, q := a.mulX(vm, i0, L)[:L], c.mulX(vm, i0, L)[:L]
-			if sub {
-				for t := range out {
-					out[t] = float64(ka*s[t]) - float64(kc*q[t])
-				}
-			} else {
-				for t := range out {
-					out[t] = float64(ka*s[t]) + float64(kc*q[t])
-				}
-			}
-		case a.kMul != nil && c.inv != nil:
-			ka, kc := a.kMul(vm.D), c.inv(vm.D)
-			s := a.mulX(vm, i0, L)[:L]
-			if sub {
-				for t := range out {
-					out[t] = float64(ka*s[t]) - kc
-				}
-			} else {
-				for t := range out {
-					out[t] = float64(ka*s[t]) + kc
-				}
-			}
-		case a.inv != nil:
-			ka, kc := a.inv(vm.D), c.kMul(vm.D)
-			q := c.mulX(vm, i0, L)[:L]
-			if sub {
-				for t := range out {
-					out[t] = ka - float64(kc*q[t])
-				}
-			} else {
-				for t := range out {
-					out[t] = ka + float64(kc*q[t])
-				}
-			}
-		case a.kMul != nil:
-			ka := a.kMul(vm.D)
-			s, q := a.mulX(vm, i0, L)[:L], c.vec(vm, i0, L)[:L]
-			if sub {
-				for t := range out {
-					out[t] = float64(ka*s[t]) - q[t]
-				}
-			} else {
-				for t := range out {
-					out[t] = float64(ka*s[t]) + q[t]
-				}
-			}
+		case sok && qok:
+			mulAddLanes(form, sub, out, s, q, ka, kc)
+		case sok:
+			mulAddLanes(form, sub, out, s, y, ka, kc)
+		case qok:
+			mulAddLanes(form, sub, out, x, q, ka, kc)
 		default:
-			kc := c.kMul(vm.D)
-			s, q := a.vec(vm, i0, L)[:L], c.mulX(vm, i0, L)[:L]
-			if sub {
-				for t := range out {
-					out[t] = s[t] - float64(kc*q[t])
-				}
-			} else {
-				for t := range out {
-					out[t] = s[t] + float64(kc*q[t])
-				}
-			}
+			mulAddLanes(form, sub, out, x, y, ka, kc)
 		}
 		return out
 	}}
+}
+
+// mulAddLanes sets out[t] to x ± y, x of a's form over s and ka, y of c's
+// over q and kc (form is 3*a's + c's; one of them a product).
+func mulAddLanes[T, U elem](form int, sub bool, out []float64, s []T, q []U, ka, kc float64) {
+	switch form {
+	case 3*termP + termP:
+		s, q := s[:len(out)], q[:len(out)]
+		if sub {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) - float64(kc*float64(q[t]))
+			}
+		} else {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) + float64(kc*float64(q[t]))
+			}
+		}
+	case 3*termP + termK:
+		s := s[:len(out)]
+		if sub {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) - kc
+			}
+		} else {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) + kc
+			}
+		}
+	case 3*termK + termP:
+		q := q[:len(out)]
+		if sub {
+			for t := range out {
+				out[t] = ka - float64(kc*float64(q[t]))
+			}
+		} else {
+			for t := range out {
+				out[t] = ka + float64(kc*float64(q[t]))
+			}
+		}
+	case 3*termP + termV:
+		s, q := s[:len(out)], q[:len(out)]
+		if sub {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) - float64(q[t])
+			}
+		} else {
+			for t := range out {
+				out[t] = float64(ka*float64(s[t])) + float64(q[t])
+			}
+		}
+	default:
+		s, q := s[:len(out)], q[:len(out)]
+		if sub {
+			for t := range out {
+				out[t] = float64(s[t]) - float64(kc*float64(q[t]))
+			}
+		} else {
+			for t := range out {
+				out[t] = float64(s[t]) + float64(kc*float64(q[t]))
+			}
+		}
+	}
 }
 
 // intArith compiles the int operators intOp applies lane by lane — %,

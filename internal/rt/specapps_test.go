@@ -40,34 +40,24 @@ func appInstance(tb testing.TB, name string, scale float64) (*ir.Module, *ir.Ins
 	return mod, inst, in
 }
 
-// TestPaperAppSpecCoverage pins that every kernel of MD, KMEANS and
-// BFS compiles a KernelSpec and that full runs are dominated by fast-
-// path chunks (no silent wholesale fallback), with results verified
-// against the Go reference.
-// appPhaseBWall runs one full app instance and returns the wall-clock
-// time its runtime spent inside Phase B kernel fan-outs, best of three
-// runs (fresh instance each run: apps mutate their bindings).
+// appPhaseBWall runs one full app instance (a fresh one: apps mutate
+// their bindings) and returns the wall-clock time its runtime spent inside
+// Phase B kernel fan-outs.
 func appPhaseBWall(t *testing.T, name string, scale float64, opts Options) time.Duration {
 	t.Helper()
-	best := time.Duration(0)
-	for run := 0; run < 3; run++ {
-		_, inst, in := appInstance(t, name, scale)
-		mach, err := sim.NewMachine(sim.Desktop())
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := New(mach, opts)
-		if err := r.Run(inst); err != nil {
-			t.Fatal(err)
-		}
-		if err := in.Verify(inst); err != nil {
-			t.Fatal(err)
-		}
-		if d := r.PhaseBWall(); best == 0 || d < best {
-			best = d
-		}
+	_, inst, in := appInstance(t, name, scale)
+	mach, err := sim.NewMachine(sim.Desktop())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return best
+	r := New(mach, opts)
+	if err := r.Run(inst); err != nil {
+		t.Fatal(err)
+	}
+	if err := in.Verify(inst); err != nil {
+		t.Fatal(err)
+	}
+	return r.PhaseBWall()
 }
 
 // TestPaperAppSpeedupGate enforces the acceptance bar on the paper's
@@ -83,8 +73,9 @@ func appPhaseBWall(t *testing.T, name string, scale float64, opts Options) time.
 // run — at 0.1 it read 28.2-33.4x and took 41 s of the gate's 50 —,
 // 18.3-22.4x over five; the specialized side slows more than the
 // interpreter in disturbed stretches, BFS by a quarter); which body ran is
-// pinned by counts (TestBFSRunsTiled, TestAppTrips). Skipped in -short
-// mode: wall-clock ratios under -race are noise, not signal.
+// pinned by counts (TestBFSRunsTiled, TestAppTrips). Each side is its best
+// of three runs, the two sides' runs alternating (alternate). Skipped in
+// -short mode: wall-clock ratios under -race are noise, not signal.
 func TestPaperAppSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate: skipped in -short mode")
@@ -99,8 +90,9 @@ func TestPaperAppSpeedupGate(t *testing.T) {
 		{"BFS", 0.04, 3.1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			legacy := appPhaseBWall(t, tc.name, tc.scale, Options{Reference: true})
-			fast := appPhaseBWall(t, tc.name, tc.scale, Options{})
+			legacy, fast := alternate(
+				func() time.Duration { return appPhaseBWall(t, tc.name, tc.scale, Options{Reference: true}) },
+				func() time.Duration { return appPhaseBWall(t, tc.name, tc.scale, Options{}) })
 			speedup := float64(legacy) / float64(fast)
 			t.Logf("%s: legacy %v, specialized %v, speedup %.1fx", tc.name, legacy, fast, speedup)
 			if speedup < tc.floor {
@@ -165,6 +157,10 @@ func TestAppTrips(t *testing.T) {
 // starts the next tile instead of the per-iteration body).
 const bfsFlatCutsMax = 2 * 388
 
+// TestPaperAppSpecCoverage pins that every kernel of MD, KMEANS and
+// BFS compiles a KernelSpec and that full runs are dominated by fast-
+// path chunks (no silent wholesale fallback), with results verified
+// against the Go reference.
 func TestPaperAppSpecCoverage(t *testing.T) {
 	for _, tc := range []struct {
 		name  string

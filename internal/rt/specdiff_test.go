@@ -2,6 +2,7 @@ package rt_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -983,6 +984,197 @@ void main() {
 	specTemplates = append(specTemplates, siteTemplates()...)
 	specTemplates = append(specTemplates, typeTemplates()...)
 	specTemplates = append(specTemplates, rewriteTemplates()...)
+	specTemplates = append(specTemplates, walkTemplates()...)
+}
+
+// walkTemplates hold the fifth rewrite (ir specvec.go) to the interpreter:
+// products and copies that read a read-only walk straight from the array.
+// Products over an array the kernel also writes (which must not fuse) and
+// a product of a product; a layout-transformed source, whose walk is unit
+// stride on the device; stride-2 walks and a stride-2 store, which keep
+// the vector path; double and int sources, alone and mixed in one pass;
+// k*x - k*y and every other form of both signs, with factors whose
+// products round; float, double and int loads stored into int, float and
+// double arrays; quiet and signalling NaNs of either sign (the nan arrays)
+// through copies and products; and a stencil with a copy at worker chunks
+// of 1, VecTile-1 and VecTile+1 iterations. Each asserts that its tiles
+// engaged.
+func walkTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	withA := func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["a"] = 0.1 + rng.Float64()
+		return m
+	}
+	out := []specTemplate{
+		{name: "walk-written", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float x_[n], y_[n], z_[n], w_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(x_) copy(y_, z_, w_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            y_[i] = 0.3 * y_[i] + a * x_[i];
+            z_[i] = y_[i] - 0.7 * y_[i] + 0.3 * x_[i] * 0.7;
+            w_[i] = y_[i];
+        }
+    }
+}
+`},
+		{name: "walk-transformed", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float m_[3 * n], out_[n], c_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(m_) copyout(out_, c_)
+    {
+        #pragma acc localaccess(m_) stride(3)
+        #pragma acc localaccess(out_) stride(1)
+        #pragma acc localaccess(c_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = 0.3 * m_[3 * i] + a * m_[3 * i + 2] - 0.7 * m_[3 * i + 1];
+            c_[i] = m_[3 * i + 1];
+        }
+    }
+}
+`},
+		{name: "walk-stride2", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float s_[2 * n + 2], out_[n], c_[n];
+double d_[2 * n];
+void main() {
+    int i;
+    #pragma acc data copyin(s_) copyout(out_, c_) copy(d_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[i] = a * s_[2 * i] + 0.3 * s_[2 * i + 1] - 0.7 * s_[i + 2];
+            c_[i] = s_[2 * i + 2];
+            d_[2 * i] = s_[i];
+        }
+    }
+}
+`},
+		{name: "walk-types", scalars: withA, check: tiled, src: `
+int n;
+double a;
+double d_[n], o1_[n], o4_[n];
+int k_[n], o3_[n];
+float f_[n], o2_[n], o5_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(d_, k_, f_) copyout(o1_, o2_, o3_, o4_, o5_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            o1_[i] = 0.3 * d_[i] + a * k_[i];
+            o2_[i] = a * k_[i] - 0.7 * f_[i];
+            o3_[i] = k_[i];
+            o4_[i] = d_[i] + 0.7 * f_[i];
+            o5_[i] = k_[i] * 0.3 - d_[i];
+        }
+    }
+}
+`},
+		{name: "walk-sub", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float x_[n], y_[n], o1_[n], o2_[n], o3_[n], o4_[n], o5_[n], o6_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(x_, y_) copyout(o1_, o2_, o3_, o4_, o5_, o6_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            o1_[i] = a * x_[i] - 0.3 * y_[i];
+            o2_[i] = 1.5 - a * x_[i];
+            o3_[i] = 0.7 * x_[i] - 2.5;
+            o4_[i] = x_[i] - a * y_[i];
+            o5_[i] = a * x_[i] - y_[i];
+            o6_[i] = 1.5 + x_[i] * a + 0.3 * y_[i] + 2.5 + y_[i];
+        }
+    }
+}
+`},
+		{name: "walk-convert", scalars: nScalar, check: tiled, src: `
+int n;
+float f_[n], g_[n], h_[n];
+double d_[n], fd_[n], kd_[n];
+int k_[n], fk_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(f_, d_, k_) copyout(g_, h_, fd_, kd_, fk_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            fk_[i] = f_[i];
+            fd_[i] = f_[i];
+            g_[i] = d_[i];
+            h_[i] = k_[i];
+            kd_[i] = k_[i];
+        }
+    }
+}
+`},
+		{name: "walk-nan", scalars: nScalar, check: tiled, src: `
+int n;
+float nan_[n], f_[n], c_[n], p_[n];
+double nand_[n], cd_[n], pd_[n], w_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_, nand_, f_) copyout(c_, p_, cd_, pd_, w_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = nan_[i];
+            p_[i] = 0.3 * nan_[i] + 0.7 * f_[i];
+            cd_[i] = nand_[i];
+            pd_[i] = nand_[i] * 0.3 - 0.7 * nan_[i];
+            w_[i] = nan_[i];
+        }
+    }
+}
+`},
+	}
+	const chunked = `
+int n;
+double a;
+float a_[n + 2], b_[n], c_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(a_) copyout(b_, c_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            b_[i] = 0.3 * a_[i] + a * a_[i + 1] - 0.7 * a_[i + 2];
+            c_[i] = a_[i + 1];
+        }
+    }
+}
+`
+	for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+		n := float64(8 * chunk)
+		out = append(out, specTemplate{
+			name:  fmt.Sprintf("walk-chunk-%d", chunk),
+			src:   chunked,
+			check: tiled,
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				return map[string]float64{"n": n, "a": 0.1 + rng.Float64()}
+			},
+		})
+	}
+	return out
 }
 
 // rewriteTemplates hold the tile builder's four rewrites (ir specvec.go)
@@ -1677,22 +1869,35 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 }
 
 // TestRewritesEngage pins where the tile builder's rewrites take on the
-// paper apps (ir.VerifyLowering's count): KMEANS's feature loads are held, the distance
-// loop's and the centre update's in one group; MD's neighbour index and
-// atom position and BFS's edge target load straight into their vectors;
-// and no kernel computes a comparison as a value: every if splits its
-// lanes in the pass that compares.
+// paper apps and the stencils (ir.VerifyLowering's count): KMEANS's feature
+// loads are held, the distance loop's and the centre update's in one group;
+// MD's neighbour index and atom position and BFS's edge target load
+// straight into their vectors; no kernel computes a comparison as a value:
+// every if splits its lanes in the pass that compares. The replicated
+// stencil's three products and its copy read their walks from the array,
+// as do the guarded stencil's interior piece, its boundary piece's copy and
+// its copy kernel, and saxpy's product; saxpy's y, which the kernel writes,
+// is read from its vector.
 func TestRewritesEngage(t *testing.T) {
-	for app, want := range map[string]map[string]int{
-		"MD":     {"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1},
-		"KMEANS": {"held feat": 2},
-		"BFS":    {"direct w": 1},
-	} {
+	source := func(app string) string {
 		a, err := apps.ByName(app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prog, err := cc.ParseProgram(a.Source)
+		return a.Source
+	}
+	for _, tc := range []struct {
+		name, src string
+		want      map[string]int
+	}{
+		{"MD", source("MD"), map[string]int{"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1}},
+		{"KMEANS", source("KMEANS"), map[string]int{"held feat": 2}},
+		{"BFS", source("BFS"), map[string]int{"direct w": 1}},
+		{"repl stencil", rt.ReplPingPongSrc, map[string]int{"fused a": 3, "fused b": 1}},
+		{"guarded stencil", rt.SpecGuardedStencilSrc, map[string]int{"fused a": 4, "fused b": 1}},
+		{"saxpy", rt.SpecSaxpySrc, map[string]int{"fused x": 1}},
+	} {
+		prog, err := cc.ParseProgram(tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1714,8 +1919,8 @@ func TestRewritesEngage(t *testing.T) {
 				got[what] += n
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s: rewrites %v, want %v", app, got, want)
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: rewrites %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -2665,6 +2870,8 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 			continue
 		}
 		switch {
+		case strings.HasPrefix(a.Decl.Name, "nan"):
+			nanFill(rng, a.F32, a.F64)
 		case a.F32 != nil:
 			for i := range a.F32 {
 				a.F32[i] = rng.Float32()*2 - 1
@@ -2685,6 +2892,54 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 	}
 	r := rt.New(mach, opts)
 	return r, inst, r.Run(inst)
+}
+
+// nanFill fills a nan array (float or double) with quiet and signalling
+// NaNs of either sign and random payloads, infinities, zeros and ordinary
+// values.
+func nanFill(rng *rand.Rand, f32 []float32, f64 []float64) {
+	// special gives the bits of a quiet or a signalling NaN, an infinity or
+	// a zero, of either sign, or ok false for an ordinary value.
+	special := func(sign, expo, quiet uint64) (b uint64, ok bool) {
+		s := sign * uint64(rng.Intn(2))
+		switch rng.Intn(5) {
+		case 0:
+			return s | expo | quiet | uint64(rng.Int63())&(quiet-1), true
+		case 1:
+			return s | expo | (1 + uint64(rng.Int63())%(quiet-1)), true
+		case 2:
+			return s | expo, true
+		case 3:
+			return s, true
+		}
+		return 0, false
+	}
+	for i := range f32 {
+		f32[i] = rng.Float32()*2 - 1
+		if b, ok := special(1<<31, 0x7f800000, 1<<22); ok {
+			f32[i] = math.Float32frombits(uint32(b))
+		}
+	}
+	for i := range f64 {
+		f64[i] = rng.Float64()*2 - 1
+		if b, ok := special(1<<63, 0x7ff0000000000000, 1<<51); ok {
+			f64[i] = math.Float64frombits(b)
+		}
+	}
+}
+
+// sameBits compares two copies bit for bit: a NaN's payload and a zero's
+// sign count.
+func sameBits[E any, B comparable](want, got []E, bits func(E) B) bool {
+	if len(want) != len(got) {
+		return false
+	}
+	for i := range want {
+		if bits(want[i]) != bits(got[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkSpecDiff runs one (template, scalars, fill) triple with the fast
@@ -2742,8 +2997,8 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		}
 		for i := range refInst.Arrays {
 			want, got := refInst.Arrays[i], inst.Arrays[i]
-			if !reflect.DeepEqual(want.F32, got.F32) ||
-				!reflect.DeepEqual(want.F64, got.F64) ||
+			if !sameBits(want.F32, got.F32, math.Float32bits) ||
+				!sameBits(want.F64, got.F64, math.Float64bits) ||
 				!reflect.DeepEqual(want.I32, got.I32) {
 				t.Fatalf("%s: array %q diverged", label, want.Decl.Name)
 			}

@@ -53,7 +53,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
 	// safety-indirect and the flat-row templates, the type-matrix templates,
-	// the rewrite templates.
+	// the rewrite templates, the walk templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
@@ -62,6 +62,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			return 4
 		case prefix == "hoist" || prefix == "split":
 			return 5
+		case prefix == "walk":
+			return 6
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -125,6 +127,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(3)
 	templates(4)
 	templates(5)
+	templates(6)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {
