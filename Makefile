@@ -187,7 +187,7 @@ bench:
 # 2-node stencil (report equivalence modulo time included).
 bench-quick:
 	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
-		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBApps|BenchmarkPhaseBFlatOrRejected|BenchmarkLaunchOverhead' \
+		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBCopy|BenchmarkPhaseBApps|BenchmarkPhaseBFlatOrRejected|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
 	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core
@@ -205,8 +205,8 @@ bench-host:
 # phaseb-ab compares the Phase B host time of BASE (a git revision) with
 # the working tree: it extracts BASE with git archive into a temporary
 # directory outside the checkout, builds the internal/rt test binaries of
-# both, runs BENCH (default PhaseBApps, the paper apps; PhaseBStencil and
-# PhaseBSaxpy are the others) specialized on one processor N rounds,
+# both, runs BENCH (default PhaseBApps, the paper apps; PhaseBStencil,
+# PhaseBSaxpy and PhaseBCopy are the others) specialized on one processor N rounds,
 # alternating which side runs first, and prints each benchmark's median
 # ns per iteration (apps) or per op and their ratio.
 BASE ?= HEAD

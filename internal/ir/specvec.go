@@ -58,7 +58,7 @@ import (
 //     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
 //     kernel on the interpreter.
 //
-// Five exact rewrites pay once what the body would pay per trip, per
+// Six exact rewrites pay once what the body would pay per trip, per
 // statement or per pass. (1) Held loads (hold): a walk of an array the
 // kernel never writes, outside every arm, whose index reads one
 // body-assigned scalar u (a lockstep loop's variable), is kept per tile and
@@ -72,7 +72,10 @@ import (
 // unmasked straight-line walk load of an array the kernel never writes
 // names its walk on its op (walkOf), and mulAdd and a dense "=" store of it
 // (copyWalk) read the copy itself where the physical step is 1, converting
-// as the vector would have, and the vector otherwise.
+// as the vector would have, and the vector otherwise. (6) A dense store is
+// written in the pass that computes it: a unit-step "=" into a float
+// array whose value ends in mulAdd runs mulAdd's pass into the array
+// (mulAddStore).
 //
 // Bit-exactness contract: every float64 operation happens in the same
 // order with the same operands as the interpreter would have performed
@@ -237,11 +240,13 @@ type vec[S num] func(vm *VecEnv, i0 int64, L int) []S
 // the factor and the vector (kMul, mulX), so an enclosing add or subtract
 // can form the product in its own pass. w names the read-only walk the
 // vector loads (a product's: mulX), which mulAdd and a copy read straight
-// from the array (rewrite 5).
+// from the array (rewrite 5). ma is set on mulAdd's result: its pass as
+// data, which a dense store runs into the array (rewrite 6).
 type vOp[S num] struct {
 	inv, kMul dExpr[S]
 	vec, mulX vec[S]
 	w         walkOf
+	ma        *mulAddOp
 }
 
 // walkOf is an unmasked straight-line walk of an array the kernel never
@@ -1784,10 +1789,12 @@ func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 
 // arrayAssign compiles a store into a T array. scan admitted only stores
 // affine in the induction variable, so the walk comes from the runtime's
-// coefficients (a written array is never layout-transformed).
+// coefficients (a written array is never layout-transformed). A dense "="
+// of a read-only walk copies it (copyWalk); one whose value ends in mulAdd
+// writes mulAdd's pass into the array (rewrite 6).
 func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
-	st, slot, ai := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array.Slot, v.take(k.x, AccessStore)
-	dense := !v.masked && st.Op == "="
+	st, dst, ai := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array, v.take(k.x, AccessStore)
+	slot, dense := dst.Slot, !v.masked && st.Op == "="
 	v.usesAct = v.usesAct || !dense
 	r, err := compile[S](v, k.y)
 	if err != nil {
@@ -1803,6 +1810,10 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 		}
 		return copyWalk[S, T, float64](r, slot, ai), nil
 	}
+	if m := r.ma; dense && m != nil && dst.Type == cc.TFloat {
+		v.counts.note("store " + dst.Name)
+		return mulAddStores[m.aw.elem()][m.cw.elem()](m, as[vec[float64]](r.vec), slot, ai), nil
+	}
 	rv, apply := mat(v, r), applyOf[S](st.Op)
 	return func(vm *VecEnv, i0 int64, L int) {
 		s, a := rv(vm, i0, L), &vm.D.Arrays[slot]
@@ -1817,10 +1828,9 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	}, nil
 }
 
-// copyWalk is a dense "=" of the read-only walk r into a T array: walk to
-// walk in one pass where both steps are 1, through the lane type S as the
-// vector path converts (a NaN's bits go the interpreter's way), r's vector
-// and walkStore otherwise.
+// copyWalk is a dense "=" of the read-only walk r of U elements into a T
+// array: walk to walk in one pass where both steps are 1, through the lane
+// type S as the vector path converts, r's vector and walkStore otherwise.
 func copyWalk[S num, T, U elem](r vOp[S], slot, ai int) VStmt {
 	return func(vm *VecEnv, i0 int64, L int) {
 		a := &vm.D.Arrays[slot]
@@ -2181,23 +2191,45 @@ func arithLanes[S num](op byte, out, s, q []S, ka, kc S) {
 // explicit float64(...) around each product pins the intermediate
 // rounding the interpreter performs (the Go spec otherwise permits fusing
 // into an FMA). An operand's vector that is a read-only walk is read from
-// the copy in that pass (rewrite 5).
+// the copy in that pass (rewrite 5); a dense store of the result writes
+// the pass into its array (ma, mulAddStore: rewrite 6).
 func mulAdd(v *vecBuilder, sub bool, a, c vOp[float64], bid int) vOp[float64] {
 	for _, w := range [2]walkOf{a.w, c.w} {
 		if w.arr != nil {
 			v.counts.note("fused " + w.arr.Name)
 		}
 	}
-	return mulAddOfs[a.w.elem()][c.w.elem()](sub, a, c, bid)
+	ta, ua, xa := termOf(a)
+	tc, uc, xc := termOf(c)
+	m := &mulAddOp{form: 3*ta + tc, sub: sub, ua: ua, uc: uc, xa: xa, xc: xc, aw: a.w, cw: c.w}
+	return mulAddOfs[a.w.elem()][c.w.elem()](m, bid)
 }
 
-// mulAddOfs holds mulAddOf by the element types a's and c's walks read, in
-// cc.ElemType order: instantiated outside generic code, they cost no alloc.
-var mulAddOfs = [3][3]func(bool, vOp[float64], vOp[float64], int) vOp[float64]{
-	{mulAddOf[int32, int32], mulAddOf[int32, float32], mulAddOf[int32, float64]},
-	{mulAddOf[float32, int32], mulAddOf[float32, float32], mulAddOf[float32, float64]},
-	{mulAddOf[float64, int32], mulAddOf[float64, float32], mulAddOf[float64, float64]},
+// mulAddOp is one mulAdd's pass as data: its form (3*a's + c's), sign,
+// each operand's uniform part and vector, and the walks direct reads.
+type mulAddOp struct {
+	form   int
+	sub    bool
+	ua, uc dExpr[float64]
+	xa, xc vec[float64]
+	aw, cw walkOf
 }
+
+// mulAddOfs holds mulAddOf, mulAddStores mulAddStore, by the element types
+// a's and c's walks read, in cc.ElemType order: instantiated outside
+// generic code, they cost no alloc.
+var (
+	mulAddOfs = [3][3]func(*mulAddOp, int) vOp[float64]{
+		{mulAddOf[int32, int32], mulAddOf[int32, float32], mulAddOf[int32, float64]},
+		{mulAddOf[float32, int32], mulAddOf[float32, float32], mulAddOf[float32, float64]},
+		{mulAddOf[float64, int32], mulAddOf[float64, float32], mulAddOf[float64, float64]},
+	}
+	mulAddStores = [3][3]func(*mulAddOp, vec[float64], int, int) VStmt{
+		{mulAddStore[int32, int32], mulAddStore[int32, float32], mulAddStore[int32, float64]},
+		{mulAddStore[float32, int32], mulAddStore[float32, float32], mulAddStore[float32, float64]},
+		{mulAddStore[float64, int32], mulAddStore[float64, float32], mulAddStore[float64, float64]},
+	}
+)
 
 // The forms of a mulAdd operand: a product k*x[t], a uniform k, a vector x[t].
 const (
@@ -2218,95 +2250,114 @@ func termOf(o vOp[float64]) (int, dExpr[float64], vec[float64]) {
 	return termV, func(*DEnv) float64 { return 0 }, o.vec
 }
 
-// mulAddOf is mulAdd's pass over operands whose walks, where direct gives
-// them, hold T and U elements.
-func mulAddOf[T, U elem](sub bool, a, c vOp[float64], bid int) vOp[float64] {
-	ta, ua, xa := termOf(a)
-	tc, uc, xc := termOf(c)
-	form, aw, cw := 3*ta+tc, a.w, c.w
-	return vOp[float64]{vec: func(vm *VecEnv, i0 int64, L int) []float64 {
-		ka, kc := ua(vm.D), uc(vm.D)
-		s, sok := direct[T](vm, i0, L, aw)
-		q, qok := direct[U](vm, i0, L, cw)
-		var x, y []float64
-		if !sok && xa != nil {
-			x = xa(vm, i0, L)
-		}
-		if !qok && xc != nil {
-			y = xc(vm, i0, L)
-		}
+// mulAddOf is mulAdd's pass into a scratch vector over operands whose
+// walks, where direct gives them, hold T and U elements.
+func mulAddOf[T, U elem](m *mulAddOp, bid int) vOp[float64] {
+	return vOp[float64]{ma: m, vec: func(vm *VecEnv, i0 int64, L int) []float64 {
 		out := vm.BufF[bid][:L]
-		switch {
-		case sok && qok:
-			mulAddLanes(form, sub, out, s, q, ka, kc)
-		case sok:
-			mulAddLanes(form, sub, out, s, y, ka, kc)
-		case qok:
-			mulAddLanes(form, sub, out, x, q, ka, kc)
-		default:
-			mulAddLanes(form, sub, out, x, y, ka, kc)
-		}
+		mulAddInto[T, U](m, vm, i0, L, out)
 		return out
 	}}
 }
 
-// mulAddLanes sets out[t] to x ± y, x of a's form over s and ka, y of c's
-// over q and kc (form is 3*a's + c's; one of them a product).
-func mulAddLanes[T, U elem](form int, sub bool, out []float64, s []T, q []U, ka, kc float64) {
+// mulAddStore is a dense "=" of m's value into a float array: m's pass
+// writes the array where the store's step is 1, rounding each lane to
+// float32 as walkStore would have; any other step stores m's vector rv.
+func mulAddStore[T, U elem](m *mulAddOp, rv vec[float64], slot, ai int) VStmt {
+	return func(vm *VecEnv, i0 int64, L int) {
+		a := &vm.D.Arrays[slot]
+		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
+		if A == 1 {
+			mulAddInto[T, U](m, vm, i0, L, a.F32[p:p+int64(L)])
+		} else {
+			walkStore(a.F32, p, A, rv(vm, i0, L))
+		}
+		a.markWalk(p, A, L, nil)
+	}
+}
+
+// mulAddInto runs m's pass over the tile into out: the operands' vectors
+// first, then one loop that reads the walks direct gives.
+func mulAddInto[T, U elem, O float32 | float64](m *mulAddOp, vm *VecEnv, i0 int64, L int, out []O) {
+	ka, kc := m.ua(vm.D), m.uc(vm.D)
+	s, sok := direct[T](vm, i0, L, m.aw)
+	q, qok := direct[U](vm, i0, L, m.cw)
+	var x, y []float64
+	if !sok && m.xa != nil {
+		x = m.xa(vm, i0, L)
+	}
+	if !qok && m.xc != nil {
+		y = m.xc(vm, i0, L)
+	}
+	switch {
+	case sok && qok:
+		mulAddLanes(m.form, m.sub, out, s, q, ka, kc)
+	case sok:
+		mulAddLanes(m.form, m.sub, out, s, y, ka, kc)
+	case qok:
+		mulAddLanes(m.form, m.sub, out, x, q, ka, kc)
+	default:
+		mulAddLanes(m.form, m.sub, out, x, y, ka, kc)
+	}
+}
+
+// mulAddLanes sets out[t] to x ± y rounded to O, x of a's form over s and
+// ka, y of c's over q and kc (form is 3*a's + c's; one of them a product).
+func mulAddLanes[T, U elem, O float32 | float64](form int, sub bool, out []O, s []T, q []U, ka, kc float64) {
 	switch form {
 	case 3*termP + termP:
 		s, q := s[:len(out)], q[:len(out)]
 		if sub {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) - float64(kc*float64(q[t]))
+				out[t] = O(float64(ka*float64(s[t])) - float64(kc*float64(q[t])))
 			}
 		} else {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) + float64(kc*float64(q[t]))
+				out[t] = O(float64(ka*float64(s[t])) + float64(kc*float64(q[t])))
 			}
 		}
 	case 3*termP + termK:
 		s := s[:len(out)]
 		if sub {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) - kc
+				out[t] = O(float64(ka*float64(s[t])) - kc)
 			}
 		} else {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) + kc
+				out[t] = O(float64(ka*float64(s[t])) + kc)
 			}
 		}
 	case 3*termK + termP:
 		q := q[:len(out)]
 		if sub {
 			for t := range out {
-				out[t] = ka - float64(kc*float64(q[t]))
+				out[t] = O(ka - float64(kc*float64(q[t])))
 			}
 		} else {
 			for t := range out {
-				out[t] = ka + float64(kc*float64(q[t]))
+				out[t] = O(ka + float64(kc*float64(q[t])))
 			}
 		}
 	case 3*termP + termV:
 		s, q := s[:len(out)], q[:len(out)]
 		if sub {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) - float64(q[t])
+				out[t] = O(float64(ka*float64(s[t])) - float64(q[t]))
 			}
 		} else {
 			for t := range out {
-				out[t] = float64(ka*float64(s[t])) + float64(q[t])
+				out[t] = O(float64(ka*float64(s[t])) + float64(q[t]))
 			}
 		}
 	default:
 		s, q := s[:len(out)], q[:len(out)]
 		if sub {
 			for t := range out {
-				out[t] = float64(s[t]) - float64(kc*float64(q[t]))
+				out[t] = O(float64(s[t]) - float64(kc*float64(q[t])))
 			}
 		} else {
 			for t := range out {
-				out[t] = float64(s[t]) + float64(kc*float64(q[t]))
+				out[t] = O(float64(s[t]) + float64(kc*float64(q[t])))
 			}
 		}
 	}

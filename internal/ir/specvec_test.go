@@ -4,54 +4,113 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"slices"
 	"testing"
 )
 
-// TestProductsKeepTheirRounding holds the lane loops that form a float
-// product and add or subtract it in the same pass (mulAddLanes, fuseLanes)
-// to an explicit float64(...) around every product: without one the Go
+// TestProductsKeepTheirRounding holds every lane loop of the tile builder
+// that adds or subtracts a product to its rounding. Where the product is
+// a float value (mulAddLanes, which also writes a dense store's array, and
+// fuseLanes) it must sit in an explicit float64(...): without one the Go
 // spec lets a compiler fuse x*y + z into one FMA, and the interpreter
 // rounds the product first. The compiler does not fuse on amd64, so no
 // differential run there sees a conversion go missing; on arm64, ppc64le,
-// riscv64 and s390x it does.
+// riscv64 and s390x it does. The other loops form int indices, which no
+// compiler fuses. The loops are found from the source: a product that is
+// an operand of + or - in a value a loop assigns, outside an index; the
+// set of functions that hold one must be exactly the table's.
 func TestProductsKeepTheirRounding(t *testing.T) {
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "specvec.go", nil, 0)
-	if err != nil {
-		t.Fatal(err)
+	float := map[string]bool{
+		"mulAddLanes": true, "fuseLanes": true,
+		"idxVec": false, "storeLanes": false, "buildVec": false,
 	}
-	checked := 0
-	for _, d := range f.Decls {
-		fn, ok := d.(*ast.FuncDecl)
-		if !ok || fn.Name.Name != "mulAddLanes" && fn.Name.Name != "fuseLanes" {
-			continue
+	fset := token.NewFileSet()
+	found := map[string]int{}
+	for _, file := range []string{"specvec.go", "specflat.go"} {
+		f, err := parser.ParseFile(fset, file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-		checked++
-		// The lane values are what the loops assign; the case labels are
-		// int constants.
-		ast.Inspect(fn.Body, func(n ast.Node) bool {
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			name := fn.Name.Name
+			for _, m := range loopProducts(fn.Body) {
+				found[name]++
+				if c, ok := m.(*ast.CallExpr); float[name] && (!ok || !isIdent(c.Fun, "float64")) {
+					t.Errorf("%s: %s: a product is an operand of + or - without float64(...)", name, fset.Position(m.Pos()))
+				}
+			}
+		}
+	}
+	if got, want := sortedKeys(found), sortedKeys(float); !slices.Equal(got, want) {
+		t.Fatalf("lane loops that add or subtract a product: %v, want %v", got, want)
+	}
+	if found["mulAddLanes"] != 12 || found["fuseLanes"] != 4 {
+		t.Errorf("products checked: %v; want 12 in mulAddLanes (five forms, both signs) and 4 in fuseLanes", found)
+	}
+}
+
+// loopProducts returns the products, each with the one-argument
+// conversion around it if any, that are operands of + or - in the values
+// the loops of body assign, outside index expressions.
+func loopProducts(body *ast.BlockStmt) []ast.Expr {
+	var out []ast.Expr
+	ast.Inspect(body, func(n ast.Node) bool {
+		var loop *ast.BlockStmt
+		switch l := n.(type) {
+		case *ast.ForStmt:
+			loop = l.Body
+		case *ast.RangeStmt:
+			loop = l.Body
+		default:
+			return true
+		}
+		ast.Inspect(loop, func(n ast.Node) bool {
 			as, ok := n.(*ast.AssignStmt)
 			if !ok {
 				return true
 			}
 			for _, rhs := range as.Rhs {
 				ast.Inspect(rhs, func(n ast.Node) bool {
+					if _, ok := n.(*ast.IndexExpr); ok {
+						return false
+					}
 					b, ok := n.(*ast.BinaryExpr)
 					if !ok || b.Op != token.ADD && b.Op != token.SUB {
 						return true
 					}
 					for _, x := range []ast.Expr{b.X, b.Y} {
-						if m, ok := ast.Unparen(x).(*ast.BinaryExpr); ok && m.Op == token.MUL {
-							t.Errorf("%s: %s: a product is an operand of %s without float64(...)", fn.Name.Name, fset.Position(m.Pos()), b.Op)
+						x, m := ast.Unparen(x), ast.Unparen(x)
+						if c, ok := x.(*ast.CallExpr); ok && len(c.Args) == 1 {
+							m = ast.Unparen(c.Args[0])
+						}
+						if p, ok := m.(*ast.BinaryExpr); ok && p.Op == token.MUL {
+							out = append(out, x)
 						}
 					}
 					return true
 				})
 			}
-			return false
+			return true
 		})
+		return false
+	})
+	return out
+}
+
+func isIdent(e ast.Expr, name string) bool {
+	id, ok := e.(*ast.Ident)
+	return ok && id.Name == name
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	var keys []string
+	for k := range m {
+		keys = append(keys, k)
 	}
-	if checked != 2 {
-		t.Fatalf("found %d of mulAddLanes and fuseLanes in specvec.go", checked)
-	}
+	slices.Sort(keys)
+	return keys
 }

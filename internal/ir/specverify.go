@@ -22,7 +22,9 @@ func VerifyLowering(k *Kernel, body cc.Stmt, prog *cc.Program) (int, map[string]
 }
 
 // note counts where a tile rewrite took: "held a", "direct s" (a load into
-// private s's vector), "truth" (a comparison computed as a value).
+// private s's vector), "truth" (a comparison computed as a value), "fused
+// a" (a read-only walk read in the pass that uses it), "store a" (a store
+// written in mulAdd's pass).
 func (c *lowerCheck) note(what string) {
 	if c != nil {
 		c.notes[what]++

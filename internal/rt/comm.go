@@ -172,12 +172,13 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 }
 
 // scanDirty extracts source g's dirty runs and priced transfers into
-// its diff slot. Run extraction is word-parallel (dirty bytes are 0 or
-// 1, so zero and all-ones words resolve eight elements per step); the
-// transfer list mirrors the serial scheme byte for byte: one transfer
-// per (dirty chunk, destination) under the two-level scheme, or one
-// whole-replica payload (data + dirty bits) per destination under the
-// single-level ablation.
+// its diff slot. A chunk marked only by spans takes its runs from the
+// spans; dirty bytes are scanned word-parallel (they are 0 or 1, so zero
+// and all-ones words resolve eight elements per step) only in chunks
+// marked chunkBytes. The transfer list mirrors the serial scheme byte
+// for byte: one transfer per (dirty chunk, destination) under the
+// two-level scheme, or one whole-replica payload (data + dirty bits) per
+// destination under the single-level ablation.
 func (r *Runtime) scanDirty(st *arrayState, gpus []*sim.Device, g int, d *srcDiff) {
 	src := st.copies[g]
 	if src.dirty == nil || !src.valid {
@@ -186,36 +187,63 @@ func (r *Runtime) scanDirty(st *arrayState, gpus []*sim.Device, g int, d *srcDif
 	if r.opts.Sabotage != nil && r.opts.Sabotage.DropDirtyChunks {
 		return // test hook: lose this replica's dirty chunks
 	}
-	if r.opts.DisableTwoLevelDirty {
-		any := false
-		for _, b := range src.chunkDirty {
-			if b == 1 {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return
-		}
-		d.runs = appendNonzeroRuns(d.runs, src.dirty, 0, src.localLen())
-		payload := src.localLen()*st.elemSize + src.localLen() // data + dirty bits
-		d.transfers = r.chunkFanOut(d.transfers, st, len(gpus), g, payload, src.lo, src.hi)
-		return
-	}
-	for ch := range src.chunkDirty {
-		if src.chunkDirty[ch] == 0 {
+	single, dirty := r.opts.DisableTwoLevelDirty, false
+	next := 0 // the first span that may reach the current chunk
+	for ch, b := range src.chunkDirty {
+		if b == 0 {
 			continue
 		}
 		lo := int64(ch) * src.chunkElems
-		hi := lo + src.chunkElems
-		if hi > src.localLen() {
-			hi = src.localLen()
-		}
+		hi := min(lo+src.chunkElems, src.localLen())
 		// The chunk ships to every other replica; receivers apply the
-		// elements the first-level dirty bits mark.
-		d.runs = appendNonzeroRuns(d.runs, src.dirty, lo, hi)
-		chunkBytes := (hi - lo) * st.elemSize
-		d.transfers = r.chunkFanOut(d.transfers, st, len(gpus), g, chunkBytes, src.lo+lo, src.lo+hi-1)
+		// elements the first-level marks cover.
+		next = src.chunkRuns(d, b, lo, hi, next)
+		dirty = true
+		if !single {
+			bytes := (hi - lo) * st.elemSize
+			d.transfers = r.chunkFanOut(d.transfers, st, len(gpus), g, bytes, src.lo+lo, src.lo+hi-1)
+		}
+	}
+	if single && dirty {
+		payload := src.localLen()*st.elemSize + src.localLen() // data + dirty bits
+		d.transfers = r.chunkFanOut(d.transfers, st, len(gpus), g, payload, src.lo, src.hi)
+	}
+}
+
+// chunkRuns appends to d.runs the dirty runs of chunk [lo,hi), whose
+// second-level byte is b: the pieces of the spans, the runs of the dirty
+// bytes, or both merged by start. next is the first span not wholly
+// below lo; it returns the one for the next chunk.
+func (c *gpuCopy) chunkRuns(d *srcDiff, b uint8, lo, hi int64, next int) int {
+	if b&chunkSpan == 0 {
+		d.runs = appendNonzeroRuns(d.runs, c.dirty, lo, hi)
+		return next
+	}
+	for next < len(c.spans) && c.spans[next].hi <= lo {
+		next++
+	}
+	var bytes []span
+	if b&chunkBytes != 0 {
+		d.bytes = appendNonzeroRuns(d.bytes[:0], c.dirty, lo, hi)
+		bytes = d.bytes
+	}
+	spans := c.spans[next:]
+	for {
+		var s span
+		switch in := len(spans) > 0 && spans[0].lo < hi; {
+		case in && (len(bytes) == 0 || spans[0].lo <= bytes[0].lo):
+			s, spans = span{max(spans[0].lo, lo), min(spans[0].hi, hi)}, spans[1:]
+		case len(bytes) > 0:
+			s, bytes = bytes[0], bytes[1:]
+		default:
+			return next
+		}
+		// A run that overlaps or touches the last one extends it.
+		if n := len(d.runs); n > 0 && s.lo <= d.runs[n-1].hi {
+			d.runs[n-1].hi = max(d.runs[n-1].hi, s.hi)
+		} else {
+			d.runs = append(d.runs, s)
+		}
 	}
 }
 

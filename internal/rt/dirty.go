@@ -7,7 +7,9 @@ import (
 )
 
 // Word-parallel dirty-bit scanning (host-side performance layer). The
-// two-level dirty scheme stores one byte per element; the communication
+// two-level dirty scheme stores one byte per element (a unit-step store
+// the launch marks in bulk records a span instead, see
+// gpuCopy.spans); the communication
 // manager previously walked those bytes one at a time, once per
 // destination replica. The helpers here extract the maximal runs of
 // dirty elements once per source with eight-bytes-per-step word scans,
@@ -74,6 +76,7 @@ func appendNonzeroRuns(runs []span, d []uint8, lo, hi int64) []span {
 type srcDiff struct {
 	runs      []span
 	transfers []sim.Transfer
+	bytes     []span // chunkRuns' scratch: one chunk's byte runs
 }
 
 // runsDisjoint reports whether the per-source run lists are pairwise

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"accmulti/internal/cc"
@@ -83,6 +84,18 @@ func markDirty(c *gpuCopy, lo, hi int64) {
 	}
 }
 
+// covered reports physical element p marked dirty: its byte, or a span.
+func covered(c *gpuCopy, p int64) bool {
+	return c.dirty[p] != 0 || slices.ContainsFunc(c.spans, func(s span) bool { return s.lo <= p && p < s.hi })
+}
+
+func b2u(b bool) uint8 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // --- legacy reference implementations (pre-PR serial hot paths) ---
 
 // legacyLoadContent is the loader's old per-element content copy.
@@ -93,9 +106,18 @@ func legacyLoadContent(st *arrayState, c *gpuCopy, lo, hi int64) {
 }
 
 // legacySyncReplicated is the old per-destination byte-scan diff,
-// including the single-level ablation's whole-replica path.
+// including the single-level ablation's whole-replica path. Spans are
+// first marked the old way, a byte per element and the chunk bits of
+// their elements.
 func legacySyncReplicated(st *arrayState, ngpus int, disableTwoLevel bool) []sim.Transfer {
 	var transfers []sim.Transfer
+	for g := 0; g < ngpus; g++ {
+		c := st.copies[g]
+		for _, s := range c.spans {
+			markDirty(c, s.lo, s.hi)
+		}
+		c.spans = nil
+	}
 	for g := 0; g < ngpus; g++ {
 		src := st.copies[g]
 		if src.dirty == nil || !src.valid {
@@ -104,7 +126,7 @@ func legacySyncReplicated(st *arrayState, ngpus int, disableTwoLevel bool) []sim
 		if disableTwoLevel {
 			any := false
 			for _, b := range src.chunkDirty {
-				if b == 1 {
+				if b != 0 {
 					any = true
 					break
 				}
@@ -297,6 +319,41 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 			}
 		},
 		"clean": func(st *arrayState, ngpus int, _ *rand.Rand) {},
+		// One span per GPU, as a unit-step store's bulk marking records it.
+		"span-per-gpu": func(st *arrayState, ngpus int, _ *rand.Rand) {
+			for g := 0; g < ngpus; g++ {
+				lo := st.n*int64(g)/int64(ngpus) + 3
+				hi := st.n * int64(g+1) / int64(ngpus)
+				for p := lo; p < hi; p++ {
+					st.copies[g].storeF(p, float64(g)*3.5+float64(p%89))
+				}
+				markDirtyAffine(st.copies[g], lo, hi-1, hi-lo)
+			}
+		},
+		// Spans, a strided store's bytes and the interpreter's marks in
+		// the same chunks: inside a span, beside it, and touching its ends.
+		"span-and-bytes": func(st *arrayState, ngpus int, rng *rand.Rand) {
+			for g := 0; g < ngpus; g++ {
+				c := st.copies[g]
+				base := st.n * int64(g) / int64(ngpus)
+				lo, hi := base+10+int64(rng.Intn(40)), base+120+int64(rng.Intn(60))
+				marks := []int64{lo - 1, lo, lo + 5, hi - 1, hi, hi + 2, base + 2}
+				for p := lo; p < hi; p++ {
+					c.storeF(p, float64(g)+float64(p)/8)
+				}
+				markDirtyAffine(c, lo, hi-1, hi-lo)
+				markDirtyAffine(c, hi+20, hi+40, 11)
+				for _, p := range append(marks, hi+20, hi+22, hi+40) {
+					c.storeF(p, float64(g)*9+float64(p))
+				}
+				for _, p := range marks {
+					c.dirty[p] = 1
+					c.chunkLanes[rng.Intn(len(c.chunkLanes))][p/c.chunkElems] = 1
+				}
+				c.mergeChunkLanes()
+				markDirtyAffine(c, lo+2, lo+30, 29) // inside the first span
+			}
+		},
 	}
 	for name, pat := range patterns {
 		for _, disableTwoLevel := range []bool{false, true} {
@@ -335,6 +392,9 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 						if cN.dirty[p] != 0 || cL.dirty[p] != 0 {
 							t.Fatalf("%s: gpu%d element %d: dirty bit not cleared", name, g, p)
 						}
+					}
+					if len(cN.spans) != 0 {
+						t.Fatalf("%s: gpu%d: spans %v not cleared", name, g, cN.spans)
 					}
 					for ch := range cN.chunkDirty {
 						if cN.chunkDirty[ch] != 0 {
@@ -599,6 +659,18 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	if avg := testing.AllocsPerRun(10, sync); avg > 3 {
 		t.Errorf("serial syncReplicated allocates %.1f objects per superstep, want <= 3", avg)
 	}
+	// Marked the way a unit-step store's bulk marking does, the span list
+	// is reused from superstep to superstep.
+	spans := func() {
+		for g := 0; g < ngpus; g++ {
+			markDirtyAffine(st.copies[g], int64(g)*n/ngpus, int64(g+1)*n/ngpus-1, n/ngpus)
+		}
+		r.syncReplicated(st, r.mach.GPUs())
+	}
+	spans()
+	if avg := testing.AllocsPerRun(10, spans); avg > 3 {
+		t.Errorf("serial syncReplicated of spans allocates %.1f objects per superstep, want <= 3", avg)
+	}
 
 	jobs := r.jobScratchFor(ngpus)
 	for g := 0; g < ngpus; g++ {
@@ -683,7 +755,8 @@ func BenchmarkIteratedStencilLoader(b *testing.B) {
 // written its quarter (the BSP steady state of a replicated written
 // array). legacy re-scans the dirty bytes once per destination;
 // optimized extracts runs once per source with word scans and applies
-// them with bulk copies, sources in parallel.
+// them with bulk copies, sources in parallel; spans marks each quarter
+// as one span and reads the runs from it.
 func BenchmarkReplicatedWriteDiff(b *testing.B) {
 	const ngpus = 4
 	const n = 1 << 20
@@ -725,6 +798,22 @@ func BenchmarkReplicatedWriteDiff(b *testing.B) {
 			b.StopTimer()
 			restore(st, dirtyT, chunkT)
 			b.StartTimer()
+			r.syncReplicated(st, r.mach.GPUs())
+		}
+	})
+	// Each quarter marked as a unit-step store's bulk marking does: a
+	// span, no bytes. The marking is timed too: it is the launch's.
+	b.Run("spans", func(b *testing.B) {
+		r, st, _, _ := prepare(b, Options{})
+		for g := 0; g < ngpus; g++ {
+			st.copies[g].clearDirty()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for g := 0; g < ngpus; g++ {
+				markDirtyAffine(st.copies[g], int64(g)*n/ngpus, int64(g+1)*n/ngpus-1, n/ngpus)
+			}
 			r.syncReplicated(st, r.mach.GPUs())
 		}
 	})

@@ -634,7 +634,7 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 			c.dirty = data[:local]
 			c.chunkDirty = data[local:]
 			c.chunkElems = chunkElems
-			c.chunkLanes = nil
+			c.chunkLanes, c.spans = nil, nil
 			r.emitSysAlloc(st.decl.Name, "dirty", c.g, local+nChunks)
 		}
 		if len(c.chunkLanes) != c.dev.Spec.Workers {

@@ -95,6 +95,23 @@ void main() {
 }
 `
 
+// specCopySrc is the replicated stencil's copy kernel alone: a dense
+// store of a read-only walk into an array of its element type.
+const specCopySrc = `
+int n;
+float a[n], b[n];
+void main() {
+    int i;
+    #pragma acc data copyin(b) copy(a)
+    {
+        #pragma acc parallel loop
+        for (i = 1; i < n - 1; i++) {
+            a[i] = b[i];
+        }
+    }
+}
+`
+
 // specGuardedStencilSrc is the boundary-guarded localaccess stencil of
 // examples/stencil1d and the stencil_dist benchmark workload: the
 // affine && guard that index-set splitting takes off the interpreter.
@@ -726,7 +743,9 @@ void main() {
 
 // TestMarkDirtyAffine checks the bulk marker against a naive
 // per-iteration oracle over strides, directions, offsets and chunk
-// sizes (including ones that do not divide the footprint).
+// sizes (including ones that do not divide the footprint): the elements
+// its bytes and spans cover, and the chunks it marks. A unit step or one
+// element is a span and sets no byte; a wider step sets bytes only.
 func TestMarkDirtyAffine(t *testing.T) {
 	const elems = 600
 	cases := []struct {
@@ -766,14 +785,21 @@ func TestMarkDirtyAffine(t *testing.T) {
 				last = tc.first + it*tc.step
 			}
 			markDirtyAffine(c, tc.first, last, tc.iters)
+			spanned := tc.step == 1 || tc.step == -1 || tc.iters == 1 || tc.step == 0
+			if got := len(c.spans) > 0; got != spanned {
+				t.Fatalf("spans %v; want a span: %v", c.spans, spanned)
+			}
 			for p := range wantDirty {
-				if c.dirty[p] != wantDirty[p] {
-					t.Fatalf("dirty[%d] = %d, want %d", p, c.dirty[p], wantDirty[p])
+				if got := b2u(covered(c, int64(p))); got != wantDirty[p] {
+					t.Fatalf("element %d marked %d, want %d", p, got, wantDirty[p])
+				}
+				if spanned && c.dirty[p] != 0 {
+					t.Fatalf("dirty[%d] set under a span", p)
 				}
 			}
 			for ch := range wantChunk {
-				if c.chunkDirty[ch] != wantChunk[ch] {
-					t.Fatalf("chunkDirty[%d] = %d, want %d", ch, c.chunkDirty[ch], wantChunk[ch])
+				if got := b2u(c.chunkDirty[ch] != 0); got != wantChunk[ch] {
+					t.Fatalf("chunkDirty[%d] = %d, want it marked: %v", ch, c.chunkDirty[ch], wantChunk[ch] != 0)
 				}
 			}
 		})
@@ -866,22 +892,6 @@ void main() {
 	}
 }
 
-func TestFillOnes(t *testing.T) {
-	for n := 0; n <= 70; n++ {
-		buf := make([]uint8, n+8)
-		fillOnes(buf[4 : 4+n])
-		for i, b := range buf {
-			want := uint8(0)
-			if i >= 4 && i < 4+n {
-				want = 1
-			}
-			if b != want {
-				t.Fatalf("n=%d: buf[%d] = %d, want %d", n, i, b, want)
-			}
-		}
-	}
-}
-
 // specLaunchState wires one compiled kernel into a runtime for direct
 // Launch/runOnGPU driving, with the arrays held resident as a data
 // region would (the steady state the benchmarks and the allocation
@@ -932,6 +942,7 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 	}{
 		{"saxpy", specSaxpySrc, map[string]float64{"a": 1.5}, 0},
 		{"stencil", specStencilSrc, map[string]float64{}, 0},
+		{"copy", specCopySrc, map[string]float64{}, 0},
 		{"guarded-stencil", specGuardedStencilSrc, map[string]float64{"steps": 1}, 0},
 		{"kmeans", specKMeansSrc, map[string]float64{"k": 5, "nf": 34}, 15},
 	} {
@@ -1196,6 +1207,17 @@ func BenchmarkPhaseBStencil(b *testing.B) {
 	})
 	b.Run("specialized", func(b *testing.B) {
 		benchPhaseB(b, specStencilSrc, scalars, Options{})
+	})
+}
+
+// BenchmarkPhaseBCopy is the copy kernel a[i] = b[i] over float arrays.
+func BenchmarkPhaseBCopy(b *testing.B) {
+	scalars := map[string]float64{"n": 1 << 20}
+	b.Run("legacy", func(b *testing.B) {
+		benchPhaseB(b, specCopySrc, scalars, Options{Reference: true})
+	})
+	b.Run("specialized", func(b *testing.B) {
+		benchPhaseB(b, specCopySrc, scalars, Options{})
 	})
 }
 

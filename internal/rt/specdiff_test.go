@@ -985,6 +985,7 @@ void main() {
 	specTemplates = append(specTemplates, typeTemplates()...)
 	specTemplates = append(specTemplates, rewriteTemplates()...)
 	specTemplates = append(specTemplates, walkTemplates()...)
+	specTemplates = append(specTemplates, sinkTemplates()...)
 }
 
 // walkTemplates hold the fifth rewrite (ir specvec.go) to the interpreter:
@@ -1167,6 +1168,178 @@ void main() {
 		n := float64(8 * chunk)
 		out = append(out, specTemplate{
 			name:  fmt.Sprintf("walk-chunk-%d", chunk),
+			src:   chunked,
+			check: tiled,
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				return map[string]float64{"n": n, "a": 0.1 + rng.Float64()}
+			},
+		})
+	}
+	return out
+}
+
+// sinkTemplates hold the sixth rewrite (ir specvec.go) to the interpreter:
+// a dense store whose value ends in a product added or subtracted, written
+// by that pass into the array, and copies between arrays of one element
+// type. Every form of both signs stored into float and double arrays, and
+// into an int one, which keeps the vector path; stride-2 destinations,
+// which keep it too; in-place updates; float, double and int copies with
+// quiet and signalling NaNs of either sign (the nan arrays), and NaNs
+// through a float store of a sum and a double store of a difference (a
+// sum of two NaNs is left out: which payload it keeps is the compiler's
+// choice of operand order, which the race build makes differently for
+// the interpreter and the tiles, at the parent too); and a
+// replicated ping-pong of such stores at worker chunks of 1, VecTile-1 and
+// VecTile+1 iterations, whose unit-step stores mark their replicas' dirty
+// elements as spans. Each asserts that its tiles engaged.
+func sinkTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	withA := func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["a"] = 0.1 + rng.Float64()
+		return m
+	}
+	out := []specTemplate{
+		{name: "sink-types", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float x_[n], y_[n], f_[n];
+double g_[n], d_[n];
+int k_[n], j_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(x_, y_, g_, j_) copyout(f_, d_, k_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            f_[i] = a * x_[i] + 0.3 * g_[i];
+            d_[i] = 0.7 * x_[i] - a * j_[i];
+            k_[i] = 1000.0 * x_[i] + 0.5 * y_[i] * 100.0;
+        }
+    }
+}
+`},
+		{name: "sink-forms", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float x_[n], y_[n], o1_[n], o2_[n], o3_[n], o4_[n], o5_[n], o6_[n];
+double d1_[n], d2_[n], d3_[n], d4_[n], d5_[n], d6_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(x_, y_) copyout(o1_, o2_, o3_, o4_, o5_, o6_, d1_, d2_, d3_, d4_, d5_, d6_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            o1_[i] = a * x_[i] + 2.5;
+            o2_[i] = 1.5 - a * x_[i];
+            o3_[i] = x_[i] + a * y_[i];
+            o4_[i] = a * x_[i] - y_[i];
+            o5_[i] = (x_[i] + y_[i]) * a - 0.3 * x_[i];
+            o6_[i] = a * x_[i] + 0.3 * y_[i] - 0.7 * x_[i];
+            d1_[i] = 2.5 - x_[i] * a;
+            d2_[i] = 1.5 + a * x_[i];
+            d3_[i] = x_[i] - a * y_[i];
+            d4_[i] = a * x_[i] + y_[i];
+            d5_[i] = 0.3 * x_[i] * a - (x_[i] - y_[i]) * 0.7;
+            d6_[i] = 0.1 + a * x_[i] - 0.3 * y_[i];
+        }
+    }
+}
+`},
+		{name: "sink-stride2", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float s_[2 * n + 2], out_[2 * n];
+double d_[2 * n], e_[n], f_[2 * n];
+int k_[n], j_[2 * n];
+void main() {
+    int i;
+    #pragma acc data copyin(s_, e_, k_) copy(out_, d_, f_, j_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            out_[2 * i] = a * s_[i] + 0.3 * s_[i + 1];
+            d_[2 * i + 1] = 0.7 * s_[2 * i] - a * s_[i];
+            f_[2 * i] = e_[i];
+            j_[2 * i + 1] = k_[i];
+        }
+    }
+}
+`},
+		{name: "sink-inplace", scalars: withA, check: tiled, src: `
+int n;
+double a;
+float a_[n], b_[n];
+double c_[n], e_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(b_, e_) copy(a_, c_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a_[i] = 0.5 * a_[i] + 0.25 * b_[i];
+            c_[i] = a * c_[i] - 0.25 * e_[i] * 3.0;
+        }
+    }
+}
+`},
+		{name: "sink-nan", scalars: nScalar, check: tiled, src: `
+int n;
+float nan_[n], f_[n], c_[n], p_[n];
+double nand_[n], cd_[n], pd_[n];
+int k_[n], ck_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_, nand_, f_, k_) copyout(c_, p_, cd_, pd_, ck_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = nan_[i];
+            cd_[i] = nand_[i];
+            ck_[i] = k_[i];
+            p_[i] = 0.5 * nan_[i] + 0.25 * f_[i];
+            pd_[i] = nand_[i] - 0.5 * nan_[i];
+        }
+    }
+}
+`},
+	}
+	const chunked = `
+int n;
+double a;
+float a_[n + 2], b_[n];
+double d_[n], e_[n];
+int k_[n], j_[n];
+void main() {
+    int t, i;
+    #pragma acc data copy(a_, d_, k_) create(b_, e_, j_)
+    {
+        for (t = 0; t < 3; t++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                b_[i] = 0.3 * a_[i] + a * a_[i + 1] - 0.7 * a_[i + 2];
+                e_[i] = d_[i];
+                j_[i] = k_[i];
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a_[i + 1] = b_[i];
+                d_[i] = 0.5 * e_[i] + 0.25 * b_[i];
+                k_[i] = j_[i] + 1;
+            }
+        }
+    }
+}
+`
+	for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+		n := float64(8 * chunk)
+		out = append(out, specTemplate{
+			name:  fmt.Sprintf("sink-chunk-%d", chunk),
 			src:   chunked,
 			check: tiled,
 			scalars: func(rng *rand.Rand) map[string]float64 {
@@ -1877,7 +2050,12 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 // stencil's three products and its copy read their walks from the array,
 // as do the guarded stencil's interior piece, its boundary piece's copy and
 // its copy kernel, and saxpy's product; saxpy's y, which the kernel writes,
-// is read from its vector.
+// is read from its vector. Where a dense store's value ends in a product
+// added or subtracted, the pass writes the array (store): the replicated
+// stencil's b, the guarded stencil's interior piece's b and saxpy's y, not
+// the boundary piece's b, a copy. A copy between double arrays or int
+// arrays is a copy (copy); both stencils' copy kernels, float to float,
+// keep the converting pass that reads the walk (fused b).
 func TestRewritesEngage(t *testing.T) {
 	source := func(app string) string {
 		a, err := apps.ByName(app)
@@ -1893,9 +2071,10 @@ func TestRewritesEngage(t *testing.T) {
 		{"MD", source("MD"), map[string]int{"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1}},
 		{"KMEANS", source("KMEANS"), map[string]int{"held feat": 2}},
 		{"BFS", source("BFS"), map[string]int{"direct w": 1}},
-		{"repl stencil", rt.ReplPingPongSrc, map[string]int{"fused a": 3, "fused b": 1}},
-		{"guarded stencil", rt.SpecGuardedStencilSrc, map[string]int{"fused a": 4, "fused b": 1}},
-		{"saxpy", rt.SpecSaxpySrc, map[string]int{"fused x": 1}},
+		{"repl stencil", rt.ReplPingPongSrc, map[string]int{"fused a": 3, "fused b": 1, "store b": 1}},
+		{"guarded stencil", rt.SpecGuardedStencilSrc, map[string]int{"fused a": 4, "fused b": 1, "store b": 1}},
+		{"saxpy", rt.SpecSaxpySrc, map[string]int{"fused x": 1, "store y": 1}},
+		{"copies", copiesSrc, map[string]int{"fused d": 1, "fused k": 1, "fused f": 2}},
 	} {
 		prog, err := cc.ParseProgram(tc.src)
 		if err != nil {
@@ -1924,6 +2103,25 @@ func TestRewritesEngage(t *testing.T) {
 		}
 	}
 }
+
+// copiesSrc holds one copy kernel per element type, and a float array
+// copied into a double one: copyWalk reads each walk in its own pass.
+const copiesSrc = `
+int n;
+double d[n], e[n], h[n];
+int k[n], j[n];
+float f[n], g[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        e[i] = d[i];
+        j[i] = k[i];
+        g[i] = f[i];
+        h[i] = f[i];
+    }
+}
+`
 
 // rejects holds a specialized run to kernels the tiles rejected at
 // translate time for reason.
@@ -3025,6 +3223,88 @@ func TestSpecializedVsInterpCorpus(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestNaNPlusNaN adds two NaN operands, float and double. The sum keeps
+// the payload of whichever operand the compiled add puts first, which
+// IEEE 754 leaves open, so invariant 11 holds for it only where the
+// interpreter and the tiles are compiled alike. The tiles' mulAdd forms
+// (a float store's pass, a double store's vector) are, except in a race
+// build, which orders their additions differently; the differential
+// templates therefore keep NaN + NaN out. A plain vector add is the other
+// way round: its payloads differ in a normal build. There the test holds
+// every lane to the interpreter's bits except those adding two NaNs,
+// which must be NaN.
+func TestNaNPlusNaN(t *testing.T) {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	t.Run("mulAdd", func(t *testing.T) {
+		if raceBuild {
+			t.Skip("a race build orders the interpreter's and the tiles' NaN + NaN additions differently")
+		}
+		tpl := specTemplate{name: "nan-plus-nan", check: tiled, src: `
+int n;
+float nan_[n], p_[n];
+double nand_[n], pd_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_, nand_) copyout(p_, pd_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            p_[i] = 0.5 * nan_[i] + 0.25 * nand_[i];
+            pd_[i] = nand_[i] - 0.5 * nan_[i];
+        }
+    }
+}
+`}
+		for _, n := range []float64{1, 513, 4096} {
+			checkSpecDiff(t, tpl, map[string]float64{"n": n}, 11)
+		}
+	})
+	t.Run("add", func(t *testing.T) {
+		tpl := specTemplate{name: "nan-add", src: `
+int n;
+float nan_[n], q_[n];
+double nand_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_, nand_) copyout(q_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            q_[i] = nan_[i] + nand_[i];
+        }
+    }
+}
+`}
+		scalars := map[string]float64{"n": 4096}
+		_, ref, _ := runSpecTemplate(t, tpl, scalars, 11, sim.Desktop(), rt.Options{Reference: true})
+		r, got, _ := runSpecTemplate(t, tpl, scalars, 11, sim.Desktop(), rt.Options{})
+		if err := tiled(r.SpecStats()); err != nil {
+			t.Fatal(err)
+		}
+		x, y, want, q := ref.Arrays[0].F32, ref.Arrays[2].F64, ref.Arrays[1].F32, got.Arrays[1].F32
+		nans, moved := 0, 0
+		for k := range want {
+			both := x[k] != x[k] && y[k] != y[k]
+			if both {
+				nans++
+			}
+			switch {
+			case math.Float32bits(want[k]) == math.Float32bits(q[k]):
+			case both && q[k] != q[k]:
+				moved++
+			default:
+				t.Fatalf("q_[%d]: interpreter %#08x, tiles %#08x", k, math.Float32bits(want[k]), math.Float32bits(q[k]))
+			}
+		}
+		t.Logf("%d of %d NaN + NaN lanes kept the other operand's payload", moved, nans)
+	})
 }
 
 // FuzzSpecializedVsInterp lets the fuzzer explore (template, shape,

@@ -847,44 +847,28 @@ func addCost(ctrs *sim.Counters, c *ir.IterCost, times int64) {
 	ctrs.ReduceOps += c.ReduceOps * times
 }
 
-// markDirtyAffine marks the dirty bits and chunk bits of one store
-// access's footprint: the arithmetic progression from v0 to v1 over
-// iters iterations (logical element indices; the copy is untransformed,
-// so physical offset = logical − lo).
+// markDirtyAffine marks the footprint of one store access: the
+// arithmetic progression from v0 to v1 over iters iterations (logical
+// element indices; the copy is untransformed, so physical offset =
+// logical − lo). A unit step or a single element is one span, a wider
+// step one dirty byte per element; either way each chunk it touches gets
+// its bit.
 func markDirtyAffine(c *gpuCopy, v0, v1, iters int64) {
 	if v1 < v0 {
 		v0, v1 = v1, v0
 	}
 	p0, p1 := v0-c.lo, v1-c.lo
-	if iters == 1 || p0 == p1 {
-		c.dirty[p0] = 1
-		c.chunkDirty[p0/c.chunkElems] = 1
-		return
-	}
-	step := (p1 - p0) / (iters - 1)
-	if step == 1 {
-		fillOnes(c.dirty[p0 : p1+1])
+	if iters == 1 || p0 == p1 || (p1-p0)/(iters-1) == 1 {
+		c.addSpan(p0, p1+1)
 		// Contiguous, so every chunk in the range holds a store.
 		for ch := p0 / c.chunkElems; ch <= p1/c.chunkElems; ch++ {
-			c.chunkDirty[ch] = 1
+			c.chunkDirty[ch] |= chunkSpan
 		}
 		return
 	}
-	for p := p0; p <= p1; p += step {
+	for p, step := p0, (p1-p0)/(iters-1); p <= p1; p += step {
 		c.dirty[p] = 1
-		c.chunkDirty[p/c.chunkElems] = 1
-	}
-}
-
-// fillOnes sets every byte of s to 1 (copy-doubling; Go only pattern-
-// matches memset for zeroing).
-func fillOnes(s []uint8) {
-	if len(s) == 0 {
-		return
-	}
-	s[0] = 1
-	for filled := 1; filled < len(s); filled *= 2 {
-		copy(s[filled:], s[:filled])
+		c.chunkDirty[p/c.chunkElems] |= chunkBytes
 	}
 }
 

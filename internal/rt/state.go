@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"slices"
 
 	"accmulti/internal/acc"
 	"accmulti/internal/cc"
@@ -65,10 +66,15 @@ type gpuCopy struct {
 	// Two-level dirty bits (replicated written arrays). Worker strands
 	// mark chunks in per-lane scratch (chunkLanes) because neighbouring
 	// strands share chunk bytes; a real GPU would use an atomic OR. The
-	// lanes fold into chunkDirty once the kernel completes.
+	// lanes fold into chunkDirty once the kernel completes. A unit-step
+	// store the launch marks in bulk (markDirtyAffine) records its
+	// footprint in spans (physical, half-open, sorted and disjoint)
+	// instead of one byte per element; a chunk's byte says what it holds:
+	// chunkBytes, chunkSpan or both.
 	dirty      []uint8
 	chunkDirty []uint8
 	chunkLanes [][]uint8
+	spans      []span
 	dirtyBuf   *sim.Buffer
 	chunkElems int64
 
@@ -98,32 +104,64 @@ func (c *gpuCopy) localLen() int64 {
 	return c.hi - c.lo + 1
 }
 
+// What a chunk's second-level byte records: dirty bytes in the chunk,
+// a span over part of it, or both.
+const (
+	chunkBytes uint8 = 1 << iota
+	chunkSpan
+)
+
 // mergeChunkLanes folds the per-lane chunk marks into chunkDirty after
 // a launch and resets the lanes for the next one.
 func (c *gpuCopy) mergeChunkLanes() {
 	for _, lane := range c.chunkLanes {
 		for ch, b := range lane {
 			if b != 0 {
-				c.chunkDirty[ch] = 1
+				c.chunkDirty[ch] |= chunkBytes
 				lane[ch] = 0
 			}
 		}
 	}
 }
 
-// clearDirty starts the next superstep clean. A dirty byte implies its
-// chunk's second-level bit (the store paths set both, see
+// addSpan records the dirty physical range [lo,hi), keeping spans sorted
+// and disjoint: the spans it overlaps or touches merge into one, so a
+// store marked again before the next clear adds nothing.
+func (c *gpuCopy) addSpan(lo, hi int64) {
+	s := c.spans
+	i := 0
+	for i < len(s) && s[i].hi < lo {
+		i++
+	}
+	j := i
+	for ; j < len(s) && s[j].lo <= hi; j++ {
+		lo, hi = min(lo, s[j].lo), max(hi, s[j].hi)
+	}
+	if i == j {
+		c.spans = slices.Insert(s, i, span{lo, hi})
+		return
+	}
+	s[i] = span{lo, hi}
+	c.spans = slices.Delete(s, i+1, j)
+}
+
+// clearDirty starts the next superstep clean. A dirty byte or a span
+// implies its chunk's second-level bit (the store paths set both, see
 // mergeChunkLanes and markDirtyAffine — scanDirty relies on the same),
-// so only the first-level bytes of marked chunks need clearing: the
-// cost follows what the kernel wrote, not the size of the array.
+// so only the first-level bytes of chunks marked chunkBytes need
+// clearing: the cost follows what the kernel wrote byte by byte, not
+// the size of the array.
 func (c *gpuCopy) clearDirty() {
 	for ch, b := range c.chunkDirty {
-		if b != 0 {
+		if b&chunkBytes != 0 {
 			lo := int64(ch) * c.chunkElems
 			clear(c.dirty[lo:min(lo+c.chunkElems, int64(len(c.dirty)))])
+		}
+		if b != 0 {
 			c.chunkDirty[ch] = 0
 		}
 	}
+	c.spans = c.spans[:0]
 }
 
 // state returns (creating on first touch) the runtime state of decl.
@@ -167,7 +205,7 @@ func (c *gpuCopy) release() error {
 	}
 	c.valid = false
 	c.f32, c.f64, c.i32 = nil, nil, nil
-	c.dirty, c.chunkDirty, c.chunkLanes = nil, nil, nil
+	c.dirty, c.chunkDirty, c.chunkLanes, c.spans = nil, nil, nil, nil
 	c.miss, c.lanesF, c.lanesI = nil, nil, nil
 	c.transformed = false
 	return nil
