@@ -176,6 +176,29 @@ func TestAccrunAudit(t *testing.T) {
 	}
 }
 
+// TestAccrunAuditNaN runs a kernel whose every result is NaN under
+// -audit: the auditor must not report NaN against NaN as a divergence.
+func TestAccrunAuditNaN(t *testing.T) {
+	bin := buildTool(t)
+	src := filepath.Join(t.TempDir(), "nan.c")
+	if err := os.WriteFile(src, []byte(`int n;
+float x[n], y[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        y[i] = (x[i] - x[i]) / (x[i] - x[i]);
+    }
+}
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	out, err := exec.Command(bin, "-audit", "-set", "n=64", src).CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "audit: all device copies matched") {
+		t.Fatalf("accrun -audit: %v\n%s", err, out)
+	}
+}
+
 func TestAccrunFaults(t *testing.T) {
 	bin := buildTool(t)
 	out, err := exec.Command(bin, "-audit", "-faults", "seed=7,oomgpu=1,oomalloc=2",

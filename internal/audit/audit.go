@@ -120,6 +120,11 @@ func (e *DivergenceError) Error() string {
 		}
 		return fmt.Sprintf("%g", v)
 	}
+	got, want := val(e.Got), val(e.Want)
+	if got == want { // values that print alike (two NaN payloads) show their bits
+		got = fmt.Sprintf("%s (%#016x)", got, math.Float64bits(e.Got))
+		want = fmt.Sprintf("%s (%#016x)", want, math.Float64bits(e.Want))
+	}
 	loc := "scalar"
 	if e.Lo >= 0 {
 		loc = fmt.Sprintf("elements [%d,%d]", e.Lo, e.Hi)
@@ -128,7 +133,7 @@ func (e *DivergenceError) Error() string {
 		}
 	}
 	return fmt.Sprintf("audit: %s: %s diverged on %s, %s: got %s, want %s (t=%v)",
-		e.Context, e.Array, where, loc, val(e.Got), val(e.Want), e.Time)
+		e.Context, e.Array, where, loc, got, want, e.Time)
 }
 
 // BeginRun resets the oracle for one execution of the instance.
@@ -179,9 +184,10 @@ func (sh *shadow) hostLoad(i int64) (f float64, n int64) {
 	}
 }
 
-// close reports whether got matches want under the shadow's policy.
+// close reports whether got matches want under the shadow's policy. Two
+// NaNs match: the oracle and the engines agree that the element is NaN.
 func (a *Auditor) close(sh *shadow, got, want float64) bool {
-	if got == want {
+	if got == want || got != got && want != want {
 		return true
 	}
 	if !sh.fuzzy || sh.isInt() {
@@ -283,7 +289,7 @@ func (a *Auditor) AfterLaunch(k *ir.Kernel, env *ir.Env, copies []rt.AuditCopy, 
 	for ri, red := range k.ScalarReds {
 		got := getRedSlot(env, red)
 		want := a.pendingReds[ri]
-		ok := got == want
+		ok := got == want || got != got && want != want
 		if !ok && red.Decl.Type != cc.TInt {
 			scale := math.Max(1, math.Abs(want))
 			ok = math.Abs(got-want) <= a.opts.Tolerance*scale

@@ -2,6 +2,8 @@ package audit_test
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"accmulti/internal/audit"
@@ -77,6 +79,20 @@ func stencilBindings() *ir.Bindings {
 	arr.F32[256] = 1000
 	b.SetArray("a", arr)
 	return b
+}
+
+// TestDivergencePrintsBits: a divergence whose values print alike (two
+// NaNs of different payloads) also prints their bits.
+func TestDivergencePrintsBits(t *testing.T) {
+	e := &audit.DivergenceError{Context: "k", Array: "y", GPU: 0, Lo: 3, Hi: 3,
+		Got: math.Float64frombits(0x7ff8000000000001), Want: math.Float64frombits(0x7ff8000000000002)}
+	if msg := e.Error(); !strings.Contains(msg, "got NaN (0x7ff8000000000001), want NaN (0x7ff8000000000002)") {
+		t.Errorf("%s: want both values' bits", msg)
+	}
+	e.Got, e.Want = 1, 2
+	if msg := e.Error(); !strings.Contains(msg, "got 1, want 2 (t=") {
+		t.Errorf("%s: values that print apart print no bits", msg)
+	}
 }
 
 func TestAuditorPassesCleanRuns(t *testing.T) {

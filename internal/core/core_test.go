@@ -31,6 +31,42 @@ void main() {
 }
 `
 
+// NaNSrc makes every element of y NaN, zero over zero: the kernel the
+// auditor once reported as diverging, "got NaN, want NaN".
+const NaNSrc = `
+int n;
+float x[n], y[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        y[i] = (x[i] - x[i]) / (x[i] - x[i]);
+    }
+}
+`
+
+// TestAuditedNaNRun: an audited run whose results are NaN passes — the
+// oracle and the engines agree that each element is NaN.
+func TestAuditedNaNRun(t *testing.T) {
+	prog, err := Compile(NaNSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prog.Run(ir.NewBindings().SetScalar("n", 64), Config{Audit: true})
+	if err != nil {
+		t.Fatalf("audited run: %v", err)
+	}
+	y, err := res.Instance.Array("y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range y.F32 {
+		if v == v {
+			t.Fatalf("y[%d] = %g, want NaN", i, v)
+		}
+	}
+}
+
 func TestCompileAndRun(t *testing.T) {
 	prog, err := Compile(coreSrc)
 	if err != nil {

@@ -58,24 +58,15 @@ import (
 //     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
 //     kernel on the interpreter.
 //
-// Six exact rewrites pay once what the body would pay per trip, per
-// statement or per pass. (1) Held loads (hold): a walk of an array the
-// kernel never writes, outside every arm, whose index reads one
-// body-assigned scalar u (a lockstep loop's variable), is kept per tile and
-// value of u, and read every later time the tile gets there: on the next
-// trip of a loop around (KMEANS's c loop), or at a load of the same array
-// and index elsewhere (the newc loop). (2) An if splits its lanes in the
-// pass that compares; a comparison used as a value is the same split. (3)
-// "=" of a load to a private scalar that needs no rounding loads into the
-// scalar's vector. (4) A reduction-lane update keeps a uniform scale and
-// offset out of its index vector. (5) A read-only walk is read in the pass that uses it: an
-// unmasked straight-line walk load of an array the kernel never writes
-// names its walk on its op (walkOf), and mulAdd and a dense "=" store of it
-// (copyWalk) read the copy itself where the physical step is 1, converting
-// as the vector would have, and the vector otherwise. (6) A dense store is
-// written in the pass that computes it: a unit-step "=" into a float
-// array whose value ends in mulAdd runs mulAdd's pass into the array
-// (mulAddStore).
+// Eight exact rewrites (DESIGN §9) pay once what the body would pay per
+// trip, per statement or per pass: (1) held loads (hold); (2) an if splits
+// its lanes in the pass that compares; (3) "=" of a load to a private
+// scalar loads into its vector; (4) a reduction-lane update keeps a
+// uniform scale and offset out of its index vector; (5) a read-only walk
+// is read from the copy in the pass that uses it (walkOf, direct); (6) a
+// dense store is written in mulAdd's pass (mulAddStore); (7) a split whose
+// lanes agree keeps its list (splitLanes); (10) KMEANS's x = a - k;
+// y += x*x is one pass (distance).
 //
 // Bit-exactness contract: every float64 operation happens in the same
 // order with the same operands as the interpreter would have performed
@@ -249,12 +240,14 @@ type vOp[S num] struct {
 	ma        *mulAddOp
 }
 
-// walkOf is an unmasked straight-line walk of an array the kernel never
-// writes, loaded into no private: the array and its access number, whose
-// coefficients the runtime supplies. arr is nil for any other vector.
+// walkOf is an unmasked straight-line walk, loaded into no private: the
+// array, its access number, whose coefficients the runtime supplies, and
+// whether the kernel writes the array (rw: only a comparison reads such a
+// walk from the copy). arr is nil for any other vector.
 type walkOf struct {
 	arr  *cc.VarDecl
 	site int
+	rw   bool
 }
 
 // elem is the element type w reads; for no walk, a float64 vector's: double.
@@ -265,9 +258,10 @@ func (w walkOf) elem() cc.ElemType {
 	return w.arr.Type
 }
 
-// loads is the walk o's vec loads: none for a product, whose w is mulX's.
+// loads is the read-only walk o's vec loads: none for a product, whose w
+// is mulX's.
 func (o vOp[S]) loads() walkOf {
-	if o.kMul != nil {
+	if o.kMul != nil || o.w.rw {
 		return walkOf{}
 	}
 	return o.w
@@ -340,6 +334,10 @@ type vecBuilder struct {
 	// inFlat is set while check is inside a flat loop.
 	undo   []*cc.VarDecl
 	inFlat bool
+	// next is the statement after the assignment being compiled in its
+	// block; skip says that assignment compiled it too (sumSq).
+	next *kStmt
+	skip bool
 }
 
 // buildVec compiles the tiled body of a lowered body, or returns why the
@@ -843,16 +841,24 @@ func mat[S num](v *vecBuilder, o vOp[S]) vec[S] {
 
 func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 	v.top = v.base // the previous statement's vectors are dead
+	next := v.next
+	v.next = nil
 	switch st := k.s.(type) {
 	case *cc.Block:
 		var seq []VStmt
-		for _, c := range k.kids {
-			d, err := v.stmt(c)
+		for i := 0; i < len(k.kids); i++ {
+			if v.next = nil; i+1 < len(k.kids) {
+				v.next = k.kids[i+1]
+			}
+			d, err := v.stmt(k.kids[i])
 			if err != nil {
 				return nil, err
 			}
 			if d != nil {
 				seq = append(seq, d)
+			}
+			if v.skip {
+				i, v.skip = i+1, false
 			}
 		}
 		switch len(seq) {
@@ -869,7 +875,7 @@ func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 	case *cc.DeclStmt:
 		return nil, nil
 	case *cc.AssignStmt:
-		if st.LHS.Type() == cc.TInt {
+		if v.next = next; st.LHS.Type() == cc.TInt {
 			return assign[int64](v, k)
 		}
 		return assign[float64](v, k)
@@ -1160,19 +1166,20 @@ func setter[S num](t cc.ElemType) func(op byte, out, s []S, act []int32) {
 	return setLanes[S, S]
 }
 
-// The forms of fuseLanes: out = a op c, out = a op k and out = k - a
-// with c a vector and k uniform, and out ± = a * c.
+// The forms of fuseLanes, each one a kernel reaches (TestRewritesEngage's
+// census): out = a + c, a + k, a - c, k - a and a * c, c a vector and k
+// uniform, and out += a * c. The two with a uniform operand run outside
+// arms only; every other statement takes setLanes' path.
 const (
 	fuAddV = iota
 	fuAddK
 	fuSubV
-	fuSubK
 	fuRsubK
 	fuMulV
-	fuMulK
 	fuAccAdd
-	fuAccSub
 )
+
+var fuseNames = [...]string{fuAddV: "x+v", fuAddK: "x+k", fuSubV: "x-v", fuRsubK: "k-x", fuMulV: "x*v", fuAccAdd: "+=x*v"}
 
 // fuseLanes is setLanes with the last operation of a float right-hand
 // side folded into the pass: one float64 operation, then the assignment's
@@ -1184,107 +1191,72 @@ func fuseLanes[R float32 | float64](form int, out, a, c []float64, k float64, ac
 		c = c[:len(out)]
 	}
 	if len(act) == len(out) {
-		form += fuAccSub + 1
+		form += fuAccAdd + 1
 	}
 	switch form {
 	case fuAddV:
 		for _, t := range act {
 			out[t] = float64(R(a[t] + c[t]))
 		}
-	case fuAddK:
-		for _, t := range act {
-			out[t] = float64(R(a[t] + k))
-		}
 	case fuSubV:
 		for _, t := range act {
 			out[t] = float64(R(a[t] - c[t]))
-		}
-	case fuSubK:
-		for _, t := range act {
-			out[t] = float64(R(a[t] - k))
-		}
-	case fuRsubK:
-		for _, t := range act {
-			out[t] = float64(R(k - a[t]))
 		}
 	case fuMulV:
 		for _, t := range act {
 			out[t] = float64(R(a[t] * c[t]))
 		}
-	case fuMulK:
-		for _, t := range act {
-			out[t] = float64(R(a[t] * k))
-		}
 	case fuAccAdd:
 		for _, t := range act {
 			out[t] = float64(R(out[t] + float64(a[t]*c[t])))
 		}
-	case fuAccSub:
-		for _, t := range act {
-			out[t] = float64(R(out[t] - float64(a[t]*c[t])))
-		}
-	case fuAccSub + 1 + fuAddV:
+	case fuAccAdd + 1 + fuAddV:
 		for t := range out {
 			out[t] = float64(R(a[t] + c[t]))
 		}
-	case fuAccSub + 1 + fuAddK:
+	case fuAccAdd + 1 + fuAddK:
 		for t := range out {
 			out[t] = float64(R(a[t] + k))
 		}
-	case fuAccSub + 1 + fuSubV:
+	case fuAccAdd + 1 + fuSubV:
 		for t := range out {
 			out[t] = float64(R(a[t] - c[t]))
 		}
-	case fuAccSub + 1 + fuSubK:
-		for t := range out {
-			out[t] = float64(R(a[t] - k))
-		}
-	case fuAccSub + 1 + fuRsubK:
+	case fuAccAdd + 1 + fuRsubK:
 		for t := range out {
 			out[t] = float64(R(k - a[t]))
 		}
-	case fuAccSub + 1 + fuMulV:
+	case fuAccAdd + 1 + fuMulV:
 		for t := range out {
 			out[t] = float64(R(a[t] * c[t]))
 		}
-	case fuAccSub + 1 + fuMulK:
-		for t := range out {
-			out[t] = float64(R(a[t] * k))
-		}
-	case fuAccSub + 1 + fuAccAdd:
+	default:
 		for t := range out {
 			out[t] = float64(R(out[t] + float64(a[t]*c[t])))
 		}
-	default:
-		for t := range out {
-			out[t] = float64(R(out[t] - float64(a[t]*c[t])))
-		}
 	}
-}
-
-// fusedForms lists, by the operator of the right-hand side, the forms for
-// vector op vector, vector op uniform and uniform op vector.
-var fusedForms = map[string][3]int{
-	"+": {fuAddV, fuAddK, fuAddK}, "-": {fuSubV, fuSubK, fuRsubK}, "*": {fuMulV, fuMulK, fuMulK},
 }
 
 // fusedForm picks the fuseLanes form of `lhs aop (x iop y)`; ka and kc
 // say which operand is uniform, swap that the uniform one came first.
 // ok is false where no form covers the statement.
-func fusedForm(aop, iop string, ka, kc bool) (form int, swap, ok bool) {
-	forms := fusedForms[iop]
+func fusedForm(aop, iop string, ka, kc, masked bool) (form int, swap, ok bool) {
 	switch {
 	case ka && kc:
-	case aop == "=" && kc:
-		return forms[1], false, true
-	case aop == "=" && ka:
-		return forms[2], true, true
-	case aop == "=":
-		return forms[0], false, true
 	case aop == "+=" && iop == "*" && !ka && !kc:
 		return fuAccAdd, false, true
-	case aop == "-=" && iop == "*" && !ka && !kc:
-		return fuAccSub, false, true
+	case aop != "=":
+	case !ka && !kc && iop == "+":
+		return fuAddV, false, true
+	case !ka && !kc && iop == "-":
+		return fuSubV, false, true
+	case !ka && !kc && iop == "*":
+		return fuMulV, false, true
+	case masked:
+	case iop == "+":
+		return fuAddK, ka, true
+	case iop == "-" && ka:
+		return fuRsubK, true, true
 	}
 	return 0, false, false
 }
@@ -1303,7 +1275,7 @@ func private[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	if x, ok := k.y.e.(*cc.IndexExpr); ok && op == '=' && !v.uniform(k.y) && k.y.x.reads&v.mask(d) == 0 &&
 		(d.Type == cc.TInt) == (x.Array.Type == cc.TInt) && (d.Type != cc.TFloat || x.Array.Type == cc.TFloat) {
 		o, err := load[S](v, k.y, bid)
-		v.counts.note("direct " + d.Name)
+		v.counts.note("direct ", d.Name)
 		return func(vm *VecEnv, i0 int64, L int) { o.vec(vm, i0, L) }, err
 	}
 	var r vOp[S]
@@ -1320,8 +1292,15 @@ func private[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 		if err != nil {
 			return nil, err
 		}
-		if form, swap, ok := fusedForm(st.Op, x.Op, a.inv != nil, c.inv != nil); ok {
-			return fused(form, swap, as[vOp[float64]](a), as[vOp[float64]](c), bid, d.Type == cc.TFloat), nil
+		af, cf, f32 := as[vOp[float64]](a), as[vOp[float64]](c), d.Type == cc.TFloat
+		if st.Op == "=" && x.Op == "-" && f32 && a.vec != nil && c.inv != nil {
+			if y := v.sumSq(d); y != nil {
+				return distance(af, cf.inv, bid, v.scalars[y].buf-1), nil
+			}
+		}
+		if form, swap, ok := fusedForm(st.Op, x.Op, a.inv != nil, c.inv != nil, v.masked); ok {
+			v.counts.note("fuse ", fuseNames[form], [2]string{" dense", " indexed"}[b2i(v.masked)])
+			return fused(form, swap, af, cf, bid, f32), nil
 		}
 		r = arith(v, x.Op[0], a, c, m)
 	} else if r, err = compile[S](v, k.y); err != nil {
@@ -1347,6 +1326,46 @@ func fused(form int, swap bool, a, c vOp[float64], bid int, f32 bool) VStmt {
 			s, q, k = q, nil, ka
 		}
 		fuse(form, vm.BufF[bid][:L], s, q, k, vm.act)
+	}
+}
+
+// sumSq returns y when the statement after x's "=" (the one stmt compiles
+// next) is y += x*x, y another private float scalar, outside every arm and
+// flat loop; it marks that statement compiled, the pair being one pass.
+func (v *vecBuilder) sumSq(x *cc.VarDecl) *cc.VarDecl {
+	var st *cc.AssignStmt
+	if n := v.next; n != nil && !v.masked && v.flat == nil {
+		st, _ = n.s.(*cc.AssignStmt)
+	}
+	if st == nil || st.Op != "+=" {
+		return nil
+	}
+	y, _ := st.LHS.(*cc.Ident)
+	b, _ := st.RHS.(*cc.BinaryExpr)
+	if y == nil || b == nil || b.Op != "*" || y.Decl == x || y.Decl.Type != cc.TFloat || v.scalars[y.Decl].kind != kPrivate {
+		return nil
+	}
+	for _, e := range [2]cc.Expr{b.X, b.Y} {
+		if id, _ := e.(*cc.Ident); id == nil || id.Decl != x {
+			return nil
+		}
+	}
+	v.counts.note("sumsq ", y.Decl.Name)
+	v.skip = true
+	return y.Decl
+}
+
+// distance is KMEANS's x = a - k; y += x*x as one dense pass (rewrite 10):
+// both float scalars' vectors are written, each rounding as its own
+// statement would have.
+func distance(a vOp[float64], k dExpr[float64], bx, by int) VStmt {
+	return func(vm *VecEnv, i0 int64, L int) {
+		x, y := vm.BufF[bx][:L], vm.BufF[by][:L]
+		s, c := a.vec(vm, i0, L)[:L], k(vm.D)
+		for t := range x {
+			d := float64(float32(s[t] - c))
+			x[t], y[t] = d, float64(float32(y[t]+float64(d*d)))
+		}
 	}
 }
 
@@ -1627,8 +1646,8 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 		// no helper call (it sent to the interpreter any piece whose walk
 		// a column-major copy would break).
 		bid, w := dest(), walkOf{}
-		if !k.written && into < 0 {
-			w = walkOf{k.e.(*cc.IndexExpr).Array, ai}
+		if into < 0 {
+			w = walkOf{k.e.(*cc.IndexExpr).Array, ai, k.written}
 		}
 		return vOp[S]{w: w, vec: func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
@@ -1687,7 +1706,7 @@ func hold[S num](v *vecBuilder, k *kExpr, into int, ld vec[S]) vec[S] {
 	} else if g < 0 {
 		return ld
 	}
-	v.counts.note("held " + k.e.(*cc.IndexExpr).Array.Name)
+	v.counts.note("held ", k.e.(*cc.IndexExpr).Array.Name)
 	slab, slot := v.slab[g], v.decls[bits.TrailingZeros64(r)].Slot
 	return func(vm *VecEnv, i0 int64, L int) []S {
 		h, x := &vm.held[g], vm.D.Ints[slot]
@@ -1790,7 +1809,7 @@ func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 // arrayAssign compiles a store into a T array. scan admitted only stores
 // affine in the induction variable, so the walk comes from the runtime's
 // coefficients (a written array is never layout-transformed). A dense "="
-// of a read-only walk copies it (copyWalk); one whose value ends in mulAdd
+// of a read-only float walk copies it (copyWalk); one whose value ends in mulAdd
 // writes mulAdd's pass into the array (rewrite 6).
 func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, dst, ai := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array, v.take(k.x, AccessStore)
@@ -1800,19 +1819,13 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	if w := r.loads(); dense && w.arr != nil {
-		v.counts.note("fused " + w.arr.Name)
-		switch w.arr.Type {
-		case cc.TInt:
-			return copyWalk[S, T, int32](r, slot, ai), nil
-		case cc.TFloat:
-			return copyWalk[S, T, float32](r, slot, ai), nil
-		}
-		return copyWalk[S, T, float64](r, slot, ai), nil
+	if w := r.loads(); dense && w.elem() == cc.TFloat {
+		v.counts.note("fused ", w.arr.Name)
+		return copyWalk[S, T](r, slot, ai), nil
 	}
 	if m := r.ma; dense && m != nil && dst.Type == cc.TFloat {
-		v.counts.note("store " + dst.Name)
-		return mulAddStores[m.aw.elem()][m.cw.elem()](m, as[vec[float64]](r.vec), slot, ai), nil
+		v.counts.note("store ", dst.Name)
+		return mulAddStores[b2i(m.aw.elem() == cc.TDouble)][b2i(m.cw.elem() == cc.TDouble)](m, as[vec[float64]](r.vec), slot, ai), nil
 	}
 	rv, apply := mat(v, r), applyOf[S](st.Op)
 	return func(vm *VecEnv, i0 int64, L int) {
@@ -1828,14 +1841,15 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	}, nil
 }
 
-// copyWalk is a dense "=" of the read-only walk r of U elements into a T
-// array: walk to walk in one pass where both steps are 1, through the lane
-// type S as the vector path converts, r's vector and walkStore otherwise.
-func copyWalk[S num, T, U elem](r vOp[S], slot, ai int) VStmt {
+// copyWalk is a dense "=" of the read-only walk r of a float array into a
+// T array: walk to walk in one pass where both steps are 1, through the
+// lane type S as the vector path converts, r's vector and walkStore
+// otherwise. The census found no kernel copying an int or a double walk.
+func copyWalk[S num, T elem](r vOp[S], slot, ai int) VStmt {
 	return func(vm *VecEnv, i0 int64, L int) {
 		a := &vm.D.Arrays[slot]
 		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
-		if src, ok := direct[U](vm, i0, L, r.w); ok && A == 1 {
+		if src, ok := direct[float32](vm, i0, L, r.w); ok && A == 1 {
 			dst := elems[T](a)[p : p+int64(L)]
 			src = src[:len(dst)]
 			for t := range dst {
@@ -1917,12 +1931,8 @@ func convert[F, S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	if g := o.inv; g != nil {
 		return vOp[S]{inv: func(D *DEnv) S { return S(g(D)) }}, nil
 	}
-	// An int walk keeps its name in float lanes: the widening is exact.
-	ov, bid, w := mat(v, o), result[S](v, m), o.w
-	if isF[F]() {
-		w = walkOf{}
-	}
-	return vOp[S]{w: w, vec: func(vm *VecEnv, i0 int64, L int) []S {
+	ov, bid := mat(v, o), result[S](v, m)
+	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
 		s, out := ov(vm, i0, L), bufs[S](vm)[bid][:L]
 		for t := range s {
 			out[t] = S(s[t])
@@ -2092,7 +2102,7 @@ func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 	}
 	bid := result[S](v, m)
 	switch {
-	case (op == '+' || op == '-') && (a.kMul != nil || c.kMul != nil):
+	case (op == '+' || op == '-') && mulAddForms>>(2*(3*term(a)+term(c))+int(b2i(op == '-')))&1 != 0:
 		return as[vOp[S]](mulAdd(v, op == '-', as[vOp[float64]](a), as[vOp[float64]](c), bid))
 	case !isF[S]() && op != '+' && op != '-' && op != '*' && (op != '/' || v.masked):
 		return as[vOp[S]](intArith(op, as[vOp[int64]](a), as[vOp[int64]](c), bid, v.masked))
@@ -2190,19 +2200,16 @@ func arithLanes[S num](op byte, out, s, q []S, ka, kc S) {
 // uniform factor (kMul × mulX), forming the product in the same pass. The
 // explicit float64(...) around each product pins the intermediate
 // rounding the interpreter performs (the Go spec otherwise permits fusing
-// into an FMA). An operand's vector that is a read-only walk is read from
-// the copy in that pass (rewrite 5); a dense store of the result writes
-// the pass into its array (ma, mulAddStore: rewrite 6).
+// into an FMA). An operand's vector that is a read-only walk of a float
+// array is read from the copy in that pass (rewrite 5); a dense store of
+// the result writes the pass into its array (ma, mulAddStore: rewrite 6).
 func mulAdd(v *vecBuilder, sub bool, a, c vOp[float64], bid int) vOp[float64] {
-	for _, w := range [2]walkOf{a.w, c.w} {
-		if w.arr != nil {
-			v.counts.note("fused " + w.arr.Name)
-		}
-	}
-	ta, ua, xa := termOf(a)
-	tc, uc, xc := termOf(c)
-	m := &mulAddOp{form: 3*ta + tc, sub: sub, ua: ua, uc: uc, xa: xa, xc: xc, aw: a.w, cw: c.w}
-	return mulAddOfs[a.w.elem()][c.w.elem()](m, bid)
+	ta, ua, xa, aw := termOf(v, a)
+	tc, uc, xc, cw := termOf(v, c)
+	v.counts.note("mulAdd ", "PKV"[ta:ta+1], "+-"[b2i(sub):b2i(sub)+1], "PKV"[tc:tc+1])
+	v.counts.note("mulAdd ", aw.elem().String(), ",", cw.elem().String())
+	m := &mulAddOp{form: 3*ta + tc, sub: sub, ua: ua, uc: uc, xa: xa, xc: xc, aw: aw, cw: cw}
+	return mulAddOfs[b2i(aw.elem() == cc.TDouble)][b2i(cw.elem() == cc.TDouble)](m, bid)
 }
 
 // mulAddOp is one mulAdd's pass as data: its form (3*a's + c's), sign,
@@ -2215,39 +2222,64 @@ type mulAddOp struct {
 	aw, cw walkOf
 }
 
-// mulAddOfs holds mulAddOf, mulAddStores mulAddStore, by the element types
-// a's and c's walks read, in cc.ElemType order: instantiated outside
-// generic code, they cost no alloc.
+// mulAddOfs holds mulAddOf, mulAddStores mulAddStore, by whether a's and
+// c's walks hold float or double elements, no walk counting as double:
+// instantiated outside generic code, they cost no alloc. The census found
+// no kernel whose mulAdd reads an int walk: such an operand reads its
+// vector.
 var (
-	mulAddOfs = [3][3]func(*mulAddOp, int) vOp[float64]{
-		{mulAddOf[int32, int32], mulAddOf[int32, float32], mulAddOf[int32, float64]},
-		{mulAddOf[float32, int32], mulAddOf[float32, float32], mulAddOf[float32, float64]},
-		{mulAddOf[float64, int32], mulAddOf[float64, float32], mulAddOf[float64, float64]},
+	mulAddOfs = [2][2]func(*mulAddOp, int) vOp[float64]{
+		{mulAddOf[float32, float32], mulAddOf[float32, float64]},
+		{mulAddOf[float64, float32], mulAddOf[float64, float64]},
 	}
-	mulAddStores = [3][3]func(*mulAddOp, vec[float64], int, int) VStmt{
-		{mulAddStore[int32, int32], mulAddStore[int32, float32], mulAddStore[int32, float64]},
-		{mulAddStore[float32, int32], mulAddStore[float32, float32], mulAddStore[float32, float64]},
-		{mulAddStore[float64, int32], mulAddStore[float64, float32], mulAddStore[float64, float64]},
+	mulAddStores = [2][2]func(*mulAddOp, vec[float64], int, int) VStmt{
+		{mulAddStore[float32, float32], mulAddStore[float32, float64]},
+		{mulAddStore[float64, float32], mulAddStore[float64, float64]},
 	}
 )
 
-// The forms of a mulAdd operand: a product k*x[t], a uniform k, a vector x[t].
+// The forms of a mulAdd operand: a product k*x[t], a uniform k, a vector
+// x[t]. mulAddForms holds, as bit 2*(3*a's + c's) + sub, the forms a
+// kernel reaches (the census): P + P, P ± K and V ± P; a sum of a product
+// in any other form takes arith's general pass.
 const (
 	termP = iota
 	termK
 	termV
+
+	mulAddForms = 1<<(2*(3*termP+termP)) | 3<<(2*(3*termP+termK)) | 3<<(2*(3*termV+termP))
 )
 
-// termOf gives a mulAdd operand's form, its uniform part (0 for a vector)
-// and its vector.
-func termOf(o vOp[float64]) (int, dExpr[float64], vec[float64]) {
+// term gives an operand's mulAdd form.
+func term[S num](o vOp[S]) int {
 	switch {
 	case o.kMul != nil:
-		return termP, o.kMul, o.mulX
+		return termP
 	case o.inv != nil:
-		return termK, o.inv, nil
+		return termK
 	}
-	return termV, func(*DEnv) float64 { return 0 }, o.vec
+	return termV
+}
+
+// termOf gives a mulAdd operand's form, its uniform part (0 for a vector),
+// its vector and the read-only float walk that vector loads.
+func termOf(v *vecBuilder, o vOp[float64]) (int, dExpr[float64], vec[float64], walkOf) {
+	w := o.loads()
+	if o.kMul != nil {
+		w = o.w
+	}
+	if w.arr != nil && w.arr.Type == cc.TInt {
+		w = walkOf{}
+	} else if w.arr != nil {
+		v.counts.note("fused ", w.arr.Name)
+	}
+	switch term(o) {
+	case termP:
+		return termP, o.kMul, o.mulX, w
+	case termK:
+		return termK, o.inv, nil, w
+	}
+	return termV, func(*DEnv) float64 { return 0 }, o.vec, w
 }
 
 // mulAddOf is mulAdd's pass into a scratch vector over operands whose
@@ -2302,19 +2334,15 @@ func mulAddInto[T, U elem, O float32 | float64](m *mulAddOp, vm *VecEnv, i0 int6
 }
 
 // mulAddLanes sets out[t] to x ± y rounded to O, x of a's form over s and
-// ka, y of c's over q and kc (form is 3*a's + c's; one of them a product).
+// ka, y of c's over q and kc (form is 3*a's + c's: one of mulAddForms).
 func mulAddLanes[T, U elem, O float32 | float64](form int, sub bool, out []O, s []T, q []U, ka, kc float64) {
 	switch form {
 	case 3*termP + termP:
 		s, q := s[:len(out)], q[:len(out)]
-		if sub {
-			for t := range out {
-				out[t] = O(float64(ka*float64(s[t])) - float64(kc*float64(q[t])))
-			}
-		} else {
-			for t := range out {
-				out[t] = O(float64(ka*float64(s[t])) + float64(kc*float64(q[t])))
-			}
+		// Written y + x, which IEEE addition equals: where both are NaN this
+		// order keeps y's payload, as the interpreter's compiled add does.
+		for t := range out {
+			out[t] = O(float64(kc*float64(q[t])) + float64(ka*float64(s[t])))
 		}
 	case 3*termP + termK:
 		s := s[:len(out)]
@@ -2325,28 +2353,6 @@ func mulAddLanes[T, U elem, O float32 | float64](form int, sub bool, out []O, s 
 		} else {
 			for t := range out {
 				out[t] = O(float64(ka*float64(s[t])) + kc)
-			}
-		}
-	case 3*termK + termP:
-		q := q[:len(out)]
-		if sub {
-			for t := range out {
-				out[t] = O(ka - float64(kc*float64(q[t])))
-			}
-		} else {
-			for t := range out {
-				out[t] = O(ka + float64(kc*float64(q[t])))
-			}
-		}
-	case 3*termP + termV:
-		s, q := s[:len(out)], q[:len(out)]
-		if sub {
-			for t := range out {
-				out[t] = O(float64(ka*float64(s[t])) - float64(q[t]))
-			}
-		} else {
-			for t := range out {
-				out[t] = O(float64(ka*float64(s[t])) + float64(q[t]))
 			}
 		}
 	default:
@@ -2424,43 +2430,82 @@ func intOp(op byte, a, b int64) int64 {
 // (k op x is x mirror(op) k).
 var (
 	cmpCode   = map[string]byte{"<": '<', "<=": 'l', ">": '>', ">=": 'g', "==": '=', "!=": '!'}
-	cmpMirror = map[byte]byte{'<': '>', 'l': 'g', '>': '<', 'g': 'l', '=': '=', '!': '!'}
+	cmpMirror = map[string]string{"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
 )
 
 // splitLanes splits the lanes act by s[t] op y, y being q[t] or, where q
-// is nil, k, into th (where it holds) and el, in one pass.
-func splitLanes[S num](op byte, s, q []S, k S, act, th, el []int32) ([]int32, []int32) {
+// is nil, k, into th (where it holds) and el (rewrite 7). A first loop,
+// one per operator, finds the first lane whose answer (cmp's) differs
+// from the first lane's: a list whose lanes all agree is returned itself,
+// and the agreeing prefix is copied as one block; the lanes after it are
+// kept one by one.
+func splitLanes[T elem | num, S num](op byte, cmp func(S, S) bool, s []T, q []S, k S, act, th, el []int32) ([]int32, []int32) {
+	if len(act) == 0 {
+		return th[:0], el[:0]
+	}
 	y := func(t int32) S {
 		if q != nil {
 			return q[t]
 		}
 		return k
 	}
-	nt, ne := 0, 0
+	j, n, b := 0, len(act), cmp(S(s[act[0]]), y(act[0]))
 	switch op {
 	case '<':
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] < y(t))
+		for ; j < n && (S(s[act[j]]) < y(act[j])) == b; j++ {
 		}
 	case 'l':
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] <= y(t))
+		for ; j < n && (S(s[act[j]]) <= y(act[j])) == b; j++ {
 		}
 	case '>':
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] > y(t))
+		for ; j < n && (S(s[act[j]]) > y(act[j])) == b; j++ {
 		}
 	case 'g':
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] >= y(t))
+		for ; j < n && (S(s[act[j]]) >= y(act[j])) == b; j++ {
 		}
 	case '=':
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] == y(t))
+		for ; j < n && (S(s[act[j]]) == y(act[j])) == b; j++ {
 		}
 	default:
-		for _, t := range act {
-			nt, ne = keep(th, el, t, nt, ne, s[t] != y(t))
+		for ; j < n && (S(s[act[j]]) != y(act[j])) == b; j++ {
+		}
+	}
+	switch {
+	case j == n && b:
+		return act, el[:0]
+	case j == n:
+		return th[:0], act
+	}
+	nt, ne := 0, 0
+	if b {
+		nt = copy(th, act[:j])
+	} else {
+		ne = copy(el, act[:j])
+	}
+	switch op {
+	case '<':
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) < y(t))
+		}
+	case 'l':
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) <= y(t))
+		}
+	case '>':
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) > y(t))
+		}
+	case 'g':
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) >= y(t))
+		}
+	case '=':
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) == y(t))
+		}
+	default:
+		for _, t := range act[j:] {
+			nt, ne = keep(th, el, t, nt, ne, S(s[t]) != y(t))
 		}
 	}
 	return th[:nt], el[:ne]
@@ -2535,19 +2580,34 @@ func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (dExpr[int64], spli
 		cmp := cmpOf[S](op)
 		inv, a.vec = func(D *DEnv) int64 { return b2i(cmp(ka(D), kc(D))) }, mat(v, a)
 	}
-	code := cmpCode[op]
 	if a.vec == nil {
-		a, c, code = c, a, cmpMirror[code]
+		a, c, op = c, a, cmpMirror[op]
 	}
-	av, cv, ck := a.vec, c.vec, c.inv
+	if a.kMul != nil || a.w.elem() != cc.TInt {
+		a.w = walkOf{} // a product's walk is its factor's; the census found int walks only
+	}
+	if v.counts.note("split"); a.w.arr != nil {
+		v.counts.note("split walk ", a.w.arr.Name)
+	}
+	// The walk a reads, written array or not, is read straight from the copy
+	// where direct gives it (rewrite 7): where its vector would be loaded.
+	code, cmp, w, av, cv, ck := cmpCode[op], cmpOf[S](op), a.w, a.vec, c.vec, c.inv
 	return inv, func(vm *VecEnv, i0 int64, L int, th, el []int32) ([]int32, []int32) {
-		s, q, k := av(vm, i0, L), []S(nil), S(0)
+		src, ok := direct[int32](vm, i0, L, w)
+		var s []S
+		if !ok {
+			s = av(vm, i0, L)
+		}
+		q, k := []S(nil), S(0)
 		if cv != nil {
 			q = cv(vm, i0, L)
 		} else {
 			k = ck(vm.D)
 		}
-		return splitLanes(code, s, q, k, vm.act, th, el)
+		if ok {
+			return splitLanes(code, cmp, src, q, k, vm.act, th, el)
+		}
+		return splitLanes(code, cmp, s, q, k, vm.act, th, el)
 	}, nil
 }
 

@@ -10,20 +10,24 @@ import (
 
 // TestProductsKeepTheirRounding holds every lane loop of the tile builder
 // that adds or subtracts a product to its rounding. Where the product is
-// a float value (mulAddLanes, which also writes a dense store's array, and
-// fuseLanes) it must sit in an explicit float64(...): without one the Go
-// spec lets a compiler fuse x*y + z into one FMA, and the interpreter
-// rounds the product first. The compiler does not fuse on amd64, so no
-// differential run there sees a conversion go missing; on arm64, ppc64le,
-// riscv64 and s390x it does. The other loops form int indices, which no
-// compiler fuses. The loops are found from the source: a product that is
-// an operand of + or - in a value a loop assigns, outside an index; the
-// set of functions that hold one must be exactly the table's.
+// a float value (mulAddLanes, which also writes a dense store's array,
+// fuseLanes and distance, KMEANS's pair in one pass) it must sit in an
+// explicit float64(...): without one the Go spec lets a compiler fuse
+// x*y + z into one FMA, and the interpreter rounds the product first. The
+// compiler does not fuse on amd64, so no differential run there sees a
+// conversion go missing; on arm64, ppc64le, riscv64 and s390x it does. The
+// other loops form int indices, which no compiler fuses. The loops are
+// found from the source: a product that is an operand of + or - in a value
+// a loop assigns, outside an index; the set of functions that hold one
+// must be exactly the table's, and each float one holds the count of
+// products its forms have.
 func TestProductsKeepTheirRounding(t *testing.T) {
 	float := map[string]bool{
-		"mulAddLanes": true, "fuseLanes": true,
+		"mulAddLanes": true, "fuseLanes": true, "distance": true,
 		"idxVec": false, "storeLanes": false, "buildVec": false,
 	}
+	products := map[string]int{"mulAddLanes": 6, "fuseLanes": 2, "distance": 1}
+	declared := map[string]bool{}
 	fset := token.NewFileSet()
 	found := map[string]int{}
 	for _, file := range []string{"specvec.go", "specflat.go"} {
@@ -37,6 +41,7 @@ func TestProductsKeepTheirRounding(t *testing.T) {
 				continue
 			}
 			name := fn.Name.Name
+			declared[name] = true
 			for _, m := range loopProducts(fn.Body) {
 				found[name]++
 				if c, ok := m.(*ast.CallExpr); float[name] && (!ok || !isIdent(c.Fun, "float64")) {
@@ -48,8 +53,10 @@ func TestProductsKeepTheirRounding(t *testing.T) {
 	if got, want := sortedKeys(found), sortedKeys(float); !slices.Equal(got, want) {
 		t.Fatalf("lane loops that add or subtract a product: %v, want %v", got, want)
 	}
-	if found["mulAddLanes"] != 12 || found["fuseLanes"] != 4 {
-		t.Errorf("products checked: %v; want 12 in mulAddLanes (five forms, both signs) and 4 in fuseLanes", found)
+	for name, n := range products {
+		if !declared[name] || found[name] != n {
+			t.Errorf("%s: %d products checked, want %d (mulAddLanes: P + P, P ± K, V ± P; fuseLanes: += x*v dense and indexed; distance: y += x*x)", name, found[name], n)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strings"
 
 	"accmulti/internal/cc"
 )
@@ -21,13 +22,18 @@ func VerifyLowering(k *Kernel, body cc.Stmt, prog *cc.Program) (int, map[string]
 	return c.bodies, c.notes, c.err
 }
 
-// note counts where a tile rewrite took: "held a", "direct s" (a load into
-// private s's vector), "truth" (a comparison computed as a value), "fused
-// a" (a read-only walk read in the pass that uses it), "store a" (a store
-// written in mulAdd's pass).
-func (c *lowerCheck) note(what string) {
+// note counts where a tile rewrite took, and which form of it, the parts
+// of its name joined: "held a", "direct s" (a load into private s's
+// vector), "truth" (a comparison computed as a value), "fused a" (a
+// read-only walk read in the pass that uses it), "store a" (a store
+// written in mulAdd's pass), "fuse x-v indexed" (a fuseLanes form, under
+// an arm or not), "mulAdd P+K" and "mulAdd float,double" (mulAddLanes' form
+// and the element types its walks read, no walk counting as double), "split" and "split walk
+// a" (a comparison's split, reading a's walk from the copy) and "sumsq s"
+// (rewrite 10).
+func (c *lowerCheck) note(parts ...string) {
 	if c != nil {
-		c.notes[what]++
+		c.notes[strings.Join(parts, "")]++
 	}
 }
 

@@ -986,6 +986,7 @@ void main() {
 	specTemplates = append(specTemplates, rewriteTemplates()...)
 	specTemplates = append(specTemplates, walkTemplates()...)
 	specTemplates = append(specTemplates, sinkTemplates()...)
+	specTemplates = append(specTemplates, appTemplates()...)
 }
 
 // walkTemplates hold the fifth rewrite (ir specvec.go) to the interpreter:
@@ -1347,6 +1348,181 @@ void main() {
 			},
 		})
 	}
+	return out
+}
+
+// appTemplates hold rewrites 7 and 10 (ir specvec.go) to the interpreter,
+// and the shapes of 8 and 9, measured and deleted (DESIGN §11), to the
+// general path.
+// agree-*: comparisons of a walk with a uniform k whose lanes all agree
+// (k = -1, 2000), where only lane 0 differs (==, k = 0), or whose answer
+// flips at lane 1 or 511 of a tile, both ways round; NaN operands beside
+// them. csr-*: a CSR loop on flat tiles whose loads by the loop's variable
+// are one run across lanes: rows of adjacent active lanes (contig), rows a
+// skipped lane leaves a gap between (gap), and empty rows (empty), at
+// worker chunks of 1, VecTile-1 and VecTile+1 iterations. gsub-*: a
+// private's "=" of a vector minus a gather (MD's dx), NaN data on both
+// sides, under MD's sentinel guard. pair-*: KMEANS's distance pair, its x read again
+// after the accumulate, in an inner loop and at top level. Each asserts
+// that its tiles engaged.
+func appTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	const lanes = `
+int n, k;
+int c_[n], a_[n], b_[n], e_[n];
+float x_[n], nan_[n], y_[n];
+void main() {
+    int i, j;
+    for (j = 0; j < n; j++) {
+        c_[j] = j % 1024;
+    }
+    #pragma acc data copyin(c_, x_, nan_) copyout(a_, b_, e_, y_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            if (c_[i] < k) {
+                a_[i] = 1;
+            } else {
+                a_[i] = 2;
+            }
+            if (c_[i] >= k) {
+                b_[i] = c_[i];
+            }
+            e_[i] = 0;
+            if (k == c_[i]) {
+                e_[i] = 3;
+            }
+            y_[i] = x_[i];
+            if (nan_[i] < x_[i]) {
+                y_[i] = nan_[i];
+            }
+        }
+    }
+}
+`
+	var out []specTemplate
+	for _, k := range []int{-1, 0, 1, 511, 2000} {
+		out = append(out, specTemplate{name: fmt.Sprintf("agree-k-%d", k), src: lanes, check: tiled,
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				return map[string]float64{"n": float64(1100 + rng.Intn(900)), "k": float64(k)}
+			}})
+	}
+	const csr = `
+int n, m;
+int deg_[n], off_[n + 1], edges_[3 * n], g_[n];
+float w_[3 * n], x_[n], s_[n];
+void main() {
+    int i, j;
+    off_[0] = 0;
+    for (j = 0; j < n; j++) {
+        off_[j + 1] = off_[j] + (j % 3 + 1) * (1 - (m == 2) * (j % 4 == 0));
+        g_[j] = 1 - (m == 1) * (j % 7 == 3);
+    }
+    for (j = 0; j < 3 * n; j++) {
+        edges_[j] = (edges_[j] % n + n) % n;
+    }
+    #pragma acc data copyin(off_, edges_, g_, w_, x_) copyout(s_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int e;
+            float acc;
+            acc = 0.0;
+            if (g_[i] != 0) {
+                for (e = off_[i]; e < off_[i + 1]; e++) {
+                    acc += w_[e] * x_[edges_[e]];
+                }
+            }
+            s_[i] = acc;
+        }
+    }
+}
+`
+	for m, rows := range []string{"contig", "gap", "empty"} {
+		for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+			n := float64(8 * chunk)
+			out = append(out, specTemplate{name: fmt.Sprintf("csr-%s-%d", rows, chunk), src: csr, check: tiled,
+				scalars: func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n, "m": float64(m)} }})
+		}
+	}
+	out = append(out, specTemplate{name: "gsub-nan", scalars: nScalar, check: tiled, src: `
+int n;
+int nb_[n];
+float nanp_[4 * n], nanx_[n], d_[4 * n];
+void main() {
+    int i, j;
+    for (j = 0; j < n; j++) {
+        nb_[j] = (j * 7 + 3) % (n + 1) - 1;
+    }
+    #pragma acc data copyin(nb_, nanp_, nanx_) copyout(d_)
+    {
+        #pragma acc localaccess(d_) stride(4)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int jn;
+            float p, dx, dy, dz;
+            p = nanx_[i];
+            jn = nb_[i];
+            d_[4 * i] = 0.0;
+            d_[4 * i + 1] = 0.0;
+            d_[4 * i + 2] = 0.0;
+            d_[4 * i + 3] = 0.0;
+            if (jn >= 0) {
+                dx = p - nanp_[4 * jn];
+                dy = p - nanp_[4 * jn + 1];
+                dz = nanp_[4 * jn + 2] - p;
+                d_[4 * i] = dx;
+                d_[4 * i + 1] = dy;
+                d_[4 * i + 2] = dz;
+                d_[4 * i + 3] = dx * 2.0;
+            }
+        }
+    }
+}
+`}, specTemplate{name: "pair-reread", scalars: func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["k"], m["nf"] = float64(1+rng.Intn(5)), float64(1+rng.Intn(40))
+		return m
+	}, check: tiled, src: `
+int n, k, nf;
+float feat_[n * nf], cl_[k * nf], nanf_[n], best_[n], sum_[n], q_[n], r_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(feat_, cl_, nanf_) copyout(best_, sum_, q_, r_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            int c, f;
+            float d, diff, bestd, s, q, r;
+            bestd = 1.0e30;
+            s = 0.0;
+            for (c = 0; c < k; c++) {
+                d = 0.0;
+                for (f = 0; f < nf; f++) {
+                    diff = feat_[i * nf + f] - cl_[c * nf + f];
+                    d += diff * diff;
+                    s += diff;
+                }
+                if (d < bestd) {
+                    bestd = d;
+                }
+            }
+            best_[i] = bestd;
+            sum_[i] = s;
+            r = 0.5;
+            q = nanf_[i] - cl_[0];
+            r += q * q;
+            q_[i] = q;
+            r_[i] = r;
+        }
+    }
+}
+`})
 	return out
 }
 
@@ -2041,21 +2217,31 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 	}
 }
 
-// TestRewritesEngage pins where the tile builder's rewrites take on the
-// paper apps and the stencils (ir.VerifyLowering's count): KMEANS's feature
-// loads are held, the distance loop's and the centre update's in one group;
-// MD's neighbour index and atom position and BFS's edge target load
-// straight into their vectors; no kernel computes a comparison as a value:
-// every if splits its lanes in the pass that compares. The replicated
-// stencil's three products and its copy read their walks from the array,
-// as do the guarded stencil's interior piece, its boundary piece's copy and
-// its copy kernel, and saxpy's product; saxpy's y, which the kernel writes,
-// is read from its vector. Where a dense store's value ends in a product
-// added or subtracted, the pass writes the array (store): the replicated
-// stencil's b, the guarded stencil's interior piece's b and saxpy's y, not
-// the boundary piece's b, a copy. A copy between double arrays or int
-// arrays is a copy (copy); both stencils' copy kernels, float to float,
-// keep the converting pass that reads the walk (fused b).
+// TestRewritesEngage pins where the tile builder's rewrites take, and in
+// which form (ir.VerifyLowering's notes), kernel by kernel, and holds the
+// census: over the six apps and the stencil and pipeline kernels the
+// host-time benchmark runs, every form of fuseLanes, of mulAddLanes and of
+// the type table mulAdd's walks pick from, and each of rewrites 7 and 10,
+// is reached by at least one kernel. A form no kernel reaches is deleted, its
+// statements left to the general path. A fuseLanes form compiled under an
+// arm (indexed) also runs its dense loop where the arm keeps every lane.
+//
+// The pins: KMEANS's feature loads are held, the distance loop's and the
+// centre update's in one group, and its distance pair is one pass (sumsq);
+// MD's neighbour index and atom position, BFS's edge target and
+// HOTSPOT2D's neighbours load straight into their vectors; a comparison
+// splits its lanes in the pass that compares (split),
+// reading a walk from the copy (split walk: BFS's cost, KMEANS's member,
+// arrays the kernel writes); no kernel computes a comparison as a value.
+// The replicated stencil's three products and its copy read their walks
+// from the array, as do the guarded stencil's interior piece, its boundary
+// piece's copy and its copy kernel, and the pipeline's product; a store
+// whose value ends in mulAdd writes the pass into the array (store). The
+// in-place update reads its own array, which it writes, from the vector.
+// saxpy's a*x + y is a form no census kernel reaches (P + V): the general
+// path. A copy of a float walk, into a float or a double array, reads the
+// walk in its converting pass; one between double arrays or int arrays, a
+// form no census kernel reaches, stores the vector (copies).
 func TestRewritesEngage(t *testing.T) {
 	source := func(app string) string {
 		a, err := apps.ByName(app)
@@ -2064,19 +2250,8 @@ func TestRewritesEngage(t *testing.T) {
 		}
 		return a.Source
 	}
-	for _, tc := range []struct {
-		name, src string
-		want      map[string]int
-	}{
-		{"MD", source("MD"), map[string]int{"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1}},
-		{"KMEANS", source("KMEANS"), map[string]int{"held feat": 2}},
-		{"BFS", source("BFS"), map[string]int{"direct w": 1}},
-		{"repl stencil", rt.ReplPingPongSrc, map[string]int{"fused a": 3, "fused b": 1, "store b": 1}},
-		{"guarded stencil", rt.SpecGuardedStencilSrc, map[string]int{"fused a": 4, "fused b": 1, "store b": 1}},
-		{"saxpy", rt.SpecSaxpySrc, map[string]int{"fused x": 1, "store y": 1}},
-		{"copies", copiesSrc, map[string]int{"fused d": 1, "fused k": 1, "fused f": 2}},
-	} {
-		prog, err := cc.ParseProgram(tc.src)
+	notes := func(src string) map[string]int {
+		prog, err := cc.ParseProgram(src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -2098,14 +2273,94 @@ func TestRewritesEngage(t *testing.T) {
 				got[what] += n
 			}
 		}
+		return got
+	}
+	census := map[string]int{}
+	for _, tc := range []struct {
+		name, src string
+		counted   bool // part of the census corpus
+		want      map[string]int
+	}{
+		{"MD", source("MD"), true, map[string]int{"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1,
+			"fuse x-v indexed": 3, "fuse x+v indexed": 1, "fuse x*v indexed": 2, "fuse +=x*v indexed": 3,
+			"mulAdd P-K": 1, "mulAdd double,double": 1, "split": 2}},
+		{"KMEANS", source("KMEANS"), true, map[string]int{"held feat": 2, "sumsq d": 1, "split": 3, "split walk member": 1}},
+		{"BFS", source("BFS"), true, map[string]int{"direct w": 1, "split": 2, "split walk cost": 1}},
+		{"SPMV", source("SPMV"), true, map[string]int{}},
+		{"HOTSPOT2D", source("HOTSPOT2D"), true, map[string]int{"direct center": 1, "direct up": 1, "direct down": 1,
+			"direct left": 1, "direct right": 1, "mulAdd V+P": 2, "mulAdd V-P": 1, "mulAdd double,double": 3, "split": 4}},
+		{"NBODY", source("NBODY"), true, map[string]int{"direct px": 1, "direct py": 1, "direct pz": 1,
+			"fuse k-x dense": 3, "fuse x+k dense": 1, "fuse x*v dense": 1, "fuse +=x*v dense": 3}},
+		{"repl stencil", rt.ReplPingPongSrc, true, map[string]int{"fused a": 3, "fused b": 1, "store b": 1,
+			"mulAdd P+P": 1, "mulAdd V+P": 1, "mulAdd float,float": 1, "mulAdd double,float": 1}},
+		{"guarded stencil", rt.SpecGuardedStencilSrc, true, map[string]int{"fused a": 4, "fused b": 1, "store b": 1,
+			"mulAdd P+P": 1, "mulAdd V+P": 1, "mulAdd float,float": 1, "mulAdd double,float": 1}},
+		{"pipeline", pipelineSrc, true, map[string]int{"fused a0": 1, "store a1": 1, "mulAdd P+K": 1, "mulAdd float,double": 1}},
+		{"in place", inPlaceSrc, false, map[string]int{"fused b": 1, "store a": 1, "mulAdd P+P": 1, "mulAdd double,float": 1}},
+		{"saxpy", rt.SpecSaxpySrc, false, map[string]int{}},
+		{"copies", copiesSrc, false, map[string]int{"fused f": 2}},
+	} {
+		got := notes(tc.src)
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s: rewrites %v, want %v", tc.name, got, tc.want)
+		}
+		for what, n := range got {
+			if tc.counted {
+				census[what] += n
+			}
+		}
+	}
+	for _, form := range []string{
+		"fuse x+v indexed", "fuse x+k dense", "fuse x-v indexed", "fuse k-x dense", "fuse x*v dense", "fuse x*v indexed",
+		"fuse +=x*v dense", "fuse +=x*v indexed",
+		"mulAdd P+P", "mulAdd P+K", "mulAdd P-K", "mulAdd V+P", "mulAdd V-P",
+		"mulAdd float,float", "mulAdd float,double", "mulAdd double,float", "mulAdd double,double",
+		"split", "split walk", "sumsq",
+	} {
+		hits := 0
+		for what, n := range census {
+			if what == form || strings.HasPrefix(what, form+" ") {
+				hits += n
+			}
+		}
+		if hits == 0 {
+			t.Errorf("census: no kernel reaches %q", form)
 		}
 	}
 }
 
+// pipelineSrc is one kernel of the host-time benchmark's pipelines, a
+// product plus a constant stored; inPlaceSrc updates the array it reads.
+const pipelineSrc, inPlaceSrc = `
+int n;
+float a0[n], a1[n];
+void main() {
+    int i;
+    #pragma acc data copyin(a0) copyout(a1)
+    {
+        #pragma acc localaccess(a0) stride(1)
+        #pragma acc localaccess(a1) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a1[i] = a0[i] * 0.50 + 0.25;
+        }
+    }
+}
+`, `
+int n;
+float a[n], b[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        a[i] = 0.5 * a[i] + 0.25 * b[i];
+    }
+}
+`
+
 // copiesSrc holds one copy kernel per element type, and a float array
-// copied into a double one: copyWalk reads each walk in its own pass.
+// copied into a double one: copyWalk reads the float walks in their own
+// pass, the double and int copies store their vectors.
 const copiesSrc = `
 int n;
 double d[n], e[n], h[n];
@@ -3353,6 +3608,23 @@ void main() {
     }
 }
 `, "index out of range [1000]"},
+		{"gather", `
+int n;
+int nb_[n];
+float pos_[4 * n], x_[n], d_[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        int j;
+        float p, dx;
+        p = x_[i];
+        j = nb_[i];
+        dx = p - pos_[4 * j];
+        d_[i] = dx;
+    }
+}
+`, "pos_"},
 	} {
 		tpl := specTemplate{name: "error-" + tc.name, src: tc.src}
 		scalars := map[string]float64{"n": 1000}

@@ -53,7 +53,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
 	// safety-indirect and the flat-row templates, the type-matrix templates,
-	// the rewrite templates, the walk templates.
+	// the rewrite templates, the walk templates, the app templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
@@ -64,6 +64,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			return 5
 		case prefix == "walk":
 			return 6
+		case prefix == "agree" || prefix == "csr" || prefix == "gsub" || prefix == "pair":
+			return 7
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -128,6 +130,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(4)
 	templates(5)
 	templates(6)
+	templates(7)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

@@ -764,6 +764,34 @@ func TestRunOutcomesCounted(t *testing.T) {
 // infinities travel as the strings "NaN", "+Inf" and "-Inf" in place of
 // the number, scalars and inlined arrays of both float widths alike, and
 // the digests are those of a serial core run.
+// TestAuditedNaNRequest posts an audited run whose every result is NaN:
+// a 200 whose array reads NaN, not an audit divergence.
+func TestAuditedNaNRequest(t *testing.T) {
+	const src = `int n;
+float x[n], y[n];
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        y[i] = (x[i] - x[i]) / (x[i] - x[i]);
+    }
+}
+`
+	h := New(Config{Concurrency: 1}).Handler()
+	rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, Scalars: map[string]float64{"n": 64},
+		ReturnArrays: []string{"y"}, Options: RunOptions{Audit: true}}))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+	}
+	var got struct{ Arrays map[string]map[string][]any }
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("%v: %s", err, rec.Body.String())
+	}
+	if y := got.Arrays["y"]["f32"]; len(y) != 64 || y[0] != "NaN" || y[63] != "NaN" {
+		t.Errorf("y: %v, want 64 NaNs", y)
+	}
+}
+
 func TestNonFiniteResultsEncode(t *testing.T) {
 	const src = `float t; double u, w;
 float a[4]; double b[4];
