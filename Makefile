@@ -38,12 +38,15 @@ check: lint
 
 # invariants runs exactly the tests DESIGN.md §6 names as pinning its
 # rows — read out of the table's last column, so the table cannot name a
-# test that is gone: a name `go test -list` does not find fails the
-# target before anything runs. Fuzz targets run their seed corpus, the
-# one benchmark a single iteration. The fast pre-commit gate.
+# test that is gone: a row whose last column names no test, or a name
+# `go test -list` does not find, fails the target before anything runs.
+# Fuzz targets run their seed corpus, the one benchmark a single
+# iteration. The fast pre-commit gate.
 invariants:
-	@names=$$(awk -F'|' '/^## 6\. /{on=1} /^## 7\. /{on=0} on && /^\| [0-9]/{print $$5}' DESIGN.md | \
-		grep -oE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]+`' | tr -d '`' | sort -u); \
+	@rows=$$(awk -F'|' '/^## 6\. /{on=1} /^## 7\. /{on=0} on && /^\| [0-9]/{print $$2 "|" $$5}' DESIGN.md); \
+	bare=$$(echo "$$rows" | grep -vE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]+`' | cut -d'|' -f1 | tr -d ' ' | xargs); \
+	if [ -n "$$bare" ]; then echo "invariants: DESIGN.md §6 rows $$bare name no test"; exit 1; fi; \
+	names=$$(echo "$$rows" | grep -oE '`(Test|Fuzz|Benchmark)[A-Za-z0-9_]+`' | tr -d '`' | sort -u); \
 	re="^($$(echo $$names | tr ' ' '|'))$$"; \
 	have=$$($(GO) test -list "$$re" ./... | grep -E '^(Test|Fuzz|Benchmark)'); \
 	for n in $$names; do \

@@ -184,7 +184,7 @@ func TestParseReductionToArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Op != "+" || r.Array != "newc" || r.Index != "m*nf + f" {
+	if r.Op != RedAdd || r.Array != "newc" || r.Index != "m*nf + f" {
 		t.Fatalf("r = %+v", r)
 	}
 }
@@ -314,6 +314,16 @@ func TestIdentityAndMerge(t *testing.T) {
 	}
 	if RedAdd.MergeF(2, 3) != 5 || RedMax.MergeI(2, 3) != 3 || RedMin.MergeI(2, 3) != 2 {
 		t.Error("merge results wrong")
+	}
+	// The reductiontoarray operators: + and *, over either lane type.
+	if Apply(RedAdd, 2.0, 3) != 5 || Apply(RedMul, 2.0, 3) != 6 || Apply[int64](RedAdd, 2, 3) != 5 || Apply[int64](RedMul, 2, 3) != 6 {
+		t.Error("Apply wrong")
+	}
+	if RedAdd.IdentityF() != 0 || RedMul.IdentityF() != 1 || RedAdd.IdentityI() != 0 || RedMul.IdentityI() != 1 {
+		t.Error("reductiontoarray identities wrong")
+	}
+	if RedAdd.String() != "+" || RedMul.String() != "*" {
+		t.Error("reductiontoarray spellings wrong")
 	}
 	if RedLOr.MergeI(0, 7) != 1 || RedLAnd.MergeI(1, 0) != 0 || RedOr.MergeI(5, 2) != 7 {
 		t.Error("logical merges wrong")

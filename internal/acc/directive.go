@@ -277,7 +277,7 @@ func ParseLocalAccess(d *Directive) (LocalAccess, error) {
 // ReductionToArray is the structured form of the reductiontoarray
 // directive: op, destination array and raw index expression.
 type ReductionToArray struct {
-	Op    string
+	Op    RedOp
 	Array string
 	// Index is the raw index expression (may reference the induction
 	// variable and other arrays; it is parsed by the C frontend).
@@ -294,12 +294,13 @@ func ParseReductionToArray(d *Directive) (ReductionToArray, error) {
 	if !ok || len(head.Args) != 1 {
 		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray needs exactly one op:target argument", d.Line)
 	}
-	op, target, err := splitColon(head.Args[0])
+	name, target, err := splitColon(head.Args[0])
 	if err != nil {
 		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray(%s): %w", d.Line, head.Args[0], err)
 	}
-	if _, ok := ParseRedOp(op); !ok {
-		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray: unsupported operator %q", d.Line, op)
+	op, ok := ParseRedOp(name)
+	if !ok {
+		return ReductionToArray{}, fmt.Errorf("acc: line %d: reductiontoarray: unsupported operator %q", d.Line, name)
 	}
 	arr, idx, err := splitIndex(target)
 	if err != nil {

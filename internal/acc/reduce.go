@@ -2,10 +2,11 @@ package acc
 
 import "math"
 
-// RedOp is the operator of a scalar `reduction(op:var)` clause. The
-// clause parser is the only place the spellings are read; everything
-// downstream (sema, the translator, the runtime's partial merge, the
-// auditor) carries the typed value.
+// RedOp is the operator of a scalar `reduction(op:var)` clause or of a
+// `reductiontoarray(op:...)` directive. The clause parsers are the only
+// place the spellings are read; everything downstream (sema, the
+// translator, the engines, the runtime's merges, the auditor) carries the
+// typed value.
 type RedOp uint8
 
 const (
@@ -65,8 +66,6 @@ func (op RedOp) IdentityI() int64 {
 // on floats as their logical counterparts.
 func (op RedOp) MergeF(a, b float64) float64 {
 	switch op {
-	case RedMul:
-		return a * b
 	case RedMax:
 		return math.Max(a, b)
 	case RedMin:
@@ -76,14 +75,12 @@ func (op RedOp) MergeF(a, b float64) float64 {
 	case RedAnd, RedLAnd:
 		return b2f(a != 0 && b != 0)
 	}
-	return a + b
+	return Apply(op, a, b)
 }
 
 // MergeI combines two int partial results.
 func (op RedOp) MergeI(a, b int64) int64 {
 	switch op {
-	case RedMul:
-		return a * b
 	case RedMax:
 		return max(a, b)
 	case RedMin:
@@ -97,7 +94,17 @@ func (op RedOp) MergeI(a, b int64) int64 {
 	case RedLAnd:
 		return int64(b2f(a != 0 && b != 0))
 	}
-	return a + b
+	return Apply(op, a, b)
+}
+
+// Apply is acc op x for + and *, over either lane type: a
+// reductiontoarray update (the two operators sema admits for it) and
+// MergeI's and MergeF's own + and *.
+func Apply[S int64 | float64](op RedOp, acc, x S) S {
+	if op == RedMul {
+		return acc * x
+	}
+	return acc + x
 }
 
 func b2f(b bool) float64 {

@@ -113,7 +113,7 @@ void main() {
 	loop := prog.Main.Body.Stmts[1].(*ForStmt)
 	body := loop.Body.(*Block)
 	as := body.Stmts[0].(*AssignStmt)
-	if as.Reduce == nil || as.Reduce.Array != "newc" || as.Reduce.Op != "+" {
+	if as.Reduce == nil || as.Reduce.Array != "newc" || as.Reduce.Op.String() != "+" {
 		t.Fatalf("reduce = %+v", as.Reduce)
 	}
 }

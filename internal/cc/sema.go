@@ -270,9 +270,9 @@ func (sa *sema) reduce(st *AssignStmt) error {
 	}
 	var wantOp string
 	switch r.Op {
-	case "+":
+	case acc.RedAdd:
 		wantOp = "+="
-	case "*":
+	case acc.RedMul:
 		wantOp = "*="
 	default:
 		return errf(st.Line, "reductiontoarray operator %q is not supported (use + or *)", r.Op)

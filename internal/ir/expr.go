@@ -7,140 +7,111 @@ import (
 	"accmulti/internal/cc"
 )
 
-// ExprI is a compiled integer-valued expression.
-type ExprI func(*Env) int64
+// Expr is a compiled expression whose value is an S: an int expression
+// computes in int64, a float or double one in float64 (the tiles' lane
+// types). The compiler is written once over S. What only one lane type
+// has stays typed: %, the bit operators, the shifts and ~ for int, the
+// math builtins and a (float) cast's rounding for float. The leaves that
+// reach S's own tables — its scalar slots and its arrays' views — are
+// written for both and pick one when the closure is built: no evaluation
+// pays for a choice by type.
+type Expr[S Num] func(*Env) S
 
-// ExprF is a compiled float-valued expression.
-type ExprF func(*Env) float64
+type (
+	// ExprI is a compiled integer-valued expression.
+	ExprI = Expr[int64]
+	// ExprF is a compiled float-valued expression.
+	ExprF = Expr[float64]
+)
 
 // CompileExprI compiles an expression and coerces it to integer
 // (C truncation semantics for floats). Literal subtrees fold first.
-func CompileExprI(e cc.Expr) (ExprI, error) {
-	e = foldExpr(e)
-	if e.Type() == cc.TInt {
-		ci, _, err := compileExpr(e)
-		return ci, err
-	}
-	_, cf, err := compileExpr(e)
-	if err != nil {
-		return nil, err
-	}
-	return func(env *Env) int64 { return int64(cf(env)) }, nil
-}
+func CompileExprI(e cc.Expr) (ExprI, error) { return compileExpr[int64](foldExpr(e)) }
 
 // CompileExprF compiles an expression and coerces it to float.
 // Literal subtrees fold first.
-func CompileExprF(e cc.Expr) (ExprF, error) {
-	e = foldExpr(e)
-	if e.Type() != cc.TInt {
-		_, cf, err := compileExpr(e)
-		return cf, err
+func CompileExprF(e cc.Expr) (ExprF, error) { return compileExpr[float64](foldExpr(e)) }
+
+// compileExpr compiles e into an S, converting once where e's own type
+// is the other lane type.
+func compileExpr[S Num](e cc.Expr) (Expr[S], error) {
+	switch float := e.Type() != cc.TInt; {
+	case float == isF[S]():
+		return compileOwn[S](e)
+	case float:
+		return converted[float64, S](e)
 	}
-	ci, _, err := compileExpr(e)
+	return converted[int64, S](e)
+}
+
+// converted compiles e, whose own lanes are F, into an S.
+func converted[F, S Num](e cc.Expr) (Expr[S], error) {
+	op, err := compileOwn[F](e)
 	if err != nil {
 		return nil, err
 	}
-	return func(env *Env) float64 { return float64(ci(env)) }, nil
+	return func(env *Env) S { return S(op(env)) }, nil
 }
 
-// compileExpr returns exactly one non-nil closure matching e's type.
-func compileExpr(e cc.Expr) (ExprI, ExprF, error) {
+// compileOwn compiles e, whose own lanes are S. A node whose value is
+// always an int (a comparison, && and ||, !) is compiled only with S
+// int64.
+func compileOwn[S Num](e cc.Expr) (Expr[S], error) {
 	switch x := e.(type) {
 	case *cc.NumLit:
-		if x.IsFloat {
-			v := x.F
-			return nil, func(*Env) float64 { return v }, nil
+		v := S(x.I)
+		if isF[S]() {
+			v = S(x.F)
 		}
-		v := x.I
-		return func(*Env) int64 { return v }, nil, nil
+		return func(*Env) S { return v }, nil
 
 	case *cc.Ident:
-		slot := x.Decl.Slot
-		if x.Type() == cc.TInt {
-			return func(env *Env) int64 { return env.Ints[slot] }, nil, nil
-		}
-		return nil, func(env *Env) float64 { return env.Floats[slot] }, nil
+		return readScalar[S](x.Decl.Slot), nil
 
 	case *cc.IndexExpr:
-		idx, err := CompileExprI(x.Index)
+		idx, err := compileExpr[int64](x.Index)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		slot := x.Array.Slot
-		if x.Type() == cc.TInt {
-			return func(env *Env) int64 { return env.Views[slot].LoadI(env, idx(env)) }, nil, nil
-		}
-		return nil, func(env *Env) float64 { return env.Views[slot].LoadF(env, idx(env)) }, nil
+		return readArray[S](x.Array.Slot, idx), nil
 
 	case *cc.BinaryExpr:
-		return compileBinary(x)
+		return compileBinary[S](x)
 
 	case *cc.UnaryExpr:
-		switch x.Op {
-		case "-":
-			if x.Type() == cc.TInt {
-				op, err := CompileExprI(x.X)
-				if err != nil {
-					return nil, nil, err
-				}
-				return func(env *Env) int64 { env.Flops++; return -op(env) }, nil, nil
-			}
-			op, err := CompileExprF(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			return nil, func(env *Env) float64 { env.Flops++; return -op(env) }, nil
-		case "!":
+		if x.Op == "!" {
 			op, err := compileCond(x.X)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return func(env *Env) int64 {
-				env.Flops++
-				if op(env) {
-					return 0
-				}
-				return 1
-			}, nil, nil
-		case "~":
-			op, err := CompileExprI(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(env *Env) int64 { env.Flops++; return ^op(env) }, nil, nil
+			return as[Expr[S]](ExprI(func(env *Env) int64 { env.Flops++; return 1 - b2i(op(env)) })), nil
 		}
-		return nil, nil, fmt.Errorf("ir: line %d: unknown unary operator %q", x.Pos(), x.Op)
+		op, err := compileExpr[S](x.X)
+		switch {
+		case err != nil:
+			return nil, err
+		case x.Op == "-":
+			return func(env *Env) S { env.Flops++; return -op(env) }, nil
+		case x.Op == "~" && !isF[S]():
+			i := as[ExprI](op)
+			return as[Expr[S]](ExprI(func(env *Env) int64 { env.Flops++; return ^i(env) })), nil
+		}
+		return nil, fmt.Errorf("ir: line %d: unknown unary operator %q", x.Pos(), x.Op)
 
 	case *cc.CondExpr:
 		cond, err := compileCond(x.Cond)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if x.Type() == cc.TInt {
-			a, err := CompileExprI(x.Then)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := CompileExprI(x.Else)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(env *Env) int64 {
-				if cond(env) {
-					return a(env)
-				}
-				return b(env)
-			}, nil, nil
-		}
-		a, err := CompileExprF(x.Then)
+		a, err := compileExpr[S](x.Then)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		b, err := CompileExprF(x.Else)
+		b, err := compileExpr[S](x.Else)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		return nil, func(env *Env) float64 {
+		return func(env *Env) S {
 			if cond(env) {
 				return a(env)
 			}
@@ -148,177 +119,154 @@ func compileExpr(e cc.Expr) (ExprI, ExprF, error) {
 		}, nil
 
 	case *cc.CallExpr:
-		return compileCall(x)
+		return compileCall[S](x)
 
 	case *cc.CastExpr:
-		if x.To == cc.TInt {
-			if x.X.Type() == cc.TInt {
-				return compileExpr(x.X)
-			}
-			op, err := CompileExprF(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			return func(env *Env) int64 { return int64(op(env)) }, nil, nil
+		// To int or double: the conversion of the context; to float, a
+		// rounding through float32 on top, like a C float cast.
+		op, err := compileExpr[S](x.X)
+		if err != nil || x.To != cc.TFloat {
+			return op, err
 		}
-		op, err := CompileExprF(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		if x.To == cc.TFloat {
-			// Round through float32 like a C float cast.
-			return nil, func(env *Env) float64 { return float64(float32(op(env))) }, nil
-		}
-		return nil, op, nil
+		f := as[ExprF](op)
+		return as[Expr[S]](ExprF(func(env *Env) float64 { return float64(float32(f(env))) })), nil
 	}
-	return nil, nil, fmt.Errorf("ir: line %d: cannot compile expression %T", e.Pos(), e)
+	return nil, fmt.Errorf("ir: line %d: cannot compile expression %T", e.Pos(), e)
 }
 
-// compileCond compiles an expression used as a truth value.
+// compileCond compiles an expression used as a truth value, in its own
+// type.
 func compileCond(e cc.Expr) (func(*Env) bool, error) {
 	if e.Type() == cc.TInt {
-		op, err := CompileExprI(e)
-		if err != nil {
-			return nil, err
-		}
-		return func(env *Env) bool { return op(env) != 0 }, nil
+		return condOver[int64](e)
 	}
-	op, err := CompileExprF(e)
+	return condOver[float64](e)
+}
+
+func condOver[S Num](e cc.Expr) (func(*Env) bool, error) {
+	op, err := compileOwn[S](e)
 	if err != nil {
 		return nil, err
 	}
 	return func(env *Env) bool { return op(env) != 0 }, nil
 }
 
-func compileBinary(x *cc.BinaryExpr) (ExprI, ExprF, error) {
-	// Logical operators short-circuit.
+func compileBinary[S Num](x *cc.BinaryExpr) (Expr[S], error) {
 	switch x.Op {
 	case "&&", "||":
+		// Logical operators short-circuit.
 		a, err := compileCond(x.X)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		b, err := compileCond(x.Y)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		if x.Op == "&&" {
-			return func(env *Env) int64 {
-				env.Flops++
-				if a(env) && b(env) {
-					return 1
-				}
-				return 0
-			}, nil, nil
+			return as[Expr[S]](ExprI(func(env *Env) int64 { env.Flops++; return b2i(a(env) && b(env)) })), nil
 		}
-		return func(env *Env) int64 {
-			env.Flops++
-			if a(env) || b(env) {
-				return 1
-			}
-			return 0
-		}, nil, nil
-	}
+		return as[Expr[S]](ExprI(func(env *Env) int64 { env.Flops++; return b2i(a(env) || b(env)) })), nil
 
-	// Comparisons yield int but compare in the operands' joint type.
-	switch x.Op {
 	case "<", "<=", ">", ">=", "==", "!=":
+		// Comparisons yield int but compare in the operands' joint type.
 		if x.X.Type() == cc.TInt && x.Y.Type() == cc.TInt {
-			a, err := CompileExprI(x.X)
-			if err != nil {
-				return nil, nil, err
-			}
-			b, err := CompileExprI(x.Y)
-			if err != nil {
-				return nil, nil, err
-			}
-			cmp := cmpOf[int64](x.Op)
-			return func(env *Env) int64 {
-				env.Flops++
-				if cmp(a(env), b(env)) {
-					return 1
-				}
-				return 0
-			}, nil, nil
+			return compare[int64, S](x)
 		}
-		a, err := CompileExprF(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := CompileExprF(x.Y)
-		if err != nil {
-			return nil, nil, err
-		}
-		cmp := cmpOf[float64](x.Op)
-		return func(env *Env) int64 {
-			env.Flops++
-			if cmp(a(env), b(env)) {
-				return 1
-			}
-			return 0
-		}, nil, nil
+		return compare[float64, S](x)
 	}
 
-	if x.Type() == cc.TInt {
-		a, err := CompileExprI(x.X)
-		if err != nil {
-			return nil, nil, err
-		}
-		b, err := CompileExprI(x.Y)
-		if err != nil {
-			return nil, nil, err
-		}
-		var fn func(int64, int64) int64
-		switch x.Op {
-		case "+":
-			fn = func(p, q int64) int64 { return p + q }
-		case "-":
-			fn = func(p, q int64) int64 { return p - q }
-		case "*":
-			fn = func(p, q int64) int64 { return p * q }
-		case "/":
-			fn = func(p, q int64) int64 { return p / q }
-		case "%":
-			fn = func(p, q int64) int64 { return p % q }
-		case "&":
-			fn = func(p, q int64) int64 { return p & q }
-		case "|":
-			fn = func(p, q int64) int64 { return p | q }
-		case "^":
-			fn = func(p, q int64) int64 { return p ^ q }
-		case "<<":
-			fn = func(p, q int64) int64 { return p << uint(q) }
-		case ">>":
-			fn = func(p, q int64) int64 { return p >> uint(q) }
-		default:
-			return nil, nil, fmt.Errorf("ir: line %d: unknown int operator %q", x.Pos(), x.Op)
-		}
-		return func(env *Env) int64 { env.Flops++; return fn(a(env), b(env)) }, nil, nil
-	}
-
-	a, err := CompileExprF(x.X)
+	a, err := compileExpr[S](x.X)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	b, err := CompileExprF(x.Y)
+	b, err := compileExpr[S](x.Y)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	switch x.Op {
 	case "+":
-		return nil, func(env *Env) float64 { env.Flops++; return a(env) + b(env) }, nil
+		return func(env *Env) S { env.Flops++; return a(env) + b(env) }, nil
 	case "-":
-		return nil, func(env *Env) float64 { env.Flops++; return a(env) - b(env) }, nil
+		return func(env *Env) S { env.Flops++; return a(env) - b(env) }, nil
 	case "*":
-		return nil, func(env *Env) float64 { env.Flops++; return a(env) * b(env) }, nil
+		return func(env *Env) S { env.Flops++; return a(env) * b(env) }, nil
 	case "/":
-		return nil, func(env *Env) float64 { env.Flops += 4; return a(env) / b(env) }, nil
+		// A float division costs four flops, an int one one.
+		n := 1 + 3*b2i(isF[S]())
+		return func(env *Env) S { env.Flops += n; return a(env) / b(env) }, nil
 	}
-	return nil, nil, fmt.Errorf("ir: line %d: unknown float operator %q", x.Pos(), x.Op)
+	fn := opOf[S](x.Op)
+	if fn == nil {
+		return nil, fmt.Errorf("ir: line %d: unknown %s operator %q", x.Pos(), [2]string{"int", "float"}[b2i(isF[S]())], x.Op)
+	}
+	return func(env *Env) S { env.Flops++; return fn(a(env), b(env)) }, nil
+}
+
+// compare compiles a comparison of two T operands; its value is an int.
+func compare[T, S Num](x *cc.BinaryExpr) (Expr[S], error) {
+	a, err := compileExpr[T](x.X)
+	if err != nil {
+		return nil, err
+	}
+	b, err := compileExpr[T](x.Y)
+	if err != nil {
+		return nil, err
+	}
+	cmp := cmpOf[T](x.Op)
+	return as[Expr[S]](ExprI(func(env *Env) int64 { env.Flops++; return b2i(cmp(a(env), b(env))) })), nil
+}
+
+// opOf is the one table of the binary arithmetic operators over S, by
+// name: + - * / over either lane type, and what only an int has — %, the
+// bit operators and the shifts (the count converts to uint: one of 64 or
+// more, or a negative one, leaves 0, or -1 for a negative value shifted
+// right). Nil for an operator S lacks. The interpreter's binary nodes run
+// + - * / inline and the rest through it; its compound assignments
+// (applyOf), the tiles' and the folder's are all this table.
+func opOf[S Num](op string) func(S, S) S {
+	switch op {
+	case "+":
+		return func(a, b S) S { return a + b }
+	case "-":
+		return func(a, b S) S { return a - b }
+	case "*":
+		return func(a, b S) S { return a * b }
+	case "/":
+		return func(a, b S) S { return a / b }
+	}
+	if isF[S]() {
+		return nil
+	}
+	var f func(a, b int64) int64
+	switch op {
+	case "%":
+		f = func(a, b int64) int64 { return a % b }
+	case "&":
+		f = func(a, b int64) int64 { return a & b }
+	case "|":
+		f = func(a, b int64) int64 { return a | b }
+	case "^":
+		f = func(a, b int64) int64 { return a ^ b }
+	case "<<":
+		f = func(a, b int64) int64 { return a << uint(b) }
+	case ">>":
+		f = func(a, b int64) int64 { return a >> uint(b) }
+	}
+	return as[func(S, S) S](f)
+}
+
+// applyOf gives the operator of a compound assignment over S: opOf's, nil
+// for "=" and for an operator S lacks.
+func applyOf[S Num](op string) func(S, S) S {
+	if len(op) < 2 {
+		return nil
+	}
+	return opOf[S](op[:len(op)-1])
 }
 
 // cmpOf gives a comparison operator over either scalar type.
-func cmpOf[S num](op string) func(S, S) bool {
+func cmpOf[S Num](op string) func(S, S) bool {
 	switch op {
 	case "<":
 		return func(a, b S) bool { return a < b }
@@ -335,55 +283,26 @@ func cmpOf[S num](op string) func(S, S) bool {
 	}
 }
 
-func compileCall(x *cc.CallExpr) (ExprI, ExprF, error) {
-	b := cc.Builtins[x.Name]
-	flops := b.Flops
-	if x.Type() == cc.TInt {
-		// Integer min/max/abs.
-		args := make([]ExprI, len(x.Args))
-		for i, a := range x.Args {
-			c, err := CompileExprI(a)
-			if err != nil {
-				return nil, nil, err
-			}
-			args[i] = c
-		}
-		switch x.Name {
-		case "min":
-			return func(env *Env) int64 { env.Flops += flops; return min(args[0](env), args[1](env)) }, nil, nil
-		case "max":
-			return func(env *Env) int64 { env.Flops += flops; return max(args[0](env), args[1](env)) }, nil, nil
-		case "abs":
-			return func(env *Env) int64 {
-				env.Flops += flops
-				v := args[0](env)
-				if v < 0 {
-					return -v
-				}
-				return v
-			}, nil, nil
-		}
-		return nil, nil, fmt.Errorf("ir: line %d: builtin %q has no integer form", x.Pos(), x.Name)
-	}
-
-	args := make([]ExprF, len(x.Args))
+// compileCall compiles a builtin: min, max and abs for int, floatBuiltin's
+// functions for float; builtin gives the same functions to the tiles.
+func compileCall[S Num](x *cc.CallExpr) (Expr[S], error) {
+	var args [2]Expr[S]
 	for i, a := range x.Args {
-		c, err := CompileExprF(a)
+		c, err := compileExpr[S](a)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		args[i] = c
 	}
-	fn1, fn2, ok := floatBuiltin(x.Name)
-	if !ok {
-		return nil, nil, fmt.Errorf("ir: line %d: unknown builtin %q", x.Pos(), x.Name)
+	fn1, fn2, _ := builtin[S](x.Name)
+	flops, a0, a1 := cc.Builtins[x.Name].Flops, args[0], args[1]
+	switch {
+	case fn1 != nil:
+		return func(env *Env) S { env.Flops += flops; return fn1(a0(env)) }, nil
+	case fn2 != nil:
+		return func(env *Env) S { env.Flops += flops; return fn2(a0(env), a1(env)) }, nil
 	}
-	if fn1 != nil {
-		a0 := args[0]
-		return nil, func(env *Env) float64 { env.Flops += flops; return fn1(a0(env)) }, nil
-	}
-	a0, a1 := args[0], args[1]
-	return nil, func(env *Env) float64 { env.Flops += flops; return fn2(a0(env), a1(env)) }, nil
+	return nil, fmt.Errorf("ir: line %d: unknown builtin %q", x.Pos(), x.Name)
 }
 
 // floatBuiltin maps a float builtin name to its math implementation
@@ -413,4 +332,20 @@ func floatBuiltin(name string) (fn1 func(float64) float64, fn2 func(float64, flo
 		return nil, nil, false
 	}
 	return fn1, fn2, true
+}
+
+// readScalar and readArray are the expression's leaves: the reads of S's
+// scalar slot and of element idx of S's array.
+func readScalar[S Num](slot int) Expr[S] {
+	if isF[S]() {
+		return as[Expr[S]](ExprF(func(env *Env) float64 { return env.Floats[slot] }))
+	}
+	return as[Expr[S]](ExprI(func(env *Env) int64 { return env.Ints[slot] }))
+}
+
+func readArray[S Num](slot int, idx ExprI) Expr[S] {
+	if isF[S]() {
+		return as[Expr[S]](ExprF(func(env *Env) float64 { return env.Views[slot].F.Load(env, idx(env)) }))
+	}
+	return as[Expr[S]](ExprI(func(env *Env) int64 { return env.Views[slot].I.Load(env, idx(env)) }))
 }

@@ -6,9 +6,10 @@ import "accmulti/internal/cc"
 // subtrees into literals and strips algebraic identities (x+0, x*1,
 // 0*x for ints). Kernel bodies are interpreted once per iteration, so
 // every folded node saves a closure call on the hot path. Folding is
-// exact: integer arithmetic matches the closures' int64 semantics and
-// float folding performs the identical float64 operation the closure
-// would have performed.
+// exact by construction: a binary, unary or cast node whose operands are
+// all literals is evaluated by its own compiled closure, so the folder
+// and the interpreter share one operator table. An int / or % by a literal
+// zero stays unfolded, keeping its runtime fault.
 //
 // Folded operations still count toward the cost model: literals the
 // C compiler would also fold (e.g. `4 * 128`) cost nothing on real
@@ -19,74 +20,46 @@ func foldExpr(e cc.Expr) cc.Expr {
 	switch x := e.(type) {
 	case *cc.BinaryExpr:
 		fx, fy := foldExpr(x.X), foldExpr(x.Y)
-		if lit := foldBinary(x, fx, fy); lit != nil {
+		c := x
+		if fx != x.X || fy != x.Y {
+			n := *x
+			n.X, n.Y = fx, fy
+			c = &n
+		}
+		if y, ok := fy.(*cc.NumLit); ok && (x.Op == "/" || x.Op == "%") && x.Type() == cc.TInt && y.I == 0 {
+			return c // keep the runtime fault
+		}
+		if lit := evalLiterals(c, fx, fy); lit != nil {
 			return lit
 		}
 		if simplified := algebraicIdentity(x, fx, fy); simplified != nil {
 			return simplified
 		}
-		if fx != x.X || fy != x.Y {
-			c := *x
-			c.X, c.Y = fx, fy
-			return &c
-		}
-		return x
+		return c
 	case *cc.UnaryExpr:
 		fx := foldExpr(x.X)
-		if n, ok := fx.(*cc.NumLit); ok {
-			switch x.Op {
-			case "-":
-				out := *n
-				out.I, out.F = -n.I, -n.F
-				setLitType(&out, x.Type())
-				return &out
-			case "!":
-				v := int64(0)
-				if (n.IsFloat && n.F == 0) || (!n.IsFloat && n.I == 0) {
-					v = 1
-				}
-				return intLit(x.Pos(), v)
-			case "~":
-				if !n.IsFloat {
-					return intLit(x.Pos(), ^n.I)
-				}
-			}
-		}
+		c := x
 		if fx != x.X {
-			c := *x
-			c.X = fx
-			return &c
+			n := *x
+			n.X = fx
+			c = &n
 		}
-		return x
+		if lit := evalLiterals(c, fx); lit != nil {
+			return lit
+		}
+		return c
 	case *cc.CastExpr:
 		fx := foldExpr(x.X)
-		if n, ok := fx.(*cc.NumLit); ok {
-			out := *n
-			switch x.To {
-			case cc.TInt:
-				if n.IsFloat {
-					out.I, out.IsFloat = int64(n.F), false
-				}
-			case cc.TFloat:
-				if n.IsFloat {
-					out.F = float64(float32(n.F))
-				} else {
-					out.F, out.IsFloat = float64(float32(float64(n.I))), true
-				}
-			default:
-				if !n.IsFloat {
-					out.F, out.IsFloat = float64(n.I), true
-				}
-			}
-			setLitType(&out, x.Type())
-			return &out
-		}
+		c := x
 		if fx != x.X {
-			c := *x
-			c.X = fx
-			return &c
+			n := *x
+			n.X = fx
+			c = &n
 		}
-		return x
+		if lit := evalLiterals(c, fx); lit != nil {
+			return lit
+		}
+		return c
 	case *cc.IndexExpr:
 		fi := foldExpr(x.Index)
 		if fi != x.Index {
@@ -129,82 +102,35 @@ func foldExpr(e cc.Expr) cc.Expr {
 	return e
 }
 
-// foldBinary evaluates a binary operation over two literals, matching
-// the compiled closures' semantics exactly; nil when not foldable.
-func foldBinary(x *cc.BinaryExpr, fx, fy cc.Expr) cc.Expr {
-	a, okA := fx.(*cc.NumLit)
-	b, okB := fy.(*cc.NumLit)
-	if !okA || !okB {
-		return nil
-	}
-	bothInt := !a.IsFloat && !b.IsFloat
-	if bothInt {
-		var v int64
-		switch x.Op {
-		case "+":
-			v = a.I + b.I
-		case "-":
-			v = a.I - b.I
-		case "*":
-			v = a.I * b.I
-		case "/":
-			if b.I == 0 {
-				return nil // keep the runtime fault
-			}
-			v = a.I / b.I
-		case "%":
-			if b.I == 0 {
-				return nil
-			}
-			v = a.I % b.I
-		case "&":
-			v = a.I & b.I
-		case "|":
-			v = a.I | b.I
-		case "^":
-			v = a.I ^ b.I
-		case "<<":
-			v = a.I << uint(b.I)
-		case ">>":
-			v = a.I >> uint(b.I)
-		case "<", "<=", ">", ">=", "==", "!=":
-			v = boolToInt(cmpOf[int64](x.Op)(a.I, b.I))
-		case "&&":
-			v = boolToInt(a.I != 0 && b.I != 0)
-		case "||":
-			v = boolToInt(a.I != 0 || b.I != 0)
-		default:
+// evalLiterals gives e's value as a literal of e's type when its operands
+// ops are all literals, evaluating e's compiled closure on a scratch
+// environment; nil otherwise.
+func evalLiterals(e cc.Expr, ops ...cc.Expr) *cc.NumLit {
+	for _, o := range ops {
+		if _, ok := o.(*cc.NumLit); !ok {
 			return nil
 		}
-		return intLit(x.Pos(), v)
 	}
-	// Mixed or float: compute in float64 like the closures do.
-	af, bf := litF(a), litF(b)
-	switch x.Op {
-	case "+", "-", "*", "/":
-		var v float64
-		switch x.Op {
-		case "+":
-			v = af + bf
-		case "-":
-			v = af - bf
-		case "*":
-			v = af * bf
-		default:
-			v = af / bf
-		}
-		lit := &cc.NumLit{IsFloat: true, F: v}
-		setLitPos(lit, x.Pos())
-		setLitType(lit, x.Type())
-		return lit
-	case "<", "<=", ">", ">=", "==", "!=":
-		return intLit(x.Pos(), boolToInt(cmpOf[float64](x.Op)(af, bf)))
-	case "&&":
-		return intLit(x.Pos(), boolToInt(af != 0 && bf != 0))
-	case "||":
-		return intLit(x.Pos(), boolToInt(af != 0 || bf != 0))
+	lit := &cc.NumLit{IsFloat: e.Type() != cc.TInt}
+	lit.Line, lit.T = e.Pos(), e.Type()
+	var err error
+	if lit.IsFloat {
+		lit.F, err = evalAs[float64](e)
+	} else {
+		lit.I, err = evalAs[int64](e)
 	}
-	return nil
+	if err != nil {
+		return nil
+	}
+	return lit
+}
+
+func evalAs[S Num](e cc.Expr) (S, error) {
+	f, err := compileExpr[S](e)
+	if err != nil {
+		return 0, err
+	}
+	return f(&Env{}), nil
 }
 
 // algebraicIdentity strips neutral elements: x+0, 0+x, x-0, x*1, 1*x,
@@ -249,28 +175,8 @@ func algebraicIdentity(x *cc.BinaryExpr, fx, fy cc.Expr) cc.Expr {
 	return nil
 }
 
-// setLitType and setLitPos write the promoted exprBase fields the
-// folded literal must carry for downstream typing.
-func setLitType(n *cc.NumLit, t cc.ElemType) { n.T = t }
-func setLitPos(n *cc.NumLit, line int)       { n.Line = line }
-
-func litF(n *cc.NumLit) float64 {
-	if n.IsFloat {
-		return n.F
-	}
-	return float64(n.I)
-}
-
 func intLit(line int, v int64) *cc.NumLit {
 	lit := &cc.NumLit{I: v}
-	setLitPos(lit, line)
-	setLitType(lit, cc.TInt)
+	lit.Line, lit.T = line, cc.TInt
 	return lit
-}
-
-func boolToInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,6 +1,7 @@
 package ir
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -151,8 +152,8 @@ func TestFoldEquivalenceProperty(t *testing.T) {
 		}
 		// Compile twice: raw closures (bypassing fold via compileExpr
 		// on the unfolded tree) vs the public entry (folds first).
-		rawI, _, err := compileExpr(e)
-		if err != nil || rawI == nil {
+		rawI, err := compileExpr[int64](e)
+		if err != nil {
 			return false
 		}
 		foldedI, err := CompileExprI(e)
@@ -164,5 +165,60 @@ func TestFoldEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+
+	// Literal operands of every kind, under every operator sema accepts
+	// for them: ints (shift counts of 64 and more, the extremes), doubles
+	// and floats (NaN, ±Inf, −0) and mixed pairs. The folded literal keeps
+	// the expression's type and is the unfolded closure's value, bit for
+	// bit; an int / or % by zero stays unfolded (TestFoldKeepsRuntimeFaults).
+	ints := []string{"0", "1", "-1", "7", "64", "65", "-9223372036854775807 - 1", "9223372036854775807"}
+	floats := []string{"0.0", "-0.0", "1.5", "-2.25", "1.0 / 0.0", "-1.0 / 0.0", "0.0 / 0.0", "1e308",
+		"(float)0.1", "(float)-0.0", "(float)(1.0 / 0.0)", "(double)(float)3.3"}
+	intOps := []string{"+", "-", "*", "/", "%", "&", "|", "^", "<<", ">>", "<", "<=", ">", ">=", "==", "!=", "&&", "||"}
+	floatOps := []string{"+", "-", "*", "/", "<", "<=", ">", ">=", "==", "!=", "&&", "||"}
+	check := func(text string) {
+		t.Helper()
+		e, err := cc.ParseExprString(text, 1, prog.Scope)
+		if err != nil {
+			t.Fatalf("parse %q: %v", text, err)
+		}
+		lit, ok := foldExpr(e).(*cc.NumLit)
+		if !ok || lit.Type() != e.Type() || lit.IsFloat != (e.Type() != cc.TInt) {
+			t.Errorf("fold(%q) = %+v, want a literal of type %v", text, foldExpr(e), e.Type())
+			return
+		}
+		if e.Type() == cc.TInt {
+			if raw, _ := compileExpr[int64](e); raw(&Env{}) != lit.I {
+				t.Errorf("fold(%q) = %d, the closure %d", text, lit.I, raw(&Env{}))
+			}
+		} else if raw, _ := compileExpr[float64](e); math.Float64bits(raw(&Env{})) != math.Float64bits(lit.F) {
+			t.Errorf("fold(%q) = %v, the closure %v", text, lit.F, raw(&Env{}))
+		}
+	}
+	for _, x := range ints {
+		for _, y := range ints {
+			for _, op := range intOps {
+				if (op != "/" && op != "%") || y != "0" {
+					check("(" + x + ") " + op + " (" + y + ")")
+				}
+			}
+		}
+	}
+	all := append(append([]string(nil), ints...), floats...)
+	for xi, x := range all {
+		for yi, y := range all {
+			for _, op := range floatOps {
+				if xi >= len(ints) || yi >= len(ints) {
+					check("(" + x + ") " + op + " (" + y + ")")
+				}
+			}
+		}
+		for _, un := range []string{"-", "!", "(int)", "(float)", "(double)"} {
+			check(un + "(" + x + ")")
+		}
+		if xi < len(ints) {
+			check("~(" + x + ")")
+		}
 	}
 }

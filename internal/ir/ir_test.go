@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -189,6 +190,17 @@ void main() { n = 0; }
 	if _, err := m.Bind(NewBindings().SetScalar("n", 4).SetArray("x", NewHostArray(&cc.VarDecl{Type: cc.TFloat}, 3))); err == nil {
 		t.Error("size mismatch should fail")
 	}
+	// A slice of another element type than the declaration's.
+	for _, a := range []*HostArray{{I32: make([]int32, 4)}, {F64: make([]float64, 4)}} {
+		_, err := m.Bind(NewBindings().SetScalar("n", 4).SetArray("x", a))
+		if _, ok := err.(*BindError); !ok {
+			t.Errorf("float array bound with %d int and %d double elements: %v, want a BindError", len(a.I32), len(a.F64), err)
+		}
+	}
+	// An empty array with no slice takes the declaration's view.
+	if inst, err := m.Bind(NewBindings().SetArray("x", &HostArray{})); err != nil || inst.Env.Views[inst.Arrays[0].Decl.Slot].F == nil {
+		t.Errorf("empty float array without a slice: %v, want a float view", err)
+	}
 	if _, err := m.Bind(NewBindings().SetScalar("n", -1)); err == nil {
 		t.Error("negative size should fail")
 	}
@@ -231,21 +243,6 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
-func TestReduceOp(t *testing.T) {
-	if ReduceAdd.Apply(2, 3) != 5 || ReduceMul.Apply(2, 3) != 6 {
-		t.Error("Apply wrong")
-	}
-	if ReduceAdd.ApplyI(2, 3) != 5 || ReduceMul.ApplyI(2, 3) != 6 {
-		t.Error("ApplyI wrong")
-	}
-	if ReduceAdd.Identity() != 0 || ReduceMul.Identity() != 1 {
-		t.Error("Identity wrong")
-	}
-	if ReduceAdd.String() != "+" || ReduceMul.String() != "*" {
-		t.Error("String wrong")
-	}
-}
-
 func TestHostViewsTypesAndReduce(t *testing.T) {
 	for _, typ := range []cc.ElemType{cc.TFloat, cc.TDouble, cc.TInt} {
 		d := &cc.VarDecl{Name: "a", Type: typ, IsArray: true}
@@ -253,30 +250,41 @@ func TestHostViewsTypesAndReduce(t *testing.T) {
 		if a.Len() != 10 || a.Bytes() != 10*typ.Size() {
 			t.Errorf("%v: len/bytes wrong", typ)
 		}
-		v := a.View()
-		e := &Env{}
-		v.StoreF(e, 3, 2.5)
-		v.ReduceF(e, 3, 1.5, ReduceAdd)
-		got := v.LoadF(e, 3)
-		want := 4.0
+		v, e := a.View(), &Env{}
 		if typ == cc.TInt {
-			want = 3 // 2 + 1
-		}
-		if got != want {
-			t.Errorf("%v: reduce result = %g, want %g", typ, got, want)
-		}
-		v.StoreI(e, 4, 7)
-		if v.LoadI(e, 4) != 7 {
-			t.Errorf("%v: int roundtrip failed", typ)
-		}
-		v.ReduceI(e, 4, 2, ReduceMul)
-		if v.LoadI(e, 4) != 14 {
-			t.Errorf("%v: ReduceMul failed: %d", typ, v.LoadI(e, 4))
+			if v.F != nil {
+				t.Errorf("%v: the view has a float half", typ)
+			}
+			v.I.Store(e, 4, 7)
+			if v.I.Load(e, 4) != 7 {
+				t.Errorf("%v: int roundtrip failed", typ)
+			}
+			v.I.Reduce(e, 4, 2, acc.RedMul)
+			if v.I.Load(e, 4) != 14 {
+				t.Errorf("%v: RedMul failed: %d", typ, v.I.Load(e, 4))
+			}
+			v.I.Reduce(e, 4, 1, acc.RedAdd)
+			if got := v.I.Load(e, 4); got != 15 {
+				t.Errorf("%v: reduce result = %d, want 15", typ, got)
+			}
+		} else {
+			if v.I != nil {
+				t.Errorf("%v: the view has an int half", typ)
+			}
+			v.F.Store(e, 3, 2.5)
+			v.F.Reduce(e, 3, 1.5, acc.RedAdd)
+			if got := v.F.Load(e, 3); got != 4.0 {
+				t.Errorf("%v: reduce result = %g, want 4", typ, got)
+			}
+			v.F.Reduce(e, 3, 2, acc.RedMul)
+			if got := v.F.Load(e, 3); got != 8.0 {
+				t.Errorf("%v: RedMul result = %g, want 8", typ, got)
+			}
 		}
 		if e.ReduceOps != 2 {
 			t.Errorf("%v: ReduceOps = %d", typ, e.ReduceOps)
 		}
-		if v.Len() != 10 {
+		if (v.I == nil || v.I.Len() != 10) && (v.F == nil || v.F.Len() != 10) {
 			t.Errorf("%v: view len wrong", typ)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -89,11 +90,11 @@ func (b *boundScan) values(host *Env, loopSlot int, itLo, itHi int64) (vals []in
 	if b == nil || b.v != loopSlot {
 		return nil, false
 	}
-	view, isHost := host.Views[b.arr].(*hostI32)
-	if !isHost || itLo+b.off < 0 || itHi+b.off > int64(len(view.a.I32)) {
+	view, isHost := host.Views[b.arr].I.(*hostView[int32, int64])
+	if !isHost || itLo+b.off < 0 || itHi+b.off > int64(len(view.s)) {
 		return nil, false
 	}
-	return view.a.I32[itLo+b.off : itHi+b.off], true
+	return view.s[itLo+b.off : itHi+b.off], true
 }
 
 // scanBounds is the bounds form's loop over [itLo, itHi), itHi > itLo,
@@ -159,7 +160,7 @@ type ArrayUse struct {
 	// Read/Written/Reduced classify the kernel's accesses.
 	Read, Written, Reduced bool
 	// ReduceOp is the reductiontoarray operator when Reduced.
-	ReduceOp ReduceOp
+	ReduceOp acc.RedOp
 	// Local is the compiled localaccess footprint, nil when absent.
 	Local *LocalFootprint
 	// AffineRead reports that every read index is affine in the
@@ -321,8 +322,14 @@ func (m *Module) sizes(b *Bindings) (*Env, []int64, error) {
 		if n < 0 || n > math.MaxInt64/8 {
 			return nil, nil, bindErrf("array %q has size %d", d.Name, n)
 		}
-		if a, supplied := b.Arrays[d.Name]; supplied && a.Len() != n {
-			return nil, nil, bindErrf("array %q bound with %d elements, program declares %d", d.Name, a.Len(), n)
+		if a, supplied := b.Arrays[d.Name]; supplied {
+			// Compiled code reads the view half of the declared type.
+			if t, ok := a.elemType(); ok && t != d.Type {
+				return nil, nil, bindErrf("array %q is %s; bound with %s elements", d.Name, d.Type, t)
+			}
+			if a.Len() != n {
+				return nil, nil, bindErrf("array %q bound with %d elements, program declares %d", d.Name, a.Len(), n)
+			}
 		}
 		lens[d.Slot] = n
 	}

@@ -271,14 +271,14 @@ func (s *KernelSpec) NewDEnv() *DEnv {
 }
 
 type (
-	// num is what one lane of a tile holds: every int expression computes
-	// in int64, every float one in float64.
-	num interface{ int64 | float64 }
+	// Num is what one lane holds, of a tile or of the interpreter: every
+	// int expression computes in int64, every float one in float64.
+	Num interface{ int64 | float64 }
 	// elem is the element type of a device copy.
 	elem interface{ int32 | float32 | float64 }
 	// dExpr is a uniform subtree compiled against the worker's scalars: one
 	// value for every lane of a tile step.
-	dExpr[S num] func(*DEnv) S
+	dExpr[S Num] func(*DEnv) S
 )
 
 // KernelSpec is the compiled specialization of one kernel.
@@ -715,10 +715,7 @@ func (l *lowering) assign(k *kStmt, st *cc.AssignStmt) error {
 		return err
 	}
 	// The operator must be one the interpreter has for the target's type.
-	if _, err = intApply(st.Op, st.Pos()); typ != cc.TInt {
-		_, err = floatApply(st.Op, st.Pos())
-	}
-	if err != nil {
+	if typ == cc.TInt && applyOf[int64](st.Op) == nil || typ != cc.TInt && applyOf[float64](st.Op) == nil {
 		return errSpecIneligible
 	}
 	return nil
@@ -1090,7 +1087,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 		case *cc.IfStmt:
 			n0 := len(s.guard.Atoms)
 			if c, err := s.cond.expr(x.Cond); err == nil && s.guardCond(c) {
-				cond, err := compileCond(x.Cond)
+				cond, err := compileCond(foldExpr(x.Cond))
 				if err != nil {
 					return nil
 				}

@@ -3,6 +3,7 @@ package ir
 import (
 	"slices"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -72,13 +73,13 @@ func (s *flatSite) keep(vm *VecEnv, act []int32, idx []int64) {
 	s.idx = kept(s.idx, idx, vm.tile)
 }
 
-func keepVals[S num](s *flatSite, vm *VecEnv, val []S) {
+func keepVals[S Num](s *flatSite, vm *VecEnv, val []S) {
 	p := vals[S](s)
 	*p = kept(*p, val, vm.tile)
 }
 
 // vals picks the site's values of lane type S.
-func vals[S num](s *flatSite) *[]S { return pick[S, []S](&s.vi, &s.vf) }
+func vals[S Num](s *flatSite) *[]S { return pick[S, []S](&s.vi, &s.vf) }
 
 func kept[E any](dst, src []E, tile int) []E {
 	if cap(dst) < len(src) {
@@ -426,7 +427,7 @@ func commitStores(vm *VecEnv, sts []flatStoreSite, n int, loadSites []int) (q in
 	}
 }
 
-func walkLanes[T elem, S num](a *DArray, vm *VecEnv, n int, loads []*flatSite, sts []flatStoreSite) (q int, hit int32) {
+func walkLanes[T elem, S Num](a *DArray, vm *VecEnv, n int, loads []*flatSite, sts []flatStoreSite) (q int, hit int32) {
 	src := elems[T](a)
 	var lv [maxHazSites][]S
 	for j, s := range loads {
@@ -498,7 +499,7 @@ func walkLanes[T elem, S num](a *DArray, vm *VecEnv, n int, loads []*flatSite, s
 // flatIdent compiles a read of one of the scalars that are vectors only
 // in a flat body: the two induction variables, and a private scalar of
 // the outer tile, read through seg. Nil for any other.
-func flatIdent[S num](v *vecBuilder, d *cc.VarDecl) vec[S] {
+func flatIdent[S Num](v *vecBuilder, d *cc.VarDecl) vec[S] {
 	fl := v.flat
 	switch {
 	case fl == nil:
@@ -521,7 +522,7 @@ func flatIdent[S num](v *vecBuilder, d *cc.VarDecl) vec[S] {
 }
 
 // segRead gives every flat lane its outer lane's element of src.
-func segRead[S num](out, src []S, seg []int32) []S {
+func segRead[S Num](out, src []S, seg []int32) []S {
 	for p := range out {
 		out[p] = src[seg[p]]
 	}
@@ -531,7 +532,7 @@ func segRead[S num](out, src []S, seg []int32) []S {
 // record is the statement of an effect site of a flat body: it keeps the
 // lanes that reached it with their indices (ix, nil for a scalar target)
 // and values.
-func record[S num](site int, ix vec[int64], r vec[S]) VStmt {
+func record[S Num](site int, ix vec[int64], r vec[S]) VStmt {
 	return func(vm *VecEnv, i0 int64, L int) {
 		var q []int64
 		if ix != nil {
@@ -547,7 +548,7 @@ func record[S num](site int, ix vec[int64], r vec[S]) VStmt {
 // worker's scalar) or the op-assignment of a private scalar of the outer
 // tile (into its vector, at the flat lane's outer lane): applied at
 // commit in ascending flat order with the scalar's rounding per step.
-func flatFold[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
+func flatFold[S Num](v *vecBuilder, k *kStmt, d *cc.VarDecl, outer bool) (VStmt, error) {
 	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
@@ -577,7 +578,7 @@ func flatFold[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl, outer bool) (VStmt,
 // flatElement compiles what an effect on an array element records: the
 // index and the value as vectors, in the order the interpreter's
 // statement evaluates them.
-func flatElement[S num](v *vecBuilder, k *kStmt, kind AccessKind) (vec[int64], vec[S], error) {
+func flatElement[S Num](v *vecBuilder, k *kStmt, kind AccessKind) (vec[int64], vec[S], error) {
 	li, err := v.laneIndex(k.x.x, v.take(k.x, kind))
 	if err != nil {
 		return nil, nil, err
@@ -591,23 +592,23 @@ func flatElement[S num](v *vecBuilder, k *kStmt, kind AccessKind) (vec[int64], v
 }
 
 // flatReduce compiles a reduction-lane update of a flat body.
-func flatReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+func flatReduce[S Num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, lhs := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr)
 	ix, rv, err := flatElement[S](v, k, AccessReduce)
 	if err != nil {
 		return nil, err
 	}
-	site, slot, mul := v.newSite(), lhs.Array.Slot, st.Reduce.Op == "*"
+	site, slot, mul := v.newSite(), lhs.Array.Slot, st.Reduce.Op == acc.RedMul
 	v.flat.commits = append(v.flat.commits, func(vm *VecEnv, q int) {
 		s := &vm.sites[site]
-		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), s.idx, 1, 0, *vals[S](s), below(s.act, q), mul)
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), s.idx, *vals[S](s), below(s.act, q), mul)
 	})
 	return record(site, ix, rv), nil
 }
 
 // flatStore compiles a store of a flat body: a scatter at commit
 // (commitStores).
-func flatStore[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+func flatStore[S Num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, fl := k.s.(*cc.AssignStmt), v.flat
 	ix, rv, err := flatElement[S](v, k, AccessStore)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -58,15 +59,13 @@ import (
 //     such a loop, HOTSPOT2D). A loop neither takes (flatOK) leaves the
 //     kernel on the interpreter.
 //
-// Eight exact rewrites (DESIGN §9) pay once what the body would pay per
+// Six exact rewrites (DESIGN §9) pay once what the body would pay per
 // trip, per statement or per pass: (1) held loads (hold); (2) an if splits
-// its lanes in the pass that compares; (3) "=" of a load to a private
-// scalar loads into its vector; (4) a reduction-lane update keeps a
-// uniform scale and offset out of its index vector; (5) a read-only walk
-// is read from the copy in the pass that uses it (walkOf, direct); (6) a
-// dense store is written in mulAdd's pass (mulAddStore); (7) a split whose
-// lanes agree keeps its list (splitLanes); (10) KMEANS's x = a - k;
-// y += x*x is one pass (distance).
+// its lanes in the pass that compares; (5) a read-only walk is read from
+// the copy in the pass that uses it (walkOf, direct); (6) a dense store is
+// written in mulAdd's pass (mulAddStore); (7) a split whose lanes agree
+// keeps its list (splitLanes); (10) KMEANS's x = a - k; y += x*x is one
+// pass (distance).
 //
 // Bit-exactness contract: every float64 operation happens in the same
 // order with the same operands as the interpreter would have performed
@@ -103,7 +102,7 @@ import (
 //     it (VecEnv.cut), and the tile ends there: the next one starts at
 //     the lane after the storing one and evaluates the prefix afresh.
 //
-// The builder is written once over the lane type S (num: int64 for every
+// The builder is written once over the lane type S (Num: int64 for every
 // int expression, float64 for every float one) and, where it touches a
 // copy, the element type T (elem); the operators only one of them has —
 // the int bit operators, %, shifts, ~ and the fault of a division under
@@ -223,7 +222,7 @@ func carve[E any](bufs [][]E, n int) {
 }
 
 // vec fills and returns a scratch vector: one value per lane of the tile.
-type vec[S num] func(vm *VecEnv, i0 int64, L int) []S
+type vec[S Num] func(vm *VecEnv, i0 int64, L int) []S
 
 // vOp is a compiled expression with lanes of type S: either uniform (inv
 // set, evaluated once per tile step against the worker scalars) or
@@ -233,7 +232,7 @@ type vec[S num] func(vm *VecEnv, i0 int64, L int) []S
 // vector loads (a product's: mulX), which mulAdd and a copy read straight
 // from the array (rewrite 5). ma is set on mulAdd's result: its pass as
 // data, which a dense store runs into the array (rewrite 6).
-type vOp[S num] struct {
+type vOp[S Num] struct {
 	inv, kMul dExpr[S]
 	vec, mulX vec[S]
 	w         walkOf
@@ -775,12 +774,12 @@ func (v *vecBuilder) checkLoop(k *kStmt) bool {
 
 // isF reports the float lane type: a constant in each instantiation, so
 // the branches on it cost nothing at run time.
-func isF[S num]() bool { return S(1)/2 != 0 }
+func isF[S Num]() bool { return S(1)/2 != 0 }
 
 // pick returns f when S is float64, else i: two pointers to the float and
 // the int half of a structure, through which the tiles reach S's half
 // without boxing a slice.
-func pick[S num, E any](i, f any) *E {
+func pick[S Num, E any](i, f any) *E {
 	if isF[S]() {
 		return f.(*E)
 	}
@@ -793,10 +792,10 @@ func as[R, X any](x X) R { return any(x).(R) }
 
 // bufs, heldOf, slots and laneOf pick S's scratch vectors, held loads'
 // slabs, scalars and reduction lane; elems picks T's backing slice.
-func bufs[S num](vm *VecEnv) [][]S   { return *pick[S, [][]S](&vm.BufI, &vm.BufF) }
-func heldOf[S num](vm *VecEnv) [][]S { return *pick[S, [][]S](&vm.heldI, &vm.heldF) }
-func slots[S num](D *DEnv) []S       { return *pick[S, []S](&D.Ints, &D.Floats) }
-func laneOf[S num](a *DArray) []S    { return *pick[S, []S](&a.LaneI, &a.LaneF) }
+func bufs[S Num](vm *VecEnv) [][]S   { return *pick[S, [][]S](&vm.BufI, &vm.BufF) }
+func heldOf[S Num](vm *VecEnv) [][]S { return *pick[S, [][]S](&vm.heldI, &vm.heldF) }
+func slots[S Num](D *DEnv) []S       { return *pick[S, []S](&D.Ints, &D.Floats) }
+func laneOf[S Num](a *DArray) []S    { return *pick[S, []S](&a.LaneI, &a.LaneF) }
 
 func elems[T elem](a *DArray) []T {
 	if T(1)/2 == 0 {
@@ -809,7 +808,7 @@ func elems[T elem](a *DArray) []T {
 }
 
 // push takes the next vector of S's stack.
-func push[S num](v *vecBuilder) int {
+func push[S Num](v *vecBuilder) int {
 	i := int(b2i(isF[S]()))
 	v.top[i]++
 	v.nBuf[i] = max(v.nBuf[i], v.top[i])
@@ -818,14 +817,14 @@ func push[S num](v *vecBuilder) int {
 
 // result pops everything pushed since m, the stacks' height at a node's
 // entry (its operands), and pushes the node's result.
-func result[S num](v *vecBuilder, m [2]int) int {
+func result[S Num](v *vecBuilder, m [2]int) int {
 	v.top = m
 	return push[S](v)
 }
 
 // mat materializes an operand into a vector, broadcasting a uniform value
 // through a dedicated buffer.
-func mat[S num](v *vecBuilder, o vOp[S]) vec[S] {
+func mat[S Num](v *vecBuilder, o vOp[S]) vec[S] {
 	if o.vec != nil {
 		return o.vec
 	}
@@ -891,7 +890,7 @@ func (v *vecBuilder) stmt(k *kStmt) (VStmt, error) {
 }
 
 // assign compiles an assignment whose target holds S's values.
-func assign[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+func assign[S Num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st := k.s.(*cc.AssignStmt)
 	switch lhs := st.LHS.(type) {
 	case *cc.Ident:
@@ -1100,7 +1099,7 @@ func laneOrdered(vm *VecEnv, sites []injSite, n, i0 int64, L int) bool {
 // (float32 for a float scalar: the interpreter's rounding per step;
 // float64 and int64 are the identity). A tile with every lane active is
 // walked densely. The operator picks a loop, never a lane.
-func setLanes[S num, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
+func setLanes[S Num, R int64 | float32 | float64](op byte, out, s []S, act []int32) {
 	dense := len(act) == len(out)
 	s = s[:len(out)]
 	switch {
@@ -1156,7 +1155,7 @@ func setLanesI(op byte, out, s []int64, act []int32) {
 }
 
 // setter gives the lane-wise update of a private scalar of type t.
-func setter[S num](t cc.ElemType) func(op byte, out, s []S, act []int32) {
+func setter[S Num](t cc.ElemType) func(op byte, out, s []S, act []int32) {
 	switch t {
 	case cc.TInt:
 		return as[func(byte, []S, []S, []int32)](setLanesI)
@@ -1265,18 +1264,12 @@ func fusedForm(aop, iop string, ka, kc, masked bool) (form int, swap, ok bool) {
 // active lanes of its vector. A float right-hand side that ends in +, -
 // or * runs that operation in the same pass (fused); any other is
 // computed into a scratch vector first.
-func private[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
+func private[S Num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	st := k.s.(*cc.AssignStmt)
 	v.usesAct = true
 	bid, op := v.scalars[d].buf-1, st.Op[0]
 	if bid < 0 {
 		return nil, errSpecIneligible
-	}
-	if x, ok := k.y.e.(*cc.IndexExpr); ok && op == '=' && !v.uniform(k.y) && k.y.x.reads&v.mask(d) == 0 &&
-		(d.Type == cc.TInt) == (x.Array.Type == cc.TInt) && (d.Type != cc.TFloat || x.Array.Type == cc.TFloat) {
-		o, err := load[S](v, k.y, bid)
-		v.counts.note("direct ", d.Name)
-		return func(vm *VecEnv, i0 int64, L int) { o.vec(vm, i0, L) }, err
 	}
 	var r vOp[S]
 	var err error
@@ -1369,20 +1362,9 @@ func distance(a vOp[float64], k dExpr[float64], bx, by int) VStmt {
 	}
 }
 
-// applyOf gives the operator of a compound assignment over S (nil for
-// "=", which the lowering checked the interpreter has for the target).
-func applyOf[S num](op string) func(S, S) S {
-	if op == "=" {
-		return nil
-	}
-	fi, _ := intApply(op, 0)
-	ff, _ := floatApply(op, 0)
-	return *pick[S, func(S, S) S](&fi, &ff)
-}
-
 // foldOp is the step of a fold: the assignment's operator, "=" keeping the
 // new value.
-func foldOp[S num](op string) func(S, S) S {
+func foldOp[S Num](op string) func(S, S) S {
 	if op == "=" {
 		return func(_, x S) S { return x }
 	}
@@ -1393,7 +1375,7 @@ func foldOp[S num](op string) func(S, S) S {
 // fold into the worker's partial in ascending lane order, which is
 // iteration order, with float32 rounding per step. A reduction scalar
 // assigned with "=" keeps the last active lane's value.
-func fold[S num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
+func fold[S Num](v *vecBuilder, k *kStmt, d *cc.VarDecl) (VStmt, error) {
 	v.usesAct = true
 	r, err := compile[S](v, k.y)
 	if err != nil {
@@ -1509,7 +1491,7 @@ func (a *DArray) span(p, step int64) (int64, int64, bool) {
 // element per lane. Small enough to inline: a call frame under every
 // load would push the worker goroutines of even a one-statement kernel
 // past their initial stack.
-func walkLoad[T elem, S num](out []S, src []T, p, step int64) {
+func walkLoad[T elem, S Num](out []S, src []T, p, step int64) {
 	if step == 1 {
 		s := src[p : p+int64(len(out))]
 		for t := range s {
@@ -1540,7 +1522,7 @@ func direct[T elem](vm *VecEnv, i0 int64, L int, w walkOf) (src []T, ok bool) {
 
 // loadWalk reads a walk of logical indices into out, through off lane
 // by lane where a column-major copy breaks the walk's affinity.
-func loadWalk[T elem, S num](out []S, src []T, a *DArray, p, step int64) {
+func loadWalk[T elem, S Num](out []S, src []T, a *DArray, p, step int64) {
 	p, step, ok := a.span(p, step)
 	if ok {
 		walkLoad(out, src, p, step)
@@ -1553,7 +1535,7 @@ func loadWalk[T elem, S num](out []S, src []T, a *DArray, p, step int64) {
 }
 
 // fetch reads the active lanes' elements at logical indices k*idx + c.
-func fetch[T elem, S num](out []S, src []T, a *DArray, idx []int64, k, c int64, act []int32) {
+func fetch[T elem, S Num](out []S, src []T, a *DArray, idx []int64, k, c int64, act []int32) {
 	c -= a.Base
 	if a.TWidth == 0 {
 		for _, t := range act {
@@ -1603,16 +1585,15 @@ func (v *vecBuilder) idxVec(li laneIdx) vec[int64] {
 	}
 }
 
-// load compiles an array read into lanes of type S (into: a private scalar's
-// vector, or -1).
-func load[S num](v *vecBuilder, k *kExpr, into int) (vOp[S], error) {
+// load compiles an array read into lanes of type S.
+func load[S Num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	switch k.e.(*cc.IndexExpr).Array.Type {
 	case cc.TInt:
-		return loadFrom[S, int32](v, k, into)
+		return loadFrom[S, int32](v, k)
 	case cc.TFloat:
-		return loadFrom[S, float32](v, k, into)
+		return loadFrom[S, float32](v, k)
 	}
-	return loadFrom[S, float64](v, k, into)
+	return loadFrom[S, float64](v, k)
 }
 
 // loadFrom compiles a read of a T array: one value for the tile step when
@@ -1620,7 +1601,7 @@ func load[S num](v *vecBuilder, k *kExpr, into int) (vOp[S], error) {
 // strided walk when the index is affine across the lanes and every lane is
 // active, a per-lane fetch of the active lanes otherwise (a gather, or any
 // load under an arm).
-func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) {
+func loadFrom[S Num, T elem](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	slot, site := k.e.(*cc.IndexExpr).Array.Slot, v.take(k, AccessLoad)
 	if v.uniform(k) {
 		o, err := compile[int64](v, k.x)
@@ -1635,20 +1616,11 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 	if err != nil {
 		return vOp[S]{}, err
 	}
-	dest := func() int { // into, or the stack's next
-		if v.top = m; into >= 0 {
-			return into
-		}
-		return push[S](v)
-	}
 	if ai := li.affine; ai >= 0 && !v.masked {
 		// The straight-line case, kept lean: the runtime's coefficients,
 		// no helper call (it sent to the interpreter any piece whose walk
 		// a column-major copy would break).
-		bid, w := dest(), walkOf{}
-		if into < 0 {
-			w = walkOf{k.e.(*cc.IndexExpr).Array, ai, k.written}
-		}
+		bid, w := result[S](v, m), walkOf{k.e.(*cc.IndexExpr).Array, ai, k.written}
 		return vOp[S]{w: w, vec: func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step, _ := a.span(vm.AccA[ai]*i0+vm.AccB[ai], vm.AccA[ai])
@@ -1657,8 +1629,8 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 		}}, nil
 	}
 	if wk := li.walk; wk != nil && !v.masked {
-		bid := dest()
-		return vOp[S]{vec: hold(v, k, into, func(vm *VecEnv, i0 int64, L int) []S {
+		bid := result[S](v, m)
+		return vOp[S]{vec: hold(v, k, func(vm *VecEnv, i0 int64, L int) []S {
 			out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
 			p, step := wk(vm, i0)
 			loadWalk(out, elems[T](a), a, p, step)
@@ -1676,7 +1648,7 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 		ix, li, watch = v.idxVec(li), laneIdx{affine: -1}, v.flatWatch()
 		m = v.top
 	}
-	bid := dest()
+	bid := result[S](v, m)
 	return vOp[S]{vec: func(vm *VecEnv, i0 int64, L int) []S {
 		q := ix(vm, i0, L)
 		out, a := bufs[S](vm)[bid][:L], &vm.D.Arrays[slot]
@@ -1692,12 +1664,12 @@ func loadFrom[S num, T elem](v *vecBuilder, k *kExpr, into int) (vOp[S], error) 
 
 // hold makes the walk load of k a held load (file header): its vector at
 // u = x0 + t is the t-th of its group's slab, x0 being u at the group's
-// first load in the tile. It leaves loads into a private scalar's vector,
-// of written arrays, whose index reads no body-assigned scalar or two, and
-// a group's first outside two loops.
-func hold[S num](v *vecBuilder, k *kExpr, into int, ld vec[S]) vec[S] {
+// first load in the tile. It leaves loads of written arrays, whose index
+// reads no body-assigned scalar or two, and a group's first outside two
+// loops.
+func hold[S Num](v *vecBuilder, k *kExpr, ld vec[S]) vec[S] {
 	r := k.x.reads
-	if into >= 0 || k.written || r == 0 || r&(r-1) != 0 {
+	if k.written || r == 0 || r&(r-1) != 0 {
 		return ld
 	}
 	g := slices.IndexFunc(v.held, func(h *kExpr) bool { return same(h, k) })
@@ -1759,7 +1731,7 @@ func nodeKey(e cc.Expr) any {
 
 // walkStore writes s to the walk p, p+A, ... of dst, every lane. Small
 // enough to inline, like walkLoad.
-func walkStore[T elem, S num](dst []T, p, A int64, s []S) {
+func walkStore[T elem, S Num](dst []T, p, A int64, s []S) {
 	if A == 1 {
 		d := dst[p : p+int64(len(s))]
 		for t := range d {
@@ -1775,7 +1747,7 @@ func walkStore[T elem, S num](dst []T, p, A int64, s []S) {
 
 // storeLanes writes the active lanes of s to the walk; apply, when set,
 // combines with the old element (a compound assignment).
-func storeLanes[T elem, S num](dst []T, p, A int64, s []S, apply func(S, S) S, act []int32) {
+func storeLanes[T elem, S Num](dst []T, p, A int64, s []S, apply func(S, S) S, act []int32) {
 	if apply == nil {
 		for _, t := range act {
 			dst[p+A*int64(t)] = T(s[t])
@@ -1811,7 +1783,7 @@ func (a *DArray) markWalk(p, A int64, L int, act []int32) {
 // coefficients (a written array is never layout-transformed). A dense "="
 // of a read-only float walk copies it (copyWalk); one whose value ends in mulAdd
 // writes mulAdd's pass into the array (rewrite 6).
-func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
+func arrayAssign[S Num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, dst, ai := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array, v.take(k.x, AccessStore)
 	slot, dense := dst.Slot, !v.masked && st.Op == "="
 	v.usesAct = v.usesAct || !dense
@@ -1845,7 +1817,7 @@ func arrayAssign[S num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 // T array: walk to walk in one pass where both steps are 1, through the
 // lane type S as the vector path converts, r's vector and walkStore
 // otherwise. The census found no kernel copying an int or a double walk.
-func copyWalk[S num, T elem](r vOp[S], slot, ai int) VStmt {
+func copyWalk[S Num, T elem](r vOp[S], slot, ai int) VStmt {
 	return func(vm *VecEnv, i0 int64, L int) {
 		a := &vm.D.Arrays[slot]
 		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
@@ -1863,32 +1835,28 @@ func copyWalk[S num, T elem](r vOp[S], slot, ai int) VStmt {
 }
 
 // reduceLanes updates the worker's reduction lane at the active lanes'
-// logical indices k*q[t] + c, in ascending lane order.
-func reduceLanes[S num](lane []S, q []int64, k, c int64, s []S, act []int32, mul bool) {
+// logical indices q[t], in ascending lane order.
+func reduceLanes[S Num](lane []S, q []int64, s []S, act []int32, mul bool) {
 	if mul {
 		for _, t := range act {
-			lane[k*q[t]+c] *= s[t]
+			lane[q[t]] *= s[t]
 		}
 		return
 	}
 	for _, t := range act {
-		lane[k*q[t]+c] += s[t]
+		lane[q[t]] += s[t]
 	}
 }
 
-func arrayReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
+func arrayReduce[S Num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	st, slot := k.s.(*cc.AssignStmt), k.x.e.(*cc.IndexExpr).Array.Slot
 	v.usesAct = true
 	li, err := v.laneIndex(k.x.x, v.take(k.x, AccessReduce))
 	if err != nil {
 		return nil, err
 	}
-	// Lanes are indexed by logical element index: no Base shift. A gather's
-	// uniform scale and offset stay out of its index vector, as in fetch.
-	ix, sc, mul := li.vec, li, st.Reduce.Op == "*"
-	if ix == nil {
-		ix, sc = v.idxVec(li), laneIdx{}
-	}
+	// Lanes are indexed by logical element index: no Base shift.
+	ix, mul := v.idxVec(li), st.Reduce.Op == acc.RedMul
 	r, err := compile[S](v, k.y)
 	if err != nil {
 		return nil, err
@@ -1900,8 +1868,7 @@ func arrayReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 	rv := mat(v, r)
 	return func(vm *VecEnv, i0 int64, L int) {
 		q, s := ix(vm, i0, L), rv(vm, i0, L)
-		kq, c := sc.scale(vm.D)
-		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), q, kq, c, s, vm.act, mul)
+		reduceLanes(laneOf[S](&vm.D.Arrays[slot]), q, s, vm.act, mul)
 	}, nil
 }
 
@@ -1911,7 +1878,7 @@ func arrayReduce[S num](v *vecBuilder, k *kStmt) (VStmt, error) {
 // step, evaluated against the worker's scalars — literals, loop
 // invariants, inner induction variables and loads of arrays the kernel
 // never writes, and what is computed from them.
-func compile[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+func compile[S Num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	switch float := k.e.Type() != cc.TInt; {
 	case float == isF[S]():
 		return compileNode[S](v, k)
@@ -1922,7 +1889,7 @@ func compile[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 }
 
 // convert compiles an expression of lane type F into lanes of type S.
-func convert[F, S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+func convert[F, S Num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	m := v.top
 	o, err := compileNode[F](v, k)
 	if err != nil {
@@ -1945,7 +1912,7 @@ func convert[F, S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 // only what the tiles have an op for: no && or ||, no operator a type
 // lacks, no builtin but min, max and abs on int and floatBuiltin's on
 // float.
-func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+func compileNode[S Num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	m := v.top
 	switch x := k.e.(type) {
 	case *cc.NumLit:
@@ -1957,7 +1924,7 @@ func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	case *cc.Ident:
 		return ident[S](v, x.Decl)
 	case *cc.IndexExpr:
-		return load[S](v, k, -1)
+		return load[S](v, k)
 	case *cc.BinaryExpr:
 		if cmpCode[x.Op] != 0 {
 			o, err := truth(v, k)
@@ -2001,7 +1968,7 @@ func compileNode[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 
 // ident compiles a scalar read: the kernel's induction variable (an iota
 // over the tile), a private scalar's vector, or a uniform scalar.
-func ident[S num](v *vecBuilder, d *cc.VarDecl) (vOp[S], error) {
+func ident[S Num](v *vecBuilder, d *cc.VarDecl) (vOp[S], error) {
 	if vec := flatIdent[S](v, d); vec != nil {
 		return vOp[S]{vec: vec}, nil
 	}
@@ -2030,7 +1997,7 @@ func ident[S num](v *vecBuilder, d *cc.VarDecl) (vOp[S], error) {
 }
 
 // negate compiles unary minus.
-func negate[S num](v *vecBuilder, o vOp[S], m [2]int) vOp[S] {
+func negate[S Num](v *vecBuilder, o vOp[S], m [2]int) vOp[S] {
 	if g := o.inv; g != nil {
 		return vOp[S]{inv: func(D *DEnv) S { return -g(D) }}
 	}
@@ -2077,7 +2044,7 @@ func round32(v *vecBuilder, o vOp[float64], m [2]int) vOp[float64] {
 
 // operands evaluates the two operands of a lane op: each a vector or,
 // where its vec is nil, one scalar.
-func operands[S num](vm *VecEnv, i0 int64, L int, a, c vOp[S]) (s, q []S, ka, kc S) {
+func operands[S Num](vm *VecEnv, i0 int64, L int, a, c vOp[S]) (s, q []S, ka, kc S) {
 	if a.vec != nil {
 		s = a.vec(vm, i0, L)
 	} else {
@@ -2096,7 +2063,7 @@ func operands[S num](vm *VecEnv, i0 int64, L int, a, c vOp[S]) (s, q []S, ka, kc
 // advertises itself through kMul/mulX, and an enclosing + or - forms it
 // in its own pass (mulAdd). What only an int has — %, the bit operators,
 // the shifts and the fault of a division under an arm — is intArith's.
-func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
+func arith[S Num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 	if ka, kc := a.inv, c.inv; ka != nil && kc != nil {
 		return vOp[S]{inv: binop(op, ka, kc)}
 	}
@@ -2125,7 +2092,7 @@ func arith[S num](v *vecBuilder, op byte, a, c vOp[S], m [2]int) vOp[S] {
 
 // binop compiles a uniform node of a binary operator named by its first
 // byte: + - * / over either type, intOp's operators over int.
-func binop[S num](op byte, ka, kc dExpr[S]) dExpr[S] {
+func binop[S Num](op byte, ka, kc dExpr[S]) dExpr[S] {
 	switch op {
 	case '+':
 		return func(D *DEnv) S { return ka(D) + kc(D) }
@@ -2143,7 +2110,7 @@ func binop[S num](op byte, ka, kc dExpr[S]) dExpr[S] {
 // arithLanes sets out[t] to x op y for + - * /, x being s[t] or, where s
 // is nil, ka, and y q[t] or kc. The operator and the operands' shapes pick
 // a loop, never a lane.
-func arithLanes[S num](op byte, out, s, q []S, ka, kc S) {
+func arithLanes[S Num](op byte, out, s, q []S, ka, kc S) {
 	switch {
 	case s == nil && op == '+':
 		for t, y := range q[:len(out)] {
@@ -2251,7 +2218,7 @@ const (
 )
 
 // term gives an operand's mulAdd form.
-func term[S num](o vOp[S]) int {
+func term[S Num](o vOp[S]) int {
 	switch {
 	case o.kMul != nil:
 		return termP
@@ -2439,7 +2406,7 @@ var (
 // from the first lane's: a list whose lanes all agree is returned itself,
 // and the agreeing prefix is copied as one block; the lanes after it are
 // kept one by one.
-func splitLanes[T elem | num, S num](op byte, cmp func(S, S) bool, s []T, q []S, k S, act, th, el []int32) ([]int32, []int32) {
+func splitLanes[T elem | Num, S Num](op byte, cmp func(S, S) bool, s []T, q []S, k S, act, th, el []int32) ([]int32, []int32) {
 	if len(act) == 0 {
 		return th[:0], el[:0]
 	}
@@ -2564,7 +2531,7 @@ func truth(v *vecBuilder, k *kExpr) (vOp[int64], error) {
 // its split and, when both operands are uniform, its value (inv; the split
 // compares a broadcast). A uniform operand is compared as a scalar, the
 // operator mirrored when it is the left one.
-func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (dExpr[int64], splitter, error) {
+func compareAs[S Num](v *vecBuilder, op string, x, y *kExpr) (dExpr[int64], splitter, error) {
 	a, err := compile[S](v, x)
 	if err != nil {
 		return nil, nil, err
@@ -2615,7 +2582,7 @@ func compareAs[S num](v *vecBuilder, op string, x, y *kExpr) (dExpr[int64], spli
 // floatBuiltin's functions, those the interpreter calls, for float. A
 // uniform call compiles its arguments as uniform ones (a broadcast per
 // argument would sit below the later arguments' scratch).
-func call[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
+func call[S Num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 	m, uniform := v.top, v.uniform(k)
 	var (
 		args [2]vec[S]
@@ -2655,7 +2622,7 @@ func call[S num](v *vecBuilder, k *kExpr) (vOp[S], error) {
 // builtin gives a builtin over S, of one argument or two, and the code
 // callLanes runs it by: 'm', 'M' and 'a' for the int min, max and abs,
 // whose lanes run without a call, '1' and '2' for a float function.
-func builtin[S num](name string) (fn1 func(S) S, fn2 func(S, S) S, code byte) {
+func builtin[S Num](name string) (fn1 func(S) S, fn2 func(S, S) S, code byte) {
 	if isF[S]() {
 		f1, f2, _ := floatBuiltin(name)
 		if f1 != nil {
@@ -2673,7 +2640,7 @@ func builtin[S num](name string) (fn1 func(S) S, fn2 func(S, S) S, code byte) {
 }
 
 // callLanes runs a builtin over the lanes (see builtin).
-func callLanes[S num](code byte, out, s, q []S, fn1 func(S) S, fn2 func(S, S) S) {
+func callLanes[S Num](code byte, out, s, q []S, fn1 func(S) S, fn2 func(S, S) S) {
 	switch code {
 	case 'm':
 		for t := range s {

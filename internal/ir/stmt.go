@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -62,7 +63,7 @@ func CompileStmt(s cc.Stmt, h *StmtHandlers) (Stmt, error) {
 		return compileAssign(st)
 
 	case *cc.IfStmt:
-		cond, err := compileCond(st.Cond)
+		cond, err := compileCond(foldExpr(st.Cond))
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func CompileStmt(s cc.Stmt, h *StmtHandlers) (Stmt, error) {
 		}, nil
 
 	case *cc.WhileStmt:
-		cond, err := compileCond(st.Cond)
+		cond, err := compileCond(foldExpr(st.Cond))
 		if err != nil {
 			return nil, err
 		}
@@ -184,7 +185,7 @@ func compileSequentialFor(st *cc.ForStmt, h *StmtHandlers) (Stmt, error) {
 	}
 	var cond func(*Env) bool
 	if st.Cond != nil {
-		if cond, err = compileCond(st.Cond); err != nil {
+		if cond, err = compileCond(foldExpr(st.Cond)); err != nil {
 			return nil, err
 		}
 	} else {
@@ -227,192 +228,108 @@ func compileSequentialFor(st *cc.ForStmt, h *StmtHandlers) (Stmt, error) {
 	}, nil
 }
 
+// compileAssign compiles an assignment over the target's lane type.
 func compileAssign(st *cc.AssignStmt) (Stmt, error) {
+	var d *cc.VarDecl
 	switch lhs := st.LHS.(type) {
 	case *cc.Ident:
-		return compileScalarAssign(st, lhs)
+		d = lhs.Decl
 	case *cc.IndexExpr:
-		if st.Reduce != nil {
-			return compileArrayReduce(st, lhs)
-		}
-		return compileArrayAssign(st, lhs)
+		d = lhs.Array
+	default:
+		return nil, fmt.Errorf("ir: line %d: bad assignment target", st.Pos())
 	}
-	return nil, fmt.Errorf("ir: line %d: bad assignment target", st.Pos())
+	if d.Type == cc.TInt {
+		return assignTo[int64](st, d)
+	}
+	return assignTo[float64](st, d)
 }
 
-func compileScalarAssign(st *cc.AssignStmt, lhs *cc.Ident) (Stmt, error) {
-	slot := lhs.Decl.Slot
-	if lhs.Decl.Type == cc.TInt {
-		rhs, err := CompileExprI(st.RHS)
-		if err != nil {
-			return nil, err
-		}
-		switch st.Op {
-		case "=":
-			return func(env *Env) error { env.Ints[slot] = rhs(env); return nil }, nil
-		case "+=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] += rhs(env); return nil }, nil
-		case "-=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] -= rhs(env); return nil }, nil
-		case "*=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] *= rhs(env); return nil }, nil
-		case "/=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] /= rhs(env); return nil }, nil
-		case "%=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] %= rhs(env); return nil }, nil
-		case "<<=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] <<= uint(rhs(env)); return nil }, nil
-		case ">>=":
-			return func(env *Env) error { env.Flops++; env.Ints[slot] >>= uint(rhs(env)); return nil }, nil
-		}
+// assignTo compiles st into a target d whose lanes are S: a scalar slot, an
+// element store, a compound update (one flop; a float scalar's "/=" four)
+// or a reductiontoarray update (one flop, and what the view charges). A
+// float scalar rounds through float32 at every assignment.
+func assignTo[S Num](st *cc.AssignStmt, d *cc.VarDecl) (Stmt, error) {
+	apply := applyOf[S](st.Op)
+	if apply == nil && st.Op != "=" {
 		return nil, fmt.Errorf("ir: line %d: unknown assignment operator %q", st.Pos(), st.Op)
 	}
-	rhs, err := CompileExprF(st.RHS)
-	if err != nil {
+	lhs, isArray := st.LHS.(*cc.IndexExpr)
+	var idx ExprI
+	var err error
+	if isArray {
+		if idx, err = CompileExprI(lhs.Index); err != nil {
+			return nil, err
+		}
+	}
+	rhs, err := compileExpr[S](foldExpr(st.RHS))
+	switch {
+	case err != nil:
 		return nil, err
+	case isArray && st.Reduce != nil:
+		return reduceArray(d.Slot, idx, rhs, st.Reduce.Op), nil
+	case isArray:
+		return storeArray(d.Slot, idx, rhs, apply), nil
 	}
-	round := func(v float64) float64 { return v }
-	if lhs.Decl.Type == cc.TFloat {
-		round = func(v float64) float64 { return float64(float32(v)) }
+	flops := int64(1)
+	if st.Op == "/=" && isF[S]() {
+		flops = 4
 	}
-	switch st.Op {
-	case "=":
-		return func(env *Env) error { env.Floats[slot] = round(rhs(env)); return nil }, nil
-	case "+=":
-		return func(env *Env) error { env.Flops++; env.Floats[slot] = round(env.Floats[slot] + rhs(env)); return nil }, nil
-	case "-=":
-		return func(env *Env) error { env.Flops++; env.Floats[slot] = round(env.Floats[slot] - rhs(env)); return nil }, nil
-	case "*=":
-		return func(env *Env) error { env.Flops++; env.Floats[slot] = round(env.Floats[slot] * rhs(env)); return nil }, nil
-	case "/=":
-		return func(env *Env) error {
-			env.Flops += 4
-			env.Floats[slot] = round(env.Floats[slot] / rhs(env))
-			return nil
-		}, nil
+	if r, f := rhs, apply; d.Type == cc.TFloat && f == nil {
+		rhs = func(env *Env) S { return S(float32(r(env))) }
+	} else if d.Type == cc.TFloat {
+		apply = func(a, b S) S { return S(float32(f(a, b))) }
 	}
-	return nil, fmt.Errorf("ir: line %d: unknown assignment operator %q", st.Pos(), st.Op)
+	return storeScalar(d.Slot, flops, rhs, apply), nil
 }
 
-func compileArrayAssign(st *cc.AssignStmt, lhs *cc.IndexExpr) (Stmt, error) {
-	slot := lhs.Array.Slot
-	idx, err := CompileExprI(lhs.Index)
-	if err != nil {
-		return nil, err
-	}
-	isInt := lhs.Array.Type == cc.TInt
-	if isInt {
-		rhs, err := CompileExprI(st.RHS)
-		if err != nil {
-			return nil, err
+// storeScalar, storeArray and reduceArray are the statement's leaves: the
+// writes into S's scalar slot and S's array, apply nil for "=".
+func storeScalar[S Num](slot int, flops int64, rhs Expr[S], apply func(S, S) S) Stmt {
+	if isF[S]() {
+		r, f := as[ExprF](rhs), as[func(a, b float64) float64](apply)
+		if f == nil {
+			return func(env *Env) error { env.Floats[slot] = r(env); return nil }
 		}
-		switch st.Op {
-		case "=":
-			return func(env *Env) error {
-				env.Views[slot].StoreI(env, idx(env), rhs(env))
-				return nil
-			}, nil
-		default:
-			apply, err := intApply(st.Op, st.Pos())
-			if err != nil {
-				return nil, err
-			}
-			return func(env *Env) error {
-				env.Flops++
-				v := env.Views[slot]
-				i := idx(env)
-				v.StoreI(env, i, apply(v.LoadI(env, i), rhs(env)))
-				return nil
-			}, nil
-		}
+		return func(env *Env) error { env.Flops += flops; env.Floats[slot] = f(env.Floats[slot], r(env)); return nil }
 	}
-	rhs, err := CompileExprF(st.RHS)
-	if err != nil {
-		return nil, err
+	r, f := as[ExprI](rhs), as[func(a, b int64) int64](apply)
+	if f == nil {
+		return func(env *Env) error { env.Ints[slot] = r(env); return nil }
 	}
-	switch st.Op {
-	case "=":
-		return func(env *Env) error {
-			env.Views[slot].StoreF(env, idx(env), rhs(env))
-			return nil
-		}, nil
-	default:
-		apply, err := floatApply(st.Op, st.Pos())
-		if err != nil {
-			return nil, err
+	return func(env *Env) error { env.Flops += flops; env.Ints[slot] = f(env.Ints[slot], r(env)); return nil }
+}
+
+func storeArray[S Num](slot int, idx ExprI, rhs Expr[S], apply func(S, S) S) Stmt {
+	if isF[S]() {
+		r, f := as[ExprF](rhs), as[func(a, b float64) float64](apply)
+		if f == nil {
+			return func(env *Env) error { env.Views[slot].F.Store(env, idx(env), r(env)); return nil }
 		}
 		return func(env *Env) error {
 			env.Flops++
-			v := env.Views[slot]
-			i := idx(env)
-			v.StoreF(env, i, apply(v.LoadF(env, i), rhs(env)))
+			v, i := env.Views[slot].F, idx(env)
+			v.Store(env, i, f(v.Load(env, i), r(env)))
 			return nil
-		}, nil
-	}
-}
-
-func compileArrayReduce(st *cc.AssignStmt, lhs *cc.IndexExpr) (Stmt, error) {
-	slot := lhs.Array.Slot
-	idx, err := CompileExprI(lhs.Index)
-	if err != nil {
-		return nil, err
-	}
-	op := ReduceAdd
-	if st.Reduce.Op == "*" {
-		op = ReduceMul
-	}
-	if lhs.Array.Type == cc.TInt {
-		rhs, err := CompileExprI(st.RHS)
-		if err != nil {
-			return nil, err
 		}
-		return func(env *Env) error {
-			env.Flops++
-			env.Views[slot].ReduceI(env, idx(env), rhs(env), op)
-			return nil
-		}, nil
 	}
-	rhs, err := CompileExprF(st.RHS)
-	if err != nil {
-		return nil, err
+	r, f := as[ExprI](rhs), as[func(a, b int64) int64](apply)
+	if f == nil {
+		return func(env *Env) error { env.Views[slot].I.Store(env, idx(env), r(env)); return nil }
 	}
 	return func(env *Env) error {
 		env.Flops++
-		env.Views[slot].ReduceF(env, idx(env), rhs(env), op)
+		v, i := env.Views[slot].I, idx(env)
+		v.Store(env, i, f(v.Load(env, i), r(env)))
 		return nil
-	}, nil
+	}
 }
 
-func intApply(op string, line int) (func(int64, int64) int64, error) {
-	switch op {
-	case "+=":
-		return func(a, b int64) int64 { return a + b }, nil
-	case "-=":
-		return func(a, b int64) int64 { return a - b }, nil
-	case "*=":
-		return func(a, b int64) int64 { return a * b }, nil
-	case "/=":
-		return func(a, b int64) int64 { return a / b }, nil
-	case "%=":
-		return func(a, b int64) int64 { return a % b }, nil
-	case "<<=":
-		return func(a, b int64) int64 { return a << uint(b) }, nil
-	case ">>=":
-		return func(a, b int64) int64 { return a >> uint(b) }, nil
+func reduceArray[S Num](slot int, idx ExprI, rhs Expr[S], op acc.RedOp) Stmt {
+	if isF[S]() {
+		r := as[ExprF](rhs)
+		return func(env *Env) error { env.Flops++; env.Views[slot].F.Reduce(env, idx(env), r(env), op); return nil }
 	}
-	return nil, fmt.Errorf("ir: line %d: unknown assignment operator %q", line, op)
-}
-
-func floatApply(op string, line int) (func(float64, float64) float64, error) {
-	switch op {
-	case "+=":
-		return func(a, b float64) float64 { return a + b }, nil
-	case "-=":
-		return func(a, b float64) float64 { return a - b }, nil
-	case "*=":
-		return func(a, b float64) float64 { return a * b }, nil
-	case "/=":
-		return func(a, b float64) float64 { return a / b }, nil
-	}
-	return nil, fmt.Errorf("ir: line %d: unknown assignment operator %q", line, op)
+	r := as[ExprI](rhs)
+	return func(env *Env) error { env.Flops++; env.Views[slot].I.Reduce(env, idx(env), r(env), op); return nil }
 }

@@ -3,73 +3,36 @@ package ir
 import (
 	"fmt"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
-// ReduceOp is the operator of a reductiontoarray statement.
-type ReduceOp uint8
-
-const (
-	// ReduceAdd is `arr[idx] += v`.
-	ReduceAdd ReduceOp = iota
-	// ReduceMul is `arr[idx] *= v`.
-	ReduceMul
-)
-
-// Apply combines an accumulator with a new value.
-func (op ReduceOp) Apply(acc, v float64) float64 {
-	if op == ReduceMul {
-		return acc * v
-	}
-	return acc + v
-}
-
-// ApplyI combines integer values.
-func (op ReduceOp) ApplyI(acc, v int64) int64 {
-	if op == ReduceMul {
-		return acc * v
-	}
-	return acc + v
-}
-
-// Identity returns the operator's identity element.
-func (op ReduceOp) Identity() float64 {
-	if op == ReduceMul {
-		return 1
-	}
-	return 0
-}
-
-func (op ReduceOp) String() string {
-	if op == ReduceMul {
-		return "*"
-	}
-	return "+"
-}
-
-// ArrayView is how compiled code touches one array. The runtime chooses
-// the implementation per array and device: plain host storage, a
+// View is how compiled code touches one array whose lanes are S: int64
+// for an int array, float64 for a float or double one. The runtime
+// chooses the implementation per array and device: plain host storage, a
 // replicated device copy with dirty-bit instrumentation, a distributed
 // partition with remote-write buffering, or a reduction lane. All
 // implementations count the bytes they move through the Env.
 //
 // Index errors panic (like an illegal address on a real GPU) and are
 // recovered and reported by the kernel runner.
-type ArrayView interface {
-	// LoadF reads element i of a float-valued array.
-	LoadF(e *Env, i int64) float64
-	// StoreF writes element i of a float-valued array.
-	StoreF(e *Env, i int64, v float64)
-	// LoadI reads element i of an int-valued array.
-	LoadI(e *Env, i int64) int64
-	// StoreI writes element i of an int-valued array.
-	StoreI(e *Env, i int64, v int64)
-	// ReduceF applies op at element i (a reductiontoarray update).
-	ReduceF(e *Env, i int64, v float64, op ReduceOp)
-	// ReduceI applies op at element i (a reductiontoarray update).
-	ReduceI(e *Env, i int64, v int64, op ReduceOp)
+type View[S Num] interface {
+	// Load reads element i.
+	Load(e *Env, i int64) S
+	// Store writes element i.
+	Store(e *Env, i int64, x S)
+	// Reduce applies op at element i (a reductiontoarray update).
+	Reduce(e *Env, i int64, x S, op acc.RedOp)
 	// Len is the logical (whole-array) element count.
 	Len() int64
+}
+
+// ArrayView is one array's entry of the view table: the view of its lane
+// type, the other one nil. A compiled access picks its half when it is
+// built, never when it runs.
+type ArrayView struct {
+	I View[int64]
+	F View[float64]
 }
 
 // HostArray is an array in host memory, bound by the embedding program.
@@ -95,6 +58,20 @@ func NewHostArray(decl *cc.VarDecl, n int64) *HostArray {
 	return a
 }
 
+// elemType is the element type of a's populated slice; ok is false when
+// none is (an empty array may hold three nil slices).
+func (a *HostArray) elemType() (t cc.ElemType, ok bool) {
+	switch {
+	case a.F32 != nil:
+		return cc.TFloat, true
+	case a.F64 != nil:
+		return cc.TDouble, true
+	case a.I32 != nil:
+		return cc.TInt, true
+	}
+	return cc.TInt, false
+}
+
 // Len returns the element count.
 func (a *HostArray) Len() int64 {
 	switch {
@@ -113,78 +90,43 @@ func (a *HostArray) Bytes() int64 { return a.Len() * a.Decl.Type.Size() }
 // View returns a direct view over the host storage (used by host code
 // and by the OpenMP baseline, which accesses host memory in place).
 func (a *HostArray) View() ArrayView {
-	switch {
-	case a.F32 != nil:
-		return &hostF32{a: a}
-	case a.F64 != nil:
-		return &hostF64{a: a}
-	default:
-		return &hostI32{a: a}
+	t, ok := a.elemType()
+	if !ok && a.Decl != nil {
+		t = a.Decl.Type
 	}
+	switch t {
+	case cc.TFloat:
+		return ArrayView{F: &hostView[float32, float64]{a.F32, 4}}
+	case cc.TDouble:
+		return ArrayView{F: &hostView[float64, float64]{a.F64, 8}}
+	}
+	return ArrayView{I: &hostView[int32, int64]{a.I32, 4}}
 }
 
-type hostF32 struct{ a *HostArray }
+// hostView is the view of host storage with elements T and lanes S.
+type hostView[T elem, S Num] struct {
+	s    []T
+	size int64
+}
 
-func (v *hostF32) LoadF(e *Env, i int64) float64 {
-	e.BytesRead += 4
-	return float64(v.a.F32[i])
+func (v *hostView[T, S]) Load(e *Env, i int64) S {
+	e.BytesRead += v.size
+	return S(v.s[i])
 }
-func (v *hostF32) StoreF(e *Env, i int64, x float64) {
-	e.BytesWritten += 4
-	v.a.F32[i] = float32(x)
+
+func (v *hostView[T, S]) Store(e *Env, i int64, x S) {
+	e.BytesWritten += v.size
+	v.s[i] = T(x)
 }
-func (v *hostF32) LoadI(e *Env, i int64) int64     { return int64(v.LoadF(e, i)) }
-func (v *hostF32) StoreI(e *Env, i int64, x int64) { v.StoreF(e, i, float64(x)) }
-func (v *hostF32) ReduceF(e *Env, i int64, x float64, op ReduceOp) {
+
+func (v *hostView[T, S]) Reduce(e *Env, i int64, x S, op acc.RedOp) {
 	e.ReduceOps++
-	e.BytesRead += 4
-	e.BytesWritten += 4
-	v.a.F32[i] = float32(op.Apply(float64(v.a.F32[i]), x))
+	e.BytesRead += v.size
+	e.BytesWritten += v.size
+	v.s[i] = T(acc.Apply(op, S(v.s[i]), x))
 }
-func (v *hostF32) ReduceI(e *Env, i int64, x int64, op ReduceOp) { v.ReduceF(e, i, float64(x), op) }
-func (v *hostF32) Len() int64                                    { return int64(len(v.a.F32)) }
 
-type hostF64 struct{ a *HostArray }
-
-func (v *hostF64) LoadF(e *Env, i int64) float64 {
-	e.BytesRead += 8
-	return v.a.F64[i]
-}
-func (v *hostF64) StoreF(e *Env, i int64, x float64) {
-	e.BytesWritten += 8
-	v.a.F64[i] = x
-}
-func (v *hostF64) LoadI(e *Env, i int64) int64     { return int64(v.LoadF(e, i)) }
-func (v *hostF64) StoreI(e *Env, i int64, x int64) { v.StoreF(e, i, float64(x)) }
-func (v *hostF64) ReduceF(e *Env, i int64, x float64, op ReduceOp) {
-	e.ReduceOps++
-	e.BytesRead += 8
-	e.BytesWritten += 8
-	v.a.F64[i] = op.Apply(v.a.F64[i], x)
-}
-func (v *hostF64) ReduceI(e *Env, i int64, x int64, op ReduceOp) { v.ReduceF(e, i, float64(x), op) }
-func (v *hostF64) Len() int64                                    { return int64(len(v.a.F64)) }
-
-type hostI32 struct{ a *HostArray }
-
-func (v *hostI32) LoadI(e *Env, i int64) int64 {
-	e.BytesRead += 4
-	return int64(v.a.I32[i])
-}
-func (v *hostI32) StoreI(e *Env, i int64, x int64) {
-	e.BytesWritten += 4
-	v.a.I32[i] = int32(x)
-}
-func (v *hostI32) LoadF(e *Env, i int64) float64     { return float64(v.LoadI(e, i)) }
-func (v *hostI32) StoreF(e *Env, i int64, x float64) { v.StoreI(e, i, int64(x)) }
-func (v *hostI32) ReduceI(e *Env, i int64, x int64, op ReduceOp) {
-	e.ReduceOps++
-	e.BytesRead += 4
-	e.BytesWritten += 4
-	v.a.I32[i] = int32(op.ApplyI(int64(v.a.I32[i]), x))
-}
-func (v *hostI32) ReduceF(e *Env, i int64, x float64, op ReduceOp) { v.ReduceI(e, i, int64(x), op) }
-func (v *hostI32) Len() int64                                      { return int64(len(v.a.I32)) }
+func (v *hostView[T, S]) Len() int64 { return int64(len(v.s)) }
 
 // Bindings maps declared global arrays and scalars to the host values
 // supplied by the embedding program.

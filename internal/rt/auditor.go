@@ -79,8 +79,8 @@ func (r *Runtime) snapshotCopies(k *ir.Kernel) []AuditCopy {
 				Hi:     c.hi,
 				CoreLo: c.coreLo,
 				CoreHi: c.coreHi,
-				LoadF:  func(i int64) float64 { return c.loadF(c.phys(i)) },
-				LoadI:  func(i int64) int64 { return c.loadI(c.phys(i)) },
+				LoadF:  func(i int64) float64 { return load[float64](c, c.phys(i)) },
+				LoadI:  func(i int64) int64 { return load[int64](c, c.phys(i)) },
 			})
 		}
 	}

@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
 	"accmulti/internal/sim"
@@ -299,7 +300,6 @@ func (r *Runtime) chunkFanOut(dst []sim.Transfer, st *arrayState, ngpus, g int, 
 // the GPUs whose partitions hold the destination (paper §IV-D2). A
 // write nobody holds lands on the host mirror.
 func (r *Runtime) deliverMisses(transfers []sim.Transfer, st *arrayState, gpus []*sim.Device) []sim.Transfer {
-	isInt := st.decl.Type == cc.TInt
 	for g := range gpus {
 		src := st.copies[g]
 		if src.miss == nil {
@@ -330,20 +330,12 @@ func (r *Runtime) deliverMisses(transfers []sim.Transfer, st *arrayState, gpus [
 					if !dst.valid || rec.idx < dst.lo || rec.idx > dst.hi {
 						continue
 					}
-					if isInt {
-						dst.storeI(dst.phys(rec.idx), rec.i)
-					} else {
-						dst.storeF(dst.phys(rec.idx), rec.f)
-					}
+					store(dst, dst.phys(rec.idx), rec.v)
 					bytesTo[g2] += missRecordBytes
 					delivered = true
 				}
 				if !delivered {
-					if isInt {
-						st.host.I32[rec.idx] = int32(rec.i)
-					} else {
-						hostStoreF(st.host, rec.idx, rec.f)
-					}
+					hostStoreF(st.host, rec.idx, rec.v)
 					hostBytes += missRecordBytes
 				}
 			}
@@ -404,7 +396,7 @@ func (r *Runtime) syncOverlaps(transfers []sim.Transfer, st *arrayState, gpus []
 			segs, nseg := subtractRange(lo, hi, dst.coreLo, dst.coreHi)
 			for _, seg := range segs[:nseg] {
 				for i := seg[0]; i <= seg[1]; i++ {
-					dst.storeF(dst.phys(i), src.loadF(src.phys(i)))
+					store(dst, dst.phys(i), load[float64](src, src.phys(i)))
 				}
 				bytes += (seg[1] - seg[0] + 1) * st.elemSize
 			}
@@ -434,61 +426,42 @@ func subtractRange(lo, hi, subLo, subHi int64) (segs [2][2]int64, n int) {
 	return segs, n
 }
 
+// mergeLanes folds every GPU's worker lanes, in GPU then worker order,
+// into one delta and applies it to every copy; lanes gives a copy's lanes
+// of S, which the merge drops.
+func mergeLanes[S ir.Num](st *arrayState, gpus []*sim.Device, op acc.RedOp, lanes func(*gpuCopy) *[][]S) {
+	n := st.n
+	total := newLane[S](n, op)
+	for g := range gpus {
+		ls := lanes(st.copies[g])
+		for _, lane := range *ls {
+			for i := int64(0); i < n; i++ {
+				total[i] = acc.Apply(op, total[i], lane[i])
+			}
+		}
+		*ls = nil
+	}
+	id := S(op.IdentityI())
+	for g := range gpus {
+		c := st.copies[g]
+		for i := int64(0); i < n; i++ {
+			if total[i] != id {
+				store(c, c.phys(i), acc.Apply(op, load[S](c, c.phys(i)), total[i]))
+			}
+		}
+	}
+}
+
 // mergeReduction completes a reductiontoarray: worker lanes fold into a
 // per-GPU delta (the shared-memory and intra-GPU levels), the deltas
 // merge across GPUs (a reduce + broadcast tree over the bus), and the
 // combined delta lands on every replica.
 func (r *Runtime) mergeReduction(transfers []sim.Transfer, st *arrayState, use *ir.ArrayUse, gpus []*sim.Device) []sim.Transfer {
 	n := st.n
-	op := use.ReduceOp
-	isInt := st.decl.Type == cc.TInt
-
-	if isInt {
-		total := newLaneI(n, op)
-		for g := range gpus {
-			c := st.copies[g]
-			if c.lanesI == nil {
-				continue
-			}
-			for _, lane := range c.lanesI {
-				for i := int64(0); i < n; i++ {
-					total[i] = op.ApplyI(total[i], lane[i])
-				}
-			}
-			c.lanesI = nil
-		}
-		id := int64(op.Identity())
-		for g := range gpus {
-			c := st.copies[g]
-			for i := int64(0); i < n; i++ {
-				if total[i] != id {
-					c.storeI(c.phys(i), op.ApplyI(c.loadI(c.phys(i)), total[i]))
-				}
-			}
-		}
+	if st.decl.Type == cc.TInt {
+		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) *[][]int64 { return &c.lanesI })
 	} else {
-		total := newLaneF(n, op)
-		for g := range gpus {
-			c := st.copies[g]
-			if c.lanesF == nil {
-				continue
-			}
-			for _, lane := range c.lanesF {
-				for i := int64(0); i < n; i++ {
-					total[i] = op.Apply(total[i], lane[i])
-				}
-			}
-			c.lanesF = nil
-		}
-		id := op.Identity()
-		for g := range gpus {
-			c := st.copies[g]
-			for i := int64(0); i < n; i++ {
-				if total[i] != id {
-					c.storeF(c.phys(i), op.Apply(c.loadF(c.phys(i)), total[i]))
-				}
-			}
-		}
+		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) *[][]float64 { return &c.lanesF })
 	}
 	st.deviceNewer = true
 

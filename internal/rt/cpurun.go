@@ -22,15 +22,16 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	// Reduction targets get per-worker lanes so the parallel loop is
 	// race-free, mirroring an OpenMP array-reduction idiom.
 	views := append([]ir.ArrayView(nil), env.Views...)
-	var reduceViews []*hostReduceView
-	var reduceOps []ir.ReduceOp
+	var merges []func()
 	for _, use := range k.Arrays {
 		if use.Reduced {
-			host := r.inst.Arrays[use.Decl.Slot]
-			v := newHostReduceView(host, cpu.Spec.Workers, use.ReduceOp)
+			v, w, op := r.inst.Arrays[use.Decl.Slot].View(), cpu.Spec.Workers, use.ReduceOp
+			if v.I != nil {
+				merges = append(merges, reduceInto(&v.I, w, op))
+			} else {
+				merges = append(merges, reduceInto(&v.F, w, op))
+			}
 			views[use.Decl.Slot] = v
-			reduceViews = append(reduceViews, v)
-			reduceOps = append(reduceOps, use.ReduceOp)
 		}
 	}
 
@@ -39,8 +40,8 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	if err != nil {
 		return fmt.Errorf("rt: kernel %s on CPU: %w", k.Name, err)
 	}
-	for vi, v := range reduceViews {
-		v.mergeInto(reduceOps[vi])
+	for _, merge := range merges {
+		merge()
 	}
 	for ri, red := range k.ScalarReds {
 		setRedSlot(env, red, mergeRed(red, getRedSlot(env, red), redVals[ri]))

@@ -101,7 +101,7 @@ func b2u(b bool) uint8 {
 // legacyLoadContent is the loader's old per-element content copy.
 func legacyLoadContent(st *arrayState, c *gpuCopy, lo, hi int64) {
 	for i := lo; i <= hi; i++ {
-		c.storeF(c.phys(i), hostLoadF(st.host, i))
+		store(c, c.phys(i), hostLoadF(st.host, i))
 	}
 }
 
@@ -142,7 +142,7 @@ func legacySyncReplicated(st *arrayState, ngpus int, disableTwoLevel bool) []sim
 				dst := st.copies[g2]
 				for p := int64(0); p < src.localLen(); p++ {
 					if src.dirty[p] == 1 {
-						dst.storeF(p, src.loadF(p))
+						store(dst, p, load[float64](src, p))
 					}
 				}
 				transfers = append(transfers, sim.Transfer{Kind: sim.PeerToPeer, Bytes: payload, Src: g, Dst: g2,
@@ -167,7 +167,7 @@ func legacySyncReplicated(st *arrayState, ngpus int, disableTwoLevel bool) []sim
 				dst := st.copies[g2]
 				for p := lo; p < hi; p++ {
 					if src.dirty[p] == 1 {
-						dst.storeF(p, src.loadF(p))
+						store(dst, p, load[float64](src, p))
 					}
 				}
 				transfers = append(transfers, sim.Transfer{Kind: sim.PeerToPeer, Bytes: chunkBytes, Src: g, Dst: g2,
@@ -304,7 +304,7 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 					hi = st.n
 				}
 				for p := lo; p < hi; p++ {
-					st.copies[g].storeF(p, float64(g*1000)+float64(p%97))
+					store(st.copies[g], p, float64(g*1000)+float64(p%97))
 				}
 				markDirty(st.copies[g], lo, hi)
 			}
@@ -313,7 +313,7 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 			for g := 0; g < ngpus; g++ {
 				for k := 0; k < int(st.n)/8; k++ {
 					p := int64(rng.Intn(int(st.n)))
-					st.copies[g].storeF(p, float64(g)*7.5+float64(p))
+					store(st.copies[g], p, float64(g)*7.5+float64(p))
 					markDirty(st.copies[g], p, p+1)
 				}
 			}
@@ -325,7 +325,7 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 				lo := st.n*int64(g)/int64(ngpus) + 3
 				hi := st.n * int64(g+1) / int64(ngpus)
 				for p := lo; p < hi; p++ {
-					st.copies[g].storeF(p, float64(g)*3.5+float64(p%89))
+					store(st.copies[g], p, float64(g)*3.5+float64(p%89))
 				}
 				markDirtyAffine(st.copies[g], lo, hi-1, hi-lo)
 			}
@@ -339,12 +339,12 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 				lo, hi := base+10+int64(rng.Intn(40)), base+120+int64(rng.Intn(60))
 				marks := []int64{lo - 1, lo, lo + 5, hi - 1, hi, hi + 2, base + 2}
 				for p := lo; p < hi; p++ {
-					c.storeF(p, float64(g)+float64(p)/8)
+					store(c, p, float64(g)+float64(p)/8)
 				}
 				markDirtyAffine(c, lo, hi-1, hi-lo)
 				markDirtyAffine(c, hi+20, hi+40, 11)
 				for _, p := range append(marks, hi+20, hi+22, hi+40) {
-					c.storeF(p, float64(g)*9+float64(p))
+					store(c, p, float64(g)*9+float64(p))
 				}
 				for _, p := range marks {
 					c.dirty[p] = 1
@@ -385,9 +385,9 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 				for g := 0; g < ngpus; g++ {
 					cL, cN := stL.copies[g], stN.copies[g]
 					for p := int64(0); p < n; p++ {
-						if cL.loadF(p) != cN.loadF(p) {
+						if load[float64](cL, p) != load[float64](cN, p) {
 							t.Fatalf("%s/twoLevelOff=%v/%v: gpu%d element %d: legacy %v, new %v",
-								name, disableTwoLevel, typ, g, p, cL.loadF(p), cN.loadF(p))
+								name, disableTwoLevel, typ, g, p, load[float64](cL, p), load[float64](cN, p))
 						}
 						if cN.dirty[p] != 0 || cL.dirty[p] != 0 {
 							t.Fatalf("%s: gpu%d element %d: dirty bit not cleared", name, g, p)
@@ -440,7 +440,7 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 			lo := int64(g) * n / ngpus
 			hi := int64(g+1) * n / ngpus
 			for p := lo; p < hi; p++ {
-				st.copies[g].storeF(p, float64(g+1)*100+float64(p%31))
+				store(st.copies[g], p, float64(g+1)*100+float64(p%31))
 			}
 			markDirty(st.copies[g], lo, hi)
 		}
@@ -450,8 +450,8 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 	a, b := run(ngpus), run(1)
 	for g := 0; g < ngpus; g++ {
 		for p := int64(0); p < n; p++ {
-			if a.copies[g].loadF(p) != b.copies[g].loadF(p) {
-				t.Fatalf("gpu%d element %d: parallel %v, serial %v", g, p, a.copies[g].loadF(p), b.copies[g].loadF(p))
+			if load[float64](a.copies[g], p) != load[float64](b.copies[g], p) {
+				t.Fatalf("gpu%d element %d: parallel %v, serial %v", g, p, load[float64](a.copies[g], p), load[float64](b.copies[g], p))
 			}
 		}
 	}

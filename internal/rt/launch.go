@@ -520,9 +520,9 @@ func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p 
 	counters, err := r.interpretWorkers(k, env.CloneWithViews(views), p.lo, n, dev, redVals)
 	// Fold per-lane chunk marks into the shared chunk-dirty array now
 	// that the worker strands are done.
-	for _, v := range views {
-		if dv, ok := v.(*devView); ok && dv.markDirty {
-			dv.c.mergeChunkLanes()
+	for ui, use := range k.Arrays {
+		if nds[ui].wantDirty {
+			r.state(use.Decl).copies[g].mergeChunkLanes()
 		}
 	}
 	return counters, false, err
@@ -588,13 +588,15 @@ func (r *Runtime) interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev 
 func (r *Runtime) buildViews(k *ir.Kernel, env *ir.Env, g int, nds []need) []ir.ArrayView {
 	views := append([]ir.ArrayView(nil), env.Views...)
 	for ui, use := range k.Arrays {
-		st := r.state(use.Decl)
-		nd := nds[ui]
-		views[use.Decl.Slot] = &devView{
-			c:         st.copies[g],
-			markDirty: nd.wantDirty,
-			checkMiss: nd.wantMiss,
-			reduce:    nd.wantLanes,
+		c, nd, v := r.state(use.Decl).copies[g], nds[ui], &views[use.Decl.Slot]
+		d := devStore{c, nd.wantDirty, nd.wantMiss}
+		switch use.Decl.Type {
+		case cc.TFloat:
+			v.F = &devView[float64, float32]{d, c.f32, c.lanesF}
+		case cc.TDouble:
+			v.F = &devView[float64, float64]{d, c.f64, c.lanesF}
+		default:
+			v.I = &devView[int64, int32]{d, c.i32, c.lanesI}
 		}
 	}
 	return views

@@ -298,7 +298,7 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 			}
 		} else {
 			for i := c.lo; i <= c.hi; i++ {
-				hostStoreF(st.host, i, c.loadF(c.phys(i)))
+				hostStoreF(st.host, i, load[float64](c, c.phys(i)))
 			}
 		}
 		transfers = append(transfers, sim.Transfer{
@@ -333,7 +333,7 @@ type need struct {
 	wantDirty bool
 	wantMiss  bool
 	wantLanes bool
-	laneOp    ir.ReduceOp
+	laneOp    acc.RedOp
 	contentIn bool // device must receive host/base content
 	// coreLo..coreHi is the element range this GPU's iterations own
 	// for writing (the footprint minus halo); after the kernel the
@@ -674,15 +674,9 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 		}
 		workers := c.dev.Spec.Workers
 		if st.decl.Type == cc.TInt {
-			c.lanesI = make([][]int64, workers)
-			for w := range c.lanesI {
-				c.lanesI[w] = newLaneI(st.n, nd.laneOp)
-			}
+			c.lanesI = newLanes[int64](workers, st.n, nd.laneOp)
 		} else {
-			c.lanesF = make([][]float64, workers)
-			for w := range c.lanesF {
-				c.lanesF[w] = newLaneF(st.n, nd.laneOp)
-			}
+			c.lanesF = newLanes[float64](workers, st.n, nd.laneOp)
 		}
 	}
 	return nil

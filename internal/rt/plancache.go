@@ -169,7 +169,7 @@ func (j copyJob) run() {
 	}
 	if n := j.hi - j.lo + 1; j.lo != c.lo || n != c.rows*c.width {
 		for i := j.lo; i <= j.hi; i++ {
-			c.storeF(c.phys(i), hostLoadF(host, i))
+			store(c, c.phys(i), hostLoadF(host, i))
 		}
 		return
 	}

@@ -349,10 +349,12 @@ void main() {
 func TestReloadSkipAcrossIterations(t *testing.T) {
 	n, iters := 50000, 10
 	bind := func() *ir.Bindings {
-		return ir.NewBindings().SetScalar("n", float64(n)).SetScalar("iters", float64(iters))
+		x, y, _, _ := makeInput(n)
+		return ir.NewBindings().SetScalar("n", float64(n)).SetScalar("iters", float64(iters)).
+			SetArray("x", x).SetArray("y", y)
 	}
-	_, skip := exec(t, iterSrc, sim.Desktop(), Options{}, bind())
-	_, noskip := exec(t, iterSrc, sim.Desktop(), Options{DisableReloadSkip: true}, bind())
+	iskip, skip := exec(t, iterSrc, sim.Desktop(), Options{}, bind())
+	inoskip, noskip := exec(t, iterSrc, sim.Desktop(), Options{DisableReloadSkip: true}, bind())
 	// With the skip, x and y load once; without, x reloads per launch.
 	if skip.Report().BytesH2D >= noskip.Report().BytesH2D {
 		t.Errorf("reload skip should reduce H2D: %d vs %d",
@@ -361,9 +363,21 @@ func TestReloadSkipAcrossIterations(t *testing.T) {
 	if got := skip.Report().KernelLaunches; got != iters {
 		t.Errorf("launches = %d, want %d", got, iters)
 	}
-	// y accumulates correctly either way.
-	i1, _ := exec(t, iterSrc, sim.Desktop(), Options{}, bind())
-	_ = i1
+	// y accumulates the same either way: x added iters times, each sum
+	// rounded to float32.
+	_, _, xs, want := makeInput(n)
+	for range iters {
+		for i := range want {
+			want[i] += xs[i]
+		}
+	}
+	ys, _ := iskip.Array("y")
+	yn, _ := inoskip.Array("y")
+	for i := range want {
+		if math.Float32bits(ys.F32[i]) != math.Float32bits(want[i]) || math.Float32bits(yn.F32[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("y[%d] = %g with the skip, %g without, want %g", i, ys.F32[i], yn.F32[i], want[i])
+		}
+	}
 }
 
 func TestUpdateDirectives(t *testing.T) {
@@ -460,7 +474,29 @@ func TestModesAgreeOnResults(t *testing.T) {
 			t.Errorf("mode %v: kernel time must be positive", mode)
 		}
 	}
+	// An int reductiontoarray update beyond float64's 2^53 stays exact on
+	// every engine: int32(2^53 + 1) is 1.
+	for _, opts := range []Options{{Mode: ModeCPU}, {Mode: ModeBaseline}, {Mode: ModeCUDA}, {Mode: ModeMultiGPU}, {Reference: true}} {
+		inst, _ := exec(t, bigReduceSrc, sim.Desktop(), opts, ir.NewBindings().SetScalar("n", 1))
+		if h, _ := inst.Array("h"); h.I32[0] != 1 {
+			t.Errorf("mode %v, reference %v: h[0] = %d, want 1", opts.Mode, opts.Reference, h.I32[0])
+		}
+	}
 }
+
+const bigReduceSrc = `
+int n;
+int idx[n], h[4];
+
+void main() {
+    int i;
+    #pragma acc parallel loop
+    for (i = 0; i < n; i++) {
+        #pragma acc reductiontoarray(+: h[idx[i]])
+        h[idx[i]] += 9007199254740993;
+    }
+}
+`
 
 func TestBaselineSerializesArrayReductions(t *testing.T) {
 	n, k := 200000, 7

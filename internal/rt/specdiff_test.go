@@ -2228,9 +2228,7 @@ func TestLoweredSitesReadOnce(t *testing.T) {
 //
 // The pins: KMEANS's feature loads are held, the distance loop's and the
 // centre update's in one group, and its distance pair is one pass (sumsq);
-// MD's neighbour index and atom position, BFS's edge target and
-// HOTSPOT2D's neighbours load straight into their vectors; a comparison
-// splits its lanes in the pass that compares (split),
+// a comparison splits its lanes in the pass that compares (split),
 // reading a walk from the copy (split walk: BFS's cost, KMEANS's member,
 // arrays the kernel writes); no kernel computes a comparison as a value.
 // The replicated stencil's three products and its copy read their walks
@@ -2281,16 +2279,13 @@ func TestRewritesEngage(t *testing.T) {
 		counted   bool // part of the census corpus
 		want      map[string]int
 	}{
-		{"MD", source("MD"), true, map[string]int{"direct jn": 1, "direct ipx": 1, "direct ipy": 1, "direct ipz": 1,
-			"fuse x-v indexed": 3, "fuse x+v indexed": 1, "fuse x*v indexed": 2, "fuse +=x*v indexed": 3,
+		{"MD", source("MD"), true, map[string]int{"fuse x-v indexed": 3, "fuse x+v indexed": 1, "fuse x*v indexed": 2, "fuse +=x*v indexed": 3,
 			"mulAdd P-K": 1, "mulAdd double,double": 1, "split": 2}},
 		{"KMEANS", source("KMEANS"), true, map[string]int{"held feat": 2, "sumsq d": 1, "split": 3, "split walk member": 1}},
-		{"BFS", source("BFS"), true, map[string]int{"direct w": 1, "split": 2, "split walk cost": 1}},
+		{"BFS", source("BFS"), true, map[string]int{"split": 2, "split walk cost": 1}},
 		{"SPMV", source("SPMV"), true, map[string]int{}},
-		{"HOTSPOT2D", source("HOTSPOT2D"), true, map[string]int{"direct center": 1, "direct up": 1, "direct down": 1,
-			"direct left": 1, "direct right": 1, "mulAdd V+P": 2, "mulAdd V-P": 1, "mulAdd double,double": 3, "split": 4}},
-		{"NBODY", source("NBODY"), true, map[string]int{"direct px": 1, "direct py": 1, "direct pz": 1,
-			"fuse k-x dense": 3, "fuse x+k dense": 1, "fuse x*v dense": 1, "fuse +=x*v dense": 3}},
+		{"HOTSPOT2D", source("HOTSPOT2D"), true, map[string]int{"mulAdd V+P": 2, "mulAdd V-P": 1, "mulAdd double,double": 3, "split": 4}},
+		{"NBODY", source("NBODY"), true, map[string]int{"fuse k-x dense": 3, "fuse x+k dense": 1, "fuse x*v dense": 1, "fuse +=x*v dense": 3}},
 		{"repl stencil", rt.ReplPingPongSrc, true, map[string]int{"fused a": 3, "fused b": 1, "store b": 1,
 			"mulAdd P+P": 1, "mulAdd V+P": 1, "mulAdd float,float": 1, "mulAdd double,float": 1}},
 		{"guarded stencil", rt.SpecGuardedStencilSrc, true, map[string]int{"fused a": 4, "fused b": 1, "store b": 1,
@@ -3461,6 +3456,37 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 			t.Fatalf("%s: final scalar state diverged\ninterp ints %v floats %v\nspec   ints %v floats %v",
 				label, refInst.Env.Ints, refInst.Env.Floats, inst.Env.Ints, inst.Env.Floats)
 		}
+	}
+}
+
+// TestGuardFoldsLiterals holds an affine-guard split whose guard has
+// literal subtrees (a negated literal, a product of two) to the
+// interpreter: the split's condition is folded as the interpreter's is,
+// so both charge the same flops per trip. The divisions (four flops each)
+// make the kernel compute-bound, so a flop more shows in the report.
+func TestGuardFoldsLiterals(t *testing.T) {
+	tpl := specTemplate{name: "guard-literal", scalars: nScalar, src: `
+int n;
+float in_[n], out_[n];
+void main() {
+    int i;
+    float s;
+    #pragma acc data copyin(in_) copy(out_)
+    {
+        #pragma acc parallel loop private(s)
+        for (i = 0; i < n; i++) {
+            s = in_[i] / 3.0 / 5.0 / 7.0 / 9.0 / 11.0 / 13.0 / 15.0 / 17.0 / 19.0 / 21.0;
+            if (i > -1 && i < 2 * 64) {
+                out_[i] = s;
+            } else {
+                out_[i] = s - 1.0;
+            }
+        }
+    }
+}
+`}
+	for seed := int64(1); seed <= 3; seed++ {
+		checkSpecDiff(t, tpl, tpl.scalars(rand.New(rand.NewSource(seed))), seed)
 	}
 }
 

@@ -89,11 +89,11 @@ type gpuCopy struct {
 	lanesBuf *sim.Buffer
 }
 
-// missRec is one buffered remote write.
+// missRec is one buffered remote write: the element value, which a
+// float64 holds exactly for every element type.
 type missRec struct {
 	idx int64
-	f   float64
-	i   int64
+	v   float64
 }
 
 // localLen is the resident element count.
@@ -221,11 +221,12 @@ func (r *Runtime) releaseAll() error {
 	return nil
 }
 
-// phys maps a logical element index to the copy's physical offset.
+// phys maps a logical element index to the copy's physical offset. It
+// is small enough to inline into the views' accesses: the message of an
+// access outside the partition is formatted only when one panics.
 func (c *gpuCopy) phys(i int64) int64 {
 	if i < c.lo || i > c.hi {
-		panic(fmt.Sprintf("rt: %s: access to element %d outside the partition [%d,%d] resident on GPU%d — the localaccess directive understates the loop's read footprint",
-			c.st.decl.Name, i, c.lo, c.hi, c.g))
+		panic(outsideAccess{c, i})
 	}
 	off := i - c.lo
 	if c.transformed {
@@ -235,49 +236,38 @@ func (c *gpuCopy) phys(i int64) int64 {
 	return off
 }
 
-// loadAt / storeAt move element values between the copy and Go values,
-// honoring the element type.
-func (c *gpuCopy) loadF(p int64) float64 {
+// outsideAccess is the panic of an access to element i outside the
+// partition resident on c.
+type outsideAccess struct {
+	c *gpuCopy
+	i int64
+}
+
+func (o outsideAccess) Error() string {
+	return fmt.Sprintf("rt: %s: access to element %d outside the partition [%d,%d] resident on GPU%d — the localaccess directive understates the loop's read footprint",
+		o.c.st.decl.Name, o.i, o.c.lo, o.c.hi, o.c.g)
+}
+
+// load and store move element p of the copy as an S, honoring the
+// element type.
+func load[S ir.Num](c *gpuCopy, p int64) S {
 	switch {
 	case c.f32 != nil:
-		return float64(c.f32[p])
+		return S(c.f32[p])
 	case c.f64 != nil:
-		return c.f64[p]
-	default:
-		return float64(c.i32[p])
+		return S(c.f64[p])
 	}
+	return S(c.i32[p])
 }
 
-func (c *gpuCopy) storeF(p int64, v float64) {
+func store[S ir.Num](c *gpuCopy, p int64, x S) {
 	switch {
 	case c.f32 != nil:
-		c.f32[p] = float32(v)
+		c.f32[p] = float32(x)
 	case c.f64 != nil:
-		c.f64[p] = v
+		c.f64[p] = float64(x)
 	default:
-		c.i32[p] = int32(v)
-	}
-}
-
-func (c *gpuCopy) loadI(p int64) int64 {
-	switch {
-	case c.i32 != nil:
-		return int64(c.i32[p])
-	case c.f32 != nil:
-		return int64(c.f32[p])
-	default:
-		return int64(c.f64[p])
-	}
-}
-
-func (c *gpuCopy) storeI(p int64, v int64) {
-	switch {
-	case c.i32 != nil:
-		c.i32[p] = int32(v)
-	case c.f32 != nil:
-		c.f32[p] = float32(v)
-	default:
-		c.f64[p] = float64(v)
+		c.i32[p] = int32(x)
 	}
 }
 
@@ -304,132 +294,118 @@ func hostStoreF(a *ir.HostArray, i int64, v float64) {
 	}
 }
 
-// devView adapts one gpuCopy to the kernel's ArrayView contract for a
-// specific kernel launch. The flags encode the instrumentation the
-// translator would have generated: dirty marking for replicated writes,
-// miss checks for distributed writes, reduction lanes.
-type devView struct {
+// devView adapts one gpuCopy, whose elements are T, to the kernel's View
+// contract for a specific kernel launch, its lanes S those of the
+// array's type; s is the copy's storage, which no launch reallocates, and
+// lanes the copy's hierarchical reduction lanes on a reduction target.
+// Load and Store stay small enough to inline into the methods the
+// interface calls, so an access pays no call but the copy's own
+// bookkeeping (phys, place).
+type devView[S ir.Num, T float32 | float64 | int32] struct {
+	devStore
+	s     []T
+	lanes [][]S
+}
+
+// devStore is the instrumentation the translator would have generated
+// for a store: dirty marking for replicated writes, miss checks for
+// distributed writes.
+type devStore struct {
 	c *gpuCopy
 	// markDirty instruments stores with two-level dirty-bit updates.
 	markDirty bool
 	// checkMiss tests stores against the partition and buffers misses.
 	checkMiss bool
-	// reduce routes ReduceF/ReduceI into the hierarchical lanes.
-	reduce bool
 }
 
-var _ ir.ArrayView = (*devView)(nil)
+func (v *devView[S, T]) Len() int64 { return v.c.st.n }
 
-func (v *devView) Len() int64 { return v.c.st.n }
-
-func (v *devView) LoadF(e *ir.Env, i int64) float64 {
+func (v *devView[S, T]) Load(e *ir.Env, i int64) S {
 	e.BytesRead += v.c.st.elemSize
-	return v.c.loadF(v.c.phys(i))
+	return S(v.s[v.c.phys(i)])
 }
 
-func (v *devView) LoadI(e *ir.Env, i int64) int64 {
-	e.BytesRead += v.c.st.elemSize
-	return v.c.loadI(v.c.phys(i))
+func (v *devView[S, T]) Store(e *ir.Env, i int64, x S) {
+	if p := v.place(e, i, float64(T(x))); p >= 0 {
+		v.s[p] = T(x)
+	}
 }
 
-func (v *devView) StoreF(e *ir.Env, i int64, x float64) {
-	c := v.c
-	if v.checkMiss {
+// place is the bookkeeping of a store of x at i: with checkMiss the
+// generated range check, and a store outside the partition buffered as a
+// miss (-1); else the physical offset x goes to, its bytes and, with
+// markDirty, its dirty bits.
+func (d *devStore) place(e *ir.Env, i int64, x float64) int64 {
+	c := d.c
+	if d.checkMiss {
 		e.Flops++ // the generated range check
 		if i < c.lo || i > c.hi {
 			e.BytesWritten += missRecordBytes
-			c.miss[e.WorkerID] = append(c.miss[e.WorkerID], missRec{idx: i, f: x})
-			return
+			c.miss[e.WorkerID] = append(c.miss[e.WorkerID], missRec{idx: i, v: x})
+			return -1
 		}
 	}
 	p := c.phys(i)
-	c.storeF(p, x)
 	e.BytesWritten += c.st.elemSize
-	if v.markDirty {
+	if d.markDirty {
 		c.dirty[p] = 1
 		c.chunkLanes[e.WorkerID][p/c.chunkElems] = 1
 		e.BytesWritten += 2
 	}
+	return p
 }
 
-func (v *devView) StoreI(e *ir.Env, i int64, x int64) {
-	c := v.c
-	if v.checkMiss {
-		e.Flops++
-		if i < c.lo || i > c.hi {
-			e.BytesWritten += missRecordBytes
-			c.miss[e.WorkerID] = append(c.miss[e.WorkerID], missRec{idx: i, i: x})
-			return
-		}
-	}
-	p := c.phys(i)
-	c.storeI(p, x)
-	e.BytesWritten += c.st.elemSize
-	if v.markDirty {
-		c.dirty[p] = 1
-		c.chunkLanes[e.WorkerID][p/c.chunkElems] = 1
-		e.BytesWritten += 2
-	}
-}
-
-func (v *devView) ReduceF(e *ir.Env, i int64, x float64, op ir.ReduceOp) {
-	if !v.reduce {
+func (v *devView[S, T]) Reduce(e *ir.Env, i int64, x S, op acc.RedOp) {
+	if v.lanes == nil {
 		// A reduction statement can target an array the loader did not
 		// configure for reduction only through a translator bug.
-		panic(fmt.Sprintf("rt: %s: reduction on a non-reduction view", v.c.st.decl.Name))
+		panic(nonReduction(v.c.st.decl.Name))
 	}
-	e.ReduceOps++
-	e.Flops++
-	e.BytesRead += 8
-	e.BytesWritten += 8
-	lane := v.c.lanesF[e.WorkerID]
-	lane[i] = op.Apply(lane[i], x)
+	reduceLane(v.lanes, e, i, x, op)
 }
 
-func (v *devView) ReduceI(e *ir.Env, i int64, x int64, op ir.ReduceOp) {
-	if !v.reduce {
-		panic(fmt.Sprintf("rt: %s: reduction on a non-reduction view", v.c.st.decl.Name))
-	}
+// reduceLane applies a reductiontoarray update to the worker's lane at
+// element i, charging what the cost model charges every engine for one:
+// a flop, 8 bytes each way and a ReduceOp.
+func reduceLane[S ir.Num](lanes [][]S, e *ir.Env, i int64, x S, op acc.RedOp) {
 	e.ReduceOps++
 	e.Flops++
 	e.BytesRead += 8
 	e.BytesWritten += 8
-	lane := v.c.lanesI[e.WorkerID]
-	lane[i] = op.ApplyI(lane[i], x)
+	lane := lanes[e.WorkerID]
+	lane[i] = acc.Apply(op, lane[i], x)
+}
+
+// nonReduction is the panic of a reduction into the named array on a view
+// without reduction lanes.
+type nonReduction string
+
+func (n nonReduction) Error() string {
+	return "rt: " + string(n) + ": reduction on a non-reduction view"
 }
 
 // hostReduceView gives the CPU baseline race-free reductiontoarray
 // execution over host memory: per-worker lanes, merged after the loop.
-type hostReduceView struct {
-	host   *ir.HostArray
-	lanesF [][]float64
-	lanesI [][]int64
-	base   ir.ArrayView
+// Loads and stores go to the host view.
+type hostReduceView[S ir.Num] struct {
+	ir.View[S]
+	lanes [][]S
 }
 
-var _ ir.ArrayView = (*hostReduceView)(nil)
-
-func newHostReduceView(a *ir.HostArray, workers int, op ir.ReduceOp) *hostReduceView {
-	v := &hostReduceView{host: a, base: a.View()}
-	n := a.Len()
-	if a.I32 != nil {
-		v.lanesI = make([][]int64, workers)
-		for w := range v.lanesI {
-			v.lanesI[w] = newLaneI(n, op)
-		}
-	} else {
-		v.lanesF = make([][]float64, workers)
-		for w := range v.lanesF {
-			v.lanesF[w] = newLaneF(n, op)
-		}
+// newLanes allocates one reduction lane per worker (newLane).
+func newLanes[S ir.Num](workers int, n int64, op acc.RedOp) [][]S {
+	lanes := make([][]S, workers)
+	for w := range lanes {
+		lanes[w] = newLane[S](n, op)
 	}
-	return v
+	return lanes
 }
 
-// newLaneF allocates a reduction lane filled with the identity element.
-func newLaneF(n int64, op ir.ReduceOp) []float64 {
-	lane := make([]float64, n)
-	if id := op.Identity(); id != 0 {
+// newLane allocates a reduction lane of n elements filled with op's
+// identity.
+func newLane[S ir.Num](n int64, op acc.RedOp) []S {
+	lane := make([]S, n)
+	if id := S(op.IdentityI()); id != 0 {
 		for i := range lane {
 			lane[i] = id
 		}
@@ -437,71 +413,29 @@ func newLaneF(n int64, op ir.ReduceOp) []float64 {
 	return lane
 }
 
-// newLaneI allocates an integer reduction lane filled with the identity.
-func newLaneI(n int64, op ir.ReduceOp) []int64 {
-	lane := make([]int64, n)
-	if id := int64(op.Identity()); id != 0 {
-		for i := range lane {
-			lane[i] = id
-		}
-	}
-	return lane
+func (v *hostReduceView[S]) Reduce(e *ir.Env, i int64, x S, op acc.RedOp) {
+	reduceLane(v.lanes, e, i, x, op)
 }
 
-func (v *hostReduceView) Len() int64                           { return v.host.Len() }
-func (v *hostReduceView) LoadF(e *ir.Env, i int64) float64     { return v.base.LoadF(e, i) }
-func (v *hostReduceView) LoadI(e *ir.Env, i int64) int64       { return v.base.LoadI(e, i) }
-func (v *hostReduceView) StoreF(e *ir.Env, i int64, x float64) { v.base.StoreF(e, i, x) }
-func (v *hostReduceView) StoreI(e *ir.Env, i int64, x int64)   { v.base.StoreI(e, i, x) }
-
-func (v *hostReduceView) ReduceF(e *ir.Env, i int64, x float64, op ir.ReduceOp) {
-	e.ReduceOps++
-	e.Flops++
-	e.BytesRead += 8
-	e.BytesWritten += 8
-	if v.lanesI != nil {
-		lane := v.lanesI[e.WorkerID]
-		lane[i] = op.ApplyI(lane[i], int64(x))
-		return
-	}
-	lane := v.lanesF[e.WorkerID]
-	lane[i] = op.Apply(lane[i], x)
-}
-
-func (v *hostReduceView) ReduceI(e *ir.Env, i int64, x int64, op ir.ReduceOp) {
-	v.ReduceF(e, i, float64(x), op)
-}
-
-// mergeInto folds the lanes into the host array.
-func (v *hostReduceView) mergeInto(op ir.ReduceOp) {
-	n := v.host.Len()
-	if v.lanesI != nil {
-		for i := int64(0); i < n; i++ {
-			acc := int64(v.host.I32[i])
-			touched := false
-			for _, lane := range v.lanesI {
-				if lane[i] != int64(op.Identity()) {
-					acc = op.ApplyI(acc, lane[i])
-					touched = true
+// reduceInto puts a hostReduceView over the host view *view for the
+// launch's workers and returns the merge that folds its lanes into the
+// host array after the loop; an element no lane touched is not written.
+func reduceInto[S ir.Num](view *ir.View[S], workers int, op acc.RedOp) (merge func()) {
+	v := &hostReduceView[S]{*view, newLanes[S](workers, (*view).Len(), op)}
+	*view = v
+	return func() {
+		var scratch ir.Env
+		id := S(op.IdentityI())
+		for i := range v.Len() {
+			a, touched := v.Load(&scratch, i), false
+			for _, lane := range v.lanes {
+				if lane[i] != id {
+					a, touched = acc.Apply(op, a, lane[i]), true
 				}
 			}
 			if touched {
-				v.host.I32[i] = int32(acc)
+				v.Store(&scratch, i, a)
 			}
-		}
-		return
-	}
-	for i := int64(0); i < n; i++ {
-		acc := hostLoadF(v.host, i)
-		touched := false
-		for _, lane := range v.lanesF {
-			if lane[i] != op.Identity() {
-				acc = op.Apply(acc, lane[i])
-				touched = true
-			}
-		}
-		if touched {
-			hostStoreF(v.host, i, acc)
 		}
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"strconv"
 
+	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 )
 
@@ -49,7 +50,7 @@ type ArrayFootprint struct {
 	// Read/Written/Reduced classify the roles the loop body uses the
 	// array in. ReduceOp is the reductiontoarray operator when Reduced.
 	Read, Written, Reduced bool
-	ReduceOp               string
+	ReduceOp               acc.RedOp
 	// AffineRead reports that every read subscript is affine;
 	// IndirectRead that at least one read is data dependent.
 	AffineRead, IndirectRead bool

@@ -246,6 +246,7 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 		Read:         in.Read,
 		Written:      in.Written,
 		Reduced:      in.Reduced,
+		ReduceOp:     in.ReduceOp,
 		AffineRead:   in.AffineRead,
 		IndirectRead: in.IndirectRead,
 		WriteCoef:    -1,
@@ -255,9 +256,6 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 		for _, w := range in.Writes[1:] {
 			use.WriteOffLo, use.WriteOffHi = min(use.WriteOffLo, w.Off), max(use.WriteOffHi, w.Off)
 		}
-	}
-	if in.ReduceOp == "*" {
-		use.ReduceOp = ir.ReduceMul
 	}
 	spec := in.Spec
 	if spec == nil {

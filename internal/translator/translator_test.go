@@ -127,7 +127,7 @@ void main() {
 	for _, u := range k.Arrays {
 		uses[u.Decl.Name] = u
 	}
-	if !uses["newc"].Reduced || uses["newc"].ReduceOp != ir.ReduceAdd {
+	if !uses["newc"].Reduced || uses["newc"].ReduceOp.String() != "+" {
 		t.Errorf("newc use = %+v", uses["newc"])
 	}
 	if !uses["count"].Reduced {
