@@ -428,18 +428,16 @@ func subtractRange(lo, hi, subLo, subHi int64) (segs [2][2]int64, n int) {
 
 // mergeLanes folds every GPU's worker lanes, in GPU then worker order,
 // into one delta and applies it to every copy; lanes gives a copy's lanes
-// of S, which the merge drops.
-func mergeLanes[S ir.Num](st *arrayState, gpus []*sim.Device, op acc.RedOp, lanes func(*gpuCopy) *[][]S) {
+// of S.
+func mergeLanes[S ir.Num](st *arrayState, gpus []*sim.Device, op acc.RedOp, lanes func(*gpuCopy) [][]S) {
 	n := st.n
 	total := newLane[S](n, op)
 	for g := range gpus {
-		ls := lanes(st.copies[g])
-		for _, lane := range *ls {
+		for _, lane := range lanes(st.copies[g]) {
 			for i := int64(0); i < n; i++ {
 				total[i] = acc.Apply(op, total[i], lane[i])
 			}
 		}
-		*ls = nil
 	}
 	id := S(op.IdentityI())
 	for g := range gpus {
@@ -459,9 +457,9 @@ func mergeLanes[S ir.Num](st *arrayState, gpus []*sim.Device, op acc.RedOp, lane
 func (r *Runtime) mergeReduction(transfers []sim.Transfer, st *arrayState, use *ir.ArrayUse, gpus []*sim.Device) []sim.Transfer {
 	n := st.n
 	if st.decl.Type == cc.TInt {
-		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) *[][]int64 { return &c.lanesI })
+		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) [][]int64 { return c.lanesI })
 	} else {
-		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) *[][]float64 { return &c.lanesF })
+		mergeLanes(st, gpus, use.ReduceOp, func(c *gpuCopy) [][]float64 { return c.lanesF })
 	}
 	st.deviceNewer = true
 

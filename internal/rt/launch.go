@@ -590,13 +590,17 @@ func (r *Runtime) buildViews(k *ir.Kernel, env *ir.Env, g int, nds []need) []ir.
 	for ui, use := range k.Arrays {
 		c, nd, v := r.state(use.Decl).copies[g], nds[ui], &views[use.Decl.Slot]
 		d := devStore{c, nd.wantDirty, nd.wantMiss}
+		lanesF, lanesI := c.lanesF, c.lanesI
+		if !nd.wantLanes { // lanes a past launch left stay out of reach
+			lanesF, lanesI = nil, nil
+		}
 		switch use.Decl.Type {
 		case cc.TFloat:
-			v.F = &devView[float64, float32]{d, c.f32, c.lanesF}
+			v.F = &devView[float64, float32]{d, c.f32, lanesF}
 		case cc.TDouble:
-			v.F = &devView[float64, float64]{d, c.f64, c.lanesF}
+			v.F = &devView[float64, float64]{d, c.f64, lanesF}
 		default:
-			v.I = &devView[int64, int32]{d, c.i32, c.lanesI}
+			v.I = &devView[int64, int32]{d, c.i32, lanesI}
 		}
 	}
 	return views

@@ -646,14 +646,15 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 	}
 	if nd.wantMiss && c.missBuf == nil {
 		// Reserve system buffers for remote-write records, sized like
-		// the paper's fixed buffers: an eighth of the partition.
+		// the paper's fixed buffers: an eighth of the partition. The
+		// reservation is charged, not backed: the records live in c.miss.
 		records := local / 8
 		if records < 4096 {
 			records = 4096
 		}
 		var err error
-		c.missBuf, _, err = c.dev.AllocBytesSlice(
-			fmt.Sprintf("%s.missbuf[gpu%d]", st.decl.Name, c.g), sim.MemSystem, int(records*missRecordBytes))
+		c.missBuf, err = c.dev.AllocBytes(
+			fmt.Sprintf("%s.missbuf[gpu%d]", st.decl.Name, c.g), sim.MemSystem, records*missRecordBytes)
 		if err != nil {
 			return err
 		}
@@ -664,9 +665,11 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 	}
 	if nd.wantLanes {
 		if c.lanesBuf == nil {
+			// Charged, not backed, like the miss buffer: the lanes
+			// live in c.lanesF/c.lanesI.
 			var err error
-			c.lanesBuf, _, err = c.dev.AllocBytesSlice(
-				fmt.Sprintf("%s.lanes[gpu%d]", st.decl.Name, c.g), sim.MemSystem, int(st.n*8))
+			c.lanesBuf, err = c.dev.AllocBytes(
+				fmt.Sprintf("%s.lanes[gpu%d]", st.decl.Name, c.g), sim.MemSystem, st.n*8)
 			if err != nil {
 				return err
 			}
@@ -674,9 +677,9 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 		}
 		workers := c.dev.Spec.Workers
 		if st.decl.Type == cc.TInt {
-			c.lanesI = newLanes[int64](workers, st.n, nd.laneOp)
+			c.lanesI = lanesFor(c.lanesI, workers, st.n, nd.laneOp)
 		} else {
-			c.lanesF = newLanes[float64](workers, st.n, nd.laneOp)
+			c.lanesF = lanesFor(c.lanesF, workers, st.n, nd.laneOp)
 		}
 	}
 	return nil

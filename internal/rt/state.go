@@ -83,7 +83,8 @@ type gpuCopy struct {
 	missBuf *sim.Buffer
 
 	// Hierarchical reduction lanes, one per worker strand; only one of
-	// lanesF/lanesI is populated, matching the element type.
+	// lanesF/lanesI is populated, matching the element type. They stay
+	// with the copy after the merge, for the next launch to refill.
 	lanesF   [][]float64
 	lanesI   [][]int64
 	lanesBuf *sim.Buffer
@@ -401,16 +402,38 @@ func newLanes[S ir.Num](workers int, n int64, op acc.RedOp) [][]S {
 	return lanes
 }
 
+// lanesFor returns one reduction lane per worker, n elements of op's
+// identity each: lanes, the copy's lanes from an earlier launch,
+// refilled when their shape matches, or new ones. A reduction that runs
+// every iteration allocates its lanes once.
+func lanesFor[S ir.Num](lanes [][]S, workers int, n int64, op acc.RedOp) [][]S {
+	if len(lanes) != workers || int64(len(lanes[0])) != n {
+		return newLanes[S](workers, n, op)
+	}
+	for _, lane := range lanes {
+		fillLane(lane, op)
+	}
+	return lanes
+}
+
 // newLane allocates a reduction lane of n elements filled with op's
 // identity.
 func newLane[S ir.Num](n int64, op acc.RedOp) []S {
 	lane := make([]S, n)
-	if id := S(op.IdentityI()); id != 0 {
-		for i := range lane {
-			lane[i] = id
-		}
-	}
+	fillLane(lane, op)
 	return lane
+}
+
+// fillLane sets every element of lane to op's identity.
+func fillLane[S ir.Num](lane []S, op acc.RedOp) {
+	id := S(op.IdentityI())
+	if id == 0 {
+		clear(lane)
+		return
+	}
+	for i := range lane {
+		lane[i] = id
+	}
 }
 
 func (v *hostReduceView[S]) Reduce(e *ir.Env, i int64, x S, op acc.RedOp) {

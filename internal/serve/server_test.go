@@ -158,6 +158,15 @@ func seq32(n int) []float32 {
 	return s
 }
 
+// seeded32 is n floats drawn from seed.
+func seeded32(n, seed int) []float32 {
+	s := make([]float32, n)
+	for i := range s {
+		s[i] = float32((i*7919+seed*104729)%1000) / 8
+	}
+	return s
+}
+
 type verdict struct {
 	code int
 	body string
@@ -204,6 +213,13 @@ func TestServeEquivalenceUnderLoad(t *testing.T) {
 	corpus := mixedCorpus(t)
 	// A run whose results are not finite is a well-formed one.
 	corpus = append(corpus, marshal(t, &RunRequest{Source: "float t;\nvoid main(){ t = 0.0; t /= 0.0; }"}))
+	// The stencil at two seeds: one shape, two inputs, so the device
+	// storage one request frees serves the other while both are in
+	// flight.
+	for _, seed := range []int{1, 2} {
+		corpus = append(corpus, marshal(t, &RunRequest{Source: stencilSrc, Scalars: map[string]float64{"n": 256, "steps": 3},
+			Arrays: map[string]*ArrayPayload{"a": {F32: seeded32(256, seed)}}, ReturnArrays: []string{"a", "b"}}))
+	}
 
 	// Serial baseline on its own server instance.
 	baseline := make([]verdict, len(corpus))
@@ -463,21 +479,46 @@ func TestOverloadReturns429(t *testing.T) {
 	}
 }
 
+// TestRequestTimeoutDuringRun also pins that a run cut by its deadline
+// frees its device buffers, and so hands their storage to the next
+// allocation of its shape, only once every kernel worker has returned:
+// the machine goes back to the pool with nothing allocated, and the next
+// request of the same shape, served from that storage, replies byte for
+// byte as a fresh server does.
 func TestRequestTimeoutDuringRun(t *testing.T) {
+	next := marshal(t, &RunRequest{
+		Source:       stencilSrc,
+		Scalars:      map[string]float64{"n": 4096, "steps": 2},
+		Arrays:       map[string]*ArrayPayload{"a": {F32: seeded32(4096, 3)}},
+		ReturnArrays: []string{"a", "b"},
+	})
+	baseline := post(t, New(Config{}).Handler(), "/v1/run", next)
+	if baseline.Code != http.StatusOK {
+		t.Fatalf("baseline: status %d: %s", baseline.Code, baseline.Body.String())
+	}
+
 	s := New(Config{Concurrency: 1})
+	h := s.Handler()
 	body := marshal(t, &RunRequest{
 		Source:    stencilSrc,
 		Scalars:   map[string]float64{"n": 4096, "steps": 2000},
 		TimeoutMS: 1,
 	})
-	rec := post(t, s.Handler(), "/v1/run", body)
+	rec := post(t, h, "/v1/run", body)
 	if rec.Code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504: %s", rec.Code, rec.Body.String())
 	}
 	var eresp ErrorResponse
 	json.Unmarshal(rec.Body.Bytes(), &eresp)
-	if eresp.Error.Code != "timeout" {
-		t.Errorf("error code = %q", eresp.Error.Code)
+	if eresp.Error.Code != "timeout" || !strings.Contains(eresp.Error.Message, "during the run") {
+		t.Errorf("error = %+v, want a timeout during the run", eresp.Error)
+	}
+	if c := counters(t, h); c["pool.discard-dirty"] != 0 || s.pool.Idle() != 1 {
+		t.Errorf("the cut run left its machine with live buffers: %d idle, counters %v", s.pool.Idle(), c)
+	}
+	rec = post(t, h, "/v1/run", next)
+	if rec.Code != baseline.Code || rec.Body.String() != baseline.Body.String() {
+		t.Errorf("the request after the cut run: status %d, body %.200s; want the fresh server's %d", rec.Code, rec.Body.String(), baseline.Code)
 	}
 }
 

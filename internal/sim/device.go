@@ -35,7 +35,7 @@ type Buffer struct {
 	Class MemClass
 	// Bytes is the allocation size charged against device capacity.
 	Bytes int64
-	// Data is the typed backing slice.
+	// Data is the typed backing slice; Free sets it to nil.
 	Data any
 
 	dev   *Device
@@ -78,9 +78,10 @@ func (d *Device) String() string {
 	return fmt.Sprintf("GPU%d (%s)", d.ID, d.Spec.Name)
 }
 
-// AllocBytes reserves raw capacity and registers the provided backing
-// slice. Callers normally use the typed Alloc* helpers instead.
-func (d *Device) AllocBytes(name string, class MemClass, bytes int64, data any) (*Buffer, error) {
+// AllocBytes reserves raw capacity with no backing slice: the typed
+// Alloc* helpers back what it admits, and a charged-only reservation
+// (the runtime's system buffers) has none.
+func (d *Device) AllocBytes(name string, class MemClass, bytes int64) (*Buffer, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("sim: %s: negative allocation %d for %q", d, bytes, name)
 	}
@@ -98,7 +99,7 @@ func (d *Device) AllocBytes(name string, class MemClass, bytes int64, data any) 
 	if d.Spec.MemBytes > 0 && d.used+bytes > d.Spec.MemBytes {
 		return nil, &OutOfMemoryError{Device: d.String(), DeviceID: d.ID, Requested: bytes, Used: d.used, Capacity: d.Spec.MemBytes, Name: name}
 	}
-	b := &Buffer{Name: name, Class: class, Bytes: bytes, Data: data, dev: d}
+	b := &Buffer{Name: name, Class: class, Bytes: bytes, dev: d}
 	d.used += bytes
 	d.usedBy[class] += bytes
 	d.buffers[b] = struct{}{}
@@ -106,22 +107,31 @@ func (d *Device) AllocBytes(name string, class MemClass, bytes int64, data any) 
 }
 
 // Free releases a buffer. Freeing twice is an error, mirroring cudaFree.
+// The buffer's backing slice goes to the process-wide free list, to
+// serve the next allocation of its shape; nothing may touch it after
+// Free.
 func (d *Device) Free(b *Buffer) error {
 	if b == nil {
 		return nil
 	}
 	d.mu.Lock()
-	defer d.mu.Unlock()
 	if b.dev != d {
+		d.mu.Unlock()
 		return fmt.Errorf("sim: buffer %q belongs to %s, not %s", b.Name, b.dev, d)
 	}
 	if b.freed {
+		d.mu.Unlock()
 		return fmt.Errorf("sim: double free of buffer %q on %s", b.Name, d)
 	}
 	b.freed = true
 	d.used -= b.Bytes
 	d.usedBy[b.Class] -= b.Bytes
 	delete(d.buffers, b)
+	d.mu.Unlock()
+	if b.Data != nil {
+		recycle(b)
+	}
+	b.Data = nil
 	return nil
 }
 
@@ -181,19 +191,25 @@ func (e *OutOfMemoryError) Error() string {
 }
 
 // allocSlice reserves n elements of size bytes each, with AllocBytes'
-// checks and fault-oracle draws, and only then makes the backing slice:
-// a request the device refuses costs no host memory.
+// checks and fault-oracle draws, and only then finds the backing slice:
+// a zeroed one of that shape off the free list, or a new one. A request
+// the device refuses costs no host memory and leaves the list as it was.
 func allocSlice[T any](d *Device, name string, class MemClass, n int, size int64) (*Buffer, []T, error) {
-	b, err := d.AllocBytes(name, class, int64(n)*size, nil)
+	b, err := d.AllocBytes(name, class, int64(n)*size)
 	if err != nil {
 		return nil, nil, err
 	}
 	made := false
 	defer func() {
-		if !made { // make panicked (a length the host cannot address)
+		if !made { // make panicked (a length the host cannot address), or reuse did (a write after Free)
 			_ = d.Free(b) // just reserved here, so Free cannot fail
 		}
 	}()
+	if boxed, data, ok := reuse[T](n); ok {
+		b.Data = boxed
+		made = true
+		return b, data, nil
+	}
 	data := make([]T, n)
 	b.Data = data
 	made = true

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 )
@@ -154,6 +155,41 @@ func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	}
 	if g.UsedBytes() != 0 {
 		t.Errorf("the refused request left %d bytes reserved", g.UsedBytes())
+	}
+
+	// A refused request neither takes from nor adds to the free list,
+	// whether capacity or the fault plan refuses it. A shape no other
+	// test allocates is shelved first, on a machine that has room.
+	const n = 3001
+	key := shape{reflect.TypeFor[[]float64](), n}
+	roomy, _ := NewMachine(spec)
+	b, _, err := roomy.GPU(0).AllocFloat64("shelved", MemUser, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := roomy.GPU(0).Free(b); err != nil {
+		t.Fatal(err)
+	}
+	injected, _ := NewMachine(spec)
+	injected.InjectFaults(&FaultPlan{OOMGPU: 0, OOMAlloc: 1})
+	for _, dev := range []*Device{g, injected.GPU(0)} {
+		had, bytes := shelved(key), recycledBytes()
+		if _, _, err := dev.AllocFloat64("refused", MemUser, n); !errors.As(err, &oom) {
+			t.Fatalf("%s: want OOM, got %v", dev, err)
+		}
+		if got := shelved(key); got != had || recycledBytes() != bytes {
+			t.Errorf("%s: a refused request moved the free list: %d slices of its shape (was %d), %d bytes (was %d)",
+				dev, got, had, recycledBytes(), bytes)
+		}
+	}
+	// The injected fault was one-shot: the same request now takes the
+	// shelved slice.
+	had := shelved(key)
+	if _, _, err := injected.GPU(0).AllocFloat64("taken", MemUser, n); err != nil {
+		t.Fatal(err)
+	}
+	if got := shelved(key); got != had-1 {
+		t.Errorf("an admitted request left %d slices of its shape on the list, want %d", got, had-1)
 	}
 }
 

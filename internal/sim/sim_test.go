@@ -560,7 +560,7 @@ func TestSpecValidationEdges(t *testing.T) {
 
 func TestNegativeAllocationRejected(t *testing.T) {
 	m, _ := NewMachine(Desktop())
-	if _, err := m.GPU(0).AllocBytes("neg", MemUser, -1, nil); err == nil {
+	if _, err := m.GPU(0).AllocBytes("neg", MemUser, -1); err == nil {
 		t.Error("negative allocation should fail")
 	}
 }
