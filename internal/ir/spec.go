@@ -121,6 +121,10 @@ type SpecAccess struct {
 	// accesses carry a nil Index; the runtime bounds their element
 	// ranges with the interval prover instead of endpoint evaluation.
 	Affine bool
+	// Copied marks a load whose walk a dense "=" copies into a float
+	// array (copyWalk): the runtime tells the tiles whether the array
+	// holds no signalling NaN (DArray.Quiet).
+	Copied bool
 	// Index is the access index compiled for the *host* environment:
 	// the runtime evaluates it at a chunk's first and last iteration to
 	// range-check the whole chunk before running the fast path. Nil for
@@ -186,6 +190,9 @@ type DArray struct {
 	WinLo  int64
 	WinLen uint64
 	Hit    bool
+	// Quiet says no copy of the array holds a signalling NaN (the
+	// runtime's fact, DESIGN §10): a float copy from it moves bits.
+	Quiet bool
 }
 
 // off maps a logical offset into the copy to its physical offset.

@@ -1793,6 +1793,7 @@ func arrayAssign[S Num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 	}
 	if w := r.loads(); dense && w.elem() == cc.TFloat {
 		v.counts.note("fused ", w.arr.Name)
+		v.spec.Accesses[w.site].Copied = dst.Type == cc.TFloat
 		return copyWalk[S, T](r, slot, ai), nil
 	}
 	if m := r.ma; dense && m != nil && dst.Type == cc.TFloat {
@@ -1816,16 +1817,24 @@ func arrayAssign[S Num, T elem](v *vecBuilder, k *kStmt) (VStmt, error) {
 // copyWalk is a dense "=" of the read-only walk r of a float array into a
 // T array: walk to walk in one pass where both steps are 1, through the
 // lane type S as the vector path converts, r's vector and walkStore
-// otherwise. The census found no kernel copying an int or a double walk.
+// otherwise. Into a float array from a quiet one (DArray.Quiet) the pass
+// is one copy: without a signalling NaN to quiet, float32 → float64 →
+// float32 returns every bit. The census found no kernel copying an int or
+// a double walk.
 func copyWalk[S Num, T elem](r vOp[S], slot, ai int) VStmt {
+	_, bits := any(T(0)).(float32)
 	return func(vm *VecEnv, i0 int64, L int) {
 		a := &vm.D.Arrays[slot]
 		p, A := vm.AccA[ai]*i0+vm.AccB[ai]-a.Base, vm.AccA[ai]
 		if src, ok := direct[float32](vm, i0, L, r.w); ok && A == 1 {
-			dst := elems[T](a)[p : p+int64(L)]
-			src = src[:len(dst)]
-			for t := range dst {
-				dst[t] = T(S(src[t]))
+			if bits && vm.D.Arrays[r.w.arr.Slot].Quiet {
+				copy(a.F32[p:p+int64(L)], src)
+			} else {
+				dst := elems[T](a)[p : p+int64(L)]
+				src = src[:len(dst)]
+				for t := range dst {
+					dst[t] = T(S(src[t]))
+				}
 			}
 		} else {
 			walkStore(elems[T](a), p, A, r.vec(vm, i0, L))

@@ -530,6 +530,7 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 				Name: st.decl.Name, Bytes: (nd.hi - nd.lo + 1) * st.elemSize, Lo: nd.lo, Hi: nd.hi})
 		}
 		if nd.contentIn {
+			st.shipHost()
 			job = copyJob{st: st, c: c, lo: nd.lo, hi: nd.hi}
 			transfers = append(transfers, sim.Transfer{
 				Kind: sim.HostToDevice, Bytes: (nd.hi - nd.lo + 1) * st.elemSize, Src: -1, Dst: c.g,

@@ -905,6 +905,12 @@ type specLaunchState struct {
 func newSpecLaunchState(tb testing.TB, src string, scalars map[string]float64, opts Options) *specLaunchState {
 	tb.Helper()
 	mod, inst := buildSpecInstance(tb, src, scalars)
+	return launchStateOf(tb, mod, inst, opts)
+}
+
+// launchStateOf is newSpecLaunchState for a bound instance.
+func launchStateOf(tb testing.TB, mod *ir.Module, inst *ir.Instance, opts Options) *specLaunchState {
+	tb.Helper()
 	mach, err := sim.NewMachine(sim.Desktop())
 	if err != nil {
 		tb.Fatal(err)
@@ -1168,7 +1174,11 @@ func TestPhaseBSpeedupGate(t *testing.T) {
 // benchPhaseB measures Phase B alone — runOnGPU over every GPU's chunk
 // with resident arrays — for the ISSUE's legacy-vs-specialized gate.
 func benchPhaseB(b *testing.B, src string, scalars map[string]float64, opts Options) {
-	s := newSpecLaunchState(b, src, scalars, opts)
+	benchLaunches(b, newSpecLaunchState(b, src, scalars, opts), opts)
+}
+
+// benchLaunches times runOnGPU over every GPU's chunk of the launch state.
+func benchLaunches(b *testing.B, s *specLaunchState, opts Options) {
 	r, k, env := s.r, s.k, s.env
 	ex := r.specExecutor(k)
 	if opts.Reference != (ex == nil) {
@@ -1210,7 +1220,10 @@ func BenchmarkPhaseBStencil(b *testing.B) {
 	})
 }
 
-// BenchmarkPhaseBCopy is the copy kernel a[i] = b[i] over float arrays.
+// BenchmarkPhaseBCopy is the copy kernel a[i] = b[i] over float arrays:
+// b holds no signalling NaN, so the tiles copy its bits, except in the
+// signalling leg, where one element of b is one and the tiles keep the
+// converting pass.
 func BenchmarkPhaseBCopy(b *testing.B) {
 	scalars := map[string]float64{"n": 1 << 20}
 	b.Run("legacy", func(b *testing.B) {
@@ -1219,6 +1232,100 @@ func BenchmarkPhaseBCopy(b *testing.B) {
 	b.Run("specialized", func(b *testing.B) {
 		benchPhaseB(b, specCopySrc, scalars, Options{})
 	})
+	b.Run("signalling", func(b *testing.B) {
+		mod, inst := buildSpecInstance(b, specCopySrc, scalars)
+		src, _ := inst.Array("b")
+		src.F32[len(src.F32)/2] = math.Float32frombits(0x7f800001)
+		s := launchStateOf(b, mod, inst, Options{})
+		if s.r.state(src.Decl).quiet {
+			b.Fatal("b holds a signalling NaN, yet it is quiet")
+		}
+		benchLaunches(b, s, Options{})
+	})
+}
+
+// TestQuietArrays holds the fact the tiles' float copies rest on
+// (invariant 24): an array is quiet when one scan of its host mirror, made
+// the first time its content ships, finds no signalling NaN, and only a
+// float array some kernel copies from is ever scanned, at most once in a
+// run however often it ships. The tiles see the fact as DArray.Quiet.
+func TestQuietArrays(t *testing.T) {
+	const src = `
+int n;
+float f[n], r[n], h[n], o[n];
+double d[n], hd[n];
+int k[n], hk[n];
+void main() {
+    int t, i;
+    #pragma acc data copyin(f, r, d, k) copyout(h, o, hd, hk)
+    {
+        for (t = 0; t < 3; t++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                h[i] = f[i];
+                o[i] = 2.0 * r[i];
+                hd[i] = d[i];
+                hk[i] = k[i];
+            }
+            #pragma acc update device(f, r, d, k)
+        }
+    }
+}
+`
+	const n = 2000
+	snan := func(sign uint32) float32 { return math.Float32frombits(sign | 0x7fa00001) }
+	for _, tc := range []struct {
+		name  string
+		f     map[int]float32 // elements of f set before the run; the rest are zeros
+		quiet bool
+	}{
+		{"zeros", nil, true},
+		{"quiet-nans-and-infinities", map[int]float32{0: float32(math.NaN()), 7: math.Float32frombits(0xffc00123), 900: float32(math.Inf(1)), n - 1: float32(math.Inf(-1))}, true},
+		{"snan-first", map[int]float32{0: snan(0)}, false},
+		{"negative-snan-past-a-tile", map[int]float32{ir.VecTile + 1: snan(1 << 31)}, false},
+		{"snan-last", map[int]float32{n - 1: snan(0)}, false},
+		{"smallest-snan-payload", map[int]float32{1000: math.Float32frombits(0xff800001)}, false},
+		{"largest-snan-payload", map[int]float32{1001: math.Float32frombits(0x7fbfffff)}, false},
+	} {
+		for _, spec := range []sim.MachineSpec{sim.Desktop(), sim.Cluster(2, 2)} {
+			t.Run(tc.name+"/"+spec.Name, func(t *testing.T) {
+				prog, err := cc.ParseProgram(src)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fa := ir.NewHostArray(prog.Scope["f"], n)
+				for i, v := range tc.f {
+					fa.F32[i] = v
+				}
+				_, r := exec(t, src, spec, Options{}, ir.NewBindings().SetScalar("n", n).SetArray("f", fa))
+				byName := map[string]*arrayState{}
+				for d, st := range r.arrays {
+					byName[d.Name] = st
+				}
+				for name, want := range map[string]struct {
+					quiet bool
+					scans int
+				}{"f": {tc.quiet, 1}, "r": {false, 0}, "d": {false, 0}, "k": {false, 0}} {
+					if st := byName[name]; st.quiet != want.quiet || st.scans != want.scans {
+						t.Errorf("%s: quiet %v after %d scans, want %v after %d", name, st.quiet, st.scans, want.quiet, want.scans)
+					}
+				}
+				f, seen := byName["f"].decl.Slot, 0
+				for _, ex := range r.specExecs {
+					for g := range ex.gs {
+						for _, de := range ex.gs[g].envs {
+							if seen++; de.Arrays[f].Quiet != tc.quiet {
+								t.Fatalf("GPU%d: the tiles saw Quiet %v, want %v", g, de.Arrays[f].Quiet, tc.quiet)
+							}
+						}
+					}
+				}
+				if seen == 0 {
+					t.Fatal("no tile environment to look at")
+				}
+			})
+		}
+	}
 }
 
 // TestHostileGatherIndexFallsBack pins the out-of-range contract for

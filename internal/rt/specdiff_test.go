@@ -987,6 +987,7 @@ void main() {
 	specTemplates = append(specTemplates, walkTemplates()...)
 	specTemplates = append(specTemplates, sinkTemplates()...)
 	specTemplates = append(specTemplates, appTemplates()...)
+	specTemplates = append(specTemplates, quietTemplates()...)
 }
 
 // walkTemplates hold the fifth rewrite (ir specvec.go) to the interpreter:
@@ -3283,6 +3284,208 @@ void main() {
 // runSpecTemplate compiles, binds and runs one template, filling every
 // array deterministically from fillSeed after Bind (the module
 // auto-allocates unbound arrays). idx_ arrays get a permutation of [0, n).
+// quietTemplates hold a float copy from a quiet array (DESIGN §6,
+// invariant 24) to the interpreter: a copy from a created array, which the
+// tiles make with one copy; from a supplied array holding signalling NaNs
+// of both signs past the first VecTile elements (the snan arrays), which
+// keeps the converting pass, also once a host loop has overwritten them in
+// the mirror but not on the devices; from a quiet array after each other writer
+// stored into it the NaNs of an array holding signalling ones — a scatter,
+// a reductiontoarray, a distributed store that misses, a halo exchange and
+// a host statement between update host and update device; and a
+// replicated ping-pong of such a copy at worker chunks of 1, VecTile-1 and
+// VecTile+1 iterations. Each asserts that its tiles engaged.
+func quietTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 {
+			return fmt.Errorf("want tiles")
+		}
+		return nil
+	}
+	// late leaves room for the snan arrays' signalling NaNs.
+	late := func(rng *rand.Rand) map[string]float64 {
+		return map[string]float64{"n": float64(ir.VecTile + 3 + rng.Intn(1200))}
+	}
+	// fed wraps a writer of q_ between two copies from it: the first ships
+	// q_ and settles that it is quiet, the second copies what the writer
+	// left.
+	fed := func(name, decls, writer string) specTemplate {
+		return specTemplate{name: "quiet-" + name, scalars: nScalar, check: tiled, src: `
+int n;
+float nan_[n], q_[n], c_[n], d_[n];
+` + decls + `
+void main() {
+    int i;
+    #pragma acc data copyin(nan_) copy(q_) copyout(c_, d_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = q_[i];
+        }
+` + writer + `
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            d_[i] = q_[i];
+        }
+    }
+}
+`}
+	}
+	out := []specTemplate{
+		{name: "quiet-create", scalars: nScalar, check: tiled, src: `
+int n;
+float nan_[n], b_[n], c_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_) create(b_) copyout(c_)
+    {
+        #pragma acc parallel loop
+        for (i = 1; i < n - 1; i++) {
+            b_[i] = nan_[i];
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = b_[i];
+        }
+    }
+}
+`},
+		{name: "quiet-supplied", check: tiled, src: `
+int n;
+float snan_[n], c_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(snan_) copyout(c_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = snan_[i];
+        }
+    }
+}
+`, scalars: late},
+		// A host loop overwrites the mirror's signalling NaNs after they
+		// shipped, with no update device: the device copies keep them, so
+		// the copy after it must still convert.
+		{name: "quiet-shipped", check: tiled, scalars: late, src: `
+int n;
+float snan_[n], o_[n], c_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(snan_) copyout(o_, c_)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            o_[i] = 2.0 * snan_[i];
+        }
+        for (i = 0; i < n; i++) {
+            snan_[i] = 0.5;
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            c_[i] = snan_[i];
+        }
+    }
+}
+`},
+		fed("scatter", "int idx_[n];", `
+        #pragma acc data copyin(idx_)
+        {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                q_[idx_[i]] = nan_[i];
+            }
+        }
+`),
+		fed("reduce", "", `
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            #pragma acc reductiontoarray(+: q_[i])
+            q_[i] += nan_[i];
+        }
+`),
+		fed("miss", "", `
+        #pragma acc localaccess(nan_) stride(1)
+        #pragma acc localaccess(q_) stride(1)
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            q_[(i + n / 2) % n] = nan_[i];
+        }
+`),
+		fed("update", "", `
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            q_[i] = nan_[i];
+        }
+        #pragma acc update host(q_)
+        for (i = 0; i < n; i += 3) {
+            q_[i] = nan_[n - 1 - i];
+        }
+        #pragma acc update device(q_)
+`),
+		// The halo: the first copy reads q_ one element to the right, so each
+		// GPU holds a halo cell the distributed store then refreshes.
+		{name: "quiet-halo", scalars: nScalar, check: tiled, src: `
+int n;
+float nan_[n], q_[n], c_[n], d_[n];
+void main() {
+    int i;
+    #pragma acc data copyin(nan_) copy(q_) copyout(c_, d_)
+    {
+        #pragma acc localaccess(q_) stride(1, 1, 1)
+        #pragma acc localaccess(c_) stride(1)
+        #pragma acc parallel loop
+        for (i = 1; i < n - 1; i++) {
+            c_[i] = q_[i + 1];
+        }
+        #pragma acc localaccess(nan_) stride(1)
+        #pragma acc localaccess(q_) stride(1)
+        #pragma acc parallel loop
+        for (i = 1; i < n - 1; i++) {
+            q_[i] = nan_[i];
+        }
+        #pragma acc localaccess(q_) stride(1, 1, 1)
+        #pragma acc localaccess(d_) stride(1)
+        #pragma acc parallel loop
+        for (i = 1; i < n - 1; i++) {
+            d_[i] = q_[i + 1];
+        }
+    }
+}
+`},
+	}
+	const chunked = `
+int n;
+float nan_[n], a_[n], b_[n];
+void main() {
+    int t, i;
+    #pragma acc data copyin(nan_) copy(a_) create(b_)
+    {
+        for (t = 0; t < 2; t++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                b_[i] = nan_[i];
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a_[i] = b_[i];
+            }
+        }
+    }
+}
+`
+	for _, chunk := range []int{1, ir.VecTile - 1, ir.VecTile + 1} {
+		n := float64(8 * chunk)
+		out = append(out, specTemplate{
+			name:    fmt.Sprintf("quiet-chunk-%d", chunk),
+			src:     chunked,
+			check:   tiled,
+			scalars: func(*rand.Rand) map[string]float64 { return map[string]float64{"n": n} },
+		})
+	}
+	return out
+}
+
 func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64, fillSeed int64, spec sim.MachineSpec, opts rt.Options) (*rt.Runtime, *ir.Instance, error) {
 	t.Helper()
 	prog, err := cc.ParseProgram(tpl.src)
@@ -3320,6 +3523,8 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 		switch {
 		case strings.HasPrefix(a.Decl.Name, "nan"):
 			nanFill(rng, a.F32, a.F64)
+		case strings.HasPrefix(a.Decl.Name, "snan"):
+			snanFill(rng, a.F32)
 		case a.F32 != nil:
 			for i := range a.F32 {
 				a.F32[i] = rng.Float32()*2 - 1
@@ -3373,6 +3578,24 @@ func nanFill(rng *rand.Rand, f32 []float32, f64 []float64) {
 		if b, ok := special(1<<63, 0x7ff0000000000000, 1<<51); ok {
 			f64[i] = math.Float64frombits(b)
 		}
+	}
+}
+
+// snanFill fills an snan array with ordinary values but for signalling
+// NaNs of either sign and random payloads, none of them among the first
+// VecTile elements: the first after them is positive, the last negative.
+func snanFill(rng *rand.Rand, f32 []float32) {
+	snan := func(sign uint32) float32 {
+		return math.Float32frombits(sign | 0x7f800000 | (1 + uint32(rng.Intn(1<<22-1))))
+	}
+	for i := range f32 {
+		f32[i] = rng.Float32()*2 - 1
+		if i > ir.VecTile && rng.Intn(8) == 0 {
+			f32[i] = snan(uint32(rng.Intn(2)) << 31)
+		}
+	}
+	if len(f32) > ir.VecTile+1 {
+		f32[ir.VecTile+1], f32[len(f32)-1] = snan(0), snan(1<<31)
 	}
 }
 

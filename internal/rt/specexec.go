@@ -330,9 +330,10 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			setRedSlotD(de, red, redVals[ri])
 		}
 		for ui, use := range k.Arrays {
-			c := r.state(use.Decl).copies[g]
+			st := r.state(use.Decl)
+			c := st.copies[g]
 			da := &de.Arrays[use.Decl.Slot]
-			*da = ir.DArray{F32: c.f32, F64: c.f64, I32: c.i32, Base: c.lo}
+			*da = ir.DArray{F32: c.f32, F64: c.f64, I32: c.i32, Base: c.lo, Quiet: st.quiet}
 			if c.transformed {
 				da.TWidth, da.TRows = c.width, c.rows
 			}

@@ -53,7 +53,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	// The groups in the order their rows were first written: the original
 	// templates, (the apps,) the safety templates, the loop templates,
 	// safety-indirect and the flat-row templates, the type-matrix templates,
-	// the rewrite templates, the walk templates, the app templates.
+	// the rewrite templates, the walk templates, the app templates, the
+	// quiet templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
@@ -66,6 +67,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			return 6
 		case prefix == "agree" || prefix == "csr" || prefix == "gsub" || prefix == "pair":
 			return 7
+		case prefix == "quiet":
+			return 8
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -131,6 +134,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(5)
 	templates(6)
 	templates(7)
+	templates(8)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"accmulti/internal/acc"
@@ -28,6 +29,16 @@ type arrayState struct {
 	// deviceNewer marks that device copies hold content the host
 	// mirror lacks (kernels wrote since the last gather).
 	deviceNewer bool
+	// quiet says no copy of the array, the host mirror included, holds a
+	// signalling NaN, so the tiles may copy from it bit for bit
+	// (ir.DArray.Quiet). It is kept only for a float array some kernel's
+	// tiles copy from; it holds while no host data has reached a device,
+	// and the first time some does (shipHost) one scan of the host mirror
+	// (scans counts it) settles it for the rest of the run: every later
+	// writer of a copy or of the mirror either rounds through float64,
+	// which quiets, or moves the bits of another copy of the array.
+	quiet bool
+	scans int
 
 	copies []*gpuCopy
 }
@@ -175,6 +186,7 @@ func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
 			host:     host,
 			n:        host.Len(),
 			elemSize: decl.Type.Size(),
+			quiet:    decl.Type == cc.TFloat && r.copySource(decl.Slot),
 			copies:   make([]*gpuCopy, r.mach.NumGPUs()),
 		}
 		for g, dev := range r.mach.GPUs() {
@@ -183,6 +195,62 @@ func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
 		r.arrays[decl] = st
 	}
 	return st
+}
+
+// copySource reports whether some kernel's tiles copy the array in slot
+// into a float array. Under Reference no tiles run, so none does.
+func (r *Runtime) copySource(slot int) bool {
+	if r.opts.Reference {
+		return false
+	}
+	for _, k := range r.inst.Module.Kernels {
+		if copiesFrom(k.Spec, slot) {
+			return true
+		}
+	}
+	return false
+}
+
+// copiesFrom reports whether spec, or one of its guard variants, copies
+// the array in slot into a float array (ir.SpecAccess.Copied).
+func copiesFrom(spec *ir.KernelSpec, slot int) bool {
+	if spec == nil {
+		return false
+	}
+	if g := spec.Guard; g != nil {
+		for _, v := range g.Variants {
+			if copiesFrom(v, slot) {
+				return true
+			}
+		}
+	}
+	for _, a := range spec.Accesses {
+		if a.Slot == slot && a.Copied {
+			return true
+		}
+	}
+	return false
+}
+
+// shipHost is called when the host mirror's content is about to reach a
+// device copy: the first time, a quiet array's mirror is scanned.
+func (st *arrayState) shipHost() {
+	if st.quiet && st.scans == 0 {
+		st.scans++
+		st.quiet = !hasSignallingNaN(st.host.F32)
+	}
+}
+
+// hasSignallingNaN reports whether some element of s is a signalling NaN:
+// all exponent bits set, the quiet bit clear and some other fraction bit
+// set.
+func hasSignallingNaN(s []float32) bool {
+	for _, v := range s {
+		if b := math.Float32bits(v) &^ (1 << 31); b > 0x7f800000 && b < 0x7fc00000 {
+			return true
+		}
+	}
+	return false
 }
 
 // release frees every device resource of one array.

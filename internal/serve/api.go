@@ -289,29 +289,47 @@ func payloadFor(a *ir.HostArray) *ArrayPayload {
 	return p
 }
 
-// digest hashes an array's contents as raw little-endian bytes.
+// digest hashes an array's contents as raw little-endian bytes: the
+// hash of each element's bits, first to last, 4 bytes an int or a float
+// and 8 a double. The bytes are encoded a block at a time into one
+// buffer, so the hash sees one Write per block, not one per element.
 func digest(a *ir.HostArray) string {
 	h := sha256.New()
-	var buf [8]byte
+	var buf [digestBlock]byte
+	b := buf[:0]
 	switch {
 	case a.F32 != nil:
 		for _, v := range a.F32 {
-			binary.LittleEndian.PutUint32(buf[:4], math.Float32bits(v))
-			h.Write(buf[:4])
+			if len(b) == digestBlock {
+				h.Write(b)
+				b = b[:0]
+			}
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
 		}
 	case a.F64 != nil:
 		for _, v := range a.F64 {
-			binary.LittleEndian.PutUint64(buf[:8], math.Float64bits(v))
-			h.Write(buf[:8])
+			if len(b) == digestBlock {
+				h.Write(b)
+				b = b[:0]
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
 		}
 	default:
 		for _, v := range a.I32 {
-			binary.LittleEndian.PutUint32(buf[:4], uint32(v))
-			h.Write(buf[:4])
+			if len(b) == digestBlock {
+				h.Write(b)
+				b = b[:0]
+			}
+			b = binary.LittleEndian.AppendUint32(b, uint32(v))
 		}
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }
+
+// digestBlock is the size of digest's buffer, a multiple of every
+// element size.
+const digestBlock = 4096
 
 // buildResponse assembles the deterministic success body.
 func buildResponse(req *RunRequest, inst *ir.Instance, rep *rt.Report) (*RunResponse, error) {
