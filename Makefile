@@ -209,7 +209,8 @@ bench-host:
 # the working tree: it extracts BASE with git archive into a temporary
 # directory outside the checkout, builds the internal/rt test binaries of
 # both, runs BENCH (default PhaseBApps, the paper apps; PhaseBStencil,
-# PhaseBSaxpy and PhaseBCopy are the others) specialized on one processor N rounds,
+# PhaseBSaxpy, PhaseBCopy and ReplBulk, the replicated stencil launch by
+# launch, are the others) specialized on one processor N rounds,
 # alternating which side runs first, and prints each benchmark's median
 # ns per iteration (apps) or per op and their ratio.
 BASE ?= HEAD

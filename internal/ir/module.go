@@ -180,6 +180,15 @@ type ArrayUse struct {
 	// compute each GPU's "core" (owned) range and exchange halo
 	// overlaps of distributed arrays after the kernel.
 	WriteCoef, WriteOffLo, WriteOffHi int64
+	// ReadCoef and ReadOffLo/ReadOffHi are the literal-affine read
+	// envelope, built from the reads the way the write envelope is from
+	// the writes (a compound assignment's read included): every read
+	// index is ReadCoef*i + C with C in [ReadOffLo, ReadOffHi]. ReadCoef
+	// is -1 (any value below 1 means the same) when the reads are not
+	// uniformly literal-affine with a positive coefficient. A replica
+	// catches up its pending relays only inside this envelope (rt
+	// loader).
+	ReadCoef, ReadOffLo, ReadOffHi int64
 	// StridedRead marks per-iteration row-major access to a logically
 	// 2-D array (localaccess stride wider than one element): the
 	// uncoalesced pattern the layout transform repairs.

@@ -39,7 +39,9 @@ type AuditSink interface {
 
 // AuditCopy is a read-only window onto one GPU's resident copy of (part
 // of) an array, in logical element coordinates. The accessors see
-// through the column-major layout transform.
+// through the column-major layout transform and through the copy's
+// pending relays (an element a relay covers reads from the relay's
+// source), and move nothing: auditing leaves every copy as it was.
 type AuditCopy struct {
 	// Decl identifies the array.
 	Decl *cc.VarDecl
@@ -71,7 +73,7 @@ func (r *Runtime) snapshotCopies(k *ir.Kernel) []AuditCopy {
 			if !c.valid {
 				continue
 			}
-			c := c
+			c, rd := c, &relayReader{c: c}
 			out = append(out, AuditCopy{
 				Decl:   st.decl,
 				GPU:    g,
@@ -79,8 +81,8 @@ func (r *Runtime) snapshotCopies(k *ir.Kernel) []AuditCopy {
 				Hi:     c.hi,
 				CoreLo: c.coreLo,
 				CoreHi: c.coreHi,
-				LoadF:  func(i int64) float64 { return load[float64](c, c.phys(i)) },
-				LoadI:  func(i int64) int64 { return load[int64](c, c.phys(i)) },
+				LoadF:  func(i int64) float64 { p := c.phys(i); return load[float64](rd.src(p), p) },
+				LoadI:  func(i int64) int64 { p := c.phys(i); return load[int64](rd.src(p), p) },
 			})
 		}
 	}

@@ -84,23 +84,26 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 // the single-level ablation ships the whole replica plus its dirty-bit
 // array as soon as anything is dirty (paper §IV-D1).
 //
-// The implementation is staged for host wall-clock (virtual time is
-// untouched — the priced transfer list is derived from the chunk bits
-// exactly as the serial scheme derived it, in the same order):
+// The shipment is priced here, in full, but the elements move only when
+// a reader needs them (virtual time is untouched — the priced transfer
+// list is derived from the chunk bits exactly as the serial scheme
+// derived it, in the same order):
 //
 //  1. scan — each source extracts its dirty runs with uint64 word
-//     scans, once, instead of re-walking the byte array per
-//     destination. Sources scan concurrently: each reads only its own
+//     scans, once. Sources scan concurrently: each reads only its own
 //     dirty bits and writes only its own diff slot.
-//  2. apply — each run lands on every other replica as one bulk copy.
-//     Under the BSP contract each element is written by one GPU per
-//     superstep, so the per-source run lists are disjoint and sources
-//     apply concurrently (disjoint writes; checked, not assumed — see
-//     below). If the check fails (a racy program writing the same
-//     element from several GPUs), the apply falls back to serial
-//     source order, which reproduces the serial scheme's last-writer
-//     and value-forwarding behaviour exactly, because values are read
-//     at apply time.
+//  2. record — the runs of all sources become one sorted, disjoint
+//     claim list, sources taken in ascending GPU order and an earlier
+//     source's claim winning an overlap, and the claims are laid over
+//     every other active replica's relays (gpuCopy.relays): the copy is
+//     stale there and the claiming source holds the value. The claimer
+//     drops its own relays under its claims. Under the BSP contract one
+//     GPU writes each element per superstep and no claims overlap; a
+//     racy program's overlap resolves to the lowest writer's value on
+//     every copy, which is what the serial source-order apply forwarded.
+//     The loader catches a copy up before a launch only inside the
+//     launch's read envelope on its GPU (launchAttempt); every other
+//     consumer settles first or reads through the relays.
 //  3. clear — a new BSP superstep starts clean; per-copy clears are
 //     disjoint and run concurrently, each sized to the chunks the copy
 //     dirtied (gpuCopy.clearDirty).
@@ -116,45 +119,24 @@ func (r *Runtime) syncReplicated(st *arrayState, gpus []*sim.Device) []sim.Trans
 		r.scanDirty(st, gpus, g, &diffs[g])
 	})
 
-	// Stage 2 — apply. The disjointness assertion the concurrency
-	// rests on: one k-way merge over the (sorted, maximal) run lists.
-	lists := r.diffLists[:0]
-	idx := r.diffIdx[:0]
-	withRuns := 0
+	// Stage 2 — record.
+	claims := r.claims[:0]
 	for g := range diffs {
-		lists = append(lists, diffs[g].runs)
-		idx = append(idx, 0)
-		if len(diffs[g].runs) > 0 {
-			withRuns++
+		if len(diffs[g].runs) == 0 {
+			continue
 		}
-	}
-	r.diffLists, r.diffIdx = lists, idx
-	apply := func(g int) {
-		src := st.copies[g]
+		own := r.ownRuns[:0]
 		for _, run := range diffs[g].runs {
-			for g2 := range gpus {
-				if g2 != g {
-					copyRun(st.copies[g2], src, run.lo, run.hi)
-				}
-			}
+			own = append(own, relay{run.lo, run.hi, g})
 		}
+		r.ownRuns = own
+		claims, r.claimBuf = overlay(r.claimBuf[:0], own, claims, -1), claims
 	}
-	if withRuns <= 1 || runsDisjoint(lists, idx) {
-		sim.FanOut(len(gpus), apply)
-	} else {
-		for g := range gpus {
-			apply(g)
-		}
-	}
-	// Serial write-epoch bumps for every copy that received content
-	// (deferred out of copyRun: with >= 3 GPUs several concurrent
-	// appliers target the same destination copy).
-	if withRuns > 0 {
+	r.claims = claims
+	if len(claims) > 0 {
 		for g2 := range gpus {
-			for g := range diffs {
-				if g != g2 && len(diffs[g].runs) > 0 {
-					st.copies[g2].wepoch++
-				}
+			if c := st.copies[g2]; c.valid {
+				c.relays, c.relayBuf = overlay(c.relayBuf[:0], c.relays, claims, g2), c.relays
 			}
 		}
 	}
@@ -258,7 +240,7 @@ func (c *gpuCopy) chunkRuns(d *srcDiff, b uint8, lo, hi int64, next int) int {
 // receives one NIC shipment to its leader (the node's first active
 // GPU), which relays to the node's remaining replicas locally — so a
 // chunk crosses the network once per node, not once per GPU. The
-// functional apply stage is unaffected: only the priced routes change.
+// relays recorded are unaffected: only the priced routes change.
 func (r *Runtime) chunkFanOut(dst []sim.Transfer, st *arrayState, ngpus, g int, bytes, lo, hi int64) []sim.Transfer {
 	spec := &r.mach.Spec
 	push := func(src, g2 int) {

@@ -2,6 +2,8 @@ package rt
 
 import (
 	"encoding/binary"
+	"math"
+	"sort"
 
 	"accmulti/internal/sim"
 )
@@ -13,9 +15,10 @@ import (
 // manager previously walked those bytes one at a time, once per
 // destination replica. The helpers here extract the maximal runs of
 // dirty elements once per source with eight-bytes-per-step word scans,
-// so each run then applies to every destination with a single bulk
-// copy. None of this touches virtual-time accounting: the priced
-// transfer list is derived from the chunk bits exactly as before.
+// so each run becomes one relay on every destination, and a catch-up
+// moves it with a single bulk copy where a reader needs it. None of
+// this touches virtual-time accounting: the priced transfer list is
+// derived from the chunk bits exactly as before.
 
 // allDirtyWord is eight dirty-bit bytes that are all set: the kernel
 // instrumentation writes exactly 1 per dirtied element.
@@ -79,50 +82,146 @@ type srcDiff struct {
 	bytes     []span // chunkRuns' scratch: one chunk's byte runs
 }
 
-// runsDisjoint reports whether the per-source run lists are pairwise
-// non-overlapping. Each list is already sorted and internally disjoint
-// (runs are maximal), so one k-way merge scan suffices. idx is caller
-// scratch of len(lists), reused across calls.
-func runsDisjoint(lists [][]span, idx []int) bool {
-	for i := range idx {
-		idx[i] = 0
+// relay is one pending catch-up of a replica (gpuCopy.relays): the
+// physical range [lo,hi) of the copy is stale, and copy src of the same
+// array holds its current value.
+type relay struct {
+	lo, hi int64
+	src    int
+}
+
+// appendRelay appends x to the sorted, disjoint list rs, extending the
+// last relay when x continues it from the same source.
+func appendRelay(rs []relay, x relay) []relay {
+	if n := len(rs); n > 0 && rs[n-1].hi == x.lo && rs[n-1].src == x.src {
+		rs[n-1].hi = x.hi
+		return rs
 	}
-	last := int64(-1)
-	for {
-		best := -1
-		var bestLo int64
-		for s := range lists {
-			if idx[s] < len(lists[s]) {
-				if r := lists[s][idx[s]]; best < 0 || r.lo < bestLo {
-					best, bestLo = s, r.lo
-				}
+	return append(rs, x)
+}
+
+// overlay appends to dst the relays of under with those of over laid on
+// top: where over covers an element, its relay replaces under's, except
+// that one naming self (the copy the list belongs to, which then holds
+// the value) leaves none. Both lists are sorted and disjoint, and so is
+// the result; under's entries may be trimmed in place.
+func overlay(dst, under, over []relay, self int) []relay {
+	i := 0
+	for _, o := range over {
+		for ; i < len(under) && under[i].lo < o.lo; i++ {
+			u := under[i]
+			if u.hi > o.lo {
+				dst = appendRelay(dst, relay{u.lo, o.lo, u.src})
+				under[i].lo = o.lo
+				break
 			}
+			dst = appendRelay(dst, u)
 		}
-		if best < 0 {
-			return true
+		if o.src != self {
+			dst = appendRelay(dst, o)
 		}
-		r := lists[best][idx[best]]
-		idx[best]++
-		if r.lo < last {
-			return false
+		for ; i < len(under) && under[i].hi <= o.hi; i++ {
 		}
-		if r.hi > last {
-			last = r.hi
+		if i < len(under) && under[i].lo < o.hi {
+			under[i].lo = o.hi
+		}
+	}
+	for _, u := range under[i:] {
+		dst = appendRelay(dst, u)
+	}
+	return dst
+}
+
+// catchUp copies the copy's relays that meet the physical range [lo,hi)
+// from their sources, as far as they meet it, and drops what it copied:
+// the range then holds current values. It writes only c's storage and
+// relay lists and reads the sources only where they hold current values,
+// which no catch-up writes, so the copies of one array catch up
+// concurrently. Anything copied bumps the write epoch.
+func (c *gpuCopy) catchUp(lo, hi int64) {
+	rs, out := c.relays, c.relayBuf[:0]
+	moved := int64(0)
+	for _, x := range rs {
+		a, b := max(x.lo, lo), min(x.hi, hi)
+		if a >= b {
+			out = append(out, x)
+			continue
+		}
+		copyRun(c, c.st.copies[x.src], a, b)
+		moved += b - a
+		if x.lo < a {
+			out = append(out, relay{x.lo, a, x.src})
+		}
+		if b < x.hi {
+			out = append(out, relay{b, x.hi, x.src})
+		}
+	}
+	c.relays, c.relayBuf = out, rs
+	if moved > 0 {
+		c.caughtUp += moved
+		c.wepoch++
+	}
+}
+
+// settle catches every copy of the array up on all of its relays, so the
+// replicas are byte-identical again: what a consumer that reads or
+// overwrites copies outside a launch's read envelope calls first.
+func (st *arrayState) settle() {
+	for _, c := range st.copies {
+		if len(c.relays) > 0 {
+			c.catchUp(0, c.localLen())
 		}
 	}
 }
 
+// dropRelays forgets every copy's relays: the host mirror has become the
+// canonical content, so every copy is reloaded before it is read again.
+func (st *arrayState) dropRelays() {
+	for _, c := range st.copies {
+		c.relays = c.relays[:0]
+	}
+}
+
+// relayReader reads one copy's elements through its relays: src names
+// the copy that holds the current value of physical element p, the copy
+// itself or a relay's source. It keeps the run of elements it resolved
+// last (a relay, or the gap between two), so a read inside that run
+// costs two comparisons.
+type relayReader struct {
+	c      *gpuCopy
+	lo, hi int64    // the run last resolved, half-open...
+	from   *gpuCopy // ...and the copy that holds it
+}
+
+func (r *relayReader) src(p int64) *gpuCopy {
+	if p < r.lo || p >= r.hi {
+		r.resolve(p)
+	}
+	return r.from
+}
+
+func (r *relayReader) resolve(p int64) {
+	rs := r.c.relays
+	i := sort.Search(len(rs), func(i int) bool { return rs[i].hi > p })
+	if i < len(rs) && rs[i].lo <= p {
+		r.lo, r.hi, r.from = rs[i].lo, rs[i].hi, r.c.st.copies[rs[i].src]
+		return
+	}
+	r.lo, r.hi, r.from = 0, math.MaxInt64, r.c
+	if i > 0 {
+		r.lo = rs[i-1].hi
+	}
+	if i < len(rs) {
+		r.hi = rs[i].lo
+	}
+}
+
 // copyRun bulk-copies the physical storage range [lo,hi) from src to
-// dst. Replicas of one array share element type and layout (including
-// the 2-D transform, which permutes physical offsets identically on
-// every copy), so the typed slices align element for element — the
-// bulk copy computes exactly what the element-wise storeF(loadF) loop
-// it replaces did (the float32→float64→float32 and int32→float64→int32
-// round trips are exact).
-// Write-epoch bumps happen in the caller after the (possibly
-// concurrent) apply stage: several sources may target one destination
-// copy, and a non-atomic counter bump here would race even though the
-// element ranges are disjoint.
+// dst. Replicas of one array share element type and layout, so the
+// typed slices align element for element — the bulk copy computes
+// exactly what an element-wise store(load) loop did (the
+// float32→float64→float32 and int32→float64→int32 round trips are
+// exact).
 func copyRun(dst, src *gpuCopy, lo, hi int64) {
 	switch {
 	case src.f32 != nil:

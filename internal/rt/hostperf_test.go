@@ -255,35 +255,13 @@ func TestAppendNonzeroRuns(t *testing.T) {
 	}
 }
 
-func TestRunsDisjoint(t *testing.T) {
-	cases := []struct {
-		lists [][]span
-		want  bool
-	}{
-		{nil, true},
-		{[][]span{{{0, 5}}}, true},
-		{[][]span{{{0, 5}}, {{5, 9}}}, true},
-		{[][]span{{{0, 5}}, {{4, 9}}}, false},
-		{[][]span{{{0, 2}, {8, 10}}, {{2, 8}}}, true},
-		{[][]span{{{0, 2}, {7, 10}}, {{2, 8}}}, false},
-		{[][]span{{{10, 20}}, {{0, 5}}, {{5, 10}}}, true},
-		{[][]span{{{10, 20}}, {{0, 5}}, {{5, 11}}}, false},
-		{[][]span{nil, {{3, 4}}, nil}, true},
-	}
-	for i, c := range cases {
-		idx := make([]int, len(c.lists))
-		if got := runsDisjoint(c.lists, idx); got != c.want {
-			t.Errorf("case %d: runsDisjoint(%v) = %v, want %v", i, c.lists, got, c.want)
-		}
-	}
-}
-
 // TestSyncReplicatedMatchesLegacy drives the staged diff and the
 // transcribed serial diff over identical replica states — disjoint
 // writes (the BSP case), overlapping writes with diverging values (the
-// serial-fallback case), the single-level ablation, and sparse random
-// patterns — and demands bit-identical storage, cleared bits and
-// transfer lists.
+// first-claim case), the single-level ablation, and sparse random
+// patterns — and demands bit-identical transfer lists and cleared bits,
+// and bit-identical storage once every relay the new diff recorded has
+// settled.
 func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 	type pattern func(st *arrayState, ngpus int, rng *rand.Rand)
 	patterns := map[string]pattern{
@@ -377,6 +355,7 @@ func TestSyncReplicatedMatchesLegacy(t *testing.T) {
 
 				trL := legacySyncReplicated(stL, ngpus, disableTwoLevel)
 				trN := rNew.syncReplicated(stN, rNew.mach.GPUs())
+				stN.settle()
 
 				if !transfersEqual(trL, trN) {
 					t.Fatalf("%s/twoLevelOff=%v/%v: transfers diverge:\nlegacy %v\nnew    %v",
@@ -425,9 +404,10 @@ func transfersEqual(a, b []sim.Transfer) bool {
 	return true
 }
 
-// TestSyncReplicatedSerialFallbackMatchesParallel pins that the
-// disjoint-runs fast path and the serial source-order fallback agree
-// whenever both are legal (disjoint writes), under the race detector.
+// TestSyncReplicatedSerialFallbackMatchesParallel pins that a
+// replicated sync and the settling of its relays leave the same storage
+// on one processor and on several (disjoint writes), under the race
+// detector.
 func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 	const ngpus, n = 4, 2048
 	run := func(procs int) *arrayState {
@@ -445,6 +425,7 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 			markDirty(st.copies[g], lo, hi)
 		}
 		r.syncReplicated(st, r.mach.GPUs())
+		sim.FanOut(ngpus, func(g int) { st.copies[g].catchUp(0, n) })
 		return st
 	}
 	a, b := run(ngpus), run(1)
@@ -653,9 +634,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		r.syncReplicated(st, r.mach.GPUs())
 	}
 	sync() // warm the scratch
-	// The only steady-state allocations left are the three per-stage
-	// fan-out closures (scan, apply, clear) — no per-element or
-	// per-transfer allocation survives.
+	// The only steady-state allocations left are the per-stage fan-out
+	// closures (scan, clear) — no per-element, per-transfer or per-relay
+	// allocation survives.
 	if avg := testing.AllocsPerRun(10, sync); avg > 3 {
 		t.Errorf("serial syncReplicated allocates %.1f objects per superstep, want <= 3", avg)
 	}
@@ -680,9 +661,9 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 		t.Errorf("serial runCopyJobs allocates %.1f objects per launch, want <= 1 (the fan-out closure)", avg)
 	}
 
-	// With processors to spare, each of the three fan-outs (scan, apply,
-	// clear) adds its own closures, counter and wait group, and at worst
-	// one goroutine record per processor; nothing per GPU.
+	// With processors to spare, each fan-out (scan, clear) adds its own
+	// closures, counter and wait group, and at worst one goroutine record
+	// per processor; nothing per GPU.
 	for _, procs := range []int{2, 4} {
 		if avg, limit := allocsPerRunAt(procs, 20, sync), float64(3*(procs+5)); avg > limit {
 			t.Errorf("syncReplicated on %d processors allocates %.1f objects per superstep, want <= %v", procs, avg, limit)
@@ -753,10 +734,12 @@ func BenchmarkIteratedStencilLoader(b *testing.B) {
 // BenchmarkReplicatedWriteDiff measures one replicated-write
 // communication superstep on 4 GPUs × 1M elements, each GPU having
 // written its quarter (the BSP steady state of a replicated written
-// array). legacy re-scans the dirty bytes once per destination;
-// optimized extracts runs once per source with word scans and applies
-// them with bulk copies, sources in parallel; spans marks each quarter
-// as one span and reads the runs from it.
+// array). legacy re-scans the dirty bytes once per destination and
+// copies every dirty element into every other replica; optimized
+// extracts runs once per source with word scans and records them as
+// relays on the other replicas, moving no element (a reader catches up
+// what it reads before its launch: BenchmarkReplBulk times that); spans
+// marks each quarter as one span and reads the runs from it.
 func BenchmarkReplicatedWriteDiff(b *testing.B) {
 	const ngpus = 4
 	const n = 1 << 20

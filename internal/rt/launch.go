@@ -228,11 +228,18 @@ func (r *Runtime) launchAttempt(k *ir.Kernel, env *ir.Env, gpus []*sim.Device) e
 	// Phase A — data loader.
 	for _, use := range k.Arrays {
 		st := r.state(use.Decl)
-		if !st.present && !st.deviceNewer {
+		switch {
+		case !st.present && !st.deviceNewer:
 			// No data region governs this array: the host copy is
 			// canonical before every launch (the implicit per-loop
 			// data movement of OpenACC).
 			r.bumpHost(st)
+			st.dropRelays()
+		case use.Reduced || r.distributed(use):
+			// A reduction merge updates every element of every copy, and
+			// a partition is read and written outside any replica's read
+			// envelope (halo pushes, miss delivery): both start settled.
+			st.settle()
 		}
 	}
 	// Resolve the partition and per-GPU needs (cached across launches;
@@ -262,6 +269,9 @@ loading:
 				break loading
 			}
 		}
+	}
+	if loadErr == nil {
+		r.catchUpJobs(k, parts, jobs)
 	}
 	// Copies prepared before a failure still ran in the serial scheme;
 	// run them all so a degraded retry resumes from identical state.
@@ -374,6 +384,38 @@ loading:
 	}
 	r.sampleMemory()
 	return nil
+}
+
+// catchUpJobs queues, after the prepare pass, the catch-up of every copy
+// that holds relays where its GPU's chunk of the launch reads it
+// (readEnvelope). The prepare pass settled every array it reloaded, so
+// no catch-up meets a host→device copy job of the same array.
+func (r *Runtime) catchUpJobs(k *ir.Kernel, parts []span, jobs [][]copyJob) {
+	for g, p := range parts {
+		if p.count() == 0 {
+			continue
+		}
+		for _, use := range k.Arrays {
+			if c := r.state(use.Decl).copies[g]; use.Read && len(c.relays) > 0 {
+				lo, hi := readEnvelope(use, p, c)
+				jobs[g] = append(jobs[g], copyJob{c: c, lo: lo, hi: hi, fromPeers: true})
+			}
+		}
+	}
+}
+
+// readEnvelope is the physical range [lo,hi) of c that chunk p of the
+// launch may read (empty when lo >= hi): the literal-affine read envelope
+// of the partition, or the whole residency when the reads are not
+// literal-affine, the copy is column-major, or the array is a read-only
+// int array, which the launch prover scans whole (specExec.prove).
+func readEnvelope(use *ir.ArrayUse, p span, c *gpuCopy) (lo, hi int64) {
+	if use.ReadCoef < 1 || c.transformed || (use.Decl.Type == cc.TInt && !use.Written) {
+		return 0, c.localLen()
+	}
+	lo = max(use.ReadCoef*p.lo+use.ReadOffLo, c.lo)
+	hi = min(use.ReadCoef*(p.hi-1)+use.ReadOffHi, c.hi)
+	return lo - c.lo, hi - c.lo + 1
 }
 
 // emitKernelSpans states one error-free launch's Phase B on the tracer,

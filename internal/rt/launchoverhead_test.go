@@ -94,7 +94,7 @@ func TestLaunchSteadyStateAllocBudget(t *testing.T) {
 	}
 	small, large := perLaunch(sim.Cluster(2, 2)), perLaunch(sim.Cluster(2, 4))
 	t.Logf("objects per launch: %v on 2x2, %v on 2x4", small, large)
-	if small > 8 { // measured: 4, the Phase B closure and the sync's scan, apply and clear
+	if small > 8 { // measured: 4, the fan-out closures of Phase B, the sync's scan and clear, and the catch-ups
 		t.Errorf("a steady-state launch on 2x2 allocates %v objects, budget 8", small)
 	}
 	if large != small {

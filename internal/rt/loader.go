@@ -45,6 +45,7 @@ func (r *Runtime) EnterData(reg *ir.DataRegion, _ *ir.Env) error {
 		// classes; create/copyout content starts as zeroed storage.
 		r.bumpHost(st)
 		st.deviceNewer = false
+		st.dropRelays()
 	}
 	if r.auditing() {
 		return r.opts.Auditor.AfterEnterData(reg, nil, r.rep.Total())
@@ -109,6 +110,7 @@ func (r *Runtime) Update(u *ir.UpdateOp, _ *ir.Env) error {
 		st := r.state(d)
 		r.bumpHost(st)
 		st.deviceNewer = false
+		st.dropRelays()
 	}
 	if err := r.account(transfers, &r.rep.CPUGPUTime); err != nil {
 		return err
@@ -266,8 +268,9 @@ func (r *Runtime) emitTransferSpans(transfers []sim.Transfer, begin, end time.Du
 
 // gatherToHost copies the canonical device content back to the host
 // mirror. Replicated arrays are consistent after every communication
-// step, so one GPU's copy suffices; distributed arrays are gathered
-// partition by partition.
+// step, read through their relays, so one GPU's copy suffices: its
+// storage, then each of its relays from the relay's source; distributed
+// arrays are gathered partition by partition.
 func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 	anyValid := false
 	for _, c := range st.copies {
@@ -286,19 +289,17 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 		}
 		if !c.transformed {
 			// Untransformed copies are host-layout slices of matching
-			// element type: gather with one memmove per copy.
-			n := c.hi - c.lo + 1
-			switch {
-			case c.f32 != nil:
-				copy(st.host.F32[c.lo:c.hi+1], c.f32[:n])
-			case c.f64 != nil:
-				copy(st.host.F64[c.lo:c.hi+1], c.f64[:n])
-			default:
-				copy(st.host.I32[c.lo:c.hi+1], c.i32[:n])
+			// element type: gather with one memmove per copy and one per
+			// relay.
+			hostCopy(st.host, c, 0, c.localLen())
+			for _, x := range c.relays {
+				hostCopy(st.host, st.copies[x.src], x.lo, x.hi)
 			}
 		} else {
+			rd := relayReader{c: c}
 			for i := c.lo; i <= c.hi; i++ {
-				hostStoreF(st.host, i, load[float64](c, c.phys(i)))
+				p := c.phys(i)
+				hostStoreF(st.host, i, load[float64](rd.src(p), p))
 			}
 		}
 		transfers = append(transfers, sim.Transfer{
@@ -319,6 +320,20 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 		}
 	}
 	return transfers, nil
+}
+
+// hostCopy copies the untransformed copy's physical elements [lo,hi) to
+// the host mirror, where they are the logical elements from c.lo + lo.
+func hostCopy(host *ir.HostArray, c *gpuCopy, lo, hi int64) {
+	i, j := c.lo+lo, c.lo+hi
+	switch {
+	case c.f32 != nil:
+		copy(host.F32[i:j], c.f32[lo:hi])
+	case c.f64 != nil:
+		copy(host.F64[i:j], c.f64[lo:hi])
+	default:
+		copy(host.I32[i:j], c.i32[lo:hi])
+	}
 }
 
 func (r *Runtime) isReplicated(c *gpuCopy) bool {
@@ -545,7 +560,9 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 	if err := r.ensureAuxiliaries(st, c, nd); err != nil {
 		// The copy cannot serve the launch without its auxiliaries;
 		// free everything it holds so the error path leaks nothing and
-		// a degraded retry starts from a clean slate.
+		// a degraded retry starts from a clean slate. Its peers' relays
+		// may name it: they catch up first.
+		st.settle()
 		if relErr := c.release(); relErr != nil {
 			return transfers, copyJob{}, relErr
 		}
@@ -555,8 +572,10 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 }
 
 // realloc (re)allocates the copy's storage for a range/layout change.
+// The array settles first: the old storage may be a relay's source.
 func (c *gpuCopy) realloc(nd need) error {
 	st := c.st
+	st.settle()
 	n := nd.hi - nd.lo + 1
 	if c.buf != nil {
 		if err := c.dev.Free(c.buf); err != nil {

@@ -5,12 +5,16 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"accmulti/internal/audit"
+	"accmulti/internal/cc"
+	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
 	"accmulti/internal/trace"
+	"accmulti/internal/translator"
 )
 
 // This file is the node-level differential battery for the multi-node
@@ -101,6 +105,99 @@ func TestNodeLossDegradation(t *testing.T) {
 	}
 	if !sawLoss {
 		t.Fatal("no seed exercised the node-loss rung; the corpus no longer covers it")
+	}
+
+	// A replicated stencil that reads past its GPU's partition, whose node
+	// loss strikes when replicas on node 0 hold relays naming node 1's
+	// GPUs: the first kernel writes both arrays, so every buffer the steps
+	// use exists once it has loaded; the loss is armed then, through the
+	// Interrupt hook, and found by the next allocation on node 1 — c's,
+	// after the steps. The evacuation gathers a and b through the relays,
+	// from the lost GPUs, and the run ends on node 0 with arrays
+	// bit-identical to the fault-free run's.
+	prog, err := cc.ParseProgram(`
+int n, steps;
+float a[n], b[n], c[n];
+void main() {
+    int i, s;
+    #pragma acc data copy(a, b, c)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a[i] = a[i] + 1.0;
+            b[i] = a[i] * 0.5;
+        }
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n - 5; i++) {
+                b[i] = 0.5 * a[i + 5] + 0.25 * a[i];
+            }
+            #pragma acc parallel loop
+            for (i = 2; i < n; i++) {
+                a[i] = b[i - 2] - 0.125 * a[i];
+            }
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n - 3; i++) {
+            c[i] = a[i + 3] + b[i];
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a[i] = a[i] + c[i];
+        }
+    }
+}
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mod, err := translator.Translate(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runStencil := func(async, lose bool) (*rt.Report, *ir.Instance) {
+		inst, err := mod.Bind(ir.NewBindings().SetScalar("n", 3001).SetScalar("steps", 4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(9))
+		for _, a := range inst.Arrays {
+			for i := range a.F32 {
+				a.F32[i] = rng.Float32()
+			}
+		}
+		mach, err := sim.NewMachine(sim.Cluster(2, 2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := rt.Options{Async: async, Auditor: audit.New(audit.Options{})}
+		if lose {
+			var arm sync.Once
+			opts.Interrupt = func() error {
+				if mach.GPU(3).UsedByClass(sim.MemUser) > 0 {
+					arm.Do(func() { mach.InjectFaults(&sim.FaultPlan{LoseNode: 1}) })
+				}
+				return nil
+			}
+		}
+		r := rt.New(mach, opts)
+		if err := r.Run(inst); err != nil {
+			t.Fatalf("replicated stencil, async=%v, node loss %v: %v", async, lose, err)
+		}
+		assertDevicesEmpty(t, mach, fmt.Sprintf("replicated stencil, async=%v, node loss %v", async, lose))
+		return r.Report(), inst
+	}
+	for _, async := range []bool{false, true} {
+		_, want := runStencil(async, false)
+		rep, got := runStencil(async, true)
+		if !hasEventKind(rep, "node-loss") {
+			t.Fatalf("replicated stencil, async=%v: no node-loss event: %+v", async, rep.Events)
+		}
+		for i, a := range want.Arrays {
+			if !reflect.DeepEqual(a.F32, got.Arrays[i].F32) {
+				t.Fatalf("replicated stencil, async=%v: %s after the node loss differs from the fault-free run", async, a.Decl.Name)
+			}
+		}
 	}
 }
 

@@ -138,17 +138,26 @@ func (r *Runtime) computePlan(k *ir.Kernel, env *ir.Env, ngpus int, lower, upper
 	return parts, needs
 }
 
-// copyJob is one deferred host→device content copy: the serial prepare
-// pass makes every allocation and accounting decision (so the fault
-// oracles observe the exact legacy order), and the bulk element
+// copyJob is one deferred content copy into a GPU's copy: host→device,
+// where the serial prepare pass made every allocation and accounting
+// decision (so the fault oracles observe the exact legacy order), or a
+// catch-up of the copy's relays from its peers. The bulk element
 // movement — the actual hot loop — runs later, fanned out per GPU.
 type copyJob struct {
-	st     *arrayState
-	c      *gpuCopy
-	lo, hi int64 // inclusive logical range, == the copy's resident range
+	st *arrayState
+	c  *gpuCopy
+	// lo..hi is the inclusive logical range from the host, == the copy's
+	// resident range; with fromPeers, the physical range [lo,hi) the
+	// copy catches up in.
+	lo, hi    int64
+	fromPeers bool
 }
 
 func (j copyJob) run() {
+	if j.fromPeers {
+		j.c.catchUp(j.lo, j.hi)
+		return
+	}
 	c, host := j.c, j.st.host
 	c.wepoch++
 	if !c.transformed {
@@ -196,12 +205,13 @@ func transpose[T any](dst, src []T, rows, width int64) {
 // runCopyJobs executes the launch's deferred content copies, one
 // worker per GPU. Safety argument: each job writes only its own
 // gpuCopy's storage (jobs for one GPU run in order on one goroutine;
-// different GPUs hold disjoint buffers) and reads only host mirrors,
-// which nothing mutates between the serial prepare pass and here — a
-// launch gathers an array to the host at most once, and always before
-// any copy job for that array is queued (prepareLoad gathers exactly
-// when deviceNewer && !covered, which clears deviceNewer for the rest
-// of the pass).
+// different GPUs hold disjoint buffers) and reads host mirrors, which
+// nothing mutates between the serial prepare pass and here — a launch
+// gathers an array to the host at most once, and always before any copy
+// job for that array is queued (prepareLoad gathers exactly when
+// deviceNewer && !covered, which clears deviceNewer for the rest of the
+// pass) — or, catching up, peers' storage where the peers hold current
+// values, which no job writes (gpuCopy.catchUp).
 func (r *Runtime) runCopyJobs(jobs [][]copyJob) {
 	any := false
 	for _, js := range jobs {
@@ -243,10 +253,6 @@ func (r *Runtime) diffScratchFor(ngpus int) []srcDiff {
 	for g := range ds {
 		ds[g].runs = ds[g].runs[:0]
 		ds[g].transfers = ds[g].transfers[:0]
-	}
-	if cap(r.diffLists) < ngpus {
-		r.diffLists = make([][]span, 0, ngpus)
-		r.diffIdx = make([]int, 0, ngpus)
 	}
 	return ds
 }

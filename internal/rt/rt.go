@@ -251,8 +251,9 @@ type Runtime struct {
 	replScratch   []sim.Transfer // syncReplicated merged transfer list
 	jobs          [][]copyJob    // deferred loader content copies
 	diffs         []srcDiff      // per-source dirty-run diffs
-	diffLists     [][]span       // runsDisjoint input scratch
-	diffIdx       []int          // runsDisjoint merge cursors
+	claims        []relay        // syncReplicated's merged claim list
+	claimBuf      []relay        // ... and the buffer it is rebuilt in
+	ownRuns       []relay        // one source's runs as relays
 	missBytes     []int64        // deliverMisses per-destination tallies
 	partials      [][]float64    // per-GPU scalar-reduction partials
 

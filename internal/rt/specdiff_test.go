@@ -43,6 +43,10 @@ type specTemplate struct {
 	// check, when set, holds the specialized run's engine counts to what
 	// the template is there to exercise.
 	check func(rt.SpecStats) error
+	// oneGPU says the program computes every element alike however the
+	// iterations are split: its arrays must also equal, bit for bit, the
+	// run on one GPU, where no replica relays anything.
+	oneGPU bool
 }
 
 func nScalar(rng *rand.Rand) map[string]float64 {
@@ -988,6 +992,7 @@ void main() {
 	specTemplates = append(specTemplates, sinkTemplates()...)
 	specTemplates = append(specTemplates, appTemplates()...)
 	specTemplates = append(specTemplates, quietTemplates()...)
+	specTemplates = append(specTemplates, relayTemplates()...)
 }
 
 // walkTemplates hold the fifth rewrite (ir specvec.go) to the interpreter:
@@ -3486,6 +3491,218 @@ void main() {
 	return out
 }
 
+// relayTemplates put replicated arrays whose replicas hold pending relays
+// (rt syncReplicated) in front of every kind of reader: a literal-affine
+// read shifted past the neighbour's partition, a reversed read (caught up
+// over the whole residency), a replicated int index array the launch
+// prover scans whole, a reductiontoarray and a localaccess read (both
+// settle first), update host with a host statement before update device,
+// writes several GPUs make to one element (the first claim wins), and a
+// region left and entered again onto recycled buffers. Each asserts that
+// the tiles engaged; all but the overlapping writes must also equal the
+// one-GPU run.
+func relayTemplates() []specTemplate {
+	tiled := func(st rt.SpecStats) error {
+		if st.TiledIters == 0 || st.Fallbacks != 0 {
+			return fmt.Errorf("want tiles and no fallback")
+		}
+		return nil
+	}
+	steps := func(rng *rand.Rand) map[string]float64 {
+		m := nScalar(rng)
+		m["steps"] = float64(2 + rng.Intn(3))
+		return m
+	}
+	return []specTemplate{
+		{name: "relay-shift", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+float a[n], b[n];
+void main() {
+    int i, s;
+    #pragma acc data copy(a, b)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n - 7; i++) {
+                b[i] = 0.5 * a[i + 7] - a[i];
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i] + 0.25;
+            }
+        }
+    }
+}
+`},
+		{name: "relay-reverse", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+float a[n], b[n];
+void main() {
+    int i, s;
+    #pragma acc data copy(a) create(b)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                b[i] = a[n - 1 - i] * 0.5;
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i] + a[i];
+            }
+        }
+    }
+}
+`},
+		{name: "relay-index", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+int ix_[n];
+float x_[n], y_[n];
+void main() {
+    int i, s;
+    #pragma acc data copyin(x_) copy(ix_, y_)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                ix_[i] = (i * 7 + s * 13) % n;
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                y_[i] = y_[i] + x_[ix_[i]];
+            }
+        }
+    }
+}
+`},
+		{name: "relay-reduce", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+int h_[n], in_[n];
+void main() {
+    int i, s;
+    #pragma acc data copyin(in_) copy(h_)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                h_[i] = h_[i] + in_[i] % 5;
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                #pragma acc reductiontoarray(+: h_[i])
+                h_[i] += i % 3;
+            }
+            #pragma acc parallel loop
+            for (i = 1; i < n; i++) {
+                in_[i] = h_[i - 1] % 7;
+            }
+        }
+    }
+}
+`},
+		{name: "relay-update", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+float a[n], b[n];
+void main() {
+    int i, s;
+    #pragma acc data copy(a) create(b)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 1; i < n - 1; i++) {
+                b[i] = a[i - 1] + a[i + 1];
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i] * 0.5;
+            }
+            #pragma acc update host(a)
+            a[s] = a[n - 1 - s] + 1.0;
+            #pragma acc update device(a)
+        }
+    }
+}
+`},
+		{name: "relay-localaccess", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+float a[n], b[n], c[n];
+void main() {
+    int i, s;
+    #pragma acc data copyin(b) copy(a, c)
+    {
+        for (s = 0; s < steps; s++) {
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i] * 2.0 + a[i];
+            }
+            #pragma acc localaccess(a) stride(1, 1, 1)
+            #pragma acc localaccess(c) stride(1)
+            #pragma acc parallel loop
+            for (i = 1; i < n - 1; i++) {
+                c[i] = a[i - 1] - a[i + 1];
+            }
+        }
+    }
+}
+`},
+		// Every GPU stores into [0, w), w a third of n, from as many of its
+		// iterations, so the GPUs' runs overlap (the scatter runs on the
+		// interpreter: the tiles reject its shape); the stored value
+		// depends on the element alone, so the result does not depend on
+		// which GPU's claim wins, and the tiled reader catches the overlap
+		// up.
+		{name: "relay-claim", oneGPU: true,
+			check: func(st rt.SpecStats) error {
+				if err := tiled(st); err != nil || st.Rejects["shape"] == 0 {
+					return fmt.Errorf("want the reader tiled and the scatter rejected for its shape")
+				}
+				return nil
+			},
+			scalars: func(rng *rand.Rand) map[string]float64 {
+				m := nScalar(rng)
+				m["w"] = float64(int(m["n"])/3 + 1)
+				return m
+			}, src: `
+int n, w;
+float a[n], b[n], c[n];
+void main() {
+    int i;
+    #pragma acc data copyin(b) copy(a, c)
+    {
+        #pragma acc parallel loop
+        for (i = 0; i < n; i++) {
+            a[i % w] = b[i % w] * 3.0;
+        }
+        #pragma acc parallel loop
+        for (i = 0; i < n - 1; i++) {
+            c[i] = a[i + 1] - a[i];
+        }
+    }
+}
+`},
+		{name: "relay-reenter", scalars: steps, check: tiled, oneGPU: true, src: `
+int n, steps;
+float a[n], b[n];
+void main() {
+    int i, s;
+    for (s = 0; s < steps; s++) {
+        #pragma acc data copy(a) create(b)
+        {
+            #pragma acc parallel loop
+            for (i = 1; i < n - 1; i++) {
+                b[i] = a[i - 1] * 0.25 + a[i + 1];
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = b[i];
+            }
+        }
+    }
+}
+`},
+	}
+}
+
 func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64, fillSeed int64, spec sim.MachineSpec, opts rt.Options) (*rt.Runtime, *ir.Instance, error) {
 	t.Helper()
 	prog, err := cc.ParseProgram(tpl.src)
@@ -3617,6 +3834,7 @@ func sameBits[E any, B comparable](want, got []E, bits func(E) B) bool {
 // path off and on and requires bit-identical observables.
 func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, fillSeed int64) {
 	t.Helper()
+	var one *ir.Instance // the reference run on one GPU
 	for _, spec := range []sim.MachineSpec{
 		sim.Desktop().WithGPUs(1),
 		sim.Desktop(),
@@ -3666,12 +3884,20 @@ func checkSpecDiff(t testing.TB, tpl specTemplate, scalars map[string]float64, f
 		if !reflect.DeepEqual(refRep, rep) {
 			t.Fatalf("%s: Report diverged\ninterp %+v\nspec   %+v", label, refRep, rep)
 		}
+		if one == nil {
+			one = refInst
+		}
 		for i := range refInst.Arrays {
 			want, got := refInst.Arrays[i], inst.Arrays[i]
 			if !sameBits(want.F32, got.F32, math.Float32bits) ||
 				!sameBits(want.F64, got.F64, math.Float64bits) ||
 				!reflect.DeepEqual(want.I32, got.I32) {
 				t.Fatalf("%s: array %q diverged", label, want.Decl.Name)
+			}
+			if want = one.Arrays[i]; tpl.oneGPU && (!sameBits(want.F32, got.F32, math.Float32bits) ||
+				!sameBits(want.F64, got.F64, math.Float64bits) ||
+				!reflect.DeepEqual(want.I32, got.I32)) {
+				t.Fatalf("%s: array %q differs from the one-GPU run's", label, want.Decl.Name)
 			}
 		}
 		if !reflect.DeepEqual(refInst.Env.Ints, inst.Env.Ints) ||

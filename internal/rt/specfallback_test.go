@@ -54,7 +54,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	// templates, (the apps,) the safety templates, the loop templates,
 	// safety-indirect and the flat-row templates, the type-matrix templates,
 	// the rewrite templates, the walk templates, the app templates, the
-	// quiet templates.
+	// quiet templates, the relay templates.
 	group := func(name string) int {
 		switch prefix, _, _ := strings.Cut(name, "-"); {
 		case name == "safety-indirect" || strings.HasPrefix(name, "flat-rows-"):
@@ -69,6 +69,8 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 			return 7
 		case prefix == "quiet":
 			return 8
+		case prefix == "relay":
+			return 9
 		case prefix == "safety":
 			return 1
 		case prefix == "loopred" || prefix == "unloopred" || prefix == "flat":
@@ -135,6 +137,7 @@ func TestSpecFallbackReasonsGolden(t *testing.T) {
 	templates(6)
 	templates(7)
 	templates(8)
+	templates(9)
 	got := strings.Join(lines, "\n") + "\n"
 	path := filepath.Join("testdata", "spec_fallbacks.golden")
 	if *updateSpecFallbacks {

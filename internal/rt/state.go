@@ -64,6 +64,16 @@ type gpuCopy struct {
 	// arrays are scanned once, not once per launch.
 	wepoch int64
 
+	// relays are the copy's pending catch-ups (replicated written
+	// arrays): physical ranges, sorted and disjoint, whose current value
+	// another copy holds. The communication manager records them instead
+	// of copying, and the loader catches a copy up only where the next
+	// launch reads it (see syncReplicated). relayBuf is the other half of
+	// the double buffer the list is rebuilt in, so its capacity is reused.
+	// caughtUp counts the elements catch-ups moved into the copy.
+	relays, relayBuf []relay
+	caughtUp         int64
+
 	buf *sim.Buffer
 	f32 []float32
 	f64 []float64
@@ -275,6 +285,7 @@ func (c *gpuCopy) release() error {
 	c.valid = false
 	c.f32, c.f64, c.i32 = nil, nil, nil
 	c.dirty, c.chunkDirty, c.chunkLanes, c.spans = nil, nil, nil, nil
+	c.relays = c.relays[:0]
 	c.miss, c.lanesF, c.lanesI = nil, nil, nil
 	c.transformed = false
 	return nil

@@ -249,14 +249,9 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 		ReduceOp:     in.ReduceOp,
 		AffineRead:   in.AffineRead,
 		IndirectRead: in.IndirectRead,
-		WriteCoef:    -1,
 	}
-	if coef, ok := CommonCoef(in.Writes); ok && coef > 0 {
-		use.WriteCoef, use.WriteOffLo, use.WriteOffHi = coef, in.Writes[0].Off, in.Writes[0].Off
-		for _, w := range in.Writes[1:] {
-			use.WriteOffLo, use.WriteOffHi = min(use.WriteOffLo, w.Off), max(use.WriteOffHi, w.Off)
-		}
-	}
+	use.WriteCoef, use.WriteOffLo, use.WriteOffHi = envelope(in.Writes)
+	use.ReadCoef, use.ReadOffLo, use.ReadOffHi = envelope(in.Reads)
 	spec := in.Spec
 	if spec == nil {
 		return use, nil
@@ -299,6 +294,21 @@ func buildArrayUse(in *ArrayFootprint) (*ir.ArrayUse, error) {
 		}
 	}
 	return use, nil
+}
+
+// envelope is the literal-affine envelope of forms: the common positive
+// coefficient and the least and greatest offset, or a coefficient of -1
+// when the forms are not all Coef*i + Off with one such coefficient.
+func envelope(forms []IndexForm) (coef, lo, hi int64) {
+	coef, ok := CommonCoef(forms)
+	if !ok || coef <= 0 {
+		return -1, 0, 0
+	}
+	lo, hi = forms[0].Off, forms[0].Off
+	for _, f := range forms[1:] {
+		lo, hi = min(lo, f.Off), max(hi, f.Off)
+	}
+	return coef, lo, hi
 }
 
 // kernelEfficiency computes the cost model's coalescing factor.
