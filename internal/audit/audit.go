@@ -153,36 +153,10 @@ func (sh *shadow) snapshot() {
 	if sh.image == nil {
 		sh.image = ir.NewHostArray(sh.decl, sh.host.Len())
 	}
-	copy(sh.image.F32, sh.host.F32)
-	copy(sh.image.F64, sh.host.F64)
-	copy(sh.image.I32, sh.host.I32)
+	ir.CopyRange(sh.image, 0, sh.host, 0, sh.host.Len())
 }
 
 func (sh *shadow) isInt() bool { return sh.decl.Type == cc.TInt }
-
-// imageLoad reads a logical element of the oracle image.
-func (sh *shadow) imageLoad(i int64) (f float64, n int64) {
-	switch {
-	case sh.image.F32 != nil:
-		return float64(sh.image.F32[i]), int64(sh.image.F32[i])
-	case sh.image.F64 != nil:
-		return sh.image.F64[i], int64(sh.image.F64[i])
-	default:
-		return float64(sh.image.I32[i]), int64(sh.image.I32[i])
-	}
-}
-
-// hostLoad reads a logical element of the live host array.
-func (sh *shadow) hostLoad(i int64) (f float64, n int64) {
-	switch {
-	case sh.host.F32 != nil:
-		return float64(sh.host.F32[i]), int64(sh.host.F32[i])
-	case sh.host.F64 != nil:
-		return sh.host.F64[i], int64(sh.host.F64[i])
-	default:
-		return float64(sh.host.I32[i]), int64(sh.host.I32[i])
-	}
-}
 
 // close reports whether got matches want under the shadow's policy. Two
 // NaNs match: the oracle and the engines agree that the element is NaN.
@@ -280,7 +254,7 @@ func (a *Auditor) AfterLaunch(k *ir.Kernel, env *ir.Env, copies []rt.AuditCopy, 
 	for _, use := range k.Arrays {
 		sh := a.shadows[use.Decl.Slot]
 		if !sh.present && (use.Written || use.Reduced) {
-			load := func(i int64) float64 { f, _ := sh.hostLoad(i); return f }
+			load := func(i int64) float64 { return ir.LoadAs[float64](sh.host, i) }
 			if err := a.verifyRange(ctx, sh, -1, 0, sh.host.Len()-1, load, now); err != nil {
 				return err
 			}
@@ -310,7 +284,7 @@ func (a *Auditor) AfterLaunch(k *ir.Kernel, env *ir.Env, copies []rt.AuditCopy, 
 func (a *Auditor) verifyRange(ctx string, sh *shadow, gpu int, lo, hi int64, load func(int64) float64, now time.Duration) error {
 	for i := lo; i <= hi; i++ {
 		a.Checks++
-		want, _ := sh.imageLoad(i)
+		want := ir.LoadAs[float64](sh.image, i)
 		got := load(i)
 		if a.close(sh, got, want) {
 			continue
@@ -318,8 +292,7 @@ func (a *Auditor) verifyRange(ctx string, sh *shadow, gpu int, lo, hi int64, loa
 		// Extend the run of divergent elements for the report.
 		end := i
 		for end < hi {
-			w, _ := sh.imageLoad(end + 1)
-			if a.close(sh, load(end+1), w) {
+			if a.close(sh, load(end+1), ir.LoadAs[float64](sh.image, end+1)) {
 				break
 			}
 			end++
@@ -361,7 +334,7 @@ func (a *Auditor) AfterExitData(reg *ir.DataRegion, _ *ir.Env, now time.Duration
 			continue // owned by an enclosing region
 		}
 		if arg.Class == acc.ClassCopy || arg.Class == acc.ClassCopyOut {
-			load := func(i int64) float64 { f, _ := sh.hostLoad(i); return f }
+			load := func(i int64) float64 { return ir.LoadAs[float64](sh.host, i) }
 			if err := a.verifyRange(ctx, sh, -1, 0, sh.host.Len()-1, load, now); err != nil {
 				return err
 			}
@@ -381,7 +354,7 @@ func (a *Auditor) AfterUpdate(u *ir.UpdateOp, _ *ir.Env, now time.Duration) erro
 		if sh.image == nil {
 			continue // nothing resident to gather
 		}
-		load := func(i int64) float64 { f, _ := sh.hostLoad(i); return f }
+		load := func(i int64) float64 { return ir.LoadAs[float64](sh.host, i) }
 		if err := a.verifyRange(ctx, sh, -1, 0, sh.host.Len()-1, load, now); err != nil {
 			return err
 		}

@@ -87,6 +87,71 @@ func (a *HostArray) Len() int64 {
 // Bytes returns the storage size.
 func (a *HostArray) Bytes() int64 { return a.Len() * a.Decl.Type.Size() }
 
+// The host mirror and every device copy of an array hold their elements
+// in a HostArray, and these four functions are the only code that picks
+// the populated slice: a load or a store of one element as a lane type,
+// the bit-exact copy of a range between two storages of one array, and
+// the transpose that fills a column-major copy.
+
+// LoadAs reads element i of a as an S.
+func LoadAs[S Num](a *HostArray, i int64) S {
+	switch {
+	case a.F32 != nil:
+		return S(a.F32[i])
+	case a.F64 != nil:
+		return S(a.F64[i])
+	}
+	return S(a.I32[i])
+}
+
+// StoreAs writes x to element i of a, converted to the element type. A
+// float lane that held a float element was widened on its load, which
+// quiets a signalling NaN.
+func StoreAs[S Num](a *HostArray, i int64, x S) {
+	switch {
+	case a.F32 != nil:
+		a.F32[i] = float32(x)
+	case a.F64 != nil:
+		a.F64[i] = float64(x)
+	default:
+		a.I32[i] = int32(x)
+	}
+}
+
+// CopyRange copies the n elements of src from si to dst from di, bit for
+// bit; the two storages hold one element type.
+func CopyRange(dst *HostArray, di int64, src *HostArray, si, n int64) {
+	switch {
+	case src.F32 != nil:
+		copy(dst.F32[di:di+n], src.F32[si:si+n])
+	case src.F64 != nil:
+		copy(dst.F64[di:di+n], src.F64[si:si+n])
+	default:
+		copy(dst.I32[di:di+n], src.I32[si:si+n])
+	}
+}
+
+// Transpose stores the rows×width elements of src from si, row-major,
+// column-major into dst: the element at row, col goes to col*rows + row.
+func Transpose(dst, src *HostArray, si, rows, width int64) {
+	switch {
+	case src.F32 != nil:
+		transpose(dst.F32, src.F32[si:], rows, width)
+	case src.F64 != nil:
+		transpose(dst.F64, src.F64[si:], rows, width)
+	default:
+		transpose(dst.I32, src.I32[si:], rows, width)
+	}
+}
+
+func transpose[T elem](dst, src []T, rows, width int64) {
+	for row := int64(0); row < rows; row++ {
+		for col, x := range src[row*width : (row+1)*width] {
+			dst[int64(col)*rows+row] = x
+		}
+	}
+}
+
 // View returns a direct view over the host storage (used by host code
 // and by the OpenMP baseline, which accesses host memory in place).
 func (a *HostArray) View() ArrayView {

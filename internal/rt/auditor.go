@@ -81,8 +81,8 @@ func (r *Runtime) snapshotCopies(k *ir.Kernel) []AuditCopy {
 				Hi:     c.hi,
 				CoreLo: c.coreLo,
 				CoreHi: c.coreHi,
-				LoadF:  func(i int64) float64 { p := c.phys(i); return load[float64](rd.src(p), p) },
-				LoadI:  func(i int64) int64 { p := c.phys(i); return load[int64](rd.src(p), p) },
+				LoadF:  func(i int64) float64 { p := c.phys(i); return ir.LoadAs[float64](&rd.src(p).data, p) },
+				LoadI:  func(i int64) int64 { p := c.phys(i); return ir.LoadAs[int64](&rd.src(p).data, p) },
 			})
 		}
 	}

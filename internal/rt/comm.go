@@ -232,36 +232,24 @@ func (c *gpuCopy) chunkRuns(d *srcDiff, b uint8, lo, hi int64, next int) int {
 
 // chunkFanOut appends the priced transfers that ship one source chunk
 // (or whole-replica payload under the single-level ablation) to every
-// other active replica, choosing paths by topology. On a single-node
-// machine every destination receives directly from the source — the
-// exact transfer list the pre-topology runtime emitted. On a
-// multi-node machine the fan-out goes two-level: same-node replicas
-// receive directly over the intra-node bus, and each remote node
-// receives one NIC shipment to its leader (the node's first active
-// GPU), which relays to the node's remaining replicas locally — so a
-// chunk crosses the network once per node, not once per GPU. The
-// relays recorded are unaffected: only the priced routes change.
+// other active replica, choosing paths by topology: replicas on the
+// source's node receive directly over the intra-node bus, and each
+// remote node receives one NIC shipment to its leader (the node's first
+// active GPU), which relays to the node's remaining replicas locally — so
+// a chunk crosses the network once per node, not once per GPU. On a
+// single-node machine every destination receives directly from the
+// source. The relays recorded are unaffected: only the priced routes
+// change.
 func (r *Runtime) chunkFanOut(dst []sim.Transfer, st *arrayState, ngpus, g int, bytes, lo, hi int64) []sim.Transfer {
 	spec := &r.mach.Spec
 	push := func(src, g2 int) {
 		dst = append(dst, sim.Transfer{Kind: sim.PeerToPeer, Bytes: bytes, Src: src, Dst: g2,
 			Label: st.decl.Name, Lo: lo, Hi: hi, Tag: sim.TagDirty})
 	}
-	if spec.NodeCount() <= 1 {
-		for g2 := 0; g2 < ngpus; g2++ {
-			if g2 != g {
-				push(g, g2)
-			}
-		}
-		return dst
-	}
 	gpn := spec.GPUsPerNode()
 	srcNode := spec.NodeOf(g)
 	for base := 0; base < ngpus; base += gpn {
-		end := base + gpn
-		if end > ngpus {
-			end = ngpus
-		}
+		end := min(base+gpn, ngpus)
 		if spec.NodeOf(base) == srcNode {
 			for g2 := base; g2 < end; g2++ {
 				if g2 != g {
@@ -312,12 +300,12 @@ func (r *Runtime) deliverMisses(transfers []sim.Transfer, st *arrayState, gpus [
 					if !dst.valid || rec.idx < dst.lo || rec.idx > dst.hi {
 						continue
 					}
-					store(dst, dst.phys(rec.idx), rec.v)
+					ir.StoreAs(&dst.data, dst.phys(rec.idx), rec.v)
 					bytesTo[g2] += missRecordBytes
 					delivered = true
 				}
 				if !delivered {
-					hostStoreF(st.host, rec.idx, rec.v)
+					ir.StoreAs(st.host, rec.idx, rec.v)
 					hostBytes += missRecordBytes
 				}
 			}
@@ -377,10 +365,9 @@ func (r *Runtime) syncOverlaps(transfers []sim.Transfer, st *arrayState, gpus []
 			var bytes int64
 			segs, nseg := subtractRange(lo, hi, dst.coreLo, dst.coreHi)
 			for _, seg := range segs[:nseg] {
-				for i := seg[0]; i <= seg[1]; i++ {
-					store(dst, dst.phys(i), load[float64](src, src.phys(i)))
-				}
-				bytes += (seg[1] - seg[0] + 1) * st.elemSize
+				n := seg[1] - seg[0] + 1
+				ir.CopyRange(&dst.data, dst.phys(seg[0]), &src.data, src.phys(seg[0]), n)
+				bytes += n * st.elemSize
 			}
 			if bytes > 0 {
 				transfers = append(transfers, sim.Transfer{Kind: sim.PeerToPeer, Bytes: bytes, Src: g, Dst: g2,
@@ -426,7 +413,8 @@ func mergeLanes[S ir.Num](st *arrayState, gpus []*sim.Device, op acc.RedOp, lane
 		c := st.copies[g]
 		for i := int64(0); i < n; i++ {
 			if total[i] != id {
-				store(c, c.phys(i), acc.Apply(op, load[S](c, c.phys(i)), total[i]))
+				p := c.phys(i)
+				ir.StoreAs(&c.data, p, acc.Apply(op, ir.LoadAs[S](&c.data, p), total[i]))
 			}
 		}
 	}

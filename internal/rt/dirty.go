@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"accmulti/internal/ir"
 	"accmulti/internal/sim"
 )
 
@@ -147,7 +148,7 @@ func (c *gpuCopy) catchUp(lo, hi int64) {
 			out = append(out, x)
 			continue
 		}
-		copyRun(c, c.st.copies[x.src], a, b)
+		ir.CopyRange(&c.data, a, &c.st.copies[x.src].data, a, b-a)
 		moved += b - a
 		if x.lo < a {
 			out = append(out, relay{x.lo, a, x.src})
@@ -213,22 +214,5 @@ func (r *relayReader) resolve(p int64) {
 	}
 	if i < len(rs) {
 		r.hi = rs[i].lo
-	}
-}
-
-// copyRun bulk-copies the physical storage range [lo,hi) from src to
-// dst. Replicas of one array share element type and layout, so the
-// typed slices align element for element — the bulk copy computes
-// exactly what an element-wise store(load) loop did (the
-// float32→float64→float32 and int32→float64→int32 round trips are
-// exact).
-func copyRun(dst, src *gpuCopy, lo, hi int64) {
-	switch {
-	case src.f32 != nil:
-		copy(dst.f32[lo:hi], src.f32[lo:hi])
-	case src.f64 != nil:
-		copy(dst.f64[lo:hi], src.f64[lo:hi])
-	default:
-		copy(dst.i32[lo:hi], src.i32[lo:hi])
 	}
 }

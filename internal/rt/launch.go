@@ -41,16 +41,16 @@ func partition(lower, upper int64, n int) []span {
 // partitionTopo splits [lower, upper) across n devices respecting the
 // machine's node topology: the iteration space is first block-split
 // across nodes, then each node's block is split across its GPUs — the
-// two-level decomposition of the multi-node loader. On a single-node
-// machine (or a degraded prefix smaller than one node) this reduces to
-// the flat partition. Node-block boundaries coincide with the flat
+// two-level decomposition of the multi-node loader. A single node (a
+// whole single-node machine, or a degraded prefix of one node) is the
+// flat partition. Node-block boundaries coincide with the flat
 // split's boundaries at node multiples, so GPU-index-adjacent chunks
 // stay contiguous; only intra-node rounding may differ from the flat
 // split, and never by more than one element per boundary.
 func (r *Runtime) partitionTopo(lower, upper int64, n int) []span {
 	spec := &r.mach.Spec
 	gpn := spec.GPUsPerNode()
-	if spec.NodeCount() <= 1 || gpn < 1 || n <= gpn {
+	if gpn < 1 || n <= gpn {
 		return partition(lower, upper, n)
 	}
 	total := upper - lower
@@ -407,14 +407,12 @@ func (r *Runtime) catchUpJobs(k *ir.Kernel, parts []span, jobs [][]copyJob) {
 // readEnvelope is the physical range [lo,hi) of c that chunk p of the
 // launch may read (empty when lo >= hi): the literal-affine read envelope
 // of the partition, or the whole residency when the reads are not
-// literal-affine, the copy is column-major, or the array is a read-only
-// int array, which the launch prover scans whole (specExec.prove).
+// literal-affine.
 func readEnvelope(use *ir.ArrayUse, p span, c *gpuCopy) (lo, hi int64) {
-	if use.ReadCoef < 1 || c.transformed || (use.Decl.Type == cc.TInt && !use.Written) {
+	if use.ReadCoef < 1 {
 		return 0, c.localLen()
 	}
-	lo = max(use.ReadCoef*p.lo+use.ReadOffLo, c.lo)
-	hi = min(use.ReadCoef*(p.hi-1)+use.ReadOffHi, c.hi)
+	lo, hi = envelope(use.ReadCoef, use.ReadOffLo, use.ReadOffHi, p, c.lo, c.hi)
 	return lo - c.lo, hi - c.lo + 1
 }
 
@@ -638,11 +636,11 @@ func (r *Runtime) buildViews(k *ir.Kernel, env *ir.Env, g int, nds []need) []ir.
 		}
 		switch use.Decl.Type {
 		case cc.TFloat:
-			v.F = &devView[float64, float32]{d, c.f32, lanesF}
+			v.F = &devView[float64, float32]{d, c.data.F32, lanesF}
 		case cc.TDouble:
-			v.F = &devView[float64, float64]{d, c.f64, lanesF}
+			v.F = &devView[float64, float64]{d, c.data.F64, lanesF}
 		default:
-			v.I = &devView[int64, int32]{d, c.i32, lanesI}
+			v.I = &devView[int64, int32]{d, c.data.I32, lanesI}
 		}
 	}
 	return views

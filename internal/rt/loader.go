@@ -288,18 +288,17 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 			continue
 		}
 		if !c.transformed {
-			// Untransformed copies are host-layout slices of matching
-			// element type: gather with one memmove per copy and one per
-			// relay.
-			hostCopy(st.host, c, 0, c.localLen())
+			// A row-major copy holds element i at physical offset i - c.lo:
+			// one range copy for its storage and one per relay.
+			ir.CopyRange(st.host, c.lo, &c.data, 0, c.localLen())
 			for _, x := range c.relays {
-				hostCopy(st.host, st.copies[x.src], x.lo, x.hi)
+				ir.CopyRange(st.host, c.lo+x.lo, &st.copies[x.src].data, x.lo, x.hi-x.lo)
 			}
 		} else {
-			rd := relayReader{c: c}
+			// A column-major copy holds no relays: only a replicated write
+			// leaves them, and the translator transforms no written array.
 			for i := c.lo; i <= c.hi; i++ {
-				p := c.phys(i)
-				hostStoreF(st.host, i, load[float64](rd.src(p), p))
+				ir.StoreAs(st.host, i, ir.LoadAs[float64](&c.data, c.phys(i)))
 			}
 		}
 		transfers = append(transfers, sim.Transfer{
@@ -320,20 +319,6 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 		}
 	}
 	return transfers, nil
-}
-
-// hostCopy copies the untransformed copy's physical elements [lo,hi) to
-// the host mirror, where they are the logical elements from c.lo + lo.
-func hostCopy(host *ir.HostArray, c *gpuCopy, lo, hi int64) {
-	i, j := c.lo+lo, c.lo+hi
-	switch {
-	case c.f32 != nil:
-		copy(host.F32[i:j], c.f32[lo:hi])
-	case c.f64 != nil:
-		copy(host.F64[i:j], c.f64[lo:hi])
-	default:
-		copy(host.I32[i:j], c.i32[lo:hi])
-	}
 }
 
 func (r *Runtime) isReplicated(c *gpuCopy) bool {
@@ -390,61 +375,33 @@ func (r *Runtime) computeNeed(k *ir.Kernel, use *ir.ArrayUse, host *ir.Env, p sp
 		nd.wantLanes = true
 		nd.laneOp = use.ReduceOp
 	}
+	// The write envelope feeds the async scheduler's hazard tracking, and
+	// a written partition's core is the range whose elements the halo
+	// push sends to its neighbours. Both are exact when the write pattern
+	// is a uniform literal-affine one (matching the stride, for a
+	// partition): the scheduler may then grade completion across the
+	// kernel span. Else a replicated write's envelope and a partition's
+	// core are the whole residency (such overlaps then resolve in GPU
+	// order), and a reduction writes the whole array (the merged delta
+	// lands on every copy).
 	nd.coreLo, nd.coreHi = 0, -1
-	if use.Written && !use.Reduced {
-		if distributed {
-			nd.wantMiss = !use.WritesWithinLocal
-			// The owned (core) range: exact when the write envelope
-			// is a uniform literal-affine pattern matching the
-			// stride, else the whole footprint (conservative; such
-			// overlaps then resolve in GPU order).
-			nd.coreLo, nd.coreHi = nd.lo, nd.hi
-			if use.Local.HasStride && use.WriteCoef > 0 && p.count() > 0 {
-				if s := use.Local.Stride(host); s == use.WriteCoef {
-					nd.coreLo = s*p.lo + use.WriteOffLo
-					nd.coreHi = s*(p.hi-1) + use.WriteOffHi
-					if nd.coreLo < nd.lo {
-						nd.coreLo = nd.lo
-					}
-					if nd.coreHi > nd.hi {
-						nd.coreHi = nd.hi
-					}
-				}
-			}
-		} else {
-			nd.wantDirty = ngpus > 1
-		}
-	}
-	// The write envelope feeds the async scheduler's hazard tracking:
-	// the exact core when the write pattern matches the stride, the
-	// literal-affine envelope of the partition for replicated writes,
-	// the whole resident range otherwise. Reductions conservatively
-	// write the whole array (the merged delta lands on every copy).
 	nd.wLo, nd.wHi = 0, -1
 	switch {
 	case use.Reduced:
 		nd.wLo, nd.wHi = 0, st.n-1
 	case use.Written && distributed:
-		nd.wLo, nd.wHi = nd.lo, nd.hi
-		if use.Local.HasStride && use.WriteCoef > 0 && p.count() > 0 {
-			if s := use.Local.Stride(host); s == use.WriteCoef {
-				// The exact-core branch above proved the ascending
-				// affine order; the scheduler may grade completion.
-				nd.wLo, nd.wHi = nd.coreLo, nd.coreHi
-				nd.wGraded = true
-			}
+		nd.wantMiss = !use.WritesWithinLocal
+		nd.coreLo, nd.coreHi = nd.lo, nd.hi
+		if use.Local.HasStride && use.WriteCoef > 0 && p.count() > 0 && use.Local.Stride(host) == use.WriteCoef {
+			nd.coreLo, nd.coreHi = envelope(use.WriteCoef, use.WriteOffLo, use.WriteOffHi, p, nd.lo, nd.hi)
+			nd.wGraded = true
 		}
+		nd.wLo, nd.wHi = nd.coreLo, nd.coreHi
 	case use.Written:
+		nd.wantDirty = ngpus > 1
 		nd.wLo, nd.wHi = nd.lo, nd.hi
 		if use.WriteCoef > 0 && p.count() > 0 {
-			nd.wLo = use.WriteCoef*p.lo + use.WriteOffLo
-			nd.wHi = use.WriteCoef*(p.hi-1) + use.WriteOffHi
-			if nd.wLo < nd.lo {
-				nd.wLo = nd.lo
-			}
-			if nd.wHi > nd.hi {
-				nd.wHi = nd.hi
-			}
+			nd.wLo, nd.wHi = envelope(use.WriteCoef, use.WriteOffLo, use.WriteOffHi, p, nd.lo, nd.hi)
 			nd.wGraded = true
 		}
 	}
@@ -459,6 +416,13 @@ func (r *Runtime) computeNeed(k *ir.Kernel, use *ir.ArrayUse, host *ir.Env, p sp
 		}
 	}
 	return nd
+}
+
+// envelope is the inclusive range coef·[p.lo, p.hi) + [offLo, offHi]
+// that a literal-affine access touches over chunk p, clamped to the
+// residency [lo, hi].
+func envelope(coef, offLo, offHi int64, p span, lo, hi int64) (int64, int64) {
+	return max(coef*p.lo+offLo, lo), min(coef*(p.hi-1)+offHi, hi)
 }
 
 // writeCoversAll is a conservative test for "the kernel overwrites the
@@ -582,17 +546,17 @@ func (c *gpuCopy) realloc(nd need) error {
 			return err
 		}
 		c.buf = nil
-		c.f32, c.f64, c.i32 = nil, nil, nil
 	}
 	name := fmt.Sprintf("%s[gpu%d]", st.decl.Name, c.g)
 	var err error
+	c.data = ir.HostArray{Decl: st.decl}
 	switch st.decl.Type {
 	case cc.TFloat:
-		c.buf, c.f32, err = c.dev.AllocFloat32(name, sim.MemUser, int(n))
+		c.buf, c.data.F32, err = c.dev.AllocFloat32(name, sim.MemUser, int(n))
 	case cc.TDouble:
-		c.buf, c.f64, err = c.dev.AllocFloat64(name, sim.MemUser, int(n))
+		c.buf, c.data.F64, err = c.dev.AllocFloat64(name, sim.MemUser, int(n))
 	default:
-		c.buf, c.i32, err = c.dev.AllocInt32(name, sim.MemUser, int(n))
+		c.buf, c.data.I32, err = c.dev.AllocInt32(name, sim.MemUser, int(n))
 	}
 	if err != nil {
 		// The old storage is already gone and no new storage arrived:

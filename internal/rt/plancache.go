@@ -154,52 +154,18 @@ type copyJob struct {
 }
 
 func (j copyJob) run() {
+	c := j.c
 	if j.fromPeers {
-		j.c.catchUp(j.lo, j.hi)
+		c.catchUp(j.lo, j.hi)
 		return
 	}
-	c, host := j.c, j.st.host
 	c.wepoch++
-	if !c.transformed {
-		// Untransformed copies store element i at physical offset
-		// i - c.lo, and the typed slices match the host mirror's (both
-		// switch on the declared type), so the copy is one memmove.
-		off := j.lo - c.lo
-		n := j.hi - j.lo + 1
-		switch {
-		case c.f32 != nil:
-			copy(c.f32[off:off+n], host.F32[j.lo:j.hi+1])
-		case c.f64 != nil:
-			copy(c.f64[off:off+n], host.F64[j.lo:j.hi+1])
-		default:
-			copy(c.i32[off:off+n], host.I32[j.lo:j.hi+1])
-		}
+	if c.transformed {
+		// A column-major copy is filled whole: the host rows transposed.
+		ir.Transpose(&c.data, j.st.host, j.lo, c.rows, c.width)
 		return
 	}
-	if n := j.hi - j.lo + 1; j.lo != c.lo || n != c.rows*c.width {
-		for i := j.lo; i <= j.hi; i++ {
-			store(c, c.phys(i), hostLoadF(host, i))
-		}
-		return
-	}
-	// A column-major copy filled whole is a transpose of the host rows.
-	switch {
-	case c.f32 != nil:
-		transpose(c.f32, host.F32[j.lo:j.hi+1], c.rows, c.width)
-	case c.f64 != nil:
-		transpose(c.f64, host.F64[j.lo:j.hi+1], c.rows, c.width)
-	default:
-		transpose(c.i32, host.I32[j.lo:j.hi+1], c.rows, c.width)
-	}
-}
-
-// transpose stores the rows×width row-major src column-major into dst.
-func transpose[T any](dst, src []T, rows, width int64) {
-	for row := int64(0); row < rows; row++ {
-		for col, x := range src[row*width : (row+1)*width] {
-			dst[int64(col)*rows+row] = x
-		}
-	}
+	ir.CopyRange(&c.data, j.lo-c.lo, j.st.host, j.lo, j.hi-j.lo+1)
 }
 
 // runCopyJobs executes the launch's deferred content copies, one

@@ -77,16 +77,16 @@ func TestRelayListsMatchPerElement(t *testing.T) {
 	// Four copies of one float array: copy g holds 1000*g + p at p.
 	st := &arrayState{n: n, elemSize: 4}
 	for g := 0; g < 4; g++ {
-		c := &gpuCopy{st: st, g: g, valid: true, lo: 0, hi: n - 1, f32: make([]float32, n)}
-		for p := range c.f32 {
-			c.f32[p] = float32(1000*g + p)
+		c := &gpuCopy{st: st, g: g, valid: true, lo: 0, hi: n - 1, data: ir.HostArray{F32: make([]float32, n)}}
+		for p := range c.data.F32 {
+			c.data.F32[p] = float32(1000*g + p)
 		}
 		st.copies = append(st.copies, c)
 	}
 	c := st.copies[0]
 	for trial := 0; trial < 500; trial++ {
-		for p := range c.f32 {
-			c.f32[p] = float32(p)
+		for p := range c.data.F32 {
+			c.data.F32[p] = float32(p)
 		}
 		c.relays = nil
 		for _, x := range randomRelays(rng, n) {
@@ -116,8 +116,8 @@ func TestRelayListsMatchPerElement(t *testing.T) {
 			if in && before[p] >= 0 {
 				wantSrc, wantVal, moved = -1, float32(1000*before[p]+p), true
 			}
-			if after[p] != wantSrc || c.f32[p] != wantVal {
-				t.Fatalf("catchUp(%d, %d): element %d holds %v relayed from %d, want %v from %d", lo, hi, p, c.f32[p], after[p], wantVal, wantSrc)
+			if after[p] != wantSrc || c.data.F32[p] != wantVal {
+				t.Fatalf("catchUp(%d, %d): element %d holds %v relayed from %d, want %v from %d", lo, hi, p, c.data.F32[p], after[p], wantVal, wantSrc)
 			}
 		}
 		if moved != (c.wepoch != epoch) {
@@ -230,12 +230,12 @@ func BenchmarkReplBulk(b *testing.B) {
 
 // TestConsumersSettleRelays drives launches one by one and looks at the
 // relays each consumer leaves: a replicated write leaves relays on every
-// array it wrote; a read-only int array the next launch reads (the
-// prover scans its whole residency) is caught up whole; a
-// reductiontoarray target and an array a launch places as partitions are
-// settled before the launch; a float array read at a literal-affine
-// index keeps its relays outside the read envelope. Every array then
-// reads, through its relays, what the one-GPU run computes.
+// array it wrote; a reductiontoarray target and an array a launch places
+// as partitions are settled before the launch; an array read at a
+// literal-affine index keeps its relays outside the read envelope, the
+// int index array the prover scans included (its first walk may read
+// stale elements there, which only widens its interval). Every array
+// then reads, through its relays, what the one-GPU run computes.
 func TestConsumersSettleRelays(t *testing.T) {
 	const src = `
 int n;
@@ -304,11 +304,22 @@ void main() {
 		}
 	}
 	launch(1)
-	if n := relayed("ix_"); n != 0 {
-		t.Errorf("the int index array the prover scans keeps %d relays after its reader", n)
+	for _, name := range []string{"ix_", "w"} {
+		if relayed(name) == 0 {
+			t.Errorf("%s, read at i alone, was caught up beyond its read envelope", name)
+		}
 	}
-	if relayed("w") == 0 {
-		t.Errorf("w, read at i alone, was caught up beyond its read envelope")
+	// Each GPU's chunk reads ix_ only where that GPU wrote it, so the
+	// catch-ups move nothing; catching it up whole moved (G-1)/G of it
+	// into every copy.
+	ix, err := inst.Array("ix_")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range r.state(ix.Decl).copies {
+		if c.caughtUp != 0 {
+			t.Errorf("ix_ on GPU%d: catch-ups moved %d elements outside its read envelope", c.g, c.caughtUp)
+		}
 	}
 	launch(2)
 	if n := relayed("h_"); n != 0 {
@@ -333,7 +344,7 @@ void main() {
 			rd := relayReader{c: c}
 			for i := max(c.lo, want.lo); c.valid && i <= min(c.hi, want.hi); i++ {
 				p := c.phys(i)
-				if got, want := load[float64](rd.src(p), p), load[float64](want, want.phys(i)); got != want {
+				if got, want := ir.LoadAs[float64](&rd.src(p).data, p), ir.LoadAs[float64](&want.data, want.phys(i)); got != want {
 					t.Fatalf("%s[%d] on GPU%d reads %v through its relays, want %v", a.Decl.Name, i, c.g, got, want)
 				}
 			}

@@ -102,18 +102,15 @@ type asyncSched struct {
 	r *Runtime
 	// gpuFree is each GPU compute engine's next free time.
 	gpuFree []time.Duration
-	// busFree is the transfer engine's next free time. Sub-batches
-	// serialize on it so concurrent-transfer pricing stays exactly the
-	// aggregate-bandwidth batch model of sim.BusSpec.TransferTime.
-	// Used on single-node machines only (nodeFree == nil).
-	busFree time.Duration
 	// nodeFree is each node's transfer fabric (its PCIe complex plus
-	// its NIC port) next-free time; allocated only on multi-node
-	// machines, where it replaces busFree: a sub-batch serializes on
-	// the fabrics of every node it touches plus — for cross-node
-	// members — the shared network, so NIC pushes between one node
-	// pair can overlap intra-node traffic elsewhere, matching the
-	// cluster cost model's per-node overlap.
+	// its NIC port) next-free time: a sub-batch serializes on the
+	// fabrics of every node it touches plus — for cross-node members —
+	// the shared network, so NIC pushes between one node pair can
+	// overlap intra-node traffic elsewhere, matching the cluster cost
+	// model's per-node overlap. On a single node every sub-batch
+	// serializes on the one fabric, so concurrent-transfer pricing stays
+	// exactly the aggregate-bandwidth batch model of
+	// sim.BusSpec.TransferTime.
 	nodeFree []time.Duration
 	// netFree is the shared inter-node network's next-free time.
 	netFree time.Duration
@@ -141,15 +138,12 @@ type asyncSched struct {
 }
 
 func newAsyncSched(r *Runtime) *asyncSched {
-	s := &asyncSched{
-		r:       r,
-		gpuFree: make([]time.Duration, r.mach.NumGPUs()),
-		hazards: map[string]*arrHazard{},
+	return &asyncSched{
+		r:        r,
+		gpuFree:  make([]time.Duration, r.mach.NumGPUs()),
+		nodeFree: make([]time.Duration, r.mach.Spec.NodeCount()),
+		hazards:  map[string]*arrHazard{},
 	}
-	if n := r.mach.Spec.NodeCount(); n > 1 {
-		s.nodeFree = make([]time.Duration, n)
-	}
-	return s
 }
 
 // bump advances the makespan.
@@ -161,26 +155,22 @@ func (s *asyncSched) bump(t time.Duration) {
 
 // penalize occupies the transfer resources with fault-retry time
 // (failed attempts and backoff windows priced by account's retry
-// loop). On multi-node machines the retry loop's serialization is
-// conservative: every fabric and the network wait it out.
+// loop). The retry loop's serialization is conservative: every fabric
+// and the network wait it out.
 func (s *asyncSched) penalize(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	s.busFree += d
-	s.bump(s.busFree)
-	if s.nodeFree != nil {
-		for n := range s.nodeFree {
-			s.nodeFree[n] += d
-			s.bump(s.nodeFree[n])
-		}
-		s.netFree += d
+	for n := range s.nodeFree {
+		s.nodeFree[n] += d
+		s.bump(s.nodeFree[n])
 	}
+	s.netFree += d
 }
 
 // resFree is the earliest time the transfer's resources are all free:
 // both endpoints' node fabrics, plus the shared network for cross-node
-// traffic. Multi-node machines only.
+// traffic.
 func (s *asyncSched) resFree(t sim.Transfer) time.Duration {
 	spec := &s.r.mach.Spec
 	free := s.nodeFree[spec.NodeOf(t.Src)]
@@ -430,33 +420,25 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 				minReady = rdy
 			}
 		}
-		var t0 time.Duration
-		if s.nodeFree == nil {
-			t0 = s.busFree
-			if minReady > t0 {
-				t0 = minReady
-			}
-		} else {
-			// Multi-node: the sub-batch starts when its members' hazards
-			// AND their transfer resources (node fabrics, the network for
-			// cross-node members) have settled. Lifting t0 can admit more
-			// members, whose resources can lift it further — iterate to
-			// the fixpoint (monotone, bounded by the busiest resource).
-			t0 = minReady
-			for {
-				lift := t0
-				for pi, i := range pend {
-					if ready[pi] <= t0 {
-						if f := s.resFree(transfers[i]); f > lift {
-							lift = f
-						}
+		// The sub-batch starts when its members' hazards AND their
+		// transfer resources (node fabrics, the network for cross-node
+		// members) have settled. Lifting t0 can admit more members, whose
+		// resources can lift it further — iterate to the fixpoint
+		// (monotone, bounded by the busiest resource).
+		t0 := minReady
+		for {
+			lift := t0
+			for pi, i := range pend {
+				if ready[pi] <= t0 {
+					if f := s.resFree(transfers[i]); f > lift {
+						lift = f
 					}
 				}
-				if lift == t0 {
-					break
-				}
-				t0 = lift
 			}
+			if lift == t0 {
+				break
+			}
+			t0 = lift
 		}
 		// Everything ready by the issue time shares the sub-batch.
 		sub, subIdx := s.subBatch[:0], s.subIdx[:0]
@@ -509,11 +491,9 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			} else {
 				priced = false
 			}
-			if s.nodeFree != nil {
-				// The joining straggler's resources must be free too.
-				if f := s.resFree(transfers[i]); f > t0 {
-					t0 = f
-				}
+			// The joining straggler's resources must be free too.
+			if f := s.resFree(transfers[i]); f > t0 {
+				t0 = f
 			}
 			sub, subIdx = append(sub, transfers[i]), append(subIdx, i)
 			copy(rest[best:], rest[best+1:])
@@ -533,15 +513,11 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			s.r.emitTransferSpans(sub, t0, end, true)
 		}
 		s.subBatch, s.subIdx = sub, subIdx
-		if s.nodeFree == nil {
-			s.busFree = end
-		} else {
-			for _, t := range sub {
-				s.nodeFree[spec.NodeOf(t.Src)] = end
-				s.nodeFree[spec.NodeOf(t.Dst)] = end
-				if spec.CrossNode(t.Src, t.Dst) {
-					s.netFree = end
-				}
+		for _, t := range sub {
+			s.nodeFree[spec.NodeOf(t.Src)] = end
+			s.nodeFree[spec.NodeOf(t.Dst)] = end
+			if spec.CrossNode(t.Src, t.Dst) {
+				s.netFree = end
 			}
 		}
 		s.bump(end)

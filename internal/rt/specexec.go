@@ -333,7 +333,7 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 			st := r.state(use.Decl)
 			c := st.copies[g]
 			da := &de.Arrays[use.Decl.Slot]
-			*da = ir.DArray{F32: c.f32, F64: c.f64, I32: c.i32, Base: c.lo, Quiet: st.quiet}
+			*da = ir.DArray{F32: c.data.F32, F64: c.data.F64, I32: c.data.I32, Base: c.lo, Quiet: st.quiet}
 			if c.transformed {
 				da.TWidth, da.TRows = c.width, c.rows
 			}
@@ -710,7 +710,7 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 		// The prover asks only for arrays the kernel never writes (a scan
 		// of one it mutates would be stale at once: ir answers Top itself).
 		c := r.state(k.Arrays[ex.uiBySlot[slot]].Decl).copies[g]
-		if !c.valid || c.i32 == nil || idx.Lo < c.lo || idx.Hi > c.hi {
+		if !c.valid || c.st.decl.Type != cc.TInt || idx.Lo < c.lo || idx.Hi > c.hi {
 			// The load's own recorded access interval — unbounded, or past
 			// the residency — fails its range check below, so an unbounded
 			// value costs nothing extra.
@@ -740,7 +740,7 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 			ent = &gs.scans[len(gs.scans)-1]
 		}
 		// min and max compile to conditional moves: no branch on the data.
-		vals := c.i32[lo-c.lo : hi-c.lo+1]
+		vals := c.data.I32[lo-c.lo : hi-c.lo+1]
 		vlo, vhi := vals[0], vals[0]
 		for _, x := range vals[1:] {
 			vlo, vhi = min(vlo, x), max(vhi, x)

@@ -74,10 +74,10 @@ type gpuCopy struct {
 	relays, relayBuf []relay
 	caughtUp         int64
 
-	buf *sim.Buffer
-	f32 []float32
-	f64 []float64
-	i32 []int32
+	// buf is the copy's device allocation, and data its storage: the
+	// slice of the array's element type.
+	buf  *sim.Buffer
+	data ir.HostArray
 
 	// transformed marks column-major (transposed) storage of a
 	// logically 2-D block; width is the row length.
@@ -283,7 +283,7 @@ func (c *gpuCopy) release() error {
 		}
 	}
 	c.valid = false
-	c.f32, c.f64, c.i32 = nil, nil, nil
+	c.data = ir.HostArray{}
 	c.dirty, c.chunkDirty, c.chunkLanes, c.spans = nil, nil, nil, nil
 	c.relays = c.relays[:0]
 	c.miss, c.lanesF, c.lanesI = nil, nil, nil
@@ -326,52 +326,6 @@ type outsideAccess struct {
 func (o outsideAccess) Error() string {
 	return fmt.Sprintf("rt: %s: access to element %d outside the partition [%d,%d] resident on GPU%d — the localaccess directive understates the loop's read footprint",
 		o.c.st.decl.Name, o.i, o.c.lo, o.c.hi, o.c.g)
-}
-
-// load and store move element p of the copy as an S, honoring the
-// element type.
-func load[S ir.Num](c *gpuCopy, p int64) S {
-	switch {
-	case c.f32 != nil:
-		return S(c.f32[p])
-	case c.f64 != nil:
-		return S(c.f64[p])
-	}
-	return S(c.i32[p])
-}
-
-func store[S ir.Num](c *gpuCopy, p int64, x S) {
-	switch {
-	case c.f32 != nil:
-		c.f32[p] = float32(x)
-	case c.f64 != nil:
-		c.f64[p] = float64(x)
-	default:
-		c.i32[p] = int32(x)
-	}
-}
-
-// hostLoadF reads the host mirror.
-func hostLoadF(a *ir.HostArray, i int64) float64 {
-	switch {
-	case a.F32 != nil:
-		return float64(a.F32[i])
-	case a.F64 != nil:
-		return a.F64[i]
-	default:
-		return float64(a.I32[i])
-	}
-}
-
-func hostStoreF(a *ir.HostArray, i int64, v float64) {
-	switch {
-	case a.F32 != nil:
-		a.F32[i] = float32(v)
-	case a.F64 != nil:
-		a.F64[i] = v
-	default:
-		a.I32[i] = int32(v)
-	}
 }
 
 // devView adapts one gpuCopy, whose elements are T, to the kernel's View

@@ -277,16 +277,7 @@ func (p *ArrayPayload) toHostArray(d *cc.VarDecl) (*ir.HostArray, error) {
 
 // payloadFor snapshots a host array into a response payload.
 func payloadFor(a *ir.HostArray) *ArrayPayload {
-	p := &ArrayPayload{}
-	switch {
-	case a.F32 != nil:
-		p.F32 = a.F32
-	case a.F64 != nil:
-		p.F64 = a.F64
-	default:
-		p.I32 = a.I32
-	}
-	return p
+	return &ArrayPayload{F32: a.F32, F64: a.F64, I32: a.I32}
 }
 
 // digest hashes an array's contents as raw little-endian bytes: the
