@@ -25,7 +25,8 @@ all: build vet test
 # differential fuzzer, the trace well-formedness fuzzer, the
 # async-vs-sync schedule-equivalence fuzzer, the static-vs-dynamic
 # dependence cross-check fuzzer, the transfer-pricing-vs-reference
-# fuzzer and the accd request fuzzer.
+# fuzzer, the accd request fuzzer and the differential fuzzer of accd's
+# inline-list decoder against encoding/json.
 check: lint
 	$(MAKE) invariants
 	$(GO) test ./...
@@ -95,6 +96,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDepCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzTransferTimeMatchesReference -fuzztime=5s -run='^$$' ./internal/sim
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=5s -fuzzminimizetime=1s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzArrayPayloadDecode -fuzztime=5s -run='^$$' ./internal/serve
 
 build:
 	$(GO) build ./...

@@ -8,6 +8,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"accmulti/internal/analysis"
 	"accmulti/internal/audit"
@@ -28,6 +29,9 @@ type Program struct {
 	// Access is the program skeleton the module was lowered from; Vet
 	// reads it again instead of analysing Source a second time.
 	Access *translator.ProgramAccess
+
+	srcOnce sync.Once
+	src     string
 }
 
 // Compile parses, analyzes and translates OpenACC C source.
@@ -47,8 +51,14 @@ func Compile(source string) (*Program, error) {
 	return &Program{Module: mod, Source: prog, Access: pa}, nil
 }
 
-// GeneratedSource returns the translator's CUDA-like output.
-func (p *Program) GeneratedSource() string { return p.Module.GeneratedSource }
+// GeneratedSource returns the translator's CUDA-like output, rendered
+// the first time it is asked for and kept: Compile renders none, since
+// running a program never reads it, and the Module stays as Compile
+// left it.
+func (p *Program) GeneratedSource() string {
+	p.srcOnce.Do(func() { p.src = translator.Emit(p.Module, p.Access) })
+	return p.src
+}
 
 // Vet runs the accvet directive-verification pass over the compiled
 // program, returning its diagnostics and footprint-safety verdicts.

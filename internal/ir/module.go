@@ -288,7 +288,10 @@ type Module struct {
 	// Main is the compiled host program.
 	Main Stmt
 	// GeneratedSource is the CUDA-like code the translator emits,
-	// mirroring the paper's source-to-source output.
+	// mirroring the paper's source-to-source output. Only
+	// translator.Translate fills it; a module from translator.Lower
+	// (core.Compile's) leaves it empty, and core.Program.GeneratedSource
+	// renders the text when asked.
 	GeneratedSource string
 	// ArraySizes computes each array's element count (by slot) from
 	// the host environment.

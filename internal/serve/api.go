@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -83,10 +84,93 @@ type GeneratorSpec struct {
 // ArrayPayload carries one array's contents; exactly one field is set,
 // matching the program's declared element type.
 type ArrayPayload struct {
-	F32 []float32 `json:"f32,omitempty"`
-	F64 []float64 `json:"f64,omitempty"`
-	I32 []int32   `json:"i32,omitempty"`
+	F32 Numbers[float32] `json:"f32,omitempty"`
+	F64 Numbers[float64] `json:"f64,omitempty"`
+	I32 Numbers[int32]   `json:"i32,omitempty"`
 }
+
+// Numbers is an inline array's element list. A plain slice assigns to it
+// and from it; it encodes as one, and it decodes a list of plain numbers
+// without reflection.
+type Numbers[T float32 | float64 | int32] []T
+
+// UnmarshalJSON parses a list of plain numbers straight into a slice of
+// its element count, converting each number as encoding/json converts it
+// into a T. Anything else (null, a string, object or list element, a
+// number T cannot hold) goes to encoding/json as a plain []T, so what is
+// accepted, the values and the error text are encoding/json's. One
+// difference remains: encoding/json reports the first fault of a body,
+// and an error from here stops it at once, so a body that also holds a
+// fault before this list is refused naming this one.
+func (l *Numbers[T]) UnmarshalJSON(data []byte) error {
+	if vs, ok := parseNumbers[T](data); ok {
+		*l = vs
+		return nil
+	}
+	return json.Unmarshal(data, (*[]T)(l))
+}
+
+// parseNumbers parses a JSON list of plain numbers; ok is false for any
+// other value and for a number a T cannot hold. data is one well-formed
+// JSON value, as encoding/json hands it to an Unmarshaler.
+func parseNumbers[T float32 | float64 | int32](data []byte) (vs []T, ok bool) {
+	data = trimSpace(data)
+	if len(data) < 2 || data[0] != '[' || data[len(data)-1] != ']' {
+		return nil, false
+	}
+	list := trimSpace(data[1 : len(data)-1])
+	// Only a string, a list or an object holds a comma that does not end
+	// an element, so with none of them the commas count the elements, and
+	// nothing is allocated before that is known.
+	if bytes.IndexByte(list, '"') >= 0 || bytes.IndexByte(list, '[') >= 0 || bytes.IndexByte(list, '{') >= 0 {
+		return nil, false
+	}
+	if len(list) == 0 {
+		return make([]T, 0), true
+	}
+	vs = make([]T, bytes.Count(list, []byte{','})+1)
+	for i := range vs {
+		end := 0
+		for end < len(list) && list[end] != ',' {
+			end++
+		}
+		v, err := number[T](string(trimSpace(list[:end])))
+		if err != nil {
+			return nil, false
+		}
+		vs[i] = v
+		list = list[min(end+1, len(list)):]
+	}
+	return vs, true
+}
+
+// number converts one JSON number as encoding/json converts it into a T.
+func number[T float32 | float64 | int32](s string) (T, error) {
+	var zero T
+	switch any(zero).(type) {
+	case int32:
+		n, err := strconv.ParseInt(s, 10, 32)
+		return T(n), err
+	case float32:
+		f, err := strconv.ParseFloat(s, 32)
+		return T(f), err
+	}
+	f, err := strconv.ParseFloat(s, 64)
+	return T(f), err
+}
+
+// trimSpace cuts JSON whitespace from both ends of b.
+func trimSpace(b []byte) []byte {
+	for len(b) > 0 && isSpace(b[0]) {
+		b = b[1:]
+	}
+	for len(b) > 0 && isSpace(b[len(b)-1]) {
+		b = b[:len(b)-1]
+	}
+	return b
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
 
 // RunResponse is the /v1/run success body. Field order is fixed and
 // every value derives from the deterministic simulation, so the

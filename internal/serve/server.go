@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -162,12 +163,35 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mets.WriteJSON(w)
 }
 
-// decode parses a JSON request body strictly.
+// decode parses a JSON request body strictly (decodeBody), reading no
+// more than the configured maximum.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
+	return decodeBody(r.Body, v)
+}
+
+// decodeBody parses body as one JSON value into v, refusing unknown
+// fields and anything but whitespace after the value.
+func decodeBody(body io.Reader, v any) error {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	return dec.Decode(v)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	rest := io.MultiReader(dec.Buffered(), body)
+	var buf [512]byte
+	for {
+		n, err := rest.Read(buf[:])
+		if tail := trimSpace(buf[:n]); len(tail) > 0 {
+			return fmt.Errorf("invalid character %q after top-level value", tail[0])
+		}
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
 }
 
 // CompileRequest is the /v1/compile body.

@@ -414,6 +414,33 @@ func TestCompileEndpoint(t *testing.T) {
 	}
 }
 
+// TestBodyIsOneJSONValue: a request body is one JSON value and nothing
+// but whitespace after it. Anything else after the value, garbage or a
+// second value, is a 400 on both endpoints; trailing whitespace is not.
+func TestBodyIsOneJSONValue(t *testing.T) {
+	h := New(Config{}).Handler()
+	for _, tc := range []struct {
+		path string
+		body []byte
+	}{
+		{"/v1/compile", marshal(t, &CompileRequest{Source: reduceSrc})},
+		{"/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})},
+	} {
+		if rec := post(t, h, tc.path, append(tc.body, " \n\t\r\n"...)); rec.Code != http.StatusOK {
+			t.Errorf("%s with trailing whitespace: status %d: %s", tc.path, rec.Code, rec.Body.String())
+		}
+		for _, tail := range []string{` this is not json`, `{"source": 7}`, "\n]", ` 1`} {
+			rec := post(t, h, tc.path, append(append([]byte(nil), tc.body...), tail...))
+			var reply ErrorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &reply); err != nil || rec.Code != http.StatusBadRequest || reply.Error.Code != "bad_request" {
+				t.Errorf("%s followed by %q: status %d: %s", tc.path, tail, rec.Code, rec.Body.String())
+			} else if !strings.Contains(reply.Error.Message, "after top-level value") {
+				t.Errorf("%s followed by %q: message %q", tc.path, tail, reply.Error.Message)
+			}
+		}
+	}
+}
+
 // gatedServer builds a server whose runs block on the returned gate
 // after admission — the deterministic way to hold a run slot while a
 // test observes overload or drain behaviour. Requests with n == 63

@@ -8,12 +8,13 @@ import (
 	"accmulti/internal/ir"
 )
 
-// emit renders the module as CUDA-like source text, mirroring the
-// paper's source-to-source translator output: one __global__ function
-// per parallel loop with index rewriting and write instrumentation
-// macros, plus a host main() with runtime calls at the points where the
-// data loader and the inter-GPU communication manager run.
-func emit(m *ir.Module, pa *ProgramAccess) string {
+// Emit renders the module Lower made from pa as CUDA-like source text,
+// mirroring the paper's source-to-source translator output: one
+// __global__ function per parallel loop with index rewriting and write
+// instrumentation macros, plus a host main() with runtime calls at the
+// points where the data loader and the inter-GPU communication manager
+// run. It reads the module and the skeleton and writes neither.
+func Emit(m *ir.Module, pa *ProgramAccess) string {
 	var b strings.Builder
 	b.WriteString("/* Generated by the accmulti translator (multi-GPU OpenACC).\n")
 	b.WriteString(" * ACC_LOAD/ACC_STORE expand to local-layout index rewriting;\n")

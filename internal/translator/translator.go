@@ -28,18 +28,25 @@ const (
 )
 
 // Translate converts an analyzed program into an executable module:
-// AnalyzeProgram, then Lower.
+// AnalyzeProgram, then Lower, then Emit into the module's
+// GeneratedSource.
 func Translate(prog *cc.Program) (*ir.Module, error) {
 	pa, err := AnalyzeProgram(prog)
 	if err != nil {
 		return nil, err
 	}
-	return Lower(pa)
+	m, err := Lower(pa)
+	if err != nil {
+		return nil, err
+	}
+	m.GeneratedSource = Emit(m, pa)
+	return m, nil
 }
 
 // Lower turns a program skeleton into the executable module. Main's
 // statements compile to closures; at each directive the handlers find
-// the skeleton's node by its statement and lower that.
+// the skeleton's node by its statement and lower that. It renders no
+// source text: that is Emit's, asked for by whoever reads it.
 func Lower(pa *ProgramAccess) (*ir.Module, error) {
 	prog := pa.Prog
 	t := &xlate{pa: pa, m: &ir.Module{Prog: prog}}
@@ -62,7 +69,6 @@ func Lower(pa *ProgramAccess) (*ir.Module, error) {
 	}
 	t.m.Main = main
 	stripFlappingTransforms(t.m)
-	t.m.GeneratedSource = emit(t.m, pa)
 	return t.m, nil
 }
 
