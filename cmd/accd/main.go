@@ -1,11 +1,11 @@
 // Command accd serves the OpenACC compile-and-run pipeline over
 // HTTP/JSON: many concurrent clients share one content-hash cache of
-// compiled programs and one bounded pool of simulated machines.
+// compiled programs, and each run builds its own simulated machine.
 //
 // Usage:
 //
 //	accd [-addr :8080] [-cache 256] [-concurrency n] [-queue 1024]
-//	     [-timeout 60s] [-pool-idle n]
+//	     [-timeout 60s] [-drain-grace 30s]
 //
 // Endpoints:
 //
@@ -53,7 +53,6 @@ func main() {
 		concurrency = flag.Int("concurrency", 0, "concurrent run slots (0 = GOMAXPROCS)")
 		queue       = flag.Int("queue", 0, "admission queue depth (0 = default, negative = none)")
 		timeout     = flag.Duration("timeout", 0, "default per-request timeout (0 = 60s)")
-		poolIdle    = flag.Int("pool-idle", 0, "max idle pooled machines (0 = concurrency)")
 		drainGrace  = flag.Duration("drain-grace", 30*time.Second, "how long shutdown waits for in-flight runs")
 	)
 	flag.Parse()
@@ -63,11 +62,10 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		CacheEntries:    *cache,
-		Concurrency:     *concurrency,
-		QueueDepth:      *queue,
-		DefaultTimeout:  *timeout,
-		MaxIdleMachines: *poolIdle,
+		CacheEntries:   *cache,
+		Concurrency:    *concurrency,
+		QueueDepth:     *queue,
+		DefaultTimeout: *timeout,
 	})
 	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
 

@@ -99,7 +99,14 @@ type Result struct {
 }
 
 // Run binds inputs and executes the program under the configuration
-// on a machine instantiated for this run alone.
+// on a machine instantiated for this run alone. A fault plan in cfg is
+// injected into that machine, so it reaches no other run.
+//
+// Run is safe to call concurrently on one shared Program (the accd
+// service does): every piece of per-run state (machine, instance,
+// runtime, report) is created here, and the compiled Module is never
+// mutated after Compile returns. Concurrent runs must use distinct
+// Bindings.
 func (p *Program) Run(b *ir.Bindings, cfg Config) (*Result, error) {
 	if cfg.Machine.Name == "" {
 		cfg.Machine = sim.Desktop()
@@ -108,22 +115,6 @@ func (p *Program) Run(b *ir.Bindings, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.RunOn(mach, b, cfg)
-}
-
-// RunOn binds inputs and executes the program on an existing machine
-// instance — the entry point for callers that lease machines from a
-// shared pool (the accd service). cfg.Machine is ignored; the caller
-// owns the machine's lifecycle. A fault plan in cfg is injected and
-// left armed afterwards, so pooled machines that ran with faults must
-// not be reused (MemShrink permanently scales the device capacities).
-//
-// RunOn is safe to call concurrently on one shared Program: every
-// piece of per-run state (instance, runtime, report)
-// is created here, and the compiled Module is never mutated after
-// Compile returns. Concurrent runs must use distinct machines and
-// distinct Bindings.
-func (p *Program) RunOn(mach *sim.Machine, b *ir.Bindings, cfg Config) (*Result, error) {
 	inst, err := p.Module.Bind(b)
 	if err != nil {
 		return nil, err

@@ -11,8 +11,8 @@ import (
 )
 
 // Re-entrancy coverage for the shared-Program contract that the accd
-// service relies on: one Compile, many concurrent RunOn calls (each
-// with its own machine, bindings and runtime), every result
+// service relies on: one Compile, many concurrent runs (each with its
+// own machine, bindings and runtime), every result
 // bit-identical to the serial run of the same parameters. Run under
 // `go test -race` this doubles as the data-race proof that the
 // compiled Module really is immutable after Compile returns.

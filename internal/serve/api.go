@@ -50,7 +50,7 @@ type RunRequest struct {
 	// Options are the runtime ablation switches.
 	Options RunOptions `json:"options,omitempty"`
 	// Faults arms a deterministic fault plan (sim.ParseFaultPlan
-	// syntax). The leased machine is not returned to the pool.
+	// syntax) on the run's own machine.
 	Faults string `json:"faults,omitempty"`
 	// ReturnArrays lists arrays whose final contents are inlined in
 	// the response. Digests of every array are always included.

@@ -1,7 +1,7 @@
 // Package serve is the accd compile-and-run service: a content-hash
-// cache of compiled programs, a shared pool of simulated machines, a
-// weighted fair admission queue, and the HTTP/JSON handler tying them
-// together. The design goal is structural throughput — compile once,
+// cache of compiled programs, a weighted fair admission queue, and the
+// HTTP/JSON handler tying them together; each run builds its own
+// simulated machine. The design goal is structural throughput — compile once,
 // serve many — with exact validation: every response body is a pure
 // function of the request, bit-identical whether the request runs
 // alone or under heavy concurrency.

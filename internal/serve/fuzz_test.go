@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
@@ -50,8 +49,7 @@ func fuzzHostBytes(req *RunRequest) int64 {
 // source text at an in-process server, on both endpoints. Whatever comes
 // in, the handler must not panic, must answer with a well-formed JSON body
 // inside the request's deadline (plus slack for a loaded box), and must
-// leave no run slot held, nothing queued and no machine quarantined or
-// returned dirty.
+// leave no run slot held, nothing queued and no run panicked.
 func FuzzServeRequest(f *testing.F) {
 	bodies := mixedCorpus(f)
 	for _, src := range []string{
@@ -74,7 +72,7 @@ func FuzzServeRequest(f *testing.F) {
 	const timeoutMS, slack = 50, 10 * time.Second
 	f.Fuzz(func(t *testing.T, body []byte, source string, compile bool) {
 		// A server per input: what one input covers does not depend on
-		// what the cache and the pool kept of the ones before it.
+		// what the cache kept of the ones before it.
 		s := New(Config{Concurrency: 2})
 		h := s.Handler()
 		path := "/v1/run"
@@ -115,14 +113,8 @@ func FuzzServeRequest(f *testing.F) {
 		if running, queued := s.sched.load(); running != 0 || queued != 0 {
 			t.Fatalf("%d running, %d queued after the reply", running, queued)
 		}
-		// A run builds one machine and pools it again; only a fault plan's
-		// machine is dropped, and none is ever returned dirty.
-		c := counters(t, h)
-		if c["pool.discard-dirty"]+c["pool.discard-panic"]+c["run.panic"] != 0 {
-			t.Errorf("a machine was returned dirty or a run panicked: %v", c)
-		}
-		if idle := int64(s.pool.Idle()); idle != c["pool.create"] && !strings.Contains(string(body), `"faults"`) {
-			t.Errorf("%d machines built, %d idle in the pool", c["pool.create"], idle)
+		if c := counters(t, h); c["run.panic"] != 0 {
+			t.Errorf("a run panicked: %v", c)
 		}
 	})
 }

@@ -11,7 +11,7 @@ import (
 // a mutex. The registry itself is host-strand-only by contract — fine
 // inside one Runtime — but the daemon increments counters from many
 // request goroutines at once, so the service-level registry (cache
-// hits, queue verdicts, machine-pool reuse) takes a lock per update.
+// hits, queue verdicts, run outcomes) takes a lock per update.
 // Per-run tracers are still per-request and unlocked.
 type serviceMetrics struct {
 	mu sync.Mutex

@@ -23,14 +23,11 @@ import (
 type Config struct {
 	// CacheEntries caps the program cache (default 256).
 	CacheEntries int
-	// Concurrency is the number of run slots — the machine-pool bound
-	// (default GOMAXPROCS).
+	// Concurrency is the number of run slots (default GOMAXPROCS).
 	Concurrency int
 	// QueueDepth bounds the admission queue; requests beyond it get
 	// 429 (default 1024; negative = no queueing at all).
 	QueueDepth int
-	// MaxIdleMachines caps pooled idle machines (default Concurrency).
-	MaxIdleMachines int
 	// DefaultTimeout bounds requests that carry no timeout_ms
 	// (default 60s).
 	DefaultTimeout time.Duration
@@ -38,9 +35,9 @@ type Config struct {
 	MaxBodyBytes int64
 	// Compile substitutes the compiler (tests only; nil = core.Compile).
 	Compile func(string) (*core.Program, error)
-	// runGate, when set, runs after admission and the machine lease,
-	// before the run — package tests use it to hold a run slot
-	// deterministically, or to panic under one.
+	// runGate, when set, runs after admission, before the run — package
+	// tests use it to hold a run slot deterministically, or to panic
+	// under one.
 	runGate func(*RunRequest)
 }
 
@@ -56,9 +53,6 @@ func (c Config) withDefaults() Config {
 	} else if c.QueueDepth < 0 {
 		c.QueueDepth = 0
 	}
-	if c.MaxIdleMachines <= 0 {
-		c.MaxIdleMachines = c.Concurrency
-	}
 	if c.DefaultTimeout <= 0 {
 		c.DefaultTimeout = 60 * time.Second
 	}
@@ -69,12 +63,11 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the accd service core: compile-and-run over HTTP/JSON with
-// a shared program cache, machine pool and admission queue. It carries
-// no per-request state; one Server instance serves every connection.
+// a shared program cache and admission queue. It carries no per-request
+// state; one Server instance serves every connection.
 type Server struct {
 	cfg   Config
 	cache *Cache
-	pool  *MachinePool
 	sched *scheduler
 	mets  *serviceMetrics
 	mux   *http.ServeMux
@@ -89,7 +82,6 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		mets:  mets,
 		cache: NewCache(cfg.CacheEntries, cfg.Compile, mets),
-		pool:  NewMachinePool(cfg.MaxIdleMachines, mets),
 		sched: newScheduler(cfg.Concurrency, cfg.QueueDepth, mets),
 		start: time.Now(),
 	}
@@ -105,7 +97,7 @@ func New(cfg Config) *Server {
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Metrics exposes the service metrics registry (cache hit/miss/evict,
-// queue verdicts, pool reuse).
+// queue verdicts, run outcomes).
 func (s *Server) Metrics() *serviceMetrics { return s.mets }
 
 // Cache exposes the program cache (tests, telemetry).
@@ -306,6 +298,9 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// 3. Resolve platform, mode, options, faults.
 	spec, err := cliutil.Machine(req.Machine, req.GPUs)
+	if err == nil {
+		err = spec.Validate()
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return
@@ -368,15 +363,11 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The request holds a run slot from here on. One exit gives it back
 	// and counts how the run ended, in exactly one of run.ok, run.error,
 	// run.timeout and run.panic. A panic below stops here, as a 500: it
-	// costs this request and the machine it had leased — never pooled
-	// again, whatever state the run left it in — not the daemon.
-	outcome, leased := "run.error", false
+	// costs this request, not the daemon.
+	outcome := "run.error"
 	defer func() {
 		if p := recover(); p != nil {
 			outcome = "run.panic"
-			if leased {
-				s.mets.Inc("pool.discard-panic", 1)
-			}
 			writeError(w, http.StatusInternalServerError, "internal", fmt.Sprintf("panic during the run: %v", p))
 		}
 		s.sched.release()
@@ -384,14 +375,8 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}()
 	s.mets.Observe("queue.wait_us", trace.DurationBucketsUS, time.Since(began).Microseconds())
 
-	// 6. Lease a machine and run, with cancellation threaded through
-	// the runtime's Interrupt hook.
-	mach, err := s.pool.Get(spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
-		return
-	}
-	leased = true
+	// 6. Run on a machine of its own, with cancellation threaded
+	// through the runtime's Interrupt hook.
 	if s.cfg.runGate != nil {
 		s.cfg.runGate(&req)
 	}
@@ -401,17 +386,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		BalanceLoad: req.Options.BalanceLoad,
 		Interrupt:   func() error { return ctx.Err() },
 	}
-	res, runErr := prog.RunOn(mach, bind, core.Config{
+	res, runErr := prog.Run(bind, core.Config{
+		Machine: spec,
 		Options: opts,
 		Audit:   req.Options.Audit,
 		Faults:  plan,
 	})
-	leased = false
-	// Machines that ran a fault plan are poisoned (capacity shrink);
-	// everything else goes back to the pool if pristine.
-	if !plan.Active() {
-		s.pool.Put(mach)
-	}
 	if runErr != nil {
 		var ie *rt.InterruptedError
 		if errors.As(runErr, &ie) || ctx.Err() != nil {

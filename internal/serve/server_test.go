@@ -206,9 +206,8 @@ func panicGate(r *RunRequest) {
 // same request served serially by a fresh server — whatever else is in
 // flight: the hostile corpus runs beside the well-formed one, each of its
 // requests answered with its own structured error, and afterwards no run
-// slot is held, nothing is queued and every machine built is idle in the
-// pool but the panicked run's. Run under -race this also stresses the
-// shared Program/cache/pool/scheduler state.
+// slot is held, nothing is queued and every panic was contained. Run under
+// -race this also stresses the shared Program/cache/scheduler state.
 func TestServeEquivalenceUnderLoad(t *testing.T) {
 	corpus := mixedCorpus(t)
 	// A run whose results are not finite is a well-formed one.
@@ -284,11 +283,8 @@ func TestServeEquivalenceUnderLoad(t *testing.T) {
 	}
 	waitLoad(t, h, 0, 0)
 	c := counters(t, h)
-	if c["run.panic"] != rounds || c["pool.discard-dirty"] != 0 {
-		t.Errorf("want %d contained panics and no machine returned dirty: %v", rounds, c)
-	}
-	if idle, kept := int64(loaded.pool.Idle()), c["pool.create"]-c["pool.discard-panic"]-c["pool.discard-full"]; idle != kept {
-		t.Errorf("%d machines idle in the pool, want %d: every one built but the quarantined and those the full pool dropped", idle, kept)
+	if c["run.panic"] != rounds {
+		t.Errorf("want %d contained panics: %v", rounds, c)
 	}
 }
 
@@ -376,9 +372,12 @@ func TestRunEndpointBasics(t *testing.T) {
 		t.Errorf("diagnostics missing ACCV001: %s", eresp.Error.Diagnostics)
 	}
 
-	// Unknown machine/mode/app are 400s.
+	// Unknown machine/mode/app, and machines the simulator does not
+	// build (more than 16 GPUs), are 400s.
 	for _, r := range []*RunRequest{
 		{Source: reduceSrc, Machine: "laptop"},
+		{Source: reduceSrc, GPUs: 17},
+		{Source: reduceSrc, Machine: "5x4"},
 		{Source: reduceSrc, Mode: "warp"},
 		{Source: reduceSrc, Generator: &GeneratorSpec{App: "DOOM"}},
 		{Source: reduceSrc, Arrays: map[string]*ArrayPayload{"nope": {F32: []float32{1}}}},
@@ -508,10 +507,9 @@ func TestOverloadReturns429(t *testing.T) {
 
 // TestRequestTimeoutDuringRun also pins that a run cut by its deadline
 // frees its device buffers, and so hands their storage to the next
-// allocation of its shape, only once every kernel worker has returned:
-// the machine goes back to the pool with nothing allocated, and the next
-// request of the same shape, served from that storage, replies byte for
-// byte as a fresh server does.
+// allocation of its shape, only once every kernel worker has returned: the
+// next request of the same shape, served from that storage, replies byte
+// for byte as a fresh server does.
 func TestRequestTimeoutDuringRun(t *testing.T) {
 	next := marshal(t, &RunRequest{
 		Source:       stencilSrc,
@@ -540,12 +538,43 @@ func TestRequestTimeoutDuringRun(t *testing.T) {
 	if eresp.Error.Code != "timeout" || !strings.Contains(eresp.Error.Message, "during the run") {
 		t.Errorf("error = %+v, want a timeout during the run", eresp.Error)
 	}
-	if c := counters(t, h); c["pool.discard-dirty"] != 0 || s.pool.Idle() != 1 {
-		t.Errorf("the cut run left its machine with live buffers: %d idle, counters %v", s.pool.Idle(), c)
+	if c := counters(t, h); c["run.timeout"] != 1 {
+		t.Errorf("counters after the cut run: %v", c)
 	}
 	rec = post(t, h, "/v1/run", next)
 	if rec.Code != baseline.Code || rec.Body.String() != baseline.Body.String() {
 		t.Errorf("the request after the cut run: status %d, body %.200s; want the fresh server's %d", rec.Code, rec.Body.String(), baseline.Code)
+	}
+}
+
+// TestFaultedRunSharesNothing pins that a fault plan reaches only the run
+// that asked for it: on one server, a request with "shrink=0.5", sent
+// again and again, then the same request without faults, each reply byte
+// for byte what a fresh server answers. A machine shared between requests
+// would lose half its device memory to every faulted one; forty halvings
+// leave less than the request's arrays.
+func TestFaultedRunSharesNothing(t *testing.T) {
+	req := &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 64},
+		Arrays: map[string]*ArrayPayload{"x": {F32: seeded32(64, 1)}}, ReturnArrays: []string{"out"}}
+	clean := marshal(t, req)
+	req.Faults = "shrink=0.5"
+	faulted := marshal(t, req)
+	fresh := func(body []byte) *httptest.ResponseRecorder {
+		return post(t, New(Config{}).Handler(), "/v1/run", body)
+	}
+	wantFaulted, wantClean := fresh(faulted), fresh(clean)
+	if wantFaulted.Code != http.StatusOK || wantClean.Code != http.StatusOK {
+		t.Fatalf("fresh servers: status %d and %d", wantFaulted.Code, wantClean.Code)
+	}
+
+	h := New(Config{Concurrency: 1}).Handler()
+	for i := 0; i < 40; i++ {
+		if rec := post(t, h, "/v1/run", faulted); rec.Code != wantFaulted.Code || rec.Body.String() != wantFaulted.Body.String() {
+			t.Fatalf("faulted request %d: status %d, body %.200s; want the fresh server's", i, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := post(t, h, "/v1/run", clean); rec.Code != wantClean.Code || rec.Body.String() != wantClean.Body.String() {
+		t.Errorf("the request after the faulted ones: status %d, body %.200s; want the fresh server's", rec.Code, rec.Body.String())
 	}
 }
 
@@ -625,8 +654,7 @@ func TestTimeoutEndsInnerLoop(t *testing.T) {
 
 // checkTimeoutEndsRun posts a program that never ends with a 50 ms
 // deadline, audited or not: the request answers 504, no run is in flight
-// afterwards, and the machine it leased is back in the pool for the next
-// request.
+// afterwards, and the next request is served.
 func checkTimeoutEndsRun(t *testing.T, src string, audit bool) {
 	s := New(Config{Concurrency: 1})
 	h := s.Handler()
@@ -637,14 +665,11 @@ func checkTimeoutEndsRun(t *testing.T, src string, audit bool) {
 		t.Fatalf("status %d code %q, want 504 timeout: %s", rec.Code, eresp.Error.Code, rec.Body.String())
 	}
 	waitLoad(t, h, 0, 0)
-	if idle := s.pool.Idle(); idle != 1 {
-		t.Errorf("%d machines idle in the pool, want the leased one back", idle)
-	}
 	if rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})); rec.Code != http.StatusOK {
 		t.Fatalf("request after the timeout: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if c := counters(t, h); c["pool.reuse"] != 1 || c["run.timeout"] != 1 || c["pool.discard-dirty"]+c["pool.discard-full"] != 0 {
-		t.Errorf("counters after the timeout: want the machine reused, none discarded: %v", c)
+	if c := counters(t, h); c["run.timeout"] != 1 || c["run.ok"] != 1 {
+		t.Errorf("counters after the timeout: %v", c)
 	}
 }
 
@@ -743,9 +768,8 @@ func counters(t testing.TB, h http.Handler) map[string]int64 {
 }
 
 // TestRunPanicContained pins that a panic below the handler costs one
-// request and one machine, not the daemon: the client gets a 500 JSON
-// body, the slot is released, the machine the run had leased is never
-// pooled again, and the next request is served normally.
+// request, not the daemon: the client gets a 500 JSON body, the slot is
+// released, and the next request is served normally.
 func TestRunPanicContained(t *testing.T) {
 	s := New(Config{Concurrency: 1, runGate: func(r *RunRequest) {
 		if r.Scalars["n"] == 62 {
@@ -762,13 +786,10 @@ func TestRunPanicContained(t *testing.T) {
 		t.Fatalf("status %d code %q, want 500 internal: %s", rec.Code, eresp.Error.Code, rec.Body.String())
 	}
 	waitLoad(t, h, 0, 0)
-	if idle := s.pool.Idle(); idle != 0 {
-		t.Errorf("%d machines idle in the pool, want the panicked run's quarantined", idle)
-	}
 	if rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}})); rec.Code != http.StatusOK {
 		t.Fatalf("request after the panic: status %d: %s", rec.Code, rec.Body.String())
 	}
-	if c := counters(t, h); c["pool.discard-panic"] != 1 || c["run.panic"] != 1 || c["run.ok"] != 1 {
+	if c := counters(t, h); c["run.panic"] != 1 || c["run.ok"] != 1 {
 		t.Errorf("counters after the panic: %v", c)
 	}
 }
@@ -919,5 +940,26 @@ void main() {
 	// The reply stays a pure function of the request.
 	if again := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: src, ReturnArrays: []string{"a", "b"}})); !bytes.Equal(again.Body.Bytes(), rec.Body.Bytes()) {
 		t.Errorf("second reply differs:\n%s\n%s", rec.Body.String(), again.Body.String())
+	}
+}
+
+// BenchmarkRunRequest sends a small reduction (reduceSrc at n = 64) through
+// the handler, its program cached: the fixed cost of a run request, which
+// BenchmarkInlineRequest's 16 Ki-float body hides.
+func BenchmarkRunRequest(b *testing.B) {
+	for _, machine := range []string{"desktop", "2x2"} {
+		b.Run(machine, func(b *testing.B) {
+			body := marshal(b, &RunRequest{Source: reduceSrc, Machine: machine, Scalars: map[string]float64{"n": 64},
+				Arrays: map[string]*ArrayPayload{"x": {F32: seeded32(64, 1)}}})
+			h := New(Config{}).Handler()
+			if rec := post(b, h, "/v1/run", body); rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body.String())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				post(b, h, "/v1/run", body)
+			}
+		})
 	}
 }

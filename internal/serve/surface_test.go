@@ -4,12 +4,14 @@ import (
 	"reflect"
 	"testing"
 
+	"accmulti/internal/core"
 	"accmulti/internal/rt"
 )
 
-// TestOptionsSurface pins the exported fields of the two option structs
-// a caller can reach — the runtime's and the accd request's — so that a
-// new knob is a reviewed change to these lists, not a drive-by.
+// TestOptionsSurface pins the exported fields of the option and config
+// structs a caller can reach — the runtime's, the accd request's, the
+// service's and a run's — so that a new knob is a reviewed change to these
+// lists, not a drive-by.
 func TestOptionsSurface(t *testing.T) {
 	for _, tc := range []struct {
 		typ  reflect.Type
@@ -22,6 +24,8 @@ func TestOptionsSurface(t *testing.T) {
 			"DisableDegradation", "Interrupt", "Reference", "Sabotage",
 		}},
 		{reflect.TypeOf(RunOptions{}), []string{"NoAsync", "BalanceLoad", "Audit"}},
+		{reflect.TypeOf(Config{}), []string{"CacheEntries", "Concurrency", "QueueDepth", "DefaultTimeout", "MaxBodyBytes", "Compile"}},
+		{reflect.TypeOf(core.Config{}), []string{"Machine", "Options", "Audit", "AuditTolerance", "Faults", "Trace"}},
 	} {
 		var got []string
 		for i := 0; i < tc.typ.NumField(); i++ {

@@ -33,9 +33,9 @@ type freedSlice struct {
 }
 
 // recycler is the process-wide free list of device storage. Every
-// machine shares it: a run builds a new machine (core.Program.Run) or
-// leases a pooled one (accd), and the storage its buffers freed serves
-// whichever machine allocates that shape next. Capacity accounting stays
+// machine shares it: every run builds a new machine (core.Program.Run),
+// and the storage its buffers freed serves whichever machine allocates
+// that shape next. Capacity accounting stays
 // per device; the list only saves the host the make, the zeroing and
 // the collection of a slice it already had.
 var recycler struct {
