@@ -35,11 +35,18 @@ var perfVariants = []struct {
 	{"GOMAXPROCS=1, reference", rt.Options{Reference: true}, true},
 }
 
-// fillDeterministic gives every instance array reproducible nonzero
-// content so the loader and diff paths move real data.
-func fillDeterministic(inst *ir.Instance, seed int64) {
+// bindDeterministic binds m with b plus every array of the program,
+// given reproducible nonzero content from seed, in slot order, so the
+// loader and diff paths move real data. The content goes in through the
+// bindings: the runtime takes an array Bind made for zeros.
+func bindDeterministic(m *ir.Module, b *ir.Bindings, seed int64) (*ir.Instance, error) {
+	sizes, err := m.ArrayBytes(b)
+	if err != nil {
+		return nil, err
+	}
 	rng := rand.New(rand.NewSource(seed))
-	for _, a := range inst.Arrays {
+	for _, d := range m.Prog.ArrayDecls() {
+		a := ir.NewHostArray(d, sizes[d.Slot]/d.Type.Size())
 		switch {
 		case a.F32 != nil:
 			for i := range a.F32 {
@@ -54,7 +61,9 @@ func fillDeterministic(inst *ir.Instance, seed int64) {
 				a.I32[i] = int32(rng.Intn(1 << 16))
 			}
 		}
+		b.SetArray(d.Name, a)
 	}
+	return m.Bind(b)
 }
 
 // runExample executes one example source at fixed bindings and returns
@@ -69,11 +78,10 @@ func runExample(t *testing.T, src string, scalars map[string]float64, spec sim.M
 	for k, v := range scalars {
 		b.SetScalar(k, v)
 	}
-	inst, err := prog.Module.Bind(b)
+	inst, err := bindDeterministic(prog.Module, b, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fillDeterministic(inst, 7)
 	mach, err := sim.NewMachine(spec)
 	if err != nil {
 		t.Fatal(err)

@@ -78,11 +78,10 @@ func reentrantVariants() []reentrantParams {
 // a fresh machine, returning the report and final arrays.
 func runShared(prog *Program, p reentrantParams) (*rt.Report, []*ir.HostArray, error) {
 	b := ir.NewBindings().SetScalar("n", p.n).SetScalar("steps", p.steps)
-	inst, err := prog.Module.Bind(b)
+	inst, err := bindDeterministic(prog.Module, b, p.seed)
 	if err != nil {
 		return nil, nil, err
 	}
-	fillDeterministic(inst, p.seed)
 	mach, err := sim.NewMachine(p.spec)
 	if err != nil {
 		return nil, nil, err

@@ -296,6 +296,10 @@ type Module struct {
 	// ArraySizes computes each array's element count (by slot) from
 	// the host environment.
 	ArraySizes []ExprI
+	// HostWrites marks, by slot, the arrays some host statement stores
+	// to (translator.Lower fills it). A module without it is taken to
+	// write every array on the host.
+	HostWrites []bool
 }
 
 // Instance is a module bound to concrete inputs: a host environment
@@ -306,6 +310,10 @@ type Instance struct {
 	Env *Env
 	// Arrays holds the bound host arrays, indexed by array slot.
 	Arrays []*HostArray
+	// Made marks, by slot, the arrays Bind allocated because the
+	// bindings supplied none: each held only zeros when Bind returned. A
+	// caller that wants other content in an array supplies it.
+	Made []bool
 }
 
 // sizes binds b's global scalars into a fresh host environment,
@@ -372,7 +380,7 @@ func (m *Module) ArrayBytes(b *Bindings) ([]int64, error) {
 
 // Bind creates an execution instance: global scalars take their bound
 // values, array sizes are evaluated, and host arrays are attached
-// (allocated zeroed when not supplied).
+// (allocated zeroed when not supplied, and marked in Made).
 func (m *Module) Bind(b *Bindings) (*Instance, error) {
 	if b == nil {
 		b = NewBindings()
@@ -381,11 +389,12 @@ func (m *Module) Bind(b *Bindings) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{Module: m, Env: env, Arrays: make([]*HostArray, m.Prog.NumArrays)}
+	inst := &Instance{Module: m, Env: env, Arrays: make([]*HostArray, m.Prog.NumArrays), Made: make([]bool, m.Prog.NumArrays)}
 	for _, d := range m.Prog.ArrayDecls() {
 		a, supplied := b.Arrays[d.Name]
 		if !supplied {
 			a = NewHostArray(d, lens[d.Slot])
+			inst.Made[d.Slot] = true
 		} else if a.Decl == nil {
 			a.Decl = d
 		}

@@ -200,7 +200,9 @@ type Bindings struct {
 	// take the truncated value).
 	Scalars map[string]float64
 	// Arrays maps global array names to host storage. Arrays omitted
-	// here are allocated (zeroed) automatically at bind time.
+	// here are allocated (zeroed) at bind time (Instance.Made), and the
+	// runtime takes them for zeros until the program writes them: content
+	// meant for an array goes in here, not into the instance after Bind.
 	Arrays map[string]*HostArray
 }
 

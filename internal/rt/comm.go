@@ -305,6 +305,7 @@ func (r *Runtime) deliverMisses(transfers []sim.Transfer, st *arrayState, gpus [
 					delivered = true
 				}
 				if !delivered {
+					st.zeros = false
 					ir.StoreAs(st.host, rec.idx, rec.v)
 					hostBytes += missRecordBytes
 				}

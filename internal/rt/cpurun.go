@@ -24,6 +24,9 @@ func (r *Runtime) launchCPU(k *ir.Kernel, env *ir.Env) error {
 	views := append([]ir.ArrayView(nil), env.Views...)
 	var merges []func()
 	for _, use := range k.Arrays {
+		if use.Written || use.Reduced {
+			r.state(use.Decl).zeros = false
+		}
 		if use.Reduced {
 			v, w, op := r.inst.Arrays[use.Decl.Slot].View(), cpu.Spec.Workers, use.ReduceOp
 			if v.I != nil {

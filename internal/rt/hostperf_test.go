@@ -456,10 +456,10 @@ func TestCopyJobMatchesLegacyLoad(t *testing.T) {
 			fillHost(rand.New(rand.NewSource(11)), st.host)
 			nd := need{lo: 0, hi: size - 1, contentIn: true, coreLo: 0, coreHi: -1, transform: width > 0, width: width}
 			cNew, cOld := st.copies[0], st.copies[1]
-			if err := cNew.realloc(nd); err != nil {
+			if err := cNew.realloc(nd, true); err != nil {
 				t.Fatal(err)
 			}
-			if err := cOld.realloc(nd); err != nil {
+			if err := cOld.realloc(nd, true); err != nil {
 				t.Fatal(err)
 			}
 			cNew.valid, cOld.valid = true, true

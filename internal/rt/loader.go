@@ -310,6 +310,7 @@ func (r *Runtime) gatherToHost(st *arrayState) ([]sim.Transfer, error) {
 		}
 	}
 	st.deviceNewer = false
+	st.zeros = false
 	// The host mirror now matches the devices: advance the lineage so
 	// resident copies stay valid without a reload.
 	r.bumpHost(st)
@@ -500,7 +501,10 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 		}
 	}
 	if reload {
-		if err := c.realloc(nd); err != nil {
+		// A copy job fills the new storage whole; without one it must read
+		// zero, which is what the host holds while zeros does.
+		fill := nd.contentIn && !st.zeros
+		if err := c.realloc(nd, fill); err != nil {
 			return transfers, job, err
 		}
 		if tr := r.opts.Tracer; tr != nil {
@@ -509,8 +513,12 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 				Name: st.decl.Name, Bytes: (nd.hi - nd.lo + 1) * st.elemSize, Lo: nd.lo, Hi: nd.hi})
 		}
 		if nd.contentIn {
+			// Bind's zeros are priced like any content, but the storage
+			// already holds them.
 			st.shipHost()
-			job = copyJob{st: st, c: c, lo: nd.lo, hi: nd.hi}
+			if fill {
+				job = copyJob{st: st, c: c, lo: nd.lo, hi: nd.hi}
+			}
 			transfers = append(transfers, sim.Transfer{
 				Kind: sim.HostToDevice, Bytes: (nd.hi - nd.lo + 1) * st.elemSize, Src: -1, Dst: c.g,
 				Label: st.decl.Name, Lo: nd.lo, Hi: nd.hi, Tag: sim.TagData,
@@ -536,8 +544,9 @@ func (r *Runtime) prepareLoad(st *arrayState, c *gpuCopy, nd need, transfers []s
 }
 
 // realloc (re)allocates the copy's storage for a range/layout change.
-// The array settles first: the old storage may be a relay's source.
-func (c *gpuCopy) realloc(nd need) error {
+// The array settles first: the old storage may be a relay's source. The
+// new storage reads zero unless fill says a copy job writes all of it.
+func (c *gpuCopy) realloc(nd need, fill bool) error {
 	st := c.st
 	st.settle()
 	n := nd.hi - nd.lo + 1
@@ -552,11 +561,11 @@ func (c *gpuCopy) realloc(nd need) error {
 	c.data = ir.HostArray{Decl: st.decl}
 	switch st.decl.Type {
 	case cc.TFloat:
-		c.buf, c.data.F32, err = c.dev.AllocFloat32(name, sim.MemUser, int(n))
+		c.buf, c.data.F32, err = sim.Alloc[float32](c.dev, name, sim.MemUser, int(n), fill)
 	case cc.TDouble:
-		c.buf, c.data.F64, err = c.dev.AllocFloat64(name, sim.MemUser, int(n))
+		c.buf, c.data.F64, err = sim.Alloc[float64](c.dev, name, sim.MemUser, int(n), fill)
 	default:
-		c.buf, c.data.I32, err = c.dev.AllocInt32(name, sim.MemUser, int(n))
+		c.buf, c.data.I32, err = sim.Alloc[int32](c.dev, name, sim.MemUser, int(n), fill)
 	}
 	if err != nil {
 		// The old storage is already gone and no new storage arrived:
@@ -610,8 +619,8 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 			}
 			var data []byte
 			var err error
-			c.dirtyBuf, data, err = c.dev.AllocBytesSlice(
-				fmt.Sprintf("%s.dirty[gpu%d]", st.decl.Name, c.g), sim.MemSystem, int(local+nChunks))
+			c.dirtyBuf, data, err = sim.Alloc[byte](c.dev,
+				fmt.Sprintf("%s.dirty[gpu%d]", st.decl.Name, c.g), sim.MemSystem, int(local+nChunks), false)
 			if err != nil {
 				return err
 			}

@@ -156,16 +156,12 @@ void main() {
 		t.Fatal(err)
 	}
 	runStencil := func(async, lose bool) (*rt.Report, *ir.Instance) {
-		inst, err := mod.Bind(ir.NewBindings().SetScalar("n", 3001).SetScalar("steps", 4))
-		if err != nil {
-			t.Fatal(err)
-		}
 		rng := rand.New(rand.NewSource(9))
-		for _, a := range inst.Arrays {
+		inst := rt.BindFilled(t, mod, ir.NewBindings().SetScalar("n", 3001).SetScalar("steps", 4), func(a *ir.HostArray) {
 			for i := range a.F32 {
 				a.F32[i] = rng.Float32()
 			}
-		}
+		})
 		mach, err := sim.NewMachine(sim.Cluster(2, 2))
 		if err != nil {
 			t.Fatal(err)

@@ -19,10 +19,10 @@ import (
 
 // TestRecycledBufferReadsZero: one run leaves non-zero bytes in its
 // device copies of a; a second program of the same shape reads its
-// create copy of a before writing it and must see zeros. (The loader
-// also loads the host's zeros into a copy a kernel reads, so this pins
-// the contract; TestRunAfterCutRunReportsAsFresh is the case where only
-// the zeroing of the recycled storage keeps it.)
+// create copy of a before writing it and must see zeros. (Bind made a,
+// so the loader ships nothing into that copy: only the zeroing of the
+// recycled storage keeps it, as it keeps the dirty bytes of
+// TestRunAfterCutRunReportsAsFresh.)
 func TestRecycledBufferReadsZero(t *testing.T) {
 	const dirtySrc = `
 int n;

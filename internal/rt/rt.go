@@ -374,6 +374,8 @@ func (r *Runtime) launchScratch(n int) {
 // this runtime as the hook table and finalizes accounting. A Runtime is
 // for one run: its Report and SpecStats only ever accumulate, and the
 // latter is copied into the tracer's spec.* metrics when the run ends.
+// So is an instance: the arrays Bind made are taken for zeros until the
+// run writes them (arrayState.zeros).
 func (r *Runtime) Run(inst *ir.Instance) error {
 	r.inst = inst
 	defer func() { r.inst = nil }()

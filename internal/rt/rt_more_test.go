@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -547,12 +548,10 @@ func TestInterpreterReductionOrder(t *testing.T) {
 		xs[i], ys[i] = rng.Float64()*2-1, rng.Float64()*2-1
 	}
 	dot := func(opts Options) uint64 {
-		inst, err := mod.Bind(ir.NewBindings().SetScalar("n", n))
+		inst, err := mod.Bind(ir.NewBindings().SetScalar("n", n).
+			SetArray("x", &ir.HostArray{F64: slices.Clone(xs)}).SetArray("y", &ir.HostArray{F64: slices.Clone(ys)}))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, a := range inst.Arrays {
-			copy(a.F64, map[string][]float64{"x": xs, "y": ys}[a.Decl.Name])
 		}
 		mach, _ := sim.NewMachine(sim.Desktop())
 		if err := New(mach, opts).Run(inst); err != nil {

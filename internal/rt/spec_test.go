@@ -348,15 +348,31 @@ func buildSpecInstance(tb testing.TB, src string, scalars map[string]float64) (*
 	for name, v := range scalars {
 		bind.SetScalar(name, v)
 	}
+	rng := rand.New(rand.NewSource(11))
+	return mod, BindFilled(tb, mod, bind, func(a *ir.HostArray) { fillHost(rng, a) })
+}
+
+// BindFilled binds mod with bind, to which it first adds every array of
+// the program, made to its declared size and filled by fill, in slot
+// order. A test fills arrays this way and never after Bind: the runtime
+// takes an array Bind made for zeros until the run writes it. Exported
+// for the external test package.
+func BindFilled(tb testing.TB, mod *ir.Module, bind *ir.Bindings, fill func(*ir.HostArray)) *ir.Instance {
+	tb.Helper()
+	sizes, err := mod.ArrayBytes(bind)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, d := range mod.Prog.ArrayDecls() {
+		a := ir.NewHostArray(d, sizes[d.Slot]/d.Type.Size())
+		fill(a)
+		bind.SetArray(d.Name, a)
+	}
 	inst, err := mod.Bind(bind)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(11))
-	for _, a := range inst.Arrays {
-		fillHost(rng, a)
-	}
-	return mod, inst
+	return inst
 }
 
 // TestSpecFastPathTaken pins that an eligible kernel actually runs the
@@ -1248,7 +1264,9 @@ func BenchmarkPhaseBCopy(b *testing.B) {
 // (invariant 24): an array is quiet when one scan of its host mirror, made
 // the first time its content ships, finds no signalling NaN, and only a
 // float array some kernel copies from is ever scanned, at most once in a
-// run however often it ships. The tiles see the fact as DArray.Quiet.
+// run however often it ships. An array Bind made and nothing has written
+// holds zeros, which are quiet: it is never scanned. The tiles see the
+// fact as DArray.Quiet.
 func TestQuietArrays(t *testing.T) {
 	const src = `
 int n;
@@ -1276,16 +1294,18 @@ void main() {
 	snan := func(sign uint32) float32 { return math.Float32frombits(sign | 0x7fa00001) }
 	for _, tc := range []struct {
 		name  string
-		f     map[int]float32 // elements of f set before the run; the rest are zeros
+		made  bool            // f is not supplied: Bind makes it
+		f     map[int]float32 // elements of a supplied f set before the run; the rest are zeros
 		quiet bool
 	}{
-		{"zeros", nil, true},
-		{"quiet-nans-and-infinities", map[int]float32{0: float32(math.NaN()), 7: math.Float32frombits(0xffc00123), 900: float32(math.Inf(1)), n - 1: float32(math.Inf(-1))}, true},
-		{"snan-first", map[int]float32{0: snan(0)}, false},
-		{"negative-snan-past-a-tile", map[int]float32{ir.VecTile + 1: snan(1 << 31)}, false},
-		{"snan-last", map[int]float32{n - 1: snan(0)}, false},
-		{"smallest-snan-payload", map[int]float32{1000: math.Float32frombits(0xff800001)}, false},
-		{"largest-snan-payload", map[int]float32{1001: math.Float32frombits(0x7fbfffff)}, false},
+		{"made", true, nil, true},
+		{"zeros", false, nil, true},
+		{"quiet-nans-and-infinities", false, map[int]float32{0: float32(math.NaN()), 7: math.Float32frombits(0xffc00123), 900: float32(math.Inf(1)), n - 1: float32(math.Inf(-1))}, true},
+		{"snan-first", false, map[int]float32{0: snan(0)}, false},
+		{"negative-snan-past-a-tile", false, map[int]float32{ir.VecTile + 1: snan(1 << 31)}, false},
+		{"snan-last", false, map[int]float32{n - 1: snan(0)}, false},
+		{"smallest-snan-payload", false, map[int]float32{1000: math.Float32frombits(0xff800001)}, false},
+		{"largest-snan-payload", false, map[int]float32{1001: math.Float32frombits(0x7fbfffff)}, false},
 	} {
 		for _, spec := range []sim.MachineSpec{sim.Desktop(), sim.Cluster(2, 2)} {
 			t.Run(tc.name+"/"+spec.Name, func(t *testing.T) {
@@ -1293,11 +1313,16 @@ void main() {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fa := ir.NewHostArray(prog.Scope["f"], n)
-				for i, v := range tc.f {
-					fa.F32[i] = v
+				bind, fScans := ir.NewBindings().SetScalar("n", n), 0
+				if !tc.made {
+					fa := ir.NewHostArray(prog.Scope["f"], n)
+					for i, v := range tc.f {
+						fa.F32[i] = v
+					}
+					bind.SetArray("f", fa)
+					fScans = 1
 				}
-				_, r := exec(t, src, spec, Options{}, ir.NewBindings().SetScalar("n", n).SetArray("f", fa))
+				_, r := exec(t, src, spec, Options{}, bind)
 				byName := map[string]*arrayState{}
 				for d, st := range r.arrays {
 					byName[d.Name] = st
@@ -1305,7 +1330,7 @@ void main() {
 				for name, want := range map[string]struct {
 					quiet bool
 					scans int
-				}{"f": {tc.quiet, 1}, "r": {false, 0}, "d": {false, 0}, "k": {false, 0}} {
+				}{"f": {tc.quiet, fScans}, "r": {false, 0}, "d": {false, 0}, "k": {false, 0}} {
 					if st := byName[name]; st.quiet != want.quiet || st.scans != want.scans {
 						t.Errorf("%s: quiet %v after %d scans, want %v after %d", name, st.quiet, st.scans, want.quiet, want.scans)
 					}

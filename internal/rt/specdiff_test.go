@@ -3720,13 +3720,9 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 	for name, v := range scalars {
 		bind.SetScalar(name, v)
 	}
-	inst, err := mod.Bind(bind)
-	if err != nil {
-		t.Fatalf("%s: bind: %v", tpl.name, err)
-	}
 	n := int(scalars["n"])
 	rng := rand.New(rand.NewSource(fillSeed))
-	for _, a := range inst.Arrays {
+	inst := rt.BindFilled(t, mod, bind, func(a *ir.HostArray) {
 		if a.Decl.Name == "idx_" {
 			// A permutation, not rng.Intn(n): duplicate indices would let
 			// two workers store different values into the same out_
@@ -3735,7 +3731,7 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 			for i, p := range rng.Perm(n)[:len(a.I32)] {
 				a.I32[i] = int32(p)
 			}
-			continue
+			return
 		}
 		switch {
 		case strings.HasPrefix(a.Decl.Name, "nan"):
@@ -3755,7 +3751,7 @@ func runSpecTemplate(t testing.TB, tpl specTemplate, scalars map[string]float64,
 				a.I32[i] = int32(rng.Intn(2001) - 1000)
 			}
 		}
-	}
+	})
 	mach, err := sim.NewMachine(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -3973,7 +3969,7 @@ func TestNaNPlusNaN(t *testing.T) {
 		return nil
 	}
 	t.Run("mulAdd", func(t *testing.T) {
-		if raceBuild {
+		if sim.RaceDetector {
 			t.Skip("a race build orders the interpreter's and the tiles' NaN + NaN additions differently")
 		}
 		tpl := specTemplate{name: "nan-plus-nan", check: tiled, src: `

@@ -39,6 +39,14 @@ type arrayState struct {
 	// which quiets, or moves the bits of another copy of the array.
 	quiet bool
 	scans int
+	// zeros says the host mirror still holds the zeros Bind made it with:
+	// the bindings supplied no array, no host statement stores to it
+	// (ir.Module.HostWrites) and the runtime has written none of its
+	// elements yet. Its first write (gatherToHost, a miss delivered to
+	// the host, an OpenMP-mode kernel) clears it for the rest of the run.
+	// While it holds a ship moves nothing: a device copy's new storage
+	// already reads zero (prepareLoad), and zeros are quiet (shipHost).
+	zeros bool
 
 	copies []*gpuCopy
 }
@@ -197,6 +205,7 @@ func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
 			n:        host.Len(),
 			elemSize: decl.Type.Size(),
 			quiet:    decl.Type == cc.TFloat && r.copySource(decl.Slot),
+			zeros:    r.madeZeros(decl.Slot),
 			copies:   make([]*gpuCopy, r.mach.NumGPUs()),
 		}
 		for g, dev := range r.mach.GPUs() {
@@ -205,6 +214,14 @@ func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
 		r.arrays[decl] = st
 	}
 	return st
+}
+
+// madeZeros reports whether the array in slot starts the run as Bind's
+// zeros: Bind made it, and the module records that no host statement
+// writes it.
+func (r *Runtime) madeZeros(slot int) bool {
+	made, hw := r.inst.Made, r.inst.Module.HostWrites
+	return slot < len(made) && made[slot] && slot < len(hw) && !hw[slot]
 }
 
 // copySource reports whether some kernel's tiles copy the array in slot
@@ -243,8 +260,15 @@ func copiesFrom(spec *ir.KernelSpec, slot int) bool {
 }
 
 // shipHost is called when the host mirror's content is about to reach a
-// device copy: the first time, a quiet array's mirror is scanned.
+// device copy: the first time, a quiet array's mirror is scanned, unless
+// it holds Bind's zeros. A race build checks that those are zeros.
 func (st *arrayState) shipHost() {
+	if st.zeros {
+		if sim.RaceDetector {
+			st.checkZeros()
+		}
+		return
+	}
 	if st.quiet && st.scans == 0 {
 		st.scans++
 		st.quiet = !hasSignallingNaN(st.host.F32)
@@ -261,6 +285,17 @@ func hasSignallingNaN(s []float32) bool {
 		}
 	}
 	return false
+}
+
+// checkZeros panics if the host mirror taken for Bind's zeros holds
+// another element: something filled an array Bind made behind the
+// runtime's back, and the devices would read zeros for it.
+func (st *arrayState) checkZeros() {
+	for i := range st.n {
+		if math.Float64bits(ir.LoadAs[float64](st.host, i)) != 0 {
+			panic(fmt.Sprintf("rt: array %q was filled after Bind made it (element %d); supply it through Bindings", st.decl.Name, i))
+		}
+	}
 }
 
 // release frees every device resource of one array.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // MemClass tags an allocation as application data or runtime-system
@@ -78,9 +79,9 @@ func (d *Device) String() string {
 	return fmt.Sprintf("GPU%d (%s)", d.ID, d.Spec.Name)
 }
 
-// AllocBytes reserves raw capacity with no backing slice: the typed
-// Alloc* helpers back what it admits, and a charged-only reservation
-// (the runtime's system buffers) has none.
+// AllocBytes reserves raw capacity with no backing slice: Alloc backs
+// what it admits, and a charged-only reservation (the runtime's system
+// buffers) has none.
 func (d *Device) AllocBytes(name string, class MemClass, bytes int64) (*Buffer, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("sim: %s: negative allocation %d for %q", d, bytes, name)
@@ -190,12 +191,14 @@ func (e *OutOfMemoryError) Error() string {
 		e.Device, cause, e.Name, e.Requested, e.Used, e.Capacity)
 }
 
-// allocSlice reserves n elements of size bytes each, with AllocBytes'
-// checks and fault-oracle draws, and only then finds the backing slice:
-// a zeroed one of that shape off the free list, or a new one. A request
-// the device refuses costs no host memory and leaves the list as it was.
-func allocSlice[T any](d *Device, name string, class MemClass, n int, size int64) (*Buffer, []T, error) {
-	b, err := d.AllocBytes(name, class, int64(n)*size)
+// Alloc reserves an n-element []T buffer, with AllocBytes' checks and
+// fault-oracle draws, and only then finds its storage: a slice of that
+// shape off the free list, or a new one. The storage reads zero unless
+// filled says the caller writes every element before anything reads it;
+// such a caller takes a recycled slice as it lies. A request the device
+// refuses costs no host memory and leaves the list as it was.
+func Alloc[T float32 | float64 | int32 | byte](d *Device, name string, class MemClass, n int, filled bool) (*Buffer, []T, error) {
+	b, err := d.AllocBytes(name, class, int64(n)*int64(unsafe.Sizeof(*new(T))))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -205,7 +208,7 @@ func allocSlice[T any](d *Device, name string, class MemClass, n int, size int64
 			_ = d.Free(b) // just reserved here, so Free cannot fail
 		}
 	}()
-	if boxed, data, ok := reuse[T](n); ok {
+	if boxed, data, ok := reuse[T](n, !filled); ok {
 		b.Data = boxed
 		made = true
 		return b, data, nil
@@ -214,29 +217,4 @@ func allocSlice[T any](d *Device, name string, class MemClass, n int, size int64
 	b.Data = data
 	made = true
 	return b, data, nil
-}
-
-// AllocFloat32 allocates an n-element float32 buffer.
-func (d *Device) AllocFloat32(name string, class MemClass, n int) (*Buffer, []float32, error) {
-	return allocSlice[float32](d, name, class, n, 4)
-}
-
-// AllocFloat64 allocates an n-element float64 buffer.
-func (d *Device) AllocFloat64(name string, class MemClass, n int) (*Buffer, []float64, error) {
-	return allocSlice[float64](d, name, class, n, 8)
-}
-
-// AllocInt32 allocates an n-element int32 buffer.
-func (d *Device) AllocInt32(name string, class MemClass, n int) (*Buffer, []int32, error) {
-	return allocSlice[int32](d, name, class, n, 4)
-}
-
-// AllocInt64 allocates an n-element int64 buffer.
-func (d *Device) AllocInt64(name string, class MemClass, n int) (*Buffer, []int64, error) {
-	return allocSlice[int64](d, name, class, n, 8)
-}
-
-// AllocBytesSlice allocates an n-element byte buffer (dirty-bit arrays).
-func (d *Device) AllocBytesSlice(name string, class MemClass, n int) (*Buffer, []byte, error) {
-	return allocSlice[byte](d, name, class, n, 1)
 }

@@ -85,7 +85,7 @@ func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(w, s
 	if len(slots) < nw {
 		slots = make([]WorkerSlot, nw)
 	}
-	if serial || raceDetectorEnabled || fanOutProcs(nw) <= 1 {
+	if serial || RaceDetector || fanOutProcs(nw) <= 1 {
 		// Under the race detector every kernel runs this way: kernels
 		// may carry benign app-level races (same-value relaxations), and
 		// the detector should watch only the runtime's real concurrency.

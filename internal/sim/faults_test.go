@@ -52,7 +52,7 @@ func TestLoseNodeDrainsItsGPUs(t *testing.T) {
 	mach.InjectFaults(p)
 	// Node 0's GPUs allocate normally.
 	for g := 0; g < 2; g++ {
-		if _, _, err := mach.GPU(g).AllocFloat32("a", MemUser, 16); err != nil {
+		if _, _, err := Alloc[float32](mach.GPU(g), "a", MemUser, 16, false); err != nil {
 			t.Fatalf("gpu%d (node 0) alloc: %v", g, err)
 		}
 	}
@@ -60,7 +60,7 @@ func TestLoseNodeDrainsItsGPUs(t *testing.T) {
 	// node never comes back (unlike the one-shot injected OOM).
 	for g := 2; g < 4; g++ {
 		for i := 0; i < 3; i++ {
-			_, _, err := mach.GPU(g).AllocFloat32("b", MemUser, 16)
+			_, _, err := Alloc[float32](mach.GPU(g), "b", MemUser, 16, false)
 			var lost *NodeLostError
 			if !errors.As(err, &lost) {
 				t.Fatalf("gpu%d alloc %d: want NodeLostError, got %v", g, i, err)
@@ -75,7 +75,7 @@ func TestLoseNodeDrainsItsGPUs(t *testing.T) {
 	clean, _ := NewMachine(Cluster(2, 2))
 	clean.InjectFaults(&FaultPlan{LoseNode: 5})
 	for g := 0; g < 4; g++ {
-		if _, _, err := clean.GPU(g).AllocFloat32("c", MemUser, 16); err != nil {
+		if _, _, err := Alloc[float32](clean.GPU(g), "c", MemUser, 16, false); err != nil {
 			t.Fatalf("gpu%d alloc under out-of-range losenode: %v", g, err)
 		}
 	}
@@ -91,13 +91,13 @@ func TestInjectedOOMIsOneShot(t *testing.T) {
 
 	// GPU0 is unaffected.
 	for i := 0; i < 5; i++ {
-		if _, _, err := g0.AllocFloat32("a", MemUser, 16); err != nil {
+		if _, _, err := Alloc[float32](g0, "a", MemUser, 16, false); err != nil {
 			t.Fatalf("gpu0 alloc %d: %v", i, err)
 		}
 	}
 	// GPU1 fails exactly on its 3rd allocation, then recovers.
 	for i := 1; i <= 5; i++ {
-		_, _, err := g1.AllocFloat32("b", MemUser, 16)
+		_, _, err := Alloc[float32](g1, "b", MemUser, 16, false)
 		if i == 3 {
 			var oom *OutOfMemoryError
 			if !errors.As(err, &oom) {
@@ -126,17 +126,17 @@ func TestMemShrinkForcesGenuineOOM(t *testing.T) {
 	if g.Spec.MemBytes >= spec.GPU.MemBytes {
 		t.Fatalf("capacity not shrunk: %d", g.Spec.MemBytes)
 	}
-	_, _, err := g.AllocFloat64("big", MemUser, int(spec.GPU.MemBytes/8))
+	_, _, err := Alloc[float64](g, "big", MemUser, int(spec.GPU.MemBytes/8), false)
 	var oom *OutOfMemoryError
 	if !errors.As(err, &oom) || oom.Injected {
 		t.Fatalf("want genuine OOM, got %v", err)
 	}
 }
 
-// TestRefusedAllocMakesNoHostSlice pins that the typed allocators
-// reserve simulated capacity before they make the backing slice: a
-// request the device refuses costs no host memory, on every rung of the
-// OOM ladder and for any accd request larger than the simulated GPU.
+// TestRefusedAllocMakesNoHostSlice pins that Alloc reserves simulated
+// capacity before it makes the backing slice: a request the device
+// refuses costs no host memory, on every rung of the OOM ladder and for
+// any accd request larger than the simulated GPU.
 func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	spec := Desktop()
 	mach, _ := NewMachine(spec)
@@ -144,7 +144,7 @@ func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	g := mach.GPU(0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := g.AllocFloat64("big", MemUser, int(spec.GPU.MemBytes/8))
+	_, _, err := Alloc[float64](g, "big", MemUser, int(spec.GPU.MemBytes/8), false)
 	runtime.ReadMemStats(&after)
 	var oom *OutOfMemoryError
 	if !errors.As(err, &oom) || oom.Injected {
@@ -163,7 +163,7 @@ func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	const n = 3001
 	key := shape{reflect.TypeFor[[]float64](), n}
 	roomy, _ := NewMachine(spec)
-	b, _, err := roomy.GPU(0).AllocFloat64("shelved", MemUser, n)
+	b, _, err := Alloc[float64](roomy.GPU(0), "shelved", MemUser, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	injected.InjectFaults(&FaultPlan{OOMGPU: 0, OOMAlloc: 1})
 	for _, dev := range []*Device{g, injected.GPU(0)} {
 		had, bytes := shelved(key), recycledBytes()
-		if _, _, err := dev.AllocFloat64("refused", MemUser, n); !errors.As(err, &oom) {
+		if _, _, err := Alloc[float64](dev, "refused", MemUser, n, false); !errors.As(err, &oom) {
 			t.Fatalf("%s: want OOM, got %v", dev, err)
 		}
 		if got := shelved(key); got != had || recycledBytes() != bytes {
@@ -185,7 +185,7 @@ func TestRefusedAllocMakesNoHostSlice(t *testing.T) {
 	// The injected fault was one-shot: the same request now takes the
 	// shelved slice.
 	had := shelved(key)
-	if _, _, err := injected.GPU(0).AllocFloat64("taken", MemUser, n); err != nil {
+	if _, _, err := Alloc[float64](injected.GPU(0), "taken", MemUser, n, false); err != nil {
 		t.Fatal(err)
 	}
 	if got := shelved(key); got != had-1 {

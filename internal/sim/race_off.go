@@ -2,5 +2,5 @@
 
 package sim
 
-// raceDetectorEnabled is false in normal builds; see race_on.go.
-const raceDetectorEnabled = false
+// RaceDetector is false in normal builds; see race_on.go.
+const RaceDetector = false

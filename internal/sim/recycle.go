@@ -36,8 +36,9 @@ type freedSlice struct {
 // machine shares it: every run builds a new machine (core.Program.Run),
 // and the storage its buffers freed serves whichever machine allocates
 // that shape next. Capacity accounting stays
-// per device; the list only saves the host the make, the zeroing and
-// the collection of a slice it already had.
+// per device; the list only saves the host the make and the collection
+// of a slice it already had, and a caller that fills the storage whole
+// the zeroing too.
 var recycler struct {
 	mu      sync.Mutex
 	bytes   int64
@@ -62,7 +63,7 @@ func recycle(b *Buffer) {
 		clear(recycler.shelves)
 		recycler.bytes = 0
 	}
-	if raceDetectorEnabled {
+	if RaceDetector {
 		raw := rawBytes(data)
 		for i := range raw {
 			raw[i] = poison
@@ -76,9 +77,9 @@ func recycle(b *Buffer) {
 	recycler.bytes += b.Bytes
 }
 
-// reuse takes an n-element []T off the free list and zeroes it. ok is
-// false when the list holds no slice of that shape.
-func reuse[T any](n int) (boxed any, data []T, ok bool) {
+// reuse takes an n-element []T off the free list, zeroed when zero
+// says so. ok is false when the list holds no slice of that shape.
+func reuse[T any](n int, zero bool) (boxed any, data []T, ok bool) {
 	key := shape{reflect.TypeFor[[]T](), n}
 	recycler.mu.Lock()
 	s := recycler.shelves[key]
@@ -95,11 +96,13 @@ func reuse[T any](n int) (boxed any, data []T, ok bool) {
 	}
 	recycler.bytes -= int64(n) * int64(unsafe.Sizeof(*new(T)))
 	recycler.mu.Unlock()
-	if raceDetectorEnabled {
+	if RaceDetector {
 		checkPoison(f)
 	}
 	data = f.data.([]T)
-	clear(data)
+	if zero {
+		clear(data)
+	}
 	return f.data, data, true
 }
 

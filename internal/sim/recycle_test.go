@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -29,7 +30,7 @@ func TestFreeRecyclesByShape(t *testing.T) {
 	const n = 1237
 	m1, _ := NewMachine(Desktop())
 	m2, _ := NewMachine(Desktop())
-	b, data, err := m1.GPU(0).AllocFloat32("x", MemUser, n)
+	b, data, err := Alloc[float32](m1.GPU(0), "x", MemUser, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +47,14 @@ func TestFreeRecyclesByShape(t *testing.T) {
 		t.Fatalf("%d slices of the freed shape on the list, want 1", got)
 	}
 	// Another element type or length does not take it.
-	if _, other, _ := m2.GPU(1).AllocInt32("i", MemUser, n); addr(other) == addr(data) {
+	if _, other, _ := Alloc[int32](m2.GPU(1), "i", MemUser, n, false); addr(other) == addr(data) {
 		t.Error("an int32 request took a float32 slice")
 	}
-	if _, other, _ := m2.GPU(1).AllocFloat32("y", MemUser, n+1); addr(other) == addr(data) {
+	if _, other, _ := Alloc[float32](m2.GPU(1), "y", MemUser, n+1, false); addr(other) == addr(data) {
 		t.Error("a longer request took a shorter slice")
 	}
 	// Another machine's request of the shape does, zeroed.
-	b2, again, err := m2.GPU(1).AllocFloat32("z", MemUser, n)
+	b2, again, err := Alloc[float32](m2.GPU(1), "z", MemUser, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,6 +68,45 @@ func TestFreeRecyclesByShape(t *testing.T) {
 	}
 	if b2.Data == nil || m2.GPU(1).UsedBytes() != 4*n+4*n+4*(n+1) {
 		t.Errorf("the recycled buffer is not accounted like a new one: %d bytes in use", m2.GPU(1).UsedBytes())
+	}
+}
+
+// TestFilledAllocSkipsTheClear: a caller that says it fills the storage
+// takes a recycled slice as the last Free left it (poisoned in a race
+// build); every other caller still reads zeros.
+func TestFilledAllocSkipsTheClear(t *testing.T) {
+	const n = 1249
+	m, _ := NewMachine(Desktop())
+	dev := m.GPU(0)
+	b, data, err := Alloc[float64](dev, "x", MemUser, n, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range data {
+		data[i] = float64(i + 1)
+	}
+	if err := dev.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	want := math.Float64bits(n)
+	if RaceDetector {
+		want = 0xa5a5a5a5a5a5a5a5
+	}
+	b, filled, err := Alloc[float64](dev, "y", MemUser, n, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if addr(filled) != addr(data) {
+		t.Fatal("a filled request of the freed shape made a new slice")
+	}
+	if got := math.Float64bits(filled[n-1]); got != want {
+		t.Errorf("filled storage's last element reads %#x, want %#x: it was cleared", got, want)
+	}
+	if err := dev.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	if _, zeroed, _ := Alloc[float64](dev, "z", MemUser, n, false); addr(zeroed) != addr(data) || zeroed[n-1] != 0 {
+		t.Errorf("a zeroed request took the slice uncleared (element %d reads %v)", n-1, zeroed[n-1])
 	}
 }
 
@@ -84,7 +124,7 @@ func TestRecyclerConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			m, _ := NewMachine(Desktop())
 			for range rounds {
-				b, data, err := m.GPU(c%2).AllocInt32("c", MemUser, n)
+				b, data, err := Alloc[int32](m.GPU(c%2), "c", MemUser, n, false)
 				if err != nil {
 					t.Error(err)
 					return
@@ -129,7 +169,7 @@ func TestFullListIsEmptiedForTheFreedSlice(t *testing.T) {
 	const n = 2003
 	freed := shape{reflect.TypeFor[[]float64](), n}
 	m, _ := NewMachine(Desktop())
-	b, _, err := m.GPU(0).AllocFloat64("new", MemUser, n)
+	b, _, err := Alloc[float64](m.GPU(0), "new", MemUser, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,12 +183,12 @@ func TestFullListIsEmptiedForTheFreedSlice(t *testing.T) {
 }
 
 func TestWriteAfterFreePanicsInRaceBuild(t *testing.T) {
-	if !raceDetectorEnabled {
+	if !RaceDetector {
 		t.Skip("the poison guard is on in race builds only")
 	}
 	const n = 777
 	m, _ := NewMachine(Desktop())
-	b, data, err := m.GPU(0).AllocInt32("stale", MemUser, n)
+	b, data, err := Alloc[int32](m.GPU(0), "stale", MemUser, n, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,5 +205,5 @@ func TestWriteAfterFreePanicsInRaceBuild(t *testing.T) {
 			t.Errorf("the panicking request left %d bytes reserved", m.GPU(1).UsedBytes())
 		}
 	}()
-	_, _, _ = m.GPU(1).AllocInt32("next", MemUser, n)
+	_, _, _ = Alloc[int32](m.GPU(1), "next", MemUser, n, false)
 }

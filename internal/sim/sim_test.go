@@ -76,9 +76,9 @@ func TestDeviceAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := m.GPU(0)
-	buf, data, err := dev.AllocFloat32("x", MemUser, 1000)
+	buf, data, err := Alloc[float32](dev, "x", MemUser, 1000, false)
 	if err != nil {
-		t.Fatalf("AllocFloat32: %v", err)
+		t.Fatalf("Alloc[float32]: %v", err)
 	}
 	if len(data) != 1000 {
 		t.Fatalf("len(data) = %d", len(data))
@@ -111,7 +111,7 @@ func TestDeviceOutOfMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev := m.GPU(0)
-	if _, _, err := dev.AllocFloat32("big", MemUser, 1024); err == nil {
+	if _, _, err := Alloc[float32](dev, "big", MemUser, 1024, false); err == nil {
 		t.Fatal("allocation beyond capacity should fail")
 	} else {
 		var oom *OutOfMemoryError
@@ -123,14 +123,14 @@ func TestDeviceOutOfMemory(t *testing.T) {
 		}
 	}
 	// Capacity not consumed by the failed allocation.
-	if _, _, err := dev.AllocInt32("small", MemSystem, 10); err != nil {
+	if _, _, err := Alloc[int32](dev, "small", MemSystem, 10, false); err != nil {
 		t.Fatalf("small alloc should fit: %v", err)
 	}
 }
 
 func TestFreeWrongDevice(t *testing.T) {
 	m, _ := NewMachine(Desktop())
-	buf, _, err := m.GPU(0).AllocFloat32("x", MemUser, 4)
+	buf, _, err := Alloc[float32](m.GPU(0), "x", MemUser, 4, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,8 +142,8 @@ func TestFreeWrongDevice(t *testing.T) {
 func TestAllocationsSnapshot(t *testing.T) {
 	m, _ := NewMachine(Desktop())
 	dev := m.GPU(0)
-	dev.AllocFloat32("small", MemUser, 10)
-	dev.AllocFloat32("large", MemSystem, 1000)
+	Alloc[float32](dev, "small", MemUser, 10, false)
+	Alloc[float32](dev, "large", MemSystem, 1000, false)
 	allocs := dev.Allocations()
 	if len(allocs) != 2 {
 		t.Fatalf("len(allocs) = %d", len(allocs))
@@ -459,17 +459,17 @@ func TestClusterTransferTime(t *testing.T) {
 func TestAllocTypedVariants(t *testing.T) {
 	m, _ := NewMachine(Desktop())
 	dev := m.GPU(0)
-	bufF64, f64, err := dev.AllocFloat64("d", MemUser, 10)
+	bufF64, f64, err := Alloc[float64](dev, "d", MemUser, 10, false)
 	if err != nil || len(f64) != 10 || bufF64.Bytes != 80 {
-		t.Fatalf("AllocFloat64: %v %d", err, bufF64.Bytes)
+		t.Fatalf("Alloc[float64]: %v %d", err, bufF64.Bytes)
 	}
-	bufI64, i64, err := dev.AllocInt64("l", MemUser, 10)
-	if err != nil || len(i64) != 10 || bufI64.Bytes != 80 {
-		t.Fatalf("AllocInt64: %v", err)
+	bufI32, i32, err := Alloc[int32](dev, "l", MemUser, 10, false)
+	if err != nil || len(i32) != 10 || bufI32.Bytes != 40 {
+		t.Fatalf("Alloc[int32]: %v", err)
 	}
-	bufB, bs, err := dev.AllocBytesSlice("b", MemSystem, 100)
+	bufB, bs, err := Alloc[byte](dev, "b", MemSystem, 100, false)
 	if err != nil || len(bs) != 100 || bufB.Bytes != 100 {
-		t.Fatalf("AllocBytesSlice: %v", err)
+		t.Fatalf("Alloc[byte]: %v", err)
 	}
 	if bufB.Device() != dev {
 		t.Error("Buffer.Device wrong")

@@ -68,8 +68,22 @@ func Lower(pa *ProgramAccess) (*ir.Module, error) {
 		return nil, err
 	}
 	t.m.Main = main
+	t.m.HostWrites = make([]bool, prog.NumArrays)
+	markHostWrites(t.m.HostWrites, pa.Body)
 	stripFlappingTransforms(t.m)
 	return t.m, nil
+}
+
+// markHostWrites marks in w every array a host statement among nodes
+// stores to, under host loops, branches and data regions too.
+func markHostWrites(w []bool, nodes []*Node) {
+	for _, n := range nodes {
+		for _, d := range n.Writes {
+			w[d.Slot] = true
+		}
+		markHostWrites(w, n.Kids)
+		markHostWrites(w, n.Else)
+	}
 }
 
 // stripFlappingTransforms withdraws layout-transform eligibility from
