@@ -4,8 +4,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"accmulti/internal/apps"
 	"accmulti/internal/cc"
 )
 
@@ -74,5 +76,101 @@ void main() {
 	}
 	if got != string(want) {
 		t.Errorf("generated source changed; run `go test ./internal/translator -run Golden -update` if intentional.\n--- got ---\n%s", got)
+	}
+}
+
+// unicodeSource names its arrays with letters outside ASCII ("ªµ" is
+// two runes in four bytes), so a rewrite that pads the array column by
+// bytes rather than runes shows in the corpus golden. It also reaches
+// the expression forms the apps leave out: casts, calls, the
+// conditional, unary operators, exponent literals, while, else,
+// break and continue.
+const unicodeSource = `
+int n, m;
+float ªµ[n], êõ[n], a_name_longer_than_twelve[n];
+int idx[n];
+float top;
+double d;
+void main() {
+    int i, j;
+    top = 0.0;
+    d = 1.5e-7;
+    #pragma acc data copyin(ªµ, idx) copy(êõ, a_name_longer_than_twelve)
+    {
+        #pragma acc parallel loop reduction(max:top)
+        for (i = 0; i < n; i++) {
+            float t;
+            t = (float)(ªµ[idx[i]]) * 1e-5 + 100000000.0 - 2.5e20;
+            if (t > 0.5 && !(i % 2 == 0)) {
+                êõ[i] = t > 1.0 ? sqrt(fabs(t)) : -t;
+            } else {
+                êõ[i] -= (double)(~i);
+            }
+            a_name_longer_than_twelve[i] = 3.0f;
+            top = max(top, t);
+        }
+        j = 0;
+        while (j < m) {
+            j++;
+            if (j > 3) {
+                break;
+            } else {
+                continue;
+            }
+        }
+        #pragma acc update host(êõ)
+    }
+}
+`
+
+// TestEmitCorpusGolden pins the emitted text of the six apps, every
+// shipped example and unicodeSource, one after the other. Run with
+// -update to regenerate after intentional emitter changes.
+func TestEmitCorpusGolden(t *testing.T) {
+	type unit struct{ name, src string }
+	var corpus []unit
+	for _, app := range append(apps.All(), apps.Extended()...) {
+		corpus = append(corpus, unit{"app " + app.Name, app.Source})
+	}
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "testdata", "*.c"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("examples/testdata: %v (%d files)", err, len(files))
+	}
+	for _, f := range files {
+		src, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corpus = append(corpus, unit{"examples/testdata/" + filepath.Base(f), string(src)})
+	}
+	corpus = append(corpus, unit{"unicode", unicodeSource})
+
+	var b strings.Builder
+	for _, u := range corpus {
+		prog, err := cc.ParseProgram(u.src)
+		if err != nil {
+			t.Fatalf("%s: %v", u.name, err)
+		}
+		mod, err := Translate(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", u.name, err)
+		}
+		b.WriteString("//// " + u.name + "\n")
+		b.WriteString(mod.GeneratedSource)
+	}
+	got := b.String()
+
+	golden := filepath.Join("testdata", "golden_emit_corpus.cu")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("emitted corpus changed; run `go test ./internal/translator -run Golden -update` if intentional")
 	}
 }
