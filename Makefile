@@ -20,7 +20,7 @@ all: build vet test
 # take ~10x longer under the detector), the trace golden/invariance
 # gate, the accvet directive checks over the shipped examples and the
 # audited random-program corpus, and a short fuzz smoke over the
-# frontend fuzzer, the audited random-program fuzzer, the
+# frontend and lexer fuzzers, the audited random-program fuzzer, the
 # vet-vs-auditor cross-check fuzzer, the specialized-vs-interpreted
 # differential fuzzer, the trace well-formedness fuzzer, the
 # async-vs-sync schedule-equivalence fuzzer, the static-vs-dynamic
@@ -88,6 +88,7 @@ accvet:
 
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=5s -run='^$$' ./internal/cc
+	$(GO) test -fuzz=FuzzLex -fuzztime=5s -run='^$$' ./internal/cc
 	$(GO) test -fuzz=FuzzAuditedRandomPrograms -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzVetCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzSpecializedVsInterp -fuzztime=5s -run='^$$' ./internal/rt

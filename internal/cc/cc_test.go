@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -451,5 +452,55 @@ func TestExpectErrorMessage(t *testing.T) {
 	_, err = ParseProgram("void main() { while 1 { } }")
 	if err == nil || !strings.Contains(err.Error(), `expected "("`) {
 		t.Errorf("while without parens: %v", err)
+	}
+}
+
+// TestLexErrorWins holds the frontend to one rule for a source with a
+// parse error and a lexical error after it: the lexical error wins, as
+// if the text were lexed whole before parsing, so the error does not
+// depend on where the parser stops. Each case's prefix alone fails with
+// a parse error; with the suffix, ParseProgram and ParseExprString must
+// return what Lex says of the whole text.
+func TestLexErrorWins(t *testing.T) {
+	for _, tc := range []struct{ prefix, suffix string }{
+		{"void main() { x = ; }", "\nint @;"},
+		{"void main() { if (1 { } }", "\n/* open"},
+		{"int 1;", "\n#include <stdio.h>"},
+		{"void main() { x = " + strings.Repeat("!", MaxNest+1) + "1; }", " $"},
+		{"void main() { x = 1 + ; }", strings.Repeat(" y", MaxTokens)},
+	} {
+		_, perr := ParseProgram(tc.prefix)
+		if perr == nil {
+			t.Fatalf("ParseProgram(%.40q) succeeds; the case needs a parse error", tc.prefix)
+		}
+		src := tc.prefix + tc.suffix
+		_, lerr := Lex(src)
+		if lerr == nil || lerr.Error() == perr.Error() {
+			t.Fatalf("Lex(%.40q) = %v; the case needs a lexical error unlike %q", src, lerr, perr)
+		}
+		if _, err := ParseProgram(src); err == nil || err.Error() != lerr.Error() {
+			t.Errorf("ParseProgram(%.40q) = %v, want the lexical error %q", src, err, lerr)
+		}
+	}
+
+	scope := map[string]*VarDecl{"n": {Name: "n", Type: TInt, Global: true}}
+	for _, tc := range []struct{ prefix, suffix string }{
+		{"n + )", " @"},   // a parse error
+		{"n n", " `"},     // trailing tokens
+		{"(n", " n /* x"}, // end of text inside the expression
+	} {
+		_, perr := ParseExprString(tc.prefix, 3, scope)
+		if perr == nil {
+			t.Fatalf("ParseExprString(%q) succeeds; the case needs a parse error", tc.prefix)
+		}
+		text := tc.prefix + tc.suffix
+		_, lerr := Lex(text)
+		if lerr == nil {
+			t.Fatalf("Lex(%q) succeeds; the case needs a lexical error", text)
+		}
+		want := fmt.Sprintf("cc: line 3: in directive expression %q: %v", text, lerr)
+		if _, err := ParseExprString(text, 3, scope); err == nil || err.Error() != want {
+			t.Errorf("ParseExprString(%q) = %v, want %q", text, err, want)
+		}
 	}
 }

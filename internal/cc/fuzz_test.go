@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-// FuzzParseProgram checks the frontend never panics and that accepted
-// programs re-parse identically (the source is stored verbatim).
+// FuzzParseProgram checks the frontend never panics, that accepted
+// programs re-parse identically (the source is stored verbatim) and that
+// a source the lexer refuses gets the lexer's error, wherever the parser
+// would have stopped.
 // Run with `go test -fuzz=FuzzParseProgram ./internal/cc` to explore;
 // the seed corpus alone runs under plain `go test`.
 func FuzzParseProgram(f *testing.F) {
@@ -24,12 +26,18 @@ func FuzzParseProgram(f *testing.F) {
 		"int n; void main() { n <<= 70; }",
 		"float f; void main() { f = 1e999; }",
 		"void main() { break; }",
+		"void main() { a = 1 + ; }\n@",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := ParseProgram(src)
+		if _, lerr := Lex(src); lerr != nil {
+			if err == nil || err.Error() != lerr.Error() {
+				t.Fatalf("Lex fails with %q, ParseProgram with %v", lerr, err)
+			}
+		}
 		if err != nil {
 			return // rejected inputs just need to not panic
 		}

@@ -6,51 +6,73 @@ import (
 	"unicode"
 )
 
-// lexer converts source text into tokens, keeping `#pragma` lines whole.
+// lexer turns source text into tokens one at a time, keeping `#pragma`
+// lines whole; the parser pulls them as it goes.
 type lexer struct {
 	src       string
 	pos       int
 	line      int
 	lineStart int // byte offset of the current line's first character
-	toks      []Token
 	// brackets and braces count the unclosed ( and [, and the unclosed {:
-	// the nesting the parser would refuse (maxNest), refused before a
-	// megabyte of brackets becomes a hundred megabytes of tokens.
+	// the nesting the parser would refuse (maxNest) is refused here too, at
+	// the bracket past the budget, so that a drain through a megabyte of
+	// brackets after a parse error stops there.
 	brackets, braces int
+	// n counts the tokens made so far; over is the first past maxTokens.
+	n    int
+	over Token
+	// err is the first lexical error; from then on next returns EOF.
+	err error
 }
 
 // col returns the 1-based column of byte offset pos on the current line.
 func (lx *lexer) col(pos int) int { return pos - lx.lineStart + 1 }
 
-// Lex tokenizes the source. It is exported for tests and tooling; the
-// parser calls it internally.
+// Lex tokenizes the whole source, EOF last. It is for tests and tooling:
+// the parser pulls the same tokens one at a time and keeps none.
 func Lex(src string) ([]Token, error) {
 	lx := &lexer{src: src, line: 1}
-	if err := lx.run(); err != nil {
-		return nil, err
+	for toks := []Token(nil); ; {
+		tok := lx.next()
+		if lx.err != nil {
+			return nil, lx.err
+		}
+		if toks = append(toks, tok); tok.Kind == TokEOF {
+			return toks, nil
+		}
 	}
-	return lx.toks, nil
 }
 
-// maxTokens bounds the token stream of one source. A token is 40 bytes,
-// and the shortest one a byte of source: without the bound the 64 MiB
-// body accd accepts becomes 2.5 GB of tokens before the parser has
-// refused anything. The longest source of the shipped corpus (a
-// 128-kernel pipeline) is under 9000 tokens.
+// maxTokens bounds the tokens lexed from one source: the parser's work
+// and, after a parse error, the drain's, which lexes on to the end of the
+// text for a lexical error that would win. Without it the 64 MiB body
+// accd accepts is lexed to its end whatever the parser has refused. Past
+// it the error is "source longer than N tokens" at the first token over.
+// The longest source of the shipped corpus (a 128-kernel pipeline) is
+// under 9000 tokens.
 const maxTokens = 1 << 20
 
-// two- and three-character punctuation, longest match first.
-var punct2 = []string{
-	"<<=", ">>=",
-	"==", "!=", "<=", ">=", "&&", "||", "+=", "-=", "*=", "/=", "%=",
-	"++", "--", "<<", ">>",
+// next returns the next token, EOF at the end of the source. After a
+// lexical error, which it keeps in lx.err, it returns EOF.
+func (lx *lexer) next() Token {
+	if lx.err == nil {
+		tok, err := lx.scan()
+		if err == nil {
+			if lx.n++; lx.n == maxTokens+1 {
+				lx.over = tok
+			}
+			return tok
+		}
+		lx.err = err
+	}
+	return Token{Kind: TokEOF, Line: lx.line, Col: lx.col(lx.pos)}
 }
 
-func (lx *lexer) run() error {
+// scan skips space and comments and lexes one token.
+func (lx *lexer) scan() (Token, error) {
 	for lx.pos < len(lx.src) {
-		if len(lx.toks) > maxTokens {
-			tok := lx.toks[maxTokens]
-			return &Error{Line: tok.Line, Col: tok.Col, Msg: fmt.Sprintf("source longer than %d tokens", maxTokens)}
+		if lx.n > maxTokens {
+			return Token{}, &Error{Line: lx.over.Line, Col: lx.over.Col, Msg: fmt.Sprintf("source longer than %d tokens", maxTokens)}
 		}
 		c := lx.src[lx.pos]
 		switch {
@@ -66,19 +88,18 @@ func (lx *lexer) run() error {
 			}
 		case c == '/' && lx.peek(1) == '*':
 			if err := lx.blockComment(); err != nil {
-				return err
+				return Token{}, err
 			}
 		case c == '#':
-			if err := lx.pragma(); err != nil {
-				return err
-			}
+			return lx.pragma()
 		case isDigit(rune(c)) || (c == '.' && isDigit(rune(lx.peek(1)))):
-			lx.number()
+			return lx.number(), nil
 		case isIdentStart(rune(c)):
-			lx.ident()
+			return lx.ident(), nil
 		default:
-			if !lx.punct() {
-				return errf(lx.line, "unexpected character %q", c)
+			tok, ok := lx.punct()
+			if !ok {
+				return Token{}, errf(lx.line, "unexpected character %q", c)
 			}
 			switch c {
 			case '(', '[':
@@ -90,15 +111,15 @@ func (lx *lexer) run() error {
 			case '}':
 				lx.braces--
 			}
-			if tok := lx.toks[len(lx.toks)-1]; lx.brackets > maxNest {
-				return tooDeep("expression", tok)
+			if lx.brackets > maxNest {
+				return Token{}, tooDeep("expression", tok)
 			} else if lx.braces > maxNest {
-				return tooDeep("statement", tok)
+				return Token{}, tooDeep("statement", tok)
 			}
+			return tok, nil
 		}
 	}
-	lx.toks = append(lx.toks, Token{Kind: TokEOF, Line: lx.line, Col: lx.col(lx.pos)})
-	return nil
+	return Token{Kind: TokEOF, Line: lx.line, Col: lx.col(lx.pos)}, nil
 }
 
 func (lx *lexer) peek(ahead int) byte {
@@ -125,7 +146,7 @@ func (lx *lexer) blockComment() error {
 	return errf(start, "unterminated block comment")
 }
 
-func (lx *lexer) pragma() error {
+func (lx *lexer) pragma() (Token, error) {
 	start := lx.pos
 	line := lx.line
 	for lx.pos < len(lx.src) && lx.src[lx.pos] != '\n' {
@@ -134,24 +155,23 @@ func (lx *lexer) pragma() error {
 	text := lx.src[start:lx.pos]
 	rest, ok := strings.CutPrefix(text, "#")
 	if !ok {
-		return errf(line, "malformed preprocessor line")
+		return Token{}, errf(line, "malformed preprocessor line")
 	}
 	off := 1 // past '#'
 	trimmed := strings.TrimLeft(rest, " \t\r")
 	off += len(rest) - len(trimmed)
 	body, ok := strings.CutPrefix(trimmed, "pragma")
 	if !ok {
-		return errf(line, "unsupported preprocessor directive %q (only #pragma is accepted)", text)
+		return Token{}, errf(line, "unsupported preprocessor directive %q (only #pragma is accepted)", text)
 	}
 	off += len("pragma")
 	bodyTrim := strings.TrimLeft(body, " \t\r")
 	off += len(body) - len(bodyTrim)
 	bodyTrim = strings.TrimRight(bodyTrim, " \t\r")
-	lx.toks = append(lx.toks, Token{Kind: TokPragma, Text: bodyTrim, Line: line, Col: lx.col(start) + off})
-	return nil
+	return Token{Kind: TokPragma, Text: bodyTrim, Line: line, Col: lx.col(start) + off}, nil
 }
 
-func (lx *lexer) number() {
+func (lx *lexer) number() Token {
 	start := lx.pos
 	kind := TokInt
 	for lx.pos < len(lx.src) && isDigit(rune(lx.src[lx.pos])) {
@@ -185,34 +205,38 @@ func (lx *lexer) number() {
 		kind = TokFloat
 		lx.pos++
 	}
-	lx.toks = append(lx.toks, Token{Kind: kind, Text: text, Line: lx.line, Col: lx.col(start)})
+	return Token{Kind: kind, Text: text, Line: lx.line, Col: lx.col(start)}
 }
 
-func (lx *lexer) ident() {
+func (lx *lexer) ident() Token {
 	start := lx.pos
 	for lx.pos < len(lx.src) && isIdentRune(rune(lx.src[lx.pos])) {
 		lx.pos++
 	}
-	lx.toks = append(lx.toks, Token{Kind: TokIdent, Text: lx.src[start:lx.pos], Line: lx.line, Col: lx.col(start)})
+	return Token{Kind: TokIdent, Text: lx.src[start:lx.pos], Line: lx.line, Col: lx.col(start)}
 }
 
-func (lx *lexer) punct() bool {
+// punct lexes an operator or punctuation token, the longest that
+// matches: a doubled << >> == ++ -- && ||, then an = after < > = ! * / %
+// + - (or after << and >>), else one character.
+func (lx *lexer) punct() (Token, bool) {
 	rest := lx.src[lx.pos:]
-	for _, p := range punct2 {
-		if strings.HasPrefix(rest, p) {
-			lx.toks = append(lx.toks, Token{Kind: TokPunct, Text: p, Line: lx.line, Col: lx.col(lx.pos)})
-			lx.pos += len(p)
-			return true
+	n := 1
+	switch c := rest[0]; c {
+	case '<', '>', '=', '+', '-', '&', '|', '!', '*', '/', '%':
+		if len(rest) > 1 && rest[1] == c && strings.IndexByte("<>=+-&|", c) >= 0 {
+			n = 2
 		}
+		if len(rest) > n && rest[n] == '=' && strings.IndexByte("<>=+-!*/%", c) >= 0 && (n == 1 || c == '<' || c == '>') {
+			n++
+		}
+	case '^', '~', '(', ')', '[', ']', '{', '}', ';', ',', '?', ':':
+	default:
+		return Token{}, false
 	}
-	switch rest[0] {
-	case '+', '-', '*', '/', '%', '<', '>', '=', '!', '&', '|', '^', '~',
-		'(', ')', '[', ']', '{', '}', ';', ',', '?', ':':
-		lx.toks = append(lx.toks, Token{Kind: TokPunct, Text: rest[:1], Line: lx.line, Col: lx.col(lx.pos)})
-		lx.pos++
-		return true
-	}
-	return false
+	tok := Token{Kind: TokPunct, Text: rest[:n], Line: lx.line, Col: lx.col(lx.pos)}
+	lx.pos += n
+	return tok, true
 }
 
 func isDigit(r rune) bool      { return r >= '0' && r <= '9' }

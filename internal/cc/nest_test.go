@@ -21,10 +21,11 @@ import (
 // — and the ones that used to cost gigabytes before anything refused
 // them: two million terms, three million operators. Each must come back
 // as one positioned error having allocated little: the nesting budget
-// cuts brackets and braces in the lexer, the token budget everything
-// else, and neither depends on how busy the machine is. To see the first
-// kind fail at a commit without the budget, run this test in a subprocess
-// there: the failure is the death of the process, not a t.Error.
+// cuts brackets and braces in the lexer, the token budget the drain
+// after a parse error, and neither depends on how busy the machine is.
+// To see the first kind fail at a commit without the budget, run this
+// test in a subprocess there: the failure is the death of the process,
+// not a t.Error.
 func TestNestingBombs(t *testing.T) {
 	wrap := func(stmt string) string { return "int n, x;\nfloat a[n];\nvoid main() {\n" + stmt + "\n}\n" }
 	const parens, blocks = 3_000_000, 100_000
@@ -46,10 +47,11 @@ func TestNestingBombs(t *testing.T) {
 		if !errors.As(err, &perr) || perr.Line == 0 || perr.Col == 0 || !strings.Contains(perr.Msg, tc.want) {
 			t.Errorf("%s: got %v; want one positioned error saying %q", tc.name, err, tc.want)
 		}
-		// A token is 40 bytes and the slice grows by a quarter at a time:
-		// the budget's worth of tokens is 5 x 40 MB allocated in all
-		// (four times that for the two million terms, unbounded).
-		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 256 {
+		// The parser keeps no tokens: it pulls them one at a time, and
+		// after its error drains the lexer, which the token budget stops,
+		// to the end of the text. So a bomb costs the nodes built before
+		// the refusal, under a megabyte each here.
+		if mb := (after.TotalAlloc - before.TotalAlloc) >> 20; mb > 16 {
 			t.Errorf("%s: allocated %d MB", tc.name, mb)
 		}
 	}

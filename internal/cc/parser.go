@@ -1,22 +1,39 @@
 package cc
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 
 	"accmulti/internal/acc"
 )
 
-// parser is a recursive-descent parser over the token stream.
+// parser is a recursive-descent parser that pulls its tokens from the
+// lexer one at a time: it looks at one token (tok) and never back. A
+// parse error abandons the parse: the parser panics with a bail, which
+// the entry point (parse) recovers.
 type parser struct {
-	toks []Token
-	pos  int
+	lx  lexer
+	tok Token
+	// line, when positive (ParseExprString), is every token's line, and
+	// no token has a column.
+	line int
 	// exprNest and stmtNest count the expressions and the statements the
 	// parser is inside of: its own recursion depth.
 	exprNest, stmtNest int
 	// peakExpr and peakStmt are the deepest nesting met so far (for
 	// expressions, of the recursion and of the trees built).
 	peakExpr, peakStmt int
+}
+
+// bail is a parse error on its way up the parser's recursion.
+type bail struct{ err error }
+
+// check abandons the parse with err, if there is one.
+func check(err error) {
+	if err != nil {
+		panic(bail{err})
+	}
 }
 
 // maxNest bounds how deep expressions and statements may nest. Source
@@ -36,27 +53,59 @@ func tooDeep(what string, tok Token) error {
 
 // built gives a node the parser has just made its depth, one more than
 // its deepest operand's, and holds it to the budget.
-func (p *parser) built(e Expr, operands ...Expr) (Expr, error) {
+func (p *parser) built(e Expr, operands ...Expr) Expr {
 	b := e.base()
 	for _, o := range operands {
 		b.depth = max(b.depth, o.base().depth+1)
 	}
 	if b.depth > maxNest {
-		return nil, tooDeep("expression", Token{Line: b.Line, Col: int(b.Col)})
+		panic(bail{tooDeep("expression", Token{Line: b.Line, Col: int(b.Col)})})
 	}
 	p.peakExpr = max(p.peakExpr, int(b.depth))
-	return e, nil
+	return e
+}
+
+// advance reads the next token.
+func (p *parser) advance() {
+	p.tok = p.lx.next()
+	if p.line > 0 {
+		p.tok.Line, p.tok.Col = p.line, 0
+	}
+}
+
+// next returns the current token and reads the one after it.
+func (p *parser) next() Token { t := p.tok; p.advance(); return t }
+
+// parse reads the first token and runs f, returning the error it bailed
+// with or the lexer's: a lexical error anywhere in the text wins over a
+// parse error, so after one the lexer is drained to the end of the text,
+// and the error does not depend on where the parser stopped.
+func (p *parser) parse(f func()) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			b, ok := r.(bail)
+			if !ok {
+				panic(r)
+			}
+			err = b.err
+			for p.tok.Kind != TokEOF {
+				p.advance()
+			}
+		}
+		if p.lx.err != nil {
+			err = p.lx.err
+		}
+	}()
+	p.advance()
+	f()
+	return nil
 }
 
 // ParseProgram lexes, parses and analyzes a translation unit.
 func ParseProgram(src string) (*Program, error) {
-	toks, err := Lex(src)
-	if err != nil {
-		return nil, err
-	}
-	p := &parser{toks: toks}
-	prog, err := p.parseUnit()
-	if err != nil {
+	p := parser{lx: lexer{src: src, line: 1}}
+	var prog *Program
+	if err := p.parse(func() { prog = p.parseUnit() }); err != nil {
 		return nil, err
 	}
 	prog.Source = src
@@ -67,28 +116,25 @@ func ParseProgram(src string) (*Program, error) {
 	return prog, nil
 }
 
+var errTrailing = errors.New("trailing tokens after expression")
+
 // ParseExprString parses a standalone expression (used for directive
 // arguments such as localaccess bounds) and resolves it against the
-// given scope.
+// given scope. Its tokens take the directive's line and no column:
+// columns would be relative to the directive text, not the source line.
 func ParseExprString(text string, line int, scope map[string]*VarDecl) (Expr, error) {
-	toks, err := Lex(text)
-	if err != nil {
+	p := parser{lx: lexer{src: text, line: 1}, line: line}
+	var e Expr
+	err := p.parse(func() {
+		if e = p.parseExpr(); p.tok.Kind != TokEOF {
+			check(errTrailing)
+		}
+	})
+	switch {
+	case p.lx.err != nil, err == errTrailing:
 		return nil, errf(line, "in directive expression %q: %v", text, err)
-	}
-	// Rebase token lines onto the directive's line. Columns are
-	// relative to the directive text, not the source line, so drop
-	// them rather than report misleading positions.
-	for i := range toks {
-		toks[i].Line = line
-		toks[i].Col = 0
-	}
-	p := &parser{toks: toks}
-	e, err := p.parseExpr()
-	if err != nil {
+	case err != nil:
 		return nil, fmt.Errorf("in directive expression %q: %w", text, err)
-	}
-	if p.cur().Kind != TokEOF {
-		return nil, errf(line, "in directive expression %q: trailing tokens after expression", text)
 	}
 	sa := &sema{scope: scope, noDecl: true}
 	if err := sa.expr(e); err != nil {
@@ -97,37 +143,33 @@ func ParseExprString(text string, line int, scope map[string]*VarDecl) (Expr, er
 	return e, nil
 }
 
-func (p *parser) cur() Token  { return p.toks[p.pos] }
-func (p *parser) next() Token { t := p.toks[p.pos]; p.pos++; return t }
-
 func (p *parser) accept(text string) bool {
-	if p.cur().Kind == TokPunct && p.cur().Text == text {
-		p.pos++
+	if p.tok.Kind == TokPunct && p.tok.Text == text {
+		p.advance()
 		return true
 	}
 	return false
 }
 
 func (p *parser) acceptIdent(name string) bool {
-	if p.cur().Kind == TokIdent && p.cur().Text == name {
-		p.pos++
+	if p.tok.Kind == TokIdent && p.tok.Text == name {
+		p.advance()
 		return true
 	}
 	return false
 }
 
-func (p *parser) expect(text string) error {
+func (p *parser) expect(text string) {
 	if !p.accept(text) {
-		return errf(p.cur().Line, "expected %q, found %s", text, p.cur())
+		panic(bail{errf(p.tok.Line, "expected %q, found %s", text, p.tok)})
 	}
-	return nil
 }
 
 func (p *parser) typeName() (ElemType, bool) {
-	if p.cur().Kind != TokIdent {
+	if p.tok.Kind != TokIdent {
 		return 0, false
 	}
-	switch p.cur().Text {
+	switch p.tok.Text {
 	case "int":
 		return TInt, true
 	case "float":
@@ -139,87 +181,66 @@ func (p *parser) typeName() (ElemType, bool) {
 }
 
 // parseUnit parses globals followed by void main().
-func (p *parser) parseUnit() (*Program, error) {
+func (p *parser) parseUnit() *Program {
 	prog := &Program{}
-	for p.cur().Kind != TokEOF {
+	for p.tok.Kind != TokEOF {
 		// Skip storage qualifiers on globals.
 		for p.acceptIdent("extern") || p.acceptIdent("const") {
 		}
 		if p.acceptIdent("void") {
-			fn, err := p.parseFunc()
-			if err != nil {
-				return nil, err
-			}
+			fn := p.parseFunc()
 			if prog.Main != nil {
-				return nil, errf(fn.Line, "multiple functions: only one void main() is supported")
+				panic(bail{errf(fn.Line, "multiple functions: only one void main() is supported")})
 			}
 			prog.Main = fn
 			continue
 		}
 		if t, ok := p.typeName(); ok {
-			p.pos++
-			decls, err := p.parseDeclarators(t, true)
-			if err != nil {
-				return nil, err
-			}
-			prog.Globals = append(prog.Globals, decls...)
+			p.advance()
+			prog.Globals = append(prog.Globals, p.parseDeclarators(t, true)...)
 			continue
 		}
-		return nil, errf(p.cur().Line, "expected declaration or void main(), found %s", p.cur())
+		panic(bail{errf(p.tok.Line, "expected declaration or void main(), found %s", p.tok)})
 	}
 	if prog.Main == nil {
-		return nil, errf(1, "program has no void main()")
+		panic(bail{errf(1, "program has no void main()")})
 	}
-	return prog, nil
+	return prog
 }
 
-func (p *parser) parseFunc() (*FuncDecl, error) {
-	name := p.cur()
+func (p *parser) parseFunc() *FuncDecl {
+	name := p.tok
 	if name.Kind != TokIdent || IsKeyword(name.Text) {
-		return nil, errf(name.Line, "expected function name, found %s", name)
+		panic(bail{errf(name.Line, "expected function name, found %s", name)})
 	}
-	p.pos++
+	p.advance()
 	if name.Text != "main" {
-		return nil, errf(name.Line, "only void main() is supported, found function %q", name.Text)
+		panic(bail{errf(name.Line, "only void main() is supported, found function %q", name.Text)})
 	}
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
+	p.expect("(")
 	p.acceptIdent("void")
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseBlock(nil)
-	if err != nil {
-		return nil, err
-	}
-	return &FuncDecl{Name: name.Text, Body: body, Line: name.Line}, nil
+	p.expect(")")
+	return &FuncDecl{Name: name.Text, Body: p.parseBlock(nil), Line: name.Line}
 }
 
 // parseDeclarators parses `name [expr]? (, name [expr]?)* ;` after the
 // type keyword.
-func (p *parser) parseDeclarators(t ElemType, global bool) ([]*VarDecl, error) {
+func (p *parser) parseDeclarators(t ElemType, global bool) []*VarDecl {
 	var decls []*VarDecl
 	for {
-		tok := p.cur()
+		tok := p.tok
 		if tok.Kind != TokIdent || IsKeyword(tok.Text) {
-			return nil, errf(tok.Line, "expected variable name, found %s", tok)
+			panic(bail{errf(tok.Line, "expected variable name, found %s", tok)})
 		}
-		p.pos++
+		p.advance()
 		d := &VarDecl{Name: tok.Text, Type: t, Global: global, Line: tok.Line}
 		if p.accept("[") {
 			if !global {
-				return nil, errf(tok.Line, "local arrays are not supported; declare %q at file scope", tok.Text)
-			}
-			size, err := p.parseExpr()
-			if err != nil {
-				return nil, err
+				panic(bail{errf(tok.Line, "local arrays are not supported; declare %q at file scope", tok.Text)})
 			}
 			d.IsArray = true
-			d.Size = size
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
+			d.Size = p.parseExpr()
+			p.expect("]")
 		}
 		decls = append(decls, d)
 		if p.accept(",") {
@@ -227,10 +248,8 @@ func (p *parser) parseDeclarators(t ElemType, global bool) ([]*VarDecl, error) {
 		}
 		break
 	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
-	return decls, nil
+	p.expect(";")
+	return decls
 }
 
 // pending accumulates pragmas that must attach to the next statement.
@@ -245,102 +264,85 @@ func (pd *pending) empty() bool {
 	return pd.parallel == nil && len(pd.local) == 0 && pd.reduce == nil && pd.data == nil
 }
 
-func (p *parser) parseBlock(data *acc.Directive) (*Block, error) {
-	line := p.cur().Line
-	if err := p.expect("{"); err != nil {
-		return nil, err
-	}
+func (p *parser) parseBlock(data *acc.Directive) *Block {
+	line := p.tok.Line
+	p.expect("{")
 	b := &Block{stmtBase: stmtBase{Line: line}, Data: data}
 	for !p.accept("}") {
-		if p.cur().Kind == TokEOF {
-			return nil, errf(line, "unterminated block")
+		if p.tok.Kind == TokEOF {
+			panic(bail{errf(line, "unterminated block")})
 		}
-		st, err := p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
-		if st != nil {
-			b.Stmts = append(b.Stmts, st)
-		}
+		b.Stmts = append(b.Stmts, p.parseStmt())
 	}
-	return b, nil
+	return b
 }
 
 // parseStmt is on every path by which statement parsing recurses, so it
 // is where that recursion is counted (an error abandons the parser, and
 // its counters with it).
-func (p *parser) parseStmt() (Stmt, error) {
+func (p *parser) parseStmt() Stmt {
 	if p.stmtNest++; p.stmtNest > maxNest {
-		return nil, tooDeep("statement", p.cur())
+		panic(bail{tooDeep("statement", p.tok)})
 	}
 	p.peakStmt = max(p.peakStmt, p.stmtNest)
-	st, err := p.parseDirectedStmt()
+	st := p.parseDirectedStmt()
 	p.stmtNest--
-	return st, err
+	return st
 }
 
-func (p *parser) parseDirectedStmt() (Stmt, error) {
+func (p *parser) parseDirectedStmt() Stmt {
 	var pd pending
 	// Gather directives that prefix the statement.
-	for p.cur().Kind == TokPragma {
+	for p.tok.Kind == TokPragma {
 		tok := p.next()
 		d, err := acc.ParseDirectiveAt(tok.Text, tok.Line, tok.Col)
-		if err != nil {
-			return nil, err
-		}
+		check(err)
 		switch d.Kind {
 		case acc.KindUpdate:
 			if !pd.empty() {
-				return nil, errf(d.Line, "update directive cannot follow other pending directives")
+				panic(bail{errf(d.Line, "update directive cannot follow other pending directives")})
 			}
-			return &UpdateStmt{stmtBase: stmtBase{Line: d.Line}, Directive: d}, nil
+			return &UpdateStmt{stmtBase: stmtBase{Line: d.Line}, Directive: d}
 		case acc.KindData:
 			if pd.data != nil {
-				return nil, errf(d.Line, "duplicate data directive")
+				panic(bail{errf(d.Line, "duplicate data directive")})
 			}
 			pd.data = d
 		case acc.KindParallelLoop:
 			if pd.parallel != nil {
-				return nil, errf(d.Line, "duplicate parallel loop directive")
+				panic(bail{errf(d.Line, "duplicate parallel loop directive")})
 			}
 			pd.parallel = d
 		case acc.KindLocalAccess:
 			la, err := acc.ParseLocalAccess(d)
-			if err != nil {
-				return nil, err
-			}
+			check(err)
 			pd.local = append(pd.local, la)
 		case acc.KindReductionToArray:
 			if pd.reduce != nil {
-				return nil, errf(d.Line, "duplicate reductiontoarray directive")
+				panic(bail{errf(d.Line, "duplicate reductiontoarray directive")})
 			}
 			r, err := acc.ParseReductionToArray(d)
-			if err != nil {
-				return nil, err
-			}
+			check(err)
 			pd.reduce = &r
 		}
 	}
-	st, err := p.parseStmtBody(&pd)
-	if err != nil {
-		return nil, err
-	}
+	st := p.parseStmtBody(&pd)
 	if !pd.empty() {
-		return nil, errf(st.Pos(), "directive does not apply to this statement kind")
+		panic(bail{errf(st.Pos(), "directive does not apply to this statement kind")})
 	}
-	return st, nil
+	return st
 }
 
-func (p *parser) parseStmtBody(pd *pending) (Stmt, error) {
-	tok := p.cur()
+func (p *parser) parseStmtBody(pd *pending) Stmt {
+	tok := p.tok
 	switch {
 	case tok.Kind == TokPunct && tok.Text == "{":
 		data := pd.data
 		pd.data = nil
 		return p.parseBlock(data)
 	case tok.Kind == TokPunct && tok.Text == ";":
-		p.pos++
-		return &Block{stmtBase: stmtBase{Line: tok.Line}}, nil
+		p.advance()
+		return &Block{stmtBase: stmtBase{Line: tok.Line}}
 	case tok.Kind == TokIdent && tok.Text == "if":
 		return p.parseIf()
 	case tok.Kind == TokIdent && tok.Text == "while":
@@ -348,59 +350,48 @@ func (p *parser) parseStmtBody(pd *pending) (Stmt, error) {
 	case tok.Kind == TokIdent && tok.Text == "for":
 		return p.parseFor(pd)
 	case tok.Kind == TokIdent && tok.Text == "return":
-		return nil, errf(tok.Line, "return is not supported in void main()")
+		panic(bail{errf(tok.Line, "return is not supported in void main()")})
 	case tok.Kind == TokIdent && (tok.Text == "break" || tok.Text == "continue"):
-		p.pos++
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		return &BranchStmt{stmtBase: stmtBase{Line: tok.Line}, IsBreak: tok.Text == "break"}, nil
+		p.advance()
+		p.expect(";")
+		return &BranchStmt{stmtBase: stmtBase{Line: tok.Line}, IsBreak: tok.Text == "break"}
 	default:
 		if t, ok := p.typeName(); ok {
-			p.pos++
+			p.advance()
 			return p.parseLocalDecl(t, tok.Line)
 		}
-		st, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
-		if as, ok := st.(*AssignStmt); ok && pd.reduce != nil {
-			as.Reduce = pd.reduce
+		st := p.parseSimpleStmt()
+		p.expect(";")
+		if pd.reduce != nil {
+			st.Reduce = pd.reduce
 			pd.reduce = nil
 		}
-		return st, nil
+		return st
 	}
 }
 
 // parseLocalDecl parses `type name (= expr)? (, name (= expr)?)* ;` and
 // desugars initializers into a block of decl + assignments.
-func (p *parser) parseLocalDecl(t ElemType, line int) (Stmt, error) {
+func (p *parser) parseLocalDecl(t ElemType, line int) Stmt {
 	decl := &DeclStmt{stmtBase: stmtBase{Line: line}}
 	var inits []Stmt
 	for {
-		tok := p.cur()
+		tok := p.tok
 		if tok.Kind != TokIdent || IsKeyword(tok.Text) {
-			return nil, errf(tok.Line, "expected variable name, found %s", tok)
+			panic(bail{errf(tok.Line, "expected variable name, found %s", tok)})
 		}
-		p.pos++
-		if p.cur().Kind == TokPunct && p.cur().Text == "[" {
-			return nil, errf(tok.Line, "local arrays are not supported; declare %q at file scope", tok.Text)
+		p.advance()
+		if p.tok.Kind == TokPunct && p.tok.Text == "[" {
+			panic(bail{errf(tok.Line, "local arrays are not supported; declare %q at file scope", tok.Text)})
 		}
 		d := &VarDecl{Name: tok.Text, Type: t, Line: tok.Line}
 		decl.Decls = append(decl.Decls, d)
 		if p.accept("=") {
-			rhs, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
 			inits = append(inits, &AssignStmt{
 				stmtBase: stmtBase{Line: tok.Line},
 				LHS:      &Ident{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Name: tok.Text},
 				Op:       "=",
-				RHS:      rhs,
+				RHS:      p.parseExpr(),
 			})
 		}
 		if p.accept(",") {
@@ -408,144 +399,80 @@ func (p *parser) parseLocalDecl(t ElemType, line int) (Stmt, error) {
 		}
 		break
 	}
-	if err := p.expect(";"); err != nil {
-		return nil, err
-	}
+	p.expect(";")
 	if len(inits) == 0 {
-		return decl, nil
+		return decl
 	}
 	stmts := append([]Stmt{decl}, inits...)
-	return &Block{stmtBase: stmtBase{Line: line}, Stmts: stmts}, nil
+	return &Block{stmtBase: stmtBase{Line: line}, Stmts: stmts}
 }
 
-func (p *parser) parseIf() (Stmt, error) {
+// parenExpr parses `( expr )`.
+func (p *parser) parenExpr() Expr {
+	p.expect("(")
+	e := p.parseExpr()
+	p.expect(")")
+	return e
+}
+
+func (p *parser) parseIf() Stmt {
 	line := p.next().Line // "if"
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	then, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	st := &IfStmt{stmtBase: stmtBase{Line: line}, Cond: cond, Then: then}
+	st := &IfStmt{stmtBase: stmtBase{Line: line}, Cond: p.parenExpr(), Then: p.parseStmt()}
 	if p.acceptIdent("else") {
-		st.Else, err = p.parseStmt()
-		if err != nil {
-			return nil, err
-		}
+		st.Else = p.parseStmt()
 	}
-	return st, nil
+	return st
 }
 
-func (p *parser) parseWhile() (Stmt, error) {
+func (p *parser) parseWhile() Stmt {
 	line := p.next().Line // "while"
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
-	cond, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(")"); err != nil {
-		return nil, err
-	}
-	body, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	return &WhileStmt{stmtBase: stmtBase{Line: line}, Cond: cond, Body: body}, nil
+	return &WhileStmt{stmtBase: stmtBase{Line: line}, Cond: p.parenExpr(), Body: p.parseStmt()}
 }
 
-func (p *parser) parseFor(pd *pending) (Stmt, error) {
+func (p *parser) parseFor(pd *pending) Stmt {
 	line := p.next().Line // "for"
-	if err := p.expect("("); err != nil {
-		return nil, err
-	}
+	p.expect("(")
 	st := &ForStmt{stmtBase: stmtBase{Line: line}}
 	if !p.accept(";") {
-		s, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		as, ok := s.(*AssignStmt)
-		if !ok {
-			return nil, errf(line, "for-loop initializer must be an assignment")
-		}
-		st.Init = as
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
+		st.Init = p.parseSimpleStmt()
+		p.expect(";")
 	}
 	if !p.accept(";") {
-		cond, err := p.parseExpr()
-		if err != nil {
-			return nil, err
-		}
-		st.Cond = cond
-		if err := p.expect(";"); err != nil {
-			return nil, err
-		}
+		st.Cond = p.parseExpr()
+		p.expect(";")
 	}
 	if !p.accept(")") {
-		s, err := p.parseSimpleStmt()
-		if err != nil {
-			return nil, err
-		}
-		as, ok := s.(*AssignStmt)
-		if !ok {
-			return nil, errf(line, "for-loop post statement must be an assignment")
-		}
-		st.Post = as
-		if err := p.expect(")"); err != nil {
-			return nil, err
-		}
+		st.Post = p.parseSimpleStmt()
+		p.expect(")")
 	}
-	body, err := p.parseStmt()
-	if err != nil {
-		return nil, err
-	}
-	st.Body = body
+	st.Body = p.parseStmt()
 	st.Parallel = pd.parallel
 	st.Local = pd.local
 	pd.parallel, pd.local = nil, nil
-	return st, nil
+	return st
 }
 
 // parseSimpleStmt parses an assignment (including ++/-- desugaring).
-func (p *parser) parseSimpleStmt() (Stmt, error) {
-	line := p.cur().Line
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	tok := p.cur()
+func (p *parser) parseSimpleStmt() *AssignStmt {
+	line := p.tok.Line
+	lhs := p.parseUnary()
+	tok := p.tok
 	if tok.Kind == TokPunct {
 		switch tok.Text {
 		case "=", "+=", "-=", "*=", "/=", "%=", "<<=", ">>=":
-			p.pos++
-			rhs, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			return &AssignStmt{stmtBase: stmtBase{Line: line}, LHS: lhs, Op: tok.Text, RHS: rhs}, nil
+			p.advance()
+			return &AssignStmt{stmtBase: stmtBase{Line: line}, LHS: lhs, Op: tok.Text, RHS: p.parseExpr()}
 		case "++", "--":
-			p.pos++
+			p.advance()
 			op := "+="
 			if tok.Text == "--" {
 				op = "-="
 			}
 			one := &NumLit{exprBase: exprBase{Line: line}, I: 1}
-			return &AssignStmt{stmtBase: stmtBase{Line: line}, LHS: lhs, Op: op, RHS: one}, nil
+			return &AssignStmt{stmtBase: stmtBase{Line: line}, LHS: lhs, Op: op, RHS: one}
 		}
 	}
-	return nil, errf(line, "expected assignment statement, found %s", tok)
+	panic(bail{errf(line, "expected assignment statement, found %s", tok)})
 }
 
 // Expression parsing: precedence climbing.
@@ -563,81 +490,59 @@ var binPrec = map[string]int{
 	"*": 10, "/": 10, "%": 10,
 }
 
-func (p *parser) parseExpr() (Expr, error) {
+func (p *parser) parseExpr() Expr {
 	return p.parseTernary()
 }
 
-func (p *parser) parseTernary() (Expr, error) {
-	cond, err := p.parseBinary(1)
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseTernary() Expr {
+	cond := p.parseBinary(1)
 	if !p.accept("?") {
-		return cond, nil
+		return cond
 	}
-	then, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	if err := p.expect(":"); err != nil {
-		return nil, err
-	}
-	els, err := p.parseTernary()
-	if err != nil {
-		return nil, err
-	}
+	then := p.parseExpr()
+	p.expect(":")
+	els := p.parseTernary()
 	return p.built(&CondExpr{exprBase: exprBase{Line: cond.Pos(), Col: int32(cond.Column())}, Cond: cond, Then: then, Else: els}, cond, then, els)
 }
 
-func (p *parser) parseBinary(minPrec int) (Expr, error) {
-	lhs, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parseBinary(minPrec int) Expr {
+	lhs := p.parseUnary()
 	for {
-		tok := p.cur()
+		tok := p.tok
 		if tok.Kind != TokPunct {
-			return lhs, nil
+			return lhs
 		}
 		prec, ok := binPrec[tok.Text]
 		if !ok || prec < minPrec {
-			return lhs, nil
+			return lhs
 		}
-		p.pos++
-		rhs, err := p.parseBinary(prec + 1)
-		if err != nil {
-			return nil, err
-		}
-		if lhs, err = p.built(&BinaryExpr{exprBase: exprBase{Line: lhs.Pos(), Col: int32(lhs.Column())}, Op: tok.Text, X: lhs, Y: rhs}, lhs, rhs); err != nil {
-			return nil, err
-		}
+		p.advance()
+		rhs := p.parseBinary(prec + 1)
+		lhs = p.built(&BinaryExpr{exprBase: exprBase{Line: lhs.Pos(), Col: int32(lhs.Column())}, Op: tok.Text, X: lhs, Y: rhs}, lhs, rhs)
 	}
 }
 
 // parseUnary is on every path by which expression parsing recurses, so it
 // is where that recursion is counted.
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() Expr {
 	if p.exprNest++; p.exprNest > maxNest {
-		return nil, tooDeep("expression", p.cur())
+		panic(bail{tooDeep("expression", p.tok)})
 	}
 	p.peakExpr = max(p.peakExpr, p.exprNest)
-	x, err := p.parsePrefixed()
+	x := p.parsePrefixed()
 	p.exprNest--
-	return x, err
+	return x
 }
 
-func (p *parser) parsePrefixed() (Expr, error) {
-	tok := p.cur()
+func (p *parser) parsePrefixed() Expr {
+	tok := p.tok
 	if tok.Kind == TokPunct {
 		switch tok.Text {
 		case "-", "!", "+", "~":
-			p.pos++
-			x, err := p.parseUnary()
-			if err != nil {
-				return nil, err
-			}
+			p.advance()
+			x := p.parseUnary()
 			if tok.Text == "+" {
-				return x, nil
+				return x
 			}
 			return p.built(&UnaryExpr{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Op: tok.Text, X: x}, x)
 		}
@@ -645,111 +550,81 @@ func (p *parser) parsePrefixed() (Expr, error) {
 	return p.parsePostfix()
 }
 
-func (p *parser) parsePostfix() (Expr, error) {
-	x, err := p.parsePrimary()
-	if err != nil {
-		return nil, err
-	}
+func (p *parser) parsePostfix() Expr {
+	x := p.parsePrimary()
 	for {
 		switch {
 		case p.accept("["):
-			idx, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect("]"); err != nil {
-				return nil, err
-			}
+			idx := p.parseExpr()
+			p.expect("]")
 			id, ok := x.(*Ident)
 			if !ok {
-				return nil, errf(x.Pos(), "only named arrays can be indexed")
+				panic(bail{errf(x.Pos(), "only named arrays can be indexed")})
 			}
-			x, err = p.built(&IndexExpr{
+			x = p.built(&IndexExpr{
 				exprBase: exprBase{Line: id.Line, Col: id.Col},
 				Array:    &VarDecl{Name: id.Name, Line: id.Line}, // resolved by sema
 				Index:    idx,
 			}, idx)
-			if err != nil {
-				return nil, err
-			}
 		case p.accept("("):
 			id, ok := x.(*Ident)
 			if !ok {
-				return nil, errf(x.Pos(), "only builtin functions can be called")
+				panic(bail{errf(x.Pos(), "only builtin functions can be called")})
 			}
 			call := &CallExpr{exprBase: exprBase{Line: id.Line, Col: id.Col}, Name: id.Name}
 			if !p.accept(")") {
 				for {
-					arg, err := p.parseExpr()
-					if err != nil {
-						return nil, err
+					call.Args = append(call.Args, p.parseExpr())
+					if !p.accept(",") {
+						break
 					}
-					call.Args = append(call.Args, arg)
-					if p.accept(",") {
-						continue
-					}
-					break
 				}
-				if err := p.expect(")"); err != nil {
-					return nil, err
-				}
+				p.expect(")")
 			}
-			if x, err = p.built(call, call.Args...); err != nil {
-				return nil, err
-			}
+			x = p.built(call, call.Args...)
 		default:
-			return x, nil
+			return x
 		}
 	}
 }
 
-func (p *parser) parsePrimary() (Expr, error) {
-	tok := p.cur()
+func (p *parser) parsePrimary() Expr {
+	tok := p.tok
 	switch tok.Kind {
 	case TokInt:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseInt(tok.Text, 10, 64)
 		if err != nil {
-			return nil, errf(tok.Line, "bad integer literal %q", tok.Text)
+			panic(bail{errf(tok.Line, "bad integer literal %q", tok.Text)})
 		}
-		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, I: v}, nil
+		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, I: v}
 	case TokFloat:
-		p.pos++
+		p.advance()
 		v, err := strconv.ParseFloat(tok.Text, 64)
 		if err != nil {
-			return nil, errf(tok.Line, "bad float literal %q", tok.Text)
+			panic(bail{errf(tok.Line, "bad float literal %q", tok.Text)})
 		}
-		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, IsFloat: true, F: v}, nil
+		return &NumLit{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, IsFloat: true, F: v}
 	case TokIdent:
 		if IsKeyword(tok.Text) {
-			return nil, errf(tok.Line, "unexpected keyword %q in expression", tok.Text)
+			panic(bail{errf(tok.Line, "unexpected keyword %q in expression", tok.Text)})
 		}
-		p.pos++
-		return &Ident{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Name: tok.Text}, nil
+		p.advance()
+		return &Ident{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, Name: tok.Text}
 	case TokPunct:
 		if tok.Text == "(" {
-			p.pos++
+			p.advance()
 			if t, ok := p.typeName(); ok {
 				// Cast: (type) unary.
-				p.pos++
-				if err := p.expect(")"); err != nil {
-					return nil, err
-				}
-				x, err := p.parseUnary()
-				if err != nil {
-					return nil, err
-				}
+				p.advance()
+				p.expect(")")
+				x := p.parseUnary()
 				return p.built(&CastExpr{exprBase: exprBase{Line: tok.Line, Col: int32(tok.Col)}, To: t, X: x}, x)
 			}
-			x, err := p.parseExpr()
-			if err != nil {
-				return nil, err
-			}
-			if err := p.expect(")"); err != nil {
-				return nil, err
-			}
-			return x, nil
+			x := p.parseExpr()
+			p.expect(")")
+			return x
 		}
 	}
-	return nil, errf(tok.Line, "expected expression, found %s", tok)
+	panic(bail{errf(tok.Line, "expected expression, found %s", tok)})
 }

@@ -1,8 +1,10 @@
 package translator
 
 import (
-	"fmt"
+	"bytes"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
@@ -14,243 +16,272 @@ import (
 // instrumentation macros, plus a host main() with runtime calls at the
 // points where the data loader and the inter-GPU communication manager
 // run. It reads the module and the skeleton and writes neither.
+//
+// The text is written once, piece by piece, into one builder sized from
+// the source: on the shipped corpus the output, header included, is 1.8
+// to 4 times as long as its source, so the builder never grows there.
 func Emit(m *ir.Module, pa *ProgramAccess) string {
-	var b strings.Builder
-	b.WriteString("/* Generated by the accmulti translator (multi-GPU OpenACC).\n")
-	b.WriteString(" * ACC_LOAD/ACC_STORE expand to local-layout index rewriting;\n")
-	b.WriteString(" * ACC_STORE additionally sets the two-level dirty bits on\n")
-	b.WriteString(" * replicated arrays and performs the write-miss check on\n")
-	b.WriteString(" * distributed arrays (elided when statically in range).\n")
-	b.WriteString(" * ACC_REDUCE accumulates into the hierarchical reduction lanes.\n")
-	b.WriteString(" */\n\n")
-
-	kernelOf := func(st *cc.ForStmt) *ir.Kernel { return m.Kernels[pa.kernels[st].ID] }
+	w := emitter{m: m, pa: pa}
+	w.Grow(len(emitHeader) + 4*len(m.Prog.Source))
+	w.WriteString(emitHeader)
 	for i, k := range m.Kernels {
-		emitKernel(&b, k, pa.Loops[i].For)
+		w.k = k
+		w.kernel(pa.Loops[i].For)
 	}
-	b.WriteString("void main(void) {\n")
-	emitStmt(&b, nil, kernelOf, m.Prog.Main.Body, 1)
-	b.WriteString("}\n")
-	return b.String()
+	w.k = nil
+	w.WriteString("void main(void) {\n")
+	w.stmt(m.Prog.Main.Body, 1)
+	w.WriteString("}\n")
+	return w.String()
 }
 
-func emitKernel(b *strings.Builder, k *ir.Kernel, loop *cc.ForStmt) {
-	fmt.Fprintf(b, "/* kernel %s: parallel loop at line %d\n", k.Name, k.Line)
-	fmt.Fprintf(b, " * array configuration information:\n")
+const emitHeader = "/* Generated by the accmulti translator (multi-GPU OpenACC).\n" +
+	" * ACC_LOAD/ACC_STORE expand to local-layout index rewriting;\n" +
+	" * ACC_STORE additionally sets the two-level dirty bits on\n" +
+	" * replicated arrays and performs the write-miss check on\n" +
+	" * distributed arrays (elided when statically in range).\n" +
+	" * ACC_REDUCE accumulates into the hierarchical reduction lanes.\n" +
+	" */\n\n"
+
+// emitter writes the text of one module. Inside a kernel's body (k
+// non-nil) array accesses become the ACC_ macros that rewrite indices
+// to the local device layout.
+type emitter struct {
+	strings.Builder
+	m  *ir.Module
+	pa *ProgramAccess
+	k  *ir.Kernel
+}
+
+// put writes its parts in order: a string as it is, an int64 in decimal,
+// a float64 (an efficiency) to two places, a kernel as its arrays'
+// names, an assignment without its semicolon (nothing for a nil one, an
+// empty for-loop clause), anything else as an expression.
+func (w *emitter) put(parts ...any) {
+	var buf [32]byte
+	for _, p := range parts {
+		switch p := p.(type) {
+		case string:
+			w.WriteString(p)
+		case int64:
+			w.Write(strconv.AppendInt(buf[:0], p, 10))
+		case float64:
+			w.Write(strconv.AppendFloat(buf[:0], p, 'f', 2, 64))
+		case *ir.Kernel:
+			for i, u := range p.Arrays {
+				w.WriteString(comma(i))
+				w.WriteString(u.Decl.Name)
+			}
+		case *cc.AssignStmt:
+			if p != nil {
+				w.expr(p.LHS)
+				w.WriteByte(' ')
+				w.WriteString(p.Op)
+				w.WriteByte(' ')
+				w.expr(p.RHS)
+			}
+		default:
+			e, _ := p.(cc.Expr)
+			w.expr(e)
+		}
+	}
+}
+
+// comma separates the i-th item of a list from the one before.
+func comma(i int) string {
+	if i == 0 {
+		return ""
+	}
+	return ", "
+}
+
+// line writes one line of the text, indented depth levels.
+func (w *emitter) line(depth int, parts ...any) {
+	for range depth {
+		w.WriteString("    ")
+	}
+	w.put(parts...)
+	w.WriteByte('\n')
+}
+
+func (w *emitter) kernel(loop *cc.ForStmt) {
+	k := w.k
+	w.put("/* kernel ", k.Name, ": parallel loop at line ", int64(k.Line), "\n * array configuration information:\n")
 	for _, u := range k.Arrays {
-		fmt.Fprintf(b, " *   %-12s %s\n", u.Decl.Name, describeUse(u))
+		// The name is padded to twelve characters, counted in runes.
+		w.put(" *   ", u.Decl.Name, "            "[min(12, utf8.RuneCountInString(u.Decl.Name)):], " ")
+		w.use(u)
 	}
 	if len(k.ScalarReds) > 0 {
-		var names []string
-		for _, r := range k.ScalarReds {
-			names = append(names, fmt.Sprintf("%s:%s", r.Op, r.Decl.Name))
+		w.WriteString(" * scalar reductions: ")
+		for i, r := range k.ScalarReds {
+			w.put(comma(i), r.Op.String(), ":", r.Decl.Name)
 		}
-		fmt.Fprintf(b, " * scalar reductions: %s\n", strings.Join(names, ", "))
+		w.WriteByte('\n')
 	}
-	fmt.Fprintf(b, " * coalescing efficiency: %.2f (baseline %.2f)\n", k.Efficiency, BaselineEfficiency(k))
-	b.WriteString(" */\n")
-
-	var params []string
+	w.put(" * coalescing efficiency: ", k.Efficiency, " (baseline ", k.EfficiencyBaseline, ")\n */\n__global__ void ", k.Name, "(")
 	for _, u := range k.Arrays {
-		params = append(params, fmt.Sprintf("%s *%s", u.Decl.Type, u.Decl.Name))
+		w.put(u.Decl.Type.String(), " *", u.Decl.Name, ", ")
 	}
-	params = append(params, "acc_layout_t __layout", "long __lo", "long __hi")
-	fmt.Fprintf(b, "__global__ void %s(%s) {\n", k.Name, strings.Join(params, ", "))
-	fmt.Fprintf(b, "    long %s = __lo + (long)blockIdx.x * blockDim.x + threadIdx.x;\n", k.LoopVar.Name)
-	fmt.Fprintf(b, "    if (%s >= __hi) return;\n", k.LoopVar.Name)
+	w.put("acc_layout_t __layout, long __lo, long __hi) {\n    long ", k.LoopVar.Name,
+		" = __lo + (long)blockIdx.x * blockDim.x + threadIdx.x;\n    if (", k.LoopVar.Name, " >= __hi) return;\n")
 	// The loop body with the induction assignment stripped.
-	emitStmt(b, k, nil, loop.Body, 1)
-	b.WriteString("}\n\n")
+	w.stmt(loop.Body, 1)
+	w.WriteString("}\n\n")
 }
 
-func describeUse(u *ir.ArrayUse) string {
-	var parts []string
+// use writes the array configuration line of one array: its placement,
+// then how the kernel touches it.
+func (w *emitter) use(u *ir.ArrayUse) {
 	switch {
 	case u.Reduced:
-		parts = append(parts, fmt.Sprintf("reductiontoarray(%s), hierarchical lanes", u.ReduceOp))
+		w.put("reductiontoarray(", u.ReduceOp.String(), "), hierarchical lanes")
 	case u.Local != nil:
-		parts = append(parts, "distribution-based placement (localaccess)")
+		w.WriteString("distribution-based placement (localaccess)")
 	default:
-		parts = append(parts, "replica-based placement")
+		w.WriteString("replica-based placement")
 	}
 	if u.Read {
-		parts = append(parts, "read")
-	}
-	if u.Written {
-		if u.Local != nil {
-			if u.WritesWithinLocal {
-				parts = append(parts, "written (miss check elided: statically in range)")
-			} else {
-				parts = append(parts, "written (write-miss check + system buffer)")
-			}
-		} else {
-			parts = append(parts, "written (two-level dirty bits)")
-		}
-	}
-	if u.IndirectRead {
-		parts = append(parts, "indirect reads")
-	}
-	if u.Transform2D {
-		parts = append(parts, "2-D layout transform for coalescing")
-	}
-	return strings.Join(parts, ", ")
-}
-
-func emitKernelAssign(b *strings.Builder, k *ir.Kernel, st *cc.AssignStmt, ind string) {
-	if idx, ok := st.LHS.(*cc.IndexExpr); ok {
-		u := k.Use(idx.Array)
-		switch {
-		case st.Reduce != nil:
-			fmt.Fprintf(b, "%sACC_REDUCE(%s, %s, %s, %s);\n",
-				ind, idx.Array.Name, exprC(idx.Index, k), st.Reduce.Op, exprC(st.RHS, k))
-			return
-		case st.Op == "=":
-			fmt.Fprintf(b, "%sACC_STORE(%s, %s, %s);%s\n",
-				ind, idx.Array.Name, exprC(idx.Index, k), exprC(st.RHS, k), storeNote(u))
-			return
-		default:
-			fmt.Fprintf(b, "%sACC_STORE(%s, %s, ACC_LOAD(%s, %s) %s %s);%s\n",
-				ind, idx.Array.Name, exprC(idx.Index, k),
-				idx.Array.Name, exprC(idx.Index, k),
-				strings.TrimSuffix(st.Op, "="), exprC(st.RHS, k), storeNote(u))
-			return
-		}
-	}
-	fmt.Fprintf(b, "%s%s;\n", ind, assignC(st, k))
-}
-
-func storeNote(u *ir.ArrayUse) string {
-	if u == nil {
-		return ""
+		w.WriteString(", read")
 	}
 	switch {
+	case !u.Written:
 	case u.Local == nil:
-		return " /* + dirty bits */"
-	case !u.WritesWithinLocal:
-		return " /* + miss check */"
+		w.WriteString(", written (two-level dirty bits)")
+	case u.WritesWithinLocal:
+		w.WriteString(", written (miss check elided: statically in range)")
 	default:
-		return ""
+		w.WriteString(", written (write-miss check + system buffer)")
+	}
+	if u.IndirectRead {
+		w.WriteString(", indirect reads")
+	}
+	if u.Transform2D {
+		w.WriteString(", 2-D layout transform for coalescing")
+	}
+	w.WriteByte('\n')
+}
+
+// assign writes an assignment statement; in a kernel, a store to an
+// array is an ACC_ macro noting the instrumentation it carries.
+func (w *emitter) assign(st *cc.AssignStmt, depth int) {
+	idx, ok := st.LHS.(*cc.IndexExpr)
+	if w.k == nil || !ok {
+		w.line(depth, st, ";")
+		return
+	}
+	note := ""
+	if u := w.k.Use(idx.Array); u != nil && u.Local == nil {
+		note = " /* + dirty bits */"
+	} else if u != nil && !u.WritesWithinLocal {
+		note = " /* + miss check */"
+	}
+	switch {
+	case st.Reduce != nil:
+		w.line(depth, "ACC_REDUCE(", idx.Array.Name, ", ", idx.Index, ", ", st.Reduce.Op.String(), ", ", st.RHS, ");")
+	case st.Op == "=":
+		w.line(depth, "ACC_STORE(", idx.Array.Name, ", ", idx.Index, ", ", st.RHS, ");", note)
+	default:
+		w.line(depth, "ACC_STORE(", idx.Array.Name, ", ", idx.Index, ", ACC_LOAD(", idx.Array.Name, ", ", idx.Index, ") ",
+			strings.TrimSuffix(st.Op, "="), " ", st.RHS, ");", note)
 	}
 }
 
-func assignC(st *cc.AssignStmt, k *ir.Kernel) string {
-	if st == nil {
-		return ""
-	}
-	return fmt.Sprintf("%s %s %s", exprC(st.LHS, k), st.Op, exprC(st.RHS, k))
-}
-
-// exprC renders an expression as C. Inside kernels (k non-nil), array
-// accesses become ACC_LOAD macros that rewrite indices to the local
-// device layout.
-func exprC(e cc.Expr, k *ir.Kernel) string {
+// expr writes an expression as C.
+func (w *emitter) expr(e cc.Expr) {
 	switch x := e.(type) {
 	case *cc.NumLit:
-		if x.IsFloat {
-			s := fmt.Sprintf("%g", x.F)
-			if !strings.ContainsAny(s, ".e") {
-				s += ".0"
-			}
-			return s
-		}
-		return fmt.Sprintf("%d", x.I)
-	case *cc.Ident:
-		return x.Name
-	case *cc.IndexExpr:
-		if k != nil && k.Use(x.Array) != nil {
-			return fmt.Sprintf("ACC_LOAD(%s, %s)", x.Array.Name, exprC(x.Index, k))
-		}
-		return fmt.Sprintf("%s[%s]", x.Array.Name, exprC(x.Index, k))
-	case *cc.BinaryExpr:
-		return fmt.Sprintf("(%s %s %s)", exprC(x.X, k), x.Op, exprC(x.Y, k))
-	case *cc.UnaryExpr:
-		return fmt.Sprintf("%s(%s)", x.Op, exprC(x.X, k))
-	case *cc.CondExpr:
-		return fmt.Sprintf("(%s ? %s : %s)", exprC(x.Cond, k), exprC(x.Then, k), exprC(x.Else, k))
-	case *cc.CallExpr:
-		var args []string
-		for _, a := range x.Args {
-			args = append(args, exprC(a, k))
-		}
-		return fmt.Sprintf("%s(%s)", x.Name, strings.Join(args, ", "))
-	case *cc.CastExpr:
-		return fmt.Sprintf("(%s)(%s)", x.To, exprC(x.X, k))
-	}
-	return "/*?*/"
-}
-
-// emitStmt renders a statement of main's body (k nil; kernelOf finds a
-// parallel loop's kernel) or of kernel k's body, where array accesses
-// become the ACC_ macros.
-func emitStmt(b *strings.Builder, k *ir.Kernel, kernelOf func(*cc.ForStmt) *ir.Kernel, s cc.Stmt, depth int) {
-	ind := strings.Repeat("    ", depth)
-	switch st := s.(type) {
-	case *cc.Block:
-		if st.Data != nil {
-			fmt.Fprintf(b, "%sacc_data_enter(); /* %s */\n", ind, st.Data.Raw)
-			for _, sub := range st.Stmts {
-				emitStmt(b, k, kernelOf, sub, depth+1)
-			}
-			fmt.Fprintf(b, "%sacc_data_exit();\n", ind)
+		if !x.IsFloat {
+			w.put(x.I)
 			return
 		}
+		var buf [32]byte
+		s := strconv.AppendFloat(buf[:0], x.F, 'g', -1, 64)
+		w.Write(s)
+		if !bytes.ContainsAny(s, ".e") {
+			w.WriteString(".0")
+		}
+	case *cc.Ident:
+		w.WriteString(x.Name)
+	case *cc.IndexExpr:
+		if w.k != nil && w.k.Use(x.Array) != nil {
+			w.put("ACC_LOAD(", x.Array.Name, ", ", x.Index, ")")
+		} else {
+			w.put(x.Array.Name, "[", x.Index, "]")
+		}
+	case *cc.BinaryExpr:
+		w.put("(", x.X, " ", x.Op, " ", x.Y, ")")
+	case *cc.UnaryExpr:
+		w.put(x.Op, "(", x.X, ")")
+	case *cc.CondExpr:
+		w.put("(", x.Cond, " ? ", x.Then, " : ", x.Else, ")")
+	case *cc.CallExpr:
+		w.put(x.Name, "(")
+		for i, a := range x.Args {
+			w.WriteString(comma(i))
+			w.expr(a)
+		}
+		w.WriteByte(')')
+	case *cc.CastExpr:
+		w.put("(", x.To.String(), ")(", x.X, ")")
+	default:
+		w.WriteString("/*?*/")
+	}
+}
+
+// stmt writes a statement of main's body or, with k set, of a kernel's.
+func (w *emitter) stmt(s cc.Stmt, depth int) {
+	switch st := s.(type) {
+	case *cc.Block:
+		inner := depth
+		if st.Data != nil {
+			w.line(depth, "acc_data_enter(); /* ", st.Data.Raw, " */")
+			inner++
+		}
 		for _, sub := range st.Stmts {
-			emitStmt(b, k, kernelOf, sub, depth)
+			w.stmt(sub, inner)
+		}
+		if st.Data != nil {
+			w.line(depth, "acc_data_exit();")
 		}
 	case *cc.DeclStmt:
 		for _, d := range st.Decls {
-			fmt.Fprintf(b, "%s%s %s;\n", ind, d.Type, d.Name)
+			w.line(depth, d.Type.String(), " ", d.Name, ";")
 		}
 	case *cc.AssignStmt:
-		if k != nil {
-			emitKernelAssign(b, k, st, ind)
-		} else {
-			fmt.Fprintf(b, "%s%s;\n", ind, assignC(st, nil))
-		}
+		w.assign(st, depth)
 	case *cc.IfStmt:
-		fmt.Fprintf(b, "%sif (%s) {\n", ind, exprC(st.Cond, k))
-		emitStmt(b, k, kernelOf, st.Then, depth+1)
+		w.line(depth, "if (", st.Cond, ") {")
+		w.stmt(st.Then, depth+1)
 		if st.Else != nil {
-			fmt.Fprintf(b, "%s} else {\n", ind)
-			emitStmt(b, k, kernelOf, st.Else, depth+1)
+			w.line(depth, "} else {")
+			w.stmt(st.Else, depth+1)
 		}
-		fmt.Fprintf(b, "%s}\n", ind)
+		w.line(depth, "}")
 	case *cc.WhileStmt:
-		fmt.Fprintf(b, "%swhile (%s) {\n", ind, exprC(st.Cond, k))
-		emitStmt(b, k, kernelOf, st.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		w.line(depth, "while (", st.Cond, ") {")
+		w.stmt(st.Body, depth+1)
+		w.line(depth, "}")
 	case *cc.ForStmt:
-		if st.Parallel != nil && k == nil { // inside a kernel the directive is inert
-			pk := kernelOf(st)
-			fmt.Fprintf(b, "%sacc_load(%s); /* data loader: replica/distribution policies */\n", ind, kernelArrays(pk))
-			fmt.Fprintf(b, "%sfor (int __g = 0; __g < acc_num_gpus(); __g++)\n", ind)
-			fmt.Fprintf(b, "%s    %s<<<acc_grid(__g), acc_block(__g), 0, acc_stream(__g)>>>(%s);\n", ind, pk.Name, kernelArgs(pk))
-			fmt.Fprintf(b, "%sacc_comm_sync(); /* inter-GPU communication manager */\n", ind)
+		if st.Parallel != nil && w.k == nil { // inside a kernel the directive is inert
+			pk := w.m.Kernels[w.pa.kernels[st].ID]
+			w.line(depth, "acc_load(", pk, "); /* data loader: replica/distribution policies */")
+			w.line(depth, "for (int __g = 0; __g < acc_num_gpus(); __g++)")
+			w.line(depth+1, pk.Name, "<<<acc_grid(__g), acc_block(__g), 0, acc_stream(__g)>>>(", pk,
+				", acc_layout(__g), acc_lo(__g), acc_hi(__g));")
+			w.line(depth, "acc_comm_sync(); /* inter-GPU communication manager */")
 			return
 		}
-		fmt.Fprintf(b, "%sfor (%s; %s; %s) {\n",
-			ind, assignC(st.Init, k), exprC(st.Cond, k), assignC(st.Post, k))
-		emitStmt(b, k, kernelOf, st.Body, depth+1)
-		fmt.Fprintf(b, "%s}\n", ind)
+		w.line(depth, "for (", st.Init, "; ", st.Cond, "; ", st.Post, ") {")
+		w.stmt(st.Body, depth+1)
+		w.line(depth, "}")
 	case *cc.UpdateStmt:
-		fmt.Fprintf(b, "%sacc_update(); /* %s */\n", ind, st.Directive.Raw)
+		w.line(depth, "acc_update(); /* ", st.Directive.Raw, " */")
 	case *cc.BranchStmt:
 		if st.IsBreak {
-			fmt.Fprintf(b, "%sbreak;\n", ind)
+			w.line(depth, "break;")
 		} else {
-			fmt.Fprintf(b, "%scontinue;\n", ind)
+			w.line(depth, "continue;")
 		}
 	}
-}
-
-func kernelArrays(k *ir.Kernel) string {
-	var names []string
-	for _, u := range k.Arrays {
-		names = append(names, u.Decl.Name)
-	}
-	return strings.Join(names, ", ")
-}
-
-func kernelArgs(k *ir.Kernel) string {
-	return kernelArrays(k) + ", acc_layout(__g), acc_lo(__g), acc_hi(__g)"
 }

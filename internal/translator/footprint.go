@@ -515,7 +515,11 @@ func loopAccess(st *cc.ForStmt) (*LoopAccess, error) {
 }
 
 // ExprString renders an expression as C source text.
-func ExprString(e cc.Expr) string { return exprC(e, nil) }
+func ExprString(e cc.Expr) string {
+	var w emitter
+	w.expr(e)
+	return w.String()
+}
 
 // LiteralInt extracts an integer literal from an expression.
 func LiteralInt(e cc.Expr) (int64, bool) {

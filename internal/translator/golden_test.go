@@ -2,6 +2,7 @@ package translator
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -123,14 +124,19 @@ void main() {
 }
 `
 
-// TestEmitCorpusGolden pins the emitted text of the six apps, every
-// shipped example and unicodeSource, one after the other. Run with
-// -update to regenerate after intentional emitter changes.
-func TestEmitCorpusGolden(t *testing.T) {
-	type unit struct{ name, src string }
-	var corpus []unit
+// emitCorpus is the six apps, every shipped example and unicodeSource,
+// parsed.
+func emitCorpus(t *testing.T) (names []string, progs []*cc.Program) {
+	t.Helper()
+	add := func(name, src string) {
+		prog, err := cc.ParseProgram(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		names, progs = append(names, name), append(progs, prog)
+	}
 	for _, app := range append(apps.All(), apps.Extended()...) {
-		corpus = append(corpus, unit{"app " + app.Name, app.Source})
+		add("app "+app.Name, app.Source)
 	}
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "testdata", "*.c"))
 	if err != nil || len(files) == 0 {
@@ -141,21 +147,24 @@ func TestEmitCorpusGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		corpus = append(corpus, unit{"examples/testdata/" + filepath.Base(f), string(src)})
+		add("examples/testdata/"+filepath.Base(f), string(src))
 	}
-	corpus = append(corpus, unit{"unicode", unicodeSource})
+	add("unicode", unicodeSource)
+	return names, progs
+}
 
+// TestEmitCorpusGolden pins the emitted text of the six apps, every
+// shipped example and unicodeSource, one after the other. Run with
+// -update to regenerate after intentional emitter changes.
+func TestEmitCorpusGolden(t *testing.T) {
+	names, progs := emitCorpus(t)
 	var b strings.Builder
-	for _, u := range corpus {
-		prog, err := cc.ParseProgram(u.src)
-		if err != nil {
-			t.Fatalf("%s: %v", u.name, err)
-		}
+	for i, prog := range progs {
 		mod, err := Translate(prog)
 		if err != nil {
-			t.Fatalf("%s: %v", u.name, err)
+			t.Fatalf("%s: %v", names[i], err)
 		}
-		b.WriteString("//// " + u.name + "\n")
+		b.WriteString("//// " + names[i] + "\n")
 		b.WriteString(mod.GeneratedSource)
 	}
 	got := b.String()
@@ -172,5 +181,41 @@ func TestEmitCorpusGolden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("emitted corpus changed; run `go test ./internal/translator -run Golden -update` if intentional")
+	}
+}
+
+// TestEmitAllocatesOnce holds Emit to one allocation, its builder's: the
+// text is written straight into a builder sized from the source, with no
+// string made for a piece of it. A pipeline of eight one-line kernels
+// stands for the sources whose text is four times their length.
+func TestEmitAllocatesOnce(t *testing.T) {
+	names, progs := emitCorpus(t)
+	var b strings.Builder
+	b.WriteString("int n;\nfloat a0[n], a1[n], a2[n], a3[n], a4[n], a5[n], a6[n], a7[n], a8[n];\n")
+	b.WriteString("void main() {\n    int i;\n    #pragma acc data copyin(a0) copyout(a8)\n    {\n")
+	for i := 1; i <= 8; i++ {
+		fmt.Fprintf(&b, "        #pragma acc localaccess(a%d) stride(1)\n", i-1)
+		fmt.Fprintf(&b, "        #pragma acc localaccess(a%d) stride(1)\n", i)
+		b.WriteString("        #pragma acc parallel loop\n        for (i = 0; i < n; i++) {\n")
+		fmt.Fprintf(&b, "            a%d[i] = a%d[i] * 1.25 + 0.50;\n        }\n", i, i-1)
+	}
+	b.WriteString("    }\n}\n")
+	prog, err := cc.ParseProgram(b.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, progs = append(names, "pipeline8"), append(progs, prog)
+	for i, prog := range progs {
+		pa, err := AnalyzeProgram(prog)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		m, err := Lower(pa)
+		if err != nil {
+			t.Fatalf("%s: %v", names[i], err)
+		}
+		if n := testing.AllocsPerRun(20, func() { Emit(m, pa) }); n != 1 {
+			t.Errorf("%s: Emit allocates %v times, want once", names[i], n)
+		}
 	}
 }

@@ -349,9 +349,3 @@ func kernelEfficiency(k *ir.Kernel, withTransform bool) float64 {
 	}
 	return eff
 }
-
-// BaselineEfficiency prices a kernel compiled without the paper's
-// extensions (no layout transform), used for the stock-OpenACC bar.
-func BaselineEfficiency(k *ir.Kernel) float64 {
-	return kernelEfficiency(k, false)
-}

@@ -84,8 +84,8 @@ func TestTranslateMDLike(t *testing.T) {
 	if k.Efficiency >= 1.0 {
 		t.Errorf("indirect pos reads must reduce efficiency, got %g", k.Efficiency)
 	}
-	if BaselineEfficiency(k) >= k.Efficiency {
-		t.Errorf("baseline (no transform) must be cheaper-or-equal: %g vs %g", BaselineEfficiency(k), k.Efficiency)
+	if k.EfficiencyBaseline >= k.Efficiency {
+		t.Errorf("baseline (no transform) must be cheaper-or-equal: %g vs %g", k.EfficiencyBaseline, k.Efficiency)
 	}
 }
 
