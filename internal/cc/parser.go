@@ -116,6 +116,7 @@ func ParseProgram(src string) (*Program, error) {
 	return prog, nil
 }
 
+// errTrailing is what ParseExprString says of tokens after its expression.
 var errTrailing = errors.New("trailing tokens after expression")
 
 // ParseExprString parses a standalone expression (used for directive
