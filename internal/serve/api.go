@@ -325,6 +325,9 @@ func buildBindings(req *RunRequest, prog *core.Program, limit int64) (*ir.Bindin
 }
 
 func (p *ArrayPayload) toHostArray(d *cc.VarDecl) (*ir.HostArray, error) {
+	if p == nil { // "a": null sets no list either
+		p = &ArrayPayload{}
+	}
 	set := 0
 	if p.F32 != nil {
 		set++
