@@ -26,7 +26,8 @@ all: build vet test
 # async-vs-sync schedule-equivalence fuzzer, the static-vs-dynamic
 # dependence cross-check fuzzer, the transfer-pricing-vs-reference
 # fuzzer, the accd request fuzzer and the differential fuzzer of accd's
-# inline-list decoder against encoding/json.
+# request-body decoder (both request schemas, whole bodies) against
+# encoding/json.
 check: lint
 	$(MAKE) invariants
 	$(GO) test ./...

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"runtime"
 	"strconv"
@@ -158,32 +157,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decode parses a JSON request body strictly (decodeBody), reading no
 // more than the configured maximum.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	return decodeBody(r.Body, v)
-}
-
-// decodeBody parses body as one JSON value into v, refusing unknown
-// fields and anything but whitespace after the value.
-func decodeBody(body io.Reader, v any) error {
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	rest := io.MultiReader(dec.Buffered(), body)
-	var buf [512]byte
-	for {
-		n, err := rest.Read(buf[:])
-		if tail := trimSpace(buf[:n]); len(tail) > 0 {
-			return fmt.Errorf("invalid character %q after top-level value", tail[0])
-		}
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	return decodeBody(body, min(r.ContentLength, s.cfg.MaxBodyBytes), v)
 }
 
 // CompileRequest is the /v1/compile body.

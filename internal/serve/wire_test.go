@@ -85,9 +85,9 @@ func TestRequestWireBehaviour(t *testing.T) {
 		{"null/return_array", with(`,"return_arrays":[null]`), 0,
 			reply{500, `ir: no array "" in program`}, reply{}},
 		{"null/timeout_ms", with(`,"timeout_ms":null`), 0, reply{200, ""}, reply{}},
-		// A mistyped field, then a malformed list: the list's fault is named.
+		// A mistyped field, then a malformed list: the first fault is named.
 		{"mistyped-then-list", `{"source":1,"arrays":{"x":{"f32":[1,"2"]}}}`, 0,
-			reply{400, "json: cannot unmarshal string into Go struct field ArrayPayload.arrays.f32 of type float32"},
+			reply{400, "json: cannot unmarshal number into Go struct field RunRequest.source of type string"},
 			reply{400, "json: cannot unmarshal number into Go struct field CompileRequest.source of type string"}},
 	} {
 		for _, ep := range []struct {
