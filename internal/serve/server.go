@@ -157,8 +157,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // decode parses a JSON request body strictly (decodeBody), reading no
 // more than the configured maximum.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	return decodeBody(body, min(r.ContentLength, s.cfg.MaxBodyBytes), v)
+	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	return decodeBody(r.Body, min(r.ContentLength, s.cfg.MaxBodyBytes), v)
 }
 
 // CompileRequest is the /v1/compile body.
