@@ -401,18 +401,6 @@ func (w *walker) str() ([]byte, bool) {
 	return nil, false
 }
 
-// token moves the cursor past a number in JSON's grammar and returns it.
-func (w *walker) token() ([]byte, bool) {
-	w.skip()
-	end := numberEnd(w.b, w.i)
-	if end < 0 {
-		return nil, false
-	}
-	tok := w.b[w.i:end]
-	w.i = end
-	return tok, true
-}
-
 // numberEnd returns the end of the number in JSON's grammar that starts
 // at b[i], or -1 if none does.
 func numberEnd(b []byte, i int) int {
@@ -475,10 +463,13 @@ type numeric interface {
 // store there: a float out of range, an integer field's fraction or
 // exponent, an integer out of range.
 func number[T numeric](w *walker, p *T) bool {
-	tok, ok := w.token()
-	if ok {
-		_, ok = convert(tok, p)
+	w.skip()
+	end := numberEnd(w.b, w.i)
+	if end < 0 {
+		return false
 	}
+	_, ok := convert(w.b[w.i:end], p)
+	w.i = end
 	return ok
 }
 
@@ -534,9 +525,9 @@ var pow10 = [...]float64{1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10,
 	1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18}
 
 // decimal reads the number in JSON's grammar at the start of b: where it
-// ends, and for a plain decimal of at most 19 digits (no exponent), short,
-// its digits as one integer, how many of them follow the point (-1
-// without one) and its sign.
+// ends, and for a plain decimal of at most 19 bytes after its sign (no
+// exponent), short, its digits as one integer, how many of them follow the
+// point (-1 without one) and its sign.
 func decimal(b []byte) (end int, mant uint64, frac int, neg, short bool) {
 	i := 0
 	if neg = b[0] == '-'; neg {
