@@ -31,11 +31,11 @@ func decodeBody(body io.Reader, size int64, v any) error {
 const readCap = 1 << 20
 
 // readBody reads r to its first error (io.EOF at the end) into one
-// buffer. The buffer is sized from size, but never above readCap before
-// the bytes arrive: a full buffer grows only once another byte has
-// arrived, to twice its length, or to size when that is less than three
-// times what has arrived. So a Content-Length alone cannot make it
-// allocate, and an honest one ends the growth on the body's length.
+// buffer. The buffer starts at size, but never above readCap, so a
+// Content-Length alone cannot make it allocate more. A full buffer grows
+// only once another byte has arrived: to size when that is more, which
+// happens once, after readCap bytes; else, with no length or one that
+// was short, to twice its length.
 func readBody(r io.Reader, size int64) ([]byte, error) {
 	n := int64(512)
 	if size >= 0 {
@@ -47,9 +47,9 @@ func readBody(r io.Reader, size int64) ([]byte, error) {
 			var one [1]byte
 			k, err := r.Read(one[:])
 			if k > 0 {
-				next := max(2*len(buf), 512)
-				if size > int64(len(buf)) && size < 3*int64(len(buf)) {
-					next = int(size)
+				next := max(2*int64(len(buf)), 512)
+				if size > int64(len(buf)) {
+					next = size
 				}
 				buf = append(append(make([]byte, 0, next), buf...), one[0])
 			}
