@@ -98,7 +98,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzDepCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzTransferTimeMatchesReference -fuzztime=5s -run='^$$' ./internal/sim
 	$(GO) test -fuzz=FuzzServeRequest -fuzztime=5s -fuzzminimizetime=1s -run='^$$' ./internal/serve
-	$(GO) test -fuzz=FuzzArrayPayloadDecode -fuzztime=5s -run='^$$' ./internal/serve
+	$(GO) test -fuzz=FuzzArrayPayloadDecode -fuzztime=5s -fuzzminimizetime=1s -run='^$$' ./internal/serve
 
 build:
 	$(GO) build ./...

@@ -336,6 +336,12 @@ type KernelSpec struct {
 	// NumBufI/NumBufF, the maximum over the variants) are meaningful
 	// here.
 	Guard *SpecGuard
+	// HostReads lists, once each, the host scalars other than the
+	// induction variable that the affine access indices (SpecAccess.Index)
+	// and the guards read, the variants' included: while they keep their
+	// values, every index endpoint and guard cut of a chunk does. Set on
+	// the spec BuildKernelSpec returns only.
+	HostReads []*cc.VarDecl
 }
 
 // maxGuardPaths bounds the arm paths (variants) of one split kernel.
@@ -399,8 +405,21 @@ type kernelFacts struct {
 	decls   []*cc.VarDecl
 	reds    uint64
 	serial  bool
+	// hostReads collects KernelSpec.HostReads (noteHostReads).
+	hostReads []*cc.VarDecl
 	// counts, set by VerifyLowering only, counts what the passes read.
 	counts *lowerCheck
+}
+
+// noteHostReads adds the scalars e reads, the induction variable aside,
+// to kf.hostReads.
+func (kf *kernelFacts) noteHostReads(e cc.Expr) {
+	cc.EachExpr(e, func(x cc.Expr) {
+		if id, ok := x.(*cc.Ident); ok && id.Decl != nil && !id.Decl.IsArray && id.Decl != kf.loopVar &&
+			!slices.Contains(kf.hostReads, id.Decl) {
+			kf.hostReads = append(kf.hostReads, id.Decl)
+		}
+	})
 }
 
 // maxScalars bounds the scalars a body may assign: one bit of a summary's
@@ -532,10 +551,15 @@ func buildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program, check *lowerChec
 	}
 	if hasTopLevelIf(body) {
 		if spec := splitGuards(body, kf); spec != nil {
+			spec.HostReads = kf.hostReads
 			return spec, ""
 		}
 	}
-	return buildSpec(body, kf)
+	spec, reason := buildSpec(body, kf)
+	if spec != nil {
+		spec.HostReads = kf.hostReads
+	}
+	return spec, reason
 }
 
 // hasTopLevelIf reports an if directly in the body's (nested) blocks,
@@ -852,6 +876,7 @@ func (l *lowering) access(x *cc.IndexExpr, kind AccessKind) (*kExpr, error) {
 		if a.Index, err = CompileExprI(x.Index); err != nil {
 			return nil, errSpecIneligible
 		}
+		l.noteHostReads(x.Index)
 	} else {
 		l.spec.HasComputed = true
 	}
@@ -1098,6 +1123,7 @@ func (s *guardSplitter) walk(todo, done []cc.Stmt, guarded bool) *GuardNode {
 				if err != nil {
 					return nil
 				}
+				s.kf.noteHostReads(x.Cond)
 				node := &GuardNode{Cond: cond}
 				done = done[:len(done):len(done)] // the two arms append separately
 				if node.Then = s.walk(append([]cc.Stmt{x.Then}, rest...), done, true); node.Then == nil {

@@ -31,7 +31,7 @@ func newPerfRuntime(tb testing.TB, ngpus int, opts Options) *Runtime {
 
 func newPerfArray(tb testing.TB, r *Runtime, name string, typ cc.ElemType, n int64) *arrayState {
 	tb.Helper()
-	decl := &cc.VarDecl{Name: name, Type: typ, IsArray: true}
+	decl := &cc.VarDecl{Name: name, Type: typ, IsArray: true, Slot: len(r.arrays)}
 	host := ir.NewHostArray(decl, n)
 	st := &arrayState{
 		decl: decl, host: host, n: n, elemSize: typ.Size(),
@@ -40,7 +40,7 @@ func newPerfArray(tb testing.TB, r *Runtime, name string, typ cc.ElemType, n int
 	for g, dev := range r.mach.GPUs() {
 		st.copies[g] = &gpuCopy{st: st, g: g, dev: dev}
 	}
-	r.arrays[decl] = st
+	r.addState(st)
 	return st
 }
 

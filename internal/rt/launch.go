@@ -197,12 +197,14 @@ func (r *Runtime) resetKernelArrays(k *ir.Kernel) error {
 // releases all device copies — the node-loss rung's drain step. The
 // fault model keeps a lost node's memory readable (the node is
 // cordoned, not vaporized), so gathers from its GPUs still succeed;
-// only new allocations fail. Arrays are processed in name order
-// because r.arrays is a map and the gather transfers are priced.
+// only new allocations fail. Arrays are processed in name order: the
+// gather transfers are priced.
 func (r *Runtime) nodeLossReset() error {
 	states := make([]*arrayState, 0, len(r.arrays))
 	for _, st := range r.arrays {
-		states = append(states, st)
+		if st != nil {
+			states = append(states, st)
+		}
 	}
 	sort.Slice(states, func(i, j int) bool { return states[i].decl.Name < states[j].decl.Name })
 	for _, st := range states {
@@ -583,7 +585,7 @@ func (r *Runtime) interpretWorkers(k *ir.Kernel, base *ir.Env, lo, n int64, dev 
 	}
 	envs := make([]*ir.Env, min(int64(dev.Spec.Workers), n)) // worker w's, nil past the last
 	loopSlot := k.LoopVar.Slot
-	counters, err := dev.ForWorkers(int(n), nil, k.SerialWorkers, func(w, start, end int) (sim.Counters, error) {
+	counters, err := dev.ForWorkers(int(n), nil, k.SerialWorkers, func(_, w, start, end int) (sim.Counters, error) {
 		we := base.Clone()
 		we.WorkerID = w
 		envs[w] = we

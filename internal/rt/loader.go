@@ -578,6 +578,7 @@ func (c *gpuCopy) realloc(nd need, fill bool) error {
 		return err
 	}
 	c.lo, c.hi = nd.lo, nd.hi
+	c.layout++
 	c.wepoch++ // fresh storage: cached value scans no longer apply
 	c.transformed = nd.transform
 	if nd.transform {
@@ -628,9 +629,11 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 			c.chunkDirty = data[local:]
 			c.chunkElems = chunkElems
 			c.chunkLanes, c.spans = nil, nil
+			c.layout++
 			r.emitSysAlloc(st.decl.Name, "dirty", c.g, local+nChunks)
 		}
 		if len(c.chunkLanes) != c.dev.Spec.Workers {
+			c.layout++
 			c.chunkLanes = make([][]uint8, c.dev.Spec.Workers)
 			for w := range c.chunkLanes {
 				c.chunkLanes[w] = make([]uint8, nChunks)
@@ -674,6 +677,7 @@ func (r *Runtime) ensureAuxiliaries(st *arrayState, c *gpuCopy, nd need) error {
 		} else {
 			c.lanesF = lanesFor(c.lanesF, workers, st.n, nd.laneOp)
 		}
+		c.layout++ // the lanes may be new
 	}
 	return nil
 }

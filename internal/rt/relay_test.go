@@ -153,6 +153,9 @@ func TestRelayMovesOnlyWhatIsRead(t *testing.T) {
 	r, inst := run(sim.Desktop(), Options{})
 	var caught int64
 	for _, st := range r.arrays {
+		if st == nil {
+			continue
+		}
 		for _, c := range st.copies {
 			caught += c.caughtUp
 		}

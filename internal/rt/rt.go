@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"time"
 
-	"accmulti/internal/cc"
 	"accmulti/internal/ir"
 	"accmulti/internal/sim"
 	"accmulti/internal/trace"
@@ -197,8 +196,9 @@ type Runtime struct {
 	opts Options
 	rep  *Report
 
-	// arrays tracks per-array device state, keyed by declaration.
-	arrays map[*cc.VarDecl]*arrayState
+	// arrays tracks per-array device state, indexed by the declaration's
+	// slot (nil until the array's first touch).
+	arrays []*arrayState
 	inst   *ir.Instance
 	// regionDepth counts nested data regions.
 	regionDepth int
@@ -236,6 +236,8 @@ type Runtime struct {
 	phaseBWall time.Duration
 	// scalarScratch is reused for plan-cache validation fingerprints.
 	scalarScratch []int64
+	// memGen is the machine's MemGen at the last memory sample.
+	memGen uint64
 
 	// sched is the async pipelined scheduler; nil when Options.Async
 	// is off (the default) or in ModeCPU.
@@ -320,7 +322,6 @@ func New(mach *sim.Machine, opts Options) *Runtime {
 		mach:        mach,
 		opts:        opts.withDefaults(),
 		rep:         NewReport(),
-		arrays:      map[*cc.VarDecl]*arrayState{},
 		kernelExecs: map[int]int{},
 		planCache:   map[planKey]*launchPlan{},
 		specExecs:   map[int]*specExec{},
@@ -503,7 +504,15 @@ func (rep *Report) String() string {
 		rep.PeakUserBytes, rep.PeakSystemBytes)
 }
 
+// sampleMemory raises the report's memory peaks to the devices' current
+// use. A sample taken when no allocation or free happened since the
+// previous one would read the same sums, so it is skipped.
 func (r *Runtime) sampleMemory() {
+	gen := r.mach.MemGen()
+	if gen == r.memGen {
+		return
+	}
+	r.memGen = gen
 	var user, system int64
 	for _, g := range r.mach.GPUs() {
 		user += g.UsedByClass(sim.MemUser)

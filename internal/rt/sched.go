@@ -119,6 +119,9 @@ type asyncSched struct {
 	// launches (host scalars) conservatively wait for it.
 	hostBarrier time.Duration
 	hazards     map[string]*arrHazard
+	// lastLabel and lastHaz are the last hazards lookup (haz).
+	lastLabel string
+	lastHaz   *arrHazard
 
 	// Scratch, reused across batches and launches.
 	pendIdx   []int
@@ -135,6 +138,8 @@ type asyncSched struct {
 	fpAt   []int
 	conf   []uint64
 	issued []uint64
+	// kernelHaz is kernels' hazard state per kernel array.
+	kernelHaz []*arrHazard
 }
 
 func newAsyncSched(r *Runtime) *asyncSched {
@@ -184,6 +189,9 @@ func (s *asyncSched) resFree(t sim.Transfer) time.Duration {
 }
 
 func (s *asyncSched) haz(label string) *arrHazard {
+	if s.lastHaz != nil && label == s.lastLabel {
+		return s.lastHaz // the transfers of a batch mostly move one array
+	}
 	h, ok := s.hazards[label]
 	if !ok {
 		n := s.r.mach.NumGPUs()
@@ -193,6 +201,7 @@ func (s *asyncSched) haz(label string) *arrHazard {
 		}
 		s.hazards[label] = h
 	}
+	s.lastLabel, s.lastHaz = label, h
 	return h
 }
 
@@ -538,6 +547,11 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins []time.Duration) {
 	r := s.r
 	ngpus := len(begins)
+	hs := s.kernelHaz[:0]
+	for _, use := range k.Arrays {
+		hs = append(hs, s.haz(use.Decl.Name))
+	}
+	s.kernelHaz = hs
 	for g := 0; g < ngpus; g++ {
 		if parts[g].count() == 0 {
 			continue
@@ -553,7 +567,7 @@ func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins 
 			if nd.hi < nd.lo {
 				continue
 			}
-			h := s.haz(use.Decl.Name)
+			h := hs[ui]
 			if use.Read || use.Reduced {
 				if at := h.dev[g].readReady(nd.lo, nd.hi); at > rdy {
 					rdy = at
@@ -581,7 +595,7 @@ func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins 
 			if nd.hi < nd.lo {
 				continue
 			}
-			h := s.haz(use.Decl.Name)
+			h := hs[ui]
 			if use.Read || use.Reduced {
 				// Write-only arrays record no read: their halo regions
 				// are untouched by this kernel, and a false read there
@@ -593,16 +607,17 @@ func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins 
 					// Proven ascending write order: slice the envelope
 					// into linear completion grades so dependents on
 					// early elements start before the kernel retires.
+					// Grade j covers width·j/grades up to width·(j+1)/grades
+					// and completes at cost·(j+1)/grades, each quotient
+					// stepped from the last rather than divided anew.
 					width := nd.wHi - nd.wLo + 1
-					grades := int64(writeGrades)
-					if width < grades {
-						grades = width
-					}
+					grades := min(int64(writeGrades), width)
+					w, c := newSteps(width, grades), newSteps(int64(cost), grades)
+					lo := nd.wLo
 					for j := int64(0); j < grades; j++ {
-						lo := nd.wLo + width*j/grades
-						hi := nd.wLo + width*(j+1)/grades - 1
-						at := begin + time.Duration(int64(cost)*(j+1)/grades)
-						h.dev[g].writes.Add(lo, hi, at)
+						hi := nd.wLo + w.next() - 1
+						h.dev[g].writes.Add(lo, hi, begin+time.Duration(c.next()))
+						lo = hi + 1
 					}
 				} else {
 					h.dev[g].writes.Add(nd.wLo, nd.wHi, end)
@@ -611,6 +626,21 @@ func (s *asyncSched) kernels(k *ir.Kernel, parts []span, needs [][]need, begins 
 			h.core[g] = [2]int64{nd.coreLo, nd.coreHi}
 		}
 	}
+}
+
+// steps yields x·1/d, x·2/d, … (integer division, x ≥ 0, d > 0) by
+// stepping quotient and remainder.
+type steps struct{ q, r, dq, dr, d int64 }
+
+func newSteps(x, d int64) steps { return steps{dq: x / d, dr: x % d, d: d} }
+
+// next returns the next multiple's quotient.
+func (s *steps) next() int64 {
+	s.q, s.r = s.q+s.dq, s.r+s.dr
+	if s.r >= s.d {
+		s.q, s.r = s.q+1, s.r-s.d
+	}
+	return s.q
 }
 
 // allocLane routes allocation instants: synchronously they sit on the

@@ -8,8 +8,6 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -174,41 +172,55 @@ void main() {
 // guardedStencilRef is specGuardedStencilSrc in plain Go: double
 // arithmetic, one rounding to float per store. The explicit float64
 // conversions keep the products from fusing into the sums.
-// TestSpecScratchLease drives an executor's tile-scratch free list the way
-// a launch's workers do, from several goroutines at once (under the race
-// detector the simulated workers themselves run one by one): no two
-// concurrent holders may share a VecEnv, and the list never holds more
-// than were out at once.
+// TestSpecScratchLease launches saxpy on one processor and on four: the
+// tile scratch is leased per ForWorkers strand, so each GPU holds one
+// VecEnv per strand that ran (one on one processor, or under the race
+// detector's serial workers), and no two strands, of one GPU or of two,
+// share one.
 func TestSpecScratchLease(t *testing.T) {
-	mod, _ := buildSpecInstance(t, specSaxpySrc, map[string]float64{"n": 4096, "a": 1.5})
-	spec := mod.Kernels[0].Spec
-	if spec == nil || spec.VecBody == nil {
+	mod, inst := buildSpecInstance(t, specSaxpySrc, map[string]float64{"n": 4096, "a": 1.5})
+	k := mod.Kernels[0]
+	if k.Spec == nil || k.Spec.VecBody == nil {
 		t.Fatal("saxpy has no tiled body")
 	}
-	const workers, rounds = 8, 200
-	ex := &specExec{spec: spec}
-	var held [workers]atomic.Pointer[ir.VecEnv]
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				vm := ex.lease(64)
-				held[w].Store(vm)
-				for o := range held {
-					if o != w && held[o].Load() == vm {
-						t.Errorf("workers %d and %d hold the same scratch", w, o)
-					}
-				}
-				held[w].Store(nil)
-				ex.release(vm)
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			mach, err := sim.NewMachine(sim.Desktop())
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
-	}
-	wg.Wait()
-	if len(ex.free) == 0 || len(ex.free) > workers {
-		t.Errorf("free list holds %d scratch sets after %d workers", len(ex.free), workers)
+			r := New(mach, Options{})
+			r.inst = inst
+			for range 20 {
+				if err := r.Launch(k, inst.Env); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ex := r.specExecs[k.ID]
+			seen := map[*ir.VecEnv]bool{}
+			for g := range ex.gs {
+				gs := &ex.gs[g]
+				held := 0
+				for _, vm := range gs.vms {
+					if vm == nil {
+						continue
+					}
+					if seen[vm] {
+						t.Errorf("GOMAXPROCS %d: GPU%d shares a tile scratch", procs, g)
+					}
+					seen[vm] = true
+					held++
+				}
+				limit := min(procs, len(gs.envs))
+				if sim.RaceDetector {
+					limit = 1
+				}
+				if held == 0 || held > limit {
+					t.Errorf("GOMAXPROCS %d: GPU%d holds %d tile scratch sets for %d workers, want 1 to %d", procs, g, held, len(gs.envs), limit)
+				}
+			}
+		}()
 	}
 }
 
@@ -573,6 +585,80 @@ func TestAffineGuardSpecializes(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestSpecPlanFollowsHostReads moves a guard's cut and an index's offset
+// with a host scalar that changes between launches, and one that does
+// not: the executor's plan, kept while its inputs hold, must follow
+// every change, so the arrays and the report match the reference's bit
+// for bit.
+func TestSpecPlanFollowsHostReads(t *testing.T) {
+	const src = `
+int n, steps, off, scale;
+float a[n], b[n];
+
+void main() {
+    int t, i;
+    #pragma acc data copy(a, b)
+    {
+        for (t = 0; t < steps; t++) {
+            off = (t * 7) % 3;
+            scale = 2;
+            #pragma acc parallel loop
+            for (i = 0; i < n - 2; i++) {
+                if (i < n / 2 + off) {
+                    b[i] = a[i + off] + 1.0;
+                } else {
+                    b[i] = a[scale * i - i] * 2.0;
+                }
+            }
+            #pragma acc parallel loop
+            for (i = 0; i < n; i++) {
+                a[i] = 0.5 * b[i];
+            }
+        }
+    }
+}
+`
+	mod, _ := buildSpecInstance(t, src, map[string]float64{"n": 1000, "steps": 9})
+	var names []string
+	for _, d := range mod.Kernels[0].Spec.HostReads {
+		names = append(names, d.Name)
+	}
+	slices.Sort(names)
+	if !slices.Equal(names, []string{"n", "off", "scale"}) {
+		t.Errorf("guarded kernel reads host scalars %v, want [n off scale]", names)
+	}
+	for _, spec := range []sim.MachineSpec{sim.Desktop(), sim.Cluster(2, 2)} {
+		var arrays [2][]float32
+		var reports [2]string
+		for i, opts := range []Options{{}, {Reference: true}} {
+			_, inst := buildSpecInstance(t, src, map[string]float64{"n": 1000, "steps": 9})
+			mach, err := sim.NewMachine(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := New(mach, opts)
+			if err := r.Run(inst); err != nil {
+				t.Fatal(err)
+			}
+			if !opts.Reference {
+				if st := r.SpecStats(); st.Hits == 0 || st.Fallbacks != 0 {
+					t.Errorf("%s: %d chunks specialized, %d fell back %v", spec.Name, st.Hits, st.Fallbacks, st.FallbackReasons)
+				}
+			}
+			arrays[i] = append(inst.Arrays[0].F32, inst.Arrays[1].F32...)
+			reports[i] = r.Report().String()
+		}
+		for j := range arrays[0] {
+			if math.Float32bits(arrays[0][j]) != math.Float32bits(arrays[1][j]) {
+				t.Fatalf("%s: element %d is %v, the reference's %v", spec.Name, j, arrays[0][j], arrays[1][j])
+			}
+		}
+		if reports[0] != reports[1] {
+			t.Errorf("%s: report\n%s\nthe reference's\n%s", spec.Name, reports[0], reports[1])
 		}
 	}
 }
@@ -1013,14 +1099,16 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 	// environment per spawned worker, tile vectors no longer than a
 	// worker's chunk, as many vectors as the deepest expression keeps
 	// live — not to the device's worker count and the full tile width.
-	// Measured with every worker holding its tile scratch at once, the
-	// most a launch can lease.
+	// Measured with every worker on a strand of its own, each making its
+	// tile scratch: the most a launch can lease.
 	scratch := func(ex *specExec, workers, chunk int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ex.ensureScratch(&ex.gs[0], workers)
-		for w := 0; w < workers; w++ {
-			defer ex.release(ex.lease(chunk))
+		gs := &ex.gs[0]
+		ex.ensureScratch(gs, workers)
+		for s := range gs.vms[:workers] {
+			gs.vms[s] = ex.spec.NewVecEnv()
+			gs.vms[s].Reserve(chunk)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -1324,8 +1412,10 @@ void main() {
 				}
 				_, r := exec(t, src, spec, Options{}, bind)
 				byName := map[string]*arrayState{}
-				for d, st := range r.arrays {
-					byName[d.Name] = st
+				for _, st := range r.arrays {
+					if st != nil {
+						byName[st.decl.Name] = st
+					}
 				}
 				for name, want := range map[string]struct {
 					quiet bool

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
 	"time"
 
 	"accmulti/internal/cc"
@@ -87,12 +86,6 @@ type specExec struct {
 	uiBySlot []int
 	// gs is the per-GPU reusable launch scratch, indexed by GPU.
 	gs []specGPU
-	// free holds the idle tile scratch, shared by the GPUs. A worker
-	// leases one for its run, so the list grows to the number of workers
-	// that ran at once — the host's parallelism — not to the number
-	// spawned; mu guards it.
-	mu   sync.Mutex
-	free []*ir.VecEnv
 }
 
 // SpecHits, SpecFallbacks, PhaseBWall and FusedLaunches are what
@@ -142,36 +135,32 @@ type specGPU struct {
 	// reason records why this GPU's chunk bounced to the interpreter
 	// ("" when it didn't); read by the host merge after the barrier.
 	reason string
+	// planIn holds what the last plan was made from (planInputs), and
+	// planReason and vecReason what it found: plan's verdict, then the
+	// pieces' (offWalk, prepVec). While the inputs match, the pieces,
+	// their endpoints and coefficients and both verdicts stand, and a
+	// launch plans nothing. inBuf is the buffer the inputs are read into.
+	planIn, inBuf         []int64
+	planReason, vecReason string
 	// hazard is how many of this launch's lanes tiles handed to the next
 	// tile after a window hit, flatCuts the flat tiles a hazard cut.
 	hazard, flatCuts int64
+	// bound is what each kernel array's DArray was last bound from
+	// (bind), and boundW how many worker environments hold it.
+	bound  []binding
+	boundW int
+	// vms is the tile scratch, one per ForWorkers strand: the chunks of
+	// one strand run one after another on one goroutine, so they share
+	// it, and there are as many as ran at once — the host's parallelism
+	// — not as many as workers spawned. A strand makes its own on first
+	// use.
+	vms []*ir.VecEnv
 	// work is the ForWorkers callback (runChunk on this slot), built
 	// once; lo and chunk are what it needs of the launch at hand: the
 	// span's first iteration and the worker chunk length.
-	work  func(w, start, end int) (sim.Counters, error)
+	work  func(s, w, start, end int) (sim.Counters, error)
 	lo    int64
 	chunk int
-}
-
-// lease hands a worker tile scratch for runs of up to chunk iterations.
-func (ex *specExec) lease(chunk int) *ir.VecEnv {
-	ex.mu.Lock()
-	var vm *ir.VecEnv
-	if n := len(ex.free); n > 0 {
-		vm, ex.free = ex.free[n-1], ex.free[:n-1]
-	}
-	ex.mu.Unlock()
-	if vm == nil {
-		vm = ex.spec.NewVecEnv()
-	}
-	vm.Reserve(chunk)
-	return vm
-}
-
-func (ex *specExec) release(vm *ir.VecEnv) {
-	ex.mu.Lock()
-	ex.free = append(ex.free, vm)
-	ex.mu.Unlock()
 }
 
 // specPiece is the iterations [lo, hi) of a chunk and the body that
@@ -285,7 +274,14 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	nw := (int(n) + chunk - 1) / chunk
 	ex.ensureScratch(gs, nw)
 
-	if gs.reason = ex.plan(r, k, env, g, gs, p); gs.reason != "" {
+	if gs.inBuf = ex.planInputs(r, k, env, g, p, gs.inBuf[:0]); gs.planIn == nil || !slices.Equal(gs.inBuf, gs.planIn) {
+		gs.planReason, gs.vecReason = ex.plan(r, k, env, g, gs, p), ""
+		if gs.planReason == "" {
+			gs.vecReason = gs.vecCheck()
+		}
+		gs.planIn = append(gs.planIn[:0], gs.inBuf...)
+	}
+	if gs.reason = gs.planReason; gs.reason != "" {
 		return sim.Counters{}, false, nil
 	}
 
@@ -297,29 +293,14 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		return sim.Counters{}, false, nil
 	}
 
-	// A piece the tiles cannot run exactly hands the chunk over too: an
-	// affine walk across a column-major copy off its stride, or affine
-	// accesses the alias check cannot order.
-	for pi := range gs.pieces {
-		if pc := &gs.pieces[pi]; pc.offWalk {
-			gs.reason = "transform"
-		} else if !pc.prepVec() {
-			gs.reason = "alias"
-		}
-		if gs.reason != "" {
-			return sim.Counters{}, false, nil
-		}
+	// A piece the tiles cannot run exactly hands the chunk over too.
+	if gs.reason = gs.vecReason; gs.reason != "" {
+		return sim.Counters{}, false, nil
 	}
 
 	// Worker environments: one per chunk ForWorkers will spawn,
-	// with the host scalars, identity reduction slots, zeroed arm
-	// counters and the GPU's slices bound by slot.
-	// A slot whose stores must mark dirty bits per iteration (some
-	// store's footprint is data-dependent: under an arm, in an inner
-	// loop, or at a computed index) gets the dirty buffers bound, so the
-	// store closures mark exactly what executes. Only a copy the kernel
-	// reads can be column-major (DESIGN §6, invariant 6), so every mark
-	// lands on a copy in logical order.
+	// with the host scalars, identity reduction slots and zeroed arm
+	// counters, and the GPU's slices bound by slot (bind).
 	for w := 0; w < nw; w++ {
 		de := gs.envs[w]
 		copy(de.Ints, env.Ints)
@@ -329,28 +310,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 		for ri, red := range k.ScalarReds {
 			setRedSlotD(de, red, redVals[ri])
 		}
-		for ui, use := range k.Arrays {
-			st := r.state(use.Decl)
-			c := st.copies[g]
-			da := &de.Arrays[use.Decl.Slot]
-			*da = ir.DArray{F32: c.data.F32, F64: c.data.F64, I32: c.data.I32, Base: c.lo, Quiet: st.quiet}
-			if c.transformed {
-				da.TWidth, da.TRows = c.width, c.rows
-			}
-			if nds[ui].wantLanes {
-				if c.lanesI != nil {
-					da.LaneI = c.lanesI[w]
-				} else {
-					da.LaneF = c.lanesF[w]
-				}
-			}
-			if nds[ui].wantDirty && spec.InexactStores[use.Decl.Slot] {
-				da.Dirty = c.dirty
-				da.ChunkLane = c.chunkLanes[w]
-				da.ChunkElems = c.chunkElems
-			}
-		}
 	}
+	ex.bind(r, k, g, gs, nds, nw)
 
 	gs.lo, gs.chunk = p.lo, chunk
 	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, gs.work)
@@ -432,15 +393,83 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	return ctrs, true, nil
 }
 
+// binding is what one array's DArray in a GPU's worker environments was
+// bound from: the copy, its layout generation, and the launch's choices
+// that select what is bound.
+type binding struct {
+	c                   *gpuCopy
+	layout              uint64
+	quiet, lanes, dirty bool
+}
+
+// bind binds the GPU's copies into the first nw worker environments,
+// each by its array's slot. A slot whose stores must mark dirty bits per
+// iteration (some store's footprint is data-dependent: under an arm, in
+// an inner loop, or at a computed index) gets the dirty buffers bound,
+// so the store closures mark exactly what executes. Only a copy the
+// kernel reads can be column-major (DESIGN §6, invariant 6), so every
+// mark lands on a copy in logical order. Environments already bound
+// from the same bindings keep their arrays, but for the tile window
+// (ir.DArray.WinLen), which a launch starts without.
+func (ex *specExec) bind(r *Runtime, k *ir.Kernel, g int, gs *specGPU, nds []need, nw int) {
+	if gs.bound == nil {
+		gs.bound = make([]binding, len(k.Arrays))
+	}
+	from := gs.boundW
+	for ui, use := range k.Arrays {
+		st := r.state(use.Decl)
+		c := st.copies[g]
+		b := binding{c, c.layout, st.quiet, nds[ui].wantLanes, nds[ui].wantDirty && ex.spec.InexactStores[use.Decl.Slot]}
+		if gs.bound[ui] != b {
+			gs.bound[ui], from = b, 0
+		}
+	}
+	for w := 0; w < nw; w++ {
+		arrays := gs.envs[w].Arrays
+		if w < from {
+			for _, use := range k.Arrays {
+				da := &arrays[use.Decl.Slot]
+				da.WinLen, da.Hit = 0, false
+			}
+			continue
+		}
+		for ui, use := range k.Arrays {
+			b := &gs.bound[ui]
+			c := b.c
+			da := &arrays[use.Decl.Slot]
+			*da = ir.DArray{F32: c.data.F32, F64: c.data.F64, I32: c.data.I32, Base: c.lo, Quiet: b.quiet}
+			if c.transformed {
+				da.TWidth, da.TRows = c.width, c.rows
+			}
+			if b.lanes {
+				if c.lanesI != nil {
+					da.LaneI = c.lanesI[w]
+				} else {
+					da.LaneF = c.lanesF[w]
+				}
+			}
+			if b.dirty {
+				da.Dirty = c.dirty
+				da.ChunkLane = c.chunkLanes[w]
+				da.ChunkElems = c.chunkElems
+			}
+		}
+	}
+	if from == 0 || nw > gs.boundW {
+		gs.boundW = nw
+	}
+}
+
 // runChunk is one worker's share of a handled chunk: iterations
 // [start, end) of the GPU's span, walked through the launch's pieces in
 // ascending order, so worker identity, reduction lanes and the order
 // scalar reductions fold in are those of the unsplit schedule.
-func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (_ sim.Counters, err error) {
+func (ex *specExec) runChunk(gs *specGPU, s, w, start, end int) (_ sim.Counters, err error) {
 	// A tile's inner loops poll too (ir.DEnv.Poll) and, returning no
 	// error, unwind an interrupted tile with a panic.
 	defer func() {
 		if p := recover(); p != nil {
+			gs.vms[s] = nil // the tile stopped part way: its scratch is not reused
 			it, ok := p.(ir.Interrupt)
 			if !ok {
 				panic(p)
@@ -448,28 +477,31 @@ func (ex *specExec) runChunk(gs *specGPU, w, start, end int) (_ sim.Counters, er
 			err = it.Err
 		}
 	}()
-	vm := ex.lease(gs.chunk)
+	vm := gs.vms[s]
+	if vm == nil {
+		vm = ex.spec.NewVecEnv()
+		gs.vms[s] = vm
+	}
+	vm.Reserve(gs.chunk)
 	vm.D = gs.envs[w]
 	lo, hi := gs.lo+int64(start), gs.lo+int64(end)
 	for pi := range gs.pieces {
 		pc := &gs.pieces[pi]
-		s, e := max(lo, pc.lo), min(hi, pc.hi)
+		i, e := max(lo, pc.lo), min(hi, pc.hi)
 		// Tiles run in blocks with a poll before each: an interrupted
 		// worker stops within one block, and one that starts after the
-		// interrupt runs nothing. Like a panicking tile, an interrupted one
-		// keeps its scratch. A tile cut short by a window hit is followed
-		// by one that starts at the first lane it did not run.
+		// interrupt runs nothing. A tile cut short by a window hit is
+		// followed by one that starts at the first lane it did not run.
 		vm.AccA, vm.AccB = pc.accA, pc.accB
-		for s < e {
+		for i < e {
 			if err := ex.poll(); err != nil {
 				return sim.Counters{}, err
 			}
-			for stop := min(e, s+pollTiles*ir.VecTile); s < stop; {
-				s += int64(pc.v.VecBody(vm, s, int(min(stop-s, ir.VecTile))))
+			for stop := min(e, i+pollTiles*ir.VecTile); i < stop; {
+				i += int64(pc.v.VecBody(vm, i, int(min(stop-i, ir.VecTile))))
 			}
 		}
 	}
-	ex.release(vm) // a tile that panics keeps its scratch: the list just regrows
 	return sim.Counters{}, nil
 }
 
@@ -488,14 +520,49 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		if spec.Prover != nil {
 			gs.penv = spec.Prover.NewPEnv()
 		}
-		gs.work = func(w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, w, start, end) }
+		gs.work = func(s, w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, s, w, start, end) }
 	}
 	for w := len(gs.envs); w < nw; w++ {
 		de := spec.NewDEnv()
 		de.Poll = ex.poll
 		gs.envs = append(gs.envs, de)
 		gs.slots = append(gs.slots, sim.WorkerSlot{})
+		gs.vms = append(gs.vms, nil)
 	}
+}
+
+// planInputs appends to buf what plan reads that can change between
+// launches: the span, the layout generation of each kernel array's copy
+// (its range, layout and validity move only with it) and the values of
+// the host scalars the indices and guards read (ir.KernelSpec.HostReads).
+func (ex *specExec) planInputs(r *Runtime, k *ir.Kernel, env *ir.Env, g int, p span, buf []int64) []int64 {
+	buf = append(buf, p.lo, p.hi)
+	for _, use := range k.Arrays {
+		buf = append(buf, int64(r.state(use.Decl).copies[g].layout))
+	}
+	for _, d := range ex.spec.HostReads {
+		if d.Type == cc.TInt {
+			buf = append(buf, env.Ints[d.Slot])
+		} else {
+			buf = append(buf, int64(math.Float64bits(env.Floats[d.Slot])))
+		}
+	}
+	return buf
+}
+
+// vecCheck returns why the planned pieces cannot run as tiles, "" when
+// they can: an affine walk across a column-major copy off its stride, or
+// affine accesses the alias check cannot order. It derives each piece's
+// walk coefficients on the way (prepVec).
+func (gs *specGPU) vecCheck() string {
+	for pi := range gs.pieces {
+		if pc := &gs.pieces[pi]; pc.offWalk {
+			return "transform"
+		} else if !pc.prepVec() {
+			return "alias"
+		}
+	}
+	return ""
 }
 
 // plan does everything the fast path must know before it mutates

@@ -65,6 +65,13 @@ type gpuCopy struct {
 	coreLo, coreHi int64
 	// version is the hostVersion the content descends from.
 	version int64
+	// layout increments whenever a slice or bound the specialized
+	// executor binds into its worker environments may have changed: the
+	// storage and its range and layout (realloc, release), the dirty
+	// bits and their per-worker chunk lanes, the reduction lanes (every
+	// launch that wants them). The executor rebinds a copy only when it
+	// moved (specExec.bind).
+	layout uint64
 	// wepoch increments whenever the copy's contents may have changed
 	// (realloc, host→device fill, d2d run copy, any launch that writes
 	// or reduces the array). The specialized executor's prover keys its
@@ -196,24 +203,43 @@ func (c *gpuCopy) clearDirty() {
 
 // state returns (creating on first touch) the runtime state of decl.
 func (r *Runtime) state(decl *cc.VarDecl) *arrayState {
-	st, ok := r.arrays[decl]
-	if !ok {
-		host := r.inst.Arrays[decl.Slot]
-		st = &arrayState{
-			decl:     decl,
-			host:     host,
-			n:        host.Len(),
-			elemSize: decl.Type.Size(),
-			quiet:    decl.Type == cc.TFloat && r.copySource(decl.Slot),
-			zeros:    r.madeZeros(decl.Slot),
-			copies:   make([]*gpuCopy, r.mach.NumGPUs()),
+	if s := decl.Slot; s < len(r.arrays) {
+		if st := r.arrays[s]; st != nil && st.decl == decl {
+			return st
 		}
-		for g, dev := range r.mach.GPUs() {
-			st.copies[g] = &gpuCopy{st: st, g: g, dev: dev}
-		}
-		r.arrays[decl] = st
 	}
+	return r.newState(decl)
+}
+
+// newState makes decl's runtime state on its first touch.
+func (r *Runtime) newState(decl *cc.VarDecl) *arrayState {
+	host := r.inst.Arrays[decl.Slot]
+	st := &arrayState{
+		decl:     decl,
+		host:     host,
+		n:        host.Len(),
+		elemSize: decl.Type.Size(),
+		quiet:    decl.Type == cc.TFloat && r.copySource(decl.Slot),
+		zeros:    r.madeZeros(decl.Slot),
+		copies:   make([]*gpuCopy, r.mach.NumGPUs()),
+	}
+	for g, dev := range r.mach.GPUs() {
+		st.copies[g] = &gpuCopy{st: st, g: g, dev: dev}
+	}
+	r.addState(st)
 	return st
+}
+
+// addState files st under its declaration's slot.
+func (r *Runtime) addState(st *arrayState) {
+	slot := st.decl.Slot
+	for len(r.arrays) <= slot {
+		r.arrays = append(r.arrays, nil)
+	}
+	if old := r.arrays[slot]; old != nil {
+		panic(fmt.Sprintf("rt: arrays %q and %q share slot %d", old.decl.Name, st.decl.Name, slot))
+	}
+	r.arrays[slot] = st
 }
 
 // madeZeros reports whether the array in slot starts the run as Bind's
@@ -318,6 +344,7 @@ func (c *gpuCopy) release() error {
 		}
 	}
 	c.valid = false
+	c.layout++
 	c.data = ir.HostArray{}
 	c.dirty, c.chunkDirty, c.chunkLanes, c.spans = nil, nil, nil, nil
 	c.relays = c.relays[:0]
@@ -328,6 +355,9 @@ func (c *gpuCopy) release() error {
 
 func (r *Runtime) releaseAll() error {
 	for _, st := range r.arrays {
+		if st == nil {
+			continue
+		}
 		if err := st.release(); err != nil {
 			return err
 		}

@@ -156,9 +156,12 @@ void main() {
 						}
 					}
 				}
-				for d, st := range r.arrays {
-					if want := slices.Contains(tc.zeros, d.Name); st.zeros != want {
-						t.Errorf("%s on %s: %s ends the run with zeros %v, want %v", tc.name, spec.Name, d.Name, st.zeros, want)
+				for _, st := range r.arrays {
+					if st == nil {
+						continue
+					}
+					if want := slices.Contains(tc.zeros, st.decl.Name); st.zeros != want {
+						t.Errorf("%s on %s: %s ends the run with zeros %v, want %v", tc.name, spec.Name, st.decl.Name, st.zeros, want)
 					}
 				}
 			}

@@ -240,6 +240,17 @@ func buildBindings(req *RunRequest, prog *core.Program, limit int64) (*ir.Bindin
 	return b, footprint, err
 }
 
+// checkReturnArrays refuses a return_arrays name that is not one of the
+// program's global arrays, which the run could not return.
+func checkReturnArrays(req *RunRequest, prog *core.Program) error {
+	for _, name := range req.ReturnArrays {
+		if d, ok := prog.Source.Scope[name]; !ok || !d.IsArray {
+			return fmt.Errorf("return_arrays: no global array %q in program", name)
+		}
+	}
+	return nil
+}
+
 func (p *ArrayPayload) toHostArray(d *cc.VarDecl) (*ir.HostArray, error) {
 	if p == nil { // "a": null sets no list either
 		p = &ArrayPayload{}

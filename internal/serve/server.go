@@ -293,8 +293,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 
 	// 4. Bindings and the admission weight: the estimated
 	// device-memory footprint of the bound program, which must fit the
-	// machine's devices between them.
+	// machine's devices between them. The arrays to return must be the
+	// program's too.
 	bind, footprint, err := buildBindings(&req, prog, int64(spec.NumGPUs)*spec.GPU.MemBytes)
+	if err == nil {
+		err = checkReturnArrays(&req, prog)
+	}
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "bad_request", err.Error())
 		return

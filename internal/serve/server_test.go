@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -791,6 +792,52 @@ func TestRunPanicContained(t *testing.T) {
 	}
 	if c := counters(t, h); c["run.panic"] != 1 || c["run.ok"] != 1 {
 		t.Errorf("counters after the panic: %v", c)
+	}
+}
+
+// TestUndeclaredReturnArrayNeverAdmitted pins that a return_arrays name
+// the program does not declare as a global array is a 400 before
+// admission: with the one run slot held and no queue, the reply is still
+// the 400 and not a 429, the run gate never sees the request, and no run
+// or queue counter moves.
+func TestUndeclaredReturnArrayNeverAdmitted(t *testing.T) {
+	gate := make(chan struct{})
+	var gated atomic.Int64
+	s := New(Config{Concurrency: 1, QueueDepth: -1, runGate: func(r *RunRequest) {
+		gated.Add(1)
+		if r.Scalars["n"] == 63 {
+			<-gate
+		}
+	}})
+	h := s.Handler()
+	held := make(chan int, 1)
+	go func() {
+		held <- post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 63}})).Code
+	}()
+	waitLoad(t, h, 1, 0)
+	for _, names := range [][]string{{""}, {"nope"}, {"out", "total"}, {"n"}} {
+		rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: reduceSrc, Scalars: map[string]float64{"n": 8}, ReturnArrays: names}))
+		var eresp ErrorResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &eresp); err != nil {
+			t.Fatalf("return_arrays %q: reply is not JSON: %v: %s", names, err, rec.Body.String())
+		}
+		if rec.Code != http.StatusBadRequest || eresp.Error.Code != "bad_request" {
+			t.Errorf("return_arrays %q: status %d code %q, want 400 bad_request: %s", names, rec.Code, eresp.Error.Code, rec.Body.String())
+		}
+	}
+	close(gate)
+	if code := <-held; code != http.StatusOK {
+		t.Errorf("held request: status %d, want 200", code)
+	}
+	waitLoad(t, h, 0, 0)
+	if n := gated.Load(); n != 1 {
+		t.Errorf("the run gate saw %d requests, want only the held one", n)
+	}
+	c := counters(t, h)
+	for name, want := range map[string]int64{"run.ok": 1, "run.error": 0, "run.timeout": 0, "run.panic": 0, "queue.rejected": 0, "queue.canceled": 0} {
+		if c[name] != want {
+			t.Errorf("%s = %d, want %d (counters: %v)", name, c[name], want, c)
+		}
 	}
 }
 

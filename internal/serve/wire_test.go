@@ -80,10 +80,9 @@ func TestRequestWireBehaviour(t *testing.T) {
 		{"null/option", with(`,"options":{"audit":null}`), 0, reply{200, ""}, reply{}},
 		{"null/faults", with(`,"faults":null`), 0, reply{200, ""}, reply{}},
 		{"null/return_arrays", with(`,"return_arrays":null`), 0, reply{200, ""}, reply{}},
-		// A name the program does not declare fails after the run, as an
-		// internal error.
+		// A name the program does not declare is refused before admission.
 		{"null/return_array", with(`,"return_arrays":[null]`), 0,
-			reply{500, `ir: no array "" in program`}, reply{}},
+			reply{400, `return_arrays: no global array "" in program`}, reply{}},
 		{"null/timeout_ms", with(`,"timeout_ms":null`), 0, reply{200, ""}, reply{}},
 		// A mistyped field, then a malformed list: the first fault is named.
 		{"mistyped-then-list", `{"source":1,"arrays":{"x":{"f32":[1,"2"]}}}`, 0,

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -61,14 +62,17 @@ type Device struct {
 	// instead of walking the buffers.
 	usedBy  [2]int64
 	buffers map[*Buffer]struct{}
+	// memGen is the machine's allocation counter (Machine.MemGen),
+	// advanced by every AllocBytes and Free that succeeds.
+	memGen *atomic.Uint64
 
 	// faults points at the machine's fault-injection state, nil when
 	// no plan is armed.
 	faults *faultState
 }
 
-func newDevice(spec DeviceSpec, id int) *Device {
-	return &Device{Spec: spec, ID: id, buffers: make(map[*Buffer]struct{})}
+func newDevice(spec DeviceSpec, id int, memGen *atomic.Uint64) *Device {
+	return &Device{Spec: spec, ID: id, buffers: make(map[*Buffer]struct{}), memGen: memGen}
 }
 
 // String identifies the device, e.g. "GPU1 (Nvidia Tesla C2075)".
@@ -104,6 +108,7 @@ func (d *Device) AllocBytes(name string, class MemClass, bytes int64) (*Buffer, 
 	d.used += bytes
 	d.usedBy[class] += bytes
 	d.buffers[b] = struct{}{}
+	d.memGen.Add(1)
 	return b, nil
 }
 
@@ -128,6 +133,7 @@ func (d *Device) Free(b *Buffer) error {
 	d.used -= b.Bytes
 	d.usedBy[b.Class] -= b.Bytes
 	delete(d.buffers, b)
+	d.memGen.Add(1)
 	d.mu.Unlock()
 	if b.Data != nil {
 		recycle(b)

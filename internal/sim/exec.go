@@ -25,23 +25,29 @@ func FanOut(n int, fn func(i int)) {
 		}
 		return
 	}
+	fanOutStrands(n, procs, func(_, i int) { fn(i) })
+}
+
+// fanOutStrands is FanOut on procs goroutines that also tells fn which
+// of them runs index i: its strand, 0 (the caller) to procs-1, owned by
+// one goroutine for the whole call.
+func fanOutStrands(n, procs int, fn func(s, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	work := func() {
+	work := func(s int) {
 		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			fn(i)
+			fn(s, i)
 		}
-	}
-	spawned := func() {
-		defer wg.Done()
-		work()
 	}
 	defer wg.Wait()
 	wg.Add(procs - 1)
-	for p := 1; p < procs; p++ {
-		go spawned()
+	for s := 1; s < procs; s++ {
+		go func() {
+			defer wg.Done()
+			work(s)
+		}()
 	}
-	work()
+	work(0)
 }
 
 // fanOutProcs is how many goroutines FanOut(n, …) runs on.
@@ -59,7 +65,11 @@ type WorkerSlot struct {
 // the device's worker pool, mirroring how thread blocks cover the
 // iteration space of one kernel on one GPU. fn receives the worker
 // index w — the chunk index, deterministic across runs and independent
-// of which host goroutine runs the chunk — alongside its range, returns
+// of which host goroutine runs the chunk — alongside its range, and the
+// strand s that runs it: which of the call's goroutines, from 0 to at
+// most the chunk count less one, so that scratch indexed by s is never
+// shared by two chunks at once (one processor, or serial, runs every
+// chunk on strand 0). fn returns
 // its range's Counters once instead of incrementing shared state per
 // element, and may return an error, which is reported in worker order;
 // the sum of the Counters is returned. slots, when non-nil and large
@@ -69,7 +79,7 @@ type WorkerSlot struct {
 // chunks in worker order on the calling goroutine — for kernels whose
 // lanes race on device memory in a way that would make their work
 // counters depend on the interleaving.
-func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(w, start, end int) (Counters, error)) (Counters, error) {
+func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(s, w, start, end int) (Counters, error)) (Counters, error) {
 	if n <= 0 {
 		return Counters{}, nil
 	}
@@ -78,25 +88,25 @@ func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(w, s
 		workers = n
 	}
 	if workers == 1 {
-		return runRange(fn, 0, 0, n)
+		return runRange(fn, 0, 0, 0, n)
 	}
 	chunk := (n + workers - 1) / workers
 	nw := (n + chunk - 1) / chunk // worker chunks; can be < workers
 	if len(slots) < nw {
 		slots = make([]WorkerSlot, nw)
 	}
-	if serial || RaceDetector || fanOutProcs(nw) <= 1 {
+	if procs := fanOutProcs(nw); serial || RaceDetector || procs <= 1 {
 		// Under the race detector every kernel runs this way: kernels
 		// may carry benign app-level races (same-value relaxations), and
 		// the detector should watch only the runtime's real concurrency.
 		// One processor runs it too, rather than build FanOut a closure
 		// that would then loop in the same order.
 		for w := 0; w < nw; w++ {
-			slots[w].C, slots[w].Err = runRange(fn, w, w*chunk, min((w+1)*chunk, n))
+			slots[w].C, slots[w].Err = runRange(fn, 0, w, w*chunk, min((w+1)*chunk, n))
 		}
 	} else {
-		FanOut(nw, func(w int) {
-			slots[w].C, slots[w].Err = runRange(fn, w, w*chunk, min((w+1)*chunk, n))
+		fanOutStrands(nw, procs, func(s, w int) {
+			slots[w].C, slots[w].Err = runRange(fn, s, w, w*chunk, min((w+1)*chunk, n))
 		})
 	}
 	var total Counters
@@ -110,11 +120,11 @@ func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(w, s
 	return total, firstErr
 }
 
-func runRange(fn func(w, start, end int) (Counters, error), w, start, end int) (c Counters, err error) {
+func runRange(fn func(s, w, start, end int) (Counters, error), s, w, start, end int) (c Counters, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("sim: kernel panicked on range [%d,%d): %v", start, end, r)
 		}
 	}()
-	return fn(w, start, end)
+	return fn(s, w, start, end)
 }

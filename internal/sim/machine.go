@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Machine is an instantiated evaluation platform: one CPU device, N GPU
 // devices and the bus connecting them.
@@ -13,6 +16,10 @@ type Machine struct {
 
 	// faults is the armed fault-injection state (nil when inactive).
 	faults *faultState
+
+	// memGen counts the device allocations and frees that succeeded on
+	// any of the machine's devices (MemGen).
+	memGen atomic.Uint64
 }
 
 // NewMachine validates the spec and instantiates its devices.
@@ -20,12 +27,19 @@ func NewMachine(spec MachineSpec) (*Machine, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Machine{Spec: spec, cpu: newDevice(spec.CPU, -1)}
+	m := &Machine{Spec: spec}
+	m.cpu = newDevice(spec.CPU, -1, &m.memGen)
 	for i := 0; i < spec.NumGPUs; i++ {
-		m.gpus = append(m.gpus, newDevice(spec.GPU, i))
+		m.gpus = append(m.gpus, newDevice(spec.GPU, i, &m.memGen))
 	}
 	return m, nil
 }
+
+// MemGen changes whenever a device allocation or free succeeds on the
+// machine, and only then: two equal readings bracket a stretch in which
+// every device's used bytes stood still. It never reads zero after an
+// allocation.
+func (m *Machine) MemGen() uint64 { return m.memGen.Load() }
 
 // CPU returns the host processor device.
 func (m *Machine) CPU() *Device { return m.cpu }

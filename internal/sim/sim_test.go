@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -157,7 +158,7 @@ func TestForWorkersCoversRangeExactlyOnce(t *testing.T) {
 	m, _ := NewMachine(Desktop())
 	for _, n := range []int{0, 1, 3, 4, 5, 1000, 1001} {
 		seen := make([]int32, n)
-		c, err := m.GPU(0).ForWorkers(n, nil, false, func(_, start, end int) (Counters, error) {
+		c, err := m.GPU(0).ForWorkers(n, nil, false, func(_, _, start, end int) (Counters, error) {
 			for i := start; i < end; i++ {
 				seen[i]++
 			}
@@ -180,12 +181,49 @@ func TestForWorkersCoversRangeExactlyOnce(t *testing.T) {
 func TestForWorkersPanicRecovered(t *testing.T) {
 	m, _ := NewMachine(Desktop())
 	for _, n := range []int{1, 100} { // one chunk on the caller, then a fan-out
-		_, err := m.GPU(0).ForWorkers(n, nil, false, func(_, start, end int) (Counters, error) {
+		_, err := m.GPU(0).ForWorkers(n, nil, false, func(_, _, start, end int) (Counters, error) {
 			panic("kernel bug")
 		})
 		if err == nil {
 			t.Fatalf("n=%d: panic should surface as error", n)
 		}
+	}
+}
+
+// TestForWorkersStrands holds each strand to one goroutine for the whole
+// call, strand 0 to the caller, and every strand below the chunk count:
+// scratch a caller indexes by strand is never shared by two chunks at
+// once.
+func TestForWorkersStrands(t *testing.T) {
+	m, _ := NewMachine(Desktop())
+	for _, procs := range []int{1, 4} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			caller := goroutineID()
+			var mu sync.Mutex
+			owner := map[int]string{}
+			const n = 1000
+			nw := m.GPU(0).Spec.Workers
+			_, err := m.GPU(0).ForWorkers(n, nil, false, func(s, _, _, _ int) (Counters, error) {
+				id := goroutineID()
+				mu.Lock()
+				defer mu.Unlock()
+				if s < 0 || s >= nw || s >= procs {
+					t.Errorf("GOMAXPROCS %d: strand %d outside [0, %d)", procs, s, min(nw, procs))
+				}
+				if o, ok := owner[s]; ok && o != id {
+					t.Errorf("GOMAXPROCS %d: strand %d ran on goroutines %s and %s", procs, s, o, id)
+				}
+				owner[s] = id
+				if (s == 0) != (id == caller) {
+					t.Errorf("GOMAXPROCS %d: strand %d ran on goroutine %s, caller is %s", procs, s, id, caller)
+				}
+				return Counters{}, nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 )
 
 // Metrics is a deterministic aggregate registry: named counters plus
@@ -14,6 +15,9 @@ import (
 type Metrics struct {
 	counters map[string]int64
 	hists    map[string]*Histogram
+	// spans counts the committed spans by kind: the counters named
+	// spans.<kind>, whose names Counter and WriteJSON render.
+	spans [kindCount]int64
 }
 
 // Histogram counts observations into fixed buckets: Counts[i] holds
@@ -41,7 +45,23 @@ func NewMetrics() *Metrics {
 func (m *Metrics) Inc(name string, delta int64) { m.counters[name] += delta }
 
 // Counter returns the named counter's value (0 if never incremented).
-func (m *Metrics) Counter(name string) int64 { return m.counters[name] }
+func (m *Metrics) Counter(name string) int64 {
+	n := m.counters[name]
+	if k, ok := spanCounter(name); ok {
+		n += m.spans[k]
+	}
+	return n
+}
+
+// spanCounter reports the kind a spans.<kind> counter name counts.
+func spanCounter(name string) (Kind, bool) {
+	if kind, ok := strings.CutPrefix(name, spanPrefix); ok {
+		return KindFromString(kind)
+	}
+	return 0, false
+}
+
+const spanPrefix = "spans."
 
 // Observe records v into the named histogram, creating it with the
 // given bounds on first use (later calls keep the original bounds).
@@ -63,16 +83,23 @@ func (m *Metrics) Observe(name string, bounds []int64, v int64) {
 func (m *Metrics) WriteJSON(w io.Writer) error {
 	bw := &errWriter{w: w}
 	bw.printf("{\n  \"counters\": {")
-	names := make([]string, 0, len(m.counters))
+	names := make([]string, 0, len(m.counters)+len(m.spans))
 	for k := range m.counters {
 		names = append(names, k)
+	}
+	for k, n := range m.spans {
+		if name := spanPrefix + Kind(k).String(); n != 0 {
+			if _, ok := m.counters[name]; !ok {
+				names = append(names, name)
+			}
+		}
 	}
 	sort.Strings(names)
 	for i, k := range names {
 		if i > 0 {
 			bw.printf(",")
 		}
-		bw.printf("\n    %s: %d", quote(k), m.counters[k])
+		bw.printf("\n    %s: %d", quote(k), m.Counter(k))
 	}
 	if len(names) > 0 {
 		bw.printf("\n  ")

@@ -168,7 +168,11 @@ func (t *Tracer) BeginProcess(name string) int {
 func (t *Tracer) Emit(s Span) {
 	s.Proc = t.pid
 	t.spans = append(t.spans, s)
-	t.mets.Inc("spans."+s.Kind.String(), 1)
+	if s.Kind < kindCount {
+		t.mets.spans[s.Kind]++
+	} else {
+		t.mets.Inc(spanPrefix+s.Kind.String(), 1)
+	}
 	switch s.Kind {
 	case KindKernel, KindSpecKernel:
 		t.mets.Observe("kernel.duration_us", DurationBucketsUS, int64(s.Duration()/time.Microsecond))

@@ -166,6 +166,35 @@ func TestMetricsJSONDeterministic(t *testing.T) {
 	}
 }
 
+// TestSpanCountersRender holds the per-kind span counts to what a
+// string-keyed counter per span read: spans.<kind> in Counter and in
+// WriteJSON, sorted among the other counters, summed with an Inc of the
+// same name, and absent for a kind that never ran.
+func TestSpanCountersRender(t *testing.T) {
+	tr := New()
+	for range 3 {
+		tr.Emit(Span{Kind: KindKernel, Lane: 0, End: 1})
+	}
+	tr.Emit(Span{Kind: KindHalo, Lane: LaneComms, End: 1})
+	m := tr.Metrics()
+	m.Inc("spans.halo-exchange", 2)
+	m.Inc("spans.zzz", 1)
+	if got := m.Counter("spans.kernel"); got != 3 {
+		t.Errorf("spans.kernel = %d, want 3", got)
+	}
+	if got := m.Counter("spans.alloc"); got != 0 {
+		t.Errorf("spans.alloc = %d, want 0", got)
+	}
+	var buf bytes.Buffer
+	if err := m.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := "{\n  \"counters\": {\n    \"spans.halo-exchange\": 3,\n    \"spans.kernel\": 3,\n    \"spans.zzz\": 1\n  },\n  \"histograms\": {"
+	if !strings.HasPrefix(buf.String(), want) {
+		t.Errorf("metrics JSON\n%s\nwant it to start\n%s", buf.String(), want)
+	}
+}
+
 func TestBeginProcessGroupsSpans(t *testing.T) {
 	tr := New()
 	tr.Emit(Span{Kind: KindAlloc, Lane: LaneHost})
