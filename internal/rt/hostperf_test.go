@@ -425,7 +425,7 @@ func TestSyncReplicatedSerialFallbackMatchesParallel(t *testing.T) {
 			markDirty(st.copies[g], lo, hi)
 		}
 		r.syncReplicated(st, r.mach.GPUs())
-		sim.FanOut(ngpus, func(g int) { st.copies[g].catchUp(0, n) })
+		sim.FanOut(ngpus, func(_, g int) { st.copies[g].catchUp(0, n) })
 		return st
 	}
 	a, b := run(ngpus), run(1)

@@ -304,9 +304,9 @@ loading:
 	partials := r.gpuPartials(k, len(gpus))
 	t0 := r.rep.Total()
 	wall0 := time.Now()
-	sim.FanOut(len(gpus), func(g int) {
+	sim.FanOut(len(gpus), func(s, g int) {
 		dev := gpus[g]
-		counters, handled, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, partials[g])
+		counters, handled, err := r.runOnGPU(k, env, s, g, dev, parts[g], needs[g], ex, partials[g])
 		cost := dev.Spec.KernelCost(counters, eff)
 		if r.opts.Mode == ModeBaseline && counters.ReduceOps > 0 {
 			// Without the reductiontoarray extension the compiler
@@ -546,14 +546,15 @@ func (r *Runtime) kernelEfficiency(k *ir.Kernel) float64 {
 // chunk; redVals, the GPU's scalar-reduction partials, arrive holding
 // the identities and leave holding the chunk's folds. The specialized
 // executor handles the chunk when its per-GPU conditions hold;
-// otherwise the instrumented interpreter runs.
-func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p span, nds []need, ex *specExec, redVals []float64) (sim.Counters, bool, error) {
+// otherwise the instrumented interpreter runs. s is the FanOut strand
+// running the GPU's chunk.
+func (r *Runtime) runOnGPU(k *ir.Kernel, env *ir.Env, s, g int, dev *sim.Device, p span, nds []need, ex *specExec, redVals []float64) (sim.Counters, bool, error) {
 	n := p.count()
 	if n == 0 {
 		return sim.Counters{}, false, nil
 	}
 	if ex != nil {
-		counters, handled, err := ex.run(r, k, env, g, dev, p, nds, redVals)
+		counters, handled, err := ex.run(r, k, env, s, g, dev, p, nds, redVals)
 		if handled {
 			return counters, true, err
 		}

@@ -189,7 +189,7 @@ func (r *Runtime) runCopyJobs(jobs [][]copyJob) {
 	if !any {
 		return
 	}
-	sim.FanOut(len(jobs), func(g int) {
+	sim.FanOut(len(jobs), func(_, g int) {
 		for _, j := range jobs[g] {
 			j.run()
 		}

@@ -173,10 +173,10 @@ void main() {
 // arithmetic, one rounding to float per store. The explicit float64
 // conversions keep the products from fusing into the sums.
 // TestSpecScratchLease launches saxpy on one processor and on four: the
-// tile scratch is leased per ForWorkers strand, so each GPU holds one
-// VecEnv per strand that ran (one on one processor, or under the race
-// detector's serial workers), and no two strands, of one GPU or of two,
-// share one.
+// tile scratch is leased per pair of strands (the GPU fan-out's, the
+// workers'), so the executor holds one VecEnv on one processor, and on
+// four no more per GPU strand than worker strands ran at once, no two
+// pairs sharing one.
 func TestSpecScratchLease(t *testing.T) {
 	mod, inst := buildSpecInstance(t, specSaxpySrc, map[string]float64{"n": 4096, "a": 1.5})
 	k := mod.Kernels[0]
@@ -199,26 +199,28 @@ func TestSpecScratchLease(t *testing.T) {
 			}
 			ex := r.specExecs[k.ID]
 			seen := map[*ir.VecEnv]bool{}
-			for g := range ex.gs {
-				gs := &ex.gs[g]
+			for s, row := range ex.vms {
 				held := 0
-				for _, vm := range gs.vms {
+				for _, vm := range row {
 					if vm == nil {
 						continue
 					}
 					if seen[vm] {
-						t.Errorf("GOMAXPROCS %d: GPU%d shares a tile scratch", procs, g)
+						t.Errorf("GOMAXPROCS %d: two strand pairs share a tile scratch", procs)
 					}
 					seen[vm] = true
 					held++
 				}
-				limit := min(procs, len(gs.envs))
+				limit := min(procs, len(ex.gs[0].envs))
 				if sim.RaceDetector {
 					limit = 1
 				}
-				if held == 0 || held > limit {
-					t.Errorf("GOMAXPROCS %d: GPU%d holds %d tile scratch sets for %d workers, want 1 to %d", procs, g, held, len(gs.envs), limit)
+				if held > limit || held > 0 && s >= procs {
+					t.Errorf("GOMAXPROCS %d: GPU strand %d holds %d tile scratch sets, at most %d ran at once", procs, s, held, limit)
 				}
+			}
+			if len(seen) == 0 || procs == 1 && len(seen) != 1 {
+				t.Errorf("GOMAXPROCS %d: the executor holds %d tile scratch sets", procs, len(seen))
 			}
 		}()
 	}
@@ -953,7 +955,7 @@ void main() {
 		ex := r.specExecutor(k)
 		var got bits
 		for g, dev := range r.mach.GPUs() {
-			_, handled, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil)
+			_, handled, err := r.runOnGPU(k, env, 0, g, dev, parts[g], needs[g], ex, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -1104,11 +1106,9 @@ func TestSpecLaunchSteadyStateAllocBudget(t *testing.T) {
 	scratch := func(ex *specExec, workers, chunk int) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		gs := &ex.gs[0]
-		ex.ensureScratch(gs, workers)
-		for s := range gs.vms[:workers] {
-			gs.vms[s] = ex.spec.NewVecEnv()
-			gs.vms[s].Reserve(chunk)
+		ex.ensureScratch(&ex.gs[0], workers)
+		for range workers {
+			ex.spec.NewVecEnv().Reserve(chunk)
 		}
 		runtime.ReadMemStats(&after)
 		return after.TotalAlloc - before.TotalAlloc
@@ -1240,7 +1240,7 @@ func phaseBTime(t *testing.T, src string, scalars map[string]float64, opts Optio
 	return func() time.Duration {
 		start := time.Now()
 		for g, dev := range r.mach.GPUs() {
-			if _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil); err != nil {
+			if _, _, err := r.runOnGPU(k, env, 0, g, dev, parts[g], needs[g], ex, nil); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -1294,7 +1294,7 @@ func benchLaunches(b *testing.B, s *specLaunchState, opts Options) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for g, dev := range r.mach.GPUs() {
-			if _, _, err := r.runOnGPU(k, env, g, dev, parts[g], needs[g], ex, nil); err != nil {
+			if _, _, err := r.runOnGPU(k, env, 0, g, dev, parts[g], needs[g], ex, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

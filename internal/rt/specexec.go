@@ -86,6 +86,13 @@ type specExec struct {
 	uiBySlot []int
 	// gs is the per-GPU reusable launch scratch, indexed by GPU.
 	gs []specGPU
+	// vms is the tile scratch, indexed by the FanOut strand that runs a
+	// GPU's chunk and then by the ForWorkers strand that runs a worker's:
+	// the workers one pair of strands runs go one after another on one
+	// goroutine, so they share one VecEnv, and there are as many as ran
+	// at once — the host's parallelism — not as many as workers spawned.
+	// A strand pair makes its own on first use.
+	vms [][]*ir.VecEnv
 }
 
 // SpecHits, SpecFallbacks, PhaseBWall and FusedLaunches are what
@@ -149,11 +156,8 @@ type specGPU struct {
 	// (bind), and boundW how many worker environments hold it.
 	bound  []binding
 	boundW int
-	// vms is the tile scratch, one per ForWorkers strand: the chunks of
-	// one strand run one after another on one goroutine, so they share
-	// it, and there are as many as ran at once — the host's parallelism
-	// — not as many as workers spawned. A strand makes its own on first
-	// use.
+	// vms is the tile scratch row of the FanOut strand running the
+	// GPU's chunk (specExec.vms), indexed by ForWorkers strand.
 	vms []*ir.VecEnv
 	// work is the ForWorkers callback (runChunk on this slot), built
 	// once; lo and chunk are what it needs of the launch at hand: the
@@ -226,6 +230,7 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 			poll:     r.Poll,
 			uiBySlot: make([]int, k.Spec.NumArrays),
 			gs:       make([]specGPU, r.mach.NumGPUs()),
+			vms:      make([][]*ir.VecEnv, r.mach.NumGPUs()),
 		}
 		for slot := range ex.uiBySlot {
 			ex.uiBySlot[slot] = -1
@@ -243,7 +248,7 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 // was mutated). On handled=true, redVals has this GPU's scalar
 // reduction partials merged in and the returned counters are exactly
 // what the interpreter would have accumulated.
-func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.Device, p span, nds []need, redVals []float64) (sim.Counters, bool, error) {
+func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, s, g int, dev *sim.Device, p span, nds []need, redVals []float64) (sim.Counters, bool, error) {
 	spec := ex.spec
 	n := p.count()
 	gs := &ex.gs[g]
@@ -313,7 +318,10 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, g int, dev *sim.D
 	}
 	ex.bind(r, k, g, gs, nds, nw)
 
-	gs.lo, gs.chunk = p.lo, chunk
+	for len(ex.vms[s]) < nw {
+		ex.vms[s] = append(ex.vms[s], nil)
+	}
+	gs.lo, gs.chunk, gs.vms = p.lo, chunk, ex.vms[s]
 	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, gs.work)
 	if err != nil {
 		return sim.Counters{}, true, err
@@ -527,7 +535,6 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		de.Poll = ex.poll
 		gs.envs = append(gs.envs, de)
 		gs.slots = append(gs.slots, sim.WorkerSlot{})
-		gs.vms = append(gs.vms, nil)
 	}
 }
 

@@ -47,6 +47,8 @@ type arrayState struct {
 	// While it holds a ship moves nothing: a device copy's new storage
 	// already reads zero (prepareLoad), and zeros are quiet (shipHost).
 	zeros bool
+	// lastHalo is the array's last halo exchange (haloDetail).
+	lastHalo haloExchange
 
 	copies []*gpuCopy
 }

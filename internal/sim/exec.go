@@ -7,31 +7,27 @@ import (
 	"sync/atomic"
 )
 
-// FanOut runs fn(0), …, fn(n-1) and returns when all have finished. It
-// is the only place the simulator and the runtime start goroutines: the
-// indices are shared out over min(n, GOMAXPROCS) goroutines, the caller
-// being one of them, so on one processor nothing is spawned and the
-// indices run in ascending order on the calling goroutine. An index
-// names a unit of simulated work (a GPU, a worker's chunk), never the
-// goroutine that happens to run it; fn must write only what its index
-// owns. GOMAXPROCS is read per call. A panic out of fn on the calling
+// FanOut runs fn(s, 0), …, fn(s, n-1) and returns when all have
+// finished. It is the only place the simulator and the runtime start
+// goroutines: the indices are shared out over min(n, GOMAXPROCS)
+// goroutines, the caller being one of them, so on one processor nothing
+// is spawned and the indices run in ascending order on the calling
+// goroutine. An index names a unit of simulated work (a GPU, a worker's
+// chunk), never the goroutine that happens to run it; fn must write only
+// what its index owns. The strand s names the goroutine instead: 0 for
+// the caller, up to min(n, GOMAXPROCS)-1, each owned by one goroutine for
+// the whole call, so scratch indexed by s is never used by two indices
+// at once. GOMAXPROCS is read per call. A panic out of fn on the calling
 // goroutine propagates after the others have finished; callers that must
 // survive a panicking fn recover inside it (see runRange).
-func FanOut(n int, fn func(i int)) {
+func FanOut(n int, fn func(s, i int)) {
 	procs := fanOutProcs(n)
 	if procs <= 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
-	fanOutStrands(n, procs, func(_, i int) { fn(i) })
-}
-
-// fanOutStrands is FanOut on procs goroutines that also tells fn which
-// of them runs index i: its strand, 0 (the caller) to procs-1, owned by
-// one goroutine for the whole call.
-func fanOutStrands(n, procs int, fn func(s, i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	work := func(s int) {
@@ -66,9 +62,7 @@ type WorkerSlot struct {
 // iteration space of one kernel on one GPU. fn receives the worker
 // index w — the chunk index, deterministic across runs and independent
 // of which host goroutine runs the chunk — alongside its range, and the
-// strand s that runs it: which of the call's goroutines, from 0 to at
-// most the chunk count less one, so that scratch indexed by s is never
-// shared by two chunks at once (one processor, or serial, runs every
+// FanOut strand s that runs it (one processor, or serial, runs every
 // chunk on strand 0). fn returns
 // its range's Counters once instead of incrementing shared state per
 // element, and may return an error, which is reported in worker order;
@@ -95,7 +89,7 @@ func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(s, w
 	if len(slots) < nw {
 		slots = make([]WorkerSlot, nw)
 	}
-	if procs := fanOutProcs(nw); serial || RaceDetector || procs <= 1 {
+	if serial || RaceDetector || fanOutProcs(nw) <= 1 {
 		// Under the race detector every kernel runs this way: kernels
 		// may carry benign app-level races (same-value relaxations), and
 		// the detector should watch only the runtime's real concurrency.
@@ -105,7 +99,7 @@ func (d *Device) ForWorkers(n int, slots []WorkerSlot, serial bool, fn func(s, w
 			slots[w].C, slots[w].Err = runRange(fn, 0, w, w*chunk, min((w+1)*chunk, n))
 		}
 	} else {
-		fanOutStrands(nw, procs, func(s, w int) {
+		FanOut(nw, func(s, w int) {
 			slots[w].C, slots[w].Err = runRange(fn, s, w, w*chunk, min((w+1)*chunk, n))
 		})
 	}

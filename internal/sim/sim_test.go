@@ -233,7 +233,7 @@ func TestFanOutOneProcessor(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	caller := goroutineID()
 	var order []int
-	FanOut(9, func(i int) {
+	FanOut(9, func(_, i int) {
 		if id := goroutineID(); id != caller {
 			t.Errorf("index %d ran on goroutine %s, caller is %s", i, id, caller)
 		}
@@ -256,7 +256,7 @@ func TestFanOutBounded(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	var running, peak atomic.Int64
 	seen := make([]atomic.Int32, n)
-	FanOut(n, func(i int) {
+	FanOut(n, func(_, i int) {
 		now := running.Add(1)
 		for p := peak.Load(); now > p && !peak.CompareAndSwap(p, now); p = peak.Load() {
 		}
@@ -272,7 +272,7 @@ func TestFanOutBounded(t *testing.T) {
 	if p := peak.Load(); p > procs {
 		t.Errorf("%d indices ran at once, GOMAXPROCS is %d", p, procs)
 	}
-	FanOut(0, func(int) { t.Error("fn called for n = 0") })
+	FanOut(0, func(_, _ int) { t.Error("fn called for n = 0") })
 }
 
 // TestFanOutCallerTakesPart holds every spawned goroutine until the
@@ -291,7 +291,7 @@ func TestFanOutCallerTakesPart(t *testing.T) {
 			}
 		}()
 		caller := goroutineID()
-		FanOut(n, func(i int) {
+		FanOut(n, func(_, i int) {
 			if goroutineID() == caller {
 				callerRan.Store(true)
 				panic("boom")
