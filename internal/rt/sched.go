@@ -130,14 +130,20 @@ type asyncSched struct {
 	subIdx    []int
 	// What derive works out once per batch: transfer i's hazard state
 	// xhaz[i] (nil for a scalar delivery), its footprints
-	// fp[fpAt[i]:fpAt[i+1]] and its conflict row conf[i*words:(i+1)*words],
-	// bit j set when the earlier transfer j must precede it. issued is
-	// the same-width set of transfers the batch has scheduled so far.
-	xhaz   []*arrHazard
-	fp     []hazFootprint
-	fpAt   []int
-	conf   []uint64
-	issued []uint64
+	// fp[fpAt[i]:fpAt[i+1]], the locations they touch (bit 0 the host
+	// mirror, bit g+1 GPU g: a machine has at most 16) in touch[i] and
+	// those they write in
+	// writes[i], its route routes[i] and its conflict row
+	// conf[i*words:(i+1)*words], bit j set when the earlier transfer j
+	// must precede it. issued is the same-width set of transfers the
+	// batch has scheduled so far.
+	xhaz          []*arrHazard
+	fp            []hazFootprint
+	fpAt          []int
+	touch, writes []uint64
+	routes        []route
+	conf          []uint64
+	issued        []uint64
 	// kernelHaz is kernels' hazard state per kernel array.
 	kernelHaz []*arrHazard
 }
@@ -173,16 +179,19 @@ func (s *asyncSched) penalize(d time.Duration) {
 	s.netFree += d
 }
 
-// resFree is the earliest time the transfer's resources are all free:
-// both endpoints' node fabrics, plus the shared network for cross-node
-// traffic.
-func (s *asyncSched) resFree(t sim.Transfer) time.Duration {
-	spec := &s.r.mach.Spec
-	free := s.nodeFree[spec.NodeOf(t.Src)]
-	if f := s.nodeFree[spec.NodeOf(t.Dst)]; f > free {
-		free = f
-	}
-	if spec.CrossNode(t.Src, t.Dst) && s.netFree > free {
+// route is the transfer resources one transfer occupies: the fabrics of
+// its endpoints' nodes, and the shared network when it crosses nodes.
+type route struct {
+	src, dst int
+	cross    bool
+}
+
+// resFree is the earliest time transfer i of the derived batch may have
+// all its resources (route) free.
+func (s *asyncSched) resFree(i int) time.Duration {
+	rt := s.routes[i]
+	free := max(s.nodeFree[rt.src], s.nodeFree[rt.dst])
+	if rt.cross && s.netFree > free {
 		free = s.netFree
 	}
 	return free
@@ -261,15 +270,31 @@ func appendFootprints(buf []hazFootprint, t sim.Transfer, h *arrHazard) []hazFoo
 // the width of a conflict row in words.
 func (s *asyncSched) derive(transfers []sim.Transfer) int {
 	n := len(transfers)
+	spec := &s.r.mach.Spec
 	s.xhaz, s.fp, s.fpAt = s.xhaz[:0], s.fp[:0], append(s.fpAt[:0], 0)
+	s.touch, s.writes, s.routes = s.touch[:0], s.writes[:0], s.routes[:0]
 	for _, t := range transfers {
 		var h *arrHazard
+		var touch, writes uint64
 		if t.Kind != sim.DeviceToHost || t.Tag != sim.TagScalar {
 			h = s.haz(t.Label)
+			at := len(s.fp)
 			s.fp = appendFootprints(s.fp, t, h)
+			for _, fp := range s.fp[at:] {
+				loc := uint64(1)
+				if !fp.host {
+					loc <<= fp.g + 1
+				}
+				touch |= loc
+				if fp.write {
+					writes |= loc
+				}
+			}
 		}
 		s.xhaz = append(s.xhaz, h)
 		s.fpAt = append(s.fpAt, len(s.fp))
+		s.touch, s.writes = append(s.touch, touch), append(s.writes, writes)
+		s.routes = append(s.routes, route{spec.NodeOf(t.Src), spec.NodeOf(t.Dst), spec.CrossNode(t.Src, t.Dst)})
 	}
 	// append(x[:0], make(…)...) zero-extends in place once x is large enough.
 	words := (n + 63) / 64
@@ -277,6 +302,13 @@ func (s *asyncSched) derive(transfers []sim.Transfer) int {
 	s.issued = append(s.issued[:0], make([]uint64, words)...)
 	for i := 1; i < n; i++ {
 		for j := 0; j < i; j++ {
+			// Only same-array flows can couple inside one batch (no host
+			// code runs mid-batch), and one array has one hazard state;
+			// and only through a location one of them writes.
+			if s.xhaz[j] != s.xhaz[i] || s.xhaz[i] == nil ||
+				s.writes[j]&s.touch[i] == 0 && s.touch[j]&s.writes[i] == 0 {
+				continue
+			}
 			if s.conflict(transfers, j, i) {
 				s.conf[i*words+j/64] |= 1 << (j % 64)
 			}
@@ -286,13 +318,9 @@ func (s *asyncSched) derive(transfers []sim.Transfer) int {
 }
 
 // conflict reports whether transfer i must wait for the earlier
-// transfer j of the same batch. Only same-array flows can couple inside
-// one batch (no host code runs mid-batch), and one array has one hazard
-// state.
+// transfer j of the same batch, both moving the array whose hazard
+// state is theirs.
 func (s *asyncSched) conflict(transfers []sim.Transfer, j, i int) bool {
-	if s.xhaz[j] != s.xhaz[i] || s.xhaz[i] == nil {
-		return false
-	}
 	if transfers[j].Kind == sim.DeviceToHost && transfers[i].Kind == sim.DeviceToHost {
 		// Concurrent gathers of one array read distinct GPU copies, and
 		// where their host-write ranges overlap (resident halos) the
@@ -439,7 +467,7 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			lift := t0
 			for pi, i := range pend {
 				if ready[pi] <= t0 {
-					if f := s.resFree(transfers[i]); f > lift {
+					if f := s.resFree(i); f > lift {
 						lift = f
 					}
 				}
@@ -501,7 +529,7 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 				priced = false
 			}
 			// The joining straggler's resources must be free too.
-			if f := s.resFree(transfers[i]); f > t0 {
+			if f := s.resFree(i); f > t0 {
 				t0 = f
 			}
 			sub, subIdx = append(sub, transfers[i]), append(subIdx, i)
@@ -522,10 +550,10 @@ func (s *asyncSched) batch(transfers []sim.Transfer, penalty time.Duration) {
 			s.r.emitTransferSpans(sub, t0, end, true)
 		}
 		s.subBatch, s.subIdx = sub, subIdx
-		for _, t := range sub {
-			s.nodeFree[spec.NodeOf(t.Src)] = end
-			s.nodeFree[spec.NodeOf(t.Dst)] = end
-			if spec.CrossNode(t.Src, t.Dst) {
+		for _, i := range subIdx {
+			rt := s.routes[i]
+			s.nodeFree[rt.src], s.nodeFree[rt.dst] = end, end
+			if rt.cross {
 				s.netFree = end
 			}
 		}
