@@ -101,3 +101,18 @@ func TestIntervalSetSettledMatchesScan(t *testing.T) {
 		}
 	}
 }
+
+// TestStepsMatchDivision holds the graded write's stepped quotients to
+// the divisions they replace: x·j/d for j = 1..d.
+func TestStepsMatchDivision(t *testing.T) {
+	for _, x := range []int64{1, 2, 7, 8, 9, 1023, 4096, 1<<40 + 12345} {
+		for _, d := range []int64{1, 2, 3, 7, 8} {
+			s := newSteps(x, d)
+			for j := int64(1); j <= d; j++ {
+				if got, want := s.next(), x*j/d; got != want {
+					t.Fatalf("x=%d d=%d: step %d is %d, want %d", x, d, j, got, want)
+				}
+			}
+		}
+	}
+}

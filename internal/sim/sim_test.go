@@ -602,3 +602,46 @@ func TestNegativeAllocationRejected(t *testing.T) {
 		t.Error("negative allocation should fail")
 	}
 }
+
+// TestMemGenMovesWithAllocations holds Machine.MemGen to moving on every
+// allocation and free that succeeds, on any device, and on nothing else:
+// equal readings are how the runtime knows its memory sample would read
+// the same sums.
+func TestMemGenMovesWithAllocations(t *testing.T) {
+	spec := Desktop().WithGPUs(2)
+	spec.GPU.MemBytes = 1 << 20
+	m, err := NewMachine(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := m.MemGen()
+	if gen != 0 {
+		t.Fatalf("a new machine reads MemGen %d", gen)
+	}
+	step := func(what string, moved bool) {
+		t.Helper()
+		if now := m.MemGen(); (now != gen) != moved {
+			t.Errorf("%s: MemGen %d → %d, want moved %v", what, gen, now, moved)
+		}
+		gen = m.MemGen()
+	}
+	b, err := m.GPU(1).AllocBytes("x", MemUser, 1<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	step("alloc on GPU1", true)
+	if _, err := m.GPU(0).AllocBytes("big", MemUser, 2<<20); err == nil {
+		t.Fatal("an allocation past capacity succeeded")
+	}
+	step("refused alloc", false)
+	m.GPU(0).UsedByClass(MemUser)
+	step("a read", false)
+	if err := m.GPU(1).Free(b); err != nil {
+		t.Fatal(err)
+	}
+	step("free", true)
+	if err := m.GPU(1).Free(b); err == nil {
+		t.Fatal("a double free succeeded")
+	}
+	step("double free", false)
+}
