@@ -29,19 +29,12 @@ type Interval struct {
 // set.
 type IntervalSet struct {
 	ivls []Interval
-	// upto[i] is the latest End of ivls[:i+1], so that Settled, walking
-	// from the newest interval, stops where no older one can matter.
-	upto []time.Duration
 }
 
 // Add records an access; over defaultIntervalCap the list compacts to a
 // single conservative covering interval.
 func (s *IntervalSet) Add(lo, hi int64, end time.Duration) {
-	top := end
-	if n := len(s.upto); n > 0 {
-		top = max(top, s.upto[n-1])
-	}
-	s.ivls, s.upto = append(s.ivls, Interval{Lo: lo, Hi: hi, End: end}), append(s.upto, top)
+	s.ivls = append(s.ivls, Interval{Lo: lo, Hi: hi, End: end})
 	if len(s.ivls) <= defaultIntervalCap {
 		return
 	}
@@ -57,15 +50,15 @@ func (s *IntervalSet) Add(lo, hi int64, end time.Duration) {
 			cover.End = iv.End
 		}
 	}
-	s.ivls, s.upto = append(s.ivls[:0], cover), append(s.upto[:0], cover.End)
+	s.ivls = append(s.ivls[:0], cover)
 }
 
 // Settled returns when every recorded access overlapping [lo, hi] has
 // completed (zero when none overlaps).
 func (s *IntervalSet) Settled(lo, hi int64) time.Duration {
 	var t time.Duration
-	for i := len(s.ivls) - 1; i >= 0 && s.upto[i] > t; i-- {
-		if iv := &s.ivls[i]; iv.Lo <= hi && iv.Hi >= lo && iv.End > t {
+	for _, iv := range s.ivls {
+		if iv.Lo <= hi && iv.Hi >= lo && iv.End > t {
 			t = iv.End
 		}
 	}

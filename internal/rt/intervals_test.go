@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
@@ -75,30 +74,6 @@ func TestHazardIntervalsNilWithoutAsync(t *testing.T) {
 	r := New(nil, Options{})
 	if h := r.HazardIntervals(); h != nil {
 		t.Fatalf("no-async runtime exported hazards: %+v", h)
-	}
-}
-
-// TestIntervalSetSettledMatchesScan holds Settled, which walks from the
-// newest interval and stops where no older one can settle later, to the
-// latest End over every recorded interval overlapping the query,
-// through random adds and the compactions they cause.
-func TestIntervalSetSettledMatchesScan(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var s IntervalSet
-	for range 2000 {
-		lo := rng.Int63n(200)
-		s.Add(lo, lo+rng.Int63n(40), time.Duration(rng.Int63n(1000)))
-		qlo := rng.Int63n(240)
-		qhi := qlo + rng.Int63n(40)
-		var want time.Duration
-		for _, iv := range s.Intervals() {
-			if iv.Lo <= qhi && iv.Hi >= qlo && iv.End > want {
-				want = iv.End
-			}
-		}
-		if got := s.Settled(qlo, qhi); got != want {
-			t.Fatalf("Settled(%d, %d) = %v over %+v, want %v", qlo, qhi, got, s.Intervals(), want)
-		}
 	}
 }
 
