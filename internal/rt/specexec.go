@@ -148,6 +148,7 @@ type specGPU struct {
 	// their endpoints and coefficients and both verdicts stand, and a
 	// launch plans nothing. inBuf is the buffer the inputs are read into.
 	planIn, inBuf         []int64
+	planned               bool
 	planReason, vecReason string
 	// hazard is how many of this launch's lanes tiles handed to the next
 	// tile after a window hit, flatCuts the flat tiles a hazard cut.
@@ -279,12 +280,12 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, s, g int, dev *si
 	nw := (int(n) + chunk - 1) / chunk
 	ex.ensureScratch(gs, nw)
 
-	if gs.inBuf = ex.planInputs(r, k, env, g, p, gs.inBuf[:0]); gs.planIn == nil || !slices.Equal(gs.inBuf, gs.planIn) {
+	if gs.inBuf = ex.planInputs(r, k, env, g, p, gs.inBuf[:0]); !gs.planned || !slices.Equal(gs.inBuf, gs.planIn) {
 		gs.planReason, gs.vecReason = ex.plan(r, k, env, g, gs, p), ""
 		if gs.planReason == "" {
 			gs.vecReason = gs.vecCheck()
 		}
-		gs.planIn = append(gs.planIn[:0], gs.inBuf...)
+		gs.planIn, gs.planned = append(gs.planIn[:0], gs.inBuf...), true
 	}
 	if gs.reason = gs.planReason; gs.reason != "" {
 		return sim.Counters{}, false, nil
@@ -318,8 +319,8 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, s, g int, dev *si
 	}
 	ex.bind(r, k, g, gs, nds, nw)
 
-	for len(ex.vms[s]) < nw {
-		ex.vms[s] = append(ex.vms[s], nil)
+	if row := ex.vms[s]; len(row) < nw {
+		ex.vms[s] = append(row, make([]*ir.VecEnv, nw-len(row))...)
 	}
 	gs.lo, gs.chunk, gs.vms = p.lo, chunk, ex.vms[s]
 	_, err := dev.ForWorkers(int(n), gs.slots, k.SerialWorkers, gs.work)
@@ -528,6 +529,8 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		if spec.Prover != nil {
 			gs.penv = spec.Prover.NewPEnv()
 		}
+		n := 2 + len(ex.uiBySlot) + len(spec.HostReads)
+		gs.planIn, gs.inBuf = make([]int64, 0, n), make([]int64, 0, n)
 		gs.work = func(s, w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, s, w, start, end) }
 	}
 	for w := len(gs.envs); w < nw; w++ {
