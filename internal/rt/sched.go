@@ -132,11 +132,10 @@ type asyncSched struct {
 	// xhaz[i] (nil for a scalar delivery), its footprints
 	// fp[fpAt[i]:fpAt[i+1]], the locations they touch (bit 0 the host
 	// mirror, bit g+1 GPU g: a machine has at most 16) in touch[i] and
-	// those they write in
-	// writes[i], its route routes[i] and its conflict row
-	// conf[i*words:(i+1)*words], bit j set when the earlier transfer j
-	// must precede it. issued is the same-width set of transfers the
-	// batch has scheduled so far.
+	// those they write in writes[i], its route routes[i] and its
+	// conflict row conf[i*words:(i+1)*words], bit j set when the earlier
+	// transfer j must precede it. issued is the same-width set of
+	// transfers the batch has scheduled so far.
 	xhaz          []*arrHazard
 	fp            []hazFootprint
 	fpAt          []int
