@@ -90,6 +90,7 @@ accvet:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseProgram -fuzztime=5s -run='^$$' ./internal/cc
 	$(GO) test -fuzz=FuzzLex -fuzztime=5s -run='^$$' ./internal/cc
+	$(GO) test -fuzz=FuzzParseDirective -fuzztime=5s -run='^$$' ./internal/acc
 	$(GO) test -fuzz=FuzzAuditedRandomPrograms -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzVetCrossCheck -fuzztime=5s -run='^$$' ./internal/rt
 	$(GO) test -fuzz=FuzzSpecializedVsInterp -fuzztime=5s -run='^$$' ./internal/rt

@@ -106,24 +106,25 @@ func checkClauseNames(d *Directive) error {
 // splitClauses tokenizes "acc parallel loop copyin(a, b[i]) gang" into
 // clause units, keeping parenthesized argument lists intact and
 // splitting their contents on top-level commas. base is the source
-// column of text[0]; each clause records the column of its name.
+// column of text[0]; each clause records the column of its name. The
+// clauses collect in a buffer on the stack and leave in one exact slice.
 func splitClauses(text string, base int) ([]Clause, error) {
-	var out []Clause
+	var buf [16]Clause
+	out := buf[:0]
 	i, n := 0, len(text)
 	for i < n {
-		r := rune(text[i])
-		switch {
-		case unicode.IsSpace(r):
+		switch c := byteClass[text[i]]; {
+		case c&classSpace != 0:
 			i++
-		case isIdentStart(r):
+		case c&classIdentStart != 0:
 			start := i
-			for i < n && isIdentRune(rune(text[i])) {
+			for i < n && byteClass[text[i]]&classIdent != 0 {
 				i++
 			}
 			name := text[start:i]
 			// Skip spaces between name and '('.
 			j := i
-			for j < n && unicode.IsSpace(rune(text[j])) {
+			for j < n && byteClass[text[j]]&classSpace != 0 {
 				j++
 			}
 			if j < n && text[j] == '(' {
@@ -137,11 +138,41 @@ func splitClauses(text string, base int) ([]Clause, error) {
 				out = append(out, Clause{Name: name, Col: base + start})
 			}
 		default:
-			return nil, fmt.Errorf("unexpected character %q in pragma", r)
+			return nil, fmt.Errorf("unexpected character %q in pragma", rune(text[i]))
 		}
 	}
-	return out, nil
+	if len(out) == 0 {
+		return nil, nil
+	}
+	return append([]Clause(nil), out...), nil
 }
+
+// Byte classes of splitClauses.
+const (
+	classSpace      = 1 << iota // unicode.IsSpace
+	classIdentStart             // isIdentStart
+	classIdent                  // isIdentRune
+)
+
+// byteClass classifies each byte as the rune of the same value, so a byte
+// of a UTF-8 sequence reads as the Latin-1 character of its value: 0x85
+// and 0xa0 are spaces; 0xaa, 0xb5, 0xba and 0xc0–0xff but for 0xd7 and
+// 0xf7 are letters.
+var byteClass = func() (t [256]uint8) {
+	for b := range t {
+		r := rune(b)
+		if unicode.IsSpace(r) {
+			t[b] |= classSpace
+		}
+		if isIdentStart(r) {
+			t[b] |= classIdentStart
+		}
+		if isIdentRune(r) {
+			t[b] |= classIdent
+		}
+	}
+	return t
+}()
 
 // scanParenArgs scans a balanced "(...)" starting at text[open] == '('
 // and returns the top-level comma-separated arguments and the index

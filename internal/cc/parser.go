@@ -478,17 +478,32 @@ func (p *parser) parseSimpleStmt() *AssignStmt {
 
 // Expression parsing: precedence climbing.
 
-var binPrec = map[string]int{
-	"||": 1,
-	"&&": 2,
-	"|":  3,
-	"^":  4,
-	"&":  5,
-	"==": 6, "!=": 6,
-	"<": 7, "<=": 7, ">": 7, ">=": 7,
-	"<<": 8, ">>": 8,
-	"+": 9, "-": 9,
-	"*": 10, "/": 10, "%": 10,
+// binPrec is the precedence of a binary operator, 0 — below every
+// parseBinary's minPrec — for any other punctuation.
+func binPrec(op string) int {
+	switch op {
+	case "||":
+		return 1
+	case "&&":
+		return 2
+	case "|":
+		return 3
+	case "^":
+		return 4
+	case "&":
+		return 5
+	case "==", "!=":
+		return 6
+	case "<", "<=", ">", ">=":
+		return 7
+	case "<<", ">>":
+		return 8
+	case "+", "-":
+		return 9
+	case "*", "/", "%":
+		return 10
+	}
+	return 0
 }
 
 func (p *parser) parseExpr() Expr {
@@ -513,8 +528,8 @@ func (p *parser) parseBinary(minPrec int) Expr {
 		if tok.Kind != TokPunct {
 			return lhs
 		}
-		prec, ok := binPrec[tok.Text]
-		if !ok || prec < minPrec {
+		prec := binPrec(tok.Text)
+		if prec < minPrec {
 			return lhs
 		}
 		p.advance()

@@ -152,23 +152,27 @@ type Stats struct {
 // Stats computes the static program statistics.
 func (p *Program) Stats() Stats {
 	s := Stats{ParallelLoops: len(p.Module.Kernels)}
-	inLoops := map[string]bool{}
-	local := map[string]bool{}
-	reds := map[string]bool{}
+	// Three sets of arrays by slot (the subset has one scope, so a slot is
+	// a name): in a loop, with a localaccess, reduced.
+	n := p.Module.Prog.NumArrays
+	seen := make([]bool, 3*n)
+	add := func(set int, u *ir.ArrayUse, count *int) {
+		if i := set*n + u.Decl.Slot; !seen[i] {
+			seen[i] = true
+			*count++
+		}
+	}
 	for _, k := range p.Module.Kernels {
 		for _, u := range k.Arrays {
-			inLoops[u.Decl.Name] = true
+			add(0, u, &s.ArraysInLoops)
 			if u.Local != nil {
-				local[u.Decl.Name] = true
+				add(1, u, &s.LocalAccessArrays)
 			}
 			if u.Reduced {
-				reds[u.Decl.Name] = true
+				add(2, u, &s.ReductionArrays)
 			}
 		}
 	}
-	s.ArraysInLoops = len(inLoops)
-	s.LocalAccessArrays = len(local)
-	s.ReductionArrays = len(reds)
 	return s
 }
 

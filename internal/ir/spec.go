@@ -107,8 +107,8 @@ const (
 
 // SpecAccess is one static array access site of a specialized body.
 type SpecAccess struct {
-	// Slot is the accessed array's slot.
-	Slot int
+	// Slot is the accessed array's slot, Use its index in Kernel.Arrays.
+	Slot, Use int
 	// Kind classifies the access.
 	Kind AccessKind
 	// InBranch marks accesses under an if-arm (executed conditionally).
@@ -151,8 +151,9 @@ type IterCost struct {
 	BytesRead    int64
 	BytesWritten int64
 	ReduceOps    int64
-	// Stores counts element stores per array slot (used for the
-	// dirty-marking byte surcharge of replicated written arrays).
+	// Stores counts element stores per kernel array, indexed like
+	// Kernel.Arrays (used for the dirty-marking byte surcharge of
+	// replicated written arrays).
 	Stores []int64
 }
 
@@ -301,14 +302,15 @@ type KernelSpec struct {
 	Arms []IterCost
 	// Accesses lists every static array access site.
 	Accesses []SpecAccess
-	// InexactStores[slot] reports a store to the slot whose footprint is
+	// InexactStores and Written are indexed like Kernel.Arrays.
+	// InexactStores[u] reports a store to the array whose footprint is
 	// data-dependent (under a branch, inside an inner loop, or through a
 	// computed index): dirty-marked launches bind per-iteration dirty
-	// marking for such slots instead of the bulk affine marking.
+	// marking for such arrays instead of the bulk affine marking.
 	InexactStores []bool
-	// WrittenSlots[slot] reports any store or reduce on the slot; the
-	// interval prover must not trust value scans of written arrays.
-	WrittenSlots []bool
+	// Written[u] reports any store or reduce on the array; the interval
+	// prover must not trust value scans of written arrays.
+	Written []bool
 	// HasComputed reports at least one non-affine access: the runtime
 	// must discharge the Prover before taking the fast path.
 	HasComputed bool
@@ -401,10 +403,14 @@ func (g *SpecGuard) Select(env *Env) int {
 type kernelFacts struct {
 	loopVar *cc.VarDecl
 	prog    *cc.Program
-	bit     map[*cc.VarDecl]int
-	decls   []*cc.VarDecl
-	reds    uint64
-	serial  bool
+	// arrays is Kernel.Arrays: the spec's per-array tables are indexed
+	// like it.
+	arrays []*ArrayUse
+	// decls are the scalars the body assigns, by name: d's bit is its
+	// index here.
+	decls  []*cc.VarDecl
+	reds   uint64
+	serial bool
 	// hostReads collects KernelSpec.HostReads (noteHostReads).
 	hostReads []*cc.VarDecl
 	// counts, set by VerifyLowering only, counts what the passes read.
@@ -422,13 +428,22 @@ func (kf *kernelFacts) noteHostReads(e cc.Expr) {
 	})
 }
 
+// use returns a's index in the kernel's arrays, -1 when the kernel does
+// not list it.
+func (kf *kernelFacts) use(a *cc.VarDecl) int {
+	return slices.IndexFunc(kf.arrays, func(u *ArrayUse) bool { return u.Decl == a })
+}
+
 // maxScalars bounds the scalars a body may assign: one bit of a summary's
 // mask each.
 const maxScalars = 64
 
+// bit gives d's bit number, -1 for a scalar the body does not assign.
+func (kf *kernelFacts) bit(d *cc.VarDecl) int { return slices.Index(kf.decls, d) }
+
 // mask gives d's bit, zero for a scalar the body does not assign.
 func (kf *kernelFacts) mask(d *cc.VarDecl) uint64 {
-	if b, ok := kf.bit[d]; ok {
+	if b := kf.bit(d); b >= 0 {
 		return 1 << b
 	}
 	return 0
@@ -442,14 +457,15 @@ type kExpr struct {
 	// an access, x and y those of a binary operator and a builtin's
 	// arguments (y nil for a one-argument builtin).
 	x, y *kExpr
-	// lo and hi bound the numbers of every access in the subtree.
-	lo, hi int
+	// lo and hi bound the numbers of every access in the subtree (int32
+	// keeps the node at 56 bytes).
+	lo, hi int32
 	sum
 }
 
 // site is an access's number in KernelSpec.Accesses: the lowering numbers
 // an access right after every access in its subscript.
-func (k *kExpr) site() int { return k.hi - 1 }
+func (k *kExpr) site() int { return int(k.hi) - 1 }
 
 // sum summarizes a subtree for the passes: reads holds the body-assigned
 // scalars it reads (kernelFacts.bit); iv says it reads the induction
@@ -477,9 +493,9 @@ type kStmt struct {
 	x, y *kExpr
 	// arm numbers an if's then-arm (elseArm its else-arm, -1 without one)
 	// and a for's condition bucket (its body's is arm+1), in KernelSpec.Arms.
-	arm, elseArm int
+	arm, elseArm int32
 	// lo and hi bound the numbers of every access in the statement.
-	lo, hi int
+	lo, hi int32
 	// lv is a counted loop's variable (countedVar), nil for any other.
 	lv *cc.VarDecl
 	// sets holds the body-assigned scalars it assigns; store and reduce
@@ -508,11 +524,15 @@ type lowered struct {
 }
 
 // lowering is the walk that builds a lowered body: the cost bucket live
-// at each point (Base, or the current arm) and the arms and loops around it.
+// at each point (Base, or the current arm) and the arms and loops around
+// it. Its nodes come from blocks sized by counting the body first
+// (bodySize): stmts and exprs hold what is left of them.
 type lowering struct {
-	*lowered
-	arms     []*IterCost
+	lowered
+	stmts    []kStmt
+	exprs    []kExpr
 	cur      *IterCost
+	arm      int32
 	inBranch bool
 	inLoop   bool
 	// guard lowers an affine guard's condition (guardSplitter): && and ||
@@ -530,22 +550,24 @@ func BuildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program) (*KernelSpec, st
 }
 
 func buildKernelSpec(k *Kernel, body cc.Stmt, prog *cc.Program, check *lowerCheck) (*KernelSpec, string) {
-	assigned := map[*cc.VarDecl]bool{}
-	cc.AssignedScalars(body, assigned)
-	if assigned[k.LoopVar] {
+	kf := &kernelFacts{loopVar: k.LoopVar, prog: prog, arrays: k.Arrays, serial: k.SerialWorkers, counts: check}
+	induction := false
+	cc.EachAssign(body, func(st *cc.AssignStmt) {
+		switch id, ok := st.LHS.(*cc.Ident); {
+		case !ok:
+		case id.Decl == k.LoopVar:
+			induction = true
+		case len(kf.decls) <= maxScalars && !slices.Contains(kf.decls, id.Decl):
+			kf.decls = append(kf.decls, id.Decl)
+		}
+	})
+	if induction {
 		return nil, errSpecInduction.reason // body rewrites the induction variable
 	}
-	if len(assigned) > maxScalars {
+	if len(kf.decls) > maxScalars {
 		return nil, specReason(errSpecIneligible)
 	}
-	kf := &kernelFacts{loopVar: k.LoopVar, prog: prog, serial: k.SerialWorkers, bit: map[*cc.VarDecl]int{}, counts: check}
-	for d := range assigned {
-		kf.decls = append(kf.decls, d)
-	}
 	slices.SortFunc(kf.decls, func(a, b *cc.VarDecl) int { return strings.Compare(a.Name, b.Name) })
-	for b, d := range kf.decls {
-		kf.bit[d] = b
-	}
 	for _, r := range k.ScalarReds {
 		kf.reds |= kf.mask(r.Decl)
 	}
@@ -596,48 +618,129 @@ func buildSpec(body cc.Stmt, kf *kernelFacts) (*KernelSpec, string) {
 	return l.spec, ""
 }
 
-// newLowering starts the lowering of one body into a fresh spec.
-func newLowering(kf *kernelFacts) *lowering {
-	prog := kf.prog
-	l := &lowering{lowered: &lowered{kernelFacts: kf, uses: make([]scalarUse, len(kf.decls)), spec: &KernelSpec{
+// newLowering starts the lowering of body (nil: guard conditions only)
+// into a fresh spec. The spec's per-array tables are sized by the
+// kernel's arrays and its arms and nodes by counting the body (size);
+// each comes from one allocation.
+func newLowering(kf *kernelFacts, body cc.Stmt) *lowering {
+	prog, nu := kf.prog, len(kf.arrays)
+	flags := make([]bool, 2*nu)
+	spec := &KernelSpec{
 		LoopSlot:      kf.loopVar.Slot,
 		NumInts:       prog.NumInts,
 		NumFloats:     prog.NumFloats,
 		NumArrays:     prog.NumArrays,
-		InexactStores: make([]bool, prog.NumArrays),
-		WrittenSlots:  make([]bool, prog.NumArrays),
-	}}}
-	l.spec.Base.Stores = make([]int64, prog.NumArrays)
-	l.cur = &l.spec.Base
+		InexactStores: flags[:nu:nu],
+		Written:       flags[nu:],
+	}
+	l := &lowering{lowered: lowered{kernelFacts: kf, uses: make([]scalarUse, len(kf.decls)), spec: spec}}
+	var n bodySize
+	if body != nil {
+		n = l.size(body)
+	}
+	stores := make([]int64, (1+n.arms)*nu)
+	spec.Base.Stores = stores[:nu:nu]
+	spec.Arms = make([]IterCost, n.arms)
+	for i := range spec.Arms {
+		spec.Arms[i].Stores = stores[(i+1)*nu : (i+2)*nu : (i+2)*nu]
+	}
+	spec.Accesses = make([]SpecAccess, 0, n.accesses)
+	l.sites = make([]*kExpr, 0, n.accesses)
+	l.blocks(n)
+	l.cur = &spec.Base
 	return l
+}
+
+// blocks allocates the body's node blocks. Nothing the passes build may
+// keep a node: the blocks die with the lowering, once the spec is built
+// (TestLoweredNodesDieWithTheBuild).
+func (l *lowering) blocks(n bodySize) {
+	l.stmts, l.exprs = make([]kStmt, n.stmts), make([]kExpr, n.exprs)
+}
+
+// bodySize is what lowering a body makes: statement and expression nodes,
+// accesses and arms. Counted on the unfolded tree, which folding only
+// shrinks, all but the arms are upper bounds.
+type bodySize struct{ stmts, exprs, accesses, arms int }
+
+// size counts what lowering body makes, and marks Written the arrays its
+// assignments store to.
+func (l *lowering) size(body cc.Stmt) (n bodySize) {
+	count := func(e cc.Expr) {
+		cc.EachExpr(e, func(x cc.Expr) {
+			n.exprs++
+			if _, ok := x.(*cc.IndexExpr); ok {
+				n.accesses++
+			}
+		})
+	}
+	cc.EachStmt(body, func(s cc.Stmt) {
+		switch st := s.(type) {
+		case *cc.IfStmt:
+			count(st.Cond)
+			n.arms += 1 + int(b2i(st.Else != nil))
+		case *cc.ForStmt:
+			n.stmts, n.arms = n.stmts+2, n.arms+2 // the init and the post, at most
+			if st.Cond != nil {
+				count(st.Cond)
+			}
+		}
+		n.stmts++
+	})
+	cc.EachAssign(body, func(st *cc.AssignStmt) {
+		if x, ok := st.LHS.(*cc.IndexExpr); ok {
+			if u := l.use(x.Array); u >= 0 {
+				l.spec.Written[u] = true
+			}
+			count(x)
+		}
+		count(st.RHS)
+	})
+	return n
+}
+
+// next takes the next node of a block, or a fresh one past its end (the
+// guard conditions' lowering has no block).
+func next[T any](block *[]T) *T {
+	if len(*block) == 0 {
+		return new(T)
+	}
+	p := &(*block)[0]
+	*block = (*block)[1:]
+	return p
+}
+
+// newStmt starts the lowered node of s.
+func (l *lowering) newStmt(s cc.Stmt) *kStmt {
+	k := next(&l.stmts)
+	*k = kStmt{s: s, lo: int32(len(l.spec.Accesses)), elseArm: -1}
+	return k
+}
+
+// newExpr starts the lowered node of e.
+func (l *lowering) newExpr(e cc.Expr) *kExpr {
+	k := next(&l.exprs)
+	*k = kExpr{e: e, lo: int32(len(l.spec.Accesses))}
+	return k
 }
 
 // lower lowers a body in one walk, in the interpreter's order: every
 // subtree folded once, every access and arm numbered as it is met (the
-// spec's Accesses and Arms appended in the same step), every cost charged
-// to the bucket live where the interpreter incurs it, every node
+// spec's Accesses appended and Arms taken in the same step), every cost
+// charged to the bucket live where the interpreter incurs it, every node
 // summarized. The error names a construct no specialized form takes.
 func lower(body cc.Stmt, kf *kernelFacts) (*lowered, error) {
-	l := newLowering(kf)
-	cc.EachAssign(body, func(st *cc.AssignStmt) {
-		if x, ok := st.LHS.(*cc.IndexExpr); ok {
-			l.spec.WrittenSlots[x.Array.Slot] = true
-		}
-	})
+	l := newLowering(kf, body)
 	var err error
 	if l.body, err = l.stmt(body); err != nil {
 		return nil, err
 	}
-	l.spec.Arms = make([]IterCost, len(l.arms))
-	for i, a := range l.arms {
-		l.spec.Arms[i] = *a
-	}
-	return l.lowered, nil
+	return &l.lowered, nil
 }
 
 // stmt lowers one statement.
 func (l *lowering) stmt(s cc.Stmt) (*kStmt, error) {
-	k := &kStmt{s: s, lo: len(l.spec.Accesses), elseArm: -1}
+	k := l.newStmt(s)
 	var err error
 	switch st := s.(type) {
 	case *cc.Block:
@@ -669,7 +772,7 @@ func (l *lowering) stmt(s cc.Stmt) (*kStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	k.hi = len(l.spec.Accesses)
+	k.hi = int32(len(l.spec.Accesses))
 	for _, c := range k.kids {
 		if c != nil {
 			k.sets |= c.sets
@@ -682,7 +785,7 @@ func (l *lowering) stmt(s cc.Stmt) (*kStmt, error) {
 // tally counts an assignment site of a scalar.
 func (l *lowering) tally(st *cc.AssignStmt) {
 	if id, ok := st.LHS.(*cc.Ident); ok {
-		if u := &l.uses[l.bit[id.Decl]]; st.Op == "=" {
+		if u := &l.uses[l.bit(id.Decl)]; st.Op == "=" {
 			u.eq++
 		} else {
 			u.op++
@@ -716,7 +819,7 @@ func (l *lowering) assign(k *kStmt, st *cc.AssignStmt) error {
 		if k.x, err = l.access(lhs, kind); err != nil {
 			return err
 		}
-		slot, size := lhs.Array.Slot, typ.Size()
+		u, size := l.spec.Accesses[k.x.site()].Use, typ.Size()
 		if kind == AccessReduce {
 			// The interpreter charges one flop at the statement plus the
 			// view's fixed reduce cost (one flop, 8 bytes each way, one
@@ -728,10 +831,10 @@ func (l *lowering) assign(k *kStmt, st *cc.AssignStmt) error {
 			l.cur.BytesWritten += 8
 		} else {
 			if !l.spec.Accesses[k.x.site()].Exact() {
-				l.spec.InexactStores[slot] = true
+				l.spec.InexactStores[u] = true
 			}
 			k.store = true
-			l.cur.Stores[slot]++
+			l.cur.Stores[u]++
 			l.cur.BytesWritten += size
 			if st.Op != "=" {
 				l.cur.Flops++
@@ -752,11 +855,12 @@ func (l *lowering) assign(k *kStmt, st *cc.AssignStmt) error {
 	return nil
 }
 
-// newArm opens a cost bucket counted by its own DEnv.Branch entry.
-func (l *lowering) newArm() int {
-	l.arms = append(l.arms, &IterCost{Stores: make([]int64, l.spec.NumArrays)})
-	l.cur = l.arms[len(l.arms)-1]
-	return len(l.arms) - 1
+// newArm opens a cost bucket counted by its own DEnv.Branch entry: the
+// next of the spec's Arms, which size counted.
+func (l *lowering) newArm() int32 {
+	l.cur = &l.spec.Arms[l.arm]
+	l.arm++
+	return l.arm - 1
 }
 
 // ifStmt lowers a simple branch. Each arm gets its own cost bucket; the
@@ -794,9 +898,9 @@ func (l *lowering) forStmt(k *kStmt, st *cc.ForStmt) error {
 	k.kids = make([]*kStmt, 3)
 	lowerPart := func(i int, s *cc.AssignStmt) (err error) {
 		if s != nil {
-			k.kids[i] = &kStmt{s: s, lo: len(l.spec.Accesses), elseArm: -1}
+			k.kids[i] = l.newStmt(s)
 			err = l.assign(k.kids[i], s)
-			k.kids[i].hi = len(l.spec.Accesses)
+			k.kids[i].hi = int32(len(l.spec.Accesses))
 		}
 		return err
 	}
@@ -819,7 +923,7 @@ func (l *lowering) forStmt(k *kStmt, st *cc.ForStmt) error {
 		return err
 	}
 	if k.lv = countedVar(k); k.lv != nil {
-		l.uses[l.bit[k.lv]].loopVar = true
+		l.uses[l.bit(k.lv)].loopVar = true
 		return nil
 	}
 	for _, s := range []*cc.AssignStmt{st.Init, st.Post} {
@@ -866,12 +970,16 @@ func (k *kStmt) bound() (*kExpr, bool) {
 // subscripts, modular arithmetic — is bounded at launch by the interval
 // prover.
 func (l *lowering) access(x *cc.IndexExpr, kind AccessKind) (*kExpr, error) {
-	k := &kExpr{e: x, lo: len(l.spec.Accesses)}
+	u := l.use(x.Array)
+	if u < 0 {
+		return nil, errSpecIneligible
+	}
+	k := l.newExpr(x)
 	var err error
 	if k.x, err = l.expr(x.Index); err != nil {
 		return nil, err
 	}
-	a := SpecAccess{Slot: x.Array.Slot, Kind: kind, InBranch: l.inBranch, InLoop: l.inLoop}
+	a := SpecAccess{Slot: x.Array.Slot, Use: u, Kind: kind, InBranch: l.inBranch, InLoop: l.inLoop}
 	if _, a.Affine = affineDegree(k.x, nil); a.Affine {
 		if a.Index, err = CompileExprI(x.Index); err != nil {
 			return nil, errSpecIneligible
@@ -882,7 +990,7 @@ func (l *lowering) access(x *cc.IndexExpr, kind AccessKind) (*kExpr, error) {
 	}
 	l.spec.Accesses = append(l.spec.Accesses, a)
 	l.sites = append(l.sites, k)
-	k.hi = len(l.spec.Accesses)
+	k.hi = int32(len(l.spec.Accesses))
 	k.sum = k.x.sum
 	return k, nil
 }
@@ -890,22 +998,24 @@ func (l *lowering) access(x *cc.IndexExpr, kind AccessKind) (*kExpr, error) {
 // node lowers a folded expression, charging what the interpreter charges
 // per evaluation.
 func (l *lowering) node(e cc.Expr) (*kExpr, error) {
-	k := &kExpr{e: e, lo: len(l.spec.Accesses)}
+	if x, ok := e.(*cc.IndexExpr); ok {
+		k, err := l.access(x, AccessLoad)
+		if err != nil {
+			return nil, err
+		}
+		k.written = l.spec.Written[l.spec.Accesses[k.site()].Use]
+		l.cur.BytesRead += x.Array.Type.Size()
+		return k, nil
+	}
+	k := l.newExpr(e)
 	var err error
 	switch x := e.(type) {
 	case *cc.NumLit:
 	case *cc.Ident:
 		k.iv, k.reads = x.Decl == l.loopVar, l.mask(x.Decl)
 		if k.reads != 0 {
-			l.uses[l.bit[x.Decl]].read = true
+			l.uses[l.bit(x.Decl)].read = true
 		}
-	case *cc.IndexExpr:
-		if k, err = l.access(x, AccessLoad); err != nil {
-			return nil, err
-		}
-		k.written = l.spec.WrittenSlots[x.Array.Slot]
-		l.cur.BytesRead += x.Array.Type.Size()
-		return k, nil
 	case *cc.UnaryExpr:
 		if x.Op != "-" && x.Op != "!" && x.Op != "~" {
 			return nil, errSpecIneligible
@@ -933,7 +1043,7 @@ func (l *lowering) node(e cc.Expr) (*kExpr, error) {
 	if k.y != nil {
 		k.add(k.y.sum)
 	}
-	k.hi = len(l.spec.Accesses)
+	k.hi = int32(len(l.spec.Accesses))
 	return k, nil
 }
 
@@ -1081,7 +1191,7 @@ func splitGuards(body cc.Stmt, kf *kernelFacts) *KernelSpec {
 	s := &guardSplitter{
 		kf:     kf,
 		guard:  &SpecGuard{},
-		cond:   newLowering(kf),
+		cond:   newLowering(kf, nil),
 		set:    map[*cc.VarDecl]bool{},
 		folded: map[*cc.VarDecl]bool{},
 	}
@@ -1093,7 +1203,7 @@ func splitGuards(body cc.Stmt, kf *kernelFacts) *KernelSpec {
 	prog := kf.prog
 	spec := &KernelSpec{
 		LoopSlot: kf.loopVar.Slot, NumInts: prog.NumInts, NumFloats: prog.NumFloats, NumArrays: prog.NumArrays,
-		InexactStores: make([]bool, prog.NumArrays),
+		InexactStores: make([]bool, len(kf.arrays)),
 		Guard:         s.guard,
 	}
 	for _, v := range s.guard.Variants {

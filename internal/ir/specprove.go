@@ -212,10 +212,11 @@ type PEnv struct {
 	// computed, in KernelSpec.Accesses order.
 	Access []Ival
 	seen   []bool
-	// Load resolves an int array load to a value interval (a memoized
-	// min/max scan at the runtime layer). Nil-safe: a nil Load means
-	// every array value is Top.
-	Load func(slot int, idx Ival) Ival
+	// Load resolves an int array load, of the kernel array at index use
+	// in Kernel.Arrays, to a value interval (a memoized min/max scan at
+	// the runtime layer). Nil-safe: a nil Load means every array value is
+	// Top.
+	Load func(use int, idx Ival) Ival
 
 	// Snapshot stack, reused across passes and launches.
 	stack [][]Ival
@@ -231,11 +232,11 @@ func (e *PEnv) record(ai int, v Ival) {
 	}
 }
 
-func (e *PEnv) load(slot int, idx Ival) Ival {
+func (e *PEnv) load(use int, idx Ival) Ival {
 	if e.Load == nil {
 		return IvalTop()
 	}
-	return e.Load(slot, idx)
+	return e.Load(use, idx)
 }
 
 func (e *PEnv) push() []Ival {
@@ -430,7 +431,7 @@ func (b *proveBuilder) assign(k *kStmt, st *cc.AssignStmt) pStmt {
 			kind = AccessReduce
 		}
 	}
-	rec := b.record(k.lo, k.hi, store, kind)
+	rec := b.record(int(k.lo), int(k.hi), store, kind)
 	lhs, ok := st.LHS.(*cc.Ident)
 	if !ok || lhs.Decl.Type != cc.TInt {
 		return rec
@@ -565,11 +566,12 @@ func (b *proveBuilder) ival(k *kExpr) pExprI {
 		slot := x.Decl.Slot
 		return func(e *PEnv) Ival { return e.Ints[slot] }
 	case *cc.IndexExpr:
-		if b.spec.WrittenSlots[x.Array.Slot] {
+		u := b.spec.Accesses[k.site()].Use
+		if b.spec.Written[u] {
 			return top
 		}
-		idx, slot := b.ival(k.x), x.Array.Slot
-		return func(e *PEnv) Ival { return e.load(slot, idx(e)) }
+		idx := b.ival(k.x)
+		return func(e *PEnv) Ival { return e.load(u, idx(e)) }
 	case *cc.UnaryExpr:
 		switch x.Op {
 		case "-":
@@ -631,7 +633,7 @@ func (b *proveBuilder) binary(k *kExpr, op string) pExprI {
 // refiners run immediately after the recording at the same abstract
 // state, so evaluating the bound's interval inside them is exact.
 func (b *proveBuilder) cond(k *kExpr) (condW, refineT, refineF pStmt) {
-	condW, refineT, refineF = b.record(k.lo, k.hi, -1, AccessLoad), pNop, pNop
+	condW, refineT, refineF = b.record(int(k.lo), int(k.hi), -1, AccessLoad), pNop, pNop
 	slot, relop, bound := condRefinePattern(k)
 	if bound == nil {
 		return condW, refineT, refineF

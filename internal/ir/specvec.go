@@ -403,9 +403,9 @@ func (v *vecBuilder) take(k *kExpr, kind AccessKind) int {
 }
 
 // takeArm reads the number of an arm whose count an op advances.
-func (v *vecBuilder) takeArm(n int) int {
-	v.counts.arm(v.lowered, readTile+int(b2i(v.alt)), n)
-	return n
+func (v *vecBuilder) takeArm(n int32) int {
+	v.counts.arm(v.lowered, readTile+int(b2i(v.alt)), int(n))
+	return int(n)
 }
 
 // uniform reports a subtree with one value for every lane of a tile
@@ -535,7 +535,7 @@ func (v *vecBuilder) tailPath(k *kStmt, ai int) bool {
 	case *cc.IfStmt:
 		return st.Else == nil && !k.x.divides && v.tailPath(k.kids[0], ai)
 	case *cc.ForStmt:
-		return k.lo <= ai && ai < k.hi
+		return int(k.lo) <= ai && ai < int(k.hi)
 	}
 	return false
 }
@@ -930,7 +930,7 @@ func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 	if err != nil {
 		return nil, err
 	}
-	thenIdx, elseIdx := v.takeArm(k.arm), k.elseArm
+	thenIdx, elseIdx := v.takeArm(k.arm), int(k.elseArm)
 	depth, outer := v.depth, v.masked
 	v.depth++
 	v.maxArms = max(v.maxArms, v.depth)
@@ -941,7 +941,7 @@ func (v *vecBuilder) ifStmt(k *kStmt) (VStmt, error) {
 	}
 	var els VStmt
 	if k.kids[1] != nil {
-		v.takeArm(elseIdx)
+		v.takeArm(k.elseArm)
 		if els, err = v.stmt(k.kids[1]); err != nil {
 			return nil, err
 		}

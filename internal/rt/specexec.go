@@ -81,9 +81,6 @@ type specExec struct {
 	spec *ir.KernelSpec
 	// poll is the runtime's Poll, called from the worker goroutines.
 	poll func() error
-	// uiBySlot maps array slots to the kernel's Arrays index (-1 when
-	// the slot is not a kernel array: no access of the spec names one).
-	uiBySlot []int
 	// gs is the per-GPU reusable launch scratch, indexed by GPU.
 	gs []specGPU
 	// vms is the tile scratch, indexed by the FanOut strand that runs a
@@ -211,7 +208,7 @@ func (gs *specGPU) addPiece(lo, hi int64, v *ir.KernelSpec, guardFlops int64) {
 // neighbor list) is scanned once per content change, not once per
 // launch.
 type scanEntry struct {
-	slot   int
+	use    int
 	lo, hi int64
 	epoch  int64
 	val    ir.Ival
@@ -227,17 +224,10 @@ func (r *Runtime) specExecutor(k *ir.Kernel) *specExec {
 	ex, ok := r.specExecs[k.ID]
 	if !ok {
 		ex = &specExec{
-			spec:     k.Spec,
-			poll:     r.Poll,
-			uiBySlot: make([]int, k.Spec.NumArrays),
-			gs:       make([]specGPU, r.mach.NumGPUs()),
-			vms:      make([][]*ir.VecEnv, r.mach.NumGPUs()),
-		}
-		for slot := range ex.uiBySlot {
-			ex.uiBySlot[slot] = -1
-		}
-		for ui, use := range k.Arrays {
-			ex.uiBySlot[use.Decl.Slot] = ui
+			spec: k.Spec,
+			poll: r.Poll,
+			gs:   make([]specGPU, r.mach.NumGPUs()),
+			vms:  make([][]*ir.VecEnv, r.mach.NumGPUs()),
 		}
 		r.specExecs[k.ID] = ex
 	}
@@ -374,28 +364,26 @@ func (ex *specExec) run(r *Runtime, k *ir.Kernel, env *ir.Env, s, g int, dev *si
 			if a.Kind != ir.AccessStore || !a.Exact() {
 				continue
 			}
-			ui := ex.uiBySlot[a.Slot]
-			if !nds[ui].wantDirty || spec.InexactStores[a.Slot] {
+			if !nds[a.Use].wantDirty || spec.InexactStores[a.Use] {
 				continue
 			}
-			markDirtyAffine(r.state(k.Arrays[ui].Decl).copies[g], pc.v0[ai], pc.v1[ai], pc.hi-pc.lo)
+			markDirtyAffine(r.state(k.Arrays[a.Use].Decl).copies[g], pc.v0[ai], pc.v1[ai], pc.hi-pc.lo)
 		}
 	}
 	for ui, use := range k.Arrays {
 		if !nds[ui].wantDirty {
 			continue
 		}
-		slot := use.Decl.Slot
-		if spec.InexactStores[slot] {
+		if spec.InexactStores[ui] {
 			r.state(use.Decl).copies[g].mergeChunkLanes()
 		}
 		var stores int64
 		for pi := range gs.pieces {
 			pc := &gs.pieces[pi]
-			stores += pc.v.Base.Stores[slot] * (pc.hi - pc.lo)
+			stores += pc.v.Base.Stores[ui] * (pc.hi - pc.lo)
 		}
 		for j := range spec.Arms {
-			stores += spec.Arms[j].Stores[slot] * gs.branch[j]
+			stores += spec.Arms[j].Stores[ui] * gs.branch[j]
 		}
 		ctrs.BytesWritten += 2 * stores
 	}
@@ -428,7 +416,7 @@ func (ex *specExec) bind(r *Runtime, k *ir.Kernel, g int, gs *specGPU, nds []nee
 	for ui, use := range k.Arrays {
 		st := r.state(use.Decl)
 		c := st.copies[g]
-		b := binding{c, c.layout, st.quiet, nds[ui].wantLanes, nds[ui].wantDirty && ex.spec.InexactStores[use.Decl.Slot]}
+		b := binding{c, c.layout, st.quiet, nds[ui].wantLanes, nds[ui].wantDirty && ex.spec.InexactStores[ui]}
 		if gs.bound[ui] != b {
 			gs.bound[ui], from = b, 0
 		}
@@ -529,7 +517,9 @@ func (ex *specExec) ensureScratch(gs *specGPU, nw int) {
 		if spec.Prover != nil {
 			gs.penv = spec.Prover.NewPEnv()
 		}
-		n := 2 + len(ex.uiBySlot) + len(spec.HostReads)
+		// planInputs: the span, one layout per kernel array (the spec's
+		// tables are as long as Kernel.Arrays), the host reads.
+		n := 2 + len(spec.InexactStores) + len(spec.HostReads)
 		gs.planIn, gs.inBuf = make([]int64, 0, n), make([]int64, 0, n)
 		gs.work = func(s, w, start, end int) (sim.Counters, error) { return ex.runChunk(gs, s, w, start, end) }
 	}
@@ -613,7 +603,7 @@ func (ex *specExec) plan(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *specG
 			if !a.Affine {
 				continue // discharged by the interval prover
 			}
-			st := r.state(k.Arrays[ex.uiBySlot[a.Slot]].Decl)
+			st := r.state(k.Arrays[a.Use].Decl)
 			c := st.copies[g]
 			ev.Ints[spec.LoopSlot] = pc.lo
 			v0 := a.Index(ev)
@@ -783,10 +773,10 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 	spec := ex.spec
 	pe := gs.penv
 	exact, widened := false, false
-	pe.Load = func(slot int, idx ir.Ival) ir.Ival {
+	pe.Load = func(use int, idx ir.Ival) ir.Ival {
 		// The prover asks only for arrays the kernel never writes (a scan
 		// of one it mutates would be stale at once: ir answers Top itself).
-		c := r.state(k.Arrays[ex.uiBySlot[slot]].Decl).copies[g]
+		c := r.state(k.Arrays[use].Decl).copies[g]
 		if !c.valid || c.st.decl.Type != cc.TInt || idx.Lo < c.lo || idx.Hi > c.hi {
 			// The load's own recorded access interval — unbounded, or past
 			// the residency — fails its range check below, so an unbounded
@@ -804,7 +794,7 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 		ent := (*scanEntry)(nil)
 		for i := range gs.scans {
 			s := &gs.scans[i]
-			if s.slot == slot && s.lo == lo && s.hi == hi {
+			if s.use == use && s.lo == lo && s.hi == hi {
 				if s.epoch == c.wepoch {
 					return s.val
 				}
@@ -813,7 +803,7 @@ func (ex *specExec) prove(r *Runtime, k *ir.Kernel, env *ir.Env, g int, gs *spec
 			}
 		}
 		if ent == nil {
-			gs.scans = append(gs.scans, scanEntry{slot: slot, lo: lo, hi: hi})
+			gs.scans = append(gs.scans, scanEntry{use: use, lo: lo, hi: hi})
 			ent = &gs.scans[len(gs.scans)-1]
 		}
 		// min and max compile to conditional moves: no branch on the data.
@@ -845,7 +835,7 @@ func (ex *specExec) checkProof(r *Runtime, k *ir.Kernel, g int, gs *specGPU) str
 			continue
 		}
 		iv := gs.penv.Access[ai]
-		st := r.state(k.Arrays[ex.uiBySlot[a.Slot]].Decl)
+		st := r.state(k.Arrays[a.Use].Decl)
 		if a.Kind == ir.AccessReduce {
 			if !iv.Bounded() || iv.Lo < 0 || iv.Hi >= st.n {
 				return "indirect"
