@@ -18,8 +18,11 @@ all: build vet test
 # detector over the suite (the runtime launches kernels concurrently
 # across simulated GPUs; -short skips the full-scale app inputs, which
 # take ~10x longer under the detector), the trace golden/invariance
-# gate, the accvet directive checks over the shipped examples and the
-# audited random-program corpus, and a short fuzz smoke over the
+# gate, the host-performance gates (bench-quick, accd's program-cache
+# gate among them), the accd correctness pass under concurrent load
+# (loadtest-smoke), the accvet directive checks over the shipped
+# examples and the audited random-program corpus, and a short fuzz
+# smoke over the
 # frontend and lexer fuzzers, the audited random-program fuzzer, the
 # vet-vs-auditor cross-check fuzzer, the specialized-vs-interpreted
 # differential fuzzer, the trace well-formedness fuzzer, the
@@ -57,14 +60,14 @@ invariants:
 	echo "invariants: $$(echo $$names | wc -w) tests named by DESIGN.md §6"; \
 	$(GO) test -run "$$re" -bench "$$re" -benchtime=1x ./internal/... ./cmd/...
 
-# loadtest-smoke is the fast correctness pass over the accd load-test
-# harness: a small concurrent run of the mixed corpus where every
-# response code, cache verdict and phase invariant is asserted, plus
-# the serve equivalence check (concurrent responses byte-identical to
-# the serial baseline).
+# loadtest-smoke is the fast correctness pass over accd under
+# concurrent load: the correctness leg of the program-cache gate (8
+# clients over its mixed corpus, cold and warm, every response code and
+# cache verdict asserted; -short skips the ratio leg), plus the serve
+# equivalence check (concurrent responses byte-identical to the serial
+# baseline).
 loadtest-smoke:
-	$(GO) test -run 'TestLoadTestSmoke' ./internal/bench
-	$(GO) test -run 'TestServeEquivalenceUnderLoad' ./internal/serve
+	$(GO) test -short -run 'TestProgramCacheGate|TestServeEquivalenceUnderLoad' ./internal/serve
 
 # trace-check pins the observability layer: the committed golden
 # Chrome traces (regenerate with -update-trace-goldens), the
@@ -186,9 +189,9 @@ bench:
 # replicated ping-pong under both schedules and the three paper apps
 # whole, per kernel iteration — the ones to profile: go test ./internal/rt
 # -run '^$' -bench 'LaunchOverhead|PhaseBApps' -cpuprofile cpu.out), the accd
-# program-cache gate
-# (warm-cache throughput >= 5x cold-cache on the mixed service
-# corpus), and the accd equivalence gate (256-way concurrent responses
+# program-cache gate (TestProgramCacheGate in internal/serve: warm-cache
+# throughput >= 5x cold-cache on its mixed corpus, 64 clients, best of
+# up to three runs), and the accd equivalence gate (256-way concurrent responses
 # bit-identical to serial, under the race detector). Cheap enough to
 # run in every `make check`. The multi-node speedup gate holds the
 # NIC-aware async schedule to >=1.2x over sync on the halo-bound
@@ -197,7 +200,7 @@ bench-quick:
 	$(GO) test -run 'TestSteadyStateAllocBudget|TestSpecLaunchSteadyStateAllocBudget|TestLaunchSteadyStateAllocBudget|TestTraceDisabledAllocBudget|TestPhaseBSpeedupGate|TestAsyncSpeedupGate|TestMultiNodeSpeedupGate|TestPaperAppSpeedupGate|TestGuardedStencilSpeedupGate' \
 		-bench 'BenchmarkIteratedStencilLoader|BenchmarkReplicatedWriteDiff|BenchmarkLaunchPlanResolve|BenchmarkPhaseBSaxpy|BenchmarkPhaseBStencil|BenchmarkPhaseBCopy|BenchmarkPhaseBApps|BenchmarkPhaseBFlatOrRejected|BenchmarkLaunchOverhead' \
 		-benchtime=1x -benchmem ./internal/rt
-	$(GO) test -run 'TestLoadTestCacheGate' ./internal/bench
+	$(GO) test -run 'TestProgramCacheGate' ./internal/serve
 	$(GO) test -race -run 'TestServeEquivalenceUnderLoad|TestProgramReentrantUnderRace' ./internal/serve ./internal/core
 
 # bench-host runs one workload of the host-time benchmark (benchmark/:

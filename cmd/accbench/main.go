@@ -6,16 +6,13 @@
 //	accbench [-scale f] [-apps MD,KMEANS,BFS,SPMV,HOTSPOT2D,NBODY] [-verify] [-seed n] [targets...]
 //
 // Targets: table1 table2 fig7 fig8 fig9 ablations cluster async node
-// loadtest all (default: all; loadtest is opt-in — it measures real
-// elapsed host time, not simulated time, so it only runs when asked
-// for: the warm-vs-cold accd service study sized with
-// -lt-workers/-lt-requests; node is the cluster-topology sync-vs-async
-// study). Host time by workload and by layer, judged run against run,
-// is the job of the benchmark/ package (`make bench-host`), not of
-// these studies. The Proposal
-// configurations run under the pipelined scheduler unless -no-async
-// asks for the paper's bulk-synchronous schedule; the async target
-// compares the two over the shipped example apps.
+// all (default: all; node is the cluster-topology sync-vs-async study);
+// any other target is an error. No target measures host time: host
+// time by workload and by layer, accd's included, judged run against
+// run, is the job of the benchmark/ package (`make bench-host`). The
+// Proposal configurations run under the pipelined scheduler unless
+// -no-async asks for the paper's bulk-synchronous schedule; the async
+// target compares the two over the shipped example apps.
 // -scale multiplies the per-app default benchmark scales (fractions of
 // the paper's input sizes chosen so the functional simulation finishes
 // in minutes); -scale with appname=frac pairs in -appscale pins exact
@@ -39,6 +36,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -57,8 +55,6 @@ func main() {
 		jsonOut    = flag.Bool("json", false, "emit the selected sections as JSON instead of text")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the benchmark run to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
-		ltWorkers  = flag.Int("lt-workers", 0, "loadtest: concurrent clients (0 = default)")
-		ltRequests = flag.Int("lt-requests", 0, "loadtest: requests per phase (0 = default)")
 	)
 	rf.RegisterAblations(flag.CommandLine)
 	rf.RegisterSinks(flag.CommandLine)
@@ -119,8 +115,12 @@ func main() {
 	if len(targets) == 0 {
 		targets = []string{"all"}
 	}
+	valid := []string{"table1", "table2", "fig7", "fig8", "fig9", "ablations", "cluster", "async", "node", "all"}
 	want := map[string]bool{}
 	for _, t := range targets {
+		if !slices.Contains(valid, t) {
+			fatal(fmt.Errorf("unknown target %q (targets: %s)", t, strings.Join(valid, " ")))
+		}
 		want[t] = true
 	}
 	all := want["all"]
@@ -132,7 +132,6 @@ func main() {
 		cluster   []bench.ClusterRow
 		asyncRows []bench.AsyncRow
 		nodeRows  []bench.NodeRow
-		loadtest  *bench.LoadTestReport
 		err       error
 	)
 	if all || want["table2"] {
@@ -165,15 +164,9 @@ func main() {
 			fatal(err)
 		}
 	}
-	if want["loadtest"] { // opt-in: measures real time, not simulated
-		ltCfg := bench.LoadTestConfig{Workers: *ltWorkers, Requests: *ltRequests, Seed: *seed}
-		if loadtest, err = bench.LoadTest(ltCfg); err != nil {
-			fatal(err)
-		}
-	}
 
 	if *jsonOut {
-		if err := bench.WriteJSON(os.Stdout, figRes, table2, ablations, cluster, asyncRows, nodeRows, loadtest); err != nil {
+		if err := bench.WriteJSON(os.Stdout, figRes, table2, ablations, cluster, asyncRows, nodeRows); err != nil {
 			fatal(err)
 		}
 		return
@@ -220,9 +213,6 @@ func main() {
 	if nodeRows != nil {
 		bench.RenderNode(os.Stdout, nodeRows)
 		fmt.Println()
-	}
-	if loadtest != nil {
-		bench.RenderLoadTest(os.Stdout, loadtest)
 	}
 }
 

@@ -55,6 +55,8 @@ func TestAccbenchBadFlags(t *testing.T) {
 		{"-apps", "NOPE", "fig7"},
 		{"-appscale", "garbage", "table1"},
 		{"-appscale", "MD=notanumber", "table1"},
+		{"loadtest"},
+		{"table1", "fig10"},
 	} {
 		if _, err := exec.Command(bin, args...).CombinedOutput(); err == nil {
 			t.Errorf("accbench %v should exit nonzero", args)

@@ -13,12 +13,12 @@ import (
 	"accmulti/internal/translator"
 )
 
-// proposeWindow is the localaccess a set of accesses would fit: their
-// common (positive) stride, and the halo they need.
-func proposeWindow(forms []translator.IndexForm) (translator.Window, bool) {
-	s, ok := translator.CommonCoef(forms)
+// proposeWindow is the localaccess the accesses of the sets would fit:
+// their common (positive) stride, and the halo they need.
+func proposeWindow(sets ...[]translator.IndexForm) (translator.Window, bool) {
+	s, ok := translator.CommonCoef(sets...)
 	win := translator.Window{S: s}
-	win.L, win.R = win.Need(forms)
+	win.L, win.R = win.Need(sets...)
 	return win, ok && s > 0
 }
 

@@ -295,14 +295,7 @@ func stateEq(a, b *liveState) bool {
 	// with a subset fallback keeps this cheap and exact enough for
 	// fixpoint termination (sets only grow monotonically).
 	for _, c := range a.cls {
-		found := false
-		for _, d := range b.cls {
-			if c.Class == d.Class && c.dom.eq(d.dom) {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if !slices.ContainsFunc(b.cls, func(d liveClass) bool { return c.Class == d.Class && c.dom.eq(d.dom) }) {
 			return false
 		}
 	}
@@ -328,8 +321,8 @@ func (s *lstate) eq(o *lstate) bool {
 }
 
 // intersects reports whether any live element could be among the
-// written classes.
-func (s *liveState) intersects(writes []translator.IndexForm) bool {
+// written classes of the sets.
+func (s *liveState) intersects(sets ...[]translator.IndexForm) bool {
 	if s == nil {
 		return false
 	}
@@ -337,9 +330,11 @@ func (s *liveState) intersects(writes []translator.IndexForm) bool {
 		return true
 	}
 	for _, c := range s.cls {
-		for _, w := range writes {
-			if translator.Meet(c.Class, w.Class) {
-				return true
+		for _, writes := range sets {
+			for _, w := range writes {
+				if translator.Meet(c.Class, w.Class) {
+					return true
+				}
 			}
 		}
 	}
@@ -476,15 +471,13 @@ func (v *vetter) kernelBack(loop *translator.LoopAccess, s *lstate, rep bool) {
 		// discarded before any kernel, host statement, update or
 		// copy-out consumes it.
 		if rep && len(fp.Writes)+len(fp.Reduces) > 0 {
-			eff := slices.Concat(fp.Writes, fp.Reduces)
-			provable := true
-			for _, w := range eff {
-				if !w.Literal {
-					provable = false
-					break
+			nonLiteral := func(f translator.IndexForm) bool { return !f.Literal }
+			provable := !slices.ContainsFunc(fp.Writes, nonLiteral) && !slices.ContainsFunc(fp.Reduces, nonLiteral)
+			if provable && !dev.intersects(fp.Writes, fp.Reduces) {
+				eff := fp.Writes // the first write, or the first reduction when there is none
+				if len(eff) == 0 {
+					eff = fp.Reduces
 				}
-			}
-			if provable && !dev.intersects(eff) {
 				w := eff[0]
 				v.add(diag.Warning, "ACCV010", w.Line, w.Col, d.Name, "",
 					"the loop at line %d writes %s, but nothing reads the written elements of %q "+

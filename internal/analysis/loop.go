@@ -95,12 +95,10 @@ func (v *vetter) checkFootprint(loop *translator.LoopAccess, fp *translator.Arra
 // buffer catches it) but would trade the declared-window fast path for
 // per-element miss handling.
 func (v *vetter) checkTooWide(fp *translator.ArrayFootprint, win translator.Window) {
-	all := slices.Concat(fp.Reads, fp.Writes)
-	if s, ok := translator.CommonCoef(all); !ok || s != win.S {
+	need, ok := proposeWindow(fp.Reads, fp.Writes)
+	if !ok || need.S != win.S {
 		return // any unproven access keeps the declared halo honest
 	}
-	need := translator.Window{S: win.S}
-	need.L, need.R = need.Need(all)
 	if win.L > need.L || win.R > need.R {
 		v.add(diag.Warning, "ACCV002", fp.Spec.Line, fp.Spec.ClauseCol, fp.Array.Name, localaccessFix(fp.Array.Name, need),
 			"localaccess(%s) declares halo (%d, %d) but the loop only needs (%d, %d): "+

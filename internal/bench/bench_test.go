@@ -239,7 +239,7 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sb strings.Builder
-	if err := WriteJSON(&sb, res, nil, nil, nil, nil, nil, nil); err != nil {
+	if err := WriteJSON(&sb, res, nil, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	var doc JSONDocument
@@ -256,7 +256,7 @@ func TestWriteJSON(t *testing.T) {
 	}
 	// Nil sections serialize fine.
 	sb.Reset()
-	if err := WriteJSON(&sb, nil, nil, nil, nil, nil, nil, nil); err != nil {
+	if err := WriteJSON(&sb, nil, nil, nil, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -47,13 +47,12 @@ type JSONDocument struct {
 	Cluster   []ClusterRow       `json:",omitempty"`
 	Async     []AsyncRow         `json:",omitempty"`
 	Node      []NodeRow          `json:",omitempty"`
-	LoadTest  *LoadTestReport    `json:",omitempty"`
 	Headline  map[string]float64 `json:",omitempty"`
 }
 
 // WriteJSON serializes an evaluation bundle. Any section may be nil.
-func WriteJSON(w io.Writer, res *Results, table2 []Table2Row, abl []AblationRow, cluster []ClusterRow, async []AsyncRow, node []NodeRow, loadtest *LoadTestReport) error {
-	doc := JSONDocument{Table2: table2, Ablations: abl, Cluster: cluster, Async: async, Node: node, LoadTest: loadtest}
+func WriteJSON(w io.Writer, res *Results, table2 []Table2Row, abl []AblationRow, cluster []ClusterRow, async []AsyncRow, node []NodeRow) error {
+	doc := JSONDocument{Table2: table2, Ablations: abl, Cluster: cluster, Async: async, Node: node}
 	if res != nil {
 		doc.Config = res.Config
 		doc.Headline = res.Headline()

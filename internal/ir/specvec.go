@@ -297,7 +297,7 @@ type vecBuilder struct {
 	// variable, nor an array the kernel writes, is uniform.
 	lanes, folds uint64
 	// flatLoops holds the loops that run as flat tiles, each with the
-	// private scalars defined around it.
+	// private scalars defined around it (both maps nil until their first).
 	flatLoops map[*kStmt][]*cc.VarDecl
 	// injLoops holds the uniform loops that update reduction lanes in
 	// lockstep (injective), with the same scalars; inj collects, while one
@@ -344,10 +344,8 @@ type vecBuilder struct {
 func buildVec(l *lowered) string {
 	spec := l.spec
 	v := &vecBuilder{
-		lowered:   l,
-		scalars:   make(map[*cc.VarDecl]scalarInfo, len(l.decls)),
-		flatLoops: map[*kStmt][]*cc.VarDecl{},
-		injLoops:  map[*kStmt][]*cc.VarDecl{},
+		lowered: l,
+		scalars: make(map[*cc.VarDecl]scalarInfo, len(l.decls)),
 	}
 	if reason := v.scan(); reason != "" {
 		return reason
@@ -646,6 +644,9 @@ func (v *vecBuilder) check(k *kStmt) bool {
 			// Reduction-lane updates only, each at an index injective in
 			// the loop variable: lockstep like any uniform loop (the
 			// privates around it noted for the flat fallback, see forStmt).
+			if v.injLoops == nil {
+				v.injLoops = map[*kStmt][]*cc.VarDecl{}
+			}
 			v.injLoops[k] = slices.Clone(v.undo)
 			return v.checkLoop(k)
 		}
@@ -659,6 +660,9 @@ func (v *vecBuilder) check(k *kStmt) bool {
 			v.inFlat = true
 			ok := v.checkLoop(k)
 			v.inFlat = false
+			if v.flatLoops == nil {
+				v.flatLoops = map[*kStmt][]*cc.VarDecl{}
+			}
 			v.flatLoops[k] = slices.Clone(v.undo)
 			return ok
 		}

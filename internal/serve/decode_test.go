@@ -200,10 +200,10 @@ func sameBits(t *testing.T, path string, got, want reflect.Value) {
 }
 
 // TestWalkTakesMarshalledBodies: what encoding/json writes for a request
-// is decoded by the walk, not handed to encoding/json: the load-test mix,
-// the inline request, every field at once, and text with the escapes Go's
-// marshaller writes (<, >, & and U+2028 as \u escapes) and with
-// multi-byte UTF-8. The values are encoding/json's.
+// is decoded by the walk, not handed to encoding/json: the equivalence
+// gate's mix, the inline request, every field at once, and text with the
+// escapes Go's marshaller writes (<, >, & and U+2028 as \u escapes) and
+// with multi-byte UTF-8. The values are encoding/json's.
 func TestWalkTakesMarshalledBodies(t *testing.T) {
 	text := "a <b> & c\u2028 é \"q\" \\ \t\n ∑ 😀 \x7f"
 	bodies := append(mixedCorpus(t), inlineRequest(t),

@@ -32,8 +32,6 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// MaxBodyBytes bounds request bodies (default 64 MiB).
 	MaxBodyBytes int64
-	// Compile substitutes the compiler (tests only; nil = core.Compile).
-	Compile func(string) (*core.Program, error)
 	// runGate, when set, runs after admission, before the run — package
 	// tests use it to hold a run slot deterministically, or to panic
 	// under one.
@@ -80,7 +78,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		mets:  mets,
-		cache: NewCache(cfg.CacheEntries, cfg.Compile, mets),
+		cache: NewCache(cfg.CacheEntries, nil, mets),
 		sched: newScheduler(cfg.Concurrency, cfg.QueueDepth, mets),
 		start: time.Now(),
 	}

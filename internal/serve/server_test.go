@@ -122,9 +122,9 @@ func marshal(t testing.TB, v any) []byte {
 	return b
 }
 
-// mixedCorpus is the load-test request mix: stencil and reduction
-// kernels at several sizes, generator-driven paper apps, a vet-
-// rejected source and a source that does not compile.
+// mixedCorpus is the equivalence gate's request mix: stencil and
+// reduction kernels at several sizes, generator-driven paper apps, a
+// vet-rejected source and a source that does not compile.
 func mixedCorpus(t testing.TB) [][]byte {
 	t.Helper()
 	var corpus [][]byte

@@ -24,7 +24,7 @@ func TestOptionsSurface(t *testing.T) {
 			"DisableDegradation", "Interrupt", "Reference", "Sabotage",
 		}},
 		{reflect.TypeOf(RunOptions{}), []string{"NoAsync", "BalanceLoad", "Audit"}},
-		{reflect.TypeOf(Config{}), []string{"CacheEntries", "Concurrency", "QueueDepth", "DefaultTimeout", "MaxBodyBytes", "Compile"}},
+		{reflect.TypeOf(Config{}), []string{"CacheEntries", "Concurrency", "QueueDepth", "DefaultTimeout", "MaxBodyBytes"}},
 		{reflect.TypeOf(core.Config{}), []string{"Machine", "Options", "Audit", "AuditTolerance", "Faults", "Trace"}},
 	} {
 		var got []string

@@ -74,23 +74,27 @@ func (w Window) Contains(f IndexForm) bool {
 }
 
 // Need is the least halo (l, r) with which a window of stride w.S contains
-// every one of the accesses, all of which have the coefficient w.S.
-func (w Window) Need(forms []IndexForm) (l, r int64) {
-	for _, f := range forms {
-		l = max(l, -f.Off)
-		r = max(r, f.Off-(w.S-1))
+// every access of the sets, all of which have the coefficient w.S.
+func (w Window) Need(sets ...[]IndexForm) (l, r int64) {
+	for _, forms := range sets {
+		for _, f := range forms {
+			l = max(l, -f.Off)
+			r = max(r, f.Off-(w.S-1))
+		}
 	}
 	return l, r
 }
 
-// CommonCoef is the one coefficient of a set of literal subscripts; it
-// fails on an empty set, a non-literal subscript or two coefficients.
-func CommonCoef(forms []IndexForm) (coef int64, ok bool) {
-	for i, f := range forms {
-		if !f.Literal || (i > 0 && f.Coef != coef) {
-			return 0, false
+// CommonCoef is the one coefficient of the sets' literal subscripts; it
+// fails when all are empty, on a non-literal subscript or two coefficients.
+func CommonCoef(sets ...[]IndexForm) (coef int64, ok bool) {
+	for _, forms := range sets {
+		for _, f := range forms {
+			if !f.Literal || (ok && f.Coef != coef) {
+				return 0, false
+			}
+			coef, ok = f.Coef, true
 		}
-		coef = f.Coef
 	}
-	return coef, len(forms) > 0
+	return coef, ok
 }

@@ -37,6 +37,23 @@ func TestWindowContainsAndNeed(t *testing.T) {
 	if _, ok := CommonCoef(nil); ok {
 		t.Error("no access has no coefficient")
 	}
+	if _, ok := CommonCoef(nil, nil); ok {
+		t.Error("two empty sets have no coefficient")
+	}
+	// Over two sets, each answers what it answers over their concatenation.
+	for _, all := range [][]IndexForm{forms, append(forms, lit(2, 0)), {lit(4, 1), {Class: Class{4, 0}}}} {
+		for cut := 0; cut <= len(all); cut++ {
+			head, tail := all[:cut], all[cut:]
+			c, ok := CommonCoef(all)
+			if c2, ok2 := CommonCoef(head, tail); c2 != c || ok2 != ok {
+				t.Errorf("%v cut at %d: common coefficient (%d, %v), whole (%d, %v)", all, cut, c2, ok2, c, ok)
+			}
+			l, r := Window{S: 4}.Need(all)
+			if l2, r2 := (Window{S: 4}).Need(head, tail); l2 != l || r2 != r {
+				t.Errorf("%v cut at %d: need (%d, %d), whole (%d, %d)", all, cut, l2, r2, l, r)
+			}
+		}
+	}
 }
 
 func TestCollide(t *testing.T) {
