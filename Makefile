@@ -177,7 +177,7 @@ bench:
 # the tracing-disabled launch path, which must add zero allocations),
 # the pipelined-scheduler speedup gate (>=1.2x on the halo-bound
 # stencil, with report equivalence modulo time), the paper-app gate
-# (Phase B specialized vs interpreter: KMEANS >=20x and MD >=7x on
+# (Phase B specialized vs interpreter: KMEANS >=12.8x and MD >=7x on
 # lockstep tiles, BFS >=3.1x with its edge loop as flat tiles,
 # results verified both sides), the
 # guarded-stencil gate (>=4x Phase-B

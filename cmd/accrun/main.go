@@ -6,9 +6,9 @@
 // Usage:
 //
 //	accrun [-machine desktop|super|NxM[:opts]] [-gpus n] [-mode proposal|openmp|baseline|cuda]
-//	       [-vet [-json]] [-audit] [-faults seed=7,oomgpu=1,oomalloc=5,...] [-no-async]
-//	       [-trace out.trace.json] [-metrics out.metrics.json] [-narrate]
-//	       [-set n=1000 -set a=2.5 ...] [-print arr] file.c
+//	       [-vet [-json]] [-audit [-audit-tol x]] [-faults seed=7,oomgpu=1,oomalloc=5,... [-no-degrade]]
+//	       [-no-async] [-reference] [-trace out.trace.json] [-metrics out.metrics.json]
+//	       [-narrate] [-kernels] [-set n=1000 -set a=2.5 ...] [-print arr] file.c
 //
 // Runs execute under the asynchronous pipelined scheduler by default:
 // results and transfer accounting are bit-identical to the

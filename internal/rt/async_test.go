@@ -2,9 +2,12 @@ package rt_test
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,6 +41,40 @@ func reportModuloTime(rep *rt.Report) *rt.Report {
 	return &c
 }
 
+// haloPush is one halo transfer a run traced, without its time.
+type haloPush struct {
+	array    string
+	src, dst int
+	bytes    int64
+}
+
+// haloExchanges lists the halo spans on tr launch by launch: the pushes
+// traced between one launch's kernel spans and the next's. Each
+// launch's list is sorted, since the async schedule traces a launch's
+// pushes in the order its sub-batches issue.
+func haloExchanges(tr *trace.Tracer) [][]haloPush {
+	var out [][]haloPush
+	next := true
+	for _, s := range tr.Spans() {
+		switch s.Kind {
+		case trace.KindKernel, trace.KindSpecKernel:
+			next = true
+		case trace.KindHalo:
+			if next {
+				out, next = append(out, nil), false
+			}
+			out[len(out)-1] = append(out[len(out)-1], haloPush{s.Name, s.Src, s.Dst, s.Bytes})
+		}
+	}
+	for _, x := range out {
+		slices.SortFunc(x, func(a, b haloPush) int {
+			return cmp.Or(strings.Compare(a.array, b.array), cmp.Compare(a.src, b.src),
+				cmp.Compare(a.dst, b.dst), cmp.Compare(a.bytes, b.bytes))
+		})
+	}
+	return out
+}
+
 // checkAsyncVsSync runs one generated program under the synchronous
 // and the async schedule on every multi-GPU platform and asserts the
 // equivalence contract. It also asserts async determinism: the host
@@ -51,11 +88,12 @@ func checkAsyncVsSync(t testing.TB, p randProg) {
 		sim.Cluster(2, 2),
 		sim.Cluster(3, 2),
 	} {
-		sync, err := p.runFull(t, spec, rt.Options{}, nil)
+		syncTr, asyncTr := trace.New(), trace.New()
+		sync, err := p.runFull(t, spec, rt.Options{Tracer: syncTr}, nil)
 		if err != nil {
 			t.Fatalf("sync run on %s: %v\n%s", spec.Name, err, p.src)
 		}
-		async, err := p.runFull(t, spec, rt.Options{Async: true}, nil)
+		async, err := p.runFull(t, spec, rt.Options{Async: true, Tracer: asyncTr}, nil)
 		if err != nil {
 			t.Fatalf("async run on %s: %v\n%s", spec.Name, err, p.src)
 		}
@@ -75,6 +113,10 @@ func checkAsyncVsSync(t testing.TB, p randProg) {
 		}
 		if got, want := reportModuloTime(async.rep), reportModuloTime(sync.rep); !reflect.DeepEqual(got, want) {
 			t.Fatalf("on %s: async report diverges from sync modulo time:\nasync: %+v\nsync:  %+v\n%s",
+				spec.Name, got, want, p.src)
+		}
+		if got, want := haloExchanges(asyncTr), haloExchanges(syncTr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("on %s: async halo pushes diverge from sync:\nasync: %+v\nsync:  %+v\n%s",
 				spec.Name, got, want, p.src)
 		}
 
@@ -122,6 +164,42 @@ func TestAsyncVsSyncSeedCorpus(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			checkAsyncVsSync(t, genRandProg(rand.New(rand.NewSource(seed))))
 		})
+	}
+}
+
+// TestAsyncHaloPushesMatchSync holds the schedules to one halo
+// exchange on programs that have one (the generated corpus exchanges
+// no halos): the ping-pong stencil and the halo-bound gate stencil
+// push the same halos at the same launches under both schedules, on
+// every multi-GPU platform.
+func TestAsyncHaloPushesMatchSync(t *testing.T) {
+	for _, tpl := range []specTemplate{
+		{name: "pingpong", src: pingpongSrc},
+		{name: "async-stencil", src: asyncStencilSrc},
+	} {
+		for _, spec := range []sim.MachineSpec{
+			sim.Desktop(),
+			sim.SupercomputerNode(),
+			sim.Cluster(2, 2),
+			sim.Cluster(3, 2),
+		} {
+			var pushes [2][][]haloPush
+			for i, async := range []bool{false, true} {
+				tr := trace.New()
+				scalars := map[string]float64{"n": 8192}
+				if _, _, err := runSpecTemplate(t, tpl, scalars, 11, spec, rt.Options{Async: async, Tracer: tr}); err != nil {
+					t.Fatalf("%s on %s, async=%v: %v", tpl.name, spec.Name, async, err)
+				}
+				pushes[i] = haloExchanges(tr)
+			}
+			if len(pushes[0]) == 0 {
+				t.Fatalf("%s on %s: no halo pushes", tpl.name, spec.Name)
+			}
+			if !reflect.DeepEqual(pushes[1], pushes[0]) {
+				t.Errorf("%s on %s: async halo pushes diverge from sync:\nasync: %+v\nsync:  %+v",
+					tpl.name, spec.Name, pushes[1], pushes[0])
+			}
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package rt
 
 import (
-	"fmt"
-
 	"accmulti/internal/acc"
 	"accmulti/internal/cc"
 	"accmulti/internal/ir"
@@ -26,11 +24,7 @@ func (r *Runtime) commSync(k *ir.Kernel, env *ir.Env, gpus []*sim.Device, partia
 		case use.Written:
 			if r.distributed(use) {
 				p2p = r.deliverMisses(p2p, st, gpus)
-				h0 := len(p2p)
 				p2p = r.syncOverlaps(p2p, st, gpus)
-				if halo := p2p[h0:]; len(halo) > 0 {
-					r.addEvent("halo-exchange", r.haloDetail(k, st, halo))
-				}
 			} else {
 				p2p = append(p2p, r.syncReplicated(st, gpus)...)
 			}
@@ -250,37 +244,6 @@ func (r *Runtime) chunkFanOut(dst []sim.Transfer, st *arrayState, ngpus, g int, 
 		}
 	}
 	return dst
-}
-
-// haloExchange is what a halo-exchange event says, and its text.
-type haloExchange struct {
-	k                *ir.Kernel
-	transfers, inter int
-	bytes            int64
-	detail           string
-}
-
-// haloDetail is the text of the halo-exchange event of kernel k's push
-// of st's halo transfers. A launch that repeats the array's previous
-// exchange reuses its text.
-func (r *Runtime) haloDetail(k *ir.Kernel, st *arrayState, halo []sim.Transfer) string {
-	x := haloExchange{k: k, transfers: len(halo)}
-	for _, t := range halo {
-		x.bytes += t.Bytes
-		if r.mach.Spec.CrossNode(t.Src, t.Dst) {
-			x.inter++
-		}
-	}
-	if last := st.lastHalo; last.detail != "" && last.k == x.k && last.transfers == x.transfers && last.inter == x.inter && last.bytes == x.bytes {
-		return last.detail
-	}
-	if r.mach.Spec.NodeCount() > 1 {
-		x.detail = fmt.Sprintf("kernel %s: array %s, %d transfer(s) (%d inter-node), %d bytes", k.Name, st.decl.Name, x.transfers, x.inter, x.bytes)
-	} else {
-		x.detail = fmt.Sprintf("kernel %s: array %s, %d transfer(s), %d bytes", k.Name, st.decl.Name, x.transfers, x.bytes)
-	}
-	st.lastHalo = x
-	return x.detail
 }
 
 // deliverMisses routes buffered remote writes on distributed arrays to

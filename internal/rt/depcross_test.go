@@ -3,7 +3,6 @@ package rt_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"accmulti/internal/analysis"
@@ -12,6 +11,7 @@ import (
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
+	"accmulti/internal/trace"
 	"accmulti/internal/translator"
 )
 
@@ -26,7 +26,7 @@ import (
 //     the designed ACCV code and are deliberately never executed.
 //  3. The inter-kernel dependences the pass reports (Result.Deps)
 //     must cover every array the pipelined scheduler actually
-//     serializes: each halo-exchange event and each device
+//     serializes: each halo span and each device
 //     hazard-interval record names an array the static pass already
 //     knew was passed between kernels.
 
@@ -81,7 +81,8 @@ func TestStaticDepsCoverRuntimeHazards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime := rt.New(mach, rt.Options{Async: true})
+	tr := trace.New()
+	runtime := rt.New(mach, rt.Options{Async: true, Tracer: tr})
 	if err := runtime.Run(inst); err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +118,18 @@ func TestStaticDepsCoverRuntimeHazards(t *testing.T) {
 
 	// And every halo exchange the communication manager performed moves
 	// an array on a statically-detected dependence edge.
-	for _, ev := range runtime.Report().Events {
-		if ev.Kind != "halo-exchange" {
+	halos := 0
+	for _, s := range tr.Spans() {
+		if s.Kind != trace.KindHalo {
 			continue
 		}
-		var kname, aname string
-		var transfers, bytes int
-		if _, err := fmt.Sscanf(ev.Detail, "kernel %s array %s %d transfer(s), %d bytes",
-			&kname, &aname, &transfers, &bytes); err != nil {
-			t.Fatalf("unparseable halo event %q: %v", ev.Detail, err)
+		halos++
+		if !depArrays[s.Name] {
+			t.Errorf("halo exchange on %q has no static dependence edge (deps: %+v)", s.Name, res.Deps)
 		}
-		aname = strings.TrimSuffix(aname, ",")
-		if !depArrays[aname] {
-			t.Errorf("halo exchange on %q has no static dependence edge (deps: %+v)", aname, res.Deps)
-		}
+	}
+	if halos == 0 {
+		t.Error("async run traced no halo spans")
 	}
 }
 

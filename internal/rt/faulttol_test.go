@@ -310,6 +310,35 @@ func TestFaultPlanIsDeterministic(t *testing.T) {
 	compareI32(t, p.src, "determinism", "out_", one.out, two.out)
 }
 
+// TestFaultFreeRunRecordsNoEvents holds Report.Events to fault
+// handling: a fault-free run of the localaccess ping-pong stencil, which
+// exchanges halos after every launch on more than one GPU, records no
+// event on any machine under either schedule.
+func TestFaultFreeRunRecordsNoEvents(t *testing.T) {
+	tpl := specTemplate{name: "pingpong", src: pingpongSrc}
+	for _, spec := range []sim.MachineSpec{
+		sim.Desktop().WithGPUs(1),
+		sim.Desktop().WithGPUs(2),
+		sim.Desktop().WithGPUs(4),
+		sim.Cluster(2, 2),
+	} {
+		for _, async := range []bool{false, true} {
+			r, _, err := runSpecTemplate(t, tpl, map[string]float64{"n": 4096}, 11, spec, rt.Options{Async: async})
+			if err != nil {
+				t.Fatalf("%s, async=%v: %v", spec.Name, async, err)
+			}
+			rep := r.Report()
+			if spec.NumGPUs > 1 && rep.BytesP2P == 0 {
+				t.Errorf("%s, async=%v: no halo exchanged", spec.Name, async)
+			}
+			if len(rep.Events) != 0 {
+				t.Errorf("%s, async=%v: a fault-free run recorded %d event(s), first %+v",
+					spec.Name, async, len(rep.Events), rep.Events[0])
+			}
+		}
+	}
+}
+
 // TestOOMPathsLeakNoDeviceMemory pins the loader's OOM-path cleanup:
 // whether the run degrades gracefully or fails hard, every byte of
 // device memory must be back at zero once Run returns.

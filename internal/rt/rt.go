@@ -348,12 +348,8 @@ func (r *Runtime) addEvent(kind, detail string) {
 	r.rep.Events = append(r.rep.Events, Event{Time: now, Kind: kind, Detail: detail})
 	if t := r.opts.Tracer; t != nil {
 		t.Metrics().Inc("events."+kind, 1)
-		if kind != "halo-exchange" {
-			// Fault-handling actions become degrade spans; halo
-			// exchanges already appear as halo-exchange transfer spans.
-			t.Emit(trace.Span{Kind: trace.KindDegrade, Lane: trace.LaneHost,
-				Begin: now, End: now, Name: kind, Lo: 0, Hi: -1, Detail: detail})
-		}
+		t.Emit(trace.Span{Kind: trace.KindDegrade, Lane: trace.LaneHost,
+			Begin: now, End: now, Name: kind, Lo: 0, Hi: -1, Detail: detail})
 	}
 }
 
@@ -439,9 +435,11 @@ type Report struct {
 	TransferRetries int
 	// Fallbacks counts OOM degradation-ladder steps taken.
 	Fallbacks int
-	// Events records every notable runtime action — fault handling
-	// (transfer retries, placement fallbacks, GPU-count reductions) and
-	// inter-GPU halo exchanges — in occurrence order.
+	// Events records every fault-handling action (transfer retries and
+	// give-ups, placement fallbacks, GPU-count reductions, node losses)
+	// in occurrence order. A fault-free run records none; halo exchanges
+	// are counted in BytesP2P and GPUGPUTime and traced as halo-exchange
+	// spans.
 	Events []Event
 	// Async records whether the pipelined scheduler was armed.
 	// AsyncTime is then the overlapped-schedule makespan, which
@@ -457,7 +455,7 @@ type Event struct {
 	// Time is the simulated clock when the action was taken.
 	Time time.Duration
 	// Kind classifies the action: "transfer-retry", "transfer-giveup",
-	// "oom-fallback", "oom-giveup", "node-loss" or "halo-exchange".
+	// "oom-fallback", "oom-giveup" or "node-loss".
 	Kind string
 	// Detail is a human-readable description.
 	Detail string

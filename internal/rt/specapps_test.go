@@ -75,10 +75,14 @@ func appPhaseBWall(t *testing.T, name string, scale float64, opts Options) time.
 // interpreter in disturbed stretches, BFS by a quarter); which body ran is
 // pinned by counts (TestBFSRunsTiled, TestAppTrips). Each side is its best
 // of three runs, the two sides' runs alternating (alternate). Skipped in
-// -short mode: wall-clock ratios under -race are noise, not signal.
+// -short mode and in a -race build: wall-clock ratios under -race are
+// noise, not signal.
 func TestPaperAppSpeedupGate(t *testing.T) {
 	if testing.Short() {
 		t.Skip("wall-clock gate: skipped in -short mode")
+	}
+	if sim.RaceDetector {
+		t.Skip("wall-clock gate: skipped under the race detector")
 	}
 	for _, tc := range []struct {
 		name  string

@@ -12,14 +12,15 @@ import (
 	"accmulti/internal/ir"
 	"accmulti/internal/rt"
 	"accmulti/internal/sim"
+	"accmulti/internal/trace"
 	"accmulti/internal/translator"
 )
 
 // This file cross-checks the static accvet pass (internal/analysis)
 // against the runtime and the PR-1 shadow-oracle auditor:
 //
-//  1. ACCV007 halo-exchange predictions must match the actual
-//     "halo-exchange" events the communication manager records.
+//  1. ACCV007 halo-exchange predictions must match the halo spans
+//     the communication manager's transfers emit.
 //  2. Any program the analyzer declares footprint-safe must execute
 //     bit-exactly under the auditor on every machine (no false "safe").
 //  3. Footprint mutants the analyzer rejects with ACCV001 are never
@@ -58,8 +59,8 @@ void main() {
 // TestHaloPredictionMatchesRuntime pins ACCV007 to reality: the
 // iterated ping-pong stencil for which the analyzer predicts a
 // 2-element-per-pair exchange on both arrays must produce exactly such
-// "halo-exchange" events in Report.Events when run on a multi-GPU
-// machine.
+// exchanges, as halo spans on an attached tracer, when run on a
+// multi-GPU machine.
 func TestHaloPredictionMatchesRuntime(t *testing.T) {
 	prog, err := cc.ParseProgram(pingpongSrc)
 	if err != nil {
@@ -95,33 +96,32 @@ func TestHaloPredictionMatchesRuntime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runtime := rt.New(mach, rt.Options{})
-	if err := runtime.Run(inst); err != nil {
+	tr := trace.New()
+	if err := rt.New(mach, rt.Options{Tracer: tr}).Run(inst); err != nil {
 		t.Fatal(err)
 	}
 
 	// 2 elements per adjacent pair, float32 elements.
-	wantBytes := (gpus - 1) * 2 * 4
+	wantBytes := int64((gpus - 1) * 2 * 4)
 	seen := map[string]int{}
-	for _, ev := range runtime.Report().Events {
-		if ev.Kind != "halo-exchange" {
-			continue
+	for _, launch := range haloExchanges(tr) {
+		moved := map[string]int64{}
+		for _, p := range launch {
+			if d := p.src - p.dst; d != 1 && d != -1 {
+				t.Errorf("halo push of %q moves gpu%d -> gpu%d, not between adjacent GPUs", p.array, p.src, p.dst)
+			}
+			moved[p.array] += p.bytes
 		}
-		var kname, aname string
-		var transfers, bytes int
-		if _, err := fmt.Sscanf(ev.Detail, "kernel %s array %s %d transfer(s), %d bytes",
-			&kname, &aname, &transfers, &bytes); err != nil {
-			t.Fatalf("unparseable halo event %q: %v", ev.Detail, err)
-		}
-		aname = strings.TrimSuffix(aname, ",")
-		seen[aname]++
-		if bytes != wantBytes {
-			t.Errorf("halo event %q moved %d bytes, predicted %d", ev.Detail, bytes, wantBytes)
+		for arr, bytes := range moved {
+			seen[arr]++
+			if bytes != wantBytes {
+				t.Errorf("a launch's halo exchange of %q moved %d bytes, predicted %d", arr, bytes, wantBytes)
+			}
 		}
 	}
 	for _, arr := range []string{"a", "b"} {
 		if seen[arr] == 0 {
-			t.Errorf("no halo-exchange events for predicted array %q (events: %+v)", arr, runtime.Report().Events)
+			t.Errorf("no halo spans for predicted array %q", arr)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
@@ -576,6 +577,34 @@ func TestFaultedRunSharesNothing(t *testing.T) {
 	}
 	if rec := post(t, h, "/v1/run", clean); rec.Code != wantClean.Code || rec.Body.String() != wantClean.Body.String() {
 		t.Errorf("the request after the faulted ones: status %d, body %.200s; want the fresh server's", rec.Code, rec.Body.String())
+	}
+}
+
+// replyNumber is a JSON number in a reply: one that follows a ':', ','
+// or '['. A digit inside a string (a digest) follows none of them.
+var replyNumber = regexp.MustCompile(`([:,\[])-?[0-9][0-9.eE+-]*`)
+
+// TestReplySizeIndependentOfSteps holds a run's reply to what the run
+// states once: the 2x2 dist stencil exchanges halos at every step, and
+// its reply at 1 000 steps is its reply at 1 step but for the digits of
+// its scalars, times and counters.
+func TestReplySizeIndependentOfSteps(t *testing.T) {
+	h := New(Config{}).Handler()
+	reply := func(steps float64) []byte {
+		rec := post(t, h, "/v1/run", marshal(t, &RunRequest{Source: stencilSrc, Machine: "2x2",
+			Scalars: map[string]float64{"n": 4096, "steps": steps}}))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("steps %g: status %d: %.200s", steps, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+	one, many := reply(1), reply(1000)
+	t.Logf("reply: %d B at 1 step, %d B at 1000", len(one), len(many))
+	if bytes.Contains(many, []byte("halo-exchange")) {
+		t.Errorf("reply names a halo exchange: %.300s", many)
+	}
+	if a, b := replyNumber.ReplaceAll(one, []byte("${1}0")), replyNumber.ReplaceAll(many, []byte("${1}0")); !bytes.Equal(a, b) {
+		t.Errorf("with every number read as 0, the replies differ:\n1 step:     %s\n1000 steps: %.2000s", a, b)
 	}
 }
 
